@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    exhaustive_search_with, scan_placements, scan_placements_delta, DeltaCounters, DeltaEvaluator,
-    EnsembleShape, FastEvaluator, NodeBudget, ScanOptions, SearchConfig,
+    exhaustive_search, scan_placements, Candidate, DeltaCounters, DeltaEvaluator, EnsembleShape,
+    FastEvaluator, NodeBudget, ScanOptions, SearchConfig,
 };
 use svc::{
     CoschedSvcConfig, Request, RequestBody, Response, Service, SubmitRequest, SvcConfig, Workloads,
@@ -62,12 +62,14 @@ fn fast_scan(
         budget,
         &opts,
         || FastEvaluator::new(base),
-        |evaluator: &mut FastEvaluator, _, assignment: &[usize]| -> RuntimeResult<Option<f64>> {
-            let spec = shape.materialize(assignment);
+        |evaluator: &mut FastEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
+            let spec = shape.materialize(c.assignment);
             Ok(Some(evaluator.score(&spec)?.objective))
         },
+        |_| DeltaCounters::default(),
         |objective| *objective,
         || false,
+        |_| {},
     )
     .expect("fast scan")
     .into_values()
@@ -116,21 +118,18 @@ fn delta_scan(
     workers: usize,
 ) -> (Vec<u64>, DeltaCounters) {
     let opts = ScanOptions { workers, ..Default::default() };
-    let outcome = scan_placements_delta(
+    let outcome = scan_placements(
         shape,
         budget,
         &opts,
         || DeltaEvaluator::new(base, shape),
-        |evaluator: &mut DeltaEvaluator,
-         _,
-         assignment: &[usize],
-         hint|
-         -> RuntimeResult<Option<f64>> {
-            Ok(Some(evaluator.score_delta(assignment, hint)?.objective))
+        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
+            Ok(Some(evaluator.score_delta(c.assignment, c.first_changed)?.objective))
         },
         DeltaEvaluator::take_counters,
         |objective| *objective,
         || false,
+        |_| {},
     )
     .expect("delta scan");
     let counters = outcome.delta;
@@ -209,7 +208,7 @@ fn bench_des_path(quick: bool, host_cores: usize) -> Vec<Sample> {
     .small_scale();
     let reps = if quick { 1 } else { 3 };
     let run = |workers: usize| -> Vec<u64> {
-        exhaustive_search_with(&config, &ScanOptions { workers, ..Default::default() })
+        exhaustive_search(&config, &ScanOptions { workers, ..Default::default() })
             .expect("des scan")
             .into_values()
             .into_iter()

@@ -7,7 +7,7 @@
 //!
 //! Three measurements:
 //! 1. `score_cold` — cache cleared before every request (full
-//!    enumerate + `FastEvaluator` scan);
+//!    enumerate + `DeltaEvaluator` scan);
 //! 2. `score_warm` — same request repeated against a warm cache;
 //! 3. `tcp_roundtrip_warm` — the warm path including the JSON-lines
 //!    socket hop, i.e. what a remote client actually observes.

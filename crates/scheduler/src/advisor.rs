@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::core_sweep::{core_sweep, CoreSweepConfig};
 use crate::enumerate::EnsembleShape;
+use crate::scan::ScanOptions;
 use crate::search::{exhaustive_search, greedy_search, NodeBudget, SearchConfig};
 
 /// Exhaustive search is bounded by the number of canonical placements;
@@ -46,7 +47,7 @@ pub fn recommend_placement(
         config = config.small_scale();
     }
     let (best, exhaustive) = if shape.num_components() <= EXHAUSTIVE_COMPONENT_LIMIT {
-        let ranked = exhaustive_search(&config)?;
+        let ranked = exhaustive_search(&config, &ScanOptions::default())?.into_values();
         let best = ranked.into_iter().next().ok_or(runtime::RuntimeError::NoSamples)?;
         (best, true)
     } else {

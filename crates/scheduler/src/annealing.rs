@@ -184,7 +184,7 @@ mod tests {
         )
         .unwrap();
         let search_cfg = SearchConfig::new(shape, budget).small_scale();
-        let ranked = exhaustive_search(&search_cfg).unwrap();
+        let ranked = exhaustive_search(&search_cfg, &Default::default()).unwrap().into_values();
         let rel =
             (annealed.objective - ranked[0].objective).abs() / ranked[0].objective.abs().max(1e-12);
         assert!(

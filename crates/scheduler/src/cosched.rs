@@ -41,12 +41,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ensemble_core::{EnsembleSpec, MemberSpec};
 use runtime::{RuntimeError, SimRunConfig};
 
+use crate::delta::{DeltaCounters, DeltaEvaluator};
 use crate::enumerate::EnsembleShape;
-use crate::fast_eval::FastEvaluator;
-use crate::scan::{scan_placements, ScanOptions};
+use crate::scan::{scan_placements, Candidate, ScanOptions};
 use crate::search::NodeBudget;
 
 /// Errors from residency accounting and co-scheduling.
@@ -266,24 +265,9 @@ impl ResidencyMap {
         self.released_cores
     }
 
-    /// All resident members, materialized at their physical nodes, in
-    /// job-id order — the interference context candidate placements are
-    /// scored against.
-    pub fn resident_members(&self) -> Vec<MemberSpec> {
-        let mut members = Vec::new();
-        for res in self.reservations.values() {
-            members.extend(res.shape.materialize(&res.assignment).members);
-        }
-        members
-    }
-
-    /// A scoring view of the current state.
+    /// A scoring view of the current state: residents in job-id order.
     pub fn view(&self) -> ResidualView {
-        ResidualView {
-            budget: self.budget,
-            free: self.residual(),
-            residents: self.resident_members(),
-        }
+        ResidualView::with_residents(self.budget, self.residual(), self.reservations.values())
     }
 }
 
@@ -297,18 +281,36 @@ pub struct ResidualView {
     pub budget: NodeBudget,
     /// Free cores per node.
     pub free: Vec<u32>,
-    /// Members currently resident, at their physical nodes.
-    pub residents: Vec<MemberSpec>,
+    /// Every resident member, concatenated in residency order. The
+    /// order is part of the score: the solver's float sums and Spread
+    /// socket round-robin run in member order. Private together with
+    /// `resident_assignment` so the two cannot disagree in length.
+    residents: EnsembleShape,
+    /// The residents' flattened physical node assignment.
+    resident_assignment: Vec<usize>,
 }
 
 impl ResidualView {
     /// An all-free view of `budget` with no residents.
     pub fn empty(budget: NodeBudget) -> Self {
-        ResidualView {
-            budget,
-            free: vec![budget.cores_per_node; budget.max_nodes],
-            residents: Vec::new(),
+        let free = vec![budget.cores_per_node; budget.max_nodes];
+        ResidualView::with_residents(budget, free, std::iter::empty())
+    }
+
+    /// A view with `free` cores per node beside `reservations`, whose
+    /// members become the residents in iteration order.
+    pub fn with_residents<'a>(
+        budget: NodeBudget,
+        free: Vec<u32>,
+        reservations: impl IntoIterator<Item = &'a Reservation>,
+    ) -> Self {
+        let mut residents = EnsembleShape { members: Vec::new() };
+        let mut resident_assignment = Vec::new();
+        for res in reservations {
+            residents.members.extend(res.shape.members.iter().cloned());
+            resident_assignment.extend_from_slice(&res.assignment);
         }
+        ResidualView { budget, free, residents, resident_assignment }
     }
 }
 
@@ -362,10 +364,12 @@ fn best_fit_mapping(virtual_loads: &[u32], free: &[u32]) -> Option<Vec<usize>> {
     Some(mapping)
 }
 
-/// Per-worker scan state for [`place_against`].
+/// Per-worker scan state for [`place_against`]: one evaluator over the
+/// combined shape (residents, then the job) and the assignment it is
+/// fed — the residents' fixed nodes, then the candidate's.
 struct PlaceState {
-    eval: FastEvaluator,
-    residents: Vec<MemberSpec>,
+    eval: DeltaEvaluator,
+    assignment: Vec<usize>,
 }
 
 /// One surviving candidate of a residual scan.
@@ -382,6 +386,13 @@ struct CandidateHit {
 /// returning the best (or `None` when nothing fits). Deterministic at
 /// any `opts.workers`: candidates are ranked `(combined objective
 /// desc, enumeration index asc)` by the scan engine's merge.
+///
+/// Each candidate is one assignment of the combined shape whose
+/// resident prefix never changes, so the worker's [`DeltaEvaluator`]
+/// re-solves only the nodes the job's components moved between. Its
+/// own diff finds them: the scan's first-changed hint describes
+/// canonical neighbours, and the best-fit mapping can permute physical
+/// nodes between them.
 pub fn place_against(
     shape: &EnsembleShape,
     view: &ResidualView,
@@ -390,35 +401,40 @@ pub fn place_against(
 ) -> Result<Option<PlacementDecision>, CoschedError> {
     let scan_opts = ScanOptions { top_k: 1, ..*opts };
     let free = &view.free;
+    let resident_slots = view.resident_assignment.len();
+    let mut combined = view.residents.clone();
+    combined.members.extend(shape.members.iter().cloned());
     let outcome = scan_placements(
         shape,
         view.budget,
         &scan_opts,
-        || PlaceState { eval: FastEvaluator::new(base), residents: view.residents.clone() },
-        |state: &mut PlaceState,
-         _,
-         assignment: &[usize]|
-         -> Result<Option<CandidateHit>, RuntimeError> {
-            let virtual_nodes = assignment.iter().copied().max().map_or(0, |m| m + 1);
-            let (vload, _) = node_loads(shape, assignment, virtual_nodes);
+        || {
+            let mut assignment = view.resident_assignment.clone();
+            assignment.resize(combined.num_components(), 0);
+            PlaceState { eval: DeltaEvaluator::new(base, &combined), assignment }
+        },
+        |state: &mut PlaceState, c: Candidate<'_>| -> Result<Option<CandidateHit>, RuntimeError> {
+            let virtual_nodes = c.assignment.iter().copied().max().map_or(0, |m| m + 1);
+            let (vload, _) = node_loads(shape, c.assignment, virtual_nodes);
             let Some(mapping) = best_fit_mapping(&vload, free) else {
                 return Ok(None);
             };
-            let physical: Vec<usize> = assignment.iter().map(|&v| mapping[v]).collect();
-            let candidate = shape.materialize(&physical);
-            let mut members = state.residents.clone();
-            members.extend(candidate.members.iter().cloned());
-            let combined = EnsembleSpec::new(members);
-            let score = state.eval.score(&combined)?;
+            let physical = &mut state.assignment[resident_slots..];
+            for (slot, &v) in physical.iter_mut().zip(c.assignment) {
+                *slot = mapping[v];
+            }
+            let score = state.eval.score(&state.assignment)?;
             Ok(Some(CandidateHit {
-                physical,
-                canonical: assignment.to_vec(),
+                physical: state.assignment[resident_slots..].to_vec(),
+                canonical: c.assignment.to_vec(),
                 objective: score.objective,
                 nodes_used: virtual_nodes,
             }))
         },
+        |_| DeltaCounters::default(),
         |hit: &CandidateHit| hit.objective,
         || false,
+        |_| {},
     )?;
     let scanned = outcome.scanned;
     let feasible = outcome.feasible;
@@ -426,8 +442,8 @@ pub fn place_against(
         return Ok(None);
     };
     let hit = best.value;
-    // The job's own predicted duration: its spec scored alone.
-    let solo = FastEvaluator::new(base).score(&shape.materialize(&hit.physical))?;
+    // The job's own predicted duration: its shape scored alone.
+    let solo = DeltaEvaluator::new(base, shape).score(&hit.physical)?;
     Ok(Some(PlacementDecision {
         assignment: hit.physical,
         canonical: hit.canonical,
@@ -772,9 +788,11 @@ impl CoScheduler {
                 remaining.retain(|r| r.seq != drained.seq);
                 start_at = drained.predicted_end.max(start_at);
             }
-            let residents: Vec<MemberSpec> =
-                remaining.iter().flat_map(|r| r.shape.materialize(&r.assignment).members).collect();
-            let view = ResidualView { budget: self.cfg.budget, free: free.clone(), residents };
+            let view = ResidualView::with_residents(
+                self.cfg.budget,
+                free.clone(),
+                remaining.iter().copied(),
+            );
             if let Some(decision) = place_against(head_shape, &view, &self.base, &self.cfg.scan)? {
                 if k == 0 {
                     return Ok(None);
@@ -937,6 +955,25 @@ mod tests {
         let too_big = EnsembleShape::uniform(2, 16, 1, 8); // 48 > 32
         assert!(matches!(s.submit(1, too_big).unwrap(), Admission::Infeasible));
         assert_eq!(s.queue_depth(), 0);
+    }
+
+    #[test]
+    fn components_wider_than_a_node_never_panic_admission() {
+        // Wire shapes only have to fit u32, and the service calls
+        // `submit` holding its admission locks: nothing fits, nothing
+        // panics, with or without residents.
+        let mut s = sched(2);
+        placed(s.submit(1, member(16, 8)).unwrap());
+        for (job, shape) in [(2, member(70_000, 8)), (3, member(16, 70_000)), (4, member(33, 1))] {
+            assert!(matches!(s.submit(job, shape).unwrap(), Admission::Infeasible));
+        }
+        // A budget that claims nodes wider than the platform model's
+        // lets the candidate through to the evaluator, which reports
+        // the node it overflows — an error, and the next job places.
+        let wide = NodeBudget { max_nodes: 1, cores_per_node: 100_000 };
+        let mut s = CoScheduler::new(CoschedConfig::new(wide), base(&member(16, 8)));
+        assert!(matches!(s.submit(1, member(70_000, 8)), Err(CoschedError::Eval(_))));
+        placed(s.submit(2, member(16, 8)).unwrap());
     }
 
     #[test]

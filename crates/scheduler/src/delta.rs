@@ -99,11 +99,12 @@ impl DeltaCounters {
     }
 }
 
-/// Incremental placement evaluator producing scores bit-identical to
-/// [`crate::fast_eval::FastEvaluator`] over the same base configuration
-/// and shape.
+/// Incremental placement evaluator — the one production code scores
+/// closed-form placements with — producing scores bit-identical to the
+/// from-scratch reference in [`crate::fast_eval`] over the same base
+/// configuration and shape.
 ///
-/// Built once per worker (like `FastEvaluator`), then fed assignments —
+/// Built once per scan worker, then fed assignments —
 /// flattened node indexes in the shape's component order, exactly what
 /// [`crate::enumerate::PlacementIter`] yields and
 /// [`EnsembleShape::materialize`] consumes. No `EnsembleSpec` is
@@ -196,7 +197,6 @@ impl DeltaEvaluator {
                     }
                 };
                 assert!(wid < usize::from(u16::MAX), "too many distinct workloads");
-                assert!(cores <= u32::from(u16::MAX), "component cores exceed signature packing");
                 comp_cores.push(cores);
                 comp_workload.push(wid as u16);
                 comp_member.push(i);
@@ -211,6 +211,12 @@ impl DeltaEvaluator {
         }
         let n = comp_cores.len();
         let members = shape.members.len();
+        // A signature packs a component's cores into 16 bits. A shape
+        // wider than that (shapes come off the wire unvalidated; no
+        // real node is) is scored with the solve cache off rather than
+        // refused — results never depend on the cache.
+        let packable = comp_cores.iter().all(|&c| c <= u32::from(u16::MAX));
+        let capacity = if packable { capacity } else { 0 };
         DeltaEvaluator {
             node_spec: base.node_spec.clone(),
             interference: base.interference.clone(),

@@ -220,8 +220,8 @@ impl PlacementIter {
     /// [`next_chunk`](Self::next_chunk), with each entry carrying the
     /// first-changed position relative to the assignment enumerated
     /// immediately before it (`None` for enumeration index 0, which has
-    /// no predecessor). Feeds delta-scoring scan workers
-    /// ([`crate::scan::scan_placements_delta`]).
+    /// no predecessor). Feeds the scan workers
+    /// ([`crate::scan::scan_placements`]).
     pub fn next_chunk_delta(
         &mut self,
         out: &mut Vec<(usize, Vec<usize>, Option<usize>)>,

@@ -1,5 +1,12 @@
-//! Fast placement evaluation through the closed-form predictor — no
-//! discrete-event run, suitable for scanning thousands of candidates.
+//! From-scratch placement evaluation through the closed-form predictor
+//! — the reference [`crate::DeltaEvaluator`] is held bit-identical to.
+//!
+//! Production code scores through `DeltaEvaluator`; this module's
+//! [`FastEvaluator`] and [`fast_score`] re-derive everything per
+//! candidate via `runtime::predict_scores` and exist for the property
+//! tests and the scan bench to compare against. The
+//! `fast_score_stays_out_of_library_loops` test pins that no library
+//! code in `scheduler` or `svc` names either.
 
 use ensemble_core::{aggregate, Aggregation, EnsembleSpec, IndicatorPath, MemberInputs};
 use runtime::{predict_scores, RuntimeResult, SimRunConfig};
@@ -18,12 +25,11 @@ pub struct FastScore {
     pub eq4_satisfied: bool,
 }
 
-/// Reusable fast-evaluation context: clones the base run configuration
-/// (platform, workload map, run settings) **once**, then scores any
-/// number of candidate specs by swapping only the spec in. Candidate
-/// scans — the placement search and the provisioning service's score
-/// path — go through this instead of paying a full `SimRunConfig` clone
-/// per candidate.
+/// Reusable from-scratch evaluation context: clones the base run
+/// configuration (platform, workload map, run settings) **once**, then
+/// scores any number of candidate specs by swapping only the spec in —
+/// so a reference scan does not pay a full `SimRunConfig` clone per
+/// candidate.
 #[derive(Debug, Clone)]
 pub struct FastEvaluator {
     cfg: SimRunConfig,
@@ -84,15 +90,9 @@ fn score_config(cfg: &SimRunConfig) -> RuntimeResult<FastScore> {
 ///
 /// One-shot convenience over [`FastEvaluator`]: every call clones the
 /// **entire** `SimRunConfig` (platform model, workload map, settings).
-/// That is fine for a single score or a test reference, and ruinous in
-/// a loop. Hot paths must not call this per candidate — scans go
-/// through [`crate::scan`] with a per-worker [`crate::DeltaEvaluator`]
-/// (or `FastEvaluator`), annealing reuses one evaluator across moves.
-/// Every former in-loop call site was redirected (PR 5 removed the
-/// scan/anneal loops; the delta engine keeps them out), and the
-/// `fast_score_stays_out_of_library_loops` test pins that this function
-/// is referenced only from `#[cfg(test)]` code and test files within
-/// this crate.
+/// That is fine for a test reference, and ruinous in a loop — scans go
+/// through [`crate::scan`] with a per-worker [`crate::DeltaEvaluator`],
+/// annealing reuses one across moves.
 pub fn fast_score(base: &SimRunConfig, spec: &EnsembleSpec) -> RuntimeResult<FastScore> {
     FastEvaluator::new(base).score(spec)
 }
@@ -160,30 +160,36 @@ mod tests {
 
     #[test]
     fn fast_score_stays_out_of_library_loops() {
-        // `fast_score` clones the whole SimRunConfig per call — the
-        // audit in the function docs: library (non-test) code in this
-        // crate must never call it; hot paths use reusable evaluators.
-        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        for entry in std::fs::read_dir(&src_dir).expect("read src/") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("rs") {
-                continue;
-            }
-            let source = std::fs::read_to_string(&path).expect("read source");
-            // Strip everything from the test module down — call sites
-            // there are reference paths, which are exactly where the
-            // one-shot form belongs.
-            let library_code = source.split("#[cfg(test)]").next().expect("split");
-            for (lineno, line) in library_code.lines().enumerate() {
-                let code = line.split("//").next().expect("split");
-                let is_definition = code.contains("pub fn fast_score");
-                assert!(
-                    is_definition || !code.contains("fast_score("),
-                    "{}:{}: fast_score called from library code — use a reusable \
-                     FastEvaluator/DeltaEvaluator instead",
-                    path.display(),
-                    lineno + 1
-                );
+        // The from-scratch path is an oracle: library (non-test) code in
+        // `scheduler` and `svc` scores through `DeltaEvaluator` and must
+        // not name `fast_score` or `FastEvaluator` outside this module
+        // and the crate root's re-export.
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for src_dir in [crates.join("scheduler/src"), crates.join("svc/src")] {
+            for entry in std::fs::read_dir(&src_dir).expect("read src/") {
+                let path = entry.expect("dir entry").path();
+                if path.extension().and_then(|e| e.to_str()) != Some("rs")
+                    || path.ends_with("scheduler/src/fast_eval.rs")
+                {
+                    continue;
+                }
+                let source = std::fs::read_to_string(&path).expect("read source");
+                // Strip everything from the test module down — call sites
+                // there are reference paths, which is where the oracle
+                // belongs.
+                let library_code = source.split("#[cfg(test)]").next().expect("split");
+                for (lineno, line) in library_code.lines().enumerate() {
+                    let code = line.split("//").next().expect("split");
+                    let is_reexport = code.contains("pub use fast_eval::");
+                    assert!(
+                        is_reexport
+                            || !(code.contains("fast_score") || code.contains("FastEvaluator")),
+                        "{}:{}: the from-scratch evaluator named in library code — score \
+                         through a DeltaEvaluator instead",
+                        path.display(),
+                        lineno + 1
+                    );
+                }
             }
         }
     }

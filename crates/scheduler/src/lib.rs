@@ -44,13 +44,11 @@ pub use cosched::{
 pub use delta::{DeltaCounters, DeltaEvaluator};
 pub use enumerate::{canonicalize, enumerate_placements, EnsembleShape, PlacementIter};
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
-pub use moldable::{moldable_search, moldable_search_with, MoldablePoint, MoldableResult};
-pub use pareto::{frontier_only, pareto_front, pareto_front_with, ParetoPoint};
+pub use moldable::{moldable_search, MoldablePoint, MoldableResult};
+pub use pareto::{frontier_only, pareto_front, ParetoPoint};
 pub use scan::{
-    scan_placements, scan_placements_delta, scan_placements_delta_observed,
-    scan_placements_observed, ScanHit, ScanOptions, ScanOutcome, ScanProgress, SCAN_WORKERS_ENV,
+    scan_placements, Candidate, ScanHit, ScanOptions, ScanOutcome, ScanProgress, SCAN_WORKERS_ENV,
 };
 pub use search::{
-    exhaustive_search, exhaustive_search_with, greedy_search, score_report, NodeBudget,
-    ScoredPlacement, SearchConfig,
+    exhaustive_search, greedy_search, score_report, NodeBudget, ScoredPlacement, SearchConfig,
 };

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::delta::DeltaEvaluator;
 use crate::enumerate::EnsembleShape;
-use crate::scan::{scan_placements_delta, ScanOptions};
+use crate::scan::{scan_placements, Candidate, ScanOptions};
 use crate::search::NodeBudget;
 
 /// One point of the joint search.
@@ -42,27 +42,13 @@ pub struct MoldableResult {
 }
 
 /// Searches core counts × placements for `n` members of
-/// `sim_cores + k` analyses under `budget`. Runs the parallel scan
-/// engine at its default worker count — see [`moldable_search_with`]
-/// for explicit control.
-pub fn moldable_search(
-    base: &SimRunConfig,
-    n: usize,
-    sim_cores: u32,
-    k: usize,
-    candidate_cores: &[u32],
-    budget: NodeBudget,
-) -> RuntimeResult<MoldableResult> {
-    moldable_search_with(base, n, sim_cores, k, candidate_cores, budget, &ScanOptions::default())
-}
-
-/// [`moldable_search`] with explicit scan options. Each core count runs
-/// one top-1 scan: per-worker [`DeltaEvaluator`]s score the candidates
-/// incrementally (bit-identical to from-scratch) and the engine's
-/// bounded selection keeps the earliest-enumerated maximum — exactly
-/// the placement the old strictly-greater serial loop kept, at any
+/// `sim_cores + k` analyses under `budget`. Each core count runs one
+/// top-1 scan (`opts.top_k` is overridden): per-worker
+/// [`DeltaEvaluator`]s score the candidates incrementally and the
+/// engine's bounded selection keeps the earliest-enumerated maximum —
+/// exactly the placement a strictly-greater serial loop keeps, at any
 /// worker count.
-pub fn moldable_search_with(
+pub fn moldable_search(
     base: &SimRunConfig,
     n: usize,
     sim_cores: u32,
@@ -76,20 +62,18 @@ pub fn moldable_search_with(
     let mut per_size = Vec::new();
     for &cores in candidate_cores {
         let shape = EnsembleShape::uniform(n, sim_cores, k, cores);
-        let outcome = scan_placements_delta(
+        let outcome = scan_placements(
             &shape,
             budget,
             &opts,
             || DeltaEvaluator::new(base, &shape),
             |evaluator: &mut DeltaEvaluator,
-             _,
-             assignment: &[usize],
-             hint: Option<usize>|
+             c: Candidate<'_>|
              -> RuntimeResult<Option<MoldablePoint>> {
-                let score = evaluator.score_delta(assignment, hint)?;
+                let score = evaluator.score_delta(c.assignment, c.first_changed)?;
                 Ok(Some(MoldablePoint {
                     analysis_cores: cores,
-                    assignment: assignment.to_vec(),
+                    assignment: c.assignment.to_vec(),
                     objective: score.objective,
                     ensemble_makespan: score.ensemble_makespan,
                     nodes_used: score.nodes_used,
@@ -99,6 +83,7 @@ pub fn moldable_search_with(
             DeltaEvaluator::take_counters,
             |p: &MoldablePoint| p.objective,
             || false,
+            |_| {},
         )?;
         if let Some(best) = outcome.into_values().into_iter().next() {
             per_size.push(best);
@@ -145,6 +130,7 @@ mod tests {
             1,
             &[4, 8, 16],
             NodeBudget { max_nodes: 3, cores_per_node: 32 },
+            &ScanOptions::default(),
         )
         .unwrap();
         assert_eq!(result.per_size.len(), 3);
@@ -187,7 +173,7 @@ mod tests {
             })
             .collect();
         for workers in [1usize, 2, 8] {
-            let result = moldable_search_with(
+            let result = moldable_search(
                 &base,
                 2,
                 16,
@@ -217,6 +203,7 @@ mod tests {
             1,
             &[4, 8],
             NodeBudget { max_nodes: 3, cores_per_node: 32 },
+            &ScanOptions::default(),
         )
         .unwrap();
         let four = result.per_size.iter().find(|p| p.analysis_cores == 4).unwrap();
@@ -241,6 +228,7 @@ mod tests {
             1,
             &[8, 24],
             NodeBudget { max_nodes: 4, cores_per_node: 32 },
+            &ScanOptions::default(),
         )
         .unwrap();
         let big = result.per_size.iter().find(|p| p.analysis_cores == 24).unwrap();
@@ -260,6 +248,7 @@ mod tests {
             1,
             &[8, 40],
             NodeBudget { max_nodes: 2, cores_per_node: 32 },
+            &ScanOptions::default(),
         )
         .unwrap();
         assert_eq!(result.per_size.len(), 1);

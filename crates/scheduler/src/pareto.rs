@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::delta::DeltaEvaluator;
 use crate::enumerate::EnsembleShape;
-use crate::scan::{scan_placements_delta, ScanOptions, ScanOutcome};
+use crate::scan::{scan_placements, Candidate, ScanOptions};
 use crate::search::NodeBudget;
 
 /// One placement with its two objectives.
@@ -28,41 +28,26 @@ pub struct ParetoPoint {
 
 /// Evaluates every canonical feasible placement and marks the Pareto
 /// frontier over (nodes, makespan). Points are returned sorted by node
-/// count then makespan. Runs the parallel scan engine at its default
-/// worker count — see [`pareto_front_with`] for explicit control.
+/// count then makespan. `opts.top_k` is ignored — dominance marking
+/// needs every point. Each scan worker owns one reusable
+/// [`DeltaEvaluator`]: successive candidates re-solve only the nodes
+/// whose occupancy changed.
 pub fn pareto_front(
-    base: &SimRunConfig,
-    shape: &EnsembleShape,
-    budget: NodeBudget,
-) -> RuntimeResult<Vec<ParetoPoint>> {
-    pareto_front_with(base, shape, budget, &ScanOptions::default())
-}
-
-/// [`pareto_front`] with explicit scan options. `top_k` is ignored —
-/// dominance marking needs every point. Each scan worker owns one
-/// reusable [`DeltaEvaluator`]: successive candidates re-solve only the
-/// nodes whose occupancy changed, with results bit-identical to the
-/// from-scratch path.
-pub fn pareto_front_with(
     base: &SimRunConfig,
     shape: &EnsembleShape,
     budget: NodeBudget,
     opts: &ScanOptions,
 ) -> RuntimeResult<Vec<ParetoPoint>> {
     let opts = ScanOptions { top_k: 0, ..*opts };
-    let outcome = scan_placements_delta(
+    let outcome = scan_placements(
         shape,
         budget,
         &opts,
         || DeltaEvaluator::new(base, shape),
-        |evaluator: &mut DeltaEvaluator,
-         _,
-         assignment: &[usize],
-         hint: Option<usize>|
-         -> RuntimeResult<Option<ParetoPoint>> {
-            let score = evaluator.score_delta(assignment, hint)?;
+        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<ParetoPoint>> {
+            let score = evaluator.score_delta(c.assignment, c.first_changed)?;
             Ok(Some(ParetoPoint {
-                assignment: assignment.to_vec(),
+                assignment: c.assignment.to_vec(),
                 nodes_used: score.nodes_used,
                 ensemble_makespan: score.ensemble_makespan,
                 objective: score.objective,
@@ -72,8 +57,9 @@ pub fn pareto_front_with(
         DeltaEvaluator::take_counters,
         |p: &ParetoPoint| p.objective,
         || false,
+        |_| {},
     )?;
-    let mut points = ScanOutcome::into_values(outcome);
+    let mut points = outcome.into_values();
     // Dominance: fewer-or-equal nodes AND shorter-or-equal makespan,
     // strictly better in one.
     for i in 0..points.len() {
@@ -111,8 +97,8 @@ mod tests {
     #[test]
     fn frontier_is_nonempty_and_monotone() {
         let shape = EnsembleShape::uniform(2, 16, 1, 8);
-        let points =
-            pareto_front(&base(), &shape, NodeBudget { max_nodes: 3, cores_per_node: 32 }).unwrap();
+        let budget = NodeBudget { max_nodes: 3, cores_per_node: 32 };
+        let points = pareto_front(&base(), &shape, budget, &ScanOptions::default()).unwrap();
         assert!(!points.is_empty());
         let frontier = frontier_only(&points);
         assert!(!frontier.is_empty());
@@ -134,13 +120,9 @@ mod tests {
         let shape = EnsembleShape::uniform(2, 16, 1, 8);
         let budget = NodeBudget { max_nodes: 3, cores_per_node: 32 };
         let base = base();
-        let serial = pareto_front_with(
-            &base,
-            &shape,
-            budget,
-            &ScanOptions { workers: 1, ..Default::default() },
-        )
-        .unwrap();
+        let serial =
+            pareto_front(&base, &shape, budget, &ScanOptions { workers: 1, ..Default::default() })
+                .unwrap();
         for p in &serial {
             let one_shot = crate::fast_eval::fast_score(&base, &shape.materialize(&p.assignment))
                 .expect("one-shot score");
@@ -148,7 +130,7 @@ mod tests {
             assert_eq!(p.ensemble_makespan.to_bits(), one_shot.ensemble_makespan.to_bits());
         }
         for workers in [2usize, 8] {
-            let parallel = pareto_front_with(
+            let parallel = pareto_front(
                 &base,
                 &shape,
                 budget,
@@ -168,8 +150,8 @@ mod tests {
     #[test]
     fn dominated_points_are_marked() {
         let shape = EnsembleShape::uniform(2, 16, 1, 8);
-        let points =
-            pareto_front(&base(), &shape, NodeBudget { max_nodes: 3, cores_per_node: 32 }).unwrap();
+        let budget = NodeBudget { max_nodes: 3, cores_per_node: 32 };
+        let points = pareto_front(&base(), &shape, budget, &ScanOptions::default()).unwrap();
         // With contention, at least one 3-node scatter placement is
         // dominated by the 2-node full co-location (C1.5 pattern).
         assert!(points.iter().any(|p| p.dominated), "some placement must be dominated");

@@ -79,7 +79,7 @@ fn workers_from_env(raw: Option<&str>) -> Option<usize> {
 }
 
 /// A point-in-time view of a running scan, handed to the progress
-/// observer of [`scan_placements_observed`].
+/// observer of [`scan_placements`].
 ///
 /// Produced under the feed lock at the same probe point cancellation
 /// uses (between chunks), so successive observations are monotone:
@@ -122,10 +122,8 @@ pub struct ScanOutcome<T> {
     pub cancelled: bool,
     /// Worker threads the scan ran with.
     pub workers: usize,
-    /// Delta-evaluation cache counters, summed across workers. All
-    /// zeros unless the scan ran through
-    /// [`scan_placements_delta`]/[`scan_placements_delta_observed`]
-    /// with a draining evaluator.
+    /// Delta-evaluation cache counters, summed across workers: whatever
+    /// the scan's `drain` closure extracted from each worker's state.
     pub delta: DeltaCounters,
 }
 
@@ -219,145 +217,60 @@ struct WorkerOut<T, E> {
     delta: DeltaCounters,
 }
 
+/// One candidate handed to a scan's `eval` closure.
+#[derive(Debug, Clone, Copy)]
+pub struct Candidate<'a> {
+    /// Position in the canonical enumeration order.
+    pub index: usize,
+    /// Flattened node assignment (member-major, simulation first).
+    pub assignment: &'a [usize],
+    /// `Some(h)` promises `assignment[..h]` equals the assignment this
+    /// worker evaluated immediately before — what
+    /// [`crate::DeltaEvaluator::score_delta`] takes. `None` at
+    /// enumeration index 0 and whenever the worker's previous candidate
+    /// was not the direct predecessor (hints are relative to the
+    /// predecessor, and across a chunk boundary the worker's own
+    /// previous candidate is some unrelated assignment; the evaluator's
+    /// hint-free self-diff is always correct there, just wider).
+    pub first_changed: Option<usize>,
+}
+
 /// Scans every canonical feasible placement of `shape` under `budget`,
-/// in parallel, with deterministic output.
+/// in parallel, with deterministic output — the one scan entry point.
 ///
-/// * `init` builds one evaluation state per worker (e.g. a
-///   [`crate::FastEvaluator`] or a reusable DES run configuration) —
+/// * `init` builds one evaluation state per worker (a
+///   [`crate::DeltaEvaluator`], or a reusable DES run configuration) —
 ///   called once per worker thread, never shared.
-/// * `eval` scores one candidate: `(state, enumeration index,
-///   assignment) → Ok(Some(result))`, `Ok(None)` to skip it (it still
-///   counts as scanned, not as feasible), or `Err` to abort the scan.
+/// * `eval` scores one [`Candidate`]: `Ok(Some(result))`, `Ok(None)` to
+///   skip it (it still counts as scanned, not as feasible), or `Err` to
+///   abort the scan.
+/// * `drain` runs once per worker when it stops pulling, extracting the
+///   worker's [`DeltaCounters`] (pass
+///   [`crate::DeltaEvaluator::take_counters`], or
+///   `|_| DeltaCounters::default()` when the state has none); the sum
+///   lands in [`ScanOutcome::delta`].
 /// * `objective` extracts the ranking key used by top-K selection.
 /// * `cancel` is polled between chunks on every worker; returning
 ///   `true` stops the scan and marks the outcome cancelled.
+/// * `progress` fires under the feed lock at the same probe point —
+///   each time a worker returns for its next chunk and the global
+///   candidate count has advanced. Observations are strictly monotone
+///   in `scanned`. Keep the observer cheap (push to a channel, update
+///   an atomic): it briefly serializes workers. The last chunk of a
+///   completed scan is still reported (the worker that drains the
+///   iterator folds its final batch in first); use the returned
+///   [`ScanOutcome`] for authoritative totals.
 ///
 /// On error the scan stops and the error belonging to the **smallest
 /// enumeration index** is returned — the same error a serial scan would
 /// have surfaced first, regardless of which worker hit it.
+#[allow(clippy::too_many_arguments)]
 pub fn scan_placements<S, T, E>(
     shape: &EnsembleShape,
     budget: NodeBudget,
     opts: &ScanOptions,
     init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, usize, &[usize]) -> Result<Option<T>, E> + Sync,
-    objective: impl Fn(&T) -> f64 + Sync,
-    cancel: impl Fn() -> bool + Sync,
-) -> Result<ScanOutcome<T>, E>
-where
-    T: Send,
-    E: Send,
-{
-    scan_placements_observed(shape, budget, opts, init, eval, objective, cancel, |_| {})
-}
-
-/// [`scan_placements`] with a per-chunk progress observer.
-///
-/// `progress` fires under the feed lock at the same probe point
-/// cancellation uses — each time a worker returns for its next chunk
-/// and the global candidate count has advanced. Observations are
-/// strictly monotone in `scanned`. Keep the observer cheap (push to a
-/// channel, update an atomic): it briefly serializes workers. The last
-/// chunk of a completed scan is still reported (the worker that drains
-/// the iterator folds its final batch in first); use the returned
-/// [`ScanOutcome`] for authoritative totals.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_placements_observed<S, T, E>(
-    shape: &EnsembleShape,
-    budget: NodeBudget,
-    opts: &ScanOptions,
-    init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, usize, &[usize]) -> Result<Option<T>, E> + Sync,
-    objective: impl Fn(&T) -> f64 + Sync,
-    cancel: impl Fn() -> bool + Sync,
-    progress: impl Fn(&ScanProgress) + Sync,
-) -> Result<ScanOutcome<T>, E>
-where
-    T: Send,
-    E: Send,
-{
-    scan_engine(
-        shape,
-        budget,
-        opts,
-        init,
-        |state, index, assignment, _hint| eval(state, index, assignment),
-        |_| DeltaCounters::default(),
-        objective,
-        cancel,
-        progress,
-    )
-}
-
-/// [`scan_placements`] for delta-scoring evaluators.
-///
-/// Differences from the plain form:
-///
-/// * `eval` receives a fourth argument — the first-changed-position hint
-///   from [`PlacementIter::next_chunk_delta`], already gated to `Some`
-///   only when this worker evaluated the immediately preceding
-///   enumeration index (hints are meaningless across chunk boundaries,
-///   where a worker's previous candidate is from an unrelated part of
-///   the space). Pass it to [`crate::DeltaEvaluator::score_delta`].
-/// * `drain` runs once per worker when it stops pulling, extracting the
-///   worker's [`DeltaCounters`] (use
-///   [`crate::DeltaEvaluator::take_counters`]); the summed counters land
-///   in [`ScanOutcome::delta`].
-#[allow(clippy::too_many_arguments)]
-pub fn scan_placements_delta<S, T, E>(
-    shape: &EnsembleShape,
-    budget: NodeBudget,
-    opts: &ScanOptions,
-    init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, usize, &[usize], Option<usize>) -> Result<Option<T>, E> + Sync,
-    drain: impl Fn(&mut S) -> DeltaCounters + Sync,
-    objective: impl Fn(&T) -> f64 + Sync,
-    cancel: impl Fn() -> bool + Sync,
-) -> Result<ScanOutcome<T>, E>
-where
-    T: Send,
-    E: Send,
-{
-    scan_engine(shape, budget, opts, init, eval, drain, objective, cancel, |_| {})
-}
-
-/// [`scan_placements_delta`] with a per-chunk progress observer (see
-/// [`scan_placements_observed`] for the observer contract).
-#[allow(clippy::too_many_arguments)]
-pub fn scan_placements_delta_observed<S, T, E>(
-    shape: &EnsembleShape,
-    budget: NodeBudget,
-    opts: &ScanOptions,
-    init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, usize, &[usize], Option<usize>) -> Result<Option<T>, E> + Sync,
-    drain: impl Fn(&mut S) -> DeltaCounters + Sync,
-    objective: impl Fn(&T) -> f64 + Sync,
-    cancel: impl Fn() -> bool + Sync,
-    progress: impl Fn(&ScanProgress) + Sync,
-) -> Result<ScanOutcome<T>, E>
-where
-    T: Send,
-    E: Send,
-{
-    scan_engine(shape, budget, opts, init, eval, drain, objective, cancel, progress)
-}
-
-/// The engine behind every public scan entry point.
-///
-/// Always pulls via [`PlacementIter::next_chunk_delta`]; the plain
-/// wrappers simply discard the hint. A worker forwards a candidate's
-/// first-changed hint only when it also evaluated the candidate at the
-/// immediately preceding enumeration index — the hint is relative to
-/// that predecessor, and across a chunk boundary the worker's own
-/// previous candidate is some unrelated assignment (the evaluator's
-/// hint-free self-diff is always correct there, just wider).
-#[allow(clippy::too_many_arguments)]
-fn scan_engine<S, T, E>(
-    shape: &EnsembleShape,
-    budget: NodeBudget,
-    opts: &ScanOptions,
-    init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, usize, &[usize], Option<usize>) -> Result<Option<T>, E> + Sync,
+    eval: impl Fn(&mut S, Candidate<'_>) -> Result<Option<T>, E> + Sync,
     drain: impl Fn(&mut S) -> DeltaCounters + Sync,
     objective: impl Fn(&T) -> f64 + Sync,
     cancel: impl Fn() -> bool + Sync,
@@ -425,10 +338,11 @@ where
             for (index, assignment, first_changed) in batch.drain(..) {
                 out.scanned += 1;
                 batch_scanned += 1;
-                let hint =
+                let first_changed =
                     first_changed.filter(|_| last_index.is_some_and(|last| last + 1 == index));
                 last_index = Some(index);
-                match eval(&mut state, index, &assignment, hint) {
+                match eval(&mut state, Candidate { index, assignment: &assignment, first_changed })
+                {
                     Ok(Some(value)) => {
                         out.feasible += 1;
                         let obj = objective(&value);
@@ -510,6 +424,10 @@ mod tests {
         NodeBudget { max_nodes: 3, cores_per_node: 32 }
     }
 
+    fn no_counters<S>(_: &mut S) -> DeltaCounters {
+        DeltaCounters::default()
+    }
+
     /// A deterministic toy objective so engine tests need no simulator.
     fn toy_objective(assignment: &[usize]) -> f64 {
         assignment.iter().enumerate().map(|(i, &n)| 1.0 / (1.0 + (i * n) as f64)).sum()
@@ -521,9 +439,11 @@ mod tests {
             budget(),
             &ScanOptions { workers, chunk: 2, top_k: 0 },
             || (),
-            |(), _, a| Ok::<_, ()>(Some((a.to_vec(), toy_objective(a)))),
+            |(), c| Ok::<_, ()>(Some((c.assignment.to_vec(), toy_objective(c.assignment)))),
+            no_counters,
             |(_, obj)| *obj,
             || false,
+            |_| {},
         )
         .expect("scan")
     }
@@ -556,9 +476,11 @@ mod tests {
                     budget(),
                     &ScanOptions { workers, chunk: 2, top_k: k },
                     || (),
-                    |(), _, a| Ok::<_, ()>(Some((a.to_vec(), toy_objective(a)))),
+                    |(), c| Ok::<_, ()>(Some((c.assignment.to_vec(), toy_objective(c.assignment)))),
+                    no_counters,
                     |(_, obj)| *obj,
                     || false,
+                    |_| {},
                 )
                 .expect("scan");
                 assert_eq!(outcome.results.len(), k.min(ranked.len()));
@@ -578,9 +500,11 @@ mod tests {
             budget(),
             &ScanOptions { workers: 1, chunk: 1, top_k: 0 },
             || (),
-            |(), _, a| Ok::<_, ()>(Some(a.to_vec())),
+            |(), c| Ok::<_, ()>(Some(c.assignment.to_vec())),
+            no_counters,
             |_| 0.0,
             || pulls.fetch_add(1, Ordering::SeqCst) >= 2,
+            |_| {},
         )
         .expect("scan");
         assert!(outcome.cancelled);
@@ -597,15 +521,17 @@ mod tests {
                 budget(),
                 &ScanOptions { workers, chunk: 1, top_k: 0 },
                 || (),
-                |(), index, _: &[usize]| {
-                    if index >= 1 {
-                        Err(index)
+                |(), c| {
+                    if c.index >= 1 {
+                        Err(c.index)
                     } else {
-                        Ok(Some(index))
+                        Ok(Some(c.index))
                     }
                 },
+                no_counters,
                 |_| 0.0,
                 || false,
+                |_| {},
             )
             .expect_err("scan must fail");
             assert_eq!(err, 1, "workers={workers}: smallest failing index wins");
@@ -619,9 +545,11 @@ mod tests {
             budget(),
             &ScanOptions { workers: 2, chunk: 2, top_k: 0 },
             || (),
-            |(), index, _: &[usize]| Ok::<_, ()>((index % 2 == 0).then_some(index)),
+            |(), c| Ok::<_, ()>((c.index % 2 == 0).then_some(c.index)),
+            no_counters,
             |_| 0.0,
             || false,
+            |_| {},
         )
         .expect("scan");
         assert!(outcome.feasible < outcome.scanned);
@@ -633,12 +561,13 @@ mod tests {
         let expected = crate::enumerate::enumerate_placements(&shape(), 3, 32);
         for workers in [1, 2, 8] {
             let seen: Mutex<Vec<ScanProgress>> = Mutex::new(Vec::new());
-            let outcome = scan_placements_observed(
+            let outcome = scan_placements(
                 &shape(),
                 budget(),
                 &ScanOptions { workers, chunk: 2, top_k: 0 },
                 || (),
-                |(), _, a| Ok::<_, ()>(Some((a.to_vec(), toy_objective(a)))),
+                |(), c| Ok::<_, ()>(Some((c.assignment.to_vec(), toy_objective(c.assignment)))),
+                no_counters,
                 |(_, obj)| *obj,
                 || false,
                 |p| seen.lock().unwrap().push(*p),
@@ -667,12 +596,13 @@ mod tests {
     fn cancelled_scans_still_report_progress_up_to_the_stop() {
         let pulls = AtomicUsize::new(0);
         let seen = Mutex::new(Vec::new());
-        let outcome = scan_placements_observed(
+        let outcome = scan_placements(
             &shape(),
             budget(),
             &ScanOptions { workers: 1, chunk: 1, top_k: 0 },
             || (),
-            |(), _, a| Ok::<_, ()>(Some(a.to_vec())),
+            |(), c| Ok::<_, ()>(Some(c.assignment.to_vec())),
+            no_counters,
             |_| 0.0,
             || pulls.fetch_add(1, Ordering::SeqCst) >= 3,
             |p: &ScanProgress| seen.lock().unwrap().push(p.scanned),
@@ -689,13 +619,14 @@ mod tests {
         for workers in [1usize, 2, 8] {
             for chunk in [1usize, 2, 5] {
                 let hinted = AtomicUsize::new(0);
-                let outcome = scan_placements_delta(
+                let outcome = scan_placements(
                     &shape(),
                     budget(),
                     &ScanOptions { workers, chunk, top_k: 0 },
                     || None::<Vec<usize>>,
-                    |prev, _, a, hint| {
-                        if let Some(h) = hint {
+                    |prev, c| {
+                        let a = c.assignment;
+                        if let Some(h) = c.first_changed {
                             let p = prev.as_ref().expect("hint implies a predecessor");
                             assert_eq!(p[..h], a[..h], "hint skipped a real change");
                             hinted.fetch_add(1, Ordering::SeqCst);
@@ -706,6 +637,7 @@ mod tests {
                     |_| DeltaCounters { solve_hits: 1, solve_misses: 2, members_recomputed: 3 },
                     |(_, obj)| *obj,
                     || false,
+                    |_| {},
                 )
                 .expect("scan");
                 // Results are still the full deterministic enumeration.
@@ -722,12 +654,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn plain_scans_report_zero_delta_counters() {
-        let outcome = full_scan(2);
-        assert_eq!(outcome.delta, DeltaCounters::default());
     }
 
     #[test]

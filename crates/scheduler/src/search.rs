@@ -10,8 +10,9 @@ use metrics::EnsembleReport;
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use serde::{Deserialize, Serialize};
 
+use crate::delta::DeltaCounters;
 use crate::enumerate::EnsembleShape;
-use crate::scan::{scan_placements, ScanOptions, ScanOutcome};
+use crate::scan::{scan_placements, Candidate, ScanOptions, ScanOutcome};
 
 /// Resource constraints of the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,69 +93,74 @@ pub fn score_report(
     aggregate(&values, aggregation)
 }
 
-/// Exhaustively evaluates every canonical feasible placement, returning
-/// them ranked best-first. Runs the parallel scan engine at its default
-/// worker count — see [`exhaustive_search_with`] for explicit control.
-pub fn exhaustive_search(config: &SearchConfig) -> RuntimeResult<Vec<ScoredPlacement>> {
-    exhaustive_search_with(config, &ScanOptions::default()).map(ScanOutcome::into_values)
+/// Runs `assignment` on the simulated platform (`run` already carries
+/// the search's step count and zero jitter; only its spec is swapped)
+/// and scores the report — the evaluation both searches share.
+fn run_and_score(
+    config: &SearchConfig,
+    run: &mut SimRunConfig,
+    assignment: Vec<usize>,
+) -> RuntimeResult<ScoredPlacement> {
+    let spec = config.shape.materialize(&assignment);
+    run.spec.clone_from(&spec);
+    let exec = runtime::run_simulated(run)?;
+    let report = runtime::build_report(
+        "candidate",
+        &spec,
+        &exec,
+        config.steps,
+        ensemble_core::WarmupPolicy::default(),
+    )?;
+    let objective = score_report(&report, &spec, &IndicatorPath::uap(), config.aggregation);
+    Ok(ScoredPlacement {
+        nodes_used: spec.num_nodes(),
+        ensemble_makespan: report.ensemble_makespan,
+        assignment,
+        spec,
+        objective,
+    })
 }
 
-/// [`exhaustive_search`] with explicit scan options: worker count, chunk
-/// size, bounded top-K. Output (order and float bits) is identical at
-/// every worker count; with `top_k > 0` it equals the first K rows of
-/// the full ranking.
-pub fn exhaustive_search_with(
-    config: &SearchConfig,
-    opts: &ScanOptions,
-) -> RuntimeResult<ScanOutcome<ScoredPlacement>> {
-    // One template clone for the whole scan; each worker clones it once
-    // and then per candidate only the spec changes (platform + workload
-    // map are shared run to run).
+/// The search's base configuration with its step count and zero jitter
+/// applied: one clone per search (and one per scan worker), after which
+/// only the spec changes per candidate.
+fn run_template(config: &SearchConfig) -> SimRunConfig {
     let mut template = config.base.clone();
     template.n_steps = config.steps;
     template.jitter = 0.0;
+    template
+}
+
+/// Exhaustively evaluates every canonical feasible placement on the
+/// simulated platform, ranked best-first. Output (order and float bits)
+/// is identical at every worker count; with `opts.top_k > 0` it equals
+/// the first K rows of the full ranking. Callers that want only the
+/// rows call [`ScanOutcome::into_values`].
+pub fn exhaustive_search(
+    config: &SearchConfig,
+    opts: &ScanOptions,
+) -> RuntimeResult<ScanOutcome<ScoredPlacement>> {
+    let template = run_template(config);
     let mut outcome = scan_placements(
         &config.shape,
         config.budget,
         opts,
         || template.clone(),
-        |run: &mut SimRunConfig,
-         _,
-         assignment: &[usize]|
-         -> RuntimeResult<Option<ScoredPlacement>> {
-            let spec = config.shape.materialize(assignment);
-            run.spec.clone_from(&spec);
-            let exec = runtime::run_simulated(run)?;
-            let report = runtime::build_report(
-                "candidate",
-                &spec,
-                &exec,
-                config.steps,
-                ensemble_core::WarmupPolicy::default(),
-            )?;
-            let objective = score_report(&report, &spec, &IndicatorPath::uap(), config.aggregation);
-            Ok(Some(ScoredPlacement {
-                nodes_used: spec.num_nodes(),
-                ensemble_makespan: report.ensemble_makespan,
-                assignment: assignment.to_vec(),
-                spec,
-                objective,
-            }))
+        |run: &mut SimRunConfig, c: Candidate<'_>| {
+            run_and_score(config, run, c.assignment.to_vec()).map(Some)
         },
+        |_| DeltaCounters::default(),
         |p: &ScoredPlacement| p.objective,
         || false,
+        |_| {},
     )?;
     if opts.top_k == 0 {
         // The merge returns enumeration order; rank best-first exactly
         // as the serial scan always has (stable sort, so equal
         // objectives keep enumeration order).
-        sort_ranked(&mut outcome.results);
+        outcome.results.sort_by(|a, b| b.value.objective.total_cmp(&a.value.objective));
     }
     Ok(outcome)
-}
-
-fn sort_ranked(results: &mut [crate::scan::ScanHit<ScoredPlacement>]) {
-    results.sort_by(|a, b| b.value.objective.total_cmp(&a.value.objective));
 }
 
 /// Greedy search for larger ensembles: members are placed one at a time,
@@ -189,27 +195,7 @@ pub fn greedy_search(config: &SearchConfig) -> RuntimeResult<ScoredPlacement> {
         }
     }
     let assignment = crate::enumerate::canonicalize(&assignment);
-    let spec = config.shape.materialize(&assignment);
-    let mut run = config.base.clone();
-    run.spec.clone_from(&spec);
-    run.n_steps = config.steps;
-    run.jitter = 0.0;
-    let exec = runtime::run_simulated(&run)?;
-    let report = runtime::build_report(
-        "greedy",
-        &spec,
-        &exec,
-        config.steps,
-        ensemble_core::WarmupPolicy::default(),
-    )?;
-    let objective = score_report(&report, &spec, &IndicatorPath::uap(), config.aggregation);
-    Ok(ScoredPlacement {
-        nodes_used: spec.num_nodes(),
-        ensemble_makespan: report.ensemble_makespan,
-        assignment,
-        spec,
-        objective,
-    })
+    run_and_score(config, &mut run_template(config), assignment)
 }
 
 fn least_loaded_fitting(load: &[u32], cores: u32, capacity: u32) -> Option<usize> {
@@ -232,11 +218,15 @@ mod tests {
         .small_scale()
     }
 
+    fn ranked(cfg: &SearchConfig) -> Vec<ScoredPlacement> {
+        exhaustive_search(cfg, &ScanOptions::default()).unwrap().into_values()
+    }
+
     #[test]
     fn exhaustive_ranks_full_colocation_first() {
         // The paper's headline: each member co-located on its own node
         // (C1.5 pattern) must win the set-one search.
-        let ranked = exhaustive_search(&small_search(2, 1, 3)).unwrap();
+        let ranked = ranked(&small_search(2, 1, 3));
         assert!(!ranked.is_empty());
         let best = &ranked[0];
         for (i, m) in best.spec.members.iter().enumerate() {
@@ -254,7 +244,7 @@ mod tests {
 
     #[test]
     fn exhaustive_set_two_prefers_c2_8_pattern() {
-        let ranked = exhaustive_search(&small_search(2, 2, 3)).unwrap();
+        let ranked = ranked(&small_search(2, 2, 3));
         let best = &ranked[0];
         // C2.8: each member entirely on its own node → 2 nodes, CP = 1.
         assert_eq!(best.nodes_used, 2, "{:?}", best.assignment);
@@ -266,7 +256,7 @@ mod tests {
     #[test]
     fn greedy_matches_exhaustive_on_small_instance() {
         let cfg = small_search(2, 1, 3);
-        let ranked = exhaustive_search(&cfg).unwrap();
+        let ranked = ranked(&cfg);
         let greedy = greedy_search(&cfg).unwrap();
         assert!(
             (greedy.objective - ranked[0].objective).abs() < 1e-12,
@@ -290,7 +280,7 @@ mod tests {
     #[test]
     fn infeasible_budget_errors() {
         let cfg = small_search(2, 1, 1); // 48 cores on one 32-core node
-        assert!(exhaustive_search(&cfg).unwrap().is_empty());
+        assert!(ranked(&cfg).is_empty());
         assert!(greedy_search(&cfg).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Property suite for the online co-scheduler.
 //!
-//! Two invariants from the PR contract:
+//! Three invariants:
 //!
 //! * **Conservation** — under any interleaving of admit / complete /
 //!   fail / cancel events, `admitted_cores == released_cores +
@@ -12,11 +12,21 @@
 //!   whether backfill is on or off. This is the EASY guarantee the
 //!   virtual-time rule was chosen for; a structural rule cannot give
 //!   it.
+//! * **`place_against` equals the from-scratch oracle** — every
+//!   decision taken against a live residency view (assignment,
+//!   canonical form, objective and solo-makespan bits, scanned and
+//!   feasible counts) is what scoring each best-fit-mapped candidate
+//!   with `fast_score` over residents + job and ranking `(objective
+//!   desc, index asc)` gives, at 1, 2 and 8 scan workers.
 
+use ensemble_core::EnsembleSpec;
 use proptest::prelude::*;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::cosched::{Admission, CoScheduler, CoschedConfig};
-use scheduler::{EnsembleShape, NodeBudget, ScanOptions};
+use scheduler::{
+    enumerate_placements, fast_score, place_against, EnsembleShape, NodeBudget, ResidencyMap,
+    ScanOptions,
+};
 
 fn base_config() -> SimRunConfig {
     let placeholder = EnsembleShape::uniform(1, 16, 1, 8);
@@ -34,14 +44,16 @@ fn sched(nodes: usize, backfill: bool) -> CoScheduler {
 }
 
 /// A small palette of shapes that mixes jobs that share nodes, fill
-/// nodes, and span nodes.
+/// nodes, and span nodes (5 and 6 only reach the oracle property).
 fn shape_palette(i: usize) -> EnsembleShape {
-    match i % 5 {
+    match i % 7 {
         0 => EnsembleShape::uniform(1, 4, 1, 4),  // 8 cores
         1 => EnsembleShape::uniform(1, 8, 1, 8),  // 16 cores
         2 => EnsembleShape::uniform(1, 16, 1, 8), // 24 cores
         3 => EnsembleShape::uniform(2, 8, 1, 4),  // 2 members, 24 cores
-        _ => EnsembleShape::uniform(2, 16, 1, 8), // 2 members, 48 cores
+        4 => EnsembleShape::uniform(2, 16, 1, 8), // 2 members, 48 cores
+        5 => EnsembleShape::uniform(3, 8, 1, 4),  // 3 members, 36 cores
+        _ => EnsembleShape::uniform(1, 8, 2, 4),  // k = 2, 16 cores
     }
 }
 
@@ -64,6 +76,81 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         0 | 1 => Event::Submit(shape_palette(shape)),
         2 => Event::Complete(k),
         _ => Event::CancelQueued(k),
+    })
+}
+
+/// The from-scratch reference for [`place_against`] on the live
+/// residency: every canonical candidate mapped onto physical nodes by
+/// best-fit-decreasing, materialized with the residents in front of it,
+/// scored with `fast_score`, ranked `(objective desc, index asc)`.
+/// Returns `(assignment, canonical, objective bits, solo makespan
+/// bits, scanned, feasible)`.
+type OracleDecision = (Vec<usize>, Vec<usize>, u64, u64, usize, usize);
+
+fn oracle_place(
+    shape: &EnsembleShape,
+    residency: &ResidencyMap,
+    base: &SimRunConfig,
+) -> Option<OracleDecision> {
+    let budget = residency.budget();
+    let free = residency.residual();
+    let residents: Vec<_> =
+        residency.reservations().flat_map(|r| r.shape.materialize(&r.assignment).members).collect();
+    let cores: Vec<u32> = shape
+        .members
+        .iter()
+        .flat_map(|(sim, anas)| std::iter::once(*sim).chain(anas.iter().copied()))
+        .collect();
+    let candidates = enumerate_placements(shape, budget.max_nodes, budget.cores_per_node);
+    let mut best: Option<(f64, Vec<usize>, Vec<usize>)> = None;
+    let mut feasible = 0usize;
+    for canonical in &candidates {
+        // Best-fit-decreasing: virtual nodes by load desc (ties: lower
+        // id), each onto the fitting physical node with the least free
+        // capacity (ties: lower id).
+        let virtual_nodes = canonical.iter().max().map_or(0, |m| m + 1);
+        let mut vload = vec![0u32; virtual_nodes];
+        for (&v, &c) in canonical.iter().zip(&cores) {
+            vload[v] += c;
+        }
+        let mut order: Vec<usize> = (0..virtual_nodes).collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(vload[v]), v));
+        let mut taken = vec![false; free.len()];
+        let mut mapping = vec![usize::MAX; virtual_nodes];
+        let fits = order.iter().all(|&v| {
+            let slot = (0..free.len())
+                .filter(|&i| !taken[i] && free[i] >= vload[v])
+                .min_by_key(|&i| (free[i], i));
+            slot.is_some_and(|i| {
+                taken[i] = true;
+                mapping[v] = i;
+                true
+            })
+        });
+        if !fits {
+            continue;
+        }
+        feasible += 1;
+        let physical: Vec<usize> = canonical.iter().map(|&v| mapping[v]).collect();
+        let mut members = residents.clone();
+        members.extend(shape.materialize(&physical).members);
+        let objective =
+            fast_score(base, &EnsembleSpec::new(members)).expect("oracle score").objective;
+        // Strictly greater keeps the earliest index among equals.
+        if best.as_ref().is_none_or(|(b, _, _)| objective.total_cmp(b).is_gt()) {
+            best = Some((objective, physical, canonical.clone()));
+        }
+    }
+    best.map(|(objective, physical, canonical)| {
+        let solo = fast_score(base, &shape.materialize(&physical)).expect("oracle solo score");
+        (
+            physical,
+            canonical,
+            objective.to_bits(),
+            solo.ensemble_makespan.to_bits(),
+            candidates.len(),
+            feasible,
+        )
     })
 }
 
@@ -204,6 +291,44 @@ proptest! {
                 "head start must be bit-identical with and without backfill \
                  (fifo {:?} vs backfill {:?})", fifo, bf
             );
+        }
+    }
+    /// Before every submit of a random submit/complete stream,
+    /// `place_against` on the live view decides exactly what the
+    /// from-scratch oracle decides — at 1, 2 and 8 scan workers.
+    #[test]
+    fn place_against_matches_the_from_scratch_oracle(
+        events in proptest::collection::vec((0u8..3, 0usize..7, 0usize..8), 1..16),
+        nodes in 2usize..4,
+    ) {
+        let base = base_config();
+        let mut s = sched(nodes, true);
+        let mut next_job = 0u64;
+        for (kind, shape, k) in events {
+            if kind == 2 {
+                if let Some(job) = pick_open(&s, k) {
+                    s.release(job).unwrap();
+                }
+                continue;
+            }
+            let shape = shape_palette(shape);
+            let want = oracle_place(&shape, s.residency(), &base);
+            let view = s.residency().view();
+            // 0 resolves from `ENSEMBLE_SCAN_WORKERS`, the CI sweep axis.
+            for workers in [0usize, 1, 2, 8] {
+                let opts = ScanOptions { workers, chunk: 3, ..ScanOptions::default() };
+                let got = place_against(&shape, &view, &base, &opts).unwrap().map(|d| (
+                    d.assignment,
+                    d.canonical,
+                    d.objective.to_bits(),
+                    d.solo_makespan.to_bits(),
+                    d.scanned,
+                    d.feasible,
+                ));
+                prop_assert_eq!(&got, &want, "workers={} open={}", workers, s.residency().open());
+            }
+            next_job += 1;
+            s.submit(next_job, shape).unwrap();
         }
     }
 }

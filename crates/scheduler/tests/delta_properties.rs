@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    canonicalize, enumerate_placements, scan_placements, scan_placements_delta, DeltaEvaluator,
+    canonicalize, enumerate_placements, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
     EnsembleShape, FastEvaluator, NodeBudget, ScanOptions,
 };
 
@@ -175,8 +175,8 @@ proptest! {
         assert!(tiny.cached_solves() <= capacity);
     }
 
-    /// The delta-scoring scan reproduces the plain scan bit for bit —
-    /// same candidates, same order, same floats — at the worker count
+    /// The delta-scoring scan reproduces the from-scratch scan bit for
+    /// bit — same candidates, same order, same floats — at the worker count
     /// `ENSEMBLE_SCAN_WORKERS` injects and at explicit 1/2/8, across
     /// chunk sizes.
     #[test]
@@ -194,33 +194,32 @@ proptest! {
             budget,
             &ScanOptions { workers: 1, chunk, top_k: 0 },
             || FastEvaluator::new(&base),
-            |evaluator: &mut FastEvaluator, _, a: &[usize]| -> RuntimeResult<Option<f64>> {
-                Ok(Some(evaluator.score(&shape.materialize(a))?.objective))
+            |evaluator: &mut FastEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
+                Ok(Some(evaluator.score(&shape.materialize(c.assignment))?.objective))
             },
+            |_| DeltaCounters::default(),
             |obj| *obj,
             || false,
+            |_| {},
         )
-        .expect("plain scan")
+        .expect("from-scratch scan")
         .results
         .into_iter()
         .map(|h| (h.index, h.value.to_bits()))
         .collect();
         for workers in [0usize, 1, 2, 8] {
-            let outcome = scan_placements_delta(
+            let outcome = scan_placements(
                 &shape,
                 budget,
                 &ScanOptions { workers, chunk, top_k: 0 },
                 || DeltaEvaluator::new(&base, &shape),
-                |evaluator: &mut DeltaEvaluator,
-                 _,
-                 a: &[usize],
-                 hint: Option<usize>|
-                 -> RuntimeResult<Option<f64>> {
-                    Ok(Some(evaluator.score_delta(a, hint)?.objective))
+                |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
+                    Ok(Some(evaluator.score_delta(c.assignment, c.first_changed)?.objective))
                 },
                 DeltaEvaluator::take_counters,
                 |obj| *obj,
                 || false,
+                |_| {},
             )
             .expect("delta scan");
             let got: Vec<(usize, u64)> =
@@ -260,6 +259,26 @@ fn signature_collisions_reuse_solves_across_member_identities() {
         "no new solves: both occupancy signatures were already cached"
     );
     assert_eq!(after_second.solve_hits, 3, "both touched nodes served from cache");
+}
+
+#[test]
+fn components_too_wide_for_a_signature_score_uncached_and_identically() {
+    // Shapes come off the wire with cores bounded only by u32. Beyond
+    // the 16 bits a signature packs, the evaluator must neither panic
+    // nor alias two signatures: it scores with the solve cache off.
+    let shape = EnsembleShape::uniform(2, 70_000, 1, 8);
+    let mut base = base_config(shape.materialize(&[0, 0, 1, 1]));
+    base.node_spec.cores_per_socket = 80_000;
+    let mut delta = DeltaEvaluator::new(&base, &shape);
+    for assignment in [[0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]] {
+        assert_scores_match(&base, &shape, &mut delta, &assignment);
+    }
+    assert_eq!(delta.counters().solve_hits, 0);
+    assert_eq!(delta.cached_solves(), 0);
+    // On the paper's 32-core nodes the same shape is an error per
+    // candidate, as from scratch — not a panic at construction.
+    let base = base_config(shape.materialize(&[0, 0, 1, 1]));
+    assert!(DeltaEvaluator::new(&base, &shape).score(&[0, 0, 1, 1]).is_err());
 }
 
 #[test]

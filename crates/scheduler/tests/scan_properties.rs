@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    canonicalize, enumerate_placements, fast_score, scan_placements, EnsembleShape, FastEvaluator,
-    NodeBudget, PlacementIter, ScanOptions,
+    canonicalize, enumerate_placements, fast_score, scan_placements, Candidate, DeltaCounters,
+    EnsembleShape, FastEvaluator, NodeBudget, PlacementIter, ScanOptions,
 };
 
 /// Small-but-varied ensemble shapes: 1–3 members, 1–2 analyses each,
@@ -50,14 +50,15 @@ fn scan_space(
         opts,
         || FastEvaluator::new(base),
         |evaluator: &mut FastEvaluator,
-         _,
-         assignment: &[usize]|
+         c: Candidate<'_>|
          -> RuntimeResult<Option<(Vec<usize>, f64)>> {
-            let spec = shape.materialize(assignment);
-            Ok(Some((assignment.to_vec(), evaluator.score(&spec)?.objective)))
+            let spec = shape.materialize(c.assignment);
+            Ok(Some((c.assignment.to_vec(), evaluator.score(&spec)?.objective)))
         },
+        |_| DeltaCounters::default(),
         |(_, objective)| *objective,
         || false,
+        |_| {},
     )
     .expect("scan");
     outcome.into_values().into_iter().map(|(a, o)| (a, o.to_bits())).collect()

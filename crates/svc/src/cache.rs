@@ -1,8 +1,8 @@
 //! Memoized score cache.
 //!
 //! Score queries are pure functions of (spec shape, node budget,
-//! platform, workload map, evaluation settings) — `fast_score` is
-//! deterministic (see the scheduler's determinism tests), so identical
+//! platform, workload map, evaluation settings) — closed-form scoring
+//! is deterministic (see the scheduler's determinism tests), so identical
 //! queries can be answered from memory without touching the predictor.
 //! Keys are the *canonical description string* of the query, not a hash
 //! of it: collisions are then impossible by construction, and the key
@@ -42,17 +42,18 @@ impl<V> ScoreCache<V> {
 
     /// Looks up `key`, counting a hit or miss.
     pub fn get(&self, key: &str) -> Option<Arc<V>> {
+        self.get_either(key, None)
+    }
+
+    /// Returns the entry under `key`, else the one under `alt`,
+    /// counting the whole probe as **one** hit or one miss — for a
+    /// request that either stored entry can answer.
+    pub fn get_either(&self, key: &str, alt: Option<&str>) -> Option<Arc<V>> {
         let inner = self.inner.lock().expect("cache lock");
-        match inner.map.get(key) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(v))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = inner.map.get(key).or_else(|| inner.map.get(alt?)).map(Arc::clone);
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts `value` under `key`, evicting the oldest entry at
@@ -120,6 +121,18 @@ mod tests {
         assert_eq!(*cache.get("a").unwrap(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn a_two_key_probe_counts_once() {
+        let cache: ScoreCache<u32> = ScoreCache::new(4);
+        assert!(cache.get_either("a", Some("b")).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        cache.insert("b".into(), 2);
+        assert_eq!(cache.get_either("a", Some("b")).as_deref(), Some(&2));
+        cache.insert("a".into(), 1);
+        assert_eq!(cache.get_either("a", Some("b")).as_deref(), Some(&1), "the first key wins");
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 
     #[test]

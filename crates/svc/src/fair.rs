@@ -5,10 +5,10 @@
 //! weights, and an optional default quota for tenants not named
 //! explicitly. When the policy is inactive — no quota, no weight, no
 //! default — the service routes every request through one implicit
-//! lane and behavior is bit-identical to the plain FIFO queue.
+//! lane and behavior is bit-identical to a plain bounded FIFO.
 //!
-//! [`FairQueue`] replaces the single `BoundedQueue` pop order with
-//! deterministic weighted round-robin across per-tenant FIFO lanes:
+//! [`FairQueue`] dequeues by deterministic weighted round-robin across
+//! per-tenant FIFO lanes:
 //!
 //! * **Lanes** are created on first push, in first-push order, and
 //!   never reordered. Untagged traffic shares one implicit lane.
@@ -23,20 +23,31 @@
 //!   one weighted round (the sum of the other lanes' weights) for
 //!   service no matter how fast another tenant submits.
 //! * **FIFO within a lane**: each lane is a `VecDeque`; tenant-local
-//!   ordering is exactly the old global ordering.
+//!   ordering is submission order.
 //! * **Work conservation**: empty lanes are skipped without consuming
 //!   the round, so idle tenants donate their share instead of idling
 //!   the pool.
 //!
-//! Capacity and shutdown semantics mirror
-//! [`BoundedQueue`](crate::queue::BoundedQueue): `try_push` sheds when
-//! the *total* queued count is at capacity, `pop` blocks until an item
-//! arrives or the queue is closed and drained.
+//! Built on `std::sync` (`Mutex` + `Condvar`) rather than channel crates
+//! so the offline build harness — whose `crossbeam` stub has no channels
+//! — exercises the exact production code. Producers never block:
+//! `try_push` hands the item back when the *total* queued count is at
+//! capacity (the caller sheds load with an `Overloaded` response).
+//! Consumers block in `pop` until an item arrives or the queue is
+//! closed *and* drained — the graceful-shutdown semantic: close, then
+//! let workers finish what was admitted.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use crate::queue::PushError;
+/// Why a `try_push` was refused.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The queue is at capacity; the item is handed back.
+    Full(T),
+    /// The queue no longer accepts work (shutting down).
+    Closed(T),
+}
 
 /// Per-tenant admission quotas and fair-dequeue weights.
 ///
@@ -267,7 +278,7 @@ mod tests {
     #[test]
     fn single_lane_is_plain_fifo() {
         // The inactive-policy configuration: every push lands in the
-        // implicit lane, so pop order is exactly BoundedQueue's.
+        // implicit lane, so pop order is push order.
         let q = FairQueue::new(8, BTreeMap::new());
         for i in 0..5 {
             q.try_push(None, i).unwrap();

@@ -82,9 +82,9 @@
 //! so a crash during compaction leaves either the old or the new
 //! journal, never a half-written one.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -309,29 +309,35 @@ impl Journal {
     /// [`JournalConfig::promote`] set, the fencing epoch is bumped and
     /// journaled before the handle is returned.
     pub fn open(config: JournalConfig) -> std::io::Result<(Journal, JournalReplay)> {
-        let existing = match std::fs::read(&config.path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        let mut fold = ReplayFold::new(usize::MAX, usize::MAX);
+        // Complete lines that failed their checksum or did not parse —
+        // quarantined below (the torn tail is sealed instead).
+        let mut corrupt: Vec<String> = Vec::new();
+        let lines = match File::open(&config.path) {
+            Ok(file) => read_lines(BufReader::new(file), |line| match decode_line(line) {
+                Some(record) => fold.apply(record),
+                None => corrupt.push(String::from_utf8_lossy(line).into_owned()),
+            })?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => LineScan::default(),
             Err(e) => return Err(e),
         };
-        let parsed = parse_records(&existing);
-        let quarantined = parsed.corrupt.len() as u64;
-        if !parsed.corrupt.is_empty() {
+        let quarantined = corrupt.len() as u64;
+        if !corrupt.is_empty() {
             match OpenOptions::new().create(true).append(true).open(quarantine_path(&config.path)) {
                 Ok(mut q) => {
-                    for line in &parsed.corrupt {
+                    for line in &corrupt {
                         let _ = writeln!(q, "{line}");
                     }
                     eprintln!(
                         "svc journal: quarantined {} corrupt line(s) to {}",
-                        parsed.corrupt.len(),
+                        corrupt.len(),
                         quarantine_path(&config.path).display()
                     );
                 }
                 Err(e) => eprintln!("svc journal: cannot write quarantine file: {e}"),
             }
         }
-        let mut replay = build_replay(parsed.records, parsed.dropped);
+        let mut replay = fold.finish(quarantined + u64::from(lines.torn));
         let mut epoch = read_epoch(&config.path).max(replay.epoch);
         if config.promote {
             epoch += 1;
@@ -344,10 +350,9 @@ impl Journal {
         // dropped from the replay; physically truncating it keeps the
         // next append from merging into the fragment and corrupting a
         // good record.
-        let sealed = existing.iter().rposition(|&b| b == b'\n').map(|p| p + 1).unwrap_or(0) as u64;
-        if sealed < bytes {
-            file.set_len(sealed)?;
-            bytes = sealed;
+        if lines.sealed < bytes {
+            file.set_len(lines.sealed)?;
+            bytes = lines.sealed;
         }
         let promote = config.promote;
         let journal = Journal {
@@ -547,44 +552,50 @@ impl Journal {
     /// Compacts the journal in place: keep the newest `retain_scores` /
     /// `retain_runs` records of each kind (deduplicated, last write
     /// wins), drop admit records, rewrite through a temp file + rename.
+    /// The file streams through a bounded fold one line at a time, so
+    /// the pass — which runs under the append lock — holds the retained
+    /// records plus one line, never the whole journal.
     fn rotate_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
         self.sync_data_locked(inner);
-        let existing = std::fs::read(&self.config.path)?;
-        let parsed = parse_records(&existing);
-        let replay = build_replay(parsed.records, 0);
-        let mut compacted = String::new();
+        let mut fold = ReplayFold::new(self.config.retain_scores, self.config.retain_runs);
+        read_lines(BufReader::new(File::open(&self.config.path)?), |line| {
+            match decode_line(line) {
+                // Admits served their forensic purpose for the previous
+                // epoch; corrupt lines were never replayable.
+                Some(JournalRecord::Admit { .. }) | None => {}
+                Some(record) => fold.apply(record),
+            }
+        })?;
+        let replay = fold.finish(0);
+        let tmp = self.config.path.with_extension("journal-compact");
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        let mut bytes = 0u64;
+        let mut emit = |record: Value| -> std::io::Result<()> {
+            let line = sealed_line(&record);
+            bytes += line.len() as u64 + 1;
+            writeln!(out, "{line}")
+        };
         // Re-journal the fencing epoch first so the compacted file is
         // self-describing without the sidecar.
         if self.epoch > 0 {
-            compacted.push_str(&sealed_line(&epoch_record(self.epoch)));
-            compacted.push('\n');
+            emit(epoch_record(self.epoch))?;
         }
-        let skip = replay.scores.len().saturating_sub(self.config.retain_scores);
-        for (key, placements) in replay.scores.iter().skip(skip) {
-            compacted.push_str(&sealed_line(&score_record(key, placements)));
-            compacted.push('\n');
+        for (key, placements) in &replay.scores {
+            emit(score_record(key, placements))?;
         }
-        let skip = replay.runs.len().saturating_sub(self.config.retain_runs);
-        for (job, response) in replay.runs.iter().skip(skip) {
-            compacted.push_str(&sealed_line(&run_record(*job, response)));
-            compacted.push('\n');
+        for (job, response) in &replay.runs {
+            emit(run_record(*job, response))?;
         }
         // Open reservations are live capacity commitments — every one
         // survives compaction, uncapped (bounded in practice by the
         // co-scheduler's own admission queue).
         for reservation in &replay.reservations {
-            compacted.push_str(&sealed_line(&reserve_record(reservation)));
-            compacted.push('\n');
+            emit(reserve_record(reservation))?;
         }
-        let tmp = self.config.path.with_extension("journal-compact");
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(compacted.as_bytes())?;
-            out.sync_data()?;
-        }
+        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
         std::fs::rename(&tmp, &self.config.path)?;
         inner.file = OpenOptions::new().append(true).open(&self.config.path)?;
-        inner.bytes = compacted.len() as u64;
+        inner.bytes = bytes;
         inner.since_sync = 0;
         self.rotations.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -884,38 +895,37 @@ pub fn decode_line(line: &[u8]) -> Option<JournalRecord> {
     parse_record(line)
 }
 
-struct ParsedLines {
-    records: Vec<JournalRecord>,
-    dropped: u64,
-    /// Complete lines that failed their checksum or did not parse —
-    /// quarantine candidates (the torn tail is sealed instead).
-    corrupt: Vec<String>,
+/// What [`read_lines`] saw besides the lines it handed out.
+#[derive(Default)]
+struct LineScan {
+    /// Offset just past the last newline: where a torn tail starts.
+    sealed: u64,
+    /// A non-blank unterminated fragment follows `sealed` — the final
+    /// append was interrupted.
+    torn: bool,
 }
 
-/// Splits `bytes` into newline-terminated records, dropping (and
-/// counting) corrupt lines and the torn unterminated tail.
-fn parse_records(bytes: &[u8]) -> ParsedLines {
-    let mut out = ParsedLines { records: Vec::new(), dropped: 0, corrupt: Vec::new() };
-    let mut start = 0usize;
-    while let Some(pos) = bytes[start..].iter().position(|&b| b == b'\n') {
-        let line = &bytes[start..start + pos];
-        start += pos + 1;
-        if line.iter().all(u8::is_ascii_whitespace) {
-            continue;
+/// Hands every newline-terminated, non-blank line of `reader` (newline
+/// stripped) to `on_line` through one reusable buffer.
+fn read_lines(
+    mut reader: impl BufRead,
+    mut on_line: impl FnMut(&[u8]),
+) -> std::io::Result<LineScan> {
+    let mut scan = LineScan::default();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line)?;
+        if line.last() != Some(&b'\n') {
+            scan.torn = !line.iter().all(u8::is_ascii_whitespace);
+            return Ok(scan);
         }
-        match decode_line(line) {
-            Some(r) => out.records.push(r),
-            None => {
-                out.dropped += 1;
-                out.corrupt.push(String::from_utf8_lossy(line).into_owned());
-            }
+        scan.sealed += n as u64;
+        let body = &line[..n - 1];
+        if !body.iter().all(u8::is_ascii_whitespace) {
+            on_line(body);
         }
     }
-    // No trailing newline: the final append was interrupted. Drop it.
-    if !bytes[start..].iter().all(u8::is_ascii_whitespace) {
-        out.dropped += 1;
-    }
-    out
 }
 
 fn parse_record(line: &[u8]) -> Option<JournalRecord> {
@@ -1002,58 +1012,96 @@ fn parse_record(line: &[u8]) -> Option<JournalRecord> {
     }
 }
 
-/// Collapses records to their newest occurrence per key/job while
-/// preserving chronological order (so FIFO cache warm-up keeps the
-/// newest entries when over capacity).
-fn build_replay(records: Vec<JournalRecord>, dropped: u64) -> JournalReplay {
-    let mut replay = JournalReplay { dropped, ..JournalReplay::default() };
-    let mut score_slot: HashMap<String, usize> = HashMap::new();
-    let mut run_slot: HashMap<u64, usize> = HashMap::new();
-    let mut resv_slot: HashMap<u64, usize> = HashMap::new();
-    let mut scores: Vec<Option<(String, Vec<RankedPlacement>)>> = Vec::new();
-    let mut runs: Vec<Option<(u64, Response)>> = Vec::new();
-    let mut resvs: Vec<Option<ReplayedReservation>> = Vec::new();
-    for record in records {
-        match record {
-            JournalRecord::Admit { job, tenant } => {
-                replay.admits += 1;
-                if let Some(tenant) = tenant {
-                    replay.admit_tenants.insert(job, tenant);
-                }
+/// The newest `cap` entries of a keyed stream, last write wins, in
+/// order of last write. A key rewritten after it fell out of the window
+/// re-enters as the newest, so at every point the window is exactly the
+/// last `cap` entries of "dedupe the whole stream, keep the newest
+/// occurrence" — without holding the stream.
+struct Newest<K, V> {
+    cap: usize,
+    next_age: u64,
+    age_of: HashMap<K, u64>,
+    by_age: BTreeMap<u64, (K, V)>,
+}
+
+impl<K: Clone + Eq + std::hash::Hash, V> Newest<K, V> {
+    fn new(cap: usize) -> Self {
+        Newest { cap, next_age: 0, age_of: HashMap::new(), by_age: BTreeMap::new() }
+    }
+
+    fn put(&mut self, key: K, value: V) {
+        self.remove(&key);
+        self.age_of.insert(key.clone(), self.next_age);
+        self.by_age.insert(self.next_age, (key, value));
+        self.next_age += 1;
+        if self.by_age.len() > self.cap {
+            if let Some((_, (oldest, _))) = self.by_age.pop_first() {
+                self.age_of.remove(&oldest);
             }
-            JournalRecord::Score { key, placements } => {
-                if let Some(&old) = score_slot.get(&key) {
-                    scores[old] = None;
-                }
-                score_slot.insert(key.clone(), scores.len());
-                scores.push(Some((key, placements)));
-            }
-            JournalRecord::Run { job, response } => {
-                if let Some(&old) = run_slot.get(&job) {
-                    runs[old] = None;
-                }
-                run_slot.insert(job, runs.len());
-                runs.push(Some((job, response)));
-            }
-            JournalRecord::Reserve(r) => {
-                if let Some(&old) = resv_slot.get(&r.job) {
-                    resvs[old] = None;
-                }
-                resv_slot.insert(r.job, resvs.len());
-                resvs.push(Some(r));
-            }
-            JournalRecord::Release { job } => {
-                if let Some(old) = resv_slot.remove(&job) {
-                    resvs[old] = None;
-                }
-            }
-            JournalRecord::Epoch { epoch } => replay.epoch = replay.epoch.max(epoch),
         }
     }
-    replay.scores = scores.into_iter().flatten().collect();
-    replay.runs = runs.into_iter().flatten().collect();
-    replay.reservations = resvs.into_iter().flatten().collect();
-    replay
+
+    fn remove(&mut self, key: &K) {
+        if let Some(age) = self.age_of.remove(key) {
+            self.by_age.remove(&age);
+        }
+    }
+
+    fn into_entries(self) -> impl Iterator<Item = (K, V)> {
+        self.by_age.into_values()
+    }
+}
+
+/// Folds a record stream into a [`JournalReplay`]: records collapse to
+/// their newest occurrence per key/job while preserving chronological
+/// order (so FIFO cache warm-up keeps the newest entries when over
+/// capacity), reserves net out releases, and the epoch is the maximum
+/// seen. [`Journal::open`] folds uncapped; compaction caps scores and
+/// runs at what it retains.
+struct ReplayFold {
+    scores: Newest<String, Vec<RankedPlacement>>,
+    runs: Newest<u64, Response>,
+    reservations: Newest<u64, ReplayedReservation>,
+    /// Admit attribution and the epoch accumulate in place; the three
+    /// windows above fill its vectors at [`ReplayFold::finish`].
+    replay: JournalReplay,
+}
+
+impl ReplayFold {
+    fn new(retain_scores: usize, retain_runs: usize) -> Self {
+        ReplayFold {
+            scores: Newest::new(retain_scores),
+            runs: Newest::new(retain_runs),
+            reservations: Newest::new(usize::MAX),
+            replay: JournalReplay::default(),
+        }
+    }
+
+    fn apply(&mut self, record: JournalRecord) {
+        match record {
+            JournalRecord::Admit { job, tenant } => {
+                self.replay.admits += 1;
+                if let Some(tenant) = tenant {
+                    self.replay.admit_tenants.insert(job, tenant);
+                }
+            }
+            JournalRecord::Score { key, placements } => self.scores.put(key, placements),
+            JournalRecord::Run { job, response } => self.runs.put(job, response),
+            JournalRecord::Reserve(r) => self.reservations.put(r.job, r),
+            JournalRecord::Release { job } => self.reservations.remove(&job),
+            JournalRecord::Epoch { epoch } => self.replay.epoch = self.replay.epoch.max(epoch),
+        }
+    }
+
+    fn finish(self, dropped: u64) -> JournalReplay {
+        JournalReplay {
+            scores: self.scores.into_entries().collect(),
+            runs: self.runs.into_entries().collect(),
+            reservations: self.reservations.into_entries().map(|(_, r)| r).collect(),
+            dropped,
+            ..self.replay
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1273,6 +1321,87 @@ mod tests {
             seq,
             tenant: None,
         }
+    }
+
+    /// The compaction the streaming fold replaced, kept as its oracle:
+    /// slurp the file, decode every line into one `Vec`, collapse to the
+    /// newest occurrence per key/job in order of last write, skip down
+    /// to the retained counts, render.
+    fn reference_compaction(bytes: &[u8], epoch: u64, config: &JournalConfig) -> String {
+        fn newest_last<K: PartialEq, V>(all: &mut Vec<(K, V)>, key: K, value: V) {
+            all.retain(|(k, _)| *k != key);
+            all.push((key, value));
+        }
+        let (mut scores, mut runs, mut reservations) = (Vec::new(), Vec::new(), Vec::new());
+        let terminated = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        for line in bytes[..terminated].split(|&b| b == b'\n') {
+            match decode_line(line) {
+                Some(JournalRecord::Score { key, placements }) => {
+                    newest_last(&mut scores, key, placements)
+                }
+                Some(JournalRecord::Run { job, response }) => newest_last(&mut runs, job, response),
+                Some(JournalRecord::Reserve(r)) => newest_last(&mut reservations, r.job, r),
+                Some(JournalRecord::Release { job }) => reservations.retain(|(j, _)| *j != job),
+                Some(JournalRecord::Admit { .. } | JournalRecord::Epoch { .. }) | None => {}
+            }
+        }
+        let mut records = vec![epoch_record(epoch)];
+        let skip = scores.len().saturating_sub(config.retain_scores);
+        records.extend(scores.iter().skip(skip).map(|(k, p)| score_record(k, p)));
+        let skip = runs.len().saturating_sub(config.retain_runs);
+        records.extend(runs.iter().skip(skip).map(|(j, r)| run_record(*j, r)));
+        records.extend(reservations.iter().map(|(_, r)| reserve_record(r)));
+        records.iter().map(|r| sealed_line(r) + "\n").collect()
+    }
+
+    #[test]
+    fn streaming_compaction_is_byte_identical_to_the_slurping_reference() {
+        let path = temp_path("compact-oracle");
+        let mut config = JournalConfig::new(&path);
+        config.retain_scores = 5;
+        config.retain_runs = 3;
+        config.promote = true; // epoch 1: the compacted file leads with it
+        let (journal, _) = Journal::open(config.clone()).unwrap();
+        // Far more records than the retained windows, written under the
+        // journal (the default 8 MiB threshold keeps rotation out of the
+        // way until the explicit call below).
+        let line = |record: Value| sealed_line(&record) + "\n";
+        let mut raw = String::new();
+        for i in 0..40u64 {
+            raw += &line(score_record(&format!("key-{i}"), &ranking(i as f64)));
+            raw += &line(run_record(i % 17, &run_result(i)));
+            if i == 20 {
+                // A corrupt interior line and a blank one.
+                raw += "{\"rec\":\"score\",\"key\":\"flipped\",\"crc\":\"00000000\"}\n\n";
+            }
+        }
+        raw += &line(reserve_record(&reservation(1, 1)));
+        raw += &line(reserve_record(&reservation(2, 2)));
+        raw += &line(obj(vec![("rec", "release".into()), ("job", 1u64.into())]));
+        // `key-3` fell out of the 5-key window 36 keys ago; rewriting it
+        // must bring it back as the newest.
+        raw += &line(score_record("key-3", &ranking(3.5)));
+        raw += "{\"rec\":\"run\",\"job\":99,\"resp"; // torn tail
+        OpenOptions::new().append(true).open(&path).unwrap().write_all(raw.as_bytes()).unwrap();
+
+        let before = std::fs::read(&path).unwrap();
+        let want = reference_compaction(&before, journal.epoch(), &config);
+        journal.rotate_locked(&mut journal.inner.lock().unwrap()).unwrap();
+        let got = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(got, want, "compacted file must equal the reference byte for byte");
+        assert_eq!(journal.stats().bytes, got.len() as u64);
+        drop(journal);
+
+        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let keys: Vec<&str> = replay.scores.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["key-36", "key-37", "key-38", "key-39", "key-3"]);
+        assert_eq!(replay.scores[4].1[0].objective, 3.5, "last write wins");
+        let jobs: Vec<u64> = replay.runs.iter().map(|(j, _)| *j).collect();
+        assert_eq!(jobs, [3, 4, 5], "runs 37..39 under their job ids");
+        assert_eq!(replay.runs[2].1, run_result(39));
+        assert_eq!(replay.reservations, vec![reservation(2, 2)], "released reservation dropped");
+        assert_eq!((replay.epoch, replay.dropped, replay.admits), (1, 0, 0));
+        cleanup(&path);
     }
 
     #[test]

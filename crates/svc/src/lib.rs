@@ -52,7 +52,6 @@ pub mod fault;
 pub mod journal;
 pub mod json;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod service;
 pub mod standby;
@@ -60,7 +59,7 @@ pub mod stats;
 
 pub use cache::ScoreCache;
 pub use client::{FailoverClient, FailoverPolicy, RetryPolicy as ClientRetryPolicy, SvcClient};
-pub use fair::{FairQueue, TenantPolicy};
+pub use fair::{FairQueue, PushError, TenantPolicy};
 pub use fault::SvcFaultPlan;
 pub use journal::{
     read_epoch, FollowEvent, FsyncPolicy, Journal, JournalConfig, JournalFollower, JournalRecord,
@@ -70,7 +69,6 @@ pub use protocol::{
     ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec, RankedPlacement,
     Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
 };
-pub use queue::{BoundedQueue, PushError};
 pub use server::{heartbeat_path, serve, ServerHandle, REPL_HEARTBEAT};
 pub use service::{
     small_score_request, CancelToken, CoschedSvcConfig, Pending, Rejected, Service, SvcConfig,

@@ -18,19 +18,18 @@ use std::time::{Duration, Instant};
 use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
-    scan_placements_delta_observed, Admission, CoScheduler, CoschedConfig, DeltaEvaluator,
-    NodeBudget, PlacementDecision, Reservation, ScanOptions, ScanProgress,
+    scan_placements, Admission, Candidate, CoScheduler, CoschedConfig, DeltaEvaluator, NodeBudget,
+    PlacementDecision, Reservation, ScanOptions, ScanProgress,
 };
 
 use crate::cache::ScoreCache;
-use crate::fair::{FairQueue, TenantPolicy};
+use crate::fair::{FairQueue, PushError, TenantPolicy};
 use crate::journal::{Journal, JournalConfig, ReplayedReservation};
 use crate::protocol::{
     validate_tenant, ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec,
     RankedPlacement, Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest,
     Workloads,
 };
-use crate::queue::PushError;
 use crate::stats::{
     LatencyHistogram, MetricsSnapshot, SvcStats, TenantRow, COLD_START_SERVICE_TIME,
 };
@@ -1438,9 +1437,9 @@ fn base_config(spec: ensemble_core::EnsembleSpec, workloads: Workloads) -> SimRu
 
 /// Canonical cache key of a score request under the service's platform.
 /// Built from the full query description plus the platform/workload
-/// fingerprint — two keys are equal iff `fast_score` is guaranteed to
-/// return bit-identical results (it is deterministic; see the
-/// scheduler's determinism tests).
+/// fingerprint — two keys are equal iff closed-form scoring is
+/// guaranteed to return bit-identical results (it is deterministic; see
+/// the scheduler's determinism tests).
 ///
 /// Every part serializes in a fixed order — in particular the workload
 /// map goes through [`WorkloadMap::canonical_fingerprint`], which sorts
@@ -1584,24 +1583,18 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
     // holds only its own first K, so it caches under a k-suffixed key
     // that never masquerades as the full result (bounded top-K equals
     // the first K of the stable full ranking, so truncation and bounded
-    // scan are byte-identical answers).
-    if let Some(ranked) = shared.cache.get(&key) {
-        let mut placements: Vec<RankedPlacement> = (*ranked).clone();
-        if score.top_k > 0 {
-            placements.truncate(score.top_k);
-        }
-        return Ok(ScoreExec { placements, cached: true, scan_workers: 0, candidates_scanned: 0 });
-    }
+    // scan are byte-identical answers). Either entry answers the
+    // request: one probe, one hit or miss, and only the rows returned
+    // are copied out of the shared ranking.
     let bounded_key = (score.top_k > 0).then(|| format!("{key}|k={}", score.top_k));
-    if let Some(bk) = &bounded_key {
-        if let Some(ranked) = shared.cache.get(bk) {
-            return Ok(ScoreExec {
-                placements: (*ranked).clone(),
-                cached: true,
-                scan_workers: 0,
-                candidates_scanned: 0,
-            });
-        }
+    if let Some(ranked) = shared.cache.get_either(&key, bounded_key.as_deref()) {
+        let rows = if score.top_k > 0 { score.top_k.min(ranked.len()) } else { ranked.len() };
+        return Ok(ScoreExec {
+            placements: ranked[..rows].to_vec(),
+            cached: true,
+            scan_workers: 0,
+            candidates_scanned: 0,
+        });
     }
 
     let opts = ScanOptions {
@@ -1618,18 +1611,17 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
     // occupancy changed between successive candidates — bit-identical
     // to the from-scratch path, so cache keys and journal replays are
     // unaffected.
-    let outcome = scan_placements_delta_observed(
+    let outcome = scan_placements(
         &score.shape,
         score.budget,
         &opts,
         || DeltaEvaluator::new(&cfg, &score.shape),
         |evaluator: &mut DeltaEvaluator,
-         _,
-         assignment: &[usize],
-         hint: Option<usize>|
+         c: Candidate<'_>|
          -> Result<Option<RankedPlacement>, ExecError> {
+            let assignment = c.assignment;
             let fs = evaluator
-                .score_delta(assignment, hint)
+                .score_delta(assignment, c.first_changed)
                 .map_err(|e| ExecError::Invalid(format!("candidate {assignment:?}: {e}")))?;
             Ok(Some(RankedPlacement {
                 assignment: assignment.to_vec(),
@@ -1977,9 +1969,17 @@ mod tests {
         let svc = tiny_service(1, 4);
         // 2×(16+8) cores cannot fit one 32-core node → empty enumeration
         // → empty ranking (not an error), while a malformed spec errors.
-        match svc.submit(small_score_request(1, 2, 16, 1, 8, 1)).unwrap().wait() {
-            Response::ScoreResult { placements, .. } => assert!(placements.is_empty()),
-            other => panic!("expected empty score result, got {other:?}"),
+        // So does a component no node can hold — the wire bounds cores
+        // by u32 only — and it must not cost the one worker.
+        for (id, n, sim_cores) in [(1, 2, 16), (2, 1, 70_000)] {
+            match svc.submit(small_score_request(id, n, sim_cores, 1, 8, 1)).unwrap().wait() {
+                Response::ScoreResult { placements, .. } => assert!(placements.is_empty()),
+                other => panic!("expected empty score result, got {other:?}"),
+            }
+        }
+        match svc.submit(small_score_request(3, 1, 16, 1, 8, 1)).unwrap().wait() {
+            Response::ScoreResult { placements, .. } => assert!(!placements.is_empty()),
+            other => panic!("expected score result, got {other:?}"),
         }
     }
 
@@ -2282,6 +2282,49 @@ mod tests {
             }
             other => panic!("expected score result, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_top_k_request_counts_one_cache_probe_and_copies_only_its_rows() {
+        let top3 = |svc: &Service, id: u64| {
+            let mut req = small_score_request(id, 2, 16, 1, 8, 3);
+            if let RequestBody::Score(ref mut s) = req.body {
+                s.top_k = 3;
+            }
+            match svc.submit(req).unwrap().wait() {
+                Response::ScoreResult { placements, cached, .. } => (placements, cached),
+                other => panic!("expected score result, got {other:?}"),
+            }
+        };
+        let wire = |rows: &[RankedPlacement]| -> Vec<String> {
+            rows.iter().map(|p| crate::protocol::placement_to_value(p).to_json()).collect()
+        };
+        let counts = |svc: &Service| {
+            let m = svc.metrics();
+            (m.cache_hits, m.cache_misses)
+        };
+        // Full-key case: a primed full ranking answers the bounded query.
+        let primed = tiny_service(1, 8);
+        let full = match primed.submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait() {
+            Response::ScoreResult { placements, .. } => placements,
+            other => panic!("expected score result, got {other:?}"),
+        };
+        assert_eq!(counts(&primed), (0, 1));
+        let (rows, cached) = top3(&primed, 2);
+        assert!(cached);
+        assert_eq!(counts(&primed), (1, 1), "one hit, no extra miss");
+        assert_eq!(wire(&rows), wire(&full[..3]), "the reply is the head of the full ranking");
+        // Bounded-key case: a cold bounded query is one miss, its repeat
+        // one hit on the k-keyed entry.
+        let cold = tiny_service(1, 8);
+        let (first, cached) = top3(&cold, 3);
+        assert!(!cached);
+        assert_eq!(counts(&cold), (0, 1), "a cold bounded query probes once");
+        let (again, cached) = top3(&cold, 4);
+        assert!(cached);
+        assert_eq!(counts(&cold), (1, 1));
+        assert_eq!(wire(&again), wire(&first));
+        assert_eq!(wire(&again), wire(&full[..3]));
     }
 
     #[test]

@@ -298,6 +298,24 @@ fn infeasible_ensembles_are_refused_at_admission() {
     svc.shutdown();
 }
 
+#[test]
+fn an_oversized_component_is_refused_and_admission_keeps_answering() {
+    let svc = Service::start(cosched_config(2, 1));
+    // The wire only bounds cores by u32; nothing this wide fits a node,
+    // and the refusal must leave the admission locks usable.
+    match svc.submit(submit_request(1, 1, 70_000, 8)).unwrap().wait() {
+        Response::Error { kind: ErrorKind::Invalid, message, .. } => {
+            assert!(message.contains("cannot fit"), "{message}");
+        }
+        other => panic!("expected invalid, got {other:?}"),
+    }
+    expect_submit(svc.submit(large(2)).unwrap().wait());
+    let metrics = svc.metrics();
+    assert_eq!(metrics.cosched_infeasible, 1);
+    assert_eq!(metrics.cosched_placed, 1);
+    svc.shutdown();
+}
+
 /// Sustained mixed interactive/batch stream against the co-scheduler —
 /// the nightly leak check: after the stream drains, the residency map
 /// must be empty and committed capacity exactly zero. Run with

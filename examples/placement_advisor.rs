@@ -34,7 +34,8 @@ fn main() {
     // Step 2 — exhaustively rank every canonical placement.
     let config =
         SearchConfig::new(EnsembleShape::uniform(2, 16, 1, sweep.recommended_cores), budget);
-    let ranked = exhaustive_search(&config).expect("search failed");
+    let ranked =
+        exhaustive_search(&config, &ScanOptions::default()).expect("search failed").into_values();
     println!("\n{} canonical feasible placements evaluated; top 5:", ranked.len());
     for (rank, placed) in ranked.iter().take(5).enumerate() {
         println!(

@@ -71,7 +71,7 @@ pub mod prelude {
     };
     pub use scheduler::{
         anneal_placement, core_sweep, exhaustive_search, pareto_front, recommend_placement,
-        AnnealingConfig, CoreSweepConfig, EnsembleShape, NodeBudget, SearchConfig,
+        AnnealingConfig, CoreSweepConfig, EnsembleShape, NodeBudget, ScanOptions, SearchConfig,
     };
     pub use svc::{serve, Service, SvcClient, SvcConfig};
 }

@@ -105,6 +105,7 @@ fn pareto_front_exposes_the_node_makespan_tradeoff() {
         &base,
         &EnsembleShape::uniform(2, 16, 1, 8),
         NodeBudget { max_nodes: 4, cores_per_node: 32 },
+        &scheduling::ScanOptions::default(),
     )
     .unwrap();
     let frontier = scheduling::frontier_only(&points);
