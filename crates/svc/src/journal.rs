@@ -83,6 +83,7 @@
 //! journal, never a half-written one.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -90,10 +91,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::fault::SvcFaultPlan;
-use crate::json::{obj, Value};
-use crate::protocol::{
-    placement_from_value, placement_to_value, RankedPlacement, Request, Response,
-};
+use crate::json::{write_f64, write_seq, write_str, write_u64, Value};
+use crate::protocol::{placement_from_value, write_shape_members, Ranking, Request, Response};
 
 /// Consecutive fsync failures tolerated before the journal degrades to
 /// read-only (each one is still counted and logged).
@@ -162,7 +161,7 @@ impl JournalConfig {
 #[derive(Debug, Default)]
 pub struct JournalReplay {
     /// `(cache key, full ranking)` pairs to warm the score cache.
-    pub scores: Vec<(String, Vec<RankedPlacement>)>,
+    pub scores: Vec<(String, Ranking)>,
     /// `(job id, run result)` pairs to rebuild the completed-job index.
     pub runs: Vec<(u64, Response)>,
     /// Co-scheduler reservations still open (reserve net of release),
@@ -252,7 +251,7 @@ pub enum JournalRecord {
         /// Score-cache key.
         key: String,
         /// The full ranking stored under the key.
-        placements: Vec<RankedPlacement>,
+        placements: Ranking,
     },
     /// A run completed.
     Run {
@@ -379,7 +378,7 @@ impl Journal {
         if promote {
             // Journal the new epoch so followers (and the next replay)
             // learn it from the record stream, not just the sidecar.
-            journal.append_line(&epoch_record(epoch));
+            journal.append_line(|out| write_epoch_record(out, epoch));
         }
         replay.epoch = epoch;
         Ok((journal, replay))
@@ -388,35 +387,39 @@ impl Journal {
     /// Journals an admitted request (v2 record: explicit job and tenant
     /// attribution alongside the full request).
     pub fn append_admit(&self, request: &Request) {
-        let mut fields =
-            vec![("rec", "admit".into()), ("v", 2u64.into()), ("job", request.id.into())];
-        if let Some(t) = &request.tenant {
-            fields.push(("tenant", t.as_str().into()));
-        }
-        fields.push(("request", request.to_value()));
-        self.append_line(&obj(fields));
+        self.append_line(|out| {
+            out.push_str("{\"rec\":\"admit\",\"v\":2,\"job\":");
+            write_u64(out, request.id);
+            if let Some(t) = &request.tenant {
+                out.push_str(",\"tenant\":");
+                write_str(out, t);
+            }
+            out.push_str(",\"request\":");
+            request.write_json(out);
+            out.push('}');
+        });
     }
 
     /// Journals a freshly evaluated score ranking under its cache key
     /// (the full, untruncated ranking — what the cache holds).
-    pub fn append_score(&self, key: &str, placements: &[RankedPlacement]) {
-        self.append_line(&score_record(key, placements));
+    pub fn append_score(&self, key: &str, placements: &Ranking) {
+        self.append_line(|out| write_score_record(out, key, placements));
     }
 
     /// Journals a completed run result under its job id.
     pub fn append_run(&self, job: u64, response: &Response) {
-        self.append_line(&run_record(job, response));
+        self.append_line(|out| write_run_record(out, job, response));
     }
 
     /// Journals an opened co-scheduler reservation.
     pub fn append_reserve(&self, reservation: &ReplayedReservation) {
-        self.append_line(&reserve_record(reservation));
+        self.append_line(|out| write_reserve_record(out, reservation));
     }
 
     /// Journals a closed co-scheduler reservation (completion, failure,
     /// cancellation, or admission rollback).
     pub fn append_release(&self, job: u64) {
-        self.append_line(&obj(vec![("rec", "release".into()), ("job", job.into())]));
+        self.append_line(|out| write_release_record(out, job));
     }
 
     /// The fencing epoch this handle was opened under.
@@ -483,7 +486,9 @@ impl Journal {
         }
     }
 
-    fn append_line(&self, record: &Value) {
+    /// Appends the record `write` renders (one JSON object), sealed
+    /// with its checksum.
+    fn append_line(&self, write: impl FnOnce(&mut String)) {
         if self.dead.load(Ordering::Relaxed) {
             self.append_errors.fetch_add(1, Ordering::Relaxed);
             return;
@@ -500,8 +505,9 @@ impl Journal {
             ));
             return;
         }
-        let mut line = sealed_line(record);
-        line.push('\n');
+        let mut line = String::new();
+        write(&mut line);
+        seal_line(&mut line);
         let mut inner = self.inner.lock().expect("journal lock");
         // Re-check under the lock: a concurrent append may have tripped
         // the crash fault (leaving an unterminated torn fragment) while
@@ -570,27 +576,30 @@ impl Journal {
         let tmp = self.config.path.with_extension("journal-compact");
         let mut out = BufWriter::new(File::create(&tmp)?);
         let mut bytes = 0u64;
-        let mut emit = |record: Value| -> std::io::Result<()> {
-            let line = sealed_line(&record);
-            bytes += line.len() as u64 + 1;
-            writeln!(out, "{line}")
+        let mut line = String::new();
+        let mut emit = |write: &dyn Fn(&mut String)| -> std::io::Result<()> {
+            line.clear();
+            write(&mut line);
+            seal_line(&mut line);
+            bytes += line.len() as u64;
+            out.write_all(line.as_bytes())
         };
         // Re-journal the fencing epoch first so the compacted file is
         // self-describing without the sidecar.
         if self.epoch > 0 {
-            emit(epoch_record(self.epoch))?;
+            emit(&|out| write_epoch_record(out, self.epoch))?;
         }
         for (key, placements) in &replay.scores {
-            emit(score_record(key, placements))?;
+            emit(&|out| write_score_record(out, key, placements))?;
         }
         for (job, response) in &replay.runs {
-            emit(run_record(*job, response))?;
+            emit(&|out| write_run_record(out, *job, response))?;
         }
         // Open reservations are live capacity commitments — every one
         // survives compaction, uncapped (bounded in practice by the
         // co-scheduler's own admission queue).
         for reservation in &replay.reservations {
-            emit(reserve_record(reservation))?;
+            emit(&|out| write_reserve_record(out, reservation))?;
         }
         out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
         std::fs::rename(&tmp, &self.config.path)?;
@@ -776,51 +785,50 @@ fn write_epoch(journal_path: &Path, epoch: u64) -> std::io::Result<()> {
     std::fs::rename(&tmp, &target)
 }
 
-fn score_record(key: &str, placements: &[RankedPlacement]) -> Value {
-    obj(vec![
-        ("rec", "score".into()),
-        ("key", key.into()),
-        ("placements", Value::Arr(placements.iter().map(placement_to_value).collect())),
-    ])
+fn write_score_record(out: &mut String, key: &str, placements: &Ranking) {
+    out.push_str("{\"rec\":\"score\",\"key\":");
+    write_str(out, key);
+    out.push_str(",\"placements\":");
+    placements.write_json(out);
+    out.push('}');
 }
 
-fn run_record(job: u64, response: &Response) -> Value {
-    obj(vec![("rec", "run".into()), ("job", job.into()), ("response", response.to_value())])
+fn write_run_record(out: &mut String, job: u64, response: &Response) {
+    out.push_str("{\"rec\":\"run\",\"job\":");
+    write_u64(out, job);
+    out.push_str(",\"response\":");
+    response.write_json(out);
+    out.push('}');
 }
 
-fn epoch_record(epoch: u64) -> Value {
-    obj(vec![("rec", "epoch".into()), ("epoch", epoch.into())])
+fn write_epoch_record(out: &mut String, epoch: u64) {
+    out.push_str("{\"rec\":\"epoch\",\"epoch\":");
+    write_u64(out, epoch);
+    out.push('}');
 }
 
-fn reserve_record(r: &ReplayedReservation) -> Value {
-    let mut fields = vec![
-        ("rec", "reserve".into()),
-        ("job", r.job.into()),
-        (
-            "members",
-            Value::Arr(
-                r.members
-                    .iter()
-                    .map(|(sim, anas)| {
-                        obj(vec![
-                            ("sim_cores", u64::from(*sim).into()),
-                            (
-                                "analyses",
-                                Value::Arr(anas.iter().map(|&a| u64::from(a).into()).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("assignment", Value::Arr(r.assignment.iter().map(|&n| (n as u64).into()).collect())),
-        ("predicted_end", r.predicted_end.into()),
-        ("seq", r.seq.into()),
-    ];
+fn write_release_record(out: &mut String, job: u64) {
+    out.push_str("{\"rec\":\"release\",\"job\":");
+    write_u64(out, job);
+    out.push('}');
+}
+
+fn write_reserve_record(out: &mut String, r: &ReplayedReservation) {
+    out.push_str("{\"rec\":\"reserve\",\"job\":");
+    write_u64(out, r.job);
+    out.push_str(",\"members\":");
+    write_shape_members(out, &r.members);
+    out.push_str(",\"assignment\":");
+    write_seq(out, &r.assignment, |out, &n| write_u64(out, n as u64));
+    out.push_str(",\"predicted_end\":");
+    write_f64(out, r.predicted_end);
+    out.push_str(",\"seq\":");
+    write_u64(out, r.seq);
     if let Some(t) = &r.tenant {
-        fields.push(("tenant", t.as_str().into()));
+        out.push_str(",\"tenant\":");
+        write_str(out, t);
     }
-    obj(fields)
+    out.push('}');
 }
 
 // ---- checksum sealing ------------------------------------------------
@@ -852,15 +860,15 @@ fn crc32_parts(parts: &[&[u8]]) -> u32 {
     !c
 }
 
-/// Renders a record with its CRC32 seal appended as the final `"crc"`
-/// field: `{...,"crc":"xxxxxxxx"}`. The checksum covers the record
-/// bytes *without* the seal, so verification is a byte-exact strip,
-/// restore-the-brace, recompute.
-fn sealed_line(record: &Value) -> String {
-    let json = record.to_json();
-    let body = json.strip_suffix('}').expect("journal records are JSON objects");
-    let crc = crc32_parts(&[json.as_bytes()]);
-    format!("{body},\"crc\":\"{crc:08x}\"}}")
+/// Seals the record in `line` in place and ends the line: the CRC32
+/// goes in as the record's final `"crc"` field,
+/// `{...,"crc":"xxxxxxxx"}`, then the newline. The checksum covers the
+/// record bytes *without* the seal, so verification is a byte-exact
+/// strip, restore-the-brace, recompute.
+fn seal_line(line: &mut String) {
+    let crc = crc32_parts(&[line.as_bytes()]);
+    assert_eq!(line.pop(), Some('}'), "journal records are JSON objects");
+    writeln!(line, ",\"crc\":\"{crc:08x}\"}}").expect("writing to a String cannot fail");
 }
 
 const CRC_TAG: &str = ",\"crc\":\"";
@@ -953,7 +961,7 @@ fn parse_record(line: &[u8]) -> Option<JournalRecord> {
                 .map(placement_from_value)
                 .collect::<Result<Vec<_>, _>>()
                 .ok()?;
-            Some(JournalRecord::Score { key, placements })
+            Some(JournalRecord::Score { key, placements: placements.into() })
         }
         "run" => {
             let job = v.get("job")?.as_u64()?;
@@ -1059,7 +1067,7 @@ impl<K: Clone + Eq + std::hash::Hash, V> Newest<K, V> {
 /// seen. [`Journal::open`] folds uncapped; compaction caps scores and
 /// runs at what it retains.
 struct ReplayFold {
-    scores: Newest<String, Vec<RankedPlacement>>,
+    scores: Newest<String, Ranking>,
     runs: Newest<u64, Response>,
     reservations: Newest<u64, ReplayedReservation>,
     /// Admit attribution and the epoch accumulate in place; the three
@@ -1107,7 +1115,7 @@ impl ReplayFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::MemberSummary;
+    use crate::protocol::{MemberSummary, RankedPlacement};
 
     fn temp_path(name: &str) -> PathBuf {
         let path = std::env::temp_dir()
@@ -1122,7 +1130,7 @@ mod tests {
         let _ = std::fs::remove_file(quarantine_path(path));
     }
 
-    fn ranking(objective: f64) -> Vec<RankedPlacement> {
+    fn ranking(objective: f64) -> Ranking {
         vec![RankedPlacement {
             assignment: vec![0, 1],
             objective,
@@ -1130,6 +1138,15 @@ mod tests {
             ensemble_makespan: 100.0,
             eq4_satisfied: true,
         }]
+        .into()
+    }
+
+    /// One sealed journal line, newline included.
+    fn line(write: impl FnOnce(&mut String)) -> String {
+        let mut line = String::new();
+        write(&mut line);
+        seal_line(&mut line);
+        line
     }
 
     fn run_result(id: u64) -> Response {
@@ -1269,7 +1286,8 @@ mod tests {
         let path = temp_path("legacy");
         let mut f = OpenOptions::new().create(true).append(true).open(&path).unwrap();
         // A pre-HA journal line: no "crc" field at all.
-        writeln!(f, "{}", score_record("old", &ranking(0.3)).to_json()).unwrap();
+        let old = crate::json::encoded(|o| write_score_record(o, "old", &ranking(0.3)));
+        writeln!(f, "{old}").unwrap();
         drop(f);
         let (journal, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
         assert_eq!(replay.dropped, 0);
@@ -1345,13 +1363,13 @@ mod tests {
                 Some(JournalRecord::Admit { .. } | JournalRecord::Epoch { .. }) | None => {}
             }
         }
-        let mut records = vec![epoch_record(epoch)];
+        let mut out = line(|o| write_epoch_record(o, epoch));
         let skip = scores.len().saturating_sub(config.retain_scores);
-        records.extend(scores.iter().skip(skip).map(|(k, p)| score_record(k, p)));
+        out.extend(scores.iter().skip(skip).map(|(k, p)| line(|o| write_score_record(o, k, p))));
         let skip = runs.len().saturating_sub(config.retain_runs);
-        records.extend(runs.iter().skip(skip).map(|(j, r)| run_record(*j, r)));
-        records.extend(reservations.iter().map(|(_, r)| reserve_record(r)));
-        records.iter().map(|r| sealed_line(r) + "\n").collect()
+        out.extend(runs.iter().skip(skip).map(|(j, r)| line(|o| write_run_record(o, *j, r))));
+        out.extend(reservations.iter().map(|(_, r)| line(|o| write_reserve_record(o, r))));
+        out
     }
 
     #[test]
@@ -1365,22 +1383,21 @@ mod tests {
         // Far more records than the retained windows, written under the
         // journal (the default 8 MiB threshold keeps rotation out of the
         // way until the explicit call below).
-        let line = |record: Value| sealed_line(&record) + "\n";
         let mut raw = String::new();
         for i in 0..40u64 {
-            raw += &line(score_record(&format!("key-{i}"), &ranking(i as f64)));
-            raw += &line(run_record(i % 17, &run_result(i)));
+            raw += &line(|o| write_score_record(o, &format!("key-{i}"), &ranking(i as f64)));
+            raw += &line(|o| write_run_record(o, i % 17, &run_result(i)));
             if i == 20 {
                 // A corrupt interior line and a blank one.
                 raw += "{\"rec\":\"score\",\"key\":\"flipped\",\"crc\":\"00000000\"}\n\n";
             }
         }
-        raw += &line(reserve_record(&reservation(1, 1)));
-        raw += &line(reserve_record(&reservation(2, 2)));
-        raw += &line(obj(vec![("rec", "release".into()), ("job", 1u64.into())]));
+        raw += &line(|o| write_reserve_record(o, &reservation(1, 1)));
+        raw += &line(|o| write_reserve_record(o, &reservation(2, 2)));
+        raw += &line(|o| write_release_record(o, 1));
         // `key-3` fell out of the 5-key window 36 keys ago; rewriting it
         // must bring it back as the newest.
-        raw += &line(score_record("key-3", &ranking(3.5)));
+        raw += &line(|o| write_score_record(o, "key-3", &ranking(3.5)));
         raw += "{\"rec\":\"run\",\"job\":99,\"resp"; // torn tail
         OpenOptions::new().append(true).open(&path).unwrap().write_all(raw.as_bytes()).unwrap();
 
@@ -1481,9 +1498,9 @@ mod tests {
         let legacy = crate::service::small_score_request(23, 2, 16, 1, 8, 3);
         let mut with_tenant = legacy.clone();
         with_tenant.tenant = Some("legacy-t".into());
-        let v1_line = obj(vec![("rec", "admit".into()), ("request", with_tenant.to_value())]);
+        let v1_line = format!("{{\"rec\":\"admit\",\"request\":{}}}", with_tenant.to_json());
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        writeln!(f, "{}", v1_line.to_json()).unwrap();
+        writeln!(f, "{v1_line}").unwrap();
         drop(f);
         let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
         assert_eq!(replay.dropped, 0);
@@ -1671,8 +1688,8 @@ mod tests {
         assert!(follower.poll().unwrap().is_empty());
         // A record arrives in two chunks, as a slow writer would
         // produce it.
-        let line = sealed_line(&score_record("split", &ranking(0.5)));
-        let (head, tail) = line.split_at(10);
+        let line = line(|o| write_score_record(o, "split", &ranking(0.5)));
+        let (head, tail) = line.trim_end().split_at(10);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(head.as_bytes()).unwrap();
         f.sync_data().unwrap();
@@ -1738,8 +1755,8 @@ mod tests {
 
     #[test]
     fn checksum_seal_and_verify_are_byte_exact() {
-        let record = score_record("k", &ranking(0.123456789));
-        let line = sealed_line(&record);
+        let line = line(|o| write_score_record(o, "k", &ranking(0.123456789)));
+        let line = line.trim_end().to_string();
         assert!(crc_valid(&line));
         assert!(decode_line(line.as_bytes()).is_some());
         // Any single-byte change breaks the seal.

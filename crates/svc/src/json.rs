@@ -7,8 +7,13 @@
 //! strings, IEEE-754 numbers, booleans, null, a recursion-depth guard,
 //! and deterministic output (object keys keep insertion order; floats
 //! print with Rust's shortest-roundtrip formatting).
+//!
+//! Encoding is streaming: [`write_u64`], [`write_f64`], [`write_str`]
+//! and [`write_seq`] append to a caller-supplied `String`, and every
+//! wire type writes itself through them (see [`crate::protocol`]) — no
+//! [`Value`] tree is built to produce a line.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +54,107 @@ impl std::error::Error for ParseError {}
 /// untrusted input).
 const MAX_DEPTH: usize = 64;
 
+/// 2⁵³. Every integer below it is exactly one `f64` and one decimal
+/// text, so the writer prints such numbers digit by digit and
+/// [`Value::as_u64`] accepts them; at 2⁵³ and beyond distinct integer
+/// texts collapse onto one `f64` (`9007199254740993` parses to 2⁵³).
+const EXACT_INT_LIMIT: u64 = 1 << 53;
+
+/// The text `write` appends to an empty buffer: what every `to_json` is
+/// to its `write_json`.
+pub fn encoded(write: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    write(&mut out);
+    out
+}
+
+/// Appends `n` exactly as the number `n as f64` prints — which below
+/// 2⁵³ is its own decimal digits, written without a float conversion.
+pub fn write_u64(out: &mut String, n: u64) {
+    if n >= EXACT_INT_LIMIT {
+        return write_f64(out, n as f64);
+    }
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+/// Appends `n` as `f64::to_string` prints it (shortest text that parses
+/// back to the same bits); non-finite numbers become `null` (JSON has no
+/// NaN/∞). Integers of magnitude below 2⁵³ take the digit path.
+pub fn write_f64(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0
+        && n.abs() < EXACT_INT_LIMIT as f64
+        && (n != 0.0 || !n.is_sign_negative())
+    {
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_u64(out, n.abs() as u64);
+    } else {
+        write!(out, "{n}").expect("writing to a String cannot fail");
+    }
+}
+
+/// Appends `s` as a JSON string literal.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    // Everything that needs an escape is ASCII, so `clean` always
+    // starts and ends on a character boundary.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_str(escape);
+        if escape.len() > 2 {
+            write!(out, "{b:02x}").expect("writing to a String cannot fail");
+        }
+        clean = i + 1;
+    }
+    out.push_str(&s[clean..]);
+    out.push('"');
+}
+
+/// Appends `true` or `false`.
+pub fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends `[a,b,...]`, each item written by `write`.
+pub fn write_seq<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
+}
+
 impl Value {
     /// Object field lookup (last write wins on duplicate keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -67,10 +173,11 @@ impl Value {
     }
 
     /// The number as a non-negative integer (rejects fractions and
-    /// anything past 2⁵³ where `f64` loses exactness).
+    /// anything from 2⁵³ on, where one `f64` stands for several integer
+    /// texts and the value read is no longer the value sent).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INT_LIMIT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -122,40 +229,23 @@ impl Value {
     /// Serializes to compact JSON. Non-finite numbers become `null`
     /// (JSON has no NaN/∞); object key order is preserved.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        encoded(|out| self.write(out))
     }
 
     fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&n.to_string());
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => write_string(s, out),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
+            Value::Bool(b) => write_bool(out, *b),
+            Value::Num(n) => write_f64(out, *n),
+            Value::Str(s) => write_str(out, s),
+            Value::Arr(items) => write_seq(out, items, |out, v| v.write(out)),
             Value::Obj(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(k, out);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -163,60 +253,6 @@ impl Value {
             }
         }
     }
-}
-
-impl From<f64> for Value {
-    fn from(n: f64) -> Self {
-        Value::Num(n)
-    }
-}
-impl From<u64> for Value {
-    fn from(n: u64) -> Self {
-        Value::Num(n as f64)
-    }
-}
-impl From<usize> for Value {
-    fn from(n: usize) -> Self {
-        Value::Num(n as f64)
-    }
-}
-impl From<bool> for Value {
-    fn from(b: bool) -> Self {
-        Value::Bool(b)
-    }
-}
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(s: String) -> Self {
-        Value::Str(s)
-    }
-}
-
-/// Builds an object value from `(key, value)` pairs.
-pub fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -495,6 +531,71 @@ mod tests {
         assert_eq!(Value::Num(3.5).as_u64(), None);
         assert_eq!(Value::Num(-1.0).as_u64(), None);
         assert_eq!(Value::Str("3".into()).as_u64(), None);
+    }
+
+    #[test]
+    fn u64_accessor_stops_where_integer_texts_start_to_collide() {
+        let parsed = |text: &str| Value::parse(text).unwrap().as_u64();
+        assert_eq!(parsed("9007199254740991"), Some((1 << 53) - 1));
+        // 2⁵³ is also what 2⁵³ + 1 parses to: accepting it would answer
+        // a request under an id its sender never used.
+        assert_eq!(Value::parse("9007199254740993").unwrap(), Value::Num(9_007_199_254_740_992.0));
+        for colliding in ["9007199254740992", "9007199254740993", "18446744073709551615", "1e300"] {
+            assert_eq!(parsed(colliding), None, "{colliding}");
+        }
+    }
+
+    fn written(n: f64) -> String {
+        encoded(|out| write_f64(out, n))
+    }
+
+    /// What the `Value` tree printed before the digit path existed.
+    fn to_string_or_null(n: f64) -> String {
+        if n.is_finite() {
+            n.to_string()
+        } else {
+            "null".to_string()
+        }
+    }
+
+    #[test]
+    fn the_digit_path_prints_what_f64_to_string_prints_around_two_to_the_53() {
+        let limit = EXACT_INT_LIMIT;
+        for n in [0, 1, 9, 10, 99, 4038, limit - 1, limit, limit + 1, limit + 2, u64::MAX] {
+            assert_eq!(encoded(|out| write_u64(out, n)), (n as f64).to_string(), "{n} as u64");
+            for signed in [n as f64, -(n as f64)] {
+                assert_eq!(written(signed), signed.to_string(), "{signed:e}");
+            }
+        }
+        assert_eq!(written(-0.0), "-0");
+        assert_eq!(written(1e21), "1000000000000000000000");
+        assert_eq!(written(5e-324), 5e-324f64.to_string());
+        assert_eq!(written(0.1 + 0.2), "0.30000000000000004");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn numbers_print_as_f64_to_string(bits in proptest::prelude::any::<u64>(), shift in 0u32..64) {
+            // Every bit pattern (NaNs, infinities and subnormals among
+            // them), and integers of every magnitude on both paths.
+            let float = f64::from_bits(bits);
+            proptest::prop_assert_eq!(written(float), to_string_or_null(float));
+            let int = bits >> shift;
+            proptest::prop_assert_eq!(encoded(|out| write_u64(out, int)), (int as f64).to_string());
+            proptest::prop_assert_eq!(written(-(int as f64)), (-(int as f64)).to_string());
+            proptest::prop_assert_eq!(written(int as f64 + 0.5), (int as f64 + 0.5).to_string());
+        }
+    }
+
+    #[test]
+    fn every_control_character_is_escaped_and_parses_back() {
+        let all: String =
+            (0u8..0x20).map(char::from).chain("\"\\/é\u{7f}\u{1F600}".chars()).collect();
+        let out = encoded(|out| write_str(out, &all));
+        assert!(out.bytes().all(|b| b >= 0x20), "a raw control byte in {out:?}");
+        assert!(out.starts_with("\"\\u0000\\u0001"), "{out}");
+        assert!(out.contains("\\u0008\\t\\n\\u000b\\u000c\\r\\u000e"), "{out}");
+        assert_eq!(Value::parse(&out).unwrap(), Value::Str(all));
     }
 
     #[test]

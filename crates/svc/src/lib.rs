@@ -67,7 +67,7 @@ pub use journal::{
 };
 pub use protocol::{
     ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec, RankedPlacement,
-    Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
+    Ranking, Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
 };
 pub use server::{heartbeat_path, serve, ServerHandle, REPL_HEARTBEAT};
 pub use service::{

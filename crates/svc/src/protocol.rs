@@ -21,12 +21,13 @@
 //!    "placements":[{"assignment":[0,0],"objective":0.93,...}]}
 //! ```
 
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ensemble_core::{ComponentSpec, EnsembleSpec, MemberSpec};
 use scheduler::{EnsembleShape, NodeBudget};
 
-use crate::json::{obj, Value};
+use crate::json::{encoded, write_bool, write_f64, write_seq, write_str, write_u64, Value};
 
 /// Which workload map a request evaluates under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -178,6 +179,117 @@ pub struct RankedPlacement {
     pub eq4_satisfied: bool,
 }
 
+/// A best-first ranking: immutable, shared by reference count between
+/// the score cache, every reply that serves it and the journal record
+/// that persists it. Dereferences to its rows; a [`prefix`](Self::prefix)
+/// is the same allocation with a shorter view, which is how one cached
+/// full ranking answers any `top_k`.
+///
+/// The rows' wire bytes are produced once, the first time anything
+/// encodes the ranking, and kept beside the rows: from then on a reply
+/// or a journal record carrying it is a copy of those bytes behind a
+/// freshly written header, whatever the prefix.
+#[derive(Clone)]
+pub struct Ranking {
+    shared: Arc<RankingRows>,
+    len: usize,
+}
+
+struct RankingRows {
+    rows: Vec<RankedPlacement>,
+    wire: OnceLock<RowBytes>,
+}
+
+/// `row,row,...` and, per row, the offset just past it (before the
+/// comma), so the first `k` rows are `bytes[..ends[k - 1]]`.
+struct RowBytes {
+    bytes: String,
+    ends: Vec<usize>,
+}
+
+impl Ranking {
+    /// The first `rows` placements (all of them when there are fewer).
+    pub fn prefix(&self, rows: usize) -> Ranking {
+        Ranking { shared: Arc::clone(&self.shared), len: rows.min(self.len) }
+    }
+
+    /// True when both view one allocation, whose rows are formatted at
+    /// most once whichever of the two is encoded, and however often.
+    #[cfg(test)]
+    pub(crate) fn shares_rows_with(&self, other: &Ranking) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
+
+    /// True once the rows' bytes exist.
+    #[cfg(test)]
+    pub(crate) fn is_encoded(&self) -> bool {
+        self.shared.wire.get().is_some()
+    }
+
+    /// Appends the rows in view as a JSON array.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let wire = self.shared.wire.get_or_init(|| {
+            let rows = &self.shared.rows;
+            let mut bytes = String::new();
+            let mut ends = Vec::with_capacity(rows.len());
+            for row in rows {
+                if !bytes.is_empty() {
+                    bytes.push(',');
+                }
+                row.write_json(&mut bytes);
+                ends.push(bytes.len());
+            }
+            bytes.shrink_to_fit();
+            RowBytes { bytes, ends }
+        });
+        // An empty view has no last row to end at.
+        let end = wire.ends[..self.len].last().copied().unwrap_or(0);
+        // Room for the rows and for the few bytes every caller closes
+        // with (`]}` and a newline, or a journal seal), so a buffer
+        // sized by this call is not doubled by them.
+        out.reserve(end + 64);
+        out.push('[');
+        out.push_str(&wire.bytes[..end]);
+        out.push(']');
+    }
+}
+
+impl From<Vec<RankedPlacement>> for Ranking {
+    fn from(rows: Vec<RankedPlacement>) -> Ranking {
+        let len = rows.len();
+        Ranking { shared: Arc::new(RankingRows { rows, wire: OnceLock::new() }), len }
+    }
+}
+
+impl std::ops::Deref for Ranking {
+    type Target = [RankedPlacement];
+
+    fn deref(&self) -> &[RankedPlacement] {
+        &self.shared.rows[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Ranking {
+    type Item = &'a RankedPlacement;
+    type IntoIter = std::slice::Iter<'a, RankedPlacement>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Ranking {
+    fn eq(&self, other: &Ranking) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Ranking {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Per-member summary of a run response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemberSummary {
@@ -251,7 +363,7 @@ pub enum Response {
         /// Echoed request id.
         id: u64,
         /// Best-first placements.
-        placements: Vec<RankedPlacement>,
+        placements: Ranking,
         /// True when served from the score cache.
         cached: bool,
         /// Submit→response latency, milliseconds.
@@ -352,149 +464,126 @@ fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
     field(v, key)?.as_f64().ok_or_else(|| format!("field '{key}' must be a number"))
 }
 
+/// Appends an ensemble shape as the `members` array of `score` and
+/// `submit` requests and of journaled reservations.
+pub(crate) fn write_shape_members(out: &mut String, members: &[(u32, Vec<u32>)]) {
+    write_seq(out, members, |out, (sim, anas)| {
+        out.push_str("{\"sim_cores\":");
+        write_u64(out, u64::from(*sim));
+        out.push_str(",\"analyses\":");
+        write_seq(out, anas, |out, &a| write_u64(out, u64::from(a)));
+        out.push('}');
+    });
+}
+
+/// Appends `,"steps":..,"jitter":..,"seed":..,"workloads":".."`, the
+/// shared tail of `run` and `submit` requests.
+fn write_run_settings(out: &mut String, steps: u64, jitter: f64, seed: u64, workloads: Workloads) {
+    out.push_str(",\"steps\":");
+    write_u64(out, steps);
+    out.push_str(",\"jitter\":");
+    write_f64(out, jitter);
+    out.push_str(",\"seed\":");
+    write_u64(out, seed);
+    out.push_str(",\"workloads\":");
+    write_str(out, workloads.tag());
+}
+
 impl Request {
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        encoded(|out| self.write_json(out))
     }
 
-    /// Encodes the request as a JSON value (the journal embeds requests
-    /// inside its own records).
-    pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(&str, Value)> = Vec::new();
+    /// Appends the request's JSON object to `out` (the journal embeds
+    /// requests inside its admit records).
+    pub fn write_json(&self, out: &mut String) {
+        let kind = match &self.body {
+            RequestBody::Score(_) => "score",
+            RequestBody::Run(_) => "run",
+            RequestBody::Submit(_) => "submit",
+            RequestBody::Attach { .. } => "attach",
+            RequestBody::Metrics => "metrics",
+            RequestBody::Replicate => "replicate",
+        };
+        out.push_str("{\"type\":");
+        write_str(out, kind);
+        out.push_str(",\"id\":");
+        write_u64(out, self.id);
         match &self.body {
             RequestBody::Score(s) => {
-                fields.push(("type", "score".into()));
-                fields.push(("id", self.id.into()));
-                fields.push((
-                    "members",
-                    Value::Arr(
-                        s.shape
-                            .members
-                            .iter()
-                            .map(|(sim, anas)| {
-                                obj(vec![
-                                    ("sim_cores", u64::from(*sim).into()),
-                                    (
-                                        "analyses",
-                                        Value::Arr(
-                                            anas.iter().map(|&a| u64::from(a).into()).collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields.push(("max_nodes", s.budget.max_nodes.into()));
-                fields.push(("cores_per_node", u64::from(s.budget.cores_per_node).into()));
-                fields.push(("top_k", s.top_k.into()));
-                fields.push(("steps", s.steps.into()));
-                fields.push(("workloads", s.workloads.tag().into()));
+                out.push_str(",\"members\":");
+                write_shape_members(out, &s.shape.members);
+                out.push_str(",\"max_nodes\":");
+                write_u64(out, s.budget.max_nodes as u64);
+                out.push_str(",\"cores_per_node\":");
+                write_u64(out, u64::from(s.budget.cores_per_node));
+                out.push_str(",\"top_k\":");
+                write_u64(out, s.top_k as u64);
+                out.push_str(",\"steps\":");
+                write_u64(out, s.steps);
+                out.push_str(",\"workloads\":");
+                write_str(out, s.workloads.tag());
                 if s.workers != 0 {
-                    fields.push(("workers", s.workers.into()));
+                    out.push_str(",\"workers\":");
+                    write_u64(out, s.workers as u64);
                 }
             }
             RequestBody::Run(r) => {
-                fields.push(("type", "run".into()));
-                fields.push(("id", self.id.into()));
-                fields.push((
-                    "members",
-                    Value::Arr(
-                        r.spec
-                            .members
-                            .iter()
-                            .map(|m| {
-                                let sim_node =
-                                    m.simulation.nodes.iter().next().copied().unwrap_or(0);
-                                obj(vec![
-                                    ("sim_cores", u64::from(m.simulation.cores).into()),
-                                    ("sim_node", sim_node.into()),
-                                    (
-                                        "analyses",
-                                        Value::Arr(
-                                            m.analyses
-                                                .iter()
-                                                .map(|a| {
-                                                    let node =
-                                                        a.nodes.iter().next().copied().unwrap_or(0);
-                                                    obj(vec![
-                                                        ("cores", u64::from(a.cores).into()),
-                                                        ("node", node.into()),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields.push(("steps", r.steps.into()));
-                fields.push(("jitter", r.jitter.into()));
-                fields.push(("seed", r.seed.into()));
-                fields.push(("workloads", r.workloads.tag().into()));
+                let first_node = |c: &ComponentSpec| c.nodes.iter().next().copied().unwrap_or(0);
+                out.push_str(",\"members\":");
+                write_seq(out, &r.spec.members, |out, m| {
+                    out.push_str("{\"sim_cores\":");
+                    write_u64(out, u64::from(m.simulation.cores));
+                    out.push_str(",\"sim_node\":");
+                    write_u64(out, first_node(&m.simulation) as u64);
+                    out.push_str(",\"analyses\":");
+                    write_seq(out, &m.analyses, |out, a| {
+                        out.push_str("{\"cores\":");
+                        write_u64(out, u64::from(a.cores));
+                        out.push_str(",\"node\":");
+                        write_u64(out, first_node(a) as u64);
+                        out.push('}');
+                    });
+                    out.push('}');
+                });
+                write_run_settings(out, r.steps, r.jitter, r.seed, r.workloads);
             }
             RequestBody::Submit(s) => {
-                fields.push(("type", "submit".into()));
-                fields.push(("id", self.id.into()));
-                fields.push((
-                    "members",
-                    Value::Arr(
-                        s.shape
-                            .members
-                            .iter()
-                            .map(|(sim, anas)| {
-                                obj(vec![
-                                    ("sim_cores", u64::from(*sim).into()),
-                                    (
-                                        "analyses",
-                                        Value::Arr(
-                                            anas.iter().map(|&a| u64::from(a).into()).collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields.push(("steps", s.steps.into()));
-                fields.push(("jitter", s.jitter.into()));
-                fields.push(("seed", s.seed.into()));
-                fields.push(("workloads", s.workloads.tag().into()));
+                out.push_str(",\"members\":");
+                write_shape_members(out, &s.shape.members);
+                write_run_settings(out, s.steps, s.jitter, s.seed, s.workloads);
             }
             RequestBody::Attach { job } => {
-                fields.push(("type", "attach".into()));
-                fields.push(("id", self.id.into()));
-                fields.push(("job", (*job).into()));
+                out.push_str(",\"job\":");
+                write_u64(out, *job);
             }
-            RequestBody::Metrics => {
-                fields.push(("type", "metrics".into()));
-                fields.push(("id", self.id.into()));
-            }
-            RequestBody::Replicate => {
-                fields.push(("type", "replicate".into()));
-                fields.push(("id", self.id.into()));
-            }
+            RequestBody::Metrics | RequestBody::Replicate => {}
         }
         if let Some(d) = self.deadline {
-            fields.push(("deadline_ms", (d.as_millis() as u64).into()));
+            out.push_str(",\"deadline_ms\":");
+            write_u64(out, d.as_millis() as u64);
         }
         if let Some(p) = self.progress {
-            let mut spec: Vec<(&str, Value)> = Vec::new();
+            out.push_str(",\"progress\":{");
             if let Some(n) = p.every_candidates {
-                spec.push(("every_candidates", n.into()));
+                out.push_str("\"every_candidates\":");
+                write_u64(out, n);
             }
             if let Some(t) = p.every_ms {
-                spec.push(("every_ms", t.into()));
+                if p.every_candidates.is_some() {
+                    out.push(',');
+                }
+                out.push_str("\"every_ms\":");
+                write_u64(out, t);
             }
-            fields.push(("progress", obj(spec)));
+            out.push('}');
         }
         if let Some(t) = &self.tenant {
-            fields.push(("tenant", t.as_str().into()));
+            out.push_str(",\"tenant\":");
+            write_str(out, t);
         }
-        obj(fields)
+        out.push('}');
     }
 
     /// Decodes a request from a parsed JSON value.
@@ -680,16 +769,22 @@ pub fn validate_tenant(tag: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Encodes one ranked placement as a JSON value (shared between score
-/// responses and journal records).
-pub(crate) fn placement_to_value(p: &RankedPlacement) -> Value {
-    obj(vec![
-        ("assignment", Value::Arr(p.assignment.iter().map(|&n| n.into()).collect())),
-        ("objective", p.objective.into()),
-        ("nodes_used", p.nodes_used.into()),
-        ("ensemble_makespan", p.ensemble_makespan.into()),
-        ("eq4_satisfied", p.eq4_satisfied.into()),
-    ])
+impl RankedPlacement {
+    /// Appends the placement's JSON object (a row of a score response
+    /// and of a journaled ranking).
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"assignment\":");
+        write_seq(out, &self.assignment, |out, &n| write_u64(out, n as u64));
+        out.push_str(",\"objective\":");
+        write_f64(out, self.objective);
+        out.push_str(",\"nodes_used\":");
+        write_u64(out, self.nodes_used as u64);
+        out.push_str(",\"ensemble_makespan\":");
+        write_f64(out, self.ensemble_makespan);
+        out.push_str(",\"eq4_satisfied\":");
+        write_bool(out, self.eq4_satisfied);
+        out.push('}');
+    }
 }
 
 /// Decodes one ranked placement from a JSON value.
@@ -710,13 +805,26 @@ pub(crate) fn placement_from_value(p: &Value) -> Result<RankedPlacement, String>
     })
 }
 
-fn member_to_value(m: &MemberSummary) -> Value {
-    obj(vec![
-        ("sigma_star", m.sigma_star.into()),
-        ("efficiency", m.efficiency.into()),
-        ("cp", m.cp.into()),
-        ("makespan", m.makespan.into()),
-    ])
+/// Appends `,"ensemble_makespan":..,"elapsed_ms":..,"members":[..]}`,
+/// the shared tail of `run_result` and `submit_result`.
+fn write_run_summary(out: &mut String, makespan: f64, elapsed_ms: f64, members: &[MemberSummary]) {
+    out.push_str(",\"ensemble_makespan\":");
+    write_f64(out, makespan);
+    out.push_str(",\"elapsed_ms\":");
+    write_f64(out, elapsed_ms);
+    out.push_str(",\"members\":");
+    write_seq(out, members, |out, m| {
+        out.push_str("{\"sigma_star\":");
+        write_f64(out, m.sigma_star);
+        out.push_str(",\"efficiency\":");
+        write_f64(out, m.efficiency);
+        out.push_str(",\"cp\":");
+        write_f64(out, m.cp);
+        out.push_str(",\"makespan\":");
+        write_f64(out, m.makespan);
+        out.push('}');
+    });
+    out.push('}');
 }
 
 fn member_from_value(m: &Value) -> Result<MemberSummary, String> {
@@ -731,38 +839,49 @@ fn member_from_value(m: &Value) -> Result<MemberSummary, String> {
 impl Response {
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        encoded(|out| self.write_json(out))
     }
 
-    /// Encodes the response as a JSON value (the journal embeds
-    /// responses inside its own records).
-    pub fn to_value(&self) -> Value {
+    /// Appends the response's JSON object to `out` (the journal embeds
+    /// run results inside its own records).
+    pub fn write_json(&self, out: &mut String) {
+        let kind = match self {
+            Response::ScoreResult { .. } => "score_result",
+            Response::RunResult { .. } => "run_result",
+            Response::SubmitResult { .. } => "submit_result",
+            Response::Metrics { .. } => "metrics",
+            Response::Overloaded { .. } => "overloaded",
+            Response::Error { .. } => "error",
+        };
+        out.push_str("{\"type\":");
+        write_str(out, kind);
+        out.push_str(",\"id\":");
+        write_u64(out, self.id());
         match self {
             Response::ScoreResult {
-                id,
                 placements,
                 cached,
                 elapsed_ms,
                 scan_workers,
                 candidates_scanned,
-            } => obj(vec![
-                ("type", "score_result".into()),
-                ("id", (*id).into()),
-                ("cached", (*cached).into()),
-                ("elapsed_ms", (*elapsed_ms).into()),
-                ("scan_workers", (*scan_workers).into()),
-                ("candidates_scanned", (*candidates_scanned).into()),
-                ("placements", Value::Arr(placements.iter().map(placement_to_value).collect())),
-            ]),
-            Response::RunResult { id, ensemble_makespan, members, elapsed_ms } => obj(vec![
-                ("type", "run_result".into()),
-                ("id", (*id).into()),
-                ("ensemble_makespan", (*ensemble_makespan).into()),
-                ("elapsed_ms", (*elapsed_ms).into()),
-                ("members", Value::Arr(members.iter().map(member_to_value).collect())),
-            ]),
+                ..
+            } => {
+                out.push_str(",\"cached\":");
+                write_bool(out, *cached);
+                out.push_str(",\"elapsed_ms\":");
+                write_f64(out, *elapsed_ms);
+                out.push_str(",\"scan_workers\":");
+                write_u64(out, *scan_workers);
+                out.push_str(",\"candidates_scanned\":");
+                write_u64(out, *candidates_scanned);
+                out.push_str(",\"placements\":");
+                placements.write_json(out);
+                out.push('}');
+            }
+            Response::RunResult { ensemble_makespan, members, elapsed_ms, .. } => {
+                write_run_summary(out, *ensemble_makespan, *elapsed_ms, members);
+            }
             Response::SubmitResult {
-                id,
                 assignment,
                 objective,
                 nodes_used,
@@ -772,35 +891,46 @@ impl Response {
                 ensemble_makespan,
                 members,
                 elapsed_ms,
-            } => obj(vec![
-                ("type", "submit_result".into()),
-                ("id", (*id).into()),
-                ("assignment", Value::Arr(assignment.iter().map(|&n| n.into()).collect())),
-                ("objective", (*objective).into()),
-                ("nodes_used", (*nodes_used).into()),
-                ("backfilled", (*backfilled).into()),
-                ("queue_wait_ms", (*queue_wait_ms).into()),
-                ("residual", Value::Arr(residual.iter().map(|&c| c.into()).collect())),
-                ("ensemble_makespan", (*ensemble_makespan).into()),
-                ("elapsed_ms", (*elapsed_ms).into()),
-                ("members", Value::Arr(members.iter().map(member_to_value).collect())),
-            ]),
-            Response::Metrics { id, rows } => obj(vec![
-                ("type", "metrics".into()),
-                ("id", (*id).into()),
-                ("rows", Value::Obj(rows.iter().map(|(k, v)| (k.clone(), (*v).into())).collect())),
-            ]),
-            Response::Overloaded { id, retry_after_ms } => obj(vec![
-                ("type", "overloaded".into()),
-                ("id", (*id).into()),
-                ("retry_after_ms", (*retry_after_ms).into()),
-            ]),
-            Response::Error { id, kind, message } => obj(vec![
-                ("type", "error".into()),
-                ("id", (*id).into()),
-                ("kind", kind.tag().into()),
-                ("message", message.as_str().into()),
-            ]),
+                ..
+            } => {
+                out.push_str(",\"assignment\":");
+                write_seq(out, assignment, |out, &n| write_u64(out, n as u64));
+                out.push_str(",\"objective\":");
+                write_f64(out, *objective);
+                out.push_str(",\"nodes_used\":");
+                write_u64(out, *nodes_used);
+                out.push_str(",\"backfilled\":");
+                write_bool(out, *backfilled);
+                out.push_str(",\"queue_wait_ms\":");
+                write_f64(out, *queue_wait_ms);
+                out.push_str(",\"residual\":");
+                write_seq(out, residual, |out, &c| write_u64(out, c));
+                write_run_summary(out, *ensemble_makespan, *elapsed_ms, members);
+            }
+            Response::Metrics { rows, .. } => {
+                out.push_str(",\"rows\":{");
+                for (i, (name, value)) in rows.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, name);
+                    out.push(':');
+                    write_f64(out, *value);
+                }
+                out.push_str("}}");
+            }
+            Response::Overloaded { retry_after_ms, .. } => {
+                out.push_str(",\"retry_after_ms\":");
+                write_u64(out, *retry_after_ms);
+                out.push('}');
+            }
+            Response::Error { kind, message, .. } => {
+                out.push_str(",\"kind\":");
+                write_str(out, kind.tag());
+                out.push_str(",\"message\":");
+                write_str(out, message);
+                out.push('}');
+            }
         }
     }
 
@@ -823,7 +953,7 @@ impl Response {
                     .collect::<Result<Vec<_>, String>>()?;
                 Ok(Response::ScoreResult {
                     id,
-                    placements,
+                    placements: placements.into(),
                     cached: field(v, "cached")?.as_bool().ok_or("cached must be a bool")?,
                     elapsed_ms: f64_field(v, "elapsed_ms")?,
                     // Absent on records written before the scan engine
@@ -957,41 +1087,43 @@ pub struct Progress {
 impl Progress {
     /// Encodes the frame as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        encoded(|out| self.write_json(out))
     }
 
-    /// Encodes the frame as a JSON value.
-    pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(&str, Value)> =
-            vec![("type", "progress".into()), ("id", self.id.into())];
+    /// Appends the frame's JSON object to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"type\":\"progress\",\"id\":");
+        write_u64(out, self.id);
         match &self.body {
             ProgressBody::Score { candidates_scanned, best_objective, workers } => {
-                fields.push(("kind", "score".into()));
-                fields.push(("candidates_scanned", (*candidates_scanned).into()));
+                out.push_str(",\"kind\":\"score\",\"candidates_scanned\":");
+                write_u64(out, *candidates_scanned);
                 if let Some(best) = best_objective {
-                    fields.push(("best_objective", (*best).into()));
+                    out.push_str(",\"best_objective\":");
+                    write_f64(out, *best);
                 }
-                fields.push(("workers", (*workers).into()));
+                out.push_str(",\"workers\":");
+                write_u64(out, *workers);
             }
             ProgressBody::Run { steps, member_steps } => {
-                fields.push(("kind", "run".into()));
-                fields.push(("steps", (*steps).into()));
-                fields.push((
-                    "member_steps",
-                    Value::Arr(member_steps.iter().map(|&s| s.into()).collect()),
-                ));
+                out.push_str(",\"kind\":\"run\",\"steps\":");
+                write_u64(out, *steps);
+                out.push_str(",\"member_steps\":");
+                write_seq(out, member_steps, |out, &s| write_u64(out, s));
             }
             ProgressBody::Submit { queue_depth, assignment } => {
-                fields.push(("kind", "submit".into()));
+                out.push_str(",\"kind\":\"submit\"");
                 if let Some(d) = queue_depth {
-                    fields.push(("queue_depth", (*d).into()));
+                    out.push_str(",\"queue_depth\":");
+                    write_u64(out, *d);
                 }
                 if let Some(a) = assignment {
-                    fields.push(("assignment", Value::Arr(a.iter().map(|&n| n.into()).collect())));
+                    out.push_str(",\"assignment\":");
+                    write_seq(out, a, |out, &n| write_u64(out, n as u64));
                 }
             }
         }
-        obj(fields)
+        out.push('}');
     }
 
     /// Decodes a frame from a parsed JSON value.
@@ -1054,9 +1186,14 @@ impl Frame {
     /// Final responses encode exactly as [`Response::to_json`] — the
     /// frame wrapper adds nothing to the wire.
     pub fn to_json(&self) -> String {
+        encoded(|out| self.write_json(out))
+    }
+
+    /// Appends the frame's JSON object to `out`.
+    pub fn write_json(&self, out: &mut String) {
         match self {
-            Frame::Progress(p) => p.to_json(),
-            Frame::Final(r) => r.to_json(),
+            Frame::Progress(p) => p.write_json(out),
+            Frame::Final(r) => r.write_json(out),
         }
     }
 
@@ -1282,7 +1419,8 @@ mod tests {
                     nodes_used: 2,
                     ensemble_makespan: 123.5,
                     eq4_satisfied: true,
-                }],
+                }]
+                .into(),
                 cached: true,
                 elapsed_ms: 0.25,
                 scan_workers: 2,

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::journal::{FollowEvent, JournalFollower};
-use crate::json::{obj, Value};
+use crate::json::{write_str, write_u64, Value};
 use crate::protocol::{ErrorKind, Frame, Request, RequestBody, Response};
 use crate::service::{Pending, Service, SvcConfig};
 
@@ -32,6 +32,8 @@ use crate::service::{Pending, Service, SvcConfig};
 const READ_POLL: Duration = Duration::from_millis(50);
 /// A request line longer than this is refused as malformed.
 const MAX_LINE_BYTES: usize = 1 << 20;
+/// Capacity a connection's output buffer may keep between frames.
+const OUT_KEEP_BYTES: usize = 64 << 10;
 /// Cadence of replication heartbeat frames and of the primary's
 /// journal-sibling heartbeat file. Standbys declare the primary dead
 /// after missing a few of these (see `standby::DEAD_AFTER_BEATS`).
@@ -225,7 +227,7 @@ fn heartbeat_loop(journal: &std::path::Path, shared: &Arc<ServerShared>) {
 /// `drop_stream_after` closes the connection after N record frames;
 /// `stall_stream_after` keeps it open but silent (no heartbeats), so
 /// the standby must detect death by timeout rather than EOF.
-fn replication_loop(stream: &mut TcpStream, shared: &Arc<ServerShared>, id: u64) {
+fn replication_loop(stream: &mut TcpStream, out: &mut String, shared: &Arc<ServerShared>, id: u64) {
     let Some(journal_cfg) = shared.service.config().journal.clone() else {
         return;
     };
@@ -246,16 +248,17 @@ fn replication_loop(stream: &mut TcpStream, shared: &Arc<ServerShared>, id: u64)
         }
         let events = follower.poll().unwrap_or_default();
         for event in events {
-            let frame = match event {
+            let is_record = matches!(event, FollowEvent::Record { .. });
+            let sent = write_frame(stream, out, |out| match &event {
                 FollowEvent::Record { line, .. } => {
-                    obj(vec![("type", "repl-record".into()), ("line", line.into())])
+                    out.push_str("{\"type\":\"repl-record\",\"line\":");
+                    write_str(out, line);
+                    out.push('}');
                 }
-                FollowEvent::Reset => obj(vec![("type", "repl-reset".into())]),
-                FollowEvent::Corrupt { .. } => obj(vec![("type", "repl-corrupt".into())]),
-            };
-            let is_record =
-                matches!(frame.get("type").and_then(Value::as_str), Some("repl-record"));
-            if write_line(stream, &frame.to_json()).is_err() {
+                FollowEvent::Reset => out.push_str("{\"type\":\"repl-reset\"}"),
+                FollowEvent::Corrupt { .. } => out.push_str("{\"type\":\"repl-corrupt\"}"),
+            });
+            if sent.is_err() {
                 return; // standby gone
             }
             if is_record {
@@ -275,14 +278,18 @@ fn replication_loop(stream: &mut TcpStream, shared: &Arc<ServerShared>, id: u64)
         }
         if last_hb.map_or(true, |t| t.elapsed() >= REPL_HEARTBEAT) {
             let stats = shared.service.journal_stats().unwrap_or_default();
-            let hb = obj(vec![
-                ("type", "repl-hb".into()),
-                ("id", id.into()),
-                ("epoch", stats.epoch.into()),
-                ("appended", stats.appended.into()),
-                ("degraded", u64::from(stats.degraded).into()),
-            ]);
-            if write_line(stream, &hb.to_json()).is_err() {
+            let sent = write_frame(stream, out, |out| {
+                out.push_str("{\"type\":\"repl-hb\",\"id\":");
+                write_u64(out, id);
+                out.push_str(",\"epoch\":");
+                write_u64(out, stats.epoch);
+                out.push_str(",\"appended\":");
+                write_u64(out, stats.appended);
+                out.push_str(",\"degraded\":");
+                write_u64(out, u64::from(stats.degraded));
+                out.push('}');
+            });
+            if sent.is_err() {
                 return;
             }
             last_hb = Some(Instant::now());
@@ -295,12 +302,19 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut buf: Vec<u8> = Vec::new();
+    // Bytes of `buf` already searched for a newline: a line that
+    // arrives in many reads is scanned once, not once per read.
+    let mut searched = 0;
+    // Every frame of this connection is encoded into this one buffer.
+    let mut out = String::new();
     let mut chunk = [0u8; 4096];
     'conn: loop {
-        // Serve every complete line already buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line[..nl]).into_owned();
+        // Serve every complete line already buffered, in place.
+        let mut served = 0;
+        while let Some(at) = buf[searched..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&buf[served..searched + at]);
+            searched += at + 1;
+            served = searched;
             if line.trim().is_empty() {
                 continue;
             }
@@ -319,7 +333,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
             });
             match handled {
                 Handled::One(response) => {
-                    if write_line(&mut stream, &response.to_json()).is_err() {
+                    if write_frame(&mut stream, &mut out, |o| response.write_json(o)).is_err() {
                         // Client gone mid-response; nothing to deliver.
                         break 'conn;
                     }
@@ -328,7 +342,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
                     // The connection is now a one-way record stream; it
                     // ends when the standby disconnects, the server
                     // stops, or a fault plan drops it.
-                    replication_loop(&mut stream, shared, id);
+                    replication_loop(&mut stream, &mut out, shared, id);
                     break 'conn;
                 }
                 Handled::Stream(pending) => {
@@ -340,31 +354,30 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
                     // the worker's remaining sends fail harmlessly into
                     // the dropped receiver.
                     loop {
-                        match pending.recv_frame() {
-                            Frame::Progress(p) => {
-                                if write_line(&mut stream, &p.to_json()).is_err() {
-                                    pending.cancel();
-                                    break 'conn;
-                                }
+                        let frame = pending.recv_frame();
+                        let last = matches!(frame, Frame::Final(_));
+                        if write_frame(&mut stream, &mut out, |o| frame.write_json(o)).is_err() {
+                            if !last {
+                                pending.cancel();
                             }
-                            Frame::Final(response) => {
-                                if write_line(&mut stream, &response.to_json()).is_err() {
-                                    break 'conn;
-                                }
-                                break;
-                            }
+                            break 'conn;
+                        }
+                        if last {
+                            break;
                         }
                     }
                 }
             }
         }
+        buf.drain(..served);
+        searched = buf.len();
         if buf.len() > MAX_LINE_BYTES {
             let refuse = Response::Error {
                 id: 0,
                 kind: ErrorKind::Malformed,
                 message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
             };
-            let _ = stream.write_all(format!("{}\n", refuse.to_json()).as_bytes());
+            let _ = write_frame(&mut stream, &mut out, |o| refuse.write_json(o));
             break 'conn;
         }
         match stream.read(&mut chunk) {
@@ -380,15 +393,24 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     }
 }
 
-/// One newline-terminated protocol frame, written and flushed (the
-/// stream has `TCP_NODELAY` set, so a progress line reaches the watcher
-/// immediately instead of sitting in a send buffer behind the final).
-fn write_line(stream: &mut TcpStream, json: &str) -> std::io::Result<()> {
-    let mut out = String::with_capacity(json.len() + 1);
-    out.push_str(json);
+/// One newline-terminated protocol frame, encoded by `write` into the
+/// connection's reusable buffer, written and flushed (the stream has
+/// `TCP_NODELAY` set, so a progress line reaches the watcher immediately
+/// instead of sitting in a send buffer behind the final).
+fn write_frame(
+    stream: &mut TcpStream,
+    out: &mut String,
+    write: impl FnOnce(&mut String),
+) -> std::io::Result<()> {
+    out.clear();
+    write(out);
     out.push('\n');
-    stream.write_all(out.as_bytes())?;
-    stream.flush()
+    let sent = stream.write_all(out.as_bytes()).and_then(|()| stream.flush());
+    // A full ranking is ~0.6 MB; an idle connection must not keep that.
+    if out.capacity() > OUT_KEEP_BYTES {
+        *out = String::new();
+    }
+    sent
 }
 
 /// How a request line gets answered: inline with one response, or by
@@ -403,10 +425,7 @@ enum Handled {
 
 /// Best effort at extracting an id even from a broken request line.
 fn line_request_id(line: &str) -> u64 {
-    crate::json::Value::parse(line)
-        .ok()
-        .and_then(|v| v.get("id").and_then(crate::json::Value::as_u64))
-        .unwrap_or(0)
+    Value::parse(line).ok().and_then(|v| v.get("id").and_then(Value::as_u64)).unwrap_or(0)
 }
 
 fn handle_line(shared: &Arc<ServerShared>, line: &str) -> Handled {

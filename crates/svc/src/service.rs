@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use ensemble_core::WarmupPolicy;
@@ -27,8 +27,8 @@ use crate::fair::{FairQueue, PushError, TenantPolicy};
 use crate::journal::{Journal, JournalConfig, ReplayedReservation};
 use crate::protocol::{
     validate_tenant, ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec,
-    RankedPlacement, Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest,
-    Workloads,
+    RankedPlacement, Ranking, Request, RequestBody, Response, RunRequest, ScoreRequest,
+    SubmitRequest, Workloads,
 };
 use crate::stats::{
     LatencyHistogram, MetricsSnapshot, SvcStats, TenantRow, COLD_START_SERVICE_TIME,
@@ -358,7 +358,10 @@ impl TenantTable {
 struct Shared {
     queue: FairQueue<Job>,
     stats: SvcStats,
-    cache: ScoreCache<Vec<RankedPlacement>>,
+    cache: ScoreCache<Ranking>,
+    /// Platform/workload tail of every score-cache key (see
+    /// [`score_cache_key`]): `[paper, small]`.
+    platform_fingerprints: [String; 2],
     /// Completed run results by job id (the original request id), the
     /// index behind `attach`. Bounded FIFO like the score cache; the
     /// journal rebuilds it across restarts.
@@ -483,6 +486,7 @@ impl Service {
             queue: FairQueue::new(config.queue_capacity, config.tenant_policy.weights.clone()),
             stats: SvcStats::default(),
             cache,
+            platform_fingerprints: [Workloads::Paper, Workloads::Small].map(platform_fingerprint),
             runs,
             journal,
             workers: config.workers,
@@ -609,15 +613,15 @@ impl Service {
         // decision so dead jobs never hold queue slots ahead of live
         // ones.
         reap_expired_waiting(&self.shared, &mut state);
-        // The tenants lock is held through the whole admission decision
-        // (lock order: cosched → tenants → queue), so the quota check
-        // and the occupancy increment are one atomic step even against
-        // racing non-submit traffic of the same tenant.
-        let mut table = self.shared.tenants.lock().expect("tenants lock");
-        let resolved = tenant.as_deref().map(|t| table.resolve_name(t));
-        let lane = if self.shared.tenant_policy.is_active() { resolved.clone() } else { None };
-        if self.shared.tenant_policy.is_active() {
-            if let Some(name) = &resolved {
+        // A tagged request holds the tenants lock through the whole
+        // admission decision (lock order: cosched → tenants → queue), so
+        // the quota check and the occupancy increment are one atomic
+        // step even against racing non-submit traffic of the same tenant.
+        let mut tagged = lock_tenant(&self.shared, tenant.as_deref());
+        let active = self.shared.tenant_policy.is_active();
+        let lane = tagged.as_ref().filter(|_| active).map(|(_, name)| name.clone());
+        if active {
+            if let Some((table, name)) = &mut tagged {
                 if let Some(quota) = self.shared.tenant_policy.quota_for(name) {
                     let row = table.row(name);
                     let occupancy = row.in_queue + row.in_flight;
@@ -656,12 +660,12 @@ impl Service {
                 match self.shared.queue.try_push(lane.as_deref(), job) {
                     Ok(()) => {
                         stats.accepted.fetch_add(1, Ordering::Relaxed);
-                        if let Some(name) = &resolved {
+                        if let Some((table, name)) = &mut tagged {
                             let row = table.row(name);
                             row.admitted += 1;
                             row.in_queue += 1;
                         }
-                        drop(table);
+                        drop(tagged);
                         if let Some(journal) = &self.shared.journal {
                             if let Some(request) = &admit_copy {
                                 journal.append_admit(request);
@@ -677,7 +681,7 @@ impl Service {
                         // without touching the virtual clock.
                         state.sched.withdraw(id);
                         stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        if let Some(name) = &resolved {
+                        if let Some((table, name)) = &mut tagged {
                             table.row(name).shed += 1;
                         }
                         return Err(Rejected::Overloaded {
@@ -692,12 +696,12 @@ impl Service {
             }
             Ok(Admission::Queued { depth }) => {
                 stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(name) = &resolved {
+                if let Some((table, name)) = &mut tagged {
                     let row = table.row(name);
                     row.admitted += 1;
                     row.in_queue += 1;
                 }
-                drop(table);
+                drop(tagged);
                 if let Some(journal) = &self.shared.journal {
                     journal.append_admit(&request);
                 }
@@ -728,7 +732,7 @@ impl Service {
             }
             Ok(Admission::Shed) => {
                 stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(name) = &resolved {
+                if let Some((table, name)) = &mut tagged {
                     table.row(name).shed += 1;
                 }
                 return Err(Rejected::Overloaded { retry_after_ms: retry_hint_ms(&self.shared) });
@@ -749,7 +753,7 @@ impl Service {
                 inline_error = (ErrorKind::Internal, format!("placement scoring failed: {e}"));
             }
         }
-        drop(table);
+        drop(tagged);
         drop(state);
         let (kind, message) = inline_error;
         stats.errored.fetch_add(1, Ordering::Relaxed);
@@ -1071,20 +1075,33 @@ enum AdmitRefusal {
     Closed,
 }
 
+/// The tenant table, locked, and the row name `tenant` resolves to. An
+/// untagged request has no row to check or bump, so it takes no lock:
+/// a `submit` holds this one through its whole placement scan, and the
+/// untagged requests of other connections must not queue up behind it.
+fn lock_tenant<'a>(
+    shared: &'a Shared,
+    tenant: Option<&str>,
+) -> Option<(MutexGuard<'a, TenantTable>, String)> {
+    let tenant = tenant?;
+    let table = shared.tenants.lock().expect("tenants lock");
+    let name = table.resolve_name(tenant);
+    Some((table, name))
+}
+
 /// Single admission gate for direct (non-cosched) traffic: checks the
 /// tenant quota and pushes into the fair queue as one atomic step under
 /// the tenants lock, so two racing submits cannot both squeeze through
 /// the last quota slot.
 fn quota_push(shared: &Shared, job: Job) -> Result<(), AdmitRefusal> {
-    let tenant = job.request.tenant.clone();
-    let mut table = shared.tenants.lock().expect("tenants lock");
-    let resolved = tenant.as_deref().map(|t| table.resolve_name(t));
+    let mut tagged = lock_tenant(shared, job.request.tenant.as_deref());
     // Lanes only exist when a policy is configured: with no policy every
     // push lands in the single implicit lane, which makes the fair queue
     // degenerate to the exact FIFO the untenanted service always had.
-    let lane = if shared.tenant_policy.is_active() { resolved.clone() } else { None };
-    if shared.tenant_policy.is_active() {
-        if let Some(name) = &resolved {
+    let active = shared.tenant_policy.is_active();
+    let lane = tagged.as_ref().filter(|_| active).map(|(_, name)| name.clone());
+    if active {
+        if let Some((table, name)) = &mut tagged {
             if let Some(quota) = shared.tenant_policy.quota_for(name) {
                 let row = table.row(name);
                 let occupancy = row.in_queue + row.in_flight;
@@ -1101,7 +1118,7 @@ fn quota_push(shared: &Shared, job: Job) -> Result<(), AdmitRefusal> {
     match shared.queue.try_push(lane.as_deref(), job) {
         Ok(()) => {
             shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            if let Some(name) = &resolved {
+            if let Some((table, name)) = &mut tagged {
                 let row = table.row(name);
                 row.admitted += 1;
                 row.in_queue += 1;
@@ -1110,7 +1127,7 @@ fn quota_push(shared: &Shared, job: Job) -> Result<(), AdmitRefusal> {
         }
         Err(PushError::Full(_)) => {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(name) = &resolved {
+            if let Some((table, name)) = &mut tagged {
                 table.row(name).shed += 1;
             }
             Err(AdmitRefusal::Full)
@@ -1447,14 +1464,30 @@ fn base_config(spec: ensemble_core::EnsembleSpec, workloads: Workloads) -> SimRu
 /// ever iterate a HashMap in hash order: the key doubles as the journal
 /// replay key, so a nondeterministic rendering would silently turn both
 /// the cache and the restart warm-up into a miss machine.
-fn score_cache_key(score: &ScoreRequest, cfg: &SimRunConfig) -> String {
+fn score_cache_key(score: &ScoreRequest, platform_fingerprints: &[String; 2]) -> String {
+    let [paper, small] = platform_fingerprints;
     format!(
-        "score:v2|shape={:?}|max_nodes={}|cores_per_node={}|steps={}|wl={:?}|wlmap={}|node={:?}|net={:?}|interf={:?}|bind={:?}",
+        "score:v2|shape={:?}|max_nodes={}|cores_per_node={}|steps={}{}",
         score.shape.members,
         score.budget.max_nodes,
         score.budget.cores_per_node,
         score.steps,
-        score.workloads,
+        match score.workloads {
+            Workloads::Paper => paper,
+            Workloads::Small => small,
+        },
+    )
+}
+
+/// The part of a score-cache key that depends only on the workload
+/// scale: the platform every score is evaluated on and the workload
+/// map. About a kilobyte of Debug rendering, so it is rendered once per
+/// service, not per request.
+fn platform_fingerprint(workloads: Workloads) -> String {
+    let cfg = base_config(ensemble_core::EnsembleSpec::new(Vec::new()), workloads);
+    format!(
+        "|wl={:?}|wlmap={}|node={:?}|net={:?}|interf={:?}|bind={:?}",
+        workloads,
         cfg.workloads.canonical_fingerprint(),
         cfg.node_spec,
         cfg.network,
@@ -1566,7 +1599,7 @@ impl ProgressEmitter {
 
 /// What a score execution produced, beyond the placements themselves.
 struct ScoreExec {
-    placements: Vec<RankedPlacement>,
+    placements: Ranking,
     cached: bool,
     /// Workers the scan ran with; zero on cache hits (no scan ran).
     scan_workers: u64,
@@ -1575,28 +1608,29 @@ struct ScoreExec {
 }
 
 fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<ScoreExec, ExecError> {
-    let placeholder = score.shape.materialize(&vec![0; score.shape.num_components()]);
-    let mut cfg = base_config(placeholder, score.workloads);
-    cfg.n_steps = score.steps;
-    let key = score_cache_key(score, &cfg);
+    let key = score_cache_key(score, &shared.platform_fingerprints);
     // A full ranking serves any top_k by truncation. A bounded scan
     // holds only its own first K, so it caches under a k-suffixed key
     // that never masquerades as the full result (bounded top-K equals
     // the first K of the stable full ranking, so truncation and bounded
     // scan are byte-identical answers). Either entry answers the
-    // request: one probe, one hit or miss, and only the rows returned
-    // are copied out of the shared ranking.
+    // request: one probe, one hit or miss, and the reply shares the
+    // cached ranking — rows and their encoded bytes — instead of
+    // copying it.
     let bounded_key = (score.top_k > 0).then(|| format!("{key}|k={}", score.top_k));
     if let Some(ranked) = shared.cache.get_either(&key, bounded_key.as_deref()) {
-        let rows = if score.top_k > 0 { score.top_k.min(ranked.len()) } else { ranked.len() };
+        let rows = if score.top_k > 0 { score.top_k } else { ranked.len() };
         return Ok(ScoreExec {
-            placements: ranked[..rows].to_vec(),
+            placements: ranked.prefix(rows),
             cached: true,
             scan_workers: 0,
             candidates_scanned: 0,
         });
     }
 
+    let placeholder = score.shape.materialize(&vec![0; score.shape.num_components()]);
+    let mut cfg = base_config(placeholder, score.workloads);
+    cfg.n_steps = score.steps;
     let opts = ScanOptions {
         workers: if score.workers != 0 { score.workers } else { shared.scan_workers },
         top_k: score.top_k,
@@ -1663,6 +1697,7 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
         // path always sorted (stable: ties keep enumeration order).
         ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
     }
+    let ranked = Ranking::from(ranked);
     let store_key = bounded_key.unwrap_or(key);
     if let Some(journal) = &shared.journal {
         // The ranking exactly as cached (full, or bounded under its
@@ -2042,10 +2077,7 @@ mod tests {
         let key_of = || {
             let req = small_score_request(1, 2, 16, 1, 8, 3);
             let RequestBody::Score(score) = req.body else { unreachable!() };
-            let placeholder = score.shape.materialize(&vec![0; score.shape.num_components()]);
-            let mut cfg = base_config(placeholder, score.workloads);
-            cfg.n_steps = score.steps;
-            score_cache_key(&score, &cfg)
+            score_cache_key(&score, &[Workloads::Paper, Workloads::Small].map(platform_fingerprint))
         };
         let (a, b) = (key_of(), key_of());
         assert_eq!(a, b);
@@ -2285,7 +2317,7 @@ mod tests {
     }
 
     #[test]
-    fn a_top_k_request_counts_one_cache_probe_and_copies_only_its_rows() {
+    fn a_top_k_request_counts_one_cache_probe_and_serves_the_head_of_the_ranking() {
         let top3 = |svc: &Service, id: u64| {
             let mut req = small_score_request(id, 2, 16, 1, 8, 3);
             if let RequestBody::Score(ref mut s) = req.body {
@@ -2296,9 +2328,7 @@ mod tests {
                 other => panic!("expected score result, got {other:?}"),
             }
         };
-        let wire = |rows: &[RankedPlacement]| -> Vec<String> {
-            rows.iter().map(|p| crate::protocol::placement_to_value(p).to_json()).collect()
-        };
+        let wire = |rows: &Ranking| crate::json::encoded(|out| rows.write_json(out));
         let counts = |svc: &Service| {
             let m = svc.metrics();
             (m.cache_hits, m.cache_misses)
@@ -2313,7 +2343,7 @@ mod tests {
         let (rows, cached) = top3(&primed, 2);
         assert!(cached);
         assert_eq!(counts(&primed), (1, 1), "one hit, no extra miss");
-        assert_eq!(wire(&rows), wire(&full[..3]), "the reply is the head of the full ranking");
+        assert_eq!(wire(&rows), wire(&full.prefix(3)), "the reply is the head of the full ranking");
         // Bounded-key case: a cold bounded query is one miss, its repeat
         // one hit on the k-keyed entry.
         let cold = tiny_service(1, 8);
@@ -2324,7 +2354,74 @@ mod tests {
         assert!(cached);
         assert_eq!(counts(&cold), (1, 1));
         assert_eq!(wire(&again), wire(&first));
-        assert_eq!(wire(&again), wire(&full[..3]));
+        assert_eq!(wire(&again), wire(&full.prefix(3)));
+    }
+
+    #[test]
+    fn any_top_k_of_a_cached_full_ranking_is_the_bounded_scans_own_reply() {
+        let rows_json = |svc: &Service, id: u64, top_k: usize| {
+            let mut req = small_score_request(id, 2, 16, 1, 8, 3);
+            if let RequestBody::Score(ref mut s) = req.body {
+                s.top_k = top_k;
+            }
+            let reply = svc.submit(req).unwrap().wait();
+            let Response::ScoreResult { cached, placements, .. } = &reply else {
+                panic!("expected score result, got {reply:?}");
+            };
+            let line = reply.to_json();
+            let rows = line.find("\"placements\":").expect("a placements field");
+            (*cached, placements.len(), line[rows..].to_string())
+        };
+        let primed = tiny_service(1, 8);
+        let (_, len, full) = rows_json(&primed, 1, 0);
+        assert!(len > 10, "the space must be wider than the largest prefix asked for");
+        for (i, top_k) in [1, 10, len, len + 1].into_iter().enumerate() {
+            let (cached, rows, head) = rows_json(&primed, 10 + i as u64, top_k);
+            assert!(cached, "top_k {top_k} is a prefix of the cached full ranking");
+            assert_eq!(rows, top_k.min(len));
+            // The same request against a service that never saw the
+            // full ranking runs the bounded scan.
+            let (cached, _, scanned) = rows_json(&tiny_service(1, 8), 20 + i as u64, top_k);
+            assert!(!cached);
+            assert_eq!(head, scanned, "top_k {top_k}");
+            if top_k >= len {
+                assert_eq!(head, full);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_score_its_journal_record_and_every_hit_share_one_encoding() {
+        let path = std::env::temp_dir().join(format!("svc-encode-once-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let svc = Service::start(SvcConfig {
+            workers: 1,
+            journal: Some(crate::journal::JournalConfig::new(&path)),
+            ..SvcConfig::default()
+        });
+        let score = |id: u64, top_k: usize| {
+            let mut req = small_score_request(id, 4, 8, 1, 4, 4);
+            if let RequestBody::Score(ref mut s) = req.body {
+                s.top_k = top_k;
+            }
+            match svc.submit(req).unwrap().wait() {
+                Response::ScoreResult { placements, cached, .. } => (placements, cached),
+                other => panic!("expected score result, got {other:?}"),
+            }
+        };
+        let (cold, cached) = score(1, 0);
+        assert!(!cached && cold.len() > 100, "a ranking worth caching, got {} rows", cold.len());
+        // The journal append formatted the rows, before any reply was
+        // encoded; every hit then serves that same allocation, so its
+        // rows are never formatted again, whatever the prefix.
+        assert!(cold.is_encoded(), "the journal record spliced the ranking's own bytes");
+        for (i, top_k) in [0, 0, 10, 1, cold.len() + 5].into_iter().enumerate() {
+            let (hit, cached) = score(10 + i as u64, top_k);
+            assert!(cached && hit.shares_rows_with(&cold), "top_k {top_k}");
+            assert_eq!(hit.len(), if top_k == 0 { cold.len() } else { top_k.min(cold.len()) });
+        }
+        svc.shutdown();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -624,7 +624,7 @@ mod tests {
     fn image_applies_and_resets() {
         let mut image = Image::default();
         image.apply(JournalRecord::Admit { job: 1, tenant: None });
-        image.apply(JournalRecord::Score { key: "k".into(), placements: vec![] });
+        image.apply(JournalRecord::Score { key: "k".into(), placements: vec![].into() });
         image.apply(JournalRecord::Run { job: 7, response: run_response(7, 42.0) });
         image.apply(JournalRecord::Release { job: 99 });
         image.apply(JournalRecord::Epoch { epoch: 3 });

@@ -324,6 +324,9 @@ fn malformed_json_yields_structured_error_not_a_dead_connection() {
         ("{\"type\":\"score\"", 0),
         ("{\"type\":\"frobnicate\",\"id\":7}", 7),
         ("{\"type\":\"score\",\"id\":9,\"members\":[]}", 9),
+        // 2⁵³ + 1 is not an id any `f64` holds: refused, never answered
+        // under the neighbouring id it rounds to.
+        ("{\"type\":\"metrics\",\"id\":9007199254740993}", 0),
     ] {
         match client.request_raw(raw).expect("structured error line") {
             Response::Error { id, kind: ErrorKind::Malformed, message } => {
