@@ -11,16 +11,28 @@
 //!
 //! Every timed configuration is first checked bit-identical to the
 //! serial scan — a benchmark of a wrong answer is worthless.
+//!
+//! `score_topk10/{1545,4038,27250}` is the service's cold `score` scan
+//! (its exact closures: a fresh evaluator per worker over the service's
+//! solve cache, `top_k` 10, a row built only for a kept candidate) on
+//! the three shape classes of the e2e benchmark; `place_against/202` is
+//! one co-scheduler placement decision beside a resident job. The
+//! committed `BENCH_scan.json` also carries `parent_commit` and
+//! `parent_*` rows: these benches run at the parent commit (with the
+//! parent's closures) in the same session, merged in by hand.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    exhaustive_search, scan_placements, Candidate, DeltaCounters, DeltaEvaluator, EnsembleShape,
-    FastEvaluator, NodeBudget, ScanOptions, SearchConfig,
+    exhaustive_search, place_against, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
+    EnsembleShape, FastEvaluator, FastScore, NodeBudget, Reservation, ResidencyMap, ScanOptions,
+    SearchConfig, SolveCache,
 };
 use svc::{
-    CoschedSvcConfig, Request, RequestBody, Response, Service, SubmitRequest, SvcConfig, Workloads,
+    CoschedSvcConfig, RankedPlacement, Request, RequestBody, Response, Service, SubmitRequest,
+    SvcConfig, Workloads,
 };
 
 struct Sample {
@@ -66,6 +78,7 @@ fn fast_scan(
             let spec = shape.materialize(c.assignment);
             Ok(Some(evaluator.score(&spec)?.objective))
         },
+        |_, _, v| v,
         |_| DeltaCounters::default(),
         |objective| *objective,
         || false,
@@ -85,11 +98,7 @@ fn fast_scenario(quick: bool) -> (EnsembleShape, NodeBudget, SimRunConfig) {
     let (members, max_nodes) = if quick { (3, 3) } else { (4, 6) };
     let shape = EnsembleShape::uniform(members, 8, 1, 4);
     let budget = NodeBudget { max_nodes, cores_per_node: 32 };
-    let base = {
-        let mut cfg = SimRunConfig::paper(shape.materialize(&vec![0; shape.num_components()]));
-        cfg.workloads = WorkloadMap::small_defaults();
-        cfg
-    };
+    let base = small_base(&shape);
     (shape, budget, base)
 }
 
@@ -126,6 +135,7 @@ fn delta_scan(
         |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
             Ok(Some(evaluator.score_delta(c.assignment, c.first_changed)?.objective))
         },
+        |_, _, v| v,
         DeltaEvaluator::take_counters,
         |objective| *objective,
         || false,
@@ -194,6 +204,134 @@ fn render_delta(samples: &[DeltaSample]) -> String {
                 s.solve_misses,
                 s.hit_rate,
                 s.members_recomputed
+            )
+        })
+        .collect();
+    format!("[\n{}\n  ]", rows.join(",\n"))
+}
+
+/// The platform and small workloads the service scores `shape` under.
+fn small_base(shape: &EnsembleShape) -> SimRunConfig {
+    let mut cfg = SimRunConfig::paper(shape.materialize(&vec![0; shape.num_components()]));
+    cfg.workloads = WorkloadMap::small_defaults();
+    cfg
+}
+
+/// One cold `score` with `top_k` rows, exactly as `svc` scans it.
+fn score_scan(
+    base: &SimRunConfig,
+    shape: &EnsembleShape,
+    budget: NodeBudget,
+    solves: &Arc<SolveCache>,
+    opts: &ScanOptions,
+) -> (usize, Vec<RankedPlacement>) {
+    let outcome = scan_placements(
+        shape,
+        budget,
+        opts,
+        || DeltaEvaluator::with_solve_cache(base, shape, solves),
+        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<FastScore>> {
+            evaluator.score_delta(c.assignment, c.first_changed).map(Some)
+        },
+        |_, c, fs| RankedPlacement {
+            assignment: c.assignment.to_vec(),
+            objective: fs.objective,
+            nodes_used: fs.nodes_used,
+            ensemble_makespan: fs.ensemble_makespan,
+            eq4_satisfied: fs.eq4_satisfied,
+        },
+        DeltaEvaluator::take_counters,
+        |fs: &FastScore| fs.objective,
+        || false,
+        |_| {},
+    )
+    .expect("score scan");
+    (outcome.scanned, outcome.into_values())
+}
+
+struct NamedSample {
+    name: String,
+    workers: usize,
+    candidates: usize,
+    secs: f64,
+}
+
+/// The e2e benchmark's cold-score classes S, M and L at one and two
+/// scan workers. The solve cache lives across repetitions, as the
+/// service's does across requests; the first (checking) scan fills it.
+fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
+    let classes: &[(usize, u32, u32, usize)] =
+        if quick { &[(4, 16, 8, 6)] } else { &[(4, 16, 8, 6), (4, 8, 4, 6), (5, 16, 8, 8)] };
+    let reps = if quick { 3 } else { 21 };
+    let mut samples = Vec::new();
+    for &(members, sim, ana, max_nodes) in classes {
+        let shape = EnsembleShape::uniform(members, sim, 1, ana);
+        let budget = NodeBudget { max_nodes, cores_per_node: 32 };
+        let base = small_base(&shape);
+        let solves = Arc::new(SolveCache::new(&base));
+        // Bounded top-K must be the head of the full stable ranking.
+        let full = ScanOptions { workers: 1, ..Default::default() };
+        let (_, mut ranked) = score_scan(&base, &shape, budget, &solves, &full);
+        ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
+        ranked.truncate(10);
+        for workers in [1usize, 2] {
+            let opts = ScanOptions { workers, top_k: 10, ..Default::default() };
+            assert_eq!(score_scan(&base, &shape, budget, &solves, &opts).1, ranked);
+            let (secs, candidates) =
+                median_secs(reps, || score_scan(&base, &shape, budget, &solves, &opts).0);
+            samples.push(NamedSample {
+                name: format!("score_topk10/{candidates}"),
+                workers,
+                candidates,
+                secs,
+            });
+        }
+    }
+    samples
+}
+
+/// One placement decision of the co-scheduler as `svc_mix` meets it:
+/// three 8+4-core members against six 32-core nodes, two of them
+/// holding a resident two-member job — 202 canonical candidates, each
+/// scored together with the residents.
+fn bench_place_against(quick: bool) -> Vec<NamedSample> {
+    let budget = NodeBudget { max_nodes: 6, cores_per_node: 32 };
+    let resident = EnsembleShape::uniform(2, 16, 1, 8);
+    let shape = EnsembleShape::uniform(3, 8, 1, 4);
+    let mut base = small_base(&shape);
+    base.n_steps = 6;
+    let mut residency = ResidencyMap::new(budget);
+    residency
+        .reserve(Reservation::build(1, resident, vec![0, 0, 1, 1], budget.max_nodes, 1.0, 0))
+        .expect("the resident fits an idle platform");
+    let view = residency.view();
+    let solves = Arc::new(SolveCache::new(&base));
+    let opts = ScanOptions { workers: 1, ..Default::default() };
+    let place = || {
+        place_against(&shape, &view, &base, &solves, &opts)
+            .expect("placement scan")
+            .expect("four idle nodes fit the job")
+    };
+    let first = place();
+    assert_eq!(first.scanned, 202);
+    let (secs, candidates) = median_secs(if quick { 5 } else { 201 }, || {
+        let decision = place();
+        assert_eq!(decision.objective.to_bits(), first.objective.to_bits());
+        decision.scanned
+    });
+    vec![NamedSample { name: format!("place_against/{candidates}"), workers: 1, candidates, secs }]
+}
+
+fn render_named(samples: &[NamedSample]) -> String {
+    let rows: Vec<String> = samples
+        .iter()
+        .map(|s| {
+            format!(
+                "    {{\"name\": \"{}\", \"workers\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.1}}}",
+                s.name,
+                s.workers,
+                s.secs,
+                s.secs * 1e9 / s.candidates as f64
             )
         })
         .collect();
@@ -355,6 +493,17 @@ fn main() {
             s.workers, s.candidates, s.secs, s.speedup_vs_fast_serial, s.hit_rate
         );
     }
+    let mut service_scans = bench_score_topk10(quick);
+    service_scans.extend(bench_place_against(quick));
+    for s in &service_scans {
+        eprintln!(
+            "  {:<22} workers={:<2} {:.6}s  {:.1} ns/candidate",
+            s.name,
+            s.workers,
+            s.secs,
+            s.secs * 1e9 / s.candidates as f64
+        );
+    }
     let des = bench_des_path(quick, host_cores);
     for s in &des {
         eprintln!(
@@ -372,9 +521,11 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"scan_throughput\",\n  \"host_cores\": {host_cores},\n  \"quick\": {quick},\n  \"fast_path\": {},\n  \"delta_eval\": {},\n  \"des_path\": {},\n  \"cosched_queue_wait\": {}\n}}\n",
+        "{{\n  \"bench\": \"scan_throughput\",\n  \"host_cores\": {host_cores},\n  \"quick\": {quick},\n  \"commit\": \"{}\",\n  \"fast_path\": {},\n  \"delta_eval\": {},\n  \"service_scans\": {},\n  \"des_path\": {},\n  \"cosched_queue_wait\": {}\n}}\n",
+        bench::git_commit(),
         render(&fast),
         render_delta(&delta),
+        render_named(&service_scans),
         render(&des),
         render_cosched(&cosched),
     );

@@ -92,18 +92,6 @@ fn measure(name: &str, reps: usize, mut op: impl FnMut()) -> Row {
     row
 }
 
-/// `git describe --always --dirty` of the checkout the bench runs in.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |text| text.trim().to_string())
-}
-
 fn main() {
     let quick = std::env::var("ENSEMBLE_SVC_BENCH_QUICK").is_ok_and(|v| v == "1");
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -181,7 +169,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"svc_throughput\",\n  \"host_cores\": {host_cores},\n  \"quick\": {quick},\n  \"commit\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        commit(),
+        bench::git_commit(),
         rendered.join(",\n"),
     );
     let out = std::env::var("ENSEMBLE_BENCH_OUT").unwrap_or_else(|_| {

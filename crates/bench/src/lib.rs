@@ -13,3 +13,16 @@
 
 pub mod experiments;
 pub mod render;
+
+/// `git describe --always --dirty` of the checkout a bench runs in —
+/// the `commit` field of the `BENCH_*.json` files.
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |text| text.trim().to_string())
+}

@@ -40,10 +40,11 @@
 //! service journals reservations so replay rebuilds the map.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use runtime::{RuntimeError, SimRunConfig};
 
-use crate::delta::{DeltaCounters, DeltaEvaluator};
+use crate::delta::{DeltaCounters, DeltaEvaluator, SolveCache};
 use crate::enumerate::EnsembleShape;
 use crate::scan::{scan_placements, Candidate, ScanOptions};
 use crate::search::NodeBudget;
@@ -337,6 +338,15 @@ pub struct PlacementDecision {
     pub feasible: usize,
 }
 
+/// Reusable buffers of [`best_fit_mapping`]: one set per scan worker,
+/// not three allocations per candidate.
+#[derive(Debug, Default)]
+struct FitScratch {
+    order: Vec<usize>,
+    taken: Vec<bool>,
+    mapping: Vec<usize>,
+}
+
 /// Maps each virtual node of a canonical candidate onto a distinct
 /// physical node with enough free cores: virtual nodes in load-desc
 /// order (ties: lower id first), each taking the fittable physical
@@ -345,12 +355,20 @@ pub struct PlacementDecision {
 /// mapping whenever one exists: if the optimal solution gives the
 /// largest load some node `f'`, swapping to the smallest feasible `f`
 /// frees `f' ≥ f`, which any load previously on `f` also fits.
-fn best_fit_mapping(virtual_loads: &[u32], free: &[u32]) -> Option<Vec<usize>> {
-    let mut order: Vec<usize> = (0..virtual_loads.len()).collect();
+fn best_fit_mapping<'a>(
+    virtual_loads: &[u32],
+    free: &[u32],
+    scratch: &'a mut FitScratch,
+) -> Option<&'a [usize]> {
+    let FitScratch { order, taken, mapping } = scratch;
+    order.clear();
+    order.extend(0..virtual_loads.len());
     order.sort_by_key(|&v| (std::cmp::Reverse(virtual_loads[v]), v));
-    let mut taken = vec![false; free.len()];
-    let mut mapping = vec![usize::MAX; virtual_loads.len()];
-    for v in order {
+    taken.clear();
+    taken.resize(free.len(), false);
+    mapping.clear();
+    mapping.resize(virtual_loads.len(), usize::MAX);
+    for &v in order.iter() {
         let need = virtual_loads[v];
         let slot = free
             .iter()
@@ -365,14 +383,17 @@ fn best_fit_mapping(virtual_loads: &[u32], free: &[u32]) -> Option<Vec<usize>> {
 }
 
 /// Per-worker scan state for [`place_against`]: one evaluator over the
-/// combined shape (residents, then the job) and the assignment it is
-/// fed — the residents' fixed nodes, then the candidate's.
+/// combined shape (residents, then the job), the assignment it is fed —
+/// the residents' fixed nodes, then the candidate's — and the buffers
+/// the candidate's physical mapping is worked out in.
 struct PlaceState {
     eval: DeltaEvaluator,
     assignment: Vec<usize>,
+    virtual_loads: Vec<u32>,
+    fit: FitScratch,
 }
 
-/// One surviving candidate of a residual scan.
+/// The surviving candidate of a residual scan.
 #[derive(Debug, Clone)]
 struct CandidateHit {
     physical: Vec<usize>,
@@ -392,15 +413,20 @@ struct CandidateHit {
 /// re-solves only the nodes the job's components moved between. Its
 /// own diff finds them: the scan's first-changed hint describes
 /// canonical neighbours, and the best-fit mapping can permute physical
-/// nodes between them.
+/// nodes between them. Node solves, of the combined shape and of the
+/// job alone, go through `solves` — pass the same cache to every call
+/// that scores under `base` and each occupancy is solved once, not
+/// once per call; the decision does not depend on what it holds.
 pub fn place_against(
     shape: &EnsembleShape,
     view: &ResidualView,
     base: &SimRunConfig,
+    solves: &Arc<SolveCache>,
     opts: &ScanOptions,
 ) -> Result<Option<PlacementDecision>, CoschedError> {
     let scan_opts = ScanOptions { top_k: 1, ..*opts };
     let free = &view.free;
+    let cores = shape.component_cores();
     let resident_slots = view.resident_assignment.len();
     let mut combined = view.residents.clone();
     combined.members.extend(shape.members.iter().cloned());
@@ -411,12 +437,21 @@ pub fn place_against(
         || {
             let mut assignment = view.resident_assignment.clone();
             assignment.resize(combined.num_components(), 0);
-            PlaceState { eval: DeltaEvaluator::new(base, &combined), assignment }
+            PlaceState {
+                eval: DeltaEvaluator::with_solve_cache(base, &combined, solves),
+                assignment,
+                virtual_loads: Vec::new(),
+                fit: FitScratch::default(),
+            }
         },
-        |state: &mut PlaceState, c: Candidate<'_>| -> Result<Option<CandidateHit>, RuntimeError> {
+        |state: &mut PlaceState, c: Candidate<'_>| -> Result<Option<(f64, usize)>, RuntimeError> {
             let virtual_nodes = c.assignment.iter().copied().max().map_or(0, |m| m + 1);
-            let (vload, _) = node_loads(shape, c.assignment, virtual_nodes);
-            let Some(mapping) = best_fit_mapping(&vload, free) else {
+            state.virtual_loads.clear();
+            state.virtual_loads.resize(virtual_nodes, 0);
+            for (&v, &demand) in c.assignment.iter().zip(&cores) {
+                state.virtual_loads[v] += demand;
+            }
+            let Some(mapping) = best_fit_mapping(&state.virtual_loads, free, &mut state.fit) else {
                 return Ok(None);
             };
             let physical = &mut state.assignment[resident_slots..];
@@ -424,15 +459,18 @@ pub fn place_against(
                 *slot = mapping[v];
             }
             let score = state.eval.score(&state.assignment)?;
-            Ok(Some(CandidateHit {
-                physical: state.assignment[resident_slots..].to_vec(),
-                canonical: c.assignment.to_vec(),
-                objective: score.objective,
-                nodes_used: virtual_nodes,
-            }))
+            Ok(Some((score.objective, virtual_nodes)))
+        },
+        // Only a candidate that takes the top slot is copied out; the
+        // state still holds the physical nodes `eval` just mapped it to.
+        |state: &mut PlaceState, c: Candidate<'_>, (objective, nodes_used)| CandidateHit {
+            physical: state.assignment[resident_slots..].to_vec(),
+            canonical: c.assignment.to_vec(),
+            objective,
+            nodes_used,
         },
         |_| DeltaCounters::default(),
-        |hit: &CandidateHit| hit.objective,
+        |&(objective, _)| objective,
         || false,
         |_| {},
     )?;
@@ -443,7 +481,7 @@ pub fn place_against(
     };
     let hit = best.value;
     // The job's own predicted duration: its shape scored alone.
-    let solo = DeltaEvaluator::new(base, shape).score(&hit.physical)?;
+    let solo = DeltaEvaluator::with_solve_cache(base, shape, solves).score(&hit.physical)?;
     Ok(Some(PlacementDecision {
         assignment: hit.physical,
         canonical: hit.canonical,
@@ -526,6 +564,8 @@ impl CoschedConfig {
 pub struct CoScheduler {
     cfg: CoschedConfig,
     base: SimRunConfig,
+    /// Node solves under `base`, shared by every placement decision.
+    solves: Arc<SolveCache>,
     residency: ResidencyMap,
     queue: VecDeque<Waiting>,
     virtual_now: f64,
@@ -543,6 +583,7 @@ impl CoScheduler {
             virtual_now: 0.0,
             next_seq: 0,
             counters: CoschedCounters::default(),
+            solves: Arc::new(SolveCache::new(&base)),
             cfg,
             base,
         }
@@ -588,9 +629,7 @@ impl CoScheduler {
             }
         }
         // Never enqueue a job that cannot fit even an idle platform.
-        if place_against(&shape, &ResidualView::empty(self.cfg.budget), &self.base, &self.cfg.scan)?
-            .is_none()
-        {
+        if self.place(&shape, &ResidualView::empty(self.cfg.budget))?.is_none() {
             self.counters.infeasible += 1;
             return Ok(Admission::Infeasible);
         }
@@ -698,6 +737,16 @@ impl CoScheduler {
         Ok(started)
     }
 
+    /// [`place_against`] under this scheduler's model, scan tuning and
+    /// solve cache.
+    fn place(
+        &self,
+        shape: &EnsembleShape,
+        view: &ResidualView,
+    ) -> Result<Option<PlacementDecision>, CoschedError> {
+        place_against(shape, view, &self.base, &self.solves, &self.cfg.scan)
+    }
+
     /// Places `job` against the current residual if it fits, opening
     /// its reservation.
     fn try_place(
@@ -707,7 +756,7 @@ impl CoScheduler {
         backfilled: bool,
     ) -> Result<Option<PlacementDecision>, CoschedError> {
         let view = self.residency.view();
-        let Some(decision) = place_against(shape, &view, &self.base, &self.cfg.scan)? else {
+        let Some(decision) = self.place(shape, &view)? else {
             return Ok(None);
         };
         let (node_load, staging) =
@@ -744,7 +793,7 @@ impl CoScheduler {
             None => return Ok(None),
         };
         let view = self.residency.view();
-        let Some(candidate) = place_against(shape, &view, &self.base, &self.cfg.scan)? else {
+        let Some(candidate) = self.place(shape, &view)? else {
             return Ok(None);
         };
         let Some(shadow) = self.head_shadow(&head.shape)? else {
@@ -793,7 +842,7 @@ impl CoScheduler {
                 free.clone(),
                 remaining.iter().copied(),
             );
-            if let Some(decision) = place_against(head_shape, &view, &self.base, &self.cfg.scan)? {
+            if let Some(decision) = self.place(head_shape, &view)? {
                 if k == 0 {
                     return Ok(None);
                 }
@@ -860,11 +909,16 @@ mod tests {
     fn best_fit_mapping_is_exact_and_deterministic() {
         // Loads [20, 10] onto frees [12, 32, 20]: 20 → node 2 (exact
         // fit), 10 → node 0 (smallest that fits).
-        assert_eq!(best_fit_mapping(&[20, 10], &[12, 32, 20]), Some(vec![2, 0]));
-        // No injective fit: two 20s into one big node.
-        assert_eq!(best_fit_mapping(&[20, 20], &[32, 12]), None);
+        let mut scratch = FitScratch::default();
+        let mut fit = |loads: &[u32], free: &[u32]| {
+            best_fit_mapping(loads, free, &mut scratch).map(<[usize]>::to_vec)
+        };
+        assert_eq!(fit(&[20, 10], &[12, 32, 20]), Some(vec![2, 0]));
+        // No injective fit: two 20s into one big node. (The scratch is
+        // reused across calls, as a scan worker reuses it.)
+        assert_eq!(fit(&[20, 20], &[32, 12]), None);
         // Sorted-desc element-wise fit exists → mapping found.
-        assert_eq!(best_fit_mapping(&[8, 8, 8], &[8, 8, 8]), Some(vec![0, 1, 2]));
+        assert_eq!(fit(&[8, 8, 8], &[8, 8, 8]), Some(vec![0, 1, 2]));
     }
 
     #[test]

@@ -46,11 +46,12 @@
 //! stage-time derivations, which dominate.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 use dtl::transport::StagingCostModel;
 use ensemble_core::{
-    aggregate, efficiency, indicator, makespan, Aggregation, AnalysisStageTimes, ComponentRef,
-    IndicatorPath, MemberInputs, MemberStageTimes,
+    aggregate, efficiency, makespan, Aggregation, AnalysisStageTimes, ComponentRef,
+    MemberStageTimes,
 };
 use hpc_platform::{
     BindPolicy, CoreAllocation, InterferenceModel, NodeSpec, PlacedWorkload, PlatformError,
@@ -61,17 +62,21 @@ use runtime::{RuntimeError, RuntimeResult, SimRunConfig};
 use crate::enumerate::EnsembleShape;
 use crate::fast_eval::FastScore;
 
-/// Default bound on resident per-node solves. Exhaustive scans of the
-/// paper's spaces produce a few dozen distinct signatures; annealing
-/// over large ensembles a few hundred. The bound only caps memory —
-/// eviction never changes results (evicted signatures simply re-solve).
+/// Default bound on resident per-node solves, of an evaluator's own
+/// table and of a [`SolveCache`]. Exhaustive scans of the paper's
+/// spaces produce a few dozen distinct signatures; annealing over large
+/// ensembles a few hundred. The bound only caps memory — eviction never
+/// changes results (evicted signatures simply re-solve).
 pub const DEFAULT_SOLVE_CACHE_CAPACITY: usize = 1024;
 
 /// Cache-effectiveness counters of a [`DeltaEvaluator`] (or an entire
-/// scan — see [`crate::scan::ScanOutcome::delta`]).
+/// scan — see [`crate::scan::ScanOutcome::delta`]). Every touched
+/// non-empty node of every scored candidate counts exactly once, as a
+/// hit or as a miss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaCounters {
-    /// Node solves answered from the occupancy-signature cache.
+    /// Node solves answered from memory: the evaluator's own signature
+    /// table, or the [`SolveCache`] it shares.
     pub solve_hits: u64,
     /// Node solves that ran the interference fixed point.
     pub solve_misses: u64,
@@ -99,6 +104,189 @@ impl DeltaCounters {
     }
 }
 
+/// Node solves that outlive one evaluator: a bounded FIFO map from the
+/// ordered `(workload profile, cores)` sequence resident on a node to
+/// the per-component step times `solve_node` returned for it.
+///
+/// A solve is a pure function of that sequence under one node
+/// specification, interference model and bind policy — the scope a
+/// cache is created for — so which evaluator, request or thread filled
+/// an entry cannot change a bit of any answer. Workload profiles are
+/// interned by value inside the cache: evaluators built over different
+/// workload maps get different ids for different profiles and can
+/// share a cache without ever answering each other. An evaluator whose
+/// platform differs from the cache's scope simply scores without it.
+///
+/// Evaluators consult it only when their own signature table misses,
+/// and fill it after a solve, so the lock is taken a few dozen times
+/// per scan, not per candidate.
+#[derive(Debug)]
+pub struct SolveCache {
+    node_spec: NodeSpec,
+    interference: InterferenceModel,
+    bind_policy: BindPolicy,
+    capacity: usize,
+    inner: Mutex<SolveCacheInner>,
+}
+
+#[derive(Debug, Default)]
+struct SolveCacheInner {
+    /// Interned workload profiles; a profile's index is its id in keys.
+    profiles: Vec<Workload>,
+    solves: HashMap<Box<[u32]>, Box<[f64]>>,
+    order: VecDeque<Box<[u32]>>,
+}
+
+impl SolveCache {
+    /// An empty cache for `base`'s platform model, holding up to
+    /// [`DEFAULT_SOLVE_CACHE_CAPACITY`] solves.
+    pub fn new(base: &SimRunConfig) -> Self {
+        Self::with_capacity(base, DEFAULT_SOLVE_CACHE_CAPACITY)
+    }
+
+    /// [`SolveCache::new`] with an explicit bound (`0` stores nothing).
+    pub fn with_capacity(base: &SimRunConfig, capacity: usize) -> Self {
+        SolveCache {
+            node_spec: base.node_spec.clone(),
+            interference: base.interference.clone(),
+            bind_policy: base.bind_policy,
+            capacity,
+            inner: Mutex::default(),
+        }
+    }
+
+    /// Solves currently held.
+    pub fn held(&self) -> usize {
+        self.lock().solves.len()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, SolveCacheInner> {
+        self.inner.lock().expect("a solve-cache holder panicked")
+    }
+
+    /// True when `base` scores on the platform this cache was built for.
+    fn serves(&self, base: &SimRunConfig) -> bool {
+        self.node_spec == base.node_spec
+            && self.interference == base.interference
+            && self.bind_policy == base.bind_policy
+    }
+
+    /// The id `workload` has in this cache's keys (interning it on
+    /// first sight); `None` once ids no longer fit a signature word.
+    fn profile_id(&self, workload: &Workload) -> Option<u16> {
+        let mut inner = self.lock();
+        if let Some(id) = inner.profiles.iter().position(|w| w == workload) {
+            return u16::try_from(id).ok();
+        }
+        let id = u16::try_from(inner.profiles.len()).ok()?;
+        inner.profiles.push(workload.clone());
+        Some(id)
+    }
+
+    /// Copies the solve held under `key` into `seconds`, if there is one.
+    fn get(&self, key: &[u32], seconds: &mut Vec<f64>) -> bool {
+        match self.lock().solves.get(key) {
+            Some(held) => {
+                seconds.extend_from_slice(held);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Holds `seconds` under `key`, evicting the oldest solve when full.
+    fn insert(&self, key: &[u32], seconds: &[f64]) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut inner = self.lock();
+        if inner.solves.contains_key(key) {
+            return;
+        }
+        if inner.solves.len() >= self.capacity {
+            if let Some(oldest) = inner.order.pop_front() {
+                inner.solves.remove(&oldest);
+            }
+        }
+        let key: Box<[u32]> = key.into();
+        inner.order.push_back(key.clone());
+        inner.solves.insert(key, seconds.into());
+    }
+}
+
+/// Marks a transition no solved sequence has taken yet.
+const NONE: u32 = u32::MAX;
+
+/// Interned occupancy signatures. A node's resident sequence is a walk
+/// over component *kinds* — the few distinct `(workload, cores)` pairs
+/// a shape has — from state 0 (the empty node); `next` is the
+/// transition table, so finding a node's memoized solve is one array
+/// read per resident component: no key to build, nothing to hash.
+/// States are created only along a sequence that was just solved, so
+/// `capacity` solves bound the whole table; when it is full the table
+/// is cleared and refills (eviction costs re-solves, never bits).
+#[derive(Debug, Clone)]
+struct SignatureTable {
+    kinds: usize,
+    capacity: usize,
+    /// `next[state * kinds + kind]`: the state one more resident on.
+    next: Vec<u32>,
+    /// Per state, the per-component step times of its solve, if solved.
+    solves: Vec<Option<Box<[f64]>>>,
+    solved: usize,
+}
+
+impl SignatureTable {
+    fn new(kinds: usize, capacity: usize) -> Self {
+        let mut table =
+            SignatureTable { kinds, capacity, next: Vec::new(), solves: Vec::new(), solved: 0 };
+        table.clear();
+        table
+    }
+
+    fn clear(&mut self) {
+        self.next.clear();
+        self.next.resize(self.kinds, NONE);
+        self.solves.clear();
+        self.solves.push(None);
+        self.solved = 0;
+    }
+
+    /// The memoized step times of the resident sequence `kinds`.
+    fn lookup(&self, kinds: impl Iterator<Item = usize>) -> Option<&[f64]> {
+        let mut state = 0usize;
+        for kind in kinds {
+            state = match self.next[state * self.kinds + kind] {
+                NONE => return None,
+                next => next as usize,
+            };
+        }
+        self.solves[state].as_deref()
+    }
+
+    /// Memoizes `seconds` as the solve of the resident sequence `kinds`.
+    fn store(&mut self, kinds: impl Iterator<Item = usize>, seconds: &[f64]) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.solved >= self.capacity {
+            self.clear();
+        }
+        let mut state = 0usize;
+        for kind in kinds {
+            let slot = state * self.kinds + kind;
+            if self.next[slot] == NONE {
+                self.next[slot] = self.solves.len() as u32;
+                self.solves.push(None);
+                self.next.resize(self.next.len() + self.kinds, NONE);
+            }
+            state = self.next[slot] as usize;
+        }
+        self.solved += usize::from(self.solves[state].is_none());
+        self.solves[state] = Some(seconds.into());
+    }
+}
+
 /// Incremental placement evaluator — the one production code scores
 /// closed-form placements with — producing scores bit-identical to the
 /// from-scratch reference in [`crate::fast_eval`] over the same base
@@ -119,13 +307,20 @@ pub struct DeltaEvaluator {
     n_steps: u64,
     force_remote_reads: bool,
     bind_policy: BindPolicy,
-    uap: IndicatorPath,
+    /// `W*` and a co-located `R*`: node-local staging costs the same on
+    /// every node, so both are computed once.
+    write_local: f64,
+    read_local: f64,
+    /// A remote `R*` per `(simulation node, analysis node)`, `NaN`
+    /// until first asked for: the route's latency costs two integer
+    /// divisions, and a scan asks about the same few routes throughout.
+    remote_read: Vec<f64>,
     // --- derived from the shape (fixed per evaluator) ------------------
     comp_cores: Vec<u32>,
-    /// Index into `workloads` per component.
-    comp_workload: Vec<u16>,
-    /// Deduplicated workload profiles.
-    workloads: Vec<Workload>,
+    /// The distinct `(workload profile, cores)` pairs of the shape.
+    kinds: Vec<(Workload, u32)>,
+    /// Index into `kinds` per component.
+    comp_kind: Vec<u32>,
     /// Owning member per component.
     comp_member: Vec<usize>,
     /// Flat `[start, end)` component range per member (`start` = sim).
@@ -134,12 +329,18 @@ pub struct DeltaEvaluator {
     // --- candidate state (structure of arrays) -------------------------
     prev: Vec<usize>,
     has_prev: bool,
-    /// Per node: resident components in flat order.
-    node_comps: Vec<Vec<usize>>,
+    /// Per node, `comp_cores.len()` slots: its resident components in
+    /// flat order, the first `node_len` of them live.
+    node_comps: Vec<usize>,
+    node_len: Vec<usize>,
+    /// Nodes with at least one resident — `M`, kept as nodes fill and
+    /// empty instead of recounted per candidate.
+    nodes_used: usize,
     comp_seconds: Vec<f64>,
     member_stage: Vec<MemberStageTimes>,
-    member_eff: Vec<f64>,
-    member_cp: Vec<f64>,
+    /// `E / c × CP` per member: the indicator up to the provisioning
+    /// stage, which is all of it that does not depend on `M`.
+    member_ua: Vec<f64>,
     member_mk: Vec<f64>,
     member_eq4: Vec<bool>,
     // --- reusable scratch ----------------------------------------------
@@ -147,14 +348,15 @@ pub struct DeltaEvaluator {
     touched: Vec<bool>,
     touched_list: Vec<usize>,
     member_dirty: Vec<bool>,
-    node_seen: Vec<bool>,
     sig: Vec<u32>,
+    seconds_scratch: Vec<f64>,
     free_scratch: Vec<u32>,
     placed_scratch: Vec<PlacedWorkload>,
-    // --- occupancy-signature solve cache -------------------------------
-    cache: HashMap<Box<[u32]>, Vec<f64>>,
-    order: VecDeque<Box<[u32]>>,
-    capacity: usize,
+    // --- occupancy-signature solve memo --------------------------------
+    table: SignatureTable,
+    /// The cache behind the table and, per kind, its word in that
+    /// cache's keys: the workload's id there, then 16 bits of cores.
+    shared: Option<(Arc<SolveCache>, Vec<u32>)>,
     counters: DeltaCounters,
 }
 
@@ -173,9 +375,31 @@ impl DeltaEvaluator {
         shape: &EnsembleShape,
         capacity: usize,
     ) -> Self {
+        Self::build(base, shape, capacity, None)
+    }
+
+    /// [`DeltaEvaluator::new`] backed by `solves`: a node this
+    /// evaluator has not solved yet is looked up there before it is
+    /// solved, and filed there afterwards — so it is solved once per
+    /// cache, not once per evaluator. Results are bit-identical with or
+    /// without it.
+    pub fn with_solve_cache(
+        base: &SimRunConfig,
+        shape: &EnsembleShape,
+        solves: &Arc<SolveCache>,
+    ) -> Self {
+        Self::build(base, shape, DEFAULT_SOLVE_CACHE_CAPACITY, Some(solves))
+    }
+
+    fn build(
+        base: &SimRunConfig,
+        shape: &EnsembleShape,
+        capacity: usize,
+        solves: Option<&Arc<SolveCache>>,
+    ) -> Self {
         let mut comp_cores = Vec::with_capacity(shape.num_components());
-        let mut comp_workload = Vec::with_capacity(shape.num_components());
-        let mut workloads: Vec<Workload> = Vec::new();
+        let mut comp_kind = Vec::with_capacity(shape.num_components());
+        let mut kinds: Vec<(Workload, u32)> = Vec::new();
         let mut comp_member = Vec::with_capacity(shape.num_components());
         let mut member_range = Vec::with_capacity(shape.members.len());
         let mut member_cores = Vec::with_capacity(shape.members.len());
@@ -189,16 +413,13 @@ impl DeltaEvaluator {
                     ComponentRef::analysis(i, slot)
                 };
                 let workload = base.workloads.workload_for(cref);
-                let wid = match workloads.iter().position(|w| w == workload) {
-                    Some(id) => id,
-                    None => {
-                        workloads.push(workload.clone());
-                        workloads.len() - 1
-                    }
-                };
-                assert!(wid < usize::from(u16::MAX), "too many distinct workloads");
+                let kind = kinds.iter().position(|(w, c)| w == workload && *c == cores);
+                let kind = kind.unwrap_or_else(|| {
+                    kinds.push((workload.clone(), cores));
+                    kinds.len() - 1
+                });
                 comp_cores.push(cores);
-                comp_workload.push(wid as u16);
+                comp_kind.push(kind as u32);
                 comp_member.push(i);
             }
             member_range.push((start, comp_cores.len()));
@@ -211,47 +432,60 @@ impl DeltaEvaluator {
         }
         let n = comp_cores.len();
         let members = shape.members.len();
-        // A signature packs a component's cores into 16 bits. A shape
-        // wider than that (shapes come off the wire unvalidated; no
-        // real node is) is scored with the solve cache off rather than
+        // A signature word packs a component's cores into 16 bits. A
+        // shape wider than that (shapes come off the wire unvalidated;
+        // no real node is) is scored with solve caching off rather than
         // refused — results never depend on the cache.
         let packable = comp_cores.iter().all(|&c| c <= u32::from(u16::MAX));
         let capacity = if packable { capacity } else { 0 };
+        // A cache for another platform, or one out of workload ids, is
+        // left alone: the evaluator then scores as a private one.
+        let shared = solves.filter(|cache| capacity > 0 && cache.serves(base)).and_then(|cache| {
+            let words: Option<Vec<u32>> = kinds
+                .iter()
+                .map(|(workload, cores)| Some(u32::from(cache.profile_id(workload)?) << 16 | cores))
+                .collect();
+            Some((Arc::clone(cache), words?))
+        });
+        let cost = StagingCostModel::from_platform(&base.node_spec, &base.network);
+        let chunk = base.workloads.chunk_bytes;
         DeltaEvaluator {
             node_spec: base.node_spec.clone(),
             interference: base.interference.clone(),
-            cost: StagingCostModel::from_platform(&base.node_spec, &base.network),
-            chunk: base.workloads.chunk_bytes,
+            write_local: cost.write_seconds(chunk, 0, 0),
+            read_local: cost.read_seconds(chunk, 0, 0),
+            cost,
+            chunk,
             n_steps: base.n_steps,
             force_remote_reads: base.force_remote_reads,
             bind_policy: base.bind_policy,
-            uap: IndicatorPath::uap(),
+            remote_read: Vec::new(),
             comp_cores,
-            comp_workload,
-            workloads,
+            comp_kind,
             comp_member,
             member_range,
             member_cores,
             prev: Vec::with_capacity(n),
             has_prev: false,
             node_comps: Vec::new(),
+            node_len: Vec::new(),
+            nodes_used: 0,
             comp_seconds: vec![0.0; n],
             member_stage,
-            member_eff: vec![0.0; members],
-            member_cp: vec![0.0; members],
+            member_ua: vec![0.0; members],
             member_mk: vec![0.0; members],
             member_eq4: vec![false; members],
             values: Vec::with_capacity(members),
             touched: Vec::new(),
             touched_list: Vec::new(),
             member_dirty: vec![false; members],
-            node_seen: Vec::new(),
             sig: Vec::new(),
+            seconds_scratch: Vec::new(),
             free_scratch: Vec::new(),
             placed_scratch: Vec::new(),
-            cache: HashMap::new(),
-            order: VecDeque::new(),
-            capacity,
+            table: SignatureTable::new(kinds.len(), capacity),
+            kinds,
+            shared,
             counters: DeltaCounters::default(),
         }
     }
@@ -268,9 +502,10 @@ impl DeltaEvaluator {
         std::mem::take(&mut self.counters)
     }
 
-    /// Distinct occupancy signatures currently memoized.
+    /// Distinct occupancy signatures currently memoized by this
+    /// evaluator itself.
     pub fn cached_solves(&self) -> usize {
-        self.cache.len()
+        self.table.solved
     }
 
     /// Scores one assignment, diffing against the previously scored one
@@ -282,7 +517,7 @@ impl DeltaEvaluator {
     /// [`DeltaEvaluator::score`] with a first-changed-position hint:
     /// `Some(h)` promises `assignment[..h]` equals the previously scored
     /// assignment's prefix (what
-    /// [`crate::enumerate::PlacementIter::next_chunk_delta`] reports for
+    /// [`crate::enumerate::PlacementIter::advance_delta`] reports for
     /// consecutive candidates). The hint only narrows the diff — all
     /// positions `≥ h` are still compared — so a conservative hint is
     /// merely slower, never wrong.
@@ -296,8 +531,6 @@ impl DeltaEvaluator {
         if self.n_steps == 0 || n == 0 {
             return Err(RuntimeError::NoSamples);
         }
-        let max_node = assignment.iter().copied().max().expect("non-empty") + 1;
-        self.ensure_nodes(max_node);
 
         // Phase 1: find touched nodes and rebuild their resident lists.
         // On any error below the evaluator stays poisoned (`has_prev`
@@ -306,61 +539,60 @@ impl DeltaEvaluator {
         self.has_prev = false;
         self.touched_list.clear();
         if had_prev {
-            let start = first_changed.unwrap_or(0);
+            let start = first_changed.unwrap_or(0).min(n);
             debug_assert_eq!(
-                self.prev[..start.min(n)],
-                assignment[..start.min(n)],
+                self.prev[..start],
+                assignment[..start],
                 "first-changed hint must not skip a real change"
             );
             for (p, &new) in assignment.iter().enumerate().skip(start) {
                 let old = self.prev[p];
                 if old != new {
-                    if !self.touched[old] {
-                        self.touched[old] = true;
-                        self.touched_list.push(old);
-                    }
-                    if !self.touched[new] {
-                        self.touched[new] = true;
-                        self.touched_list.push(new);
-                    }
-                }
-            }
-            for &nd in &self.touched_list {
-                self.node_comps[nd].clear();
-            }
-            if !self.touched_list.is_empty() {
-                for (c, &nd) in assignment.iter().enumerate() {
-                    if self.touched[nd] {
-                        self.node_comps[nd].push(c);
+                    // Only a changed position can name a node not seen
+                    // before.
+                    self.ensure_nodes(new + 1);
+                    for nd in [old, new] {
+                        if !self.touched[nd] {
+                            self.touched[nd] = true;
+                            self.touched_list.push(nd);
+                        }
                     }
                 }
             }
-            for &nd in &self.touched_list {
-                for i in self.node_comps[nd].iter().map(|&c| self.comp_member[c]) {
-                    self.member_dirty[i] = true;
-                }
-            }
-            // Members that vacated a touched node entirely still need a
-            // recompute (their network costs may depend on the nodes
-            // they left only through their own components — covered —
-            // but their components' *new* nodes are touched too, so the
-            // loop above already marked them).
         } else {
-            // Full rebuild (first score, or recovery after an error).
-            // A previous call may have errored mid-solve, leaving stale
+            // Full rebuild (first score, or recovery after an error):
+            // empty every node and touch all the candidate uses. A
+            // previous call may have errored mid-solve, leaving stale
             // `touched` marks — reset them so no node is skipped.
+            self.ensure_nodes(assignment.iter().copied().max().expect("non-empty") + 1);
             self.touched.iter_mut().for_each(|t| *t = false);
-            for list in &mut self.node_comps {
-                list.clear();
-            }
-            for (c, &nd) in assignment.iter().enumerate() {
-                self.node_comps[nd].push(c);
+            self.node_len.iter_mut().for_each(|len| *len = 0);
+            self.nodes_used = 0;
+            for &nd in assignment {
                 if !self.touched[nd] {
                     self.touched[nd] = true;
                     self.touched_list.push(nd);
                 }
             }
-            self.member_dirty.iter_mut().for_each(|d| *d = true);
+        }
+        for &nd in &self.touched_list {
+            self.nodes_used -= usize::from(self.node_len[nd] > 0);
+            self.node_len[nd] = 0;
+        }
+        for (c, &nd) in assignment.iter().enumerate() {
+            if self.touched[nd] {
+                self.node_comps[nd * n + self.node_len[nd]] = c;
+                self.node_len[nd] += 1;
+            }
+        }
+        // A member that left a touched node landed on another touched
+        // node, so walking the new resident lists reaches every member
+        // whose terms can have changed.
+        for &nd in &self.touched_list {
+            self.nodes_used += usize::from(self.node_len[nd] > 0);
+            for &c in &self.node_comps[nd * n..nd * n + self.node_len[nd]] {
+                self.member_dirty[self.comp_member[c]] = true;
+            }
         }
         self.touched_list.sort_unstable();
 
@@ -369,10 +601,9 @@ impl DeltaEvaluator {
         for t in 0..self.touched_list.len() {
             let nd = self.touched_list[t];
             self.touched[nd] = false;
-            if self.node_comps[nd].is_empty() {
-                continue;
+            if self.node_len[nd] > 0 {
+                self.solve_touched_node(nd)?;
             }
-            self.solve_touched_node(nd)?;
         }
 
         // Phase 3: recompute the indicator terms of dirty members.
@@ -391,55 +622,64 @@ impl DeltaEvaluator {
         self.has_prev = true;
 
         // Phase 4: re-fold the ensemble aggregates exactly as the
-        // from-scratch path does — same functions, same member order.
-        let mut m_nodes = 0usize;
-        for &nd in assignment {
-            if !self.node_seen[nd] {
-                self.node_seen[nd] = true;
-                m_nodes += 1;
-            }
-        }
-        for &nd in assignment {
-            self.node_seen[nd] = false;
-        }
+        // from-scratch path does — the provisioning stage of
+        // `indicator` (one division by `M` per member, in member
+        // order), then `aggregate`.
+        let m = self.nodes_used as f64;
         self.values.clear();
-        for i in 0..self.member_range.len() {
-            let inputs = MemberInputs {
-                efficiency: self.member_eff[i],
-                cores: self.member_cores[i],
-                cp: self.member_cp[i],
-                ensemble_nodes: m_nodes,
-            };
-            self.values.push(indicator(&inputs, &self.uap));
-        }
-        let mut ensemble_makespan = 0.0f64;
-        for &mk in &self.member_mk {
-            ensemble_makespan = ensemble_makespan.max(mk);
-        }
+        self.values.extend(self.member_ua.iter().map(|&ua| ua / m));
         Ok(FastScore {
             objective: aggregate(&self.values, Aggregation::MeanMinusStd),
-            ensemble_makespan,
-            nodes_used: m_nodes,
+            ensemble_makespan: self.member_mk.iter().fold(0.0f64, |longest, &mk| longest.max(mk)),
+            nodes_used: self.nodes_used,
             eq4_satisfied: self.member_eq4.iter().all(|&b| b),
         })
     }
 
-    /// Solves node `nd`'s current resident list, via the signature cache
-    /// when possible, writing per-component step times.
+    /// Refreshes the step times of node `nd`'s residents: from the
+    /// signature table, else from the shared cache, else by solving.
     fn solve_touched_node(&mut self, nd: usize) -> RuntimeResult<()> {
-        self.sig.clear();
-        for &c in &self.node_comps[nd] {
-            self.sig.push(u32::from(self.comp_workload[c]) << 16 | self.comp_cores[c]);
-        }
-        if let Some(seconds) = self.cache.get(self.sig.as_slice()) {
+        let n = self.comp_cores.len();
+        let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
+        let comp_kind = &self.comp_kind;
+        let kinds = || comps.iter().map(|&c| comp_kind[c] as usize);
+        if let Some(seconds) = self.table.lookup(kinds()) {
             self.counters.solve_hits += 1;
-            for (&c, &s) in self.node_comps[nd].iter().zip(seconds) {
+            for (&c, &s) in comps.iter().zip(seconds) {
                 self.comp_seconds[c] = s;
             }
             return Ok(());
         }
-        self.counters.solve_misses += 1;
+        self.seconds_scratch.clear();
+        self.sig.clear();
+        let answered = match &self.shared {
+            Some((cache, words)) => {
+                self.sig.extend(kinds().map(|kind| words[kind]));
+                cache.get(&self.sig, &mut self.seconds_scratch)
+            }
+            None => false,
+        };
+        if answered {
+            self.counters.solve_hits += 1;
+        } else {
+            self.counters.solve_misses += 1;
+            self.solve_node(nd)?;
+            if let Some((cache, _)) = &self.shared {
+                cache.insert(&self.sig, &self.seconds_scratch);
+            }
+        }
+        let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
+        for (&c, &s) in comps.iter().zip(&self.seconds_scratch) {
+            self.comp_seconds[c] = s;
+        }
+        self.table.store(comps.iter().map(|&c| self.comp_kind[c] as usize), &self.seconds_scratch);
+        Ok(())
+    }
 
+    /// Runs the interference solve of node `nd`'s residents into
+    /// `seconds_scratch`.
+    fn solve_node(&mut self, nd: usize) -> RuntimeResult<()> {
+        let n = self.comp_cores.len();
         // Replay the executor's allocation protocol for this node: flat
         // component order, shared free-core state, the exact
         // Spread/Compact socket split of `Platform::allocate`.
@@ -447,7 +687,7 @@ impl DeltaEvaluator {
         self.free_scratch.clear();
         self.free_scratch.extend(std::iter::repeat_n(self.node_spec.cores_per_socket, sockets));
         self.placed_scratch.clear();
-        for &c in &self.node_comps[nd] {
+        for &c in &self.node_comps[nd * n..nd * n + self.node_len[nd]] {
             let cores = self.comp_cores[c];
             if cores == 0 {
                 return Err(PlatformError::EmptyAllocation.into());
@@ -490,47 +730,39 @@ impl DeltaEvaluator {
             }
             self.placed_scratch.push(PlacedWorkload {
                 alloc: CoreAllocation { node: nd, per_socket },
-                workload: self.workloads[usize::from(self.comp_workload[c])].clone(),
+                workload: self.kinds[self.comp_kind[c] as usize].0.clone(),
             });
         }
         let estimates = self.interference.solve_node(&self.node_spec, &self.placed_scratch, &[]);
-        let seconds: Vec<f64> = estimates.iter().map(|e| e.seconds_per_step).collect();
-        for (&c, &s) in self.node_comps[nd].iter().zip(&seconds) {
-            self.comp_seconds[c] = s;
-        }
-        if self.capacity > 0 {
-            if self.cache.len() >= self.capacity {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.cache.remove(&oldest);
-                }
-            }
-            let key: Box<[u32]> = self.sig.as_slice().into();
-            self.order.push_back(key.clone());
-            self.cache.insert(key, seconds);
-        }
+        self.seconds_scratch.extend(estimates.iter().map(|e| e.seconds_per_step));
         Ok(())
     }
 
-    /// Recomputes member `i`'s stage times, efficiency, `CP`, makespan,
-    /// and Eq. 4 flag from the (cached) per-component step times.
+    /// Recomputes member `i`'s stage times, `E / c × CP`, makespan, and
+    /// Eq. 4 flag from the (cached) per-component step times.
     fn recompute_member(&mut self, i: usize, assignment: &[usize]) -> RuntimeResult<()> {
         let (start, end) = self.member_range[i];
         let sim_node = assignment[start];
         let st = &mut self.member_stage[i];
         st.s = self.comp_seconds[start];
-        st.w = self.cost.write_seconds(self.chunk, sim_node, sim_node);
+        st.w = self.write_local;
         for (j, slot) in (start + 1..end).enumerate() {
             let ana_node = assignment[slot];
-            st.analyses[j].r = if self.force_remote_reads && ana_node == sim_node {
+            st.analyses[j].r = if ana_node != sim_node {
+                let route = &mut self.remote_read[sim_node * self.touched.len() + ana_node];
+                if route.is_nan() {
+                    *route = self.cost.read_seconds(self.chunk, sim_node, ana_node);
+                }
+                *route
+            } else if self.force_remote_reads {
                 self.cost.read_seconds(self.chunk, sim_node, sim_node + 1)
             } else {
-                self.cost.read_seconds(self.chunk, sim_node, ana_node)
+                self.read_local
             };
             st.analyses[j].a = self.comp_seconds[slot];
         }
         st.validate().map_err(RuntimeError::from)?;
         self.member_mk[i] = makespan(st, self.n_steps);
-        self.member_eff[i] = efficiency(st);
         self.member_eq4[i] = st.analyses.iter().all(|a| a.busy() <= st.sim_busy() + 1e-12);
         // Eq. 6 for single-node components, with the exact op sequence
         // of `ensemble_core::placement_indicator`: |s| = 1, |s ∪ aʲ| is
@@ -540,16 +772,23 @@ impl DeltaEvaluator {
         for &ana_node in &assignment[start + 1..end] {
             sum += if ana_node == sim_node { 1.0 } else { 1.0 / 2.0 };
         }
-        self.member_cp[i] = 1.0 / k as f64 * sum;
+        let cp = 1.0 / k as f64 * sum;
+        // The usage and allocation stages of `ensemble_core::indicator`,
+        // in its order: `E / c`, then `× CP`. Both depend on the member
+        // alone; the provisioning stage (`/ M`) is applied per score.
+        self.member_ua[i] = efficiency(st) / self.member_cores[i] as f64 * cp;
         Ok(())
     }
 
     /// Grows the per-node state to cover `count` nodes.
     fn ensure_nodes(&mut self, count: usize) {
-        if self.node_comps.len() < count {
-            self.node_comps.resize_with(count, Vec::new);
+        if self.touched.len() < count {
+            self.node_comps.resize(count * self.comp_cores.len(), 0);
+            self.node_len.resize(count, 0);
             self.touched.resize(count, false);
-            self.node_seen.resize(count, false);
+            // Re-laid out for the new node count; routes refill on demand.
+            self.remote_read.clear();
+            self.remote_read.resize(count * count, f64::NAN);
         }
     }
 }

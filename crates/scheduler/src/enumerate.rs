@@ -116,9 +116,15 @@ pub struct PlacementIter {
 impl PlacementIter {
     /// Starts enumeration of `shape` onto at most `max_nodes` nodes of
     /// `cores_per_node` cores.
+    ///
+    /// `max_nodes` is clamped to the component count: the
+    /// canonical-prefix rule never hands component `i` a node above
+    /// `i`, so the enumeration is exactly the same, and a budget read
+    /// off the wire cannot size the per-node state.
     pub fn new(shape: &EnsembleShape, max_nodes: usize, cores_per_node: u32) -> Self {
         let cores = shape.component_cores();
         let n = cores.len();
+        let max_nodes = max_nodes.min(n);
         PlacementIter {
             assignment: vec![0; n],
             used: vec![0; max_nodes],
@@ -126,7 +132,7 @@ impl PlacementIter {
             prefix_max: vec![0; n + 1],
             depth: 0,
             at_leaf: false,
-            done: n == 0 || max_nodes == 0,
+            done: max_nodes == 0,
             yielded: 0,
             low_water: 0,
             cores,
@@ -198,48 +204,28 @@ impl PlacementIter {
         }
     }
 
-    /// Appends up to `n` `(enumeration index, assignment)` pairs to
-    /// `out`, returning how many were produced (short only at
-    /// exhaustion). The batching primitive the scan engine's chunk feed
-    /// is built on.
-    pub fn next_chunk(&mut self, out: &mut Vec<(usize, Vec<usize>)>, n: usize) -> usize {
-        let mut got = 0;
-        while got < n {
-            let index = self.yielded;
-            match self.advance() {
-                Some(assignment) => {
-                    out.push((index, assignment.to_vec()));
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        got
-    }
-
-    /// [`next_chunk`](Self::next_chunk), with each entry carrying the
-    /// first-changed position relative to the assignment enumerated
-    /// immediately before it (`None` for enumeration index 0, which has
-    /// no predecessor). Feeds the scan workers
-    /// ([`crate::scan::scan_placements`]).
-    pub fn next_chunk_delta(
-        &mut self,
-        out: &mut Vec<(usize, Vec<usize>, Option<usize>)>,
-        n: usize,
-    ) -> usize {
-        let mut got = 0;
-        while got < n {
-            let index = self.yielded;
+    /// Appends up to `n` consecutive assignments to `flat`, end to end
+    /// (each `num_components` wide, the first at enumeration index
+    /// [`yielded`](Self::yielded) as of the call), and to `hints` each
+    /// one's first-changed position relative to the assignment
+    /// enumerated immediately before it (meaningless for enumeration
+    /// index 0, which has no predecessor). Returns how many were
+    /// produced (short only at exhaustion). Both buffers are cleared
+    /// first, so a scan worker ([`crate::scan::scan_placements`])
+    /// refills the same two allocations chunk after chunk.
+    pub fn fill_chunk(&mut self, flat: &mut Vec<usize>, hints: &mut Vec<usize>, n: usize) -> usize {
+        flat.clear();
+        hints.clear();
+        while hints.len() < n {
             match self.advance_delta() {
                 Some((assignment, first_changed)) => {
-                    let hint = (index > 0).then_some(first_changed);
-                    out.push((index, assignment.to_vec(), hint));
-                    got += 1;
+                    flat.extend_from_slice(assignment);
+                    hints.push(first_changed);
                 }
                 None => break,
             }
         }
-        got
+        hints.len()
     }
 }
 
@@ -355,65 +341,53 @@ mod tests {
     }
 
     #[test]
-    fn placement_iter_chunked_pulls_reassemble_exactly() {
-        let shape = EnsembleShape::uniform(2, 16, 1, 8);
-        let materialized = enumerate_placements(&shape, 3, 32);
+    fn flat_chunks_report_valid_first_changed_positions() {
+        let shape = EnsembleShape::uniform(2, 16, 2, 8);
+        let width = shape.num_components();
+        let materialized = enumerate_placements(&shape, 4, 32);
         for chunk in [1usize, 2, 3, 7, 100] {
-            let mut it = PlacementIter::new(&shape, 3, 32);
-            let mut out = Vec::new();
+            let mut it = PlacementIter::new(&shape, 4, 32);
+            let (mut flat, mut hints) = (Vec::new(), Vec::new());
+            let mut seen = 0usize;
             loop {
-                let got = it.next_chunk(&mut out, chunk);
+                assert_eq!(it.yielded(), seen, "a chunk starts at the next enumeration index");
+                let got = it.fill_chunk(&mut flat, &mut hints, chunk);
+                assert_eq!((flat.len(), hints.len()), (got * width, got));
+                for (assignment, &fc) in flat.chunks_exact(width).zip(&hints) {
+                    assert_eq!(assignment, &materialized[seen][..], "chunk={chunk}");
+                    if seen > 0 {
+                        assert!(fc < width);
+                        assert_eq!(
+                            assignment[..fc],
+                            materialized[seen - 1][..fc],
+                            "hint must never skip a real change (chunk={chunk}, index={seen})"
+                        );
+                        // The hint is tight for this DFS: the position it
+                        // names really did change.
+                        assert_ne!(assignment[fc], materialized[seen - 1][fc], "index={seen}");
+                    }
+                    seen += 1;
+                }
                 if got < chunk {
                     break;
                 }
             }
-            assert_eq!(out.len(), materialized.len(), "chunk={chunk}");
-            for (i, (index, assignment)) in out.iter().enumerate() {
-                assert_eq!(*index, i, "indexes are the enumeration order");
-                assert_eq!(assignment, &materialized[i], "chunk={chunk}");
-            }
-            assert_eq!(it.yielded(), materialized.len());
-            // Once drained, the iterator stays drained.
-            assert_eq!(it.next_chunk(&mut out, chunk), 0);
+            assert_eq!(seen, materialized.len(), "chunk={chunk}");
+            assert_eq!(it.fill_chunk(&mut flat, &mut hints, chunk), 0, "stays drained");
+            assert!(flat.is_empty() && hints.is_empty());
         }
     }
 
     #[test]
-    fn delta_chunks_report_valid_first_changed_positions() {
-        let shape = EnsembleShape::uniform(2, 16, 2, 8);
-        let materialized = enumerate_placements(&shape, 4, 32);
-        for chunk in [1usize, 2, 3, 7, 100] {
-            let mut it = PlacementIter::new(&shape, 4, 32);
-            let mut out = Vec::new();
-            loop {
-                let got = it.next_chunk_delta(&mut out, chunk);
-                if got < chunk {
-                    break;
-                }
-            }
-            assert_eq!(out.len(), materialized.len(), "chunk={chunk}");
-            for (i, (index, assignment, hint)) in out.iter().enumerate() {
-                assert_eq!(*index, i);
-                assert_eq!(assignment, &materialized[i], "chunk={chunk}");
-                match hint {
-                    None => assert_eq!(i, 0, "only the first assignment lacks a predecessor"),
-                    Some(fc) => {
-                        assert!(*fc < assignment.len());
-                        assert_eq!(
-                            assignment[..*fc],
-                            materialized[i - 1][..*fc],
-                            "hint must never skip a real change (chunk={chunk}, index={i})"
-                        );
-                        // The hint is tight for this DFS: the position it
-                        // names really did change.
-                        assert_ne!(
-                            assignment[*fc],
-                            materialized[i - 1][*fc],
-                            "chunk={chunk}, index={i}"
-                        );
-                    }
-                }
-            }
+    fn node_budgets_beyond_the_component_count_change_nothing() {
+        // Component `i` can never sit above node `i`, so every budget
+        // from `components` up enumerates the same space — and the
+        // enumerator must not size anything by the raw number, which
+        // arrives off the wire as an unchecked `u64`.
+        let shape = EnsembleShape::uniform(2, 8, 1, 4);
+        let at_components = enumerate_placements(&shape, shape.num_components(), 32);
+        for max_nodes in [5usize, 64, 4_000_000_000_000_000, usize::MAX] {
+            assert_eq!(enumerate_placements(&shape, max_nodes, 32), at_components, "{max_nodes}");
         }
     }
 

@@ -41,7 +41,7 @@ pub use cosched::{
     place_against, Admission, CoScheduler, CoschedConfig, CoschedCounters, CoschedError,
     PlacementDecision, Reservation, ResidencyMap, ResidualView,
 };
-pub use delta::{DeltaCounters, DeltaEvaluator};
+pub use delta::{DeltaCounters, DeltaEvaluator, SolveCache};
 pub use enumerate::{canonicalize, enumerate_placements, EnsembleShape, PlacementIter};
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
 pub use moldable::{moldable_search, MoldablePoint, MoldableResult};

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::delta::DeltaEvaluator;
 use crate::enumerate::EnsembleShape;
+use crate::fast_eval::FastScore;
 use crate::scan::{scan_placements, Candidate, ScanOptions};
 use crate::search::NodeBudget;
 
@@ -69,19 +70,19 @@ pub fn moldable_search(
             || DeltaEvaluator::new(base, &shape),
             |evaluator: &mut DeltaEvaluator,
              c: Candidate<'_>|
-             -> RuntimeResult<Option<MoldablePoint>> {
-                let score = evaluator.score_delta(c.assignment, c.first_changed)?;
-                Ok(Some(MoldablePoint {
-                    analysis_cores: cores,
-                    assignment: c.assignment.to_vec(),
-                    objective: score.objective,
-                    ensemble_makespan: score.ensemble_makespan,
-                    nodes_used: score.nodes_used,
-                    eq4_satisfied: score.eq4_satisfied,
-                }))
+             -> RuntimeResult<Option<FastScore>> {
+                evaluator.score_delta(c.assignment, c.first_changed).map(Some)
+            },
+            |_, c, score| MoldablePoint {
+                analysis_cores: cores,
+                assignment: c.assignment.to_vec(),
+                objective: score.objective,
+                ensemble_makespan: score.ensemble_makespan,
+                nodes_used: score.nodes_used,
+                eq4_satisfied: score.eq4_satisfied,
             },
             DeltaEvaluator::take_counters,
-            |p: &MoldablePoint| p.objective,
+            |score: &FastScore| score.objective,
             || false,
             |_| {},
         )?;

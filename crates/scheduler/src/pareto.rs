@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::delta::DeltaEvaluator;
 use crate::enumerate::EnsembleShape;
+use crate::fast_eval::FastScore;
 use crate::scan::{scan_placements, Candidate, ScanOptions};
 use crate::search::NodeBudget;
 
@@ -44,18 +45,18 @@ pub fn pareto_front(
         budget,
         &opts,
         || DeltaEvaluator::new(base, shape),
-        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<ParetoPoint>> {
-            let score = evaluator.score_delta(c.assignment, c.first_changed)?;
-            Ok(Some(ParetoPoint {
-                assignment: c.assignment.to_vec(),
-                nodes_used: score.nodes_used,
-                ensemble_makespan: score.ensemble_makespan,
-                objective: score.objective,
-                dominated: false,
-            }))
+        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<FastScore>> {
+            evaluator.score_delta(c.assignment, c.first_changed).map(Some)
+        },
+        |_, c, score| ParetoPoint {
+            assignment: c.assignment.to_vec(),
+            nodes_used: score.nodes_used,
+            ensemble_makespan: score.ensemble_makespan,
+            objective: score.objective,
+            dominated: false,
         },
         DeltaEvaluator::take_counters,
-        |p: &ParetoPoint| p.objective,
+        |score: &FastScore| score.objective,
         || false,
         |_| {},
     )?;

@@ -8,23 +8,29 @@
 //!
 //! * **Streaming enumeration.** Candidates come from
 //!   [`PlacementIter`], pulled in chunks under a mutex — no
-//!   `O(candidates)` materialization up front.
-//! * **Scoped worker threads.** `std::thread::scope` fans chunks out to
-//!   `workers` threads (default: available parallelism, overridable per
-//!   call or via the `ENSEMBLE_SCAN_WORKERS` environment variable). No
-//!   new dependencies — plain `std` threads, like the rest of the
+//!   `O(candidates)` materialization up front. A chunk lands in one
+//!   flat buffer the worker reuses for every pull, not in a `Vec` per
+//!   candidate.
+//! * **The caller scans too.** The calling thread is worker 0 and
+//!   `std::thread::scope` adds `workers − 1` threads beside it (default
+//!   worker count: available parallelism, overridable per call or via
+//!   the `ENSEMBLE_SCAN_WORKERS` environment variable). No new
+//!   dependencies — plain `std` threads, like the rest of the
 //!   workspace. Each worker owns its own evaluation state (built once
 //!   by `init`), so the per-candidate cost stays allocation-free.
+//! * **Rows only for survivors.** `eval` returns a candidate's floats;
+//!   the `keep` step that copies its assignment into a result row runs
+//!   only for a candidate the result set admits.
 //! * **Deterministic merge.** Every result is tagged with its
 //!   enumeration index; the merge sorts by that index, so the output
 //!   order **and every float bit** are identical to a serial scan at
 //!   any worker count. (Each candidate's evaluation is a pure function
 //!   of `(evaluation state, assignment)` — see the determinism suite in
 //!   `tests/scan_properties.rs`.)
-//! * **Bounded top-K.** With `top_k > 0` each worker keeps a fixed-size
-//!   heap ordered by `(objective desc, enumeration index asc)`; merged
-//!   heaps reproduce exactly the first K rows of the full stable
-//!   ranking, in `O(K)` memory per worker.
+//! * **Bounded top-K.** With `top_k > 0` each worker keeps its best K
+//!   by `(objective desc, enumeration index asc)`; the merged sets
+//!   reproduce exactly the first K rows of the full stable ranking, in
+//!   `O(K)` memory per worker.
 //! * **Cooperative cancellation.** The `cancel` probe is checked
 //!   between chunks; once it fires, all workers stop pulling and the
 //!   outcome reports how far the scan got.
@@ -155,40 +161,43 @@ impl Rank {
     }
 }
 
-/// Fixed-capacity keeper of the best K `(Rank, T)` pairs. Insertion is
-/// `O(K)` worst case — K is a client-requested top-k (tens), so a
-/// simple worst-slot scan beats heap bookkeeping at this size.
+/// Fixed-capacity keeper of the best K `(Rank, T)` pairs. It remembers
+/// which kept entry ranks worst, so a candidate that does not make the
+/// cut costs one comparison and its row is never built; only an
+/// admission pays the `O(K)` rescan for the new worst (K is a
+/// client-requested top-k — tens — so a slot scan beats heap
+/// bookkeeping at this size). The rank order is strict and total, so
+/// the kept set is the K best of everything offered however it is
+/// maintained — what makes bounded top-K bit-identical to
+/// `full ranking → truncate(K)`.
 struct TopK<T> {
     capacity: usize,
     kept: Vec<(Rank, T)>,
+    /// Index into `kept` of the worst entry; meaningful once full.
+    worst: usize,
 }
 
 impl<T> TopK<T> {
     fn new(capacity: usize) -> Self {
-        TopK { capacity, kept: Vec::with_capacity(capacity) }
+        TopK { capacity, kept: Vec::with_capacity(capacity), worst: 0 }
     }
 
-    fn offer(&mut self, rank: Rank, value: T) {
+    /// Keeps `row()` under `rank` if it ranks among the best K so far.
+    fn offer(&mut self, rank: Rank, row: impl FnOnce() -> T) {
         if self.kept.len() < self.capacity {
-            self.kept.push((rank, value));
+            self.kept.push((rank, row()));
+        } else if self.kept[self.worst].0.worse_than(&rank) {
+            self.kept[self.worst] = (rank, row());
+        } else {
             return;
         }
-        // Full: replace the worst kept entry if the offer beats it.
-        let worst = self
-            .kept
-            .iter()
-            .enumerate()
-            .max_by(|(_, (a, _)), (_, (b, _))| {
-                if a.worse_than(b) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Less
+        if self.kept.len() == self.capacity {
+            self.worst = 0;
+            for i in 1..self.kept.len() {
+                if self.kept[i].0.worse_than(&self.kept[self.worst].0) {
+                    self.worst = i;
                 }
-            })
-            .map(|(i, _)| i)
-            .expect("capacity > 0");
-        if self.kept[worst].0.worse_than(&rank) {
-            self.kept[worst] = (rank, value);
+            }
         }
     }
 }
@@ -217,7 +226,7 @@ struct WorkerOut<T, E> {
     delta: DeltaCounters,
 }
 
-/// One candidate handed to a scan's `eval` closure.
+/// One candidate handed to a scan's `eval` and `keep` closures.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate<'a> {
     /// Position in the canonical enumeration order.
@@ -238,18 +247,26 @@ pub struct Candidate<'a> {
 /// Scans every canonical feasible placement of `shape` under `budget`,
 /// in parallel, with deterministic output — the one scan entry point.
 ///
+/// The calling thread is scan worker 0; `workers − 1` scoped threads
+/// are spawned beside it (none at one worker), so a caller that would
+/// only wait for the scan does a share of it instead.
+///
 /// * `init` builds one evaluation state per worker (a
 ///   [`crate::DeltaEvaluator`], or a reusable DES run configuration) —
-///   called once per worker thread, never shared.
-/// * `eval` scores one [`Candidate`]: `Ok(Some(result))`, `Ok(None)` to
-///   skip it (it still counts as scanned, not as feasible), or `Err` to
-///   abort the scan.
+///   called once per worker, never shared.
+/// * `eval` scores one [`Candidate`]: `Ok(Some(scored))` — something
+///   small, the candidate's floats — `Ok(None)` to skip it (it still
+///   counts as scanned, not as feasible), or `Err` to abort the scan.
+/// * `keep` turns an admitted candidate and its scored value into the
+///   result row (this is where the assignment is copied out). It runs
+///   for every feasible candidate of a full scan, and under `top_k`
+///   only for one that ranks among the worker's best K so far.
 /// * `drain` runs once per worker when it stops pulling, extracting the
 ///   worker's [`DeltaCounters`] (pass
 ///   [`crate::DeltaEvaluator::take_counters`], or
 ///   `|_| DeltaCounters::default()` when the state has none); the sum
 ///   lands in [`ScanOutcome::delta`].
-/// * `objective` extracts the ranking key used by top-K selection.
+/// * `objective` extracts the ranking key of a scored value.
 /// * `cancel` is polled between chunks on every worker; returning
 ///   `true` stops the scan and marks the outcome cancelled.
 /// * `progress` fires under the feed lock at the same probe point —
@@ -265,14 +282,15 @@ pub struct Candidate<'a> {
 /// enumeration index** is returned — the same error a serial scan would
 /// have surfaced first, regardless of which worker hit it.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_placements<S, T, E>(
+pub fn scan_placements<S, V, T, E>(
     shape: &EnsembleShape,
     budget: NodeBudget,
     opts: &ScanOptions,
     init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, Candidate<'_>) -> Result<Option<T>, E> + Sync,
+    eval: impl Fn(&mut S, Candidate<'_>) -> Result<Option<V>, E> + Sync,
+    keep: impl Fn(&mut S, Candidate<'_>, V) -> T + Sync,
     drain: impl Fn(&mut S) -> DeltaCounters + Sync,
-    objective: impl Fn(&T) -> f64 + Sync,
+    objective: impl Fn(&V) -> f64 + Sync,
     cancel: impl Fn() -> bool + Sync,
     progress: impl Fn(&ScanProgress) + Sync,
 ) -> Result<ScanOutcome<T>, E>
@@ -282,6 +300,7 @@ where
 {
     let workers = opts.effective_workers();
     let chunk = opts.chunk.max(1);
+    let width = shape.num_components();
     let feed = Mutex::new(Feed {
         iter: PlacementIter::new(shape, budget.max_nodes, budget.cores_per_node),
         stop: false,
@@ -300,7 +319,10 @@ where
             error: None,
             delta: DeltaCounters::default(),
         };
-        let mut batch: Vec<(usize, Vec<usize>, Option<usize>)> = Vec::with_capacity(chunk);
+        // One chunk of consecutive candidates, end to end, and each
+        // one's first-changed position: refilled in place per pull.
+        let mut flat: Vec<usize> = Vec::new();
+        let mut hints: Vec<usize> = Vec::new();
         // This worker's contribution since it last folded into the feed.
         let mut batch_scanned = 0usize;
         let mut batch_best: Option<f64> = None;
@@ -308,8 +330,7 @@ where
         // first-changed hints are valid only for its direct successor.
         let mut last_index: Option<usize> = None;
         'pull: loop {
-            batch.clear();
-            {
+            let first = {
                 let mut feed = feed.lock().expect("scan feed lock");
                 if batch_scanned > 0 {
                     feed.scanned += batch_scanned;
@@ -331,25 +352,33 @@ where
                     out.cancelled = true;
                     break;
                 }
-                if feed.iter.next_chunk_delta(&mut batch, chunk) == 0 {
+                let first = feed.iter.yielded();
+                if feed.iter.fill_chunk(&mut flat, &mut hints, chunk) == 0 {
                     break;
                 }
-            }
-            for (index, assignment, first_changed) in batch.drain(..) {
+                first
+            };
+            for (offset, (assignment, &hint)) in flat.chunks_exact(width).zip(&hints).enumerate() {
+                let index = first + offset;
                 out.scanned += 1;
                 batch_scanned += 1;
                 let first_changed =
-                    first_changed.filter(|_| last_index.is_some_and(|last| last + 1 == index));
+                    last_index.is_some_and(|last| last + 1 == index).then_some(hint);
                 last_index = Some(index);
-                match eval(&mut state, Candidate { index, assignment: &assignment, first_changed })
-                {
-                    Ok(Some(value)) => {
+                let candidate = Candidate { index, assignment, first_changed };
+                match eval(&mut state, candidate) {
+                    Ok(Some(scored)) => {
                         out.feasible += 1;
-                        let obj = objective(&value);
+                        let obj = objective(&scored);
                         batch_best = Some(batch_best.map_or(obj, |cur| cur.max(obj)));
                         match &mut out.top {
-                            Some(top) => top.offer(Rank { objective: obj, index }, value),
-                            None => out.all.push(ScanHit { index, value }),
+                            Some(top) => top.offer(Rank { objective: obj, index }, || {
+                                keep(&mut state, candidate, scored)
+                            }),
+                            None => {
+                                let value = keep(&mut state, candidate, scored);
+                                out.all.push(ScanHit { index, value });
+                            }
                         }
                     }
                     Ok(None) => {}
@@ -365,14 +394,13 @@ where
         out
     };
 
-    let mut outputs: Vec<WorkerOut<T, E>> = if workers <= 1 {
-        vec![run_worker()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect::<Vec<_>>();
-            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
-        })
-    };
+    // The caller is worker 0; a helper's panic resurfaces at its join.
+    let mut outputs: Vec<WorkerOut<T, E>> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
+        let mut outputs = vec![run_worker()];
+        outputs.extend(helpers.into_iter().map(|h| h.join().expect("scan worker panicked")));
+        outputs
+    });
 
     // Propagate the error a serial scan would have hit first.
     let mut first_error: Option<(usize, E)> = None;
@@ -440,6 +468,7 @@ mod tests {
             &ScanOptions { workers, chunk: 2, top_k: 0 },
             || (),
             |(), c| Ok::<_, ()>(Some((c.assignment.to_vec(), toy_objective(c.assignment)))),
+            |_, _, v| v,
             no_counters,
             |(_, obj)| *obj,
             || false,
@@ -477,6 +506,7 @@ mod tests {
                     &ScanOptions { workers, chunk: 2, top_k: k },
                     || (),
                     |(), c| Ok::<_, ()>(Some((c.assignment.to_vec(), toy_objective(c.assignment)))),
+                    |_, _, v| v,
                     no_counters,
                     |(_, obj)| *obj,
                     || false,
@@ -501,6 +531,7 @@ mod tests {
             &ScanOptions { workers: 1, chunk: 1, top_k: 0 },
             || (),
             |(), c| Ok::<_, ()>(Some(c.assignment.to_vec())),
+            |_, _, v| v,
             no_counters,
             |_| 0.0,
             || pulls.fetch_add(1, Ordering::SeqCst) >= 2,
@@ -528,6 +559,7 @@ mod tests {
                         Ok(Some(c.index))
                     }
                 },
+                |_, _, v| v,
                 no_counters,
                 |_| 0.0,
                 || false,
@@ -546,6 +578,7 @@ mod tests {
             &ScanOptions { workers: 2, chunk: 2, top_k: 0 },
             || (),
             |(), c| Ok::<_, ()>((c.index % 2 == 0).then_some(c.index)),
+            |_, _, v| v,
             no_counters,
             |_| 0.0,
             || false,
@@ -567,6 +600,7 @@ mod tests {
                 &ScanOptions { workers, chunk: 2, top_k: 0 },
                 || (),
                 |(), c| Ok::<_, ()>(Some((c.assignment.to_vec(), toy_objective(c.assignment)))),
+                |_, _, v| v,
                 no_counters,
                 |(_, obj)| *obj,
                 || false,
@@ -602,6 +636,7 @@ mod tests {
             &ScanOptions { workers: 1, chunk: 1, top_k: 0 },
             || (),
             |(), c| Ok::<_, ()>(Some(c.assignment.to_vec())),
+            |_, _, v| v,
             no_counters,
             |_| 0.0,
             || pulls.fetch_add(1, Ordering::SeqCst) >= 3,
@@ -634,6 +669,7 @@ mod tests {
                         *prev = Some(a.to_vec());
                         Ok::<_, ()>(Some((a.to_vec(), toy_objective(a))))
                     },
+                    |_, _, v| v,
                     |_| DeltaCounters { solve_hits: 1, solve_misses: 2, members_recomputed: 3 },
                     |(_, obj)| *obj,
                     || false,
@@ -654,6 +690,227 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Scans with `objective` as the whole evaluation, counting how
+    /// often the row-building step runs.
+    fn count_keeps(
+        objective: impl Fn(usize) -> Option<f64> + Sync,
+        workers: usize,
+        top_k: usize,
+    ) -> (ScanOutcome<usize>, usize) {
+        let keeps = AtomicUsize::new(0);
+        let outcome = scan_placements(
+            &shape(),
+            budget(),
+            &ScanOptions { workers, chunk: 2, top_k },
+            || (),
+            |(), c| Ok::<_, ()>(objective(c.index)),
+            |(), c, _| {
+                keeps.fetch_add(1, Ordering::SeqCst);
+                c.index
+            },
+            no_counters,
+            |obj| *obj,
+            || false,
+            |_| {},
+        )
+        .expect("scan");
+        (outcome, keeps.into_inner())
+    }
+
+    #[test]
+    fn keep_runs_only_for_admitted_candidates() {
+        let total = crate::enumerate::enumerate_placements(&shape(), 3, 32).len();
+        assert!(total > 3);
+        // Descending objective: after the first K nothing is admitted.
+        let (outcome, keeps) = count_keeps(|i| Some(-(i as f64)), 1, 3);
+        assert_eq!(keeps, 3);
+        assert_eq!(outcome.results.iter().map(|h| h.value).collect::<Vec<_>>(), [0, 1, 2]);
+        // Ascending: every candidate displaces the worst kept one.
+        let (outcome, keeps) = count_keeps(|i| Some(i as f64), 1, 3);
+        assert_eq!(keeps, total);
+        let best: Vec<usize> = outcome.results.iter().map(|h| h.value).collect();
+        assert_eq!(best, [total - 1, total - 2, total - 3]);
+        // A tie never displaces: the earlier index ranks higher.
+        let (outcome, keeps) = count_keeps(|_| Some(1.0), 1, 3);
+        assert_eq!(keeps, 3);
+        assert_eq!(outcome.results.iter().map(|h| h.index).collect::<Vec<_>>(), [0, 1, 2]);
+        // A full scan keeps every feasible candidate, and a skipped
+        // candidate is never kept in either mode.
+        for top_k in [0, 3] {
+            let (outcome, keeps) = count_keeps(|i| (i % 2 == 0).then_some(i as f64), 2, top_k);
+            assert_eq!(outcome.feasible, total.div_ceil(2));
+            assert!(outcome.results.iter().all(|h| h.value % 2 == 0), "top_k={top_k}");
+            if top_k == 0 {
+                assert_eq!(keeps, outcome.feasible);
+            } else {
+                assert!(keeps <= outcome.feasible);
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_edges_one_more_than_feasible_and_an_empty_space() {
+        let total = crate::enumerate::enumerate_placements(&shape(), 3, 32).len();
+        for workers in [1, 2, 8] {
+            let (outcome, _) = count_keeps(|i| Some((i % 5) as f64), workers, 1);
+            assert_eq!(outcome.results.len(), 1);
+            assert_eq!(outcome.results[0].index, 4, "the earliest of the maxima");
+            let (outcome, keeps) = count_keeps(|i| Some((i % 5) as f64), workers, total + 7);
+            assert_eq!((outcome.results.len(), keeps), (total, total));
+            let ranks: Vec<(usize, usize)> =
+                outcome.results.iter().map(|h| (4 - h.index % 5, h.index)).collect();
+            assert!(ranks.windows(2).all(|w| w[0] < w[1]), "best first, ties by index");
+            // 48 cores never fit one 32-core node: nothing to scan.
+            let empty = scan_placements(
+                &shape(),
+                NodeBudget { max_nodes: 1, cores_per_node: 32 },
+                &ScanOptions { workers, chunk: 2, top_k: 1 },
+                || (),
+                |(), c| Ok::<_, ()>(Some(c.index)),
+                |(), _, v| v,
+                no_counters,
+                |_| 0.0,
+                || false,
+                |_| panic!("an empty scan has no progress to report"),
+            )
+            .expect("scan");
+            assert_eq!((empty.scanned, empty.feasible, empty.results.len()), (0, 0, 0));
+            assert!(!empty.cancelled);
+        }
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero_and_one_worker_spawns_no_thread() {
+        let caller = std::thread::current().id();
+        for workers in [1usize, 2, 3] {
+            let inits = Mutex::new(Vec::new());
+            let foreign = AtomicUsize::new(0);
+            let note = || {
+                if std::thread::current().id() != caller {
+                    foreign.fetch_add(1, Ordering::SeqCst);
+                }
+            };
+            scan_placements(
+                &shape(),
+                budget(),
+                &ScanOptions { workers, chunk: 1, top_k: 0 },
+                || inits.lock().unwrap().push(std::thread::current().id()),
+                |(), c| {
+                    note();
+                    Ok::<_, ()>(Some(c.index))
+                },
+                |(), _, v| {
+                    note();
+                    v
+                },
+                |()| {
+                    note();
+                    DeltaCounters::default()
+                },
+                |_| 0.0,
+                || false,
+                |_| {},
+            )
+            .expect("scan");
+            let inits = inits.into_inner().unwrap();
+            assert_eq!(inits.len(), workers, "one state per worker");
+            assert_eq!(inits.iter().filter(|&&id| id == caller).count(), 1, "workers={workers}");
+            if workers == 1 {
+                assert_eq!(foreign.into_inner(), 0, "a one-worker scan never leaves its caller");
+            }
+        }
+    }
+
+    /// The `eval` prologue of the two-worker tests below: each worker's
+    /// first evaluation waits for the other's, so with `chunk: 1` the
+    /// caller and the helper are both sure to hold a candidate — neither
+    /// can drain the space before the other has started.
+    fn meet(barrier: &std::sync::Barrier, met: &mut bool) {
+        if !std::mem::replace(met, true) {
+            barrier.wait();
+        }
+    }
+
+    #[test]
+    fn a_cancel_seen_by_the_caller_stops_the_helper_too() {
+        // Only the caller's probe ever fires, after its first
+        // candidate; the helper must stop at its next pull instead of
+        // draining the space.
+        let caller = std::thread::current().id();
+        let on_caller = || std::thread::current().id() == caller;
+        let barrier = std::sync::Barrier::new(2);
+        let caller_evals = AtomicUsize::new(0);
+        let outcome = scan_placements(
+            &shape(),
+            budget(),
+            &ScanOptions { workers: 2, chunk: 1, top_k: 0 },
+            || false,
+            |met, c| {
+                meet(&barrier, met);
+                if on_caller() {
+                    caller_evals.fetch_add(1, Ordering::SeqCst);
+                }
+                Ok::<_, ()>(Some(c.index))
+            },
+            |_, _, v| v,
+            no_counters,
+            |_| 0.0,
+            || on_caller() && caller_evals.load(Ordering::SeqCst) > 0,
+            |_| {},
+        )
+        .expect("scan");
+        assert!(outcome.cancelled);
+        assert_eq!(caller_evals.into_inner(), 1);
+        assert_eq!(outcome.results.len(), outcome.scanned);
+    }
+
+    #[test]
+    fn an_error_on_the_caller_and_one_on_the_helper_resolve_by_index() {
+        // Both workers fail on their first candidate; whichever thread
+        // drew the earlier index, that index's error is the scan's.
+        let barrier = std::sync::Barrier::new(2);
+        let err = scan_placements(
+            &shape(),
+            budget(),
+            &ScanOptions { workers: 2, chunk: 1, top_k: 0 },
+            || false,
+            |met, c| {
+                meet(&barrier, met);
+                Err::<Option<usize>, usize>(c.index)
+            },
+            |_, _, v| v,
+            no_counters,
+            |_| 0.0,
+            || false,
+            |_| {},
+        )
+        .expect_err("scan must fail");
+        assert_eq!(err, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scan worker panicked")]
+    fn a_panic_in_a_helper_resurfaces_on_the_caller() {
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let _ = scan_placements(
+            &shape(),
+            budget(),
+            &ScanOptions { workers: 2, chunk: 1, top_k: 0 },
+            || false,
+            |met, c| {
+                meet(&barrier, met);
+                assert!(std::thread::current().id() == caller, "helper evaluation blows up");
+                Ok::<_, ()>(Some(c.index))
+            },
+            |_, _, v| v,
+            no_counters,
+            |_| 0.0,
+            || false,
+            |_| {},
+        );
     }
 
     #[test]

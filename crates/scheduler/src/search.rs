@@ -149,6 +149,7 @@ pub fn exhaustive_search(
         |run: &mut SimRunConfig, c: Candidate<'_>| {
             run_and_score(config, run, c.assignment.to_vec()).map(Some)
         },
+        |_, _, scored| scored,
         |_| DeltaCounters::default(),
         |p: &ScoredPlacement| p.objective,
         || false,

@@ -19,13 +19,15 @@
 //!   with `fast_score` over residents + job and ranking `(objective
 //!   desc, index asc)` gives, at 1, 2 and 8 scan workers.
 
+use std::sync::Arc;
+
 use ensemble_core::EnsembleSpec;
 use proptest::prelude::*;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::cosched::{Admission, CoScheduler, CoschedConfig};
 use scheduler::{
     enumerate_placements, fast_score, place_against, EnsembleShape, NodeBudget, ResidencyMap,
-    ScanOptions,
+    ScanOptions, SolveCache,
 };
 
 fn base_config() -> SimRunConfig {
@@ -302,6 +304,10 @@ proptest! {
         nodes in 2usize..4,
     ) {
         let base = base_config();
+        // One cache across every call of the stream, as the
+        // co-scheduler holds one: warmed by other shapes and other
+        // worker counts, it must never move a bit of a decision.
+        let solves = Arc::new(SolveCache::new(&base));
         let mut s = sched(nodes, true);
         let mut next_job = 0u64;
         for (kind, shape, k) in events {
@@ -317,7 +323,7 @@ proptest! {
             // 0 resolves from `ENSEMBLE_SCAN_WORKERS`, the CI sweep axis.
             for workers in [0usize, 1, 2, 8] {
                 let opts = ScanOptions { workers, chunk: 3, ..ScanOptions::default() };
-                let got = place_against(&shape, &view, &base, &opts).unwrap().map(|d| (
+                let got = place_against(&shape, &view, &base, &solves, &opts).unwrap().map(|d| (
                     d.assignment,
                     d.canonical,
                     d.objective.to_bits(),

@@ -10,16 +10,23 @@
 //! cache), and the delta-scoring scan must match the plain scan at any
 //! worker count.
 //!
+//! The same contract covers a [`SolveCache`] shared between
+//! evaluators: whatever warmed it, whatever its capacity, however many
+//! scans fill it at once, an evaluator backed by it returns the bits a
+//! private one returns.
+//!
 //! CI runs this file under `ENSEMBLE_SCAN_WORKERS={1,2,8}`: the
-//! scan-level property below builds its options from
+//! scan-level properties below build options from
 //! `ScanOptions::default()`, which resolves the worker count from the
 //! environment.
+
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     canonicalize, enumerate_placements, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
-    EnsembleShape, FastEvaluator, NodeBudget, ScanOptions,
+    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ScanOptions, SolveCache,
 };
 
 /// Small-but-varied ensemble shapes: 1–3 members, 1–2 analyses each,
@@ -83,8 +90,133 @@ fn assert_scores_match(
     assert_eq!(got.eq4_satisfied, want.eq4_satisfied, "{assignment:?}");
 }
 
+/// Every field of a score, floats as bits.
+fn bits(score: &FastScore) -> (u64, u64, usize, bool) {
+    (
+        score.objective.to_bits(),
+        score.ensemble_makespan.to_bits(),
+        score.nodes_used,
+        score.eq4_satisfied,
+    )
+}
+
+/// The from-scratch oracle over the whole space, in enumeration order.
+fn oracle_scores(
+    base: &SimRunConfig,
+    shape: &EnsembleShape,
+    budget: NodeBudget,
+) -> Vec<(u64, u64, usize, bool)> {
+    let mut oracle = FastEvaluator::new(base);
+    enumerate_placements(shape, budget.max_nodes, budget.cores_per_node)
+        .iter()
+        .map(|a| bits(&oracle.score(&shape.materialize(a)).expect("reference score")))
+        .collect()
+}
+
+/// One full scan whose workers each build their evaluator with
+/// `evaluator`; scores in enumeration order, and the summed counters.
+fn delta_scan(
+    shape: &EnsembleShape,
+    budget: NodeBudget,
+    opts: &ScanOptions,
+    evaluator: impl Fn() -> DeltaEvaluator + Sync,
+) -> (Vec<(u64, u64, usize, bool)>, DeltaCounters) {
+    let outcome = scan_placements(
+        shape,
+        budget,
+        &ScanOptions { top_k: 0, ..*opts },
+        evaluator,
+        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<FastScore>> {
+            evaluator.score_delta(c.assignment, c.first_changed).map(Some)
+        },
+        |_, _, score| bits(&score),
+        DeltaEvaluator::take_counters,
+        |score| score.objective,
+        || false,
+        |_| {},
+    )
+    .expect("delta scan");
+    let counters = outcome.delta;
+    (outcome.into_values(), counters)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Evaluators backed by one shared [`SolveCache`] — already warmed
+    /// by a *different* shape, tiny enough to evict on every insert or
+    /// roomy, at any worker count and chunk size — return exactly what
+    /// private evaluators and the from-scratch oracle return.
+    #[test]
+    fn a_shared_solve_cache_never_changes_a_bit(
+        shape in shape_strategy(),
+        warmer in shape_strategy(),
+        max_nodes in 1usize..=4,
+        capacity in prop::sample::select(vec![0usize, 1, 2, 1024]),
+    ) {
+        let budget = NodeBudget { max_nodes, cores_per_node: 32 };
+        let placements = enumerate_placements(&shape, max_nodes, budget.cores_per_node);
+        prop_assume!(!placements.is_empty());
+        let base = base_config(shape.materialize(&placements[0]));
+        let want = oracle_scores(&base, &shape, budget);
+        let serial = ScanOptions { workers: 1, ..ScanOptions::default() };
+        let (private, _) = delta_scan(&shape, budget, &serial, || DeltaEvaluator::new(&base, &shape));
+        prop_assert_eq!(&private, &want);
+
+        let solves = Arc::new(SolveCache::with_capacity(&base, capacity));
+        let (warmed, _) = delta_scan(&warmer, budget, &ScanOptions::default(), || {
+            DeltaEvaluator::with_solve_cache(&base, &warmer, &solves)
+        });
+        prop_assert_eq!(&warmed, &oracle_scores(&base, &warmer, budget));
+        // 0 resolves from `ENSEMBLE_SCAN_WORKERS`, the CI sweep axis.
+        for workers in [0usize, 1, 2, 8] {
+            for chunk in [1usize, 32, placements.len() + 1] {
+                let opts = ScanOptions { workers, chunk, top_k: 0 };
+                let (got, counters) = delta_scan(&shape, budget, &opts, || {
+                    DeltaEvaluator::with_solve_cache(&base, &shape, &solves)
+                });
+                prop_assert_eq!(&got, &want, "workers={} chunk={}", workers, chunk);
+                prop_assert!(counters.solve_hits + counters.solve_misses > 0);
+                prop_assert!(solves.held() <= capacity, "{} solves held", solves.held());
+            }
+        }
+        if capacity == 1024 {
+            // Everything this shape needs is in the cache by now: a
+            // fresh evaluator never runs the solver.
+            let (_, counters) = delta_scan(&shape, budget, &serial, || {
+                DeltaEvaluator::with_solve_cache(&base, &shape, &solves)
+            });
+            prop_assert_eq!(counters.solve_misses, 0);
+        }
+    }
+
+    /// Two scans of different shapes filling one cache at the same time
+    /// each still match their oracle.
+    #[test]
+    fn concurrent_scans_share_one_cache_bit_identically(
+        left in shape_strategy(),
+        right in shape_strategy(),
+        max_nodes in 2usize..=4,
+        capacity in prop::sample::select(vec![1usize, 2, 1024]),
+    ) {
+        let budget = NodeBudget { max_nodes, cores_per_node: 32 };
+        let base = base_config(left.materialize(&vec![0; left.num_components()]));
+        let solves = Arc::new(SolveCache::with_capacity(&base, capacity));
+        let start = Barrier::new(2);
+        let scan = |shape: &EnsembleShape| {
+            start.wait();
+            delta_scan(shape, budget, &ScanOptions { chunk: 2, ..ScanOptions::default() }, || {
+                DeltaEvaluator::with_solve_cache(&base, shape, &solves)
+            })
+            .0
+        };
+        let (got_left, got_right) = std::thread::scope(|scope| {
+            let other = scope.spawn(|| scan(&right));
+            (scan(&left), other.join().expect("scanning thread"))
+        });
+        prop_assert_eq!(got_left, oracle_scores(&base, &left, budget));
+        prop_assert_eq!(got_right, oracle_scores(&base, &right, budget));
+    }
 
     /// Random sequences of feasible assignments — arbitrary jumps, no
     /// shared-prefix structure at all — score bit-identically to a
@@ -197,6 +329,7 @@ proptest! {
             |evaluator: &mut FastEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
                 Ok(Some(evaluator.score(&shape.materialize(c.assignment))?.objective))
             },
+            |_, _, v| v,
             |_| DeltaCounters::default(),
             |obj| *obj,
             || false,
@@ -216,6 +349,7 @@ proptest! {
                 |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
                     Ok(Some(evaluator.score_delta(c.assignment, c.first_changed)?.objective))
                 },
+                |_, _, v| v,
                 DeltaEvaluator::take_counters,
                 |obj| *obj,
                 || false,
@@ -329,4 +463,97 @@ fn conservative_hints_are_accepted() {
         FastEvaluator::new(&base).score(&shape.materialize(&[0, 0, 1, 2])).expect("reference");
     assert_eq!(got.objective.to_bits(), want.objective.to_bits());
     assert_eq!(got.ensemble_makespan.to_bits(), want.ensemble_makespan.to_bits());
+}
+
+#[test]
+fn a_poisoned_evaluator_leaves_the_shared_cache_sound() {
+    // 40 cores on node 0 abort the solve half way (`InsufficientCores`)
+    // after the evaluator has already filed solves in the shared cache.
+    // The same evaluator, reused, and a fresh one backed by the same
+    // cache must both stay bit-identical to the oracle.
+    let shape = EnsembleShape::uniform(2, 16, 1, 8);
+    let base = base_config(shape.materialize(&[0, 0, 1, 1]));
+    let solves = Arc::new(SolveCache::new(&base));
+    let mut first = DeltaEvaluator::with_solve_cache(&base, &shape, &solves);
+    assert_scores_match(&base, &shape, &mut first, &[0, 0, 1, 1]);
+    assert!(first.score(&[0, 0, 0, 1]).is_err(), "overloaded node must error");
+    let held = solves.held();
+    assert!(held > 0, "the first score filed its solves");
+    let mut second = DeltaEvaluator::with_solve_cache(&base, &shape, &solves);
+    for assignment in [[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [0, 1, 2, 2]] {
+        assert_scores_match(&base, &shape, &mut first, &assignment);
+        assert_scores_match(&base, &shape, &mut second, &assignment);
+    }
+    assert!(second.counters().solve_hits > 0);
+    assert!(solves.held() >= held);
+}
+
+#[test]
+fn workload_maps_sharing_a_cache_never_answer_each_other() {
+    // Profiles are interned by value: the small and the paper map name
+    // different workloads, so an occupancy solved under one is never
+    // served to the other even out of the very same cache.
+    let shape = EnsembleShape::uniform(2, 16, 1, 8);
+    let budget = NodeBudget { max_nodes: 3, cores_per_node: 32 };
+    let small = base_config(shape.materialize(&[0, 0, 1, 1]));
+    let paper = SimRunConfig::paper(shape.materialize(&[0, 0, 1, 1]));
+    let serial = ScanOptions { workers: 1, ..ScanOptions::default() };
+    let alone = |base: &SimRunConfig| {
+        let solves = Arc::new(SolveCache::new(base));
+        delta_scan(&shape, budget, &serial, || {
+            DeltaEvaluator::with_solve_cache(base, &shape, &solves)
+        })
+    };
+    let (small_alone, small_counters) = alone(&small);
+    let (paper_alone, paper_counters) = alone(&paper);
+    assert_ne!(small_alone, paper_alone, "the two maps must actually differ");
+    assert_eq!(small_alone, oracle_scores(&small, &shape, budget));
+    assert_eq!(paper_alone, oracle_scores(&paper, &shape, budget));
+
+    let solves = Arc::new(SolveCache::new(&small));
+    for _ in 0..2 {
+        for (base, want, cold) in
+            [(&small, &small_alone, small_counters), (&paper, &paper_alone, paper_counters)]
+        {
+            let (got, counters) = delta_scan(&shape, budget, &serial, || {
+                DeltaEvaluator::with_solve_cache(base, &shape, &solves)
+            });
+            assert_eq!(&got, want);
+            // Hit or miss, every touched node is counted once.
+            assert_eq!(
+                counters.solve_hits + counters.solve_misses,
+                cold.solve_hits + cold.solve_misses
+            );
+        }
+    }
+    // First round: each map solved exactly what it solves on its own —
+    // the other map's entries answered nothing.
+    assert_eq!(solves.held() as u64, small_counters.solve_misses + paper_counters.solve_misses);
+
+    // A cache built for another platform is not consulted at all.
+    let mut compact = small.clone();
+    compact.bind_policy = hpc_platform::BindPolicy::Compact;
+    let foreign = Arc::new(SolveCache::new(&compact));
+    let (got, _) = delta_scan(&shape, budget, &serial, || {
+        DeltaEvaluator::with_solve_cache(&small, &shape, &foreign)
+    });
+    assert_eq!(got, small_alone);
+    assert_eq!(foreign.held(), 0);
+}
+
+#[test]
+fn components_too_wide_for_a_signature_bypass_the_shared_cache() {
+    // As with the private table (above): past 65 535 cores there is no
+    // signature word, so the evaluator scores uncached — and files
+    // nothing under a truncated key somebody else could be served.
+    let shape = EnsembleShape::uniform(2, 70_000, 1, 8);
+    let mut base = base_config(shape.materialize(&[0, 0, 1, 1]));
+    base.node_spec.cores_per_socket = 80_000;
+    let solves = Arc::new(SolveCache::new(&base));
+    let mut delta = DeltaEvaluator::with_solve_cache(&base, &shape, &solves);
+    for assignment in [[0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]] {
+        assert_scores_match(&base, &shape, &mut delta, &assignment);
+    }
+    assert_eq!(delta.counters().solve_hits, 0);
+    assert_eq!(solves.held(), 0);
 }

@@ -55,6 +55,7 @@ fn scan_space(
             let spec = shape.materialize(c.assignment);
             Ok(Some((c.assignment.to_vec(), evaluator.score(&spec)?.objective)))
         },
+        |_, _, v| v,
         |_| DeltaCounters::default(),
         |(_, objective)| *objective,
         || false,
@@ -134,17 +135,15 @@ proptest! {
     ) {
         let reference = enumerate_placements(&shape, max_nodes, 32);
         let mut iter = PlacementIter::new(&shape, max_nodes, 32);
-        let mut streamed = Vec::new();
-        let mut buf = Vec::new();
+        let width = shape.num_components();
+        let mut streamed: Vec<Vec<usize>> = Vec::new();
+        let (mut flat, mut hints) = (Vec::new(), Vec::new());
         loop {
-            buf.clear();
-            if iter.next_chunk(&mut buf, chunk) == 0 {
+            prop_assert_eq!(iter.yielded(), streamed.len(), "indices are the enumeration order");
+            if iter.fill_chunk(&mut flat, &mut hints, chunk) == 0 {
                 break;
             }
-            for (index, assignment) in buf.drain(..) {
-                prop_assert_eq!(index, streamed.len(), "indices are the enumeration order");
-                streamed.push(assignment);
-            }
+            streamed.extend(flat.chunks_exact(width).map(<[usize]>::to_vec));
         }
         prop_assert_eq!(streamed, reference);
     }

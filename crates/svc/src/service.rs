@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
-    scan_placements, Admission, Candidate, CoScheduler, CoschedConfig, DeltaEvaluator, NodeBudget,
-    PlacementDecision, Reservation, ScanOptions, ScanProgress,
+    scan_placements, Admission, Candidate, CoScheduler, CoschedConfig, DeltaEvaluator, FastScore,
+    NodeBudget, PlacementDecision, Reservation, ScanOptions, ScanProgress, SolveCache,
 };
 
 use crate::cache::ScoreCache;
@@ -362,6 +362,11 @@ struct Shared {
     /// Platform/workload tail of every score-cache key (see
     /// [`score_cache_key`]): `[paper, small]`.
     platform_fingerprints: [String; 2],
+    /// Node solves that outlive a request, one cache per workload scale
+    /// (`[paper, small]`): a solve is a pure function of the platform
+    /// and the resident `(workload, cores)` sequence, so later cold
+    /// scores reuse what earlier ones solved. Entry-bounded.
+    solve_caches: [Arc<SolveCache>; 2],
     /// Completed run results by job id (the original request id), the
     /// index behind `attach`. Bounded FIFO like the score cache; the
     /// journal rebuilds it across restarts.
@@ -487,6 +492,10 @@ impl Service {
             stats: SvcStats::default(),
             cache,
             platform_fingerprints: [Workloads::Paper, Workloads::Small].map(platform_fingerprint),
+            solve_caches: [Workloads::Paper, Workloads::Small].map(|workloads| {
+                let cfg = base_config(ensemble_core::EnsembleSpec::new(Vec::new()), workloads);
+                Arc::new(SolveCache::new(&cfg))
+            }),
             runs,
             journal,
             workers: config.workers,
@@ -1465,18 +1474,22 @@ fn base_config(spec: ensemble_core::EnsembleSpec, workloads: Workloads) -> SimRu
 /// replay key, so a nondeterministic rendering would silently turn both
 /// the cache and the restart warm-up into a miss machine.
 fn score_cache_key(score: &ScoreRequest, platform_fingerprints: &[String; 2]) -> String {
-    let [paper, small] = platform_fingerprints;
     format!(
         "score:v2|shape={:?}|max_nodes={}|cores_per_node={}|steps={}{}",
         score.shape.members,
         score.budget.max_nodes,
         score.budget.cores_per_node,
         score.steps,
-        match score.workloads {
-            Workloads::Paper => paper,
-            Workloads::Small => small,
-        },
+        per_workloads(platform_fingerprints, score.workloads),
     )
+}
+
+/// The entry of a `[paper, small]` pair that `workloads` selects.
+fn per_workloads<T>([paper, small]: &[T; 2], workloads: Workloads) -> &T {
+    match workloads {
+        Workloads::Paper => paper,
+        Workloads::Small => small,
+    }
 }
 
 /// The part of a score-cache key that depends only on the workload
@@ -1644,29 +1657,36 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
     // Delta scoring: per-worker evaluators re-solve only nodes whose
     // occupancy changed between successive candidates — bit-identical
     // to the from-scratch path, so cache keys and journal replays are
-    // unaffected.
+    // unaffected. A node occupancy no evaluator of this request has
+    // seen is looked up in the service's solve cache before it is
+    // solved: an earlier request has usually solved it.
+    let solves = per_workloads(&shared.solve_caches, score.workloads);
     let outcome = scan_placements(
         &score.shape,
         score.budget,
         &opts,
-        || DeltaEvaluator::new(&cfg, &score.shape),
+        || DeltaEvaluator::with_solve_cache(&cfg, &score.shape, solves),
         |evaluator: &mut DeltaEvaluator,
          c: Candidate<'_>|
-         -> Result<Option<RankedPlacement>, ExecError> {
+         -> Result<Option<FastScore>, ExecError> {
             let assignment = c.assignment;
-            let fs = evaluator
+            evaluator
                 .score_delta(assignment, c.first_changed)
-                .map_err(|e| ExecError::Invalid(format!("candidate {assignment:?}: {e}")))?;
-            Ok(Some(RankedPlacement {
-                assignment: assignment.to_vec(),
-                objective: fs.objective,
-                nodes_used: fs.nodes_used,
-                ensemble_makespan: fs.ensemble_makespan,
-                eq4_satisfied: fs.eq4_satisfied,
-            }))
+                .map(Some)
+                .map_err(|e| ExecError::Invalid(format!("candidate {assignment:?}: {e}")))
+        },
+        // A row (and its copy of the assignment) is built only for a
+        // candidate the ranking keeps: all of them when it is full,
+        // the running best `top_k` when it is bounded.
+        |_, c, fs| RankedPlacement {
+            assignment: c.assignment.to_vec(),
+            objective: fs.objective,
+            nodes_used: fs.nodes_used,
+            ensemble_makespan: fs.ensemble_makespan,
+            eq4_satisfied: fs.eq4_satisfied,
         },
         DeltaEvaluator::take_counters,
-        |p: &RankedPlacement| p.objective,
+        |fs: &FastScore| fs.objective,
         || job.cancel.is_cancelled() || job.deadline_at.is_some_and(|at| Instant::now() >= at),
         |p: &ScanProgress| {
             if let Some(emitter) = &emitter {

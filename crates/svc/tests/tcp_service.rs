@@ -349,6 +349,42 @@ fn malformed_json_yields_structured_error_not_a_dead_connection() {
 }
 
 #[test]
+fn absurd_max_nodes_is_the_component_count_not_an_allocation() {
+    // `max_nodes` comes off the wire as a bare integer. The enumerator
+    // once sized a vector by it, so this line aborted the whole server
+    // process on a 16-petabyte allocation. No component can sit above
+    // the node numbered like it, so the space — and the ranking — is
+    // exactly that of `max_nodes = components`.
+    let handle = server(1, 8);
+    let mut client = SvcClient::connect(handle.addr()).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let score = |max_nodes: u64| {
+        format!(
+            "{{\"type\":\"score\",\"id\":{max_nodes},\"members\":[{{\"sim_cores\":16,\"analyses\":[8]}},\
+             {{\"sim_cores\":16,\"analyses\":[8]}}],\"max_nodes\":{max_nodes},\"cores_per_node\":32,\
+             \"steps\":6,\"workloads\":\"small\"}}"
+        )
+    };
+    let mut ranking = |max_nodes: u64| match client.request_raw(&score(max_nodes)).expect("reply") {
+        Response::ScoreResult { placements, cached, candidates_scanned, .. } => {
+            assert!(!cached, "the budget is part of the cache key");
+            (placements.to_vec(), candidates_scanned)
+        }
+        other => panic!("max_nodes {max_nodes}: expected a ranking, got {other:?}"),
+    };
+    let absurd = ranking(4_000_000_000_000_000);
+    let at_components = ranking(4);
+    assert!(!absurd.0.is_empty());
+    assert_eq!(absurd, at_components);
+    // And the server is still there for the next request.
+    match client.request(&small_score_request(11, 2, 16, 1, 8, 3)).expect("still serving") {
+        Response::ScoreResult { id, .. } => assert_eq!(id, 11),
+        other => panic!("expected score result, got {other:?}"),
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn handler_panic_is_a_structured_internal_error_not_a_dead_connection() {
     // The fault-injection hook panics the front end on request id 66;
     // the server must contain it to that one request.
