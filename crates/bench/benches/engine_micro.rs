@@ -1,47 +1,11 @@
-//! Microbenchmarks of the substrates: discrete-event engine throughput,
-//! the interference fixed-point solver, and the closed-form predictor —
-//! the hot paths behind every experiment.
+//! Microbenchmarks of the substrates: the interference fixed-point
+//! solver and the closed-form predictor. (The discrete-event engine's
+//! rows moved to `des_throughput`, which writes `BENCH_des.json`.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ensemble_core::ConfigId;
 use hpc_platform::{BindPolicy, InterferenceModel, PlacedWorkload, Platform};
-use sim_des::{Engine, Poll, Process, SimDuration};
 use std::hint::black_box;
-
-/// A process that sleeps a fixed interval `n` times.
-struct Ticker {
-    remaining: u64,
-}
-
-impl Process<u64> for Ticker {
-    fn poll(&mut self, state: &mut u64, _ctx: &mut sim_des::Context) -> Poll {
-        *state += 1;
-        if self.remaining == 0 {
-            return Poll::Done;
-        }
-        self.remaining -= 1;
-        Poll::Sleep(SimDuration::from_micros(10))
-    }
-}
-
-fn bench_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_engine");
-    for events in [10_000u64, 100_000] {
-        group.throughput(Throughput::Elements(events));
-        group.bench_with_input(BenchmarkId::from_parameter(events), &events, |b, &n| {
-            b.iter(|| {
-                let mut engine = Engine::new(0u64);
-                // 10 interleaved processes sharing the clock.
-                for _ in 0..10 {
-                    engine.spawn(Box::new(Ticker { remaining: n / 10 }));
-                }
-                engine.run();
-                black_box(engine.events_fired())
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_interference_solver(c: &mut Criterion) {
     let spec = hpc_platform::cori::cori_node();
@@ -77,5 +41,5 @@ fn bench_predictor(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_engine, bench_interference_solver, bench_predictor);
+criterion_group!(benches, bench_interference_solver, bench_predictor);
 criterion_main!(benches);

@@ -5,6 +5,8 @@
 //! * [`trace`] — timestamped stage intervals recorded by either runtime
 //!   (virtual or wall-clock seconds), reducible to the steady-state
 //!   per-step samples the model consumes;
+//! * [`summary`] — the same reduction without the intervals: the sink a
+//!   run records into when only a report is wanted;
 //! * [`traditional`] — the Table 1 component metrics (execution time,
 //!   LLC miss ratio, memory intensity, IPC) derived from synthetic
 //!   hardware counters;
@@ -24,6 +26,7 @@ pub mod export;
 pub mod gantt;
 pub mod makespan;
 pub mod report;
+pub mod summary;
 pub mod trace;
 pub mod traditional;
 
@@ -33,5 +36,6 @@ pub use export::{components_csv, members_csv, trace_csv};
 pub use gantt::{render_gantt, GanttOptions};
 pub use makespan::{ensemble_makespan, member_makespan};
 pub use report::{ComponentReport, EnsembleReport, MemberReport};
+pub use summary::{MemberStages, StageSink, StageSummary};
 pub use trace::{ExecutionTrace, StageInterval, TraceRecorder};
 pub use traditional::TraditionalMetrics;

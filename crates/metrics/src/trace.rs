@@ -10,6 +10,8 @@ use ensemble_core::{ComponentRef, MemberStepSamples, StageKind};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::summary::{StageSink, StageSummary};
+
 /// One recorded stage execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageInterval {
@@ -110,6 +112,45 @@ impl ExecutionTrace {
                 })
                 .collect(),
         }
+    }
+
+    /// The whole trace reduced in one pass, for members with `ks[i]`
+    /// analyses each: every series is exactly what [`stage_series`]
+    /// returns (equal steps keep recording order) and every span what
+    /// [`component_span`] returns.
+    ///
+    /// [`stage_series`]: ExecutionTrace::stage_series
+    /// [`component_span`]: ExecutionTrace::component_span
+    pub fn summarize(&self, ks: impl IntoIterator<Item = usize>) -> StageSummary {
+        let ks: Vec<usize> = ks.into_iter().collect();
+        let components: usize = ks.iter().map(|k| 1 + k).sum();
+        let mut summary = StageSummary::new(ks, self.len() / (2 * components).max(1));
+        // Highest step each component has recorded so far. The simulated
+        // runtime records in step order and the pass is all there is to
+        // do; a component that steps back (a restarted threaded member)
+        // has its series redone through the sorting filter.
+        let mut highest: Vec<Vec<u64>> =
+            summary.members.iter().map(|m| vec![0; m.spans.len()]).collect();
+        let mut unsorted: Vec<ComponentRef> = Vec::new();
+        for i in &self.intervals {
+            let c = i.component;
+            if let Some(seen) = highest.get_mut(c.member).and_then(|m| m.get_mut(c.slot)) {
+                if i.step < *seen && !unsorted.contains(&c) {
+                    unsorted.push(c);
+                }
+                *seen = (*seen).max(i.step);
+            }
+            summary.record(c, i.kind, i.step, i.start, i.end);
+        }
+        for c in unsorted {
+            for kind in [StageKind::Simulate, StageKind::Write, StageKind::Read, StageKind::Analyze]
+            {
+                if let Some(series) = summary.members[c.member].series_mut(c.slot, kind) {
+                    *series = self.stage_series(c, kind);
+                }
+            }
+        }
+        summary
     }
 
     /// Total time `c` spent in stages of `kind`.

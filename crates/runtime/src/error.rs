@@ -31,6 +31,15 @@ pub enum RuntimeError {
     },
     /// The run produced no usable samples (e.g. zero steps requested).
     NoSamples,
+    /// More in situ steps than a simulated run of this many components
+    /// accepts ([`MAX_SIM_STEPS`](crate::MAX_SIM_STEPS),
+    /// [`MAX_SIM_COMPONENT_STEPS`](crate::MAX_SIM_COMPONENT_STEPS)).
+    TooManySteps {
+        /// Steps asked for.
+        requested: u64,
+        /// The most this ensemble may ask for.
+        max: u64,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -49,6 +58,12 @@ impl fmt::Display for RuntimeError {
                 write!(f, "injected kill (member {member}, step {step})")
             }
             RuntimeError::NoSamples => write!(f, "run produced no samples (n_steps must be ≥ 1)"),
+            RuntimeError::TooManySteps { requested, max } => {
+                write!(
+                    f,
+                    "{requested} in situ steps requested; a simulated run of this ensemble takes at most {max}"
+                )
+            }
         }
     }
 }

@@ -44,10 +44,11 @@ pub use in_transit::{run_threaded_in_transit, InTransitExecution};
 pub use predictor::{
     predict, predict_scores, EnsemblePrediction, MemberPrediction, ScorePrediction,
 };
-pub use report_builder::{build_report, build_threaded_report};
+pub use report_builder::{build_report, build_summary_report, build_threaded_report};
 pub use runner::EnsembleRunner;
 pub use sim_exec::{
-    run_simulated, run_simulated_observed, CouplingMode, SimExecution, SimRunConfig,
+    run_simulated, run_simulated_observed, run_summarized, CouplingMode, SimExecution,
+    SimRunConfig, SimSummary, MAX_SIM_COMPONENT_STEPS, MAX_SIM_STEPS,
 };
 pub use thread_exec::{
     run_threaded, ChaosStaging, KernelChoice, MemberOutcome, RestartPolicy, ThreadExecution,

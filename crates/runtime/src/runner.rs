@@ -4,7 +4,7 @@ use ensemble_core::{ConfigId, EnsembleSpec, WarmupPolicy};
 use metrics::EnsembleReport;
 
 use crate::error::RuntimeResult;
-use crate::sim_exec::{run_simulated, SimExecution, SimRunConfig};
+use crate::sim_exec::{run_simulated, run_summarized, SimExecution, SimRunConfig};
 use crate::workload_map::WorkloadMap;
 
 /// Builder for simulated ensemble runs.
@@ -96,8 +96,8 @@ impl EnsembleRunner {
 
     /// Executes the run and builds the full report.
     pub fn run(&self) -> RuntimeResult<EnsembleReport> {
-        let exec = self.execute()?;
-        crate::report_builder::build_report(
+        let exec = run_summarized(&self.config, &mut |_, _| {})?;
+        crate::report_builder::build_summary_report(
             &self.label,
             &self.config.spec,
             &exec,

@@ -18,7 +18,7 @@ use hpc_platform::{
     BindPolicy, CoreAllocation, InterferenceModel, NetworkSpec, NodeSpec, PerfEstimate,
     PlacedWorkload, Platform,
 };
-use metrics::{ExecutionTrace, StageInterval};
+use metrics::{ExecutionTrace, StageSink, StageSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_des::{Context, Engine, Poll, Process, RunOutcome, Signal, SimDuration};
@@ -103,6 +103,21 @@ impl SimRunConfig {
     }
 }
 
+/// The most in situ steps a simulated run accepts, whatever its size.
+/// The paper's runs are 37 steps.
+pub const MAX_SIM_STEPS: u64 = 100_000;
+
+/// The most component-steps (components × in situ steps) a simulated run
+/// accepts: a six-component ensemble at [`MAX_SIM_STEPS`]. The DES run is
+/// not interruptible and holds one duration per step and component (a
+/// full trace, three intervals more), so this product — both factors
+/// reach this crate straight off the service's wire — is what bounds a
+/// request's time and memory: at the cap a run fires some four million
+/// events (well under a second) and its full trace is ~70 MB. An
+/// ensemble of more components gets proportionally fewer steps
+/// ([`RuntimeError::TooManySteps`] names its share).
+pub const MAX_SIM_COMPONENT_STEPS: u64 = 6 * MAX_SIM_STEPS;
+
 /// Everything a simulated run produces.
 #[derive(Debug, Clone)]
 pub struct SimExecution {
@@ -117,6 +132,22 @@ pub struct SimExecution {
     pub lost_frames: Vec<u64>,
     /// Modeled steady-state power draw per node, watts (before any cap).
     pub node_power_watts: HashMap<usize, f64>,
+}
+
+/// A simulated run reduced as it ran: what [`run_summarized`] returns to
+/// callers that only build a report
+/// ([`build_summary_report`](crate::build_summary_report)).
+#[derive(Debug, Clone)]
+pub struct SimSummary {
+    /// The `S/W/R/A` series and component spans, in virtual seconds.
+    pub stages: StageSummary,
+    /// Solved steady-state performance per component.
+    pub estimates: HashMap<ComponentRef, PerfEstimate>,
+    /// Frames dropped per member (always zero under synchronous
+    /// coupling).
+    pub lost_frames: Vec<u64>,
+    /// DES events the run fired.
+    pub events: u64,
 }
 
 /// Per-member coupling state inside the DES.
@@ -221,14 +252,15 @@ impl Coupling {
     }
 }
 
-struct SimState<'a> {
+struct SimState<'a, K> {
     couplings: Vec<Coupling>,
-    intervals: Vec<StageInterval>,
+    /// Where the components record their stages: the caller's choice of
+    /// every interval (`Vec<StageInterval>`) or the reduction reports
+    /// are built from ([`StageSummary`]).
+    sink: K,
     /// Fired each time a member's simulation finishes writing a step
     /// (`(member index, steps completed)`), in virtual-time order. The
-    /// no-op default keeps [`run_simulated`] allocation-free; the
-    /// provisioning service threads a progress forwarder through
-    /// [`run_simulated_observed`].
+    /// provisioning service threads a progress forwarder through it.
     on_step: &'a mut dyn FnMut(usize, u64),
 }
 
@@ -255,8 +287,8 @@ struct SimProc {
     idle_started: f64,
 }
 
-impl<'a> Process<SimState<'a>> for SimProc {
-    fn poll(&mut self, state: &mut SimState<'a>, ctx: &mut Context) -> Poll {
+impl<'a, K: StageSink> Process<SimState<'a, K>> for SimProc {
+    fn poll(&mut self, state: &mut SimState<'a, K>, ctx: &mut Context) -> Poll {
         let now = ctx.now().as_secs_f64();
         let me = ComponentRef::simulation(self.member);
         loop {
@@ -274,13 +306,7 @@ impl<'a> Process<SimState<'a>> for SimProc {
                     ));
                 }
                 SimPhase::Computing => {
-                    state.intervals.push(StageInterval {
-                        component: me,
-                        kind: StageKind::Simulate,
-                        step: self.step,
-                        start: self.stage_started,
-                        end: now,
-                    });
+                    state.sink.record(me, StageKind::Simulate, self.step, self.stage_started, now);
                     if state.couplings[self.member].may_write(self.step) {
                         self.stage_started = now;
                         self.phase = SimPhase::Writing;
@@ -292,13 +318,13 @@ impl<'a> Process<SimState<'a>> for SimProc {
                 }
                 SimPhase::WaitingSlot => {
                     if state.couplings[self.member].may_write(self.step) {
-                        state.intervals.push(StageInterval {
-                            component: me,
-                            kind: StageKind::SimIdle,
-                            step: self.step,
-                            start: self.idle_started,
-                            end: now,
-                        });
+                        state.sink.record(
+                            me,
+                            StageKind::SimIdle,
+                            self.step,
+                            self.idle_started,
+                            now,
+                        );
                         self.stage_started = now;
                         self.phase = SimPhase::Writing;
                         return Poll::Sleep(SimDuration::from_secs_f64(self.write_secs));
@@ -306,13 +332,7 @@ impl<'a> Process<SimState<'a>> for SimProc {
                     return Poll::WaitSignal(signal_of(self.member));
                 }
                 SimPhase::Writing => {
-                    state.intervals.push(StageInterval {
-                        component: me,
-                        kind: StageKind::Write,
-                        step: self.step,
-                        start: self.stage_started,
-                        end: now,
-                    });
+                    state.sink.record(me, StageKind::Write, self.step, self.stage_started, now);
                     state.couplings[self.member].record_write(self.step);
                     ctx.emit(signal_of(self.member));
                     self.step += 1;
@@ -354,8 +374,8 @@ struct AnaProc {
     idle_started: f64,
 }
 
-impl<'a> Process<SimState<'a>> for AnaProc {
-    fn poll(&mut self, state: &mut SimState<'a>, ctx: &mut Context) -> Poll {
+impl<'a, K: StageSink> Process<SimState<'a, K>> for AnaProc {
+    fn poll(&mut self, state: &mut SimState<'a, K>, ctx: &mut Context) -> Poll {
         let now = ctx.now().as_secs_f64();
         let me = ComponentRef::analysis(self.member, self.slot);
         loop {
@@ -391,13 +411,13 @@ impl<'a> Process<SimState<'a>> for AnaProc {
                             // The wait for data is the analysis idle
                             // stage (paper: Iᴬ), recorded against the
                             // frame it awaited.
-                            state.intervals.push(StageInterval {
-                                component: me,
-                                kind: StageKind::AnaIdle,
-                                step: frame,
-                                start: self.idle_started,
-                                end: now,
-                            });
+                            state.sink.record(
+                                me,
+                                StageKind::AnaIdle,
+                                frame,
+                                self.idle_started,
+                                now,
+                            );
                             self.current_frame = frame;
                             self.stage_started = now;
                             self.phase = AnaPhase::Reading;
@@ -407,13 +427,13 @@ impl<'a> Process<SimState<'a>> for AnaProc {
                     }
                 }
                 AnaPhase::Reading => {
-                    state.intervals.push(StageInterval {
-                        component: me,
-                        kind: StageKind::Read,
-                        step: self.current_frame,
-                        start: self.stage_started,
-                        end: now,
-                    });
+                    state.sink.record(
+                        me,
+                        StageKind::Read,
+                        self.current_frame,
+                        self.stage_started,
+                        now,
+                    );
                     // The slot is released only when the read completes,
                     // preserving Wᵢ ≺ Rᵢ ≺ Wᵢ₊₁ under synchronous
                     // coupling.
@@ -425,13 +445,13 @@ impl<'a> Process<SimState<'a>> for AnaProc {
                     return Poll::Sleep(SimDuration::from_secs_f64(self.compute_secs[idx]));
                 }
                 AnaPhase::Analyzing => {
-                    state.intervals.push(StageInterval {
-                        component: me,
-                        kind: StageKind::Analyze,
-                        step: self.current_frame,
-                        start: self.stage_started,
-                        end: now,
-                    });
+                    state.sink.record(
+                        me,
+                        StageKind::Analyze,
+                        self.current_frame,
+                        self.stage_started,
+                        now,
+                    );
                     self.consumed += 1;
                     self.phase = AnaPhase::StartStep;
                 }
@@ -458,7 +478,8 @@ fn jittered(base: f64, steps: u64, jitter: f64, rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-/// Runs the ensemble on the simulated platform.
+/// Runs the ensemble on the simulated platform, recording every stage
+/// interval.
 pub fn run_simulated(cfg: &SimRunConfig) -> RuntimeResult<SimExecution> {
     run_simulated_observed(cfg, &mut |_, _| {})
 }
@@ -472,10 +493,67 @@ pub fn run_simulated_observed(
     cfg: &SimRunConfig,
     on_step: &mut dyn FnMut(usize, u64),
 ) -> RuntimeResult<SimExecution> {
+    let solved = solve(cfg)?;
+    // A component records at most three stages per step (idle included).
+    let intervals = Vec::with_capacity(solved.allocations.len() * cfg.n_steps as usize * 3);
+    let (intervals, lost_frames, _) = play(cfg, &solved, intervals, on_step);
+    Ok(SimExecution {
+        trace: ExecutionTrace::new(intervals),
+        estimates: solved.estimates,
+        allocations: solved.allocations,
+        lost_frames,
+        node_power_watts: solved.node_power_watts,
+    })
+}
+
+/// The same run for a caller that only wants the report: the components
+/// record into a [`StageSummary`] instead of a trace, and
+/// [`build_summary_report`](crate::build_summary_report) gives, bit for
+/// bit, the report [`run_simulated`] + [`build_report`](crate::build_report)
+/// give. `on_step` is [`run_simulated_observed`]'s observer (pass
+/// `&mut |_, _| {}` for none).
+pub fn run_summarized(
+    cfg: &SimRunConfig,
+    on_step: &mut dyn FnMut(usize, u64),
+) -> RuntimeResult<SimSummary> {
+    let solved = solve(cfg)?;
+    let stages = StageSummary::new(cfg.spec.members.iter().map(|m| m.k()), cfg.n_steps as usize);
+    let (stages, lost_frames, events) = play(cfg, &solved, stages, on_step);
+    Ok(SimSummary { stages, estimates: solved.estimates, lost_frames, events })
+}
+
+/// What is settled before the first event: where every component runs
+/// and how fast.
+struct Solved {
+    estimates: HashMap<ComponentRef, PerfEstimate>,
+    allocations: HashMap<ComponentRef, CoreAllocation>,
+    component_node: HashMap<ComponentRef, usize>,
+    node_power_watts: HashMap<usize, f64>,
+    /// Events the DES may fire before the run counts as livelocked.
+    event_budget: u64,
+}
+
+/// Validates the run, places every component and solves each node's
+/// steady state.
+fn solve(cfg: &SimRunConfig) -> RuntimeResult<Solved> {
     cfg.spec.validate(Some(cfg.node_spec.cores_per_node()))?;
     if cfg.n_steps == 0 {
         return Err(RuntimeError::NoSamples);
     }
+    // Nothing below may be sized by a step count or a component-step
+    // product the caps have not admitted.
+    let components: u64 = cfg.spec.members.iter().map(|m| 1 + m.k() as u64).sum();
+    let max_steps = MAX_SIM_STEPS.min(MAX_SIM_COMPONENT_STEPS / components.max(1));
+    let too_many = RuntimeError::TooManySteps { requested: cfg.n_steps, max: max_steps };
+    if cfg.n_steps > max_steps {
+        return Err(too_many);
+    }
+    // Livelock guard: each component needs a handful of events per step.
+    let event_budget = components
+        .checked_mul(cfg.n_steps)
+        .and_then(|n| n.checked_mul(16))
+        .and_then(|n| n.checked_add(10_000))
+        .ok_or(too_many)?;
 
     // --- Placement: allocate cores for every component. ---
     let num_nodes = cfg.spec.node_set().iter().copied().max().map_or(0, |m| m + 1);
@@ -535,6 +613,19 @@ pub fn run_simulated_observed(
         }
     }
 
+    Ok(Solved { estimates, allocations, component_node, node_power_watts, event_budget })
+}
+
+/// Plays the coupling protocol out on the DES, every component recording
+/// into `sink`. Returns the sink, the frames each member lost and the
+/// number of events fired.
+fn play<K: StageSink>(
+    cfg: &SimRunConfig,
+    solved: &Solved,
+    sink: K,
+    on_step: &mut dyn FnMut(usize, u64),
+) -> (K, Vec<u64>, u64) {
+    let Solved { estimates, component_node, event_budget, .. } = solved;
     // --- Staging costs (W/R stages) from locality. ---
     let cost = StagingCostModel::from_platform(&cfg.node_spec, &cfg.network);
     let chunk = cfg.workloads.chunk_bytes;
@@ -559,7 +650,7 @@ pub fn run_simulated_observed(
                 }),
             })
             .collect(),
-        intervals: Vec::new(),
+        sink,
         on_step,
     };
     let mut engine = Engine::new(state);
@@ -604,28 +695,22 @@ pub fn run_simulated_observed(
         }
     }
 
-    // Livelock guard: each component needs a handful of events per step.
-    let components: u64 = cfg.spec.members.iter().map(|m| 1 + m.k() as u64).sum();
-    engine.set_event_budget(components * cfg.n_steps * 16 + 10_000);
+    engine.set_event_budget(*event_budget);
     let outcome = engine.run();
     debug_assert_eq!(outcome, RunOutcome::Quiescent, "simulated run did not drain");
     assert!(engine.all_finished(), "some components did not complete all steps");
 
+    let events = engine.events_fired();
     let state = engine.into_state();
-    let lost_frames: Vec<u64> = state.couplings.iter().map(Coupling::lost).collect();
-    Ok(SimExecution {
-        trace: ExecutionTrace::new(state.intervals),
-        estimates,
-        allocations,
-        lost_frames,
-        node_power_watts,
-    })
+    let lost_frames = state.couplings.iter().map(Coupling::lost).collect();
+    (state.sink, lost_frames, events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ensemble_core::ConfigId;
+    use metrics::StageInterval;
 
     fn quick_config(id: ConfigId) -> SimRunConfig {
         let mut cfg = SimRunConfig::paper(id.build());
@@ -672,6 +757,33 @@ mod tests {
             assert_eq!(a.start.to_bits(), b.start.to_bits());
             assert_eq!(a.end.to_bits(), b.end.to_bits());
         }
+
+        // Nor must the choice of sink: the summary sink sees the same
+        // steps in the same order, and what it keeps is, bit for bit,
+        // what the full trace reduces to.
+        let mut seen_by_summary: Vec<(usize, u64)> = Vec::new();
+        let summarized =
+            run_summarized(&cfg, &mut |member, done| seen_by_summary.push((member, done))).unwrap();
+        assert_eq!(seen_by_summary, seen);
+        let unobserved = run_summarized(&cfg, &mut |_, _| {}).unwrap();
+        let from_trace = plain.trace.summarize(cfg.spec.members.iter().map(|m| m.k()));
+        let bits = |summary: &StageSummary| -> Vec<u64> {
+            let mut bits = Vec::new();
+            for m in &summary.members {
+                let series = m.samples.analyses.iter().flat_map(|(r, a)| [r, a]);
+                for series in [&m.samples.s, &m.samples.w].into_iter().chain(series) {
+                    bits.push(series.len() as u64);
+                    bits.extend(series.iter().map(|v| v.to_bits()));
+                }
+                for (start, end) in m.spans.iter().map(|s| s.expect("every component ran")) {
+                    bits.extend([start.to_bits(), end.to_bits()]);
+                }
+            }
+            bits
+        };
+        assert_eq!(bits(&summarized.stages), bits(&from_trace));
+        assert_eq!(bits(&unobserved.stages), bits(&from_trace));
+        assert_eq!(summarized.lost_frames, plain.lost_frames);
     }
 
     #[test]
@@ -730,6 +842,47 @@ mod tests {
         let mut cfg = quick_config(ConfigId::Cf);
         cfg.n_steps = 0;
         assert!(matches!(run_simulated(&cfg), Err(RuntimeError::NoSamples)));
+    }
+
+    #[test]
+    fn a_step_count_above_the_cap_is_refused_before_anything_is_sized_by_it() {
+        let mut cfg = quick_config(ConfigId::Cf);
+        for steps in [MAX_SIM_STEPS + 1, 4_000_000_000_000_000, u64::MAX] {
+            cfg.n_steps = steps;
+            let refused = |e: RuntimeError| {
+                matches!(e, RuntimeError::TooManySteps { requested, max }
+                    if requested == steps && max == MAX_SIM_STEPS)
+            };
+            assert!(run_simulated(&cfg).is_err_and(refused), "{steps}: full trace");
+            assert!(run_summarized(&cfg, &mut |_, _| {}).is_err_and(refused), "{steps}: summary");
+        }
+    }
+
+    #[test]
+    fn many_components_share_the_component_step_cap() {
+        // 1 000 one-core members on nodes of their own: 2 000 components,
+        // so 300 steps each is the cap and one more is refused, although
+        // the step count alone is far below `MAX_SIM_STEPS`.
+        let members = (0..1000)
+            .map(|i| {
+                ensemble_core::MemberSpec::new(
+                    ensemble_core::ComponentSpec::simulation(1, i),
+                    vec![ensemble_core::ComponentSpec::analysis(1, i)],
+                )
+            })
+            .collect();
+        let mut cfg = quick_config(ConfigId::Cf);
+        cfg.spec = EnsembleSpec::new(members);
+        let share = MAX_SIM_COMPONENT_STEPS / 2000;
+        cfg.n_steps = share + 1;
+        let refused = |e: RuntimeError| {
+            matches!(e, RuntimeError::TooManySteps { requested, max }
+                if requested == share + 1 && max == share)
+        };
+        assert!(run_simulated(&cfg).is_err_and(refused), "full trace");
+        assert!(run_summarized(&cfg, &mut |_, _| {}).is_err_and(refused), "summary");
+        cfg.n_steps = 2;
+        assert_eq!(run_simulated(&cfg).unwrap().lost_frames.len(), 1000);
     }
 
     #[test]

@@ -79,10 +79,10 @@ pub fn core_sweep(config: &CoreSweepConfig) -> RuntimeResult<SweepResult> {
         run.spec = co_location_free_member(config.sim_cores, cores);
         run.n_steps = config.steps;
         run.jitter = 0.0;
-        let exec = runtime::run_simulated(&run)?;
-        let samples = exec.trace.member_samples(0, 1);
+        let exec = runtime::run_summarized(&run, &mut |_, _| {})?;
+        let samples = &exec.stages.members[0].samples;
         let times =
-            ensemble_core::extract_steady_state(&samples, ensemble_core::WarmupPolicy::default())?;
+            ensemble_core::extract_steady_state(samples, ensemble_core::WarmupPolicy::default())?;
         let sim_busy = times.sim_busy();
         let ana_busy = times.analyses[0].busy();
         points.push(SweepPoint {

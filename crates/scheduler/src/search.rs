@@ -103,8 +103,8 @@ fn run_and_score(
 ) -> RuntimeResult<ScoredPlacement> {
     let spec = config.shape.materialize(&assignment);
     run.spec.clone_from(&spec);
-    let exec = runtime::run_simulated(run)?;
-    let report = runtime::build_report(
+    let exec = runtime::run_summarized(run, &mut |_, _| {})?;
+    let report = runtime::build_summary_report(
         "candidate",
         &spec,
         &exec,

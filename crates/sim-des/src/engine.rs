@@ -7,8 +7,9 @@
 //! * no wall-clock or OS entropy is consulted anywhere.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::event::{EventAction, EventId, EventKey, ScheduledEvent};
+use crate::event::{EventAction, EventId};
 use crate::process::{Poll, Process, ProcessId, Signal};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -49,9 +50,29 @@ pub enum RunOutcome {
 struct ProcessSlot<S> {
     process: Box<dyn Process<S>>,
     finished: bool,
-    /// True while the process has a pending poll event or is wait-listed,
-    /// preventing duplicate scheduling.
-    scheduled: bool,
+}
+
+/// Hashes a [`Signal`] with one multiply. Signals are numbers the model
+/// picks for itself (a member index, a small constant), never input from
+/// outside the program, so the default hasher's flood resistance would be
+/// paid on every wait and every emit for nothing.
+#[derive(Default)]
+struct SignalHasher(u64);
+
+impl Hasher for SignalHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A deterministic discrete-event simulation engine over shared state `S`.
@@ -59,9 +80,13 @@ pub struct Engine<S> {
     state: S,
     now: SimTime,
     queue: EventQueue<S>,
-    next_seq: u64,
     processes: Vec<ProcessSlot<S>>,
-    waiters: HashMap<Signal, Vec<ProcessId>>,
+    /// Wait lists are emptied in place by an emit and keep their
+    /// allocation for the next round of waiters.
+    waiters: HashMap<Signal, Vec<ProcessId>, BuildHasherDefault<SignalHasher>>,
+    /// The buffer every [`Context`] collects emissions into, handed from
+    /// one event to the next.
+    emitted: Vec<Signal>,
     events_fired: u64,
     event_budget: u64,
 }
@@ -73,9 +98,9 @@ impl<S> Engine<S> {
             state,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            next_seq: 0,
             processes: Vec::new(),
-            waiters: HashMap::new(),
+            waiters: HashMap::default(),
+            emitted: Vec::new(),
             events_fired: 0,
             event_budget: u64::MAX,
         }
@@ -112,7 +137,7 @@ impl<S> Engine<S> {
         self.events_fired
     }
 
-    /// Number of pending events.
+    /// Number of pending events; a cancelled event stops counting at once.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -124,7 +149,7 @@ impl<S> Engine<S> {
         F: FnOnce(&mut S, &mut Context) + Send + 'static,
     {
         assert!(at >= self.now, "cannot schedule into the past: {at} < {}", self.now);
-        self.push_event(at, EventAction::Call(Box::new(action)))
+        self.queue.push_call(at, Box::new(action))
     }
 
     /// Schedules `action` to run after `delay`.
@@ -135,7 +160,9 @@ impl<S> Engine<S> {
         self.schedule_at(self.now + delay, action)
     }
 
-    /// Cancels a pending event. Returns true if it had not fired yet.
+    /// Cancels a pending event. Returns true if it had not fired yet —
+    /// false for an event that fired, was already cancelled, or was never
+    /// issued by this engine.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
     }
@@ -143,8 +170,8 @@ impl<S> Engine<S> {
     /// Registers a process and schedules its first poll at the current time.
     pub fn spawn(&mut self, process: Box<dyn Process<S>>) -> ProcessId {
         let id = ProcessId(self.processes.len());
-        self.processes.push(ProcessSlot { process, finished: false, scheduled: true });
-        self.push_event(self.now, EventAction::PollProcess(id));
+        self.processes.push(ProcessSlot { process, finished: false });
+        self.queue.push_poll(self.now, id);
         id
     }
 
@@ -158,35 +185,31 @@ impl<S> Engine<S> {
         self.processes.iter().all(|p| p.finished)
     }
 
-    fn push_event(&mut self, at: SimTime, action: EventAction<S>) -> EventId {
-        let key = EventKey { time: at, seq: self.next_seq };
-        self.next_seq += 1;
-        let ev = ScheduledEvent { key, action, cancelled: false };
-        let id = ev.id();
-        self.queue.push(ev);
-        id
-    }
-
     /// Fires the single earliest pending event. Returns false if the queue
     /// was empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some((time, action)) = self.queue.pop_due(SimTime::MAX) else {
             return false;
         };
-        debug_assert!(ev.key.time >= self.now, "event queue went backwards");
-        self.now = ev.key.time;
+        self.fire(time, action);
+        true
+    }
+
+    fn fire(&mut self, time: SimTime, action: EventAction<S>) {
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
         self.events_fired += 1;
 
-        let mut ctx = Context { now: self.now, emitted: Vec::new() };
-        match ev.action {
+        let mut ctx = Context { now: time, emitted: std::mem::take(&mut self.emitted) };
+        match action {
             EventAction::Call(f) => f(&mut self.state, &mut ctx),
             EventAction::PollProcess(pid) => self.poll_process(pid, &mut ctx),
         }
-        let emitted = ctx.emitted;
-        for signal in emitted {
+        let mut emitted = ctx.emitted;
+        for signal in emitted.drain(..) {
             self.fire_signal(signal);
         }
-        true
+        self.emitted = emitted;
     }
 
     fn poll_process(&mut self, pid: ProcessId, ctx: &mut Context) {
@@ -194,36 +217,23 @@ impl<S> Engine<S> {
         if slot.finished {
             return;
         }
-        slot.scheduled = false;
-        // The process is temporarily detached so it can receive `&mut state`
-        // without aliasing the engine's process table.
-        let mut process = std::mem::replace(&mut slot.process, Box::new(NoopProcess));
-        let poll = process.poll(&mut self.state, ctx);
-        let slot = &mut self.processes[pid.0];
-        slot.process = process;
-        match poll {
-            Poll::Sleep(d) => {
-                slot.scheduled = true;
-                self.push_event(self.now + d, EventAction::PollProcess(pid));
-            }
-            Poll::WaitSignal(sig) => {
-                slot.scheduled = true;
-                self.waiters.entry(sig).or_default().push(pid);
-            }
-            Poll::Done => {
-                slot.finished = true;
-            }
+        // The process table and the shared state are separate fields, so
+        // the process can take `&mut state` where it stands.
+        match slot.process.poll(&mut self.state, ctx) {
+            Poll::Sleep(d) => self.queue.push_poll(self.now + d, pid),
+            Poll::WaitSignal(sig) => self.waiters.entry(sig).or_default().push(pid),
+            Poll::Done => slot.finished = true,
         }
     }
 
     fn fire_signal(&mut self, signal: Signal) {
-        let Some(waiting) = self.waiters.remove(&signal) else {
+        let Some(waiting) = self.waiters.get_mut(&signal) else {
             return;
         };
-        for pid in waiting {
+        for pid in waiting.drain(..) {
             // Wake-up = a poll scheduled at the current instant; schedule
             // order (and therefore wait order) is preserved.
-            self.push_event(self.now, EventAction::PollProcess(pid));
+            self.queue.push_poll(self.now, pid);
         }
     }
 
@@ -239,12 +249,10 @@ impl<S> Engine<S> {
             if self.events_fired >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
-            match self.queue.peek_key() {
-                None => return RunOutcome::Quiescent,
-                Some(key) if key.time > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {
-                    self.step();
-                }
+            match self.queue.pop_due(horizon) {
+                Some((time, action)) => self.fire(time, action),
+                None if self.queue.len() == 0 => return RunOutcome::Quiescent,
+                None => return RunOutcome::HorizonReached,
             }
         }
     }
@@ -252,14 +260,6 @@ impl<S> Engine<S> {
     /// Runs until the queue drains or the event budget is exhausted.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
-    }
-}
-
-/// Placeholder swapped in while a process is being polled.
-struct NoopProcess;
-impl<S> Process<S> for NoopProcess {
-    fn poll(&mut self, _state: &mut S, _ctx: &mut Context) -> Poll {
-        unreachable!("NoopProcess must never be polled")
     }
 }
 
@@ -298,6 +298,32 @@ mod tests {
         assert!(engine.cancel(id));
         engine.run();
         assert_eq!(*engine.state(), 10);
+    }
+
+    #[test]
+    fn cancel_is_true_only_for_an_event_still_pending() {
+        let mut engine = Engine::new(0u32);
+        let early = engine.schedule_in(SimDuration::from_secs(1), |s: &mut u32, _| *s += 1);
+        let late = engine.schedule_in(SimDuration::from_secs(5), |s: &mut u32, _| *s += 10);
+        assert_eq!(engine.pending_events(), 2);
+
+        assert!(engine.cancel(late));
+        assert_eq!(engine.pending_events(), 1, "the count drops at cancel, not at the head");
+        assert!(!engine.cancel(late), "double cancel");
+
+        assert!(engine.step());
+        assert!(!engine.cancel(early), "cancel after fire");
+        assert!(!engine.cancel(EventId { seq: 1 << 40, slot: 3 }), "an id never issued");
+        assert_eq!(engine.pending_events(), 0);
+
+        // The freed slots are let again; the stale ids stay dead.
+        let next = engine.schedule_in(SimDuration::from_secs(1), |s: &mut u32, _| *s += 100);
+        assert!(!engine.cancel(early) && !engine.cancel(late));
+        assert_eq!(engine.pending_events(), 1);
+        assert_eq!(engine.run(), RunOutcome::Quiescent);
+        assert_eq!(*engine.state(), 101);
+        assert_eq!(engine.events_fired(), 2, "a cancelled event never counts as fired");
+        assert!(!engine.cancel(next));
     }
 
     #[test]

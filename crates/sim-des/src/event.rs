@@ -1,32 +1,19 @@
-//! Scheduled events and their deterministic ordering.
-
-use crate::time::SimTime;
+//! Scheduled events: their ids and what they carry.
 
 /// Identifier handed back when an event is scheduled; can be used to cancel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId {
+    pub(crate) seq: u64,
+    /// Where the queue parked the event's closure; `seq` tells a slot's
+    /// current tenant from an earlier one.
+    pub(crate) slot: u32,
+}
 
 impl EventId {
     /// The raw sequence number of this event.
     pub fn raw(self) -> u64 {
-        self.0
+        self.seq
     }
-}
-
-/// The key by which pending events are ordered: primary by time, secondary
-/// by insertion sequence so that simultaneous events fire in schedule order
-/// (deterministic tie-breaking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct EventKey {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-}
-
-/// A scheduled event: an ordering key plus the action to run.
-pub(crate) struct ScheduledEvent<S> {
-    pub(crate) key: EventKey,
-    pub(crate) action: EventAction<S>,
-    pub(crate) cancelled: bool,
 }
 
 /// A boxed event callback run against the shared state and engine context.
@@ -38,26 +25,4 @@ pub(crate) enum EventAction<S> {
     Call(EventCallback<S>),
     /// Poll a registered process.
     PollProcess(crate::process::ProcessId),
-}
-
-impl<S> ScheduledEvent<S> {
-    pub(crate) fn id(&self) -> EventId {
-        EventId(self.key.seq)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::time::SimTime;
-
-    #[test]
-    fn key_orders_by_time_then_seq() {
-        let a = EventKey { time: SimTime::from_nanos(10), seq: 5 };
-        let b = EventKey { time: SimTime::from_nanos(10), seq: 6 };
-        let c = EventKey { time: SimTime::from_nanos(11), seq: 0 };
-        assert!(a < b);
-        assert!(b < c);
-        assert!(a < c);
-    }
 }

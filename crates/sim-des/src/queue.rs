@@ -1,91 +1,111 @@
-//! The pending-event queue: a binary min-heap keyed by (time, sequence).
+//! The pending-event queue: a binary min-heap of `(time, seq, target)`,
+//! so simultaneous events fire in schedule order. A closure is parked in
+//! a side slab and its entry names the slot: cancelling empties the slot
+//! (O(1), no set of cancelled ids) and the orphaned entry is dropped when
+//! it reaches the head.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-use crate::event::{EventId, EventKey, ScheduledEvent};
+use crate::event::{EventAction, EventCallback, EventId};
+use crate::process::ProcessId;
+use crate::time::SimTime;
 
-/// Min-heap of scheduled events with O(log n) push/pop and lazy cancellation.
+/// A process by index or a parked closure by slot (`seq` is unique, so
+/// the ordering never gets this far).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Target {
+    Poll(u32),
+    Call(u32),
+}
+
 pub(crate) struct EventQueue<S> {
-    heap: BinaryHeap<HeapEntry<S>>,
-    cancelled: HashSet<u64>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, Target)>>,
+    /// Per slot: its latest tenant's `seq`, and closure while pending.
+    calls: Vec<(u64, Option<EventCallback<S>>)>,
+    free: Vec<u32>,
+    next_seq: u64,
     live: usize,
-}
-
-struct HeapEntry<S>(Reverse<EventKey>, ScheduledEvent<S>);
-
-impl<S> PartialEq for HeapEntry<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl<S> Eq for HeapEntry<S> {}
-impl<S> PartialOrd for HeapEntry<S> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<S> Ord for HeapEntry<S> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
 }
 
 impl<S> EventQueue<S> {
     pub(crate) fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), cancelled: HashSet::new(), live: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            calls: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            live: 0,
+        }
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events (cancelled ones no longer count).
     pub(crate) fn len(&self) -> usize {
         self.live
     }
 
-    #[allow(dead_code)] // used by queue tests; the engine tracks via len()
-    pub(crate) fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    pub(crate) fn push(&mut self, ev: ScheduledEvent<S>) {
+    fn push(&mut self, at: SimTime, target: Target) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.live += 1;
-        self.heap.push(HeapEntry(Reverse(ev.key), ev));
+        self.heap.push(Reverse((at, seq, target)));
+        seq
     }
 
-    /// Marks an event as cancelled. Returns true if it was pending.
+    /// Schedules a poll of `pid` at `at`.
+    pub(crate) fn push_poll(&mut self, at: SimTime, pid: ProcessId) {
+        let index = u32::try_from(pid.0).expect("process table outgrew the queue's u32 indexes");
+        self.push(at, Target::Poll(index));
+    }
+
+    /// Schedules `action` at `at`.
+    pub(crate) fn push_call(&mut self, at: SimTime, action: EventCallback<S>) -> EventId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.calls.push((0, None));
+            u32::try_from(self.calls.len() - 1).expect("more than u32::MAX pending closures")
+        });
+        let seq = self.push(at, Target::Call(slot));
+        self.calls[slot as usize] = (seq, Some(action));
+        EventId { seq, slot }
+    }
+
+    fn holds(&self, slot: u32, seq: u64) -> bool {
+        self.calls.get(slot as usize).is_some_and(|(tenant, f)| *tenant == seq && f.is_some())
+    }
+
+    /// Empties `slot` for the next tenant.
+    fn vacate(&mut self, slot: u32) -> Option<EventCallback<S>> {
+        self.free.push(slot);
+        self.live -= 1;
+        self.calls[slot as usize].1.take()
+    }
+
+    /// Cancels a pending event. Returns true iff it was still pending.
     pub(crate) fn cancel(&mut self, id: EventId) -> bool {
-        if self.cancelled.insert(id.0) {
-            // The event may have already fired; the flag is only honoured
-            // when the entry is still in the heap, so probe conservatively.
-            // We cannot cheaply verify membership, so `live` is adjusted on
-            // pop instead (see `pop`).
-            true
-        } else {
-            false
-        }
+        self.holds(id.slot, id.seq) && self.vacate(id.slot).is_some()
     }
 
-    /// Earliest pending event key, skipping cancelled entries.
-    pub(crate) fn peek_key(&mut self) -> Option<EventKey> {
-        self.drop_cancelled_head();
-        self.heap.peek().map(|e| e.1.key)
-    }
-
-    /// Pops the earliest live event.
-    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<S>> {
-        self.drop_cancelled_head();
-        let entry = self.heap.pop()?;
-        self.live = self.live.saturating_sub(1);
-        Some(entry.1)
-    }
-
-    fn drop_cancelled_head(&mut self) {
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.remove(&head.1.key.seq) || head.1.cancelled {
-                self.heap.pop();
-                self.live = self.live.saturating_sub(1);
-            } else {
-                break;
+    /// Removes and returns the earliest pending event, unless there is
+    /// none or it is later than `horizon`.
+    pub(crate) fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, EventAction<S>)> {
+        loop {
+            let &Reverse((time, seq, target)) = self.heap.peek()?;
+            // A cancelled closure left this entry behind: its slot is
+            // empty, or already let to an event with a later `seq`.
+            let cancelled = matches!(target, Target::Call(slot) if !self.holds(slot, seq));
+            if !cancelled && time > horizon {
+                return None;
             }
+            self.heap.pop();
+            let action = match target {
+                _ if cancelled => continue,
+                Target::Poll(index) => {
+                    self.live -= 1;
+                    EventAction::PollProcess(ProcessId(index as usize))
+                }
+                Target::Call(slot) => EventAction::Call(self.vacate(slot).expect("held above")),
+            };
+            return Some((time, action));
         }
     }
 }
@@ -93,59 +113,76 @@ impl<S> EventQueue<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventAction;
-    use crate::time::SimTime;
 
-    fn ev(t: u64, seq: u64) -> ScheduledEvent<()> {
-        ScheduledEvent {
-            key: EventKey { time: SimTime::from_nanos(t), seq },
-            action: EventAction::Call(Box::new(|_, _| {})),
-            cancelled: false,
-        }
+    fn call(q: &mut EventQueue<()>, t: u64) -> EventId {
+        q.push_call(SimTime::from_nanos(t), Box::new(|_, _| {}))
+    }
+
+    fn pop_time(q: &mut EventQueue<()>) -> Option<u64> {
+        q.pop_due(SimTime::MAX).map(|(time, _)| time.as_nanos())
     }
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(ev(30, 0));
-        q.push(ev(10, 1));
-        q.push(ev(20, 2));
+        call(&mut q, 30);
+        call(&mut q, 10);
+        call(&mut q, 20);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().key.time, SimTime::from_nanos(10));
-        assert_eq!(q.pop().unwrap().key.time, SimTime::from_nanos(20));
-        assert_eq!(q.pop().unwrap().key.time, SimTime::from_nanos(30));
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
+        assert_eq!(pop_time(&mut q), Some(10));
+        assert_eq!(pop_time(&mut q), Some(20));
+        assert_eq!(pop_time(&mut q), Some(30));
+        assert!(q.pop_due(SimTime::MAX).is_none());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn simultaneous_events_fire_in_schedule_order() {
-        let mut q = EventQueue::new();
-        q.push(ev(10, 7));
-        q.push(ev(10, 3));
-        q.push(ev(10, 5));
-        assert_eq!(q.pop().unwrap().key.seq, 3);
-        assert_eq!(q.pop().unwrap().key.seq, 5);
-        assert_eq!(q.pop().unwrap().key.seq, 7);
+        let mut q: EventQueue<()> = EventQueue::new();
+        for pid in [7usize, 3, 5] {
+            q.push_poll(SimTime::from_nanos(10), ProcessId(pid));
+        }
+        let order: Vec<usize> = std::iter::from_fn(|| match q.pop_due(SimTime::MAX)? {
+            (_, EventAction::PollProcess(pid)) => Some(pid.0),
+            (_, EventAction::Call(_)) => None,
+        })
+        .collect();
+        assert_eq!(order, vec![7, 3, 5]);
     }
 
     #[test]
     fn cancelled_events_are_skipped() {
         let mut q = EventQueue::new();
-        q.push(ev(10, 0));
-        q.push(ev(20, 1));
-        q.cancel(EventId(0));
-        let first = q.pop().unwrap();
-        assert_eq!(first.key.seq, 1);
-        assert!(q.pop().is_none());
+        let first = call(&mut q, 10);
+        call(&mut q, 20);
+        assert!(q.cancel(first));
+        assert_eq!(q.len(), 1, "a cancelled event stops counting at once");
+        assert_eq!(pop_time(&mut q), Some(20));
+        assert!(q.pop_due(SimTime::MAX).is_none());
     }
 
     #[test]
     fn peek_skips_cancelled() {
         let mut q = EventQueue::new();
-        q.push(ev(10, 0));
-        q.push(ev(20, 1));
-        q.cancel(EventId(0));
-        assert_eq!(q.peek_key().unwrap().seq, 1);
+        let first = call(&mut q, 10);
+        call(&mut q, 20);
+        q.cancel(first);
+        assert!(q.pop_due(SimTime::from_nanos(15)).is_none());
+        assert_eq!(q.len(), 1, "the later event is still pending");
+        assert_eq!(pop_time(&mut q), Some(20));
+    }
+
+    #[test]
+    fn a_slot_let_again_does_not_revive_its_cancelled_tenant() {
+        let mut q = EventQueue::new();
+        let old = call(&mut q, 50);
+        assert!(q.cancel(old));
+        let new = call(&mut q, 60);
+        assert_eq!(new.slot, old.slot, "the freed slot is reused");
+        assert!(!q.cancel(old), "the old id no longer names anything");
+        assert_eq!(q.len(), 1);
+        assert_eq!(pop_time(&mut q), Some(60));
+        assert!(!q.cancel(new), "fired events cannot be cancelled");
+        assert!(!q.cancel(EventId { seq: 99, slot: 7 }), "never issued");
     }
 }

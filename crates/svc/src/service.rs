@@ -1781,31 +1781,26 @@ fn run_and_report(
     job: &Job,
     cfg: SimRunConfig,
 ) -> Result<(f64, Vec<MemberSummary>), ExecError> {
-    let spec = cfg.spec.clone();
     // The DES run itself is not interruptible; deadlines are enforced at
     // the checkpoints around it (and per candidate on the score path).
     // Progress-opted requests observe every member step and stream
     // throttled frames whose headline is the ensemble frontier.
-    let exec = match job.request.progress {
-        Some(spec) => {
-            let mut emitter = ProgressEmitter::new(spec, job);
-            let mut member_steps = vec![0u64; cfg.spec.members.len()];
-            let mut events = 0u64;
-            runtime::run_simulated_observed(&cfg, &mut |member, done| {
-                if let Some(slot) = member_steps.get_mut(member) {
-                    *slot = done;
-                }
-                events += 1;
-                emitter.observe_run(&member_steps, events, &shared.stats);
-            })
+    let mut emitter = job.request.progress.map(|spec| ProgressEmitter::new(spec, job));
+    let mut member_steps = vec![0u64; cfg.spec.members.len()];
+    let mut events = 0u64;
+    let exec = runtime::run_summarized(&cfg, &mut |member, done| {
+        let Some(emitter) = &mut emitter else { return };
+        if let Some(slot) = member_steps.get_mut(member) {
+            *slot = done;
         }
-        None => runtime::run_simulated(&cfg),
-    }
+        events += 1;
+        emitter.observe_run(&member_steps, events, &shared.stats);
+    })
     .map_err(|e| ExecError::Invalid(format!("run failed: {e}")))?;
     checkpoint(job, || "after the simulated run, before reporting".to_string())?;
-    let report =
-        runtime::build_report("svc-run", &spec, &exec, cfg.n_steps, WarmupPolicy::default())
-            .map_err(|e| ExecError::Internal(format!("report failed: {e}")))?;
+    let warmup = WarmupPolicy::default();
+    let report = runtime::build_summary_report("svc-run", &cfg.spec, &exec, cfg.n_steps, warmup)
+        .map_err(|e| ExecError::Internal(format!("report failed: {e}")))?;
     let members = report
         .members
         .iter()
@@ -1947,7 +1942,7 @@ mod tests {
         // One worker busy with a long run; capacity-1 queue holds one
         // more; the next submit must shed immediately.
         let svc = tiny_service(1, 1);
-        let slow = svc.submit(run_request(1, 400)).unwrap();
+        let slow = svc.submit(run_request(1, 4_000)).unwrap();
         // Wait until the slow job occupies the worker so queue slots are
         // observable deterministically.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1989,7 +1984,7 @@ mod tests {
         let svc = tiny_service(1, 4);
         // Occupy the worker so the target request sits queued when the
         // cancel lands — deterministic cancellation-before-execution.
-        let blocker = svc.submit(run_request(1, 200)).unwrap();
+        let blocker = svc.submit(run_request(1, 2_000)).unwrap();
         let victim = svc.submit(small_score_request(2, 2, 16, 1, 8, 3)).unwrap();
         victim.cancel();
         assert!(matches!(blocker.wait(), Response::RunResult { .. }));
@@ -2049,7 +2044,7 @@ mod tests {
         let cold_ms = COLD_START_SERVICE_TIME.as_millis() as u64;
         assert!(empty_hint >= cold_ms, "empty-queue cold hint {empty_hint} < seed {cold_ms}");
         // Occupy the single worker so queued work stays queued.
-        let blocker = svc.submit(run_request(1, 400)).unwrap();
+        let blocker = svc.submit(run_request(1, 4_000)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while svc.metrics().in_flight == 0 {
             assert!(Instant::now() < deadline, "worker never picked up the job");

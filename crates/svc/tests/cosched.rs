@@ -316,6 +316,27 @@ fn an_oversized_component_is_refused_and_admission_keeps_answering() {
     svc.shutdown();
 }
 
+#[test]
+fn a_submit_above_the_step_cap_is_refused_and_its_reservation_released() {
+    let svc = Service::start(cosched_config(2, 1));
+    let mut absurd = large(1);
+    if let RequestBody::Submit(submit) = &mut absurd.body {
+        submit.steps = 4_000_000_000_000_000;
+    }
+    // The job is placed (its shape fits), then the simulated run refuses
+    // the step count: a structured error, and the nodes are free again.
+    match svc.submit(absurd).unwrap().wait() {
+        Response::Error { kind: ErrorKind::Invalid, message, .. } => {
+            assert!(message.contains("steps"), "{message}");
+        }
+        other => panic!("expected invalid, got {other:?}"),
+    }
+    expect_submit(svc.submit(large(2)).unwrap().wait());
+    expect_submit(svc.submit(large(3)).unwrap().wait());
+    assert_eq!(svc.metrics().cosched_open_reservations, 0);
+    svc.shutdown();
+}
+
 /// Sustained mixed interactive/batch stream against the co-scheduler —
 /// the nightly leak check: after the stream drains, the residency map
 /// must be empty and committed capacity exactly zero. Run with

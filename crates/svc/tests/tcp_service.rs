@@ -385,6 +385,64 @@ fn absurd_max_nodes_is_the_component_count_not_an_allocation() {
 }
 
 #[test]
+fn absurd_step_count_is_an_invalid_error_not_an_allocation() {
+    // `steps` comes off the wire as a bare integer too, and the simulated
+    // run sizes one duration vector per component by it: this line once
+    // aborted the server on a 32-petabyte allocation, out of reach of the
+    // panic supervisor. The library refuses anything above its cap.
+    let handle = server(1, 8);
+    let mut client = SvcClient::connect(handle.addr()).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let run = |id: u64, steps: u64| {
+        format!(
+            "{{\"type\":\"run\",\"id\":{id},\"members\":[{{\"sim_cores\":16,\"sim_node\":0,\
+             \"analyses\":[{{\"cores\":8,\"node\":0}}]}}],\"steps\":{steps},\"workloads\":\"small\"}}"
+        )
+    };
+    for (id, steps) in [(21, 4_000_000_000_000_000), (22, runtime::MAX_SIM_STEPS + 1)] {
+        match client.request_raw(&run(id, steps)).expect("structured error line") {
+            Response::Error { id: echoed, kind: ErrorKind::Invalid, message } => {
+                assert_eq!(echoed, id);
+                assert!(message.contains("steps"), "{message}");
+            }
+            other => panic!("steps {steps}: expected an invalid error, got {other:?}"),
+        }
+    }
+    // Steps below the cap on an ensemble of thousands of components are
+    // the same allocation by another route: the cap is on the product,
+    // and the error names the steps this ensemble may have.
+    let members: Vec<String> = (0..2000)
+        .map(|n| {
+            format!(
+                "{{\"sim_cores\":1,\"sim_node\":{n},\"analyses\":[{{\"cores\":1,\"node\":{n}}}]}}"
+            )
+        })
+        .collect();
+    let wide = format!(
+        "{{\"type\":\"run\",\"id\":24,\"members\":[{}],\"steps\":{},\"workloads\":\"small\"}}",
+        members.join(","),
+        runtime::MAX_SIM_STEPS
+    );
+    match client.request_raw(&wide).expect("structured error line") {
+        Response::Error { id: 24, kind: ErrorKind::Invalid, message } => {
+            let share = runtime::MAX_SIM_COMPONENT_STEPS / 4000;
+            assert!(message.contains(&format!("at most {share}")), "{message}");
+        }
+        other => panic!("4000 components: expected an invalid error, got {other:?}"),
+    }
+    // The same connection runs the same ensemble at a sane step count.
+    match client.request_raw(&run(23, 6)).expect("still serving") {
+        Response::RunResult { id, members, .. } => {
+            assert_eq!(id, 23);
+            assert_eq!(members.len(), 1);
+        }
+        other => panic!("expected a run result, got {other:?}"),
+    }
+    assert_eq!(metrics_row(&handle, &mut client, "requests_errored"), 3.0);
+    handle.shutdown();
+}
+
+#[test]
 fn handler_panic_is_a_structured_internal_error_not_a_dead_connection() {
     // The fault-injection hook panics the front end on request id 66;
     // the server must contain it to that one request.
