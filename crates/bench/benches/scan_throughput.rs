@@ -2,12 +2,12 @@
 //! parallel at 1/2/4/all cores, on both evaluation paths (the
 //! closed-form fast evaluator and the DES-scored exhaustive search).
 //!
-//! Plain `main` + `std::time::Instant` instead of criterion: the
-//! quantity of interest is whole-scan wall time at controlled worker
-//! counts, and the output must be machine-readable. Results land in
-//! `BENCH_scan.json` at the workspace root (override with
-//! `ENSEMBLE_BENCH_OUT`); `ENSEMBLE_SCAN_BENCH_QUICK=1` shrinks reps
-//! and the candidate space for CI smoke runs.
+//! Plain `main` + `std::time::Instant`: the quantity of interest is
+//! whole-scan wall time at controlled worker counts, and the output
+//! must be machine-readable. Results land in `BENCH_scan.json` at the
+//! workspace root (override with `ENSEMBLE_BENCH_OUT`);
+//! `ENSEMBLE_SCAN_BENCH_QUICK=1` shrinks reps and the candidate space
+//! for CI smoke runs.
 //!
 //! Every timed configuration is first checked bit-identical to the
 //! serial scan — a benchmark of a wrong answer is worthless.

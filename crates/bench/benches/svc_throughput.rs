@@ -1,9 +1,9 @@
 //! Provisioning-service throughput: cold scoring, cache-warm answers,
 //! and what a reply costs to encode and to ship.
 //!
-//! Plain `main` + `std::time::Instant` instead of criterion, like
-//! `scan_throughput`: the output must be machine-readable. Results land
-//! in `BENCH_svc.json` at the workspace root (override with
+//! Plain `main` + `std::time::Instant`, like `scan_throughput`: the
+//! output must be machine-readable. Results land in `BENCH_svc.json`
+//! at the workspace root (override with
 //! `ENSEMBLE_BENCH_OUT`); `ENSEMBLE_SVC_BENCH_QUICK=1` shrinks the
 //! repetitions for CI smoke runs. The committed `BENCH_svc.json` also
 //! carries `parent_commit` / `parent_rows`: this file's bench run at the

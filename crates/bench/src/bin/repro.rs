@@ -1,11 +1,12 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! cargo run --release -p bench --bin repro -- [table2|table4|fig3|fig4|fig5|fig7|fig8|fig9|all] [--json DIR]
+//! cargo run --release -p bench --bin repro -- [table2|table4|fig3|fig4|fig5|fig7|fig8|fig9|ext-lost-frames|ext-ablations|ext-sensitivity|all] [--json DIR]
 //! ```
 //!
 //! Each experiment prints the rows/series of the corresponding paper
-//! artifact; `--json DIR` additionally writes machine-readable results.
+//! artifact (the `ext-*` targets: of an EXPERIMENTS.md extension
+//! study); `--json DIR` additionally writes machine-readable results.
 
 use std::path::PathBuf;
 
@@ -142,9 +143,26 @@ fn main() {
         }
     }
 
+    if wants("ext-ablations") {
+        ran_any = true;
+        println!("== Extension: design ablations ==");
+        match experiments::ext_ablations() {
+            Ok(text) => println!("{text}"),
+            Err(e) => fail("ext-ablations", &e),
+        }
+    }
+    if wants("ext-sensitivity") {
+        ran_any = true;
+        println!("== Extension: sensitivity to binding, miss curve and power cap ==");
+        match experiments::ext_sensitivity() {
+            Ok(text) => println!("{text}"),
+            Err(e) => fail("ext-sensitivity", &e),
+        }
+    }
+
     if !ran_any {
         eprintln!(
-            "unknown experiment '{}'; use table2|table4|fig3|fig4|fig5|fig7|fig8|fig9|ext-lost-frames|all",
+            "unknown experiment '{}'; use table2|table4|fig3|fig4|fig5|fig7|fig8|fig9|ext-lost-frames|ext-ablations|ext-sensitivity|all",
             which.join(" ")
         );
         std::process::exit(2);

@@ -2,7 +2,10 @@
 //! paper reports, computed by running the configurations on the
 //! simulated platform at paper scale.
 
-use ensemble_core::{aggregate, Aggregation, ConfigId, IndicatorPath, MemberInputs};
+use std::fmt::Write;
+
+use ensemble_core::{aggregate, Aggregation, ConfigId, EnsembleSpec, IndicatorPath, MemberInputs};
+use hpc_platform::BindPolicy;
 use metrics::EnsembleReport;
 use runtime::{EnsembleRunner, RuntimeResult};
 use serde::{Deserialize, Serialize};
@@ -135,6 +138,26 @@ pub fn stage_paths() -> Vec<IndicatorPath> {
     ]
 }
 
+/// `F(P)` of one report: each member's indicator along `path`, folded
+/// by `aggregation`.
+fn objective(
+    report: &EnsembleReport,
+    spec: &EnsembleSpec,
+    path: &IndicatorPath,
+    aggregation: Aggregation,
+) -> f64 {
+    let values: Vec<f64> = report
+        .members
+        .iter()
+        .zip(&spec.members)
+        .map(|(mr, ms)| {
+            let inputs = MemberInputs::from_specs(ms, spec, mr.efficiency);
+            ensemble_core::indicator(&inputs, path)
+        })
+        .collect();
+    aggregate(&values, aggregation)
+}
+
 /// Computes `F(P)` for every stage path over the given configurations —
 /// Figure 8 with [`ConfigId::set_one_pairs`], Figure 9 with
 /// [`ConfigId::set_two`].
@@ -146,16 +169,7 @@ pub fn indicator_objectives(configs: &[ConfigId]) -> RuntimeResult<Vec<Indicator
         for path in stage_paths() {
             let mut acc = 0.0;
             for report in &reports {
-                let values: Vec<f64> = report
-                    .members
-                    .iter()
-                    .zip(&spec.members)
-                    .map(|(mr, ms)| {
-                        let inputs = MemberInputs::from_specs(ms, &spec, mr.efficiency);
-                        ensemble_core::indicator(&inputs, &path)
-                    })
-                    .collect();
-                acc += aggregate(&values, Aggregation::MeanMinusStd);
+                acc += objective(report, &spec, &path, Aggregation::MeanMinusStd);
             }
             rows.push(IndicatorRow {
                 config: id.label().to_string(),
@@ -234,20 +248,96 @@ pub fn ext_lost_frames() -> RuntimeResult<Vec<LostFramesRow>> {
     Ok(rows)
 }
 
-/// Helper: the `F` value of one config under one path, from fresh runs.
-pub fn objective_of(id: ConfigId, path: &IndicatorPath) -> RuntimeResult<f64> {
-    let spec = id.build();
-    let report = EnsembleRunner::paper_config(id).steps(STEPS).jitter(0.0).run()?;
-    let values: Vec<f64> = report
-        .members
-        .iter()
-        .zip(&spec.members)
-        .map(|(mr, ms)| {
-            let inputs = MemberInputs::from_specs(ms, &spec, mr.efficiency);
-            ensemble_core::indicator(&inputs, path)
-        })
-        .collect();
-    Ok(aggregate(&values, Aggregation::MeanMinusStd))
+/// A jitter-free paper-scale runner of `id` over `steps` in situ steps.
+fn exact(id: ConfigId, steps: u64) -> EnsembleRunner {
+    EnsembleRunner::paper_config(id).steps(steps).jitter(0.0)
+}
+
+/// Extension study: the four design ablations of EXPERIMENTS.md —
+/// interference model off, forced-remote reads, double buffering, and
+/// plain-mean aggregation — as the text `repro ext-ablations` prints.
+/// What each must show is asserted in `tests/extensions.rs`.
+pub fn ext_ablations() -> RuntimeResult<String> {
+    let ids = [ConfigId::C1_1, ConfigId::C1_4, ConfigId::C1_5];
+    let mut out = String::new();
+    let _ = writeln!(out, "ablation 1 — interference model:");
+    for (label, interference) in [("with   ", true), ("without", false)] {
+        let mut makespans = Vec::new();
+        for id in ids {
+            let runner = exact(id, STEPS);
+            let runner = if interference { runner } else { runner.without_interference() };
+            makespans.push(runner.run()?.ensemble_makespan);
+        }
+        let _ = writeln!(
+            out,
+            "  {label}: C1.1 {:.1}s, C1.4 {:.1}s, C1.5 {:.1}s",
+            makespans[0], makespans[1], makespans[2]
+        );
+    }
+
+    let local = exact(ConfigId::C1_5, STEPS).run()?.ensemble_makespan;
+    let remote = exact(ConfigId::C1_5, STEPS).force_remote_reads().run()?.ensemble_makespan;
+    let _ = writeln!(
+        out,
+        "ablation 2 — staging locality: local reads {local:.2}s, forced remote {remote:.2}s"
+    );
+
+    let unbuffered = exact(ConfigId::C1_1, STEPS).run()?;
+    let buffered = exact(ConfigId::C1_1, STEPS).staging_capacity(2).run()?;
+    let _ = writeln!(
+        out,
+        "ablation 3 — protocol buffering: capacity 1 sigma* {:.2}s, capacity 2 sigma* {:.2}s",
+        unbuffered.members[0].sigma_star, buffered.members[0].sigma_star
+    );
+
+    let report = exact(ConfigId::C1_3, STEPS).run()?;
+    let spec = ConfigId::C1_3.build();
+    let eq9 = objective(&report, &spec, &IndicatorPath::uap(), Aggregation::MeanMinusStd);
+    let mean = objective(&report, &spec, &IndicatorPath::uap(), Aggregation::Mean);
+    let _ = writeln!(
+        out,
+        "ablation 4 — objective: Eq.9 {eq9:.3e} vs plain mean {mean:.3e} on C1.3 (uneven members)"
+    );
+    Ok(out)
+}
+
+/// In situ steps of the sensitivity study's runs.
+const SENSITIVITY_STEPS: u64 = 20;
+
+/// Extension study: sensitivity to socket binding, the cache
+/// miss-curve exponent and node power caps, as the text
+/// `repro ext-sensitivity` prints (20 in situ steps). The directions
+/// are asserted in `tests/extensions.rs`.
+pub fn ext_sensitivity() -> RuntimeResult<String> {
+    let mut out = String::new();
+    let spread = exact(ConfigId::C1_5, SENSITIVITY_STEPS).run()?.ensemble_makespan;
+    let mut compact = exact(ConfigId::C1_5, SENSITIVITY_STEPS);
+    compact.config_mut().bind_policy = BindPolicy::Compact;
+    let compact = compact.run()?.ensemble_makespan;
+    let _ = writeln!(
+        out,
+        "sensitivity — bind policy on C1.5: spread {spread:.1}s, compact {compact:.1}s"
+    );
+
+    let _ = writeln!(out, "sensitivity — miss-curve exponent on C1.1 (paired analyses):");
+    for exponent in [0.5f64, 1.0, 2.0] {
+        let mut r = exact(ConfigId::C1_1, SENSITIVITY_STEPS);
+        r.config_mut().interference.cache.miss_curve_exponent = exponent;
+        let miss = r.run()?.members[0].components[1].metrics.llc_miss_ratio;
+        let _ = writeln!(out, "  exponent {exponent}: analysis LLC miss ratio {miss:.4}");
+    }
+
+    let _ = writeln!(out, "sensitivity — node power cap on C1.5:");
+    for cap in [None, Some(320.0f64), Some(260.0), Some(220.0)] {
+        let mut r = exact(ConfigId::C1_5, SENSITIVITY_STEPS);
+        r.config_mut().power_cap_watts = cap;
+        let makespan = r.run()?.ensemble_makespan;
+        let _ = match cap {
+            None => writeln!(out, "  uncapped: makespan {makespan:.1}s"),
+            Some(w) => writeln!(out, "  cap {w:>5.0} W: makespan {makespan:.1}s"),
+        };
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -262,13 +352,5 @@ mod tests {
         let sweep = fig7_core_sweep().unwrap();
         assert_eq!(sweep.recommended_cores, 8);
         assert_eq!(sweep.points.len(), 10);
-    }
-
-    #[test]
-    fn objective_ranks_c15_over_c14() {
-        let path = IndicatorPath::uap();
-        let c15 = objective_of(ConfigId::C1_5, &path).unwrap();
-        let c14 = objective_of(ConfigId::C1_4, &path).unwrap();
-        assert!(c15 > c14, "C1.5 ({c15}) must beat C1.4 ({c14}) at the full indicator");
     }
 }

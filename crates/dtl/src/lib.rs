@@ -39,16 +39,14 @@ pub mod staging;
 pub mod transport;
 pub mod variable;
 
-pub use chunk::{Chunk, ChunkId, ChunkMeta};
+pub use chunk::Chunk;
 pub use error::{DtlError, DtlResult};
 pub use fault::{
     FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRule, FaultStats, MemberKill,
 };
-pub use marshal::{ChunkCodec, F32ArrayCodec, F64ArrayCodec, RawCodec};
+pub use marshal::{ChunkCodec, F64ArrayCodec};
 pub use plugin::{DtlReader, DtlWriter};
 pub use protocol::{ReaderId, StepProtocol};
-pub use staging::{
-    AsyncStaging, InMemoryStaging, PfsStaging, RetryPolicy, StagingStats, SyncStaging,
-};
+pub use staging::{AsyncStaging, InMemoryStaging, RetryPolicy, StagingStats, SyncStaging};
 pub use transport::StagingCostModel;
-pub use variable::{VariableId, VariableRegistry, VariableSpec};
+pub use variable::{VariableId, VariableSpec};

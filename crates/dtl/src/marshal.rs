@@ -58,60 +58,6 @@ impl ChunkCodec for F64ArrayCodec {
     }
 }
 
-/// Little-endian `f32` array codec.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct F32ArrayCodec;
-
-impl ChunkCodec for F32ArrayCodec {
-    type Value = Vec<f32>;
-
-    fn encoding(&self) -> &'static str {
-        "f32-le"
-    }
-
-    fn encode(&self, value: &Vec<f32>) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + value.len() * 4);
-        buf.put_u64_le(value.len() as u64);
-        for &v in value {
-            buf.put_f32_le(v);
-        }
-        buf.freeze()
-    }
-
-    fn decode(&self, mut data: Bytes) -> DtlResult<Vec<f32>> {
-        if data.len() < 8 {
-            return Err(DtlError::Codec { detail: "f32 array header truncated".into() });
-        }
-        let n = data.get_u64_le() as usize;
-        if data.remaining() < n * 4 {
-            return Err(DtlError::Codec {
-                detail: format!("f32 array promises {n} values, payload too short"),
-            });
-        }
-        Ok((0..n).map(|_| data.get_f32_le()).collect())
-    }
-}
-
-/// Pass-through codec for already-serialized payloads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RawCodec;
-
-impl ChunkCodec for RawCodec {
-    type Value = Bytes;
-
-    fn encoding(&self) -> &'static str {
-        "raw"
-    }
-
-    fn encode(&self, value: &Bytes) -> Bytes {
-        value.clone()
-    }
-
-    fn decode(&self, data: Bytes) -> DtlResult<Bytes> {
-        Ok(data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,16 +72,8 @@ mod tests {
     }
 
     #[test]
-    fn f32_roundtrip() {
-        let codec = F32ArrayCodec;
-        let v = vec![1.5f32, -7.75, f32::MAX];
-        assert_eq!(codec.decode(codec.encode(&v)).unwrap(), v);
-    }
-
-    #[test]
     fn empty_arrays_roundtrip() {
         assert_eq!(F64ArrayCodec.decode(F64ArrayCodec.encode(&vec![])).unwrap(), Vec::<f64>::new());
-        assert_eq!(F32ArrayCodec.decode(F32ArrayCodec.encode(&vec![])).unwrap(), Vec::<f32>::new());
     }
 
     #[test]
@@ -145,12 +83,5 @@ mod tests {
         let bad = good.slice(0..good.len() - 1);
         assert!(matches!(codec.decode(bad), Err(DtlError::Codec { .. })));
         assert!(matches!(codec.decode(Bytes::from_static(b"xy")), Err(DtlError::Codec { .. })));
-    }
-
-    #[test]
-    fn raw_codec_is_identity() {
-        let codec = RawCodec;
-        let payload = Bytes::from_static(b"payload");
-        assert_eq!(codec.decode(codec.encode(&payload)).unwrap(), payload);
     }
 }

@@ -8,8 +8,6 @@
 //! operation so violations surface immediately instead of corrupting an
 //! experiment.
 
-use std::collections::HashMap;
-
 use crate::error::{DtlError, DtlResult};
 
 /// Identifies one of the K readers (analyses) of a variable.
@@ -21,8 +19,8 @@ pub struct ReaderId(pub u32);
 pub struct StepProtocol {
     /// Next step the writer may stage.
     next_write: u64,
-    /// Next step each reader must consume.
-    next_read: HashMap<ReaderId, u64>,
+    /// Next step each reader must consume, indexed by `ReaderId.0`.
+    next_read: Vec<u64>,
     /// Number of chunks the writer may have in flight (1 = the paper's
     /// unbuffered DIMES semantics; 2 = double buffering, the ablation).
     capacity: u64,
@@ -33,11 +31,7 @@ impl StepProtocol {
     /// capacity (≥ 1).
     pub fn new(expected_readers: u32, capacity: u64) -> Self {
         assert!(expected_readers > 0 && capacity > 0);
-        StepProtocol {
-            next_write: 0,
-            next_read: (0..expected_readers).map(|r| (ReaderId(r), 0)).collect(),
-            capacity,
-        }
+        StepProtocol { next_write: 0, next_read: vec![0; expected_readers as usize], capacity }
     }
 
     /// The step the writer stages next.
@@ -45,16 +39,20 @@ impl StepProtocol {
         self.next_write
     }
 
+    fn next_of(&self, reader: ReaderId) -> Option<u64> {
+        self.next_read.get(reader.0 as usize).copied()
+    }
+
     /// The step `reader` consumes next.
     pub fn next_read_step(&self, reader: ReaderId) -> DtlResult<u64> {
-        self.next_read.get(&reader).copied().ok_or_else(|| DtlError::ProtocolViolation {
+        self.next_of(reader).ok_or_else(|| DtlError::ProtocolViolation {
             detail: format!("unknown reader {reader:?}"),
         })
     }
 
     /// The oldest step any reader still needs.
     pub fn oldest_unread(&self) -> u64 {
-        self.next_read.values().copied().min().unwrap_or(self.next_write)
+        self.next_read.iter().copied().min().unwrap_or(self.next_write)
     }
 
     /// True when the writer may stage `step` now: it is the next step in
@@ -67,7 +65,7 @@ impl StepProtocol {
     /// True when `reader` may consume `step` now (it is that reader's next
     /// step and the writer has staged it).
     pub fn may_read(&self, reader: ReaderId, step: u64) -> bool {
-        matches!(self.next_read.get(&reader), Some(&next) if next == step && step < self.next_write)
+        matches!(self.next_of(reader), Some(next) if next == step && step < self.next_write)
     }
 
     /// Records a completed write. Errors if the ordering is violated.
@@ -89,7 +87,7 @@ impl StepProtocol {
     /// Records a completed read. Errors if the ordering is violated.
     pub fn record_read(&mut self, reader: ReaderId, step: u64) -> DtlResult<()> {
         if !self.may_read(reader, step) {
-            let next = self.next_read.get(&reader).copied();
+            let next = self.next_of(reader);
             return Err(DtlError::ProtocolViolation {
                 detail: format!(
                     "read of step {step} by {reader:?} rejected (reader next={next:?}, written up to {})",
@@ -97,13 +95,8 @@ impl StepProtocol {
                 ),
             });
         }
-        *self.next_read.get_mut(&reader).expect("validated above") += 1;
+        self.next_read[reader.0 as usize] += 1;
         Ok(())
-    }
-
-    /// True when `step` has been consumed by every reader.
-    pub fn fully_consumed(&self, step: u64) -> bool {
-        self.oldest_unread() > step
     }
 }
 
@@ -133,9 +126,7 @@ mod tests {
         p.record_read(ReaderId(0), 0).unwrap();
         p.record_read(ReaderId(1), 0).unwrap();
         assert!(!p.may_write(1), "one reader still pending");
-        assert!(!p.fully_consumed(0));
         p.record_read(ReaderId(2), 0).unwrap();
-        assert!(p.fully_consumed(0));
         assert!(p.may_write(1));
     }
 

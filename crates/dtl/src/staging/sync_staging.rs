@@ -132,11 +132,6 @@ impl<B: ChunkStore> SyncStaging<B> {
         self
     }
 
-    /// The active retry policy, if any.
-    pub fn retry_policy(&self) -> Option<&RetryPolicy> {
-        self.retry.as_ref()
-    }
-
     /// The physical tier name ("memory", "pfs", …).
     pub fn tier(&self) -> &'static str {
         self.store.tier()
@@ -166,16 +161,6 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// Looks up a registered variable by name.
     pub fn lookup(&self, name: &str) -> DtlResult<VariableId> {
         self.registry.read().names.lookup(name)
-    }
-
-    /// The spec of a registered variable.
-    pub fn variable_spec(&self, id: VariableId) -> VariableSpec {
-        self.registry.read().names.spec(id).clone()
-    }
-
-    /// Number of registered variables (= independent shards).
-    pub fn variable_count(&self) -> usize {
-        self.registry.read().shards.len()
     }
 
     /// The shard of `var`, or `UnknownVariable`. Takes the registry read
@@ -801,7 +786,6 @@ mod tests {
         let a = s.register(spec(1)).unwrap();
         let b = s.register(spec(1)).unwrap();
         assert_eq!(a, b);
-        assert_eq!(s.variable_count(), 1);
         // The shard still works after idempotent re-registration.
         s.put(chunk(a, 0, b"x")).unwrap();
         s.get(b, 0, ReaderId(0)).unwrap();

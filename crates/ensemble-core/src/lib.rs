@@ -13,11 +13,11 @@
 //!   extracted from per-step samples by [`steady_state`]), the
 //!   non-overlapped in situ step `σ̄*` (Eq. 1, [`sigma_star`]) and the
 //!   makespan (Eq. 2, [`makespan`]).
-//! * **Efficiency** (§3.3): Eq. 3 ([`efficiency`]).
+//! * **Efficiency** (§3.3): Eq. 3 ([`efficiency()`]).
 //! * **Indicators** (§4): `Pᵁ`, the placement indicator `CPᵢ` (Eq. 6,
 //!   [`placement_indicator`]), `Pᵁ·ᴬ`, `Pᵁ·ᴬ·ᴾ` and both stage orders
-//!   ([`indicator`], [`IndicatorPath`]).
-//! * **Objective** (§5.1): Eq. 9, mean − std ([`objective`]).
+//!   ([`indicator()`], [`IndicatorPath`]).
+//! * **Objective** (§5.1): Eq. 9, mean − std ([`objective()`]).
 //! * **Configurations**: Tables 2 and 4 as ready-made [`ConfigId`]s.
 //!
 //! Everything here is pure, deterministic math over stage times — the
@@ -41,18 +41,16 @@ pub mod stage;
 pub mod steady_state;
 pub mod whatif;
 
-pub use component::{ComponentKind, ComponentRef, ComponentSpec};
+pub use component::{ComponentRef, ComponentSpec};
 pub use config::{ConfigId, ANALYSIS_CORES, SIM_CORES};
 pub use efficiency::{coupling_efficiency, efficiency, efficiency_from_idle};
 pub use ensemble::EnsembleSpec;
 pub use error::ModelError;
-pub use indicator::{indicator, p_u, p_ua, p_uap, IndicatorPath, IndicatorStage, MemberInputs};
-pub use insitu_step::{
-    coupling_scenario, idle_times, makespan, sigma_star, CouplingScenario, IdleTimes,
-};
+pub use indicator::{indicator, p_u, p_ua, p_uap, IndicatorPath, MemberInputs};
+pub use insitu_step::{coupling_scenario, idle_times, makespan, sigma_star, CouplingScenario};
 pub use member::MemberSpec;
 pub use objective::{aggregate, objective, Aggregation};
-pub use placement::{coupling_ratio, placement_indicator};
+pub use placement::placement_indicator;
 pub use stage::{AnalysisStageTimes, MemberStageTimes, StageGroup, StageKind};
-pub use steady_state::{extract_steady_state, steadiness, MemberStepSamples, WarmupPolicy};
-pub use whatif::{factor_to_unblock, what_if, Change, WhatIf};
+pub use steady_state::{extract_steady_state, MemberStepSamples, WarmupPolicy};
+pub use whatif::{factor_to_unblock, what_if, Change};

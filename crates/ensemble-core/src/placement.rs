@@ -27,13 +27,6 @@ pub fn placement_indicator(member: &MemberSpec) -> f64 {
     s_size / k as f64 * sum
 }
 
-/// The per-coupling ratio `|sᵢ| / |sᵢ ∪ aᵢʲ|` (0-based `j`).
-pub fn coupling_ratio(member: &MemberSpec, j: usize) -> f64 {
-    let union: BTreeSet<usize> =
-        member.simulation.nodes.union(&member.analyses[j].nodes).copied().collect();
-    member.simulation.nodes.len() as f64 / union.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,8 +56,6 @@ mod tests {
         // One co-located analysis (ratio 1), one dedicated (ratio 1/2).
         let m = member(0, &[0, 2]);
         assert!((placement_indicator(&m) - 0.75).abs() < 1e-12);
-        assert!((coupling_ratio(&m, 0) - 1.0).abs() < 1e-12);
-        assert!((coupling_ratio(&m, 1) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -81,22 +81,6 @@ pub fn extract_steady_state(
     MemberStageTimes::new(s, w, analyses)
 }
 
-/// Coefficient of variation of the post-warm-up tail — a diagnostic for
-/// "did the run actually reach steady state?".
-pub fn steadiness(series: &[f64], policy: WarmupPolicy) -> f64 {
-    if series.is_empty() {
-        return 0.0;
-    }
-    let skip = policy.skip_count(series.len());
-    let tail = &series[skip..];
-    let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let var = tail.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / tail.len() as f64;
-    var.sqrt() / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,13 +132,5 @@ mod tests {
             analyses: vec![(vec![0.1, 0.1], vec![1.0, 1.0])],
         };
         assert!(extract_steady_state(&samples, WarmupPolicy::FixedSteps(0)).is_err());
-    }
-
-    #[test]
-    fn steadiness_detects_flat_tail() {
-        let flat = vec![30.0, 10.0, 10.0, 10.0];
-        assert!(steadiness(&flat, WarmupPolicy::FixedSteps(1)) < 1e-12);
-        let noisy = vec![30.0, 5.0, 15.0, 10.0];
-        assert!(steadiness(&noisy, WarmupPolicy::FixedSteps(1)) > 0.1);
     }
 }

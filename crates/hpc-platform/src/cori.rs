@@ -9,7 +9,6 @@
 
 use crate::network::NetworkSpec;
 use crate::node::NodeSpec;
-use crate::topology::Platform;
 
 /// One Cori Haswell compute node.
 pub fn cori_node() -> NodeSpec {
@@ -45,11 +44,6 @@ pub fn aries_network() -> NetworkSpec {
     }
 }
 
-/// A Cori-like platform with `nodes` compute nodes.
-pub fn cori_platform(nodes: usize) -> Platform {
-    Platform::new(nodes, cori_node(), aries_network())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,12 +56,5 @@ mod tests {
         assert_eq!(n.cores_per_node(), 32);
         assert_eq!(n.dram_bytes, 128 * 1024 * 1024 * 1024);
         assert!(n.validate());
-    }
-
-    #[test]
-    fn platform_builds() {
-        let p = cori_platform(3);
-        assert_eq!(p.num_nodes(), 3);
-        assert_eq!(p.spec().cores_per_node(), 32);
     }
 }

@@ -23,15 +23,6 @@ pub enum PlatformError {
     },
     /// A component asked for zero cores.
     EmptyAllocation,
-    /// The memory demand of components placed on a node exceeds its DRAM.
-    InsufficientMemory {
-        /// Node on which the placement was attempted.
-        node: usize,
-        /// Bytes requested in total.
-        requested: u64,
-        /// DRAM capacity of the node.
-        capacity: u64,
-    },
 }
 
 impl fmt::Display for PlatformError {
@@ -45,9 +36,6 @@ impl fmt::Display for PlatformError {
             }
             PlatformError::EmptyAllocation => {
                 write!(f, "allocation must request at least one core")
-            }
-            PlatformError::InsufficientMemory { node, requested, capacity } => {
-                write!(f, "node {node}: {requested} B of memory requested, capacity {capacity} B")
             }
         }
     }

@@ -44,4 +44,4 @@ pub use network::NetworkSpec;
 pub use node::NodeSpec;
 pub use power::PowerModel;
 pub use topology::{BindPolicy, CoreAllocation, Platform};
-pub use workload::{amdahl_speedup, Workload};
+pub use workload::Workload;

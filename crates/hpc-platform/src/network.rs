@@ -58,12 +58,6 @@ impl NetworkSpec {
         self.latency(from, to) + bytes as f64 / self.bandwidth
     }
 
-    /// Effective point-to-point bandwidth for large messages between two
-    /// distinct nodes (asymptotic bytes/second).
-    pub fn effective_bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
     /// Validates internal consistency.
     pub fn validate(&self) -> bool {
         self.base_latency_s >= 0.0

@@ -38,11 +38,6 @@ impl NodeSpec {
         self.sockets * self.cores_per_socket
     }
 
-    /// Total LLC capacity per node.
-    pub fn llc_bytes_per_node(&self) -> u64 {
-        self.llc_bytes_per_socket * self.sockets as u64
-    }
-
     /// Validates internal consistency (positive quantities).
     pub fn validate(&self) -> bool {
         self.sockets > 0
@@ -75,7 +70,6 @@ mod tests {
     fn derived_quantities() {
         let n = NodeSpec::default();
         assert_eq!(n.cores_per_node(), n.sockets * n.cores_per_socket);
-        assert_eq!(n.llc_bytes_per_node(), n.llc_bytes_per_socket * n.sockets as u64);
         assert!(n.validate());
     }
 

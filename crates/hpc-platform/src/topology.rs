@@ -50,7 +50,6 @@ impl CoreAllocation {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct NodeState {
     free_per_socket: Vec<u32>,
-    mem_reserved: u64,
 }
 
 /// A provisioned allocation of homogeneous compute nodes.
@@ -66,10 +65,8 @@ impl Platform {
     pub fn new(num_nodes: usize, spec: NodeSpec, network: NetworkSpec) -> Self {
         assert!(spec.validate(), "invalid node spec");
         assert!(network.validate(), "invalid network spec");
-        let state = NodeState {
-            free_per_socket: vec![spec.cores_per_socket; spec.sockets as usize],
-            mem_reserved: 0,
-        };
+        let state =
+            NodeState { free_per_socket: vec![spec.cores_per_socket; spec.sockets as usize] };
         Platform { spec, network, nodes: vec![state; num_nodes] }
     }
 
@@ -162,27 +159,6 @@ impl Platform {
             debug_assert!(state.free_per_socket[s] <= self.spec.cores_per_socket);
         }
     }
-
-    /// Reserves `bytes` of DRAM on `node` (e.g. for a staging area).
-    pub fn reserve_memory(&mut self, node: usize, bytes: u64) -> Result<(), PlatformError> {
-        let capacity = self.spec.dram_bytes;
-        let nodes_len = self.nodes.len();
-        let state = self
-            .nodes
-            .get_mut(node)
-            .ok_or(PlatformError::UnknownNode { node, nodes: nodes_len })?;
-        let requested = state.mem_reserved + bytes;
-        if requested > capacity {
-            return Err(PlatformError::InsufficientMemory { node, requested, capacity });
-        }
-        state.mem_reserved = requested;
-        Ok(())
-    }
-
-    /// DRAM currently reserved on `node`.
-    pub fn reserved_memory(&self, node: usize) -> Result<u64, PlatformError> {
-        self.node_state(node).map(|n| n.mem_reserved)
-    }
 }
 
 #[cfg(test)]
@@ -263,15 +239,6 @@ mod tests {
             p.allocate(0, 0, BindPolicy::Spread).unwrap_err(),
             PlatformError::EmptyAllocation
         );
-    }
-
-    #[test]
-    fn memory_reservation_tracks_and_limits() {
-        let mut p = platform(1);
-        p.reserve_memory(0, 64 * 1024 * 1024 * 1024).unwrap();
-        assert_eq!(p.reserved_memory(0).unwrap(), 64 * 1024 * 1024 * 1024);
-        let err = p.reserve_memory(0, 100 * 1024 * 1024 * 1024).unwrap_err();
-        assert!(matches!(err, PlatformError::InsufficientMemory { .. }));
     }
 
     #[test]

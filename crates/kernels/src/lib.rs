@@ -10,8 +10,6 @@
 //!   exactly the iterative produce/stage pattern of the paper;
 //! * [`analysis`] — the bipartite contact-matrix + power-iteration
 //!   collective-variable kernel (the analysis the paper runs in situ);
-//! * [`synthetic`] — tunable compute/memory kernels for stress tests and
-//!   failure injection;
 //! * [`profile`] — [`hpc_platform::Workload`] presets calibrated so the
 //!   simulated platform reproduces the paper's §3.4 operating point
 //!   (20 s simulation steps, the Figure 7 core-count crossover, and the
@@ -25,9 +23,7 @@
 pub mod analysis;
 pub mod md;
 pub mod profile;
-pub mod synthetic;
 
-pub use analysis::{AnalysisOutput, CvSeries, EigenAnalysis};
+pub use analysis::EigenAnalysis;
 pub use md::{Frame, MdConfig, MdSimulation};
 pub use profile::{analysis_workload, frame_bytes, simulation_workload};
-pub use synthetic::SyntheticKernel;

@@ -7,7 +7,6 @@ pub mod cell_list;
 pub mod forces;
 pub mod frame;
 pub mod integrator;
-pub mod quantized;
 pub mod sim;
 pub mod system;
 pub mod thermostat;
@@ -16,7 +15,6 @@ pub use cell_list::CellList;
 pub use forces::{compute_forces, compute_forces_full, pressure, ForceResult, LjParams};
 pub use frame::{Frame, FrameDecodeError};
 pub use integrator::velocity_verlet_step;
-pub use quantized::{decode_quantized, encode_quantized, quantized_len};
 pub use sim::{MdConfig, MdSimulation};
 pub use system::{MolecularSystem, Vec3};
 pub use thermostat::Berendsen;

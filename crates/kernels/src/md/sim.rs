@@ -91,11 +91,6 @@ impl MdSimulation {
         self.system.len()
     }
 
-    /// Potential energy after the most recent step.
-    pub fn potential_energy(&self) -> f64 {
-        self.last_potential
-    }
-
     /// Total energy (kinetic + potential).
     pub fn total_energy(&self) -> f64 {
         self.last_potential + self.system.kinetic_energy()

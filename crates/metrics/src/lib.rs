@@ -14,13 +14,11 @@
 //!   end) and ensemble makespan (max over members);
 //! * [`report`] — serializable experiment reports, one per configuration
 //!   run;
-//! * [`aggregate`] — five-trials-style averaging across repeated runs;
 //! * [`gantt`] — ASCII stage timelines (the paper's Figure 6 from real
 //!   traces).
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod energy;
 pub mod export;
 pub mod gantt;
@@ -30,8 +28,7 @@ pub mod summary;
 pub mod trace;
 pub mod traditional;
 
-pub use aggregate::{summarize_trials, TrialStat, TrialSummary};
-pub use energy::{run_energy, EnergyReport};
+pub use energy::run_energy;
 pub use export::{components_csv, members_csv, trace_csv};
 pub use gantt::{render_gantt, GanttOptions};
 pub use makespan::{ensemble_makespan, member_makespan};

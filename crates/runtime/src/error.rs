@@ -40,6 +40,14 @@ pub enum RuntimeError {
         /// The most this ensemble may ask for.
         max: u64,
     },
+    /// A component sits on a node label a simulated run does not
+    /// address ([`MAX_SIM_NODES`](crate::MAX_SIM_NODES)).
+    NodeOutOfRange {
+        /// The largest node label of the ensemble.
+        node: usize,
+        /// Labels must be below this.
+        max: usize,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -62,6 +70,12 @@ impl fmt::Display for RuntimeError {
                 write!(
                     f,
                     "{requested} in situ steps requested; a simulated run of this ensemble takes at most {max}"
+                )
+            }
+            RuntimeError::NodeOutOfRange { node, max } => {
+                write!(
+                    f,
+                    "node {node} is out of range; a simulated run addresses nodes below MAX_SIM_NODES = {max}"
                 )
             }
         }

@@ -25,27 +25,6 @@ impl ChunkCodec for FrameCodec {
     }
 }
 
-/// Lossy quantized frame codec: half the staging bytes at a bounded
-/// per-coordinate error of `box_len / 2¹⁶` (XTC-style compression).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuantizedFrameCodec;
-
-impl ChunkCodec for QuantizedFrameCodec {
-    type Value = Frame;
-
-    fn encoding(&self) -> &'static str {
-        "md-frame-q16"
-    }
-
-    fn encode(&self, value: &Frame) -> Bytes {
-        kernels::md::encode_quantized(value)
-    }
-
-    fn decode(&self, data: Bytes) -> DtlResult<Frame> {
-        kernels::md::decode_quantized(data).map_err(|e| DtlError::Codec { detail: e.to_string() })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,21 +48,5 @@ mod tests {
         let codec = FrameCodec;
         let err = codec.decode(Bytes::from_static(b"not a frame")).unwrap_err();
         assert!(matches!(err, DtlError::Codec { .. }));
-    }
-
-    #[test]
-    fn quantized_codec_halves_the_payload() {
-        let frame =
-            Frame { step: 3, time: 0.5, box_len: 10.0, positions: vec![[1.0, 2.0, 3.0]; 1000] };
-        let exact = FrameCodec.encode(&frame);
-        let quant = QuantizedFrameCodec.encode(&frame);
-        assert!(quant.len() * 2 < exact.len() + 100);
-        let decoded = QuantizedFrameCodec.decode(quant).unwrap();
-        assert_eq!(decoded.num_atoms(), 1000);
-        for (a, b) in decoded.positions.iter().zip(&frame.positions) {
-            for d in 0..3 {
-                assert!((a[d] - b[d]).abs() <= 10.0 / 65535.0);
-            }
-        }
     }
 }

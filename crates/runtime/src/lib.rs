@@ -33,25 +33,17 @@ pub mod sim_exec;
 pub mod thread_exec;
 pub mod workload_map;
 
-pub use calibration::{calibrate_component, CalibratedWorkload};
-pub use diagnostics::{
-    diagnose, render_findings, DiagnosticConfig, Finding, FindingKind, Severity,
-};
+pub use calibration::calibrate_component;
+pub use diagnostics::{diagnose, render_findings, DiagnosticConfig, FindingKind};
 pub use error::{RuntimeError, RuntimeResult};
-pub use experiment_spec::{AnalysisDesc, ExperimentSpec, MemberDesc};
-pub use frame_codec::{FrameCodec, QuantizedFrameCodec};
-pub use in_transit::{run_threaded_in_transit, InTransitExecution};
-pub use predictor::{
-    predict, predict_scores, EnsemblePrediction, MemberPrediction, ScorePrediction,
-};
+pub use experiment_spec::ExperimentSpec;
+pub use in_transit::run_threaded_in_transit;
+pub use predictor::{predict, predict_scores};
 pub use report_builder::{build_report, build_summary_report, build_threaded_report};
 pub use runner::EnsembleRunner;
 pub use sim_exec::{
-    run_simulated, run_simulated_observed, run_summarized, CouplingMode, SimExecution,
-    SimRunConfig, SimSummary, MAX_SIM_COMPONENT_STEPS, MAX_SIM_STEPS,
+    run_simulated, run_summarized, CouplingMode, SimExecution, SimRunConfig,
+    MAX_SIM_COMPONENT_STEPS, MAX_SIM_NODES, MAX_SIM_STEPS,
 };
-pub use thread_exec::{
-    run_threaded, ChaosStaging, KernelChoice, MemberOutcome, RestartPolicy, ThreadExecution,
-    ThreadRunConfig,
-};
+pub use thread_exec::{run_threaded, KernelChoice, MemberOutcome, RestartPolicy, ThreadRunConfig};
 pub use workload_map::WorkloadMap;

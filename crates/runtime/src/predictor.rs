@@ -16,10 +16,10 @@ use ensemble_core::{
     efficiency, makespan, placement_indicator, sigma_star, AnalysisStageTimes, ComponentRef,
     MemberStageTimes,
 };
-use hpc_platform::{CoreAllocation, PerfEstimate, PlacedWorkload, Platform};
+use hpc_platform::{CoreAllocation, PerfEstimate, PlacedWorkload};
 
 use crate::error::{RuntimeError, RuntimeResult};
-use crate::sim_exec::SimRunConfig;
+use crate::sim_exec::{platform_for, SimRunConfig};
 
 /// Predicted quantities for one member.
 #[derive(Debug, Clone)]
@@ -92,8 +92,7 @@ fn predict_inner(
     let flat = |cref: ComponentRef| offsets[cref.member] + cref.slot;
 
     // Allocate exactly as the executor does.
-    let num_nodes = cfg.spec.node_set().iter().copied().max().map_or(0, |m| m + 1);
-    let mut platform = Platform::new(num_nodes, cfg.node_spec.clone(), cfg.network.clone());
+    let mut platform = platform_for(cfg)?;
     let mut allocations: Vec<Option<CoreAllocation>> = vec![None; n_components];
     for (i, member) in cfg.spec.members.iter().enumerate() {
         for (cref, comp) in std::iter::once((ComponentRef::simulation(i), &member.simulation))

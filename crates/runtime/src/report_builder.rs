@@ -1,7 +1,7 @@
 //! Turns a finished execution into the full [`EnsembleReport`]:
 //! steady-state stage times, `σ̄*`, efficiency, placement indicator,
-//! makespans, Table 1 metrics. One reduction ([`member_row`] per member,
-//! [`ensemble`] over them) of a [`StageSummary`]: a summarized run hands
+//! makespans, Table 1 metrics. One reduction (`member_row` per member,
+//! `ensemble` over them) of a [`StageSummary`]: a summarized run hands
 //! its summary over, a full trace (simulated or threaded) is summarised
 //! in one pass first.
 

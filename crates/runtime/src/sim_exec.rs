@@ -118,6 +118,13 @@ pub const MAX_SIM_STEPS: u64 = 100_000;
 /// ([`RuntimeError::TooManySteps`] names its share).
 pub const MAX_SIM_COMPONENT_STEPS: u64 = 6 * MAX_SIM_STEPS;
 
+/// The most nodes a simulated run addresses: component node labels are
+/// `0..MAX_SIM_NODES`. The platform holds one entry per node up to the
+/// largest label, and labels reach this crate straight off the
+/// service's wire ([`RuntimeError::NodeOutOfRange`]). Cori has some
+/// twelve thousand nodes.
+pub const MAX_SIM_NODES: usize = 100_000;
+
 /// Everything a simulated run produces.
 #[derive(Debug, Clone)]
 pub struct SimExecution {
@@ -343,10 +350,6 @@ impl<'a, K: StageSink> Process<SimState<'a, K>> for SimProc {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        "simulation"
-    }
 }
 
 enum AnaPhase {
@@ -458,10 +461,6 @@ impl<'a, K: StageSink> Process<SimState<'a, K>> for AnaProc {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        "analysis"
-    }
 }
 
 fn jittered(base: f64, steps: u64, jitter: f64, rng: &mut StdRng) -> Vec<f64> {
@@ -522,6 +521,19 @@ pub fn run_summarized(
     Ok(SimSummary { stages, estimates: solved.estimates, lost_frames, events })
 }
 
+/// An empty platform reaching the largest node label of `cfg`'s
+/// ensemble, refused when that label is not below [`MAX_SIM_NODES`].
+pub(crate) fn platform_for(cfg: &SimRunConfig) -> RuntimeResult<Platform> {
+    let num_nodes = match cfg.spec.node_set().last() {
+        Some(&node) if node >= MAX_SIM_NODES => {
+            return Err(RuntimeError::NodeOutOfRange { node, max: MAX_SIM_NODES });
+        }
+        Some(&node) => node + 1,
+        None => 0,
+    };
+    Ok(Platform::new(num_nodes, cfg.node_spec.clone(), cfg.network.clone()))
+}
+
 /// What is settled before the first event: where every component runs
 /// and how fast.
 struct Solved {
@@ -556,8 +568,7 @@ fn solve(cfg: &SimRunConfig) -> RuntimeResult<Solved> {
         .ok_or(too_many)?;
 
     // --- Placement: allocate cores for every component. ---
-    let num_nodes = cfg.spec.node_set().iter().copied().max().map_or(0, |m| m + 1);
-    let mut platform = Platform::new(num_nodes, cfg.node_spec.clone(), cfg.network.clone());
+    let mut platform = platform_for(cfg)?;
     let mut allocations: HashMap<ComponentRef, CoreAllocation> = HashMap::new();
     let mut component_node: HashMap<ComponentRef, usize> = HashMap::new();
     for (i, member) in cfg.spec.members.iter().enumerate() {
@@ -855,6 +866,24 @@ mod tests {
             };
             assert!(run_simulated(&cfg).is_err_and(refused), "{steps}: full trace");
             assert!(run_summarized(&cfg, &mut |_, _| {}).is_err_and(refused), "{steps}: summary");
+        }
+    }
+
+    #[test]
+    fn a_node_label_above_the_cap_is_refused_before_a_platform_is_sized_by_it() {
+        for node in [MAX_SIM_NODES, 4_000_000_000_000_000, usize::MAX] {
+            let mut cfg = quick_config(ConfigId::Cf);
+            cfg.spec = EnsembleSpec::new(vec![ensemble_core::MemberSpec::new(
+                ensemble_core::ComponentSpec::simulation(16, 0),
+                vec![ensemble_core::ComponentSpec::analysis(8, node)],
+            )]);
+            let refused = |e: RuntimeError| {
+                matches!(e, RuntimeError::NodeOutOfRange { node: n, max }
+                    if n == node && max == MAX_SIM_NODES)
+            };
+            assert!(run_simulated(&cfg).is_err_and(refused), "{node}: full trace");
+            assert!(run_summarized(&cfg, &mut |_, _| {}).is_err_and(refused), "{node}: summary");
+            assert!(crate::predict_scores(&cfg).is_err_and(refused), "{node}: closed form");
         }
     }
 

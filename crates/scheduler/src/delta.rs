@@ -9,7 +9,7 @@
 //! and every search entry point feeds the evaluator candidates that
 //! barely differ: [`crate::enumerate::PlacementIter`] emits candidates
 //! in recursive enumeration order (successive candidates share long
-//! placement prefixes), and annealing moves touch a single component.
+//! placement prefixes).
 //!
 //! [`DeltaEvaluator`] exploits both:
 //!
@@ -64,9 +64,9 @@ use crate::fast_eval::FastScore;
 
 /// Default bound on resident per-node solves, of an evaluator's own
 /// table and of a [`SolveCache`]. Exhaustive scans of the paper's
-/// spaces produce a few dozen distinct signatures; annealing over large
-/// ensembles a few hundred. The bound only caps memory — eviction never
-/// changes results (evicted signatures simply re-solve).
+/// spaces produce a few dozen distinct signatures. The bound only caps
+/// memory — eviction never changes results (evicted signatures simply
+/// re-solve).
 pub const DEFAULT_SOLVE_CACHE_CAPACITY: usize = 1024;
 
 /// Cache-effectiveness counters of a [`DeltaEvaluator`] (or an entire

@@ -59,8 +59,7 @@ impl EnsembleShape {
 /// appearance: `[2, 0, 2, 1]` → `[0, 1, 0, 2]`.
 ///
 /// Linear: one pass to size a node→label table, one pass to fill and
-/// apply it (the old inner `position` scan made this quadratic in the
-/// number of distinct nodes, which the annealing inner loop felt).
+/// apply it.
 pub fn canonicalize(assignment: &[usize]) -> Vec<usize> {
     const UNLABELED: usize = usize::MAX;
     let table_len = assignment.iter().max().map_or(0, |&m| m + 1);

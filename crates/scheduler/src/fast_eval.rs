@@ -91,8 +91,7 @@ fn score_config(cfg: &SimRunConfig) -> RuntimeResult<FastScore> {
 /// One-shot convenience over [`FastEvaluator`]: every call clones the
 /// **entire** `SimRunConfig` (platform model, workload map, settings).
 /// That is fine for a test reference, and ruinous in a loop — scans go
-/// through [`crate::scan`] with a per-worker [`crate::DeltaEvaluator`],
-/// annealing reuses one across moves.
+/// through [`crate::scan`] with a per-worker [`crate::DeltaEvaluator`].
 pub fn fast_score(base: &SimRunConfig, spec: &EnsembleSpec) -> RuntimeResult<FastScore> {
     FastEvaluator::new(base).score(spec)
 }

@@ -2,7 +2,7 @@
 //!
 //! Two decision procedures built on the paper's model:
 //!
-//! * [`core_sweep`] — the §3.4 heuristic (Figure 7): fix the simulation,
+//! * [`core_sweep()`] — the §3.4 heuristic (Figure 7): fix the simulation,
 //!   sweep analysis core counts, keep those satisfying Eq. 4
 //!   (`R* + A* ≤ S* + W*`), pick the most efficient. On the paper's
 //!   workloads it selects 8 cores, as the paper does.
@@ -23,32 +23,22 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
-pub mod annealing;
 pub mod core_sweep;
 pub mod cosched;
 pub mod delta;
 pub mod enumerate;
 pub mod fast_eval;
-pub mod moldable;
-pub mod pareto;
 pub mod scan;
 pub mod search;
 
-pub use advisor::{recommend_placement, recommend_with_core_sweep, Recommendation};
-pub use annealing::{anneal_placement, AnnealingConfig};
-pub use core_sweep::{core_sweep, CoreSweepConfig, SweepPoint, SweepResult};
+pub use advisor::{recommend_placement, recommend_with_core_sweep};
+pub use core_sweep::{core_sweep, CoreSweepConfig, SweepResult};
 pub use cosched::{
     place_against, Admission, CoScheduler, CoschedConfig, CoschedCounters, CoschedError,
-    PlacementDecision, Reservation, ResidencyMap, ResidualView,
+    PlacementDecision, Reservation, ResidencyMap,
 };
 pub use delta::{DeltaCounters, DeltaEvaluator, SolveCache};
 pub use enumerate::{canonicalize, enumerate_placements, EnsembleShape, PlacementIter};
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
-pub use moldable::{moldable_search, MoldablePoint, MoldableResult};
-pub use pareto::{frontier_only, pareto_front, ParetoPoint};
-pub use scan::{
-    scan_placements, Candidate, ScanHit, ScanOptions, ScanOutcome, ScanProgress, SCAN_WORKERS_ENV,
-};
-pub use search::{
-    exhaustive_search, greedy_search, score_report, NodeBudget, ScoredPlacement, SearchConfig,
-};
+pub use scan::{scan_placements, Candidate, ScanOptions, ScanProgress};
+pub use search::{exhaustive_search, NodeBudget, SearchConfig};

@@ -1,8 +1,8 @@
 //! Parallel streaming placement-scan engine.
 //!
 //! Every candidate scan in this crate — the DES-scored exhaustive
-//! search, the service's closed-form `score` path, the Pareto sweep, and
-//! the moldable joint search — has the same shape: enumerate canonical
+//! search, the service's closed-form `score` path, and the
+//! co-scheduler's admission scan — has the same shape: enumerate canonical
 //! placements, evaluate each one independently, rank the results. This
 //! module is that shape, made reusable and parallel:
 //!

@@ -2,7 +2,7 @@
 //!
 //! The contract is the repo's established one: **bit-identity**. A
 //! `DeltaEvaluator` fed any sequence of assignments — enumeration
-//! order, random jumps, annealing-style single-component moves — must
+//! order, random jumps, single-component moves — must
 //! return exactly the floats a fresh from-scratch evaluation returns,
 //! for every candidate, under any solve-cache capacity (eviction may
 //! cost re-solves, never correctness). On top of that: occupancy-
@@ -57,8 +57,7 @@ fn flat_cores(shape: &EnsembleShape) -> Vec<u32> {
     v
 }
 
-/// True when `assignment` fits the budget (the same check the annealing
-/// neighbourhood applies before scoring).
+/// True when `assignment` fits the budget.
 fn feasible(assignment: &[usize], cores: &[u32], budget: NodeBudget) -> bool {
     let mut load = vec![0u32; budget.max_nodes];
     for (&node, &c) in assignment.iter().zip(cores) {
@@ -243,9 +242,9 @@ proptest! {
         }
     }
 
-    /// Annealing-style traces — single-component moves from a feasible
-    /// start, scored on the canonicalized assignment exactly as
-    /// `anneal_placement` does — are bit-identical at every move.
+    /// Local-search traces — single-component moves from a feasible
+    /// start, scored on the canonicalized assignment — are bit-identical
+    /// at every move.
     #[test]
     fn annealing_move_traces_are_bit_identical(
         shape in shape_strategy(),
@@ -255,7 +254,7 @@ proptest! {
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let cores = flat_cores(&shape);
         let n = cores.len();
-        // First-fit start, like the annealing warm start.
+        // First-fit start.
         let mut current: Vec<usize> = Vec::with_capacity(n);
         let mut load = vec![0u32; max_nodes];
         for &c in &cores {

@@ -9,15 +9,14 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::event::{EventAction, EventId};
-use crate::process::{Poll, Process, ProcessId, Signal};
+use crate::process::{Poll, Process, Signal};
 use crate::queue::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
-/// Execution context passed into event actions and process polls.
+/// Execution context passed into process polls.
 ///
 /// It carries the current virtual time and collects side requests (signal
-/// emissions) that the engine applies after the action returns.
+/// emissions) that the engine applies after the poll returns.
 pub struct Context {
     now: SimTime,
     emitted: Vec<Signal>,
@@ -30,7 +29,7 @@ impl Context {
     }
 
     /// Emits a signal, waking every process blocked on it. Wake-ups happen
-    /// at the current virtual time, after the running action completes.
+    /// at the current virtual time, after the running poll completes.
     pub fn emit(&mut self, signal: Signal) {
         self.emitted.push(signal);
     }
@@ -41,8 +40,6 @@ impl Context {
 pub enum RunOutcome {
     /// The event queue drained: no process can make further progress.
     Quiescent,
-    /// The configured horizon was reached with events still pending.
-    HorizonReached,
     /// The configured event budget was exhausted (livelock guard).
     EventBudgetExhausted,
 }
@@ -79,11 +76,11 @@ impl Hasher for SignalHasher {
 pub struct Engine<S> {
     state: S,
     now: SimTime,
-    queue: EventQueue<S>,
+    queue: EventQueue,
     processes: Vec<ProcessSlot<S>>,
     /// Wait lists are emptied in place by an emit and keep their
     /// allocation for the next round of waiters.
-    waiters: HashMap<Signal, Vec<ProcessId>, BuildHasherDefault<SignalHasher>>,
+    waiters: HashMap<Signal, Vec<u32>, BuildHasherDefault<SignalHasher>>,
     /// The buffer every [`Context`] collects emissions into, handed from
     /// one event to the next.
     emitted: Vec<Signal>,
@@ -122,11 +119,6 @@ impl<S> Engine<S> {
         &self.state
     }
 
-    /// Mutable shared state accessor.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
-    }
-
     /// Consumes the engine, returning the final state.
     pub fn into_state(self) -> S {
         self.state
@@ -137,47 +129,11 @@ impl<S> Engine<S> {
         self.events_fired
     }
 
-    /// Number of pending events; a cancelled event stops counting at once.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedules `action` to run at absolute time `at` (must not be in the
-    /// past). Returns an id that can cancel the event.
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut S, &mut Context) + Send + 'static,
-    {
-        assert!(at >= self.now, "cannot schedule into the past: {at} < {}", self.now);
-        self.queue.push_call(at, Box::new(action))
-    }
-
-    /// Schedules `action` to run after `delay`.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F) -> EventId
-    where
-        F: FnOnce(&mut S, &mut Context) + Send + 'static,
-    {
-        self.schedule_at(self.now + delay, action)
-    }
-
-    /// Cancels a pending event. Returns true if it had not fired yet —
-    /// false for an event that fired, was already cancelled, or was never
-    /// issued by this engine.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
     /// Registers a process and schedules its first poll at the current time.
-    pub fn spawn(&mut self, process: Box<dyn Process<S>>) -> ProcessId {
-        let id = ProcessId(self.processes.len());
+    pub fn spawn(&mut self, process: Box<dyn Process<S>>) {
+        let index = u32::try_from(self.processes.len()).expect("more than u32::MAX processes");
         self.processes.push(ProcessSlot { process, finished: false });
-        self.queue.push_poll(self.now, id);
-        id
-    }
-
-    /// True iff the given process has returned [`Poll::Done`].
-    pub fn is_finished(&self, id: ProcessId) -> bool {
-        self.processes[id.0].finished
+        self.queue.push(self.now, index);
     }
 
     /// True iff every registered process has finished.
@@ -185,149 +141,97 @@ impl<S> Engine<S> {
         self.processes.iter().all(|p| p.finished)
     }
 
-    /// Fires the single earliest pending event. Returns false if the queue
-    /// was empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, action)) = self.queue.pop_due(SimTime::MAX) else {
-            return false;
-        };
-        self.fire(time, action);
-        true
-    }
-
-    fn fire(&mut self, time: SimTime, action: EventAction<S>) {
+    fn fire(&mut self, time: SimTime, index: u32) {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.events_fired += 1;
 
         let mut ctx = Context { now: time, emitted: std::mem::take(&mut self.emitted) };
-        match action {
-            EventAction::Call(f) => f(&mut self.state, &mut ctx),
-            EventAction::PollProcess(pid) => self.poll_process(pid, &mut ctx),
+        let slot = &mut self.processes[index as usize];
+        debug_assert!(!slot.finished, "a finished process is never scheduled");
+        // The process table and the shared state are separate fields, so
+        // the process can take `&mut state` where it stands.
+        match slot.process.poll(&mut self.state, &mut ctx) {
+            Poll::Sleep(d) => self.queue.push(time + d, index),
+            Poll::WaitSignal(sig) => self.waiters.entry(sig).or_default().push(index),
+            Poll::Done => slot.finished = true,
         }
         let mut emitted = ctx.emitted;
         for signal in emitted.drain(..) {
-            self.fire_signal(signal);
+            let Some(waiting) = self.waiters.get_mut(&signal) else {
+                continue;
+            };
+            for waiter in waiting.drain(..) {
+                // Wake-up = a poll scheduled at the current instant;
+                // schedule order (and therefore wait order) is preserved.
+                self.queue.push(time, waiter);
+            }
         }
         self.emitted = emitted;
     }
 
-    fn poll_process(&mut self, pid: ProcessId, ctx: &mut Context) {
-        let slot = &mut self.processes[pid.0];
-        if slot.finished {
-            return;
-        }
-        // The process table and the shared state are separate fields, so
-        // the process can take `&mut state` where it stands.
-        match slot.process.poll(&mut self.state, ctx) {
-            Poll::Sleep(d) => self.queue.push_poll(self.now + d, pid),
-            Poll::WaitSignal(sig) => self.waiters.entry(sig).or_default().push(pid),
-            Poll::Done => slot.finished = true,
-        }
-    }
-
-    fn fire_signal(&mut self, signal: Signal) {
-        let Some(waiting) = self.waiters.get_mut(&signal) else {
-            return;
-        };
-        for pid in waiting.drain(..) {
-            // Wake-up = a poll scheduled at the current instant; schedule
-            // order (and therefore wait order) is preserved.
-            self.queue.push_poll(self.now, pid);
-        }
-    }
-
-    /// Emits a signal from outside any event (e.g. before starting the run).
-    pub fn emit_signal(&mut self, signal: Signal) {
-        self.fire_signal(signal);
-    }
-
-    /// Runs until the queue drains, `horizon` is passed, or the event budget
-    /// is exhausted.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
+    /// Runs until the queue drains or the event budget is exhausted.
+    pub fn run(&mut self) -> RunOutcome {
         loop {
             if self.events_fired >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
-            match self.queue.pop_due(horizon) {
-                Some((time, action)) => self.fire(time, action),
-                None if self.queue.len() == 0 => return RunOutcome::Quiescent,
-                None => return RunOutcome::HorizonReached,
+            match self.queue.pop() {
+                Some((time, index)) => self.fire(time, index),
+                None => return RunOutcome::Quiescent,
             }
         }
-    }
-
-    /// Runs until the queue drains or the event budget is exhausted.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::Poll;
+    use crate::time::SimDuration;
 
-    #[test]
-    fn events_fire_in_time_order_and_advance_clock() {
-        let mut engine = Engine::new(Vec::<u32>::new());
-        engine.schedule_in(SimDuration::from_secs(2), |s: &mut Vec<u32>, _| s.push(2));
-        engine.schedule_in(SimDuration::from_secs(1), |s: &mut Vec<u32>, _| s.push(1));
-        engine.schedule_in(SimDuration::from_secs(3), |s: &mut Vec<u32>, _| s.push(3));
-        assert_eq!(engine.run(), RunOutcome::Quiescent);
-        assert_eq!(engine.state(), &vec![1, 2, 3]);
-        assert_eq!(engine.now(), SimTime::from_secs_f64(3.0));
-        assert_eq!(engine.events_fired(), 3);
+    /// A process that sleeps `delay`, then runs `then` once and finishes.
+    fn after<S: 'static>(
+        delay: SimDuration,
+        mut then: impl FnMut(&mut S, &mut Context) + Send + 'static,
+    ) -> Box<dyn Process<S>> {
+        let mut slept = false;
+        Box::new(move |state: &mut S, ctx: &mut Context| {
+            if slept {
+                then(state, ctx);
+                Poll::Done
+            } else {
+                slept = true;
+                Poll::Sleep(delay)
+            }
+        })
     }
 
     #[test]
-    fn simultaneous_events_fire_in_schedule_order() {
+    fn polls_fire_in_time_order_and_advance_clock() {
+        let mut engine = Engine::new(Vec::<u32>::new());
+        for secs in [2, 1, 3] {
+            engine.spawn(after(SimDuration::from_secs(secs), move |s: &mut Vec<u32>, _| {
+                s.push(secs as u32)
+            }));
+        }
+        assert_eq!(engine.run(), RunOutcome::Quiescent);
+        assert_eq!(engine.state(), &vec![1, 2, 3]);
+        assert_eq!(engine.now(), SimTime::from_secs_f64(3.0));
+        assert_eq!(engine.events_fired(), 6);
+    }
+
+    #[test]
+    fn simultaneous_polls_fire_in_schedule_order() {
         let mut engine = Engine::new(Vec::<u32>::new());
         for i in 0..10u32 {
-            engine.schedule_in(SimDuration::from_secs(1), move |s: &mut Vec<u32>, _| s.push(i));
+            engine.spawn(after(SimDuration::from_secs(1), move |s: &mut Vec<u32>, _| s.push(i)));
         }
         engine.run();
         assert_eq!(engine.state(), &(0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn cancelled_event_does_not_fire() {
-        let mut engine = Engine::new(0u32);
-        let id = engine.schedule_in(SimDuration::from_secs(1), |s: &mut u32, _| *s += 1);
-        engine.schedule_in(SimDuration::from_secs(2), |s: &mut u32, _| *s += 10);
-        assert!(engine.cancel(id));
-        engine.run();
-        assert_eq!(*engine.state(), 10);
-    }
-
-    #[test]
-    fn cancel_is_true_only_for_an_event_still_pending() {
-        let mut engine = Engine::new(0u32);
-        let early = engine.schedule_in(SimDuration::from_secs(1), |s: &mut u32, _| *s += 1);
-        let late = engine.schedule_in(SimDuration::from_secs(5), |s: &mut u32, _| *s += 10);
-        assert_eq!(engine.pending_events(), 2);
-
-        assert!(engine.cancel(late));
-        assert_eq!(engine.pending_events(), 1, "the count drops at cancel, not at the head");
-        assert!(!engine.cancel(late), "double cancel");
-
-        assert!(engine.step());
-        assert!(!engine.cancel(early), "cancel after fire");
-        assert!(!engine.cancel(EventId { seq: 1 << 40, slot: 3 }), "an id never issued");
-        assert_eq!(engine.pending_events(), 0);
-
-        // The freed slots are let again; the stale ids stay dead.
-        let next = engine.schedule_in(SimDuration::from_secs(1), |s: &mut u32, _| *s += 100);
-        assert!(!engine.cancel(early) && !engine.cancel(late));
-        assert_eq!(engine.pending_events(), 1);
-        assert_eq!(engine.run(), RunOutcome::Quiescent);
-        assert_eq!(*engine.state(), 101);
-        assert_eq!(engine.events_fired(), 2, "a cancelled event never counts as fired");
-        assert!(!engine.cancel(next));
-    }
-
-    #[test]
-    fn events_can_schedule_into_engine_via_processes() {
+    fn a_process_is_polled_at_the_end_of_each_sleep() {
         // A process that sleeps twice then finishes.
         struct TwoSleeps {
             polls: u32,
@@ -344,9 +248,9 @@ mod tests {
             }
         }
         let mut engine = Engine::new(Vec::new());
-        let pid = engine.spawn(Box::new(TwoSleeps { polls: 0 }));
+        engine.spawn(Box::new(TwoSleeps { polls: 0 }));
         engine.run();
-        assert!(engine.is_finished(pid));
+        assert!(engine.all_finished());
         assert_eq!(
             engine.state(),
             &vec![SimTime::ZERO, SimTime::from_secs_f64(5.0), SimTime::from_secs_f64(10.0)]
@@ -372,7 +276,7 @@ mod tests {
         }
         let mut engine = Engine::new(None);
         engine.spawn(Box::new(Consumer { woke: false }));
-        engine.schedule_in(SimDuration::from_secs(3), |_s, ctx| ctx.emit(Signal(7)));
+        engine.spawn(after(SimDuration::from_secs(3), |_s, ctx| ctx.emit(Signal(7))));
         assert_eq!(engine.run(), RunOutcome::Quiescent);
         assert_eq!(*engine.state(), Some(SimTime::from_secs_f64(3.0)));
     }
@@ -394,27 +298,14 @@ mod tests {
         }
         let mut engine = Engine::new((0u32, false));
         engine.spawn(Box::new(Consumer));
-        engine.schedule_in(SimDuration::from_secs(1), |s: &mut (u32, bool), ctx| {
-            s.0 += 1;
-            ctx.emit(Signal(1));
-        });
-        engine.schedule_in(SimDuration::from_secs(2), |s: &mut (u32, bool), ctx| {
-            s.0 += 1;
-            ctx.emit(Signal(1));
-        });
+        for secs in [1, 2] {
+            engine.spawn(after(SimDuration::from_secs(secs), |s: &mut (u32, bool), ctx| {
+                s.0 += 1;
+                ctx.emit(Signal(1));
+            }));
+        }
         engine.run();
         assert!(engine.state().1, "consumer should have observed the condition");
-    }
-
-    #[test]
-    fn run_until_horizon_stops_early() {
-        let mut engine = Engine::new(0u32);
-        engine.schedule_in(SimDuration::from_secs(1), |s: &mut u32, _| *s += 1);
-        engine.schedule_in(SimDuration::from_secs(10), |s: &mut u32, _| *s += 1);
-        let outcome = engine.run_until(SimTime::from_secs_f64(5.0));
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(*engine.state(), 1);
-        assert_eq!(engine.pending_events(), 1);
     }
 
     #[test]
@@ -431,32 +322,6 @@ mod tests {
         engine.set_event_budget(100);
         assert_eq!(engine.run(), RunOutcome::EventBudgetExhausted);
         assert_eq!(engine.events_fired(), 100);
-    }
-
-    #[test]
-    fn closure_processes_work() {
-        let mut polls = 0;
-        let proc = move |s: &mut u32, _ctx: &mut Context| {
-            polls += 1;
-            *s += 1;
-            if polls < 3 {
-                Poll::Sleep(SimDuration::from_secs(1))
-            } else {
-                Poll::Done
-            }
-        };
-        let mut engine = Engine::new(0u32);
-        engine.spawn(Box::new(proc));
-        engine.run();
-        assert_eq!(*engine.state(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn scheduling_into_past_panics() {
-        let mut engine = Engine::new(0u32);
-        engine.schedule_in(SimDuration::from_secs(1), |_s, _c| {});
-        engine.run();
-        engine.schedule_at(SimTime::ZERO, |_s, _c| {});
+        assert!(!engine.all_finished());
     }
 }

@@ -6,9 +6,7 @@
 //! * an integer-nanosecond virtual clock ([`SimTime`], [`SimDuration`]);
 //! * an event queue with deterministic tie-breaking ([`Engine`]);
 //! * a resumable-process abstraction with condition-variable style signals
-//!   ([`Process`], [`Signal`]);
-//! * counted FIFO resources ([`Resource`]);
-//! * streaming statistics ([`RunningStats`], [`TimeWeighted`], [`Histogram`]).
+//!   ([`Process`], [`Signal`]).
 //!
 //! Determinism is a design requirement: two runs of the same model produce
 //! identical event orders and timestamps, which is what makes the paper's
@@ -17,11 +15,20 @@
 //! ## Example
 //!
 //! ```
-//! use sim_des::{Engine, SimDuration};
+//! use sim_des::{Context, Engine, Poll, SimDuration};
 //!
+//! // A process is polled, says how long to sleep, and is polled again.
+//! let mut ticks_left = 2;
+//! let ticker = move |count: &mut u64, _ctx: &mut Context| {
+//!     if ticks_left == 0 {
+//!         return Poll::Done;
+//!     }
+//!     ticks_left -= 1;
+//!     *count += 1;
+//!     Poll::Sleep(SimDuration::from_secs(1))
+//! };
 //! let mut engine = Engine::new(0u64);
-//! engine.schedule_in(SimDuration::from_secs(1), |count: &mut u64, _ctx| *count += 1);
-//! engine.schedule_in(SimDuration::from_secs(2), |count: &mut u64, _ctx| *count += 1);
+//! engine.spawn(Box::new(ticker));
 //! engine.run();
 //! assert_eq!(*engine.state(), 2);
 //! assert_eq!(engine.now().as_secs_f64(), 2.0);
@@ -30,16 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod event;
 pub mod process;
 pub mod queue;
-pub mod resource;
-pub mod stats;
 pub mod time;
 
 pub use engine::{Context, Engine, RunOutcome};
-pub use event::EventId;
-pub use process::{Poll, Process, ProcessId, Signal};
-pub use resource::{AcquireState, Resource, Ticket};
-pub use stats::{Histogram, RunningStats, TimeWeighted};
+pub use process::{Poll, Process, Signal};
 pub use time::{SimDuration, SimTime};

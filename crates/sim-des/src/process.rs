@@ -10,17 +10,6 @@
 use crate::engine::Context;
 use crate::time::SimDuration;
 
-/// Identifier of a registered process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ProcessId(pub(crate) usize);
-
-impl ProcessId {
-    /// The raw index of this process.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// A broadcast wake-up channel. Every process blocked on a signal is woken
 /// when it is emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,11 +33,6 @@ pub trait Process<S>: Send {
     /// `ctx` exposes the current virtual time and lets the process emit
     /// signals that wake other processes.
     fn poll(&mut self, state: &mut S, ctx: &mut Context) -> Poll;
-
-    /// Human-readable name used in diagnostics.
-    fn name(&self) -> &str {
-        "process"
-    }
 }
 
 /// Blanket impl so plain closures can act as processes in tests and simple
@@ -59,21 +43,5 @@ where
 {
     fn poll(&mut self, state: &mut S, ctx: &mut Context) -> Poll {
         self(state, ctx)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn process_id_roundtrip() {
-        assert_eq!(ProcessId(3).index(), 3);
-    }
-
-    #[test]
-    fn signal_equality() {
-        assert_eq!(Signal(1), Signal(1));
-        assert_ne!(Signal(1), Signal(2));
     }
 }

@@ -4,8 +4,7 @@
 //! ordering is exact and runs are bit-for-bit reproducible. Floating-point
 //! seconds are accepted and produced at the API boundary only.
 
-use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::Add;
 
 use serde::{Deserialize, Serialize};
 
@@ -29,8 +28,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant (used as an "infinite" horizon).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Builds an instant from integer nanoseconds since the epoch.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -40,7 +37,7 @@ impl SimTime {
     /// Builds an instant from (possibly fractional) seconds since the epoch.
     ///
     /// Negative and non-finite inputs saturate to zero; values beyond the
-    /// representable range saturate to [`SimTime::MAX`].
+    /// representable range saturate to `u64::MAX` nanoseconds.
     pub fn from_secs_f64(secs: f64) -> Self {
         SimTime(secs_to_nanos(secs))
     }
@@ -54,24 +51,11 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
-
-    /// The duration since an earlier instant, saturating to zero if
-    /// `earlier` is actually later.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
     /// A zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Builds a span from integer nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -81,11 +65,6 @@ impl SimDuration {
     /// Builds a span from integer microseconds.
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros.saturating_mul(1_000))
-    }
-
-    /// Builds a span from integer milliseconds.
-    pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis.saturating_mul(1_000_000))
     }
 
     /// Builds a span from integer seconds.
@@ -109,31 +88,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
-
-    /// True iff the span is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating subtraction: `self - rhs`, clamped at zero.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(rhs.0).map(SimDuration)
-    }
-
-    /// The larger of two spans.
-    pub fn max(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(rhs.0))
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(rhs.0))
-    }
 }
 
 fn secs_to_nanos(secs: f64) -> u64 {
@@ -155,81 +109,6 @@ impl Add<SimDuration> for SimTime {
     }
 }
 
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        debug_assert!(self >= rhs, "SimTime subtraction underflow");
-        SimDuration(self.0 - rhs.0)
-    }
-}
-
-impl Add for SimDuration {
-    type Output = SimDuration;
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for SimDuration {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for SimDuration {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimDuration) -> SimDuration {
-        debug_assert!(self >= rhs, "SimDuration subtraction underflow");
-        SimDuration(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for SimDuration {
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        debug_assert!(*self >= rhs, "SimDuration subtraction underflow");
-        self.0 -= rhs.0;
-    }
-}
-
-impl Mul<u64> for SimDuration {
-    type Output = SimDuration;
-    fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(rhs))
-    }
-}
-
-impl Mul<f64> for SimDuration {
-    type Output = SimDuration;
-    fn mul(self, rhs: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * rhs)
-    }
-}
-
-impl Div<u64> for SimDuration {
-    type Output = SimDuration;
-    fn div(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 / rhs)
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.9}s", self.as_secs_f64())
-    }
-}
-
-impl fmt::Display for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.9}s", self.as_secs_f64())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,49 +119,20 @@ mod tests {
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
         let d = SimDuration::from_secs_f64(0.25);
         assert_eq!((t + d).as_nanos(), 1_750_000_000);
-        assert_eq!((t + d) - t, d);
     }
 
     #[test]
     fn from_secs_f64_saturates() {
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
-        assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
+        assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::from_nanos(u64::MAX));
         assert_eq!(SimDuration::from_secs_f64(-0.5), SimDuration::ZERO);
     }
 
     #[test]
-    fn duration_since_saturates() {
-        let a = SimTime::from_nanos(10);
-        let b = SimTime::from_nanos(20);
-        assert_eq!(a.duration_since(b), SimDuration::ZERO);
-        assert_eq!(b.duration_since(a), SimDuration::from_nanos(10));
-    }
-
-    #[test]
     fn duration_constructors_agree() {
-        assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
-        assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3_000));
+        assert_eq!(SimDuration::from_secs(2), SimDuration::from_micros(2_000_000));
         assert_eq!(SimDuration::from_micros(5), SimDuration::from_nanos(5_000));
-    }
-
-    #[test]
-    fn duration_scaling() {
-        let d = SimDuration::from_secs(1);
-        assert_eq!(d * 3u64, SimDuration::from_secs(3));
-        assert_eq!(d / 4, SimDuration::from_millis(250));
-        let half = d * 0.5f64;
-        assert_eq!(half, SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn min_max_and_zero() {
-        let a = SimDuration::from_nanos(3);
-        let b = SimDuration::from_nanos(7);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        assert!(SimDuration::ZERO.is_zero());
-        assert!(!a.is_zero());
     }
 
     #[test]

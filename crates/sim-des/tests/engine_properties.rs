@@ -4,14 +4,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sim_des::{Context, Engine, EventId, Poll, Process, RunOutcome, Signal, SimDuration, SimTime};
-
-/// Who fired: process `i` was polled, or closure `i` ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Who {
-    Proc(usize),
-    Call(usize),
-}
+use sim_des::{Context, Engine, Poll, Process, RunOutcome, Signal, SimDuration, SimTime};
 
 /// One poll of a scripted process: optionally emit, then sleep or wait
 /// (a script that ran out answers `Done`).
@@ -22,7 +15,8 @@ enum Op {
     EmitThenSleep(u64, u64),
 }
 
-type Log = Vec<(u64, Who)>;
+/// `(time, process)` of every poll, in firing order.
+type Log = Vec<(u64, usize)>;
 
 struct Scripted {
     me: usize,
@@ -32,7 +26,7 @@ struct Scripted {
 
 impl Process<Log> for Scripted {
     fn poll(&mut self, log: &mut Log, ctx: &mut Context) -> Poll {
-        log.push((ctx.now().as_nanos(), Who::Proc(self.me)));
+        log.push((ctx.now().as_nanos(), self.me));
         let op = self.script.get(self.pc).copied();
         self.pc += 1;
         match op {
@@ -47,11 +41,11 @@ impl Process<Log> for Scripted {
     }
 }
 
-/// The reference the engine's order is checked against: pending events
+/// The reference the engine's order is checked against: pending polls
 /// in a `Vec`, the next one found by sorting on `(time, seq)`.
 #[derive(Default)]
 struct Model {
-    pending: Vec<(u64, u64, Who)>,
+    pending: Vec<(u64, u64, usize)>,
     next_seq: u64,
     now: u64,
     pcs: Vec<usize>,
@@ -60,126 +54,80 @@ struct Model {
 }
 
 impl Model {
-    fn push(&mut self, at: u64, who: Who) -> u64 {
-        self.pending.push((at, self.next_seq, who));
+    fn push(&mut self, at: u64, process: usize) {
+        self.pending.push((at, self.next_seq, process));
         self.next_seq += 1;
-        self.next_seq - 1
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        let before = self.pending.len();
-        self.pending.retain(|&(_, s, _)| s != seq);
-        self.pending.len() < before
     }
 
     fn emit(&mut self, sig: u64) {
         for pid in self.waiters.remove(&sig).unwrap_or_default() {
-            self.push(self.now, Who::Proc(pid));
+            self.push(self.now, pid);
         }
     }
 
-    /// Fires events up to `horizon` within `budget`, as `run_until` does.
-    fn run_until(
-        &mut self,
-        horizon: u64,
-        budget: usize,
-        scripts: &[Vec<Op>],
-        calls: &[Option<u64>],
-    ) {
-        while self.fired.len() < budget {
+    /// Fires polls within `budget`, as `run` does.
+    fn run(&mut self, budget: usize, scripts: &[Vec<Op>]) {
+        while self.fired.len() < budget && !self.pending.is_empty() {
             self.pending.sort_by_key(|&(time, seq, _)| (time, seq));
-            match self.pending.first() {
-                Some(&(time, _, _)) if time <= horizon => {}
-                _ => return,
-            }
-            let (time, _, who) = self.pending.remove(0);
+            let (time, _, p) = self.pending.remove(0);
             self.now = time;
-            self.fired.push((time, who));
-            match who {
-                Who::Call(c) => calls[c].into_iter().for_each(|sig| self.emit(sig)),
-                Who::Proc(p) => {
-                    let op = scripts[p].get(self.pcs[p]).copied();
-                    self.pcs[p] += 1;
-                    match op {
-                        None => {}
-                        Some(Op::Sleep(d)) => drop(self.push(time + d, who)),
-                        Some(Op::Wait(sig)) => self.waiters.entry(sig).or_default().push(p),
-                        Some(Op::EmitThenSleep(sig, d)) => {
-                            self.push(time + d, who);
-                            self.emit(sig);
-                        }
-                    }
+            self.fired.push((time, p));
+            let op = scripts[p].get(self.pcs[p]).copied();
+            self.pcs[p] += 1;
+            match op {
+                None => {}
+                Some(Op::Sleep(d)) => self.push(time + d, p),
+                Some(Op::Wait(sig)) => self.waiters.entry(sig).or_default().push(p),
+                Some(Op::EmitThenSleep(sig, d)) => {
+                    self.push(time + d, p);
+                    self.emit(sig);
                 }
             }
         }
     }
 }
 
+fn run_scripts(scripts: &[Vec<Op>]) -> Engine<Log> {
+    let mut engine = Engine::new(Log::new());
+    for (me, script) in scripts.iter().enumerate() {
+        engine.spawn(Box::new(Scripted { me, script: script.clone(), pc: 0 }));
+    }
+    engine.run();
+    engine
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn events_fire_in_nondecreasing_time_order(
+    fn polls_fire_in_nondecreasing_time_order(
         delays in prop::collection::vec(0u64..1_000_000, 1..100)
     ) {
-        let mut engine = Engine::new(Vec::<u64>::new());
-        for &d in &delays {
-            engine.schedule_in(SimDuration::from_nanos(d), move |log: &mut Vec<u64>, ctx| {
-                log.push(ctx.now().as_nanos());
-            });
-        }
-        engine.run();
-        let log = engine.state();
+        let scripts: Vec<Vec<Op>> = delays.iter().map(|&d| vec![Op::Sleep(d)]).collect();
+        let engine = run_scripts(&scripts);
+        // Every process is polled at zero and again when its sleep ends.
+        let log = &engine.state()[delays.len()..];
         prop_assert_eq!(log.len(), delays.len());
-        prop_assert!(log.windows(2).all(|w| w[0] <= w[1]), "clock went backwards");
+        prop_assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "clock went backwards");
         let mut sorted = delays.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(log, &sorted);
+        prop_assert_eq!(log.iter().map(|&(time, _)| time).collect::<Vec<_>>(), sorted);
     }
 
     #[test]
     fn identical_schedules_replay_identically(
         delays in prop::collection::vec(0u64..1_000_000, 1..60)
     ) {
-        let run = |delays: &[u64]| {
-            let mut engine = Engine::new(Vec::<(u64, usize)>::new());
-            for (i, &d) in delays.iter().enumerate() {
-                engine.schedule_in(
-                    SimDuration::from_nanos(d),
-                    move |log: &mut Vec<(u64, usize)>, ctx| {
-                        log.push((ctx.now().as_nanos(), i));
-                    },
-                );
-            }
-            engine.run();
-            engine.into_state()
-        };
-        prop_assert_eq!(run(&delays), run(&delays));
+        let scripts: Vec<Vec<Op>> = delays.iter().map(|&d| vec![Op::Sleep(d)]).collect();
+        prop_assert_eq!(run_scripts(&scripts).into_state(), run_scripts(&scripts).into_state());
     }
 
     #[test]
     fn processes_advance_clock_by_their_sleeps(
         sleeps in prop::collection::vec(1u64..1_000_000, 1..50)
     ) {
-        struct Sleeper {
-            sleeps: Vec<u64>,
-            idx: usize,
-        }
-        impl Process<()> for Sleeper {
-            fn poll(&mut self, _s: &mut (), _ctx: &mut Context) -> Poll {
-                if self.idx < self.sleeps.len() {
-                    let d = self.sleeps[self.idx];
-                    self.idx += 1;
-                    Poll::Sleep(SimDuration::from_nanos(d))
-                } else {
-                    Poll::Done
-                }
-            }
-        }
         let total: u64 = sleeps.iter().sum();
-        let mut engine = Engine::new(());
-        engine.spawn(Box::new(Sleeper { sleeps, idx: 0 }));
-        engine.run();
+        let engine = run_scripts(&[sleeps.into_iter().map(Op::Sleep).collect()]);
         prop_assert_eq!(engine.now(), SimTime::from_nanos(total));
         prop_assert!(engine.all_finished());
     }
@@ -189,31 +137,17 @@ proptest! {
         waiters in 1usize..20,
         fire_at in 1u64..1_000_000
     ) {
-        let mut engine = Engine::new(0u32);
-        for _ in 0..waiters {
-            // Closure process: first poll waits on the signal, the
-            // wake-up poll counts itself and finishes.
-            let mut waited = false;
-            engine.spawn(Box::new(move |count: &mut u32, _ctx: &mut Context| {
-                if !waited {
-                    waited = true;
-                    Poll::WaitSignal(Signal(9))
-                } else {
-                    *count += 1;
-                    Poll::Done
-                }
-            }));
-        }
-        engine.schedule_in(SimDuration::from_nanos(fire_at), |_s, ctx| ctx.emit(Signal(9)));
-        engine.run();
-        prop_assert_eq!(*engine.state(), waiters as u32);
+        let mut scripts = vec![vec![Op::Wait(9)]; waiters];
+        scripts.push(vec![Op::Sleep(fire_at), Op::EmitThenSleep(9, 0)]);
+        let engine = run_scripts(&scripts);
+        let woken = engine.state().iter().filter(|&&(time, p)| time == fire_at && p < waiters);
+        prop_assert_eq!(woken.count(), waiters);
         prop_assert!(engine.all_finished());
     }
 
-    /// A seeded mix of sleepers, waiters and emitters over a few signals,
-    /// closures (some emitting), cancels before and in the middle of the
-    /// run, and an event budget: the engine fires exactly what the
-    /// reference queue fires, in the same order.
+    /// A seeded mix of sleepers, waiters and emitters over a few signals
+    /// under an event budget: the engine fires exactly what the reference
+    /// queue fires, in the same order.
     #[test]
     fn fired_sequence_matches_the_reference_queue(seed in any::<u64>()) {
         let mut rng = seed;
@@ -233,56 +167,27 @@ proptest! {
                     .collect()
             })
             .collect();
-        // Closure `c` fires at `delay` and emits `calls[c]`, if any.
-        let delays: Vec<u64> = (0..draw(10)).map(|_| draw(30) * 10).collect();
-        let calls: Vec<Option<u64>> =
-            delays.iter().map(|_| (draw(2) == 0).then(|| draw(signals))).collect();
         let budget = if draw(3) == 0 { 5 + draw(40) } else { u64::MAX };
-        let horizon = draw(20) * 10;
 
         let mut engine = Engine::new(Log::new());
         engine.set_event_budget(budget);
         let mut model = Model { pcs: vec![0; scripts.len()], ..Model::default() };
         for (me, script) in scripts.iter().enumerate() {
             engine.spawn(Box::new(Scripted { me, script: script.clone(), pc: 0 }));
-            model.push(0, Who::Proc(me));
-        }
-        let mut ids: Vec<(EventId, u64)> = Vec::new();
-        for (c, (&delay, &emits)) in delays.iter().zip(&calls).enumerate() {
-            let id = engine.schedule_in(SimDuration::from_nanos(delay), move |log: &mut Log, ctx| {
-                log.push((ctx.now().as_nanos(), Who::Call(c)));
-                if let Some(sig) = emits {
-                    ctx.emit(Signal(sig));
-                }
-            });
-            ids.push((id, model.push(delay, Who::Call(c))));
+            model.push(0, me);
         }
 
         let budget = usize::try_from(budget).unwrap_or(usize::MAX);
-        // Two rounds of cancels: before anything fired, and at the
-        // horizon, where some of the ids have fired already.
-        for round in 0..2 {
-            for &(id, seq) in &ids {
-                if draw(4) == 0 {
-                    prop_assert_eq!(engine.cancel(id), model.cancel(seq), "cancel of seq {}", seq);
-                }
-            }
-            prop_assert_eq!(engine.pending_events(), model.pending.len());
-            let until = if round == 0 { horizon } else { u64::MAX };
-            let outcome = engine.run_until(SimTime::from_nanos(until));
-            model.run_until(until, budget, &scripts, &calls);
-            let expected = if model.fired.len() >= budget {
-                RunOutcome::EventBudgetExhausted
-            } else if model.pending.is_empty() {
-                RunOutcome::Quiescent
-            } else {
-                RunOutcome::HorizonReached
-            };
-            prop_assert_eq!(outcome, expected);
-            prop_assert_eq!(engine.state(), &model.fired);
-            prop_assert_eq!(engine.events_fired(), model.fired.len() as u64);
-            prop_assert_eq!(engine.pending_events(), model.pending.len());
-            prop_assert_eq!(engine.now().as_nanos(), model.now);
-        }
+        let outcome = engine.run();
+        model.run(budget, &scripts);
+        let expected = if model.fired.len() >= budget {
+            RunOutcome::EventBudgetExhausted
+        } else {
+            RunOutcome::Quiescent
+        };
+        prop_assert_eq!(outcome, expected);
+        prop_assert_eq!(engine.state(), &model.fired);
+        prop_assert_eq!(engine.events_fired(), model.fired.len() as u64);
+        prop_assert_eq!(engine.now().as_nanos(), model.now);
     }
 }

@@ -173,12 +173,6 @@ impl<T> FairQueue<T> {
         self.len() == 0
     }
 
-    /// Queued items in `lane` right now.
-    pub fn lane_len(&self, lane: Option<&str>) -> usize {
-        let inner = self.inner.lock().expect("queue lock");
-        inner.index.get(&lane.map(str::to_string)).map_or(0, |&i| inner.lanes[i].items.len())
-    }
-
     /// Non-blocking admission into `lane` (`None` = the implicit
     /// untagged lane): enqueues or returns the item back. The capacity
     /// check is global — fair dequeueing, not per-lane reservation,

@@ -427,12 +427,6 @@ impl Journal {
         self.epoch
     }
 
-    /// True once the journal stopped accepting appends (fenced, killed
-    /// by a fault plan, or past the fsync failure limit).
-    pub fn is_degraded(&self) -> bool {
-        self.dead.load(Ordering::Relaxed)
-    }
-
     /// Current counters.
     pub fn stats(&self) -> JournalStats {
         JournalStats {

@@ -59,19 +59,14 @@ pub mod stats;
 
 pub use cache::ScoreCache;
 pub use client::{FailoverClient, FailoverPolicy, RetryPolicy as ClientRetryPolicy, SvcClient};
-pub use fair::{FairQueue, PushError, TenantPolicy};
+pub use fair::{FairQueue, TenantPolicy};
 pub use fault::SvcFaultPlan;
-pub use journal::{
-    read_epoch, FollowEvent, FsyncPolicy, Journal, JournalConfig, JournalFollower, JournalRecord,
-    JournalReplay, JournalStats, ReplayedReservation, FSYNC_FAILURE_LIMIT,
-};
+pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord, ReplayedReservation};
 pub use protocol::{
     ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec, RankedPlacement,
-    Ranking, Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
+    Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
 };
-pub use server::{heartbeat_path, serve, ServerHandle, REPL_HEARTBEAT};
-pub use service::{
-    small_score_request, CancelToken, CoschedSvcConfig, Pending, Rejected, Service, SvcConfig,
-};
-pub use standby::{Standby, StandbyConfig, StandbySource, StandbyStatus, DEAD_AFTER_BEATS};
-pub use stats::{LatencyHistogram, MetricsSnapshot, SvcStats, TenantRow};
+pub use server::{serve, ServerHandle};
+pub use service::{small_score_request, CoschedSvcConfig, Rejected, Service, SvcConfig};
+pub use standby::{Standby, StandbyConfig, StandbySource};
+pub use stats::TenantRow;

@@ -248,11 +248,6 @@ impl Pending {
     pub fn cancel(&self) {
         self.cancel.cancel();
     }
-
-    /// The cancellation token (for wiring into connection teardown).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
 }
 
 struct Job {

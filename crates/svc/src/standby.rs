@@ -8,7 +8,7 @@
 //!   journal directly over a shared filesystem with a
 //!   [`JournalFollower`]. Liveness comes from the primary's
 //!   `<journal>.hb` heartbeat file (see
-//!   [`heartbeat_path`](crate::server::heartbeat_path)): when its
+//!   [`crate::server::heartbeat_path`]): when its
 //!   mtime stops advancing, the primary is presumed dead. Promotion
 //!   reopens the *same* journal with `promote = true`, which bumps the
 //!   fencing epoch so the deposed primary's late appends are rejected.
@@ -258,12 +258,6 @@ impl Standby {
     /// configured.
     pub fn addr(&self) -> Option<SocketAddr> {
         self.addr
-    }
-
-    /// The journal file a promotion will replay (the followed file in
-    /// file mode, the local copy in network mode).
-    pub fn local_journal(&self) -> &Path {
-        &self.local
     }
 
     /// Point-in-time follower status.

@@ -443,6 +443,43 @@ fn absurd_step_count_is_an_invalid_error_not_an_allocation() {
 }
 
 #[test]
+fn absurd_node_label_is_an_invalid_error_not_an_allocation() {
+    // A node label is a bare wire integer as well, and the simulated
+    // platform holds one entry per node up to the largest label: this
+    // line once aborted the server the way `steps` did.
+    let handle = server(1, 8);
+    let mut client = SvcClient::connect(handle.addr()).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let run = |id: u64, sim_node: u64, node: u64| {
+        format!(
+            "{{\"type\":\"run\",\"id\":{id},\"members\":[{{\"sim_cores\":16,\"sim_node\":{sim_node},\
+             \"analyses\":[{{\"cores\":8,\"node\":{node}}}]}}],\"steps\":6,\"workloads\":\"small\"}}"
+        )
+    };
+    let absurd = 4_000_000_000_000_000;
+    for (id, sim_node, node) in [(31, absurd, 0), (32, 0, absurd)] {
+        match client.request_raw(&run(id, sim_node, node)).expect("structured error line") {
+            Response::Error { id: echoed, kind: ErrorKind::Invalid, message } => {
+                assert_eq!(echoed, id);
+                assert!(message.contains("MAX_SIM_NODES"), "{message}");
+                assert!(message.contains(&runtime::MAX_SIM_NODES.to_string()), "{message}");
+            }
+            other => panic!("request {id}: expected an invalid error, got {other:?}"),
+        }
+    }
+    // The same connection runs the same member on nodes that exist.
+    match client.request_raw(&run(33, 0, 1)).expect("still serving") {
+        Response::RunResult { id, members, .. } => {
+            assert_eq!(id, 33);
+            assert_eq!(members.len(), 1);
+        }
+        other => panic!("expected a run result, got {other:?}"),
+    }
+    assert_eq!(metrics_row(&handle, &mut client, "requests_errored"), 2.0);
+    handle.shutdown();
+}
+
+#[test]
 fn handler_panic_is_a_structured_internal_error_not_a_dead_connection() {
     // The fault-injection hook panics the front end on request id 66;
     // the server must contain it to that one request.

@@ -70,8 +70,8 @@ pub mod prelude {
         EnsembleRunner, MemberOutcome, RestartPolicy, SimRunConfig, ThreadRunConfig, WorkloadMap,
     };
     pub use scheduler::{
-        anneal_placement, core_sweep, exhaustive_search, pareto_front, recommend_placement,
-        AnnealingConfig, CoreSweepConfig, EnsembleShape, NodeBudget, ScanOptions, SearchConfig,
+        core_sweep, exhaustive_search, recommend_placement, CoreSweepConfig, EnsembleShape,
+        NodeBudget, ScanOptions, SearchConfig,
     };
     pub use svc::{serve, Service, SvcClient, SvcConfig};
 }

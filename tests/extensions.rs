@@ -1,15 +1,19 @@
 //! Integration tests of the beyond-the-paper extensions at the facade
-//! level: in-transit coupling, prediction, energy, Pareto search, Gantt
-//! rendering, and trial aggregation.
+//! level: in-transit coupling, prediction, energy, Gantt rendering, and
+//! what the `repro ext-ablations` / `ext-sensitivity` studies must show.
 
 use insitu_ensembles::measurement::{self, GanttOptions};
 use insitu_ensembles::model::StageKind;
 use insitu_ensembles::prelude::*;
-use insitu_ensembles::scheduling;
 use std::collections::HashMap;
 
 fn quick(id: ConfigId) -> EnsembleRunner {
     EnsembleRunner::paper_config(id).small_scale().steps(8).jitter(0.0)
+}
+
+/// A jitter-free paper-scale runner, as the `repro ext-*` studies use.
+fn exact(id: ConfigId, steps: u64) -> EnsembleRunner {
+    EnsembleRunner::paper_config(id).steps(steps).jitter(0.0)
 }
 
 #[test]
@@ -39,8 +43,7 @@ fn in_transit_simulated_mode_trades_stall_for_loss() {
 #[test]
 fn predictor_agrees_with_runner_at_paper_scale() {
     for id in [ConfigId::C1_2, ConfigId::C2_6] {
-        let runner = EnsembleRunner::paper_config(id).steps(37).jitter(0.0);
-        let report = runner.run().unwrap();
+        let report = exact(id, 37).run().unwrap();
         let cfg = insitu_ensembles::runtime::SimRunConfig {
             n_steps: 37,
             jitter: 0.0,
@@ -86,6 +89,68 @@ fn power_cap_inflates_makespan_monotonically() {
 }
 
 #[test]
+fn ablations_show_what_each_design_choice_buys() {
+    // Interference off: the makespan spread between co-location
+    // choices collapses.
+    let spread = |interference: bool| {
+        let makespans = [ConfigId::C1_1, ConfigId::C1_4, ConfigId::C1_5].map(|id| {
+            let runner = exact(id, 37);
+            let runner = if interference { runner } else { runner.without_interference() };
+            runner.run().unwrap().ensemble_makespan
+        });
+        makespans.iter().copied().fold(f64::MIN, f64::max)
+            - makespans.iter().copied().fold(f64::MAX, f64::min)
+    };
+    assert!(spread(true) > spread(false), "disabling interference must collapse the spread");
+
+    // Forced-remote staging cannot be faster than node-local reads.
+    let local = exact(ConfigId::C1_5, 37).run().unwrap().ensemble_makespan;
+    let remote = exact(ConfigId::C1_5, 37).force_remote_reads().run().unwrap().ensemble_makespan;
+    assert!(remote >= local, "remote {remote} vs local {local}");
+
+    // Eq. 9 penalizes C1.3's member imbalance; a plain mean does not.
+    let spec = ConfigId::C1_3.build();
+    let report = exact(ConfigId::C1_3, 37).run().unwrap();
+    let values: Vec<f64> = report
+        .members
+        .iter()
+        .zip(&spec.members)
+        .map(|(mr, ms)| {
+            indicator(&MemberInputs::from_specs(ms, &spec, mr.efficiency), &IndicatorPath::uap())
+        })
+        .collect();
+    let eq9 = aggregate(&values, Aggregation::MeanMinusStd);
+    let mean = aggregate(&values, Aggregation::Mean);
+    assert!(eq9 < mean, "Eq. 9 {eq9} vs mean {mean}");
+}
+
+#[test]
+fn sensitivity_sweeps_move_in_the_stated_direction() {
+    // miss = base + (1−base)(1 − share/ws)^e: for a deficit below 1, a
+    // larger exponent is a gentler curve, so misses fall with e.
+    let mut prev = f64::INFINITY;
+    for exponent in [0.5, 1.0, 2.0] {
+        let mut r = exact(ConfigId::C1_1, 20);
+        r.config_mut().interference.cache.miss_curve_exponent = exponent;
+        let miss = r.run().unwrap().members[0].components[1].metrics.llc_miss_ratio;
+        assert!(miss <= prev, "exponent {exponent}: {miss} after {prev}");
+        prev = miss;
+    }
+
+    // A cap never speeds the run up, and a hard one slows it by ≥ 2 %.
+    let capped = |cap: Option<f64>| {
+        let mut r = exact(ConfigId::C1_5, 20);
+        r.config_mut().power_cap_watts = cap;
+        r.run().unwrap().ensemble_makespan
+    };
+    let uncapped = capped(None);
+    for cap in [320.0, 260.0, 220.0] {
+        assert!(capped(Some(cap)) >= uncapped - 1e-9, "cap {cap} W sped the run up");
+    }
+    assert!(capped(Some(200.0)) > uncapped * 1.02);
+}
+
+#[test]
 fn gantt_renders_real_runs() {
     let exec = quick(ConfigId::Cc).execute().unwrap();
     let g = measurement::render_gantt(&exec.trace, &GanttOptions::default());
@@ -97,24 +162,6 @@ fn gantt_renders_real_runs() {
 }
 
 #[test]
-fn pareto_front_exposes_the_node_makespan_tradeoff() {
-    let mut base = insitu_ensembles::runtime::SimRunConfig::paper(ConfigId::Cf.build());
-    base.workloads = WorkloadMap::small_defaults();
-    base.n_steps = 8;
-    let points = scheduling::pareto_front(
-        &base,
-        &EnsembleShape::uniform(2, 16, 1, 8),
-        NodeBudget { max_nodes: 4, cores_per_node: 32 },
-        &scheduling::ScanOptions::default(),
-    )
-    .unwrap();
-    let frontier = scheduling::frontier_only(&points);
-    assert!(!frontier.is_empty());
-    // The 2-node full co-location is on the frontier.
-    assert!(frontier.iter().any(|p| p.nodes_used == 2));
-}
-
-#[test]
 fn csv_exports_cover_a_report() {
     let report = quick(ConfigId::C1_3).run().unwrap();
     let members = measurement::members_csv(&[&report]);
@@ -122,15 +169,6 @@ fn csv_exports_cover_a_report() {
     let components = measurement::components_csv(&[&report]);
     assert_eq!(components.lines().count(), 1 + 4, "header + 2 members × 2 components");
     assert!(components.contains("Ana2.1"));
-}
-
-#[test]
-fn trial_summaries_aggregate_runner_output() {
-    let reports = quick(ConfigId::C1_1).jitter(0.04).run_trials(4).unwrap();
-    let refs: Vec<insitu_ensembles::measurement::EnsembleReport> = reports;
-    let summary = measurement::summarize_trials(&refs);
-    assert_eq!(summary.ensemble_makespan.trials(), 4);
-    assert!(summary.ensemble_makespan.std_dev() > 0.0, "jitter must show across trials");
 }
 
 #[test]
