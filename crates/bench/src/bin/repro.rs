@@ -60,7 +60,7 @@ fn main() {
         match experiments::fig3_component_metrics() {
             Ok(rows) => {
                 println!("{}", render::render_fig3(&rows));
-                write_json(&json_dir, "fig3.json", &rows);
+                write_rows(&json_dir, "fig3.json", &rows, experiments::Fig3Row::write_json);
             }
             Err(e) => fail("fig3", &e),
         }
@@ -71,7 +71,7 @@ fn main() {
         match experiments::fig45_makespans() {
             Ok(rows) => {
                 println!("{}", render::render_fig45(&rows));
-                write_json(&json_dir, "fig45.json", &rows);
+                write_rows(&json_dir, "fig45.json", &rows, experiments::MakespanRow::write_json);
             }
             Err(e) => fail("fig4/fig5", &e),
         }
@@ -82,7 +82,7 @@ fn main() {
         match experiments::fig7_core_sweep() {
             Ok(sweep) => {
                 println!("{}", render::render_fig7(&sweep));
-                write_json(&json_dir, "fig7.json", &sweep);
+                write_json(&json_dir, "fig7.json", |out| sweep.write_json(out));
             }
             Err(e) => fail("fig7", &e),
         }
@@ -94,7 +94,7 @@ fn main() {
             Ok(rows) => {
                 println!("{}", render::render_indicators(&rows));
                 summarize_best("Figure 8", &rows);
-                write_json(&json_dir, "fig8.json", &rows);
+                write_rows(&json_dir, "fig8.json", &rows, experiments::IndicatorRow::write_json);
             }
             Err(e) => fail("fig8", &e),
         }
@@ -106,7 +106,7 @@ fn main() {
             Ok(rows) => {
                 println!("{}", render::render_indicators(&rows));
                 summarize_best("Figure 9", &rows);
-                write_json(&json_dir, "fig9.json", &rows);
+                write_rows(&json_dir, "fig9.json", &rows, experiments::IndicatorRow::write_json);
             }
             Err(e) => fail("fig9", &e),
         }
@@ -137,7 +137,12 @@ fn main() {
                     );
                 }
                 println!();
-                write_json(&json_dir, "ext_lost_frames.json", &rows);
+                write_rows(
+                    &json_dir,
+                    "ext_lost_frames.json",
+                    &rows,
+                    experiments::LostFramesRow::write_json,
+                );
             }
             Err(e) => fail("ext-lost-frames", &e),
         }
@@ -190,16 +195,17 @@ fn summarize_best(figure: &str, rows: &[bench::experiments::IndicatorRow]) {
     }
 }
 
-fn write_json<T: serde::Serialize>(dir: &Option<PathBuf>, name: &str, value: &T) {
+/// With `--json DIR`: `rows` as an array, each row written by `write`.
+fn write_rows<T>(dir: &Option<PathBuf>, name: &str, rows: &[T], write: fn(&T, &mut String)) {
+    write_json(dir, name, |out| json::write_seq(out, rows, |out, row| write(row, out)));
+}
+
+/// With `--json DIR`: what `write` encodes, indented, as `DIR/name`.
+fn write_json(dir: &Option<PathBuf>, name: &str, write: impl FnOnce(&mut String)) {
     if let Some(dir) = dir {
         let path = dir.join(name);
-        match serde_json::to_string_pretty(value) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(&path, body) {
-                    eprintln!("warning: cannot write {}: {e}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+        if let Err(e) = std::fs::write(&path, json::pretty(&json::encoded(write))) {
+            eprintln!("warning: cannot write {}: {e}", path.display());
         }
     }
 }

@@ -6,9 +6,9 @@ use std::fmt::Write;
 
 use ensemble_core::{aggregate, Aggregation, ConfigId, EnsembleSpec, IndicatorPath, MemberInputs};
 use hpc_platform::BindPolicy;
+use json::{write_f64, write_seq, write_str, write_u64};
 use metrics::EnsembleReport;
 use runtime::{EnsembleRunner, RuntimeResult};
-use serde::{Deserialize, Serialize};
 
 /// Trials per configuration (the paper averages over 5).
 pub const TRIALS: u64 = 5;
@@ -23,7 +23,7 @@ pub fn run_config(id: ConfigId) -> RuntimeResult<Vec<EnsembleReport>> {
 }
 
 /// A component row of Figure 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Row {
     /// Configuration label.
     pub config: String,
@@ -37,6 +37,25 @@ pub struct Fig3Row {
     pub memory_intensity: f64,
     /// Mean instructions per cycle.
     pub ipc: f64,
+}
+
+impl Fig3Row {
+    /// Appends the row as one compact JSON object.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"config\":");
+        write_str(out, &self.config);
+        out.push_str(",\"component\":");
+        write_str(out, &self.component);
+        out.push_str(",\"execution_time\":");
+        write_f64(out, self.execution_time);
+        out.push_str(",\"llc_miss_ratio\":");
+        write_f64(out, self.llc_miss_ratio);
+        out.push_str(",\"memory_intensity\":");
+        write_f64(out, self.memory_intensity);
+        out.push_str(",\"ipc\":");
+        write_f64(out, self.ipc);
+        out.push('}');
+    }
 }
 
 /// Figure 3: component-level traditional metrics for the set-one
@@ -77,7 +96,7 @@ pub fn fig3_component_metrics() -> RuntimeResult<Vec<Fig3Row>> {
 }
 
 /// A makespan row of Figures 4 and 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MakespanRow {
     /// Configuration label.
     pub config: String,
@@ -85,6 +104,19 @@ pub struct MakespanRow {
     pub member_makespans: Vec<f64>,
     /// Mean ensemble makespan, seconds (Figure 5).
     pub ensemble_makespan: f64,
+}
+
+impl MakespanRow {
+    /// Appends the row as one compact JSON object.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"config\":");
+        write_str(out, &self.config);
+        out.push_str(",\"member_makespans\":");
+        write_seq(out, &self.member_makespans, |out, &m| write_f64(out, m));
+        out.push_str(",\"ensemble_makespan\":");
+        write_f64(out, self.ensemble_makespan);
+        out.push('}');
+    }
 }
 
 /// Figures 4 and 5: member and ensemble makespans for set one.
@@ -117,7 +149,7 @@ pub fn fig7_core_sweep() -> RuntimeResult<scheduler::SweepResult> {
 
 /// One bar of Figures 8/9: `F(P)` for one configuration at one
 /// indicator stage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IndicatorRow {
     /// Configuration label.
     pub config: String,
@@ -125,6 +157,19 @@ pub struct IndicatorRow {
     pub path: String,
     /// Mean `F(P)` across trials.
     pub objective: f64,
+}
+
+impl IndicatorRow {
+    /// Appends the row as one compact JSON object.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"config\":");
+        write_str(out, &self.config);
+        out.push_str(",\"path\":");
+        write_str(out, &self.path);
+        out.push_str(",\"objective\":");
+        write_f64(out, self.objective);
+        out.push('}');
+    }
 }
 
 /// The five stage paths of §5.2 (both concatenation orders).
@@ -193,7 +238,7 @@ pub fn fig9_indicators() -> RuntimeResult<Vec<IndicatorRow>> {
 
 /// One row of the in-transit extension experiment: lost frames and
 /// simulation stall as functions of queue depth and analysis load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LostFramesRow {
     /// In-transit queue depth (0 = the paper's synchronous protocol).
     pub queue_capacity: usize,
@@ -207,6 +252,25 @@ pub struct LostFramesRow {
     pub sim_idle_seconds: f64,
     /// Simulation completion time, seconds.
     pub sim_finish_seconds: f64,
+}
+
+impl LostFramesRow {
+    /// Appends the row as one compact JSON object.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"queue_capacity\":");
+        write_u64(out, self.queue_capacity as u64);
+        out.push_str(",\"analysis_scale\":");
+        write_f64(out, self.analysis_scale);
+        out.push_str(",\"produced\":");
+        write_u64(out, self.produced);
+        out.push_str(",\"lost\":");
+        write_u64(out, self.lost);
+        out.push_str(",\"sim_idle_seconds\":");
+        write_f64(out, self.sim_idle_seconds);
+        out.push_str(",\"sim_finish_seconds\":");
+        write_f64(out, self.sim_finish_seconds);
+        out.push('}');
+    }
 }
 
 /// Extension experiment (after Taufer et al. \[26\]): sweep queue depths

@@ -2,13 +2,12 @@
 //! runtime" (paper §2.2, Figure 2). A chunk is an opaque byte buffer plus
 //! the metadata the staging protocol needs.
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::variable::VariableId;
 
 /// Identity of a chunk: which variable, which in situ step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId {
     /// Producing variable.
     pub variable: VariableId,
@@ -17,7 +16,7 @@ pub struct ChunkId {
 }
 
 /// Metadata travelling with every chunk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkMeta {
     /// Node whose memory holds the payload (DIMES keeps data local to the
     /// producer; remote readers fetch over the interconnect).
@@ -33,9 +32,9 @@ pub struct Chunk {
     pub id: ChunkId,
     /// Metadata.
     pub meta: ChunkMeta,
-    /// Serialized payload. `Bytes` keeps clones cheap (refcounted), so a
+    /// Serialized payload. Clones share it (refcounted), so a
     /// chunk fanned out to K readers is not copied K times.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
 }
 
 impl Chunk {
@@ -45,7 +44,7 @@ impl Chunk {
         step: u64,
         home_node: usize,
         encoding: &str,
-        data: Bytes,
+        data: Arc<[u8]>,
     ) -> Self {
         Chunk {
             id: ChunkId { variable, step },
@@ -71,7 +70,7 @@ mod tests {
 
     #[test]
     fn construction_and_accessors() {
-        let c = Chunk::new(VariableId(3), 7, 1, "frame-v1", Bytes::from_static(b"abc"));
+        let c = Chunk::new(VariableId(3), 7, 1, "frame-v1", Arc::from(*b"abc"));
         assert_eq!(c.id, ChunkId { variable: VariableId(3), step: 7 });
         assert_eq!(c.meta.home_node, 1);
         assert_eq!(c.len(), 3);
@@ -80,9 +79,9 @@ mod tests {
 
     #[test]
     fn clone_shares_payload() {
-        let c = Chunk::new(VariableId(0), 0, 0, "raw", Bytes::from(vec![0u8; 1024]));
+        let c = Chunk::new(VariableId(0), 0, 0, "raw", Arc::from(vec![0u8; 1024]));
         let d = c.clone();
-        // Bytes clones share the same backing storage.
+        // Clones share the same backing storage.
         assert_eq!(c.data.as_ptr(), d.data.as_ptr());
     }
 

@@ -22,13 +22,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::chunk::ChunkId;
 use crate::error::{DtlError, DtlResult};
+use crate::locks::recover;
 use crate::staging::store::ChunkStore;
 
 /// Which store operation a rule applies to.
@@ -442,7 +441,7 @@ impl<B: ChunkStore> FaultInjector<B> {
         if self.plan.rules.is_empty() {
             return None;
         }
-        let mut attempts = self.attempts.lock();
+        let mut attempts = recover(self.attempts.lock());
         for (ri, rule) in self.plan.rules.iter().enumerate() {
             if !rule.matches(id, op) {
                 continue;
@@ -480,9 +479,9 @@ impl<B: ChunkStore> FaultInjector<B> {
         &self,
         id: ChunkId,
         op: FaultOp,
-        data: Bytes,
+        data: Arc<[u8]>,
         action: Option<FaultAction>,
-    ) -> DtlResult<Bytes> {
+    ) -> DtlResult<Arc<[u8]>> {
         match action {
             None => Ok(data),
             Some(FaultAction::Fail) => {
@@ -508,7 +507,7 @@ impl<B: ChunkStore> FaultInjector<B> {
                 let idx = mix(&[self.plan.seed, u64::from(id.variable.0), id.step]) as usize
                     % bytes.len();
                 bytes[idx] ^= 0xA5;
-                Ok(Bytes::from(bytes))
+                Ok(Arc::from(bytes))
             }
         }
     }
@@ -517,19 +516,19 @@ impl<B: ChunkStore> FaultInjector<B> {
 impl<B: ChunkStore> ChunkStore for FaultInjector<B> {
     type Handle = FaultHandle<B::Handle>;
 
-    fn store(&self, id: ChunkId, data: Bytes) -> DtlResult<Self::Handle> {
+    fn store(&self, id: ChunkId, data: Arc<[u8]>) -> DtlResult<Self::Handle> {
         self.stores.fetch_add(1, Ordering::Relaxed);
         let data = self.apply(id, FaultOp::Store, data, self.decide(id, FaultOp::Store))?;
         Ok(FaultHandle { id, inner: self.inner.store(id, data)? })
     }
 
-    fn load(&self, handle: &Self::Handle) -> DtlResult<Bytes> {
+    fn load(&self, handle: &Self::Handle) -> DtlResult<Arc<[u8]>> {
         self.loads.fetch_add(1, Ordering::Relaxed);
         let action = self.decide(handle.id, FaultOp::Load);
         // Fail before touching the inner store (the fault replaces the
         // operation); delay/corrupt wrap the real load.
         if matches!(action, Some(FaultAction::Fail)) {
-            return self.apply(handle.id, FaultOp::Load, Bytes::new(), action);
+            return self.apply(handle.id, FaultOp::Load, Arc::from([]), action);
         }
         let data = self.inner.load(&handle.inner)?;
         self.apply(handle.id, FaultOp::Load, data, action)
@@ -562,8 +561,8 @@ mod tests {
     #[test]
     fn empty_plan_is_transparent() {
         let inj = injector(FaultPlan::default());
-        let h = inj.store(id(0, 0), Bytes::from_static(b"x")).unwrap();
-        assert_eq!(inj.load(&h).unwrap(), Bytes::from_static(b"x"));
+        let h = inj.store(id(0, 0), Arc::from(*b"x")).unwrap();
+        assert_eq!(inj.load(&h).unwrap(), Arc::from(*b"x"));
         inj.remove(h).unwrap();
         assert_eq!(inj.stats().total_injected(), 0);
         assert_eq!((inj.stats().loads, inj.stats().stores), (1, 1));
@@ -573,10 +572,10 @@ mod tests {
     fn fail_first_then_recover() {
         let plan = FaultPlan::new(1).with_rule(FaultRule::fail(FaultOp::Load).first_attempts(2));
         let inj = injector(plan);
-        let h = inj.store(id(0, 0), Bytes::from_static(b"frame")).unwrap();
+        let h = inj.store(id(0, 0), Arc::from(*b"frame")).unwrap();
         assert!(inj.load(&h).is_err());
         assert!(inj.load(&h).is_err());
-        assert_eq!(inj.load(&h).unwrap(), Bytes::from_static(b"frame"));
+        assert_eq!(inj.load(&h).unwrap(), Arc::from(*b"frame"));
         assert_eq!(inj.stats().injected_failures, 2);
     }
 
@@ -584,7 +583,7 @@ mod tests {
     fn attempt_window_skips_then_fires() {
         let rule = FaultRule::fail(FaultOp::Load).after_attempts(1).first_attempts(1);
         let inj = injector(FaultPlan::new(0).with_rule(rule));
-        let h = inj.store(id(0, 0), Bytes::from_static(b"a")).unwrap();
+        let h = inj.store(id(0, 0), Arc::from(*b"a")).unwrap();
         assert!(inj.load(&h).is_ok(), "attempt 0 is skipped");
         assert!(inj.load(&h).is_err(), "attempt 1 fires");
         assert!(inj.load(&h).is_ok(), "attempt 2 is past the window");
@@ -595,9 +594,9 @@ mod tests {
         let plan =
             FaultPlan::new(0).with_rule(FaultRule::fail(FaultOp::Store).on_variable(1).at_step(2));
         let inj = injector(plan);
-        assert!(inj.store(id(0, 2), Bytes::from_static(b"a")).is_ok());
-        assert!(inj.store(id(1, 1), Bytes::from_static(b"a")).is_ok());
-        assert!(inj.store(id(1, 2), Bytes::from_static(b"a")).is_err());
+        assert!(inj.store(id(0, 2), Arc::from(*b"a")).is_ok());
+        assert!(inj.store(id(1, 1), Arc::from(*b"a")).is_ok());
+        assert!(inj.store(id(1, 2), Arc::from(*b"a")).is_err());
     }
 
     #[test]
@@ -606,7 +605,7 @@ mod tests {
             op: Some(FaultOp::Load),
             ..FaultRule::new(FaultAction::Corrupt)
         });
-        let original = Bytes::from_static(b"payload-bytes");
+        let original: Arc<[u8]> = Arc::from(*b"payload-bytes");
         let a = {
             let inj = injector(plan.clone());
             let h = inj.store(id(0, 3), original.clone()).unwrap();
@@ -627,7 +626,7 @@ mod tests {
             FaultPlan::new(99).with_rule(FaultRule::fail(FaultOp::Load).with_probability(0.5));
         let run = || -> Vec<bool> {
             let inj = injector(plan.clone());
-            let h = inj.store(id(0, 0), Bytes::from_static(b"x")).unwrap();
+            let h = inj.store(id(0, 0), Arc::from(*b"x")).unwrap();
             (0..32).map(|_| inj.load(&h).is_err()).collect()
         };
         let a = run();
@@ -645,7 +644,7 @@ mod tests {
         });
         let inj = injector(plan);
         let t0 = std::time::Instant::now();
-        inj.store(id(0, 0), Bytes::from_static(b"x")).unwrap();
+        inj.store(id(0, 0), Arc::from(*b"x")).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(25));
         assert_eq!(inj.stats().injected_delays, 1);
     }

@@ -32,6 +32,7 @@
 pub mod chunk;
 pub mod error;
 pub mod fault;
+mod locks;
 pub mod marshal;
 pub mod plugin;
 pub mod protocol;

@@ -5,7 +5,7 @@
 //! Implementations exist for common numeric arrays; the runtime adds one
 //! for MD frames.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 use crate::error::{DtlError, DtlResult};
 
@@ -18,10 +18,10 @@ pub trait ChunkCodec: Send + Sync {
     fn encoding(&self) -> &'static str;
 
     /// Serializes a value into bytes.
-    fn encode(&self, value: &Self::Value) -> Bytes;
+    fn encode(&self, value: &Self::Value) -> Arc<[u8]>;
 
     /// Deserializes bytes back into a value.
-    fn decode(&self, data: Bytes) -> DtlResult<Self::Value>;
+    fn decode(&self, data: Arc<[u8]>) -> DtlResult<Self::Value>;
 }
 
 /// Little-endian `f64` array codec.
@@ -35,26 +35,31 @@ impl ChunkCodec for F64ArrayCodec {
         "f64-le"
     }
 
-    fn encode(&self, value: &Vec<f64>) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + value.len() * 8);
-        buf.put_u64_le(value.len() as u64);
-        for &v in value {
-            buf.put_f64_le(v);
+    fn encode(&self, value: &Vec<f64>) -> Arc<[u8]> {
+        let mut buf = Vec::with_capacity(8 + value.len() * 8);
+        buf.extend_from_slice(&(value.len() as u64).to_le_bytes());
+        for v in value {
+            buf.extend_from_slice(&v.to_le_bytes());
         }
-        buf.freeze()
+        buf.into()
     }
 
-    fn decode(&self, mut data: Bytes) -> DtlResult<Vec<f64>> {
-        if data.len() < 8 {
+    fn decode(&self, data: Arc<[u8]>) -> DtlResult<Vec<f64>> {
+        let Some((count, values)) = data.split_first_chunk() else {
             return Err(DtlError::Codec { detail: "f64 array header truncated".into() });
-        }
-        let n = data.get_u64_le() as usize;
-        if data.remaining() < n * 8 {
+        };
+        // The count is payload: a corrupted one must not overflow the
+        // size it is checked by.
+        let n = u64::from_le_bytes(*count) as usize;
+        let Some(values) = n.checked_mul(8).and_then(|len| values.get(..len)) else {
             return Err(DtlError::Codec {
                 detail: format!("f64 array promises {n} values, payload too short"),
             });
-        }
-        Ok((0..n).map(|_| data.get_f64_le()).collect())
+        };
+        Ok(values
+            .chunks_exact(8)
+            .map(|v| f64::from_le_bytes(v.try_into().expect("chunks of 8")))
+            .collect())
     }
 }
 
@@ -80,8 +85,21 @@ mod tests {
     fn truncated_payload_rejected() {
         let codec = F64ArrayCodec;
         let good = codec.encode(&vec![1.0, 2.0]);
-        let bad = good.slice(0..good.len() - 1);
+        let bad = Arc::from(&good[..good.len() - 1]);
         assert!(matches!(codec.decode(bad), Err(DtlError::Codec { .. })));
-        assert!(matches!(codec.decode(Bytes::from_static(b"xy")), Err(DtlError::Codec { .. })));
+        assert!(matches!(codec.decode(Arc::from(*b"xy")), Err(DtlError::Codec { .. })));
+    }
+
+    #[test]
+    fn a_corrupted_count_is_a_codec_error_not_an_overflow() {
+        // `n * 8` overflows for all of these; `1 << 62` wraps to 0 and
+        // used to pass the length check. The last is what
+        // `FaultAction::Corrupt` leaves when it lands on the count's
+        // top byte.
+        for n in [1u64 << 62, u64::MAX, 2 ^ (0xA5 << 56)] {
+            let mut raw = F64ArrayCodec.encode(&vec![1.0, 2.0]).to_vec();
+            raw[..8].copy_from_slice(&n.to_le_bytes());
+            assert!(matches!(F64ArrayCodec.decode(raw.into()), Err(DtlError::Codec { .. })), "{n}");
+        }
     }
 }

@@ -24,13 +24,12 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::chunk::{Chunk, ChunkId, ChunkMeta};
 use crate::error::{DtlError, DtlResult};
+use crate::locks::{recover, wait_until};
 use crate::protocol::ReaderId;
 use crate::staging::retry::{op_key, run_with_retry, RetryPolicy};
 use crate::staging::store::{ChunkStore, MemoryStore};
@@ -132,7 +131,7 @@ impl<B: ChunkStore> AsyncStaging<B> {
 
     /// Registers a variable.
     pub fn register(&self, spec: VariableSpec) -> DtlResult<VariableId> {
-        let mut registry = self.registry.write();
+        let mut registry = recover(self.registry.write());
         let readers = spec.expected_readers;
         let id = registry.names.register(spec)?;
         if (id.0 as usize) >= registry.shards.len() {
@@ -153,8 +152,7 @@ impl<B: ChunkStore> AsyncStaging<B> {
 
     /// The shard of `var`, or `UnknownVariable`.
     fn shard(&self, var: VariableId) -> DtlResult<Arc<AsyncShard<B::Handle>>> {
-        self.registry
-            .read()
+        recover(self.registry.read())
             .shards
             .get(var.0 as usize)
             .cloned()
@@ -171,7 +169,7 @@ impl<B: ChunkStore> AsyncStaging<B> {
         }
         let var = chunk.id.variable;
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         if state.finished {
             return Err(DtlError::ProtocolViolation {
                 detail: "producer already finished this variable".into(),
@@ -203,7 +201,7 @@ impl<B: ChunkStore> AsyncStaging<B> {
     /// and then observe end-of-stream.
     pub fn finish(&self, var: VariableId) -> DtlResult<()> {
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         state.finished = true;
         shard.cv.notify_all();
         Ok(())
@@ -222,7 +220,7 @@ impl<B: ChunkStore> AsyncStaging<B> {
     ) -> DtlResult<Option<Chunk>> {
         let deadline = std::time::Instant::now() + timeout;
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         loop {
             let last = *state.last_consumed.get(&reader).ok_or_else(|| {
                 DtlError::ProtocolViolation { detail: format!("unknown reader {reader:?}") }
@@ -264,7 +262,9 @@ impl<B: ChunkStore> AsyncStaging<B> {
             if self.closed.load(Ordering::Acquire) {
                 return Err(DtlError::Closed);
             }
-            if shard.cv.wait_until(&mut state, deadline).timed_out() {
+            let (guard, timed_out) = wait_until(&shard.cv, state, deadline);
+            state = guard;
+            if timed_out {
                 return Err(DtlError::Timeout {
                     operation: "next",
                     variable: format!("id {}", var.0),
@@ -276,12 +276,12 @@ impl<B: ChunkStore> AsyncStaging<B> {
 
     /// Frames dropped for `var` so far.
     pub fn lost_frames(&self, var: VariableId) -> u64 {
-        self.shard(var).map_or(0, |shard| shard.state.lock().lost)
+        self.shard(var).map_or(0, |shard| recover(shard.state.lock()).lost)
     }
 
     /// Frames staged for `var` so far.
     pub fn produced_frames(&self, var: VariableId) -> u64 {
-        self.shard(var).map_or(0, |shard| shard.state.lock().produced)
+        self.shard(var).map_or(0, |shard| recover(shard.state.lock()).produced)
     }
 
     /// Total dropped frames across variables.
@@ -292,9 +292,9 @@ impl<B: ChunkStore> AsyncStaging<B> {
     /// Closes the area, waking all blocked readers with an error.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        let shards: Vec<_> = self.registry.read().shards.to_vec();
+        let shards: Vec<_> = recover(self.registry.read()).shards.to_vec();
         for shard in shards {
-            let _guard = shard.state.lock();
+            let _guard = recover(shard.state.lock());
             shard.cv.notify_all();
         }
     }
@@ -303,7 +303,6 @@ impl<B: ChunkStore> AsyncStaging<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use std::sync::Arc;
 
     fn spec(readers: u32) -> VariableSpec {
@@ -311,7 +310,7 @@ mod tests {
     }
 
     fn chunk(var: VariableId, step: u64) -> Chunk {
-        Chunk::new(var, step, 0, "raw", Bytes::from(vec![step as u8]))
+        Chunk::new(var, step, 0, "raw", Arc::from(vec![step as u8]))
     }
 
     #[test]

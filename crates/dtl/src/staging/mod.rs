@@ -53,7 +53,7 @@ mod tests {
     use crate::chunk::Chunk;
     use crate::protocol::ReaderId;
     use crate::variable::VariableSpec;
-    use bytes::Bytes;
+    use std::sync::Arc;
 
     #[test]
     fn constructors_produce_expected_tiers() {
@@ -72,9 +72,9 @@ mod tests {
         let var = s
             .register(VariableSpec { name: "traj".into(), expected_readers: 1, home_node: 0 })
             .unwrap();
-        s.put(Chunk::new(var, 0, 0, "raw", Bytes::from_static(b"on disk"))).unwrap();
+        s.put(Chunk::new(var, 0, 0, "raw", Arc::from(*b"on disk"))).unwrap();
         let c = s.get(var, 0, ReaderId(0)).unwrap();
-        assert_eq!(c.data, Bytes::from_static(b"on disk"));
+        assert_eq!(c.data, Arc::from(*b"on disk"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

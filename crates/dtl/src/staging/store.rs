@@ -8,8 +8,7 @@ use std::fs;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::chunk::ChunkId;
 use crate::error::DtlResult;
@@ -20,10 +19,10 @@ pub trait ChunkStore: Send + Sync {
     type Handle: Send;
 
     /// Persists a payload, returning its handle.
-    fn store(&self, id: ChunkId, data: Bytes) -> DtlResult<Self::Handle>;
+    fn store(&self, id: ChunkId, data: Arc<[u8]>) -> DtlResult<Self::Handle>;
 
     /// Retrieves a payload.
-    fn load(&self, handle: &Self::Handle) -> DtlResult<Bytes>;
+    fn load(&self, handle: &Self::Handle) -> DtlResult<Arc<[u8]>>;
 
     /// Releases a payload once fully consumed.
     fn remove(&self, handle: Self::Handle) -> DtlResult<()>;
@@ -52,18 +51,18 @@ impl MemoryStore {
 }
 
 impl ChunkStore for MemoryStore {
-    type Handle = Bytes;
+    type Handle = Arc<[u8]>;
 
-    fn store(&self, _id: ChunkId, data: Bytes) -> DtlResult<Bytes> {
+    fn store(&self, _id: ChunkId, data: Arc<[u8]>) -> DtlResult<Arc<[u8]>> {
         self.bytes_held.fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(data)
     }
 
-    fn load(&self, handle: &Bytes) -> DtlResult<Bytes> {
+    fn load(&self, handle: &Arc<[u8]>) -> DtlResult<Arc<[u8]>> {
         Ok(handle.clone())
     }
 
-    fn remove(&self, handle: Bytes) -> DtlResult<()> {
+    fn remove(&self, handle: Arc<[u8]>) -> DtlResult<()> {
         self.bytes_held.fetch_sub(handle.len() as u64, Ordering::Relaxed);
         Ok(())
     }
@@ -99,7 +98,7 @@ impl FileStore {
 impl ChunkStore for FileStore {
     type Handle = PathBuf;
 
-    fn store(&self, id: ChunkId, data: Bytes) -> DtlResult<PathBuf> {
+    fn store(&self, id: ChunkId, data: Arc<[u8]>) -> DtlResult<PathBuf> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let path = self.root.join(format!("var{}_step{}_{seq}.chunk", id.variable.0, id.step));
         let mut f = fs::File::create(&path)?;
@@ -108,11 +107,11 @@ impl ChunkStore for FileStore {
         Ok(path)
     }
 
-    fn load(&self, handle: &PathBuf) -> DtlResult<Bytes> {
+    fn load(&self, handle: &PathBuf) -> DtlResult<Arc<[u8]>> {
         let mut f = fs::File::open(handle)?;
         let mut buf = Vec::new();
         f.read_to_end(&mut buf)?;
-        Ok(Bytes::from(buf))
+        Ok(Arc::from(buf))
     }
 
     fn remove(&self, handle: PathBuf) -> DtlResult<()> {
@@ -137,9 +136,9 @@ mod tests {
     #[test]
     fn memory_store_roundtrip_and_accounting() {
         let s = MemoryStore::new();
-        let h = s.store(id(), Bytes::from_static(b"hello")).unwrap();
+        let h = s.store(id(), Arc::from(*b"hello")).unwrap();
         assert_eq!(s.bytes_held(), 5);
-        assert_eq!(s.load(&h).unwrap(), Bytes::from_static(b"hello"));
+        assert_eq!(s.load(&h).unwrap(), Arc::from(*b"hello"));
         s.remove(h).unwrap();
         assert_eq!(s.bytes_held(), 0);
         assert_eq!(s.tier(), "memory");
@@ -149,9 +148,9 @@ mod tests {
     fn file_store_roundtrip_and_cleanup() {
         let dir = std::env::temp_dir().join(format!("dtl-test-{}", std::process::id()));
         let s = FileStore::new(&dir).unwrap();
-        let h = s.store(id(), Bytes::from_static(b"persisted")).unwrap();
+        let h = s.store(id(), Arc::from(*b"persisted")).unwrap();
         assert!(h.exists());
-        assert_eq!(s.load(&h).unwrap(), Bytes::from_static(b"persisted"));
+        assert_eq!(s.load(&h).unwrap(), Arc::from(*b"persisted"));
         s.remove(h.clone()).unwrap();
         assert!(!h.exists());
         assert_eq!(s.tier(), "pfs");
@@ -162,8 +161,8 @@ mod tests {
     fn file_store_distinct_paths_for_same_id() {
         let dir = std::env::temp_dir().join(format!("dtl-test2-{}", std::process::id()));
         let s = FileStore::new(&dir).unwrap();
-        let a = s.store(id(), Bytes::from_static(b"a")).unwrap();
-        let b = s.store(id(), Bytes::from_static(b"b")).unwrap();
+        let a = s.store(id(), Arc::from(*b"a")).unwrap();
+        let b = s.store(id(), Arc::from(*b"b")).unwrap();
         assert_ne!(a, b);
         let _ = std::fs::remove_dir_all(&dir);
     }

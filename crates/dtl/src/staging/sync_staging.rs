@@ -15,13 +15,12 @@
 //! that variable, a consuming `get` wakes only its writer.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::chunk::{Chunk, ChunkId, ChunkMeta};
 use crate::error::{DtlError, DtlResult};
+use crate::locks::{recover, wait_until};
 use crate::protocol::{ReaderId, StepProtocol};
 use crate::staging::retry::{op_key as retry_key, run_with_retry, RetryPolicy};
 use crate::staging::store::ChunkStore;
@@ -139,7 +138,7 @@ impl<B: ChunkStore> SyncStaging<B> {
 
     /// Registers a variable.
     pub fn register(&self, spec: VariableSpec) -> DtlResult<VariableId> {
-        let mut registry = self.registry.write();
+        let mut registry = recover(self.registry.write());
         let readers = spec.expected_readers;
         let id = registry.names.register(spec)?;
         if (id.0 as usize) >= registry.shards.len() {
@@ -160,14 +159,13 @@ impl<B: ChunkStore> SyncStaging<B> {
 
     /// Looks up a registered variable by name.
     pub fn lookup(&self, name: &str) -> DtlResult<VariableId> {
-        self.registry.read().names.lookup(name)
+        recover(self.registry.read()).names.lookup(name)
     }
 
     /// The shard of `var`, or `UnknownVariable`. Takes the registry read
     /// lock only long enough to clone the `Arc`.
     fn shard(&self, var: VariableId) -> DtlResult<Arc<VarShard<B::Handle>>> {
-        self.registry
-            .read()
+        recover(self.registry.read())
             .shards
             .get(var.0 as usize)
             .cloned()
@@ -182,7 +180,7 @@ impl<B: ChunkStore> SyncStaging<B> {
         let var = chunk.id.variable;
         let step = chunk.id.step;
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         if state.closed {
             return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
         }
@@ -232,7 +230,9 @@ impl<B: ChunkStore> SyncStaging<B> {
                 shard.reader_cv.notify_all();
                 return Ok(());
             }
-            if shard.writer_cv.wait_until(&mut state, deadline).timed_out() {
+            let (guard, timed_out) = wait_until(&shard.writer_cv, state, deadline);
+            state = guard;
+            if timed_out {
                 return Err(DtlError::Timeout {
                     operation: "put",
                     variable: format!("id {}", var.0),
@@ -262,7 +262,7 @@ impl<B: ChunkStore> SyncStaging<B> {
     ) -> DtlResult<Chunk> {
         let deadline = std::time::Instant::now() + timeout;
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         {
             if state.closed {
                 return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
@@ -331,7 +331,9 @@ impl<B: ChunkStore> SyncStaging<B> {
                 return Ok(chunk);
             }
             // Not yet written; wait for this variable's writer.
-            if shard.reader_cv.wait_until(&mut state, deadline).timed_out() {
+            let (guard, timed_out) = wait_until(&shard.reader_cv, state, deadline);
+            state = guard;
+            if timed_out {
                 return Err(DtlError::Timeout {
                     operation: "get",
                     variable: format!("id {}", var.0),
@@ -353,7 +355,7 @@ impl<B: ChunkStore> SyncStaging<B> {
     pub fn wait_writable(&self, var: VariableId, step: u64, timeout: Duration) -> DtlResult<()> {
         let deadline = std::time::Instant::now() + timeout;
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         loop {
             if self.closed.load(Ordering::Acquire) {
                 return Err(DtlError::Closed);
@@ -364,7 +366,9 @@ impl<B: ChunkStore> SyncStaging<B> {
             if state.protocol.may_write(step) {
                 return Ok(());
             }
-            if shard.writer_cv.wait_until(&mut state, deadline).timed_out() {
+            let (guard, timed_out) = wait_until(&shard.writer_cv, state, deadline);
+            state = guard;
+            if timed_out {
                 return Err(DtlError::Timeout {
                     operation: "wait_writable",
                     variable: format!("id {}", var.0),
@@ -385,7 +389,7 @@ impl<B: ChunkStore> SyncStaging<B> {
     ) -> DtlResult<()> {
         let deadline = std::time::Instant::now() + timeout;
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         loop {
             if self.closed.load(Ordering::Acquire) {
                 return Err(DtlError::Closed);
@@ -396,7 +400,9 @@ impl<B: ChunkStore> SyncStaging<B> {
             if state.protocol.may_read(reader, step) {
                 return Ok(());
             }
-            if shard.reader_cv.wait_until(&mut state, deadline).timed_out() {
+            let (guard, timed_out) = wait_until(&shard.reader_cv, state, deadline);
+            state = guard;
+            if timed_out {
                 return Err(DtlError::Timeout {
                     operation: "wait_readable",
                     variable: format!("id {}", var.0),
@@ -416,9 +422,9 @@ impl<B: ChunkStore> SyncStaging<B> {
         self.closed.store(true, Ordering::Release);
         // Wake all waiters so they observe the flag. Taking each shard
         // lock orders the store before any waiter's re-check.
-        let shards: Vec<_> = self.registry.read().shards.to_vec();
+        let shards: Vec<_> = recover(self.registry.read()).shards.to_vec();
         for shard in shards {
-            let _guard = shard.state.lock();
+            let _guard = recover(shard.state.lock());
             shard.writer_cv.notify_all();
             shard.reader_cv.notify_all();
         }
@@ -436,7 +442,7 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// the whole run down.
     pub fn close_variable(&self, var: VariableId) -> DtlResult<()> {
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         state.closed = true;
         shard.writer_cv.notify_all();
         shard.reader_cv.notify_all();
@@ -445,7 +451,8 @@ impl<B: ChunkStore> SyncStaging<B> {
 
     /// Whether `var` is hard-closed (individually or via the area).
     pub fn is_variable_closed(&self, var: VariableId) -> bool {
-        self.is_closed() || self.shard(var).map(|shard| shard.state.lock().closed).unwrap_or(false)
+        self.is_closed()
+            || self.shard(var).map(|shard| recover(shard.state.lock()).closed).unwrap_or(false)
     }
 
     /// Reopens `var` with fresh protocol state and no staged chunks —
@@ -454,7 +461,7 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// have all returned.
     pub fn reset_variable(&self, var: VariableId) -> DtlResult<()> {
         let shard = self.shard(var)?;
-        let mut state = shard.state.lock();
+        let mut state = recover(shard.state.lock());
         state.closed = false;
         let readers = state.expected_readers;
         state.protocol = StepProtocol::new(readers, self.capacity);
@@ -490,7 +497,6 @@ impl<B: ChunkStore> SyncStaging<B> {
 mod tests {
     use super::*;
     use crate::staging::store::MemoryStore;
-    use bytes::Bytes;
     use std::sync::Arc;
 
     fn staging(capacity: u64) -> Arc<SyncStaging<MemoryStore>> {
@@ -502,7 +508,7 @@ mod tests {
     }
 
     fn chunk(var: VariableId, step: u64, payload: &'static [u8]) -> Chunk {
-        Chunk::new(var, step, 0, "raw", Bytes::from_static(payload))
+        Chunk::new(var, step, 0, "raw", Arc::from(payload))
     }
 
     #[test]
@@ -511,7 +517,7 @@ mod tests {
         let var = s.register(spec(1)).unwrap();
         s.put(chunk(var, 0, b"frame0")).unwrap();
         let got = s.get(var, 0, ReaderId(0)).unwrap();
-        assert_eq!(got.data, Bytes::from_static(b"frame0"));
+        assert_eq!(got.data, Arc::from(*b"frame0"));
         let stats = s.stats();
         assert_eq!((stats.puts, stats.gets), (1, 1));
         assert_eq!(stats.bytes_staged, 6);
@@ -550,7 +556,7 @@ mod tests {
             let s = Arc::clone(&s);
             std::thread::spawn(move || {
                 for step in 0..20u64 {
-                    let c = Chunk::new(var, step, 0, "raw", Bytes::from(vec![step as u8; 64]));
+                    let c = Chunk::new(var, step, 0, "raw", Arc::from(vec![step as u8; 64]));
                     s.put(c).unwrap();
                 }
             })
@@ -578,7 +584,7 @@ mod tests {
             let s = Arc::clone(&s);
             std::thread::spawn(move || {
                 for step in 0..10u64 {
-                    s.put(Chunk::new(var, step, 0, "raw", Bytes::from(vec![1u8; 8]))).unwrap();
+                    s.put(Chunk::new(var, step, 0, "raw", Arc::from(vec![1u8; 8]))).unwrap();
                 }
             })
         };
@@ -718,7 +724,7 @@ mod tests {
         ));
         // The sibling variable still works end to end.
         s.put(chunk(b, 0, b"y")).unwrap();
-        assert_eq!(s.get(b, 0, ReaderId(0)).unwrap().data, Bytes::from_static(b"y"));
+        assert_eq!(s.get(b, 0, ReaderId(0)).unwrap().data, Arc::from(*b"y"));
     }
 
     #[test]
@@ -745,7 +751,7 @@ mod tests {
         assert!(!s.is_variable_closed(var));
         // The protocol restarted from step 0 and the stale chunk is gone.
         s.put(chunk(var, 0, b"fresh")).unwrap();
-        assert_eq!(s.get(var, 0, ReaderId(0)).unwrap().data, Bytes::from_static(b"fresh"));
+        assert_eq!(s.get(var, 0, ReaderId(0)).unwrap().data, Arc::from(*b"fresh"));
         assert_eq!(s.store().bytes_held(), 0, "stale payload was released");
     }
 
@@ -760,7 +766,7 @@ mod tests {
         let var = s.register(spec(1)).unwrap();
         s.put(chunk(var, 0, b"frame")).unwrap();
         let got = s.get(var, 0, ReaderId(0)).unwrap();
-        assert_eq!(got.data, Bytes::from_static(b"frame"));
+        assert_eq!(got.data, Arc::from(*b"frame"));
         let stats = s.stats();
         assert_eq!(stats.retries, 3, "one store retry + two load retries");
         assert_eq!(stats.giveups, 0);

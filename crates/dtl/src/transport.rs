@@ -8,10 +8,9 @@
 //! remote reads traverse the interconnect.
 
 use hpc_platform::{NetworkSpec, NodeSpec};
-use serde::{Deserialize, Serialize};
 
 /// Cost model combining intra-node copies and network transfers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StagingCostModel {
     /// Intra-node staging copy bandwidth, bytes/second.
     pub local_copy_bw: f64,

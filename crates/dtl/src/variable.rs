@@ -8,16 +8,14 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DtlError, DtlResult};
 
 /// Dense identifier of a registered variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VariableId(pub u32);
 
 /// Static description of one variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariableSpec {
     /// Unique name.
     pub name: String,
@@ -30,7 +28,7 @@ pub struct VariableSpec {
 }
 
 /// Name → id mapping plus specs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VariableRegistry {
     by_name: HashMap<String, VariableId>,
     specs: Vec<VariableSpec>,

@@ -6,9 +6,9 @@
 //! tier does real I/O) must leave the protocol exactly where it was, so
 //! the caller can retry — not silently consume a read it never served.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use dtl::staging::{MemoryStore, SyncStaging};
 use dtl::{Chunk, DtlError, FaultInjector, FaultOp, FaultPlan, FaultRule, ReaderId, VariableSpec};
 
@@ -24,7 +24,7 @@ fn spec(readers: u32) -> VariableSpec {
 }
 
 fn chunk(var: dtl::VariableId, step: u64, payload: &'static [u8]) -> Chunk {
-    Chunk::new(var, step, 0, "raw", Bytes::from_static(payload))
+    Chunk::new(var, step, 0, "raw", Arc::from(payload))
 }
 
 #[test]
@@ -49,7 +49,7 @@ fn failed_load_leaves_the_read_retryable() {
     let got = s
         .get_timeout(var, 0, ReaderId(0), Duration::from_millis(200))
         .expect("step 0 must remain consumable after a transient load failure");
-    assert_eq!(got.data, Bytes::from_static(b"frame0"));
+    assert_eq!(got.data, Arc::from(*b"frame0"));
     let stats = s.stats();
     assert_eq!((stats.gets, stats.bytes_served), (1, 6));
     assert_eq!(s.store().stats().injected_failures, 1);
@@ -114,6 +114,6 @@ fn failed_store_leaves_the_write_retryable() {
     // never advanced.
     s.put_timeout(chunk(var, 0, b"a"), Duration::from_millis(200)).unwrap();
     let got = s.get_timeout(var, 0, ReaderId(0), Duration::from_millis(200)).unwrap();
-    assert_eq!(got.data, Bytes::from_static(b"a"));
+    assert_eq!(got.data, Arc::from(*b"a"));
     assert_eq!(s.store().stats().injected_failures, 1);
 }

@@ -5,28 +5,23 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use dtl::protocol::ReaderId;
 use dtl::staging::{burst_buffer, dimes, SyncStaging};
 use dtl::{Chunk, VariableSpec};
-use proptest::prelude::*;
+use testkit::check;
 
 fn spec(name: &str, readers: u32) -> VariableSpec {
     VariableSpec { name: name.into(), expected_readers: readers, home_node: 0 }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn payloads_arrive_intact_in_order(
-        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..512), 1..24),
-        readers in 1u32..4,
-        capacity in 1u64..4
-    ) {
+#[test]
+fn payloads_arrive_intact_in_order() {
+    check(16, |g| {
+        let expected: Vec<Arc<[u8]>> =
+            g.vec(1..24, |g| g.vec(0..512, |g| g.range(0u8..=255)).into());
+        let (readers, capacity) = (g.range(1u32..4), g.range(1u64..4));
         let staging = Arc::new(burst_buffer(capacity));
         let var = staging.register(spec("t", readers)).unwrap();
-        let expected: Vec<Bytes> = payloads.iter().cloned().map(Bytes::from).collect();
 
         let producer = {
             let staging = Arc::clone(&staging);
@@ -61,29 +56,29 @@ proptest! {
             c.join().unwrap();
         }
         let stats = staging.stats();
-        prop_assert_eq!(stats.puts, expected.len() as u64);
-        prop_assert_eq!(stats.gets, expected.len() as u64 * readers as u64);
+        assert_eq!(stats.puts, expected.len() as u64);
+        assert_eq!(stats.gets, expected.len() as u64 * readers as u64);
         // Every byte staged was served to every reader.
         let bytes: u64 = expected.iter().map(|p| p.len() as u64).sum();
-        prop_assert_eq!(stats.bytes_staged, bytes);
-        prop_assert_eq!(stats.bytes_served, bytes * readers as u64);
-    }
+        assert_eq!(stats.bytes_staged, bytes);
+        assert_eq!(stats.bytes_served, bytes * readers as u64);
+    });
+}
 
-    #[test]
-    fn memory_is_fully_reclaimed(
-        steps in 1u64..32,
-        payload_len in 1usize..2048
-    ) {
+#[test]
+fn memory_is_fully_reclaimed() {
+    check(16, |g| {
+        let (steps, payload_len) = (g.range(1u64..32), g.range(1usize..2048));
         let staging = dimes();
         let var = staging.register(spec("t", 1)).unwrap();
         for step in 0..steps {
             staging
-                .put(Chunk::new(var, step, 0, "raw", Bytes::from(vec![7u8; payload_len])))
+                .put(Chunk::new(var, step, 0, "raw", Arc::from(vec![7u8; payload_len])))
                 .unwrap();
             staging.get(var, step, ReaderId(0)).unwrap();
         }
-        prop_assert_eq!(staging.store().bytes_held(), 0, "all chunks must be released");
-    }
+        assert_eq!(staging.store().bytes_held(), 0, "all chunks must be released");
+    });
 }
 
 #[test]
@@ -98,7 +93,7 @@ fn many_members_interleave_without_cross_talk() {
         let staging_w = Arc::clone(&staging);
         handles.push(std::thread::spawn(move || {
             for step in 0..40u64 {
-                let payload = Bytes::from(vec![m as u8; 32]);
+                let payload = Arc::from(vec![m as u8; 32]);
                 staging_w.put(Chunk::new(var, step, m, "raw", payload)).unwrap();
             }
         }));
@@ -126,7 +121,7 @@ fn pipelined_capacity_preserves_fifo_under_load() {
         std::thread::spawn(move || {
             for step in 0..200u64 {
                 staging
-                    .put(Chunk::new(var, step, 0, "raw", Bytes::from(step.to_le_bytes().to_vec())))
+                    .put(Chunk::new(var, step, 0, "raw", Arc::from(step.to_le_bytes().to_vec())))
                     .unwrap();
             }
         })

@@ -7,7 +7,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use dtl::staging::{self, InMemoryStaging};
 use dtl::{Chunk, DtlError, ReaderId, VariableId, VariableSpec};
 
@@ -16,10 +15,10 @@ const STEPS: u64 = 64;
 const READERS: u32 = 3;
 const TIMEOUT: Duration = Duration::from_secs(30);
 
-fn payload(var: VariableId, step: u64) -> Bytes {
+fn payload(var: VariableId, step: u64) -> Arc<[u8]> {
     // Distinct, checkable content per (variable, step).
     let tag = (var.0 as u64) << 32 | step;
-    Bytes::from(tag.to_le_bytes().to_vec())
+    Arc::from(tag.to_le_bytes().to_vec())
 }
 
 fn run_ensemble(staging: &Arc<InMemoryStaging>, vars: &[VariableId]) {

@@ -4,10 +4,8 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a component produces data or consumes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// A data-producing simulation (one per ensemble member).
     Simulation,
@@ -25,7 +23,7 @@ impl std::fmt::Display for ComponentKind {
 }
 
 /// Addresses one component within a workflow ensemble.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComponentRef {
     /// Member index `i` (0-based; the paper's `EMᵢ`).
     pub member: usize,
@@ -62,7 +60,7 @@ impl std::fmt::Display for ComponentRef {
 }
 
 /// Placement and sizing of one component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentSpec {
     /// Simulation or analysis.
     pub kind: ComponentKind,

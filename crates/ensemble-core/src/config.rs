@@ -5,8 +5,6 @@
 //! Every simulation uses 16 cores and every analysis 8 cores, as selected
 //! by §2.2 / §3.4.
 
-use serde::{Deserialize, Serialize};
-
 use crate::component::ComponentSpec;
 use crate::ensemble::EnsembleSpec;
 use crate::member::MemberSpec;
@@ -17,7 +15,7 @@ pub const SIM_CORES: u32 = 16;
 pub const ANALYSIS_CORES: u32 = 8;
 
 /// Named experimental configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(non_camel_case_types)]
 pub enum ConfigId {
     /// Co-location-free elementary config: one member, sim and analysis

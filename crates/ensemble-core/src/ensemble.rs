@@ -2,13 +2,11 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::member::MemberSpec;
 
 /// A workflow ensemble of `N` concurrently-starting members.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnsembleSpec {
     /// The members `EM₁ … EM_N`.
     pub members: Vec<MemberSpec>,

@@ -6,14 +6,12 @@
 //! * and the alternative order `Pᵁ → Pᵁ·ᴾ → Pᵁ·ᴾ·ᴬ` explored in §5.2
 //!   (the two orders commute to the same final value).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ensemble::EnsembleSpec;
 use crate::member::MemberSpec;
 use crate::placement::placement_indicator;
 
 /// A refinement stage of the indicator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndicatorStage {
     /// Resource usage (always first): divide efficiency by member cores.
     Usage,
@@ -35,7 +33,7 @@ impl IndicatorStage {
 }
 
 /// An ordered sequence of stages, e.g. `U → A → P`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndicatorPath(pub Vec<IndicatorStage>);
 
 impl IndicatorPath {
@@ -79,7 +77,7 @@ impl IndicatorPath {
 }
 
 /// The per-member inputs the indicator consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemberInputs {
     /// Computational efficiency `Eᵢ` (Eq. 3).
     pub efficiency: f64,

@@ -3,12 +3,10 @@
 //! Equation 1: `σ̄* = max(S* + W*, R¹* + A¹*, …, Rᴷ* + Aᴷ*)`.
 //! Equation 2: `MAKESPAN = n_steps × σ̄*`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stage::MemberStageTimes;
 
 /// Which side of a coupling idles (paper Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CouplingScenario {
     /// The analysis step outlasts the simulation step; the simulation
     /// waits (`Iˢ > 0`).
@@ -33,7 +31,7 @@ pub fn makespan(times: &MemberStageTimes, n_steps: u64) -> f64 {
 
 /// Steady-state idle-stage durations derived from `σ̄*` (§3.3):
 /// `Iˢ* = σ̄* − (S* + W*)` and `Iᴬⁱ* = σ̄* − (Rⁱ* + Aⁱ*)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdleTimes {
     /// Simulation idle per in situ step.
     pub sim_idle: f64,

@@ -2,13 +2,11 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::component::{ComponentKind, ComponentSpec};
 use crate::error::ModelError;
 
 /// One ensemble member `EMᵢ`: a simulation plus `K ≥ 1` analyses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemberSpec {
     /// The data-producing simulation.
     pub simulation: ComponentSpec,

@@ -8,11 +8,9 @@
 //! configurations whose members perform unevenly, because the ensemble
 //! makespan is the *maximum* member makespan.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregation strategies; [`Aggregation::MeanMinusStd`] is Eq. 9, the
 /// others exist for the objective ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Aggregation {
     /// Eq. 9: mean − population standard deviation.
     #[default]

@@ -4,12 +4,10 @@
 //! step into `R → A → Iᴬ`. Steady-state (starred) per-stage durations
 //! are carried by [`MemberStageTimes`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 
 /// The six fine-grained stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
     /// `S` — simulation compute.
     Simulate,
@@ -49,7 +47,7 @@ impl StageKind {
 }
 
 /// The stage sub-groups of §3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageGroup {
     /// `S`, `A`.
     Computational,
@@ -60,7 +58,7 @@ pub enum StageGroup {
 }
 
 /// Steady-state stage durations of one coupling's analysis side.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisStageTimes {
     /// `R*` — read stage, seconds.
     pub r: f64,
@@ -77,7 +75,7 @@ impl AnalysisStageTimes {
 
 /// Steady-state stage durations of one ensemble member: the starred
 /// quantities of §3.1 feeding Equations 1–3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemberStageTimes {
     /// `S*` — simulation compute, seconds.
     pub s: f64,

@@ -3,13 +3,11 @@
 //! execution time as measured over many steps" — so per-step samples are
 //! reduced to starred stage times by dropping warm-up and averaging.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::stage::{AnalysisStageTimes, MemberStageTimes};
 
 /// Per-step stage-duration samples of one member's execution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MemberStepSamples {
     /// `S` durations per in situ step.
     pub s: Vec<f64>,
@@ -20,7 +18,7 @@ pub struct MemberStepSamples {
 }
 
 /// How warm-up steps are excluded before averaging.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WarmupPolicy {
     /// Drop a fixed number of leading steps.
     FixedSteps(usize),

@@ -2,14 +2,12 @@
 //! change to a member and report how `σ̄*`, the makespan, and `E`
 //! respond — the quantitative backing for tuning recommendations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::efficiency::efficiency;
 use crate::insitu_step::sigma_star;
 use crate::stage::{AnalysisStageTimes, MemberStageTimes};
 
 /// A hypothetical change to a member.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Change {
     /// Scale analysis `j` (0-based) compute time by `factor` — e.g.
     /// `0.5` approximates doubling its cores in the parallel region.
@@ -39,7 +37,7 @@ pub enum Change {
 }
 
 /// Before/after comparison of one change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WhatIf {
     /// The stage times after the change.
     pub after: MemberStageTimes,

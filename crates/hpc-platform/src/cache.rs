@@ -7,10 +7,8 @@
 //! Each component's miss ratio then follows a capacity-miss curve in the
 //! ratio of its share to its working set.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunables of the cache model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheModel {
     /// Exponent of the capacity-miss curve. 1.0 = linear growth of the
     /// miss ratio as the share shrinks below the working set; values < 1

@@ -7,12 +7,10 @@
 
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::interference::PerfEstimate;
 
 /// Accumulated hardware counters for one component over some interval.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HwCounters {
     /// Dynamic instructions retired.
     pub instructions: f64,

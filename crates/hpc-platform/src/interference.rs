@@ -17,8 +17,6 @@
 //! The negative feedback (slower components issue less traffic) makes the
 //! iteration converge; we run a damped fixed number of rounds.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{CacheContender, CacheModel};
 use crate::memory::MemoryModel;
 use crate::node::NodeSpec;
@@ -41,7 +39,7 @@ pub struct PlacedWorkload {
 }
 
 /// Solved steady-state performance of one placed component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfEstimate {
     /// Wall-clock seconds one step of this component takes under the
     /// solved contention (its computational stage duration).
@@ -67,7 +65,7 @@ pub struct PerfEstimate {
 }
 
 /// The combined interference model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InterferenceModel {
     /// Shared-cache component.
     pub cache: CacheModel,

@@ -6,10 +6,8 @@
 //! factor — the standard M/D/1-free approximation used by co-location
 //! interference studies (Dauwe et al. 2014).
 
-use serde::{Deserialize, Serialize};
-
 /// Tunables of the bandwidth model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryModel {
     /// Demand beyond this utilization of the socket bandwidth starts to
     /// queue (sustained bandwidth is below nominal peak).

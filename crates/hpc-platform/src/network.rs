@@ -8,10 +8,8 @@
 //! locality structure that makes DIMES-style node-local staging attractive
 //! without simulating individual packets.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSpec {
     /// Latency of a minimal (same-group) route, seconds.
     pub base_latency_s: f64,

@@ -1,10 +1,8 @@
 //! Per-node hardware description.
 
-use serde::{Deserialize, Serialize};
-
 /// Static hardware description of one compute node. All nodes of a
 /// [`crate::topology::Platform`] are homogeneous, as on Cori.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// CPU sockets per node.
     pub sockets: u32,

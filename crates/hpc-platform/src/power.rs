@@ -7,10 +7,8 @@
 //! DRAM draw) and a frequency-scaling response that inflates compute
 //! time when a node exceeds its power cap.
 
-use serde::{Deserialize, Serialize};
-
 /// Node-level power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Baseline node draw with idle cores, watts.
     pub idle_watts: f64,

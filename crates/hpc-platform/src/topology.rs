@@ -1,14 +1,12 @@
 //! Platform topology: a homogeneous set of compute nodes plus the
 //! interconnect, with core-allocation bookkeeping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PlatformError;
 use crate::network::NetworkSpec;
 use crate::node::NodeSpec;
 
 /// How the cores of an allocation are bound to sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BindPolicy {
     /// Threads spread round-robin across sockets (default Linux scheduler
     /// behaviour for unbound processes, and what the paper's runs exhibit:
@@ -21,7 +19,7 @@ pub enum BindPolicy {
 }
 
 /// A set of physical cores granted to one component on one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreAllocation {
     /// Node index within the platform.
     pub node: usize,
@@ -47,13 +45,13 @@ impl CoreAllocation {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NodeState {
     free_per_socket: Vec<u32>,
 }
 
 /// A provisioned allocation of homogeneous compute nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Platform {
     spec: NodeSpec,
     network: NetworkSpec,

@@ -5,10 +5,8 @@
 //! memory hierarchy. The values are per *in situ step* (the paper's unit of
 //! progress).
 
-use serde::{Deserialize, Serialize};
-
 /// Architectural profile of one component, per in situ step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Total dynamic instructions retired per step (across all threads).
     pub instructions_per_step: f64,

@@ -7,92 +7,76 @@ use hpc_platform::{
     BindPolicy, CacheModel, InterferenceModel, MemoryModel, NetworkSpec, PlacedWorkload, Platform,
     Workload,
 };
-use proptest::prelude::*;
+use testkit::{check, Gen};
 
-fn workload_strategy() -> impl Strategy<Value = Workload> {
-    (
-        1e8f64..1e12, // instructions
-        0.3f64..2.0,  // base cpi
-        0.0f64..0.2,  // refs/instr
-        0.0f64..0.3,  // base miss
-        1e6f64..5e8,  // working set
-        0.5f64..1.0,  // parallel fraction
-        0.0f64..4.0,  // streaming bytes/instr
-        0.0f64..0.95, // mlp overlap
-    )
-        .prop_map(|(i, cpi, refs, miss, ws, f, stream, mlp)| Workload {
-            instructions_per_step: i,
-            base_cpi: cpi,
-            llc_refs_per_instr: refs,
-            base_miss_ratio: miss,
-            working_set_bytes: ws,
-            parallel_fraction: f,
-            streaming_bytes_per_instr: stream,
-            mlp_overlap: mlp,
-        })
+fn workload(g: &mut Gen) -> Workload {
+    Workload {
+        instructions_per_step: g.range(1e8f64..1e12),
+        base_cpi: g.range(0.3f64..2.0),
+        llc_refs_per_instr: g.range(0.0f64..0.2),
+        base_miss_ratio: g.range(0.0f64..0.3),
+        working_set_bytes: g.range(1e6f64..5e8),
+        parallel_fraction: g.range(0.5f64..1.0),
+        streaming_bytes_per_instr: g.range(0.0f64..4.0),
+        mlp_overlap: g.range(0.0f64..0.95),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u32 = 64;
 
-    #[test]
-    fn cache_partition_conserves_capacity(
-        llc in 1e6f64..1e8,
-        pressures in prop::collection::vec((1e6f64..1e10, 1e6f64..1e9), 1..6)
-    ) {
+#[test]
+fn cache_partition_conserves_capacity() {
+    check(CASES, |g| {
+        let llc = g.range(1e6f64..1e8);
         let model = CacheModel::default();
-        let contenders: Vec<CacheContender> = pressures
-            .iter()
-            .map(|&(refs, ws)| CacheContender {
-                refs_per_sec: refs,
-                working_set_bytes: ws,
-                base_miss_ratio: 0.05,
-            })
-            .collect();
+        let contenders: Vec<CacheContender> = g.vec(1..6, |g| CacheContender {
+            refs_per_sec: g.range(1e6f64..1e10),
+            working_set_bytes: g.range(1e6f64..1e9),
+            base_miss_ratio: 0.05,
+        });
         let shares = model.partition(llc, &contenders);
         let total: f64 = shares.iter().sum();
         // Shares never exceed capacity (surplus may stay unassigned when
         // everyone's working set is already satisfied).
-        prop_assert!(total <= llc * (1.0 + 1e-9), "total {total} > llc {llc}");
-        prop_assert!(shares.iter().all(|s| *s >= 0.0));
+        assert!(total <= llc * (1.0 + 1e-9), "total {total} > llc {llc}");
+        assert!(shares.iter().all(|s| *s >= 0.0));
         // Nobody gets more than their working set plus rounding.
         for (share, c) in shares.iter().zip(&contenders) {
-            prop_assert!(*share <= c.working_set_bytes.max(llc) + 1e-6);
+            assert!(*share <= c.working_set_bytes.max(llc) + 1e-6);
         }
-    }
+    });
+}
 
-    #[test]
-    fn miss_ratio_is_monotone_in_share(
-        ws in 1e6f64..1e9,
-        base in 0.0f64..0.5,
-        a in 0.0f64..1.0,
-        b in 0.0f64..1.0
-    ) {
+#[test]
+fn miss_ratio_is_monotone_in_share() {
+    check(CASES, |g| {
+        let (ws, base) = (g.range(1e6f64..1e9), g.range(0.0f64..0.5));
+        let (a, b) = (g.range(0.0f64..1.0), g.range(0.0f64..1.0));
         let model = CacheModel::default();
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let m_lo = model.miss_ratio(lo * ws, ws, base);
         let m_hi = model.miss_ratio(hi * ws, ws, base);
-        prop_assert!(m_lo >= m_hi - 1e-12, "more cache cannot miss more");
-        prop_assert!((0.0..=1.0).contains(&m_lo) && (0.0..=1.0).contains(&m_hi));
-    }
+        assert!(m_lo >= m_hi - 1e-12, "more cache cannot miss more");
+        assert!((0.0..=1.0).contains(&m_lo) && (0.0..=1.0).contains(&m_hi));
+    });
+}
 
-    #[test]
-    fn bandwidth_pressure_is_monotone(
-        bw in 1e9f64..1e11,
-        d1 in 0.0f64..2e11,
-        d2 in 0.0f64..2e11
-    ) {
+#[test]
+fn bandwidth_pressure_is_monotone() {
+    check(CASES, |g| {
+        let bw = g.range(1e9f64..1e11);
+        let (d1, d2) = (g.range(0.0f64..2e11), g.range(0.0f64..2e11));
         let model = MemoryModel::default();
         let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-        prop_assert!(model.pressure_multiplier(lo, bw) <= model.pressure_multiplier(hi, bw) + 1e-12);
-        prop_assert!(model.pressure_multiplier(lo, bw) >= 1.0);
-    }
+        assert!(model.pressure_multiplier(lo, bw) <= model.pressure_multiplier(hi, bw) + 1e-12);
+        assert!(model.pressure_multiplier(lo, bw) >= 1.0);
+    });
+}
 
-    #[test]
-    fn adding_a_neighbour_never_speeds_you_up(
-        w1 in workload_strategy(),
-        w2 in workload_strategy()
-    ) {
+#[test]
+fn adding_a_neighbour_never_speeds_you_up() {
+    check(CASES, |g| {
+        let (w1, w2) = (workload(g), workload(g));
         let spec = hpc_platform::cori::cori_node();
         let net = hpc_platform::cori::aries_network();
         let model = InterferenceModel::default();
@@ -114,17 +98,20 @@ proptest! {
             workload: w2,
         };
         let est_shared = model.solve_node(&spec, &[b, c], &[])[0].clone();
-        prop_assert!(
+        assert!(
             est_shared.seconds_per_step >= est_alone.seconds_per_step * (1.0 - 1e-6),
             "neighbour sped us up: {} vs {}",
             est_shared.seconds_per_step,
             est_alone.seconds_per_step
         );
-        prop_assert!(est_shared.llc_miss_ratio >= est_alone.llc_miss_ratio - 1e-9);
-    }
+        assert!(est_shared.llc_miss_ratio >= est_alone.llc_miss_ratio - 1e-9);
+    });
+}
 
-    #[test]
-    fn estimates_are_always_finite_and_sane(w in workload_strategy(), cores in 1u32..33) {
+#[test]
+fn estimates_are_always_finite_and_sane() {
+    check(CASES, |g| {
+        let (w, cores) = (workload(g), g.range(1u32..33));
         let spec = hpc_platform::cori::cori_node();
         let model = InterferenceModel::default();
         let mut p = Platform::new(1, spec.clone(), hpc_platform::cori::aries_network());
@@ -133,33 +120,34 @@ proptest! {
             workload: w,
         };
         for est in model.solve_node(&spec, &[placed], &[]) {
-            prop_assert!(est.seconds_per_step.is_finite() && est.seconds_per_step > 0.0);
-            prop_assert!((0.0..=1.0).contains(&est.llc_miss_ratio));
-            prop_assert!(est.cpi > 0.0 && est.ipc > 0.0);
-            prop_assert!(est.llc_misses_per_step <= est.llc_refs_per_step + 1e-6);
-            prop_assert!(est.peak_bw_pressure >= 1.0);
+            assert!(est.seconds_per_step.is_finite() && est.seconds_per_step > 0.0);
+            assert!((0.0..=1.0).contains(&est.llc_miss_ratio));
+            assert!(est.cpi > 0.0 && est.ipc > 0.0);
+            assert!(est.llc_misses_per_step <= est.llc_refs_per_step + 1e-6);
+            assert!(est.peak_bw_pressure >= 1.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn network_latency_respects_identity_and_symmetry(
-        a in 0usize..1000,
-        b in 0usize..1000
-    ) {
+#[test]
+fn network_latency_respects_identity_and_symmetry() {
+    check(CASES, |g| {
+        let (a, b) = (g.range(0usize..1000), g.range(0usize..1000));
         let net = NetworkSpec::default();
-        prop_assert_eq!(net.transfer_time(a, a, 12345), 0.0);
+        assert_eq!(net.transfer_time(a, a, 12345), 0.0);
         let ab = net.transfer_time(a, b, 1 << 20);
         let ba = net.transfer_time(b, a, 1 << 20);
-        prop_assert!((ab - ba).abs() < 1e-15, "dragonfly routes are symmetric here");
+        assert!((ab - ba).abs() < 1e-15, "dragonfly routes are symmetric here");
         if a != b {
-            prop_assert!(ab > 0.0);
+            assert!(ab > 0.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn allocation_release_restores_platform(
-        requests in prop::collection::vec(1u32..17, 1..5)
-    ) {
+#[test]
+fn allocation_release_restores_platform() {
+    check(CASES, |g| {
+        let requests = g.vec(1..5, |g| g.range(1u32..17));
         let spec = hpc_platform::cori::cori_node();
         let mut p = Platform::new(2, spec, hpc_platform::cori::aries_network());
         let before: Vec<u32> = (0..2).map(|n| p.free_cores(n).unwrap()).collect();
@@ -173,6 +161,6 @@ proptest! {
             p.release(a);
         }
         let after: Vec<u32> = (0..2).map(|n| p.free_cores(n).unwrap()).collect();
-        prop_assert_eq!(before, after);
-    }
+        assert_eq!(before, after);
+    });
 }

@@ -1,17 +1,20 @@
-//! Minimal JSON value, parser, and writer for the wire protocol.
+//! Minimal JSON value, parser, and writer: the workspace's one JSON
+//! stack, with no dependency of its own.
 //!
-//! The service speaks JSON-lines over TCP and must keep working in the
-//! offline build harness, where `serde_json` is replaced by a
-//! non-functional stub — so the protocol carries its own dependency-free
-//! codec. It covers exactly what the protocol needs: objects, arrays,
-//! strings, IEEE-754 numbers, booleans, null, a recursion-depth guard,
-//! and deterministic output (object keys keep insertion order; floats
-//! print with Rust's shortest-roundtrip formatting).
+//! The provisioning service's wire protocol and journal, experiment
+//! files, and every `--json` report go through it. It covers exactly
+//! what they need: objects, arrays, strings, IEEE-754 numbers, booleans,
+//! null, a recursion-depth guard, and deterministic output (object keys
+//! keep insertion order; floats print with Rust's shortest-roundtrip
+//! formatting).
 //!
 //! Encoding is streaming: [`write_u64`], [`write_f64`], [`write_str`]
 //! and [`write_seq`] append to a caller-supplied `String`, and every
-//! wire type writes itself through them (see [`crate::protocol`]) — no
-//! [`Value`] tree is built to produce a line.
+//! type that has a JSON form writes itself through them — no [`Value`]
+//! tree is built to produce a line. Output is compact; [`pretty`]
+//! re-indents finished text for the files people read.
+
+#![warn(missing_docs)]
 
 use std::fmt::{self, Write as _};
 
@@ -153,6 +156,54 @@ pub fn write_seq<T>(
         write(out, item);
     }
     out.push(']');
+}
+
+/// `compact` — JSON text with no whitespace between tokens, as every
+/// writer here produces — re-indented two spaces per level.
+pub fn pretty(compact: &str) -> String {
+    fn newline(out: &mut String, depth: usize) {
+        out.push('\n');
+        out.extend(std::iter::repeat_n("  ", depth));
+    }
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut depth = 0usize;
+    let (mut in_string, mut escaped) = (false, false);
+    let mut chars = compact.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_string {
+            out.push(c);
+            (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            continue;
+        }
+        match c {
+            '"' => {
+                in_string = true;
+                out.push(c);
+            }
+            '{' | '[' => {
+                out.push(c);
+                // An empty container stays on one line.
+                if let Some(close) = chars.next_if(|&next| next == '}' || next == ']') {
+                    out.push(close);
+                } else {
+                    depth += 1;
+                    newline(&mut out, depth);
+                }
+            }
+            '}' | ']' => {
+                depth = depth.saturating_sub(1);
+                newline(&mut out, depth);
+                out.push(c);
+            }
+            ',' => {
+                out.push(c);
+                newline(&mut out, depth);
+            }
+            ':' => out.push_str(": "),
+            _ => out.push(c),
+        }
+    }
+    out
 }
 
 impl Value {
@@ -573,18 +624,19 @@ mod tests {
         assert_eq!(written(0.1 + 0.2), "0.30000000000000004");
     }
 
-    proptest::proptest! {
-        #[test]
-        fn numbers_print_as_f64_to_string(bits in proptest::prelude::any::<u64>(), shift in 0u32..64) {
+    #[test]
+    fn numbers_print_as_f64_to_string() {
+        testkit::check(256, |g| {
             // Every bit pattern (NaNs, infinities and subnormals among
             // them), and integers of every magnitude on both paths.
+            let (bits, shift) = (g.u64(), g.range(0u32..64));
             let float = f64::from_bits(bits);
-            proptest::prop_assert_eq!(written(float), to_string_or_null(float));
+            assert_eq!(written(float), to_string_or_null(float));
             let int = bits >> shift;
-            proptest::prop_assert_eq!(encoded(|out| write_u64(out, int)), (int as f64).to_string());
-            proptest::prop_assert_eq!(written(-(int as f64)), (-(int as f64)).to_string());
-            proptest::prop_assert_eq!(written(int as f64 + 0.5), (int as f64 + 0.5).to_string());
-        }
+            assert_eq!(encoded(|out| write_u64(out, int)), (int as f64).to_string());
+            assert_eq!(written(-(int as f64)), (-(int as f64)).to_string());
+            assert_eq!(written(int as f64 + 0.5), (int as f64 + 0.5).to_string());
+        });
     }
 
     #[test]
@@ -626,6 +678,17 @@ mod tests {
         assert_eq!(
             items[39_999].get("key_with_some_length").and_then(Value::as_str),
             Some("a value string with é and text")
+        );
+    }
+
+    #[test]
+    fn pretty_reindents_and_parses_back_to_the_same_value() {
+        let compact = r#"{"a":[1,{"b":"x,y:{\"z\\"}],"empty":[],"none":{},"n":null}"#;
+        let text = pretty(compact);
+        assert_eq!(Value::parse(&text).unwrap(), Value::parse(compact).unwrap());
+        assert_eq!(
+            text,
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": \"x,y:{\\\"z\\\\\"\n    }\n  ],\n  \"empty\": [],\n  \"none\": {},\n  \"n\": null\n}"
         );
     }
 

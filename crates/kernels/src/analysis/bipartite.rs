@@ -9,8 +9,6 @@
 //! the largest eigenvalue of the bipartite adjacency) tracks large-scale
 //! conformational motion.
 
-use rayon::prelude::*;
-
 use crate::md::frame::Frame;
 
 /// Which atoms belong to each side of the bipartite split.
@@ -65,8 +63,8 @@ impl BipartiteMatrix {
         let box_len = frame.box_len as f64;
         let data: Vec<f64> = groups
             .group_a
-            .par_iter()
-            .flat_map_iter(|&ia| {
+            .iter()
+            .flat_map(|&ia| {
                 let pa = frame.positions[ia as usize];
                 groups.group_b.iter().map(move |&ib| {
                     let pb = frame.positions[ib as usize];
@@ -89,7 +87,7 @@ impl BipartiteMatrix {
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols);
         assert_eq!(y.len(), self.rows);
-        y.par_iter_mut().enumerate().for_each(|(r, out)| {
+        y.iter_mut().enumerate().for_each(|(r, out)| {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             *out = row.iter().zip(x).map(|(a, b)| a * b).sum();
         });
@@ -99,7 +97,7 @@ impl BipartiteMatrix {
     pub fn matvec_t(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows);
         assert_eq!(y.len(), self.cols);
-        y.par_iter_mut().enumerate().for_each(|(c, out)| {
+        y.iter_mut().enumerate().for_each(|(c, out)| {
             *out = (0..self.rows).map(|r| self.data[r * self.cols + c] * x[r]).sum();
         });
     }

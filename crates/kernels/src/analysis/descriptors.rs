@@ -2,8 +2,6 @@
 //! a reference frame, radius of gyration, and native-contact count —
 //! the collective variables ensemble methods most commonly monitor.
 
-use rayon::prelude::*;
-
 use super::kernel_trait::FrameKernel;
 use crate::md::frame::Frame;
 
@@ -56,7 +54,7 @@ impl FrameKernel for RmsdKernel {
         let box_len = frame.box_len as f64;
         let sum: f64 = reference
             .positions
-            .par_iter()
+            .iter()
             .zip(&frame.positions)
             .map(|(&a, &b)| min_image_d2(a, b, box_len))
             .sum();
@@ -89,7 +87,7 @@ impl FrameKernel for RadiusOfGyration {
         }
         let sum: f64 = frame
             .positions
-            .par_iter()
+            .iter()
             .map(|p| {
                 let mut d2 = 0.0;
                 for d in 0..3 {
@@ -132,7 +130,7 @@ impl FrameKernel for ContactCount {
         let cutoff2 = self.cutoff * self.cutoff;
         let box_len = frame.box_len as f64;
         self.group_a
-            .par_iter()
+            .iter()
             .map(|&ia| {
                 let pa = frame.positions[ia as usize];
                 self.group_b

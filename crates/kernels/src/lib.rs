@@ -15,14 +15,16 @@
 //!   (20 s simulation steps, the Figure 7 core-count crossover, and the
 //!   co-location contention ordering of Figure 3).
 //!
-//! Both kernels are data-parallel with Rayon and deterministic for a
-//! fixed seed.
+//! Both kernels run on their caller's thread (the runtime gives every
+//! component an OS thread of its own) and are deterministic for a fixed
+//! seed; [`rng`] is the workspace's one generator.
 
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod md;
 pub mod profile;
+pub mod rng;
 
 pub use analysis::EigenAnalysis;
 pub use md::{Frame, MdConfig, MdSimulation};

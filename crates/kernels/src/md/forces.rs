@@ -1,9 +1,7 @@
-//! Lennard-Jones force and energy evaluation, data-parallel with Rayon.
+//! Lennard-Jones force and energy evaluation.
 //!
 //! The 12-6 potential is truncated and shifted at the cutoff so energy is
 //! continuous: `u(r) = 4(r⁻¹² − r⁻⁶) − u_c` for `r < r_c`.
-
-use rayon::prelude::*;
 
 use super::cell_list::CellList;
 use super::system::{MolecularSystem, Vec3};
@@ -42,8 +40,7 @@ pub struct ForceResult {
 ///
 /// Each atom's force is computed independently from its cell
 /// neighbourhood (pairs are visited twice; energy and virial are
-/// half-counted), which is race-free and parallelizes over atoms with no
-/// synchronization.
+/// half-counted), so no atom's result depends on another's.
 pub fn compute_forces(system: &mut MolecularSystem, params: &LjParams) -> f64 {
     compute_forces_full(system, params).potential
 }
@@ -57,7 +54,6 @@ pub fn compute_forces_full(system: &mut MolecularSystem, params: &LjParams) -> F
     let box_len = system.box_len;
 
     let results: Vec<(Vec3, f64, f64)> = (0..positions.len())
-        .into_par_iter()
         .map(|i| {
             let pi = positions[i];
             let mut force = [0.0f64; 3];

@@ -5,7 +5,7 @@
 //! [`Frame::from_bytes`] give the canonical little-endian wire encoding
 //! used by the DTL plugins.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 /// A snapshot of atomic positions at one output step.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +54,14 @@ impl std::fmt::Display for FrameDecodeError {
 
 impl std::error::Error for FrameDecodeError {}
 
+/// Splits the next `N` bytes off the front of `data`, which the caller
+/// has checked holds them.
+fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data.split_first_chunk().expect("length checked by the caller");
+    *data = rest;
+    *head
+}
+
 impl Frame {
     /// Number of atoms in the frame.
     pub fn num_atoms(&self) -> usize {
@@ -66,43 +74,46 @@ impl Frame {
     }
 
     /// Serializes the frame to its little-endian wire format.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u32_le(MAGIC);
-        buf.put_u64_le(self.step);
-        buf.put_f64_le(self.time);
-        buf.put_f32_le(self.box_len);
-        buf.put_u64_le(self.positions.len() as u64);
-        for p in &self.positions {
-            buf.put_f32_le(p[0]);
-            buf.put_f32_le(p[1]);
-            buf.put_f32_le(p[2]);
+    pub fn to_bytes(&self) -> Arc<[u8]> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&self.step.to_le_bytes());
+        buf.extend_from_slice(&self.time.to_le_bytes());
+        buf.extend_from_slice(&self.box_len.to_le_bytes());
+        buf.extend_from_slice(&(self.positions.len() as u64).to_le_bytes());
+        for x in self.positions.iter().flatten() {
+            buf.extend_from_slice(&x.to_le_bytes());
         }
-        buf.freeze()
+        buf.into()
     }
 
     /// Decodes a frame from its wire format.
-    pub fn from_bytes(mut data: Bytes) -> Result<Frame, FrameDecodeError> {
+    pub fn from_bytes(mut data: &[u8]) -> Result<Frame, FrameDecodeError> {
         if data.len() < 32 {
             return Err(FrameDecodeError::Truncated);
         }
-        if data.get_u32_le() != MAGIC {
+        if u32::from_le_bytes(take(&mut data)) != MAGIC {
             return Err(FrameDecodeError::BadMagic);
         }
-        let step = data.get_u64_le();
-        let time = data.get_f64_le();
-        let box_len = data.get_f32_le();
-        let n = data.get_u64_le() as usize;
-        if data.remaining() < n * 12 {
+        let step = u64::from_le_bytes(take(&mut data));
+        let time = f64::from_le_bytes(take(&mut data));
+        let box_len = f32::from_le_bytes(take(&mut data));
+        // The count is payload: a corrupted one must not overflow the
+        // size it is checked by.
+        let n = u64::from_le_bytes(take(&mut data)) as usize;
+        let Some(body) = n.checked_mul(12).and_then(|len| data.get(..len)) else {
             return Err(FrameDecodeError::LengthMismatch {
                 expected_atoms: n,
-                available_bytes: data.remaining(),
+                available_bytes: data.len(),
             });
-        }
-        let mut positions = Vec::with_capacity(n);
-        for _ in 0..n {
-            positions.push([data.get_f32_le(), data.get_f32_le(), data.get_f32_le()]);
-        }
+        };
+        let positions = body
+            .chunks_exact(12)
+            .map(|mut p| {
+                let mut next = || f32::from_le_bytes(take(&mut p));
+                [next(), next(), next()]
+            })
+            .collect();
         Ok(Frame { step, time, box_len, positions })
     }
 
@@ -133,7 +144,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let f = frame();
-        let decoded = Frame::from_bytes(f.to_bytes()).unwrap();
+        let decoded = Frame::from_bytes(&f.to_bytes()).unwrap();
         assert_eq!(decoded, f);
     }
 
@@ -147,8 +158,7 @@ mod tests {
     fn rejects_truncated() {
         let f = frame();
         let bytes = f.to_bytes();
-        let cut = bytes.slice(0..10);
-        assert_eq!(Frame::from_bytes(cut), Err(FrameDecodeError::Truncated));
+        assert_eq!(Frame::from_bytes(&bytes[..10]), Err(FrameDecodeError::Truncated));
     }
 
     #[test]
@@ -156,24 +166,46 @@ mod tests {
         let f = frame();
         let mut raw = f.to_bytes().to_vec();
         raw[0] ^= 0xFF;
-        assert_eq!(Frame::from_bytes(Bytes::from(raw)), Err(FrameDecodeError::BadMagic));
+        assert_eq!(Frame::from_bytes(&raw), Err(FrameDecodeError::BadMagic));
     }
 
     #[test]
     fn rejects_length_mismatch() {
         let f = frame();
         let bytes = f.to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 4);
         assert!(matches!(
-            Frame::from_bytes(cut),
+            Frame::from_bytes(&bytes[..bytes.len() - 4]),
             Err(FrameDecodeError::LengthMismatch { expected_atoms: 2, .. })
         ));
     }
 
     #[test]
+    fn a_corrupted_count_is_a_length_mismatch_not_an_overflow() {
+        // The count sits in bytes 24..32. `n * 12` overflows for all of
+        // these; `1 << 62` wraps to 0 and used to pass the check.
+        let flipped = frame().positions.len() as u64 ^ (0xA5 << 56);
+        for n in [1u64 << 62, u64::MAX, flipped] {
+            let mut raw = frame().to_bytes().to_vec();
+            raw[24..32].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(
+                Frame::from_bytes(&raw),
+                Err(FrameDecodeError::LengthMismatch {
+                    expected_atoms: n as usize,
+                    available_bytes: 24
+                })
+            );
+        }
+        // What `FaultAction::Corrupt` does when its seeded byte is the
+        // count's top one.
+        let mut raw = frame().to_bytes().to_vec();
+        raw[31] ^= 0xA5;
+        assert!(matches!(Frame::from_bytes(&raw), Err(FrameDecodeError::LengthMismatch { .. })));
+    }
+
+    #[test]
     fn empty_frame_roundtrips() {
         let f = Frame { step: 0, time: 0.0, box_len: 1.0, positions: vec![] };
-        assert_eq!(Frame::from_bytes(f.to_bytes()).unwrap(), f);
+        assert_eq!(Frame::from_bytes(&f.to_bytes()).unwrap(), f);
     }
 
     #[test]

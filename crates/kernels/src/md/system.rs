@@ -1,8 +1,7 @@
 //! The molecular system: positions, velocities, forces in a cubic periodic
 //! box, in reduced Lennard-Jones units (σ = ε = m = 1).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Xoshiro256;
 
 /// A 3-vector of coordinates.
 pub type Vec3 = [f64; 3];
@@ -41,13 +40,13 @@ impl MolecularSystem {
                 }
             }
         }
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
         let mut velocities: Vec<Vec3> = (0..n)
             .map(|_| {
                 // Box-Muller-free approximation: sum of uniforms is close
                 // enough to Gaussian for equipartition purposes and cheap.
                 let mut g = || -> f64 {
-                    let s: f64 = (0..12).map(|_| rng.random::<f64>()).sum();
+                    let s: f64 = (0..12).map(|_| rng.unit()).sum();
                     s - 6.0
                 };
                 [g(), g(), g()]

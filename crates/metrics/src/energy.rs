@@ -9,12 +9,11 @@ use std::collections::HashMap;
 
 use ensemble_core::{ComponentRef, StageGroup};
 use hpc_platform::PowerModel;
-use serde::{Deserialize, Serialize};
 
 use crate::trace::ExecutionTrace;
 
 /// Energy breakdown of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyReport {
     /// Joules attributed to each component's busy time.
     pub per_component: HashMap<ComponentRef, f64>,

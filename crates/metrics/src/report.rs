@@ -1,14 +1,14 @@
-//! Serializable experiment reports: the rows behind every figure and
-//! table regeneration.
+//! Experiment reports: the rows behind every figure and table
+//! regeneration, and their JSON form.
 
 use ensemble_core::{CouplingScenario, MemberStageTimes};
 use hpc_platform::HwCounters;
-use serde::{Deserialize, Serialize};
+use json::{write_f64, write_seq, write_str, write_u64};
 
 use crate::traditional::TraditionalMetrics;
 
 /// Results for one ensemble component.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComponentReport {
     /// Display name, e.g. "Sim1" or "Ana1.2".
     pub name: String,
@@ -23,7 +23,7 @@ pub struct ComponentReport {
 }
 
 /// Results for one ensemble member.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemberReport {
     /// Member index (0-based).
     pub member: usize,
@@ -49,7 +49,7 @@ pub struct MemberReport {
 }
 
 /// Results for one configuration run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnsembleReport {
     /// Configuration label (e.g. "C1.5").
     pub config: String,
@@ -65,18 +65,128 @@ pub struct EnsembleReport {
     pub members: Vec<MemberReport>,
     /// Staging store retries performed across the run (nonzero only in
     /// threaded runs with a retry policy).
-    #[serde(default)]
     pub staging_retries: u64,
     /// Transient staging errors surfaced after the retry budget ran out.
-    #[serde(default)]
     pub staging_giveups: u64,
     /// Faults injected by the run's fault plan (failures + delays +
     /// corruptions), 0 for fault-free runs.
-    #[serde(default)]
     pub faults_injected: u64,
 }
 
+impl ComponentReport {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        write_str(out, &self.name);
+        out.push_str(",\"cores\":");
+        write_u64(out, u64::from(self.cores));
+        out.push_str(",\"nodes\":");
+        write_seq(out, &self.nodes, |out, &n| write_u64(out, n as u64));
+        let c = &self.counters;
+        out.push_str(",\"counters\":");
+        write_f64_fields(
+            out,
+            &[
+                ("instructions", c.instructions),
+                ("cycles", c.cycles),
+                ("llc_references", c.llc_references),
+                ("llc_misses", c.llc_misses),
+                ("dram_bytes", c.dram_bytes),
+            ],
+        );
+        let m = &self.metrics;
+        out.push_str(",\"metrics\":");
+        write_f64_fields(
+            out,
+            &[
+                ("execution_time", m.execution_time),
+                ("llc_miss_ratio", m.llc_miss_ratio),
+                ("memory_intensity", m.memory_intensity),
+                ("ipc", m.ipc),
+            ],
+        );
+        out.push('}');
+    }
+}
+
+impl MemberReport {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"member\":");
+        write_u64(out, self.member as u64);
+        out.push_str(",\"stage_times\":{\"s\":");
+        write_f64(out, self.stage_times.s);
+        out.push_str(",\"w\":");
+        write_f64(out, self.stage_times.w);
+        out.push_str(",\"analyses\":");
+        write_seq(out, &self.stage_times.analyses, |out, t| {
+            write_f64_fields(out, &[("r", t.r), ("a", t.a)]);
+        });
+        out.push('}');
+        out.push_str(",\"sigma_star\":");
+        write_f64(out, self.sigma_star);
+        out.push_str(",\"makespan\":");
+        write_f64(out, self.makespan);
+        out.push_str(",\"makespan_model\":");
+        write_f64(out, self.makespan_model);
+        out.push_str(",\"efficiency\":");
+        write_f64(out, self.efficiency);
+        out.push_str(",\"cp\":");
+        write_f64(out, self.cp);
+        out.push_str(",\"scenarios\":");
+        write_seq(out, &self.scenarios, |out, scenario| {
+            write_str(
+                out,
+                match scenario {
+                    CouplingScenario::IdleSimulation => "IdleSimulation",
+                    CouplingScenario::IdleAnalyzer => "IdleAnalyzer",
+                    CouplingScenario::Balanced => "Balanced",
+                },
+            );
+        });
+        out.push_str(",\"lost_frames\":");
+        write_u64(out, self.lost_frames);
+        out.push_str(",\"components\":");
+        write_seq(out, &self.components, |out, c| c.write_json(out));
+        out.push('}');
+    }
+}
+
+/// Appends an object whose values are all numbers.
+fn write_f64_fields(out: &mut String, fields: &[(&str, f64)]) {
+    for (i, &(key, value)) in fields.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        write_str(out, key);
+        out.push(':');
+        write_f64(out, value);
+    }
+    out.push('}');
+}
+
 impl EnsembleReport {
+    /// Appends the report as one compact JSON object: every field under
+    /// its own name, nested as the structs nest, coupling scenarios by
+    /// variant name. A non-finite number is written `null`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"config\":");
+        write_str(out, &self.config);
+        out.push_str(",\"n\":");
+        write_u64(out, self.n as u64);
+        out.push_str(",\"m\":");
+        write_u64(out, self.m as u64);
+        out.push_str(",\"n_steps\":");
+        write_u64(out, self.n_steps);
+        out.push_str(",\"ensemble_makespan\":");
+        write_f64(out, self.ensemble_makespan);
+        out.push_str(",\"members\":");
+        write_seq(out, &self.members, |out, m| m.write_json(out));
+        out.push_str(",\"staging_retries\":");
+        write_u64(out, self.staging_retries);
+        out.push_str(",\"staging_giveups\":");
+        write_u64(out, self.staging_giveups);
+        out.push_str(",\"faults_injected\":");
+        write_u64(out, self.faults_injected);
+        out.push('}');
+    }
+
     /// Per-member efficiency values in member order.
     pub fn efficiencies(&self) -> Vec<f64> {
         self.members.iter().map(|m| m.efficiency).collect()
@@ -126,24 +236,135 @@ mod tests {
         }
     }
 
+    /// Every number under `v`, as bits, in document order.
+    fn number_bits(v: &json::Value, out: &mut Vec<u64>) {
+        match v {
+            json::Value::Num(n) => out.push(n.to_bits()),
+            json::Value::Arr(items) => items.iter().for_each(|v| number_bits(v, out)),
+            json::Value::Obj(fields) => fields.iter().for_each(|(_, v)| number_bits(v, out)),
+            _ => {}
+        }
+    }
+
+    fn keys(v: &json::Value) -> Vec<&str> {
+        let json::Value::Obj(fields) = v else { panic!("{v:?} is not an object") };
+        fields.iter().map(|(k, _)| k.as_str()).collect()
+    }
+
     #[test]
     fn report_serializes_roundtrip() {
+        let counters = HwCounters {
+            instructions: 1.5e12,
+            cycles: 2.25e12,
+            llc_references: 3e9 + 0.5,
+            llc_misses: 1e9 / 3.0,
+            dram_bytes: 6.4e10,
+        };
+        let metrics = TraditionalMetrics::from_counters(&counters, 0.1 + 0.2);
+        let mut member = member_report();
+        member.components = vec![ComponentReport {
+            name: "Sim1".into(),
+            cores: 16,
+            nodes: vec![0, 3],
+            counters,
+            metrics,
+        }];
         let r = EnsembleReport {
             config: "C1.5".into(),
             n: 1,
             m: 2,
             n_steps: 37,
-            ensemble_makespan: 760.0,
-            members: vec![member_report()],
+            ensemble_makespan: 760.0 / 7.0,
+            members: vec![member],
             staging_retries: 3,
             staging_giveups: 1,
             faults_injected: 2,
         };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: EnsembleReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.config, "C1.5");
-        assert_eq!(back.members.len(), 1);
-        assert_eq!(back.efficiencies(), vec![0.85]);
+        let back = json::Value::parse(&json::encoded(|out| r.write_json(out))).unwrap();
+
+        // Field names and nesting, in declaration order.
+        assert_eq!(
+            keys(&back),
+            [
+                "config",
+                "n",
+                "m",
+                "n_steps",
+                "ensemble_makespan",
+                "members",
+                "staging_retries",
+                "staging_giveups",
+                "faults_injected"
+            ]
+        );
+        assert_eq!(back.get("config").unwrap().as_str(), Some("C1.5"));
+        let m = &back.get("members").unwrap().as_arr().unwrap()[0];
+        assert_eq!(
+            keys(m),
+            [
+                "member",
+                "stage_times",
+                "sigma_star",
+                "makespan",
+                "makespan_model",
+                "efficiency",
+                "cp",
+                "scenarios",
+                "lost_frames",
+                "components"
+            ]
+        );
+        assert_eq!(keys(m.get("stage_times").unwrap()), ["s", "w", "analyses"]);
+        assert_eq!(m.get("scenarios").unwrap().to_json(), r#"["IdleAnalyzer"]"#);
+        let c = &m.get("components").unwrap().as_arr().unwrap()[0];
+        assert_eq!(keys(c), ["name", "cores", "nodes", "counters", "metrics"]);
+        assert_eq!(c.get("name").unwrap().as_str(), Some("Sim1"));
+        assert_eq!(
+            keys(c.get("counters").unwrap()),
+            ["instructions", "cycles", "llc_references", "llc_misses", "dram_bytes"]
+        );
+        assert_eq!(
+            keys(c.get("metrics").unwrap()),
+            ["execution_time", "llc_miss_ratio", "memory_intensity", "ipc"]
+        );
+
+        // Every numeric field, bit for bit, in the same order.
+        let (mr, t) = (&r.members[0], &r.members[0].stage_times);
+        let want = [
+            r.n as f64,
+            r.m as f64,
+            r.n_steps as f64,
+            r.ensemble_makespan,
+            mr.member as f64,
+            t.s,
+            t.w,
+            t.analyses[0].r,
+            t.analyses[0].a,
+            mr.sigma_star,
+            mr.makespan,
+            mr.makespan_model,
+            mr.efficiency,
+            mr.cp,
+            mr.lost_frames as f64,
+            16.0,
+            0.0,
+            3.0,
+            counters.instructions,
+            counters.cycles,
+            counters.llc_references,
+            counters.llc_misses,
+            counters.dram_bytes,
+            metrics.execution_time,
+            metrics.llc_miss_ratio,
+            metrics.memory_intensity,
+            metrics.ipc,
+            3.0,
+            1.0,
+            2.0,
+        ];
+        let mut got = Vec::new();
+        number_bits(&back, &mut got);
+        assert_eq!(got, want.map(f64::to_bits));
     }
 
     #[test]

@@ -4,16 +4,14 @@
 //! the discrete-event runtime, wall-clock seconds from the threaded
 //! runtime — so every metric downstream is mode-agnostic.
 
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
 use ensemble_core::{ComponentRef, MemberStepSamples, StageKind};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::summary::{StageSink, StageSummary};
 
 /// One recorded stage execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageInterval {
     /// Which component executed the stage.
     pub component: ComponentRef,
@@ -35,7 +33,7 @@ impl StageInterval {
 }
 
 /// A completed execution trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionTrace {
     intervals: Vec<StageInterval>,
 }
@@ -169,6 +167,13 @@ impl ExecutionTrace {
     }
 }
 
+/// The recorder's lock, whether or not a holder panicked: a member a
+/// fault plan panics may die between two pushes, and every interval
+/// already pushed is whole.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Thread-safe recorder shared by the components of a running ensemble.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
@@ -191,17 +196,17 @@ impl TraceRecorder {
         end: f64,
     ) {
         debug_assert!(end >= start, "stage {kind:?} of {component} ends before it starts");
-        self.inner.lock().push(StageInterval { component, kind, step, start, end });
+        recover(self.inner.lock()).push(StageInterval { component, kind, step, start, end });
     }
 
     /// Number of intervals recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        recover(self.inner.lock()).len()
     }
 
     /// True when nothing was recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        recover(self.inner.lock()).is_empty()
     }
 
     /// Merges every interval of `trace` into this recorder. Used by the
@@ -209,14 +214,14 @@ impl TraceRecorder {
     /// recorder, and only a successful attempt is absorbed into the
     /// run's trace (failed attempts leave no intervals behind).
     pub fn absorb(&self, trace: ExecutionTrace) {
-        self.inner.lock().extend(trace.into_intervals());
+        recover(self.inner.lock()).extend(trace.into_intervals());
     }
 
     /// Finishes recording and produces the trace.
     pub fn into_trace(self) -> ExecutionTrace {
         let intervals = match Arc::try_unwrap(self.inner) {
-            Ok(m) => m.into_inner(),
-            Err(arc) => arc.lock().clone(),
+            Ok(m) => recover(m.into_inner()),
+            Err(arc) => recover(arc.lock()).clone(),
         };
         ExecutionTrace::new(intervals)
     }

@@ -3,10 +3,9 @@
 //! cycle.
 
 use hpc_platform::HwCounters;
-use serde::{Deserialize, Serialize};
 
 /// Component-level metrics (Table 1, ensemble-component section).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraditionalMetrics {
     /// Time spent in the component, seconds.
     pub execution_time: f64,

@@ -8,10 +8,9 @@
 
 use ensemble_core::CouplingScenario;
 use metrics::EnsembleReport;
-use serde::{Deserialize, Serialize};
 
 /// Severity of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Informational observation.
     Info,
@@ -22,7 +21,7 @@ pub enum Severity {
 }
 
 /// One diagnostic finding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Finding {
     /// How serious it is.
     pub severity: Severity,
@@ -35,7 +34,7 @@ pub struct Finding {
 }
 
 /// The kinds of findings the analyzer emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingKind {
     /// A member's makespan dominates the ensemble makespan.
     StragglerMember,

@@ -48,6 +48,12 @@ pub enum RuntimeError {
         /// Labels must be below this.
         max: usize,
     },
+    /// An experiment file is not JSON, or not the JSON an
+    /// [`ExperimentSpec`](crate::ExperimentSpec) is written as.
+    InvalidExperiment {
+        /// What is wrong, naming the offending key.
+        detail: String,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -77,6 +83,9 @@ impl fmt::Display for RuntimeError {
                     f,
                     "node {node} is out of range; a simulated run addresses nodes below MAX_SIM_NODES = {max}"
                 )
+            }
+            RuntimeError::InvalidExperiment { detail } => {
+                write!(f, "invalid experiment file: {detail}")
             }
         }
     }

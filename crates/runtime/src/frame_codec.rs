@@ -1,7 +1,8 @@
 //! The DTL plugin codec for MD trajectory frames — "the simulation using
 //! the DTL plugin to write out data abstracted into a chunk" (Figure 2).
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use dtl::{ChunkCodec, DtlError, DtlResult};
 use kernels::md::Frame;
 
@@ -16,12 +17,12 @@ impl ChunkCodec for FrameCodec {
         "md-frame-v1"
     }
 
-    fn encode(&self, value: &Frame) -> Bytes {
+    fn encode(&self, value: &Frame) -> Arc<[u8]> {
         value.to_bytes()
     }
 
-    fn decode(&self, data: Bytes) -> DtlResult<Frame> {
-        Frame::from_bytes(data).map_err(|e| DtlError::Codec { detail: e.to_string() })
+    fn decode(&self, data: Arc<[u8]>) -> DtlResult<Frame> {
+        Frame::from_bytes(&data).map_err(|e| DtlError::Codec { detail: e.to_string() })
     }
 }
 
@@ -46,7 +47,7 @@ mod tests {
     #[test]
     fn corrupt_payload_is_codec_error() {
         let codec = FrameCodec;
-        let err = codec.decode(Bytes::from_static(b"not a frame")).unwrap_err();
+        let err = codec.decode(Arc::from(*b"not a frame")).unwrap_err();
         assert!(matches!(err, DtlError::Codec { .. }));
     }
 }

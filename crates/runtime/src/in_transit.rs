@@ -65,7 +65,7 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
     }
 
     type Harvest = (ComponentRef, Vec<(u64, f64)>);
-    let harvested: RuntimeResult<Vec<Harvest>> = crossbeam::thread::scope(|scope| {
+    let harvested: Vec<Harvest> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (i, member) in cfg.spec.members.iter().enumerate() {
             let var = variables[i];
@@ -80,7 +80,7 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
                 let sim_ref = ComponentRef::simulation(i);
                 handles.push((
                     sim_ref,
-                    scope.spawn(move |_| -> RuntimeResult<Vec<(u64, f64)>> {
+                    scope.spawn(move || -> RuntimeResult<Vec<(u64, f64)>> {
                         let mut sim = MdSimulation::new(&md_cfg);
                         let codec = FrameCodec;
                         for step in 0..n_steps {
@@ -117,7 +117,7 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
                     });
                 handles.push((
                     ana_ref,
-                    scope.spawn(move |_| -> RuntimeResult<Vec<(u64, f64)>> {
+                    scope.spawn(move || -> RuntimeResult<Vec<(u64, f64)>> {
                         let reader = ReaderId(j as u32 - 1);
                         let codec = FrameCodec;
                         let mut kernel: Option<Box<dyn FrameKernel>> = None;
@@ -146,19 +146,17 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
                 ));
             }
         }
-        let mut out = Vec::new();
-        for (cref, handle) in handles {
-            match handle.join() {
-                Ok(Ok(series)) => out.push((cref, series)),
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Err(RuntimeError::WorkerPanicked { component: cref.to_string() }),
-            }
-        }
-        Ok(out)
-    })
-    .map_err(|_| RuntimeError::WorkerPanicked { component: "scope".into() })?;
+        // Join every worker before reporting on any of them.
+        let joined: Vec<_> = handles.into_iter().map(|(cref, h)| (cref, h.join())).collect();
+        joined
+            .into_iter()
+            .map(|(cref, result)| match result {
+                Ok(series) => Ok((cref, series?)),
+                Err(_) => Err(RuntimeError::WorkerPanicked { component: cref.to_string() }),
+            })
+            .collect::<RuntimeResult<_>>()
+    })?;
 
-    let harvested = harvested?;
     let mut cv_series = HashMap::new();
     for (cref, series) in harvested {
         if !cref.is_simulation() {

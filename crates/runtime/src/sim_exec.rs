@@ -18,9 +18,8 @@ use hpc_platform::{
     BindPolicy, CoreAllocation, InterferenceModel, NetworkSpec, NodeSpec, PerfEstimate,
     PlacedWorkload, Platform,
 };
+use kernels::rng::Xoshiro256;
 use metrics::{ExecutionTrace, StageSink, StageSummary};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sim_des::{Context, Engine, Poll, Process, RunOutcome, Signal, SimDuration};
 
 use crate::error::{RuntimeError, RuntimeResult};
@@ -463,17 +462,9 @@ impl<'a, K: StageSink> Process<SimState<'a, K>> for AnaProc {
     }
 }
 
-fn jittered(base: f64, steps: u64, jitter: f64, rng: &mut StdRng) -> Vec<f64> {
+fn jittered(base: f64, steps: u64, jitter: f64, rng: &mut Xoshiro256) -> Vec<f64> {
     (0..steps)
-        .map(
-            |_| {
-                if jitter <= 0.0 {
-                    base
-                } else {
-                    base * (1.0 + rng.random_range(-jitter..=jitter))
-                }
-            },
-        )
+        .map(|_| if jitter <= 0.0 { base } else { base * (1.0 + rng.uniform(-jitter, jitter)) })
         .collect()
 }
 
@@ -665,7 +656,7 @@ fn play<K: StageSink>(
         on_step,
     };
     let mut engine = Engine::new(state);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
     for (i, member) in cfg.spec.members.iter().enumerate() {
         let sim_ref = ComponentRef::simulation(i);
         let sim_node = component_node[&sim_ref];

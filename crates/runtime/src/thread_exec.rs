@@ -250,31 +250,34 @@ pub fn run_threaded(cfg: &ThreadRunConfig) -> RuntimeResult<ThreadExecution> {
     }
 
     let max_restarts = cfg.restart.map_or(0, |r| r.max_restarts);
-    let results: Vec<(MemberOutcome, Vec<(ComponentRef, Vec<f64>)>)> =
-        crossbeam::thread::scope(|scope| {
-            let mut supervisors = Vec::new();
-            for (i, member) in cfg.spec.members.iter().enumerate() {
-                let staging = Arc::clone(&staging);
-                let recorder = recorder.clone();
-                let plan = &plan;
-                let var = variables[i];
-                supervisors.push(scope.spawn(move |_| {
-                    supervise_member(SuperviseArgs {
-                        cfg,
-                        member_idx: i,
-                        member,
-                        var,
-                        staging,
-                        plan,
-                        recorder,
-                        epoch,
-                        max_restarts,
-                    })
-                }));
-            }
-            supervisors.into_iter().map(|h| h.join().expect("supervisors do not panic")).collect()
-        })
-        .map_err(|_| RuntimeError::WorkerPanicked { component: "scope".into() })?;
+    let results = std::thread::scope(|scope| {
+        let mut supervisors = Vec::new();
+        for (i, member) in cfg.spec.members.iter().enumerate() {
+            let staging = Arc::clone(&staging);
+            let recorder = recorder.clone();
+            let plan = &plan;
+            let var = variables[i];
+            supervisors.push(scope.spawn(move || {
+                supervise_member(SuperviseArgs {
+                    cfg,
+                    member_idx: i,
+                    member,
+                    var,
+                    staging,
+                    plan,
+                    recorder,
+                    epoch,
+                    max_restarts,
+                })
+            }));
+        }
+        // Join every supervisor before reporting on any of them.
+        let joined: Vec<_> = supervisors.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .map(|r| r.map_err(|_| RuntimeError::WorkerPanicked { component: "scope".into() }))
+            .collect::<RuntimeResult<Vec<_>>>()
+    })?;
 
     let mut cv_series: HashMap<ComponentRef, Vec<f64>> = HashMap::new();
     let mut member_outcomes = Vec::with_capacity(results.len());
@@ -369,7 +372,7 @@ fn run_member_attempt(
     let SuperviseArgs { cfg, member_idx, member, var, staging, plan, epoch, .. } = args;
     let (member_idx, var, epoch) = (*member_idx, *var, *epoch);
     let home_node = *member.simulation.nodes.iter().next().expect("validated");
-    let result = crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         type WorkerResult = Result<Vec<f64>, WorkerFailure>;
         let mut handles: Vec<(ComponentRef, Arc<AtomicU64>, _)> = Vec::new();
 
@@ -385,7 +388,7 @@ fn run_member_attempt(
             let plan = (*plan).clone();
             let progress = Arc::new(AtomicU64::new(0));
             let progress_w = Arc::clone(&progress);
-            let handle = scope.spawn(move |_| -> WorkerResult {
+            let handle = scope.spawn(move || -> WorkerResult {
                 let body = || -> RuntimeResult<Vec<f64>> {
                     let mut sim = MdSimulation::new(&md_cfg);
                     let mut step_writer =
@@ -438,7 +441,7 @@ fn run_member_attempt(
             });
             let progress = Arc::new(AtomicU64::new(0));
             let progress_r = Arc::clone(&progress);
-            let handle = scope.spawn(move |_| -> WorkerResult {
+            let handle = scope.spawn(move || -> WorkerResult {
                 let body = || -> RuntimeResult<Vec<f64>> {
                     let reader_id = ReaderId(j as u32 - 1);
                     let mut reader =
@@ -496,13 +499,7 @@ fn run_member_attempt(
             let root = failures.iter().position(|f| !f.secondary).unwrap_or(0);
             Err(failures.swap_remove(root))
         }
-    });
-    match result {
-        Ok(attempt_result) => attempt_result,
-        Err(_) => {
-            Err(MemberFailure { step: 0, cause: "member scope panicked".into(), secondary: false })
-        }
-    }
+    })
 }
 
 /// Converts a panic-contained worker body result into the worker's

@@ -3,7 +3,6 @@
 
 use ensemble_core::EnsembleSpec;
 use runtime::RuntimeResult;
-use serde::{Deserialize, Serialize};
 
 use crate::core_sweep::{core_sweep, CoreSweepConfig};
 use crate::enumerate::EnsembleShape;
@@ -15,7 +14,7 @@ use crate::search::{exhaustive_search, greedy_search, NodeBudget, SearchConfig};
 const EXHAUSTIVE_COMPONENT_LIMIT: usize = 8;
 
 /// The advisor's output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Recommendation {
     /// The placement to use.
     pub spec: EnsembleSpec,

@@ -7,11 +7,11 @@
 //! maximizing the computational efficiency `E`.
 
 use ensemble_core::{efficiency, sigma_star, ComponentSpec, EnsembleSpec, MemberSpec};
+use json::{write_bool, write_f64, write_seq, write_u64};
 use runtime::{RuntimeResult, SimRunConfig};
-use serde::{Deserialize, Serialize};
 
 /// One point of the Figure 7 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Cores assigned to the analysis.
     pub analysis_cores: u32,
@@ -28,12 +28,38 @@ pub struct SweepPoint {
 }
 
 /// Result of the sweep: all points plus the recommended core count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepResult {
     /// The sweep grid in core order.
     pub points: Vec<SweepPoint>,
     /// Cores the heuristic selects (paper: 8).
     pub recommended_cores: u32,
+}
+
+impl SweepResult {
+    /// Appends the sweep as one compact JSON object, every field under
+    /// its own name.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"points\":");
+        write_seq(out, &self.points, |out, p| {
+            out.push_str("{\"analysis_cores\":");
+            write_u64(out, u64::from(p.analysis_cores));
+            out.push_str(",\"sim_busy\":");
+            write_f64(out, p.sim_busy);
+            out.push_str(",\"ana_busy\":");
+            write_f64(out, p.ana_busy);
+            out.push_str(",\"sigma_star\":");
+            write_f64(out, p.sigma_star);
+            out.push_str(",\"efficiency\":");
+            write_f64(out, p.efficiency);
+            out.push_str(",\"satisfies_eq4\":");
+            write_bool(out, p.satisfies_eq4);
+            out.push('}');
+        });
+        out.push_str(",\"recommended_cores\":");
+        write_u64(out, u64::from(self.recommended_cores));
+        out.push('}');
+    }
 }
 
 /// Settings of the sweep.

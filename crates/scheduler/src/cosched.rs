@@ -701,16 +701,12 @@ impl CoScheduler {
     /// backfill. Public so the service can pump after replay.
     pub fn pump(&mut self) -> Result<Vec<(u64, PlacementDecision)>, CoschedError> {
         let mut started = Vec::new();
-        loop {
-            // The head gets strict priority.
-            if let Some(head) = self.queue.front().cloned() {
-                if let Some(decision) = self.try_place(head.job, &head.shape, false)? {
-                    self.queue.pop_front();
-                    started.push((head.job, decision));
-                    continue;
-                }
-            } else {
-                break;
+        // The head gets strict priority.
+        while let Some(head) = self.queue.front().cloned() {
+            if let Some(decision) = self.try_place(head.job, &head.shape, false)? {
+                self.queue.pop_front();
+                started.push((head.job, decision));
+                continue;
             }
             if !self.cfg.backfill {
                 break;

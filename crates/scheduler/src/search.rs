@@ -8,14 +8,13 @@
 use ensemble_core::{aggregate, Aggregation, EnsembleSpec, IndicatorPath, MemberInputs};
 use metrics::EnsembleReport;
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
-use serde::{Deserialize, Serialize};
 
 use crate::delta::DeltaCounters;
 use crate::enumerate::EnsembleShape;
 use crate::scan::{scan_placements, Candidate, ScanOptions, ScanOutcome};
 
 /// Resource constraints of the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeBudget {
     /// Maximum nodes that may be provisioned.
     pub max_nodes: usize,
@@ -24,7 +23,7 @@ pub struct NodeBudget {
 }
 
 /// One evaluated placement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoredPlacement {
     /// Flattened node assignment (member-major, simulation first).
     pub assignment: Vec<usize>,

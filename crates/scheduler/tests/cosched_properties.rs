@@ -22,17 +22,17 @@
 use std::sync::Arc;
 
 use ensemble_core::EnsembleSpec;
-use proptest::prelude::*;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::cosched::{Admission, CoScheduler, CoschedConfig};
 use scheduler::{
     enumerate_placements, fast_score, place_against, EnsembleShape, NodeBudget, ResidencyMap,
     ScanOptions, SolveCache,
 };
+use testkit::{check, Gen};
 
 fn base_config() -> SimRunConfig {
     let placeholder = EnsembleShape::uniform(1, 16, 1, 8);
-    let mut cfg = SimRunConfig::paper(placeholder.materialize(&vec![0; 2]));
+    let mut cfg = SimRunConfig::paper(placeholder.materialize(&[0; 2]));
     cfg.workloads = WorkloadMap::small_defaults();
     cfg.n_steps = 4;
     cfg
@@ -59,8 +59,8 @@ fn shape_palette(i: usize) -> EnsembleShape {
     }
 }
 
-fn shape_strategy() -> impl Strategy<Value = EnsembleShape> {
-    (0usize..5).prop_map(shape_palette)
+fn shape(g: &mut Gen) -> EnsembleShape {
+    shape_palette(g.range(0usize..5))
 }
 
 /// One step of a random schedule-driving program.
@@ -73,12 +73,13 @@ enum Event {
     CancelQueued(usize),
 }
 
-fn event_strategy() -> impl Strategy<Value = Event> {
-    (0u8..4, 0usize..5, 0usize..8).prop_map(|(kind, shape, k)| match kind {
-        0 | 1 => Event::Submit(shape_palette(shape)),
+fn event(g: &mut Gen) -> Event {
+    let (kind, shape, k) = (g.range(0u8..4), shape(g), g.range(0usize..8));
+    match kind {
+        0 | 1 => Event::Submit(shape),
         2 => Event::Complete(k),
         _ => Event::CancelQueued(k),
-    })
+    }
 }
 
 /// The from-scratch reference for [`place_against`] on the live
@@ -166,17 +167,15 @@ fn pick_open(s: &CoScheduler, k: usize) -> Option<u64> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+const CASES: u32 = 16;
 
-    /// Residency accounting is conserved under random admit /
-    /// complete / fail / cancel interleavings, and a final drain
-    /// leaves zero residual capacity committed.
-    #[test]
-    fn residency_accounting_is_conserved(
-        events in proptest::collection::vec(event_strategy(), 1..24),
-        nodes in 2usize..4,
-    ) {
+/// Residency accounting is conserved under random admit /
+/// complete / fail / cancel interleavings, and a final drain
+/// leaves zero residual capacity committed.
+#[test]
+fn residency_accounting_is_conserved() {
+    check(CASES, |g| {
+        let (events, nodes) = (g.vec(1..24, event), g.range(2usize..4));
         let mut s = sched(nodes, true);
         let mut next_job = 0u64;
         let mut queued: Vec<u64> = Vec::new();
@@ -206,7 +205,7 @@ proptest! {
                 }
             }
             let r = s.residency();
-            prop_assert_eq!(
+            assert_eq!(
                 r.admitted_cores(),
                 r.released_cores() + r.committed_cores(),
                 "conservation must hold after every event"
@@ -221,26 +220,26 @@ proptest! {
                 queued.retain(|&q| q != started);
             }
             guard += 1;
-            prop_assert!(guard < 10_000, "drain must terminate");
+            assert!(guard < 10_000, "drain must terminate");
         }
         for job in queued {
             s.cancel_queued(job);
         }
         let r = s.residency();
-        prop_assert!(r.is_empty(), "residency map must be empty after drain");
-        prop_assert_eq!(r.committed_cores(), 0u64);
-        prop_assert_eq!(r.admitted_cores(), r.released_cores());
-        prop_assert!(s.is_idle());
-    }
+        assert!(r.is_empty(), "residency map must be empty after drain");
+        assert_eq!(r.committed_cores(), 0u64);
+        assert_eq!(r.admitted_cores(), r.released_cores());
+        assert!(s.is_idle());
+    });
+}
 
-    /// With completions delivered in predicted order, backfill never
-    /// changes when the first queued job (the head) starts or
-    /// completes, relative to plain FIFO on the same stream.
-    #[test]
-    fn backfill_preserves_the_heads_schedule(
-        shapes in proptest::collection::vec(shape_strategy(), 2..10),
-        nodes in 2usize..4,
-    ) {
+/// With completions delivered in predicted order, backfill never
+/// changes when the first queued job (the head) starts or
+/// completes, relative to plain FIFO on the same stream.
+#[test]
+fn backfill_preserves_the_heads_schedule() {
+    check(CASES, |g| {
+        let (shapes, nodes) = (g.vec(2..10, shape), g.range(2usize..4));
         // Drive one scheduler over the batch-then-drain stream and
         // record every job's start virtual time.
         let drive = |backfill: bool| -> (Option<u64>, Vec<(u64, f64)>) {
@@ -281,28 +280,31 @@ proptest! {
         };
         let (head_fifo, starts_fifo) = drive(false);
         let (head_bf, starts_bf) = drive(true);
-        prop_assert_eq!(head_fifo, head_bf, "same stream, same first queued job");
+        assert_eq!(head_fifo, head_bf, "same stream, same first queued job");
         if let Some(head) = head_fifo {
-            let start_of = |log: &[(u64, f64)]| {
-                log.iter().find(|(j, _)| *j == head).map(|(_, t)| *t)
-            };
+            let start_of =
+                |log: &[(u64, f64)]| log.iter().find(|(j, _)| *j == head).map(|(_, t)| *t);
             let fifo = start_of(&starts_fifo);
             let bf = start_of(&starts_bf);
-            prop_assert_eq!(
-                fifo.map(f64::to_bits), bf.map(f64::to_bits),
+            assert_eq!(
+                fifo.map(f64::to_bits),
+                bf.map(f64::to_bits),
                 "head start must be bit-identical with and without backfill \
-                 (fifo {:?} vs backfill {:?})", fifo, bf
+             (fifo {:?} vs backfill {:?})",
+                fifo,
+                bf
             );
         }
-    }
-    /// Before every submit of a random submit/complete stream,
-    /// `place_against` on the live view decides exactly what the
-    /// from-scratch oracle decides — at 1, 2 and 8 scan workers.
-    #[test]
-    fn place_against_matches_the_from_scratch_oracle(
-        events in proptest::collection::vec((0u8..3, 0usize..7, 0usize..8), 1..16),
-        nodes in 2usize..4,
-    ) {
+    });
+}
+/// Before every submit of a random submit/complete stream,
+/// `place_against` on the live view decides exactly what the
+/// from-scratch oracle decides — at 1, 2 and 8 scan workers.
+#[test]
+fn place_against_matches_the_from_scratch_oracle() {
+    check(CASES, |g| {
+        let events = g.vec(1..16, |g| (g.range(0u8..3), g.range(0usize..7), g.range(0usize..8)));
+        let nodes = g.range(2usize..4);
         let base = base_config();
         // One cache across every call of the stream, as the
         // co-scheduler holds one: warmed by other shapes and other
@@ -323,18 +325,20 @@ proptest! {
             // 0 resolves from `ENSEMBLE_SCAN_WORKERS`, the CI sweep axis.
             for workers in [0usize, 1, 2, 8] {
                 let opts = ScanOptions { workers, chunk: 3, ..ScanOptions::default() };
-                let got = place_against(&shape, &view, &base, &solves, &opts).unwrap().map(|d| (
-                    d.assignment,
-                    d.canonical,
-                    d.objective.to_bits(),
-                    d.solo_makespan.to_bits(),
-                    d.scanned,
-                    d.feasible,
-                ));
-                prop_assert_eq!(&got, &want, "workers={} open={}", workers, s.residency().open());
+                let got = place_against(&shape, &view, &base, &solves, &opts).unwrap().map(|d| {
+                    (
+                        d.assignment,
+                        d.canonical,
+                        d.objective.to_bits(),
+                        d.solo_makespan.to_bits(),
+                        d.scanned,
+                        d.feasible,
+                    )
+                });
+                assert_eq!(&got, &want, "workers={} open={}", workers, s.residency().open());
             }
             next_job += 1;
             s.submit(next_job, shape).unwrap();
         }
-    }
+    });
 }

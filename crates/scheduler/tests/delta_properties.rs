@@ -22,23 +22,19 @@
 
 use std::sync::{Arc, Barrier};
 
-use proptest::prelude::*;
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     canonicalize, enumerate_placements, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
     EnsembleShape, FastEvaluator, FastScore, NodeBudget, ScanOptions, SolveCache,
 };
+use testkit::{check, Gen};
 
 /// Small-but-varied ensemble shapes: 1–3 members, 1–2 analyses each,
 /// core counts spanning the paper's co-location regimes.
-fn shape_strategy() -> impl Strategy<Value = EnsembleShape> {
-    (
-        1usize..=3,                               // members
-        prop::sample::select(vec![8u32, 16, 24]), // sim cores
-        1usize..=2,                               // analyses per member
-        prop::sample::select(vec![4u32, 8]),      // analysis cores
-    )
-        .prop_map(|(n, sim, k, ana)| EnsembleShape::uniform(n, sim, k, ana))
+fn shape(g: &mut Gen) -> EnsembleShape {
+    let (members, sim_cores) = (g.range(1usize..=3), g.select(&[8u32, 16, 24]));
+    let (analyses_per_member, analysis_cores) = (g.range(1usize..=2), g.select(&[4u32, 8]));
+    EnsembleShape::uniform(members, sim_cores, analyses_per_member, analysis_cores)
 }
 
 fn base_config(spec: ensemble_core::EnsembleSpec) -> SimRunConfig {
@@ -139,34 +135,34 @@ fn delta_scan(
     (outcome.into_values(), counters)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+const CASES: u32 = 24;
 
-    /// Evaluators backed by one shared [`SolveCache`] — already warmed
-    /// by a *different* shape, tiny enough to evict on every insert or
-    /// roomy, at any worker count and chunk size — return exactly what
-    /// private evaluators and the from-scratch oracle return.
-    #[test]
-    fn a_shared_solve_cache_never_changes_a_bit(
-        shape in shape_strategy(),
-        warmer in shape_strategy(),
-        max_nodes in 1usize..=4,
-        capacity in prop::sample::select(vec![0usize, 1, 2, 1024]),
-    ) {
+/// Evaluators backed by one shared [`SolveCache`] — already warmed
+/// by a *different* shape, tiny enough to evict on every insert or
+/// roomy, at any worker count and chunk size — return exactly what
+/// private evaluators and the from-scratch oracle return.
+#[test]
+fn a_shared_solve_cache_never_changes_a_bit() {
+    check(CASES, |g| {
+        let (shape, warmer) = (shape(g), shape(g));
+        let (max_nodes, capacity) = (g.range(1usize..=4), g.select(&[0usize, 1, 2, 1024]));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let placements = enumerate_placements(&shape, max_nodes, budget.cores_per_node);
-        prop_assume!(!placements.is_empty());
+        if placements.is_empty() {
+            return;
+        }
         let base = base_config(shape.materialize(&placements[0]));
         let want = oracle_scores(&base, &shape, budget);
         let serial = ScanOptions { workers: 1, ..ScanOptions::default() };
-        let (private, _) = delta_scan(&shape, budget, &serial, || DeltaEvaluator::new(&base, &shape));
-        prop_assert_eq!(&private, &want);
+        let (private, _) =
+            delta_scan(&shape, budget, &serial, || DeltaEvaluator::new(&base, &shape));
+        assert_eq!(&private, &want);
 
         let solves = Arc::new(SolveCache::with_capacity(&base, capacity));
         let (warmed, _) = delta_scan(&warmer, budget, &ScanOptions::default(), || {
             DeltaEvaluator::with_solve_cache(&base, &warmer, &solves)
         });
-        prop_assert_eq!(&warmed, &oracle_scores(&base, &warmer, budget));
+        assert_eq!(&warmed, &oracle_scores(&base, &warmer, budget));
         // 0 resolves from `ENSEMBLE_SCAN_WORKERS`, the CI sweep axis.
         for workers in [0usize, 1, 2, 8] {
             for chunk in [1usize, 32, placements.len() + 1] {
@@ -174,9 +170,9 @@ proptest! {
                 let (got, counters) = delta_scan(&shape, budget, &opts, || {
                     DeltaEvaluator::with_solve_cache(&base, &shape, &solves)
                 });
-                prop_assert_eq!(&got, &want, "workers={} chunk={}", workers, chunk);
-                prop_assert!(counters.solve_hits + counters.solve_misses > 0);
-                prop_assert!(solves.held() <= capacity, "{} solves held", solves.held());
+                assert_eq!(&got, &want, "workers={} chunk={}", workers, chunk);
+                assert!(counters.solve_hits + counters.solve_misses > 0);
+                assert!(solves.held() <= capacity, "{} solves held", solves.held());
             }
         }
         if capacity == 1024 {
@@ -185,19 +181,18 @@ proptest! {
             let (_, counters) = delta_scan(&shape, budget, &serial, || {
                 DeltaEvaluator::with_solve_cache(&base, &shape, &solves)
             });
-            prop_assert_eq!(counters.solve_misses, 0);
+            assert_eq!(counters.solve_misses, 0);
         }
-    }
+    });
+}
 
-    /// Two scans of different shapes filling one cache at the same time
-    /// each still match their oracle.
-    #[test]
-    fn concurrent_scans_share_one_cache_bit_identically(
-        left in shape_strategy(),
-        right in shape_strategy(),
-        max_nodes in 2usize..=4,
-        capacity in prop::sample::select(vec![1usize, 2, 1024]),
-    ) {
+/// Two scans of different shapes filling one cache at the same time
+/// each still match their oracle.
+#[test]
+fn concurrent_scans_share_one_cache_bit_identically() {
+    check(CASES, |g| {
+        let (left, right) = (shape(g), shape(g));
+        let (max_nodes, capacity) = (g.range(2usize..=4), g.select(&[1usize, 2, 1024]));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let base = base_config(left.materialize(&vec![0; left.num_components()]));
         let solves = Arc::new(SolveCache::with_capacity(&base, capacity));
@@ -213,19 +208,19 @@ proptest! {
             let other = scope.spawn(|| scan(&right));
             (scan(&left), other.join().expect("scanning thread"))
         });
-        prop_assert_eq!(got_left, oracle_scores(&base, &left, budget));
-        prop_assert_eq!(got_right, oracle_scores(&base, &right, budget));
-    }
+        assert_eq!(got_left, oracle_scores(&base, &left, budget));
+        assert_eq!(got_right, oracle_scores(&base, &right, budget));
+    });
+}
 
-    /// Random sequences of feasible assignments — arbitrary jumps, no
-    /// shared-prefix structure at all — score bit-identically to a
-    /// fresh from-scratch evaluation at every step.
-    #[test]
-    fn random_placement_sequences_are_bit_identical(
-        shape in shape_strategy(),
-        max_nodes in 1usize..=4,
-        raw in prop::collection::vec(prop::collection::vec(0usize..4, 1..=12), 1..=12),
-    ) {
+/// Random sequences of feasible assignments — arbitrary jumps, no
+/// shared-prefix structure at all — score bit-identically to a
+/// fresh from-scratch evaluation at every step.
+#[test]
+fn random_placement_sequences_are_bit_identical() {
+    check(CASES, |g| {
+        let (shape, max_nodes) = (shape(g), g.range(1usize..=4));
+        let raw = g.vec(1..=12, |g| g.vec(1..=12, |g| g.range(0usize..4)));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let cores = flat_cores(&shape);
         let n = cores.len();
@@ -234,23 +229,25 @@ proptest! {
             .map(|seed| (0..n).map(|i| seed[i % seed.len()] % max_nodes).collect())
             .filter(|a: &Vec<usize>| feasible(a, &cores, budget))
             .collect();
-        prop_assume!(!sequence.is_empty());
+        if sequence.is_empty() {
+            return;
+        }
         let base = base_config(shape.materialize(&sequence[0]));
         let mut delta = DeltaEvaluator::new(&base, &shape);
         for assignment in &sequence {
             assert_scores_match(&base, &shape, &mut delta, assignment);
         }
-    }
+    });
+}
 
-    /// Local-search traces — single-component moves from a feasible
-    /// start, scored on the canonicalized assignment — are bit-identical
-    /// at every move.
-    #[test]
-    fn annealing_move_traces_are_bit_identical(
-        shape in shape_strategy(),
-        max_nodes in 2usize..=4,
-        moves in prop::collection::vec((0usize..32, 0usize..4), 1..=40),
-    ) {
+/// Local-search traces — single-component moves from a feasible
+/// start, scored on the canonicalized assignment — are bit-identical
+/// at every move.
+#[test]
+fn annealing_move_traces_are_bit_identical() {
+    check(CASES, |g| {
+        let (shape, max_nodes) = (shape(g), g.range(2usize..=4));
+        let moves = g.vec(1..=40, |g| (g.range(0usize..32), g.range(0usize..4)));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let cores = flat_cores(&shape);
         let n = cores.len();
@@ -263,7 +260,7 @@ proptest! {
                     load[nd] += c;
                     current.push(nd);
                 }
-                None => return Ok(()), // infeasible instance — skip
+                None => return, // infeasible instance — skip
             }
         }
         let base = base_config(shape.materialize(&current));
@@ -278,19 +275,20 @@ proptest! {
             current = candidate;
             assert_scores_match(&base, &shape, &mut delta, &canonicalize(&current));
         }
-    }
+    });
+}
 
-    /// A tiny (or disabled) solve cache never changes results: eviction
-    /// costs re-solves, not correctness.
-    #[test]
-    fn cache_eviction_never_changes_results(
-        shape in shape_strategy(),
-        max_nodes in 1usize..=4,
-        capacity in 0usize..=2,
-    ) {
+/// A tiny (or disabled) solve cache never changes results: eviction
+/// costs re-solves, not correctness.
+#[test]
+fn cache_eviction_never_changes_results() {
+    check(CASES, |g| {
+        let (shape, max_nodes, capacity) = (shape(g), g.range(1usize..=4), g.range(0usize..=2));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let placements = enumerate_placements(&shape, max_nodes, budget.cores_per_node);
-        prop_assume!(!placements.is_empty());
+        if placements.is_empty() {
+            return;
+        }
         let base = base_config(shape.materialize(&placements[0]));
         let mut tiny = DeltaEvaluator::with_cache_capacity(&base, &shape, capacity);
         let mut roomy = DeltaEvaluator::new(&base, &shape);
@@ -304,21 +302,22 @@ proptest! {
         }
         // The bounded cache must actually be bounded.
         assert!(tiny.cached_solves() <= capacity);
-    }
+    });
+}
 
-    /// The delta-scoring scan reproduces the from-scratch scan bit for
-    /// bit — same candidates, same order, same floats — at the worker count
-    /// `ENSEMBLE_SCAN_WORKERS` injects and at explicit 1/2/8, across
-    /// chunk sizes.
-    #[test]
-    fn delta_scan_matches_plain_scan_bitwise(
-        shape in shape_strategy(),
-        max_nodes in 1usize..=4,
-        chunk in 1usize..=8,
-    ) {
+/// The delta-scoring scan reproduces the from-scratch scan bit for
+/// bit — same candidates, same order, same floats — at the worker count
+/// `ENSEMBLE_SCAN_WORKERS` injects and at explicit 1/2/8, across
+/// chunk sizes.
+#[test]
+fn delta_scan_matches_plain_scan_bitwise() {
+    check(CASES, |g| {
+        let (shape, max_nodes, chunk) = (shape(g), g.range(1usize..=4), g.range(1usize..=8));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let placements = enumerate_placements(&shape, max_nodes, budget.cores_per_node);
-        prop_assume!(!placements.is_empty());
+        if placements.is_empty() {
+            return;
+        }
         let base = base_config(shape.materialize(&placements[0]));
         let reference: Vec<(usize, u64)> = scan_placements(
             &shape,
@@ -366,7 +365,7 @@ proptest! {
             );
             assert!(outcome.delta.members_recomputed > 0);
         }
-    }
+    });
 }
 
 #[test]

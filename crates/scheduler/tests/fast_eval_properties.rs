@@ -6,20 +6,16 @@
 //! call count, through either entry point. These properties pin that
 //! invariant across randomly generated ensemble shapes and placements.
 
-use proptest::prelude::*;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{enumerate_placements, fast_score, EnsembleShape, FastEvaluator};
+use testkit::{check, Gen};
 
 /// Small-but-varied ensemble shapes: 1–3 members, 1–2 analyses each,
 /// core counts spanning the paper's co-location regimes.
-fn shape_strategy() -> impl Strategy<Value = EnsembleShape> {
-    (
-        1usize..=3,                               // members
-        prop::sample::select(vec![8u32, 16, 24]), // sim cores
-        1usize..=2,                               // analyses per member
-        prop::sample::select(vec![4u32, 8]),      // analysis cores
-    )
-        .prop_map(|(n, sim, k, ana)| EnsembleShape::uniform(n, sim, k, ana))
+fn shape(g: &mut Gen) -> EnsembleShape {
+    let (members, sim_cores) = (g.range(1usize..=3), g.select(&[8u32, 16, 24]));
+    let (analyses_per_member, analysis_cores) = (g.range(1usize..=2), g.select(&[4u32, 8]));
+    EnsembleShape::uniform(members, sim_cores, analyses_per_member, analysis_cores)
 }
 
 fn base_config(spec: ensemble_core::EnsembleSpec) -> SimRunConfig {
@@ -28,20 +24,19 @@ fn base_config(spec: ensemble_core::EnsembleSpec) -> SimRunConfig {
     base
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: u32 = 48;
 
-    /// Repeated `fast_score` calls on identical inputs are bit-identical
-    /// — the determinism the score cache relies on.
-    #[test]
-    fn fast_score_is_bit_identical_across_calls(
-        shape in shape_strategy(),
-        max_nodes in 1usize..=4,
-        pick in 0usize..64,
-        jitter in 0.0f64..0.2,
-    ) {
+/// Repeated `fast_score` calls on identical inputs are bit-identical
+/// — the determinism the score cache relies on.
+#[test]
+fn fast_score_is_bit_identical_across_calls() {
+    check(CASES, |g| {
+        let (shape, max_nodes) = (shape(g), g.range(1usize..=4));
+        let (pick, jitter) = (g.range(0usize..64), g.range(0.0f64..0.2));
         let placements = enumerate_placements(&shape, max_nodes, 32);
-        prop_assume!(!placements.is_empty());
+        if placements.is_empty() {
+            return;
+        }
         let spec = shape.materialize(&placements[pick % placements.len()]);
         // Base jitter must not leak into the analytic score: the
         // evaluator pins the predictor to its deterministic fixed point.
@@ -50,28 +45,26 @@ proptest! {
         let first = fast_score(&base, &spec).expect("score");
         for _ in 0..3 {
             let again = fast_score(&base, &spec).expect("score");
-            prop_assert_eq!(first.objective.to_bits(), again.objective.to_bits());
-            prop_assert_eq!(
-                first.ensemble_makespan.to_bits(),
-                again.ensemble_makespan.to_bits()
-            );
-            prop_assert_eq!(first.nodes_used, again.nodes_used);
-            prop_assert_eq!(first.eq4_satisfied, again.eq4_satisfied);
+            assert_eq!(first.objective.to_bits(), again.objective.to_bits());
+            assert_eq!(first.ensemble_makespan.to_bits(), again.ensemble_makespan.to_bits());
+            assert_eq!(first.nodes_used, again.nodes_used);
+            assert_eq!(first.eq4_satisfied, again.eq4_satisfied);
         }
-    }
+    });
+}
 
-    /// The reusable evaluator (the search/service hot path, which avoids
-    /// the per-candidate config clone) agrees bit-for-bit with the
-    /// one-shot entry point, even when candidates interleave.
-    #[test]
-    fn evaluator_matches_one_shot_for_every_candidate(
-        shape in shape_strategy(),
-        max_nodes in 1usize..=3,
-    ) {
+/// The reusable evaluator (the search/service hot path, which avoids
+/// the per-candidate config clone) agrees bit-for-bit with the
+/// one-shot entry point, even when candidates interleave.
+#[test]
+fn evaluator_matches_one_shot_for_every_candidate() {
+    check(CASES, |g| {
+        let (shape, max_nodes) = (shape(g), g.range(1usize..=3));
         let placements = enumerate_placements(&shape, max_nodes, 32);
-        prop_assume!(!placements.is_empty());
-        let specs: Vec<_> =
-            placements.iter().map(|a| shape.materialize(a)).collect();
+        if placements.is_empty() {
+            return;
+        }
+        let specs: Vec<_> = placements.iter().map(|a| shape.materialize(a)).collect();
         let base = base_config(specs[0].clone());
         let mut evaluator = FastEvaluator::new(&base);
         // Forward then backward: reuse across differing candidates must
@@ -79,13 +72,10 @@ proptest! {
         for spec in specs.iter().chain(specs.iter().rev()) {
             let one_shot = fast_score(&base, spec).expect("one-shot score");
             let reused = evaluator.score(spec).expect("evaluator score");
-            prop_assert_eq!(one_shot.objective.to_bits(), reused.objective.to_bits());
-            prop_assert_eq!(
-                one_shot.ensemble_makespan.to_bits(),
-                reused.ensemble_makespan.to_bits()
-            );
-            prop_assert_eq!(one_shot.nodes_used, reused.nodes_used);
-            prop_assert_eq!(one_shot.eq4_satisfied, reused.eq4_satisfied);
+            assert_eq!(one_shot.objective.to_bits(), reused.objective.to_bits());
+            assert_eq!(one_shot.ensemble_makespan.to_bits(), reused.ensemble_makespan.to_bits());
+            assert_eq!(one_shot.nodes_used, reused.nodes_used);
+            assert_eq!(one_shot.eq4_satisfied, reused.eq4_satisfied);
         }
-    }
+    });
 }

@@ -11,23 +11,19 @@
 //! the environment, so the same properties sweep the thread-count axis
 //! without code changes.
 
-use proptest::prelude::*;
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     canonicalize, enumerate_placements, fast_score, scan_placements, Candidate, DeltaCounters,
     EnsembleShape, FastEvaluator, NodeBudget, PlacementIter, ScanOptions,
 };
+use testkit::{check, Gen};
 
 /// Small-but-varied ensemble shapes: 1–3 members, 1–2 analyses each,
 /// core counts spanning the paper's co-location regimes.
-fn shape_strategy() -> impl Strategy<Value = EnsembleShape> {
-    (
-        1usize..=3,                               // members
-        prop::sample::select(vec![8u32, 16, 24]), // sim cores
-        1usize..=2,                               // analyses per member
-        prop::sample::select(vec![4u32, 8]),      // analysis cores
-    )
-        .prop_map(|(n, sim, k, ana)| EnsembleShape::uniform(n, sim, k, ana))
+fn shape(g: &mut Gen) -> EnsembleShape {
+    let (members, sim_cores) = (g.range(1usize..=3), g.select(&[8u32, 16, 24]));
+    let (analyses_per_member, analysis_cores) = (g.range(1usize..=2), g.select(&[4u32, 8]));
+    EnsembleShape::uniform(members, sim_cores, analyses_per_member, analysis_cores)
 }
 
 fn base_config(spec: ensemble_core::EnsembleSpec) -> SimRunConfig {
@@ -65,21 +61,20 @@ fn scan_space(
     outcome.into_values().into_iter().map(|(a, o)| (a, o.to_bits())).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+const CASES: u32 = 32;
 
-    /// The parallel scan is bit-identical to a serial evaluation of the
-    /// enumeration — at one, two, and eight workers, and at whatever
-    /// count `ENSEMBLE_SCAN_WORKERS` injects into the default options.
-    #[test]
-    fn parallel_scan_is_bit_identical_to_serial(
-        shape in shape_strategy(),
-        max_nodes in 1usize..=4,
-        chunk in 1usize..=8,
-    ) {
+/// The parallel scan is bit-identical to a serial evaluation of the
+/// enumeration — at one, two, and eight workers, and at whatever
+/// count `ENSEMBLE_SCAN_WORKERS` injects into the default options.
+#[test]
+fn parallel_scan_is_bit_identical_to_serial() {
+    check(CASES, |g| {
+        let (shape, max_nodes, chunk) = (shape(g), g.range(1usize..=4), g.range(1usize..=8));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let placements = enumerate_placements(&shape, max_nodes, 32);
-        prop_assume!(!placements.is_empty());
+        if placements.is_empty() {
+            return;
+        }
         let base = base_config(shape.materialize(&placements[0]));
         // The serial reference: one-shot scores in enumeration order.
         let reference: Vec<(Vec<usize>, u64)> = placements
@@ -91,28 +86,34 @@ proptest! {
             .collect();
         for workers in [1usize, 2, 8] {
             let opts = ScanOptions { workers, chunk, ..Default::default() };
-            prop_assert_eq!(&scan_space(&base, &shape, budget, &opts), &reference,
-                "workers={} chunk={}", workers, chunk);
+            assert_eq!(
+                &scan_space(&base, &shape, budget, &opts),
+                &reference,
+                "workers={} chunk={}",
+                workers,
+                chunk
+            );
         }
         // Default options: worker count comes from the env override (or
         // host parallelism) — the CI sweep axis.
         let env_opts = ScanOptions { chunk, ..Default::default() };
-        prop_assert_eq!(&scan_space(&base, &shape, budget, &env_opts), &reference);
-    }
+        assert_eq!(&scan_space(&base, &shape, budget, &env_opts), &reference);
+    });
+}
 
-    /// Bounded top-K equals the first K rows of the full ranking under
-    /// the stable best-first sort — truncation and bounded scan are
-    /// interchangeable, byte for byte.
-    #[test]
-    fn top_k_equals_first_k_of_the_full_ranking(
-        shape in shape_strategy(),
-        max_nodes in 1usize..=4,
-        top_k in 1usize..=6,
-        chunk in 1usize..=8,
-    ) {
+/// Bounded top-K equals the first K rows of the full ranking under
+/// the stable best-first sort — truncation and bounded scan are
+/// interchangeable, byte for byte.
+#[test]
+fn top_k_equals_first_k_of_the_full_ranking() {
+    check(CASES, |g| {
+        let (shape, max_nodes) = (shape(g), g.range(1usize..=4));
+        let (top_k, chunk) = (g.range(1usize..=6), g.range(1usize..=8));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let placements = enumerate_placements(&shape, max_nodes, 32);
-        prop_assume!(!placements.is_empty());
+        if placements.is_empty() {
+            return;
+        }
         let base = base_config(shape.materialize(&placements[0]));
         let full_opts = ScanOptions { chunk, ..Default::default() };
         let mut ranked = scan_space(&base, &shape, budget, &full_opts);
@@ -122,38 +123,38 @@ proptest! {
         ranked.truncate(top_k);
         let bounded_opts = ScanOptions { top_k, chunk, ..Default::default() };
         let bounded = scan_space(&base, &shape, budget, &bounded_opts);
-        prop_assert_eq!(bounded, ranked);
-    }
+        assert_eq!(bounded, ranked);
+    });
+}
 
-    /// The lazy iterator streams exactly the materialized enumeration,
-    /// whatever chunk size reassembles it.
-    #[test]
-    fn placement_iter_streams_the_enumeration(
-        shape in shape_strategy(),
-        max_nodes in 0usize..=4,
-        chunk in 1usize..=7,
-    ) {
+/// The lazy iterator streams exactly the materialized enumeration,
+/// whatever chunk size reassembles it.
+#[test]
+fn placement_iter_streams_the_enumeration() {
+    check(CASES, |g| {
+        let (shape, max_nodes, chunk) = (shape(g), g.range(0usize..=4), g.range(1usize..=7));
         let reference = enumerate_placements(&shape, max_nodes, 32);
         let mut iter = PlacementIter::new(&shape, max_nodes, 32);
         let width = shape.num_components();
         let mut streamed: Vec<Vec<usize>> = Vec::new();
         let (mut flat, mut hints) = (Vec::new(), Vec::new());
         loop {
-            prop_assert_eq!(iter.yielded(), streamed.len(), "indices are the enumeration order");
+            assert_eq!(iter.yielded(), streamed.len(), "indices are the enumeration order");
             if iter.fill_chunk(&mut flat, &mut hints, chunk) == 0 {
                 break;
             }
             streamed.extend(flat.chunks_exact(width).map(<[usize]>::to_vec));
         }
-        prop_assert_eq!(streamed, reference);
-    }
+        assert_eq!(streamed, reference);
+    });
+}
 
-    /// The linear canonicalization matches the first-appearance
-    /// relabeling definition (the old quadratic scan).
-    #[test]
-    fn canonicalize_matches_the_first_appearance_reference(
-        assignment in prop::collection::vec(0usize..6, 0..12),
-    ) {
+/// The linear canonicalization matches the first-appearance
+/// relabeling definition (the old quadratic scan).
+#[test]
+fn canonicalize_matches_the_first_appearance_reference() {
+    check(CASES, |g| {
+        let assignment = g.vec(0..12, |g| g.range(0usize..6));
         let reference: Vec<usize> = {
             let mut order: Vec<usize> = Vec::new();
             assignment
@@ -168,6 +169,6 @@ proptest! {
                 })
                 .collect()
         };
-        prop_assert_eq!(canonicalize(&assignment), reference);
-    }
+        assert_eq!(canonicalize(&assignment), reference);
+    });
 }

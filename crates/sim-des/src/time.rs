@@ -6,23 +6,17 @@
 
 use std::ops::Add;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of nanoseconds per second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An absolute instant on the simulation clock.
 ///
 /// `SimTime::ZERO` is the epoch at which every run starts.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span between two [`SimTime`] instants.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -3,8 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
 use sim_des::{Context, Engine, Poll, Process, RunOutcome, Signal, SimDuration, SimTime};
+use testkit::check;
 
 /// One poll of a scripted process: optionally emit, then sleep or wait
 /// (a script that ran out answers `Done`).
@@ -96,65 +96,64 @@ fn run_scripts(scripts: &[Vec<Op>]) -> Engine<Log> {
     engine
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u32 = 64;
 
-    #[test]
-    fn polls_fire_in_nondecreasing_time_order(
-        delays in prop::collection::vec(0u64..1_000_000, 1..100)
-    ) {
+#[test]
+fn polls_fire_in_nondecreasing_time_order() {
+    check(CASES, |g| {
+        let delays = g.vec(1..100, |g| g.range(0u64..1_000_000));
         let scripts: Vec<Vec<Op>> = delays.iter().map(|&d| vec![Op::Sleep(d)]).collect();
         let engine = run_scripts(&scripts);
         // Every process is polled at zero and again when its sleep ends.
         let log = &engine.state()[delays.len()..];
-        prop_assert_eq!(log.len(), delays.len());
-        prop_assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "clock went backwards");
+        assert_eq!(log.len(), delays.len());
+        assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "clock went backwards");
         let mut sorted = delays.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(log.iter().map(|&(time, _)| time).collect::<Vec<_>>(), sorted);
-    }
+        assert_eq!(log.iter().map(|&(time, _)| time).collect::<Vec<_>>(), sorted);
+    });
+}
 
-    #[test]
-    fn identical_schedules_replay_identically(
-        delays in prop::collection::vec(0u64..1_000_000, 1..60)
-    ) {
+#[test]
+fn identical_schedules_replay_identically() {
+    check(CASES, |g| {
+        let delays = g.vec(1..60, |g| g.range(0u64..1_000_000));
         let scripts: Vec<Vec<Op>> = delays.iter().map(|&d| vec![Op::Sleep(d)]).collect();
-        prop_assert_eq!(run_scripts(&scripts).into_state(), run_scripts(&scripts).into_state());
-    }
+        assert_eq!(run_scripts(&scripts).into_state(), run_scripts(&scripts).into_state());
+    });
+}
 
-    #[test]
-    fn processes_advance_clock_by_their_sleeps(
-        sleeps in prop::collection::vec(1u64..1_000_000, 1..50)
-    ) {
+#[test]
+fn processes_advance_clock_by_their_sleeps() {
+    check(CASES, |g| {
+        let sleeps = g.vec(1..50, |g| g.range(1u64..1_000_000));
         let total: u64 = sleeps.iter().sum();
         let engine = run_scripts(&[sleeps.into_iter().map(Op::Sleep).collect()]);
-        prop_assert_eq!(engine.now(), SimTime::from_nanos(total));
-        prop_assert!(engine.all_finished());
-    }
+        assert_eq!(engine.now(), SimTime::from_nanos(total));
+        assert!(engine.all_finished());
+    });
+}
 
-    #[test]
-    fn signals_wake_every_waiter_exactly_once(
-        waiters in 1usize..20,
-        fire_at in 1u64..1_000_000
-    ) {
+#[test]
+fn signals_wake_every_waiter_exactly_once() {
+    check(CASES, |g| {
+        let (waiters, fire_at) = (g.range(1usize..20), g.range(1u64..1_000_000));
         let mut scripts = vec![vec![Op::Wait(9)]; waiters];
         scripts.push(vec![Op::Sleep(fire_at), Op::EmitThenSleep(9, 0)]);
         let engine = run_scripts(&scripts);
         let woken = engine.state().iter().filter(|&&(time, p)| time == fire_at && p < waiters);
-        prop_assert_eq!(woken.count(), waiters);
-        prop_assert!(engine.all_finished());
-    }
+        assert_eq!(woken.count(), waiters);
+        assert!(engine.all_finished());
+    });
+}
 
-    /// A seeded mix of sleepers, waiters and emitters over a few signals
-    /// under an event budget: the engine fires exactly what the reference
-    /// queue fires, in the same order.
-    #[test]
-    fn fired_sequence_matches_the_reference_queue(seed in any::<u64>()) {
-        let mut rng = seed;
-        let mut draw = move |n: u64| {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (rng >> 33) % n
-        };
+/// A seeded mix of sleepers, waiters and emitters over a few signals
+/// under an event budget: the engine fires exactly what the reference
+/// queue fires, in the same order.
+#[test]
+fn fired_sequence_matches_the_reference_queue() {
+    check(CASES, |g| {
+        let mut draw = |n: u64| g.range(0..n);
         let signals = 1 + draw(3);
         let scripts: Vec<Vec<Op>> = (0..2 + draw(6))
             .map(|_| {
@@ -185,9 +184,9 @@ proptest! {
         } else {
             RunOutcome::Quiescent
         };
-        prop_assert_eq!(outcome, expected);
-        prop_assert_eq!(engine.state(), &model.fired);
-        prop_assert_eq!(engine.events_fired(), model.fired.len() as u64);
-        prop_assert_eq!(engine.now().as_nanos(), model.now);
-    }
+        assert_eq!(outcome, expected);
+        assert_eq!(engine.state(), &model.fired);
+        assert_eq!(engine.events_fired(), model.fired.len() as u64);
+        assert_eq!(engine.now().as_nanos(), model.now);
+    });
 }

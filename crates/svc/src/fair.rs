@@ -28,9 +28,7 @@
 //!   the round, so idle tenants donate their share instead of idling
 //!   the pool.
 //!
-//! Built on `std::sync` (`Mutex` + `Condvar`) rather than channel crates
-//! so the offline build harness — whose `crossbeam` stub has no channels
-//! — exercises the exact production code. Producers never block:
+//! Built on `std::sync` (`Mutex` + `Condvar`). Producers never block:
 //! `try_push` hands the item back when the *total* queued count is at
 //! capacity (the caller sheds load with an `Overloaded` response).
 //! Consumers block in `pop` until an item arrives or the queue is

@@ -875,7 +875,7 @@ fn crc_valid(text: &str) -> bool {
         Some(p) if text.len() == p + CRC_TAG.len() + 10 && text.ends_with("\"}") => {
             let hex = &text[p + CRC_TAG.len()..text.len() - 2];
             match u32::from_str_radix(hex, 16) {
-                Ok(want) => crc32_parts(&[text[..p].as_bytes(), b"}"]) == want,
+                Ok(want) => crc32_parts(&[&text.as_bytes()[..p], b"}"]) == want,
                 Err(_) => false,
             }
         }

@@ -39,9 +39,8 @@
 //! history. Deterministic fault schedules ([`fault::SvcFaultPlan`])
 //! drive the failover tests.
 //!
-//! The wire codec is the crate's own minimal [`json`] module, so the
-//! protocol stays functional in build environments where `serde_json`
-//! is stubbed out.
+//! The wire codec is the workspace's [`json`] crate, re-exported here
+//! under the path it had as a module of this crate.
 
 #![warn(missing_docs)]
 
@@ -50,12 +49,13 @@ pub mod client;
 pub mod fair;
 pub mod fault;
 pub mod journal;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod service;
 pub mod standby;
 pub mod stats;
+
+pub use ::json;
 
 pub use cache::ScoreCache;
 pub use client::{FailoverClient, FailoverPolicy, RetryPolicy as ClientRetryPolicy, SvcClient};

@@ -276,7 +276,7 @@ fn replication_loop(stream: &mut TcpStream, out: &mut String, shared: &Arc<Serve
                 }
             }
         }
-        if last_hb.map_or(true, |t| t.elapsed() >= REPL_HEARTBEAT) {
+        if last_hb.is_none_or(|t| t.elapsed() >= REPL_HEARTBEAT) {
             let stats = shared.service.journal_stats().unwrap_or_default();
             let sent = write_frame(stream, out, |out| {
                 out.push_str("{\"type\":\"repl-hb\",\"id\":");

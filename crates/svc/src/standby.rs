@@ -348,7 +348,7 @@ fn follow_file(path: &Path, shared: &StandbyShared) {
         for event in follower.poll().unwrap_or_default() {
             apply_event(shared, event);
         }
-        if let Some(mtime) = std::fs::metadata(&hb_path).and_then(|m| m.modified()).ok() {
+        if let Ok(mtime) = std::fs::metadata(&hb_path).and_then(|m| m.modified()) {
             if last_mtime != Some(mtime) {
                 last_mtime = Some(mtime);
                 shared.beat();
@@ -365,14 +365,11 @@ fn follow_file(path: &Path, shared: &StandbyShared) {
 fn follow_primary(addr: &str, local: &Path, shared: &StandbyShared, heartbeat: Duration) {
     let mut backoff = Duration::from_millis(50);
     while !shared.stopping() {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                backoff = Duration::from_millis(50);
-                if stream_session(stream, local, shared, heartbeat) {
-                    return; // primary reported degraded: stop following
-                }
+        if let Ok(stream) = TcpStream::connect(addr) {
+            backoff = Duration::from_millis(50);
+            if stream_session(stream, local, shared, heartbeat) {
+                return; // primary reported degraded: stop following
             }
-            Err(_) => {}
         }
         sleep_observing_stop(shared, backoff);
         backoff = (backoff * 2).min(MAX_RECONNECT_BACKOFF);

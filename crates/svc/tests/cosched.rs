@@ -363,7 +363,7 @@ fn soak_mixed_stream_leaks_no_residual_capacity() {
                         // with co-scheduled runs.
                         _ => svc::small_score_request(id, 2, 16, 1, 8, 2),
                     };
-                    if round % 5 == 0 {
+                    if round.is_multiple_of(5) {
                         // Some submits expire while queued — the leak
                         // the drain assertion below would catch.
                         request.deadline = Some(Duration::from_millis(1));

@@ -5,7 +5,7 @@
 //! visible in metrics, attach results bit-identical — while the
 //! deposed primary's late appends are fenced off by the epoch.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ensemble_core::ConfigId;
@@ -23,7 +23,7 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// Remove the journal and every sidecar a test may have produced.
-fn cleanup(path: &PathBuf) {
+fn cleanup(path: &Path) {
     for suffix in ["", ".epoch", ".quarantine", ".hb"] {
         let mut name = path.file_name().unwrap().to_os_string();
         name.push(suffix);

@@ -6,19 +6,20 @@
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
 use svc::FairQueue;
+use testkit::{check, Gen};
 
 const LANES: [&str; 4] = ["a", "b", "c", "d"];
 
 /// A random assignment of items to lanes: index into [`LANES`], with
 /// one extra slot meaning the implicit untagged lane.
-fn pushes() -> impl Strategy<Value = Vec<usize>> {
-    prop::collection::vec(0usize..=LANES.len(), 1..=80)
+fn pushes(g: &mut Gen) -> Vec<usize> {
+    g.vec(1..=80, |g| g.range(0..=LANES.len()))
 }
 
-fn lane_weights() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..=4u64, LANES.len())
+/// A weight of 1–4 for every lane.
+fn lane_weights(g: &mut Gen) -> BTreeMap<String, u64> {
+    LANES.iter().map(|l| (l.to_string(), g.range(1u64..=4))).collect()
 }
 
 fn lane_of(idx: usize) -> Option<&'static str> {
@@ -37,46 +38,38 @@ fn drain(seq: &[usize], weights: &BTreeMap<String, u64>) -> Vec<(usize, usize)> 
     std::iter::from_fn(|| q.pop()).collect()
 }
 
-proptest! {
-    #[test]
-    fn per_lane_order_is_fifo_and_nothing_is_lost_or_duplicated(
-        seq in pushes(),
-        w in lane_weights(),
-    ) {
-        let weights: BTreeMap<String, u64> =
-            LANES.iter().zip(&w).map(|(l, &w)| (l.to_string(), w)).collect();
+const CASES: u32 = 256;
+
+#[test]
+fn per_lane_order_is_fifo_and_nothing_is_lost_or_duplicated() {
+    check(CASES, |g| {
+        let (seq, weights) = (pushes(g), lane_weights(g));
         let drained = drain(&seq, &weights);
 
         // Work conservation: every pushed item comes out exactly once.
         let mut seen: Vec<usize> = drained.iter().map(|&(_, item)| item).collect();
         seen.sort_unstable();
-        prop_assert_eq!(seen, (0..seq.len()).collect::<Vec<_>>());
+        assert_eq!(seen, (0..seq.len()).collect::<Vec<_>>());
 
         // FIFO within each lane: the subsequence of any one lane is in
         // push order.
         for lane in 0..=LANES.len() {
             let order: Vec<usize> =
                 drained.iter().filter(|&&(l, _)| l == lane).map(|&(_, item)| item).collect();
-            prop_assert!(
+            assert!(
                 order.windows(2).all(|p| p[0] < p[1]),
-                "lane {} popped out of push order: {:?}",
-                lane,
-                order
+                "lane {lane} popped out of push order: {order:?}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn no_lane_waits_longer_than_one_weighted_round(
-        seq in pushes(),
-        w in lane_weights(),
-    ) {
-        let weights: BTreeMap<String, u64> =
-            LANES.iter().zip(&w).map(|(l, &w)| (l.to_string(), w)).collect();
+#[test]
+fn no_lane_waits_longer_than_one_weighted_round() {
+    check(CASES, |g| {
+        let (seq, weights) = (pushes(g), lane_weights(g));
         let drained = drain(&seq, &weights);
-        let weight_of = |lane: usize| -> u64 {
-            LANES.get(lane).map_or(1, |l| weights[*l])
-        };
+        let weight_of = |lane: usize| -> u64 { LANES.get(lane).map_or(1, |l| weights[*l]) };
         // Replay the drain against per-lane backlog counts: while a
         // lane has items, at most one full weighted round (the sum of
         // every *other* lane's weight) of foreign pops may pass before
@@ -92,44 +85,41 @@ proptest! {
                     continue;
                 }
                 waited[lane] += 1;
-                let round: u64 =
-                    (0..backlog.len()).filter(|&l| l != lane).map(weight_of).sum();
-                prop_assert!(
+                let round: u64 = (0..backlog.len()).filter(|&l| l != lane).map(weight_of).sum();
+                assert!(
                     waited[lane] <= round,
-                    "lane {} starved: waited {} pops, one weighted round is {}",
-                    lane,
-                    waited[lane],
-                    round
+                    "lane {lane} starved: waited {} pops, one weighted round is {round}",
+                    waited[lane]
                 );
             }
             waited[popped] = 0;
             backlog[popped] -= 1;
         }
-    }
+    });
+}
 
-    #[test]
-    fn identical_push_sequences_pop_bit_identically(
-        seq in pushes(),
-        w in lane_weights(),
-    ) {
-        let weights: BTreeMap<String, u64> =
-            LANES.iter().zip(&w).map(|(l, &w)| (l.to_string(), w)).collect();
+#[test]
+fn identical_push_sequences_pop_bit_identically() {
+    check(CASES, |g| {
+        let (seq, weights) = (pushes(g), lane_weights(g));
         // Determinism is the foundation of the reproducible-admission
         // acceptance bar: no clocks, hashes, or randomness may leak
         // into pop order.
-        prop_assert_eq!(drain(&seq, &weights), drain(&seq, &weights));
-    }
+        assert_eq!(drain(&seq, &weights), drain(&seq, &weights));
+    });
+}
 
-    #[test]
-    fn single_lane_degenerates_to_plain_fifo(seq in pushes()) {
+#[test]
+fn single_lane_degenerates_to_plain_fifo() {
+    check(CASES, |g| {
+        let seq = pushes(g);
         // The inactive-policy wire-compatibility argument: one lane in,
         // exact FIFO out, whatever the weight table says about tenants
         // that never show up.
-        let weights: BTreeMap<String, u64> =
-            LANES.iter().map(|l| (l.to_string(), 3)).collect();
+        let weights: BTreeMap<String, u64> = LANES.iter().map(|l| (l.to_string(), 3)).collect();
         let untagged: Vec<usize> = seq.iter().map(|_| LANES.len()).collect();
         let drained = drain(&untagged, &weights);
         let items: Vec<usize> = drained.iter().map(|&(_, item)| item).collect();
-        prop_assert_eq!(items, (0..seq.len()).collect::<Vec<_>>());
-    }
+        assert_eq!(items, (0..seq.len()).collect::<Vec<_>>());
+    });
 }

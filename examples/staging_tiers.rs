@@ -7,7 +7,6 @@
 //! cargo run --release --example staging_tiers
 //! ```
 
-use bytes::Bytes;
 use insitu_ensembles::dtl::protocol::ReaderId;
 use insitu_ensembles::dtl::staging::SyncStaging;
 use insitu_ensembles::dtl::{staging, Chunk, VariableSpec};
@@ -27,7 +26,7 @@ fn drive<B: insitu_ensembles::dtl::staging::ChunkStore + 'static>(
     let producer = {
         let staging = Arc::clone(&staging);
         std::thread::spawn(move || {
-            let payload = Bytes::from(vec![7u8; CHUNK_BYTES]);
+            let payload: Arc<[u8]> = vec![7u8; CHUNK_BYTES].into();
             for step in 0..STEPS {
                 staging.put(Chunk::new(var, step, 0, "raw", payload.clone())).expect("put");
             }

@@ -221,21 +221,27 @@ fn cmd_run(args: &[String]) -> i32 {
         println!("wrote members.csv, components.csv, trace.csv to {dir}");
     }
     if let Some(path) = flag_value(args, "--json") {
-        match serde_json::to_string_pretty(&report) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("--json: {e}");
-                    return 1;
-                }
-                println!("wrote report to {path}");
-            }
-            Err(e) => {
-                eprintln!("--json: {e}");
-                return 1;
-            }
+        if !write_report_json(path, &report) {
+            return 1;
         }
     }
     0
+}
+
+/// Writes `report` to `path` as indented JSON; false, after saying why,
+/// when the file cannot be written.
+fn write_report_json(path: &str, report: &measurement::EnsembleReport) -> bool {
+    let body = json::pretty(&json::encoded(|out| report.write_json(out)));
+    match std::fs::write(path, body) {
+        Ok(()) => {
+            println!("wrote report to {path}");
+            true
+        }
+        Err(e) => {
+            eprintln!("--json: {e}");
+            false
+        }
+    }
 }
 
 /// `ensemble run <config> --threaded`: run the real-kernel runtime,
@@ -323,18 +329,8 @@ fn cmd_run_threaded(target: &str, args: &[String]) -> i32 {
         Ok(report) => {
             println!("{}", report.to_table());
             if let Some(path) = flag_value(args, "--json") {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(body) => {
-                        if let Err(e) = std::fs::write(path, body) {
-                            eprintln!("--json: {e}");
-                            return 1;
-                        }
-                        println!("wrote report to {path}");
-                    }
-                    Err(e) => {
-                        eprintln!("--json: {e}");
-                        return 1;
-                    }
+                if !write_report_json(path, &report) {
+                    return 1;
                 }
             }
             if exec.member_outcomes.iter().any(|o| o.is_failed()) {

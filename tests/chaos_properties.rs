@@ -8,8 +8,8 @@
 
 use insitu_ensembles::model::{ComponentSpec, EnsembleSpec, MemberSpec};
 use insitu_ensembles::prelude::*;
-use proptest::prelude::*;
 use std::time::{Duration, Instant};
+use testkit::{check, Gen};
 
 const STEPS: u64 = 3;
 /// Per-op staging timeout; a run is "hung" when it exceeds a generous
@@ -40,85 +40,76 @@ fn config(fault_plan: Option<FaultPlan>, retry: Option<RetryPolicy>) -> ThreadRu
 }
 
 /// A store rule drawn from failures and small delays only.
-fn rule() -> impl Strategy<Value = FaultRule> {
-    let op = prop_oneof![Just(FaultOp::Load), Just(FaultOp::Store)];
-    (op, 0u32..2, 0u64..STEPS, 0u64..2, 1u64..3, prop::bool::ANY).prop_map(
-        |(op, var, step, after, first, delay)| {
-            let action = if delay {
-                FaultAction::Delay(Duration::from_millis(2))
-            } else {
-                FaultAction::Fail
-            };
-            FaultRule {
-                variable: Some(var),
-                step: Some(step),
-                op: Some(op),
-                action,
-                probability: 1.0,
-                after,
-                first: Some(first),
-            }
-        },
-    )
+fn rule(g: &mut Gen) -> FaultRule {
+    let op = g.one_of(&[&|_: &mut Gen| FaultOp::Load, &|_: &mut Gen| FaultOp::Store]);
+    let (var, step) = (g.range(0u32..2), g.range(0u64..STEPS));
+    let (after, first) = (g.range(0u64..2), g.range(1u64..3));
+    let action =
+        if g.bool() { FaultAction::Delay(Duration::from_millis(2)) } else { FaultAction::Fail };
+    FaultRule {
+        variable: Some(var),
+        step: Some(step),
+        op: Some(op),
+        action,
+        probability: 1.0,
+        after,
+        first: Some(first),
+    }
 }
 
-fn plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        0u64..1000,
-        prop::collection::vec(rule(), 0..3),
-        prop::option::of((0usize..2, 0u64..STEPS, prop::bool::ANY)),
-    )
-        .prop_map(|(seed, rules, kill)| {
-            let mut plan = FaultPlan::new(seed);
-            for r in rules {
-                plan = plan.with_rule(r);
-            }
-            if let Some((member, step, panic)) = kill {
-                plan = plan.with_kill(MemberKill { member, step, panic });
-            }
-            plan
-        })
+fn plan(g: &mut Gen) -> FaultPlan {
+    let mut plan = FaultPlan::new(g.range(0u64..1000));
+    for r in g.vec(0..3, rule) {
+        plan = plan.with_rule(r);
+    }
+    let kill = g.option(|g| MemberKill {
+        member: g.range(0usize..2),
+        step: g.range(0u64..STEPS),
+        panic: g.bool(),
+    });
+    if let Some(kill) = kill {
+        plan = plan.with_kill(kill);
+    }
+    plan
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Whatever the plan injects, the run returns well before the hang
-    /// horizon, and every member reports a definite outcome.
-    #[test]
-    fn chaos_never_hangs_and_every_member_has_an_outcome(plan in plan()) {
+/// Whatever the plan injects, the run returns well before the hang
+/// horizon, and every member reports a definite outcome.
+#[test]
+fn chaos_never_hangs_and_every_member_has_an_outcome() {
+    check(8, |g| {
         let started = Instant::now();
-        let exec = run_threaded(&config(Some(plan), Some(RetryPolicy::with_attempts(2))))
+        let exec = run_threaded(&config(Some(plan(g)), Some(RetryPolicy::with_attempts(2))))
             .expect("a chaos run completes instead of erroring out");
-        prop_assert!(
+        assert!(
             started.elapsed() < OP_TIMEOUT * 4,
             "run exceeded the hang horizon: {:?}",
             started.elapsed()
         );
-        prop_assert_eq!(exec.member_outcomes.len(), 2);
-    }
+        assert_eq!(exec.member_outcomes.len(), 2);
+    });
+}
 
-    /// Members couple through disjoint variables, so a fault plan can
-    /// only ever affect the members it names: survivors' CV series are
-    /// bit-identical to the fault-free run with the same seeds.
-    #[test]
-    fn survivors_match_the_fault_free_run_bit_for_bit(plan in plan()) {
+/// Members couple through disjoint variables, so a fault plan can
+/// only ever affect the members it names: survivors' CV series are
+/// bit-identical to the fault-free run with the same seeds.
+#[test]
+fn survivors_match_the_fault_free_run_bit_for_bit() {
+    check(8, |g| {
         let baseline = run_threaded(&config(None, None)).expect("fault-free run");
-        let exec = run_threaded(&config(Some(plan), Some(RetryPolicy::with_attempts(3))))
+        let exec = run_threaded(&config(Some(plan(g)), Some(RetryPolicy::with_attempts(3))))
             .expect("chaos run");
         for (i, outcome) in exec.member_outcomes.iter().enumerate() {
             if outcome.is_failed() {
                 continue;
             }
             let ana = ComponentRef::analysis(i, 1);
-            prop_assert_eq!(
-                &exec.cv_series[&ana],
-                &baseline.cv_series[&ana],
-                "member {} survived but its CV series diverged",
-                i
+            assert_eq!(
+                &exec.cv_series[&ana], &baseline.cv_series[&ana],
+                "member {i} survived but its CV series diverged"
             );
         }
-    }
+    });
 }
 
 /// Long-running chaos soak: many random plans, run with

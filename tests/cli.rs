@@ -88,6 +88,13 @@ fn csv_and_json_outputs_are_written() {
     }
     let members = std::fs::read_to_string(dir.join("members.csv")).unwrap();
     assert!(members.starts_with("config,member,sigma_star_s"));
+    let report = std::fs::read_to_string(&json).unwrap();
+    assert!(report.starts_with("{\n  \"config\": \"C_c\",\n  \"n\": 1,\n"), "{report}");
+    let report = json::Value::parse(&report).expect("report.json is JSON");
+    assert_eq!(report.get("n_steps").and_then(json::Value::as_u64), Some(4));
+    let members = report.get("members").and_then(json::Value::as_arr).expect("members");
+    assert_eq!(members.len(), 1);
+    assert!(members[0].get("makespan").and_then(json::Value::as_f64).is_some_and(|m| m > 0.0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -138,6 +145,23 @@ fn unknown_subcommand_fails_cleanly() {
     let out = ensemble().arg("bogus").output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+}
+
+#[test]
+fn a_bad_experiment_file_fails_with_one_line_naming_the_key() {
+    let dir = std::env::temp_dir().join(format!("ens-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad.json");
+    let spec = run_ok(&["example-spec"]).replacen("\"work_scale\"", "\"work_scal\"", 1);
+    std::fs::write(&path, spec).unwrap();
+    let out = ensemble().args(["run", path.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "run: invalid experiment file: members[0].analyses[0].work_scal is not a key an \
+         experiment file has here\n"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -67,14 +67,11 @@ fn staging_timeout_surfaces_as_error_not_hang() {
     let s = Arc::new(staging::dimes());
     let var =
         s.register(VariableSpec { name: "x".into(), expected_readers: 1, home_node: 0 }).unwrap();
-    s.put(Chunk::new(var, 0, 0, "raw", bytes::Bytes::from_static(b"a"))).unwrap();
+    s.put(Chunk::new(var, 0, 0, "raw", Arc::from(*b"a"))).unwrap();
     // No reader consumes; the next put must time out promptly.
     let started = std::time::Instant::now();
     let err = s
-        .put_timeout(
-            Chunk::new(var, 1, 0, "raw", bytes::Bytes::from_static(b"b")),
-            Duration::from_millis(100),
-        )
+        .put_timeout(Chunk::new(var, 1, 0, "raw", Arc::from(*b"b")), Duration::from_millis(100))
         .unwrap_err();
     assert!(matches!(err, insitu_ensembles::dtl::DtlError::Timeout { .. }));
     assert!(started.elapsed() < Duration::from_secs(5));
@@ -104,10 +101,7 @@ fn protocol_violations_are_loud() {
         s.register(VariableSpec { name: "x".into(), expected_readers: 1, home_node: 0 }).unwrap();
     // Writing step 3 first is a violation, not a wait.
     let err = s
-        .put_timeout(
-            Chunk::new(var, 3, 0, "raw", bytes::Bytes::from_static(b"z")),
-            Duration::from_millis(50),
-        )
+        .put_timeout(Chunk::new(var, 3, 0, "raw", Arc::from(*b"z")), Duration::from_millis(50))
         .unwrap_err();
     assert!(matches!(err, insitu_ensembles::dtl::DtlError::ProtocolViolation { .. }));
 }

@@ -123,9 +123,81 @@ fn seeds_reproduce_exactly() {
 
 #[test]
 fn report_serializes_to_json() {
+    use json::Value;
     let report = quick(ConfigId::Cc).run().unwrap();
-    let json = serde_json::to_string(&report).unwrap();
-    assert!(json.contains("\"config\":\"C_c\""));
-    let back: insitu_ensembles::measurement::EnsembleReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.ensemble_makespan, report.ensemble_makespan);
+    let text = json::encoded(|out| report.write_json(out));
+    assert!(text.contains("\"config\":\"C_c\""));
+    let back = Value::parse(&text).unwrap();
+
+    // Every numeric field reads back bit for bit under its own name.
+    fn same(object: &Value, fields: &[(&str, f64)]) {
+        for &(key, want) in fields {
+            let got = object.get(key).and_then(Value::as_f64).unwrap_or_else(|| panic!("{key}"));
+            assert_eq!(got.to_bits(), want.to_bits(), "{key}");
+        }
+    }
+    let items = |object: &Value, key: &str| object.get(key).unwrap().as_arr().unwrap().to_vec();
+    same(
+        &back,
+        &[
+            ("n", report.n as f64),
+            ("m", report.m as f64),
+            ("n_steps", report.n_steps as f64),
+            ("ensemble_makespan", report.ensemble_makespan),
+            ("staging_retries", report.staging_retries as f64),
+            ("staging_giveups", report.staging_giveups as f64),
+            ("faults_injected", report.faults_injected as f64),
+        ],
+    );
+    let members = items(&back, "members");
+    assert_eq!(members.len(), report.members.len());
+    for (m, want) in members.iter().zip(&report.members) {
+        same(
+            m,
+            &[
+                ("member", want.member as f64),
+                ("sigma_star", want.sigma_star),
+                ("makespan", want.makespan),
+                ("makespan_model", want.makespan_model),
+                ("efficiency", want.efficiency),
+                ("cp", want.cp),
+                ("lost_frames", want.lost_frames as f64),
+            ],
+        );
+        let times = m.get("stage_times").unwrap();
+        same(times, &[("s", want.stage_times.s), ("w", want.stage_times.w)]);
+        for (t, want) in items(times, "analyses").iter().zip(&want.stage_times.analyses) {
+            same(t, &[("r", want.r), ("a", want.a)]);
+        }
+        assert_eq!(items(m, "scenarios").len(), want.scenarios.len());
+        let components = items(m, "components");
+        assert_eq!(components.len(), want.components.len());
+        for (c, want) in components.iter().zip(&want.components) {
+            assert_eq!(c.get("name").unwrap().as_str(), Some(want.name.as_str()));
+            same(c, &[("cores", f64::from(want.cores))]);
+            let nodes: Vec<usize> =
+                items(c, "nodes").iter().map(|n| n.as_usize().unwrap()).collect();
+            assert_eq!(nodes, want.nodes);
+            let (k, t) = (&want.counters, &want.metrics);
+            same(
+                c.get("counters").unwrap(),
+                &[
+                    ("instructions", k.instructions),
+                    ("cycles", k.cycles),
+                    ("llc_references", k.llc_references),
+                    ("llc_misses", k.llc_misses),
+                    ("dram_bytes", k.dram_bytes),
+                ],
+            );
+            same(
+                c.get("metrics").unwrap(),
+                &[
+                    ("execution_time", t.execution_time),
+                    ("llc_miss_ratio", t.llc_miss_ratio),
+                    ("memory_intensity", t.memory_intensity),
+                    ("ipc", t.ipc),
+                ],
+            );
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! Property-based tests (proptest) of the model's invariants.
+//! Property-based tests (testkit) of the model's invariants.
 
 use insitu_ensembles::model::{
     aggregate, coupling_efficiency, efficiency, efficiency_from_idle, idle_times, makespan,
@@ -6,190 +6,214 @@ use insitu_ensembles::model::{
     IndicatorPath, MemberInputs, MemberSpec, MemberStageTimes,
 };
 use insitu_ensembles::model::{extract_steady_state, MemberStepSamples, WarmupPolicy};
-use proptest::prelude::*;
+use insitu_ensembles::prelude::Frame;
+use testkit::{check, Gen};
 
-fn stage_time() -> impl Strategy<Value = f64> {
+const CASES: u32 = 256;
+
+fn stage_time(g: &mut Gen) -> f64 {
     // Realistic stage durations: microseconds to hours.
-    (1e-6f64..1e4f64).prop_map(|v| v)
+    g.range(1e-6f64..1e4f64)
 }
 
-fn member_times(max_k: usize) -> impl Strategy<Value = MemberStageTimes> {
-    (stage_time(), stage_time(), prop::collection::vec((stage_time(), stage_time()), 1..=max_k))
-        .prop_map(|(s, w, ra)| {
-            MemberStageTimes::new(
-                s,
-                w,
-                ra.into_iter().map(|(r, a)| AnalysisStageTimes { r, a }).collect(),
-            )
-            .expect("positive times validate")
-        })
+fn member_times(g: &mut Gen, max_k: usize) -> MemberStageTimes {
+    let (s, w) = (stage_time(g), stage_time(g));
+    let analyses = g.vec(1..=max_k, |g| AnalysisStageTimes { r: stage_time(g), a: stage_time(g) });
+    MemberStageTimes::new(s, w, analyses).expect("positive times validate")
 }
 
-proptest! {
-    #[test]
-    fn sigma_star_is_max_of_busy_spans(t in member_times(5)) {
+#[test]
+fn sigma_star_is_max_of_busy_spans() {
+    check(CASES, |g| {
+        let t = member_times(g, 5);
         let sigma = sigma_star(&t);
-        prop_assert!(sigma >= t.sim_busy() - 1e-12);
+        assert!(sigma >= t.sim_busy() - 1e-12);
         for a in &t.analyses {
-            prop_assert!(sigma >= a.busy() - 1e-12);
+            assert!(sigma >= a.busy() - 1e-12);
         }
         // And it equals one of them.
         let candidates: Vec<f64> =
             std::iter::once(t.sim_busy()).chain(t.analyses.iter().map(|a| a.busy())).collect();
-        prop_assert!(candidates.iter().any(|c| (c - sigma).abs() < 1e-12));
-    }
+        assert!(candidates.iter().any(|c| (c - sigma).abs() < 1e-12));
+    });
+}
 
-    #[test]
-    fn efficiency_is_bounded(t in member_times(5)) {
-        // Eq. 3 averages per-coupling efficiencies 1 − (Iˢ + Iᴬⁱ)/σ̄,
-        // each in (−1, 1]: with K ≥ 2 a fast coupling in a member
-        // dominated by another analysis can go negative (both idle spans
-        // approach σ̄), so the member-level bound is (−1, 1].
-        let e = efficiency(&t);
-        prop_assert!(e > -1.0 && e <= 1.0 + 1e-12, "E = {e}");
-    }
+/// Eq. 3 averages per-coupling efficiencies 1 − (Iˢ + Iᴬⁱ)/σ̄, each in
+/// (−1, 1]: with K ≥ 2 a fast coupling in a member dominated by another
+/// analysis can go negative (both idle spans approach σ̄), so the
+/// member-level bound is (−1, 1].
+fn assert_efficiency_is_bounded(t: &MemberStageTimes) {
+    let e = efficiency(t);
+    assert!(e > -1.0 && e <= 1.0 + 1e-12, "E = {e} for {t:?}");
+}
 
-    #[test]
-    fn single_coupling_efficiency_is_positive(t in member_times(1)) {
+#[test]
+fn efficiency_is_bounded() {
+    check(CASES, |g| assert_efficiency_is_bounded(&member_times(g, 5)));
+}
+
+/// The case that once broke the bound above when it read `E > 0`: a
+/// microsecond member whose second analysis runs for half an hour.
+#[test]
+fn efficiency_is_bounded_when_one_analysis_dwarfs_the_member() {
+    let analyses = vec![
+        AnalysisStageTimes { r: 1e-6, a: 1e-6 },
+        AnalysisStageTimes { r: 1e-6, a: 1552.3205831453338 },
+    ];
+    let t = MemberStageTimes::new(1e-6, 1e-6, analyses).expect("positive times validate");
+    assert_efficiency_is_bounded(&t);
+    assert!(efficiency(&t) < 0.0, "the fast coupling idles on both sides");
+}
+
+#[test]
+fn single_coupling_efficiency_is_positive() {
+    check(CASES, |g| {
         // With K = 1 the bottleneck side has zero idle, so
         // Iˢ + Iᴬ ≤ σ̄ and E ∈ (0, 1].
-        let e = efficiency(&t);
-        prop_assert!(e > 0.0 && e <= 1.0 + 1e-12, "E = {e}");
-    }
+        let e = efficiency(&member_times(g, 1));
+        assert!(e > 0.0 && e <= 1.0 + 1e-12, "E = {e}");
+    });
+}
 
-    #[test]
-    fn efficiency_closed_form_equals_idle_form(t in member_times(5)) {
+#[test]
+fn efficiency_closed_form_equals_idle_form() {
+    check(CASES, |g| {
+        let t = member_times(g, 5);
         let a = efficiency(&t);
         let b = efficiency_from_idle(&t);
-        prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-    }
+        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+    });
+}
 
-    #[test]
-    fn efficiency_is_mean_of_coupling_efficiencies(t in member_times(4)) {
+#[test]
+fn efficiency_is_mean_of_coupling_efficiencies() {
+    check(CASES, |g| {
+        let t = member_times(g, 4);
         let per: f64 = (0..t.k()).map(|j| coupling_efficiency(&t, j)).sum::<f64>() / t.k() as f64;
-        prop_assert!((efficiency(&t) - per).abs() < 1e-9);
-    }
+        assert!((efficiency(&t) - per).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn idle_times_are_nonnegative_and_one_is_zero(t in member_times(5)) {
-        let idle = idle_times(&t);
-        prop_assert!(idle.sim_idle >= -1e-12);
+#[test]
+fn idle_times_are_nonnegative_and_one_is_zero() {
+    check(CASES, |g| {
+        let idle = idle_times(&member_times(g, 5));
+        assert!(idle.sim_idle >= -1e-12);
         for v in &idle.analysis_idle {
-            prop_assert!(*v >= -1e-12);
+            assert!(*v >= -1e-12);
         }
         // The slowest participant has zero idle.
-        let min_idle = idle
-            .analysis_idle
-            .iter()
-            .copied()
-            .fold(idle.sim_idle, f64::min);
-        prop_assert!(min_idle.abs() < 1e-9);
-    }
+        let min_idle = idle.analysis_idle.iter().copied().fold(idle.sim_idle, f64::min);
+        assert!(min_idle.abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn makespan_is_linear_in_steps(t in member_times(3), n in 1u64..1000) {
+#[test]
+fn makespan_is_linear_in_steps() {
+    check(CASES, |g| {
+        let (t, n) = (member_times(g, 3), g.range(1u64..1000));
         let m1 = makespan(&t, n);
         let m2 = makespan(&t, 2 * n);
-        prop_assert!((m2 - 2.0 * m1).abs() < 1e-6 * m1.max(1.0));
-    }
+        assert!((m2 - 2.0 * m1).abs() < 1e-6 * m1.max(1.0));
+    });
+}
 
-    #[test]
-    fn objective_never_exceeds_mean_and_equals_it_iff_uniform(
-        values in prop::collection::vec(1e-9f64..1.0, 1..10)
-    ) {
+#[test]
+fn objective_never_exceeds_mean_and_equals_it_iff_uniform() {
+    check(CASES, |g| {
+        let values = g.vec(1..10, |g| g.range(1e-9f64..1.0));
         let f = objective(&values);
         let mean = values.iter().sum::<f64>() / values.len() as f64;
-        prop_assert!(f <= mean + 1e-12);
+        assert!(f <= mean + 1e-12);
         let uniform = values.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-15);
         if uniform {
-            prop_assert!((f - mean).abs() < 1e-12);
+            assert!((f - mean).abs() < 1e-12);
         }
-        prop_assert!(aggregate(&values, Aggregation::Min) <= mean + 1e-12);
-    }
+        assert!(aggregate(&values, Aggregation::Min) <= mean + 1e-12);
+    });
+}
 
-    #[test]
-    fn placement_indicator_bounds_and_colocation(
-        sim_node in 0usize..4,
-        ana_nodes in prop::collection::vec(0usize..4, 1..4)
-    ) {
+#[test]
+fn placement_indicator_bounds_and_colocation() {
+    check(CASES, |g| {
+        let sim_node = g.range(0usize..4);
+        let ana_nodes = g.vec(1..4, |g| g.range(0usize..4));
         let member = MemberSpec::new(
             ComponentSpec::simulation(16, sim_node),
             ana_nodes.iter().map(|&n| ComponentSpec::analysis(8, n)).collect(),
         );
         let cp = placement_indicator(&member);
-        prop_assert!(cp > 0.0 && cp <= 1.0 + 1e-12, "CP = {cp}");
+        assert!(cp > 0.0 && cp <= 1.0 + 1e-12, "CP = {cp}");
         let all_colocated = ana_nodes.iter().all(|&n| n == sim_node);
         if all_colocated {
-            prop_assert!((cp - 1.0).abs() < 1e-12);
+            assert!((cp - 1.0).abs() < 1e-12);
         } else {
-            prop_assert!(cp < 1.0);
+            assert!(cp < 1.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn indicator_paths_commute(
-        e in 1e-6f64..1.0,
-        cores in 1u32..128,
-        cp in 0.01f64..1.0,
-        m in 1usize..16
-    ) {
-        let inputs = MemberInputs { efficiency: e, cores, cp, ensemble_nodes: m };
+#[test]
+fn indicator_paths_commute() {
+    check(CASES, |g| {
+        let inputs = MemberInputs {
+            efficiency: g.range(1e-6f64..1.0),
+            cores: g.range(1u32..128),
+            cp: g.range(0.01f64..1.0),
+            ensemble_nodes: g.range(1usize..16),
+        };
         let uap = insitu_ensembles::model::indicator(&inputs, &IndicatorPath::uap());
         let upa = insitu_ensembles::model::indicator(&inputs, &IndicatorPath::upa());
-        prop_assert!((uap - upa).abs() <= 1e-15 * uap.abs().max(1.0));
+        assert!((uap - upa).abs() <= 1e-15 * uap.abs().max(1.0));
         // Each stage only shrinks the value (CP ≤ 1, M ≥ 1).
         let u = insitu_ensembles::model::indicator(&inputs, &IndicatorPath::u());
-        prop_assert!(uap <= u + 1e-15);
-    }
+        assert!(uap <= u + 1e-15);
+    });
+}
 
-    #[test]
-    fn steady_state_mean_lies_within_sample_range(
-        mut s in prop::collection::vec(0.1f64..10.0, 3..40)
-    ) {
+#[test]
+fn steady_state_mean_lies_within_sample_range() {
+    check(CASES, |g| {
+        let mut s = g.vec(3..40, |g| g.range(0.1f64..10.0));
         let w = vec![0.01; s.len()];
         let r = vec![0.01; s.len()];
         let a = s.clone();
         let samples = MemberStepSamples { s: s.clone(), w, analyses: vec![(r, a)] };
         let t = extract_steady_state(&samples, WarmupPolicy::FixedSteps(2)).unwrap();
         s.sort_by(f64::total_cmp);
-        prop_assert!(t.s >= s[0] - 1e-12 && t.s <= s[s.len() - 1] + 1e-12);
-    }
+        assert!(t.s >= s[0] - 1e-12 && t.s <= s[s.len() - 1] + 1e-12);
+    });
+}
 
-    #[test]
-    fn frame_wire_format_roundtrips(
-        step in any::<u64>(),
-        time in -1e6f64..1e6,
-        box_len in 0.1f32..1e4,
-        positions in prop::collection::vec(
-            (-1e6f32..1e6, -1e6f32..1e6, -1e6f32..1e6),
-            0..200
-        )
-    ) {
+#[test]
+fn frame_wire_format_roundtrips() {
+    check(CASES, |g| {
         let frame = Frame {
-            step,
-            time,
-            box_len,
-            positions: positions.into_iter().map(|(x, y, z)| [x, y, z]).collect(),
+            step: g.u64(),
+            time: g.range(-1e6f64..1e6),
+            box_len: g.range(0.1f32..1e4),
+            positions: g.vec(0..200, |g| [(); 3].map(|()| g.range(-1e6f32..1e6))),
         };
-        let decoded = Frame::from_bytes(frame.to_bytes()).unwrap();
-        prop_assert_eq!(decoded, frame);
-    }
+        assert_eq!(Frame::from_bytes(&frame.to_bytes()).unwrap(), frame);
+    });
+}
 
-    #[test]
-    fn f64_codec_roundtrips(values in prop::collection::vec(-1e300f64..1e300, 0..100)) {
-        use insitu_ensembles::dtl::{ChunkCodec, F64ArrayCodec};
+#[test]
+fn f64_codec_roundtrips() {
+    use insitu_ensembles::dtl::{ChunkCodec, F64ArrayCodec};
+    check(CASES, |g| {
+        let values = g.vec(0..100, |g| g.range(-1e300f64..1e300));
         let codec = F64ArrayCodec;
-        let decoded = codec.decode(codec.encode(&values)).unwrap();
-        prop_assert_eq!(decoded, values);
-    }
+        assert_eq!(codec.decode(codec.encode(&values)).unwrap(), values);
+    });
+}
 
-    #[test]
-    fn step_protocol_never_allows_overwrite(
-        readers in 1u32..4,
-        capacity in 1u64..3,
-        ops in prop::collection::vec((0u8..2, 0u32..4), 1..60)
-    ) {
-        use insitu_ensembles::dtl::{ReaderId, StepProtocol};
+#[test]
+fn step_protocol_never_allows_overwrite() {
+    use insitu_ensembles::dtl::{ReaderId, StepProtocol};
+    check(CASES, |g| {
+        let (readers, capacity) = (g.range(1u32..4), g.range(1u64..3));
+        let ops = g.vec(1..60, |g| (g.range(0u8..2), g.range(0u32..4)));
         let mut p = StepProtocol::new(readers, capacity);
         let mut written = 0u64;
         let mut read_by: Vec<u64> = vec![0; readers as usize];
@@ -208,12 +232,10 @@ proptest! {
             // Invariants: in-flight chunks never exceed capacity; no
             // reader is ahead of the writer.
             let oldest = read_by.iter().copied().min().unwrap();
-            prop_assert!(written - oldest <= capacity, "overwrite window exceeded");
+            assert!(written - oldest <= capacity, "overwrite window exceeded");
             for &r in &read_by {
-                prop_assert!(r <= written, "reader ahead of writer");
+                assert!(r <= written, "reader ahead of writer");
             }
         }
-    }
+    });
 }
-
-use insitu_ensembles::prelude::Frame;

@@ -1,5 +1,6 @@
-//! Everything a crate root re-exports is named by someone else.
+//! Two rules about the workspace's shape that hold themselves.
 //!
+//! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
 //! CLI, a wire request, a `repro` target, an example, the `e2e`
 //! package, a bench, or a test of a behaviour that is itself reached.
@@ -9,6 +10,14 @@
 //! `#[cfg(test)]` modules therefore do not count). A name nobody else
 //! spells leaves the list — the item stays reachable through its
 //! module — or goes altogether.
+//!
+//! **The workspace is hermetic.** Every dependency any manifest
+//! declares is a path crate of this repository, and the committed root
+//! `Cargo.lock` lists the workspace's own packages and nothing else —
+//! so tier-1 builds with no registry, and a crates.io dependency cannot
+//! come back unnoticed.
+
+use std::collections::BTreeSet;
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -97,4 +106,71 @@ fn every_crate_root_reexport_is_named_outside_its_crate() {
          (or the item, if nothing inside the crate calls it either):\n  {}",
         unreached.join("\n  ")
     );
+}
+
+/// The `name` of every `name = …` / `name.key = …` line under a
+/// `[section]` header `wanted` accepts, with the text right of the name.
+fn entries(manifest: &str, wanted: impl Fn(&str) -> bool) -> Vec<(String, String)> {
+    let mut inside = false;
+    let mut found = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            inside = wanted(header.trim_matches(|c| c == '[' || c == ']'));
+        } else if inside && !line.is_empty() && !line.starts_with('#') {
+            let name_len = line.find(|c: char| !(is_ident(c) || c == '-')).unwrap_or(line.len());
+            found.push((line[..name_len].to_string(), line[name_len..].to_string()));
+        }
+    }
+    found
+}
+
+#[test]
+fn workspace_is_hermetic() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        manifests.push(entry.expect("dir entry").path().join("Cargo.toml"));
+    }
+    let read = |path: &PathBuf| fs::read_to_string(path).expect("read manifest");
+    let is_path = |rest: &str| rest.contains("path =");
+    let shared: BTreeSet<String> =
+        entries(&read(&manifests[0]), |section| section == "workspace.dependencies")
+            .into_iter()
+            .map(|(name, rest)| {
+                assert!(is_path(&rest), "[workspace.dependencies] {name} is not a path crate");
+                name
+            })
+            .collect();
+
+    let mut packages = BTreeSet::new();
+    for path in &manifests {
+        let manifest = read(path);
+        for (name, rest) in entries(&manifest, |section| section.ends_with("dependencies")) {
+            let inherited = rest.trim() == ".workspace = true" && shared.contains(&name);
+            assert!(
+                inherited || is_path(&rest),
+                "{}: `{name}{rest}` is not a path crate of this workspace",
+                path.display()
+            );
+        }
+        let named = entries(&manifest, |section| section == "package")
+            .into_iter()
+            .find(|(key, _)| key == "name")
+            .unwrap_or_else(|| panic!("{} names no package", path.display()));
+        packages.insert(named.1.trim_matches(|c| " =\"".contains(c)).to_string());
+    }
+    assert!(packages.len() > 10 && packages.contains("json"), "{packages:?}");
+
+    let lock = fs::read_to_string(root.join("Cargo.lock")).expect("a committed Cargo.lock");
+    let foreign: Vec<&str> = lock
+        .lines()
+        .filter(|line| line.starts_with("source =") || line.starts_with("checksum ="))
+        .collect();
+    assert!(foreign.is_empty(), "Cargo.lock names a registry: {foreign:?}");
+    let locked: BTreeSet<String> = entries(&lock, |section| section == "package")
+        .into_iter()
+        .filter(|(key, _)| key == "name")
+        .map(|(_, rest)| rest.trim_matches(|c| " =\"".contains(c)).to_string())
+        .collect();
+    assert_eq!(locked, packages, "Cargo.lock lists exactly the workspace's packages");
 }
