@@ -16,7 +16,10 @@
 //! (its exact closures: a fresh evaluator per worker over the service's
 //! solve cache, `top_k` 10, a row built only for a kept candidate) on
 //! the three shape classes of the e2e benchmark; `place_against/202` is
-//! one co-scheduler placement decision beside a resident job. The
+//! one co-scheduler placement decision beside a resident job. A row's
+//! `scored` is how many of its candidates were evaluated rather than
+//! pruned by their objective bound (one checking run's count; at two
+//! workers it varies with how the floors were traded). The
 //! committed `BENCH_scan.json` also carries `parent_commit` and
 //! `parent_*` rows: these benches run at the parent commit (with the
 //! parent's closures) in the same session, merged in by hand.
@@ -217,6 +220,15 @@ fn small_base(shape: &EnsembleShape) -> SimRunConfig {
     cfg
 }
 
+/// What one cold `score` scan did: candidates enumerated, candidates
+/// actually evaluated (the rest were pruned by their bound), and the
+/// ranking.
+struct ScoreScan {
+    scanned: usize,
+    scored: usize,
+    ranked: Vec<RankedPlacement>,
+}
+
 /// One cold `score` with `top_k` rows, exactly as `svc` scans it.
 fn score_scan(
     base: &SimRunConfig,
@@ -224,14 +236,14 @@ fn score_scan(
     budget: NodeBudget,
     solves: &Arc<SolveCache>,
     opts: &ScanOptions,
-) -> (usize, Vec<RankedPlacement>) {
+) -> ScoreScan {
     let outcome = scan_placements(
         shape,
         budget,
         opts,
         || DeltaEvaluator::with_solve_cache(base, shape, solves),
         |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<FastScore>> {
-            evaluator.score_delta(c.assignment, c.first_changed).map(Some)
+            evaluator.score_above(c.assignment, c.first_changed, c.floor)
         },
         |_, c, fs| RankedPlacement {
             assignment: c.assignment.to_vec(),
@@ -246,13 +258,16 @@ fn score_scan(
         |_| {},
     )
     .expect("score scan");
-    (outcome.scanned, outcome.into_values())
+    let (scanned, scored) = (outcome.scanned, outcome.scanned - outcome.delta.pruned as usize);
+    ScoreScan { scanned, scored, ranked: outcome.into_values() }
 }
 
 struct NamedSample {
     name: String,
     workers: usize,
     candidates: usize,
+    /// Candidates evaluated (the rest were enumerated and pruned).
+    scored: usize,
     secs: f64,
 }
 
@@ -271,18 +286,20 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
         let solves = Arc::new(SolveCache::new(&base));
         // Bounded top-K must be the head of the full stable ranking.
         let full = ScanOptions { workers: 1, ..Default::default() };
-        let (_, mut ranked) = score_scan(&base, &shape, budget, &solves, &full);
+        let mut ranked = score_scan(&base, &shape, budget, &solves, &full).ranked;
         ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
         ranked.truncate(10);
         for workers in [1usize, 2] {
             let opts = ScanOptions { workers, top_k: 10, ..Default::default() };
-            assert_eq!(score_scan(&base, &shape, budget, &solves, &opts).1, ranked);
+            let checked = score_scan(&base, &shape, budget, &solves, &opts);
+            assert_eq!(checked.ranked, ranked);
             let (secs, candidates) =
-                median_secs(reps, || score_scan(&base, &shape, budget, &solves, &opts).0);
+                median_secs(reps, || score_scan(&base, &shape, budget, &solves, &opts).scanned);
             samples.push(NamedSample {
                 name: format!("score_topk10/{candidates}"),
                 workers,
                 candidates,
+                scored: checked.scored,
                 secs,
             });
         }
@@ -319,7 +336,13 @@ fn bench_place_against(quick: bool) -> Vec<NamedSample> {
         assert_eq!(decision.objective.to_bits(), first.objective.to_bits());
         decision.scanned
     });
-    vec![NamedSample { name: format!("place_against/{candidates}"), workers: 1, candidates, secs }]
+    vec![NamedSample {
+        name: format!("place_against/{candidates}"),
+        workers: 1,
+        candidates,
+        scored: candidates,
+        secs,
+    }]
 }
 
 fn render_named(samples: &[NamedSample]) -> String {
@@ -327,9 +350,10 @@ fn render_named(samples: &[NamedSample]) -> String {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"name\": \"{}\", \"workers\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.1}}}",
+                "    {{\"name\": \"{}\", \"workers\": {}, \"scored\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.1}}}",
                 s.name,
                 s.workers,
+                s.scored,
                 s.secs,
                 s.secs * 1e9 / s.candidates as f64
             )
@@ -497,9 +521,10 @@ fn main() {
     service_scans.extend(bench_place_against(quick));
     for s in &service_scans {
         eprintln!(
-            "  {:<22} workers={:<2} {:.6}s  {:.1} ns/candidate",
+            "  {:<22} workers={:<2} scored={:<6} {:.6}s  {:.1} ns/candidate",
             s.name,
             s.workers,
+            s.scored,
             s.secs,
             s.secs * 1e9 / s.candidates as f64
         );

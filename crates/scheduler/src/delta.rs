@@ -44,6 +44,13 @@
 //! op sequence of [`ensemble_core::aggregate`]. The O(members) re-fold
 //! is cheap; the savings come from skipping the interference solves and
 //! stage-time derivations, which dominate.
+//!
+//! **Bound pruning.** [`DeltaEvaluator::score_above`] first checks a
+//! bound that needs no solve: `F ≤ mean(P)` (the std is `≥ 0`) and
+//! `Pᵢ = Eᵢ / cᵢ × CPᵢ / M` with `Eᵢ ≤ 1` (Eq. 3: every busy span is at
+//! most `σ̄*`), so `F ≤ mean(CPᵢ / cᵢ) / M` — `CP` and `M` read straight
+//! off the assignment. A candidate whose bound is below the caller's
+//! floor is skipped unevaluated.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -69,6 +76,14 @@ use crate::fast_eval::FastScore;
 /// re-solve).
 pub const DEFAULT_SOLVE_CACHE_CAPACITY: usize = 1024;
 
+/// Relative widening of the objective bound of
+/// [`DeltaEvaluator::score_above`]. The bound is exact in real
+/// arithmetic; in IEEE arithmetic the evaluator's own result can sit a
+/// few ulps above it (a `K`-analysis member's `Σ busy / (K σ̄*)` can
+/// round past 1, and the bound folds its terms in another order), and
+/// `1e-9` covers that with orders of magnitude to spare.
+const BOUND_SLACK: f64 = 1e-9;
+
 /// Cache-effectiveness counters of a [`DeltaEvaluator`] (or an entire
 /// scan — see [`crate::scan::ScanOutcome::delta`]). Every touched
 /// non-empty node of every scored candidate counts exactly once, as a
@@ -83,6 +98,9 @@ pub struct DeltaCounters {
     /// Members whose indicator terms were recomputed (vs served from
     /// the per-member cache).
     pub members_recomputed: u64,
+    /// Candidates [`DeltaEvaluator::score_above`] skipped unevaluated
+    /// because their objective bound fell below the floor.
+    pub pruned: u64,
 }
 
 impl DeltaCounters {
@@ -91,6 +109,7 @@ impl DeltaCounters {
         self.solve_hits += other.solve_hits;
         self.solve_misses += other.solve_misses;
         self.members_recomputed += other.members_recomputed;
+        self.pruned += other.pruned;
     }
 
     /// Solve-cache hit rate in `[0, 1]` (zero before any solve).
@@ -329,6 +348,11 @@ pub struct DeltaEvaluator {
     // --- candidate state (structure of arrays) -------------------------
     prev: Vec<usize>,
     has_prev: bool,
+    /// Set while [`DeltaEvaluator::score_above`] has skipped candidates
+    /// since `prev` was scored: the minimum of their first-changed
+    /// hints (`Some(None)` once one was unknown), which the next
+    /// score's own hint folds into so it still diffs against `prev`.
+    pending_hint: Option<Option<usize>>,
     /// Per node, `comp_cores.len()` slots: its resident components in
     /// flat order, the first `node_len` of them live.
     node_comps: Vec<usize>,
@@ -467,6 +491,7 @@ impl DeltaEvaluator {
             member_cores,
             prev: Vec::with_capacity(n),
             has_prev: false,
+            pending_hint: None,
             node_comps: Vec::new(),
             node_len: Vec::new(),
             nodes_used: 0,
@@ -515,8 +540,9 @@ impl DeltaEvaluator {
     }
 
     /// [`DeltaEvaluator::score`] with a first-changed-position hint:
-    /// `Some(h)` promises `assignment[..h]` equals the previously scored
-    /// assignment's prefix (what
+    /// `Some(h)` promises `assignment[..h]` equals the prefix of the
+    /// assignment offered just before — scored, or skipped by
+    /// [`DeltaEvaluator::score_above`] (what
     /// [`crate::enumerate::PlacementIter::advance_delta`] reports for
     /// consecutive candidates). The hint only narrows the diff — all
     /// positions `≥ h` are still compared — so a conservative hint is
@@ -526,8 +552,32 @@ impl DeltaEvaluator {
         assignment: &[usize],
         first_changed: Option<usize>,
     ) -> RuntimeResult<FastScore> {
+        self.score_above(assignment, first_changed, f64::NEG_INFINITY)
+            .map(|scored| scored.expect("no bound is below an unbounded floor"))
+    }
+
+    /// [`DeltaEvaluator::score_delta`] for a caller that only wants
+    /// candidates whose objective can reach `floor`: `Ok(None)` when the
+    /// assignment's objective bound `mean(CPᵢ / cᵢ) / M` (module docs)
+    /// is strictly below it. Such a candidate is never evaluated — no
+    /// solve, no error, no change to the state the next score diffs
+    /// against; its hint folds into that next score's. The comparison
+    /// is strict because a candidate tying the floor can still outrank
+    /// it on enumeration index. A floor of `−∞` (or NaN) prunes nothing.
+    pub fn score_above(
+        &mut self,
+        assignment: &[usize],
+        first_changed: Option<usize>,
+        floor: f64,
+    ) -> RuntimeResult<Option<FastScore>> {
         let n = self.comp_cores.len();
         assert_eq!(assignment.len(), n, "assignment length must match the shape");
+        if floor > f64::NEG_INFINITY && self.objective_bound(assignment) < floor {
+            self.pending_hint = Some(fold_hint(self.pending_hint, first_changed));
+            self.counters.pruned += 1;
+            return Ok(None);
+        }
+        let first_changed = fold_hint(self.pending_hint.take(), first_changed);
         if self.n_steps == 0 || n == 0 {
             return Err(RuntimeError::NoSamples);
         }
@@ -628,12 +678,25 @@ impl DeltaEvaluator {
         let m = self.nodes_used as f64;
         self.values.clear();
         self.values.extend(self.member_ua.iter().map(|&ua| ua / m));
-        Ok(FastScore {
+        Ok(Some(FastScore {
             objective: aggregate(&self.values, Aggregation::MeanMinusStd),
             ensemble_makespan: self.member_mk.iter().fold(0.0f64, |longest, &mk| longest.max(mk)),
             nodes_used: self.nodes_used,
             eq4_satisfied: self.member_eq4.iter().all(|&b| b),
-        })
+        }))
+    }
+
+    /// `mean(CPᵢ / cᵢ) / M` of `assignment`, widened by [`BOUND_SLACK`]:
+    /// never below the objective [`DeltaEvaluator::score_delta`] returns
+    /// for it (`Eᵢ ≤ 1`, `std ≥ 0`, every rounding step monotone), and
+    /// read off the assignment alone.
+    fn objective_bound(&self, assignment: &[usize]) -> f64 {
+        let mut sum = 0.0f64;
+        for (&(start, end), &cores) in self.member_range.iter().zip(&self.member_cores) {
+            sum += placement_cp(assignment[start], &assignment[start + 1..end]) / cores as f64;
+        }
+        sum / self.member_range.len() as f64 / distinct_nodes(assignment) as f64
+            * (1.0 + BOUND_SLACK)
     }
 
     /// Refreshes the step times of node `nd`'s residents: from the
@@ -764,15 +827,7 @@ impl DeltaEvaluator {
         st.validate().map_err(RuntimeError::from)?;
         self.member_mk[i] = makespan(st, self.n_steps);
         self.member_eq4[i] = st.analyses.iter().all(|a| a.busy() <= st.sim_busy() + 1e-12);
-        // Eq. 6 for single-node components, with the exact op sequence
-        // of `ensemble_core::placement_indicator`: |s| = 1, |s ∪ aʲ| is
-        // 1 when co-located and 2 when not.
-        let k = end - start - 1;
-        let mut sum = 0.0f64;
-        for &ana_node in &assignment[start + 1..end] {
-            sum += if ana_node == sim_node { 1.0 } else { 1.0 / 2.0 };
-        }
-        let cp = 1.0 / k as f64 * sum;
+        let cp = placement_cp(sim_node, &assignment[start + 1..end]);
         // The usage and allocation stages of `ensemble_core::indicator`,
         // in its order: `E / c`, then `× CP`. Both depend on the member
         // alone; the provisioning stage (`/ M`) is applied per score.
@@ -790,5 +845,43 @@ impl DeltaEvaluator {
             self.remote_read.clear();
             self.remote_read.resize(count * count, f64::NAN);
         }
+    }
+}
+
+/// Eq. 6 of a member whose simulation sits on `sim_node`, for
+/// single-node components, with the exact op sequence of
+/// `ensemble_core::placement_indicator`: |s| = 1, |s ∪ aʲ| is 1 when
+/// co-located and 2 when not.
+fn placement_cp(sim_node: usize, analysis_nodes: &[usize]) -> f64 {
+    let mut sum = 0.0f64;
+    for &ana_node in analysis_nodes {
+        sum += if ana_node == sim_node { 1.0 } else { 1.0 / 2.0 };
+    }
+    1.0 / analysis_nodes.len() as f64 * sum
+}
+
+/// `M`: the distinct nodes `assignment` uses — one bit per node while
+/// every index is below 64, a sorted copy past that.
+fn distinct_nodes(assignment: &[usize]) -> usize {
+    let mut used = 0u64;
+    for &nd in assignment {
+        if nd >= 64 {
+            let mut nodes = assignment.to_vec();
+            nodes.sort_unstable();
+            nodes.dedup();
+            return nodes.len();
+        }
+        used |= 1 << nd;
+    }
+    used.count_ones() as usize
+}
+
+/// The first-changed hint of a candidate relative to the last scored
+/// one, given the folded hints of the candidates skipped in between
+/// (`pending`) and its own hint relative to its direct predecessor.
+fn fold_hint(pending: Option<Option<usize>>, hint: Option<usize>) -> Option<usize> {
+    match pending {
+        None => hint,
+        Some(skipped) => skipped.zip(hint).map(|(a, b)| a.min(b)),
     }
 }

@@ -30,7 +30,9 @@
 //! * **Bounded top-K.** With `top_k > 0` each worker keeps its best K
 //!   by `(objective desc, enumeration index asc)`; the merged sets
 //!   reproduce exactly the first K rows of the full stable ranking, in
-//!   `O(K)` memory per worker.
+//!   `O(K)` memory per worker. Each candidate carries the K-th best
+//!   objective known so far (workers trade theirs at every pull), so an
+//!   evaluator with a cheap upper bound can skip what cannot rank.
 //! * **Cooperative cancellation.** The `cancel` probe is checked
 //!   between chunks; once it fires, all workers stop pulling and the
 //!   outcome reports how far the scan got.
@@ -182,6 +184,16 @@ impl<T> TopK<T> {
         TopK { capacity, kept: Vec::with_capacity(capacity), worst: 0 }
     }
 
+    /// The worst kept objective once K are kept (a candidate strictly
+    /// below it can no longer be admitted), `−∞` before.
+    fn floor(&self) -> f64 {
+        if self.kept.len() < self.capacity {
+            f64::NEG_INFINITY
+        } else {
+            self.kept[self.worst].0.objective
+        }
+    }
+
     /// Keeps `row()` under `rank` if it ranks among the best K so far.
     fn offer(&mut self, rank: Rank, row: impl FnOnce() -> T) {
         if self.kept.len() < self.capacity {
@@ -207,12 +219,16 @@ impl<T> TopK<T> {
 /// error) trips `stop` so the others cease pulling at their next visit.
 /// The feed also aggregates cross-worker progress (`scanned`, `best`):
 /// each worker folds its previous batch in when it returns for the next
-/// one, which is where the progress observer fires.
+/// one, which is where the progress observer fires. A bounded scan's
+/// workers also trade top-K floors there: `floor` is the highest K-th
+/// best any worker has published. The global K-th best is at least as
+/// good as any one worker's, so every worker may prune against it.
 struct Feed {
     iter: PlacementIter,
     stop: bool,
     scanned: usize,
     best: Option<f64>,
+    floor: f64,
 }
 
 /// Per-worker scan state returned to the merge step.
@@ -242,6 +258,13 @@ pub struct Candidate<'a> {
     /// previous candidate is some unrelated assignment; the evaluator's
     /// hint-free self-diff is always correct there, just wider).
     pub first_changed: Option<usize>,
+    /// The objective a candidate must reach to still rank in a bounded
+    /// scan: the best K-th kept objective this worker knows of (its
+    /// own, or one another worker published), `−∞` with `top_k == 0`
+    /// and until K are kept. A candidate strictly below it cannot enter
+    /// the top K, so `eval` may return `Ok(None)` for it unevaluated
+    /// ([`crate::DeltaEvaluator::score_above`]).
+    pub floor: f64,
 }
 
 /// Scans every canonical feasible placement of `shape` under `budget`,
@@ -257,6 +280,8 @@ pub struct Candidate<'a> {
 /// * `eval` scores one [`Candidate`]: `Ok(Some(scored))` — something
 ///   small, the candidate's floats — `Ok(None)` to skip it (it still
 ///   counts as scanned, not as feasible), or `Err` to abort the scan.
+///   Under `top_k`, skipping a candidate whose objective is strictly
+///   below [`Candidate::floor`] never changes the result.
 /// * `keep` turns an admitted candidate and its scored value into the
 ///   result row (this is where the assignment is copied out). It runs
 ///   for every feasible candidate of a full scan, and under `top_k`
@@ -306,6 +331,7 @@ where
         stop: false,
         scanned: 0,
         best: None,
+        floor: f64::NEG_INFINITY,
     });
 
     let run_worker = || -> WorkerOut<T, E> {
@@ -329,9 +355,13 @@ where
         // Enumeration index of the candidate this worker evaluated last;
         // first-changed hints are valid only for its direct successor.
         let mut last_index: Option<usize> = None;
+        // What a candidate must reach to rank (`Candidate::floor`).
+        let mut floor = f64::NEG_INFINITY;
         'pull: loop {
             let first = {
                 let mut feed = feed.lock().expect("scan feed lock");
+                feed.floor = feed.floor.max(floor);
+                floor = feed.floor;
                 if batch_scanned > 0 {
                     feed.scanned += batch_scanned;
                     batch_scanned = 0;
@@ -365,16 +395,19 @@ where
                 let first_changed =
                     last_index.is_some_and(|last| last + 1 == index).then_some(hint);
                 last_index = Some(index);
-                let candidate = Candidate { index, assignment, first_changed };
+                let candidate = Candidate { index, assignment, first_changed, floor };
                 match eval(&mut state, candidate) {
                     Ok(Some(scored)) => {
                         out.feasible += 1;
                         let obj = objective(&scored);
                         batch_best = Some(batch_best.map_or(obj, |cur| cur.max(obj)));
                         match &mut out.top {
-                            Some(top) => top.offer(Rank { objective: obj, index }, || {
-                                keep(&mut state, candidate, scored)
-                            }),
+                            Some(top) => {
+                                top.offer(Rank { objective: obj, index }, || {
+                                    keep(&mut state, candidate, scored)
+                                });
+                                floor = floor.max(top.floor());
+                            }
                             None => {
                                 let value = keep(&mut state, candidate, scored);
                                 out.all.push(ScanHit { index, value });
@@ -670,7 +703,12 @@ mod tests {
                         Ok::<_, ()>(Some((a.to_vec(), toy_objective(a))))
                     },
                     |_, _, v| v,
-                    |_| DeltaCounters { solve_hits: 1, solve_misses: 2, members_recomputed: 3 },
+                    |_| DeltaCounters {
+                        solve_hits: 1,
+                        solve_misses: 2,
+                        members_recomputed: 3,
+                        pruned: 4,
+                    },
                     |(_, obj)| *obj,
                     || false,
                     |_| {},
@@ -683,6 +721,7 @@ mod tests {
                 assert_eq!(outcome.delta.solve_hits, workers as u64);
                 assert_eq!(outcome.delta.solve_misses, 2 * workers as u64);
                 assert_eq!(outcome.delta.members_recomputed, 3 * workers as u64);
+                assert_eq!(outcome.delta.pruned, 4 * workers as u64);
                 if workers == 1 {
                     // A serial scan sees every candidate in order: every
                     // candidate after the first carries a hint.
@@ -699,13 +738,22 @@ mod tests {
         workers: usize,
         top_k: usize,
     ) -> (ScanOutcome<usize>, usize) {
+        count_keeps_with(|c| objective(c.index), workers, top_k)
+    }
+
+    /// [`count_keeps`] with the whole candidate in view.
+    fn count_keeps_with(
+        eval: impl Fn(Candidate<'_>) -> Option<f64> + Sync,
+        workers: usize,
+        top_k: usize,
+    ) -> (ScanOutcome<usize>, usize) {
         let keeps = AtomicUsize::new(0);
         let outcome = scan_placements(
             &shape(),
             budget(),
             &ScanOptions { workers, chunk: 2, top_k },
             || (),
-            |(), c| Ok::<_, ()>(objective(c.index)),
+            |(), c| Ok::<_, ()>(eval(c)),
             |(), c, _| {
                 keeps.fetch_add(1, Ordering::SeqCst);
                 c.index
@@ -746,6 +794,44 @@ mod tests {
                 assert_eq!(keeps, outcome.feasible);
             } else {
                 assert!(keeps <= outcome.feasible);
+            }
+        }
+    }
+
+    #[test]
+    fn floors_are_the_kth_best_so_far_and_skipping_below_them_changes_nothing() {
+        let total = crate::enumerate::enumerate_placements(&shape(), 3, 32).len();
+        // Serial, ascending objectives: at index i ≥ K the K-th best of
+        // 0..i is i − K; a full scan never has a floor.
+        for (top_k, expect) in [(0usize, None), (3, Some(3usize))] {
+            count_keeps_with(
+                |c| {
+                    let want = expect
+                        .filter(|&k| c.index >= k)
+                        .map_or(f64::NEG_INFINITY, |k| (c.index - k) as f64);
+                    assert_eq!(c.floor, want, "index {} top_k {top_k}", c.index);
+                    Some(c.index as f64)
+                },
+                1,
+                top_k,
+            );
+        }
+        // Skipping everything strictly below the floor (a perfect bound)
+        // returns what evaluating everything returns, at any width.
+        let objective = |i: usize| ((i * 7) % 11) as f64;
+        for workers in [1usize, 2, 8] {
+            for top_k in [1usize, 3, total + 1] {
+                let (all, _) = count_keeps(|i| Some(objective(i)), workers, top_k);
+                let (pruned, _) = count_keeps_with(
+                    |c| Some(objective(c.index)).filter(|&o| o >= c.floor),
+                    workers,
+                    top_k,
+                );
+                let ranks = |o: &ScanOutcome<usize>| -> Vec<usize> {
+                    o.results.iter().map(|h| h.index).collect()
+                };
+                assert_eq!(ranks(&pruned), ranks(&all), "workers={workers} top_k={top_k}");
+                assert_eq!(pruned.scanned, total);
             }
         }
     }

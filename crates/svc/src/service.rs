@@ -362,6 +362,9 @@ struct Shared {
     /// and the resident `(workload, cores)` sequence, so later cold
     /// scores reuse what earlier ones solved. Entry-bounded.
     solve_caches: [Arc<SolveCache>; 2],
+    /// Cores of the platform node every score is evaluated on: a
+    /// `score` budget above it is refused (see [`validate_score`]).
+    node_cores: u32,
     /// Completed run results by job id (the original request id), the
     /// index behind `attach`. Bounded FIFO like the score cache; the
     /// journal rebuilds it across restarts.
@@ -491,6 +494,9 @@ impl Service {
                 let cfg = base_config(ensemble_core::EnsembleSpec::new(Vec::new()), workloads);
                 Arc::new(SolveCache::new(&cfg))
             }),
+            node_cores: base_config(ensemble_core::EnsembleSpec::new(Vec::new()), Workloads::Paper)
+                .node_spec
+                .cores_per_node(),
             runs,
             journal,
             workers: config.workers,
@@ -872,6 +878,7 @@ impl Service {
             cache_misses: self.shared.cache.misses(),
             cache_entries: self.shared.cache.len(),
             candidates_scanned: s.candidates_scanned.load(Ordering::Relaxed),
+            candidates_pruned: s.candidates_pruned.load(Ordering::Relaxed),
             delta_solve_hits: s.delta_solve_hits.load(Ordering::Relaxed),
             delta_solve_misses: s.delta_solve_misses.load(Ordering::Relaxed),
             delta_members_recomputed: s.delta_members_recomputed.load(Ordering::Relaxed),
@@ -1615,7 +1622,24 @@ struct ScoreExec {
     candidates_scanned: u64,
 }
 
+/// Refuses a `score` whose budget the platform cannot honour. A
+/// `cores_per_node` above the node's cores is the one input that makes
+/// candidate evaluation fail at some placements and not at others (the
+/// enumerator packs a node up to the budget, the solve then finds too
+/// few cores), and a bounded scan may never evaluate the placement that
+/// fails — so it is refused here, the same for every `top_k`.
+fn validate_score(score: &ScoreRequest, node_cores: u32) -> Result<(), ExecError> {
+    let cores_per_node = score.budget.cores_per_node;
+    if cores_per_node > node_cores {
+        return Err(ExecError::Invalid(format!(
+            "cores_per_node {cores_per_node} exceeds the platform node's {node_cores} cores"
+        )));
+    }
+    Ok(())
+}
+
 fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<ScoreExec, ExecError> {
+    validate_score(score, shared.node_cores)?;
     let key = score_cache_key(score, &shared.platform_fingerprints);
     // A full ranking serves any top_k by truncation. A bounded scan
     // holds only its own first K, so it caches under a k-suffixed key
@@ -1661,13 +1685,14 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
         score.budget,
         &opts,
         || DeltaEvaluator::with_solve_cache(&cfg, &score.shape, solves),
+        // A bounded scan skips, unevaluated, every candidate whose
+        // objective bound cannot reach the K-th best so far.
         |evaluator: &mut DeltaEvaluator,
          c: Candidate<'_>|
          -> Result<Option<FastScore>, ExecError> {
             let assignment = c.assignment;
             evaluator
-                .score_delta(assignment, c.first_changed)
-                .map(Some)
+                .score_above(assignment, c.first_changed, c.floor)
                 .map_err(|e| ExecError::Invalid(format!("candidate {assignment:?}: {e}")))
         },
         // A row (and its copy of the assignment) is built only for a
@@ -1690,6 +1715,7 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
         },
     )?;
     shared.stats.candidates_scanned.fetch_add(outcome.scanned as u64, Ordering::Relaxed);
+    shared.stats.candidates_pruned.fetch_add(outcome.delta.pruned, Ordering::Relaxed);
     shared.stats.delta_solve_hits.fetch_add(outcome.delta.solve_hits, Ordering::Relaxed);
     shared.stats.delta_solve_misses.fetch_add(outcome.delta.solve_misses, Ordering::Relaxed);
     shared
@@ -1934,17 +1960,13 @@ mod tests {
 
     #[test]
     fn overload_sheds_instead_of_blocking() {
-        // One worker busy with a long run; capacity-1 queue holds one
-        // more; the next submit must shed immediately.
+        // One worker held by a scan until it is cancelled; capacity-1
+        // queue holds one more; the next submit must shed immediately.
         let svc = tiny_service(1, 1);
-        let slow = svc.submit(run_request(1, 4_000)).unwrap();
-        // Wait until the slow job occupies the worker so queue slots are
+        let slow = svc.submit(held_score_request(1)).unwrap();
+        // Wait until the held job occupies the worker so queue slots are
         // observable deterministically.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.metrics().in_flight == 0 {
-            assert!(Instant::now() < deadline, "worker never picked up the job");
-            std::thread::yield_now();
-        }
+        wait_in_flight(&svc);
         let queued = svc.submit(small_score_request(2, 2, 16, 1, 8, 3)).unwrap();
         let before = Instant::now();
         let shed = svc.submit(small_score_request(3, 2, 16, 1, 8, 3));
@@ -1953,7 +1975,8 @@ mod tests {
             Err(Rejected::Overloaded { retry_after_ms }) => assert!(retry_after_ms >= 1),
             other => panic!("expected overload, got {other:?}"),
         }
-        assert!(matches!(slow.wait(), Response::RunResult { .. }));
+        slow.cancel();
+        assert!(matches!(slow.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
         assert!(matches!(queued.wait(), Response::ScoreResult { .. }));
         let m = svc.metrics();
         assert_eq!(m.rejected, 1);
@@ -1979,15 +2002,16 @@ mod tests {
         let svc = tiny_service(1, 4);
         // Occupy the worker so the target request sits queued when the
         // cancel lands — deterministic cancellation-before-execution.
-        let blocker = svc.submit(run_request(1, 2_000)).unwrap();
+        let blocker = svc.submit(held_score_request(1)).unwrap();
         let victim = svc.submit(small_score_request(2, 2, 16, 1, 8, 3)).unwrap();
         victim.cancel();
-        assert!(matches!(blocker.wait(), Response::RunResult { .. }));
+        blocker.cancel();
+        assert!(matches!(blocker.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
         match victim.wait() {
             Response::Error { kind: ErrorKind::Cancelled, .. } => {}
             other => panic!("expected cancelled, got {other:?}"),
         }
-        assert_eq!(svc.metrics().cancelled, 1);
+        assert_eq!(svc.metrics().cancelled, 2);
     }
 
     #[test]
@@ -2029,6 +2053,34 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_wider_than_the_node_is_invalid_whatever_the_top_k() {
+        // Cori nodes have 2 × 16 cores. A 64-core budget packs nodes the
+        // solve cannot hold; the request is refused before any scan, so
+        // a bounded scan and a full ranking give the same reply.
+        let svc = tiny_service(1, 4);
+        let replies: Vec<(ErrorKind, String)> = [0usize, 10]
+            .into_iter()
+            .map(|top_k| {
+                let mut req = small_score_request(1, 2, 16, 1, 8, 3);
+                if let RequestBody::Score(ref mut s) = req.body {
+                    s.budget.cores_per_node = 64;
+                    s.top_k = top_k;
+                }
+                match svc.submit(req).unwrap().wait() {
+                    Response::Error { kind, message, .. } => (kind, message),
+                    other => panic!("top_k {top_k}: expected an error, got {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(replies[0], replies[1]);
+        let (kind, message) = &replies[0];
+        assert_eq!(*kind, ErrorKind::Invalid);
+        assert!(message.contains("cores_per_node 64") && message.contains("32"), "{message}");
+        let m = svc.metrics();
+        assert_eq!((m.candidates_scanned, m.cache_misses), (0, 0), "refused before key or scan");
+    }
+
+    #[test]
     fn cold_start_retry_hint_scales_with_backlog() {
         // Regression: before any request completes, the hint used to
         // collapse to 1 ms regardless of backlog (zero observed mean ×
@@ -2039,12 +2091,8 @@ mod tests {
         let cold_ms = COLD_START_SERVICE_TIME.as_millis() as u64;
         assert!(empty_hint >= cold_ms, "empty-queue cold hint {empty_hint} < seed {cold_ms}");
         // Occupy the single worker so queued work stays queued.
-        let blocker = svc.submit(run_request(1, 4_000)).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.metrics().in_flight == 0 {
-            assert!(Instant::now() < deadline, "worker never picked up the job");
-            std::thread::yield_now();
-        }
+        let blocker = svc.submit(held_score_request(1)).unwrap();
+        wait_in_flight(&svc);
         let mut queued = Vec::new();
         for i in 0..8 {
             queued.push(svc.submit(small_score_request(10 + i, 2, 16, 1, 8, 3)).unwrap());
@@ -2054,7 +2102,8 @@ mod tests {
             full_hint >= empty_hint.saturating_mul(8),
             "hint must scale with backlog: empty {empty_hint}ms, 8-deep {full_hint}ms"
         );
-        assert!(matches!(blocker.wait(), Response::RunResult { .. }));
+        blocker.cancel();
+        assert!(matches!(blocker.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
         for p in queued {
             assert!(matches!(p.wait(), Response::ScoreResult { .. }));
         }
@@ -2117,9 +2166,10 @@ mod tests {
         assert_eq!(svc.metrics().run_index_entries, 1);
     }
 
-    /// A score request over a space large enough that a short deadline
-    /// expires mid-scan (10 components on up to 8 nodes enumerate into
-    /// the hundreds of thousands).
+    /// A score request over a space no scan finishes within a test's
+    /// patience, in any build: 12 four-core components on up to 12
+    /// nodes are the set partitions of 12 with no block above 8 (a
+    /// 32-core node holds 8 of them).
     fn big_score_request(id: u64) -> Request {
         Request {
             id,
@@ -2127,8 +2177,8 @@ mod tests {
             progress: None,
             tenant: None,
             body: RequestBody::Score(ScoreRequest {
-                shape: scheduler::EnsembleShape::uniform(5, 4, 1, 4),
-                budget: scheduler::NodeBudget { max_nodes: 8, cores_per_node: 32 },
+                shape: scheduler::EnsembleShape::uniform(6, 4, 1, 4),
+                budget: scheduler::NodeBudget { max_nodes: 12, cores_per_node: 32 },
                 top_k: 0,
                 steps: 6,
                 workloads: Workloads::Small,
@@ -2137,8 +2187,32 @@ mod tests {
         }
     }
 
-    fn big_space_total() -> usize {
-        scheduler::enumerate_placements(&scheduler::EnsembleShape::uniform(5, 4, 1, 4), 8, 32).len()
+    /// The size of `big_score_request`'s space: Bell(12) = 4 213 597
+    /// partitions, less the 1 245 with a block of 9 or more
+    /// (220·5 + 66·2 + 12 + 1).
+    const BIG_SPACE_TOTAL: u64 = 4_212_352;
+
+    /// A score that holds the worker until the test cancels it: 14
+    /// four-core components on up to 14 nodes are ~1.9 × 10⁸ candidates
+    /// (seconds of enumeration alone in a release build), and `top_k` 1
+    /// keeps its memory constant however long it runs.
+    fn held_score_request(id: u64) -> Request {
+        let mut req = big_score_request(id);
+        if let RequestBody::Score(ref mut s) = req.body {
+            s.shape = scheduler::EnsembleShape::uniform(7, 4, 1, 4);
+            s.budget.max_nodes = 14;
+            s.top_k = 1;
+        }
+        req
+    }
+
+    /// Waits until a worker has picked up a job.
+    fn wait_in_flight(svc: &Service) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.metrics().in_flight == 0 {
+            assert!(Instant::now() < deadline, "worker never picked up the job");
+            std::thread::yield_now();
+        }
     }
 
     /// A score over a ~4k-candidate space: big enough for dozens of
@@ -2179,7 +2253,7 @@ mod tests {
             other => panic!("expected deadline error, got {other:?}"),
         }
         let scanned = svc.metrics().candidates_scanned;
-        let total = big_space_total() as u64;
+        let total = BIG_SPACE_TOTAL;
         assert!(
             scanned < total / 2,
             "the scan must stop well short of the full space: {scanned} of {total}"
@@ -2193,18 +2267,14 @@ mod tests {
         let pending = svc.submit(big_score_request(2)).unwrap();
         // Wait until the scan is executing, then cancel: the probe
         // between chunks must abandon the remaining space.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.metrics().in_flight == 0 {
-            assert!(Instant::now() < deadline, "worker never picked up the job");
-            std::thread::yield_now();
-        }
+        wait_in_flight(&svc);
         pending.cancel();
         match pending.wait() {
             Response::Error { kind: ErrorKind::Cancelled, .. } => {}
             other => panic!("expected cancelled, got {other:?}"),
         }
         let scanned = svc.metrics().candidates_scanned;
-        let total = big_space_total() as u64;
+        let total = BIG_SPACE_TOTAL;
         assert!(scanned < total, "cancel must stop before the full space: {scanned} of {total}");
         assert_eq!(svc.metrics().cancelled, 1);
     }
@@ -2234,6 +2304,37 @@ mod tests {
             other => panic!("expected score result, got {other:?}"),
         }
         assert_eq!(svc.metrics().candidates_scanned, total, "hits add nothing");
+    }
+
+    #[test]
+    fn bounded_scores_prune_what_cannot_rank_and_full_rankings_prune_nothing() {
+        let svc = tiny_service(1, 4);
+        let total = medium_space_total() as u64;
+        let placements = |top_k: usize| {
+            let mut req = medium_score_request(top_k as u64);
+            if let RequestBody::Score(ref mut s) = req.body {
+                s.top_k = top_k;
+            }
+            match svc.submit(req).unwrap().wait() {
+                Response::ScoreResult { placements, cached, candidates_scanned, .. } => {
+                    assert!(!cached);
+                    assert_eq!(candidates_scanned, total, "pruned candidates still count");
+                    placements
+                }
+                other => panic!("expected score result, got {other:?}"),
+            }
+        };
+        // Bounded first: a full ranking in the cache would answer it.
+        let bounded = placements(10);
+        let pruned = svc.metrics().candidates_pruned;
+        assert!(pruned > total / 2, "most of the space cannot rank: {pruned} of {total}");
+        let full = placements(0);
+        assert_eq!(svc.metrics().candidates_pruned, pruned, "a full ranking prunes nothing");
+        assert_eq!(bounded.len(), 10);
+        for (b, f) in bounded.iter().zip(full.iter()) {
+            assert_eq!(b.assignment, f.assignment);
+            assert_eq!(b.objective.to_bits(), f.objective.to_bits());
+        }
     }
 
     #[test]

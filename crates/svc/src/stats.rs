@@ -93,6 +93,10 @@ pub struct SvcStats {
     /// score requests (cache hits add nothing; cancelled scans add only
     /// what they actually evaluated).
     pub candidates_scanned: AtomicU64,
+    /// Of those, candidates a bounded (`top_k`) scan skipped unevaluated
+    /// because their objective bound could not reach the K-th best:
+    /// `candidates_scanned − candidates_pruned` is the scoring work.
+    pub candidates_pruned: AtomicU64,
     /// Per-node interference solves served from the delta evaluator's
     /// occupancy-signature cache across all score scans.
     pub delta_solve_hits: AtomicU64,
@@ -183,6 +187,8 @@ pub struct MetricsSnapshot {
     pub cache_entries: usize,
     /// Placement candidates evaluated by the scan engine, cumulative.
     pub candidates_scanned: u64,
+    /// Scanned candidates a bounded scan skipped unevaluated, cumulative.
+    pub candidates_pruned: u64,
     /// Delta-evaluator per-node solves served from the signature cache.
     pub delta_solve_hits: u64,
     /// Delta-evaluator per-node solves actually run.
@@ -318,6 +324,7 @@ impl MetricsSnapshot {
             ("cache_entries", self.cache_entries as f64),
             ("cache_hit_rate", self.cache_hit_rate()),
             ("candidates_scanned", self.candidates_scanned as f64),
+            ("candidates_pruned", self.candidates_pruned as f64),
             ("delta_solve_hits", self.delta_solve_hits as f64),
             ("delta_solve_misses", self.delta_solve_misses as f64),
             ("delta_members_recomputed", self.delta_members_recomputed as f64),
@@ -465,6 +472,7 @@ mod tests {
             cache_misses: 1,
             cache_entries: 1,
             candidates_scanned: 42,
+            candidates_pruned: 31,
             delta_solve_hits: 9,
             delta_solve_misses: 3,
             delta_members_recomputed: 27,
@@ -521,13 +529,14 @@ mod tests {
         };
         assert!((snap.cache_hit_rate() - 0.75).abs() < 1e-12);
         let rows = snap.rows();
-        assert_eq!(rows.len(), 49);
+        assert_eq!(rows.len(), 50);
         let all = snap.all_rows();
-        assert_eq!(all.len(), 49 + 22, "eleven rows per tagged tenant");
+        assert_eq!(all.len(), 50 + 22, "eleven rows per tagged tenant");
         let csv = snap.to_csv();
         assert!(csv.starts_with("metric,value\n"));
         assert!(csv.contains("cache_hit_rate,0.75"));
         assert!(csv.contains("candidates_scanned,42"));
+        assert!(csv.contains("candidates_pruned,31"));
         assert!(csv.contains("delta_solve_hits,9"));
         assert!(csv.contains("delta_solve_misses,3"));
         assert!(csv.contains("delta_members_recomputed,27"));

@@ -58,19 +58,20 @@ fn medium_space_total() -> u64 {
         as u64
 }
 
-/// A score over a space large enough (a hundred thousand placements)
-/// that a watcher disconnecting mid-stream observably stops the scan
-/// far short of completion. Only used where the scan is cancelled — a
-/// full scan of this space takes minutes in debug builds.
+/// A score over a space no scan finishes within a test's patience, in
+/// any build — 14 four-core components on up to 14 nodes, seconds of
+/// enumeration alone even with most candidates pruned — so it stays in
+/// flight until its watcher disconnects. Only used where the scan is
+/// cancelled.
 fn big_score_request(id: u64) -> Request {
     Request {
         id,
         deadline: None,
-        progress: Some(ProgressSpec { every_candidates: Some(64), every_ms: None }),
+        progress: Some(ProgressSpec { every_candidates: Some(4096), every_ms: None }),
         tenant: None,
         body: RequestBody::Score(ScoreRequest {
-            shape: scheduler::EnsembleShape::uniform(5, 4, 1, 4),
-            budget: scheduler::NodeBudget { max_nodes: 8, cores_per_node: 32 },
+            shape: scheduler::EnsembleShape::uniform(7, 4, 1, 4),
+            budget: scheduler::NodeBudget { max_nodes: 14, cores_per_node: 32 },
             top_k: 16,
             steps: 6,
             workloads: Workloads::Small,
@@ -79,10 +80,10 @@ fn big_score_request(id: u64) -> Request {
     }
 }
 
-fn big_space_total() -> u64 {
-    scheduler::enumerate_placements(&scheduler::EnsembleShape::uniform(5, 4, 1, 4), 8, 32).len()
-        as u64
-}
+/// The size of `big_score_request`'s space: the set partitions of 14
+/// with no block above 8 (a 32-core node holds 8 components), Bell(14)
+/// = 190 899 322 less the 121 136 with a block of 9 or more.
+const BIG_SPACE_TOTAL: u64 = 190_778_186;
 
 /// A DES run long enough to hold a worker while other requests arrive.
 /// Unlike a score, its duration does not shrink as the scan path gets
@@ -257,7 +258,7 @@ fn watcher_disconnecting_after_the_first_frame_cancels_the_scan() {
         std::thread::sleep(Duration::from_millis(20));
     }
     let scanned = metric(&mut probe, "candidates_scanned") as u64;
-    let total = big_space_total();
+    let total = BIG_SPACE_TOTAL;
     assert!(
         scanned < total / 2,
         "the abandoned scan must stop well short of the space: {scanned} of {total}"
