@@ -29,6 +29,12 @@ pub fn makespan(times: &MemberStageTimes, n_steps: u64) -> f64 {
     n_steps as f64 * sigma_star(times)
 }
 
+/// Eq. 4 for every coupling: `Rʲ* + Aʲ* ≤ S* + W*` (within 1e-12 s), so
+/// the simulation never waits for an analysis.
+pub fn satisfies_eq4(times: &MemberStageTimes) -> bool {
+    times.analyses.iter().all(|a| a.busy() <= times.sim_busy() + 1e-12)
+}
+
 /// Steady-state idle-stage durations derived from `σ̄*` (§3.3):
 /// `Iˢ* = σ̄* − (S* + W*)` and `Iᴬⁱ* = σ̄* − (Rⁱ* + Aⁱ*)`.
 #[derive(Debug, Clone, PartialEq)]

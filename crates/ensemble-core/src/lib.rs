@@ -47,10 +47,12 @@ pub use efficiency::{coupling_efficiency, efficiency, efficiency_from_idle};
 pub use ensemble::EnsembleSpec;
 pub use error::ModelError;
 pub use indicator::{indicator, p_u, p_ua, p_uap, IndicatorPath, MemberInputs};
-pub use insitu_step::{coupling_scenario, idle_times, makespan, sigma_star, CouplingScenario};
+pub use insitu_step::{
+    coupling_scenario, idle_times, makespan, satisfies_eq4, sigma_star, CouplingScenario,
+};
 pub use member::MemberSpec;
 pub use objective::{aggregate, objective, Aggregation};
-pub use placement::placement_indicator;
+pub use placement::{placement_indicator, placement_indicator_on};
 pub use stage::{AnalysisStageTimes, MemberStageTimes, StageGroup, StageKind};
 pub use steady_state::{extract_steady_state, MemberStepSamples, WarmupPolicy};
 pub use whatif::{factor_to_unblock, what_if, Change};

@@ -7,24 +7,31 @@
 //! `CPᵢ = 1` iff every analysis is co-located with its simulation;
 //! values sink toward 0 as components spread over dedicated nodes.
 
-use std::collections::BTreeSet;
-
 use crate::member::MemberSpec;
 
 /// Eq. 6 for one member.
 pub fn placement_indicator(member: &MemberSpec) -> f64 {
-    let k = member.k();
+    let sim = &member.simulation.nodes;
+    eq6(sim.len(), member.analyses.iter().map(|a| sim.union(&a.nodes).count()))
+}
+
+/// Eq. 6 for a member of single-node components, on node labels alone:
+/// the simulation on `sim_node`, analysis `j` on `analysis_nodes[j]`.
+/// Inlined: a pruned scan candidate's bound calls it once per member.
+#[inline]
+pub fn placement_indicator_on(sim_node: usize, analysis_nodes: &[usize]) -> f64 {
+    eq6(1, analysis_nodes.iter().map(|&a| if a == sim_node { 1 } else { 2 }))
+}
+
+/// `|s| / K · Σⱼ 1 / |s ∪ aʲ|` from `|s|` and each coupling's `|s ∪ aʲ|`.
+fn eq6(sim_nodes: usize, unions: impl ExactSizeIterator<Item = usize>) -> f64 {
+    let k = unions.len();
     assert!(k > 0, "placement indicator requires at least one coupling");
-    let s_size = member.simulation.nodes.len() as f64;
-    let sum: f64 = member
-        .analyses
-        .iter()
-        .map(|a| {
-            let union: BTreeSet<usize> = member.simulation.nodes.union(&a.nodes).copied().collect();
-            1.0 / union.len() as f64
-        })
-        .sum();
-    s_size / k as f64 * sum
+    let mut sum = 0.0f64;
+    for union in unions {
+        sum += 1.0 / union as f64;
+    }
+    sim_nodes as f64 / k as f64 * sum
 }
 
 #[cfg(test)]

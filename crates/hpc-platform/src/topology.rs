@@ -18,6 +18,57 @@ pub enum BindPolicy {
     Compact,
 }
 
+impl BindPolicy {
+    /// Takes `cores` for one component on `node` out of the node's free
+    /// cores per socket: the socket split of every allocation, on a
+    /// [`Platform`] and in every closed-form replay of one.
+    pub fn allocate(
+        self,
+        node: usize,
+        free_per_socket: &mut [u32],
+        cores: u32,
+    ) -> Result<CoreAllocation, PlatformError> {
+        if cores == 0 {
+            return Err(PlatformError::EmptyAllocation);
+        }
+        let available: u32 = free_per_socket.iter().sum();
+        if cores > available {
+            return Err(PlatformError::InsufficientCores { node, requested: cores, available });
+        }
+        let sockets = free_per_socket.len();
+        let mut per_socket = vec![0u32; sockets];
+        let mut remaining = cores;
+        match self {
+            BindPolicy::Spread => {
+                // Round-robin across sockets, skipping exhausted ones.
+                let mut s = 0usize;
+                while remaining > 0 {
+                    if free_per_socket[s] > per_socket[s] {
+                        per_socket[s] += 1;
+                        remaining -= 1;
+                    }
+                    s = (s + 1) % sockets;
+                }
+            }
+            BindPolicy::Compact => {
+                // Fill sockets in index order.
+                for (slot, &free) in per_socket.iter_mut().zip(free_per_socket.iter()) {
+                    let take = remaining.min(free);
+                    *slot = take;
+                    remaining -= take;
+                    if remaining == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        for (free, taken) in free_per_socket.iter_mut().zip(&per_socket) {
+            *free -= taken;
+        }
+        Ok(CoreAllocation { node, per_socket })
+    }
+}
+
 /// A set of physical cores granted to one component on one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreAllocation {
@@ -99,54 +150,9 @@ impl Platform {
         cores: u32,
         policy: BindPolicy,
     ) -> Result<CoreAllocation, PlatformError> {
-        if cores == 0 {
-            return Err(PlatformError::EmptyAllocation);
-        }
-        let nodes_len = self.nodes.len();
-        let state = self
-            .nodes
-            .get_mut(node)
-            .ok_or(PlatformError::UnknownNode { node, nodes: nodes_len })?;
-        let available: u32 = state.free_per_socket.iter().sum();
-        if cores > available {
-            return Err(PlatformError::InsufficientCores { node, requested: cores, available });
-        }
-        let sockets = state.free_per_socket.len();
-        let mut per_socket = vec![0u32; sockets];
-        let mut remaining = cores;
-        match policy {
-            BindPolicy::Spread => {
-                // Round-robin across sockets, skipping exhausted ones.
-                let mut s = 0usize;
-                let mut stalled = 0usize;
-                while remaining > 0 {
-                    if state.free_per_socket[s] > per_socket[s] {
-                        per_socket[s] += 1;
-                        remaining -= 1;
-                        stalled = 0;
-                    } else {
-                        stalled += 1;
-                        debug_assert!(stalled <= sockets, "allocation accounting broken");
-                    }
-                    s = (s + 1) % sockets;
-                }
-            }
-            BindPolicy::Compact => {
-                // Fill sockets in index order.
-                for (slot, &free) in per_socket.iter_mut().zip(&state.free_per_socket) {
-                    let take = remaining.min(free);
-                    *slot = take;
-                    remaining -= take;
-                    if remaining == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        for (s, taken) in per_socket.iter().enumerate() {
-            state.free_per_socket[s] -= taken;
-        }
-        Ok(CoreAllocation { node, per_socket })
+        let nodes = self.nodes.len();
+        let state = self.nodes.get_mut(node).ok_or(PlatformError::UnknownNode { node, nodes })?;
+        policy.allocate(node, &mut state.free_per_socket, cores)
     }
 
     /// Returns the cores of an allocation to the free pool.

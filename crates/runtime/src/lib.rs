@@ -42,8 +42,8 @@ pub use predictor::{predict, predict_scores};
 pub use report_builder::{build_report, build_summary_report, build_threaded_report};
 pub use runner::EnsembleRunner;
 pub use sim_exec::{
-    run_simulated, run_summarized, CouplingMode, SimExecution, SimRunConfig,
-    MAX_SIM_COMPONENT_STEPS, MAX_SIM_NODES, MAX_SIM_STEPS,
+    run_simulated, run_summarized, CouplingMode, NodeSolver, SimExecution, SimRunConfig,
+    StagingPrices, MAX_SIM_COMPONENT_STEPS, MAX_SIM_NODES, MAX_SIM_STEPS,
 };
 pub use thread_exec::{run_threaded, KernelChoice, MemberOutcome, RestartPolicy, ThreadRunConfig};
 pub use workload_map::WorkloadMap;

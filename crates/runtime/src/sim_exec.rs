@@ -1,22 +1,25 @@
 //! Simulated execution: runs a workflow ensemble on the modeled platform
 //! with the discrete-event engine.
 //!
-//! Per node, the interference model solves the steady-state compute-stage
-//! durations of all co-resident components; the staging cost model prices
-//! the `W`/`R` stages from chunk size and data locality (DIMES: chunks
-//! homed on the producer's node). The DES then plays out the synchronous
+//! Per node, [`NodeSolver`] splits each component's cores over the
+//! sockets, solves the steady-state compute-stage durations of all
+//! co-resident components, and slows them down if the node's draw breaks
+//! the power cap; [`StagingPrices`] prices the `W`/`R` stages from chunk
+//! size and data locality. Both are the only derivation of a stage time
+//! in the workspace: the closed-form predictor and the scheduler's delta
+//! evaluator call them too. The DES then plays out the synchronous
 //! coupling protocol — simulations and analyses as resumable processes
 //! rendezvousing through per-member [`StepProtocol`]s — and records the
 //! same stage trace the threaded runtime produces, in virtual time.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dtl::protocol::{ReaderId, StepProtocol};
 use dtl::transport::StagingCostModel;
-use ensemble_core::{ComponentRef, EnsembleSpec, StageKind};
+use ensemble_core::{AnalysisStageTimes, ComponentRef, EnsembleSpec, MemberStageTimes, StageKind};
 use hpc_platform::{
     BindPolicy, CoreAllocation, InterferenceModel, NetworkSpec, NodeSpec, PerfEstimate,
-    PlacedWorkload, Platform,
+    PlacedWorkload, PowerModel, Workload,
 };
 use kernels::rng::Xoshiro256;
 use metrics::{ExecutionTrace, StageSink, StageSummary};
@@ -72,7 +75,7 @@ pub struct SimRunConfig {
     pub coupling: CouplingMode,
     /// Node power model (used when a cap is set and for energy
     /// accounting).
-    pub power_model: hpc_platform::PowerModel,
+    pub power_model: PowerModel,
     /// Per-node power cap in watts; nodes drawing more are
     /// frequency-scaled down (SeeSAw-style power-constrained runs).
     pub power_cap_watts: Option<f64>,
@@ -96,7 +99,7 @@ impl SimRunConfig {
             staging_capacity: 1,
             force_remote_reads: false,
             coupling: CouplingMode::Synchronous,
-            power_model: hpc_platform::PowerModel::default(),
+            power_model: PowerModel::default(),
             power_cap_watts: None,
         }
     }
@@ -118,8 +121,7 @@ pub const MAX_SIM_STEPS: u64 = 100_000;
 pub const MAX_SIM_COMPONENT_STEPS: u64 = 6 * MAX_SIM_STEPS;
 
 /// The most nodes a simulated run addresses: component node labels are
-/// `0..MAX_SIM_NODES`. The platform holds one entry per node up to the
-/// largest label, and labels reach this crate straight off the
+/// `0..MAX_SIM_NODES`. Labels reach this crate straight off the
 /// service's wire ([`RuntimeError::NodeOutOfRange`]). Cori has some
 /// twelve thousand nodes.
 pub const MAX_SIM_NODES: usize = 100_000;
@@ -484,9 +486,10 @@ pub fn run_simulated_observed(
     on_step: &mut dyn FnMut(usize, u64),
 ) -> RuntimeResult<SimExecution> {
     let solved = solve(cfg)?;
+    let budget = event_budget(cfg)?;
     // A component records at most three stages per step (idle included).
     let intervals = Vec::with_capacity(solved.allocations.len() * cfg.n_steps as usize * 3);
-    let (intervals, lost_frames, _) = play(cfg, &solved, intervals, on_step);
+    let (intervals, lost_frames, _) = play(cfg, &solved, budget, intervals, on_step);
     Ok(SimExecution {
         trace: ExecutionTrace::new(intervals),
         estimates: solved.estimates,
@@ -507,61 +510,164 @@ pub fn run_summarized(
     on_step: &mut dyn FnMut(usize, u64),
 ) -> RuntimeResult<SimSummary> {
     let solved = solve(cfg)?;
+    let budget = event_budget(cfg)?;
     let stages = StageSummary::new(cfg.spec.members.iter().map(|m| m.k()), cfg.n_steps as usize);
-    let (stages, lost_frames, events) = play(cfg, &solved, stages, on_step);
+    let (stages, lost_frames, events) = play(cfg, &solved, budget, stages, on_step);
     Ok(SimSummary { stages, estimates: solved.estimates, lost_frames, events })
 }
 
-/// An empty platform reaching the largest node label of `cfg`'s
-/// ensemble, refused when that label is not below [`MAX_SIM_NODES`].
-pub(crate) fn platform_for(cfg: &SimRunConfig) -> RuntimeResult<Platform> {
-    let num_nodes = match cfg.spec.node_set().last() {
-        Some(&node) if node >= MAX_SIM_NODES => {
-            return Err(RuntimeError::NodeOutOfRange { node, max: MAX_SIM_NODES });
+/// What settles one node's compute stages, apart from who is resident
+/// on it: the hardware, the contention model, the socket binding and
+/// the power cap. Every step time is derived by [`NodeSolver::solve`]:
+/// the DES's, a prediction's and the scheduler's delta evaluator's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeSolver {
+    node_spec: NodeSpec,
+    interference: InterferenceModel,
+    bind_policy: BindPolicy,
+    power_model: PowerModel,
+    power_cap_watts: Option<f64>,
+}
+
+/// One node's steady state, residents in the order they were allocated.
+#[derive(Debug, Clone)]
+pub struct SolvedNode {
+    /// Each resident's cores and workload.
+    pub placed: Vec<PlacedWorkload>,
+    /// Each resident's steady state, the cap's slowdown applied.
+    pub estimates: Vec<PerfEstimate>,
+    /// The node's draw before any cap, watts.
+    pub watts: f64,
+}
+
+impl NodeSolver {
+    /// The node model of `cfg`'s platform.
+    pub fn of(cfg: &SimRunConfig) -> Self {
+        NodeSolver {
+            node_spec: cfg.node_spec.clone(),
+            interference: cfg.interference.clone(),
+            bind_policy: cfg.bind_policy,
+            power_model: cfg.power_model.clone(),
+            power_cap_watts: cfg.power_cap_watts,
         }
-        Some(&node) => node + 1,
-        None => 0,
-    };
-    Ok(Platform::new(num_nodes, cfg.node_spec.clone(), cfg.network.clone()))
+    }
+
+    /// Solves node `node` with `residents` — `(workload, cores)` —
+    /// allocated on it in order: each allocation's socket split, the
+    /// interference solve, the node's power draw, then the cap's DVFS
+    /// slowdown on every resident.
+    pub fn solve<'w>(
+        &self,
+        node: usize,
+        residents: impl Iterator<Item = (&'w Workload, u32)>,
+    ) -> RuntimeResult<SolvedNode> {
+        let mut free = vec![self.node_spec.cores_per_socket; self.node_spec.sockets as usize];
+        let placed = residents
+            .map(|(workload, cores)| {
+                let alloc = self.bind_policy.allocate(node, &mut free, cores)?;
+                Ok(PlacedWorkload { alloc, workload: workload.clone() })
+            })
+            .collect::<RuntimeResult<Vec<_>>>()?;
+        let mut estimates = self.interference.solve_node(&self.node_spec, &placed, &[]);
+        let busy_cores: u32 = placed.iter().map(|p| p.alloc.total_cores()).sum();
+        let traffic: f64 = estimates
+            .iter()
+            .map(|est| est.dram_bytes_per_step / est.seconds_per_step.max(f64::MIN_POSITIVE))
+            .sum();
+        let watts = self.power_model.node_watts(busy_cores, traffic);
+        if let Some(cap) = self.power_cap_watts {
+            let slowdown = self.power_model.cap_slowdown(watts, cap);
+            if slowdown > 1.0 {
+                for est in &mut estimates {
+                    est.seconds_per_step *= slowdown;
+                }
+            }
+        }
+        Ok(SolvedNode { placed, estimates, watts })
+    }
+}
+
+/// What the staging stages cost: `W*` and `R*` from the chunk size and
+/// data locality (DIMES: chunks homed on the producer's node), for the
+/// DES and every closed form alike.
+#[derive(Debug, Clone)]
+pub struct StagingPrices {
+    cost: StagingCostModel,
+    chunk: u64,
+    /// How many nodes past the simulation's a co-located read is priced
+    /// from: 0, or 1 under the data-locality ablation.
+    colocated_offset: usize,
+}
+
+impl StagingPrices {
+    /// The staging prices of `cfg`'s platform and workloads.
+    pub fn of(cfg: &SimRunConfig) -> Self {
+        StagingPrices {
+            cost: StagingCostModel::from_platform(&cfg.node_spec, &cfg.network),
+            chunk: cfg.workloads.chunk_bytes,
+            colocated_offset: usize::from(cfg.force_remote_reads),
+        }
+    }
+
+    /// `W*` of a simulation on `sim_node`, which stages into its own node.
+    pub fn write_seconds(&self, sim_node: usize) -> f64 {
+        self.cost.write_seconds(self.chunk, sim_node, sim_node)
+    }
+
+    /// `R*` of an analysis on `ana_node` reading a chunk homed on
+    /// `sim_node`.
+    pub fn read_seconds(&self, sim_node: usize, ana_node: usize) -> f64 {
+        let reader = if ana_node == sim_node { sim_node + self.colocated_offset } else { ana_node };
+        self.cost.read_seconds(self.chunk, sim_node, reader)
+    }
 }
 
 /// What is settled before the first event: where every component runs
-/// and how fast.
-struct Solved {
-    estimates: HashMap<ComponentRef, PerfEstimate>,
+/// and how long each of its stages takes.
+pub(crate) struct Solved {
+    pub(crate) estimates: HashMap<ComponentRef, PerfEstimate>,
     allocations: HashMap<ComponentRef, CoreAllocation>,
-    component_node: HashMap<ComponentRef, usize>,
     node_power_watts: HashMap<usize, f64>,
-    /// Events the DES may fire before the run counts as livelocked.
-    event_budget: u64,
+    staging: StagingPrices,
 }
 
-/// Validates the run, places every component and solves each node's
-/// steady state.
-fn solve(cfg: &SimRunConfig) -> RuntimeResult<Solved> {
+impl Solved {
+    /// Member `i`'s stage durations at zero jitter: what [`play`] sleeps
+    /// in `S`, `W`, and each analysis's `R` and `A`.
+    pub(crate) fn stage_times(&self, cfg: &SimRunConfig, i: usize) -> MemberStageTimes {
+        let sim = ComponentRef::simulation(i);
+        let sim_node = self.allocations[&sim].node;
+        let analyses = (1..=cfg.spec.members[i].k())
+            .map(|j| {
+                let ana = ComponentRef::analysis(i, j);
+                AnalysisStageTimes {
+                    r: self.staging.read_seconds(sim_node, self.allocations[&ana].node),
+                    a: self.estimates[&ana].seconds_per_step,
+                }
+            })
+            .collect();
+        MemberStageTimes {
+            s: self.estimates[&sim].seconds_per_step,
+            w: self.staging.write_seconds(sim_node),
+            analyses,
+        }
+    }
+}
+
+/// Validates the run, places every component on its node and solves
+/// each node's steady state: the DES's whole derivation of what its
+/// stages cost, and all a prediction needs.
+pub(crate) fn solve(cfg: &SimRunConfig) -> RuntimeResult<Solved> {
     cfg.spec.validate(Some(cfg.node_spec.cores_per_node()))?;
     if cfg.n_steps == 0 {
         return Err(RuntimeError::NoSamples);
     }
-    // Nothing below may be sized by a step count or a component-step
-    // product the caps have not admitted.
-    let components: u64 = cfg.spec.members.iter().map(|m| 1 + m.k() as u64).sum();
-    let max_steps = MAX_SIM_STEPS.min(MAX_SIM_COMPONENT_STEPS / components.max(1));
-    let too_many = RuntimeError::TooManySteps { requested: cfg.n_steps, max: max_steps };
-    if cfg.n_steps > max_steps {
-        return Err(too_many);
+    if let Some(&node) = cfg.spec.node_set().last().filter(|&&node| node >= MAX_SIM_NODES) {
+        return Err(RuntimeError::NodeOutOfRange { node, max: MAX_SIM_NODES });
     }
-    // Livelock guard: each component needs a handful of events per step.
-    let event_budget = components
-        .checked_mul(cfg.n_steps)
-        .and_then(|n| n.checked_mul(16))
-        .and_then(|n| n.checked_add(10_000))
-        .ok_or(too_many)?;
 
-    // --- Placement: allocate cores for every component. ---
-    let mut platform = platform_for(cfg)?;
-    let mut allocations: HashMap<ComponentRef, CoreAllocation> = HashMap::new();
-    let mut component_node: HashMap<ComponentRef, usize> = HashMap::new();
+    // --- Placement: each node's residents, in flat component order. ---
+    let mut residents: BTreeMap<usize, Vec<(ComponentRef, u32)>> = BTreeMap::new();
     for (i, member) in cfg.spec.members.iter().enumerate() {
         let components = std::iter::once((ComponentRef::simulation(i), &member.simulation)).chain(
             member.analyses.iter().enumerate().map(|(j, a)| (ComponentRef::analysis(i, j + 1), a)),
@@ -571,67 +677,62 @@ fn solve(cfg: &SimRunConfig) -> RuntimeResult<Solved> {
                 return Err(RuntimeError::MultiNodeComponent { component: cref.to_string() });
             }
             let node = *comp.nodes.iter().next().expect("validated non-empty");
-            let alloc = platform.allocate(node, comp.cores, cfg.bind_policy)?;
-            allocations.insert(cref, alloc);
-            component_node.insert(cref, node);
+            residents.entry(node).or_default().push((cref, comp.cores));
         }
     }
 
-    // --- Contention: solve the steady state per node. ---
-    let mut by_node: HashMap<usize, Vec<(ComponentRef, PlacedWorkload)>> = HashMap::new();
-    for (cref, workload) in cfg.workloads.assignments(&cfg.spec) {
-        let alloc = allocations[&cref].clone();
-        by_node.entry(alloc.node).or_default().push((cref, PlacedWorkload { alloc, workload }));
-    }
-    let mut estimates: HashMap<ComponentRef, PerfEstimate> = HashMap::new();
-    for placed in by_node.values() {
-        let workloads: Vec<PlacedWorkload> = placed.iter().map(|(_, p)| p.clone()).collect();
-        let solved = cfg.interference.solve_node(&cfg.node_spec, &workloads, &[]);
-        for ((cref, _), est) in placed.iter().zip(solved) {
-            estimates.insert(*cref, est);
+    // --- Contention and power: the steady state per node. ---
+    let solver = NodeSolver::of(cfg);
+    let mut solved = Solved {
+        estimates: HashMap::new(),
+        allocations: HashMap::new(),
+        node_power_watts: HashMap::new(),
+        staging: StagingPrices::of(cfg),
+    };
+    for (node, residents) in residents {
+        let workloads =
+            residents.iter().map(|&(cref, cores)| (cfg.workloads.workload_for(cref), cores));
+        let state = solver.solve(node, workloads)?;
+        solved.node_power_watts.insert(node, state.watts);
+        for ((cref, _), (placed, est)) in
+            residents.into_iter().zip(state.placed.into_iter().zip(state.estimates))
+        {
+            solved.allocations.insert(cref, placed.alloc);
+            solved.estimates.insert(cref, est);
         }
     }
+    Ok(solved)
+}
 
-    // --- Power draw per node; apply the cap as a DVFS slowdown. ---
-    let mut node_power_watts: HashMap<usize, f64> = HashMap::new();
-    for (&node, placed) in &by_node {
-        let busy_cores: u32 = placed.iter().map(|(_, p)| p.alloc.total_cores()).sum();
-        let traffic: f64 = placed
-            .iter()
-            .map(|(cref, _)| {
-                let est = &estimates[cref];
-                est.dram_bytes_per_step / est.seconds_per_step.max(f64::MIN_POSITIVE)
-            })
-            .sum();
-        let draw = cfg.power_model.node_watts(busy_cores, traffic);
-        node_power_watts.insert(node, draw);
-        if let Some(cap) = cfg.power_cap_watts {
-            let slowdown = cfg.power_model.cap_slowdown(draw, cap);
-            if slowdown > 1.0 {
-                for (cref, _) in placed {
-                    estimates.get_mut(cref).expect("solved above").seconds_per_step *= slowdown;
-                }
-            }
-        }
+/// The events a DES run of `cfg` may fire before it counts as
+/// livelocked, refused when its step count breaks a cap: nothing the
+/// event loop holds may be sized by a step count or a component-step
+/// product the caps have not admitted.
+fn event_budget(cfg: &SimRunConfig) -> RuntimeResult<u64> {
+    let components: u64 = cfg.spec.members.iter().map(|m| 1 + m.k() as u64).sum();
+    let max_steps = MAX_SIM_STEPS.min(MAX_SIM_COMPONENT_STEPS / components.max(1));
+    let too_many = RuntimeError::TooManySteps { requested: cfg.n_steps, max: max_steps };
+    if cfg.n_steps > max_steps {
+        return Err(too_many);
     }
-
-    Ok(Solved { estimates, allocations, component_node, node_power_watts, event_budget })
+    // Each component needs a handful of events per step.
+    components
+        .checked_mul(cfg.n_steps)
+        .and_then(|n| n.checked_mul(16))
+        .and_then(|n| n.checked_add(10_000))
+        .ok_or(too_many)
 }
 
 /// Plays the coupling protocol out on the DES, every component recording
-/// into `sink`. Returns the sink, the frames each member lost and the
-/// number of events fired.
+/// into `sink`, with at most `event_budget` events. Returns the sink, the
+/// frames each member lost and the number of events fired.
 fn play<K: StageSink>(
     cfg: &SimRunConfig,
     solved: &Solved,
+    event_budget: u64,
     sink: K,
     on_step: &mut dyn FnMut(usize, u64),
 ) -> (K, Vec<u64>, u64) {
-    let Solved { estimates, component_node, event_budget, .. } = solved;
-    // --- Staging costs (W/R stages) from locality. ---
-    let cost = StagingCostModel::from_platform(&cfg.node_spec, &cfg.network);
-    let chunk = cfg.workloads.chunk_bytes;
-
     // --- Build the DES processes. ---
     let state = SimState {
         couplings: cfg
@@ -657,30 +758,19 @@ fn play<K: StageSink>(
     };
     let mut engine = Engine::new(state);
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
-    for (i, member) in cfg.spec.members.iter().enumerate() {
-        let sim_ref = ComponentRef::simulation(i);
-        let sim_node = component_node[&sim_ref];
-        let sim_est = &estimates[&sim_ref];
+    for i in 0..cfg.spec.members.len() {
+        let stages = solved.stage_times(cfg, i);
         engine.spawn(Box::new(SimProc {
             member: i,
             steps: cfg.n_steps,
             step: 0,
             phase: SimPhase::StartStep,
-            compute_secs: jittered(sim_est.seconds_per_step, cfg.n_steps, cfg.jitter, &mut rng),
-            write_secs: cost.write_seconds(chunk, sim_node, sim_node),
+            compute_secs: jittered(stages.s, cfg.n_steps, cfg.jitter, &mut rng),
+            write_secs: stages.w,
             stage_started: 0.0,
             idle_started: 0.0,
         }));
-        for j in 1..=member.k() {
-            let ana_ref = ComponentRef::analysis(i, j);
-            let ana_node = component_node[&ana_ref];
-            let ana_est = &estimates[&ana_ref];
-            let read_secs = if cfg.force_remote_reads && ana_node == sim_node {
-                // Locality ablation: price the read as if one hop away.
-                cost.read_seconds(chunk, sim_node, sim_node + 1)
-            } else {
-                cost.read_seconds(chunk, sim_node, ana_node)
-            };
+        for (j, ana) in (1..).zip(&stages.analyses) {
             engine.spawn(Box::new(AnaProc {
                 member: i,
                 slot: j,
@@ -689,15 +779,15 @@ fn play<K: StageSink>(
                 consumed: 0,
                 current_frame: 0,
                 phase: AnaPhase::StartStep,
-                read_secs,
-                compute_secs: jittered(ana_est.seconds_per_step, cfg.n_steps, cfg.jitter, &mut rng),
+                read_secs: ana.r,
+                compute_secs: jittered(ana.a, cfg.n_steps, cfg.jitter, &mut rng),
                 stage_started: 0.0,
                 idle_started: 0.0,
             }));
         }
     }
 
-    engine.set_event_budget(*event_budget);
+    engine.set_event_budget(event_budget);
     let outcome = engine.run();
     debug_assert_eq!(outcome, RunOutcome::Quiescent, "simulated run did not drain");
     assert!(engine.all_finished(), "some components did not complete all steps");

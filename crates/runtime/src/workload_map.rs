@@ -1,7 +1,7 @@
 //! Assigns architectural workloads to ensemble components for the
 //! simulated execution mode.
 
-use ensemble_core::{ComponentRef, EnsembleSpec};
+use ensemble_core::ComponentRef;
 use hpc_platform::Workload;
 use kernels::profile;
 use std::collections::HashMap;
@@ -73,27 +73,11 @@ impl WorkloadMap {
         }
         out
     }
-
-    /// Enumerates `(component, workload)` for every component of `spec`,
-    /// members in order, simulation before analyses.
-    pub fn assignments(&self, spec: &EnsembleSpec) -> Vec<(ComponentRef, Workload)> {
-        let mut out = Vec::new();
-        for (i, member) in spec.members.iter().enumerate() {
-            let sim = ComponentRef::simulation(i);
-            out.push((sim, self.workload_for(sim).clone()));
-            for j in 1..=member.k() {
-                let ana = ComponentRef::analysis(i, j);
-                out.push((ana, self.workload_for(ana).clone()));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ensemble_core::ConfigId;
 
     #[test]
     fn defaults_split_by_kind() {
@@ -113,16 +97,6 @@ mod tests {
         assert_eq!(map.workload_for(ComponentRef::analysis(0, 1)), &slow);
         // Other analyses unaffected.
         assert_ne!(map.workload_for(ComponentRef::analysis(1, 1)), &slow);
-    }
-
-    #[test]
-    fn assignments_cover_every_component() {
-        let spec = ConfigId::C2_3.build();
-        let map = WorkloadMap::paper_defaults(800);
-        let a = map.assignments(&spec);
-        assert_eq!(a.len(), 6, "2 members × (1 sim + 2 analyses)");
-        assert!(a[0].0.is_simulation());
-        assert!(!a[1].0.is_simulation());
     }
 
     #[test]

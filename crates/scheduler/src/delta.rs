@@ -1,10 +1,10 @@
 //! Delta evaluation: incremental per-node scoring with bit-identical
 //! results.
 //!
-//! The closed-form score of a placement ([`crate::fast_eval`] →
-//! `runtime::predict`) re-derives everything per candidate: spec
-//! validation, a fresh `Platform`, two `HashMap<ComponentRef, …>`
-//! allocations, and an interference solve for every node. But the model
+//! The from-scratch score of a placement ([`crate::fast_eval`] →
+//! `runtime::predict`, the DES's own solve without the event loop)
+//! re-derives everything per candidate: spec validation, per-component
+//! `HashMap`s, and a node solve for every node. But the model
 //! is **node-local** — members interact only through node co-residency —
 //! and every search entry point feeds the evaluator candidates that
 //! barely differ: [`crate::enumerate::PlacementIter`] emits candidates
@@ -13,12 +13,13 @@
 //!
 //! [`DeltaEvaluator`] exploits both:
 //!
-//! * **Per-node solve memoization.** The interference solve of a node is
-//!   a pure function of the *ordered* sequence of `(workload, cores)`
-//!   resident on it — ordered, because the executor allocates cores in
-//!   flat component order and the socket split of each allocation
-//!   depends on what was placed before it on the same node, and because
-//!   the solver's floating-point sums run in placement order. Solves are
+//! * **Per-node solve memoization.** A node's solve (socket split,
+//!   interference, power cap: `runtime::NodeSolver`) is a pure function
+//!   of the *ordered* sequence of `(workload, cores)` resident on it —
+//!   ordered, because the executor allocates cores in flat component
+//!   order and the socket split of each allocation depends on what was
+//!   placed before it on the same node, and because the solver's
+//!   floating-point sums run in placement order. Solves are
 //!   cached under that sequence (the occupancy signature); a candidate
 //!   that differs from its predecessor only in a suffix re-solves only
 //!   the nodes whose occupancy changed, and signature collisions across
@@ -33,12 +34,12 @@
 //!   from-scratch path; steady-state evaluation allocates nothing.
 //!
 //! **Bit-identity.** The from-scratch result is reproduced exactly — not
-//! approximately — because the evaluator memoizes exactly the values the
-//! from-scratch path computes (per-component `seconds_per_step` out of
-//! the identical `solve_node` call, stage times out of the identical
-//! staging-cost calls) and re-folds the final objective with the same
-//! shared functions (`indicator`, `aggregate`, `sigma_star`, `makespan`,
-//! `efficiency`) over all members in member order on every call. No
+//! approximately — because the evaluator memoizes the values the DES
+//! itself derives, through the same calls (`runtime::NodeSolver::solve`
+//! per node, `runtime::StagingPrices` per stage) and re-folds the final
+//! objective with the same shared functions (`placement_indicator_on`,
+//! `aggregate`, `makespan`, `efficiency`, `satisfies_eq4`) over all
+//! members in member order on every call. No
 //! running-sum or algebraic shortcut is taken anywhere: `F(P)` is
 //! recomputed from the (mostly cached) per-member values with the exact
 //! op sequence of [`ensemble_core::aggregate`]. The O(members) re-fold
@@ -55,16 +56,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use dtl::transport::StagingCostModel;
 use ensemble_core::{
-    aggregate, efficiency, makespan, Aggregation, AnalysisStageTimes, ComponentRef,
-    MemberStageTimes,
+    aggregate, efficiency, makespan, placement_indicator_on, satisfies_eq4, Aggregation,
+    AnalysisStageTimes, ComponentRef, MemberStageTimes,
 };
-use hpc_platform::{
-    BindPolicy, CoreAllocation, InterferenceModel, NodeSpec, PlacedWorkload, PlatformError,
-    Workload,
-};
-use runtime::{RuntimeError, RuntimeResult, SimRunConfig};
+use hpc_platform::Workload;
+use runtime::{NodeSolver, RuntimeError, RuntimeResult, SimRunConfig, StagingPrices};
 
 use crate::enumerate::EnsembleShape;
 use crate::fast_eval::FastScore;
@@ -125,11 +122,12 @@ impl DeltaCounters {
 
 /// Node solves that outlive one evaluator: a bounded FIFO map from the
 /// ordered `(workload profile, cores)` sequence resident on a node to
-/// the per-component step times `solve_node` returned for it.
+/// the per-component step times [`NodeSolver::solve`] returned for it.
 ///
-/// A solve is a pure function of that sequence under one node
-/// specification, interference model and bind policy — the scope a
-/// cache is created for — so which evaluator, request or thread filled
+/// A solve is a pure function of that sequence under one
+/// [`NodeSolver`] — node specification, interference model, bind policy,
+/// power model and cap: the scope a cache is created for — so which
+/// evaluator, request or thread filled
 /// an entry cannot change a bit of any answer. Workload profiles are
 /// interned by value inside the cache: evaluators built over different
 /// workload maps get different ids for different profiles and can
@@ -141,9 +139,7 @@ impl DeltaCounters {
 /// per scan, not per candidate.
 #[derive(Debug)]
 pub struct SolveCache {
-    node_spec: NodeSpec,
-    interference: InterferenceModel,
-    bind_policy: BindPolicy,
+    node: NodeSolver,
     capacity: usize,
     inner: Mutex<SolveCacheInner>,
 }
@@ -165,13 +161,7 @@ impl SolveCache {
 
     /// [`SolveCache::new`] with an explicit bound (`0` stores nothing).
     pub fn with_capacity(base: &SimRunConfig, capacity: usize) -> Self {
-        SolveCache {
-            node_spec: base.node_spec.clone(),
-            interference: base.interference.clone(),
-            bind_policy: base.bind_policy,
-            capacity,
-            inner: Mutex::default(),
-        }
+        SolveCache { node: NodeSolver::of(base), capacity, inner: Mutex::default() }
     }
 
     /// Solves currently held.
@@ -181,13 +171,6 @@ impl SolveCache {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SolveCacheInner> {
         self.inner.lock().expect("a solve-cache holder panicked")
-    }
-
-    /// True when `base` scores on the platform this cache was built for.
-    fn serves(&self, base: &SimRunConfig) -> bool {
-        self.node_spec == base.node_spec
-            && self.interference == base.interference
-            && self.bind_policy == base.bind_policy
     }
 
     /// The id `workload` has in this cache's keys (interning it on
@@ -319,21 +302,13 @@ impl SignatureTable {
 #[derive(Debug, Clone)]
 pub struct DeltaEvaluator {
     // --- captured from the base configuration -------------------------
-    node_spec: NodeSpec,
-    interference: InterferenceModel,
-    cost: StagingCostModel,
-    chunk: u64,
+    node: NodeSolver,
+    staging: StagingPrices,
     n_steps: u64,
-    force_remote_reads: bool,
-    bind_policy: BindPolicy,
-    /// `W*` and a co-located `R*`: node-local staging costs the same on
-    /// every node, so both are computed once.
-    write_local: f64,
-    read_local: f64,
-    /// A remote `R*` per `(simulation node, analysis node)`, `NaN`
-    /// until first asked for: the route's latency costs two integer
-    /// divisions, and a scan asks about the same few routes throughout.
-    remote_read: Vec<f64>,
+    /// `R*` per `(simulation node, analysis node)`, `NaN` until first
+    /// asked for: a remote route's latency costs two integer divisions,
+    /// and a scan asks about the same few routes throughout.
+    read_seconds: Vec<f64>,
     // --- derived from the shape (fixed per evaluator) ------------------
     comp_cores: Vec<u32>,
     /// The distinct `(workload profile, cores)` pairs of the shape.
@@ -374,8 +349,6 @@ pub struct DeltaEvaluator {
     member_dirty: Vec<bool>,
     sig: Vec<u32>,
     seconds_scratch: Vec<f64>,
-    free_scratch: Vec<u32>,
-    placed_scratch: Vec<PlacedWorkload>,
     // --- occupancy-signature solve memo --------------------------------
     table: SignatureTable,
     /// The cache behind the table and, per kind, its word in that
@@ -464,26 +437,19 @@ impl DeltaEvaluator {
         let capacity = if packable { capacity } else { 0 };
         // A cache for another platform, or one out of workload ids, is
         // left alone: the evaluator then scores as a private one.
-        let shared = solves.filter(|cache| capacity > 0 && cache.serves(base)).and_then(|cache| {
+        let node = NodeSolver::of(base);
+        let shared = solves.filter(|cache| capacity > 0 && cache.node == node).and_then(|cache| {
             let words: Option<Vec<u32>> = kinds
                 .iter()
                 .map(|(workload, cores)| Some(u32::from(cache.profile_id(workload)?) << 16 | cores))
                 .collect();
             Some((Arc::clone(cache), words?))
         });
-        let cost = StagingCostModel::from_platform(&base.node_spec, &base.network);
-        let chunk = base.workloads.chunk_bytes;
         DeltaEvaluator {
-            node_spec: base.node_spec.clone(),
-            interference: base.interference.clone(),
-            write_local: cost.write_seconds(chunk, 0, 0),
-            read_local: cost.read_seconds(chunk, 0, 0),
-            cost,
-            chunk,
+            node,
+            staging: StagingPrices::of(base),
             n_steps: base.n_steps,
-            force_remote_reads: base.force_remote_reads,
-            bind_policy: base.bind_policy,
-            remote_read: Vec::new(),
+            read_seconds: Vec::new(),
             comp_cores,
             comp_kind,
             comp_member,
@@ -506,8 +472,6 @@ impl DeltaEvaluator {
             member_dirty: vec![false; members],
             sig: Vec::new(),
             seconds_scratch: Vec::new(),
-            free_scratch: Vec::new(),
-            placed_scratch: Vec::new(),
             table: SignatureTable::new(kinds.len(), capacity),
             kinds,
             shared,
@@ -693,7 +657,8 @@ impl DeltaEvaluator {
     fn objective_bound(&self, assignment: &[usize]) -> f64 {
         let mut sum = 0.0f64;
         for (&(start, end), &cores) in self.member_range.iter().zip(&self.member_cores) {
-            sum += placement_cp(assignment[start], &assignment[start + 1..end]) / cores as f64;
+            sum += placement_indicator_on(assignment[start], &assignment[start + 1..end])
+                / cores as f64;
         }
         sum / self.member_range.len() as f64 / distinct_nodes(assignment) as f64
             * (1.0 + BOUND_SLACK)
@@ -726,78 +691,21 @@ impl DeltaEvaluator {
             self.counters.solve_hits += 1;
         } else {
             self.counters.solve_misses += 1;
-            self.solve_node(nd)?;
+            let kinds = &self.kinds;
+            let residents = comps.iter().map(|&c| {
+                let (workload, cores) = &kinds[comp_kind[c] as usize];
+                (workload, *cores)
+            });
+            let solved = self.node.solve(nd, residents)?;
+            self.seconds_scratch.extend(solved.estimates.iter().map(|e| e.seconds_per_step));
             if let Some((cache, _)) = &self.shared {
                 cache.insert(&self.sig, &self.seconds_scratch);
             }
         }
-        let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
         for (&c, &s) in comps.iter().zip(&self.seconds_scratch) {
             self.comp_seconds[c] = s;
         }
-        self.table.store(comps.iter().map(|&c| self.comp_kind[c] as usize), &self.seconds_scratch);
-        Ok(())
-    }
-
-    /// Runs the interference solve of node `nd`'s residents into
-    /// `seconds_scratch`.
-    fn solve_node(&mut self, nd: usize) -> RuntimeResult<()> {
-        let n = self.comp_cores.len();
-        // Replay the executor's allocation protocol for this node: flat
-        // component order, shared free-core state, the exact
-        // Spread/Compact socket split of `Platform::allocate`.
-        let sockets = self.node_spec.sockets as usize;
-        self.free_scratch.clear();
-        self.free_scratch.extend(std::iter::repeat_n(self.node_spec.cores_per_socket, sockets));
-        self.placed_scratch.clear();
-        for &c in &self.node_comps[nd * n..nd * n + self.node_len[nd]] {
-            let cores = self.comp_cores[c];
-            if cores == 0 {
-                return Err(PlatformError::EmptyAllocation.into());
-            }
-            let available: u32 = self.free_scratch.iter().sum();
-            if cores > available {
-                return Err(PlatformError::InsufficientCores {
-                    node: nd,
-                    requested: cores,
-                    available,
-                }
-                .into());
-            }
-            let mut per_socket = vec![0u32; sockets];
-            let mut remaining = cores;
-            match self.bind_policy {
-                BindPolicy::Spread => {
-                    let mut s = 0usize;
-                    while remaining > 0 {
-                        if self.free_scratch[s] > per_socket[s] {
-                            per_socket[s] += 1;
-                            remaining -= 1;
-                        }
-                        s = (s + 1) % sockets;
-                    }
-                }
-                BindPolicy::Compact => {
-                    for (slot, &free) in per_socket.iter_mut().zip(&self.free_scratch) {
-                        let take = remaining.min(free);
-                        *slot = take;
-                        remaining -= take;
-                        if remaining == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            for (s, taken) in per_socket.iter().enumerate() {
-                self.free_scratch[s] -= taken;
-            }
-            self.placed_scratch.push(PlacedWorkload {
-                alloc: CoreAllocation { node: nd, per_socket },
-                workload: self.kinds[self.comp_kind[c] as usize].0.clone(),
-            });
-        }
-        let estimates = self.interference.solve_node(&self.node_spec, &self.placed_scratch, &[]);
-        self.seconds_scratch.extend(estimates.iter().map(|e| e.seconds_per_step));
+        self.table.store(kinds(), &self.seconds_scratch);
         Ok(())
     }
 
@@ -806,28 +714,22 @@ impl DeltaEvaluator {
     fn recompute_member(&mut self, i: usize, assignment: &[usize]) -> RuntimeResult<()> {
         let (start, end) = self.member_range[i];
         let sim_node = assignment[start];
+        let nodes = self.touched.len();
         let st = &mut self.member_stage[i];
         st.s = self.comp_seconds[start];
-        st.w = self.write_local;
+        st.w = self.staging.write_seconds(sim_node);
         for (j, slot) in (start + 1..end).enumerate() {
-            let ana_node = assignment[slot];
-            st.analyses[j].r = if ana_node != sim_node {
-                let route = &mut self.remote_read[sim_node * self.touched.len() + ana_node];
-                if route.is_nan() {
-                    *route = self.cost.read_seconds(self.chunk, sim_node, ana_node);
-                }
-                *route
-            } else if self.force_remote_reads {
-                self.cost.read_seconds(self.chunk, sim_node, sim_node + 1)
-            } else {
-                self.read_local
-            };
+            let route = &mut self.read_seconds[sim_node * nodes + assignment[slot]];
+            if route.is_nan() {
+                *route = self.staging.read_seconds(sim_node, assignment[slot]);
+            }
+            st.analyses[j].r = *route;
             st.analyses[j].a = self.comp_seconds[slot];
         }
         st.validate().map_err(RuntimeError::from)?;
         self.member_mk[i] = makespan(st, self.n_steps);
-        self.member_eq4[i] = st.analyses.iter().all(|a| a.busy() <= st.sim_busy() + 1e-12);
-        let cp = placement_cp(sim_node, &assignment[start + 1..end]);
+        self.member_eq4[i] = satisfies_eq4(st);
+        let cp = placement_indicator_on(sim_node, &assignment[start + 1..end]);
         // The usage and allocation stages of `ensemble_core::indicator`,
         // in its order: `E / c`, then `× CP`. Both depend on the member
         // alone; the provisioning stage (`/ M`) is applied per score.
@@ -842,22 +744,10 @@ impl DeltaEvaluator {
             self.node_len.resize(count, 0);
             self.touched.resize(count, false);
             // Re-laid out for the new node count; routes refill on demand.
-            self.remote_read.clear();
-            self.remote_read.resize(count * count, f64::NAN);
+            self.read_seconds.clear();
+            self.read_seconds.resize(count * count, f64::NAN);
         }
     }
-}
-
-/// Eq. 6 of a member whose simulation sits on `sim_node`, for
-/// single-node components, with the exact op sequence of
-/// `ensemble_core::placement_indicator`: |s| = 1, |s ∪ aʲ| is 1 when
-/// co-located and 2 when not.
-fn placement_cp(sim_node: usize, analysis_nodes: &[usize]) -> f64 {
-    let mut sum = 0.0f64;
-    for &ana_node in analysis_nodes {
-        sum += if ana_node == sim_node { 1.0 } else { 1.0 / 2.0 };
-    }
-    1.0 / analysis_nodes.len() as f64 * sum
 }
 
 /// `M`: the distinct nodes `assignment` uses — one bit per node while

@@ -1,14 +1,18 @@
-//! From-scratch placement evaluation through the closed-form predictor
-//! — the reference [`crate::DeltaEvaluator`] is held bit-identical to.
+//! From-scratch placement evaluation: the DES's own stage times through
+//! the paper's equations — the reference [`crate::DeltaEvaluator`] is
+//! held bit-identical to.
 //!
 //! Production code scores through `DeltaEvaluator`; this module's
 //! [`FastEvaluator`] and [`fast_score`] re-derive everything per
-//! candidate via `runtime::predict_scores` and exist for the property
-//! tests and the scan bench to compare against. The
+//! candidate via `runtime::predict_scores` (the DES's placement and node
+//! solves without its event loop) and exist for the property tests and
+//! the scan bench to compare against. The
 //! `fast_score_stays_out_of_library_loops` test pins that no library
 //! code in `scheduler` or `svc` names either.
 
-use ensemble_core::{aggregate, Aggregation, EnsembleSpec, IndicatorPath, MemberInputs};
+use ensemble_core::{
+    aggregate, satisfies_eq4, Aggregation, EnsembleSpec, IndicatorPath, MemberInputs,
+};
 use runtime::{predict_scores, RuntimeResult, SimRunConfig};
 
 /// Predictor-based evaluation of one placement.
@@ -60,9 +64,6 @@ impl FastEvaluator {
 }
 
 /// Scores `cfg.spec` analytically under `cfg`'s platform and workloads.
-/// Goes through [`predict_scores`] — the scoring path never reads the
-/// per-component estimate map, so it is never materialized (the
-/// per-member floats are bit-identical to [`runtime::predict`]'s).
 fn score_config(cfg: &SimRunConfig) -> RuntimeResult<FastScore> {
     let prediction = predict_scores(cfg)?;
     let spec = &cfg.spec;
@@ -75,14 +76,11 @@ fn score_config(cfg: &SimRunConfig) -> RuntimeResult<FastScore> {
             ensemble_core::indicator(&inputs, &IndicatorPath::uap())
         })
         .collect();
-    let eq4_satisfied = prediction.members.iter().all(|m| {
-        m.stage_times.analyses.iter().all(|a| a.busy() <= m.stage_times.sim_busy() + 1e-12)
-    });
     Ok(FastScore {
         objective: aggregate(&values, Aggregation::MeanMinusStd),
         ensemble_makespan: prediction.ensemble_makespan,
         nodes_used: spec.num_nodes(),
-        eq4_satisfied,
+        eq4_satisfied: prediction.members.iter().all(|m| satisfies_eq4(&m.stage_times)),
     })
 }
 

@@ -1,6 +1,6 @@
 //! Property suite for the online co-scheduler.
 //!
-//! Three invariants:
+//! Four invariants:
 //!
 //! * **Conservation** — under any interleaving of admit / complete /
 //!   fail / cancel events, `admitted_cores == released_cores +
@@ -18,12 +18,16 @@
 //!   feasible counts) is what scoring each best-fit-mapped candidate
 //!   with `fast_score` over residents + job and ranking `(objective
 //!   desc, index asc)` gives, at 1, 2 and 8 scan workers.
+//! * **Co-resident scoring is the DES's** — a DES run of residents and
+//!   job as one machine gives every member the `σ̄*` the closed form
+//!   predicts, and the decision's objective.
 
 use std::sync::Arc;
 
-use ensemble_core::EnsembleSpec;
+use ensemble_core::{Aggregation, EnsembleSpec, IndicatorPath, WarmupPolicy};
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::cosched::{Admission, CoScheduler, CoschedConfig};
+use scheduler::search::score_report;
 use scheduler::{
     enumerate_placements, fast_score, place_against, EnsembleShape, NodeBudget, ResidencyMap,
     ScanOptions, SolveCache,
@@ -336,6 +340,70 @@ fn place_against_matches_the_from_scratch_oracle() {
                     )
                 });
                 assert_eq!(&got, &want, "workers={} open={}", workers, s.residency().open());
+            }
+            next_job += 1;
+            s.submit(next_job, shape).unwrap();
+        }
+    });
+}
+
+/// Every decision `place_against` takes on a random submit/complete
+/// stream, checked against one zero-jitter DES run of residents and job
+/// as a single ensemble: each member's `σ̄*` is the closed form's to
+/// 1e-6, and the decision's objective is the DES report's score to the
+/// 1e-4 the from-scratch evaluator's own DES check allows.
+#[test]
+fn co_resident_decisions_match_a_des_run_of_the_whole_machine() {
+    check(CASES, |g| {
+        let events = g.vec(1..12, |g| (g.range(0u8..3), g.range(0usize..7), g.range(0usize..8)));
+        let nodes = g.range(2usize..4);
+        let base = base_config();
+        let solves = Arc::new(SolveCache::new(&base));
+        let opts = ScanOptions { workers: 1, ..ScanOptions::default() };
+        let mut s = sched(nodes, true);
+        let mut next_job = 0u64;
+        for (kind, shape, k) in events {
+            if kind == 2 {
+                if let Some(job) = pick_open(&s, k) {
+                    s.release(job).unwrap();
+                }
+                continue;
+            }
+            let shape = shape_palette(shape);
+            let view = s.residency().view();
+            if let Some(decision) = place_against(&shape, &view, &base, &solves, &opts).unwrap() {
+                let mut members: Vec<_> = s
+                    .residency()
+                    .reservations()
+                    .flat_map(|r| r.shape.materialize(&r.assignment).members)
+                    .collect();
+                members.extend(shape.materialize(&decision.assignment).members);
+                let mut cfg = base.clone();
+                cfg.spec = EnsembleSpec::new(members);
+                cfg.n_steps = 8;
+                cfg.jitter = 0.0;
+                let predicted = runtime::predict(&cfg).unwrap();
+                let exec = runtime::run_simulated(&cfg).unwrap();
+                let report = runtime::build_report(
+                    "co-resident",
+                    &cfg.spec,
+                    &exec,
+                    cfg.n_steps,
+                    WarmupPolicy::default(),
+                )
+                .unwrap();
+                for (i, (p, m)) in predicted.members.iter().zip(&report.members).enumerate() {
+                    let rel = (p.sigma_star - m.sigma_star).abs() / m.sigma_star;
+                    assert!(rel < 1e-6, "member {i}: σ̄* {} vs DES {}", p.sigma_star, m.sigma_star);
+                }
+                let des = score_report(
+                    &report,
+                    &cfg.spec,
+                    &IndicatorPath::uap(),
+                    Aggregation::MeanMinusStd,
+                );
+                let rel = (decision.objective - des).abs() / des.abs().max(1e-12);
+                assert!(rel < 1e-4, "decision F {} vs DES {des}", decision.objective);
             }
             next_job += 1;
             s.submit(next_job, shape).unwrap();

@@ -186,6 +186,61 @@ fn a_shared_solve_cache_never_changes_a_bit() {
     });
 }
 
+/// A base under the data-locality ablation, a power cap, or both
+/// scores bit-identically to the oracle — privately, and through a
+/// shared cache at any worker count. The cap is part of a cache's
+/// scope: a cache built for the uncapped platform, already warm, is
+/// neither consulted nor filled by a capped evaluator. The ablation
+/// prices only reads, so a cache is shared across it.
+#[test]
+fn forced_remote_reads_and_power_caps_never_change_a_bit() {
+    check(CASES, |g| {
+        let (shape, max_nodes) = (shape(g), g.range(1usize..=4));
+        let (force_remote_reads, cap) = (g.bool(), g.select(&[None, Some(150.0), Some(100.0)]));
+        let budget = NodeBudget { max_nodes, cores_per_node: 32 };
+        let placements = enumerate_placements(&shape, max_nodes, budget.cores_per_node);
+        if placements.is_empty() {
+            return;
+        }
+        let plain = base_config(shape.materialize(&placements[0]));
+        let mut base = plain.clone();
+        base.force_remote_reads = force_remote_reads;
+        base.power_cap_watts = cap;
+        let want = oracle_scores(&base, &shape, budget);
+        let serial = ScanOptions { workers: 1, ..ScanOptions::default() };
+        let (private, private_counters) =
+            delta_scan(&shape, budget, &serial, || DeltaEvaluator::new(&base, &shape));
+        assert_eq!(&private, &want, "force_remote_reads={force_remote_reads} cap={cap:?}");
+
+        let solves = Arc::new(SolveCache::new(&base));
+        for workers in [0usize, 1, 2, 8] {
+            let opts = ScanOptions { workers, chunk: 3, top_k: 0 };
+            let (got, _) = delta_scan(&shape, budget, &opts, || {
+                DeltaEvaluator::with_solve_cache(&base, &shape, &solves)
+            });
+            assert_eq!(&got, &want, "workers={workers}");
+        }
+
+        // A cache warmed on the plain platform.
+        let warm = Arc::new(SolveCache::new(&plain));
+        let (plain_scores, _) = delta_scan(&shape, budget, &serial, || {
+            DeltaEvaluator::with_solve_cache(&plain, &shape, &warm)
+        });
+        assert_eq!(plain_scores, oracle_scores(&plain, &shape, budget));
+        let held = warm.held();
+        let (got, counters) = delta_scan(&shape, budget, &serial, || {
+            DeltaEvaluator::with_solve_cache(&base, &shape, &warm)
+        });
+        assert_eq!(&got, &want);
+        if cap.is_some() {
+            assert_eq!(counters, private_counters, "a foreign cache answered a solve");
+            assert_eq!(warm.held(), held, "a foreign cache was filled");
+        } else {
+            assert_eq!(counters.solve_misses, 0, "the plain cache serves the ablation");
+        }
+    });
+}
+
 /// Two scans of different shapes filling one cache at the same time
 /// each still match their oracle.
 #[test]

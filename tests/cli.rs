@@ -47,6 +47,29 @@ fn predict_matches_run_shape() {
 }
 
 #[test]
+fn predict_under_a_power_cap_matches_the_capped_run() {
+    let predicted = run_ok(&["predict", "C1.4", "--steps", "8", "--cap", "150"]);
+    let ran = run_ok(&["run", "C1.4", "--steps", "8", "--jitter", "0", "--cap", "150"]);
+    // `predict` prints `  EM1: sigma* 36.707s, E 0.7328, CP …` per
+    // member, `run`'s table `  EM1  36.707s  320.56s  0.7328  0.500`.
+    let from_predict: Vec<(&str, &str)> = predicted
+        .lines()
+        .filter_map(|line| {
+            let sigma = line.split("sigma* ").nth(1)?.split(',').next()?;
+            Some((sigma, line.split(", E ").nth(1)?.split(',').next()?))
+        })
+        .collect();
+    let from_run: Vec<(&str, &str)> = ran
+        .lines()
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|fields| fields.len() == 5 && fields[0].starts_with("EM"))
+        .map(|fields| (fields[1], fields[3]))
+        .collect();
+    assert_eq!(from_predict.len(), 2, "{predicted}");
+    assert_eq!(from_predict, from_run, "predict:\n{predicted}\nrun:\n{ran}");
+}
+
+#[test]
 fn sweep_recommends_eight_cores() {
     let out = run_ok(&["sweep"]);
     assert!(out.contains("recommended analysis cores: 8"), "{out}");

@@ -1,4 +1,4 @@
-//! Two rules about the workspace's shape that hold themselves.
+//! Three rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -16,6 +16,13 @@
 //! `Cargo.lock` lists the workspace's own packages and nothing else —
 //! so tier-1 builds with no registry, and a crates.io dependency cannot
 //! come back unnoticed.
+//!
+//! **Each pricing decision is made once.** What a placement costs is
+//! derived in one place, and the DES, the closed-form predictor and the
+//! scheduler's delta evaluator all call it. The decisions a second copy
+//! would repeat — the Spread/Compact socket split, the data-locality
+//! ablation's read pricing, the power cap's slowdown — each appear in
+//! exactly one function of library code (`#[cfg(test)]` code excluded).
 
 use std::collections::BTreeSet;
 
@@ -173,4 +180,74 @@ fn workspace_is_hermetic() {
         .map(|(_, rest)| rest.trim_matches(|c| " =\"".contains(c)).to_string())
         .collect();
     assert_eq!(locked, packages, "Cargo.lock lists exactly the workspace's packages");
+}
+
+/// The name of the function whose body holds byte `at` of `code`: the
+/// one the nearest `fn` keyword before it declares.
+fn enclosing_fn(code: &str, at: usize) -> String {
+    code[..at]
+        .rmatch_indices("fn ")
+        .find(|(i, _)| !code[..*i].ends_with(is_ident))
+        .map(|(i, _)| code[i + 3..].chars().take_while(|&c| is_ident(c)).collect())
+        .unwrap_or_default()
+}
+
+#[test]
+fn each_pricing_decision_is_made_in_one_library_function() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        rust_files(&entry.expect("dir entry").path().join("src"), &mut files);
+    }
+    // Library code: everything above a file's first `#[cfg(test)]`,
+    // comments dropped.
+    let library: Vec<(PathBuf, String)> = files
+        .into_iter()
+        .map(|path| {
+            let text = fs::read_to_string(&path).expect("read source");
+            let code = text.split("#[cfg(test)]").next().expect("split");
+            let code: Vec<&str> =
+                code.lines().map(|line| line.split("//").next().expect("split")).collect();
+            (path, code.join("\n"))
+        })
+        .collect();
+
+    type Counts = fn(&str, &str) -> bool;
+    let arm: Counts = |_, after| after.trim_start().starts_with("=>");
+    // A field read: not a method of that name, not an assignment to it.
+    let read: Counts = |_, after| {
+        let rest = after.trim_start();
+        !after.starts_with(is_ident)
+            && !rest.starts_with('(')
+            && (!rest.starts_with('=') || rest.starts_with("=="))
+    };
+    let call: Counts = |before, _| !before.trim_end().ends_with("fn");
+    let decisions = [
+        ("BindPolicy::Spread", arm),
+        ("BindPolicy::Compact", arm),
+        (".force_remote_reads", read),
+        ("cap_slowdown(", call),
+    ];
+    let mut repeated = Vec::new();
+    for (mark, counts) in decisions {
+        let mut places = BTreeSet::new();
+        for (path, code) in &library {
+            for (at, _) in code.match_indices(mark) {
+                if counts(&code[..at], &code[at + mark.len()..]) {
+                    let file = path.strip_prefix(root).expect("under the root").display();
+                    places.insert(format!("{file}: fn {}", enclosing_fn(code, at)));
+                }
+            }
+        }
+        if places.len() != 1 {
+            repeated.push(format!("`{mark}` in {} functions: {places:?}", places.len()));
+        }
+    }
+    assert!(
+        repeated.is_empty(),
+        "a pricing decision made in other than exactly one library function — call the \
+         one that makes it:\n  {}",
+        repeated.join("\n  ")
+    );
 }
