@@ -16,6 +16,7 @@
 //! timeout, drain the service (everything admitted is still answered),
 //! then join every thread.
 
+use std::borrow::Cow;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -301,23 +302,12 @@ fn replication_loop(stream: &mut TcpStream, out: &mut String, shared: &Arc<Serve
 fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut buf: Vec<u8> = Vec::new();
-    // Bytes of `buf` already searched for a newline: a line that
-    // arrives in many reads is scanned once, not once per read.
-    let mut searched = 0;
+    let mut lines = LineReader::default();
     // Every frame of this connection is encoded into this one buffer.
     let mut out = String::new();
-    let mut chunk = [0u8; 4096];
     'conn: loop {
         // Serve every complete line already buffered, in place.
-        let mut served = 0;
-        while let Some(at) = buf[searched..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&buf[served..searched + at]);
-            searched += at + 1;
-            served = searched;
-            if line.trim().is_empty() {
-                continue;
-            }
+        while let Some(line) = lines.next_line() {
             // A panic while handling one request must cost exactly that
             // request, not the connection (and certainly not the
             // server): contain it and answer with a structured error.
@@ -369,26 +359,74 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
                 }
             }
         }
-        buf.drain(..served);
-        searched = buf.len();
-        if buf.len() > MAX_LINE_BYTES {
+        if !lines.fill(&mut stream, &mut out, || shared.stopping.load(Ordering::Acquire)) {
+            break 'conn;
+        }
+    }
+}
+
+/// A connection's request lines, read incrementally and bounded: a line
+/// that arrives in many reads is searched for its newline once, and one
+/// that grows past [`MAX_LINE_BYTES`] without ending is refused instead
+/// of buffered. The primary's listener and the standby's read-only one
+/// both read through it.
+#[derive(Default)]
+pub(crate) struct LineReader {
+    buf: Vec<u8>,
+    /// Start of the first line not yet handed out.
+    served: usize,
+    /// Bytes of `buf` already searched for a newline.
+    searched: usize,
+}
+
+impl LineReader {
+    /// The next complete, nonblank buffered line, without its newline.
+    pub(crate) fn next_line(&mut self) -> Option<Cow<'_, str>> {
+        loop {
+            let at = self.buf[self.searched..].iter().position(|&b| b == b'\n')?;
+            let line = self.served..self.searched + at;
+            self.searched += at + 1;
+            self.served = self.searched;
+            let line = String::from_utf8_lossy(&self.buf[line]);
+            if !line.trim().is_empty() {
+                return Some(line);
+            }
+        }
+    }
+
+    /// Drops the lines already handed out and reads more of `stream`.
+    /// False when the connection is done: the peer closed it, the read
+    /// failed, the read timed out with `stopping()` true, or the pending
+    /// line outgrew the cap — answered `malformed` through `out` first.
+    pub(crate) fn fill(
+        &mut self,
+        stream: &mut TcpStream,
+        out: &mut String,
+        stopping: impl FnOnce() -> bool,
+    ) -> bool {
+        self.buf.drain(..self.served);
+        self.served = 0;
+        self.searched = self.buf.len();
+        if self.buf.len() > MAX_LINE_BYTES {
             let refuse = Response::Error {
                 id: 0,
                 kind: ErrorKind::Malformed,
                 message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
             };
-            let _ = write_frame(&mut stream, &mut out, |o| refuse.write_json(o));
-            break 'conn;
+            let _ = write_frame(stream, out, |o| refuse.write_json(o));
+            return false;
         }
+        let mut chunk = [0u8; 4096];
         match stream.read(&mut chunk) {
-            Ok(0) => break 'conn, // EOF
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                if shared.stopping.load(Ordering::Acquire) {
-                    break 'conn;
-                }
+            Ok(0) => false, // EOF
+            Ok(n) => {
+                self.buf.extend_from_slice(&chunk[..n]);
+                true
             }
-            Err(_) => break 'conn,
+            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
+                !stopping()
+            }
+            Err(_) => false,
         }
     }
 }
@@ -397,7 +435,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
 /// connection's reusable buffer, written and flushed (the stream has
 /// `TCP_NODELAY` set, so a progress line reaches the watcher immediately
 /// instead of sitting in a send buffer behind the final).
-fn write_frame(
+pub(crate) fn write_frame(
     stream: &mut TcpStream,
     out: &mut String,
     write: impl FnOnce(&mut String),
@@ -428,21 +466,25 @@ fn line_request_id(line: &str) -> u64 {
     Value::parse(line).ok().and_then(|v| v.get("id").and_then(Value::as_u64)).unwrap_or(0)
 }
 
+/// Decodes a request line, or answers it with the error that refuses
+/// it. A syntactically fine request carrying an unusable tenant tag is
+/// the caller's bug, not a framing problem — `invalid`, so clients don't
+/// retry it as a transport error; anything else is `malformed`.
+pub(crate) fn decode_request(line: &str) -> Result<Request, Response> {
+    Request::from_json(line).map_err(|message| {
+        let kind = if message.starts_with("invalid tenant") {
+            ErrorKind::Invalid
+        } else {
+            ErrorKind::Malformed
+        };
+        Response::Error { id: line_request_id(line), kind, message }
+    })
+}
+
 fn handle_line(shared: &Arc<ServerShared>, line: &str) -> Handled {
-    let request = match Request::from_json(line) {
+    let request = match decode_request(line) {
         Ok(r) => r,
-        Err(message) => {
-            let id = line_request_id(line);
-            // A syntactically fine request carrying an unusable tenant
-            // tag is the caller's bug, not a framing problem — answer
-            // `invalid` so clients don't retry it as a transport error.
-            let kind = if message.starts_with("invalid tenant") {
-                ErrorKind::Invalid
-            } else {
-                ErrorKind::Malformed
-            };
-            return Handled::One(Response::Error { id, kind, message });
-        }
+        Err(refused) => return Handled::One(refused),
     };
     let id = request.id;
     if shared.service.panic_on_request_id() == Some(id) {

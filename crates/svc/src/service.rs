@@ -9,10 +9,15 @@
 //! (score requests first consult the memo cache), and sends exactly one
 //! [`Response`] to the handle. [`Service::shutdown`] closes admissions,
 //! lets workers drain everything already accepted, and joins them.
+//!
+//! Every step of that life — refused at the door, admitted, started by
+//! a worker, settled with its final frame — is counted by one function,
+//! `count`, which moves the global counters and the request's tenant row
+//! together.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, Weak};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use ensemble_core::WarmupPolicy;
@@ -408,6 +413,7 @@ impl Service {
         if config.workers == 0 {
             config.workers = host_workers();
         }
+        let stats = SvcStats::default();
         let cache = ScoreCache::new(config.cache_capacity);
         let runs = ScoreCache::new(config.cache_capacity);
         let mut replayed_reservations = Vec::new();
@@ -466,9 +472,8 @@ impl Service {
                 match sched.restore(reservation) {
                     Ok(()) => {
                         if let Some(tenant) = tenant {
-                            let row = tenant_table.row(&tenant);
-                            row.admitted += 1;
-                            row.in_flight += 1;
+                            let row = Some((&mut tenant_table, tenant.as_str()));
+                            count(&stats, row, Step::Restore);
                             restored_tenants.insert(r.job, tenant);
                         }
                     }
@@ -487,7 +492,7 @@ impl Service {
         });
         let shared = Arc::new(Shared {
             queue: FairQueue::new(config.queue_capacity, config.tenant_policy.weights.clone()),
-            stats: SvcStats::default(),
+            stats,
             cache,
             platform_fingerprints: [Workloads::Paper, Workloads::Small].map(platform_fingerprint),
             solve_caches: [Workloads::Paper, Workloads::Small].map(|workloads| {
@@ -524,251 +529,37 @@ impl Service {
     /// through the co-scheduler first — the worker queue only ever sees
     /// them holding a placement.
     pub fn submit(&self, mut request: Request) -> Result<Pending, Rejected> {
-        let stats = &self.shared.stats;
-        stats.submitted.fetch_add(1, Ordering::Relaxed);
-        // Wire requests were validated at decode; in-process callers
-        // get the same rule here, so an unparseable tag can never reach
-        // the tenant table (or mint an unbounded metrics row).
-        if let Some(tag) = &request.tenant {
-            if let Err(message) = validate_tenant(tag) {
-                stats.errored.fetch_add(1, Ordering::Relaxed);
-                let (tx, rx) = mpsc::channel();
-                let _ = tx.send(Frame::Final(Response::Error {
-                    id: request.id,
-                    kind: ErrorKind::Invalid,
-                    message,
-                }));
-                return Ok(Pending { rx, cancel: CancelToken::default(), reaper: None });
-            }
-        }
         if request.deadline.is_none() {
             request.deadline = self.config.default_deadline;
         }
         let submitted = Instant::now();
-        let deadline_at = request.deadline.map(|d| submitted + d);
         let cancel = CancelToken::default();
         let (tx, rx) = mpsc::channel();
-        if matches!(request.body, RequestBody::Submit(_)) {
-            return self.submit_cosched(request, submitted, deadline_at, cancel, tx, rx);
-        }
-        // Only *admitted* requests are journaled; clone up front because
-        // the job owns the request once pushed.
-        let admit_copy = self.shared.journal.as_ref().map(|_| request.clone());
         let job = Job {
+            deadline_at: request.deadline.map(|d| submitted + d),
             request,
             submitted,
-            deadline_at,
             cancel: cancel.clone(),
             reply: tx,
             cosched: None,
         };
-        match quota_push(&self.shared, job) {
-            Ok(()) => {
-                if let (Some(journal), Some(request)) = (&self.shared.journal, &admit_copy) {
-                    journal.append_admit(request);
-                }
-                Ok(self.pending(rx, cancel))
-            }
-            Err(AdmitRefusal::Quota { retry_after_ms }) => {
+        match admit(&self.shared, job) {
+            Ok(()) => Ok(Pending { rx, cancel, reaper: Some(Arc::downgrade(&self.shared)) }),
+            Err(Response::Overloaded { retry_after_ms, .. }) => {
                 Err(Rejected::Overloaded { retry_after_ms })
             }
-            Err(AdmitRefusal::Full) => {
-                Err(Rejected::Overloaded { retry_after_ms: self.retry_after_hint_ms() })
+            Err(Response::Error { kind: ErrorKind::ShuttingDown, .. }) => {
+                Err(Rejected::ShuttingDown)
             }
-            Err(AdmitRefusal::Closed) => Err(Rejected::ShuttingDown),
-        }
-    }
-
-    /// Wraps a reply channel as a [`Pending`] carrying the weak
-    /// back-reference `wait_timeout` reaps through.
-    fn pending(&self, rx: mpsc::Receiver<Frame>, cancel: CancelToken) -> Pending {
-        Pending { rx, cancel, reaper: Some(Arc::downgrade(&self.shared)) }
-    }
-
-    /// Admission path of `submit` requests: place against live residual
-    /// capacity, queue when nothing fits, shed when the wait queue is
-    /// full. Placed jobs enter the worker queue already holding their
-    /// reservation; queued jobs park their reply handle until a
-    /// completion pumps them through.
-    fn submit_cosched(
-        &self,
-        request: Request,
-        submitted: Instant,
-        deadline_at: Option<Instant>,
-        cancel: CancelToken,
-        tx: mpsc::Sender<Frame>,
-        rx: mpsc::Receiver<Frame>,
-    ) -> Result<Pending, Rejected> {
-        let stats = &self.shared.stats;
-        let id = request.id;
-        let tenant = request.tenant.clone();
-        // Errors decided at admission (never queued) still flow through
-        // the normal reply channel, so the caller's Pending works
-        // unchanged.
-        let inline_error: (ErrorKind, String);
-        let Some(cosched) = &self.shared.cosched else {
-            stats.errored.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Frame::Final(Response::Error {
-                id,
-                kind: ErrorKind::Invalid,
-                message: "submit requires the co-scheduler (start the service with --cosched)"
-                    .to_string(),
-            }));
-            return Ok(Pending { rx, cancel, reaper: None });
-        };
-        let RequestBody::Submit(submit) = &request.body else { unreachable!("routed on body") };
-        let shape = submit.shape.clone();
-        let mut state = cosched.lock().expect("cosched lock");
-        // Expired/cancelled waiters are reaped before every admission
-        // decision so dead jobs never hold queue slots ahead of live
-        // ones.
-        reap_expired_waiting(&self.shared, &mut state);
-        // A tagged request holds the tenants lock through the whole
-        // admission decision (lock order: cosched → tenants → queue), so
-        // the quota check and the occupancy increment are one atomic
-        // step even against racing non-submit traffic of the same tenant.
-        let mut tagged = lock_tenant(&self.shared, tenant.as_deref());
-        let active = self.shared.tenant_policy.is_active();
-        let lane = tagged.as_ref().filter(|_| active).map(|(_, name)| name.clone());
-        if active {
-            if let Some((table, name)) = &mut tagged {
-                if let Some(quota) = self.shared.tenant_policy.quota_for(name) {
-                    let row = table.row(name);
-                    let occupancy = row.in_queue + row.in_flight;
-                    if occupancy >= quota {
-                        // Quota shed happens *before* the scheduler
-                        // sees the job: no counters move, no virtual
-                        // time advances, and the global queue may still
-                        // have room for other tenants.
-                        row.shed += 1;
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(Rejected::Overloaded {
-                            retry_after_ms: tenant_retry_hint_ms(&self.shared, occupancy),
-                        });
-                    }
-                }
+            // Errors decided at admission (never queued) still flow
+            // through a reply channel, so the caller's Pending works
+            // unchanged.
+            Err(reply) => {
+                let (tx, rx) = mpsc::channel();
+                let _ = tx.send(Frame::Final(reply));
+                Ok(Pending { rx, cancel, reaper: None })
             }
         }
-        match state.sched.submit(id, shape) {
-            Ok(Admission::Placed(decision)) => {
-                // Placed with jobs still waiting means this admission
-                // jumped the queue: backfill.
-                let backfilled = state.sched.queue_depth() > 0;
-                let residual: Vec<u64> =
-                    state.sched.residency().residual().iter().map(|&c| u64::from(c)).collect();
-                let reservation = replayed_reservation(&state, id, tenant.as_ref());
-                let admit_copy = self.shared.journal.as_ref().map(|_| request.clone());
-                let cosched_job = CoschedJob { decision, backfilled, queue_wait_ms: 0.0, residual };
-                let job = Job {
-                    request,
-                    submitted,
-                    deadline_at,
-                    cancel: cancel.clone(),
-                    reply: tx,
-                    cosched: Some(cosched_job),
-                };
-                match self.shared.queue.try_push(lane.as_deref(), job) {
-                    Ok(()) => {
-                        stats.accepted.fetch_add(1, Ordering::Relaxed);
-                        if let Some((table, name)) = &mut tagged {
-                            let row = table.row(name);
-                            row.admitted += 1;
-                            row.in_queue += 1;
-                        }
-                        drop(tagged);
-                        if let Some(journal) = &self.shared.journal {
-                            if let Some(request) = &admit_copy {
-                                journal.append_admit(request);
-                            }
-                            if let Some(reservation) = &reservation {
-                                journal.append_reserve(reservation);
-                            }
-                        }
-                        return Ok(self.pending(rx, cancel));
-                    }
-                    Err(PushError::Full(_)) => {
-                        // The reservation never started: roll it back
-                        // without touching the virtual clock.
-                        state.sched.withdraw(id);
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        if let Some((table, name)) = &mut tagged {
-                            table.row(name).shed += 1;
-                        }
-                        return Err(Rejected::Overloaded {
-                            retry_after_ms: retry_hint_ms(&self.shared),
-                        });
-                    }
-                    Err(PushError::Closed(_)) => {
-                        state.sched.withdraw(id);
-                        return Err(Rejected::ShuttingDown);
-                    }
-                }
-            }
-            Ok(Admission::Queued { depth }) => {
-                stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some((table, name)) = &mut tagged {
-                    let row = table.row(name);
-                    row.admitted += 1;
-                    row.in_queue += 1;
-                }
-                drop(tagged);
-                if let Some(journal) = &self.shared.journal {
-                    journal.append_admit(&request);
-                }
-                if request.progress.is_some() {
-                    let frame = Frame::Progress(Progress {
-                        id,
-                        body: ProgressBody::Submit {
-                            queue_depth: Some(depth as u64),
-                            assignment: None,
-                        },
-                    });
-                    if tx.send(frame).is_ok() {
-                        stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let seq = state.next_wait_seq;
-                state.next_wait_seq += 1;
-                let job = Job {
-                    request,
-                    submitted,
-                    deadline_at,
-                    cancel: cancel.clone(),
-                    reply: tx,
-                    cosched: None,
-                };
-                state.waiting.insert(id, WaitingSubmit { job, seq, enqueued: Instant::now() });
-                return Ok(self.pending(rx, cancel));
-            }
-            Ok(Admission::Shed) => {
-                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some((table, name)) = &mut tagged {
-                    table.row(name).shed += 1;
-                }
-                return Err(Rejected::Overloaded { retry_after_ms: retry_hint_ms(&self.shared) });
-            }
-            Ok(Admission::Infeasible) => {
-                inline_error = (
-                    ErrorKind::Invalid,
-                    "ensemble cannot fit the co-scheduled platform even when idle".to_string(),
-                );
-            }
-            Err(scheduler::CoschedError::DuplicateJob(job)) => {
-                inline_error = (
-                    ErrorKind::Invalid,
-                    format!("job {job} already holds a reservation or queue slot"),
-                );
-            }
-            Err(e) => {
-                inline_error = (ErrorKind::Internal, format!("placement scoring failed: {e}"));
-            }
-        }
-        drop(tagged);
-        drop(state);
-        let (kind, message) = inline_error;
-        stats.errored.fetch_add(1, Ordering::Relaxed);
-        let _ = tx.send(Frame::Final(Response::Error { id, kind, message }));
-        Ok(Pending { rx, cancel, reaper: None })
     }
 
     /// Releases a reservation by job id — the operator path for orphans
@@ -788,15 +579,12 @@ impl Service {
     }
 
     /// Suggested back-off for a shed request: the time one queue's worth
-    /// of work takes the pool at the observed mean service time. Before
-    /// any request has finished, the mean is seeded with the default
-    /// deadline budget (or [`COLD_START_SERVICE_TIME`]) so a cold-start
-    /// overload still produces a hint proportional to backlog — the old
-    /// zero-mean estimate told every shed client "retry in 1 ms",
-    /// inviting a thundering herd. Computed in nanoseconds so sub-ms
-    /// means still scale with backlog instead of truncating to zero.
+    /// of work takes the pool at the observed mean service time, seeded
+    /// before the first completion so a cold-start overload still gets a
+    /// hint proportional to backlog (a zero-mean estimate told every shed
+    /// client "retry in 1 ms", inviting a thundering herd).
     pub fn retry_after_hint_ms(&self) -> u64 {
-        retry_hint_ms(&self.shared)
+        hint_ms(&self.shared, self.shared.queue.len() as u64)
     }
 
     /// Serves an `attach { job }` lookup against the completed-run
@@ -953,15 +741,9 @@ impl Service {
         }
         if let Some(cosched) = &self.shared.cosched {
             let mut state = cosched.lock().expect("cosched lock");
-            let waiting: Vec<u64> = state.waiting.keys().copied().collect();
-            for id in waiting {
-                let entry = state.waiting.remove(&id).expect("key just listed");
+            for (id, entry) in std::mem::take(&mut state.waiting) {
                 state.sched.cancel_queued(id);
-                tenant_bump(&self.shared, entry.job.request.tenant.as_ref(), |row| {
-                    row.in_queue = row.in_queue.saturating_sub(1);
-                    row.cancelled += 1;
-                });
-                let _ = entry.job.reply.send(Frame::Final(Rejected::ShuttingDown.to_response(id)));
+                answer_queued(&self.shared, entry.job, Rejected::ShuttingDown.to_response(id));
             }
         }
     }
@@ -975,60 +757,13 @@ impl Drop for Service {
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
+        let tenant = job.request.tenant.as_deref();
+        record(shared, tenant, Step::Start { waited: job.submitted.elapsed() });
         let started = Instant::now();
-        shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        tenant_bump(shared, job.request.tenant.as_ref(), |row| {
-            row.in_queue = row.in_queue.saturating_sub(1);
-            row.in_flight += 1;
-            row.queue_wait.record(job.submitted.elapsed());
-        });
         let (response, executed) = execute(shared, &job);
-        shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        // Only jobs whose body actually ran contribute to the service-time
-        // mean. Jobs drained from the queue already expired or cancelled
-        // finish in microseconds; folding them into the denominator
-        // deflated the mean and made `retry_after_hint_ms` tell shed
-        // clients to hammer an overloaded pool.
-        if executed {
-            shared.stats.executed.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .busy_nanos
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        shared.stats.latency.record(job.submitted.elapsed());
-        // Every admitted job lands in exactly one terminal tenant
-        // bucket: executed, expired, or cancelled. A job that did not
-        // execute was drained from the queue by a deadline or a cancel
-        // (those are the only non-executing exits from `execute`), so
-        // the three arms below are exhaustive and mutually exclusive —
-        // that is what keeps the per-tenant conservation invariant
-        // `admitted = executed + expired + cancelled + in_queue +
-        // in_flight` true at every quiescent point.
-        tenant_bump(shared, job.request.tenant.as_ref(), |row| {
-            row.in_flight = row.in_flight.saturating_sub(1);
-            if executed {
-                row.executed += 1;
-            } else if matches!(&response, Response::Error { kind: ErrorKind::Deadline, .. }) {
-                row.expired += 1;
-            } else {
-                row.cancelled += 1;
-            }
-        });
-        match &response {
-            Response::Error { kind: ErrorKind::Deadline, .. } => {
-                shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            }
-            Response::Error { kind: ErrorKind::Cancelled, .. } => {
-                shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            Response::Error { .. } => {
-                shared.stats.errored.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let busy = executed.then(|| started.elapsed());
+        let from = Stage::Worker { busy, latency: job.submitted.elapsed() };
+        record(shared, tenant, Step::Settle { reply: &response, from });
         // Completed runs become attachable by their job id (the request
         // id), and durable when a journal is attached.
         if let Response::RunResult { .. } = &response {
@@ -1053,107 +788,347 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Suggested back-off for a shed request: one queue's worth of work at
-/// the observed mean service time (seeded by the deadline budget or
-/// [`COLD_START_SERVICE_TIME`] before the first completion). See
-/// [`Service::retry_after_hint_ms`].
-fn retry_hint_ms(shared: &Shared) -> u64 {
-    let mean = shared.stats.mean_service_time_or(shared.hint_fallback);
-    let backlog = (shared.queue.len() + 1) as u64;
-    let per_worker = backlog.div_ceil(shared.workers as u64);
-    (mean.as_nanos() as u64).saturating_mul(per_worker).div_ceil(1_000_000).max(1)
+/// A step in a request's life, as [`count`] books it.
+enum Step<'a> {
+    /// Answered at the door with this reply; never admitted.
+    Refuse(&'a Response),
+    /// Accepted into the worker queue or the co-scheduler's wait map.
+    Admit,
+    /// A reservation restored from the journal: its request belongs to
+    /// a previous process, but it holds its tenant's quota, with no
+    /// worker, until the operator releases it.
+    Restore,
+    /// Popped by a worker after waiting this long.
+    Start { waited: Duration },
+    /// Answered with its final frame.
+    Settle { reply: &'a Response, from: Stage },
+    /// A restored reservation released.
+    Retire,
 }
 
-/// Bumps one tenant's accounting row, creating it on first sight (or
-/// folding it into the overflow row once the table is full). Untagged
-/// requests cost nothing here.
-fn tenant_bump(shared: &Shared, tenant: Option<&String>, bump: impl FnOnce(&mut TenantState)) {
-    if let Some(tenant) = tenant {
-        let mut table = shared.tenants.lock().expect("tenants lock");
-        bump(table.row(tenant));
+/// Where an admitted job was when its final frame was decided.
+enum Stage {
+    /// In the worker queue or the co-scheduler's wait map: reaped,
+    /// rolled back at dispatch, or refused at shutdown.
+    Queued,
+    /// On a worker. `busy` is the time its body ran, `None` when it was
+    /// drained already expired or cancelled; `latency` is
+    /// submit-to-answer.
+    Worker { busy: Option<Duration>, latency: Duration },
+}
+
+/// The one ledger of a request's life: every counter a request moves is
+/// moved here, the global ones and its tenant's row (`None` for
+/// untagged traffic) together.
+///
+/// A final reply lands in the global bucket its kind names: `completed`
+/// for a result, `rejected` for `overloaded`, `cancelled`,
+/// `deadline_expired`, and `errored` for any other error (`invalid`,
+/// `shutting_down`, ...). A tenant row counts a refusal only as a shed,
+/// and settles an admitted job as `executed` when its body ran, else
+/// `expired` when its deadline ended it, else `cancelled`. So, at every
+/// quiescent point,
+///
+/// `submitted = completed + errored + rejected + cancelled +
+/// deadline_expired + queue_depth + cosched_queue_depth + in_flight`
+///
+/// and, per tenant, `admitted = executed + expired + cancelled +
+/// in_queue + in_flight`.
+fn count(stats: &SvcStats, tenant: Option<(&mut TenantTable, &str)>, step: Step<'_>) {
+    match &step {
+        Step::Refuse(_) => {
+            stats.submitted.fetch_add(1, Ordering::Relaxed);
+        }
+        Step::Admit => {
+            stats.submitted.fetch_add(1, Ordering::Relaxed);
+            stats.accepted.fetch_add(1, Ordering::Relaxed);
+        }
+        Step::Start { .. } => {
+            stats.in_flight.fetch_add(1, Ordering::Relaxed);
+        }
+        Step::Settle { from: Stage::Worker { busy, latency }, .. } => {
+            stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+            // Only jobs whose body actually ran feed the service-time
+            // mean. Jobs drained from the queue already expired or
+            // cancelled finish in microseconds; folding them in deflated
+            // the mean and made the retry hint tell shed clients to
+            // hammer an overloaded pool.
+            if let Some(busy) = busy {
+                stats.executed.fetch_add(1, Ordering::Relaxed);
+                stats.busy_nanos.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+            }
+            stats.latency.record(*latency);
+        }
+        Step::Settle { from: Stage::Queued, .. } | Step::Restore | Step::Retire => {}
     }
-}
-
-/// Why an admission was refused by [`quota_push`]. The job itself is
-/// dropped with the refusal — its reply channel answers the caller.
-enum AdmitRefusal {
-    /// The tenant's own quota is exhausted; the global queue may still
-    /// have room. Carries a hint sized to *this tenant's* backlog.
-    Quota { retry_after_ms: u64 },
-    /// The global queue is full.
-    Full,
-    /// The service is shutting down.
-    Closed,
-}
-
-/// The tenant table, locked, and the row name `tenant` resolves to. An
-/// untagged request has no row to check or bump, so it takes no lock:
-/// a `submit` holds this one through its whole placement scan, and the
-/// untagged requests of other connections must not queue up behind it.
-fn lock_tenant<'a>(
-    shared: &'a Shared,
-    tenant: Option<&str>,
-) -> Option<(MutexGuard<'a, TenantTable>, String)> {
-    let tenant = tenant?;
-    let table = shared.tenants.lock().expect("tenants lock");
-    let name = table.resolve_name(tenant);
-    Some((table, name))
-}
-
-/// Single admission gate for direct (non-cosched) traffic: checks the
-/// tenant quota and pushes into the fair queue as one atomic step under
-/// the tenants lock, so two racing submits cannot both squeeze through
-/// the last quota slot.
-fn quota_push(shared: &Shared, job: Job) -> Result<(), AdmitRefusal> {
-    let mut tagged = lock_tenant(shared, job.request.tenant.as_deref());
-    // Lanes only exist when a policy is configured: with no policy every
-    // push lands in the single implicit lane, which makes the fair queue
-    // degenerate to the exact FIFO the untenanted service always had.
-    let active = shared.tenant_policy.is_active();
-    let lane = tagged.as_ref().filter(|_| active).map(|(_, name)| name.clone());
-    if active {
-        if let Some((table, name)) = &mut tagged {
-            if let Some(quota) = shared.tenant_policy.quota_for(name) {
-                let row = table.row(name);
-                let occupancy = row.in_queue + row.in_flight;
-                if occupancy >= quota {
-                    row.shed += 1;
-                    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(AdmitRefusal::Quota {
-                        retry_after_ms: tenant_retry_hint_ms(shared, occupancy),
-                    });
+    if let Step::Refuse(reply) | Step::Settle { reply, .. } = &step {
+        match reply {
+            Response::Overloaded { .. } => stats.rejected.fetch_add(1, Ordering::Relaxed),
+            Response::Error { kind: ErrorKind::Cancelled, .. } => {
+                stats.cancelled.fetch_add(1, Ordering::Relaxed)
+            }
+            Response::Error { kind: ErrorKind::Deadline, .. } => {
+                stats.deadline_expired.fetch_add(1, Ordering::Relaxed)
+            }
+            Response::Error { .. } => stats.errored.fetch_add(1, Ordering::Relaxed),
+            _ => stats.completed.fetch_add(1, Ordering::Relaxed),
+        };
+    }
+    let Some((table, tenant)) = tenant else { return };
+    // `shed` counts only the overload refusals of jobs that never got
+    // in; any other refusal leaves the row (and the table) untouched.
+    if let Step::Refuse(reply) = &step {
+        if !matches!(reply, Response::Overloaded { .. }) {
+            return;
+        }
+    }
+    let row = table.row(tenant);
+    match step {
+        Step::Refuse(_) => row.shed += 1,
+        Step::Admit => {
+            row.admitted += 1;
+            row.in_queue += 1;
+        }
+        Step::Restore => {
+            row.admitted += 1;
+            row.in_flight += 1;
+        }
+        Step::Start { waited } => {
+            row.in_queue = row.in_queue.saturating_sub(1);
+            row.in_flight += 1;
+            row.queue_wait.record(waited);
+        }
+        Step::Settle { reply, from } => {
+            let ran = match from {
+                Stage::Queued => {
+                    row.in_queue = row.in_queue.saturating_sub(1);
+                    false
                 }
+                Stage::Worker { busy, .. } => {
+                    row.in_flight = row.in_flight.saturating_sub(1);
+                    busy.is_some()
+                }
+            };
+            if ran {
+                row.executed += 1;
+            } else if matches!(reply, Response::Error { kind: ErrorKind::Deadline, .. }) {
+                row.expired += 1;
+            } else {
+                row.cancelled += 1;
             }
         }
-    }
-    match shared.queue.try_push(lane.as_deref(), job) {
-        Ok(()) => {
-            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            if let Some((table, name)) = &mut tagged {
-                let row = table.row(name);
-                row.admitted += 1;
-                row.in_queue += 1;
-            }
-            Ok(())
+        // The job's real fate was decided by the previous process; this
+        // one never ran it.
+        Step::Retire => {
+            row.in_flight = row.in_flight.saturating_sub(1);
+            row.cancelled += 1;
         }
-        Err(PushError::Full(_)) => {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some((table, name)) = &mut tagged {
-                table.row(name).shed += 1;
-            }
-            Err(AdmitRefusal::Full)
-        }
-        Err(PushError::Closed(_)) => Err(AdmitRefusal::Closed),
     }
 }
 
-/// Back-off hint for a quota-shed request: the tenant's own occupancy
-/// (not the global backlog) priced at the observed mean service time —
-/// roughly when one of the tenant's held slots should free up.
-fn tenant_retry_hint_ms(shared: &Shared, occupancy: u64) -> u64 {
+/// [`count`]s `step` for a request of `tenant`, locking the tenant table
+/// only when there is a row to move: untagged requests take no lock.
+fn record(shared: &Shared, tenant: Option<&str>, step: Step<'_>) {
+    let mut table = tenant.map(|_| shared.tenants.lock().expect("tenants lock"));
+    count(&shared.stats, table.as_deref_mut().zip(tenant), step);
+}
+
+/// Answers a job that was admitted but never reached a worker.
+fn answer_queued(shared: &Shared, job: Job, reply: Response) {
+    let from = Stage::Queued;
+    record(shared, job.request.tenant.as_deref(), Step::Settle { reply: &reply, from });
+    let _ = job.reply.send(Frame::Final(reply));
+}
+
+/// Suggested back-off for a shed request: `backlog` jobs ahead of it —
+/// the worker queue's, or a quota'd tenant's own occupancy — plus
+/// itself, spread over the pool at the observed mean service time.
+/// Before any request has finished the mean is seeded with the default
+/// deadline budget (or [`COLD_START_SERVICE_TIME`]), so a cold-start
+/// overload still produces a hint proportional to backlog. Computed in
+/// nanoseconds so sub-ms means still scale with backlog instead of
+/// truncating to zero.
+fn hint_ms(shared: &Shared, backlog: u64) -> u64 {
     let mean = shared.stats.mean_service_time_or(shared.hint_fallback);
-    let per_worker = (occupancy + 1).div_ceil(shared.workers as u64);
+    let per_worker = (backlog + 1).div_ceil(shared.workers as u64);
     (mean.as_nanos() as u64).saturating_mul(per_worker).div_ceil(1_000_000).max(1)
+}
+
+/// The one admission gate: `Ok` when the request is admitted — into the
+/// worker queue, or, for a co-scheduled `submit`, into the worker queue
+/// holding its placement or into the co-scheduler's wait map — and
+/// `Err` with the reply that answers it at the door otherwise. Either
+/// way it is counted before this returns.
+///
+/// A tagged request holds the tenants lock through the whole decision
+/// (lock order: cosched → tenants → queue), so the quota check and the
+/// occupancy increment are one atomic step even against racing traffic
+/// of the same tenant. An untagged request takes no tenants lock: a
+/// `submit` holds it through its whole placement scan, and the untagged
+/// requests of other connections must not queue up behind it.
+fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
+    let id = job.request.id;
+    // Wire requests were validated at decode; in-process callers get the
+    // same rule here, so an unparseable tag can never reach the tenant
+    // table (or mint an unbounded metrics row).
+    let tag = job.request.tenant.as_deref().map(validate_tenant);
+    let unfit = match (tag, &job.request.body, &shared.cosched) {
+        (Some(Err(message)), ..) => Some(message),
+        (_, RequestBody::Submit(_), None) => {
+            Some("submit requires the co-scheduler (start the service with --cosched)".to_string())
+        }
+        _ => None,
+    };
+    if let Some(message) = unfit {
+        let reply = Response::Error { id, kind: ErrorKind::Invalid, message };
+        count(&shared.stats, None, Step::Refuse(&reply));
+        return Err(reply);
+    }
+    let mut state = match (&shared.cosched, &job.request.body) {
+        (Some(cosched), RequestBody::Submit(_)) => {
+            let mut state = cosched.lock().expect("cosched lock");
+            // Expired/cancelled waiters are reaped before every admission
+            // decision so dead jobs never hold queue slots ahead of live
+            // ones.
+            reap_expired_waiting(shared, &mut state);
+            Some(state)
+        }
+        _ => None,
+    };
+    let mut tagged = job.request.tenant.as_deref().map(|tenant| {
+        let table = shared.tenants.lock().expect("tenants lock");
+        let name = table.resolve_name(tenant);
+        (table, name)
+    });
+    // Lanes, and quotas, exist only under an active policy: with none,
+    // every push lands in the single implicit lane, which makes the fair
+    // queue the exact FIFO the untenanted service always had.
+    let lane =
+        tagged.as_ref().filter(|_| shared.tenant_policy.is_active()).map(|(_, name)| name.clone());
+    let quota = lane.as_deref().and_then(|name| shared.tenant_policy.quota_for(name));
+    // A quota shed happens before the queue or the scheduler sees the
+    // job: no virtual time advances, and the global queue may still have
+    // room for other tenants. The hint is sized to this tenant's backlog.
+    let over_quota = match (&mut tagged, quota) {
+        (Some((table, name)), Some(quota)) => {
+            let row = table.row(name);
+            let occupancy = row.in_queue + row.in_flight;
+            (occupancy >= quota).then(|| hint_ms(shared, occupancy))
+        }
+        _ => None,
+    };
+    // Only *admitted* requests are journaled; copied up front because
+    // the queue owns the job once pushed.
+    let admit_copy = shared.journal.as_ref().map(|_| job.request.clone());
+    let decided = match (over_quota, state.as_deref_mut()) {
+        (Some(retry_after_ms), _) => Err(Response::Overloaded { id, retry_after_ms }),
+        (None, None) => enqueue(shared, None, lane.as_deref(), job).map_err(|refused| refused.1),
+        (None, Some(state)) => place(shared, state, lane.as_deref(), job),
+    };
+    let step = match &decided {
+        Ok(()) => Step::Admit,
+        Err(reply) => Step::Refuse(reply),
+    };
+    count(&shared.stats, tagged.as_mut().map(|(table, name)| (&mut **table, name.as_str())), step);
+    drop(tagged);
+    if let (Ok(()), Some(journal), Some(request)) = (&decided, &shared.journal, &admit_copy) {
+        journal.append_admit(request);
+        if let Some(state) = &state {
+            journal_reserve(journal, state, id, request.tenant.as_ref());
+        }
+    }
+    decided
+}
+
+/// Pushes `job` into the worker queue on `lane`, or hands it back with
+/// the reply that answers it instead — `overloaded` when the queue is
+/// full, `shutting_down` once it is closed — after withdrawing the
+/// reservation it holds, if any, without touching the virtual clock.
+fn enqueue(
+    shared: &Shared,
+    state: Option<&mut CoschedState>,
+    lane: Option<&str>,
+    job: Job,
+) -> Result<(), Box<(Job, Response)>> {
+    let id = job.request.id;
+    let (job, reply) = match shared.queue.try_push(lane, job) {
+        Ok(()) => return Ok(()),
+        Err(PushError::Full(job)) => {
+            let retry_after_ms = hint_ms(shared, shared.queue.len() as u64);
+            (job, Response::Overloaded { id, retry_after_ms })
+        }
+        Err(PushError::Closed(job)) => (job, Rejected::ShuttingDown.to_response(id)),
+    };
+    if let Some(state) = state {
+        state.sched.withdraw(id);
+    }
+    Err(Box::new((job, reply)))
+}
+
+/// Admission path of `submit` requests: place against live residual
+/// capacity, queue when nothing fits, shed when the wait queue is full.
+/// Placed jobs enter the worker queue already holding their
+/// reservation; queued jobs park their reply handle until a completion
+/// pumps them through.
+fn place(
+    shared: &Shared,
+    state: &mut CoschedState,
+    lane: Option<&str>,
+    mut job: Job,
+) -> Result<(), Response> {
+    let id = job.request.id;
+    let RequestBody::Submit(submit) = &job.request.body else { unreachable!("routed on body") };
+    let (kind, message) = match state.sched.submit(id, submit.shape.clone()) {
+        Ok(Admission::Placed(decision)) => {
+            // Placed with jobs still waiting means this admission jumped
+            // the queue: backfill.
+            let backfilled = state.sched.queue_depth() > 0;
+            let residual = residual(state);
+            job.cosched = Some(CoschedJob { decision, backfilled, queue_wait_ms: 0.0, residual });
+            return enqueue(shared, Some(state), lane, job).map_err(|refused| refused.1);
+        }
+        Ok(Admission::Queued { depth }) => {
+            submit_progress(shared, &job, Some(depth as u64), None);
+            let seq = state.next_wait_seq;
+            state.next_wait_seq += 1;
+            state.waiting.insert(id, WaitingSubmit { job, seq, enqueued: Instant::now() });
+            return Ok(());
+        }
+        Ok(Admission::Shed) => {
+            let retry_after_ms = hint_ms(shared, shared.queue.len() as u64);
+            return Err(Response::Overloaded { id, retry_after_ms });
+        }
+        Ok(Admission::Infeasible) => (
+            ErrorKind::Invalid,
+            "ensemble cannot fit the co-scheduled platform even when idle".to_string(),
+        ),
+        Err(scheduler::CoschedError::DuplicateJob(job)) => {
+            (ErrorKind::Invalid, format!("job {job} already holds a reservation or queue slot"))
+        }
+        Err(e) => (ErrorKind::Internal, format!("placement scoring failed: {e}")),
+    };
+    Err(Response::Error { id, kind, message })
+}
+
+/// Per-node free cores of the residency map.
+fn residual(state: &CoschedState) -> Vec<u64> {
+    state.sched.residency().residual().iter().map(|&c| u64::from(c)).collect()
+}
+
+/// Sends a progress-opted `submit` its queue depth (on entering the wait
+/// queue) or its placement (on leaving it).
+fn submit_progress(
+    shared: &Shared,
+    job: &Job,
+    queue_depth: Option<u64>,
+    assignment: Option<Vec<usize>>,
+) {
+    if job.request.progress.is_some() {
+        let body = ProgressBody::Submit { queue_depth, assignment };
+        if job.reply.send(Frame::Progress(Progress { id: job.request.id, body })).is_ok() {
+            shared.stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The base platform/workload model the co-scheduler scores candidate
@@ -1165,22 +1140,20 @@ fn cosched_base(workloads: Workloads) -> SimRunConfig {
     cfg
 }
 
-/// The durable image of `job`'s open reservation, for the journal. The
-/// tenant rides along so a restart can rebuild quota occupancy even
-/// after compaction has dropped the admit record.
-fn replayed_reservation(
-    state: &CoschedState,
-    job: u64,
-    tenant: Option<&String>,
-) -> Option<ReplayedReservation> {
-    state.sched.residency().reservations().find(|r| r.job == job).map(|r| ReplayedReservation {
-        job: r.job,
-        members: r.shape.members.clone(),
-        assignment: r.assignment.clone(),
-        predicted_end: r.predicted_end,
-        seq: r.seq,
-        tenant: tenant.cloned(),
-    })
+/// Journals `job`'s open reservation, when it holds one. The tenant
+/// rides along so a restart can rebuild quota occupancy even after
+/// compaction has dropped the admit record.
+fn journal_reserve(journal: &Journal, state: &CoschedState, job: u64, tenant: Option<&String>) {
+    if let Some(r) = state.sched.residency().reservations().find(|r| r.job == job) {
+        journal.append_reserve(&ReplayedReservation {
+            job: r.job,
+            members: r.shape.members.clone(),
+            assignment: r.assignment.clone(),
+            predicted_end: r.predicted_end,
+            seq: r.seq,
+            tenant: tenant.cloned(),
+        });
+    }
 }
 
 /// Answers and evicts waiting `submit` jobs whose deadline expired or
@@ -1189,39 +1162,18 @@ fn replayed_reservation(
 /// construction; the regression test drains an expired backlog and
 /// asserts exactly that.
 fn reap_expired_waiting(shared: &Shared, state: &mut CoschedState) {
-    let now = Instant::now();
-    let dead: Vec<u64> = state
+    let dead: Vec<(u64, Response)> = state
         .waiting
         .iter()
-        .filter(|(_, w)| {
-            w.job.cancel.is_cancelled() || w.job.deadline_at.is_some_and(|at| now >= at)
+        .filter_map(|(&id, w)| {
+            let alive = checkpoint(&w.job, || "while queued for co-scheduling".to_string());
+            alive.err().map(|e| (id, e.to_response(id)))
         })
-        .map(|(&id, _)| id)
         .collect();
-    for id in dead {
+    for (id, reply) in dead {
         let entry = state.waiting.remove(&id).expect("key just listed");
         state.sched.cancel_queued(id);
-        let cancelled = entry.job.cancel.is_cancelled();
-        // Reaped waiters leave the queue and land in a terminal bucket
-        // in the same breath — they must not vanish from the per-tenant
-        // conservation sum.
-        tenant_bump(shared, entry.job.request.tenant.as_ref(), |row| {
-            row.in_queue = row.in_queue.saturating_sub(1);
-            if cancelled {
-                row.cancelled += 1;
-            } else {
-                row.expired += 1;
-            }
-        });
-        let response = if cancelled {
-            shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            ExecError::Cancelled.to_response(id)
-        } else {
-            shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            ExecError::Deadline("deadline expired while queued for co-scheduling".to_string())
-                .to_response(id)
-        };
-        let _ = entry.job.reply.send(Frame::Final(response));
+        answer_queued(shared, entry.job, reply);
     }
 }
 
@@ -1240,14 +1192,9 @@ fn finish_cosched(shared: &Shared, job_id: u64) {
     };
     // A restored orphan (reservation replayed from the journal with no
     // live caller) occupied its tenant's quota since restart; releasing
-    // it retires that occupancy into the cancelled bucket — the job's
-    // real fate was decided by the previous process, this one never ran
-    // it.
+    // it retires that occupancy.
     if let Some(tenant) = state.restored_tenants.remove(&job_id) {
-        tenant_bump(shared, Some(&tenant), |row| {
-            row.in_flight = row.in_flight.saturating_sub(1);
-            row.cancelled += 1;
-        });
+        record(shared, Some(&tenant), Step::Retire);
     }
     if let Some(journal) = &shared.journal {
         journal.append_release(job_id);
@@ -1273,68 +1220,33 @@ fn dispatch_started(
         // Started while an earlier-admitted job still waits = backfill.
         let backfilled = state.waiting.values().any(|w| w.seq < entry.seq);
         let queue_wait_ms = entry.enqueued.elapsed().as_secs_f64() * 1e3;
-        let residual: Vec<u64> =
-            state.sched.residency().residual().iter().map(|&c| u64::from(c)).collect();
-        if let (Some(journal), Some(reservation)) =
-            (&shared.journal, replayed_reservation(state, id, entry.job.request.tenant.as_ref()))
-        {
-            journal.append_reserve(&reservation);
-        }
-        if entry.job.request.progress.is_some() {
-            let frame = Frame::Progress(Progress {
-                id,
-                body: ProgressBody::Submit {
-                    queue_depth: None,
-                    assignment: Some(decision.assignment.clone()),
-                },
-            });
-            if entry.job.reply.send(frame).is_ok() {
-                shared.stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let tenant = entry.job.request.tenant.clone();
         let mut job = entry.job;
+        submit_progress(shared, &job, None, Some(decision.assignment.clone()));
+        let residual = residual(state);
         job.cosched = Some(CoschedJob { decision, backfilled, queue_wait_ms, residual });
         // Dispatch keeps the job's lane: a waiting submit was already
         // admitted (its tenant row counts it in `in_queue`), so the
         // dequeue below competes fairly against direct traffic of the
         // same tenant.
-        let lane = if shared.tenant_policy.is_active() {
-            tenant.as_deref().map(|t| shared.tenants.lock().expect("tenants lock").resolve_name(t))
-        } else {
-            None
-        };
-        match shared.queue.try_push(lane.as_deref(), job) {
-            Ok(()) => {}
-            Err(PushError::Full(job)) => {
-                state.sched.withdraw(id);
-                if let Some(journal) = &shared.journal {
-                    journal.append_release(id);
-                }
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                // This job was *admitted* (it counted into `in_queue`
-                // when it entered the wait map), so the rollback is a
-                // cancellation, not an admission-time shed — `shed`
-                // only ever counts jobs that never got in.
-                tenant_bump(shared, tenant.as_ref(), |row| {
-                    row.in_queue = row.in_queue.saturating_sub(1);
-                    row.cancelled += 1;
-                });
-                let retry_after_ms = retry_hint_ms(shared);
-                let _ = job
-                    .reply
-                    .send(Frame::Final(Rejected::Overloaded { retry_after_ms }.to_response(id)));
+        let tenant = job.request.tenant.clone();
+        let lane = match &tenant {
+            Some(t) if shared.tenant_policy.is_active() => {
+                Some(shared.tenants.lock().expect("tenants lock").resolve_name(t))
             }
-            Err(PushError::Closed(job)) => {
-                state.sched.withdraw(id);
+            _ => None,
+        };
+        match enqueue(shared, Some(state), lane.as_deref(), job) {
+            Ok(()) => {
                 if let Some(journal) = &shared.journal {
-                    journal.append_release(id);
+                    journal_reserve(journal, state, id, tenant.as_ref());
                 }
-                tenant_bump(shared, tenant.as_ref(), |row| {
-                    row.in_queue = row.in_queue.saturating_sub(1);
-                    row.cancelled += 1;
-                });
-                let _ = job.reply.send(Frame::Final(Rejected::ShuttingDown.to_response(id)));
+            }
+            // The job was admitted when it entered the wait map, so the
+            // rollback settles it from the queue: never a shed, which
+            // only ever counts jobs that never got in.
+            Err(refused) => {
+                let (job, reply) = *refused;
+                answer_queued(shared, job, reply);
             }
         }
     }

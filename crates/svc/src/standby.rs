@@ -41,8 +41,8 @@ use std::time::{Duration, Instant, SystemTime};
 
 use crate::journal::{decode_line, FollowEvent, JournalConfig, JournalFollower, JournalRecord};
 use crate::json::Value;
-use crate::protocol::{ErrorKind, Request, RequestBody, Response};
-use crate::server::{heartbeat_path, REPL_HEARTBEAT};
+use crate::protocol::{ErrorKind, RequestBody, Response};
+use crate::server::{decode_request, heartbeat_path, write_frame, LineReader, REPL_HEARTBEAT};
 use crate::service::{Service, SvcConfig};
 
 /// Missed heartbeats after which the primary is presumed dead.
@@ -508,39 +508,25 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<StandbyShared>) {
 fn standby_connection(mut stream: TcpStream, shared: &Arc<StandbyShared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    'conn: loop {
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line[..nl]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
+    let mut lines = LineReader::default();
+    let mut out = String::new();
+    loop {
+        while let Some(line) = lines.next_line() {
             let response = standby_answer(shared, &line);
-            let out = format!("{}\n", response.to_json());
-            if stream.write_all(out.as_bytes()).and_then(|()| stream.flush()).is_err() {
-                break 'conn;
+            if write_frame(&mut stream, &mut out, |o| response.write_json(o)).is_err() {
+                return;
             }
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break 'conn,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                if shared.stopping() {
-                    break 'conn;
-                }
-            }
-            Err(_) => break 'conn,
+        if !lines.fill(&mut stream, &mut out, || shared.stopping()) {
+            return;
         }
     }
 }
 
 fn standby_answer(shared: &StandbyShared, line: &str) -> Response {
-    let id = Value::parse(line).ok().and_then(|v| v.get("id").and_then(Value::as_u64)).unwrap_or(0);
-    let request = match Request::from_json(line) {
+    let request = match decode_request(line) {
         Ok(r) => r,
-        Err(message) => return Response::Error { id, kind: ErrorKind::Malformed, message },
+        Err(refused) => return refused,
     };
     match request.body {
         RequestBody::Metrics => Response::Metrics { id: request.id, rows: standby_rows(shared) },

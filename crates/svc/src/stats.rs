@@ -66,11 +66,15 @@ impl LatencyHistogram {
 /// point-in-time view).
 #[derive(Default)]
 pub struct SvcStats {
-    /// Requests offered to admission (accepted + rejected).
+    /// Requests offered to admission. Each is answered in exactly one of
+    /// `completed`, `errored`, `rejected`, `cancelled` and
+    /// `deadline_expired` — refusals at the door included, whatever the
+    /// reply — or is still queued or in flight.
     pub submitted: AtomicU64,
     /// Requests accepted into the queue.
     pub accepted: AtomicU64,
-    /// Requests shed with `Overloaded`.
+    /// Requests answered `overloaded`: shed at the door, or rolled back
+    /// when a co-scheduled job found the worker queue full.
     pub rejected: AtomicU64,
     /// Requests answered successfully.
     pub completed: AtomicU64,
@@ -82,7 +86,8 @@ pub struct SvcStats {
     pub cancelled: AtomicU64,
     /// Requests whose deadline expired before or during execution.
     pub deadline_expired: AtomicU64,
-    /// Requests answered with a structured error.
+    /// Requests answered with any other structured error (`invalid`,
+    /// `shutting_down`, ...).
     pub errored: AtomicU64,
     /// Requests currently executing on a worker.
     pub in_flight: AtomicU64,

@@ -5,6 +5,8 @@
 //! visible in metrics, attach results bit-identical — while the
 //! deposed primary's late appends are fenced off by the epoch.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -330,6 +332,47 @@ fn degraded_primary_is_detected_within_a_heartbeat() {
     handle.shutdown();
     cleanup(&primary_path);
     cleanup(&local_path);
+}
+
+/// The standby's read-only listener reads request lines the way the
+/// primary's does: a line that outgrows the 1 MiB cap without ending is
+/// answered `malformed` rather than buffered without bound, and a bad
+/// tenant tag is `invalid` on both sides.
+#[test]
+fn both_listeners_cap_request_lines_and_classify_bad_tags_alike() {
+    const MAX_LINE_BYTES: usize = 1 << 20;
+    let path = temp_path("line-cap");
+    let primary = serve("127.0.0.1:0", config_with_journal(JournalConfig::new(&path))).unwrap();
+    let mut standby_config = StandbyConfig::new(StandbySource::File(path.clone()));
+    standby_config.serve_addr = Some("127.0.0.1:0".to_string());
+    let standby = Standby::start(standby_config).unwrap();
+    let mut bad_tag = run_request(1, 1);
+    bad_tag.tenant = Some("placeholder".to_string());
+    let bad_tag = bad_tag.to_json().replace("placeholder", "no;semis");
+    for addr in [primary.addr(), standby.addr().expect("standby listener")] {
+        // One byte past the cap and no newline. The listener reads all
+        // of it before refusing, so its close cannot reset the reply.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).expect("a reply within the timeout");
+        match Response::from_json(reply.trim_end()).unwrap() {
+            Response::Error { kind: ErrorKind::Malformed, message, .. } => {
+                assert!(message.contains("exceeds"), "{addr}: {message}");
+            }
+            other => panic!("{addr}: expected malformed, got {other:?}"),
+        }
+        match SvcClient::connect(addr).unwrap().request_raw(&bad_tag).unwrap() {
+            Response::Error { kind: ErrorKind::Invalid, message, .. } => {
+                assert!(message.starts_with("invalid tenant"), "{addr}: {message}");
+            }
+            other => panic!("{addr}: expected invalid, got {other:?}"),
+        }
+    }
+    drop(standby);
+    primary.shutdown();
+    cleanup(&path);
 }
 
 /// Nightly soak: generations of crash → follow → promote. Every run

@@ -8,7 +8,9 @@
 //! quota shed with tenant-sized hints, the bounded tenant table, dead
 //! waiters holding slots on a quiet server, and the conservation
 //! invariant `admitted = executed + expired + cancelled + in_queue +
-//! in_flight` per tenant.
+//! in_flight` per tenant — and its global twin, every request offered
+//! to admission answered in one reply bucket or still held, through
+//! shutdown and under seeded schedules.
 
 use std::time::Duration;
 
@@ -50,11 +52,34 @@ fn run_request(id: u64, tenant: Option<&str>, steps: u64) -> Request {
     }
 }
 
-/// A plain untagged `run` long enough (~20 µs/step) to pin one worker
-/// while the test lines up the queue behind it — admission decisions
-/// happen against a provably busy pool, no sleep-and-hope.
-fn blocker(id: u64) -> Request {
-    run_request(id, None, 30_000)
+/// Pins the pool's one worker with an untagged score until the test
+/// cancels it: 14 four-core components on up to 14 nodes are ~1.9 × 10⁸
+/// candidates (seconds of enumeration alone in a release build), and
+/// `top_k` 1 keeps its memory constant however long it runs. Returns
+/// once the worker holds it, so admission decisions happen against a
+/// provably busy pool however fast the build.
+fn hold(svc: &Service) -> svc::service::Pending {
+    let mut req = svc::small_score_request(100, 7, 4, 1, 4, 14);
+    if let RequestBody::Score(ref mut score) = req.body {
+        score.top_k = 1;
+        score.workers = 1;
+    }
+    let held = svc.submit(req).expect("an idle service admits the held score");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while svc.metrics().in_flight == 0 {
+        assert!(std::time::Instant::now() < deadline, "the worker never picked up the held score");
+        std::thread::yield_now();
+    }
+    held
+}
+
+/// Lets the held score go and checks that it ends as cancelled.
+fn release(held: svc::service::Pending) {
+    held.cancel();
+    match held.wait() {
+        Response::Error { kind: ErrorKind::Cancelled, .. } => {}
+        other => panic!("the held score ends cancelled, got {other:?}"),
+    }
 }
 
 fn tenant_row(svc: &Service, name: &str) -> TenantRow {
@@ -81,10 +106,11 @@ fn assert_conserved(row: &TenantRow, name: &str) {
 #[test]
 fn fifo_baseline_starves_interactive_behind_a_batch_flood() {
     let svc = Service::start(config(1, 16, TenantPolicy::default()));
-    let _blocked = svc.submit(blocker(100)).unwrap();
+    let blocked = hold(&svc);
     let batch: Vec<_> =
         (0..4).map(|i| svc.submit(run_request(i, Some("batch"), 10_000)).unwrap()).collect();
     let interactive = svc.submit(run_request(50, Some("interactive"), 4)).unwrap();
+    release(blocked);
     assert!(matches!(interactive.wait(), Response::RunResult { .. }));
     let row = tenant_row(&svc, "batch");
     assert_eq!(
@@ -105,10 +131,11 @@ fn fair_lanes_serve_interactive_while_batch_saturates() {
     let mut policy = TenantPolicy::default();
     policy.weights.insert("interactive".to_string(), 2);
     let svc = Service::start(config(1, 16, policy));
-    let _blocked = svc.submit(blocker(100)).unwrap();
+    let blocked = hold(&svc);
     let batch: Vec<_> =
         (0..4).map(|i| svc.submit(run_request(i, Some("batch"), 10_000)).unwrap()).collect();
     let interactive = svc.submit(run_request(50, Some("interactive"), 4)).unwrap();
+    release(blocked);
     assert!(matches!(interactive.wait(), Response::RunResult { .. }));
     let row = tenant_row(&svc, "batch");
     assert!(
@@ -130,7 +157,7 @@ fn quota_exhaustion_sheds_with_tenant_hint_while_others_admit() {
     let mut policy = TenantPolicy::default();
     policy.quotas.insert("batch".to_string(), 2);
     let svc = Service::start(config(1, 32, policy));
-    let _blocked = svc.submit(blocker(100)).unwrap();
+    let blocked = hold(&svc);
     let b0 = svc.submit(run_request(1, Some("batch"), 4)).unwrap();
     let b1 = svc.submit(run_request(2, Some("batch"), 4)).unwrap();
     match svc.submit(run_request(3, Some("batch"), 4)) {
@@ -147,6 +174,7 @@ fn quota_exhaustion_sheds_with_tenant_hint_while_others_admit() {
     assert_eq!(row.admitted, 2);
     assert_eq!(row.shed, 1);
     assert_eq!(row.quota, 2, "configured quota is visible in the snapshot");
+    release(blocked);
     for p in [b0, b1, ok, other] {
         assert!(matches!(p.wait(), Response::RunResult { .. }));
     }
@@ -260,7 +288,7 @@ fn submit_request(id: u64, tenant: Option<&str>, deadline: Option<Duration>) -> 
 #[test]
 fn metrics_scrape_reaps_a_lone_expired_waiter() {
     let svc = Service::start(cosched_config(TenantPolicy::default()));
-    let _blocked = svc.submit(blocker(100)).unwrap();
+    let blocked = hold(&svc);
     let placed = svc.submit(submit_request(1, Some("t"), None)).unwrap();
     let waiting =
         svc.submit(submit_request(2, Some("t"), Some(Duration::from_millis(50)))).unwrap();
@@ -268,6 +296,7 @@ fn metrics_scrape_reaps_a_lone_expired_waiter() {
     // No further traffic — the scrape itself must evict the dead waiter.
     let m = svc.metrics();
     assert_eq!(m.cosched_queue_depth, 0, "metrics() reaped the expired waiter");
+    release(blocked);
     match waiting.wait() {
         Response::Error { kind: ErrorKind::Deadline, .. } => {}
         other => panic!("expected deadline expiry, got {other:?}"),
@@ -284,8 +313,8 @@ fn metrics_scrape_reaps_a_lone_expired_waiter() {
 #[test]
 fn wait_timeout_reaps_a_lone_expired_waiter() {
     let svc = Service::start(cosched_config(TenantPolicy::default()));
-    let _blocked = svc.submit(blocker(100)).unwrap();
-    let _placed = svc.submit(submit_request(1, Some("t"), None)).unwrap();
+    let blocked = hold(&svc);
+    let placed = svc.submit(submit_request(1, Some("t"), None)).unwrap();
     let waiting =
         svc.submit(submit_request(2, Some("t"), Some(Duration::from_millis(50)))).unwrap();
     match waiting.wait_timeout(Duration::from_millis(150)) {
@@ -296,6 +325,8 @@ fn wait_timeout_reaps_a_lone_expired_waiter() {
     let row = tenant_row(&svc, "t");
     assert_eq!(row.expired, 1);
     assert_conserved(&row, "t");
+    release(blocked);
+    assert!(matches!(placed.wait(), Response::SubmitResult { .. }));
 }
 
 /// Every admitted job lands in exactly one terminal bucket — executed,
@@ -304,13 +335,17 @@ fn wait_timeout_reaps_a_lone_expired_waiter() {
 #[test]
 fn per_tenant_accounting_conserves_every_admitted_job() {
     let svc = Service::start(config(1, 16, TenantPolicy::default()));
-    let _blocked = svc.submit(blocker(100)).unwrap();
+    let blocked = hold(&svc);
     let executed = svc.submit(run_request(1, Some("t"), 4)).unwrap();
     let mut with_deadline = run_request(2, Some("t"), 4);
     with_deadline.deadline = Some(Duration::from_millis(20));
     let expired = svc.submit(with_deadline).unwrap();
     let cancelled = svc.submit(run_request(3, Some("t"), 4)).unwrap();
     cancelled.cancel();
+    // Past the second job's deadline before the worker is let go, so it
+    // expires in the queue however fast the first one runs.
+    std::thread::sleep(Duration::from_millis(20));
+    release(blocked);
     assert!(matches!(executed.wait(), Response::RunResult { .. }));
     match expired.wait() {
         Response::Error { kind: ErrorKind::Deadline, .. } => {}
@@ -368,6 +403,150 @@ fn journaled_reservation_reoccupies_tenant_quota_after_restart() {
     assert_conserved(&row, "t");
     drop(svc);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Both books at a quiescent point: the global rows account for every
+/// request offered to admission — answered in exactly one reply bucket,
+/// or still queued or in flight — and each tenant row for every job it
+/// admitted.
+fn assert_books_balance(svc: &Service) {
+    let m = svc.metrics();
+    let answered = m.completed + m.errored + m.rejected + m.cancelled + m.deadline_expired;
+    let held = (m.queue_depth + m.cosched_queue_depth) as u64 + m.in_flight;
+    assert_eq!(m.submitted, answered + held, "global conservation broken: {m:?}");
+    for (name, row) in &m.tenants {
+        assert_conserved(row, name);
+    }
+}
+
+/// A request refused because the service shut down was still offered
+/// and answered: its `shutting_down` reply is counted `errored`.
+#[test]
+fn a_refusal_after_shutdown_balances_the_global_books() {
+    let svc = Service::start(config(1, 4, TenantPolicy::default()));
+    let done = svc.submit(run_request(1, Some("t"), 4)).unwrap();
+    assert!(matches!(done.wait(), Response::RunResult { .. }));
+    svc.shutdown();
+    assert_eq!(svc.submit(run_request(2, Some("t"), 4)).err(), Some(Rejected::ShuttingDown));
+    let m = svc.metrics();
+    assert_eq!((m.submitted, m.completed, m.errored), (2, 1, 1));
+    assert_books_balance(&svc);
+}
+
+/// A co-scheduled `submit` still waiting for capacity when the service
+/// shuts down is answered `shutting_down` — here by the completion that
+/// would have dispatched it into the now-closed worker queue — and
+/// counted in both books.
+#[test]
+fn a_submit_waiting_behind_a_running_job_at_shutdown_balances_both_books() {
+    let mut cfg = cosched_config(TenantPolicy::default());
+    cfg.queue_capacity = 2;
+    let svc = Service::start(cfg);
+    let blocked = hold(&svc);
+    let placed = svc.submit(submit_request(1, Some("t"), None)).unwrap();
+    let waiting = svc.submit(submit_request(2, Some("t"), None)).unwrap();
+    assert_eq!(svc.metrics().cosched_queue_depth, 1, "the second submit waits for capacity");
+    let filler = svc.submit(run_request(3, None, 4)).unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| svc.shutdown());
+        // The worker queue is full, so a probe is shed while admissions
+        // are open and refused once shutdown has closed them: the
+        // placed job cannot dispatch its waiter before the close.
+        loop {
+            match svc.submit(run_request(9, None, 1)) {
+                Err(Rejected::ShuttingDown) => break,
+                Err(Rejected::Overloaded { .. }) => std::thread::yield_now(),
+                Ok(_) => panic!("a full queue admitted the probe"),
+            }
+        }
+        release(blocked);
+    });
+    assert!(matches!(placed.wait(), Response::SubmitResult { .. }));
+    assert!(matches!(waiting.wait(), Response::Error { kind: ErrorKind::ShuttingDown, .. }));
+    assert!(matches!(filler.wait(), Response::RunResult { .. }));
+    assert_eq!(tenant_row(&svc, "t").cancelled, 1);
+    assert_books_balance(&svc);
+}
+
+/// The same answer from shutdown itself: a submit waiting behind a
+/// journal-restored reservation, which no worker will ever release.
+#[test]
+fn a_submit_waiting_behind_an_orphan_at_shutdown_balances_both_books() {
+    let path = std::env::temp_dir().join(format!("svc-fair-orphan-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    {
+        let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+        journal.append_reserve(&ReplayedReservation {
+            job: 7,
+            members: vec![(16, vec![8])],
+            assignment: vec![0, 0],
+            predicted_end: 50.0,
+            seq: 1,
+            tenant: None,
+        });
+    }
+    let mut cfg = cosched_config(TenantPolicy::default());
+    cfg.journal = Some(JournalConfig::new(&path));
+    let svc = Service::start(cfg);
+    let waiting = svc.submit(submit_request(1, Some("t"), None)).unwrap();
+    assert_eq!(svc.metrics().cosched_queue_depth, 1, "the orphan holds the capacity");
+    svc.shutdown();
+    assert!(matches!(waiting.wait(), Response::Error { kind: ErrorKind::ShuttingDown, .. }));
+    let m = svc.metrics();
+    assert_eq!((m.submitted, m.errored), (1, 1));
+    assert_books_balance(&svc);
+    drop(svc);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Seeded schedules of tagged and untagged `run` and `score`,
+/// co-scheduled `submit`, cancellation, zero deadlines and a quota'd
+/// tenant against small queues, then shutdown: both books balance at
+/// every quiescent point.
+#[test]
+fn random_schedules_balance_both_books_at_every_quiescent_point() {
+    testkit::check(24, |g| {
+        let mut policy = TenantPolicy::default();
+        policy.quotas.insert("q".to_string(), 1);
+        let mut cfg = cosched_config(policy);
+        cfg.workers = g.range(1usize..=2);
+        cfg.queue_capacity = g.range(1usize..=4);
+        if let Some(cosched) = &mut cfg.cosched {
+            cosched.queue_capacity = g.range(1usize..=2);
+        }
+        let svc = Service::start(cfg);
+        let mut pending = Vec::new();
+        for id in 0..g.range(1u64..=12) {
+            let tenant = g.select(&[None, Some("t"), Some("q")]);
+            let mut req = match g.range(0u8..3) {
+                0 => run_request(id, tenant, g.range(1u64..=4)),
+                1 => svc::small_score_request(id, 2, 16, 1, 8, g.range(2usize..=3)),
+                _ => submit_request(id, tenant, None),
+            };
+            req.tenant = tenant.map(str::to_string);
+            if g.range(0u8..4) == 0 {
+                req.deadline = Some(Duration::ZERO);
+            }
+            if let Ok(p) = svc.submit(req) {
+                pending.push(p);
+            }
+            match g.range(0u8..4) {
+                0 if !pending.is_empty() => pending[g.range(0..pending.len())].cancel(),
+                1 => {
+                    for p in pending.drain(..) {
+                        p.wait();
+                    }
+                    assert_books_balance(&svc);
+                }
+                _ => {}
+            }
+        }
+        svc.shutdown();
+        for p in pending {
+            p.wait();
+        }
+        assert_books_balance(&svc);
+    });
 }
 
 /// Nightly soak: a batch flood and an interactive stream share a

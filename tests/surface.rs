@@ -1,4 +1,4 @@
-//! Three rules about the workspace's shape that hold themselves.
+//! Four rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -23,6 +23,12 @@
 //! would repeat — the Spread/Compact socket split, the data-locality
 //! ablation's read pricing, the power cap's slowdown — each appear in
 //! exactly one function of library code (`#[cfg(test)]` code excluded).
+//!
+//! **Each request counter is written once.** The service counts a
+//! request's life — refused, admitted, started, settled — in one ledger,
+//! so its global rows balance the way its tenant rows do. Every write
+//! of a lifecycle counter or a tenant-row field in `crates/svc/src`
+//! appears in exactly one library function.
 
 use std::collections::BTreeSet;
 
@@ -192,28 +198,58 @@ fn enclosing_fn(code: &str, at: usize) -> String {
         .unwrap_or_default()
 }
 
-#[test]
-fn each_pricing_decision_is_made_in_one_library_function() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+/// Library code of every `.rs` file under `dirs`: everything above a
+/// file's first `#[cfg(test)]`, comments dropped.
+fn library_code(root: &Path, dirs: &[PathBuf]) -> Vec<(PathBuf, String)> {
     let mut files = Vec::new();
-    rust_files(&root.join("src"), &mut files);
-    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
-        rust_files(&entry.expect("dir entry").path().join("src"), &mut files);
+    for dir in dirs {
+        rust_files(dir, &mut files);
     }
-    // Library code: everything above a file's first `#[cfg(test)]`,
-    // comments dropped.
-    let library: Vec<(PathBuf, String)> = files
+    files
         .into_iter()
         .map(|path| {
             let text = fs::read_to_string(&path).expect("read source");
             let code = text.split("#[cfg(test)]").next().expect("split");
             let code: Vec<&str> =
                 code.lines().map(|line| line.split("//").next().expect("split")).collect();
-            (path, code.join("\n"))
+            (path.strip_prefix(root).expect("under the root").to_path_buf(), code.join("\n"))
         })
-        .collect();
+        .collect()
+}
 
-    type Counts = fn(&str, &str) -> bool;
+/// Which text around an occurrence of a mark makes it count.
+type Counts = fn(&str, &str) -> bool;
+
+/// Every mark that `counts` in other than exactly one function of
+/// `library`, with the functions it counts in.
+fn made_in_more_than_one_place(
+    library: &[(PathBuf, String)],
+    marks: &[(&str, Counts)],
+) -> Vec<String> {
+    let mut repeated = Vec::new();
+    for &(mark, counts) in marks {
+        let mut places = BTreeSet::new();
+        for (path, code) in library {
+            for (at, _) in code.match_indices(mark) {
+                if counts(&code[..at], &code[at + mark.len()..]) {
+                    places.insert(format!("{}: fn {}", path.display(), enclosing_fn(code, at)));
+                }
+            }
+        }
+        if places.len() != 1 {
+            repeated.push(format!("`{mark}` in {} functions: {places:?}", places.len()));
+        }
+    }
+    repeated
+}
+
+#[test]
+fn each_pricing_decision_is_made_in_one_library_function() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("src")];
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        dirs.push(entry.expect("dir entry").path().join("src"));
+    }
     let arm: Counts = |_, after| after.trim_start().starts_with("=>");
     // A field read: not a method of that name, not an assignment to it.
     let read: Counts = |_, after| {
@@ -223,31 +259,59 @@ fn each_pricing_decision_is_made_in_one_library_function() {
             && (!rest.starts_with('=') || rest.starts_with("=="))
     };
     let call: Counts = |before, _| !before.trim_end().ends_with("fn");
-    let decisions = [
-        ("BindPolicy::Spread", arm),
-        ("BindPolicy::Compact", arm),
-        (".force_remote_reads", read),
-        ("cap_slowdown(", call),
-    ];
-    let mut repeated = Vec::new();
-    for (mark, counts) in decisions {
-        let mut places = BTreeSet::new();
-        for (path, code) in &library {
-            for (at, _) in code.match_indices(mark) {
-                if counts(&code[..at], &code[at + mark.len()..]) {
-                    let file = path.strip_prefix(root).expect("under the root").display();
-                    places.insert(format!("{file}: fn {}", enclosing_fn(code, at)));
-                }
-            }
-        }
-        if places.len() != 1 {
-            repeated.push(format!("`{mark}` in {} functions: {places:?}", places.len()));
-        }
-    }
+    let repeated = made_in_more_than_one_place(
+        &library_code(root, &dirs),
+        &[
+            ("BindPolicy::Spread", arm),
+            ("BindPolicy::Compact", arm),
+            (".force_remote_reads", read),
+            ("cap_slowdown(", call),
+        ],
+    );
     assert!(
         repeated.is_empty(),
         "a pricing decision made in other than exactly one library function — call the \
          one that makes it:\n  {}",
+        repeated.join("\n  ")
+    );
+}
+
+#[test]
+fn each_request_counter_is_written_in_one_library_function() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // A write: an assignment or an atomic add to the field.
+    let write: Counts = |_, after| {
+        let rest = after.trim_start();
+        !after.starts_with(is_ident)
+            && (rest.starts_with("+=")
+                || rest.starts_with("-=")
+                || (rest.starts_with('=') && !rest.starts_with("=="))
+                || rest.starts_with(".fetch_"))
+    };
+    let fields = [
+        // The global lifecycle counters of `SvcStats`.
+        ".submitted",
+        ".accepted",
+        ".rejected",
+        ".completed",
+        ".deadline_expired",
+        ".errored",
+        // The tenant row's, and the ones both share.
+        ".admitted",
+        ".shed",
+        ".expired",
+        ".in_queue",
+        ".executed",
+        ".cancelled",
+        ".in_flight",
+    ];
+    let marks: Vec<(&str, Counts)> = fields.iter().map(|&field| (field, write)).collect();
+    let repeated =
+        made_in_more_than_one_place(&library_code(root, &[root.join("crates/svc/src")]), &marks);
+    assert!(
+        repeated.is_empty(),
+        "a request counter written in other than exactly one library function — step the \
+         service's ledger instead:\n  {}",
         repeated.join("\n  ")
     );
 }
