@@ -1,4 +1,10 @@
-//! JSON-lines-over-TCP front end.
+//! The front end: one router and one JSON-lines-over-TCP listener.
+//!
+//! `route` decides, per request kind, how every request is answered —
+//! inline, through admission, or by taking over the connection — for
+//! both mounts (the primary's [`Service`] and a standby's read-only
+//! image) and for every caller: a connection thread here, or an
+//! in-process [`Service::submit`].
 //!
 //! One request per line, one *final* response line per request, answered
 //! in order per connection; concurrency comes from concurrent
@@ -20,7 +26,7 @@ use std::borrow::Cow;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -28,6 +34,7 @@ use crate::journal::{FollowEvent, JournalFollower};
 use crate::json::{write_str, write_u64, Value};
 use crate::protocol::{ErrorKind, Frame, Request, RequestBody, Response};
 use crate::service::{Pending, Service, SvcConfig};
+use crate::standby::StandbyShared;
 
 /// Poll interval connection readers use to observe shutdown.
 const READ_POLL: Duration = Duration::from_millis(50);
@@ -50,73 +57,181 @@ pub fn heartbeat_path(journal: &std::path::Path) -> PathBuf {
     journal.with_file_name(name)
 }
 
-struct ServerShared {
-    service: Service,
+/// What requests are routed to: the primary's read-write service, or a
+/// standby's read-only image. Neither knows which listener, if any, it
+/// is mounted on.
+pub(crate) enum Mount<'a> {
+    Primary(&'a Service),
+    Standby(&'a StandbyShared),
+}
+
+/// How the router answers a request.
+pub(crate) enum Routed<'a> {
+    /// Answered without a worker: an inline kind, or a refusal at the
+    /// door.
+    Answered(Response),
+    /// Admitted: zero or more progress frames, then the final, arrive on
+    /// the handle.
+    Admitted(Pending),
+    /// A replication stream of this journalled service, which takes over
+    /// the connection; the id is echoed in its heartbeat frames.
+    Replicate(&'a Service, u64),
+}
+
+/// The one router. `metrics` and `attach` are answered inline — no queue
+/// slot, no worker, no ledger step — so they work under overload;
+/// `replicate` takes over the connection; every other kind goes through
+/// admission. A standby answers from its image and refuses the rest.
+pub(crate) fn route(mount: Mount<'_>, request: Request) -> Routed<'_> {
+    let id = request.id;
+    let refuse = |kind, message: &str| Response::Error { id, kind, message: message.into() };
+    Routed::Answered(match (&request.body, mount) {
+        (RequestBody::Metrics, Mount::Primary(service)) => {
+            Response::Metrics { id, rows: service.metrics().all_rows() }
+        }
+        (RequestBody::Metrics, Mount::Standby(image)) => {
+            Response::Metrics { id, rows: image.rows() }
+        }
+        (RequestBody::Attach { job }, Mount::Primary(service)) => service.attach(id, *job),
+        (RequestBody::Attach { job }, Mount::Standby(image)) => image.attach(id, *job),
+        (RequestBody::Replicate, Mount::Primary(service)) if service.config().journal.is_some() => {
+            return Routed::Replicate(service, id);
+        }
+        (RequestBody::Replicate, Mount::Primary(_)) => {
+            refuse(ErrorKind::Invalid, "replication requires a journalled primary (--journal)")
+        }
+        (_, Mount::Standby(_)) => refuse(
+            ErrorKind::Standby,
+            "standby: read-only until promoted (metrics and attach only)",
+        ),
+        (_, Mount::Primary(service)) => match service.offer(request) {
+            Ok(pending) => return Routed::Admitted(pending),
+            Err(refused) => refused,
+        },
+    })
+}
+
+/// A listener's value: what its connections route requests to.
+pub(crate) trait Serve: Send + Sync + 'static {
+    fn mount(&self) -> Mount<'_>;
+}
+
+impl Serve for Service {
+    fn mount(&self) -> Mount<'_> {
+        Mount::Primary(self)
+    }
+}
+
+impl Serve for StandbyShared {
+    fn mount(&self) -> Mount<'_> {
+        Mount::Standby(self)
+    }
+}
+
+struct ListenerShared<S> {
+    served: Arc<S>,
     stopping: AtomicBool,
     conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Fault-injection hook: handling the request with this id panics.
+    panic_on_request_id: Option<u64>,
     /// Replication sessions ever opened; stream faults from the fault
     /// plan hit only session 0, so a reconnecting standby recovers (the
     /// injected drop/stall models a transient network failure, not a
     /// permanently broken path).
-    repl_sessions: std::sync::atomic::AtomicU64,
+    repl_sessions: AtomicU64,
+}
+
+/// A TCP listener serving `S`: the one accept loop and its connections.
+pub(crate) struct Listener<S> {
+    shared: Arc<ListenerShared<S>>,
+    pub(crate) addr: SocketAddr,
+    accept_thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl<S: Serve> Listener<S> {
+    /// Serves `served` on the bound `tcp` listener.
+    pub(crate) fn spawn(
+        tcp: TcpListener,
+        served: Arc<S>,
+        panic_on_request_id: Option<u64>,
+    ) -> std::io::Result<Listener<S>> {
+        tcp.set_nonblocking(true)?;
+        let addr = tcp.local_addr()?;
+        let shared = Arc::new(ListenerShared {
+            served,
+            stopping: AtomicBool::new(false),
+            conns: Mutex::new(Vec::new()),
+            panic_on_request_id,
+            repl_sessions: AtomicU64::new(0),
+        });
+        let accept_shared = Arc::clone(&shared);
+        let accept_thread = std::thread::Builder::new()
+            .name("svc-accept".into())
+            .spawn(move || accept_loop(&tcp, &accept_shared))?;
+        Ok(Listener { shared, addr, accept_thread: Some(accept_thread) })
+    }
+
+    /// Refuses new connections and tells the open ones to finish at
+    /// their next read timeout.
+    pub(crate) fn stop_accepting(&mut self) {
+        self.shared.stopping.store(true, Ordering::Release);
+        if let Some(t) = self.accept_thread.take() {
+            let _ = t.join();
+        }
+    }
+
+    pub(crate) fn join_connections(&self) {
+        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
+        for c in conns {
+            let _ = c.join();
+        }
+    }
 }
 
 /// A running TCP server; dropping it (or calling
 /// [`shutdown`](ServerHandle::shutdown)) drains and stops everything.
 pub struct ServerHandle {
-    shared: Arc<ServerShared>,
-    addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    listener: Listener<Service>,
     heartbeat_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves
 /// requests on top of a freshly started [`Service`].
 pub fn serve(addr: &str, config: SvcConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
+    let tcp = TcpListener::bind(addr)?;
     let journal_path = config.journal.as_ref().map(|j| j.path.clone());
-    let shared = Arc::new(ServerShared {
-        service: Service::try_start(config)?,
-        stopping: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
-        repl_sessions: std::sync::atomic::AtomicU64::new(0),
-    });
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::Builder::new()
-        .name("svc-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_shared))
-        .expect("spawn acceptor");
+    let panic_on_request_id = config.panic_on_request_id;
+    let listener =
+        Listener::spawn(tcp, Arc::new(Service::try_start(config)?), panic_on_request_id)?;
     // Journalled primaries advertise liveness by touching `<journal>.hb`
     // every heartbeat; a fault-plan "crash" (degraded journal) stops the
     // beat so file-follow standbys see the primary as dead even though
     // the test process is still alive.
     let heartbeat_thread = journal_path.map(|path| {
-        let hb_shared = Arc::clone(&shared);
+        let hb_shared = Arc::clone(&listener.shared);
         std::thread::Builder::new()
             .name("svc-heartbeat".into())
             .spawn(move || heartbeat_loop(&path, &hb_shared))
             .expect("spawn heartbeat")
     });
-    Ok(ServerHandle { shared, addr: local, accept_thread: Some(accept_thread), heartbeat_thread })
+    Ok(ServerHandle { listener, heartbeat_thread })
 }
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr
     }
 
     /// Live metrics of the underlying service.
     pub fn metrics(&self) -> crate::stats::MetricsSnapshot {
-        self.shared.service.metrics()
+        self.service().metrics()
     }
 
     /// Direct access to the underlying service (in-process submissions
     /// share the pool and cache with TCP clients).
     pub fn service(&self) -> &Service {
-        &self.shared.service
+        &self.listener.shared.served
     }
 
     /// Connection-thread handles currently tracked by the acceptor.
@@ -125,7 +240,7 @@ impl ServerHandle {
     /// that finished since the last accept) instead of growing by one
     /// per connection ever served.
     pub fn tracked_connections(&self) -> usize {
-        self.shared.conns.lock().expect("conns lock").len()
+        self.listener.shared.conns.lock().expect("conns lock").len()
     }
 
     /// Graceful shutdown: refuse new connections and requests, drain
@@ -135,20 +250,14 @@ impl ServerHandle {
     }
 
     fn stop(&mut self) {
-        self.shared.stopping.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.listener.stop_accepting();
         if let Some(t) = self.heartbeat_thread.take() {
             let _ = t.join();
         }
         // Drain admitted work; pending replies unblock connection
         // threads waiting on them.
-        self.shared.service.shutdown();
-        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
-        for c in conns {
-            let _ = c.join();
-        }
+        self.service().shutdown();
+        self.listener.join_connections();
     }
 }
 
@@ -158,9 +267,9 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
+fn accept_loop<S: Serve>(tcp: &TcpListener, shared: &Arc<ListenerShared<S>>) {
     while !shared.stopping.load(Ordering::Acquire) {
-        match listener.accept() {
+        match tcp.accept() {
             Ok((stream, _)) => {
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
@@ -195,22 +304,23 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
 /// Touches the primary heartbeat file every [`REPL_HEARTBEAT`] until
 /// shutdown, and stops beating for good once the journal degrades
 /// (fencing, fault-plan crash, or repeated fsync failure).
-fn heartbeat_loop(journal: &std::path::Path, shared: &Arc<ServerShared>) {
+fn heartbeat_loop(journal: &std::path::Path, shared: &ListenerShared<Service>) {
     let path = heartbeat_path(journal);
     let mut tick: u64 = 0;
     while !shared.stopping.load(Ordering::Acquire) {
-        let degraded = shared.service.journal_stats().is_some_and(|s| s.degraded);
+        let degraded = shared.served.journal_stats().is_some_and(|s| s.degraded);
         if degraded {
             break;
         }
         tick += 1;
-        let epoch = shared.service.journal_stats().map_or(0, |s| s.epoch);
+        let epoch = shared.served.journal_stats().map_or(0, |s| s.epoch);
         let _ = std::fs::write(&path, format!("{{\"tick\":{tick},\"epoch\":{epoch}}}\n"));
         std::thread::sleep(REPL_HEARTBEAT);
     }
 }
 
-/// Serves one replication stream on the connection's own thread.
+/// Serves one replication stream of `service` on the connection's own
+/// thread.
 ///
 /// Frames, one JSON object per line:
 /// - `{"type":"repl-record","line":"<raw journal line>"}` — a journal
@@ -228,8 +338,14 @@ fn heartbeat_loop(journal: &std::path::Path, shared: &Arc<ServerShared>) {
 /// `drop_stream_after` closes the connection after N record frames;
 /// `stall_stream_after` keeps it open but silent (no heartbeats), so
 /// the standby must detect death by timeout rather than EOF.
-fn replication_loop(stream: &mut TcpStream, out: &mut String, shared: &Arc<ServerShared>, id: u64) {
-    let Some(journal_cfg) = shared.service.config().journal.clone() else {
+fn replication_loop<S>(
+    stream: &mut TcpStream,
+    out: &mut String,
+    shared: &ListenerShared<S>,
+    service: &Service,
+    id: u64,
+) {
+    let Some(journal_cfg) = service.config().journal.clone() else {
         return;
     };
     // Stream faults are one-shot: only the first replication session
@@ -278,7 +394,7 @@ fn replication_loop(stream: &mut TcpStream, out: &mut String, shared: &Arc<Serve
             }
         }
         if last_hb.is_none_or(|t| t.elapsed() >= REPL_HEARTBEAT) {
-            let stats = shared.service.journal_stats().unwrap_or_default();
+            let stats = service.journal_stats().unwrap_or_default();
             let sent = write_frame(stream, out, |out| {
                 out.push_str("{\"type\":\"repl-hb\",\"id\":");
                 write_u64(out, id);
@@ -299,10 +415,10 @@ fn replication_loop(stream: &mut TcpStream, out: &mut String, shared: &Arc<Serve
     }
 }
 
-fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
+fn connection_loop<S: Serve>(mut stream: TcpStream, shared: &ListenerShared<S>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut lines = LineReader::default();
+    let mut lines = LineReader::new(Some(MAX_LINE_BYTES));
     // Every frame of this connection is encoded into this one buffer.
     let mut out = String::new();
     'conn: loop {
@@ -315,27 +431,27 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
                 handle_line(shared, &line)
             }))
             .unwrap_or_else(|_| {
-                Handled::One(Response::Error {
+                Routed::Answered(Response::Error {
                     id: line_request_id(&line),
                     kind: ErrorKind::Internal,
                     message: "request handler panicked".into(),
                 })
             });
             match handled {
-                Handled::One(response) => {
+                Routed::Answered(response) => {
                     if write_frame(&mut stream, &mut out, |o| response.write_json(o)).is_err() {
                         // Client gone mid-response; nothing to deliver.
                         break 'conn;
                     }
                 }
-                Handled::Replicate(id) => {
+                Routed::Replicate(service, id) => {
                     // The connection is now a one-way record stream; it
                     // ends when the standby disconnects, the server
                     // stops, or a fault plan drops it.
-                    replication_loop(&mut stream, &mut out, shared, id);
+                    replication_loop(&mut stream, &mut out, shared, service, id);
                     break 'conn;
                 }
-                Handled::Stream(pending) => {
+                Routed::Admitted(pending) => {
                     // Drain the reply frame-by-frame: zero or more
                     // progress lines, then exactly one final line. A
                     // write failure means the watcher is gone — cancel
@@ -359,27 +475,32 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
                 }
             }
         }
-        if !lines.fill(&mut stream, &mut out, || shared.stopping.load(Ordering::Acquire)) {
+        if !lines.fill(&mut stream, || shared.stopping.load(Ordering::Acquire)) {
             break 'conn;
         }
     }
 }
 
-/// A connection's request lines, read incrementally and bounded: a line
-/// that arrives in many reads is searched for its newline once, and one
-/// that grows past [`MAX_LINE_BYTES`] without ending is refused instead
-/// of buffered. The primary's listener and the standby's read-only one
-/// both read through it.
-#[derive(Default)]
+/// Lines read incrementally off a stream: a line that arrives in many
+/// reads is searched for its newline once. With a cap, a line that grows
+/// past it without ending is refused instead of buffered. Request lines
+/// on every listener are capped at [`MAX_LINE_BYTES`]; a standby's
+/// replication stream is not (one record can approach a full ranking's
+/// size).
 pub(crate) struct LineReader {
     buf: Vec<u8>,
     /// Start of the first line not yet handed out.
     served: usize,
     /// Bytes of `buf` already searched for a newline.
     searched: usize,
+    cap: Option<usize>,
 }
 
 impl LineReader {
+    pub(crate) fn new(cap: Option<usize>) -> LineReader {
+        LineReader { buf: Vec::new(), served: 0, searched: 0, cap }
+    }
+
     /// The next complete, nonblank buffered line, without its newline.
     pub(crate) fn next_line(&mut self) -> Option<Cow<'_, str>> {
         loop {
@@ -395,25 +516,20 @@ impl LineReader {
     }
 
     /// Drops the lines already handed out and reads more of `stream`.
-    /// False when the connection is done: the peer closed it, the read
-    /// failed, the read timed out with `stopping()` true, or the pending
-    /// line outgrew the cap — answered `malformed` through `out` first.
-    pub(crate) fn fill(
-        &mut self,
-        stream: &mut TcpStream,
-        out: &mut String,
-        stopping: impl FnOnce() -> bool,
-    ) -> bool {
+    /// False when the stream is done: the peer closed it, the read
+    /// failed, the read timed out with `stop()` true, or the pending line
+    /// outgrew the cap — answered `malformed` first.
+    pub(crate) fn fill(&mut self, stream: &mut TcpStream, stop: impl FnOnce() -> bool) -> bool {
         self.buf.drain(..self.served);
         self.served = 0;
         self.searched = self.buf.len();
-        if self.buf.len() > MAX_LINE_BYTES {
+        if let Some(cap) = self.cap.filter(|&cap| self.buf.len() > cap) {
             let refuse = Response::Error {
                 id: 0,
                 kind: ErrorKind::Malformed,
-                message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                message: format!("request line exceeds {cap} bytes"),
             };
-            let _ = write_frame(stream, out, |o| refuse.write_json(o));
+            let _ = write_frame(stream, &mut String::new(), |o| refuse.write_json(o));
             return false;
         }
         let mut chunk = [0u8; 4096];
@@ -424,7 +540,7 @@ impl LineReader {
                 true
             }
             Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                !stopping()
+                !stop()
             }
             Err(_) => false,
         }
@@ -435,7 +551,7 @@ impl LineReader {
 /// connection's reusable buffer, written and flushed (the stream has
 /// `TCP_NODELAY` set, so a progress line reaches the watcher immediately
 /// instead of sitting in a send buffer behind the final).
-pub(crate) fn write_frame(
+fn write_frame(
     stream: &mut TcpStream,
     out: &mut String,
     write: impl FnOnce(&mut String),
@@ -451,78 +567,31 @@ pub(crate) fn write_frame(
     sent
 }
 
-/// How a request line gets answered: inline with one response, or by
-/// draining a worker reply that may stream progress frames first.
-enum Handled {
-    One(Response),
-    Stream(Pending),
-    /// The connection becomes a long-lived replication stream; the id
-    /// is echoed in heartbeat frames so clients can correlate.
-    Replicate(u64),
-}
-
 /// Best effort at extracting an id even from a broken request line.
 fn line_request_id(line: &str) -> u64 {
     Value::parse(line).ok().and_then(|v| v.get("id").and_then(Value::as_u64)).unwrap_or(0)
 }
 
-/// Decodes a request line, or answers it with the error that refuses
-/// it. A syntactically fine request carrying an unusable tenant tag is
-/// the caller's bug, not a framing problem — `invalid`, so clients don't
+/// Decodes a line, fires the fault-injection panic hook, and routes. A
+/// line that does not decode is answered with the error that refuses it:
+/// a syntactically fine request carrying an unusable tenant tag is the
+/// caller's bug, not a framing problem — `invalid`, so clients don't
 /// retry it as a transport error; anything else is `malformed`.
-pub(crate) fn decode_request(line: &str) -> Result<Request, Response> {
-    Request::from_json(line).map_err(|message| {
-        let kind = if message.starts_with("invalid tenant") {
-            ErrorKind::Invalid
-        } else {
-            ErrorKind::Malformed
-        };
-        Response::Error { id: line_request_id(line), kind, message }
-    })
-}
-
-fn handle_line(shared: &Arc<ServerShared>, line: &str) -> Handled {
-    let request = match decode_request(line) {
+fn handle_line<'a, S: Serve>(shared: &'a ListenerShared<S>, line: &str) -> Routed<'a> {
+    let request = match Request::from_json(line) {
         Ok(r) => r,
-        Err(refused) => return Handled::One(refused),
+        Err(message) => {
+            let kind = if message.starts_with("invalid tenant") {
+                ErrorKind::Invalid
+            } else {
+                ErrorKind::Malformed
+            };
+            return Routed::Answered(Response::Error { id: line_request_id(line), kind, message });
+        }
     };
     let id = request.id;
-    if shared.service.panic_on_request_id() == Some(id) {
+    if shared.panic_on_request_id == Some(id) {
         panic!("injected front-end panic (request {id})");
     }
-    if matches!(request.body, RequestBody::Metrics) {
-        // Health endpoint: answered inline, never queued, works under
-        // overload.
-        let rows = shared.service.metrics().all_rows();
-        return Handled::One(Response::Metrics { id, rows });
-    }
-    if matches!(request.body, RequestBody::Replicate) {
-        // Served out-of-band by this connection's own thread; it never
-        // enters the queue, so replication survives overload.
-        if shared.service.config().journal.is_none() {
-            return Handled::One(Response::Error {
-                id,
-                kind: ErrorKind::Invalid,
-                message: "replication requires a journalled primary (--journal)".into(),
-            });
-        }
-        return Handled::Replicate(id);
-    }
-    if let RequestBody::Attach { job } = request.body {
-        // A cheap index lookup, answered inline like metrics — so a
-        // client can re-fetch its finished run even while the queue is
-        // shedding new work.
-        return Handled::One(shared.service.attach(id, job));
-    }
-    match shared.service.submit(request) {
-        Ok(pending) => {
-            // Requests on one connection are answered in order; the
-            // frame drain (including its blocking waits) is bounded by
-            // service drain on shutdown. Non-opted requests never
-            // receive progress frames, so their wire behavior is
-            // byte-identical to the pre-streaming protocol.
-            Handled::Stream(pending)
-        }
-        Err(rejected) => Handled::One(rejected.to_response(id)),
-    }
+    route(shared.served.mount(), request)
 }

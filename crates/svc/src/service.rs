@@ -2,9 +2,11 @@
 //! queue, with score caching, per-request deadlines, cooperative
 //! cancellation, and graceful drain.
 //!
-//! Life of a request: [`Service::submit`] stamps it, tries the bounded
-//! queue — full means an immediate [`Rejected`] with a retry hint (the
-//! caller never blocks) — and hands back a [`Pending`] reply handle. A
+//! Life of a request: the front end's router answers `metrics` and
+//! `attach` inline and offers the rest to admission, which stamps it,
+//! tries the bounded queue — full means an immediate [`Rejected`] with a
+//! retry hint (the caller never blocks) — and hands back a [`Pending`]
+//! reply handle. A
 //! worker pops the job, re-checks deadline and cancellation, executes
 //! (score requests first consult the memo cache), and sends exactly one
 //! [`Response`] to the handle. [`Service::shutdown`] closes admissions,
@@ -35,6 +37,7 @@ use crate::protocol::{
     RankedPlacement, Ranking, Request, RequestBody, Response, RunRequest, ScoreRequest,
     SubmitRequest, Workloads,
 };
+use crate::server::{route, Mount, Routed};
 use crate::stats::{
     LatencyHistogram, MetricsSnapshot, SvcStats, TenantRow, COLD_START_SERVICE_TIME,
 };
@@ -373,7 +376,7 @@ struct Shared {
     /// Completed run results by job id (the original request id), the
     /// index behind `attach`. Bounded FIFO like the score cache; the
     /// journal rebuilds it across restarts.
-    runs: ScoreCache<Response>,
+    runs: ScoreCache<FinishedRun>,
     journal: Option<Journal>,
     workers: usize,
     scan_workers: usize,
@@ -427,7 +430,9 @@ impl Service {
                     cache.insert(key, placements);
                 }
                 for (job, response) in replay.runs {
-                    runs.insert(job.to_string(), response);
+                    if let Some(run) = FinishedRun::of(&response) {
+                        runs.insert(job.to_string(), run);
+                    }
                 }
                 replayed_reservations = replay.reservations;
                 admit_tenants = replay.admit_tenants;
@@ -524,11 +529,37 @@ impl Service {
         Ok(Service { shared, config, handles: Mutex::new(handles) })
     }
 
-    /// Offers a request for admission. Never blocks: a full queue sheds
-    /// the request with [`Rejected::Overloaded`]. `submit` requests go
-    /// through the co-scheduler first — the worker queue only ever sees
-    /// them holding a placement.
-    pub fn submit(&self, mut request: Request) -> Result<Pending, Rejected> {
+    /// Routes a request as a connection thread does: `metrics` and
+    /// `attach` are answered inline, `replicate` (a TCP takeover) is
+    /// refused, and the rest is offered for admission. Never blocks: a
+    /// full queue sheds the request with [`Rejected::Overloaded`].
+    pub fn submit(&self, request: Request) -> Result<Pending, Rejected> {
+        let reply = match route(Mount::Primary(self), request) {
+            Routed::Admitted(pending) => return Ok(pending),
+            Routed::Answered(reply) => reply,
+            Routed::Replicate(_, id) => {
+                let message = "replication streams take over a TCP connection".into();
+                Response::Error { id, kind: ErrorKind::Invalid, message }
+            }
+        };
+        match reply {
+            Response::Overloaded { retry_after_ms, .. } => {
+                Err(Rejected::Overloaded { retry_after_ms })
+            }
+            Response::Error { kind: ErrorKind::ShuttingDown, .. } => Err(Rejected::ShuttingDown),
+            // Any other answer still flows through a reply channel, so
+            // the caller's Pending works unchanged.
+            reply => {
+                let (tx, rx) = mpsc::channel();
+                let _ = tx.send(Frame::Final(reply));
+                Ok(Pending { rx, cancel: CancelToken::default(), reaper: None })
+            }
+        }
+    }
+
+    /// The router's admission arm: stamps a request and offers it to
+    /// [`admit`]; `Err` is the reply that refused it at the door.
+    pub(crate) fn offer(&self, mut request: Request) -> Result<Pending, Response> {
         if request.deadline.is_none() {
             request.deadline = self.config.default_deadline;
         }
@@ -543,23 +574,11 @@ impl Service {
             reply: tx,
             cosched: None,
         };
-        match admit(&self.shared, job) {
-            Ok(()) => Ok(Pending { rx, cancel, reaper: Some(Arc::downgrade(&self.shared)) }),
-            Err(Response::Overloaded { retry_after_ms, .. }) => {
-                Err(Rejected::Overloaded { retry_after_ms })
-            }
-            Err(Response::Error { kind: ErrorKind::ShuttingDown, .. }) => {
-                Err(Rejected::ShuttingDown)
-            }
-            // Errors decided at admission (never queued) still flow
-            // through a reply channel, so the caller's Pending works
-            // unchanged.
-            Err(reply) => {
-                let (tx, rx) = mpsc::channel();
-                let _ = tx.send(Frame::Final(reply));
-                Ok(Pending { rx, cancel, reaper: None })
-            }
-        }
+        admit(&self.shared, job).map(|()| Pending {
+            rx,
+            cancel,
+            reaper: Some(Arc::downgrade(&self.shared)),
+        })
     }
 
     /// Releases a reservation by job id — the operator path for orphans
@@ -589,11 +608,11 @@ impl Service {
 
     /// Serves an `attach { job }` lookup against the completed-run
     /// index: the stored result re-emitted under the attach request's
-    /// own correlation id, or a `not_found` error. Served inline by the
-    /// front end (like `metrics`) — it never queues, so re-attaching
-    /// works even under overload.
+    /// own correlation id, or a `not_found` error. The router answers it
+    /// inline (like `metrics`) — it never queues, so re-attaching works
+    /// even under overload.
     pub fn attach(&self, id: u64, job: u64) -> Response {
-        attach_response(&self.shared, id, job)
+        attach_reply(id, job, self.shared.runs.get(&job.to_string()).as_deref())
     }
 
     /// Point-in-time metrics.
@@ -712,12 +731,6 @@ impl Service {
         self.shared.journal.as_ref().map(|j| j.stats())
     }
 
-    /// The configured fault-injection request id, if any (see
-    /// [`SvcConfig::panic_on_request_id`]).
-    pub fn panic_on_request_id(&self) -> Option<u64> {
-        self.config.panic_on_request_id
-    }
-
     /// Worker pool size.
     pub fn workers(&self) -> usize {
         self.shared.workers
@@ -766,9 +779,9 @@ fn worker_loop(shared: &Shared) {
         record(shared, tenant, Step::Settle { reply: &response, from });
         // Completed runs become attachable by their job id (the request
         // id), and durable when a journal is attached.
-        if let Response::RunResult { .. } = &response {
+        if let Some(run) = FinishedRun::of(&response) {
             let job_id = job.request.id;
-            shared.runs.insert(job_id.to_string(), response.clone());
+            shared.runs.insert(job_id.to_string(), run);
             if let Some(journal) = &shared.journal {
                 journal.append_run(job_id, &response);
             }
@@ -1252,24 +1265,40 @@ fn dispatch_started(
     }
 }
 
-/// The `attach` lookup shared between [`Service::attach`] (the inline
-/// front-end path) and queued execution.
-fn attach_response(shared: &Shared, id: u64, job: u64) -> Response {
-    match shared.runs.get(&job.to_string()) {
-        Some(stored) => match &*stored {
+/// A completed run as a run index keeps it: a `run_result` without its
+/// correlation id.
+pub(crate) struct FinishedRun {
+    ensemble_makespan: f64,
+    members: Vec<MemberSummary>,
+    elapsed_ms: f64,
+}
+
+impl FinishedRun {
+    /// The run a `run_result` reply carries; `None` for any other reply.
+    pub(crate) fn of(reply: &Response) -> Option<FinishedRun> {
+        match reply {
             Response::RunResult { ensemble_makespan, members, elapsed_ms, .. } => {
-                Response::RunResult {
-                    id,
+                Some(FinishedRun {
                     ensemble_makespan: *ensemble_makespan,
                     members: members.clone(),
                     elapsed_ms: *elapsed_ms,
-                }
+                })
             }
-            other => Response::Error {
-                id,
-                kind: ErrorKind::Internal,
-                message: format!("run index held a non-run response for job {job}: {other:?}"),
-            },
+            _ => None,
+        }
+    }
+}
+
+/// The `attach { job }` reply both mounts give: the run their index
+/// holds for `job`, re-emitted under the attach request's own `id`, or
+/// `not_found`.
+pub(crate) fn attach_reply(id: u64, job: u64, run: Option<&FinishedRun>) -> Response {
+    match run {
+        Some(run) => Response::RunResult {
+            id,
+            ensemble_makespan: run.ensemble_makespan,
+            members: run.members.clone(),
+            elapsed_ms: run.elapsed_ms,
         },
         None => Response::Error {
             id,
@@ -1351,18 +1380,8 @@ fn execute(shared: &Shared, job: &Job) -> (Response, bool) {
             }
             execute_submit(shared, job, submit)
         }
-        // Attach requests are answered by the front end without
-        // queueing (like metrics); one arriving here is still served
-        // correctly from the same index.
-        RequestBody::Attach { job: target } => Ok(attach_response(shared, id, *target)),
-        // Metrics requests are answered by the front end without
-        // queueing; one arriving here is still served correctly.
-        RequestBody::Metrics => Ok(Response::Metrics { id, rows: Vec::new() }),
-        // Replication streams are owned by the connection thread; a
-        // worker cannot hold one open, so this is a routing error.
-        RequestBody::Replicate => Err(ExecError::Invalid(
-            "replication streams are served by the front end, not queued".to_string(),
-        )),
+        // The router answers every other kind without admitting it.
+        _ => Err(ExecError::Internal("only score, run and submit requests are admitted".into())),
     };
     (result.unwrap_or_else(|e| e.to_response(id)), true)
 }

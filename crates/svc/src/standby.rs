@@ -21,9 +21,11 @@
 //!   local copy.
 //!
 //! While following, the standby serves **read-only** `metrics` and
-//! `attach` on its own listener; anything that would mutate state is
-//! refused with [`ErrorKind::Standby`] so clients can fail over
-//! knowingly rather than silently double-running work.
+//! `attach` on its own listener — the server's listener, serving this
+//! image instead of a [`Service`]; the router refuses anything that
+//! would mutate state with [`ErrorKind::Standby`](crate::ErrorKind) so
+//! clients can fail over knowingly rather than silently double-running
+//! work.
 //!
 //! Promotion is supervised, not automatic: the caller decides (e.g.
 //! after [`Standby::primary_dead`] turns true) and calls
@@ -32,7 +34,7 @@
 //! full read-write [`Service`] warm from the followed records.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{ErrorKind as IoErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,13 +43,13 @@ use std::time::{Duration, Instant, SystemTime};
 
 use crate::journal::{decode_line, FollowEvent, JournalConfig, JournalFollower, JournalRecord};
 use crate::json::Value;
-use crate::protocol::{ErrorKind, RequestBody, Response};
-use crate::server::{decode_request, heartbeat_path, write_frame, LineReader, REPL_HEARTBEAT};
-use crate::service::{Service, SvcConfig};
+use crate::protocol::Response;
+use crate::server::{heartbeat_path, LineReader, Listener, REPL_HEARTBEAT};
+use crate::service::{attach_reply, FinishedRun, Service, SvcConfig};
 
 /// Missed heartbeats after which the primary is presumed dead.
 pub const DEAD_AFTER_BEATS: u32 = 4;
-/// Poll cadence for the follower and the read-only listener.
+/// Poll cadence of the follower.
 const POLL: Duration = Duration::from_millis(20);
 /// Cap on the reconnect backoff of a network follower.
 const MAX_RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
@@ -127,7 +129,7 @@ pub struct StandbyStatus {
 #[derive(Default)]
 struct Image {
     status: StandbyStatus,
-    runs: HashMap<u64, Response>,
+    runs: HashMap<u64, FinishedRun>,
     reservations: HashSet<u64>,
 }
 
@@ -152,7 +154,9 @@ impl Image {
             JournalRecord::Admit { .. } => self.status.admits += 1,
             JournalRecord::Score { .. } => self.status.scores += 1,
             JournalRecord::Run { job, response } => {
-                self.runs.insert(job, response);
+                if let Some(run) = FinishedRun::of(&response) {
+                    self.runs.insert(job, run);
+                }
                 self.status.runs_indexed = self.runs.len() as u64;
             }
             JournalRecord::Reserve(r) => {
@@ -170,11 +174,11 @@ impl Image {
     }
 }
 
-struct StandbyShared {
+/// What the follower keeps and the read-only listener serves.
+pub(crate) struct StandbyShared {
     stopping: AtomicBool,
     image: Mutex<Image>,
     last_beat: Mutex<Instant>,
-    conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl StandbyShared {
@@ -186,6 +190,30 @@ impl StandbyShared {
         *self.last_beat.lock().expect("beat lock") = Instant::now();
         self.image.lock().expect("image lock").status.beats += 1;
     }
+
+    /// Read-only attach from the warm run index.
+    pub(crate) fn attach(&self, id: u64, job: u64) -> Response {
+        attach_reply(id, job, self.image.lock().expect("image lock").runs.get(&job))
+    }
+
+    /// Standby metrics rows (`standby_*` keys, disjoint from the
+    /// primary's rows so dashboards can tell which side answered).
+    pub(crate) fn rows(&self) -> Vec<(String, f64)> {
+        let s = self.image.lock().expect("image lock").status;
+        vec![
+            ("standby_records_applied".into(), s.records_applied as f64),
+            ("standby_admits".into(), s.admits as f64),
+            ("standby_scores".into(), s.scores as f64),
+            ("standby_runs_indexed".into(), s.runs_indexed as f64),
+            ("standby_open_reservations".into(), s.open_reservations as f64),
+            ("standby_resets".into(), s.resets as f64),
+            ("standby_corrupt".into(), s.corrupt as f64),
+            ("standby_epoch".into(), s.epoch as f64),
+            ("standby_primary_appended".into(), s.primary_appended as f64),
+            ("standby_beats".into(), s.beats as f64),
+            ("standby_primary_degraded".into(), f64::from(u8::from(s.primary_degraded))),
+        ]
+    }
 }
 
 /// A running warm standby. Drop stops the follower and listener
@@ -195,9 +223,8 @@ pub struct Standby {
     local: PathBuf,
     heartbeat: Duration,
     dead_after_beats: u32,
-    addr: Option<SocketAddr>,
     follow_thread: Option<std::thread::JoinHandle<()>>,
-    listen_thread: Option<std::thread::JoinHandle<()>>,
+    listener: Option<Listener<StandbyShared>>,
 }
 
 impl Standby {
@@ -209,7 +236,6 @@ impl Standby {
             stopping: AtomicBool::new(false),
             image: Mutex::new(Image::default()),
             last_beat: Mutex::new(Instant::now()),
-            conns: Mutex::new(Vec::new()),
         });
         let local = match &config.source {
             StandbySource::File(path) => path.clone(),
@@ -230,34 +256,26 @@ impl Standby {
                     }
                 }
             })?;
-        let (addr, listen_thread) = match &config.serve_addr {
+        let listener = match &config.serve_addr {
             Some(bind) => {
-                let listener = TcpListener::bind(bind.as_str())?;
-                listener.set_nonblocking(true)?;
-                let local_addr = listener.local_addr()?;
-                let listen_shared = Arc::clone(&shared);
-                let t = std::thread::Builder::new()
-                    .name("svc-standby-accept".into())
-                    .spawn(move || accept_loop(&listener, &listen_shared))?;
-                (Some(local_addr), Some(t))
+                Some(Listener::spawn(TcpListener::bind(bind)?, Arc::clone(&shared), None)?)
             }
-            None => (None, None),
+            None => None,
         };
         Ok(Standby {
             shared,
             local,
             heartbeat: config.heartbeat,
             dead_after_beats: config.dead_after_beats,
-            addr,
             follow_thread: Some(follow_thread),
-            listen_thread,
+            listener,
         })
     }
 
     /// Bound address of the read-only front end, when one was
     /// configured.
     pub fn addr(&self) -> Option<SocketAddr> {
-        self.addr
+        self.listener.as_ref().map(|listener| listener.addr)
     }
 
     /// Point-in-time follower status.
@@ -268,7 +286,7 @@ impl Standby {
     /// Read-only attach from the warm run index — same answer the
     /// primary would give, echoing `id`.
     pub fn attach(&self, id: u64, job: u64) -> Response {
-        attach_from_image(&self.shared, id, job)
+        self.shared.attach(id, job)
     }
 
     /// True once the primary has missed `dead_after_beats` heartbeats
@@ -313,12 +331,9 @@ impl Standby {
         if let Some(t) = self.follow_thread.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.listen_thread.take() {
-            let _ = t.join();
-        }
-        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
-        for c in conns {
-            let _ = c.join();
+        if let Some(listener) = &mut self.listener {
+            listener.stop_accepting();
+            listener.join_connections();
         }
     }
 }
@@ -407,16 +422,11 @@ fn stream_session(
             image.reset();
         }
     }
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    // Uncapped: one record line can approach a full ranking's size.
+    let mut lines = LineReader::new(None);
     let mut last_frame = Instant::now();
     while !shared.stopping() {
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line[..nl]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
+        while let Some(line) = lines.next_line() {
             last_frame = Instant::now();
             let Ok(frame) = Value::parse(&line) else {
                 shared.image.lock().expect("image lock").status.corrupt += 1;
@@ -465,128 +475,43 @@ fn stream_session(
                 _ => shared.image.lock().expect("image lock").status.corrupt += 1,
             }
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break, // primary closed (or an injected drop)
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                // A stalled stream (fault injection or a wedged primary)
-                // keeps the connection open but silent: treat a long
-                // frame gap exactly like a disconnect so the supervisor
-                // sees missed heartbeats rather than a healthy follow.
-                if last_frame.elapsed() > heartbeat * DEAD_AFTER_BEATS {
-                    break;
-                }
-            }
-            Err(_) => break,
+        // The session ends when the primary closes the stream (or an
+        // injected drop does) — and when it stalls: a stalled stream
+        // (fault injection or a wedged primary) keeps the connection
+        // open but silent, so a long frame gap counts as a disconnect
+        // and the supervisor sees missed heartbeats, not a healthy follow.
+        let stalled = || last_frame.elapsed() > heartbeat * DEAD_AFTER_BEATS;
+        if !lines.fill(&mut stream, stalled) {
+            break;
         }
     }
     let _ = file.sync_data();
     false
 }
 
-/// Read-only front end: metrics and attach answered from the image,
-/// everything else refused with [`ErrorKind::Standby`].
-fn accept_loop(listener: &TcpListener, shared: &Arc<StandbyShared>) {
-    while !shared.stopping() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("svc-standby-conn".into())
-                    .spawn(move || standby_connection(stream, &conn_shared))
-                    .expect("spawn standby connection");
-                let mut conns = shared.conns.lock().expect("conns lock");
-                conns.retain(|h| !h.is_finished());
-                conns.push(handle);
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => break,
-        }
-    }
-}
-
-fn standby_connection(mut stream: TcpStream, shared: &Arc<StandbyShared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut lines = LineReader::default();
-    let mut out = String::new();
-    loop {
-        while let Some(line) = lines.next_line() {
-            let response = standby_answer(shared, &line);
-            if write_frame(&mut stream, &mut out, |o| response.write_json(o)).is_err() {
-                return;
-            }
-        }
-        if !lines.fill(&mut stream, &mut out, || shared.stopping()) {
-            return;
-        }
-    }
-}
-
-fn standby_answer(shared: &StandbyShared, line: &str) -> Response {
-    let request = match decode_request(line) {
-        Ok(r) => r,
-        Err(refused) => return refused,
-    };
-    match request.body {
-        RequestBody::Metrics => Response::Metrics { id: request.id, rows: standby_rows(shared) },
-        RequestBody::Attach { job } => attach_from_image(shared, request.id, job),
-        _ => Response::Error {
-            id: request.id,
-            kind: ErrorKind::Standby,
-            message: "standby: read-only until promoted (metrics and attach only)".into(),
-        },
-    }
-}
-
-fn attach_from_image(shared: &StandbyShared, id: u64, job: u64) -> Response {
-    let image = shared.image.lock().expect("image lock");
-    match image.runs.get(&job) {
-        Some(Response::RunResult { ensemble_makespan, members, elapsed_ms, .. }) => {
-            Response::RunResult {
-                id,
-                ensemble_makespan: *ensemble_makespan,
-                members: members.clone(),
-                elapsed_ms: *elapsed_ms,
-            }
-        }
-        Some(other) => Response::Error {
-            id,
-            kind: ErrorKind::Internal,
-            message: format!("standby run index held a non-run response for job {job}: {other:?}"),
-        },
-        None => Response::Error {
-            id,
-            kind: ErrorKind::NotFound,
-            message: format!("no completed run with job id {job}"),
-        },
-    }
-}
-
-/// Standby metrics rows (`standby_*` keys, disjoint from the primary's
-/// rows so dashboards can tell which side answered).
-fn standby_rows(shared: &StandbyShared) -> Vec<(String, f64)> {
-    let image = shared.image.lock().expect("image lock");
-    let s = image.status;
-    vec![
-        ("standby_records_applied".into(), s.records_applied as f64),
-        ("standby_admits".into(), s.admits as f64),
-        ("standby_scores".into(), s.scores as f64),
-        ("standby_runs_indexed".into(), s.runs_indexed as f64),
-        ("standby_open_reservations".into(), s.open_reservations as f64),
-        ("standby_resets".into(), s.resets as f64),
-        ("standby_corrupt".into(), s.corrupt as f64),
-        ("standby_epoch".into(), s.epoch as f64),
-        ("standby_primary_appended".into(), s.primary_appended as f64),
-        ("standby_beats".into(), s.beats as f64),
-        ("standby_primary_degraded".into(), f64::from(u8::from(s.primary_degraded))),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::MemberSummary;
+    use crate::protocol::{ErrorKind, MemberSummary, Request};
+    use crate::server::{route, Mount, Routed};
+
+    fn image_of(records: impl IntoIterator<Item = JournalRecord>) -> StandbyShared {
+        let mut image = Image::default();
+        records.into_iter().for_each(|record| image.apply(record));
+        StandbyShared {
+            stopping: AtomicBool::new(false),
+            image: Mutex::new(image),
+            last_beat: Mutex::new(Instant::now()),
+        }
+    }
+
+    /// What the standby's listener answers `line` with.
+    fn answer(shared: &StandbyShared, line: &str) -> Response {
+        match route(Mount::Standby(shared), Request::from_json(line).expect("a valid request")) {
+            Routed::Answered(reply) => reply,
+            _ => panic!("a standby answers every request itself"),
+        }
+    }
 
     fn run_response(id: u64, makespan: f64) -> Response {
         Response::RunResult {
@@ -620,18 +545,8 @@ mod tests {
 
     #[test]
     fn attach_serves_the_warm_run_index_read_only() {
-        let shared = StandbyShared {
-            stopping: AtomicBool::new(false),
-            image: Mutex::new(Image::default()),
-            last_beat: Mutex::new(Instant::now()),
-            conns: Mutex::new(Vec::new()),
-        };
-        shared
-            .image
-            .lock()
-            .unwrap()
-            .apply(JournalRecord::Run { job: 7, response: run_response(7, 42.0) });
-        match attach_from_image(&shared, 55, 7) {
+        let shared = image_of([JournalRecord::Run { job: 7, response: run_response(7, 42.0) }]);
+        match answer(&shared, "{\"type\":\"attach\",\"id\":55,\"job\":7}") {
             Response::RunResult { id, ensemble_makespan, .. } => {
                 assert_eq!(id, 55, "attach echoes the caller's id");
                 assert_eq!(ensemble_makespan.to_bits(), 42.0f64.to_bits());
@@ -639,30 +554,27 @@ mod tests {
             other => panic!("expected a run result, got {other:?}"),
         }
         assert!(matches!(
-            attach_from_image(&shared, 56, 8),
+            answer(&shared, "{\"type\":\"attach\",\"id\":56,\"job\":8}"),
             Response::Error { kind: ErrorKind::NotFound, .. }
         ));
     }
 
     #[test]
     fn writes_are_refused_with_the_standby_error_kind() {
-        let shared = StandbyShared {
-            stopping: AtomicBool::new(false),
-            image: Mutex::new(Image::default()),
-            last_beat: Mutex::new(Instant::now()),
-            conns: Mutex::new(Vec::new()),
-        };
+        let shared = image_of([]);
         let score = "{\"type\":\"score\",\"id\":3,\"max_nodes\":2,\"cores_per_node\":4,\"members\":[{\"sim_cores\":2,\"analyses\":[1]}]}";
-        match standby_answer(&shared, score) {
-            Response::Error { id, kind, .. } => {
-                assert_eq!(id, 3);
-                assert_eq!(kind, ErrorKind::Standby);
+        for line in [score, "{\"type\":\"replicate\",\"id\":3}"] {
+            match answer(&shared, line) {
+                Response::Error { id, kind, .. } => {
+                    assert_eq!(id, 3);
+                    assert_eq!(kind, ErrorKind::Standby);
+                }
+                other => panic!("expected a standby refusal, got {other:?}"),
             }
-            other => panic!("expected a standby refusal, got {other:?}"),
         }
-        assert!(matches!(
-            standby_answer(&shared, "{\"type\":\"metrics\",\"id\":4}"),
-            Response::Metrics { id: 4, .. }
-        ));
+        match answer(&shared, "{\"type\":\"metrics\",\"id\":4}") {
+            Response::Metrics { id: 4, rows } => assert_eq!(rows.len(), 11),
+            other => panic!("expected the standby rows, got {other:?}"),
+        }
     }
 }

@@ -67,6 +67,35 @@ fn metrics_row(handle: &ServerHandle, client: &mut SvcClient, name: &str) -> f64
     }
 }
 
+/// Pins the server's one worker until the test lets it go: a `top_k` 1
+/// score over ~1.9 × 10⁸ candidates (14 four-core components on up to
+/// 14 nodes), submitted in process so the test holds its handle.
+/// Returns once the worker holds it, so however fast the build, every
+/// client that follows meets a busy pool.
+fn hold(handle: &ServerHandle) -> svc::service::Pending {
+    let mut req = small_score_request(1, 7, 4, 1, 4, 14);
+    if let RequestBody::Score(ref mut score) = req.body {
+        score.top_k = 1;
+        score.workers = 1;
+    }
+    let held = handle.service().submit(req).expect("an idle server admits the held score");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.service().metrics().in_flight == 0 {
+        assert!(Instant::now() < deadline, "the worker never picked up the held score");
+        std::thread::yield_now();
+    }
+    held
+}
+
+/// Lets the held score go and checks that its final frame is `cancelled`.
+fn release(held: svc::service::Pending) {
+    held.cancel();
+    match held.wait() {
+        Response::Error { kind: ErrorKind::Cancelled, .. } => {}
+        other => panic!("the held score ends cancelled, got {other:?}"),
+    }
+}
+
 /// Polls the wire metrics endpoint until `pred` holds or the deadline
 /// passes (metrics are served inline, so this works even under load).
 fn wait_for_metric(
@@ -157,19 +186,15 @@ fn eight_concurrent_clients_mixed_score_and_run() {
 
 #[test]
 fn overload_sheds_excess_clients_without_blocking() {
-    // One worker, one queue slot: with the worker pinned by a long run,
-    // at most one of the concurrent clients can be admitted — everyone
-    // else must get `overloaded` immediately, never a stalled socket.
+    // One worker, one queue slot: with the worker pinned by a held
+    // score, at most one of the concurrent clients can be admitted —
+    // everyone else must get `overloaded` immediately, never a stalled
+    // socket.
     let handle = server(1, 1);
     let addr = handle.addr();
 
-    let blocker = std::thread::spawn(move || {
-        let mut client = SvcClient::connect(addr).expect("connect blocker");
-        client.set_timeout(Some(Duration::from_secs(120))).unwrap();
-        client.request(&run_request(1, 8000)).expect("blocker response")
-    });
+    let held = hold(&handle);
     let mut probe = SvcClient::connect(addr).expect("connect probe");
-    wait_for_metric(&handle, &mut probe, "in_flight", |v| v >= 1.0);
 
     let barrier = Arc::new(Barrier::new(8));
     let overloaded = Arc::new(AtomicUsize::new(0));
@@ -199,12 +224,15 @@ fn overload_sheds_excess_clients_without_blocking() {
             })
         })
         .collect();
+    // The admitted client waits behind the held score; the rest are
+    // answered while the worker is still pinned.
+    wait_for_metric(&handle, &mut probe, "requests_rejected_overload", |v| v >= 7.0);
+    release(held);
     for t in threads {
         t.join().expect("no client thread may panic");
     }
     let shed = overloaded.load(Ordering::Relaxed);
     assert!(shed >= 7, "queue capacity 1 admits at most one of 8; shed {shed}");
-    assert!(matches!(blocker.join().expect("blocker"), Response::RunResult { .. }));
     assert!(metrics_row(&handle, &mut probe, "requests_rejected_overload") >= 7.0);
     handle.shutdown();
 }
@@ -215,13 +243,8 @@ fn shutdown_drains_accepted_tcp_requests() {
     let addr = handle.addr();
 
     // Pin the worker, then queue three more requests behind it.
-    let blocker = std::thread::spawn(move || {
-        let mut client = SvcClient::connect(addr).expect("connect blocker");
-        client.set_timeout(Some(Duration::from_secs(120))).unwrap();
-        client.request(&run_request(1, 8000)).expect("blocker response")
-    });
+    let held = hold(&handle);
     let mut probe = SvcClient::connect(addr).expect("connect probe");
-    wait_for_metric(&handle, &mut probe, "in_flight", |v| v >= 1.0);
     let queued: Vec<_> = (0..3u64)
         .map(|i| {
             std::thread::spawn(move || {
@@ -234,9 +257,12 @@ fn shutdown_drains_accepted_tcp_requests() {
     wait_for_metric(&handle, &mut probe, "requests_accepted", |v| v >= 4.0);
     drop(probe);
 
-    // Graceful shutdown must still answer all four admitted requests.
+    // Graceful shutdown must still answer all four admitted requests:
+    // the held score, let go as the drain begins, and the three queued
+    // behind it.
+    held.cancel();
     handle.shutdown();
-    assert!(matches!(blocker.join().expect("blocker"), Response::RunResult { .. }));
+    release(held);
     for t in queued {
         assert!(matches!(t.join().expect("queued client"), Response::ScoreResult { .. }));
     }
@@ -526,18 +552,13 @@ fn handler_panic_is_a_structured_internal_error_not_a_dead_connection() {
 
 #[test]
 fn client_submit_rides_out_real_overload() {
-    // One worker, one queue slot, a long run pinning the worker: a
+    // One worker, one queue slot, a held score pinning the worker: a
     // `submit` with a generous retry budget eventually lands where a
     // bare `request` would have returned `overloaded`.
     let handle = server(1, 1);
     let addr = handle.addr();
-    let blocker = std::thread::spawn(move || {
-        let mut client = SvcClient::connect(addr).expect("connect blocker");
-        client.set_timeout(Some(Duration::from_secs(120))).unwrap();
-        client.request(&run_request(1, 2000)).expect("blocker response")
-    });
+    let held = hold(&handle);
     let mut probe = SvcClient::connect(addr).expect("connect probe");
-    wait_for_metric(&handle, &mut probe, "in_flight", |v| v >= 1.0);
     // Occupy the single queue slot too, so the submit below is shed at
     // least once before the backlog drains.
     let filler = std::thread::spawn(move || {
@@ -547,15 +568,20 @@ fn client_submit_rides_out_real_overload() {
     });
     wait_for_metric(&handle, &mut probe, "requests_accepted", |v| v >= 2.0);
 
-    let mut client = SvcClient::connect(addr).expect("connect");
-    client.set_timeout(Some(Duration::from_secs(120))).unwrap();
-    let policy =
-        svc::ClientRetryPolicy { max_attempts: 2000, max_backoff: Duration::from_millis(50) };
-    match client.submit(&small_score_request(5, 2, 16, 1, 8, 3), &policy).expect("submit") {
+    let retrying = std::thread::spawn(move || {
+        let mut client = SvcClient::connect(addr).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(120))).unwrap();
+        let policy =
+            svc::ClientRetryPolicy { max_attempts: 2000, max_backoff: Duration::from_millis(50) };
+        client.submit(&small_score_request(5, 2, 16, 1, 8, 3), &policy).expect("submit")
+    });
+    // Let the backlog drain only once the submit has been shed.
+    wait_for_metric(&handle, &mut probe, "requests_rejected_overload", |v| v >= 1.0);
+    release(held);
+    match retrying.join().expect("retrying client") {
         Response::ScoreResult { id, .. } => assert_eq!(id, 5),
         other => panic!("expected the retried score to land, got {other:?}"),
     }
-    assert!(matches!(blocker.join().expect("blocker"), Response::RunResult { .. }));
     assert!(matches!(filler.join().expect("filler"), Response::ScoreResult { .. }));
     handle.shutdown();
 }

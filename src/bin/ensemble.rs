@@ -85,6 +85,16 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// The value of flag `name` as a `T`, `None` when the flag is absent. A
+/// value that does not parse — a `u32` flag's out-of-range number
+/// included — is an error naming the flag, never a silent default.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, name).map(|v| v.parse().map_err(|e| format!("{name} '{v}': {e}"))).transpose()
+}
+
 /// Every value of a repeatable flag, in order of appearance
 /// (`--tenant-quota a=4 --tenant-quota b=2`).
 fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
@@ -122,15 +132,9 @@ fn load_run(target: &str, args: &[String]) -> Result<(String, SimRunConfig), Str
         let run = spec.to_run_config().map_err(|e| e.to_string())?;
         (spec.name, run)
     };
-    if let Some(steps) = flag_value(args, "--steps") {
-        cfg.1.n_steps = steps.parse().map_err(|e| format!("--steps: {e}"))?;
-    }
-    if let Some(jitter) = flag_value(args, "--jitter") {
-        cfg.1.jitter = jitter.parse().map_err(|e| format!("--jitter: {e}"))?;
-    }
-    if let Some(cap) = flag_value(args, "--cap") {
-        cfg.1.power_cap_watts = Some(cap.parse().map_err(|e| format!("--cap: {e}"))?);
-    }
+    cfg.1.n_steps = flag(args, "--steps")?.unwrap_or(cfg.1.n_steps);
+    cfg.1.jitter = flag(args, "--jitter")?.unwrap_or(cfg.1.jitter);
+    cfg.1.power_cap_watts = flag(args, "--cap")?.or(cfg.1.power_cap_watts);
     Ok(cfg)
 }
 
@@ -407,19 +411,21 @@ fn cmd_sweep() -> i32 {
 }
 
 fn cmd_advise(args: &[String]) -> i32 {
-    let parse = |name: &str, default: usize| -> usize {
-        flag_value(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    let parsed = (|| -> Result<_, String> {
+        let members = flag(args, "--members")?.unwrap_or(2);
+        let k = flag(args, "--k")?.unwrap_or(1);
+        let max_nodes = flag(args, "--nodes")?.unwrap_or(3);
+        let cores_per_node = flag(args, "--cores")?.unwrap_or(32);
+        Ok((members, k, scheduling::NodeBudget { max_nodes, cores_per_node }))
+    })();
+    let (members, k, budget) = match parsed {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("advise: {e}");
+            return 2;
+        }
     };
-    let members = parse("--members", 2);
-    let k = parse("--k", 1);
-    let nodes = parse("--nodes", 3);
-    let cores = parse("--cores", 32) as u32;
-    match scheduling::recommend_with_core_sweep(
-        members,
-        16,
-        k,
-        scheduling::NodeBudget { max_nodes: nodes, cores_per_node: cores },
-    ) {
+    match scheduling::recommend_with_core_sweep(members, 16, k, budget) {
         Ok(rec) => {
             println!("{}", rec.rationale);
             for (i, m) in rec.spec.members.iter().enumerate() {
@@ -500,20 +506,11 @@ fn parse_svc_config(args: &[String]) -> Result<insitu_ensembles::service::SvcCon
     use insitu_ensembles::service::SvcConfig;
 
     let mut config = SvcConfig::default();
-    let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
-        match flag_value(args, name) {
-            Some(v) => v.parse().map_err(|e| format!("{name}: {e}")),
-            None => Ok(default),
-        }
-    };
-    config.workers = parse_usize("--workers", config.workers)?;
-    config.queue_capacity = parse_usize("--queue", config.queue_capacity)?;
-    config.cache_capacity = parse_usize("--cache", config.cache_capacity)?;
-    config.scan_workers = parse_usize("--scan-workers", config.scan_workers)?;
-    if let Some(ms) = flag_value(args, "--deadline") {
-        let ms: u64 = ms.parse().map_err(|e| format!("--deadline: {e}"))?;
-        config.default_deadline = Some(std::time::Duration::from_millis(ms));
-    }
+    config.workers = flag(args, "--workers")?.unwrap_or(config.workers);
+    config.queue_capacity = flag(args, "--queue")?.unwrap_or(config.queue_capacity);
+    config.cache_capacity = flag(args, "--cache")?.unwrap_or(config.cache_capacity);
+    config.scan_workers = flag(args, "--scan-workers")?.unwrap_or(config.scan_workers);
+    config.default_deadline = flag(args, "--deadline")?.map(std::time::Duration::from_millis);
     if let Some(path) = flag_value(args, "--journal") {
         use insitu_ensembles::service::{FsyncPolicy, JournalConfig};
         let mut journal = JournalConfig::new(path);
@@ -556,13 +553,13 @@ fn parse_svc_config(args: &[String]) -> Result<insitu_ensembles::service::SvcCon
     if has_flag(args, "--cosched") {
         use insitu_ensembles::service::{CoschedSvcConfig, Workloads};
         let budget = insitu_ensembles::scheduling::NodeBudget {
-            max_nodes: match parse_usize("--cosched-nodes", 4) {
-                Ok(v) if v > 0 => v,
-                _ => return Err("--cosched-nodes needs a positive integer".to_string()),
+            max_nodes: match flag(args, "--cosched-nodes")?.unwrap_or(4) {
+                0 => return Err("--cosched-nodes needs a positive integer".to_string()),
+                v => v,
             },
-            cores_per_node: match parse_usize("--cosched-cores", 32) {
-                Ok(v) if v > 0 => v as u32,
-                _ => return Err("--cosched-cores needs a positive integer".to_string()),
+            cores_per_node: match flag(args, "--cosched-cores")?.unwrap_or(32) {
+                0 => return Err("--cosched-cores needs a positive integer".to_string()),
+                v => v,
             },
         };
         let mut cosched = CoschedSvcConfig::new(budget);
@@ -781,10 +778,84 @@ fn cmd_serve_standby(args: &[String]) -> i32 {
     run_server(addr, config)
 }
 
+/// The request `ensemble query KIND [flags]` sends, or why it cannot be
+/// built — which `query` reports on one line, exiting 2 before any
+/// connection is attempted.
+fn query_request(
+    kind: &str,
+    args: &[String],
+) -> Result<insitu_ensembles::service::Request, String> {
+    use insitu_ensembles::service::{
+        ProgressSpec, Request, RequestBody, RunRequest, ScoreRequest, SubmitRequest, Workloads,
+    };
+
+    let id = flag(args, "--id")?.unwrap_or(1);
+    let deadline = flag(args, "--deadline")?.map(std::time::Duration::from_millis);
+    let workloads = if has_flag(args, "--small") { Workloads::Small } else { Workloads::Paper };
+    // `--progress` alone opts in at the server's default time cadence;
+    // either cadence flag implies the opt-in.
+    let every_candidates = flag(args, "--progress-every")?;
+    let every_ms = flag(args, "--progress-every-ms")?;
+    let progress =
+        (has_flag(args, "--progress") || every_candidates.is_some() || every_ms.is_some())
+            .then_some(ProgressSpec { every_candidates, every_ms });
+    let tenant = flag_value(args, "--tenant").map(str::to_string);
+    let shape = || -> Result<_, String> {
+        Ok(scheduling::EnsembleShape::uniform(
+            flag(args, "--members")?.unwrap_or(2),
+            flag(args, "--sim-cores")?.unwrap_or(16),
+            flag(args, "--k")?.unwrap_or(1),
+            flag(args, "--ana-cores")?.unwrap_or(8),
+        ))
+    };
+    let steps = |default: u64| flag(args, "--steps").map(|s| s.unwrap_or(default));
+    let jitter = || flag(args, "--jitter").map(|j| j.unwrap_or(0.0));
+    let seed = || flag(args, "--seed").map(|s| s.unwrap_or(0));
+
+    let body = match kind {
+        "metrics" => RequestBody::Metrics,
+        "attach" => RequestBody::Attach {
+            job: flag(args, "--job")?
+                .ok_or("--job ID (the request id of the original run) is required")?,
+        },
+        "score" => RequestBody::Score(ScoreRequest {
+            shape: shape()?,
+            budget: scheduling::NodeBudget {
+                max_nodes: flag(args, "--nodes")?.unwrap_or(3),
+                cores_per_node: flag(args, "--cores")?.unwrap_or(32),
+            },
+            top_k: flag(args, "--top-k")?.unwrap_or(5),
+            steps: steps(6)?,
+            workloads,
+            workers: flag(args, "--workers")?.unwrap_or(0),
+        }),
+        "run" => {
+            let target = args.get(1).ok_or("missing config label (e.g. C1.5)")?;
+            let config_id = parse_config(target)
+                .ok_or_else(|| format!("unknown config label '{target}' (see `ensemble list`)"))?;
+            RequestBody::Run(RunRequest {
+                spec: config_id.build(),
+                steps: steps(8)?,
+                jitter: jitter()?,
+                seed: seed()?,
+                workloads,
+            })
+        }
+        "submit" => RequestBody::Submit(SubmitRequest {
+            shape: shape()?,
+            steps: steps(6)?,
+            jitter: jitter()?,
+            seed: seed()?,
+            workloads,
+        }),
+        _ => return Err("unknown request kind (score|run|submit|attach|metrics)".to_string()),
+    };
+    Ok(Request { id, deadline, progress, tenant, body })
+}
+
 fn cmd_query(args: &[String]) -> i32 {
     use insitu_ensembles::service::{
-        FailoverClient, FailoverPolicy, Progress, ProgressBody, ProgressSpec, Request, RequestBody,
-        Response, RunRequest, ScoreRequest, SubmitRequest, SvcClient, Workloads,
+        FailoverClient, FailoverPolicy, Progress, ProgressBody, Response, SvcClient,
     };
 
     let Some(kind) = args.first().map(String::as_str) else {
@@ -792,85 +863,13 @@ fn cmd_query(args: &[String]) -> i32 {
         return 2;
     };
     let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_SVC_ADDR);
-    let id = flag_value(args, "--id").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let deadline = flag_value(args, "--deadline")
-        .and_then(|v| v.parse().ok())
-        .map(std::time::Duration::from_millis);
-    let workloads = if has_flag(args, "--small") { Workloads::Small } else { Workloads::Paper };
-    // `--progress` alone opts in at the server's default time cadence;
-    // either cadence flag implies the opt-in.
-    let every_candidates = flag_value(args, "--progress-every").and_then(|v| v.parse().ok());
-    let every_ms = flag_value(args, "--progress-every-ms").and_then(|v| v.parse().ok());
-    let progress =
-        (has_flag(args, "--progress") || every_candidates.is_some() || every_ms.is_some())
-            .then_some(ProgressSpec { every_candidates, every_ms });
-    let tenant = flag_value(args, "--tenant").map(str::to_string);
-    let parse = |name: &str, default: usize| -> usize {
-        flag_value(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-
-    let body = match kind {
-        "metrics" => RequestBody::Metrics,
-        "attach" => {
-            let Some(job) = flag_value(args, "--job").and_then(|v| v.parse().ok()) else {
-                eprintln!(
-                    "query attach: --job ID (the request id of the original run) is required"
-                );
-                return 2;
-            };
-            RequestBody::Attach { job }
-        }
-        "score" => RequestBody::Score(ScoreRequest {
-            shape: scheduling::EnsembleShape::uniform(
-                parse("--members", 2),
-                parse("--sim-cores", 16) as u32,
-                parse("--k", 1),
-                parse("--ana-cores", 8) as u32,
-            ),
-            budget: scheduling::NodeBudget {
-                max_nodes: parse("--nodes", 3),
-                cores_per_node: parse("--cores", 32) as u32,
-            },
-            top_k: parse("--top-k", 5),
-            steps: parse("--steps", 6) as u64,
-            workloads,
-            workers: parse("--workers", 0),
-        }),
-        "run" => {
-            let Some(target) = args.get(1) else {
-                eprintln!("query run: missing config label (e.g. C1.5)");
-                return 2;
-            };
-            let Some(config_id) = parse_config(target) else {
-                eprintln!("query run: unknown config label '{target}' (see `ensemble list`)");
-                return 2;
-            };
-            RequestBody::Run(RunRequest {
-                spec: config_id.build(),
-                steps: parse("--steps", 8) as u64,
-                jitter: flag_value(args, "--jitter").and_then(|v| v.parse().ok()).unwrap_or(0.0),
-                seed: parse("--seed", 0) as u64,
-                workloads,
-            })
-        }
-        "submit" => RequestBody::Submit(SubmitRequest {
-            shape: scheduling::EnsembleShape::uniform(
-                parse("--members", 2),
-                parse("--sim-cores", 16) as u32,
-                parse("--k", 1),
-                parse("--ana-cores", 8) as u32,
-            ),
-            steps: parse("--steps", 6) as u64,
-            jitter: flag_value(args, "--jitter").and_then(|v| v.parse().ok()).unwrap_or(0.0),
-            seed: parse("--seed", 0) as u64,
-            workloads,
-        }),
-        other => {
-            eprintln!("query: unknown request kind '{other}' (score|run|submit|attach|metrics)");
+    let request = match query_request(kind, args) {
+        Ok(request) => request,
+        Err(e) => {
+            eprintln!("query {kind}: {e}");
             return 2;
         }
     };
-    let request = Request { id, deadline, progress, tenant, body };
 
     // Progress frames paint a live status line on stderr (stdout stays
     // clean for the final result, `--json` included).

@@ -188,6 +188,28 @@ fn a_bad_experiment_file_fails_with_one_line_naming_the_key() {
 }
 
 #[test]
+fn a_malformed_flag_value_exits_2_with_one_line_naming_the_flag() {
+    // Nothing listens on port 1: a query that got as far as connecting
+    // would exit 1, so exit 2 shows the value was refused first.
+    for (args, flag) in [
+        (&["query", "score", "--top-k", "abc", "--addr", "127.0.0.1:1"][..], "--top-k"),
+        (&["query", "score", "--sim-cores", "4294967312", "--addr", "127.0.0.1:1"], "--sim-cores"),
+        (&["query", "metrics", "--deadline", "soon", "--addr", "127.0.0.1:1"], "--deadline"),
+        (&["advise", "--k", "nope"], "--k"),
+        (
+            &["serve", "--cosched", "--cosched-cores", "4294967329", "--addr", "127.0.0.1:0"],
+            "--cosched-cores",
+        ),
+    ] {
+        let out = ensemble().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`ensemble {}`: {stderr}", args.join(" "));
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.contains(flag), "{stderr}");
+    }
+}
+
+#[test]
 fn bad_config_label_fails_cleanly() {
     let out = ensemble().args(["run", "C9.9"]).output().unwrap();
     assert!(!out.status.success());

@@ -1,4 +1,4 @@
-//! Four rules about the workspace's shape that hold themselves.
+//! Five rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -29,6 +29,14 @@
 //! so its global rows balance the way its tenant rows do. Every write
 //! of a lifecycle counter or a tenant-row field in `crates/svc/src`
 //! appears in exactly one library function.
+//!
+//! **Each request kind is routed once, and there is one listener.** One
+//! function of `crates/svc/src` decides whether a `metrics`, `attach` or
+//! `replicate` request is answered inline, admitted or handed the
+//! connection — for the primary and the standby, in process and on the
+//! wire — and one function accepts TCP connections. The codec
+//! (`protocol.rs`), which names every kind to encode and decode it, is
+//! not routing.
 
 use std::collections::BTreeSet;
 
@@ -312,6 +320,41 @@ fn each_request_counter_is_written_in_one_library_function() {
         repeated.is_empty(),
         "a request counter written in other than exactly one library function — step the \
          service's ledger instead:\n  {}",
+        repeated.join("\n  ")
+    );
+}
+
+#[test]
+fn each_request_kind_is_routed_in_one_library_function() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let library: Vec<(PathBuf, String)> = library_code(root, &[root.join("crates/svc/src")])
+        .into_iter()
+        .filter(|(path, _)| !path.ends_with("protocol.rs"))
+        .collect();
+    // A pattern, not a value being built: a match arm, or the pattern of
+    // a `matches!` or a `let`.
+    let pattern: Counts = |before, after| {
+        let line_before = before.rsplit('\n').next().expect("rsplit");
+        let line_after = after.split('\n').next().expect("split");
+        !after.starts_with(is_ident)
+            && (line_after.contains("=>")
+                || line_before.contains("matches!(")
+                || line_before.contains("let "))
+    };
+    let call: Counts = |_, _| true;
+    let repeated = made_in_more_than_one_place(
+        &library,
+        &[
+            ("RequestBody::Metrics", pattern),
+            ("RequestBody::Attach", pattern),
+            ("RequestBody::Replicate", pattern),
+            (".accept()", call),
+        ],
+    );
+    assert!(
+        repeated.is_empty(),
+        "a request kind routed, or a connection accepted, in other than exactly one library \
+         function — mount on the server's router and listener instead:\n  {}",
         repeated.join("\n  ")
     );
 }
