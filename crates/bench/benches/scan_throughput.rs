@@ -13,25 +13,35 @@
 //! serial scan — a benchmark of a wrong answer is worthless.
 //!
 //! `score_topk10/{1545,4038,27250}` is the service's cold `score` scan
-//! (its exact closures: a fresh evaluator per worker over the service's
-//! solve cache, `top_k` 10, a row built only for a kept candidate) on
-//! the three shape classes of the e2e benchmark; `place_against/202` is
+//! (its exact visitor: a fresh evaluator per worker over the service's
+//! solve cache, `top_k` 10, a row built only for a kept candidate,
+//! subtrees skipped on the objective bound) on the three shape classes
+//! of the e2e benchmark, and `score_topk10/190778186` the same scan of
+//! 14 four-core components on up to 14 nodes; `place_against/202` is
 //! one co-scheduler placement decision beside a resident job. A row's
-//! `scored` is how many of its candidates were evaluated rather than
-//! pruned by their objective bound (one checking run's count; at two
-//! workers it varies with how the floors were traded). The
-//! committed `BENCH_scan.json` also carries `parent_commit` and
+//! `workers` is the most threads the scan may use and `threads` how many
+//! it did (in these bounded scans helpers come in only after the
+//! caller's solo time, which `spawn_join_us` — one scoped helper's
+//! start-up — sized); `pulls` is
+//! how often it went back to the feed, `visited` how many leaves the
+//! walk handed to an evaluator (the rest it skipped with their
+//! subtrees), and `scored` how many of those were evaluated rather than
+//! pruned by their bound (one checking run's counts; at two workers
+//! they vary with how the floors were traded).
+//! The committed `BENCH_scan.json` also carries `parent_commit` and
 //! `parent_*` rows: these benches run at the parent commit (with the
-//! parent's closures) in the same session, merged in by hand.
+//! parent's scan API) on the same host, alternating with this commit's
+//! runs, merged in by hand.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
+use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     exhaustive_search, place_against, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
-    EnsembleShape, FastEvaluator, FastScore, NodeBudget, Reservation, ResidencyMap, ScanOptions,
-    SearchConfig, SolveCache,
+    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ObjectiveBound, Reservation, ResidencyMap,
+    ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache,
 };
 use svc::{
     CoschedSvcConfig, RankedPlacement, Request, RequestBody, Response, Service, SubmitRequest,
@@ -65,6 +75,57 @@ fn median_secs(reps: usize, mut run: impl FnMut() -> usize) -> (f64, usize) {
     (times[times.len() / 2], candidates)
 }
 
+/// Every candidate's objective, from scratch (`fast`) or by the delta
+/// evaluator.
+struct ObjectiveScan<'a> {
+    base: &'a SimRunConfig,
+    shape: &'a EnsembleShape,
+    fast: bool,
+}
+
+enum Evaluator {
+    Fast(Box<FastEvaluator>),
+    Delta(Box<DeltaEvaluator>),
+}
+
+impl ScanVisitor for ObjectiveScan<'_> {
+    type State = Evaluator;
+    type Scored = f64;
+    type Row = f64;
+    type Error = RuntimeError;
+
+    fn init(&self) -> Evaluator {
+        if self.fast {
+            Evaluator::Fast(Box::new(FastEvaluator::new(self.base)))
+        } else {
+            Evaluator::Delta(Box::new(DeltaEvaluator::new(self.base, self.shape)))
+        }
+    }
+
+    fn eval(&self, evaluator: &mut Evaluator, c: Candidate<'_>) -> RuntimeResult<Option<f64>> {
+        let score = match evaluator {
+            Evaluator::Fast(fast) => fast.score(&self.shape.materialize(c.assignment))?,
+            Evaluator::Delta(delta) => delta.score_delta(c.assignment, c.first_changed)?,
+        };
+        Ok(Some(score.objective))
+    }
+
+    fn objective(&self, objective: &f64) -> f64 {
+        *objective
+    }
+
+    fn keep(&self, _: &mut Evaluator, _: Candidate<'_>, objective: f64) -> f64 {
+        objective
+    }
+
+    fn drain(&self, evaluator: &mut Evaluator) -> DeltaCounters {
+        match evaluator {
+            Evaluator::Fast(_) => DeltaCounters::default(),
+            Evaluator::Delta(delta) => delta.take_counters(),
+        }
+    }
+}
+
 fn fast_scan(
     base: &SimRunConfig,
     shape: &EnsembleShape,
@@ -72,26 +133,12 @@ fn fast_scan(
     workers: usize,
 ) -> Vec<u64> {
     let opts = ScanOptions { workers, ..Default::default() };
-    scan_placements(
-        shape,
-        budget,
-        &opts,
-        || FastEvaluator::new(base),
-        |evaluator: &mut FastEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
-            let spec = shape.materialize(c.assignment);
-            Ok(Some(evaluator.score(&spec)?.objective))
-        },
-        |_, _, v| v,
-        |_| DeltaCounters::default(),
-        |objective| *objective,
-        || false,
-        |_| {},
-    )
-    .expect("fast scan")
-    .into_values()
-    .into_iter()
-    .map(f64::to_bits)
-    .collect()
+    scan_placements(shape, budget, &opts, &ObjectiveScan { base, shape, fast: true })
+        .expect("fast scan")
+        .into_values()
+        .into_iter()
+        .map(f64::to_bits)
+        .collect()
 }
 
 /// The fast-path sweep scenario shared by the from-scratch and delta
@@ -130,21 +177,9 @@ fn delta_scan(
     workers: usize,
 ) -> (Vec<u64>, DeltaCounters) {
     let opts = ScanOptions { workers, ..Default::default() };
-    let outcome = scan_placements(
-        shape,
-        budget,
-        &opts,
-        || DeltaEvaluator::new(base, shape),
-        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
-            Ok(Some(evaluator.score_delta(c.assignment, c.first_changed)?.objective))
-        },
-        |_, _, v| v,
-        DeltaEvaluator::take_counters,
-        |objective| *objective,
-        || false,
-        |_| {},
-    )
-    .expect("delta scan");
+    let outcome =
+        scan_placements(shape, budget, &opts, &ObjectiveScan { base, shape, fast: false })
+            .expect("delta scan");
     let counters = outcome.delta;
     (outcome.into_values().into_iter().map(f64::to_bits).collect(), counters)
 }
@@ -220,12 +255,73 @@ fn small_base(shape: &EnsembleShape) -> SimRunConfig {
     cfg
 }
 
-/// What one cold `score` scan did: candidates enumerated, candidates
-/// actually evaluated (the rest were pruned by their bound), and the
-/// ranking.
+/// The service's `score` visitor (less its cancel probe, and with a
+/// progress hook that only counts), counting the leaves it is handed
+/// and the pulls that advanced the scan.
+struct ServiceScan<'a> {
+    base: &'a SimRunConfig,
+    shape: &'a EnsembleShape,
+    solves: &'a Arc<SolveCache>,
+    bound: ObjectiveBound,
+    visited: AtomicUsize,
+    pulls: AtomicUsize,
+}
+
+impl ScanVisitor for ServiceScan<'_> {
+    type State = DeltaEvaluator;
+    type Scored = FastScore;
+    type Row = RankedPlacement;
+    type Error = RuntimeError;
+
+    fn init(&self) -> DeltaEvaluator {
+        DeltaEvaluator::with_solve_cache(self.base, self.shape, self.solves)
+    }
+
+    fn eval(
+        &self,
+        evaluator: &mut DeltaEvaluator,
+        c: Candidate<'_>,
+    ) -> RuntimeResult<Option<FastScore>> {
+        self.visited.fetch_add(1, Ordering::Relaxed);
+        evaluator.score_above(c.assignment, c.first_changed, c.floor)
+    }
+
+    fn objective(&self, fs: &FastScore) -> f64 {
+        fs.objective
+    }
+
+    fn keep(&self, _: &mut DeltaEvaluator, c: Candidate<'_>, fs: FastScore) -> RankedPlacement {
+        RankedPlacement {
+            assignment: c.assignment.to_vec(),
+            objective: fs.objective,
+            nodes_used: fs.nodes_used,
+            ensemble_makespan: fs.ensemble_makespan,
+            eq4_satisfied: fs.eq4_satisfied,
+        }
+    }
+
+    fn drain(&self, evaluator: &mut DeltaEvaluator) -> DeltaCounters {
+        evaluator.take_counters()
+    }
+
+    fn progress(&self, _: &ScanProgress) {
+        self.pulls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
+        self.bound.of_prefix(prefix, open_nodes)
+    }
+}
+
+/// What one cold `score` scan did: candidates in the space, leaves the
+/// walk handed out, candidates actually evaluated (the rest were pruned
+/// by their bound, as leaves or with their subtree), and the ranking.
 struct ScoreScan {
     scanned: usize,
+    visited: usize,
     scored: usize,
+    pulls: usize,
+    workers: usize,
     ranked: Vec<RankedPlacement>,
 }
 
@@ -237,69 +333,92 @@ fn score_scan(
     solves: &Arc<SolveCache>,
     opts: &ScanOptions,
 ) -> ScoreScan {
-    let outcome = scan_placements(
+    let visitor = ServiceScan {
+        base,
         shape,
-        budget,
-        opts,
-        || DeltaEvaluator::with_solve_cache(base, shape, solves),
-        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<FastScore>> {
-            evaluator.score_above(c.assignment, c.first_changed, c.floor)
-        },
-        |_, c, fs| RankedPlacement {
-            assignment: c.assignment.to_vec(),
-            objective: fs.objective,
-            nodes_used: fs.nodes_used,
-            ensemble_makespan: fs.ensemble_makespan,
-            eq4_satisfied: fs.eq4_satisfied,
-        },
-        DeltaEvaluator::take_counters,
-        |fs: &FastScore| fs.objective,
-        || false,
-        |_| {},
-    )
-    .expect("score scan");
-    let (scanned, scored) = (outcome.scanned, outcome.scanned - outcome.delta.pruned as usize);
-    ScoreScan { scanned, scored, ranked: outcome.into_values() }
+        solves,
+        bound: ObjectiveBound::new(shape),
+        visited: AtomicUsize::new(0),
+        pulls: AtomicUsize::new(0),
+    };
+    let outcome = scan_placements(shape, budget, opts, &visitor).expect("score scan");
+    ScoreScan {
+        scanned: outcome.scanned,
+        visited: visitor.visited.into_inner(),
+        pulls: visitor.pulls.into_inner(),
+        scored: outcome.scanned - outcome.delta.pruned as usize,
+        workers: outcome.workers,
+        ranked: outcome.into_values(),
+    }
 }
 
 struct NamedSample {
     name: String,
+    /// Most worker threads the scan may use.
     workers: usize,
+    /// Threads that scanned in the checking run.
+    threads: usize,
     candidates: usize,
-    /// Candidates evaluated (the rest were enumerated and pruned).
+    /// Leaves the walk handed to an evaluator.
+    visited: usize,
+    /// Candidates evaluated (the rest were skipped or pruned).
     scored: usize,
+    /// Pulls from the scan's feed that advanced it.
+    pulls: usize,
     secs: f64,
 }
 
-/// The e2e benchmark's cold-score classes S, M and L at one and two
-/// scan workers. The solve cache lives across repetitions, as the
-/// service's does across requests; the first (checking) scan fills it.
+/// The e2e benchmark's cold-score classes S, M and L, and a space of
+/// ~1.9 × 10⁸ candidates, at one and two scan workers. The solve cache
+/// lives across repetitions, as the service's does across requests; the
+/// first (checking) scan fills it.
 fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
-    let classes: &[(usize, u32, u32, usize)] =
-        if quick { &[(4, 16, 8, 6)] } else { &[(4, 16, 8, 6), (4, 8, 4, 6), (5, 16, 8, 8)] };
-    let reps = if quick { 3 } else { 21 };
+    let classes: &[(usize, u32, u32, usize)] = if quick {
+        &[(4, 16, 8, 6)]
+    } else {
+        &[(4, 16, 8, 6), (4, 8, 4, 6), (5, 16, 8, 8), (7, 4, 4, 14)]
+    };
     let mut samples = Vec::new();
     for &(members, sim, ana, max_nodes) in classes {
         let shape = EnsembleShape::uniform(members, sim, 1, ana);
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let base = small_base(&shape);
         let solves = Arc::new(SolveCache::new(&base));
-        // Bounded top-K must be the head of the full stable ranking.
-        let full = ScanOptions { workers: 1, ..Default::default() };
-        let mut ranked = score_scan(&base, &shape, budget, &solves, &full).ranked;
-        ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
-        ranked.truncate(10);
+        let large = max_nodes > 8;
+        let reps = if quick {
+            3
+        } else if large {
+            5
+        } else {
+            21
+        };
+        // Bounded top-K must be the head of the full stable ranking
+        // (too big to rank in full for the large space: there the two
+        // widths must agree).
+        let mut ranked = Vec::new();
+        if !large {
+            let full = ScanOptions { workers: 1, ..Default::default() };
+            ranked = score_scan(&base, &shape, budget, &solves, &full).ranked;
+            ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
+            ranked.truncate(10);
+        }
         for workers in [1usize, 2] {
             let opts = ScanOptions { workers, top_k: 10, ..Default::default() };
             let checked = score_scan(&base, &shape, budget, &solves, &opts);
+            if ranked.is_empty() {
+                ranked.clone_from(&checked.ranked);
+            }
             assert_eq!(checked.ranked, ranked);
             let (secs, candidates) =
                 median_secs(reps, || score_scan(&base, &shape, budget, &solves, &opts).scanned);
             samples.push(NamedSample {
                 name: format!("score_topk10/{candidates}"),
                 workers,
+                threads: checked.workers,
                 candidates,
+                visited: checked.visited,
                 scored: checked.scored,
+                pulls: checked.pulls,
                 secs,
             });
         }
@@ -339,8 +458,11 @@ fn bench_place_against(quick: bool) -> Vec<NamedSample> {
     vec![NamedSample {
         name: format!("place_against/{candidates}"),
         workers: 1,
+        threads: 1,
         candidates,
+        visited: candidates,
         scored: candidates,
+        pulls: 0,
         secs,
     }]
 }
@@ -350,9 +472,12 @@ fn render_named(samples: &[NamedSample]) -> String {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"name\": \"{}\", \"workers\": {}, \"scored\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.1}}}",
+                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
                 s.name,
                 s.workers,
+                s.threads,
+                s.pulls,
+                s.visited,
                 s.scored,
                 s.secs,
                 s.secs * 1e9 / s.candidates as f64
@@ -483,6 +608,15 @@ fn render_cosched(samples: &[CoschedSample]) -> String {
     format!("[\n{}\n  ]", rows.join(",\n"))
 }
 
+/// Median wall time of spawning and joining one scoped thread that does
+/// nothing: what a scan pays to bring a helper in.
+fn spawn_join_us(quick: bool) -> f64 {
+    let (secs, _) = median_secs(if quick { 21 } else { 201 }, || {
+        std::thread::scope(|scope| scope.spawn(|| 0usize).join().expect("no-op thread"))
+    });
+    secs * 1e6
+}
+
 fn render(samples: &[Sample]) -> String {
     let rows: Vec<String> = samples
         .iter()
@@ -521,14 +655,19 @@ fn main() {
     service_scans.extend(bench_place_against(quick));
     for s in &service_scans {
         eprintln!(
-            "  {:<22} workers={:<2} scored={:<6} {:.6}s  {:.1} ns/candidate",
+            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} {:.6}s  {:.3} ns/candidate",
             s.name,
             s.workers,
+            s.threads,
+            s.pulls,
+            s.visited,
             s.scored,
             s.secs,
             s.secs * 1e9 / s.candidates as f64
         );
     }
+    let spawn_join = spawn_join_us(quick);
+    eprintln!("  scoped spawn+join {spawn_join:.1} us");
     let des = bench_des_path(quick, host_cores);
     for s in &des {
         eprintln!(
@@ -546,7 +685,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"scan_throughput\",\n  \"host_cores\": {host_cores},\n  \"quick\": {quick},\n  \"commit\": \"{}\",\n  \"fast_path\": {},\n  \"delta_eval\": {},\n  \"service_scans\": {},\n  \"des_path\": {},\n  \"cosched_queue_wait\": {}\n}}\n",
+        "{{\n  \"bench\": \"scan_throughput\",\n  \"host_cores\": {host_cores},\n  \"quick\": {quick},\n  \"commit\": \"{}\",\n  \"spawn_join_us\": {spawn_join:.1},\n  \"fast_path\": {},\n  \"delta_eval\": {},\n  \"service_scans\": {},\n  \"des_path\": {},\n  \"cosched_queue_wait\": {}\n}}\n",
         bench::git_commit(),
         render(&fast),
         render_delta(&delta),

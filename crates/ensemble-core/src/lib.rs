@@ -52,7 +52,7 @@ pub use insitu_step::{
 };
 pub use member::MemberSpec;
 pub use objective::{aggregate, objective, Aggregation};
-pub use placement::{placement_indicator, placement_indicator_on};
+pub use placement::{placement_indicator, placement_indicator_bound, placement_indicator_on};
 pub use stage::{AnalysisStageTimes, MemberStageTimes, StageGroup, StageKind};
 pub use steady_state::{extract_steady_state, MemberStepSamples, WarmupPolicy};
 pub use whatif::{factor_to_unblock, what_if, Change};

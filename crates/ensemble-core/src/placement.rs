@@ -12,20 +12,33 @@ use crate::member::MemberSpec;
 /// Eq. 6 for one member.
 pub fn placement_indicator(member: &MemberSpec) -> f64 {
     let sim = &member.simulation.nodes;
-    eq6(sim.len(), member.analyses.iter().map(|a| sim.union(&a.nodes).count()))
+    let k = member.analyses.len();
+    eq6(sim.len(), k, member.analyses.iter().map(|a| sim.union(&a.nodes).count()))
 }
 
 /// Eq. 6 for a member of single-node components, on node labels alone:
 /// the simulation on `sim_node`, analysis `j` on `analysis_nodes[j]`.
-/// Inlined: a pruned scan candidate's bound calls it once per member.
 #[inline]
 pub fn placement_indicator_on(sim_node: usize, analysis_nodes: &[usize]) -> f64 {
-    eq6(1, analysis_nodes.iter().map(|&a| if a == sim_node { 1 } else { 2 }))
+    placement_indicator_bound(sim_node, analysis_nodes, analysis_nodes.len())
 }
 
-/// `|s| / K · Σⱼ 1 / |s ∪ aʲ|` from `|s|` and each coupling's `|s ∪ aʲ|`.
-fn eq6(sim_nodes: usize, unions: impl ExactSizeIterator<Item = usize>) -> f64 {
-    let k = unions.len();
+/// Eq. 6 for a member of `analyses` single-node analyses of which only
+/// the first `placed.len()` are placed yet, each one not placed counted
+/// as co-located (`|s ∪ aʲ| = 1`). Every term can only fall when that
+/// analysis is placed, and the sum runs in the same order either way,
+/// so this is never below the indicator of any completion, and is the
+/// indicator itself once all are placed. Inlined: a bounded scan calls
+/// it once per member at every prefix it checks.
+#[inline]
+pub fn placement_indicator_bound(sim_node: usize, placed: &[usize], analyses: usize) -> f64 {
+    let placed_unions = placed.iter().map(|&a| if a == sim_node { 1 } else { 2 });
+    eq6(1, analyses, placed_unions.chain(std::iter::repeat_n(1, analyses - placed.len())))
+}
+
+/// `|s| / K · Σⱼ 1 / |s ∪ aʲ|` from `|s|` and each of the `k` couplings'
+/// `|s ∪ aʲ|`.
+fn eq6(sim_nodes: usize, k: usize, unions: impl Iterator<Item = usize>) -> f64 {
     assert!(k > 0, "placement indicator requires at least one coupling");
     let mut sum = 0.0f64;
     for union in unions {
@@ -87,6 +100,24 @@ mod tests {
         // §4.1's worked example: C1.1 has s₁={0}, a₁¹={2} → CP = 1/2.
         let m = member(0, &[2]);
         assert!((placement_indicator(&m) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_partial_member_is_bounded_by_every_completion_and_is_exact_when_placed() {
+        for placed in [&[][..], &[0], &[1], &[0, 1], &[1, 2], &[1, 0, 2]] {
+            for analyses in placed.len().max(1)..=3 {
+                let bound = placement_indicator_bound(0, placed, analyses);
+                for rest in [[0, 0, 0], [1, 0, 2], [3, 3, 3]] {
+                    let mut all = placed.to_vec();
+                    all.extend(&rest[..analyses - placed.len()]);
+                    assert!(bound >= placement_indicator_on(0, &all), "{placed:?} → {all:?}");
+                }
+            }
+            if !placed.is_empty() {
+                let exact = placement_indicator_bound(0, placed, placed.len());
+                assert_eq!(exact.to_bits(), placement_indicator(&member(0, placed)).to_bits());
+            }
+        }
     }
 
     #[test]

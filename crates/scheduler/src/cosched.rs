@@ -44,9 +44,9 @@ use std::sync::Arc;
 
 use runtime::{RuntimeError, SimRunConfig};
 
-use crate::delta::{DeltaCounters, DeltaEvaluator, SolveCache};
+use crate::delta::{DeltaEvaluator, SolveCache};
 use crate::enumerate::EnsembleShape;
-use crate::scan::{scan_placements, Candidate, ScanOptions};
+use crate::scan::{scan_placements, Candidate, ScanOptions, ScanVisitor};
 use crate::search::NodeBudget;
 
 /// Errors from residency accounting and co-scheduling.
@@ -402,6 +402,76 @@ struct CandidateHit {
     nodes_used: usize,
 }
 
+/// The scan of [`place_against`]: each candidate mapped onto the free
+/// capacity, then scored together with the residents.
+struct PlaceScan<'a> {
+    view: &'a ResidualView,
+    base: &'a SimRunConfig,
+    solves: &'a Arc<SolveCache>,
+    /// Residents, then the job.
+    combined: EnsembleShape,
+    /// The job's per-component cores.
+    cores: Vec<u32>,
+}
+
+impl ScanVisitor for PlaceScan<'_> {
+    type State = PlaceState;
+    /// The combined objective and the nodes the job opens.
+    type Scored = (f64, usize);
+    type Row = CandidateHit;
+    type Error = RuntimeError;
+
+    fn init(&self) -> PlaceState {
+        let mut assignment = self.view.resident_assignment.clone();
+        assignment.resize(self.combined.num_components(), 0);
+        PlaceState {
+            eval: DeltaEvaluator::with_solve_cache(self.base, &self.combined, self.solves),
+            assignment,
+            virtual_loads: Vec::new(),
+            fit: FitScratch::default(),
+        }
+    }
+
+    fn eval(
+        &self,
+        state: &mut PlaceState,
+        c: Candidate<'_>,
+    ) -> Result<Option<(f64, usize)>, RuntimeError> {
+        let virtual_nodes = c.assignment.iter().copied().max().map_or(0, |m| m + 1);
+        state.virtual_loads.clear();
+        state.virtual_loads.resize(virtual_nodes, 0);
+        for (&v, &demand) in c.assignment.iter().zip(&self.cores) {
+            state.virtual_loads[v] += demand;
+        }
+        let Some(mapping) = best_fit_mapping(&state.virtual_loads, &self.view.free, &mut state.fit)
+        else {
+            return Ok(None);
+        };
+        let physical = &mut state.assignment[self.view.resident_assignment.len()..];
+        for (slot, &v) in physical.iter_mut().zip(c.assignment) {
+            *slot = mapping[v];
+        }
+        let score = state.eval.score(&state.assignment)?;
+        Ok(Some((score.objective, virtual_nodes)))
+    }
+
+    fn objective(&self, &(objective, _): &(f64, usize)) -> f64 {
+        objective
+    }
+
+    // Only a candidate that takes the top slot is copied out; the state
+    // still holds the physical nodes `eval` just mapped it to.
+    fn keep(&self, state: &mut PlaceState, c: Candidate<'_>, scored: (f64, usize)) -> CandidateHit {
+        let (objective, nodes_used) = scored;
+        CandidateHit {
+            physical: state.assignment[self.view.resident_assignment.len()..].to_vec(),
+            canonical: c.assignment.to_vec(),
+            objective,
+            nodes_used,
+        }
+    }
+}
+
 /// Places `shape` against the remaining capacity in `view`, scoring
 /// every fitting candidate together with the resident members and
 /// returning the best (or `None` when nothing fits). Deterministic at
@@ -424,56 +494,11 @@ pub fn place_against(
     solves: &Arc<SolveCache>,
     opts: &ScanOptions,
 ) -> Result<Option<PlacementDecision>, CoschedError> {
-    let scan_opts = ScanOptions { top_k: 1, ..*opts };
-    let free = &view.free;
-    let cores = shape.component_cores();
-    let resident_slots = view.resident_assignment.len();
     let mut combined = view.residents.clone();
     combined.members.extend(shape.members.iter().cloned());
-    let outcome = scan_placements(
-        shape,
-        view.budget,
-        &scan_opts,
-        || {
-            let mut assignment = view.resident_assignment.clone();
-            assignment.resize(combined.num_components(), 0);
-            PlaceState {
-                eval: DeltaEvaluator::with_solve_cache(base, &combined, solves),
-                assignment,
-                virtual_loads: Vec::new(),
-                fit: FitScratch::default(),
-            }
-        },
-        |state: &mut PlaceState, c: Candidate<'_>| -> Result<Option<(f64, usize)>, RuntimeError> {
-            let virtual_nodes = c.assignment.iter().copied().max().map_or(0, |m| m + 1);
-            state.virtual_loads.clear();
-            state.virtual_loads.resize(virtual_nodes, 0);
-            for (&v, &demand) in c.assignment.iter().zip(&cores) {
-                state.virtual_loads[v] += demand;
-            }
-            let Some(mapping) = best_fit_mapping(&state.virtual_loads, free, &mut state.fit) else {
-                return Ok(None);
-            };
-            let physical = &mut state.assignment[resident_slots..];
-            for (slot, &v) in physical.iter_mut().zip(c.assignment) {
-                *slot = mapping[v];
-            }
-            let score = state.eval.score(&state.assignment)?;
-            Ok(Some((score.objective, virtual_nodes)))
-        },
-        // Only a candidate that takes the top slot is copied out; the
-        // state still holds the physical nodes `eval` just mapped it to.
-        |state: &mut PlaceState, c: Candidate<'_>, (objective, nodes_used)| CandidateHit {
-            physical: state.assignment[resident_slots..].to_vec(),
-            canonical: c.assignment.to_vec(),
-            objective,
-            nodes_used,
-        },
-        |_| DeltaCounters::default(),
-        |&(objective, _)| objective,
-        || false,
-        |_| {},
-    )?;
+    let visitor = PlaceScan { view, base, solves, combined, cores: shape.component_cores() };
+    let outcome =
+        scan_placements(shape, view.budget, &ScanOptions { top_k: 1, ..*opts }, &visitor)?;
     let scanned = outcome.scanned;
     let feasible = outcome.feasible;
     let Some(best) = outcome.results.into_iter().next() else {

@@ -51,14 +51,16 @@
 //! `Pᵢ = Eᵢ / cᵢ × CPᵢ / M` with `Eᵢ ≤ 1` (Eq. 3: every busy span is at
 //! most `σ̄*`), so `F ≤ mean(CPᵢ / cᵢ) / M` — `CP` and `M` read straight
 //! off the assignment. A candidate whose bound is below the caller's
-//! floor is skipped unevaluated.
+//! floor is skipped unevaluated. The bound is [`ObjectiveBound`], which
+//! also bounds every completion of a *prefix*: what lets a bounded scan
+//! skip whole subtrees of the enumeration ([`crate::scan`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use ensemble_core::{
-    aggregate, efficiency, makespan, placement_indicator_on, satisfies_eq4, Aggregation,
-    AnalysisStageTimes, ComponentRef, MemberStageTimes,
+    aggregate, efficiency, makespan, placement_indicator_bound, placement_indicator_on,
+    satisfies_eq4, Aggregation, AnalysisStageTimes, ComponentRef, MemberStageTimes,
 };
 use hpc_platform::Workload;
 use runtime::{NodeSolver, RuntimeError, RuntimeResult, SimRunConfig, StagingPrices};
@@ -73,8 +75,7 @@ use crate::fast_eval::FastScore;
 /// re-solve).
 pub const DEFAULT_SOLVE_CACHE_CAPACITY: usize = 1024;
 
-/// Relative widening of the objective bound of
-/// [`DeltaEvaluator::score_above`]. The bound is exact in real
+/// Relative widening of [`ObjectiveBound`]. The bound is exact in real
 /// arithmetic; in IEEE arithmetic the evaluator's own result can sit a
 /// few ulps above it (a `K`-analysis member's `Σ busy / (K σ̄*)` can
 /// round past 1, and the bound folds its terms in another order), and
@@ -95,8 +96,11 @@ pub struct DeltaCounters {
     /// Members whose indicator terms were recomputed (vs served from
     /// the per-member cache).
     pub members_recomputed: u64,
-    /// Candidates [`DeltaEvaluator::score_above`] skipped unevaluated
-    /// because their objective bound fell below the floor.
+    /// Candidates skipped unevaluated because their objective bound fell
+    /// below the floor: one at a time by
+    /// [`DeltaEvaluator::score_above`], and in a scan's outcome also
+    /// whole subtrees the walk skipped, each counted at its exact size —
+    /// so `scanned − pruned` is the number evaluated.
     pub pruned: u64,
 }
 
@@ -216,6 +220,81 @@ impl SolveCache {
     }
 }
 
+/// The objective bound `mean(CPᵢ / cᵢ) / M` (module docs) of a placement
+/// or of a prefix of one, widened by a relative `1e-9` — the one bound a
+/// bounded scan checks, at every depth.
+///
+/// `prefix` places the first `prefix.len()` components of the flat
+/// order on `open_nodes` distinct nodes. A member whose components are
+/// all placed contributes its exact `CPᵢ / cᵢ`; in one that is not, each
+/// analysis not placed yet counts as co-located (Eq. 6 term 1); and `M`
+/// is bounded below by the nodes the prefix opened. Placing one more
+/// component can only lower a term or raise `M`, the member terms are
+/// folded in member order at every depth, and every rounding step is
+/// monotone — so a prefix's bound is never below the bound of any
+/// completion of it, and a full placement's is never below its
+/// objective.
+#[derive(Debug, Clone)]
+pub struct ObjectiveBound {
+    /// Flat `[start, end)` component range per member (`start` = sim).
+    member_range: Vec<(usize, usize)>,
+    /// Per member, its total cores `cᵢ`.
+    member_cores: Vec<f64>,
+    /// Per member, its term with nothing placed: every analysis
+    /// co-located.
+    unplaced: Vec<f64>,
+    /// False when a member has no analysis: Eq. 6 is undefined, such a
+    /// member never scores, and the bound skips nothing.
+    defined: bool,
+}
+
+impl ObjectiveBound {
+    /// The bound over `shape`'s flat component order.
+    pub fn new(shape: &EnsembleShape) -> Self {
+        let mut member_range = Vec::with_capacity(shape.members.len());
+        let mut start = 0;
+        for (_, anas) in &shape.members {
+            member_range.push((start, start + 1 + anas.len()));
+            start += 1 + anas.len();
+        }
+        let cores = |(sim, anas): &(u32, Vec<u32>)| {
+            (u64::from(*sim) + anas.iter().map(|&c| u64::from(c)).sum::<u64>()) as f64
+        };
+        let member_cores: Vec<f64> = shape.members.iter().map(cores).collect();
+        let defined = shape.members.iter().all(|(_, anas)| !anas.is_empty());
+        let unplaced = if defined {
+            let terms = shape.members.iter().zip(&member_cores);
+            terms
+                .map(|((_, anas), cores)| placement_indicator_bound(0, &[], anas.len()) / cores)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        ObjectiveBound { member_range, member_cores, unplaced, defined }
+    }
+
+    /// The bound of every completion of `prefix`, which spans
+    /// `open_nodes` distinct nodes (a full placement's own bound when
+    /// `prefix` is one).
+    pub fn of_prefix(&self, prefix: &[usize], open_nodes: usize) -> f64 {
+        if !self.defined {
+            return f64::INFINITY;
+        }
+        let placed = prefix.len();
+        let mut sum = 0.0f64;
+        for (i, &(start, end)) in self.member_range.iter().enumerate() {
+            sum += if start >= placed {
+                self.unplaced[i]
+            } else {
+                let analyses = &prefix[start + 1..end.min(placed)];
+                placement_indicator_bound(prefix[start], analyses, end - start - 1)
+                    / self.member_cores[i]
+            };
+        }
+        sum / self.member_range.len() as f64 / open_nodes as f64 * (1.0 + BOUND_SLACK)
+    }
+}
+
 /// Marks a transition no solved sequence has taken yet.
 const NONE: u32 = u32::MAX;
 
@@ -317,9 +396,9 @@ pub struct DeltaEvaluator {
     comp_kind: Vec<u32>,
     /// Owning member per component.
     comp_member: Vec<usize>,
-    /// Flat `[start, end)` component range per member (`start` = sim).
-    member_range: Vec<(usize, usize)>,
-    member_cores: Vec<u32>,
+    /// The objective bound, and with it the shape's per-member layout:
+    /// each member's component range and total cores.
+    bound: ObjectiveBound,
     // --- candidate state (structure of arrays) -------------------------
     prev: Vec<usize>,
     has_prev: bool,
@@ -398,11 +477,8 @@ impl DeltaEvaluator {
         let mut comp_kind = Vec::with_capacity(shape.num_components());
         let mut kinds: Vec<(Workload, u32)> = Vec::new();
         let mut comp_member = Vec::with_capacity(shape.num_components());
-        let mut member_range = Vec::with_capacity(shape.members.len());
-        let mut member_cores = Vec::with_capacity(shape.members.len());
         let mut member_stage = Vec::with_capacity(shape.members.len());
         for (i, (sim_cores, anas)) in shape.members.iter().enumerate() {
-            let start = comp_cores.len();
             for (slot, &cores) in std::iter::once(sim_cores).chain(anas.iter()).enumerate() {
                 let cref = if slot == 0 {
                     ComponentRef::simulation(i)
@@ -419,8 +495,6 @@ impl DeltaEvaluator {
                 comp_kind.push(kind as u32);
                 comp_member.push(i);
             }
-            member_range.push((start, comp_cores.len()));
-            member_cores.push(sim_cores + anas.iter().sum::<u32>());
             member_stage.push(MemberStageTimes {
                 s: 0.0,
                 w: 0.0,
@@ -453,8 +527,7 @@ impl DeltaEvaluator {
             comp_cores,
             comp_kind,
             comp_member,
-            member_range,
-            member_cores,
+            bound: ObjectiveBound::new(shape),
             prev: Vec::with_capacity(n),
             has_prev: false,
             pending_hint: None,
@@ -522,10 +595,10 @@ impl DeltaEvaluator {
 
     /// [`DeltaEvaluator::score_delta`] for a caller that only wants
     /// candidates whose objective can reach `floor`: `Ok(None)` when the
-    /// assignment's objective bound `mean(CPᵢ / cᵢ) / M` (module docs)
-    /// is strictly below it. Such a candidate is never evaluated — no
-    /// solve, no error, no change to the state the next score diffs
-    /// against; its hint folds into that next score's. The comparison
+    /// assignment's [`ObjectiveBound`] is strictly below it. Such a
+    /// candidate is never evaluated — no solve, no error, no change to
+    /// the state the next score diffs against; its hint folds into that
+    /// next score's. The comparison
     /// is strict because a candidate tying the floor can still outrank
     /// it on enumeration index. A floor of `−∞` (or NaN) prunes nothing.
     pub fn score_above(
@@ -536,7 +609,9 @@ impl DeltaEvaluator {
     ) -> RuntimeResult<Option<FastScore>> {
         let n = self.comp_cores.len();
         assert_eq!(assignment.len(), n, "assignment length must match the shape");
-        if floor > f64::NEG_INFINITY && self.objective_bound(assignment) < floor {
+        if floor > f64::NEG_INFINITY
+            && self.bound.of_prefix(assignment, distinct_nodes(assignment)) < floor
+        {
             self.pending_hint = Some(fold_hint(self.pending_hint, first_changed));
             self.counters.pruned += 1;
             return Ok(None);
@@ -621,7 +696,7 @@ impl DeltaEvaluator {
         }
 
         // Phase 3: recompute the indicator terms of dirty members.
-        for i in 0..self.member_range.len() {
+        for i in 0..self.member_dirty.len() {
             if !self.member_dirty[i] {
                 continue;
             }
@@ -648,20 +723,6 @@ impl DeltaEvaluator {
             nodes_used: self.nodes_used,
             eq4_satisfied: self.member_eq4.iter().all(|&b| b),
         }))
-    }
-
-    /// `mean(CPᵢ / cᵢ) / M` of `assignment`, widened by [`BOUND_SLACK`]:
-    /// never below the objective [`DeltaEvaluator::score_delta`] returns
-    /// for it (`Eᵢ ≤ 1`, `std ≥ 0`, every rounding step monotone), and
-    /// read off the assignment alone.
-    fn objective_bound(&self, assignment: &[usize]) -> f64 {
-        let mut sum = 0.0f64;
-        for (&(start, end), &cores) in self.member_range.iter().zip(&self.member_cores) {
-            sum += placement_indicator_on(assignment[start], &assignment[start + 1..end])
-                / cores as f64;
-        }
-        sum / self.member_range.len() as f64 / distinct_nodes(assignment) as f64
-            * (1.0 + BOUND_SLACK)
     }
 
     /// Refreshes the step times of node `nd`'s residents: from the
@@ -712,7 +773,7 @@ impl DeltaEvaluator {
     /// Recomputes member `i`'s stage times, `E / c × CP`, makespan, and
     /// Eq. 4 flag from the (cached) per-component step times.
     fn recompute_member(&mut self, i: usize, assignment: &[usize]) -> RuntimeResult<()> {
-        let (start, end) = self.member_range[i];
+        let (start, end) = self.bound.member_range[i];
         let sim_node = assignment[start];
         let nodes = self.touched.len();
         let st = &mut self.member_stage[i];
@@ -733,7 +794,7 @@ impl DeltaEvaluator {
         // The usage and allocation stages of `ensemble_core::indicator`,
         // in its order: `E / c`, then `× CP`. Both depend on the member
         // alone; the provisioning stage (`/ M`) is applied per score.
-        self.member_ua[i] = efficiency(st) / self.member_cores[i] as f64 * cp;
+        self.member_ua[i] = efficiency(st) / self.bound.member_cores[i] * cp;
         Ok(())
     }
 

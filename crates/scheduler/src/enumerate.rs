@@ -5,6 +5,8 @@
 //! differ only by a node permutation are equivalent; enumeration yields
 //! one canonical representative per equivalence class.
 
+use std::collections::HashMap;
+
 use ensemble_core::{ComponentSpec, EnsembleSpec, MemberSpec};
 
 /// Structural description of the ensemble to place: per member, the
@@ -77,6 +79,143 @@ pub fn canonicalize(assignment: &[usize]) -> Vec<usize> {
         .collect()
 }
 
+/// The most candidates a count may reach: 2⁵³, past which a JSON number
+/// (an IEEE double) no longer carries every count exactly. A subtree
+/// larger than this is never counted, and a skip that would carry an
+/// enumeration index past it is walked instead.
+pub const MAX_EXACT_COUNT: usize = 1 << 53;
+
+/// Every canonical placement is one set partition of the components,
+/// and Bell(22) < 2⁵³ < Bell(23): a shape of at most this many
+/// components never holds more than [`MAX_EXACT_COUNT`] placements.
+const ALWAYS_EXACT_COMPONENTS: usize = 22;
+
+/// States the count of a whole space may expand: the paper's and the
+/// benchmark's shapes need a few dozen to a few thousand.
+const SPACE_COUNT_BUDGET: usize = 1 << 16;
+
+/// Words of key the completions memo holds before it is cleared and
+/// refills (the benchmark shapes need a few dozen keys; clearing costs
+/// recounts, never a wrong count).
+const COMPLETIONS_CAPACITY_WORDS: usize = 1 << 18;
+
+/// Subtrees a fill may skip per leaf it may hand out before it returns
+/// short. A skip costs about what handing a leaf out does (a bound and a
+/// memo lookup, ~50 ns), so a pull stays a few microseconds long however
+/// little of it is leaves, without a return to the feed every few skips.
+const SKIPS_PER_LEAF: usize = 8;
+
+/// States one count may expand (each one level deeper at most, so this
+/// also bounds its recursion). A subtree too big to count within it is
+/// walked instead, its smaller subtrees counted one by one, so no single
+/// fill stalls the scan's cancellation probe.
+const COUNT_BUDGET: usize = 1024;
+
+/// Sizes of subtrees of the canonical enumeration. Below a prefix the
+/// completions depend only on the depth and on the *multiset* of the
+/// open nodes' loads: which open node holds which load is a relabeling,
+/// and the canonical rule lets the next component onto every open node
+/// alike, or onto the next new one. So they are counted once per
+/// `[depth, sorted loads…]` key, and open nodes of equal load are one
+/// branch times their multiplicity. A count past [`MAX_EXACT_COUNT`] is
+/// not a count: it comes back `None`, like one past its budget.
+#[derive(Debug, Clone)]
+struct Completions {
+    cores: Vec<u32>,
+    max_nodes: usize,
+    cap: u32,
+    memo: HashMap<Box<[u32]>, usize>,
+    /// Key words held, against [`COMPLETIONS_CAPACITY_WORDS`].
+    words: usize,
+    /// The key being looked up.
+    key: Vec<u32>,
+}
+
+impl Completions {
+    fn new(cores: &[u32], max_nodes: usize, cap: u32) -> Self {
+        let (memo, key) = (HashMap::new(), Vec::new());
+        Completions { cores: cores.to_vec(), max_nodes, cap, memo, words: 0, key }
+    }
+
+    /// Canonical completions of a prefix of `depth < cores.len()`
+    /// components whose open nodes carry `loads`; `None` when there are
+    /// more than [`MAX_EXACT_COUNT`], or when counting would expand more
+    /// than `budget` states not counted before (those it did finish stay
+    /// memoized).
+    fn count(&mut self, depth: usize, loads: &[u32], mut budget: usize) -> Option<usize> {
+        self.key.clear();
+        self.key.push(depth as u32);
+        self.key.extend_from_slice(loads);
+        self.key[1..].sort_unstable();
+        if let Some(&count) = self.memo.get(&self.key[..]) {
+            return Some(count);
+        }
+        self.expand(self.key.clone(), &mut budget)
+    }
+
+    /// Counts the completions below `key`, one branch per distinct open
+    /// load and one for a new node.
+    fn expand(&mut self, key: Vec<u32>, budget: &mut usize) -> Option<usize> {
+        *budget = budget.checked_sub(1)?;
+        let (depth, loads) = (key[0] as usize, &key[1..]);
+        let (c, cap) = (self.cores[depth], u64::from(self.cap));
+        let fits = |load: u32| u64::from(load) + u64::from(c) <= cap;
+        let mut sum = 0usize;
+        for i in 0..=loads.len() {
+            let weight = if i == loads.len() {
+                (loads.len() < self.max_nodes && fits(0)).then_some(1)
+            } else if (i == 0 || loads[i - 1] != loads[i]) && fits(loads[i]) {
+                Some(loads[i..].iter().take_while(|&&l| l == loads[i]).count())
+            } else {
+                None
+            };
+            let Some(weight) = weight else { continue };
+            let mut child = key.clone();
+            child[0] += 1;
+            match child.get_mut(1 + i) {
+                Some(load) => *load += c,
+                None => child.push(c),
+            }
+            child[1..].sort_unstable();
+            let below = if depth + 1 == self.cores.len() {
+                1
+            } else if let Some(&count) = self.memo.get(&child[..]) {
+                count
+            } else {
+                self.expand(child, budget)?
+            };
+            sum = below.checked_mul(weight).and_then(|n| n.checked_add(sum))?;
+            if sum > MAX_EXACT_COUNT {
+                return None;
+            }
+        }
+        if self.words + key.len() > COMPLETIONS_CAPACITY_WORDS {
+            self.memo.clear();
+            self.words = 0;
+        }
+        self.words += key.len();
+        self.memo.insert(key.into_boxed_slice(), sum);
+        Some(sum)
+    }
+}
+
+/// One pull of leaves from a [`PlacementIter`], refilled in place: a
+/// scan worker owns one and reuses its allocations chunk after chunk.
+#[derive(Debug, Default)]
+pub(crate) struct Chunk {
+    /// The leaves' assignments end to end, `num_components` wide each.
+    pub(crate) flat: Vec<usize>,
+    /// Per leaf, its first-changed position relative to the leaf the
+    /// iterator handed out just before it (meaningless for the first).
+    pub(crate) hints: Vec<usize>,
+    /// Per leaf, its enumeration index.
+    pub(crate) indices: Vec<usize>,
+    /// How many leaves the iterator had handed out before this chunk's
+    /// first: leaf `j` is hand-out number `first + j`, and its hint holds
+    /// for a worker whose previous leaf was number `first + j − 1`.
+    pub(crate) first: usize,
+}
+
 /// Lazy, resumable enumerator of canonical feasible placements — the
 /// streaming form of [`enumerate_placements`].
 ///
@@ -88,6 +227,12 @@ pub fn canonicalize(assignment: &[usize]) -> Vec<usize> {
 /// time: no `O(candidates)` allocation up front, which is what lets the
 /// parallel scan engine ([`crate::scan`]) stream chunks to workers at
 /// paper scale (millions of candidates).
+///
+/// A bounded scan walks it with a floor and a prefix bound instead:
+/// every subtree whose bound is strictly below the floor is skipped
+/// unvisited, and its exact size — counted, not enumerated — is added
+/// to the enumeration index, so every leaf handed out keeps the index
+/// it has in the full enumeration.
 #[derive(Debug, Clone)]
 pub struct PlacementIter {
     cores: Vec<u32>,
@@ -106,7 +251,13 @@ pub struct PlacementIter {
     /// True while `assignment` holds the just-yielded complete leaf.
     at_leaf: bool,
     done: bool,
+    /// Candidates passed so far, handed out or skipped.
     yielded: usize,
+    /// Leaves handed out so far.
+    handed: usize,
+    /// Candidates skipped unvisited, with their subtrees.
+    skipped: usize,
+    completions: Completions,
     /// Lowest depth the DFS backtracked to since the last yield — every
     /// position below it is unchanged from the previous assignment.
     low_water: usize,
@@ -133,6 +284,9 @@ impl PlacementIter {
             at_leaf: false,
             done: max_nodes == 0,
             yielded: 0,
+            handed: 0,
+            skipped: 0,
+            completions: Completions::new(&cores, max_nodes, cores_per_node),
             low_water: 0,
             cores,
             max_nodes,
@@ -140,10 +294,21 @@ impl PlacementIter {
         }
     }
 
-    /// Assignments yielded so far — the enumeration index of the *next*
-    /// assignment [`advance`](Self::advance) will return.
+    /// Candidates passed so far, handed out or skipped — the
+    /// enumeration index of the *next* assignment
+    /// [`advance`](Self::advance) will return.
     pub fn yielded(&self) -> usize {
         self.yielded
+    }
+
+    /// Candidates a bounded walk skipped unvisited.
+    pub(crate) fn skipped(&self) -> usize {
+        self.skipped
+    }
+
+    /// True once the whole space has been handed out or skipped.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done
     }
 
     /// Advances to the next canonical feasible assignment. The returned
@@ -161,6 +326,28 @@ impl PlacementIter {
     /// and meaningless on the first yield, where there is no
     /// predecessor.
     pub fn advance_delta(&mut self) -> Option<(&[usize], usize)> {
+        let mut skips = usize::MAX;
+        let unbounded = |_: &[usize], _: usize| f64::INFINITY;
+        let first_changed = self.walk(f64::NEG_INFINITY, &unbounded, &mut skips, 0)?;
+        Some((&self.assignment, first_changed))
+    }
+
+    /// Moves the DFS to its next leaf and returns the leaf's
+    /// first-changed position. With a `floor` above `−∞`, every subtree
+    /// whose `bound(prefix, open_nodes)` is strictly below it is skipped
+    /// unvisited and counted at its exact size, each skip using up one
+    /// of `skips` — unless counting it would expand more than
+    /// `count_budget` states, or carry the index past
+    /// [`MAX_EXACT_COUNT`]: then the walk descends into it. `None` at the
+    /// end of the space, or when `skips` runs out (the next call resumes
+    /// there).
+    fn walk(
+        &mut self,
+        floor: f64,
+        bound: &impl Fn(&[usize], usize) -> f64,
+        skips: &mut usize,
+        count_budget: usize,
+    ) -> Option<usize> {
         if self.done {
             return None;
         }
@@ -168,17 +355,16 @@ impl PlacementIter {
         if self.at_leaf {
             // Backtrack off the leaf yielded by the previous call.
             self.at_leaf = false;
-            self.depth -= 1;
-            self.low_water = self.low_water.min(self.depth);
-            self.used[self.assignment[self.depth]] -= self.cores[self.depth];
+            self.pop();
         }
         loop {
             if self.depth == n {
                 self.at_leaf = true;
                 self.yielded += 1;
+                self.handed += 1;
                 let first_changed = self.low_water;
                 self.low_water = n;
-                return Some((&self.assignment, first_changed));
+                return Some(first_changed);
             }
             let limit = self.prefix_max[self.depth].min(self.max_nodes - 1);
             let mut t = self.next[self.depth];
@@ -192,39 +378,86 @@ impl PlacementIter {
                 self.prefix_max[self.depth + 1] = self.prefix_max[self.depth].max(t + 1);
                 self.depth += 1;
                 self.next[self.depth] = 0;
+                if floor > f64::NEG_INFINITY
+                    && bound(&self.assignment[..self.depth], self.prefix_max[self.depth]) < floor
+                {
+                    let room = MAX_EXACT_COUNT.saturating_sub(self.yielded);
+                    if let Some(size) = self.subtree_size(count_budget).filter(|&s| s <= room) {
+                        self.yielded += size;
+                        self.skipped += size;
+                        self.pop();
+                        *skips -= 1;
+                        if *skips == 0 {
+                            return None;
+                        }
+                    }
+                }
             } else if self.depth == 0 {
                 self.done = true;
                 return None;
             } else {
-                self.depth -= 1;
-                self.low_water = self.low_water.min(self.depth);
-                self.used[self.assignment[self.depth]] -= self.cores[self.depth];
+                self.pop();
             }
         }
     }
 
-    /// Appends up to `n` consecutive assignments to `flat`, end to end
-    /// (each `num_components` wide, the first at enumeration index
-    /// [`yielded`](Self::yielded) as of the call), and to `hints` each
-    /// one's first-changed position relative to the assignment
-    /// enumerated immediately before it (meaningless for enumeration
-    /// index 0, which has no predecessor). Returns how many were
-    /// produced (short only at exhaustion). Both buffers are cleared
-    /// first, so a scan worker ([`crate::scan::scan_placements`])
-    /// refills the same two allocations chunk after chunk.
-    pub fn fill_chunk(&mut self, flat: &mut Vec<usize>, hints: &mut Vec<usize>, n: usize) -> usize {
-        flat.clear();
-        hints.clear();
-        while hints.len() < n {
-            match self.advance_delta() {
-                Some((assignment, first_changed)) => {
-                    flat.extend_from_slice(assignment);
-                    hints.push(first_changed);
-                }
-                None => break,
-            }
+    /// Takes the component at the top of the DFS back off its node.
+    fn pop(&mut self) {
+        self.depth -= 1;
+        self.low_water = self.low_water.min(self.depth);
+        self.used[self.assignment[self.depth]] -= self.cores[self.depth];
+    }
+
+    /// Leaves below the current prefix, if they can be counted within
+    /// `budget` states.
+    fn subtree_size(&mut self, budget: usize) -> Option<usize> {
+        if self.depth == self.cores.len() {
+            return Some(1);
         }
-        hints.len()
+        let open = &self.used[..self.prefix_max[self.depth]];
+        self.completions.count(self.depth, open, budget)
+    }
+
+    /// Refills `chunk` with up to `n` leaves, skipping every subtree
+    /// whose `bound` is strictly below `floor` (as
+    /// [`walk`](Self::walk) does); returns how many leaves it holds. Short
+    /// at the end of the space, and after [`SKIPS_PER_LEAF`] skips per
+    /// leaf of `n`, so one pull never runs long however much it skips
+    /// ([`is_done`](Self::is_done) tells the two apart).
+    pub(crate) fn fill_chunk(
+        &mut self,
+        chunk: &mut Chunk,
+        n: usize,
+        floor: f64,
+        bound: &impl Fn(&[usize], usize) -> f64,
+    ) -> usize {
+        self.fill(chunk, n, floor, bound, COUNT_BUDGET)
+    }
+
+    /// [`fill_chunk`](Self::fill_chunk) with counts given up past
+    /// `count_budget` states.
+    fn fill(
+        &mut self,
+        chunk: &mut Chunk,
+        n: usize,
+        floor: f64,
+        bound: &impl Fn(&[usize], usize) -> f64,
+        count_budget: usize,
+    ) -> usize {
+        chunk.flat.clear();
+        chunk.hints.clear();
+        chunk.indices.clear();
+        chunk.first = self.handed;
+        let mut skips = n.saturating_mul(SKIPS_PER_LEAF);
+        while chunk.hints.len() < n {
+            let Some(first_changed) = self.walk(floor, bound, &mut skips, count_budget) else {
+                break;
+            };
+            chunk.flat.extend_from_slice(&self.assignment);
+            chunk.hints.push(first_changed);
+            chunk.indices.push(self.yielded - 1);
+        }
+        chunk.hints.len()
     }
 }
 
@@ -250,6 +483,21 @@ pub fn enumerate_placements(
     cores_per_node: u32,
 ) -> Vec<Vec<usize>> {
     PlacementIter::new(shape, max_nodes, cores_per_node).collect()
+}
+
+/// True when the canonical placement space of `shape` on at most
+/// `max_nodes` nodes of `cores_per_node` cores provably holds at most
+/// [`MAX_EXACT_COUNT`] candidates, so every count and enumeration index a
+/// scan of it reports is exact: always for a shape of up to 22
+/// components, and otherwise when the whole space can be counted within
+/// a fixed budget and the count stays within the limit.
+pub fn space_counts_exactly(shape: &EnsembleShape, max_nodes: usize, cores_per_node: u32) -> bool {
+    let cores = shape.component_cores();
+    if cores.len() <= ALWAYS_EXACT_COMPONENTS {
+        return true;
+    }
+    let mut completions = Completions::new(&cores, max_nodes.min(cores.len()), cores_per_node);
+    completions.count(0, &[], SPACE_COUNT_BUDGET).is_some()
 }
 
 #[cfg(test)]
@@ -344,15 +592,20 @@ mod tests {
         let shape = EnsembleShape::uniform(2, 16, 2, 8);
         let width = shape.num_components();
         let materialized = enumerate_placements(&shape, 4, 32);
+        let unbounded = |_: &[usize], _: usize| f64::INFINITY;
         for chunk in [1usize, 2, 3, 7, 100] {
             let mut it = PlacementIter::new(&shape, 4, 32);
-            let (mut flat, mut hints) = (Vec::new(), Vec::new());
+            let mut buf = Chunk::default();
             let mut seen = 0usize;
             loop {
                 assert_eq!(it.yielded(), seen, "a chunk starts at the next enumeration index");
-                let got = it.fill_chunk(&mut flat, &mut hints, chunk);
-                assert_eq!((flat.len(), hints.len()), (got * width, got));
-                for (assignment, &fc) in flat.chunks_exact(width).zip(&hints) {
+                let got = it.fill_chunk(&mut buf, chunk, f64::NEG_INFINITY, &unbounded);
+                assert_eq!((buf.flat.len(), buf.hints.len()), (got * width, got));
+                assert_eq!(buf.first, seen, "nothing skipped: hand-outs are indexes");
+                for ((assignment, &fc), &index) in
+                    buf.flat.chunks_exact(width).zip(&buf.hints).zip(&buf.indices)
+                {
+                    assert_eq!(index, seen);
                     assert_eq!(assignment, &materialized[seen][..], "chunk={chunk}");
                     if seen > 0 {
                         assert!(fc < width);
@@ -372,9 +625,132 @@ mod tests {
                 }
             }
             assert_eq!(seen, materialized.len(), "chunk={chunk}");
-            assert_eq!(it.fill_chunk(&mut flat, &mut hints, chunk), 0, "stays drained");
-            assert!(flat.is_empty() && hints.is_empty());
+            let drained = it.fill_chunk(&mut buf, chunk, f64::NEG_INFINITY, &unbounded);
+            assert_eq!(drained, 0, "stays drained");
+            assert!(it.is_done() && buf.flat.is_empty() && buf.hints.is_empty());
         }
+    }
+
+    /// Every canonical completion of `prefix`, by brute force: the full
+    /// enumeration's leaves that start with it.
+    fn completions_by_walk(shape: &EnsembleShape, max_nodes: usize, prefix: &[usize]) -> usize {
+        PlacementIter::new(shape, max_nodes, 32).filter(|a| a.starts_with(prefix)).count()
+    }
+
+    #[test]
+    fn completion_counts_equal_the_walk_below_every_prefix() {
+        // Mixed core counts (equal loads on different nodes, full nodes,
+        // a component that fits nowhere beside another) and budgets both
+        // below and at the component count.
+        let shapes = [
+            EnsembleShape { members: vec![(16, vec![8, 4]), (4, vec![1]), (8, vec![8, 16])] },
+            EnsembleShape::uniform(3, 8, 1, 4),
+            EnsembleShape { members: vec![(32, vec![1]), (2, vec![2, 2, 2])] },
+        ];
+        for shape in &shapes {
+            let n = shape.num_components();
+            for max_nodes in [2, 3, n] {
+                let cores = shape.component_cores();
+                let mut memo = Completions::new(&cores, max_nodes.min(n), 32);
+                let leaves = enumerate_placements(shape, max_nodes, 32);
+                let mut prefixes: Vec<Vec<usize>> =
+                    leaves.iter().flat_map(|a| (1..n).map(|d| a[..d].to_vec())).collect();
+                prefixes.sort();
+                prefixes.dedup();
+                for prefix in &prefixes {
+                    let mut loads = vec![0u32; n];
+                    for (&node, &c) in prefix.iter().zip(&cores) {
+                        loads[node] += c;
+                    }
+                    let open = prefix.iter().max().map_or(0, |&m| m + 1);
+                    let counted = memo.count(prefix.len(), &loads[..open], COUNT_BUDGET);
+                    let walked = completions_by_walk(shape, max_nodes, prefix);
+                    assert_eq!(counted, Some(walked), "{shape:?} on {max_nodes}: {prefix:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bounded_walk_keeps_every_index_and_hints_against_the_last_leaf() {
+        // Skip every subtree below a prefix with an analysis away from
+        // its simulation: what is left must be exactly the leaves that
+        // co-locate every member, each at its full-enumeration index,
+        // each hint valid against the previous leaf handed out — also
+        // when counts run out of budget and the walk descends into a
+        // subtree it could not count, to skip its parts instead.
+        let shape = EnsembleShape::uniform(3, 8, 1, 4);
+        let width = shape.num_components();
+        let all = enumerate_placements(&shape, 5, 32);
+        let split = |p: &[usize]| p.chunks_exact(2).any(|m| m[0] != m[1]);
+        let bound = |prefix: &[usize], _: usize| if split(prefix) { 0.0 } else { 2.0 };
+        for (chunk, count_budget) in [(1usize, COUNT_BUDGET), (3, 0), (64, 1), (64, COUNT_BUDGET)] {
+            let mut it = PlacementIter::new(&shape, 5, 32);
+            let mut buf = Chunk::default();
+            let mut handed: Vec<(usize, Vec<usize>, usize)> = Vec::new();
+            while !it.is_done() {
+                it.fill(&mut buf, chunk, 1.0, &bound, count_budget);
+                assert_eq!(buf.first, handed.len());
+                for ((a, &hint), &index) in
+                    buf.flat.chunks_exact(width).zip(&buf.hints).zip(&buf.indices)
+                {
+                    handed.push((index, a.to_vec(), hint));
+                }
+            }
+            let kept: Vec<usize> =
+                (0..all.len()).filter(|&i| (1..=width).all(|d| !split(&all[i][..d]))).collect();
+            assert!(kept.len() > 1 && kept.len() < all.len());
+            assert_eq!(handed.iter().map(|h| h.0).collect::<Vec<_>>(), kept, "chunk={chunk}");
+            for w in handed.windows(2) {
+                let (prev, (index, a, hint)) = (&w[0].1, (&w[1].0, &w[1].1, w[1].2));
+                assert_eq!(a, &all[*index]);
+                assert_eq!(
+                    a[..hint],
+                    prev[..hint],
+                    "a hint is relative to the last leaf handed out"
+                );
+            }
+            assert_eq!(it.yielded(), all.len());
+            assert_eq!(it.skipped(), all.len() - kept.len());
+        }
+    }
+
+    #[test]
+    fn a_count_out_of_budget_gives_up_and_keeps_what_it_finished() {
+        // 22 one-core components on up to 22 nodes: ~4 000 states, and
+        // Bell(22) placements — just below 2⁵³.
+        let mut memo = Completions::new(&[1; 22], 22, 32);
+        assert_eq!(memo.count(1, &[1], COUNT_BUDGET), None);
+        assert_eq!(memo.count(0, &[], 1 << 16), Some(4_506_715_738_447_323));
+        // A small subtree, given up on once and then counted: the same
+        // number the walk finds.
+        let shape = EnsembleShape::uniform(2, 8, 2, 4);
+        let mut memo = Completions::new(&shape.component_cores(), 6, 32);
+        assert_eq!(memo.count(1, &[8], 0), None);
+        assert_eq!(memo.count(1, &[8], 1), None);
+        assert_eq!(memo.count(1, &[8], COUNT_BUDGET), Some(completions_by_walk(&shape, 6, &[0])));
+    }
+
+    #[test]
+    fn counts_past_2_pow_53_are_refused_not_saturated() {
+        // Bell(23) and Bell(24) are past 2⁵³: no count, at any budget.
+        for n in [23usize, 24] {
+            let mut memo = Completions::new(&vec![1; n], n, 32);
+            assert_eq!(memo.count(0, &[], 1 << 16), None, "{n} components");
+            assert_eq!(memo.count(1, &[1], usize::MAX), None, "{n} components");
+        }
+        // So a score over such a space is refused; up to 22 components
+        // never need the count, and a wide shape whose nodes fit only
+        // pairs of components (1.7 × 10¹³ placements) counts within it.
+        let one_core = |members: usize| EnsembleShape::uniform(members, 1, 1, 1);
+        assert!(!space_counts_exactly(&one_core(12), 24, 32));
+        assert!(!space_counts_exactly(&EnsembleShape { members: vec![(1, vec![1; 22])] }, 23, 32));
+        assert!(space_counts_exactly(&one_core(11), 22, 32));
+        assert!(space_counts_exactly(&one_core(11), usize::MAX, 32));
+        assert!(space_counts_exactly(&EnsembleShape::uniform(12, 16, 1, 16), 24, 32));
+        let pairs = Completions::new(&[16; 24], 24, 32).count(0, &[], 1 << 16);
+        assert_eq!(pairs, Some(17_492_190_577_600), "the involutions of 24");
+        assert!(space_counts_exactly(&one_core(12), 0, 32), "an empty space");
     }
 
     #[test]

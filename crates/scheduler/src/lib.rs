@@ -14,11 +14,13 @@
 //!   each member.
 //!
 //! Placement evaluation runs on [`scan`], a streaming parallel scan
-//! engine: candidates are enumerated lazily ([`PlacementIter`]), fanned
-//! out to scoped worker threads in chunks, and merged by enumeration
-//! index — output order and every float are bit-identical to a serial
-//! scan at any worker count. Bounded top-K selection and cooperative
-//! cancellation come for free at every call site.
+//! engine driven by one [`ScanVisitor`]: candidates are enumerated
+//! lazily ([`PlacementIter`]), fanned out to scoped worker threads in
+//! chunks, and merged by enumeration index — output order and every
+//! float are bit-identical to a serial scan at any worker count.
+//! Bounded top-K selection (walked branch and bound when the visitor
+//! bounds prefixes) and cooperative cancellation come for free at every
+//! call site.
 
 #![warn(missing_docs)]
 
@@ -37,8 +39,11 @@ pub use cosched::{
     place_against, Admission, CoScheduler, CoschedConfig, CoschedCounters, CoschedError,
     PlacementDecision, Reservation, ResidencyMap,
 };
-pub use delta::{DeltaCounters, DeltaEvaluator, SolveCache};
-pub use enumerate::{canonicalize, enumerate_placements, EnsembleShape, PlacementIter};
+pub use delta::{DeltaCounters, DeltaEvaluator, ObjectiveBound, SolveCache};
+pub use enumerate::{
+    canonicalize, enumerate_placements, space_counts_exactly, EnsembleShape, PlacementIter,
+    MAX_EXACT_COUNT,
+};
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
-pub use scan::{scan_placements, Candidate, ScanOptions, ScanProgress};
+pub use scan::{scan_placements, Candidate, ScanOptions, ScanProgress, ScanVisitor};
 pub use search::{exhaustive_search, NodeBudget, SearchConfig};

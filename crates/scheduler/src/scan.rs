@@ -6,18 +6,24 @@
 //! placements, evaluate each one independently, rank the results. This
 //! module is that shape, made reusable and parallel:
 //!
+//! * **One visitor.** A scan is driven by a [`ScanVisitor`]: how to
+//!   build a worker's state, evaluate a candidate, turn a kept one into
+//!   a row — and, optionally, what to drain, when to stop, whom to tell
+//!   about progress, and how to bound a prefix.
 //! * **Streaming enumeration.** Candidates come from
 //!   [`PlacementIter`], pulled in chunks under a mutex — no
 //!   `O(candidates)` materialization up front. A chunk lands in one
 //!   flat buffer the worker reuses for every pull, not in a `Vec` per
 //!   candidate.
-//! * **The caller scans too.** The calling thread is worker 0 and
-//!   `std::thread::scope` adds `workers − 1` threads beside it (default
-//!   worker count: available parallelism, overridable per call or via
-//!   the `ENSEMBLE_SCAN_WORKERS` environment variable). No new
-//!   dependencies — plain `std` threads, like the rest of the
-//!   workspace. Each worker owns its own evaluation state (built once
-//!   by `init`), so the per-candidate cost stays allocation-free.
+//! * **The caller scans first, helpers only when it pays.** The calling
+//!   thread is worker 0 and scans alone; only when it comes back for a
+//!   pull with the walk unfinished (in a bounded scan, also only after
+//!   [`SOLO_SCAN`]) does
+//!   `std::thread::scope` add up to `workers − 1` threads beside it
+//!   (worker count: available parallelism, overridable per call or via
+//!   the `ENSEMBLE_SCAN_WORKERS` environment variable). Plain `std`
+//!   threads, like the rest of the workspace. Each worker owns its own
+//!   evaluation state, so the per-candidate cost stays allocation-free.
 //! * **Rows only for survivors.** `eval` returns a candidate's floats;
 //!   the `keep` step that copies its assignment into a result row runs
 //!   only for a candidate the result set admits.
@@ -27,20 +33,24 @@
 //!   any worker count. (Each candidate's evaluation is a pure function
 //!   of `(evaluation state, assignment)` — see the determinism suite in
 //!   `tests/scan_properties.rs`.)
-//! * **Bounded top-K.** With `top_k > 0` each worker keeps its best K
-//!   by `(objective desc, enumeration index asc)`; the merged sets
-//!   reproduce exactly the first K rows of the full stable ranking, in
-//!   `O(K)` memory per worker. Each candidate carries the K-th best
-//!   objective known so far (workers trade theirs at every pull), so an
-//!   evaluator with a cheap upper bound can skip what cannot rank.
+//! * **Bounded top-K, walked branch and bound.** With `top_k > 0` each
+//!   worker keeps its best K by `(objective desc, enumeration index
+//!   asc)`; the merged sets reproduce exactly the first K rows of the
+//!   full stable ranking, in `O(K)` memory per worker. At every pull the
+//!   workers fold what they admitted into one K-best; the walk skips
+//!   every subtree whose [`ScanVisitor::prefix_bound`] is strictly below
+//!   its K-th objective, counting it at its exact size, and each
+//!   candidate handed out carries that floor so `eval` can skip a leaf
+//!   the same way.
 //! * **Cooperative cancellation.** The `cancel` probe is checked
 //!   between chunks; once it fires, all workers stop pulling and the
 //!   outcome reports how far the scan got.
 
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use crate::delta::DeltaCounters;
-use crate::enumerate::{EnsembleShape, PlacementIter};
+use crate::enumerate::{Chunk, EnsembleShape, PlacementIter};
 use crate::search::NodeBudget;
 
 /// Environment variable overriding the default worker count (used by CI
@@ -48,11 +58,25 @@ use crate::search::NodeBudget;
 /// change). Explicit [`ScanOptions::workers`] wins over it.
 pub const SCAN_WORKERS_ENV: &str = "ENSEMBLE_SCAN_WORKERS";
 
+/// How long the caller of a bounded (`top_k > 0`) scan scans alone
+/// before it brings in helper threads. How much of its space such a
+/// scan evaluates depends on how fast its floor rises, so its length
+/// cannot be told up front. Spawning and joining a scoped helper costs
+/// ~26 µs on a 2-core host (`BENCH_scan.json`'s `spawn_join_us`), so the
+/// caller has scanned for about eight spawns' worth before it pays for
+/// one. A scan that ends sooner — the e2e benchmark's S and M classes,
+/// ~0.1 ms — never pays at all; one whose pulls are long (DES-scored
+/// chunks, ~1 ms) brings its helpers in when it returns from its first.
+/// A full scan evaluates every candidate, so its caller brings them in
+/// as soon as its first pull leaves the walk unfinished.
+pub const SOLO_SCAN: Duration = Duration::from_micros(200);
+
 /// Tuning of one scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Worker threads. Zero means "auto": the [`SCAN_WORKERS_ENV`]
-    /// environment variable if set, else available parallelism.
+    /// Most worker threads the scan may use. Zero means "auto": the
+    /// [`SCAN_WORKERS_ENV`] environment variable if set, else available
+    /// parallelism.
     pub workers: usize,
     /// Candidates handed to a worker per feed pull. Smaller chunks probe
     /// cancellation more often; larger ones amortize the feed lock.
@@ -69,7 +93,7 @@ impl Default for ScanOptions {
 }
 
 impl ScanOptions {
-    /// The worker count this scan will actually run with.
+    /// The most worker threads this scan may run with.
     pub fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
@@ -86,20 +110,21 @@ fn workers_from_env(raw: Option<&str>) -> Option<usize> {
     raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
 }
 
-/// A point-in-time view of a running scan, handed to the progress
-/// observer of [`scan_placements`].
+/// A point-in-time view of a running scan, handed to
+/// [`ScanVisitor::progress`].
 ///
 /// Produced under the feed lock at the same probe point cancellation
 /// uses (between chunks), so successive observations are monotone:
 /// `scanned` never decreases and `best_objective` never worsens.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanProgress {
-    /// Candidates handed to an evaluator so far, across all workers.
+    /// Candidates accounted for so far, across all workers: evaluated,
+    /// or skipped by a bounded walk.
     pub scanned: usize,
     /// Best objective seen so far (`None` until a feasible candidate
     /// has been evaluated).
     pub best_objective: Option<f64>,
-    /// Worker threads the scan is running with.
+    /// Worker threads scanning so far.
     pub workers: usize,
 }
 
@@ -120,18 +145,21 @@ pub struct ScanOutcome<T> {
     /// best-first (objective descending, enumeration index breaking
     /// ties) — exactly the first K rows of the full stable ranking.
     pub results: Vec<ScanHit<T>>,
-    /// Candidates handed to an evaluator (cancelled scans stop short of
-    /// the full enumeration).
+    /// Candidates accounted for: handed to an evaluator, or skipped
+    /// with a subtree whose bound could not rank. A completed scan
+    /// counts the whole space; a cancelled one stops short of it.
     pub scanned: usize,
     /// Candidates whose evaluator returned a result (`scanned` minus
-    /// those filtered out by an evaluator returning `None`).
+    /// those skipped or filtered out by an evaluator returning `None`).
     pub feasible: usize,
     /// True when the cancellation probe stopped the scan early.
     pub cancelled: bool,
-    /// Worker threads the scan ran with.
+    /// Worker threads that scanned: the caller, plus the helpers it
+    /// brought in.
     pub workers: usize,
-    /// Delta-evaluation cache counters, summed across workers: whatever
-    /// the scan's `drain` closure extracted from each worker's state.
+    /// Delta-evaluation counters, summed across workers: whatever
+    /// [`ScanVisitor::drain`] extracted from each worker's state, plus
+    /// the subtree-skipped candidates in `pruned`.
     pub delta: DeltaCounters,
 }
 
@@ -163,15 +191,15 @@ impl Rank {
     }
 }
 
-/// Fixed-capacity keeper of the best K `(Rank, T)` pairs. It remembers
-/// which kept entry ranks worst, so a candidate that does not make the
-/// cut costs one comparison and its row is never built; only an
-/// admission pays the `O(K)` rescan for the new worst (K is a
-/// client-requested top-k — tens — so a slot scan beats heap
-/// bookkeeping at this size). The rank order is strict and total, so
-/// the kept set is the K best of everything offered however it is
-/// maintained — what makes bounded top-K bit-identical to
-/// `full ranking → truncate(K)`.
+/// Keeper of the best K `(Rank, T)` pairs. It remembers which kept
+/// entry ranks worst, so a candidate that does not make the cut costs
+/// one comparison and its row is never built; only an admission pays
+/// the `O(K)` rescan for the new worst (K is a client-requested top-k —
+/// tens — so a slot scan beats heap bookkeeping at this size). The rank
+/// order is strict and total, so the kept set is the K best of
+/// everything offered however it is maintained — what makes bounded
+/// top-K bit-identical to `full ranking → truncate(K)`. Its storage
+/// grows with what is kept, never with K: K arrives off the wire.
 struct TopK<T> {
     capacity: usize,
     kept: Vec<(Rank, T)>,
@@ -181,27 +209,29 @@ struct TopK<T> {
 
 impl<T> TopK<T> {
     fn new(capacity: usize) -> Self {
-        TopK { capacity, kept: Vec::with_capacity(capacity), worst: 0 }
+        TopK { capacity, kept: Vec::new(), worst: 0 }
     }
 
     /// The worst kept objective once K are kept (a candidate strictly
-    /// below it can no longer be admitted), `−∞` before.
+    /// below it can no longer be admitted), `−∞` before — and always
+    /// when K is 0, a full scan.
     fn floor(&self) -> f64 {
-        if self.kept.len() < self.capacity {
+        if self.capacity == 0 || self.kept.len() < self.capacity {
             f64::NEG_INFINITY
         } else {
             self.kept[self.worst].0.objective
         }
     }
 
-    /// Keeps `row()` under `rank` if it ranks among the best K so far.
-    fn offer(&mut self, rank: Rank, row: impl FnOnce() -> T) {
+    /// Keeps `row()` under `rank` if it ranks among the best K so far;
+    /// true when it does.
+    fn offer(&mut self, rank: Rank, row: impl FnOnce() -> T) -> bool {
         if self.kept.len() < self.capacity {
             self.kept.push((rank, row()));
         } else if self.kept[self.worst].0.worse_than(&rank) {
             self.kept[self.worst] = (rank, row());
         } else {
-            return;
+            return false;
         }
         if self.kept.len() == self.capacity {
             self.worst = 0;
@@ -211,6 +241,7 @@ impl<T> TopK<T> {
                 }
             }
         }
+        true
     }
 }
 
@@ -220,15 +251,21 @@ impl<T> TopK<T> {
 /// The feed also aggregates cross-worker progress (`scanned`, `best`):
 /// each worker folds its previous batch in when it returns for the next
 /// one, which is where the progress observer fires. A bounded scan's
-/// workers also trade top-K floors there: `floor` is the highest K-th
-/// best any worker has published. The global K-th best is at least as
-/// good as any one worker's, so every worker may prune against it.
+/// workers also fold in the ranks their top-K admitted: `ranks` keeps
+/// the K best of all of them, so its floor is the K-th best objective of
+/// everything evaluated so far — a candidate strictly below it cannot
+/// rank, whichever worker meets it, and the walk skips against it too.
 struct Feed {
     iter: PlacementIter,
     stop: bool,
+    /// Candidates evaluated or skipped, as folded in so far.
     scanned: usize,
+    /// `scanned` as of the last progress observation.
+    reported: usize,
     best: Option<f64>,
-    floor: f64,
+    ranks: TopK<()>,
+    /// Worker threads scanning.
+    workers: usize,
 }
 
 /// Per-worker scan state returned to the merge step.
@@ -242,7 +279,8 @@ struct WorkerOut<T, E> {
     delta: DeltaCounters,
 }
 
-/// One candidate handed to a scan's `eval` and `keep` closures.
+/// One candidate handed to [`ScanVisitor::eval`] and
+/// [`ScanVisitor::keep`].
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate<'a> {
     /// Position in the canonical enumeration order.
@@ -251,11 +289,12 @@ pub struct Candidate<'a> {
     pub assignment: &'a [usize],
     /// `Some(h)` promises `assignment[..h]` equals the assignment this
     /// worker evaluated immediately before — what
-    /// [`crate::DeltaEvaluator::score_delta`] takes. `None` at
-    /// enumeration index 0 and whenever the worker's previous candidate
-    /// was not the direct predecessor (hints are relative to the
-    /// predecessor, and across a chunk boundary the worker's own
-    /// previous candidate is some unrelated assignment; the evaluator's
+    /// [`crate::DeltaEvaluator::score_delta`] takes. `None` for the
+    /// first candidate and whenever the worker's previous candidate was
+    /// not the one the walk handed out just before this one (hints are
+    /// relative to the previous leaf handed out, which a skipped subtree
+    /// does not change; across a chunk boundary the worker's own previous
+    /// candidate may be some unrelated assignment, and the evaluator's
     /// hint-free self-diff is always correct there, just wider).
     pub first_changed: Option<usize>,
     /// The objective a candidate must reach to still rank in a bounded
@@ -267,75 +306,114 @@ pub struct Candidate<'a> {
     pub floor: f64,
 }
 
-/// Scans every canonical feasible placement of `shape` under `budget`,
-/// in parallel, with deterministic output — the one scan entry point.
+/// What a scan does with the candidates [`scan_placements`] walks: one
+/// value, shared by every worker, that builds each worker's own state.
+pub trait ScanVisitor: Sync {
+    /// One worker's evaluation state (a [`crate::DeltaEvaluator`], or a
+    /// reusable DES run configuration), never shared.
+    type State;
+    /// What `eval` returns for a candidate: something small, its floats.
+    type Scored;
+    /// A result row.
+    type Row: Send;
+    /// An evaluation error; the first in enumeration order aborts the
+    /// scan.
+    type Error: Send;
+
+    /// Builds one worker's state — once per worker.
+    fn init(&self) -> Self::State;
+
+    /// Scores one candidate: `Ok(Some(scored))`, `Ok(None)` to skip it
+    /// (it still counts as scanned, not as feasible), or `Err` to abort
+    /// the scan. Under `top_k`, skipping a candidate whose objective is
+    /// strictly below [`Candidate::floor`] never changes the result.
+    fn eval(
+        &self,
+        state: &mut Self::State,
+        candidate: Candidate<'_>,
+    ) -> Result<Option<Self::Scored>, Self::Error>;
+
+    /// The ranking key of a scored candidate.
+    fn objective(&self, scored: &Self::Scored) -> f64;
+
+    /// Turns an admitted candidate and its scored value into the result
+    /// row (this is where the assignment is copied out). It runs for
+    /// every feasible candidate of a full scan, and under `top_k` only
+    /// for one that ranks among the worker's best K so far.
+    fn keep(
+        &self,
+        state: &mut Self::State,
+        candidate: Candidate<'_>,
+        scored: Self::Scored,
+    ) -> Self::Row;
+
+    /// Extracts a worker's counters when it stops pulling; the sum lands
+    /// in [`ScanOutcome::delta`].
+    fn drain(&self, _state: &mut Self::State) -> DeltaCounters {
+        DeltaCounters::default()
+    }
+
+    /// Polled between chunks on every worker; `true` stops the scan and
+    /// marks the outcome cancelled.
+    fn cancel(&self) -> bool {
+        false
+    }
+
+    /// Fires under the feed lock at the same probe point each time a
+    /// worker returns for its next chunk and the scan's count has
+    /// advanced; observations are strictly monotone in `scanned`. Keep
+    /// it cheap (push to a channel, update an atomic): it briefly
+    /// serializes workers. Use the returned [`ScanOutcome`] for
+    /// authoritative totals.
+    fn progress(&self, _progress: &ScanProgress) {}
+
+    /// An upper bound on the objective of every placement that starts
+    /// with `prefix`, which spans `open_nodes` distinct nodes: a bounded
+    /// scan skips the whole subtree when it is strictly below the
+    /// floor. It must never be below the objective of any completion.
+    /// The default, `+∞`, never skips.
+    fn prefix_bound(&self, _prefix: &[usize], _open_nodes: usize) -> f64 {
+        f64::INFINITY
+    }
+}
+
+/// Scans every canonical feasible placement of `shape` under `budget`
+/// with `visitor`, in parallel, with deterministic output — the one
+/// scan entry point.
 ///
-/// The calling thread is scan worker 0; `workers − 1` scoped threads
-/// are spawned beside it (none at one worker), so a caller that would
-/// only wait for the scan does a share of it instead.
-///
-/// * `init` builds one evaluation state per worker (a
-///   [`crate::DeltaEvaluator`], or a reusable DES run configuration) —
-///   called once per worker, never shared.
-/// * `eval` scores one [`Candidate`]: `Ok(Some(scored))` — something
-///   small, the candidate's floats — `Ok(None)` to skip it (it still
-///   counts as scanned, not as feasible), or `Err` to abort the scan.
-///   Under `top_k`, skipping a candidate whose objective is strictly
-///   below [`Candidate::floor`] never changes the result.
-/// * `keep` turns an admitted candidate and its scored value into the
-///   result row (this is where the assignment is copied out). It runs
-///   for every feasible candidate of a full scan, and under `top_k`
-///   only for one that ranks among the worker's best K so far.
-/// * `drain` runs once per worker when it stops pulling, extracting the
-///   worker's [`DeltaCounters`] (pass
-///   [`crate::DeltaEvaluator::take_counters`], or
-///   `|_| DeltaCounters::default()` when the state has none); the sum
-///   lands in [`ScanOutcome::delta`].
-/// * `objective` extracts the ranking key of a scored value.
-/// * `cancel` is polled between chunks on every worker; returning
-///   `true` stops the scan and marks the outcome cancelled.
-/// * `progress` fires under the feed lock at the same probe point —
-///   each time a worker returns for its next chunk and the global
-///   candidate count has advanced. Observations are strictly monotone
-///   in `scanned`. Keep the observer cheap (push to a channel, update
-///   an atomic): it briefly serializes workers. The last chunk of a
-///   completed scan is still reported (the worker that drains the
-///   iterator folds its final batch in first); use the returned
-///   [`ScanOutcome`] for authoritative totals.
+/// The calling thread is scan worker 0. It scans alone; the first time
+/// it comes back for a pull with the walk unfinished — and, in a bounded
+/// scan, after [`SOLO_SCAN`] — it spawns up to `workers − 1` scoped
+/// helpers beside it, so a short scan never pays for a thread.
 ///
 /// On error the scan stops and the error belonging to the **smallest
 /// enumeration index** is returned — the same error a serial scan would
 /// have surfaced first, regardless of which worker hit it.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_placements<S, V, T, E>(
+pub fn scan_placements<V: ScanVisitor>(
     shape: &EnsembleShape,
     budget: NodeBudget,
     opts: &ScanOptions,
-    init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, Candidate<'_>) -> Result<Option<V>, E> + Sync,
-    keep: impl Fn(&mut S, Candidate<'_>, V) -> T + Sync,
-    drain: impl Fn(&mut S) -> DeltaCounters + Sync,
-    objective: impl Fn(&V) -> f64 + Sync,
-    cancel: impl Fn() -> bool + Sync,
-    progress: impl Fn(&ScanProgress) + Sync,
-) -> Result<ScanOutcome<T>, E>
-where
-    T: Send,
-    E: Send,
-{
+    visitor: &V,
+) -> Result<ScanOutcome<V::Row>, V::Error> {
     let workers = opts.effective_workers();
-    let chunk = opts.chunk.max(1);
+    let chunk_len = opts.chunk.max(1);
     let width = shape.num_components();
     let feed = Mutex::new(Feed {
         iter: PlacementIter::new(shape, budget.max_nodes, budget.cores_per_node),
         stop: false,
         scanned: 0,
+        reported: 0,
         best: None,
-        floor: f64::NEG_INFINITY,
+        ranks: TopK::new(opts.top_k),
+        workers: 1,
     });
+    let bound = |prefix: &[usize], open_nodes: usize| visitor.prefix_bound(prefix, open_nodes);
+    let started = Instant::now();
 
-    let run_worker = || -> WorkerOut<T, E> {
-        let mut state = init();
+    // Only the caller holds a `spawn`; it runs it once, when it comes
+    // back for a pull with the walk unfinished after its solo time.
+    let run_worker = |mut spawn: Option<&mut dyn FnMut()>| -> WorkerOut<V::Row, V::Error> {
+        let mut state = visitor.init();
         let mut out = WorkerOut {
             all: Vec::new(),
             top: (opts.top_k > 0).then(|| TopK::new(opts.top_k)),
@@ -345,71 +423,81 @@ where
             error: None,
             delta: DeltaCounters::default(),
         };
-        // One chunk of consecutive candidates, end to end, and each
-        // one's first-changed position: refilled in place per pull.
-        let mut flat: Vec<usize> = Vec::new();
-        let mut hints: Vec<usize> = Vec::new();
+        let mut chunk = Chunk::default();
         // This worker's contribution since it last folded into the feed.
         let mut batch_scanned = 0usize;
         let mut batch_best: Option<f64> = None;
-        // Enumeration index of the candidate this worker evaluated last;
-        // first-changed hints are valid only for its direct successor.
-        let mut last_index: Option<usize> = None;
-        // What a candidate must reach to rank (`Candidate::floor`).
+        // Hand-out number of the candidate this worker evaluated last;
+        // first-changed hints are valid only for the next one handed out.
+        let mut last: Option<usize> = None;
+        // What a candidate must reach to rank (`Candidate::floor`), and
+        // the ranks this worker admitted since it last folded them in.
         let mut floor = f64::NEG_INFINITY;
+        let mut admitted: Vec<Rank> = Vec::new();
         'pull: loop {
-            let first = {
+            let unfinished = {
                 let mut feed = feed.lock().expect("scan feed lock");
-                feed.floor = feed.floor.max(floor);
-                floor = feed.floor;
-                if batch_scanned > 0 {
-                    feed.scanned += batch_scanned;
-                    batch_scanned = 0;
-                    if let Some(b) = batch_best.take() {
-                        feed.best = Some(feed.best.map_or(b, |cur: f64| cur.max(b)));
-                    }
-                    progress(&ScanProgress {
+                for rank in admitted.drain(..) {
+                    feed.ranks.offer(rank, || ());
+                }
+                floor = floor.max(feed.ranks.floor());
+                feed.scanned += batch_scanned;
+                batch_scanned = 0;
+                if let Some(b) = batch_best.take() {
+                    feed.best = Some(feed.best.map_or(b, |cur: f64| cur.max(b)));
+                }
+                if feed.scanned > feed.reported {
+                    feed.reported = feed.scanned;
+                    visitor.progress(&ScanProgress {
                         scanned: feed.scanned,
                         best_objective: feed.best,
-                        workers,
+                        workers: feed.workers,
                     });
                 }
                 if feed.stop {
                     break;
                 }
-                if cancel() {
+                if visitor.cancel() {
                     feed.stop = true;
                     out.cancelled = true;
                     break;
                 }
-                let first = feed.iter.yielded();
-                if feed.iter.fill_chunk(&mut flat, &mut hints, chunk) == 0 {
+                let skipped = feed.iter.skipped();
+                feed.iter.fill_chunk(&mut chunk, chunk_len, floor, &bound);
+                feed.scanned += feed.iter.skipped() - skipped;
+                if chunk.indices.is_empty() && feed.iter.is_done() {
                     break;
                 }
-                first
+                !feed.iter.is_done()
             };
-            for (offset, (assignment, &hint)) in flat.chunks_exact(width).zip(&hints).enumerate() {
-                let index = first + offset;
+            let solo_done = opts.top_k == 0 || started.elapsed() >= SOLO_SCAN;
+            let due = unfinished && spawn.is_some() && solo_done;
+            if let Some(spawn) = spawn.take_if(|_| due) {
+                spawn();
+            }
+            let leaves = chunk.flat.chunks_exact(width).zip(&chunk.hints).zip(&chunk.indices);
+            for (offset, ((assignment, &hint), &index)) in leaves.enumerate() {
+                let handed = chunk.first + offset;
                 out.scanned += 1;
                 batch_scanned += 1;
-                let first_changed =
-                    last_index.is_some_and(|last| last + 1 == index).then_some(hint);
-                last_index = Some(index);
+                let first_changed = last.is_some_and(|l| l + 1 == handed).then_some(hint);
+                last = Some(handed);
                 let candidate = Candidate { index, assignment, first_changed, floor };
-                match eval(&mut state, candidate) {
+                match visitor.eval(&mut state, candidate) {
                     Ok(Some(scored)) => {
                         out.feasible += 1;
-                        let obj = objective(&scored);
+                        let obj = visitor.objective(&scored);
                         batch_best = Some(batch_best.map_or(obj, |cur| cur.max(obj)));
                         match &mut out.top {
                             Some(top) => {
-                                top.offer(Rank { objective: obj, index }, || {
-                                    keep(&mut state, candidate, scored)
-                                });
-                                floor = floor.max(top.floor());
+                                let rank = Rank { objective: obj, index };
+                                if top.offer(rank, || visitor.keep(&mut state, candidate, scored)) {
+                                    admitted.push(rank);
+                                    floor = floor.max(top.floor());
+                                }
                             }
                             None => {
-                                let value = keep(&mut state, candidate, scored);
+                                let value = visitor.keep(&mut state, candidate, scored);
                                 out.all.push(ScanHit { index, value });
                             }
                         }
@@ -423,20 +511,26 @@ where
                 }
             }
         }
-        out.delta = drain(&mut state);
+        out.delta = visitor.drain(&mut state);
         out
     };
 
     // The caller is worker 0; a helper's panic resurfaces at its join.
-    let mut outputs: Vec<WorkerOut<T, E>> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
-        let mut outputs = vec![run_worker()];
+    let mut outputs: Vec<WorkerOut<V::Row, V::Error>> = std::thread::scope(|scope| {
+        let mut helpers = Vec::new();
+        let mut spawn = || {
+            feed.lock().expect("scan feed lock").workers = workers;
+            for _ in 1..workers {
+                helpers.push(scope.spawn(|| run_worker(None)));
+            }
+        };
+        let mut outputs = vec![run_worker(Some(&mut spawn))];
         outputs.extend(helpers.into_iter().map(|h| h.join().expect("scan worker panicked")));
         outputs
     });
 
     // Propagate the error a serial scan would have hit first.
-    let mut first_error: Option<(usize, E)> = None;
+    let mut first_error: Option<(usize, V::Error)> = None;
     for out in &mut outputs {
         if let Some((index, _)) = &out.error {
             let better = first_error.as_ref().is_none_or(|(best, _)| index < best);
@@ -449,15 +543,17 @@ where
         return Err(e);
     }
 
-    let scanned = outputs.iter().map(|o| o.scanned).sum();
+    let feed = feed.into_inner().expect("scan feed lock");
+    let skipped = feed.iter.skipped();
+    let scanned = outputs.iter().map(|o| o.scanned).sum::<usize>() + skipped;
     let feasible = outputs.iter().map(|o| o.feasible).sum();
     let cancelled = outputs.iter().any(|o| o.cancelled);
-    let mut delta = DeltaCounters::default();
+    let mut delta = DeltaCounters { pruned: skipped as u64, ..DeltaCounters::default() };
     for out in &outputs {
         delta.absorb(out.delta);
     }
     let results = if opts.top_k > 0 {
-        let mut merged: Vec<(Rank, T)> =
+        let mut merged: Vec<(Rank, V::Row)> =
             outputs.into_iter().flat_map(|o| o.top.expect("top-k mode").kept).collect();
         merged.sort_by(|(a, _), (b, _)| {
             b.objective.total_cmp(&a.objective).then(a.index.cmp(&b.index))
@@ -465,11 +561,11 @@ where
         merged.truncate(opts.top_k);
         merged.into_iter().map(|(rank, value)| ScanHit { index: rank.index, value }).collect()
     } else {
-        let mut merged: Vec<ScanHit<T>> = outputs.into_iter().flat_map(|o| o.all).collect();
+        let mut merged: Vec<ScanHit<V::Row>> = outputs.into_iter().flat_map(|o| o.all).collect();
         merged.sort_by_key(|h| h.index);
         merged
     };
-    Ok(ScanOutcome { results, scanned, feasible, cancelled, workers, delta })
+    Ok(ScanOutcome { results, scanned, feasible, cancelled, workers: feed.workers, delta })
 }
 
 #[cfg(test)]
@@ -477,12 +573,78 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The engine's hooks as closures, for tests that vary one at a time.
+    #[allow(clippy::type_complexity)]
+    struct Closures<'a, S, V, T, E> {
+        init: &'a (dyn Fn() -> S + Sync),
+        eval: &'a (dyn Fn(&mut S, Candidate<'_>) -> Result<Option<V>, E> + Sync),
+        keep: &'a (dyn Fn(&mut S, Candidate<'_>, V) -> T + Sync),
+        drain: &'a (dyn Fn(&mut S) -> DeltaCounters + Sync),
+        objective: &'a (dyn Fn(&V) -> f64 + Sync),
+        cancel: &'a (dyn Fn() -> bool + Sync),
+        progress: &'a (dyn Fn(&ScanProgress) + Sync),
+    }
+
+    impl<S, V, T: Send, E: Send> ScanVisitor for Closures<'_, S, V, T, E> {
+        type State = S;
+        type Scored = V;
+        type Row = T;
+        type Error = E;
+        fn init(&self) -> S {
+            (self.init)()
+        }
+        fn eval(&self, state: &mut S, c: Candidate<'_>) -> Result<Option<V>, E> {
+            (self.eval)(state, c)
+        }
+        fn objective(&self, scored: &V) -> f64 {
+            (self.objective)(scored)
+        }
+        fn keep(&self, state: &mut S, c: Candidate<'_>, scored: V) -> T {
+            (self.keep)(state, c, scored)
+        }
+        fn drain(&self, state: &mut S) -> DeltaCounters {
+            (self.drain)(state)
+        }
+        fn cancel(&self) -> bool {
+            (self.cancel)()
+        }
+        fn progress(&self, p: &ScanProgress) {
+            (self.progress)(p)
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn scan<S, V, T: Send, E: Send>(
+        shape: &EnsembleShape,
+        budget: NodeBudget,
+        opts: &ScanOptions,
+        init: impl Fn() -> S + Sync,
+        eval: impl Fn(&mut S, Candidate<'_>) -> Result<Option<V>, E> + Sync,
+        keep: impl Fn(&mut S, Candidate<'_>, V) -> T + Sync,
+        drain: impl Fn(&mut S) -> DeltaCounters + Sync,
+        objective: impl Fn(&V) -> f64 + Sync,
+        cancel: impl Fn() -> bool + Sync,
+        progress: impl Fn(&ScanProgress) + Sync,
+    ) -> Result<ScanOutcome<T>, E> {
+        let visitor = Closures {
+            init: &init,
+            eval: &eval,
+            keep: &keep,
+            drain: &drain,
+            objective: &objective,
+            cancel: &cancel,
+            progress: &progress,
+        };
+        scan_placements(shape, budget, opts, &visitor)
+    }
+
+    /// 186 candidates: many pulls at `chunk` 1 or 2.
     fn shape() -> EnsembleShape {
-        EnsembleShape::uniform(2, 16, 1, 8)
+        EnsembleShape::uniform(3, 8, 1, 4)
     }
 
     fn budget() -> NodeBudget {
-        NodeBudget { max_nodes: 3, cores_per_node: 32 }
+        NodeBudget { max_nodes: 4, cores_per_node: 32 }
     }
 
     fn no_counters<S>(_: &mut S) -> DeltaCounters {
@@ -495,7 +657,7 @@ mod tests {
     }
 
     fn full_scan(workers: usize) -> ScanOutcome<(Vec<usize>, f64)> {
-        scan_placements(
+        scan(
             &shape(),
             budget(),
             &ScanOptions { workers, chunk: 2, top_k: 0 },
@@ -512,10 +674,10 @@ mod tests {
 
     #[test]
     fn results_arrive_in_enumeration_order_at_any_worker_count() {
-        let expected = crate::enumerate::enumerate_placements(&shape(), 3, 32);
+        let expected = crate::enumerate::enumerate_placements(&shape(), 4, 32);
         for workers in [1, 2, 8] {
             let outcome = full_scan(workers);
-            assert_eq!(outcome.workers, workers);
+            assert_eq!(outcome.workers, workers, "a 93-pull full scan brings its helpers in");
             assert_eq!(outcome.scanned, expected.len());
             assert_eq!(outcome.feasible, expected.len());
             assert!(!outcome.cancelled);
@@ -533,7 +695,7 @@ mod tests {
         ranked.sort_by(|a, b| b.value.1.total_cmp(&a.value.1));
         for workers in [1, 2, 8] {
             for k in [1usize, 2, 3, 100] {
-                let outcome = scan_placements(
+                let outcome = scan(
                     &shape(),
                     budget(),
                     &ScanOptions { workers, chunk: 2, top_k: k },
@@ -558,7 +720,7 @@ mod tests {
     #[test]
     fn cancellation_stops_between_chunks() {
         let pulls = AtomicUsize::new(0);
-        let outcome = scan_placements(
+        let outcome = scan(
             &shape(),
             budget(),
             &ScanOptions { workers: 1, chunk: 1, top_k: 0 },
@@ -572,7 +734,7 @@ mod tests {
         )
         .expect("scan");
         assert!(outcome.cancelled);
-        let total = crate::enumerate::enumerate_placements(&shape(), 3, 32).len();
+        let total = crate::enumerate::enumerate_placements(&shape(), 4, 32).len();
         assert!(outcome.scanned < total, "{} of {total} scanned", outcome.scanned);
         assert_eq!(outcome.results.len(), outcome.scanned);
     }
@@ -580,7 +742,7 @@ mod tests {
     #[test]
     fn first_error_in_enumeration_order_wins() {
         for workers in [1, 4] {
-            let err = scan_placements(
+            let err = scan(
                 &shape(),
                 budget(),
                 &ScanOptions { workers, chunk: 1, top_k: 0 },
@@ -605,7 +767,7 @@ mod tests {
 
     #[test]
     fn infeasible_candidates_count_as_scanned_not_feasible() {
-        let outcome = scan_placements(
+        let outcome = scan(
             &shape(),
             budget(),
             &ScanOptions { workers: 2, chunk: 2, top_k: 0 },
@@ -624,10 +786,10 @@ mod tests {
 
     #[test]
     fn progress_observations_are_monotone_and_cover_the_scan() {
-        let expected = crate::enumerate::enumerate_placements(&shape(), 3, 32);
+        let expected = crate::enumerate::enumerate_placements(&shape(), 4, 32);
         for workers in [1, 2, 8] {
             let seen: Mutex<Vec<ScanProgress>> = Mutex::new(Vec::new());
-            let outcome = scan_placements(
+            let outcome = scan(
                 &shape(),
                 budget(),
                 &ScanOptions { workers, chunk: 2, top_k: 0 },
@@ -650,7 +812,7 @@ mod tests {
                 let best = p.best_objective.expect("toy eval always feasible");
                 assert!(best >= last_best, "best must never worsen");
                 last_best = best;
-                assert_eq!(p.workers, workers);
+                assert!(p.workers == 1 || p.workers == workers, "{p:?}");
             }
             // The final observation covers the whole enumeration (the
             // draining worker folds its last batch in before stopping).
@@ -663,7 +825,7 @@ mod tests {
     fn cancelled_scans_still_report_progress_up_to_the_stop() {
         let pulls = AtomicUsize::new(0);
         let seen = Mutex::new(Vec::new());
-        let outcome = scan_placements(
+        let outcome = scan(
             &shape(),
             budget(),
             &ScanOptions { workers: 1, chunk: 1, top_k: 0 },
@@ -687,7 +849,7 @@ mod tests {
         for workers in [1usize, 2, 8] {
             for chunk in [1usize, 2, 5] {
                 let hinted = AtomicUsize::new(0);
-                let outcome = scan_placements(
+                let outcome = scan(
                     &shape(),
                     budget(),
                     &ScanOptions { workers, chunk, top_k: 0 },
@@ -715,13 +877,16 @@ mod tests {
                 )
                 .expect("scan");
                 // Results are still the full deterministic enumeration.
-                let expected = crate::enumerate::enumerate_placements(&shape(), 3, 32);
+                let expected = crate::enumerate::enumerate_placements(&shape(), 4, 32);
                 assert_eq!(outcome.results.len(), expected.len());
-                // One drain per spawned worker, summed into the outcome.
-                assert_eq!(outcome.delta.solve_hits, workers as u64);
-                assert_eq!(outcome.delta.solve_misses, 2 * workers as u64);
-                assert_eq!(outcome.delta.members_recomputed, 3 * workers as u64);
-                assert_eq!(outcome.delta.pruned, 4 * workers as u64);
+                // One drain per worker that scanned, summed into the
+                // outcome.
+                let drained = outcome.workers as u64;
+                assert!(drained == 1 || drained == workers as u64);
+                assert_eq!(outcome.delta.solve_hits, drained);
+                assert_eq!(outcome.delta.solve_misses, 2 * drained);
+                assert_eq!(outcome.delta.members_recomputed, 3 * drained);
+                assert_eq!(outcome.delta.pruned, 4 * drained);
                 if workers == 1 {
                     // A serial scan sees every candidate in order: every
                     // candidate after the first carries a hint.
@@ -748,7 +913,7 @@ mod tests {
         top_k: usize,
     ) -> (ScanOutcome<usize>, usize) {
         let keeps = AtomicUsize::new(0);
-        let outcome = scan_placements(
+        let outcome = scan(
             &shape(),
             budget(),
             &ScanOptions { workers, chunk: 2, top_k },
@@ -769,7 +934,7 @@ mod tests {
 
     #[test]
     fn keep_runs_only_for_admitted_candidates() {
-        let total = crate::enumerate::enumerate_placements(&shape(), 3, 32).len();
+        let total = crate::enumerate::enumerate_placements(&shape(), 4, 32).len();
         assert!(total > 3);
         // Descending objective: after the first K nothing is admitted.
         let (outcome, keeps) = count_keeps(|i| Some(-(i as f64)), 1, 3);
@@ -800,7 +965,7 @@ mod tests {
 
     #[test]
     fn floors_are_the_kth_best_so_far_and_skipping_below_them_changes_nothing() {
-        let total = crate::enumerate::enumerate_placements(&shape(), 3, 32).len();
+        let total = crate::enumerate::enumerate_placements(&shape(), 4, 32).len();
         // Serial, ascending objectives: at index i ≥ K the K-th best of
         // 0..i is i − K; a full scan never has a floor.
         for (top_k, expect) in [(0usize, None), (3, Some(3usize))] {
@@ -837,8 +1002,19 @@ mod tests {
     }
 
     #[test]
+    fn a_top_k_beyond_the_space_is_never_an_allocation_size() {
+        // `top_k` arrives off the wire; each worker once reserved room
+        // for that many rows up front and aborted the process.
+        let total = crate::enumerate::enumerate_placements(&shape(), 4, 32).len();
+        for workers in [1, 2] {
+            let (outcome, keeps) = count_keeps(|i| Some((i % 7) as f64), workers, 1 << 40);
+            assert_eq!((outcome.results.len(), keeps, outcome.scanned), (total, total, total));
+        }
+    }
+
+    #[test]
     fn top_k_edges_one_more_than_feasible_and_an_empty_space() {
-        let total = crate::enumerate::enumerate_placements(&shape(), 3, 32).len();
+        let total = crate::enumerate::enumerate_placements(&shape(), 4, 32).len();
         for workers in [1, 2, 8] {
             let (outcome, _) = count_keeps(|i| Some((i % 5) as f64), workers, 1);
             assert_eq!(outcome.results.len(), 1);
@@ -848,8 +1024,8 @@ mod tests {
             let ranks: Vec<(usize, usize)> =
                 outcome.results.iter().map(|h| (4 - h.index % 5, h.index)).collect();
             assert!(ranks.windows(2).all(|w| w[0] < w[1]), "best first, ties by index");
-            // 48 cores never fit one 32-core node: nothing to scan.
-            let empty = scan_placements(
+            // 36 cores never fit one 32-core node: nothing to scan.
+            let empty = scan(
                 &shape(),
                 NodeBudget { max_nodes: 1, cores_per_node: 32 },
                 &ScanOptions { workers, chunk: 2, top_k: 1 },
@@ -868,73 +1044,95 @@ mod tests {
     }
 
     #[test]
-    fn the_caller_is_worker_zero_and_one_worker_spawns_no_thread() {
+    fn the_caller_scans_alone_until_a_scan_outlasts_its_first_pull_and_solo_time() {
         let caller = std::thread::current().id();
-        for workers in [1usize, 2, 3] {
-            let inits = Mutex::new(Vec::new());
-            let foreign = AtomicUsize::new(0);
-            let note = || {
-                if std::thread::current().id() != caller {
-                    foreign.fetch_add(1, Ordering::SeqCst);
+        // Every scan below outlasts the solo time on its first candidate.
+        // A full scan needs no more than a walk left unfinished by its
+        // first pull; a bounded one (`top_k` beyond the space, so it skips
+        // nothing) also waits its solo time out. One pull of 256 holds
+        // all 186 candidates: that walk is finished by the time the
+        // caller could bring helpers in.
+        let cases = [(0usize, 1usize, true), (0, 256, false), (500, 1, true), (500, 256, false)];
+        for (top_k, chunk, long) in cases {
+            for workers in [1usize, 2, 3] {
+                let inits = Mutex::new(Vec::new());
+                let foreign = AtomicUsize::new(0);
+                let note = || {
+                    if std::thread::current().id() != caller {
+                        foreign.fetch_add(1, Ordering::SeqCst);
+                    }
+                };
+                let outcome = scan(
+                    &shape(),
+                    budget(),
+                    &ScanOptions { workers, chunk, top_k },
+                    || inits.lock().unwrap().push(std::thread::current().id()),
+                    |(), c| {
+                        note();
+                        if c.index == 0 {
+                            std::thread::sleep(SOLO_SCAN);
+                        }
+                        Ok::<_, ()>(Some(c.index))
+                    },
+                    |(), _, v| {
+                        note();
+                        v
+                    },
+                    |()| {
+                        note();
+                        DeltaCounters::default()
+                    },
+                    |_| 0.0,
+                    || false,
+                    |_| {},
+                )
+                .expect("scan");
+                let inits = inits.into_inner().unwrap();
+                let scanned_by = if long { workers } else { 1 };
+                assert_eq!(
+                    (inits.len(), outcome.workers),
+                    (scanned_by, scanned_by),
+                    "one state per worker (top_k={top_k} chunk={chunk})"
+                );
+                assert_eq!(
+                    inits.iter().filter(|&&id| id == caller).count(),
+                    1,
+                    "workers={workers}"
+                );
+                if scanned_by == 1 {
+                    assert_eq!(foreign.into_inner(), 0, "a lone caller never leaves its thread");
                 }
-            };
-            scan_placements(
-                &shape(),
-                budget(),
-                &ScanOptions { workers, chunk: 1, top_k: 0 },
-                || inits.lock().unwrap().push(std::thread::current().id()),
-                |(), c| {
-                    note();
-                    Ok::<_, ()>(Some(c.index))
-                },
-                |(), _, v| {
-                    note();
-                    v
-                },
-                |()| {
-                    note();
-                    DeltaCounters::default()
-                },
-                |_| 0.0,
-                || false,
-                |_| {},
-            )
-            .expect("scan");
-            let inits = inits.into_inner().unwrap();
-            assert_eq!(inits.len(), workers, "one state per worker");
-            assert_eq!(inits.iter().filter(|&&id| id == caller).count(), 1, "workers={workers}");
-            if workers == 1 {
-                assert_eq!(foreign.into_inner(), 0, "a one-worker scan never leaves its caller");
             }
         }
     }
 
-    /// The `eval` prologue of the two-worker tests below: each worker's
-    /// first evaluation waits for the other's, so with `chunk: 1` the
-    /// caller and the helper are both sure to hold a candidate — neither
-    /// can drain the space before the other has started.
-    fn meet(barrier: &std::sync::Barrier, met: &mut bool) {
-        if !std::mem::replace(met, true) {
+    /// The `eval` prologue of the two-worker full scans below. At `chunk`
+    /// 1 the caller brings the helper in when it comes back for index 1;
+    /// from there each worker's first evaluation waits for the other's,
+    /// so the caller and the helper are both sure to hold a candidate —
+    /// neither can drain the space before the other has started.
+    fn meet(barrier: &std::sync::Barrier, met: &mut bool, c: Candidate<'_>) {
+        if c.index >= 1 && !std::mem::replace(met, true) {
             barrier.wait();
         }
     }
 
     #[test]
     fn a_cancel_seen_by_the_caller_stops_the_helper_too() {
-        // Only the caller's probe ever fires, after its first
-        // candidate; the helper must stop at its next pull instead of
-        // draining the space.
+        // Only the caller's probe ever fires, after its first candidate
+        // beside the helper; the helper must stop at its next pull
+        // instead of draining the space.
         let caller = std::thread::current().id();
         let on_caller = || std::thread::current().id() == caller;
         let barrier = std::sync::Barrier::new(2);
         let caller_evals = AtomicUsize::new(0);
-        let outcome = scan_placements(
+        let outcome = scan(
             &shape(),
             budget(),
             &ScanOptions { workers: 2, chunk: 1, top_k: 0 },
             || false,
             |met, c| {
-                meet(&barrier, met);
+                meet(&barrier, met, c);
                 if on_caller() {
                     caller_evals.fetch_add(1, Ordering::SeqCst);
                 }
@@ -943,27 +1141,32 @@ mod tests {
             |_, _, v| v,
             no_counters,
             |_| 0.0,
-            || on_caller() && caller_evals.load(Ordering::SeqCst) > 0,
+            || on_caller() && caller_evals.load(Ordering::SeqCst) > 1,
             |_| {},
         )
         .expect("scan");
         assert!(outcome.cancelled);
-        assert_eq!(caller_evals.into_inner(), 1);
+        assert_eq!(outcome.workers, 2);
+        assert_eq!(caller_evals.into_inner(), 2);
         assert_eq!(outcome.results.len(), outcome.scanned);
     }
 
     #[test]
     fn an_error_on_the_caller_and_one_on_the_helper_resolve_by_index() {
-        // Both workers fail on their first candidate; whichever thread
-        // drew the earlier index, that index's error is the scan's.
+        // Both workers fail on their first candidate side by side;
+        // whichever thread drew the earlier index, that index's error is
+        // the scan's.
         let barrier = std::sync::Barrier::new(2);
-        let err = scan_placements(
+        let err = scan(
             &shape(),
             budget(),
             &ScanOptions { workers: 2, chunk: 1, top_k: 0 },
             || false,
             |met, c| {
-                meet(&barrier, met);
+                meet(&barrier, met, c);
+                if c.index == 0 {
+                    return Ok(Some(c.index));
+                }
                 Err::<Option<usize>, usize>(c.index)
             },
             |_, _, v| v,
@@ -973,7 +1176,7 @@ mod tests {
             |_| {},
         )
         .expect_err("scan must fail");
-        assert_eq!(err, 0);
+        assert_eq!(err, 1);
     }
 
     #[test]
@@ -981,13 +1184,13 @@ mod tests {
     fn a_panic_in_a_helper_resurfaces_on_the_caller() {
         let caller = std::thread::current().id();
         let barrier = std::sync::Barrier::new(2);
-        let _ = scan_placements(
+        let _ = scan(
             &shape(),
             budget(),
             &ScanOptions { workers: 2, chunk: 1, top_k: 0 },
             || false,
             |met, c| {
-                meet(&barrier, met);
+                meet(&barrier, met, c);
                 assert!(std::thread::current().id() == caller, "helper evaluation blows up");
                 Ok::<_, ()>(Some(c.index))
             },
@@ -997,6 +1200,76 @@ mod tests {
             || false,
             |_| {},
         );
+    }
+
+    /// A bounded scan whose visitor skips every prefix that splits a
+    /// member (an analysis off its simulation's node) once it keeps
+    /// `top_k`: each leaf it evaluates keeps its full-enumeration index,
+    /// every skipped candidate is counted in `scanned` and `pruned`,
+    /// and the result is the head of the full ranking.
+    struct SplitSkipper {
+        all: Vec<Vec<usize>>,
+        hinted: AtomicUsize,
+    }
+
+    impl ScanVisitor for SplitSkipper {
+        type State = Option<Vec<usize>>;
+        type Scored = f64;
+        type Row = Vec<usize>;
+        type Error = ();
+        fn init(&self) -> Option<Vec<usize>> {
+            None
+        }
+        fn eval(&self, prev: &mut Option<Vec<usize>>, c: Candidate<'_>) -> Result<Option<f64>, ()> {
+            assert_eq!(c.assignment, &self.all[c.index][..], "index {} moved", c.index);
+            if let Some(h) = c.first_changed {
+                let p = prev.as_ref().expect("hint implies a predecessor");
+                assert_eq!(p[..h], c.assignment[..h], "hint skipped a real change");
+                self.hinted.fetch_add(1, Ordering::SeqCst);
+            }
+            *prev = Some(c.assignment.to_vec());
+            Ok(Some(toy_objective(c.assignment)))
+        }
+        fn objective(&self, scored: &f64) -> f64 {
+            *scored
+        }
+        fn keep(&self, _: &mut Option<Vec<usize>>, c: Candidate<'_>, _: f64) -> Vec<usize> {
+            c.assignment.to_vec()
+        }
+        fn prefix_bound(&self, prefix: &[usize], _: usize) -> f64 {
+            let split = prefix.chunks_exact(2).any(|member| member[0] != member[1]);
+            if split {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            }
+        }
+    }
+
+    #[test]
+    fn skipped_subtrees_count_exactly_and_hints_follow_the_last_leaf_handed_out() {
+        let all = crate::enumerate::enumerate_placements(&shape(), 4, 32);
+        for workers in [1usize, 2, 8] {
+            for chunk in [1usize, 7, 32] {
+                for top_k in [1usize, 3] {
+                    let visitor = SplitSkipper { all: all.clone(), hinted: AtomicUsize::new(0) };
+                    let opts = ScanOptions { workers, chunk, top_k };
+                    let outcome =
+                        scan_placements(&shape(), budget(), &opts, &visitor).expect("scan");
+                    assert_eq!(outcome.scanned, all.len(), "workers={workers} chunk={chunk}");
+                    let evaluated = outcome.scanned - outcome.delta.pruned as usize;
+                    assert_eq!(evaluated, outcome.feasible);
+                    assert!(evaluated < all.len() / 2, "{evaluated} of {}", all.len());
+                    if workers == 1 {
+                        // Serial: every leaf after the first is hinted
+                        // against the one handed out before it, however
+                        // much was skipped between them.
+                        assert_eq!(visitor.hinted.into_inner(), evaluated - 1, "chunk={chunk}");
+                    }
+                    assert_eq!(outcome.results.len(), top_k);
+                }
+            }
+        }
     }
 
     #[test]

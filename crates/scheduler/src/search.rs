@@ -7,11 +7,10 @@
 
 use ensemble_core::{aggregate, Aggregation, EnsembleSpec, IndicatorPath, MemberInputs};
 use metrics::EnsembleReport;
-use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
+use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 
-use crate::delta::DeltaCounters;
 use crate::enumerate::EnsembleShape;
-use crate::scan::{scan_placements, Candidate, ScanOptions, ScanOutcome};
+use crate::scan::{scan_placements, Candidate, ScanOptions, ScanOutcome, ScanVisitor};
 
 /// Resource constraints of the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +129,45 @@ fn run_template(config: &SearchConfig) -> SimRunConfig {
     template
 }
 
+/// Scores each candidate by running it on the simulated platform; a
+/// worker's state is its own copy of the run template.
+struct DesScan<'a> {
+    config: &'a SearchConfig,
+    template: SimRunConfig,
+}
+
+impl ScanVisitor for DesScan<'_> {
+    type State = SimRunConfig;
+    type Scored = ScoredPlacement;
+    type Row = ScoredPlacement;
+    type Error = RuntimeError;
+
+    fn init(&self) -> SimRunConfig {
+        self.template.clone()
+    }
+
+    fn eval(
+        &self,
+        run: &mut SimRunConfig,
+        c: Candidate<'_>,
+    ) -> RuntimeResult<Option<ScoredPlacement>> {
+        run_and_score(self.config, run, c.assignment.to_vec()).map(Some)
+    }
+
+    fn objective(&self, scored: &ScoredPlacement) -> f64 {
+        scored.objective
+    }
+
+    fn keep(
+        &self,
+        _: &mut SimRunConfig,
+        _: Candidate<'_>,
+        scored: ScoredPlacement,
+    ) -> ScoredPlacement {
+        scored
+    }
+}
+
 /// Exhaustively evaluates every canonical feasible placement on the
 /// simulated platform, ranked best-first. Output (order and float bits)
 /// is identical at every worker count; with `opts.top_k > 0` it equals
@@ -139,21 +177,8 @@ pub fn exhaustive_search(
     config: &SearchConfig,
     opts: &ScanOptions,
 ) -> RuntimeResult<ScanOutcome<ScoredPlacement>> {
-    let template = run_template(config);
-    let mut outcome = scan_placements(
-        &config.shape,
-        config.budget,
-        opts,
-        || template.clone(),
-        |run: &mut SimRunConfig, c: Candidate<'_>| {
-            run_and_score(config, run, c.assignment.to_vec()).map(Some)
-        },
-        |_, _, scored| scored,
-        |_| DeltaCounters::default(),
-        |p: &ScoredPlacement| p.objective,
-        || false,
-        |_| {},
-    )?;
+    let visitor = DesScan { config, template: run_template(config) };
+    let mut outcome = scan_placements(&config.shape, config.budget, opts, &visitor)?;
     if opts.top_k == 0 {
         // The merge returns enumeration order; rank best-first exactly
         // as the serial scan always has (stable sort, so equal

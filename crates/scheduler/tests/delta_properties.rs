@@ -22,10 +22,10 @@
 
 use std::sync::{Arc, Barrier};
 
-use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
+use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     canonicalize, enumerate_placements, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
-    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ScanOptions, SolveCache,
+    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ScanOptions, ScanVisitor, SolveCache,
 };
 use testkit::{check, Gen};
 
@@ -108,6 +108,43 @@ fn oracle_scores(
         .collect()
 }
 
+/// Every candidate scored by a delta evaluator that `build` makes per
+/// worker, kept as its bits.
+struct DeltaScan<F> {
+    build: F,
+}
+
+impl<F: Fn() -> DeltaEvaluator + Sync> ScanVisitor for DeltaScan<F> {
+    type State = DeltaEvaluator;
+    type Scored = FastScore;
+    type Row = (u64, u64, usize, bool);
+    type Error = RuntimeError;
+
+    fn init(&self) -> DeltaEvaluator {
+        (self.build)()
+    }
+
+    fn eval(
+        &self,
+        evaluator: &mut DeltaEvaluator,
+        c: Candidate<'_>,
+    ) -> RuntimeResult<Option<FastScore>> {
+        evaluator.score_delta(c.assignment, c.first_changed).map(Some)
+    }
+
+    fn objective(&self, score: &FastScore) -> f64 {
+        score.objective
+    }
+
+    fn keep(&self, _: &mut DeltaEvaluator, _: Candidate<'_>, score: FastScore) -> Self::Row {
+        bits(&score)
+    }
+
+    fn drain(&self, evaluator: &mut DeltaEvaluator) -> DeltaCounters {
+        evaluator.take_counters()
+    }
+}
+
 /// One full scan whose workers each build their evaluator with
 /// `evaluator`; scores in enumeration order, and the summed counters.
 fn delta_scan(
@@ -116,21 +153,9 @@ fn delta_scan(
     opts: &ScanOptions,
     evaluator: impl Fn() -> DeltaEvaluator + Sync,
 ) -> (Vec<(u64, u64, usize, bool)>, DeltaCounters) {
-    let outcome = scan_placements(
-        shape,
-        budget,
-        &ScanOptions { top_k: 0, ..*opts },
-        evaluator,
-        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<FastScore>> {
-            evaluator.score_delta(c.assignment, c.first_changed).map(Some)
-        },
-        |_, _, score| bits(&score),
-        DeltaEvaluator::take_counters,
-        |score| score.objective,
-        || false,
-        |_| {},
-    )
-    .expect("delta scan");
+    let opts = ScanOptions { top_k: 0, ..*opts };
+    let outcome =
+        scan_placements(shape, budget, &opts, &DeltaScan { build: evaluator }).expect("delta scan");
     let counters = outcome.delta;
     (outcome.into_values(), counters)
 }
@@ -360,7 +385,7 @@ fn cache_eviction_never_changes_results() {
     });
 }
 
-/// The delta-scoring scan reproduces the from-scratch scan bit for
+/// The delta-scoring scan reproduces the from-scratch scores bit for
 /// bit — same candidates, same order, same floats — at the worker count
 /// `ENSEMBLE_SCAN_WORKERS` injects and at explicit 1/2/8, across
 /// chunk sizes.
@@ -374,51 +399,19 @@ fn delta_scan_matches_plain_scan_bitwise() {
             return;
         }
         let base = base_config(shape.materialize(&placements[0]));
-        let reference: Vec<(usize, u64)> = scan_placements(
-            &shape,
-            budget,
-            &ScanOptions { workers: 1, chunk, top_k: 0 },
-            || FastEvaluator::new(&base),
-            |evaluator: &mut FastEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
-                Ok(Some(evaluator.score(&shape.materialize(c.assignment))?.objective))
-            },
-            |_, _, v| v,
-            |_| DeltaCounters::default(),
-            |obj| *obj,
-            || false,
-            |_| {},
-        )
-        .expect("from-scratch scan")
-        .results
-        .into_iter()
-        .map(|h| (h.index, h.value.to_bits()))
-        .collect();
+        let reference = oracle_scores(&base, &shape, budget);
         for workers in [0usize, 1, 2, 8] {
-            let outcome = scan_placements(
-                &shape,
-                budget,
-                &ScanOptions { workers, chunk, top_k: 0 },
-                || DeltaEvaluator::new(&base, &shape),
-                |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<f64>> {
-                    Ok(Some(evaluator.score_delta(c.assignment, c.first_changed)?.objective))
-                },
-                |_, _, v| v,
-                DeltaEvaluator::take_counters,
-                |obj| *obj,
-                || false,
-                |_| {},
-            )
-            .expect("delta scan");
-            let got: Vec<(usize, u64)> =
-                outcome.results.iter().map(|h| (h.index, h.value.to_bits())).collect();
+            let opts = ScanOptions { workers, chunk, top_k: 0 };
+            let (got, counters) =
+                delta_scan(&shape, budget, &opts, || DeltaEvaluator::new(&base, &shape));
             assert_eq!(got, reference, "workers={workers} chunk={chunk}");
             // Every candidate's nodes were solved through the delta
             // machinery (hit or miss, never silently skipped).
             assert!(
-                outcome.delta.solve_hits + outcome.delta.solve_misses > 0,
+                counters.solve_hits + counters.solve_misses > 0,
                 "counters must reflect the scan"
             );
-            assert!(outcome.delta.members_recomputed > 0);
+            assert!(counters.members_recomputed > 0);
         }
     });
 }

@@ -1,22 +1,28 @@
 //! Property-based tests of bound-pruned top-K scoring.
 //!
-//! A bounded scan hands each candidate the K-th best objective known so
-//! far, and [`DeltaEvaluator::score_above`] skips, unevaluated, every
-//! candidate whose bound `mean(CPᵢ / cᵢ) / M` is strictly below it. The
+//! A bounded scan walks the enumeration branch and bound: it skips every
+//! subtree whose [`ObjectiveBound`] — `mean(CPᵢ / cᵢ) / M` of a prefix —
+//! is strictly below the K-th best objective known so far, counting it
+//! at its exact size, and hands each leaf it does visit that floor, so
+//! [`DeltaEvaluator::score_above`] skips the leaf the same way. The
 //! contract is that pruning is invisible: the bound never undercuts a
-//! real objective, a bounded scan returns exactly the first K rows of
-//! the full stable ranking — every index, every bit — at any worker
-//! count and chunk size, and a full ranking (`top_k: 0`) prunes nothing.
+//! real objective, a prefix's bound never undercuts a completion's, the
+//! counted sizes keep every candidate at its enumeration index, and a
+//! bounded scan returns exactly the first K rows of the full stable
+//! ranking — every index, every bit — at any worker count and chunk
+//! size, while a full ranking (`top_k: 0`) prunes nothing.
 //!
 //! Shapes are drawn irregular (members of different widths and core
 //! counts, down to one-core components) or with every member alike, and
 //! scored under both workload maps. CI runs this file under `ENSEMBLE_SCAN_WORKERS={1,2,8}`
 //! (worker count 0 below resolves from it).
 
-use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    scan_placements, Candidate, DeltaCounters, DeltaEvaluator, EnsembleShape, FastEvaluator,
-    FastScore, NodeBudget, PlacementIter, ScanOptions,
+    enumerate_placements, scan_placements, Candidate, DeltaCounters, DeltaEvaluator, EnsembleShape,
+    FastEvaluator, FastScore, NodeBudget, ObjectiveBound, PlacementIter, ScanOptions, ScanVisitor,
 };
 use testkit::{check, Gen};
 
@@ -86,32 +92,93 @@ fn oracle(shape: &EnsembleShape, budget: NodeBudget, base: &SimRunConfig) -> Vec
         .collect()
 }
 
-/// One scan scored the way the service scores: `score_above` against
-/// each candidate's floor. Rows in output order, plus what was scanned
-/// and the summed counters.
+/// The service's scan: subtrees skipped on the [`ObjectiveBound`], each
+/// leaf scored through `score_above` against its floor — counting the
+/// leaves handed out, and those that came with a first-changed hint.
+struct Pruned<'a> {
+    base: &'a SimRunConfig,
+    shape: &'a EnsembleShape,
+    bound: ObjectiveBound,
+    visited: AtomicUsize,
+    hinted: AtomicUsize,
+}
+
+impl ScanVisitor for Pruned<'_> {
+    type State = DeltaEvaluator;
+    type Scored = FastScore;
+    type Row = FastScore;
+    type Error = RuntimeError;
+
+    fn init(&self) -> DeltaEvaluator {
+        DeltaEvaluator::new(self.base, self.shape)
+    }
+
+    fn eval(
+        &self,
+        evaluator: &mut DeltaEvaluator,
+        c: Candidate<'_>,
+    ) -> RuntimeResult<Option<FastScore>> {
+        self.visited.fetch_add(1, Ordering::Relaxed);
+        if c.first_changed.is_some() {
+            self.hinted.fetch_add(1, Ordering::Relaxed);
+        }
+        evaluator.score_above(c.assignment, c.first_changed, c.floor)
+    }
+
+    fn objective(&self, score: &FastScore) -> f64 {
+        score.objective
+    }
+
+    fn keep(&self, _: &mut DeltaEvaluator, _: Candidate<'_>, score: FastScore) -> FastScore {
+        score
+    }
+
+    fn drain(&self, evaluator: &mut DeltaEvaluator) -> DeltaCounters {
+        evaluator.take_counters()
+    }
+
+    fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
+        self.bound.of_prefix(prefix, open_nodes)
+    }
+}
+
+/// What one pruned scan returned and did.
+struct PrunedScan {
+    /// Rows in output order.
+    rows: Vec<Row>,
+    scanned: usize,
+    counters: DeltaCounters,
+    /// Threads that scanned.
+    workers: usize,
+    /// Leaves handed to an evaluator.
+    visited: usize,
+    /// Of those, the ones that came with a first-changed hint.
+    hinted: usize,
+}
+
+/// One scan scored the way the service scores.
 fn pruned_scan(
     shape: &EnsembleShape,
     budget: NodeBudget,
     base: &SimRunConfig,
     opts: &ScanOptions,
-) -> (Vec<Row>, usize, DeltaCounters) {
-    let outcome = scan_placements(
+) -> PrunedScan {
+    let visitor = Pruned {
+        base,
         shape,
-        budget,
-        opts,
-        || DeltaEvaluator::new(base, shape),
-        |evaluator: &mut DeltaEvaluator, c: Candidate<'_>| -> RuntimeResult<Option<FastScore>> {
-            evaluator.score_above(c.assignment, c.first_changed, c.floor)
-        },
-        |_, _, score| score,
-        DeltaEvaluator::take_counters,
-        |score| score.objective,
-        || false,
-        |_| {},
-    )
-    .expect("pruned scan");
-    let rows = outcome.results.iter().map(|h| row(h.index, &h.value)).collect();
-    (rows, outcome.scanned, outcome.delta)
+        bound: ObjectiveBound::new(shape),
+        visited: AtomicUsize::new(0),
+        hinted: AtomicUsize::new(0),
+    };
+    let outcome = scan_placements(shape, budget, opts, &visitor).expect("pruned scan");
+    PrunedScan {
+        rows: outcome.results.iter().map(|h| row(h.index, &h.value)).collect(),
+        scanned: outcome.scanned,
+        counters: outcome.delta,
+        workers: outcome.workers,
+        visited: visitor.visited.into_inner(),
+        hinted: visitor.hinted.into_inner(),
+    }
 }
 
 /// (a) The bound never undercuts the objective: scored against a floor
@@ -166,30 +233,182 @@ fn assert_bound_admissible(shape: &EnsembleShape, budget: NodeBudget, base: &Sim
 /// (b) A bounded scan is the head of the full stable ranking — index,
 /// objective and makespan bits, `nodes_used`, Eq. 4 — for K of 1, 3,
 /// 10 and more than the space, at every worker count and chunk size;
-/// and every candidate still counts as scanned.
+/// every candidate still counts as scanned; and a serial walk hints
+/// every leaf after its first against the one handed out before it,
+/// however much it skipped in between.
 #[test]
 fn top_k_with_pruning_is_the_head_of_the_full_ranking() {
-    let mut pruned = 0u64;
+    let (mut skipped, mut multi_worker) = (0usize, 0usize);
     check(CASES, |g| {
         let (shape, budget, base, space) = case(g);
         let mut ranked: Vec<Row> =
             oracle(&shape, budget, &base).iter().enumerate().map(|(i, s)| row(i, s)).collect();
         // Stable best-first: equal objectives keep enumeration order.
         ranked.sort_by(|a, b| f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1)));
+        let all = enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node).len();
         for top_k in [1, 3, 10, space + 1] {
             for workers in [0usize, 1, 2, 8] {
                 for chunk in [1usize, 7, 32] {
                     let opts = ScanOptions { workers, chunk, top_k };
-                    let (rows, scanned, counters) = pruned_scan(&shape, budget, &base, &opts);
+                    let scan = pruned_scan(&shape, budget, &base, &opts);
                     let want = &ranked[..top_k.min(space)];
-                    assert_eq!(rows, want, "top_k={top_k} workers={workers} chunk={chunk}");
-                    assert_eq!(scanned, space);
-                    pruned += counters.pruned;
+                    let at = format!("top_k={top_k} workers={workers} chunk={chunk}");
+                    assert_eq!(scan.rows, want, "{at}");
+                    assert_eq!(scan.scanned, all, "{at}");
+                    assert!(scan.scanned - scan.counters.pruned as usize <= scan.visited, "{at}");
+                    if workers == 1 && scan.visited > 0 {
+                        assert_eq!(scan.hinted, scan.visited - 1, "{at}: a hint went missing");
+                    }
+                    skipped += scan.scanned - scan.visited;
+                    multi_worker += usize::from(scan.workers > 1);
                 }
             }
         }
     });
-    assert!(pruned > 0, "no bounded scan pruned anything: the property is vacuous");
+    assert!(skipped > 0, "no bounded walk skipped a subtree: the property is vacuous");
+    assert!(multi_worker > 0, "no scan ever brought a helper in: the widths are vacuous");
+}
+
+/// (b′) The prefix bound is never below the bound of any completion:
+/// at every depth of every placement of the space.
+#[test]
+fn a_prefix_bound_is_never_below_a_completion_bound() {
+    check(CASES, |g| {
+        let (shape, budget, _, _) = case(g);
+        let bound = ObjectiveBound::new(&shape);
+        for leaf in enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node) {
+            let open = |p: &[usize]| p.iter().max().map_or(0, |&m| m + 1);
+            let full = bound.of_prefix(&leaf, open(&leaf));
+            for depth in 1..leaf.len() {
+                let prefix = &leaf[..depth];
+                let at = bound.of_prefix(prefix, open(prefix));
+                assert!(
+                    at >= full,
+                    "{shape:?}: {prefix:?} bounds {at}, its completion {leaf:?} {full}"
+                );
+            }
+        }
+    });
+}
+
+/// (b″) Subtree sizes are counted exactly: a walk that skips
+/// pseudo-random subtrees hands out every leaf it visits at its index in
+/// the full enumeration, and accounts for the whole space.
+#[test]
+fn counted_subtrees_keep_every_index() {
+    struct Skipper {
+        all: Vec<Vec<usize>>,
+        salt: u64,
+    }
+    impl ScanVisitor for Skipper {
+        type State = ();
+        type Scored = f64;
+        type Row = usize;
+        type Error = ();
+        fn init(&self) {}
+        fn eval(&self, _: &mut (), c: Candidate<'_>) -> Result<Option<f64>, ()> {
+            assert_eq!(c.assignment, &self.all[c.index][..], "index {} moved", c.index);
+            Ok(Some(0.0))
+        }
+        fn objective(&self, objective: &f64) -> f64 {
+            *objective
+        }
+        fn keep(&self, _: &mut (), c: Candidate<'_>, _: f64) -> usize {
+            c.index
+        }
+        // Once one leaf is kept the floor is 0: a third of all prefixes,
+        // at every depth, then fall below it.
+        fn prefix_bound(&self, prefix: &[usize], _: usize) -> f64 {
+            let hash =
+                prefix.iter().fold(self.salt, |h, &n| (h ^ n as u64).wrapping_mul(0x100_0000_01b3));
+            if hash % 3 == 0 {
+                -1.0
+            } else {
+                f64::INFINITY
+            }
+        }
+    }
+    let mut skipped = 0;
+    check(CASES, |g| {
+        let (shape, budget, _, _) = case(g);
+        let all = enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node);
+        let visitor = Skipper { all, salt: g.range(0u64..=1_000_000) };
+        for workers in [1usize, 2] {
+            for chunk in [1usize, 7] {
+                let opts = ScanOptions { workers, chunk, top_k: 1 };
+                let outcome = scan_placements(&shape, budget, &opts, &visitor).expect("scan");
+                assert_eq!(outcome.scanned, visitor.all.len(), "{shape:?} on {budget:?}");
+                assert_eq!(outcome.scanned - outcome.delta.pruned as usize, outcome.feasible);
+                assert_eq!(outcome.into_values(), &[0][..visitor.all.len().min(1)]);
+                skipped += usize::from(visitor.all.len() > 1);
+            }
+        }
+    });
+    assert!(skipped > 0);
+}
+
+/// (b‴) The walk skips only what cannot rank, even under the tightest
+/// admissible bound: with each prefix bounded by the best objective
+/// among its own completions (found by brute force), a bounded scan
+/// still returns the head of the full ranking, and skips most of it.
+#[test]
+fn a_tight_prefix_bound_skips_only_what_cannot_rank() {
+    use std::collections::HashMap;
+    struct Tight {
+        best_below: HashMap<Vec<usize>, f64>,
+    }
+    fn objective(assignment: &[usize]) -> f64 {
+        let hash =
+            assignment.iter().fold(17u64, |h, &n| (h ^ n as u64).wrapping_mul(0x100_0000_01b3));
+        (hash % 1000) as f64 / 1000.0
+    }
+    impl ScanVisitor for Tight {
+        type State = ();
+        type Scored = f64;
+        type Row = f64;
+        type Error = ();
+        fn init(&self) {}
+        fn eval(&self, _: &mut (), c: Candidate<'_>) -> Result<Option<f64>, ()> {
+            Ok(Some(objective(c.assignment)).filter(|&o| o >= c.floor))
+        }
+        fn objective(&self, objective: &f64) -> f64 {
+            *objective
+        }
+        fn keep(&self, _: &mut (), _: Candidate<'_>, objective: f64) -> f64 {
+            objective
+        }
+        // A prefix no placement completes has nothing to rank.
+        fn prefix_bound(&self, prefix: &[usize], _: usize) -> f64 {
+            self.best_below.get(prefix).copied().unwrap_or(f64::NEG_INFINITY)
+        }
+    }
+    let mut skipped = 0;
+    check(CASES, |g| {
+        let (shape, budget, _, _) = case(g);
+        let all = enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node);
+        let mut best_below: HashMap<Vec<usize>, f64> = HashMap::new();
+        for leaf in &all {
+            for depth in 1..=leaf.len() {
+                let best = best_below.entry(leaf[..depth].to_vec()).or_insert(f64::NEG_INFINITY);
+                *best = best.max(objective(leaf));
+            }
+        }
+        let mut ranked: Vec<(usize, f64)> = all.iter().map(|a| objective(a)).enumerate().collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let visitor = Tight { best_below };
+        for top_k in [1, 3, 10] {
+            for (workers, chunk) in [(1usize, 1usize), (1, 32), (2, 1), (8, 7)] {
+                let opts = ScanOptions { workers, chunk, top_k };
+                let outcome = scan_placements(&shape, budget, &opts, &visitor).expect("scan");
+                let got: Vec<(usize, f64)> =
+                    outcome.results.iter().map(|h| (h.index, h.value)).collect();
+                assert_eq!(got, &ranked[..top_k.min(all.len())], "top_k={top_k} workers={workers}");
+                assert_eq!(outcome.scanned, all.len());
+                skipped += outcome.delta.pruned;
+            }
+        }
+    });
+    assert!(skipped > 0, "the tight bound never skipped: the property is vacuous");
 }
 
 /// (c) A full ranking prunes nothing: every candidate is evaluated and
@@ -202,10 +421,10 @@ fn a_full_ranking_prunes_nothing() {
             oracle(&shape, budget, &base).iter().enumerate().map(|(i, s)| row(i, s)).collect();
         for workers in [0usize, 1, 2, 8] {
             let opts = ScanOptions { workers, chunk: 7, top_k: 0 };
-            let (rows, scanned, counters) = pruned_scan(&shape, budget, &base, &opts);
-            assert_eq!(counters.pruned, 0, "workers={workers}");
-            assert_eq!((rows.len(), scanned), (space, space));
-            assert_eq!(rows, want, "workers={workers}");
+            let scan = pruned_scan(&shape, budget, &base, &opts);
+            assert_eq!(scan.counters.pruned, 0, "workers={workers}");
+            assert_eq!((scan.rows.len(), scan.scanned, scan.visited), (space, space, space));
+            assert_eq!(scan.rows, want, "workers={workers}");
         }
     });
 }

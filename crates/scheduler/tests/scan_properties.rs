@@ -11,10 +11,10 @@
 //! the environment, so the same properties sweep the thread-count axis
 //! without code changes.
 
-use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
+use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    canonicalize, enumerate_placements, fast_score, scan_placements, Candidate, DeltaCounters,
-    EnsembleShape, FastEvaluator, NodeBudget, PlacementIter, ScanOptions,
+    canonicalize, enumerate_placements, fast_score, scan_placements, Candidate, EnsembleShape,
+    FastEvaluator, NodeBudget, PlacementIter, ScanOptions, ScanVisitor,
 };
 use testkit::{check, Gen};
 
@@ -32,32 +32,45 @@ fn base_config(spec: ensemble_core::EnsembleSpec) -> SimRunConfig {
     base
 }
 
-/// One scan of the whole space with per-worker reusable evaluators,
-/// returning `(assignment, objective bits)` in output order.
+/// Every candidate scored from scratch by a per-worker reusable
+/// evaluator, kept as `(assignment, objective)`.
+struct FromScratch<'a> {
+    base: &'a SimRunConfig,
+    shape: &'a EnsembleShape,
+}
+
+impl ScanVisitor for FromScratch<'_> {
+    type State = FastEvaluator;
+    type Scored = f64;
+    type Row = (Vec<usize>, f64);
+    type Error = RuntimeError;
+
+    fn init(&self) -> FastEvaluator {
+        FastEvaluator::new(self.base)
+    }
+
+    fn eval(&self, evaluator: &mut FastEvaluator, c: Candidate<'_>) -> RuntimeResult<Option<f64>> {
+        Ok(Some(evaluator.score(&self.shape.materialize(c.assignment))?.objective))
+    }
+
+    fn objective(&self, objective: &f64) -> f64 {
+        *objective
+    }
+
+    fn keep(&self, _: &mut FastEvaluator, c: Candidate<'_>, objective: f64) -> (Vec<usize>, f64) {
+        (c.assignment.to_vec(), objective)
+    }
+}
+
+/// One scan of the whole space, returning `(assignment, objective
+/// bits)` in output order.
 fn scan_space(
     base: &SimRunConfig,
     shape: &EnsembleShape,
     budget: NodeBudget,
     opts: &ScanOptions,
 ) -> Vec<(Vec<usize>, u64)> {
-    let outcome = scan_placements(
-        shape,
-        budget,
-        opts,
-        || FastEvaluator::new(base),
-        |evaluator: &mut FastEvaluator,
-         c: Candidate<'_>|
-         -> RuntimeResult<Option<(Vec<usize>, f64)>> {
-            let spec = shape.materialize(c.assignment);
-            Ok(Some((c.assignment.to_vec(), evaluator.score(&spec)?.objective)))
-        },
-        |_, _, v| v,
-        |_| DeltaCounters::default(),
-        |(_, objective)| *objective,
-        || false,
-        |_| {},
-    )
-    .expect("scan");
+    let outcome = scan_placements(shape, budget, opts, &FromScratch { base, shape }).expect("scan");
     outcome.into_values().into_iter().map(|(a, o)| (a, o.to_bits())).collect()
 }
 
@@ -127,23 +140,21 @@ fn top_k_equals_first_k_of_the_full_ranking() {
     });
 }
 
-/// The lazy iterator streams exactly the materialized enumeration,
-/// whatever chunk size reassembles it.
+/// The lazy iterator streams exactly the materialized enumeration, and
+/// counts each assignment at its enumeration index.
 #[test]
 fn placement_iter_streams_the_enumeration() {
     check(CASES, |g| {
-        let (shape, max_nodes, chunk) = (shape(g), g.range(0usize..=4), g.range(1usize..=7));
+        let (shape, max_nodes) = (shape(g), g.range(0usize..=4));
         let reference = enumerate_placements(&shape, max_nodes, 32);
         let mut iter = PlacementIter::new(&shape, max_nodes, 32);
-        let width = shape.num_components();
         let mut streamed: Vec<Vec<usize>> = Vec::new();
-        let (mut flat, mut hints) = (Vec::new(), Vec::new());
         loop {
             assert_eq!(iter.yielded(), streamed.len(), "indices are the enumeration order");
-            if iter.fill_chunk(&mut flat, &mut hints, chunk) == 0 {
+            let Some(assignment) = iter.advance() else {
                 break;
-            }
-            streamed.extend(flat.chunks_exact(width).map(<[usize]>::to_vec));
+            };
+            streamed.push(assignment.to_vec());
         }
         assert_eq!(streamed, reference);
     });

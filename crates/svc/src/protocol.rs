@@ -371,8 +371,9 @@ pub enum Response {
         /// Worker threads the scan actually ran with (zero for cache
         /// hits — no scan happened).
         scan_workers: u64,
-        /// Candidates the scan evaluated before finishing (or being
-        /// stopped by deadline/cancel). Zero for cache hits.
+        /// Candidates the scan accounted for — evaluated, or skipped
+        /// with a subtree that could not rank — before finishing (or
+        /// being stopped by deadline/cancel). Zero for cache hits.
         candidates_scanned: u64,
     },
     /// Summary of a completed simulated run.

@@ -26,7 +26,8 @@ use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
     scan_placements, Admission, Candidate, CoScheduler, CoschedConfig, DeltaEvaluator, FastScore,
-    NodeBudget, PlacementDecision, Reservation, ScanOptions, ScanProgress, SolveCache,
+    NodeBudget, ObjectiveBound, PlacementDecision, Reservation, ScanOptions, ScanProgress,
+    ScanVisitor, SolveCache,
 };
 
 use crate::cache::ScoreCache;
@@ -61,9 +62,11 @@ pub struct SvcConfig {
     /// request with this id. Exercises the server's panic containment
     /// in tests; leave `None` in production.
     pub panic_on_request_id: Option<u64>,
-    /// Scan worker threads per score request. Zero lets the scan engine
-    /// pick (env override, then host parallelism); a request carrying
-    /// its own nonzero `workers` outranks this default.
+    /// Most scan worker threads per score request (a scan brings in
+    /// helpers only once its first pull leaves work to share, and a
+    /// bounded one only after its caller's solo time). Zero lets
+    /// the scan engine pick (env override, then host parallelism); a
+    /// request carrying its own nonzero `workers` outranks this default.
     pub scan_workers: usize,
     /// Optional online co-scheduler. When set, `submit` requests are
     /// placed against live residual capacity before they reach the
@@ -1547,9 +1550,9 @@ impl ProgressEmitter {
 struct ScoreExec {
     placements: Ranking,
     cached: bool,
-    /// Workers the scan ran with; zero on cache hits (no scan ran).
+    /// Worker threads that scanned; zero on cache hits (no scan ran).
     scan_workers: u64,
-    /// Candidates evaluated; zero on cache hits.
+    /// Candidates evaluated or skipped; zero on cache hits.
     candidates_scanned: u64,
 }
 
@@ -1558,7 +1561,10 @@ struct ScoreExec {
 /// candidate evaluation fail at some placements and not at others (the
 /// enumerator packs a node up to the budget, the solve then finds too
 /// few cores), and a bounded scan may never evaluate the placement that
-/// fails — so it is refused here, the same for every `top_k`.
+/// fails — so it is refused here, the same for every `top_k`. So is a
+/// space whose size is not provably at most 2⁵³: a bounded walk counts
+/// what it skips, and past that `candidates_scanned` and the enumeration
+/// indexes that break ties would no longer be exact on the wire.
 fn validate_score(score: &ScoreRequest, node_cores: u32) -> Result<(), ExecError> {
     let cores_per_node = score.budget.cores_per_node;
     if cores_per_node > node_cores {
@@ -1566,7 +1572,94 @@ fn validate_score(score: &ScoreRequest, node_cores: u32) -> Result<(), ExecError
             "cores_per_node {cores_per_node} exceeds the platform node's {node_cores} cores"
         )));
     }
+    if !scheduler::space_counts_exactly(&score.shape, score.budget.max_nodes, cores_per_node) {
+        return Err(ExecError::Invalid(format!(
+            "the placement space cannot be shown to hold at most {} candidates",
+            scheduler::MAX_EXACT_COUNT
+        )));
+    }
     Ok(())
+}
+
+/// The scan of a `score` request. Each worker scores through its own
+/// delta evaluator, which re-solves only nodes whose occupancy changed
+/// between successive candidates — bit-identical to the from-scratch
+/// path, so cache keys and journal replays are unaffected. A node
+/// occupancy no evaluator of this request has seen is looked up in the
+/// service's solve cache before it is solved: an earlier request has
+/// usually solved it. A bounded scan skips, unevaluated, every subtree
+/// and every candidate whose objective bound cannot reach the K-th best
+/// so far.
+struct ScoreScan<'a> {
+    cfg: SimRunConfig,
+    shape: &'a scheduler::EnsembleShape,
+    solves: &'a Arc<SolveCache>,
+    bound: ObjectiveBound,
+    job: &'a Job,
+    /// Progress-opted requests get throttled interim frames from the
+    /// scan's per-chunk hook. The hook runs under the scan's feed lock
+    /// (worker threads take turns), so this mutex is uncontended;
+    /// non-opted requests pay nothing.
+    emitter: Option<Mutex<ProgressEmitter>>,
+    stats: &'a SvcStats,
+}
+
+impl ScanVisitor for ScoreScan<'_> {
+    type State = DeltaEvaluator;
+    type Scored = FastScore;
+    type Row = RankedPlacement;
+    type Error = ExecError;
+
+    fn init(&self) -> DeltaEvaluator {
+        DeltaEvaluator::with_solve_cache(&self.cfg, self.shape, self.solves)
+    }
+
+    fn eval(
+        &self,
+        evaluator: &mut DeltaEvaluator,
+        c: Candidate<'_>,
+    ) -> Result<Option<FastScore>, ExecError> {
+        let assignment = c.assignment;
+        evaluator
+            .score_above(assignment, c.first_changed, c.floor)
+            .map_err(|e| ExecError::Invalid(format!("candidate {assignment:?}: {e}")))
+    }
+
+    fn objective(&self, fs: &FastScore) -> f64 {
+        fs.objective
+    }
+
+    /// A row (and its copy of the assignment) is built only for a
+    /// candidate the ranking keeps: all of them when it is full, the
+    /// running best `top_k` when it is bounded.
+    fn keep(&self, _: &mut DeltaEvaluator, c: Candidate<'_>, fs: FastScore) -> RankedPlacement {
+        RankedPlacement {
+            assignment: c.assignment.to_vec(),
+            objective: fs.objective,
+            nodes_used: fs.nodes_used,
+            ensemble_makespan: fs.ensemble_makespan,
+            eq4_satisfied: fs.eq4_satisfied,
+        }
+    }
+
+    fn drain(&self, evaluator: &mut DeltaEvaluator) -> scheduler::DeltaCounters {
+        evaluator.take_counters()
+    }
+
+    fn cancel(&self) -> bool {
+        let job = self.job;
+        job.cancel.is_cancelled() || job.deadline_at.is_some_and(|at| Instant::now() >= at)
+    }
+
+    fn progress(&self, p: &ScanProgress) {
+        if let Some(emitter) = &self.emitter {
+            emitter.lock().expect("progress emitter lock").observe_scan(p, self.stats);
+        }
+    }
+
+    fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
+        self.bound.of_prefix(prefix, open_nodes)
+    }
 }
 
 fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<ScoreExec, ExecError> {
@@ -1599,52 +1692,16 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
         top_k: score.top_k,
         ..ScanOptions::default()
     };
-    // Progress-opted requests get throttled interim frames from the
-    // scan's per-chunk hook. The hook runs under the scan's feed lock
-    // (worker threads take turns), so one mutex around the emitter is
-    // uncontended; non-opted requests pay nothing.
-    let emitter = job.request.progress.map(|spec| Mutex::new(ProgressEmitter::new(spec, job)));
-    // Delta scoring: per-worker evaluators re-solve only nodes whose
-    // occupancy changed between successive candidates — bit-identical
-    // to the from-scratch path, so cache keys and journal replays are
-    // unaffected. A node occupancy no evaluator of this request has
-    // seen is looked up in the service's solve cache before it is
-    // solved: an earlier request has usually solved it.
-    let solves = per_workloads(&shared.solve_caches, score.workloads);
-    let outcome = scan_placements(
-        &score.shape,
-        score.budget,
-        &opts,
-        || DeltaEvaluator::with_solve_cache(&cfg, &score.shape, solves),
-        // A bounded scan skips, unevaluated, every candidate whose
-        // objective bound cannot reach the K-th best so far.
-        |evaluator: &mut DeltaEvaluator,
-         c: Candidate<'_>|
-         -> Result<Option<FastScore>, ExecError> {
-            let assignment = c.assignment;
-            evaluator
-                .score_above(assignment, c.first_changed, c.floor)
-                .map_err(|e| ExecError::Invalid(format!("candidate {assignment:?}: {e}")))
-        },
-        // A row (and its copy of the assignment) is built only for a
-        // candidate the ranking keeps: all of them when it is full,
-        // the running best `top_k` when it is bounded.
-        |_, c, fs| RankedPlacement {
-            assignment: c.assignment.to_vec(),
-            objective: fs.objective,
-            nodes_used: fs.nodes_used,
-            ensemble_makespan: fs.ensemble_makespan,
-            eq4_satisfied: fs.eq4_satisfied,
-        },
-        DeltaEvaluator::take_counters,
-        |fs: &FastScore| fs.objective,
-        || job.cancel.is_cancelled() || job.deadline_at.is_some_and(|at| Instant::now() >= at),
-        |p: &ScanProgress| {
-            if let Some(emitter) = &emitter {
-                emitter.lock().expect("progress emitter lock").observe_scan(p, &shared.stats);
-            }
-        },
-    )?;
+    let visitor = ScoreScan {
+        cfg,
+        shape: &score.shape,
+        solves: per_workloads(&shared.solve_caches, score.workloads),
+        bound: ObjectiveBound::new(&score.shape),
+        job,
+        emitter: job.request.progress.map(|spec| Mutex::new(ProgressEmitter::new(spec, job))),
+        stats: &shared.stats,
+    };
+    let outcome = scan_placements(&score.shape, score.budget, &opts, &visitor)?;
     shared.stats.candidates_scanned.fetch_add(outcome.scanned as u64, Ordering::Relaxed);
     shared.stats.candidates_pruned.fetch_add(outcome.delta.pruned, Ordering::Relaxed);
     shared.stats.delta_solve_hits.fetch_add(outcome.delta.solve_hits, Ordering::Relaxed);
@@ -2123,15 +2180,16 @@ mod tests {
     /// (220·5 + 66·2 + 12 + 1).
     const BIG_SPACE_TOTAL: u64 = 4_212_352;
 
-    /// A score that holds the worker until the test cancels it: 14
-    /// four-core components on up to 14 nodes are ~1.9 × 10⁸ candidates
-    /// (seconds of enumeration alone in a release build), and `top_k` 1
-    /// keeps its memory constant however long it runs.
+    /// A score that holds the worker until the test cancels it: 18
+    /// four-core components on up to 18 nodes are ~6.8 × 10¹¹
+    /// candidates (over a minute of a serial release scan even with
+    /// the bounded walk skipping most of them), and `top_k` 1 keeps its
+    /// memory constant however long it runs.
     fn held_score_request(id: u64) -> Request {
         let mut req = big_score_request(id);
         if let RequestBody::Score(ref mut s) = req.body {
-            s.shape = scheduler::EnsembleShape::uniform(7, 4, 1, 4);
-            s.budget.max_nodes = 14;
+            s.shape = scheduler::EnsembleShape::uniform(9, 4, 1, 4);
+            s.budget.max_nodes = 18;
             s.top_k = 1;
         }
         req
@@ -2259,6 +2317,40 @@ mod tests {
         let bounded = placements(10);
         let pruned = svc.metrics().candidates_pruned;
         assert!(pruned > total / 2, "most of the space cannot rank: {pruned} of {total}");
+        // `pruned` counts leaves and whole skipped subtrees alike, so what
+        // is left of the space is exactly what the scan evaluated: the
+        // same serial scan, run here, evaluates that many.
+        let req = medium_score_request(10);
+        let RequestBody::Score(score) = &req.body else { unreachable!() };
+        let mut cfg = base_config(score.shape.materialize(&[0; 8]), score.workloads);
+        cfg.n_steps = score.steps;
+        let job = Job {
+            submitted: Instant::now(),
+            deadline_at: None,
+            cancel: CancelToken::default(),
+            reply: mpsc::channel().0,
+            cosched: None,
+            request: req.clone(),
+        };
+        let solves = SolveCache::new(&cfg);
+        let visitor = ScoreScan {
+            cfg,
+            shape: &score.shape,
+            solves: &Arc::new(solves),
+            bound: ObjectiveBound::new(&score.shape),
+            job: &job,
+            emitter: None,
+            stats: &SvcStats::default(),
+        };
+        let opts = ScanOptions { workers: 1, top_k: 10, ..ScanOptions::default() };
+        let Ok(outcome) = scan_placements(&score.shape, score.budget, &opts, &visitor) else {
+            panic!("the scan the service just ran fails here");
+        };
+        assert_eq!(
+            total - pruned,
+            outcome.feasible as u64,
+            "scanned − pruned is what was evaluated"
+        );
         let full = placements(0);
         assert_eq!(svc.metrics().candidates_pruned, pruned, "a full ranking prunes nothing");
         assert_eq!(bounded.len(), 10);
@@ -2299,15 +2391,22 @@ mod tests {
     }
 
     #[test]
-    fn request_workers_override_the_service_default() {
+    fn request_workers_bound_the_threads_a_scan_brings_in() {
+        // A request's `workers` outranks the service default, as an upper
+        // bound: a ~4k-candidate full ranking outlasts its first pull and
+        // brings a helper in; an 11-candidate one is finished after its
+        // first pull and never does.
         let svc = tiny_service(1, 4);
-        let mut req = small_score_request(1, 2, 16, 1, 8, 3);
-        if let RequestBody::Score(ref mut s) = req.body {
-            s.workers = 2;
-        }
-        match svc.submit(req).unwrap().wait() {
-            Response::ScoreResult { scan_workers, .. } => assert_eq!(scan_workers, 2),
-            other => panic!("expected score result, got {other:?}"),
+        for (mut req, threads) in
+            [(medium_score_request(1), 2), (small_score_request(2, 2, 16, 1, 8, 3), 1)]
+        {
+            if let RequestBody::Score(ref mut s) = req.body {
+                s.workers = 2;
+            }
+            match svc.submit(req).unwrap().wait() {
+                Response::ScoreResult { scan_workers, .. } => assert_eq!(scan_workers, threads),
+                other => panic!("expected score result, got {other:?}"),
+            }
         }
     }
 

@@ -94,12 +94,13 @@ pub struct SvcStats {
     /// Cumulative busy nanoseconds across workers (drives the
     /// retry-after hint).
     pub busy_nanos: AtomicU64,
-    /// Placement candidates pulled through the scan engine across all
-    /// score requests (cache hits add nothing; cancelled scans add only
-    /// what they actually evaluated).
+    /// Placement candidates the scan engine accounted for across all
+    /// score requests, evaluated or skipped (cache hits add nothing;
+    /// cancelled scans add only what they reached).
     pub candidates_scanned: AtomicU64,
     /// Of those, candidates a bounded (`top_k`) scan skipped unevaluated
-    /// because their objective bound could not reach the K-th best:
+    /// because their objective bound could not reach the K-th best —
+    /// one leaf at a time or a whole subtree at once:
     /// `candidates_scanned − candidates_pruned` is the scoring work.
     pub candidates_pruned: AtomicU64,
     /// Per-node interference solves served from the delta evaluator's

@@ -53,13 +53,14 @@ fn run_request(id: u64, tenant: Option<&str>, steps: u64) -> Request {
 }
 
 /// Pins the pool's one worker with an untagged score until the test
-/// cancels it: 14 four-core components on up to 14 nodes are ~1.9 × 10⁸
-/// candidates (seconds of enumeration alone in a release build), and
-/// `top_k` 1 keeps its memory constant however long it runs. Returns
+/// cancels it: 18 four-core components on up to 18 nodes are ~6.8 ×
+/// 10¹¹ candidates (over a minute of a serial release scan even with
+/// the bounded walk skipping most of them), and `top_k` 1 keeps its
+/// memory constant however long it runs. Returns
 /// once the worker holds it, so admission decisions happen against a
 /// provably busy pool however fast the build.
 fn hold(svc: &Service) -> svc::service::Pending {
-    let mut req = svc::small_score_request(100, 7, 4, 1, 4, 14);
+    let mut req = svc::small_score_request(100, 9, 4, 1, 4, 18);
     if let RequestBody::Score(ref mut score) = req.body {
         score.top_k = 1;
         score.workers = 1;

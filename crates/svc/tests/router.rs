@@ -65,9 +65,9 @@ fn in_process_metrics_are_the_wire_rows_and_move_no_counter() {
 #[test]
 fn in_process_attach_and_metrics_are_answered_while_the_queue_sheds() {
     let svc = Service::start(SvcConfig { workers: 1, queue_capacity: 1, ..SvcConfig::default() });
-    // Hold the one worker with a `top_k` 1 score over ~1.9 × 10⁸
+    // Hold the one worker with a `top_k` 1 score over ~6.8 × 10¹¹
     // candidates, and fill the one queue slot behind it.
-    let mut held = small_score_request(1, 7, 4, 1, 4, 14);
+    let mut held = small_score_request(1, 9, 4, 1, 4, 18);
     if let RequestBody::Score(ref mut score) = held.body {
         score.top_k = 1;
         score.workers = 1;

@@ -68,12 +68,14 @@ fn metrics_row(handle: &ServerHandle, client: &mut SvcClient, name: &str) -> f64
 }
 
 /// Pins the server's one worker until the test lets it go: a `top_k` 1
-/// score over ~1.9 × 10⁸ candidates (14 four-core components on up to
-/// 14 nodes), submitted in process so the test holds its handle.
+/// score over ~6.8 × 10¹¹ candidates (18 four-core components on up to
+/// 18 nodes, over a minute of a serial release scan even with the
+/// bounded walk skipping most of them), submitted in process so the
+/// test holds its handle.
 /// Returns once the worker holds it, so however fast the build, every
 /// client that follows meets a busy pool.
 fn hold(handle: &ServerHandle) -> svc::service::Pending {
-    let mut req = small_score_request(1, 7, 4, 1, 4, 14);
+    let mut req = small_score_request(1, 9, 4, 1, 4, 18);
     if let RequestBody::Score(ref mut score) = req.body {
         score.top_k = 1;
         score.workers = 1;
@@ -405,6 +407,75 @@ fn absurd_max_nodes_is_the_component_count_not_an_allocation() {
     // And the server is still there for the next request.
     match client.request(&small_score_request(11, 2, 16, 1, 8, 3)).expect("still serving") {
         Response::ScoreResult { id, .. } => assert_eq!(id, 11),
+        other => panic!("expected score result, got {other:?}"),
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn absurd_top_k_ranks_the_whole_space_not_an_allocation() {
+    // `top_k` comes off the wire as a bare integer, and each scan worker
+    // once reserved room for that many rows up front: `top_k` 2³⁰
+    // aborted the server on a 72 GiB allocation. More rows than the
+    // space holds is the whole space, ranked.
+    let handle = server(1, 8);
+    let mut client = SvcClient::connect(handle.addr()).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let score = |id: u64, top_k: u64| {
+        format!(
+            "{{\"type\":\"score\",\"id\":{id},\"members\":[{{\"sim_cores\":16,\"analyses\":[8]}},\
+             {{\"sim_cores\":16,\"analyses\":[8]}}],\"max_nodes\":3,\"cores_per_node\":32,\
+             \"top_k\":{top_k},\"steps\":6,\"workloads\":\"small\"}}"
+        )
+    };
+    let mut ranking =
+        |id: u64, top_k: u64| match client.request_raw(&score(id, top_k)).expect("reply") {
+            Response::ScoreResult { placements, candidates_scanned, .. } => {
+                (placements.to_vec(), candidates_scanned)
+            }
+            other => panic!("top_k {top_k}: expected a ranking, got {other:?}"),
+        };
+    let absurd = ranking(1, 1 << 30);
+    let full = ranking(2, 0);
+    assert_eq!(absurd.1, 11, "the whole space");
+    assert_eq!(absurd, full, "every row, ranked");
+    // (Answered from the full ranking now cached: no scan, same rows.)
+    assert_eq!(ranking(3, (1 << 53) - 1).0, full.0, "the largest top_k the wire carries");
+    // And the server is still there for the next request.
+    match client.request(&small_score_request(11, 2, 16, 1, 8, 3)).expect("still serving") {
+        Response::ScoreResult { id, .. } => assert_eq!(id, 11),
+        other => panic!("expected score result, got {other:?}"),
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn a_space_past_2_pow_53_candidates_is_an_invalid_error_not_an_inexact_count() {
+    // A bounded walk counts the subtrees it skips, so how fast it
+    // enumerates no longer limits `candidates_scanned`: 24 one-core
+    // components on up to 24 nodes are Bell(24) ≈ 4.5 × 10¹⁷ placements,
+    // past the integers a JSON number carries exactly (a client reads
+    // such a count back as 0). The request is refused before any scan.
+    let handle = server(1, 8);
+    let mut client = SvcClient::connect(handle.addr()).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let members = [r#"{"sim_cores":1,"analyses":[1]}"#; 12].join(",");
+    let line = format!(
+        "{{\"type\":\"score\",\"id\":31,\"members\":[{members}],\"max_nodes\":24,\
+         \"cores_per_node\":32,\"top_k\":1,\"steps\":6,\"workloads\":\"small\"}}"
+    );
+    match client.request_raw(&line).expect("structured error line") {
+        Response::Error { id: 31, kind: ErrorKind::Invalid, message } => {
+            assert!(message.contains("placement space"), "{message}");
+        }
+        other => panic!("expected an invalid error, got {other:?}"),
+    }
+    assert_eq!(metrics_row(&handle, &mut client, "candidates_scanned"), 0.0);
+    // And the server is still there for the next request.
+    match client.request(&small_score_request(32, 2, 16, 1, 8, 3)).expect("still serving") {
+        Response::ScoreResult { id, candidates_scanned, .. } => {
+            assert_eq!((id, candidates_scanned), (32, 11));
+        }
         other => panic!("expected score result, got {other:?}"),
     }
     handle.shutdown();
