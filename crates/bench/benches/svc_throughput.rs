@@ -113,9 +113,9 @@ fn main() {
     let m = service.metrics();
     eprintln!(
         "  svc cache after in-process phases: {} hits / {} misses (hit rate {:.3})",
-        m.cache_hits,
-        m.cache_misses,
-        m.cache_hit_rate()
+        m.get("cache_hits"),
+        m.get("cache_misses"),
+        m.get("cache_hit_rate")
     );
 
     // One cold class-M score primes the ranking; every reply below is a

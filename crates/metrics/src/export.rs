@@ -63,16 +63,6 @@ pub fn components_csv(reports: &[&EnsembleReport]) -> String {
     out
 }
 
-/// Generic `metric,value` CSV for point-in-time gauge/counter snapshots
-/// (the provisioning service exports its request metrics through this).
-pub fn kv_csv(rows: &[(&str, f64)]) -> String {
-    let mut out = String::from("metric,value\n");
-    for (name, value) in rows {
-        out.push_str(&format!("{},{}\n", escape(name), value));
-    }
-    out
-}
-
 /// One CSV row per stage interval of a trace (for Gantt-style plots).
 pub fn trace_csv(trace: &ExecutionTrace) -> String {
     let mut out = String::from("component,stage,step,start_s,end_s,duration_s\n");
@@ -107,12 +97,6 @@ mod tests {
         assert!(lines[0].starts_with("component,stage"));
         assert!(lines[1].starts_with("Sim1,S,0,0,1.5,1.5"));
         assert!(lines[2].starts_with("Ana1.1,A,0,1.5,2,0.5"));
-    }
-
-    #[test]
-    fn kv_csv_renders_rows_in_order() {
-        let csv = kv_csv(&[("queue_depth", 3.0), ("latency_p99_ms", 12.5)]);
-        assert_eq!(csv, "metric,value\nqueue_depth,3\nlatency_p99_ms,12.5\n");
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod search;
 pub use advisor::{recommend_placement, recommend_with_core_sweep};
 pub use core_sweep::{core_sweep, CoreSweepConfig, SweepResult};
 pub use cosched::{
-    place_against, Admission, CoScheduler, CoschedConfig, CoschedCounters, CoschedError,
-    PlacementDecision, Reservation, ResidencyMap,
+    place_against, Admission, CoScheduler, CoschedConfig, CoschedError, PlacementDecision,
+    Reservation, ResidencyMap,
 };
 pub use delta::{DeltaCounters, DeltaEvaluator, ObjectiveBound, SolveCache};
 pub use enumerate::{

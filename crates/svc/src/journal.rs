@@ -92,7 +92,8 @@ use std::sync::Mutex;
 
 use crate::fault::SvcFaultPlan;
 use crate::json::{write_f64, write_seq, write_str, write_u64, Value};
-use crate::protocol::{placement_from_value, write_shape_members, Ranking, Request, Response};
+use crate::protocol::{placement_from_value, validate_tenant, write_shape_members};
+use crate::protocol::{Ranking, Request, Response};
 
 /// Consecutive fsync failures tolerated before the journal degrades to
 /// read-only (each one is still counted and logged).
@@ -937,12 +938,16 @@ fn parse_record(line: &[u8]) -> Option<JournalRecord> {
         "admit" => {
             // v2 carries job/tenant explicitly; v1 (unversioned) only
             // embeds the request — which always carried both, so old
-            // journals replay with full attribution.
-            let request = Request::from_value(v.get("request")?).ok()?;
-            let job = v.get("job").and_then(Value::as_u64).unwrap_or(request.id);
-            let tenant = match v.get("tenant") {
-                Some(t) => Some(t.as_str()?.to_string()),
-                None => request.tenant,
+            // journals replay with full attribution. Nothing else of the
+            // request is read: an in-process request may hold values the
+            // wire decoder refuses (a seed from 2⁵³ on, a NaN jitter),
+            // and the record the service wrote for it must still replay.
+            let request = v.get("request")?;
+            let id = request.get("id").map_or(Some(0), Value::as_u64)?;
+            let job = v.get("job").and_then(Value::as_u64).unwrap_or(id);
+            let tenant = match v.get("tenant").or_else(|| request.get("tenant")) {
+                Some(t) => Some(t.as_str().filter(|tag| validate_tenant(tag).is_ok())?.to_string()),
+                None => None,
             };
             Some(JournalRecord::Admit { job, tenant })
         }

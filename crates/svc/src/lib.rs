@@ -69,4 +69,3 @@ pub use protocol::{
 pub use server::{serve, ServerHandle};
 pub use service::{small_score_request, CoschedSvcConfig, Rejected, Service, SvcConfig};
 pub use standby::{Standby, StandbyConfig, StandbySource};
-pub use stats::TenantRow;

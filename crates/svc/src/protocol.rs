@@ -418,7 +418,7 @@ pub enum Response {
     Metrics {
         /// Echoed request id.
         id: u64,
-        /// `(metric, value)` rows (see `MetricsSnapshot::rows`).
+        /// `(metric, value)` rows in wire order (see `Service::metrics`).
         rows: Vec<(String, f64)>,
     },
     /// Admission refused: the queue is full. Retry after the hint.
@@ -457,8 +457,56 @@ fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
     v.get(key).ok_or_else(|| format!("missing field '{key}'"))
 }
 
+const NON_NEGATIVE: &str = "a non-negative integer";
+
 fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' must be a non-negative integer"))
+    field(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' must be {NON_NEGATIVE}"))
+}
+
+/// An optional field: absent is `None`; present but refused by `read`
+/// is an error naming the field and the `expected` type, never a
+/// silent default.
+fn optional<'v, T>(
+    v: &'v Value,
+    key: &str,
+    read: impl FnOnce(&'v Value) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|x| read(x).ok_or_else(|| format!("field '{key}' must be {expected}")))
+        .transpose()
+}
+
+/// The nonempty `members` array of a `kind` request.
+fn member_list<'v>(v: &'v Value, kind: &str) -> Result<&'v [Value], String> {
+    let members = field(v, "members")?.as_arr().ok_or("field 'members' must be an array")?;
+    if members.is_empty() {
+        return Err(format!("{kind} request needs at least one member"));
+    }
+    Ok(members)
+}
+
+/// The ensemble shape of a `score` or `submit` request.
+fn shape_from_value(v: &Value, kind: &str) -> Result<EnsembleShape, String> {
+    let members = member_list(v, kind)?
+        .iter()
+        .map(|m| {
+            let sim = u32::try_from(u64_field(m, "sim_cores")?)
+                .map_err(|_| "sim_cores too large".to_string())?;
+            let anas = field(m, "analyses")?
+                .as_arr()
+                .ok_or("field 'analyses' must be an array")?
+                .iter()
+                .map(|a| {
+                    a.as_u64()
+                        .and_then(|c| u32::try_from(c).ok())
+                        .ok_or("analysis core counts must be small integers")
+                })
+                .collect::<Result<Vec<u32>, _>>()?;
+            Ok((sim, anas))
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(EnsembleShape { members })
 }
 
 fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
@@ -589,16 +637,9 @@ impl Request {
 
     /// Decodes a request from a parsed JSON value.
     pub fn from_value(v: &Value) -> Result<Request, String> {
-        let id = match v.get("id") {
-            Some(idv) => idv.as_u64().ok_or("field 'id' must be a non-negative integer")?,
-            None => 0,
-        };
-        let deadline = match v.get("deadline_ms") {
-            Some(d) => Some(Duration::from_millis(
-                d.as_u64().ok_or("field 'deadline_ms' must be a non-negative integer")?,
-            )),
-            None => None,
-        };
+        let id = optional(v, "id", Value::as_u64, NON_NEGATIVE)?.unwrap_or(0);
+        let deadline =
+            optional(v, "deadline_ms", Value::as_u64, NON_NEGATIVE)?.map(Duration::from_millis);
         let progress = match v.get("progress") {
             None => None,
             Some(p) => {
@@ -606,72 +647,47 @@ impl Request {
                     return Err("field 'progress' must be an object".into());
                 }
                 Some(ProgressSpec {
-                    every_candidates: p.get("every_candidates").and_then(Value::as_u64),
-                    every_ms: p.get("every_ms").and_then(Value::as_u64),
+                    every_candidates: optional(p, "every_candidates", Value::as_u64, NON_NEGATIVE)?,
+                    every_ms: optional(p, "every_ms", Value::as_u64, NON_NEGATIVE)?,
                 })
             }
         };
-        let tenant = match v.get("tenant") {
+        let tenant = match optional(v, "tenant", Value::as_str, "a string")? {
             None => None,
-            Some(t) => {
-                let tag = t.as_str().ok_or("field 'tenant' must be a string")?;
+            Some(tag) => {
                 validate_tenant(tag)?;
                 Some(tag.to_string())
             }
         };
         let kind = field(v, "type")?.as_str().ok_or("field 'type' must be a string")?;
-        let workloads = match v.get("workloads").and_then(Value::as_str) {
+        let workloads = match optional(v, "workloads", Value::as_str, "a string")? {
             None | Some("paper") => Workloads::Paper,
             Some("small") => Workloads::Small,
             Some(other) => return Err(format!("unknown workloads '{other}'")),
         };
+        // Run settings, refused only by the kinds that read them.
+        let steps = optional(v, "steps", Value::as_u64, NON_NEGATIVE);
+        let jitter = optional(v, "jitter", Value::as_f64, "a number");
+        let seed = optional(v, "seed", Value::as_u64, NON_NEGATIVE);
         let body = match kind {
             "metrics" => RequestBody::Metrics,
             "replicate" => RequestBody::Replicate,
             "attach" => RequestBody::Attach { job: u64_field(v, "job")? },
-            "score" => {
-                let members =
-                    field(v, "members")?.as_arr().ok_or("field 'members' must be an array")?;
-                if members.is_empty() {
-                    return Err("score request needs at least one member".into());
-                }
-                let mut shape_members = Vec::with_capacity(members.len());
-                for m in members {
-                    let sim = u64_field(m, "sim_cores")?;
-                    let anas = field(m, "analyses")?
-                        .as_arr()
-                        .ok_or("field 'analyses' must be an array")?
-                        .iter()
-                        .map(|a| {
-                            a.as_u64()
-                                .and_then(|c| u32::try_from(c).ok())
-                                .ok_or("analysis core counts must be small integers")
-                        })
-                        .collect::<Result<Vec<u32>, _>>()?;
-                    let sim = u32::try_from(sim).map_err(|_| "sim_cores too large".to_string())?;
-                    shape_members.push((sim, anas));
-                }
-                RequestBody::Score(ScoreRequest {
-                    shape: EnsembleShape { members: shape_members },
-                    budget: NodeBudget {
-                        max_nodes: u64_field(v, "max_nodes")? as usize,
-                        cores_per_node: u32::try_from(u64_field(v, "cores_per_node")?)
-                            .map_err(|_| "cores_per_node too large".to_string())?,
-                    },
-                    top_k: v.get("top_k").and_then(Value::as_usize).unwrap_or(0),
-                    steps: v.get("steps").and_then(Value::as_u64).unwrap_or(6),
-                    workloads,
-                    workers: v.get("workers").and_then(Value::as_usize).unwrap_or(0),
-                })
-            }
+            "score" => RequestBody::Score(ScoreRequest {
+                shape: shape_from_value(v, kind)?,
+                budget: NodeBudget {
+                    max_nodes: u64_field(v, "max_nodes")? as usize,
+                    cores_per_node: u32::try_from(u64_field(v, "cores_per_node")?)
+                        .map_err(|_| "cores_per_node too large".to_string())?,
+                },
+                top_k: optional(v, "top_k", Value::as_usize, NON_NEGATIVE)?.unwrap_or(0),
+                steps: steps?.unwrap_or(6),
+                workloads,
+                workers: optional(v, "workers", Value::as_usize, NON_NEGATIVE)?.unwrap_or(0),
+            }),
             "run" => {
-                let members =
-                    field(v, "members")?.as_arr().ok_or("field 'members' must be an array")?;
-                if members.is_empty() {
-                    return Err("run request needs at least one member".into());
-                }
-                let mut specs = Vec::with_capacity(members.len());
-                for m in members {
+                let mut specs = Vec::new();
+                for m in member_list(v, kind)? {
                     let sim_cores = u32::try_from(u64_field(m, "sim_cores")?)
                         .map_err(|_| "sim_cores too large".to_string())?;
                     let sim_node = u64_field(m, "sim_node")? as usize;
@@ -693,42 +709,19 @@ impl Request {
                 }
                 RequestBody::Run(RunRequest {
                     spec: EnsembleSpec::new(specs),
-                    steps: v.get("steps").and_then(Value::as_u64).unwrap_or(8),
-                    jitter: v.get("jitter").and_then(Value::as_f64).unwrap_or(0.0),
-                    seed: v.get("seed").and_then(Value::as_u64).unwrap_or(0),
+                    steps: steps?.unwrap_or(8),
+                    jitter: jitter?.unwrap_or(0.0),
+                    seed: seed?.unwrap_or(0),
                     workloads,
                 })
             }
-            "submit" => {
-                let members =
-                    field(v, "members")?.as_arr().ok_or("field 'members' must be an array")?;
-                if members.is_empty() {
-                    return Err("submit request needs at least one member".into());
-                }
-                let mut shape_members = Vec::with_capacity(members.len());
-                for m in members {
-                    let sim = u32::try_from(u64_field(m, "sim_cores")?)
-                        .map_err(|_| "sim_cores too large".to_string())?;
-                    let anas = field(m, "analyses")?
-                        .as_arr()
-                        .ok_or("field 'analyses' must be an array")?
-                        .iter()
-                        .map(|a| {
-                            a.as_u64()
-                                .and_then(|c| u32::try_from(c).ok())
-                                .ok_or("analysis core counts must be small integers")
-                        })
-                        .collect::<Result<Vec<u32>, _>>()?;
-                    shape_members.push((sim, anas));
-                }
-                RequestBody::Submit(SubmitRequest {
-                    shape: EnsembleShape { members: shape_members },
-                    steps: v.get("steps").and_then(Value::as_u64).unwrap_or(8),
-                    jitter: v.get("jitter").and_then(Value::as_f64).unwrap_or(0.0),
-                    seed: v.get("seed").and_then(Value::as_u64).unwrap_or(0),
-                    workloads,
-                })
-            }
+            "submit" => RequestBody::Submit(SubmitRequest {
+                shape: shape_from_value(v, kind)?,
+                steps: steps?.unwrap_or(8),
+                jitter: jitter?.unwrap_or(0.0),
+                seed: seed?.unwrap_or(0),
+                workloads,
+            }),
             other => return Err(format!("unknown request type '{other}'")),
         };
         Ok(Request { id, deadline, progress, tenant, body })
@@ -1484,6 +1477,66 @@ mod tests {
         ] {
             let err = Request::from_json(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
+        }
+        // `score` and `submit` decode their members alike.
+        for kind in ["score", "submit"] {
+            for (members, needle) in [
+                ("[]", format!("{kind} request needs at least one member")),
+                ("{}", "field 'members' must be an array".to_string()),
+                (r#"[{"analyses":[8]}]"#, "missing field 'sim_cores'".to_string()),
+                (r#"[{"sim_cores":4294967296,"analyses":[]}]"#, "sim_cores too large".to_string()),
+                (r#"[{"sim_cores":16}]"#, "missing field 'analyses'".to_string()),
+                (r#"[{"sim_cores":16,"analyses":8}]"#, "'analyses' must be an array".to_string()),
+                (r#"[{"sim_cores":16,"analyses":[-8]}]"#, "small integers".to_string()),
+            ] {
+                let line = format!(
+                    r#"{{"type":"{kind}","id":1,"members":{members},"max_nodes":2,"cores_per_node":32}}"#
+                );
+                let err = Request::from_json(&line).unwrap_err();
+                assert!(err.contains(&needle), "{line}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_mistyped_optional_field_is_refused_not_defaulted() {
+        // Each of these once decoded as its default: the `top_k` ones as
+        // an unbounded full ranking, the most expensive score there is.
+        let score = r#""type":"score","id":1,"members":[{"sim_cores":16,"analyses":[8]}],"max_nodes":2,"cores_per_node":32"#;
+        let run = r#""type":"run","id":1,"members":[{"sim_cores":16,"sim_node":0,"analyses":[]}]"#;
+        let submit = r#""type":"submit","id":1,"members":[{"sim_cores":16,"analyses":[8]}]"#;
+        for (base, field, value) in [
+            (score, "top_k", r#""10""#),
+            (score, "top_k", "-1"),
+            (score, "top_k", "1e16"),
+            (score, "top_k", "2.5"),
+            (score, "workers", "true"),
+            (score, "steps", r#""6""#),
+            (score, "workloads", "1"),
+            (score, "every_candidates", r#""256""#),
+            (score, "every_ms", "-5"),
+            (run, "steps", "null"),
+            (run, "jitter", r#""0.1""#),
+            (run, "seed", "-3"),
+            (submit, "seed", "[1]"),
+            (submit, "workloads", "null"),
+        ] {
+            let line = match field {
+                "every_candidates" | "every_ms" => {
+                    format!(r#"{{{base},"progress":{{"{field}":{value}}}}}"#)
+                }
+                _ => format!(r#"{{{base},"{field}":{value}}}"#),
+            };
+            let err = Request::from_json(&line).expect_err(&line);
+            assert!(err.starts_with(&format!("field '{field}' must be")), "{line}: {err}");
+        }
+        // Absent still means the default, and a well-typed value is read.
+        let line = format!(r#"{{{score},"top_k":10,"workers":2,"progress":{{"every_ms":20}}}}"#);
+        let req = Request::from_json(&line).unwrap();
+        assert_eq!(req.progress, Some(ProgressSpec { every_candidates: None, every_ms: Some(20) }));
+        match req.body {
+            RequestBody::Score(s) => assert_eq!((s.top_k, s.workers, s.steps), (10, 2, 6)),
+            other => panic!("expected score, got {other:?}"),
         }
     }
 

@@ -90,7 +90,7 @@ pub(crate) fn route(mount: Mount<'_>, request: Request) -> Routed<'_> {
             Response::Metrics { id, rows: service.metrics().all_rows() }
         }
         (RequestBody::Metrics, Mount::Standby(image)) => {
-            Response::Metrics { id, rows: image.rows() }
+            Response::Metrics { id, rows: image.metrics().all_rows() }
         }
         (RequestBody::Attach { job }, Mount::Primary(service)) => service.attach(id, *job),
         (RequestBody::Attach { job }, Mount::Standby(image)) => image.attach(id, *job),

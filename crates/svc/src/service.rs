@@ -18,7 +18,7 @@
 //! together.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -39,9 +39,7 @@ use crate::protocol::{
     SubmitRequest, Workloads,
 };
 use crate::server::{route, Mount, Routed};
-use crate::stats::{
-    LatencyHistogram, MetricsSnapshot, SvcStats, TenantRow, COLD_START_SERVICE_TIME,
-};
+use crate::stats::{LatencyHistogram, MetricsSnapshot, SvcStats, COLD_START_SERVICE_TIME};
 
 /// Tuning of the service.
 #[derive(Debug, Clone)]
@@ -306,8 +304,8 @@ struct CoschedState {
     restored_tenants: HashMap<u64, String>,
 }
 
-/// Live per-tenant accounting: the monotone counters and gauges the
-/// snapshot's [`TenantRow`] is built from, plus the queue-wait
+/// Live per-tenant accounting: the monotone counters and gauges behind
+/// a tenant's `tenant_<tag>_*` metrics rows, plus the queue-wait
 /// histogram. The terminal buckets are mutually exclusive, so
 /// `admitted = executed + expired + cancelled + in_queue + in_flight`
 /// holds at every quiescent point.
@@ -618,108 +616,161 @@ impl Service {
         attach_reply(id, job, self.shared.runs.get(&job.to_string()).as_deref())
     }
 
-    /// Point-in-time metrics.
+    /// Point-in-time metrics: every row of the wire `metrics` reply, in
+    /// order, each read straight from its live source. This is the one
+    /// place a row is named; the comment beside its push says what it
+    /// means.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let s = &self.shared.stats;
-        let j = self.shared.journal.as_ref().map(|j| j.stats()).unwrap_or_default();
-        let (cosched_enabled, cosched_queue_depth, cosched_open, cosched_committed, cc) =
-            match &self.shared.cosched {
-                Some(cosched) => {
-                    let mut state = cosched.lock().expect("cosched lock");
-                    // Scraping metrics doubles as a liveness tick: on a
-                    // quiet server nothing else visits the waiting
-                    // queue, so dead waiters would hold their quota
-                    // slots until the next submit.
-                    reap_expired_waiting(&self.shared, &mut state);
-                    (
-                        true,
-                        state.sched.queue_depth(),
-                        state.sched.residency().open(),
-                        state.sched.residency().committed_cores(),
-                        state.sched.counters(),
-                    )
-                }
-                None => (false, 0, 0, 0, scheduler::CoschedCounters::default()),
-            };
-        let policy = &self.shared.tenant_policy;
-        let tenants = self
-            .shared
-            .tenants
-            .lock()
-            .expect("tenants lock")
-            .rows
-            .iter()
-            .map(|(name, t)| {
-                (
-                    name.clone(),
-                    TenantRow {
-                        admitted: t.admitted,
-                        executed: t.executed,
-                        shed: t.shed,
-                        expired: t.expired,
-                        cancelled: t.cancelled,
-                        in_queue: t.in_queue,
-                        in_flight: t.in_flight,
-                        quota: policy.quota_for(name).unwrap_or(0),
-                        weight: policy.weight_for(name),
-                        queue_wait_p50_ms: t.queue_wait.quantile_ms(0.50),
-                        queue_wait_p95_ms: t.queue_wait.quantile_ms(0.95),
-                    },
-                )
-            })
-            .collect();
-        MetricsSnapshot {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            accepted: s.accepted.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            executed: s.executed.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
-            deadline_expired: s.deadline_expired.load(Ordering::Relaxed),
-            errored: s.errored.load(Ordering::Relaxed),
-            queue_depth: self.shared.queue.len(),
-            queue_capacity: self.shared.queue.capacity(),
-            in_flight: s.in_flight.load(Ordering::Relaxed),
-            workers: self.shared.workers,
-            latency_p50_ms: s.latency.quantile_ms(0.50),
-            latency_p95_ms: s.latency.quantile_ms(0.95),
-            latency_p99_ms: s.latency.quantile_ms(0.99),
-            cache_hits: self.shared.cache.hits(),
-            cache_misses: self.shared.cache.misses(),
-            cache_entries: self.shared.cache.len(),
-            candidates_scanned: s.candidates_scanned.load(Ordering::Relaxed),
-            candidates_pruned: s.candidates_pruned.load(Ordering::Relaxed),
-            delta_solve_hits: s.delta_solve_hits.load(Ordering::Relaxed),
-            delta_solve_misses: s.delta_solve_misses.load(Ordering::Relaxed),
-            delta_members_recomputed: s.delta_members_recomputed.load(Ordering::Relaxed),
-            progress_frames_sent: s.progress_frames_sent.load(Ordering::Relaxed),
-            run_index_entries: self.shared.runs.len(),
-            journal_enabled: self.shared.journal.is_some(),
-            journal_appended: j.appended,
-            journal_append_errors: j.append_errors,
-            journal_bytes: j.bytes,
-            journal_rotations: j.rotations,
-            journal_replayed_scores: j.replayed_scores,
-            journal_replayed_runs: j.replayed_runs,
-            journal_replay_dropped: j.replay_dropped,
-            journal_fsync_errors: j.fsync_errors,
-            journal_quarantined: j.quarantined,
-            journal_epoch: j.epoch,
-            journal_fenced_appends: j.fenced_appends,
-            journal_degraded: j.degraded,
-            cosched_enabled,
-            cosched_queue_depth,
-            cosched_open_reservations: cosched_open,
-            cosched_committed_cores: cosched_committed,
-            cosched_placed: cc.placed,
-            cosched_queued: cc.queued,
-            cosched_backfilled: cc.backfilled,
-            cosched_shed: cc.shed,
-            cosched_infeasible: cc.infeasible,
-            cosched_released: cc.released,
-            cosched_cancelled: cc.cancelled,
-            tenants,
+        let shared = &*self.shared;
+        let s = &shared.stats;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        // Scraping metrics doubles as a liveness tick: on a quiet server
+        // nothing else visits the co-scheduler's waiting queue, so dead
+        // waiters would hold their quota slots until the next submit.
+        // Reaped first, so this snapshot already counts them.
+        if let Some(cosched) = &shared.cosched {
+            reap_expired_waiting(shared, &mut cosched.lock().expect("cosched lock"));
         }
+        let mut m = MetricsSnapshot::default();
+        // Requests offered to admission. Each is answered in exactly one
+        // of the five reply buckets below, or is still queued or in
+        // flight.
+        m.push("requests_submitted", load(&s.submitted));
+        // Requests accepted into the queue.
+        m.push("requests_accepted", load(&s.accepted));
+        // Reply bucket: answered `overloaded`.
+        m.push("requests_rejected_overload", load(&s.rejected));
+        // Reply bucket: answered successfully.
+        m.push("requests_completed", load(&s.completed));
+        // Reply bucket: cancelled before completion.
+        m.push("requests_cancelled", load(&s.cancelled));
+        // Reply bucket: deadline expired before or during execution.
+        m.push("requests_deadline_expired", load(&s.deadline_expired));
+        // Reply bucket: any other structured error.
+        m.push("requests_errored", load(&s.errored));
+        // Requests that genuinely executed on a worker.
+        m.push("requests_executed", load(&s.executed));
+        // Worker-queue depth and admission capacity.
+        m.push("queue_depth", shared.queue.len());
+        m.push("queue_capacity", shared.queue.capacity());
+        // Requests executing on a worker right now.
+        m.push("in_flight", load(&s.in_flight));
+        // Worker pool size.
+        m.push("workers", shared.workers);
+        // Submit→response latency quantiles, ms: the geometric midpoint
+        // of the histogram bucket, within a √2 ratio of the truth.
+        m.push("latency_p50_ms", s.latency.quantile_ms(0.50));
+        m.push("latency_p95_ms", s.latency.quantile_ms(0.95));
+        m.push("latency_p99_ms", s.latency.quantile_ms(0.99));
+        // Score-cache lookups, resident entries, and the hit rate in
+        // [0, 1] (zero before any lookup).
+        let (hits, misses) = (shared.cache.hits(), shared.cache.misses());
+        m.push("cache_hits", hits);
+        m.push("cache_misses", misses);
+        m.push("cache_entries", shared.cache.len());
+        let lookups = hits + misses;
+        m.push("cache_hit_rate", if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 });
+        // Placement candidates score scans accounted for, evaluated or
+        // skipped; of those, the ones a bounded scan skipped because
+        // they could not rank.
+        m.push("candidates_scanned", load(&s.candidates_scanned));
+        m.push("candidates_pruned", load(&s.candidates_pruned));
+        // Delta-evaluator node solves served from its signature cache,
+        // node solves run, and members recomputed rather than reused.
+        m.push("delta_solve_hits", load(&s.delta_solve_hits));
+        m.push("delta_solve_misses", load(&s.delta_solve_misses));
+        m.push("delta_members_recomputed", load(&s.delta_members_recomputed));
+        // Interim progress frames delivered to progress-opted clients.
+        m.push("progress_frames_sent", load(&s.progress_frames_sent));
+        // Completed runs held in the attachable-job index.
+        m.push("run_index_entries", shared.runs.len());
+        // Whether a journal is attached; every `journal_*` row below is
+        // zero when not.
+        m.push("journal_enabled", shared.journal.is_some());
+        let j = shared.journal.as_ref().map(Journal::stats).unwrap_or_default();
+        // Records appended since open, appends that failed at the I/O
+        // layer, and the file size in bytes.
+        m.push("journal_appended", j.appended);
+        m.push("journal_append_errors", j.append_errors);
+        m.push("journal_bytes", j.bytes);
+        // Rotation/compaction passes since open.
+        m.push("journal_rotations", j.rotations);
+        // What the open-time replay recovered, and the torn or corrupt
+        // lines it dropped.
+        m.push("journal_replayed_scores", j.replayed_scores);
+        m.push("journal_replayed_runs", j.replayed_runs);
+        m.push("journal_replay_dropped", j.replay_dropped);
+        // fsync calls that reported failure (counted, never swallowed).
+        m.push("journal_fsync_errors", j.fsync_errors);
+        // Corrupt lines quarantined at open.
+        m.push("journal_quarantined", j.quarantined);
+        // Current fencing epoch, and appends refused because a promoted
+        // standby holds a higher one.
+        m.push("journal_epoch", j.epoch);
+        m.push("journal_fenced_appends", j.fenced_appends);
+        // Whether the journal degraded to read-only (fenced, fault-killed,
+        // or past the consecutive-fsync-failure limit).
+        m.push("journal_degraded", j.degraded);
+        // Whether the co-scheduler is on; every `cosched_*` row below is
+        // zero when not.
+        let cosched = shared.cosched.as_ref().map(|c| c.lock().expect("cosched lock"));
+        m.push("cosched_enabled", cosched.is_some());
+        let sched = cosched.as_ref().map(|state| &state.sched);
+        // Submit jobs waiting in the co-scheduler's admission queue.
+        m.push("cosched_queue_depth", sched.map_or(0, CoScheduler::queue_depth));
+        // Reservations open in the residency map, and the cores they hold.
+        m.push("cosched_open_reservations", sched.map_or(0, |c| c.residency().open()));
+        m.push("cosched_committed_cores", sched.map_or(0, |c| c.residency().committed_cores()));
+        let c = sched.map(CoScheduler::counters).unwrap_or_default();
+        // Submit jobs placed at admission, queued at admission, and
+        // started out of FIFO order by backfill.
+        m.push("cosched_placed", c.placed);
+        m.push("cosched_queued", c.queued);
+        m.push("cosched_backfilled", c.backfilled);
+        // Submit jobs shed at a full queue, or infeasible on the empty
+        // platform.
+        m.push("cosched_shed", c.shed);
+        m.push("cosched_infeasible", c.infeasible);
+        // Reservations released (completion, failure, or rollback), and
+        // queued jobs cancelled or expired before placement.
+        m.push("cosched_released", c.released);
+        m.push("cosched_cancelled", c.cancelled);
+        drop(cosched);
+        // Eleven rows per tagged tenant, sorted by tag (validated at
+        // decode to `[A-Za-z0-9._-]`, so `tenant_<tag>_<counter>` parses
+        // one way). Untagged requests appear only in the global rows.
+        // The terminal buckets are exclusive: `admitted = executed +
+        // expired + cancelled + queued + in_flight` at every quiescent
+        // point. Locked per tenant (rows are never removed), so a tagged
+        // admission waits for at most one tenant's eleven pushes.
+        let policy = &shared.tenant_policy;
+        let tenants = || shared.tenants.lock().expect("tenants lock");
+        let tags: Vec<String> = tenants().rows.keys().cloned().collect();
+        for tag in &tags {
+            let table = tenants();
+            let t = &table.rows[tag];
+            // Requests accepted into a queue.
+            m.push(format!("tenant_{tag}_admitted"), t.admitted);
+            // Admitted requests that genuinely executed.
+            m.push(format!("tenant_{tag}_executed"), t.executed);
+            // Requests shed `overloaded` at admission (not admitted).
+            m.push(format!("tenant_{tag}_shed"), t.shed);
+            // Admitted requests that hit their deadline before running.
+            m.push(format!("tenant_{tag}_expired"), t.expired);
+            // Admitted requests cancelled before running: cooperatively,
+            // at shutdown, or by a post-admission rollback.
+            m.push(format!("tenant_{tag}_cancelled"), t.cancelled);
+            // Gauges: waiting for a worker, and running on one.
+            m.push(format!("tenant_{tag}_queued"), t.in_queue);
+            m.push(format!("tenant_{tag}_in_flight"), t.in_flight);
+            // Slot quota (0 = unlimited) and fair-dequeue weight.
+            m.push(format!("tenant_{tag}_quota"), policy.quota_for(tag).unwrap_or(0));
+            m.push(format!("tenant_{tag}_weight"), policy.weight_for(tag));
+            // Queue-wait quantiles of the tenant's dequeued requests, ms.
+            m.push(format!("tenant_{tag}_queue_wait_p50_ms"), t.queue_wait.quantile_ms(0.50));
+            m.push(format!("tenant_{tag}_queue_wait_p95_ms"), t.queue_wait.quantile_ms(0.95));
+        }
+        m
     }
 
     /// Empties the score cache (benchmark cold path).
@@ -1924,9 +1975,9 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let m = svc.metrics();
-        assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.cache_misses, 1);
-        assert!((m.cache_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(m.get("cache_hits"), 1.0);
+        assert_eq!(m.get("cache_misses"), 1.0);
+        assert!((m.get("cache_hit_rate") - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1967,8 +2018,8 @@ mod tests {
         assert!(matches!(slow.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
         assert!(matches!(queued.wait(), Response::ScoreResult { .. }));
         let m = svc.metrics();
-        assert_eq!(m.rejected, 1);
-        assert_eq!(m.accepted, 2);
+        assert_eq!(m.get("requests_rejected_overload"), 1.0);
+        assert_eq!(m.get("requests_accepted"), 2.0);
     }
 
     #[test]
@@ -1982,7 +2033,7 @@ mod tests {
             }
             other => panic!("expected deadline error, got {other:?}"),
         }
-        assert_eq!(svc.metrics().deadline_expired, 1);
+        assert_eq!(svc.metrics().get("requests_deadline_expired"), 1.0);
     }
 
     #[test]
@@ -1999,7 +2050,7 @@ mod tests {
             Response::Error { kind: ErrorKind::Cancelled, .. } => {}
             other => panic!("expected cancelled, got {other:?}"),
         }
-        assert_eq!(svc.metrics().cancelled, 2);
+        assert_eq!(svc.metrics().get("requests_cancelled"), 2.0);
     }
 
     #[test]
@@ -2065,7 +2116,11 @@ mod tests {
         assert_eq!(*kind, ErrorKind::Invalid);
         assert!(message.contains("cores_per_node 64") && message.contains("32"), "{message}");
         let m = svc.metrics();
-        assert_eq!((m.candidates_scanned, m.cache_misses), (0, 0), "refused before key or scan");
+        assert_eq!(
+            (m.get("candidates_scanned"), m.get("cache_misses")),
+            (0.0, 0.0),
+            "refused before key or scan"
+        );
     }
 
     #[test]
@@ -2151,7 +2206,7 @@ mod tests {
             }
             other => panic!("expected not_found, got {other:?}"),
         }
-        assert_eq!(svc.metrics().run_index_entries, 1);
+        assert_eq!(svc.metrics().get("run_index_entries"), 1.0);
     }
 
     /// A score request over a space no scan finishes within a test's
@@ -2198,7 +2253,7 @@ mod tests {
     /// Waits until a worker has picked up a job.
     fn wait_in_flight(svc: &Service) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.metrics().in_flight == 0 {
+        while svc.metrics().get("in_flight") == 0.0 {
             assert!(Instant::now() < deadline, "worker never picked up the job");
             std::thread::yield_now();
         }
@@ -2241,13 +2296,13 @@ mod tests {
             }
             other => panic!("expected deadline error, got {other:?}"),
         }
-        let scanned = svc.metrics().candidates_scanned;
+        let scanned = svc.metrics().get("candidates_scanned") as u64;
         let total = BIG_SPACE_TOTAL;
         assert!(
             scanned < total / 2,
             "the scan must stop well short of the full space: {scanned} of {total}"
         );
-        assert_eq!(svc.metrics().deadline_expired, 1);
+        assert_eq!(svc.metrics().get("requests_deadline_expired"), 1.0);
     }
 
     #[test]
@@ -2262,10 +2317,10 @@ mod tests {
             Response::Error { kind: ErrorKind::Cancelled, .. } => {}
             other => panic!("expected cancelled, got {other:?}"),
         }
-        let scanned = svc.metrics().candidates_scanned;
+        let scanned = svc.metrics().get("candidates_scanned") as u64;
         let total = BIG_SPACE_TOTAL;
         assert!(scanned < total, "cancel must stop before the full space: {scanned} of {total}");
-        assert_eq!(svc.metrics().cancelled, 1);
+        assert_eq!(svc.metrics().get("requests_cancelled"), 1.0);
     }
 
     #[test]
@@ -2282,7 +2337,7 @@ mod tests {
             }
             other => panic!("expected score result, got {other:?}"),
         }
-        assert_eq!(svc.metrics().candidates_scanned, total);
+        assert_eq!(svc.metrics().get("candidates_scanned"), total as f64);
         // A cache hit scans nothing and says so.
         match svc.submit(small_score_request(2, 2, 16, 1, 8, 3)).unwrap().wait() {
             Response::ScoreResult { cached, scan_workers, candidates_scanned, .. } => {
@@ -2292,7 +2347,7 @@ mod tests {
             }
             other => panic!("expected score result, got {other:?}"),
         }
-        assert_eq!(svc.metrics().candidates_scanned, total, "hits add nothing");
+        assert_eq!(svc.metrics().get("candidates_scanned"), total as f64, "hits add nothing");
     }
 
     #[test]
@@ -2315,7 +2370,7 @@ mod tests {
         };
         // Bounded first: a full ranking in the cache would answer it.
         let bounded = placements(10);
-        let pruned = svc.metrics().candidates_pruned;
+        let pruned = svc.metrics().get("candidates_pruned") as u64;
         assert!(pruned > total / 2, "most of the space cannot rank: {pruned} of {total}");
         // `pruned` counts leaves and whole skipped subtrees alike, so what
         // is left of the space is exactly what the scan evaluated: the
@@ -2352,7 +2407,11 @@ mod tests {
             "scanned − pruned is what was evaluated"
         );
         let full = placements(0);
-        assert_eq!(svc.metrics().candidates_pruned, pruned, "a full ranking prunes nothing");
+        assert_eq!(
+            svc.metrics().get("candidates_pruned"),
+            pruned as f64,
+            "a full ranking prunes nothing"
+        );
         assert_eq!(bounded.len(), 10);
         for (b, f) in bounded.iter().zip(full.iter()) {
             assert_eq!(b.assignment, f.assignment);
@@ -2365,29 +2424,33 @@ mod tests {
         let svc = tiny_service(1, 4);
         let m0 = svc.metrics();
         assert_eq!(
-            (m0.delta_solve_hits, m0.delta_solve_misses, m0.delta_members_recomputed),
-            (0, 0, 0)
+            (
+                m0.get("delta_solve_hits"),
+                m0.get("delta_solve_misses"),
+                m0.get("delta_members_recomputed")
+            ),
+            (0.0, 0.0, 0.0)
         );
         match svc.submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait() {
             Response::ScoreResult { cached, .. } => assert!(!cached),
             other => panic!("expected score result, got {other:?}"),
         }
         let m1 = svc.metrics();
-        assert!(m1.delta_solve_misses > 0, "an uncached scan must run solves");
+        assert!(m1.get("delta_solve_misses") > 0.0, "an uncached scan must run solves");
         assert!(
-            m1.delta_solve_hits > 0,
+            m1.get("delta_solve_hits") > 0.0,
             "the enumeration revisits occupancy signatures — some solves must be cache hits"
         );
-        assert!(m1.delta_members_recomputed > 0);
+        assert!(m1.get("delta_members_recomputed") > 0.0);
         // A score-cache hit runs no scan: counters must not move.
         match svc.submit(small_score_request(2, 2, 16, 1, 8, 3)).unwrap().wait() {
             Response::ScoreResult { cached, .. } => assert!(cached),
             other => panic!("expected score result, got {other:?}"),
         }
         let m2 = svc.metrics();
-        assert_eq!(m2.delta_solve_hits, m1.delta_solve_hits);
-        assert_eq!(m2.delta_solve_misses, m1.delta_solve_misses);
-        assert_eq!(m2.delta_members_recomputed, m1.delta_members_recomputed);
+        assert_eq!(m2.get("delta_solve_hits"), m1.get("delta_solve_hits"));
+        assert_eq!(m2.get("delta_solve_misses"), m1.get("delta_solve_misses"));
+        assert_eq!(m2.get("delta_members_recomputed"), m1.get("delta_members_recomputed"));
     }
 
     #[test]
@@ -2472,7 +2535,7 @@ mod tests {
         let wire = |rows: &Ranking| crate::json::encoded(|out| rows.write_json(out));
         let counts = |svc: &Service| {
             let m = svc.metrics();
-            (m.cache_hits, m.cache_misses)
+            (m.get("cache_hits"), m.get("cache_misses"))
         };
         // Full-key case: a primed full ranking answers the bounded query.
         let primed = tiny_service(1, 8);
@@ -2480,20 +2543,20 @@ mod tests {
             Response::ScoreResult { placements, .. } => placements,
             other => panic!("expected score result, got {other:?}"),
         };
-        assert_eq!(counts(&primed), (0, 1));
+        assert_eq!(counts(&primed), (0.0, 1.0));
         let (rows, cached) = top3(&primed, 2);
         assert!(cached);
-        assert_eq!(counts(&primed), (1, 1), "one hit, no extra miss");
+        assert_eq!(counts(&primed), (1.0, 1.0), "one hit, no extra miss");
         assert_eq!(wire(&rows), wire(&full.prefix(3)), "the reply is the head of the full ranking");
         // Bounded-key case: a cold bounded query is one miss, its repeat
         // one hit on the k-keyed entry.
         let cold = tiny_service(1, 8);
         let (first, cached) = top3(&cold, 3);
         assert!(!cached);
-        assert_eq!(counts(&cold), (0, 1), "a cold bounded query probes once");
+        assert_eq!(counts(&cold), (0.0, 1.0), "a cold bounded query probes once");
         let (again, cached) = top3(&cold, 4);
         assert!(cached);
-        assert_eq!(counts(&cold), (1, 1));
+        assert_eq!(counts(&cold), (1.0, 1.0));
         assert_eq!(wire(&again), wire(&first));
         assert_eq!(wire(&again), wire(&full.prefix(3)));
     }
@@ -2572,10 +2635,10 @@ mod tests {
             let _ = svc.submit(small_score_request(i, 2, 16, 1, 8, 2)).unwrap().wait();
         }
         let m = svc.metrics();
-        assert_eq!(m.completed, 6);
-        assert!(m.latency_p50_ms > 0.0);
-        assert!(m.latency_p50_ms <= m.latency_p95_ms);
-        assert!(m.latency_p95_ms <= m.latency_p99_ms);
+        assert_eq!(m.get("requests_completed"), 6.0);
+        assert!(m.get("latency_p50_ms") > 0.0);
+        assert!(m.get("latency_p50_ms") <= m.get("latency_p95_ms"));
+        assert!(m.get("latency_p95_ms") <= m.get("latency_p99_ms"));
     }
 
     #[test]
@@ -2611,7 +2674,7 @@ mod tests {
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "monotone counts: {seen:?}");
         assert!(seen.iter().all(|&c| c <= total));
         let m = svc.metrics();
-        assert_eq!(m.progress_frames_sent, seen.len() as u64);
+        assert_eq!(m.get("progress_frames_sent"), seen.len() as f64);
     }
 
     #[test]
@@ -2641,7 +2704,7 @@ mod tests {
         let (final_steps, final_members) = frames.last().unwrap();
         assert_eq!(*final_steps, 12);
         assert!(final_members.iter().all(|&s| s == 12));
-        assert_eq!(svc.metrics().progress_frames_sent, 24);
+        assert_eq!(svc.metrics().get("progress_frames_sent"), 24.0);
     }
 
     #[test]
@@ -2652,7 +2715,7 @@ mod tests {
         let response = pending.wait_with(|_| frames += 1);
         assert!(matches!(response, Response::ScoreResult { .. }));
         assert_eq!(frames, 0, "no opt-in, no frames");
-        assert_eq!(svc.metrics().progress_frames_sent, 0);
+        assert_eq!(svc.metrics().get("progress_frames_sent"), 0.0);
     }
 
     #[test]
@@ -2668,7 +2731,7 @@ mod tests {
             Response::ScoreResult { .. }
         ));
         let m = svc.metrics();
-        assert_eq!(m.executed, 1);
+        assert_eq!(m.get("requests_executed"), 1.0);
         let hint_before = svc.retry_after_hint_ms();
         // A pile of born-expired jobs drains without executing.
         let mut drained = Vec::new();
@@ -2681,8 +2744,8 @@ mod tests {
             assert!(matches!(p.wait(), Response::Error { kind: ErrorKind::Deadline, .. }));
         }
         let m = svc.metrics();
-        assert_eq!(m.executed, 1, "drained jobs must not count as executed");
-        assert_eq!(m.deadline_expired, 10);
+        assert_eq!(m.get("requests_executed"), 1.0, "drained jobs must not count as executed");
+        assert_eq!(m.get("requests_deadline_expired"), 10.0);
         let hint_after = svc.retry_after_hint_ms();
         assert!(
             hint_after >= hint_before,

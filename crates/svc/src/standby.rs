@@ -46,6 +46,7 @@ use crate::json::Value;
 use crate::protocol::Response;
 use crate::server::{heartbeat_path, LineReader, Listener, REPL_HEARTBEAT};
 use crate::service::{attach_reply, FinishedRun, Service, SvcConfig};
+use crate::stats::MetricsSnapshot;
 
 /// Missed heartbeats after which the primary is presumed dead.
 pub const DEAD_AFTER_BEATS: u32 = 4;
@@ -196,23 +197,24 @@ impl StandbyShared {
         attach_reply(id, job, self.image.lock().expect("image lock").runs.get(&job))
     }
 
-    /// Standby metrics rows (`standby_*` keys, disjoint from the
-    /// primary's rows so dashboards can tell which side answered).
-    pub(crate) fn rows(&self) -> Vec<(String, f64)> {
+    /// The standby's metrics rows: `standby_*` names, disjoint from a
+    /// primary's rows so dashboards can tell which side answered. Each
+    /// row's meaning is the [`StandbyStatus`] field it reads.
+    pub(crate) fn metrics(&self) -> MetricsSnapshot {
         let s = self.image.lock().expect("image lock").status;
-        vec![
-            ("standby_records_applied".into(), s.records_applied as f64),
-            ("standby_admits".into(), s.admits as f64),
-            ("standby_scores".into(), s.scores as f64),
-            ("standby_runs_indexed".into(), s.runs_indexed as f64),
-            ("standby_open_reservations".into(), s.open_reservations as f64),
-            ("standby_resets".into(), s.resets as f64),
-            ("standby_corrupt".into(), s.corrupt as f64),
-            ("standby_epoch".into(), s.epoch as f64),
-            ("standby_primary_appended".into(), s.primary_appended as f64),
-            ("standby_beats".into(), s.beats as f64),
-            ("standby_primary_degraded".into(), f64::from(u8::from(s.primary_degraded))),
-        ]
+        let mut m = MetricsSnapshot::default();
+        m.push("standby_records_applied", s.records_applied);
+        m.push("standby_admits", s.admits);
+        m.push("standby_scores", s.scores);
+        m.push("standby_runs_indexed", s.runs_indexed);
+        m.push("standby_open_reservations", s.open_reservations);
+        m.push("standby_resets", s.resets);
+        m.push("standby_corrupt", s.corrupt);
+        m.push("standby_epoch", s.epoch);
+        m.push("standby_primary_appended", s.primary_appended);
+        m.push("standby_beats", s.beats);
+        m.push("standby_primary_degraded", s.primary_degraded);
+        m
     }
 }
 

@@ -96,8 +96,8 @@ fn concurrent_submits_never_overlap_node_assignments() {
     let a = svc.submit(large(1)).unwrap();
     let b = svc.submit(large(2)).unwrap();
     let m = svc.metrics();
-    assert_eq!(m.cosched_open_reservations, 2, "both reservations open concurrently");
-    assert_eq!(m.cosched_committed_cores, 48);
+    assert_eq!(m.get("cosched_open_reservations"), 2.0, "both reservations open concurrently");
+    assert_eq!(m.get("cosched_committed_cores"), 48.0);
     let (nodes_a, _, _) = expect_submit(a.wait());
     let (nodes_b, _, _) = expect_submit(b.wait());
     assert!(matches!(blocked.wait(), Response::RunResult { .. }));
@@ -106,9 +106,9 @@ fn concurrent_submits_never_overlap_node_assignments() {
         "24-core members cannot share a 32-core node: {nodes_a:?} vs {nodes_b:?}"
     );
     let m = svc.metrics();
-    assert_eq!(m.cosched_open_reservations, 0, "drained service holds no residency");
-    assert_eq!(m.cosched_committed_cores, 0);
-    assert_eq!(m.cosched_placed, 2);
+    assert_eq!(m.get("cosched_open_reservations"), 0.0, "drained service holds no residency");
+    assert_eq!(m.get("cosched_committed_cores"), 0.0);
+    assert_eq!(m.get("cosched_placed"), 2.0);
     svc.shutdown();
 }
 
@@ -118,7 +118,7 @@ fn backfill_places_a_small_job_past_a_blocked_head() {
     let blocked = svc.submit(blocker(100)).unwrap(); // pins the worker
     let a = svc.submit(large(1)).unwrap(); // node 0: 24/32 committed
     let b = svc.submit(large(2)).unwrap(); // blocked: 24 > 8 residual
-    assert_eq!(svc.metrics().cosched_queue_depth, 1);
+    assert_eq!(svc.metrics().get("cosched_queue_depth"), 1.0);
     let c = svc.submit(small(3)).unwrap(); // 8 cores fit the residual
     let (_, backfilled_c, wait_c) = expect_submit(c.wait());
     assert!(matches!(blocked.wait(), Response::RunResult { .. }));
@@ -130,9 +130,9 @@ fn backfill_places_a_small_job_past_a_blocked_head() {
     assert_eq!(nodes_a, nodes_b, "one-node platform: the head reuses the freed node");
     assert!(wait_b > 0.0, "the blocked head observed queue wait");
     let m = svc.metrics();
-    assert_eq!(m.cosched_backfilled, 1);
-    assert_eq!(m.cosched_open_reservations, 0);
-    assert_eq!(m.cosched_committed_cores, 0);
+    assert_eq!(m.get("cosched_backfilled"), 1.0);
+    assert_eq!(m.get("cosched_open_reservations"), 0.0);
+    assert_eq!(m.get("cosched_committed_cores"), 0.0);
     svc.shutdown();
 }
 
@@ -183,10 +183,10 @@ fn deadline_expired_backlog_leaks_no_residual_capacity() {
         }
     }
     let m = svc.metrics();
-    assert_eq!(m.deadline_expired, 2);
-    assert_eq!(m.cosched_queue_depth, 0, "expired waiters freed their slots");
-    assert_eq!(m.cosched_open_reservations, 0, "no reservation leaked");
-    assert_eq!(m.cosched_committed_cores, 0, "no residual capacity leaked");
+    assert_eq!(m.get("requests_deadline_expired"), 2.0);
+    assert_eq!(m.get("cosched_queue_depth"), 0.0, "expired waiters freed their slots");
+    assert_eq!(m.get("cosched_open_reservations"), 0.0, "no reservation leaked");
+    assert_eq!(m.get("cosched_committed_cores"), 0.0, "no residual capacity leaked");
     svc.shutdown();
 }
 
@@ -214,8 +214,8 @@ fn journaled_reservations_rebuild_residency_after_restart() {
     config.journal = Some(JournalConfig::new(&path));
     let svc = Service::start(config);
     let m = svc.metrics();
-    assert_eq!(m.cosched_open_reservations, 1, "restart restored the orphan reservation");
-    assert_eq!(m.cosched_committed_cores, 24);
+    assert_eq!(m.get("cosched_open_reservations"), 1.0, "restart restored the orphan reservation");
+    assert_eq!(m.get("cosched_committed_cores"), 24.0);
     // New admissions see the restored residency: node 0 has 8 free, so
     // a large member must land elsewhere.
     let (nodes, _, _) = expect_submit(svc.submit(large(8)).unwrap().wait());
@@ -225,8 +225,8 @@ fn journaled_reservations_rebuild_residency_after_restart() {
     assert!(svc.release_reservation(7));
     assert!(!svc.release_reservation(7));
     let m = svc.metrics();
-    assert_eq!(m.cosched_open_reservations, 0);
-    assert_eq!(m.cosched_committed_cores, 0);
+    assert_eq!(m.get("cosched_open_reservations"), 0.0);
+    assert_eq!(m.get("cosched_committed_cores"), 0.0);
     svc.shutdown();
     let _ = std::fs::remove_file(&path);
 }
@@ -294,7 +294,7 @@ fn infeasible_ensembles_are_refused_at_admission() {
         }
         other => panic!("expected invalid, got {other:?}"),
     }
-    assert_eq!(svc.metrics().cosched_infeasible, 1);
+    assert_eq!(svc.metrics().get("cosched_infeasible"), 1.0);
     svc.shutdown();
 }
 
@@ -311,8 +311,8 @@ fn an_oversized_component_is_refused_and_admission_keeps_answering() {
     }
     expect_submit(svc.submit(large(2)).unwrap().wait());
     let metrics = svc.metrics();
-    assert_eq!(metrics.cosched_infeasible, 1);
-    assert_eq!(metrics.cosched_placed, 1);
+    assert_eq!(metrics.get("cosched_infeasible"), 1.0);
+    assert_eq!(metrics.get("cosched_placed"), 1.0);
     svc.shutdown();
 }
 
@@ -333,7 +333,7 @@ fn a_submit_above_the_step_cap_is_refused_and_its_reservation_released() {
     }
     expect_submit(svc.submit(large(2)).unwrap().wait());
     expect_submit(svc.submit(large(3)).unwrap().wait());
-    assert_eq!(svc.metrics().cosched_open_reservations, 0);
+    assert_eq!(svc.metrics().get("cosched_open_reservations"), 0.0);
     svc.shutdown();
 }
 
@@ -385,9 +385,9 @@ fn soak_mixed_stream_leaks_no_residual_capacity() {
     let answered: u64 = threads.into_iter().map(|t| t.join().expect("soak thread")).sum();
     assert!(answered > 0);
     let m = handle.metrics();
-    assert_eq!(m.cosched_open_reservations, 0, "drained soak leaked reservations: {m:?}");
-    assert_eq!(m.cosched_committed_cores, 0, "drained soak leaked capacity: {m:?}");
-    assert_eq!(m.cosched_queue_depth, 0);
-    assert!(m.cosched_placed > 0, "soak exercised placements: {m:?}");
+    assert_eq!(m.get("cosched_open_reservations"), 0.0, "drained soak leaked reservations: {m:?}");
+    assert_eq!(m.get("cosched_committed_cores"), 0.0, "drained soak leaked capacity: {m:?}");
+    assert_eq!(m.get("cosched_queue_depth"), 0.0);
+    assert!(m.get("cosched_placed") > 0.0, "soak exercised placements: {m:?}");
     handle.shutdown();
 }

@@ -124,17 +124,17 @@ fn crash_point_promotion_preserves_warm_cache_and_runs() {
         .promote(SvcConfig { journal: None, ..config_with_journal(JournalConfig::new(&path)) })
         .unwrap();
     let m = promoted.metrics();
-    assert_eq!(m.journal_replayed_scores, 1, "score cache warmed");
-    assert_eq!(m.journal_replayed_runs, 1, "run index rebuilt");
-    assert_eq!(m.journal_replay_dropped, 1, "the torn tail was sealed");
-    assert_eq!(m.journal_epoch, 1, "promotion bumped the fencing epoch");
+    assert_eq!(m.get("journal_replayed_scores"), 1.0, "score cache warmed");
+    assert_eq!(m.get("journal_replayed_runs"), 1.0, "run index rebuilt");
+    assert_eq!(m.get("journal_replay_dropped"), 1.0, "the torn tail was sealed");
+    assert_eq!(m.get("journal_epoch"), 1.0, "promotion bumped the fencing epoch");
     match promoted.submit(small_score_request(10, 2, 16, 1, 8, 3)).unwrap().wait() {
         Response::ScoreResult { cached, .. } => {
             assert!(cached, "the first post-promotion score of a seen shape must hit");
         }
         other => panic!("expected score result, got {other:?}"),
     }
-    assert!(promoted.metrics().cache_hits >= 1, "the warm hit is metrics-visible");
+    assert!(promoted.metrics().get("cache_hits") >= 1.0, "the warm hit is metrics-visible");
     assert_eq!(makespan_bits(&promoted.attach(11, 2)), original_bits, "attach is bit-identical");
     promoted.shutdown();
     cleanup(&path);
@@ -157,7 +157,7 @@ fn split_brain_deposed_primary_appends_are_fenced() {
     let promoted = standby
         .promote(SvcConfig { journal: None, ..config_with_journal(JournalConfig::new(&path)) })
         .unwrap();
-    assert_eq!(promoted.metrics().journal_epoch, 1);
+    assert_eq!(promoted.metrics().get("journal_epoch"), 1.0);
 
     // The deposed primary is still running and still answers requests —
     // but its journal appends are fenced, so nothing it does after the
@@ -170,8 +170,8 @@ fn split_brain_deposed_primary_appends_are_fenced() {
     assert!(stats.fenced_appends >= 1, "late appends must be fenced, got {stats:?}");
     assert!(stats.degraded, "a fenced journal degrades to read-only");
     let m = deposed.metrics();
-    assert!(m.journal_fenced_appends >= 1, "fencing is metrics-visible");
-    assert!(m.journal_degraded);
+    assert!(m.get("journal_fenced_appends") >= 1.0, "fencing is metrics-visible");
+    assert_eq!(m.get("journal_degraded"), 1.0);
 
     // The promoted side keeps appending normally at the higher epoch.
     match promoted.submit(small_score_request(3, 4, 16, 1, 8, 3)).unwrap().wait() {
@@ -272,8 +272,8 @@ fn network_standby_follows_through_a_dropped_stream_and_promotes() {
         })
         .unwrap();
     let m = promoted.metrics();
-    assert_eq!(m.journal_replayed_runs, 1);
-    assert_eq!(m.journal_epoch, 1);
+    assert_eq!(m.get("journal_replayed_runs"), 1.0);
+    assert_eq!(m.get("journal_epoch"), 1.0);
     assert_eq!(makespan_bits(&promoted.attach(9, 2)), original_bits);
     promoted.shutdown();
     cleanup(&primary_path);

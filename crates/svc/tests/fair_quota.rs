@@ -16,10 +16,11 @@ use std::time::Duration;
 
 use ensemble_core::ConfigId;
 use scheduler::{EnsembleShape, NodeBudget};
+use svc::stats::MetricsSnapshot;
 use svc::{
     serve, CoschedSvcConfig, ErrorKind, Journal, JournalConfig, Rejected, ReplayedReservation,
     Request, RequestBody, Response, RunRequest, Service, SubmitRequest, SvcClient, SvcConfig,
-    TenantPolicy, TenantRow, Workloads,
+    TenantPolicy, Workloads,
 };
 
 fn config(workers: usize, queue: usize, policy: TenantPolicy) -> SvcConfig {
@@ -67,7 +68,7 @@ fn hold(svc: &Service) -> svc::service::Pending {
     }
     let held = svc.submit(req).expect("an idle service admits the held score");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while svc.metrics().in_flight == 0 {
+    while svc.metrics().get("in_flight") == 0.0 {
         assert!(std::time::Instant::now() < deadline, "the worker never picked up the held score");
         std::thread::yield_now();
     }
@@ -83,20 +84,42 @@ fn release(held: svc::service::Pending) {
     }
 }
 
-fn tenant_row(svc: &Service, name: &str) -> TenantRow {
-    svc.metrics()
-        .tenants
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, row)| row.clone())
-        .unwrap_or_else(|| panic!("tenant '{name}' missing from snapshot"))
+/// One tenant's `tenant_<tag>_*` rows of one snapshot.
+struct TenantRows {
+    m: MetricsSnapshot,
+    tag: String,
 }
 
-fn assert_conserved(row: &TenantRow, name: &str) {
+impl TenantRows {
+    /// The counter row `tenant_<tag>_<counter>`; panics when the tenant
+    /// is missing from the snapshot.
+    fn get(&self, counter: &str) -> u64 {
+        self.m.get(&format!("tenant_{}_{counter}", self.tag)) as u64
+    }
+}
+
+fn tenant_row(svc: &Service, tag: &str) -> TenantRows {
+    TenantRows { m: svc.metrics(), tag: tag.to_string() }
+}
+
+/// The tags of every tenant row in `m`, in wire order.
+fn tenant_tags(m: &MetricsSnapshot) -> Vec<String> {
+    let rows = m.clone().all_rows();
+    let tag =
+        |name: &str| Some(name.strip_prefix("tenant_")?.strip_suffix("_admitted")?.to_string());
+    rows.iter().filter_map(|(name, _)| tag(name)).collect()
+}
+
+fn assert_conserved(row: &TenantRows) {
+    let [admitted, executed, expired, cancelled, queued, in_flight] =
+        ["admitted", "executed", "expired", "cancelled", "queued", "in_flight"]
+            .map(|counter| row.get(counter));
     assert_eq!(
-        row.admitted,
-        row.executed + row.expired + row.cancelled + row.in_queue + row.in_flight,
-        "conservation broken for '{name}': {row:?}"
+        admitted,
+        executed + expired + cancelled + queued + in_flight,
+        "conservation broken for '{}': {admitted} admitted, {executed} executed, \
+         {expired} expired, {cancelled} cancelled, {queued} queued, {in_flight} in flight",
+        row.tag
     );
 }
 
@@ -115,7 +138,8 @@ fn fifo_baseline_starves_interactive_behind_a_batch_flood() {
     assert!(matches!(interactive.wait(), Response::RunResult { .. }));
     let row = tenant_row(&svc, "batch");
     assert_eq!(
-        row.executed, 4,
+        row.get("executed"),
+        4,
         "FIFO baseline: the whole batch backlog ran before the interactive request"
     );
     for b in batch {
@@ -140,15 +164,15 @@ fn fair_lanes_serve_interactive_while_batch_saturates() {
     assert!(matches!(interactive.wait(), Response::RunResult { .. }));
     let row = tenant_row(&svc, "batch");
     assert!(
-        row.executed <= 2,
+        row.get("executed") <= 2,
         "fair dequeue served interactive within one round; batch executed = {}",
-        row.executed
+        row.get("executed")
     );
     for b in batch {
         assert!(matches!(b.wait(), Response::RunResult { .. }));
     }
     let interactive_row = tenant_row(&svc, "interactive");
-    assert_eq!(interactive_row.weight, 2, "configured weight is visible in the snapshot");
+    assert_eq!(interactive_row.get("weight"), 2, "configured weight is visible in the snapshot");
 }
 
 /// Quota exhaustion sheds the over-quota tenant with a hint sized to
@@ -172,9 +196,9 @@ fn quota_exhaustion_sheds_with_tenant_hint_while_others_admit() {
     let ok = svc.submit(run_request(4, None, 4)).unwrap();
     let other = svc.submit(run_request(5, Some("team-a"), 4)).unwrap();
     let row = tenant_row(&svc, "batch");
-    assert_eq!(row.admitted, 2);
-    assert_eq!(row.shed, 1);
-    assert_eq!(row.quota, 2, "configured quota is visible in the snapshot");
+    assert_eq!(row.get("admitted"), 2);
+    assert_eq!(row.get("shed"), 1);
+    assert_eq!(row.get("quota"), 2, "configured quota is visible in the snapshot");
     release(blocked);
     for p in [b0, b1, ok, other] {
         assert!(matches!(p.wait(), Response::RunResult { .. }));
@@ -183,8 +207,8 @@ fn quota_exhaustion_sheds_with_tenant_hint_while_others_admit() {
     let again = svc.submit(run_request(6, Some("batch"), 4)).unwrap();
     assert!(matches!(again.wait(), Response::RunResult { .. }));
     let row = tenant_row(&svc, "batch");
-    assert_conserved(&row, "batch");
-    assert_eq!(row.executed, 3);
+    assert_conserved(&row);
+    assert_eq!(row.get("executed"), 3);
 }
 
 /// A client cycling random tenant tags cannot grow service memory (or
@@ -201,19 +225,19 @@ fn tenant_flood_cannot_grow_the_table_unbounded() {
     }
     let m = svc.metrics();
     let cap = TenantPolicy::DEFAULT_MAX_TRACKED;
+    let tracked = tenant_tags(&m).len();
     assert!(
-        m.tenants.len() <= cap + 1,
-        "{} tenant rows leaked past the cap of {cap} (+1 overflow row)",
-        m.tenants.len()
+        tracked <= cap + 1,
+        "{tracked} tenant rows leaked past the cap of {cap} (+1 overflow row)"
     );
     let overflow = tenant_row(&svc, TenantPolicy::OVERFLOW_TENANT);
     assert_eq!(
-        overflow.admitted,
+        overflow.get("admitted"),
         100 - cap as u64,
         "every tag past the cap folded into '{}'",
         TenantPolicy::OVERFLOW_TENANT
     );
-    assert_conserved(&overflow, TenantPolicy::OVERFLOW_TENANT);
+    assert_conserved(&overflow);
 }
 
 /// Unusable tenant tags are refused with a structured `invalid` error —
@@ -230,7 +254,7 @@ fn invalid_tenant_tags_are_rejected_with_a_structured_error() {
         }
         other => panic!("expected invalid-tenant error, got {other:?}"),
     }
-    assert!(svc.metrics().tenants.is_empty(), "a rejected tag must not mint a row");
+    assert!(tenant_tags(&svc.metrics()).is_empty(), "a rejected tag must not mint a row");
     drop(svc);
 
     // Over the wire: the decoder rejects the tag, the server maps it to
@@ -291,12 +315,12 @@ fn metrics_scrape_reaps_a_lone_expired_waiter() {
     let svc = Service::start(cosched_config(TenantPolicy::default()));
     let blocked = hold(&svc);
     let placed = svc.submit(submit_request(1, Some("t"), None)).unwrap();
-    let waiting =
-        svc.submit(submit_request(2, Some("t"), Some(Duration::from_millis(50)))).unwrap();
-    std::thread::sleep(Duration::from_millis(80));
+    // Already past its deadline: admission does not check deadlines, so
+    // the waiter queues dead.
+    let waiting = svc.submit(submit_request(2, Some("t"), Some(Duration::ZERO))).unwrap();
     // No further traffic — the scrape itself must evict the dead waiter.
     let m = svc.metrics();
-    assert_eq!(m.cosched_queue_depth, 0, "metrics() reaped the expired waiter");
+    assert_eq!(m.get("cosched_queue_depth"), 0.0, "metrics() reaped the expired waiter");
     release(blocked);
     match waiting.wait() {
         Response::Error { kind: ErrorKind::Deadline, .. } => {}
@@ -304,8 +328,8 @@ fn metrics_scrape_reaps_a_lone_expired_waiter() {
     }
     assert!(matches!(placed.wait(), Response::SubmitResult { .. }));
     let row = tenant_row(&svc, "t");
-    assert_eq!(row.expired, 1, "the reaped waiter lands in the expired bucket");
-    assert_conserved(&row, "t");
+    assert_eq!(row.get("expired"), 1, "the reaped waiter lands in the expired bucket");
+    assert_conserved(&row);
 }
 
 /// Same hole from the caller's side: the waiter's own `wait_timeout`
@@ -324,8 +348,8 @@ fn wait_timeout_reaps_a_lone_expired_waiter() {
         Err(_) => panic!("wait_timeout expiry must reap and deliver the deadline answer"),
     }
     let row = tenant_row(&svc, "t");
-    assert_eq!(row.expired, 1);
-    assert_conserved(&row, "t");
+    assert_eq!(row.get("expired"), 1);
+    assert_conserved(&row);
     release(blocked);
     assert!(matches!(placed.wait(), Response::SubmitResult { .. }));
 }
@@ -338,14 +362,13 @@ fn per_tenant_accounting_conserves_every_admitted_job() {
     let svc = Service::start(config(1, 16, TenantPolicy::default()));
     let blocked = hold(&svc);
     let executed = svc.submit(run_request(1, Some("t"), 4)).unwrap();
+    // Admitted already past its deadline, so it expires in the queue
+    // however fast the first job runs.
     let mut with_deadline = run_request(2, Some("t"), 4);
-    with_deadline.deadline = Some(Duration::from_millis(20));
+    with_deadline.deadline = Some(Duration::ZERO);
     let expired = svc.submit(with_deadline).unwrap();
     let cancelled = svc.submit(run_request(3, Some("t"), 4)).unwrap();
     cancelled.cancel();
-    // Past the second job's deadline before the worker is let go, so it
-    // expires in the queue however fast the first one runs.
-    std::thread::sleep(Duration::from_millis(20));
     release(blocked);
     assert!(matches!(executed.wait(), Response::RunResult { .. }));
     match expired.wait() {
@@ -357,10 +380,17 @@ fn per_tenant_accounting_conserves_every_admitted_job() {
         other => panic!("expected cancellation, got {other:?}"),
     }
     let row = tenant_row(&svc, "t");
-    assert_eq!((row.admitted, row.executed, row.expired, row.cancelled), (3, 1, 1, 1));
-    assert_eq!((row.in_queue, row.in_flight), (0, 0), "quiescent service holds nothing");
-    assert_conserved(&row, "t");
-    assert!(row.queue_wait_p95_ms >= 0.0, "queue-wait quantiles populated");
+    assert_eq!(
+        (row.get("admitted"), row.get("executed"), row.get("expired"), row.get("cancelled")),
+        (3, 1, 1, 1)
+    );
+    assert_eq!(
+        (row.get("queued"), row.get("in_flight")),
+        (0, 0),
+        "quiescent service holds nothing"
+    );
+    assert_conserved(&row);
+    assert!(row.m.get("tenant_t_queue_wait_p95_ms") >= 0.0, "queue-wait quantiles populated");
 }
 
 /// Restart rebuilds per-tenant quota occupancy from the journal: an
@@ -387,7 +417,7 @@ fn journaled_reservation_reoccupies_tenant_quota_after_restart() {
     cfg.journal = Some(JournalConfig::new(&path));
     let svc = Service::start(cfg);
     let row = tenant_row(&svc, "t");
-    assert_eq!((row.admitted, row.in_flight), (1, 1), "orphan re-occupies the quota");
+    assert_eq!((row.get("admitted"), row.get("in_flight")), (1, 1), "orphan re-occupies the quota");
     // Quota 1 is fully held by the orphan: a live submit is shed even
     // though the platform and queue are otherwise empty.
     match svc.submit(submit_request(10, Some("t"), None)) {
@@ -396,12 +426,16 @@ fn journaled_reservation_reoccupies_tenant_quota_after_restart() {
     }
     assert!(svc.release_reservation(7), "operator releases the orphan");
     let row = tenant_row(&svc, "t");
-    assert_eq!((row.in_flight, row.cancelled), (0, 1), "released orphan retires as cancelled");
-    assert_conserved(&row, "t");
+    assert_eq!(
+        (row.get("in_flight"), row.get("cancelled")),
+        (0, 1),
+        "released orphan retires as cancelled"
+    );
+    assert_conserved(&row);
     let admitted = svc.submit(submit_request(11, Some("t"), None)).unwrap();
     assert!(matches!(admitted.wait(), Response::SubmitResult { .. }));
     let row = tenant_row(&svc, "t");
-    assert_conserved(&row, "t");
+    assert_conserved(&row);
     drop(svc);
     let _ = std::fs::remove_file(&path);
 }
@@ -412,11 +446,18 @@ fn journaled_reservation_reoccupies_tenant_quota_after_restart() {
 /// admitted.
 fn assert_books_balance(svc: &Service) {
     let m = svc.metrics();
-    let answered = m.completed + m.errored + m.rejected + m.cancelled + m.deadline_expired;
-    let held = (m.queue_depth + m.cosched_queue_depth) as u64 + m.in_flight;
-    assert_eq!(m.submitted, answered + held, "global conservation broken: {m:?}");
-    for (name, row) in &m.tenants {
-        assert_conserved(row, name);
+    let sum = |rows: &[&str]| rows.iter().map(|row| m.get(row)).sum::<f64>();
+    let answered = sum(&[
+        "requests_completed",
+        "requests_errored",
+        "requests_rejected_overload",
+        "requests_cancelled",
+        "requests_deadline_expired",
+    ]);
+    let held = sum(&["queue_depth", "cosched_queue_depth", "in_flight"]);
+    assert_eq!(m.get("requests_submitted"), answered + held, "global conservation broken: {m:?}");
+    for tag in tenant_tags(&m) {
+        assert_conserved(&TenantRows { m: m.clone(), tag });
     }
 }
 
@@ -430,7 +471,10 @@ fn a_refusal_after_shutdown_balances_the_global_books() {
     svc.shutdown();
     assert_eq!(svc.submit(run_request(2, Some("t"), 4)).err(), Some(Rejected::ShuttingDown));
     let m = svc.metrics();
-    assert_eq!((m.submitted, m.completed, m.errored), (2, 1, 1));
+    assert_eq!(
+        (m.get("requests_submitted"), m.get("requests_completed"), m.get("requests_errored")),
+        (2.0, 1.0, 1.0)
+    );
     assert_books_balance(&svc);
 }
 
@@ -446,7 +490,11 @@ fn a_submit_waiting_behind_a_running_job_at_shutdown_balances_both_books() {
     let blocked = hold(&svc);
     let placed = svc.submit(submit_request(1, Some("t"), None)).unwrap();
     let waiting = svc.submit(submit_request(2, Some("t"), None)).unwrap();
-    assert_eq!(svc.metrics().cosched_queue_depth, 1, "the second submit waits for capacity");
+    assert_eq!(
+        svc.metrics().get("cosched_queue_depth"),
+        1.0,
+        "the second submit waits for capacity"
+    );
     let filler = svc.submit(run_request(3, None, 4)).unwrap();
     std::thread::scope(|s| {
         s.spawn(|| svc.shutdown());
@@ -465,7 +513,7 @@ fn a_submit_waiting_behind_a_running_job_at_shutdown_balances_both_books() {
     assert!(matches!(placed.wait(), Response::SubmitResult { .. }));
     assert!(matches!(waiting.wait(), Response::Error { kind: ErrorKind::ShuttingDown, .. }));
     assert!(matches!(filler.wait(), Response::RunResult { .. }));
-    assert_eq!(tenant_row(&svc, "t").cancelled, 1);
+    assert_eq!(tenant_row(&svc, "t").get("cancelled"), 1);
     assert_books_balance(&svc);
 }
 
@@ -490,11 +538,11 @@ fn a_submit_waiting_behind_an_orphan_at_shutdown_balances_both_books() {
     cfg.journal = Some(JournalConfig::new(&path));
     let svc = Service::start(cfg);
     let waiting = svc.submit(submit_request(1, Some("t"), None)).unwrap();
-    assert_eq!(svc.metrics().cosched_queue_depth, 1, "the orphan holds the capacity");
+    assert_eq!(svc.metrics().get("cosched_queue_depth"), 1.0, "the orphan holds the capacity");
     svc.shutdown();
     assert!(matches!(waiting.wait(), Response::Error { kind: ErrorKind::ShuttingDown, .. }));
     let m = svc.metrics();
-    assert_eq!((m.submitted, m.errored), (1, 1));
+    assert_eq!((m.get("requests_submitted"), m.get("requests_errored")), (1.0, 1.0));
     assert_books_balance(&svc);
     drop(svc);
     let _ = std::fs::remove_file(&path);
@@ -600,13 +648,17 @@ fn two_tenant_soak_drains_clean_with_no_starvation() {
     assert_eq!(interactive.join().expect("interactive client"), 50);
     let svc = handle.service();
     let m = svc.metrics();
-    assert_eq!(m.queue_depth, 0, "drained server queues at zero");
+    assert_eq!(m.get("queue_depth"), 0.0, "drained server queues at zero");
     for name in ["batch", "interactive"] {
         let row = tenant_row(svc, name);
-        assert_eq!((row.in_queue, row.in_flight), (0, 0), "'{name}' drained clean");
-        assert_conserved(&row, name);
+        assert_eq!((row.get("queued"), row.get("in_flight")), (0, 0), "'{name}' drained clean");
+        assert_conserved(&row);
     }
     let interactive_row = tenant_row(svc, "interactive");
-    assert_eq!(interactive_row.executed, 50, "zero starvation: every interactive run finished");
+    assert_eq!(
+        interactive_row.get("executed"),
+        50,
+        "zero starvation: every interactive run finished"
+    );
     handle.shutdown();
 }

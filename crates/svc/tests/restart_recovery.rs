@@ -68,9 +68,9 @@ fn replay_warms_the_score_cache_across_restart() {
     // new process must be served from the replayed cache.
     let svc = Service::start(config_with_journal(JournalConfig::new(&path)));
     let m = svc.metrics();
-    assert!(m.journal_enabled);
-    assert_eq!(m.journal_replayed_scores, 1, "replay recovered the scored query");
-    assert_eq!(m.cache_entries, 1, "cache warmed before any request");
+    assert_eq!(m.get("journal_enabled"), 1.0);
+    assert_eq!(m.get("journal_replayed_scores"), 1.0, "replay recovered the scored query");
+    assert_eq!(m.get("cache_entries"), 1.0, "cache warmed before any request");
     match svc.submit(small_score_request(2, 2, 16, 1, 8, 3)).unwrap().wait() {
         Response::ScoreResult { cached, placements, .. } => {
             assert!(cached, "first post-restart query of a seen shape must hit");
@@ -79,8 +79,8 @@ fn replay_warms_the_score_cache_across_restart() {
         other => panic!("expected score result, got {other:?}"),
     }
     let m = svc.metrics();
-    assert_eq!(m.cache_hits, 1, "the hit is metrics-visible");
-    assert_eq!(m.cache_misses, 0);
+    assert_eq!(m.get("cache_hits"), 1.0, "the hit is metrics-visible");
+    assert_eq!(m.get("cache_misses"), 0.0);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -97,8 +97,8 @@ fn attach_returns_a_completed_run_after_restart() {
         ensemble_makespan
     };
     let svc = Service::start(config_with_journal(JournalConfig::new(&path)));
-    assert_eq!(svc.metrics().journal_replayed_runs, 1);
-    assert_eq!(svc.metrics().run_index_entries, 1);
+    assert_eq!(svc.metrics().get("journal_replayed_runs"), 1.0);
+    assert_eq!(svc.metrics().get("run_index_entries"), 1.0);
     match svc.attach(7, 41) {
         Response::RunResult { id, ensemble_makespan, members, .. } => {
             assert_eq!(id, 7, "attach answers under its own correlation id");
@@ -114,6 +114,30 @@ fn attach_returns_a_completed_run_after_restart() {
         other => panic!("expected not_found, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// The wire refuses a seed from 2⁵³ on (no JSON number holds it
+/// exactly), but an in-process caller may pass any `u64`; the admit
+/// record the service journals for it must replay, not be quarantined.
+#[test]
+fn an_in_process_run_with_a_seed_past_2_pow_53_replays() {
+    let path = temp_journal("wide-seed");
+    {
+        let svc = Service::start(config_with_journal(JournalConfig::new(&path)));
+        let mut run = run_request(5, 2);
+        if let RequestBody::Run(ref mut r) = run.body {
+            r.seed = u64::MAX;
+        }
+        assert!(matches!(svc.submit(run).unwrap().wait(), Response::RunResult { .. }));
+        svc.shutdown();
+    }
+    let svc = Service::start(config_with_journal(JournalConfig::new(&path)));
+    let m = svc.metrics();
+    assert_eq!(m.get("journal_quarantined"), 0.0, "the service's own admit record is not corrupt");
+    assert_eq!(m.get("journal_replayed_runs"), 1.0);
+    assert!(matches!(svc.attach(6, 5), Response::RunResult { .. }));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("jsonl.quarantine"));
 }
 
 #[test]
@@ -139,9 +163,9 @@ fn torn_journal_tail_replays_cleanly() {
     }
     let svc = Service::start(config_with_journal(JournalConfig::new(&path)));
     let m = svc.metrics();
-    assert_eq!(m.journal_replay_dropped, 1, "torn tail dropped, not fatal");
-    assert_eq!(m.journal_replayed_scores, 1, "intact records still recovered");
-    assert_eq!(m.journal_replayed_runs, 1);
+    assert_eq!(m.get("journal_replay_dropped"), 1.0, "torn tail dropped, not fatal");
+    assert_eq!(m.get("journal_replayed_scores"), 1.0, "intact records still recovered");
+    assert_eq!(m.get("journal_replayed_runs"), 1.0);
     match svc.submit(small_score_request(3, 2, 16, 1, 8, 3)).unwrap().wait() {
         Response::ScoreResult { cached, .. } => assert!(cached, "warm-up survived the tear"),
         other => panic!("expected score result, got {other:?}"),
@@ -169,13 +193,13 @@ fn rotation_keeps_the_journal_under_the_size_cap() {
         assert!(matches!(svc.submit(request).unwrap().wait(), Response::ScoreResult { .. }));
     }
     let m = svc.metrics();
-    assert!(m.journal_rotations >= 1, "rotation must have triggered, stats: {m:?}");
+    assert!(m.get("journal_rotations") >= 1.0, "rotation must have triggered, stats: {m:?}");
     assert!(
-        m.journal_bytes <= 4096 + 1024,
+        m.get("journal_bytes") <= 4096.0 + 1024.0,
         "journal stays near its cap after compaction, got {} bytes",
-        m.journal_bytes
+        m.get("journal_bytes")
     );
-    assert_eq!(m.journal_append_errors, 0);
+    assert_eq!(m.get("journal_append_errors"), 0.0);
     drop(svc);
     let disk = std::fs::metadata(&path).unwrap().len();
     assert!(disk <= 4096 + 1024, "on-disk size bounded, got {disk} bytes");
@@ -264,11 +288,11 @@ fn soak_journaled_service_under_sustained_load() {
     let rounds: u64 = threads.into_iter().map(|t| t.join().expect("soak thread")).sum();
     assert!(rounds > 0);
     let m = handle.metrics();
-    assert_eq!(m.journal_append_errors, 0, "no fsync/rotation races under load: {m:?}");
-    assert!(m.journal_rotations >= 1, "the cap was aggressive enough to rotate: {m:?}");
+    assert_eq!(m.get("journal_append_errors"), 0.0, "no fsync/rotation races under load: {m:?}");
+    assert!(m.get("journal_rotations") >= 1.0, "the cap was aggressive enough to rotate: {m:?}");
     handle.shutdown();
     // The journal must still replay cleanly after the pounding.
     let svc = Service::start(config_with_journal(JournalConfig::new(&path)));
-    assert_eq!(svc.metrics().journal_replay_dropped, 0);
+    assert_eq!(svc.metrics().get("journal_replay_dropped"), 0.0);
     let _ = std::fs::remove_file(&path);
 }

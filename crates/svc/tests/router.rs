@@ -20,15 +20,16 @@ fn request(id: u64, body: RequestBody) -> Request {
 fn ledger(svc: &Service) -> [u64; 8] {
     let m = svc.metrics();
     [
-        m.submitted,
-        m.accepted,
-        m.rejected,
-        m.completed,
-        m.executed,
-        m.cancelled,
-        m.deadline_expired,
-        m.errored,
+        "requests_submitted",
+        "requests_accepted",
+        "requests_rejected_overload",
+        "requests_completed",
+        "requests_executed",
+        "requests_cancelled",
+        "requests_deadline_expired",
+        "requests_errored",
     ]
+    .map(|row| m.get(row) as u64)
 }
 
 fn names(rows: &[(String, f64)]) -> Vec<&str> {
@@ -74,7 +75,7 @@ fn in_process_attach_and_metrics_are_answered_while_the_queue_sheds() {
     }
     let held = svc.submit(held).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while svc.metrics().in_flight == 0 {
+    while svc.metrics().get("in_flight") == 0.0 {
         assert!(Instant::now() < deadline, "the worker never picked up the held score");
         std::thread::yield_now();
     }

@@ -223,7 +223,7 @@ fn legacy_requests_see_byte_identical_wire_behavior() {
             "unexpected read error {e:?}"
         ),
     }
-    assert_eq!(handle.metrics().progress_frames_sent, 0);
+    assert_eq!(handle.metrics().get("progress_frames_sent"), 0.0);
     handle.shutdown();
 }
 
@@ -290,7 +290,7 @@ fn overload_sheds_progress_opted_requests_like_any_other() {
         c.request(&run_request(42, 100)).expect("queued result")
     });
     let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.metrics().queue_depth == 0 {
+    while handle.metrics().get("queue_depth") == 0.0 {
         assert!(Instant::now() < deadline, "second request never queued");
         std::thread::yield_now();
     }
@@ -392,6 +392,6 @@ fn soak_progress_watcher_alongside_legacy_traffic() {
         assert!(matches!(response, Response::ScoreResult { .. }), "round {round}: {response:?}");
     }
     legacy.join().expect("legacy client");
-    assert!(handle.metrics().progress_frames_sent > 0);
+    assert!(handle.metrics().get("progress_frames_sent") > 0.0);
     handle.shutdown();
 }

@@ -82,7 +82,7 @@ fn hold(handle: &ServerHandle) -> svc::service::Pending {
     }
     let held = handle.service().submit(req).expect("an idle server admits the held score");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.service().metrics().in_flight == 0 {
+    while handle.service().metrics().get("in_flight") == 0.0 {
         assert!(Instant::now() < deadline, "the worker never picked up the held score");
         std::thread::yield_now();
     }

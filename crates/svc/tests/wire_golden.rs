@@ -374,9 +374,9 @@ fn a_journal_of_the_tree_encoder_replays_and_serves_its_own_bytes() {
 
     let svc = journaled_service(&path);
     let m = svc.metrics();
-    assert_eq!(m.journal_replayed_scores, 1);
-    assert_eq!(m.journal_replay_dropped, 0);
-    assert_eq!(m.cache_entries, 1, "cache warmed before any request");
+    assert_eq!(m.get("journal_replayed_scores"), 1.0);
+    assert_eq!(m.get("journal_replay_dropped"), 0.0);
+    assert_eq!(m.get("cache_entries"), 1.0, "cache warmed before any request");
     // The fixture's service scored `small_score_request(.., 2, 16, 1, 8, 3)`:
     // a hit proves the cache key is still rendered byte for byte.
     let hit = svc.submit(small_score_request(9, 2, 16, 1, 8, 3)).unwrap().wait();

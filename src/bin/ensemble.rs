@@ -618,18 +618,21 @@ fn run_server(addr: &str, config: insitu_ensembles::service::SvcConfig) -> i32 {
         "ensemble service listening on {} ({} workers, queue {}); close stdin for graceful drain",
         handle.addr(),
         handle.service().workers(),
-        m.queue_capacity,
+        m.get("queue_capacity"),
     );
     if let Some(path) = journaled {
         println!(
             "journal {path}: replayed {} scores, {} runs ({} lines dropped)",
-            m.journal_replayed_scores, m.journal_replayed_runs, m.journal_replay_dropped
+            m.get("journal_replayed_scores"),
+            m.get("journal_replayed_runs"),
+            m.get("journal_replay_dropped")
         );
     }
-    if m.cosched_enabled {
+    if m.get("cosched_enabled") == 1.0 {
         println!(
             "co-scheduler on: {} open reservations restored, {} cores committed",
-            m.cosched_open_reservations, m.cosched_committed_cores
+            m.get("cosched_open_reservations"),
+            m.get("cosched_committed_cores")
         );
     }
     let policy = &handle.service().config().tenant_policy;
@@ -656,9 +659,9 @@ fn run_server(addr: &str, config: insitu_ensembles::service::SvcConfig) -> i32 {
     let m = handle.metrics();
     println!(
         "draining: {} completed, {} rejected, cache hit rate {:.2}",
-        m.completed,
-        m.rejected,
-        m.cache_hit_rate()
+        m.get("requests_completed"),
+        m.get("requests_rejected_overload"),
+        m.get("cache_hit_rate")
     );
     handle.shutdown();
     0
