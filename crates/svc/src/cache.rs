@@ -8,23 +8,19 @@
 //! of it: collisions are then impossible by construction, and the key
 //! doubles as a debugging artifact.
 //!
-//! Eviction is FIFO at a fixed capacity — cheap, deterministic, and good
-//! enough for a cache whose entries are all equally expensive to rebuild.
+//! Eviction keeps the newest writes at a fixed capacity (the window
+//! [`crate::image`]'s fold holds entries in) — cheap, deterministic,
+//! and good enough for a cache whose entries are all equally expensive
+//! to rebuild.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-struct Inner<V> {
-    map: HashMap<String, Arc<V>>,
-    order: VecDeque<String>,
-}
+use crate::image::Window;
 
 /// A bounded memo table with hit/miss accounting.
 pub struct ScoreCache<V> {
-    inner: Mutex<Inner<V>>,
-    capacity: usize,
+    window: Mutex<Window<String, Arc<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -33,8 +29,7 @@ impl<V> ScoreCache<V> {
     /// A cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
         ScoreCache {
-            inner: Mutex::new(Inner { map: HashMap::new(), order: VecDeque::new() }),
-            capacity: capacity.max(1),
+            window: Mutex::new(Window::new(capacity.max(1))),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -49,48 +44,32 @@ impl<V> ScoreCache<V> {
     /// counting the whole probe as **one** hit or one miss — for a
     /// request that either stored entry can answer.
     pub fn get_either(&self, key: &str, alt: Option<&str>) -> Option<Arc<V>> {
-        let inner = self.inner.lock().expect("cache lock");
-        let found = inner.map.get(key).or_else(|| inner.map.get(alt?)).map(Arc::clone);
+        let window = self.window.lock().expect("cache lock");
+        let found = window.get(key).or_else(|| window.get(alt?)).map(Arc::clone);
         let counter = if found.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Inserts `value` under `key`, evicting the oldest entry at
-    /// capacity. Re-inserting an existing key refreshes its FIFO slot —
-    /// the entry becomes the newest, not a candidate carrying its
-    /// original age into the next eviction. Racing inserts of the same
-    /// key keep the newer value (both are correct: entries are
-    /// deterministic functions of the key).
+    /// Inserts `value` under `key` as the newest entry, evicting the
+    /// oldest at capacity. Racing inserts of the same key keep the newer
+    /// value (both are correct: entries are deterministic functions of
+    /// the key).
     pub fn insert(&self, key: String, value: V) -> Arc<V> {
         let value = Arc::new(value);
-        let mut inner = self.inner.lock().expect("cache lock");
-        if inner.map.insert(key.clone(), Arc::clone(&value)).is_some() {
-            // Refresh: drop the stale slot so the push below re-ages it.
-            if let Some(pos) = inner.order.iter().position(|k| *k == key) {
-                inner.order.remove(pos);
-            }
-        }
-        inner.order.push_back(key);
-        if inner.order.len() > self.capacity {
-            if let Some(evicted) = inner.order.pop_front() {
-                inner.map.remove(&evicted);
-            }
-        }
+        self.window.lock().expect("cache lock").put(key, Arc::clone(&value));
         value
     }
 
     /// Drops every entry (hit/miss counters keep running). Used by the
     /// cold-path benchmark.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.map.clear();
-        inner.order.clear();
+        self.window.lock().expect("cache lock").clear();
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
+        self.window.lock().expect("cache lock").len()
     }
 
     /// True when the cache holds nothing.

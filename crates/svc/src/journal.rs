@@ -2,10 +2,11 @@
 //! the replication source for warm standbys.
 //!
 //! Every admitted request and every completed result is appended as one
-//! JSON line (the crate-local [`crate::json`] codec — no new
-//! dependencies), so a restarted service can replay the file to warm
-//! the score cache and rebuild the completed-job index that backs the
-//! `attach { job }` wire request. Record kinds:
+//! JSON line (the crate-local [`crate::json`] codec). Replay, compaction
+//! and a standby fold the records into an [`Image`]: a restarted
+//! service warms its score cache, the run index behind `attach`, and
+//! the co-scheduler's residency map (reserve net of release) from it.
+//! Record kinds:
 //!
 //! ```text
 //! {"rec":"admit","v":2,"job":3,"tenant":"t",        // request admitted (v2; "tenant"
@@ -38,12 +39,6 @@
 //! reservations, and those are exactly the records quota occupancy is
 //! rebuilt from.
 //!
-//! Reserve and release records net out at replay: a restarted service
-//! sees only the reservations still open at the crash
-//! ([`JournalReplay::reservations`]) and rebuilds its residency map
-//! from them, so capacity committed to jobs that never completed is
-//! not silently forgotten.
-//!
 //! Durability is configurable ([`FsyncPolicy`]): fsync after every
 //! record, or batched every N records (flushed again on rotation and
 //! drop). Fsync failures are **counted, not swallowed**
@@ -72,17 +67,13 @@
 //! surfaces checksum failures as [`FollowEvent::Corrupt`].
 //!
 //! Size-based rotation keeps the file bounded: once an append pushes
-//! the journal past `max_bytes`, it is compacted in place — rewritten
-//! keeping only the newest `retain_scores` score records (deduplicated
-//! by cache key, last write wins) and the newest `retain_runs` run
-//! records (deduplicated by job id); admit records, having served their
-//! forensic purpose for the previous epoch, are dropped, while the
-//! current fencing epoch is re-journaled first so the compacted file
-//! stays self-describing. The rewrite goes through a temp file + rename
-//! so a crash during compaction leaves either the old or the new
-//! journal, never a half-written one.
+//! the journal past `max_bytes`, it is compacted in place to the
+//! newest `retain_scores` rankings and `retain_runs` runs, every open
+//! reservation, and the current fencing epoch (re-journaled first, so
+//! the compacted file stays self-describing). The rewrite goes through
+//! a temp file + rename so a crash during compaction leaves either the
+//! old or the new journal, never a half-written one.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -91,8 +82,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::fault::SvcFaultPlan;
+use crate::image::Image;
 use crate::json::{write_f64, write_seq, write_str, write_u64, Value};
-use crate::protocol::{placement_from_value, validate_tenant, write_shape_members};
+use crate::protocol::{
+    placement_from_value, shape_from_value, validate_tenant, write_shape_members,
+};
 use crate::protocol::{Ranking, Request, Response};
 
 /// Consecutive fsync failures tolerated before the journal degrades to
@@ -155,31 +149,6 @@ impl JournalConfig {
             fault: None,
         }
     }
-}
-
-/// What a replay recovered, in file (= chronological) order with
-/// duplicates collapsed to their newest occurrence.
-#[derive(Debug, Default)]
-pub struct JournalReplay {
-    /// `(cache key, full ranking)` pairs to warm the score cache.
-    pub scores: Vec<(String, Ranking)>,
-    /// `(job id, run result)` pairs to rebuild the completed-job index.
-    pub runs: Vec<(u64, Response)>,
-    /// Co-scheduler reservations still open (reserve net of release),
-    /// to rebuild the residency map.
-    pub reservations: Vec<ReplayedReservation>,
-    /// Admit records seen (forensic count).
-    pub admits: u64,
-    /// Job → tenant attribution recovered from admit records (v2
-    /// directly; v1 via the embedded request), for rebuilding
-    /// per-tenant quota occupancy of still-open reservations.
-    pub admit_tenants: HashMap<u64, String>,
-    /// Torn or corrupt lines dropped.
-    pub dropped: u64,
-    /// Fencing epoch in effect after open: the maximum of the sidecar
-    /// file and any journaled epoch records, plus one if the open
-    /// promoted.
-    pub epoch: u64,
 }
 
 /// One open co-scheduler reservation recovered by replay — the durable
@@ -294,28 +263,28 @@ pub struct Journal {
     fsync_errors: AtomicU64,
     fenced_appends: AtomicU64,
     dead: AtomicBool,
-    epoch: u64,
-    quarantined: u64,
-    replayed_scores: u64,
-    replayed_runs: u64,
-    replay_dropped: u64,
+    /// What the open recovered, and its epoch; the counters are zero.
+    opened: JournalStats,
 }
 
 impl Journal {
     /// Opens (creating if absent) the journal at `config.path`, replays
-    /// any existing records, and returns the append handle plus what
-    /// the replay recovered. A torn final line is dropped, not fatal;
-    /// corrupt interior lines are quarantined and skipped. With
-    /// [`JournalConfig::promote`] set, the fencing epoch is bumped and
-    /// journaled before the handle is returned.
-    pub fn open(config: JournalConfig) -> std::io::Result<(Journal, JournalReplay)> {
-        let mut fold = ReplayFold::new(usize::MAX, usize::MAX);
+    /// any existing records, and returns the append handle plus the
+    /// [`Image`] the replay folded, every window unbounded. A torn final
+    /// line is dropped, not fatal; corrupt interior lines are
+    /// quarantined and skipped. The image's epoch is the one in effect
+    /// after open: the maximum of the sidecar file and any journaled
+    /// epoch record, plus one if the open promoted — with
+    /// [`JournalConfig::promote`] set, the bumped epoch is also journaled
+    /// before the handle is returned.
+    pub fn open(config: JournalConfig) -> std::io::Result<(Journal, Image)> {
+        let mut image = Image::new(usize::MAX, usize::MAX);
         // Complete lines that failed their checksum or did not parse —
         // quarantined below (the torn tail is sealed instead).
         let mut corrupt: Vec<String> = Vec::new();
         let lines = match File::open(&config.path) {
             Ok(file) => read_lines(BufReader::new(file), |line| match decode_line(line) {
-                Some(record) => fold.apply(record),
+                Some(record) => image.apply(record),
                 None => corrupt.push(String::from_utf8_lossy(line).into_owned()),
             })?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => LineScan::default(),
@@ -337,8 +306,7 @@ impl Journal {
                 Err(e) => eprintln!("svc journal: cannot write quarantine file: {e}"),
             }
         }
-        let mut replay = fold.finish(quarantined + u64::from(lines.torn));
-        let mut epoch = read_epoch(&config.path).max(replay.epoch);
+        let mut epoch = read_epoch(&config.path).max(image.epoch);
         if config.promote {
             epoch += 1;
             write_epoch(&config.path, epoch)?;
@@ -354,7 +322,6 @@ impl Journal {
             file.set_len(lines.sealed)?;
             bytes = lines.sealed;
         }
-        let promote = config.promote;
         let journal = Journal {
             inner: Mutex::new(Inner {
                 file,
@@ -363,26 +330,29 @@ impl Journal {
                 fsync_attempts: 0,
                 fsync_fail_streak: 0,
             }),
-            replayed_scores: replay.scores.len() as u64,
-            replayed_runs: replay.runs.len() as u64,
-            replay_dropped: replay.dropped,
             appended: AtomicU64::new(0),
             append_errors: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
             fsync_errors: AtomicU64::new(0),
             fenced_appends: AtomicU64::new(0),
             dead: AtomicBool::new(false),
-            epoch,
-            quarantined,
+            opened: JournalStats {
+                replayed_scores: image.scores.len() as u64,
+                replayed_runs: image.runs.len() as u64,
+                replay_dropped: quarantined + u64::from(lines.torn),
+                quarantined,
+                epoch,
+                ..JournalStats::default()
+            },
             config,
         };
-        if promote {
+        if journal.config.promote {
             // Journal the new epoch so followers (and the next replay)
             // learn it from the record stream, not just the sidecar.
             journal.append_line(|out| write_epoch_record(out, epoch));
         }
-        replay.epoch = epoch;
-        Ok((journal, replay))
+        image.epoch = epoch;
+        Ok((journal, image))
     }
 
     /// Journals an admitted request (v2 record: explicit job and tenant
@@ -425,7 +395,7 @@ impl Journal {
 
     /// The fencing epoch this handle was opened under.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.opened.epoch
     }
 
     /// Current counters.
@@ -435,14 +405,10 @@ impl Journal {
             append_errors: self.append_errors.load(Ordering::Relaxed),
             bytes: self.inner.lock().expect("journal lock").bytes,
             rotations: self.rotations.load(Ordering::Relaxed),
-            replayed_scores: self.replayed_scores,
-            replayed_runs: self.replayed_runs,
-            replay_dropped: self.replay_dropped,
             fsync_errors: self.fsync_errors.load(Ordering::Relaxed),
-            quarantined: self.quarantined,
-            epoch: self.epoch,
             fenced_appends: self.fenced_appends.load(Ordering::Relaxed),
             degraded: self.dead.load(Ordering::Relaxed),
+            ..self.opened
         }
     }
 
@@ -492,11 +458,11 @@ impl Journal {
         // promoted over us. Refuse the write — a deposed primary must
         // never extend a journal the new primary now owns.
         let disk_epoch = read_epoch(&self.config.path);
-        if disk_epoch > self.epoch {
+        if disk_epoch > self.opened.epoch {
             self.fenced_appends.fetch_add(1, Ordering::Relaxed);
             self.degrade(&format!(
                 "fenced: epoch {} on disk exceeds this handle's epoch {}",
-                disk_epoch, self.epoch
+                disk_epoch, self.opened.epoch
             ));
             return;
         }
@@ -553,21 +519,19 @@ impl Journal {
     /// Compacts the journal in place: keep the newest `retain_scores` /
     /// `retain_runs` records of each kind (deduplicated, last write
     /// wins), drop admit records, rewrite through a temp file + rename.
-    /// The file streams through a bounded fold one line at a time, so
-    /// the pass — which runs under the append lock — holds the retained
-    /// records plus one line, never the whole journal.
+    /// The file streams through the replay's [`Image`], capped, one line
+    /// at a time, so the pass — which runs under the append lock — holds
+    /// the retained records plus one line, never the whole journal.
+    /// Admits served their forensic purpose for the previous epoch, and
+    /// corrupt lines were never replayable: neither is written back.
     fn rotate_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
         self.sync_data_locked(inner);
-        let mut fold = ReplayFold::new(self.config.retain_scores, self.config.retain_runs);
+        let mut image = Image::new(self.config.retain_scores, self.config.retain_runs);
         read_lines(BufReader::new(File::open(&self.config.path)?), |line| {
-            match decode_line(line) {
-                // Admits served their forensic purpose for the previous
-                // epoch; corrupt lines were never replayable.
-                Some(JournalRecord::Admit { .. }) | None => {}
-                Some(record) => fold.apply(record),
+            if let Some(record) = decode_line(line) {
+                image.apply(record);
             }
         })?;
-        let replay = fold.finish(0);
         let tmp = self.config.path.with_extension("journal-compact");
         let mut out = BufWriter::new(File::create(&tmp)?);
         let mut bytes = 0u64;
@@ -581,19 +545,19 @@ impl Journal {
         };
         // Re-journal the fencing epoch first so the compacted file is
         // self-describing without the sidecar.
-        if self.epoch > 0 {
-            emit(&|out| write_epoch_record(out, self.epoch))?;
+        if self.opened.epoch > 0 {
+            emit(&|out| write_epoch_record(out, self.opened.epoch))?;
         }
-        for (key, placements) in &replay.scores {
+        for (key, placements) in image.scores.iter() {
             emit(&|out| write_score_record(out, key, placements))?;
         }
-        for (job, response) in &replay.runs {
-            emit(&|out| write_run_record(out, *job, response))?;
+        for (&job, run) in image.runs.iter() {
+            emit(&|out| write_run_record(out, job, run.recorded_reply()))?;
         }
         // Open reservations are live capacity commitments — every one
         // survives compaction, uncapped (bounded in practice by the
         // co-scheduler's own admission queue).
-        for reservation in &replay.reservations {
+        for (_, reservation) in image.reservations.iter() {
             emit(&|out| write_reserve_record(out, reservation))?;
         }
         out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
@@ -662,11 +626,6 @@ impl JournalFollower {
             offset: 0,
             partial: Vec::new(),
         }
-    }
-
-    /// Bytes consumed from the currently-open journal file.
-    pub fn offset(&self) -> u64 {
-        self.offset
     }
 
     /// Reads everything appended since the last poll. An unterminated
@@ -884,8 +843,6 @@ fn crc_valid(text: &str) -> bool {
     }
 }
 
-/// Decodes one complete journal line: checksum check, then parse.
-/// `None` means the line is corrupt (flip, tear, or unknown shape).
 /// Decodes one complete journal line (checksum verified, then parsed).
 /// `None` means the line is corrupt or not a known record kind —
 /// exactly the lines replay quarantines. Standbys use this to apply
@@ -972,21 +929,7 @@ fn parse_record(line: &[u8]) -> Option<JournalRecord> {
         }
         "reserve" => {
             let job = v.get("job")?.as_u64()?;
-            let members = v
-                .get("members")?
-                .as_arr()?
-                .iter()
-                .map(|m| {
-                    let sim = u32::try_from(m.get("sim_cores")?.as_u64()?).ok()?;
-                    let anas = m
-                        .get("analyses")?
-                        .as_arr()?
-                        .iter()
-                        .map(|a| a.as_u64().and_then(|a| u32::try_from(a).ok()))
-                        .collect::<Option<Vec<u32>>>()?;
-                    Some((sim, anas))
-                })
-                .collect::<Option<Vec<_>>>()?;
+            let members = shape_from_value(&v, "reserve").ok()?.members;
             let assignment = v
                 .get("assignment")?
                 .as_arr()?
@@ -999,11 +942,11 @@ fn parse_record(line: &[u8]) -> Option<JournalRecord> {
                 Some(t) => Some(t.as_str()?.to_string()),
                 None => None,
             };
-            // A reservation without members, or whose assignment does
-            // not cover every component (one slot per sim plus one per
-            // analysis), cannot rebuild a residency entry: corruption.
+            // A reservation whose assignment does not cover every
+            // component (one slot per sim plus one per analysis) cannot
+            // rebuild a residency entry: corruption.
             let slots: usize = members.iter().map(|(_, anas)| 1 + anas.len()).sum();
-            (!members.is_empty() && slots == assignment.len()).then_some(())?;
+            (slots == assignment.len()).then_some(())?;
             Some(JournalRecord::Reserve(ReplayedReservation {
                 job,
                 members,
@@ -1019,102 +962,41 @@ fn parse_record(line: &[u8]) -> Option<JournalRecord> {
     }
 }
 
-/// The newest `cap` entries of a keyed stream, last write wins, in
-/// order of last write. A key rewritten after it fell out of the window
-/// re-enters as the newest, so at every point the window is exactly the
-/// last `cap` entries of "dedupe the whole stream, keep the newest
-/// occurrence" — without holding the stream.
-struct Newest<K, V> {
-    cap: usize,
-    next_age: u64,
-    age_of: HashMap<K, u64>,
-    by_age: BTreeMap<u64, (K, V)>,
-}
-
-impl<K: Clone + Eq + std::hash::Hash, V> Newest<K, V> {
-    fn new(cap: usize) -> Self {
-        Newest { cap, next_age: 0, age_of: HashMap::new(), by_age: BTreeMap::new() }
-    }
-
-    fn put(&mut self, key: K, value: V) {
-        self.remove(&key);
-        self.age_of.insert(key.clone(), self.next_age);
-        self.by_age.insert(self.next_age, (key, value));
-        self.next_age += 1;
-        if self.by_age.len() > self.cap {
-            if let Some((_, (oldest, _))) = self.by_age.pop_first() {
-                self.age_of.remove(&oldest);
-            }
-        }
-    }
-
-    fn remove(&mut self, key: &K) {
-        if let Some(age) = self.age_of.remove(key) {
-            self.by_age.remove(&age);
-        }
-    }
-
-    fn into_entries(self) -> impl Iterator<Item = (K, V)> {
-        self.by_age.into_values()
-    }
-}
-
-/// Folds a record stream into a [`JournalReplay`]: records collapse to
-/// their newest occurrence per key/job while preserving chronological
-/// order (so FIFO cache warm-up keeps the newest entries when over
-/// capacity), reserves net out releases, and the epoch is the maximum
-/// seen. [`Journal::open`] folds uncapped; compaction caps scores and
-/// runs at what it retains.
-struct ReplayFold {
-    scores: Newest<String, Ranking>,
-    runs: Newest<u64, Response>,
-    reservations: Newest<u64, ReplayedReservation>,
-    /// Admit attribution and the epoch accumulate in place; the three
-    /// windows above fill its vectors at [`ReplayFold::finish`].
-    replay: JournalReplay,
-}
-
-impl ReplayFold {
-    fn new(retain_scores: usize, retain_runs: usize) -> Self {
-        ReplayFold {
-            scores: Newest::new(retain_scores),
-            runs: Newest::new(retain_runs),
-            reservations: Newest::new(usize::MAX),
-            replay: JournalReplay::default(),
-        }
-    }
-
-    fn apply(&mut self, record: JournalRecord) {
-        match record {
-            JournalRecord::Admit { job, tenant } => {
-                self.replay.admits += 1;
-                if let Some(tenant) = tenant {
-                    self.replay.admit_tenants.insert(job, tenant);
-                }
-            }
-            JournalRecord::Score { key, placements } => self.scores.put(key, placements),
-            JournalRecord::Run { job, response } => self.runs.put(job, response),
-            JournalRecord::Reserve(r) => self.reservations.put(r.job, r),
-            JournalRecord::Release { job } => self.reservations.remove(&job),
-            JournalRecord::Epoch { epoch } => self.replay.epoch = self.replay.epoch.max(epoch),
-        }
-    }
-
-    fn finish(self, dropped: u64) -> JournalReplay {
-        JournalReplay {
-            scores: self.scores.into_entries().collect(),
-            runs: self.runs.into_entries().collect(),
-            reservations: self.reservations.into_entries().map(|(_, r)| r).collect(),
-            dropped,
-            ..self.replay
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{MemberSummary, RankedPlacement};
+    use std::collections::HashMap;
+
+    /// What an open recovered, its windows as vectors in order of last
+    /// write.
+    struct Replayed {
+        scores: Vec<(String, Ranking)>,
+        runs: Vec<(u64, Response)>,
+        reservations: Vec<ReplayedReservation>,
+        admits: u64,
+        admit_tenants: HashMap<u64, String>,
+        dropped: u64,
+        epoch: u64,
+    }
+
+    fn open(config: JournalConfig) -> (Journal, Replayed) {
+        let (journal, image) = Journal::open(config).unwrap();
+        let replayed = Replayed {
+            scores: image.scores.iter().map(|(k, p)| (k.clone(), p.clone())).collect(),
+            runs: image
+                .runs
+                .iter()
+                .map(|(&job, run)| (job, run.recorded_reply().clone()))
+                .collect(),
+            reservations: image.reservations.iter().map(|(_, r)| r.clone()).collect(),
+            admits: image.admits,
+            admit_tenants: image.admit_tenants,
+            dropped: journal.stats().replay_dropped,
+            epoch: image.epoch,
+        };
+        (journal, replayed)
+    }
 
     fn temp_path(name: &str) -> PathBuf {
         let path = std::env::temp_dir()
@@ -1166,14 +1048,14 @@ mod tests {
     fn roundtrips_scores_and_runs_across_reopen() {
         let path = temp_path("roundtrip");
         {
-            let (journal, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, replay) = open(JournalConfig::new(&path));
             assert!(replay.scores.is_empty() && replay.runs.is_empty());
             journal.append_score("k1", &ranking(0.5));
             journal.append_score("k2", &ranking(0.7));
             journal.append_run(7, &run_result(7));
             assert_eq!(journal.stats().appended, 3);
         }
-        let (journal, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (journal, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.scores.len(), 2);
         assert_eq!(replay.scores[0].0, "k1");
         assert_eq!(replay.scores[1].1[0].objective.to_bits(), 0.7f64.to_bits());
@@ -1189,13 +1071,13 @@ mod tests {
     fn duplicate_keys_replay_newest_only() {
         let path = temp_path("dedup");
         {
-            let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, _) = open(JournalConfig::new(&path));
             journal.append_score("k", &ranking(0.1));
             journal.append_score("k", &ranking(0.9));
             journal.append_run(3, &run_result(3));
             journal.append_run(3, &run_result(3));
         }
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.scores.len(), 1);
         assert_eq!(replay.scores[0].1[0].objective.to_bits(), 0.9f64.to_bits());
         assert_eq!(replay.runs.len(), 1);
@@ -1206,14 +1088,14 @@ mod tests {
     fn torn_tail_is_dropped_not_fatal() {
         let path = temp_path("torn");
         {
-            let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, _) = open(JournalConfig::new(&path));
             journal.append_score("whole", &ranking(0.5));
         }
         // Simulate a crash mid-append: a final line with no newline.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"rec\":\"score\",\"key\":\"torn").unwrap();
         drop(f);
-        let (journal, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (journal, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.scores.len(), 1, "intact record survives");
         assert_eq!(replay.scores[0].0, "whole");
         assert_eq!(replay.dropped, 1, "torn tail dropped, not fatal");
@@ -1224,7 +1106,7 @@ mod tests {
         // fragment and corrupting itself.
         journal.append_score("after-tear", &ranking(0.6));
         drop(journal);
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.dropped, 0, "the fragment was physically removed at the previous open");
         assert!(replay.scores.iter().any(|(k, _)| k == "whole"));
         assert!(replay.scores.iter().any(|(k, _)| k == "after-tear"));
@@ -1235,17 +1117,17 @@ mod tests {
     fn corrupt_interior_lines_are_skipped() {
         let path = temp_path("corrupt");
         {
-            let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, _) = open(JournalConfig::new(&path));
             journal.append_score("a", &ranking(0.5));
         }
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"not json at all\n{\"rec\":\"mystery\"}\n").unwrap();
         drop(f);
         {
-            let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, _) = open(JournalConfig::new(&path));
             journal.append_score("b", &ranking(0.6));
         }
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.scores.len(), 2);
         assert_eq!(replay.dropped, 2);
         cleanup(&path);
@@ -1255,7 +1137,7 @@ mod tests {
     fn bit_flipped_record_is_quarantined_not_fatal() {
         let path = temp_path("bitflip");
         {
-            let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, _) = open(JournalConfig::new(&path));
             journal.append_score("victim", &ranking(0.5));
             journal.append_score("innocent", &ranking(0.7));
             journal.append_run(9, &run_result(9));
@@ -1266,7 +1148,7 @@ mod tests {
         let at = bytes.windows(6).position(|w| w == b"victim").unwrap();
         bytes[at] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let (journal, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (journal, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.dropped, 1, "the flipped record is dropped");
         assert_eq!(journal.stats().quarantined, 1, "…and quarantined");
         assert_eq!(replay.scores.len(), 1, "records after the bad line survive");
@@ -1288,7 +1170,7 @@ mod tests {
         let old = crate::json::encoded(|o| write_score_record(o, "old", &ranking(0.3)));
         writeln!(f, "{old}").unwrap();
         drop(f);
-        let (journal, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (journal, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.dropped, 0);
         assert_eq!(replay.scores.len(), 1);
         assert_eq!(replay.scores[0].0, "old");
@@ -1303,7 +1185,7 @@ mod tests {
         config.max_bytes = 4096;
         config.retain_scores = 4;
         config.retain_runs = 2;
-        let (journal, _) = Journal::open(config).unwrap();
+        let (journal, _) = open(config);
         for i in 0..200 {
             journal.append_score(&format!("key-{i}"), &ranking(i as f64));
             journal.append_run(i, &run_result(i));
@@ -1316,7 +1198,7 @@ mod tests {
             stats.bytes
         );
         drop(journal);
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         // The resident set is the retained records of the last compaction
         // plus whatever was appended since — bounded by the byte cap,
         // nowhere near the 200 written.
@@ -1378,7 +1260,7 @@ mod tests {
         config.retain_scores = 5;
         config.retain_runs = 3;
         config.promote = true; // epoch 1: the compacted file leads with it
-        let (journal, _) = Journal::open(config.clone()).unwrap();
+        let (journal, _) = open(config.clone());
         // Far more records than the retained windows, written under the
         // journal (the default 8 MiB threshold keeps rotation out of the
         // way until the explicit call below).
@@ -1408,7 +1290,7 @@ mod tests {
         assert_eq!(journal.stats().bytes, got.len() as u64);
         drop(journal);
 
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         let keys: Vec<&str> = replay.scores.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["key-36", "key-37", "key-38", "key-39", "key-3"]);
         assert_eq!(replay.scores[4].1[0].objective, 3.5, "last write wins");
@@ -1420,18 +1302,60 @@ mod tests {
         cleanup(&path);
     }
 
+    /// Every window of `image` as the record lines compaction writes.
+    fn windows(image: &Image) -> Vec<String> {
+        let scores = image.scores.iter().map(|(k, p)| line(|o| write_score_record(o, k, p)));
+        let runs =
+            image.runs.iter().map(|(&j, r)| line(|o| write_run_record(o, j, r.recorded_reply())));
+        let open = image.reservations.iter().map(|(_, r)| line(|o| write_reserve_record(o, r)));
+        scores.chain(runs).chain(open).collect()
+    }
+
+    #[test]
+    fn compaction_then_reopen_equals_the_capped_windows_for_every_fixture_prefix() {
+        let path = temp_path("compact-prefix");
+        for fixture in ["journal_golden.jsonl", "parent_journal.jsonl"] {
+            let text = std::fs::read_to_string(
+                Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture),
+            )
+            .unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            for n in 0..=lines.len() {
+                let mut config = JournalConfig::new(&path);
+                (config.retain_scores, config.retain_runs) = (1, 1);
+                let mut capped = Image::new(1, 1);
+                lines[..n]
+                    .iter()
+                    .filter_map(|l| decode_line(l.as_bytes()))
+                    .for_each(|r| capped.apply(r));
+                std::fs::write(
+                    &path,
+                    lines[..n].iter().map(|l| format!("{l}\n")).collect::<String>(),
+                )
+                .unwrap();
+                let (journal, _) = Journal::open(config).unwrap();
+                journal.rotate_locked(&mut journal.inner.lock().unwrap()).unwrap();
+                drop(journal);
+                let (_, reopened) = Journal::open(JournalConfig::new(&path)).unwrap();
+                assert_eq!(windows(&reopened), windows(&capped), "{fixture}, {n} lines");
+                assert_eq!(reopened.epoch, capped.epoch, "{fixture}, {n} lines");
+                cleanup(&path);
+            }
+        }
+    }
+
     #[test]
     fn reservations_net_out_releases_across_reopen() {
         let path = temp_path("reserve");
         {
-            let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, _) = open(JournalConfig::new(&path));
             journal.append_reserve(&reservation(1, 1));
             journal.append_reserve(&reservation(2, 2));
             journal.append_release(1);
             journal.append_reserve(&reservation(3, 3));
             journal.append_release(9); // release without a reserve: harmless
         }
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.dropped, 0);
         let open: Vec<u64> = replay.reservations.iter().map(|r| r.job).collect();
         assert_eq!(open, vec![2, 3], "only unreleased reservations survive replay");
@@ -1446,7 +1370,7 @@ mod tests {
         config.max_bytes = 4096;
         config.retain_scores = 2;
         config.retain_runs = 2;
-        let (journal, _) = Journal::open(config).unwrap();
+        let (journal, _) = open(config);
         journal.append_reserve(&reservation(1, 1));
         for i in 0..100 {
             journal.append_score(&format!("key-{i}"), &ranking(i as f64));
@@ -1455,7 +1379,7 @@ mod tests {
         }
         assert!(journal.stats().rotations >= 1, "rotation must have triggered");
         drop(journal);
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(
             replay.reservations.iter().map(|r| r.job).collect::<Vec<_>>(),
             vec![1],
@@ -1469,14 +1393,14 @@ mod tests {
         let path = temp_path("fsync");
         let mut config = JournalConfig::new(&path);
         config.fsync = FsyncPolicy::PerRecord;
-        let (journal, _) = Journal::open(config).unwrap();
+        let (journal, _) = open(config);
         journal.append_admit(&crate::service::small_score_request(1, 2, 16, 1, 8, 3));
         journal.append_score("k", &ranking(0.5));
         assert_eq!(journal.stats().appended, 2);
         assert_eq!(journal.stats().append_errors, 0);
         assert_eq!(journal.stats().fsync_errors, 0);
         drop(journal);
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.admits, 1);
         assert_eq!(replay.scores.len(), 1);
         cleanup(&path);
@@ -1486,7 +1410,7 @@ mod tests {
     fn admit_records_carry_tenant_attribution_v2_and_v1() {
         let path = temp_path("admit-tenant");
         {
-            let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+            let (journal, _) = open(JournalConfig::new(&path));
             let mut tagged = crate::service::small_score_request(21, 2, 16, 1, 8, 3);
             tagged.tenant = Some("team-a".into());
             journal.append_admit(&tagged);
@@ -1501,7 +1425,7 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         writeln!(f, "{v1_line}").unwrap();
         drop(f);
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.dropped, 0);
         assert_eq!(replay.admits, 3);
         assert_eq!(replay.admit_tenants.get(&21).map(String::as_str), Some("team-a"));
@@ -1522,7 +1446,7 @@ mod tests {
         config.retain_scores = 2;
         config.retain_runs = 2;
         {
-            let (journal, _) = Journal::open(config).unwrap();
+            let (journal, _) = open(config);
             let tagged = ReplayedReservation { tenant: Some("batch".into()), ..reservation(1, 1) };
             journal.append_reserve(&tagged);
             journal.append_reserve(&reservation(2, 2));
@@ -1533,7 +1457,7 @@ mod tests {
             }
             assert!(journal.stats().rotations >= 1, "rotation must have triggered");
         }
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         let open: Vec<(u64, Option<&str>)> =
             replay.reservations.iter().map(|r| (r.job, r.tenant.as_deref())).collect();
         assert_eq!(open, vec![(1, Some("batch")), (2, None)]);
@@ -1543,14 +1467,14 @@ mod tests {
     #[test]
     fn promote_bumps_epoch_and_fences_the_deposed_handle() {
         let path = temp_path("fence");
-        let (old_primary, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (old_primary, _) = open(JournalConfig::new(&path));
         old_primary.append_score("before", &ranking(0.5));
         assert_eq!(old_primary.epoch(), 0);
 
         // A standby promotes over the same journal: epoch bumps to 1.
         let mut promote = JournalConfig::new(&path);
         promote.promote = true;
-        let (new_primary, replay) = Journal::open(promote).unwrap();
+        let (new_primary, replay) = open(promote);
         assert_eq!(new_primary.epoch(), 1);
         assert_eq!(replay.epoch, 1);
         assert_eq!(read_epoch(&path), 1);
@@ -1570,7 +1494,7 @@ mod tests {
         new_primary.append_score("after", &ranking(0.7));
         drop(new_primary);
         drop(old_primary);
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.epoch, 1);
         assert!(replay.scores.iter().any(|(k, _)| k == "before"));
         assert!(replay.scores.iter().any(|(k, _)| k == "after"));
@@ -1588,7 +1512,7 @@ mod tests {
         config.promote = true;
         config.max_bytes = 4096;
         config.retain_scores = 2;
-        let (journal, _) = Journal::open(config).unwrap();
+        let (journal, _) = open(config);
         for i in 0..100 {
             journal.append_score(&format!("key-{i}"), &ranking(i as f64));
         }
@@ -1597,7 +1521,7 @@ mod tests {
         // Even with the sidecar gone, the compacted file re-declares
         // its epoch.
         let _ = std::fs::remove_file(epoch_path(&path));
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.epoch, 1, "compaction re-journals the epoch record");
         cleanup(&path);
     }
@@ -1608,7 +1532,7 @@ mod tests {
         let mut config = JournalConfig::new(&path);
         config.fsync = FsyncPolicy::PerRecord;
         config.fault = Some(SvcFaultPlan { fail_fsync_after: Some(0), ..SvcFaultPlan::default() });
-        let (journal, _) = Journal::open(config).unwrap();
+        let (journal, _) = open(config);
         for i in 0..5 {
             journal.append_score(&format!("k{i}"), &ranking(0.5));
         }
@@ -1634,7 +1558,7 @@ mod tests {
             torn_tail: true,
             ..SvcFaultPlan::default()
         });
-        let (journal, _) = Journal::open(config).unwrap();
+        let (journal, _) = open(config);
         journal.append_score("one", &ranking(0.1));
         journal.append_score("two", &ranking(0.2));
         journal.append_score("never", &ranking(0.3));
@@ -1644,7 +1568,7 @@ mod tests {
         drop(journal);
         // The crash image replays like a real kill -9: two records plus
         // a torn tail, sealed at the next open.
-        let (_, replay) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (_, replay) = open(JournalConfig::new(&path));
         assert_eq!(replay.scores.len(), 2);
         assert_eq!(replay.dropped, 1, "the torn fragment is dropped");
         assert!(!replay.scores.iter().any(|(k, _)| k == "never"));
@@ -1656,7 +1580,7 @@ mod tests {
         let path = temp_path("follow");
         let mut follower = JournalFollower::new(&path);
         assert!(follower.poll().unwrap().is_empty(), "no file yet: no events");
-        let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (journal, _) = open(JournalConfig::new(&path));
         journal.append_score("k1", &ranking(0.5));
         journal.append_run(7, &run_result(7));
         let events = follower.poll().unwrap();
@@ -1711,7 +1635,7 @@ mod tests {
         config.max_bytes = 4096;
         config.retain_scores = 4;
         config.retain_runs = 2;
-        let (journal, _) = Journal::open(config).unwrap();
+        let (journal, _) = open(config);
         let mut follower = JournalFollower::new(&path);
         journal.append_score("early", &ranking(0.5));
         assert_eq!(follower.poll().unwrap().len(), 1);
@@ -1739,7 +1663,7 @@ mod tests {
     #[test]
     fn follower_flags_corrupt_lines() {
         let path = temp_path("follow-corrupt");
-        let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+        let (journal, _) = open(JournalConfig::new(&path));
         journal.append_score("good", &ranking(0.5));
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"rec\":\"score\",\"key\":\"flipped\",\"crc\":\"00000000\"}\n").unwrap();

@@ -48,6 +48,7 @@ pub mod cache;
 pub mod client;
 pub mod fair;
 pub mod fault;
+pub mod image;
 pub mod journal;
 pub mod protocol;
 pub mod server;

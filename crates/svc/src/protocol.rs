@@ -486,8 +486,9 @@ fn member_list<'v>(v: &'v Value, kind: &str) -> Result<&'v [Value], String> {
     Ok(members)
 }
 
-/// The ensemble shape of a `score` or `submit` request.
-fn shape_from_value(v: &Value, kind: &str) -> Result<EnsembleShape, String> {
+/// The ensemble shape of a `score` or `submit` request, or of a
+/// journaled reservation.
+pub(crate) fn shape_from_value(v: &Value, kind: &str) -> Result<EnsembleShape, String> {
     let members = member_list(v, kind)?
         .iter()
         .map(|m| {

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::journal::{FollowEvent, JournalFollower};
+use crate::journal::{decode_line, FollowEvent, JournalFollower};
 use crate::json::{write_str, write_u64, Value};
 use crate::protocol::{ErrorKind, Frame, Request, RequestBody, Response};
 use crate::service::{Pending, Service, SvcConfig};
@@ -320,19 +320,8 @@ fn heartbeat_loop(journal: &std::path::Path, shared: &ListenerShared<Service>) {
 }
 
 /// Serves one replication stream of `service` on the connection's own
-/// thread.
-///
-/// Frames, one JSON object per line:
-/// - `{"type":"repl-record","line":"<raw journal line>"}` — a journal
-///   record exactly as written (checksum seal included);
-/// - `{"type":"repl-reset"}` — the journal rotated or truncated; the
-///   standby must discard its image and rebuild from the records that
-///   follow;
-/// - `{"type":"repl-corrupt"}` — a complete-but-corrupt line was
-///   skipped (the standby counts it, mirroring replay quarantine);
-/// - `{"type":"repl-hb","epoch":E,"appended":N,"degraded":0|1}` — sent
-///   every [`REPL_HEARTBEAT`] even when idle; `degraded:1` tells the
-///   standby the primary's journal is dead (crashed or fenced).
+/// thread: the journal's [`ReplFrame`]s, and a beat every
+/// [`REPL_HEARTBEAT`] even when idle.
 ///
 /// Fault hooks from the journal's [`SvcFaultPlan`](crate::fault::SvcFaultPlan):
 /// `drop_stream_after` closes the connection after N record frames;
@@ -363,22 +352,11 @@ fn replication_loop<S>(
         if shared.stopping.load(Ordering::Acquire) {
             return;
         }
-        let events = follower.poll().unwrap_or_default();
-        for event in events {
-            let is_record = matches!(event, FollowEvent::Record { .. });
-            let sent = write_frame(stream, out, |out| match &event {
-                FollowEvent::Record { line, .. } => {
-                    out.push_str("{\"type\":\"repl-record\",\"line\":");
-                    write_str(out, line);
-                    out.push('}');
-                }
-                FollowEvent::Reset => out.push_str("{\"type\":\"repl-reset\"}"),
-                FollowEvent::Corrupt { .. } => out.push_str("{\"type\":\"repl-corrupt\"}"),
-            });
-            if sent.is_err() {
+        for frame in follower.poll().unwrap_or_default().into_iter().map(ReplFrame::Follow) {
+            if write_frame(stream, out, |out| write_repl_frame(out, &frame)).is_err() {
                 return; // standby gone
             }
-            if is_record {
+            if matches!(frame, ReplFrame::Follow(FollowEvent::Record { .. })) {
                 sent_records += 1;
                 if fault.drop_stream_after.is_some_and(|n| sent_records >= n) {
                     return; // injected drop: close the connection
@@ -395,17 +373,9 @@ fn replication_loop<S>(
         }
         if last_hb.is_none_or(|t| t.elapsed() >= REPL_HEARTBEAT) {
             let stats = service.journal_stats().unwrap_or_default();
-            let sent = write_frame(stream, out, |out| {
-                out.push_str("{\"type\":\"repl-hb\",\"id\":");
-                write_u64(out, id);
-                out.push_str(",\"epoch\":");
-                write_u64(out, stats.epoch);
-                out.push_str(",\"appended\":");
-                write_u64(out, stats.appended);
-                out.push_str(",\"degraded\":");
-                write_u64(out, u64::from(stats.degraded));
-                out.push('}');
-            });
+            let (epoch, appended, degraded) = (stats.epoch, stats.appended, stats.degraded);
+            let beat = ReplFrame::Beat(Heartbeat { id, epoch, appended, degraded });
+            let sent = write_frame(stream, out, |out| write_repl_frame(out, &beat));
             if sent.is_err() {
                 return;
             }
@@ -413,6 +383,91 @@ fn replication_loop<S>(
         }
         std::thread::sleep(REPL_POLL);
     }
+}
+
+/// One frame of a replication stream, one JSON object per line:
+/// - `{"type":"repl-record","line":"<raw journal line>"}` — a journal
+///   record exactly as written (checksum seal included);
+/// - `{"type":"repl-reset"}` — the journal rotated or truncated; the
+///   standby must discard its image and rebuild from the records that
+///   follow;
+/// - `{"type":"repl-corrupt"}` — a complete-but-corrupt line was
+///   skipped (the standby counts it, mirroring replay quarantine);
+/// - `{"type":"repl-hb","id":I,"epoch":E,"appended":N,"degraded":0|1}`
+///   — a beat; `degraded:1` tells the standby the primary's journal is
+///   dead (crashed or fenced).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ReplFrame {
+    /// The first three, as the primary's [`JournalFollower`] saw them —
+    /// or a frame that did not decode, which counts as corrupt.
+    Follow(FollowEvent),
+    /// A beat.
+    Beat(Heartbeat),
+}
+
+/// What a `repl-hb` frame reports: the replicate request's id and the
+/// primary's journal state. A touch of the heartbeat file reports
+/// nothing, which is the default beat.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Heartbeat {
+    pub(crate) id: u64,
+    pub(crate) epoch: u64,
+    pub(crate) appended: u64,
+    pub(crate) degraded: bool,
+}
+
+/// Encodes `frame`. A corrupt line is only counted downstream, so its
+/// frame carries no line.
+pub(crate) fn write_repl_frame(out: &mut String, frame: &ReplFrame) {
+    match frame {
+        ReplFrame::Follow(FollowEvent::Record { line, .. }) => {
+            out.push_str("{\"type\":\"repl-record\",\"line\":");
+            write_str(out, line);
+            out.push('}');
+        }
+        ReplFrame::Follow(FollowEvent::Reset) => out.push_str("{\"type\":\"repl-reset\"}"),
+        ReplFrame::Follow(FollowEvent::Corrupt { .. }) => {
+            out.push_str("{\"type\":\"repl-corrupt\"}")
+        }
+        ReplFrame::Beat(Heartbeat { id, epoch, appended, degraded }) => {
+            out.push_str("{\"type\":\"repl-hb\",\"id\":");
+            write_u64(out, *id);
+            out.push_str(",\"epoch\":");
+            write_u64(out, *epoch);
+            out.push_str(",\"appended\":");
+            write_u64(out, *appended);
+            out.push_str(",\"degraded\":");
+            write_u64(out, u64::from(*degraded));
+            out.push('}');
+        }
+    }
+}
+
+/// Decodes one frame of a replication stream. Whatever is not a
+/// well-formed frame — not JSON, an unknown type, a record line that
+/// fails its checksum, a beat with a field missing or mistyped — is a
+/// `Corrupt` event carrying the frame, never a default.
+pub(crate) fn decode_repl_frame(text: &str) -> ReplFrame {
+    let decoded = Value::parse(text).ok().and_then(|frame| {
+        let field = |name| frame.get(name).and_then(Value::as_u64);
+        match frame.get("type")?.as_str()? {
+            "repl-record" => {
+                let line = frame.get("line")?.as_str()?;
+                let record = decode_line(line.as_bytes())?;
+                Some(ReplFrame::Follow(FollowEvent::Record { line: line.to_string(), record }))
+            }
+            "repl-reset" => Some(ReplFrame::Follow(FollowEvent::Reset)),
+            "repl-hb" => Some(ReplFrame::Beat(Heartbeat {
+                id: field("id")?,
+                epoch: field("epoch")?,
+                appended: field("appended")?,
+                degraded: field("degraded").filter(|&d| d <= 1)? == 1,
+            })),
+            // `repl-corrupt`, and every type this decoder does not know.
+            _ => None,
+        }
+    });
+    decoded.unwrap_or_else(|| ReplFrame::Follow(FollowEvent::Corrupt { line: text.to_string() }))
 }
 
 fn connection_loop<S: Serve>(mut stream: TcpStream, shared: &ListenerShared<S>) {
@@ -594,4 +649,68 @@ fn handle_line<'a, S: Serve>(shared: &'a ListenerShared<S>, line: &str) -> Route
         panic!("injected front-end panic (request {id})");
     }
     route(shared.served.mount(), request)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::encoded;
+
+    #[test]
+    fn every_repl_frame_survives_encode_then_decode() {
+        let journal = include_str!("../tests/fixtures/journal_golden.jsonl");
+        // Every record kind (the one score line with a NaN objective
+        // does not decode, and is left out).
+        let mut events: Vec<FollowEvent> = journal
+            .lines()
+            .filter_map(|line| {
+                let record = decode_line(line.as_bytes())?;
+                Some(FollowEvent::Record { line: line.to_string(), record })
+            })
+            .collect();
+        assert_eq!(events.len(), journal.lines().count() - 1);
+        events.push(FollowEvent::Reset);
+        let beats =
+            [false, true].map(|degraded| Heartbeat { id: 7, epoch: 3, appended: 12_345, degraded });
+        let frames = events.into_iter().map(ReplFrame::Follow).chain(beats.map(ReplFrame::Beat));
+        for frame in frames {
+            let text = encoded(|out| write_repl_frame(out, &frame));
+            assert_eq!(decode_repl_frame(&text), frame, "{text}");
+        }
+        // A corrupt line is counted, not carried: its frame decodes to
+        // a corrupt event all the same.
+        let corrupt = ReplFrame::Follow(FollowEvent::Corrupt { line: "x".into() });
+        let text = encoded(|out| write_repl_frame(out, &corrupt));
+        assert!(matches!(decode_repl_frame(&text), ReplFrame::Follow(FollowEvent::Corrupt { .. })));
+    }
+
+    #[test]
+    fn a_malformed_frame_decodes_to_corrupt_never_to_a_default() {
+        let beat = |fields: &str| format!("{{\"type\":\"repl-hb\",\"id\":1{fields}}}");
+        let frames = [
+            "not json".to_string(),
+            "{\"type\":\"repl-what\"}".to_string(),
+            "{\"type\":\"repl-corrupt\"}".to_string(),
+            "{\"type\":\"repl-record\"}".to_string(),
+            "{\"type\":\"repl-record\",\"line\":7}".to_string(),
+            "{\"type\":\"repl-record\",\"line\":\"{\\\"rec\\\":\\\"mystery\\\"}\"}".to_string(),
+            beat(",\"appended\":3,\"degraded\":0"),
+            beat(",\"epoch\":2,\"degraded\":0"),
+            beat(",\"epoch\":2,\"appended\":3"),
+            beat(",\"epoch\":\"2\",\"appended\":3,\"degraded\":0"),
+            beat(",\"epoch\":2,\"appended\":-3,\"degraded\":0"),
+            beat(",\"epoch\":2,\"appended\":3,\"degraded\":2"),
+            beat(",\"epoch\":2,\"appended\":3,\"degraded\":true"),
+        ];
+        for frame in frames {
+            match decode_repl_frame(&frame) {
+                ReplFrame::Follow(FollowEvent::Corrupt { line }) => assert_eq!(line, frame),
+                other => panic!("{frame} decoded to {other:?}"),
+            }
+        }
+        assert!(matches!(
+            decode_repl_frame(&beat(",\"epoch\":2,\"appended\":3,\"degraded\":0")),
+            ReplFrame::Beat(Heartbeat { epoch: 2, appended: 3, degraded: false, .. })
+        ));
+    }
 }

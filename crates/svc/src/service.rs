@@ -32,6 +32,7 @@ use scheduler::{
 
 use crate::cache::ScoreCache;
 use crate::fair::{FairQueue, PushError, TenantPolicy};
+use crate::image::{FinishedRun, Image, Window};
 use crate::journal::{Journal, JournalConfig, ReplayedReservation};
 use crate::protocol::{
     validate_tenant, ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec,
@@ -375,9 +376,9 @@ struct Shared {
     /// `score` budget above it is refused (see [`validate_score`]).
     node_cores: u32,
     /// Completed run results by job id (the original request id), the
-    /// index behind `attach`. Bounded FIFO like the score cache; the
-    /// journal rebuilds it across restarts.
-    runs: ScoreCache<FinishedRun>,
+    /// index behind `attach`. Bounded like the score cache; the journal
+    /// rebuilds it across restarts.
+    runs: Mutex<Window<u64, FinishedRun>>,
     journal: Option<Journal>,
     workers: usize,
     scan_workers: usize,
@@ -418,29 +419,20 @@ impl Service {
             config.workers = host_workers();
         }
         let stats = SvcStats::default();
-        let cache = ScoreCache::new(config.cache_capacity);
-        let runs = ScoreCache::new(config.cache_capacity);
-        let mut replayed_reservations = Vec::new();
-        let mut admit_tenants: HashMap<u64, String> = HashMap::new();
-        let journal = match config.journal.clone() {
-            Some(journal_config) => {
-                let (journal, replay) = Journal::open(journal_config)?;
-                // Chronological order + FIFO eviction: when the replay
-                // holds more than the cache fits, the newest survive.
-                for (key, placements) in replay.scores {
-                    cache.insert(key, placements);
-                }
-                for (job, response) in replay.runs {
-                    if let Some(run) = FinishedRun::of(&response) {
-                        runs.insert(job.to_string(), run);
-                    }
-                }
-                replayed_reservations = replay.reservations;
-                admit_tenants = replay.admit_tenants;
-                Some(journal)
-            }
-            None => None,
+        let (journal, image) = match config.journal.clone().map(Journal::open).transpose()? {
+            Some((journal, image)) => (Some(journal), image),
+            None => (None, Image::new(0, 0)),
         };
+        // Entries in order of last write: when the replay holds more
+        // than a window fits, the newest survive.
+        let cache = ScoreCache::new(config.cache_capacity);
+        for (key, placements) in image.scores.iter() {
+            cache.insert(key.clone(), placements.clone());
+        }
+        let mut runs = Window::new(config.cache_capacity.max(1));
+        for (&job, run) in image.runs.iter() {
+            runs.put(job, run.clone());
+        }
         // Pre-seed a row per policy-named tenant: their rows (and
         // quota/weight columns) are visible from the first snapshot,
         // and they can never fold into the overflow row however many
@@ -464,8 +456,8 @@ impl Service {
             // attribution first, the admit map as the pre-tenant-record
             // fallback.
             let mut restored_tenants = HashMap::new();
-            for r in replayed_reservations {
-                let tenant = r.tenant.clone().or_else(|| admit_tenants.get(&r.job).cloned());
+            for r in image.reservations.iter().map(|(_, r)| r.clone()) {
+                let tenant = r.tenant.clone().or_else(|| image.admit_tenants.get(&r.job).cloned());
                 let shape = scheduler::EnsembleShape { members: r.members };
                 let reservation = Reservation::build(
                     r.job,
@@ -508,7 +500,7 @@ impl Service {
             node_cores: base_config(ensemble_core::EnsembleSpec::new(Vec::new()), Workloads::Paper)
                 .node_spec
                 .cores_per_node(),
-            runs,
+            runs: Mutex::new(runs),
             journal,
             workers: config.workers,
             scan_workers: config.scan_workers,
@@ -613,7 +605,7 @@ impl Service {
     /// inline (like `metrics`) — it never queues, so re-attaching works
     /// even under overload.
     pub fn attach(&self, id: u64, job: u64) -> Response {
-        attach_reply(id, job, self.shared.runs.get(&job.to_string()).as_deref())
+        attach_reply(id, job, self.shared.runs.lock().expect("run index lock").get(&job))
     }
 
     /// Point-in-time metrics: every row of the wire `metrics` reply, in
@@ -683,7 +675,7 @@ impl Service {
         // Interim progress frames delivered to progress-opted clients.
         m.push("progress_frames_sent", load(&s.progress_frames_sent));
         // Completed runs held in the attachable-job index.
-        m.push("run_index_entries", shared.runs.len());
+        m.push("run_index_entries", shared.runs.lock().expect("run index lock").len());
         // Whether a journal is attached; every `journal_*` row below is
         // zero when not.
         m.push("journal_enabled", shared.journal.is_some());
@@ -835,7 +827,7 @@ fn worker_loop(shared: &Shared) {
         // id), and durable when a journal is attached.
         if let Some(run) = FinishedRun::of(&response) {
             let job_id = job.request.id;
-            shared.runs.insert(job_id.to_string(), run);
+            shared.runs.lock().expect("run index lock").put(job_id, run);
             if let Some(journal) = &shared.journal {
                 journal.append_run(job_id, &response);
             }
@@ -1319,41 +1311,12 @@ fn dispatch_started(
     }
 }
 
-/// A completed run as a run index keeps it: a `run_result` without its
-/// correlation id.
-pub(crate) struct FinishedRun {
-    ensemble_makespan: f64,
-    members: Vec<MemberSummary>,
-    elapsed_ms: f64,
-}
-
-impl FinishedRun {
-    /// The run a `run_result` reply carries; `None` for any other reply.
-    pub(crate) fn of(reply: &Response) -> Option<FinishedRun> {
-        match reply {
-            Response::RunResult { ensemble_makespan, members, elapsed_ms, .. } => {
-                Some(FinishedRun {
-                    ensemble_makespan: *ensemble_makespan,
-                    members: members.clone(),
-                    elapsed_ms: *elapsed_ms,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
 /// The `attach { job }` reply both mounts give: the run their index
 /// holds for `job`, re-emitted under the attach request's own `id`, or
 /// `not_found`.
 pub(crate) fn attach_reply(id: u64, job: u64, run: Option<&FinishedRun>) -> Response {
     match run {
-        Some(run) => Response::RunResult {
-            id,
-            ensemble_makespan: run.ensemble_makespan,
-            members: run.members.clone(),
-            elapsed_ms: run.elapsed_ms,
-        },
+        Some(run) => run.reply(id),
         None => Response::Error {
             id,
             kind: ErrorKind::NotFound,

@@ -15,10 +15,13 @@
 //! - **Network replication** ([`StandbySource::Primary`]) — open a
 //!   `replicate` request against the primary's TCP front end and apply
 //!   the `repl-*` frames it streams, persisting every record verbatim
-//!   into a local journal copy. Liveness comes from `repl-hb` frames;
-//!   a heartbeat carrying `degraded:1` (the primary's journal crashed
-//!   or was fenced) counts as death immediately. Promotion replays the
-//!   local copy.
+//!   into a local journal copy before applying it. Liveness comes from
+//!   `repl-hb` frames; a heartbeat carrying `degraded:1` (the primary's
+//!   journal crashed or was fenced) counts as death immediately.
+//!   Promotion replays the local copy.
+//!
+//! Both sources feed one apply into the [`Image`] a restart folds, so
+//! a promotion's replay lands on the state the standby served.
 //!
 //! While following, the standby serves **read-only** `metrics` and
 //! `attach` on its own listener — the server's listener, serving this
@@ -33,19 +36,19 @@
 //! via normal journal replay, bumps the fencing epoch, and starts a
 //! full read-write [`Service`] warm from the followed records.
 
-use std::collections::{HashMap, HashSet};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::journal::{decode_line, FollowEvent, JournalConfig, JournalFollower, JournalRecord};
-use crate::json::Value;
+use crate::image::Image;
+use crate::journal::{FollowEvent, JournalConfig, JournalFollower};
 use crate::protocol::Response;
-use crate::server::{heartbeat_path, LineReader, Listener, REPL_HEARTBEAT};
-use crate::service::{attach_reply, FinishedRun, Service, SvcConfig};
+use crate::server::{decode_repl_frame, heartbeat_path, Heartbeat, LineReader, Listener};
+use crate::server::{ReplFrame, REPL_HEARTBEAT};
+use crate::service::{attach_reply, Service, SvcConfig};
 use crate::stats::MetricsSnapshot;
 
 /// Missed heartbeats after which the primary is presumed dead.
@@ -105,7 +108,7 @@ pub struct StandbyStatus {
     pub records_applied: u64,
     /// Admit records applied.
     pub admits: u64,
-    /// Score records applied (the warm score-cache image).
+    /// Score records applied (counted; the standby holds no ranking).
     pub scores: u64,
     /// Distinct completed runs indexed (served read-only via attach).
     pub runs_indexed: u64,
@@ -125,52 +128,35 @@ pub struct StandbyStatus {
     pub primary_degraded: bool,
 }
 
-/// The standby's warm image: counters plus the run index it serves
-/// read-only.
-#[derive(Default)]
-struct Image {
-    status: StandbyStatus,
-    runs: HashMap<u64, FinishedRun>,
-    reservations: HashSet<u64>,
+/// What the follower keeps: the image it folds the stream into — no
+/// ranking, every run and open reservation — the stream's own counters
+/// (the `resets`, `corrupt`, `primary_*` and `beats` of `counted`), and
+/// when the primary last beat. [`apply_event`] is its only writer.
+struct Follow {
+    image: Image,
+    counted: StandbyStatus,
+    last_beat: Instant,
 }
 
-impl Image {
-    /// Discard everything derived from the stream (rotation or
-    /// reconnect restreams from the top); cumulative counters
-    /// (`resets`, `corrupt`, `beats`) survive.
-    fn reset(&mut self) {
-        self.runs.clear();
-        self.reservations.clear();
-        self.status.records_applied = 0;
-        self.status.admits = 0;
-        self.status.scores = 0;
-        self.status.runs_indexed = 0;
-        self.status.open_reservations = 0;
-        self.status.resets += 1;
+impl Follow {
+    /// An empty follow of a lineage whose sidecar holds `epoch`: a
+    /// standby of an already promoted lineage never accepts a
+    /// lower-epoch image.
+    fn new(epoch: u64) -> Follow {
+        let image = Image { epoch, ..Image::new(0, usize::MAX) };
+        Follow { image, counted: StandbyStatus::default(), last_beat: Instant::now() }
     }
 
-    fn apply(&mut self, record: JournalRecord) {
-        self.status.records_applied += 1;
-        match record {
-            JournalRecord::Admit { .. } => self.status.admits += 1,
-            JournalRecord::Score { .. } => self.status.scores += 1,
-            JournalRecord::Run { job, response } => {
-                if let Some(run) = FinishedRun::of(&response) {
-                    self.runs.insert(job, run);
-                }
-                self.status.runs_indexed = self.runs.len() as u64;
-            }
-            JournalRecord::Reserve(r) => {
-                self.reservations.insert(r.job);
-                self.status.open_reservations = self.reservations.len() as u64;
-            }
-            JournalRecord::Release { job } => {
-                self.reservations.remove(&job);
-                self.status.open_reservations = self.reservations.len() as u64;
-            }
-            JournalRecord::Epoch { epoch } => {
-                self.status.epoch = self.status.epoch.max(epoch);
-            }
+    fn status(&self) -> StandbyStatus {
+        let image = &self.image;
+        StandbyStatus {
+            records_applied: image.records,
+            admits: image.admits,
+            scores: image.score_records,
+            runs_indexed: image.runs.len() as u64,
+            open_reservations: image.reservations.len() as u64,
+            epoch: image.epoch,
+            ..self.counted
         }
     }
 }
@@ -178,8 +164,7 @@ impl Image {
 /// What the follower keeps and the read-only listener serves.
 pub(crate) struct StandbyShared {
     stopping: AtomicBool,
-    image: Mutex<Image>,
-    last_beat: Mutex<Instant>,
+    follow: Mutex<Follow>,
 }
 
 impl StandbyShared {
@@ -187,21 +172,20 @@ impl StandbyShared {
         self.stopping.load(Ordering::Acquire)
     }
 
-    fn beat(&self) {
-        *self.last_beat.lock().expect("beat lock") = Instant::now();
-        self.image.lock().expect("image lock").status.beats += 1;
+    fn follow(&self) -> std::sync::MutexGuard<'_, Follow> {
+        self.follow.lock().expect("follow lock")
     }
 
     /// Read-only attach from the warm run index.
     pub(crate) fn attach(&self, id: u64, job: u64) -> Response {
-        attach_reply(id, job, self.image.lock().expect("image lock").runs.get(&job))
+        attach_reply(id, job, self.follow().image.runs.get(&job))
     }
 
     /// The standby's metrics rows: `standby_*` names, disjoint from a
     /// primary's rows so dashboards can tell which side answered. Each
     /// row's meaning is the [`StandbyStatus`] field it reads.
     pub(crate) fn metrics(&self) -> MetricsSnapshot {
-        let s = self.image.lock().expect("image lock").status;
+        let s = self.follow().status();
         let mut m = MetricsSnapshot::default();
         m.push("standby_records_applied", s.records_applied);
         m.push("standby_admits", s.admits);
@@ -234,18 +218,14 @@ impl Standby {
     /// listener, if configured) threads are running; catching up with
     /// the primary happens in the background.
     pub fn start(config: StandbyConfig) -> std::io::Result<Standby> {
-        let shared = Arc::new(StandbyShared {
-            stopping: AtomicBool::new(false),
-            image: Mutex::new(Image::default()),
-            last_beat: Mutex::new(Instant::now()),
-        });
         let local = match &config.source {
             StandbySource::File(path) => path.clone(),
             StandbySource::Primary { local, .. } => local.clone(),
         };
-        // Seed the epoch from the sidecar so a standby of an already
-        // promoted lineage never accepts a lower-epoch image.
-        shared.image.lock().expect("image lock").status.epoch = crate::journal::read_epoch(&local);
+        let shared = Arc::new(StandbyShared {
+            stopping: AtomicBool::new(false),
+            follow: Mutex::new(Follow::new(crate::journal::read_epoch(&local))),
+        });
         let follow_shared = Arc::clone(&shared);
         let source = config.source.clone();
         let heartbeat = config.heartbeat;
@@ -282,7 +262,7 @@ impl Standby {
 
     /// Point-in-time follower status.
     pub fn status(&self) -> StandbyStatus {
-        self.shared.image.lock().expect("image lock").status
+        self.shared.follow().status()
     }
 
     /// Read-only attach from the warm run index — same answer the
@@ -295,12 +275,9 @@ impl Standby {
     /// (or reported its journal degraded). The supervisor polls this
     /// and decides whether to [`promote`](Standby::promote).
     pub fn primary_dead(&self) -> bool {
-        let status = self.status();
-        if status.primary_degraded {
-            return true;
-        }
-        let last = *self.shared.last_beat.lock().expect("beat lock");
-        last.elapsed() > self.heartbeat * self.dead_after_beats
+        let follow = self.shared.follow();
+        follow.counted.primary_degraded
+            || follow.last_beat.elapsed() > self.heartbeat * self.dead_after_beats
     }
 
     /// Stops following and serving; returns the journal path a
@@ -346,12 +323,28 @@ impl Drop for Standby {
     }
 }
 
-fn apply_event(shared: &StandbyShared, event: FollowEvent) {
-    let mut image = shared.image.lock().expect("image lock");
-    match event {
-        FollowEvent::Record { record, .. } => image.apply(record),
-        FollowEvent::Reset => image.reset(),
-        FollowEvent::Corrupt { .. } => image.status.corrupt += 1,
+/// Applies one event of either source: the only writer of the
+/// standby's image and counters.
+fn apply_event(shared: &StandbyShared, frame: ReplFrame) {
+    let follow = &mut *shared.follow();
+    let counted = &mut follow.counted;
+    match frame {
+        ReplFrame::Follow(FollowEvent::Record { record, .. }) => follow.image.apply(record),
+        ReplFrame::Follow(FollowEvent::Reset) => {
+            follow.image.reset();
+            counted.resets += 1;
+        }
+        ReplFrame::Follow(FollowEvent::Corrupt { .. }) => counted.corrupt += 1,
+        ReplFrame::Beat(hb) => {
+            follow.image.epoch = follow.image.epoch.max(hb.epoch);
+            counted.primary_appended = hb.appended;
+            counted.primary_degraded = hb.degraded;
+            if hb.degraded {
+                return; // a death notice, not a sign of life
+            }
+            counted.beats += 1;
+            follow.last_beat = Instant::now();
+        }
     }
 }
 
@@ -363,12 +356,12 @@ fn follow_file(path: &Path, shared: &StandbyShared) {
     let mut last_mtime: Option<SystemTime> = None;
     while !shared.stopping() {
         for event in follower.poll().unwrap_or_default() {
-            apply_event(shared, event);
+            apply_event(shared, ReplFrame::Follow(event));
         }
         if let Ok(mtime) = std::fs::metadata(&hb_path).and_then(|m| m.modified()) {
             if last_mtime != Some(mtime) {
                 last_mtime = Some(mtime);
-                shared.beat();
+                apply_event(shared, ReplFrame::Beat(Heartbeat::default()));
             }
         }
         std::thread::sleep(POLL);
@@ -402,8 +395,11 @@ fn sleep_observing_stop(shared: &StandbyShared, total: Duration) {
 
 /// One replication session. Every (re)connect restreams the journal
 /// from the top, so the local copy is truncated and the image reset
-/// before applying. Returns true iff the primary declared itself
-/// degraded (the caller stops following instead of reconnecting).
+/// before applying. A record reaches the image only after it reached
+/// the local copy, which promotion replays: a failed local write ends
+/// the session, and the reconnect restreams into a truncated copy.
+/// Returns true iff the primary declared itself degraded (the caller
+/// stops following instead of reconnecting).
 fn stream_session(
     mut stream: TcpStream,
     local: &Path,
@@ -418,11 +414,8 @@ fn stream_session(
     let Ok(mut file) = std::fs::File::create(local) else {
         return false;
     };
-    {
-        let mut image = shared.image.lock().expect("image lock");
-        if image.status.records_applied > 0 {
-            image.reset();
-        }
+    if shared.follow().image.records > 0 {
+        apply_event(shared, ReplFrame::Follow(FollowEvent::Reset));
     }
     // Uncapped: one record line can approach a full ranking's size.
     let mut lines = LineReader::new(None);
@@ -430,51 +423,22 @@ fn stream_session(
     while !shared.stopping() {
         while let Some(line) = lines.next_line() {
             last_frame = Instant::now();
-            let Ok(frame) = Value::parse(&line) else {
-                shared.image.lock().expect("image lock").status.corrupt += 1;
-                continue;
+            let frame = decode_repl_frame(&line);
+            let persisted = match &frame {
+                ReplFrame::Follow(FollowEvent::Record { line, .. }) => writeln!(file, "{line}"),
+                ReplFrame::Follow(FollowEvent::Reset) => {
+                    file.set_len(0).and_then(|()| file.seek(SeekFrom::Start(0))).map(drop)
+                }
+                _ => Ok(()),
             };
-            match frame.get("type").and_then(Value::as_str) {
-                Some("repl-record") => {
-                    let Some(record_line) = frame.get("line").and_then(Value::as_str) else {
-                        shared.image.lock().expect("image lock").status.corrupt += 1;
-                        continue;
-                    };
-                    let _ = writeln!(file, "{record_line}");
-                    match decode_line(record_line.as_bytes()) {
-                        Some(record) => apply_event(
-                            shared,
-                            FollowEvent::Record { line: record_line.to_string(), record },
-                        ),
-                        None => shared.image.lock().expect("image lock").status.corrupt += 1,
-                    }
-                }
-                Some("repl-reset") => {
-                    if file.set_len(0).is_ok() {
-                        let _ = std::io::Seek::seek(&mut file, std::io::SeekFrom::Start(0));
-                    }
-                    apply_event(shared, FollowEvent::Reset);
-                }
-                Some("repl-corrupt") => {
-                    shared.image.lock().expect("image lock").status.corrupt += 1;
-                }
-                Some("repl-hb") => {
-                    let epoch = frame.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-                    let appended = frame.get("appended").and_then(Value::as_u64).unwrap_or(0);
-                    let degraded = frame.get("degraded").and_then(Value::as_u64).unwrap_or(0) != 0;
-                    {
-                        let mut image = shared.image.lock().expect("image lock");
-                        image.status.epoch = image.status.epoch.max(epoch);
-                        image.status.primary_appended = appended;
-                        image.status.primary_degraded = degraded;
-                    }
-                    if degraded {
-                        let _ = file.sync_data();
-                        return true;
-                    }
-                    shared.beat();
-                }
-                _ => shared.image.lock().expect("image lock").status.corrupt += 1,
+            if persisted.is_err() {
+                return false;
+            }
+            let degraded = matches!(frame, ReplFrame::Beat(Heartbeat { degraded: true, .. }));
+            apply_event(shared, frame);
+            if degraded {
+                let _ = file.sync_data();
+                return true;
             }
         }
         // The session ends when the primary closes the stream (or an
@@ -494,17 +458,23 @@ fn stream_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{Journal, JournalRecord, ReplayedReservation};
+    use crate::json::encoded;
     use crate::protocol::{ErrorKind, MemberSummary, Request};
-    use crate::server::{route, Mount, Routed};
+    use crate::server::{route, serve, write_repl_frame, Mount, Routed};
+    use crate::service::small_score_request;
+
+    fn standby() -> StandbyShared {
+        StandbyShared { stopping: AtomicBool::new(false), follow: Mutex::new(Follow::new(0)) }
+    }
 
     fn image_of(records: impl IntoIterator<Item = JournalRecord>) -> StandbyShared {
-        let mut image = Image::default();
-        records.into_iter().for_each(|record| image.apply(record));
-        StandbyShared {
-            stopping: AtomicBool::new(false),
-            image: Mutex::new(image),
-            last_beat: Mutex::new(Instant::now()),
+        let shared = standby();
+        for record in records {
+            let line = String::new();
+            apply_event(&shared, ReplFrame::Follow(FollowEvent::Record { line, record }));
         }
+        shared
     }
 
     /// What the standby's listener answers `line` with.
@@ -522,27 +492,6 @@ mod tests {
             members: vec![MemberSummary { sigma_star: 1.0, efficiency: 0.9, cp: 1.0, makespan }],
             elapsed_ms: 2.0,
         }
-    }
-
-    #[test]
-    fn image_applies_and_resets() {
-        let mut image = Image::default();
-        image.apply(JournalRecord::Admit { job: 1, tenant: None });
-        image.apply(JournalRecord::Score { key: "k".into(), placements: vec![].into() });
-        image.apply(JournalRecord::Run { job: 7, response: run_response(7, 42.0) });
-        image.apply(JournalRecord::Release { job: 99 });
-        image.apply(JournalRecord::Epoch { epoch: 3 });
-        assert_eq!(image.status.records_applied, 5);
-        assert_eq!(image.status.admits, 1);
-        assert_eq!(image.status.scores, 1);
-        assert_eq!(image.status.runs_indexed, 1);
-        assert_eq!(image.status.epoch, 3);
-        image.reset();
-        assert_eq!(image.status.records_applied, 0);
-        assert_eq!(image.status.runs_indexed, 0);
-        assert_eq!(image.status.resets, 1);
-        assert_eq!(image.status.epoch, 3, "epoch is monotone across resets");
-        assert!(image.runs.is_empty());
     }
 
     #[test]
@@ -578,5 +527,150 @@ mod tests {
             Response::Metrics { id: 4, rows } => assert_eq!(rows.len(), 11),
             other => panic!("expected the standby rows, got {other:?}"),
         }
+    }
+
+    fn temp_path(name: &str) -> PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("svc-standby-unit-{}-{name}.jsonl", std::process::id()));
+        cleanup(&path);
+        path
+    }
+
+    fn cleanup(path: &Path) {
+        for suffix in ["", ".epoch", ".quarantine", ".hb"] {
+            let mut name = path.as_os_str().to_os_string();
+            name.push(suffix);
+            let _ = std::fs::remove_file(PathBuf::from(name));
+        }
+    }
+
+    fn fixture_lines(name: &str) -> Vec<String> {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+        std::fs::read_to_string(path).expect("fixture").lines().map(str::to_string).collect()
+    }
+
+    /// What a restart and a standby must agree on: the runs (every bit),
+    /// the open reservations, the epoch and the admit count.
+    #[derive(Debug, PartialEq)]
+    struct Held {
+        runs: Vec<(u64, String)>,
+        reservations: Vec<ReplayedReservation>,
+        epoch: u64,
+        admits: u64,
+    }
+
+    fn held(image: &Image) -> Held {
+        Held {
+            runs: image
+                .runs
+                .iter()
+                .map(|(&job, run)| (job, run.recorded_reply().to_json()))
+                .collect(),
+            reservations: image.reservations.iter().map(|(_, r)| r.clone()).collect(),
+            epoch: image.epoch,
+            admits: image.admits,
+        }
+    }
+
+    #[test]
+    fn the_standby_image_equals_replay_for_every_prefix_of_every_fixture() {
+        let path = temp_path("image-equals-replay");
+        for fixture in ["journal_golden.jsonl", "parent_journal.jsonl"] {
+            let lines = fixture_lines(fixture);
+            for n in 0..=lines.len() {
+                let intact: String = lines[..n].iter().map(|line| format!("{line}\n")).collect();
+                // The same prefix with a corrupt interior line and a
+                // torn tail added.
+                let (head, tail) =
+                    intact.split_at(lines[..n / 2].iter().map(|l| l.len() + 1).sum());
+                let flipped = "{\"rec\":\"score\",\"key\":\"flipped\",\"crc\":\"00000000\"}\n";
+                let damaged = format!("{head}{flipped}{tail}{{\"rec\":\"run\",\"job\":99,\"resp");
+                for bytes in [intact.clone(), damaged] {
+                    std::fs::write(&path, &bytes).unwrap();
+                    let events = JournalFollower::new(&path).poll().unwrap();
+                    let (by_file, by_stream) = (standby(), standby());
+                    for frame in events.into_iter().map(ReplFrame::Follow) {
+                        let text = encoded(|out| write_repl_frame(out, &frame));
+                        apply_event(&by_file, frame);
+                        apply_event(&by_stream, decode_repl_frame(&text));
+                    }
+                    let (journal, replayed) = Journal::open(JournalConfig::new(&path)).unwrap();
+                    let (want, quarantined) = (held(&replayed), journal.stats().quarantined);
+                    drop(journal);
+                    for follow in [by_file.follow(), by_stream.follow()] {
+                        assert_eq!(held(&follow.image), want, "{fixture}, {n} lines:\n{bytes}");
+                        assert_eq!(follow.counted.corrupt, quarantined, "{fixture}, {n} lines");
+                    }
+                    cleanup(&path);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn promotion_lands_on_the_state_the_standby_served() {
+        let path = temp_path("promote-served");
+        let lines = fixture_lines("parent_journal.jsonl");
+        std::fs::write(&path, lines.iter().map(|line| format!("{line}\n")).collect::<String>())
+            .unwrap();
+        let standby =
+            Standby::start(StandbyConfig::new(StandbySource::File(path.clone()))).unwrap();
+        let start = Instant::now();
+        while standby.status().records_applied < lines.len() as u64 {
+            assert!(start.elapsed() < Duration::from_secs(10), "the standby never caught up");
+            std::thread::sleep(POLL);
+        }
+        let status = standby.status();
+        let jobs: Vec<u64> =
+            standby.shared.follow().image.runs.iter().map(|(&job, _)| job).collect();
+        assert!(!jobs.is_empty(), "the fixture holds a run");
+        let served: Vec<String> =
+            jobs.iter().map(|&job| standby.attach(5, job).to_json()).collect();
+        let svc = standby.promote(SvcConfig { workers: 1, ..SvcConfig::default() }).unwrap();
+        let promoted: Vec<String> = jobs.iter().map(|&job| svc.attach(5, job).to_json()).collect();
+        assert_eq!(promoted, served, "attach answers the bits the standby served");
+        let m = svc.metrics();
+        assert_eq!(m.get("run_index_entries"), status.runs_indexed as f64);
+        assert_eq!(m.get("journal_epoch"), (status.epoch + 1) as f64, "promotion bumps the epoch");
+        svc.shutdown();
+        cleanup(&path);
+    }
+
+    /// A local copy that refuses every write: the standby must never
+    /// apply a record promotion would not replay.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_record_the_local_copy_never_got_is_never_applied() {
+        let path = temp_path("dev-full-primary");
+        let copy = temp_path("dev-full-control");
+        let config = SvcConfig {
+            workers: 1,
+            journal: Some(JournalConfig::new(&path)),
+            ..SvcConfig::default()
+        };
+        let primary = serve("127.0.0.1:0", config).unwrap();
+        primary.service().submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait();
+        let addr = primary.addr().to_string();
+        let follow = |local: PathBuf| {
+            let source = StandbySource::Primary { addr: addr.clone(), local };
+            Standby::start(StandbyConfig::new(source)).unwrap()
+        };
+        // The control: a copy that takes writes applies the admit and
+        // the score within a few frames.
+        let control = follow(copy.clone());
+        let start = Instant::now();
+        while control.status().records_applied < 2 {
+            assert!(start.elapsed() < Duration::from_secs(10), "the control never caught up");
+            std::thread::sleep(POLL);
+        }
+        let full = follow(PathBuf::from("/dev/full"));
+        // Several sessions' worth of reconnects.
+        std::thread::sleep(Duration::from_millis(600));
+        let status = full.status();
+        assert_eq!((status.records_applied, status.runs_indexed, status.admits), (0, 0, 0));
+        drop((control, full));
+        primary.shutdown();
+        cleanup(&path);
+        cleanup(&copy);
     }
 }

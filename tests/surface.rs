@@ -1,4 +1,4 @@
-//! Five rules about the workspace's shape that hold themselves.
+//! Six rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -28,7 +28,9 @@
 //! request's life — refused, admitted, started, settled — in one ledger,
 //! so its global rows balance the way its tenant rows do. Every write
 //! of a lifecycle counter or a tenant-row field in `crates/svc/src`
-//! appears in exactly one library function.
+//! appears in exactly one library function. So does every write of a
+//! counter a warm standby keeps of its record stream: both of its
+//! sources feed one apply.
 //!
 //! **Each request kind is routed once, and there is one listener.** One
 //! function of `crates/svc/src` decides whether a `metrics`, `attach` or
@@ -37,6 +39,13 @@
 //! wire — and one function accepts TCP connections. The codec
 //! (`protocol.rs`), which names every kind to encode and decode it, is
 //! not routing.
+//!
+//! **The record fold does no I/O.** Restart replay, compaction and the
+//! warm standby fold the journal with one `svc::image::Image`, and the
+//! score cache holds entries in its `Window`. Their source,
+//! `crates/svc/src/image.rs`, names no file system, socket, thread or
+//! clock, so whatever drives the fold — a file, a replication stream,
+//! a simulated schedule — gets the same state from the same records.
 
 use std::collections::BTreeSet;
 
@@ -312,14 +321,20 @@ fn each_request_counter_is_written_in_one_library_function() {
         ".executed",
         ".cancelled",
         ".in_flight",
+        // What a standby counts of its stream, beside its image.
+        ".resets",
+        ".corrupt",
+        ".beats",
+        ".primary_appended",
+        ".primary_degraded",
     ];
     let marks: Vec<(&str, Counts)> = fields.iter().map(|&field| (field, write)).collect();
     let repeated =
         made_in_more_than_one_place(&library_code(root, &[root.join("crates/svc/src")]), &marks);
     assert!(
         repeated.is_empty(),
-        "a request counter written in other than exactly one library function — step the \
-         service's ledger instead:\n  {}",
+        "a request or standby counter written in other than exactly one library function — \
+         step the service's ledger or the standby's `apply_event` instead:\n  {}",
         repeated.join("\n  ")
     );
 }
@@ -356,5 +371,19 @@ fn each_request_kind_is_routed_in_one_library_function() {
         "a request kind routed, or a connection accepted, in other than exactly one library \
          function — mount on the server's router and listener instead:\n  {}",
         repeated.join("\n  ")
+    );
+}
+
+#[test]
+fn the_record_fold_and_its_window_name_no_io() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let source = fs::read_to_string(root.join("crates/svc/src/image.rs")).expect("read image.rs");
+    let named: Vec<&str> = ["std::fs", "std::net", "std::thread", "Instant", "SystemTime"]
+        .into_iter()
+        .filter(|name| source.contains(name))
+        .collect();
+    assert!(
+        named.is_empty(),
+        "the record fold names {named:?} — feed it records instead of doing I/O in it"
     );
 }
