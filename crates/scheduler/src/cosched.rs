@@ -336,6 +336,9 @@ pub struct PlacementDecision {
     pub scanned: usize,
     /// Candidates that fit the residual capacity.
     pub feasible: usize,
+    /// Whether the scheduler started this job ahead of an
+    /// earlier-admitted job still waiting: EASY backfill.
+    pub backfilled: bool,
 }
 
 /// Reusable buffers of [`best_fit_mapping`]: one set per scan worker,
@@ -515,6 +518,7 @@ pub fn place_against(
         nodes_used: hit.nodes_used,
         scanned,
         feasible,
+        backfilled: false,
     }))
 }
 
@@ -777,9 +781,10 @@ impl CoScheduler {
         backfilled: bool,
     ) -> Result<Option<PlacementDecision>, CoschedError> {
         let view = self.residency.view();
-        let Some(decision) = self.place(shape, &view)? else {
+        let Some(mut decision) = self.place(shape, &view)? else {
             return Ok(None);
         };
+        decision.backfilled = backfilled;
         let (node_load, staging) =
             node_loads(shape, &decision.assignment, self.cfg.budget.max_nodes);
         let seq = self.next_seq;

@@ -68,7 +68,8 @@
 //!
 //! Size-based rotation keeps the file bounded: once an append pushes
 //! the journal past `max_bytes`, it is compacted in place to the
-//! newest `retain_scores` rankings and `retain_runs` runs, every open
+//! newest rankings and runs the service holds (`cache_capacity` of
+//! each; 256 for a journal opened alone), every open
 //! reservation, and the current fencing epoch (re-journaled first, so
 //! the compacted file stays self-describing). The rewrite goes through
 //! a temp file + rename so a crash during compaction leaves either the
@@ -121,12 +122,11 @@ pub struct JournalConfig {
     pub fsync: FsyncPolicy,
     /// Size threshold that triggers rotation + compaction.
     pub max_bytes: u64,
-    /// Score records surviving compaction (wire this to the score-cache
-    /// capacity: retaining more than the cache can hold is waste).
-    pub retain_scores: usize,
-    /// Run records surviving compaction (bounds the completed-job index
-    /// a replay rebuilds).
-    pub retain_runs: usize,
+    /// Score and run records surviving compaction: what the service
+    /// holds (its score cache and run index, both `cache_capacity`
+    /// deep), 256 for a journal opened alone.
+    pub(crate) retain_scores: usize,
+    pub(crate) retain_runs: usize,
     /// Bump the fencing epoch at open: what a promoting standby sets so
     /// the deposed primary's later appends are rejected.
     pub promote: bool,

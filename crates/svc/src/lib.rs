@@ -46,6 +46,7 @@
 
 pub mod cache;
 pub mod client;
+mod cosched;
 pub mod fair;
 pub mod fault;
 pub mod image;
@@ -60,6 +61,7 @@ pub use ::json;
 
 pub use cache::ScoreCache;
 pub use client::{FailoverClient, FailoverPolicy, RetryPolicy as ClientRetryPolicy, SvcClient};
+pub use cosched::CoschedSvcConfig;
 pub use fair::{FairQueue, TenantPolicy};
 pub use fault::SvcFaultPlan;
 pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord, ReplayedReservation};
@@ -68,5 +70,5 @@ pub use protocol::{
     Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
 };
 pub use server::{serve, ServerHandle};
-pub use service::{small_score_request, CoschedSvcConfig, Rejected, Service, SvcConfig};
+pub use service::{small_score_request, Rejected, Service, SvcConfig};
 pub use standby::{Standby, StandbyConfig, StandbySource};

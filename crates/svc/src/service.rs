@@ -17,7 +17,8 @@
 //! `count`, which moves the global counters and the request's tenant row
 //! together.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -25,12 +26,12 @@ use std::time::{Duration, Instant};
 use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
-    scan_placements, Admission, Candidate, CoScheduler, CoschedConfig, DeltaEvaluator, FastScore,
-    NodeBudget, ObjectiveBound, PlacementDecision, Reservation, ScanOptions, ScanProgress,
-    ScanVisitor, SolveCache,
+    scan_placements, Candidate, CoScheduler, DeltaEvaluator, FastScore, ObjectiveBound,
+    ScanOptions, ScanProgress, ScanVisitor, SolveCache,
 };
 
 use crate::cache::ScoreCache;
+use crate::cosched::{Admitted, Cosched, CoschedSvcConfig, Placed, Start, Waiter};
 use crate::fair::{FairQueue, PushError, TenantPolicy};
 use crate::image::{FinishedRun, Image, Window};
 use crate::journal::{Journal, JournalConfig, ReplayedReservation};
@@ -56,6 +57,7 @@ pub struct SvcConfig {
     /// Optional on-disk journal. When set, admitted requests and
     /// completed results persist across restarts: the score cache is
     /// warmed and the attachable-run index rebuilt by replay at start.
+    /// Compaction keeps `cache_capacity` scores and runs.
     pub journal: Option<JournalConfig>,
     /// Fault-injection hook: the front end panics while handling the
     /// request with this id. Exercises the server's panic containment
@@ -91,27 +93,6 @@ impl Default for SvcConfig {
             cosched: None,
             tenant_policy: TenantPolicy::default(),
         }
-    }
-}
-
-/// Tuning of the optional online co-scheduler (`submit` requests).
-#[derive(Debug, Clone)]
-pub struct CoschedSvcConfig {
-    /// The platform capacity concurrent ensembles share.
-    pub budget: NodeBudget,
-    /// Bounded co-scheduler wait-queue capacity; offers beyond it shed.
-    pub queue_capacity: usize,
-    /// Allow EASY backfill past the queue head.
-    pub backfill: bool,
-    /// Workload map the placement scoring models members with.
-    pub workloads: Workloads,
-}
-
-impl CoschedSvcConfig {
-    /// A co-scheduler over `budget`: 64-deep wait queue, backfill on,
-    /// small workloads.
-    pub fn new(budget: NodeBudget) -> Self {
-        CoschedSvcConfig { budget, queue_capacity: 64, backfill: true, workloads: Workloads::Small }
     }
 }
 
@@ -171,12 +152,12 @@ impl Rejected {
 pub struct Pending {
     rx: mpsc::Receiver<Frame>,
     cancel: CancelToken,
-    /// Back-reference for the timeout path: a caller polling a waiting
-    /// co-scheduled submit may be the server's only traffic, so its own
-    /// expiry must be able to trigger the waiting-queue reap (otherwise
-    /// a dead waiter holds its queue slot until unrelated traffic
-    /// arrives). Weak so an abandoned handle never keeps the pool
-    /// alive.
+    /// A co-scheduled submit's own deadline, cleared by the one reap of
+    /// the service's wait queue it triggers: on a quiet server nothing
+    /// else answers a waiter that expired.
+    reap_at: Cell<Option<Instant>>,
+    /// The service to reap; weak so an abandoned handle never keeps the
+    /// pool alive.
     reaper: Option<Weak<Shared>>,
 }
 
@@ -185,19 +166,14 @@ impl Pending {
     /// progress frames — the drop-in behavior for callers that never
     /// opted in.
     pub fn wait(self) -> Response {
-        loop {
-            match self.rx.recv().expect("worker always responds before exiting") {
-                Frame::Final(response) => return response,
-                Frame::Progress(_) => {}
-            }
-        }
+        self.wait_with(|_| {})
     }
 
     /// Blocks until the final response arrives, handing every interim
     /// progress frame to `on_progress` as it lands.
     pub fn wait_with(self, mut on_progress: impl FnMut(&Progress)) -> Response {
         loop {
-            match self.rx.recv().expect("worker always responds before exiting") {
+            match self.recv_frame() {
                 Frame::Final(response) => return response,
                 Frame::Progress(p) => on_progress(&p),
             }
@@ -207,44 +183,43 @@ impl Pending {
     /// Blocks until the next frame (progress or final) arrives. The
     /// streaming front end drains a reply frame-by-frame with this.
     pub fn recv_frame(&self) -> Frame {
-        self.rx.recv().expect("worker always responds before exiting")
+        self.next(None).expect("an unbounded receive ends with a frame")
     }
 
     /// Blocks up to `timeout` for the *final* response, discarding
     /// progress frames; `Err(self)` hands the handle back.
-    ///
-    /// On expiry this also reaps the co-scheduler's waiting queue: with
-    /// no other traffic, a deadline-expired queued `submit` used to
-    /// hold its queue slot forever because reaping only ran inside
-    /// other requests' admissions. The reap may answer this very
-    /// handle, in which case the real final response is returned
-    /// instead of the timeout.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Response, Pending> {
-        let deadline = Instant::now() + timeout;
+        let until = Instant::now() + timeout;
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(Frame::Final(r)) => return Ok(r),
-                Ok(Frame::Progress(_)) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => {
+            match self.next(Some(until)) {
+                Some(Frame::Final(response)) => return Ok(response),
+                Some(Frame::Progress(_)) => {}
+                None => return Err(self),
+            }
+        }
+    }
+
+    /// The one receive: the next frame, or `None` once `until` passes
+    /// first. When this job's own deadline passes on the way, the
+    /// co-scheduler's wait queue is reaped once, which may answer this
+    /// very job.
+    fn next(&self, until: Option<Instant>) -> Option<Frame> {
+        loop {
+            let reap_at = self.reap_at.get();
+            let wake = reap_at.into_iter().chain(until).min();
+            let received = match wake {
+                Some(at) => self.rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => self.rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+            };
+            match received {
+                Ok(frame) => return Some(frame),
+                Err(mpsc::RecvTimeoutError::Timeout) if wake == reap_at => {
+                    self.reap_at.set(None);
                     if let Some(shared) = self.reaper.as_ref().and_then(Weak::upgrade) {
-                        if let Some(cosched) = &shared.cosched {
-                            let mut state = cosched.lock().expect("cosched lock");
-                            reap_expired_waiting(&shared, &mut state);
-                        }
-                        // The reap may have just evicted this waiter —
-                        // deliver its real (deadline/cancelled) answer
-                        // rather than reporting a bare timeout.
-                        loop {
-                            match self.rx.try_recv() {
-                                Ok(Frame::Final(r)) => return Ok(r),
-                                Ok(Frame::Progress(_)) => {}
-                                Err(_) => break,
-                            }
-                        }
+                        reap_waiting(&shared);
                     }
-                    return Err(self);
                 }
+                Err(mpsc::RecvTimeoutError::Timeout) => return None,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     panic!("worker always responds before exiting")
                 }
@@ -270,39 +245,21 @@ struct Job {
     /// the placement decision the worker runs the ensemble at. The
     /// reservation is released when the worker finishes the job — on
     /// success, failure, cancellation, or deadline drain alike.
-    cosched: Option<CoschedJob>,
+    cosched: Option<Placed>,
 }
 
-/// The co-scheduling context a placed `submit` job carries to a worker.
-struct CoschedJob {
-    decision: PlacementDecision,
-    backfilled: bool,
-    queue_wait_ms: f64,
-    /// Per-node free cores right after this job's reservation opened.
-    residual: Vec<u64>,
-}
+impl Waiter for Job {
+    fn deadline_at(&self) -> Option<Instant> {
+        self.deadline_at
+    }
 
-/// A `submit` job waiting for capacity in the co-scheduler queue.
-struct WaitingSubmit {
-    job: Job,
-    /// Monotone admission order among waiting jobs — a job started
-    /// while a lower-seq job still waits was backfilled.
-    seq: u64,
-    enqueued: Instant,
-}
+    fn is_cancelled(&self) -> bool {
+        self.cancel.is_cancelled()
+    }
 
-/// Everything the co-scheduler mutates under one lock: the scheduler
-/// itself plus the reply handles of jobs waiting in its queue.
-struct CoschedState {
-    sched: CoScheduler,
-    waiting: HashMap<u64, WaitingSubmit>,
-    next_wait_seq: u64,
-    /// Tenants of reservations restored from the journal at start.
-    /// Their jobs have no worker, so the normal completion path never
-    /// settles their accounting; `finish_cosched` consults this map to
-    /// close them out (in_flight → cancelled) when the operator
-    /// releases them.
-    restored_tenants: HashMap<u64, String>,
+    fn tenant(&self) -> Option<&String> {
+        self.request.tenant.as_ref()
+    }
 }
 
 /// Live per-tenant accounting: the monotone counters and gauges behind
@@ -382,7 +339,7 @@ struct Shared {
     journal: Option<Journal>,
     workers: usize,
     scan_workers: usize,
-    cosched: Option<Mutex<CoschedState>>,
+    cosched: Option<Mutex<Cosched<Job>>>,
     /// Per-tenant accounting for requests that carry a tenant tag.
     /// Lock order: cosched → tenants → queue, never the reverse (the
     /// worker pop releases the queue lock before touching tenants).
@@ -419,7 +376,13 @@ impl Service {
             config.workers = host_workers();
         }
         let stats = SvcStats::default();
-        let (journal, image) = match config.journal.clone().map(Journal::open).transpose()? {
+        // The journal keeps through compaction what the service holds.
+        let journal = config.journal.clone().map(|mut journal| {
+            journal.retain_scores = config.cache_capacity;
+            journal.retain_runs = config.cache_capacity;
+            journal
+        });
+        let (journal, image) = match journal.map(Journal::open).transpose()? {
             Some((journal, image)) => (Some(journal), image),
             None => (None, Image::new(0, 0)),
         };
@@ -442,12 +405,7 @@ impl Service {
             tenant_table.rows.entry(name.clone()).or_default();
         }
         let cosched = config.cosched.clone().map(|cc| {
-            let mut sched_config = CoschedConfig::new(cc.budget);
-            sched_config.queue_capacity = cc.queue_capacity;
-            sched_config.backfill = cc.backfill;
-            sched_config.scan =
-                ScanOptions { workers: config.scan_workers.max(1), ..ScanOptions::default() };
-            let mut sched = CoScheduler::new(sched_config, cosched_base(cc.workloads));
+            let mut state = Cosched::new(&cc, cosched_base(cc.workloads), config.scan_workers);
             // Rebuild the residency map from the journaled reservations
             // still open at the last shutdown/crash: capacity committed
             // to jobs the old process never finished stays committed
@@ -455,38 +413,15 @@ impl Service {
             // tenants re-occupy quota too — the reserve record's own
             // attribution first, the admit map as the pre-tenant-record
             // fallback.
-            let mut restored_tenants = HashMap::new();
-            for r in image.reservations.iter().map(|(_, r)| r.clone()) {
+            for (_, r) in image.reservations.iter() {
                 let tenant = r.tenant.clone().or_else(|| image.admit_tenants.get(&r.job).cloned());
-                let shape = scheduler::EnsembleShape { members: r.members };
-                let reservation = Reservation::build(
-                    r.job,
-                    shape,
-                    r.assignment,
-                    cc.budget.max_nodes,
-                    r.predicted_end,
-                    r.seq,
-                );
-                match sched.restore(reservation) {
-                    Ok(()) => {
-                        if let Some(tenant) = tenant {
-                            let row = Some((&mut tenant_table, tenant.as_str()));
-                            count(&stats, row, Step::Restore);
-                            restored_tenants.insert(r.job, tenant);
-                        }
-                    }
-                    Err(e) => eprintln!(
-                        "svc cosched: dropped journaled reservation for job {}: {e}",
-                        r.job
-                    ),
+                if let Err(e) = state.restore(r, tenant.clone()) {
+                    eprintln!("svc cosched: dropped journaled reservation for job {}: {e}", r.job);
+                } else if let Some(tenant) = tenant {
+                    count(&stats, Some((&mut tenant_table, &tenant)), Step::Restore);
                 }
             }
-            Mutex::new(CoschedState {
-                sched,
-                waiting: HashMap::new(),
-                next_wait_seq: 0,
-                restored_tenants,
-            })
+            Mutex::new(state)
         });
         let shared = Arc::new(Shared {
             queue: FairQueue::new(config.queue_capacity, config.tenant_policy.weights.clone()),
@@ -545,7 +480,8 @@ impl Service {
             reply => {
                 let (tx, rx) = mpsc::channel();
                 let _ = tx.send(Frame::Final(reply));
-                Ok(Pending { rx, cancel: CancelToken::default(), reaper: None })
+                let (reap_at, reaper) = (Cell::new(None), None);
+                Ok(Pending { rx, cancel: CancelToken::default(), reap_at, reaper })
             }
         }
     }
@@ -557,37 +493,25 @@ impl Service {
             request.deadline = self.config.default_deadline;
         }
         let submitted = Instant::now();
+        let deadline_at = request.deadline.map(|d| submitted + d);
+        // Only a co-scheduled submit can wait where no worker sees it.
+        let cosched =
+            matches!(request.body, RequestBody::Submit(_)) && self.shared.cosched.is_some();
+        let reap_at = Cell::new(deadline_at.filter(|_| cosched));
+        let reaper = cosched.then(|| Arc::downgrade(&self.shared));
+        let (reply, rx) = mpsc::channel();
         let cancel = CancelToken::default();
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            deadline_at: request.deadline.map(|d| submitted + d),
-            request,
-            submitted,
-            cancel: cancel.clone(),
-            reply: tx,
-            cosched: None,
-        };
-        admit(&self.shared, job).map(|()| Pending {
-            rx,
-            cancel,
-            reaper: Some(Arc::downgrade(&self.shared)),
-        })
+        let job =
+            Job { request, submitted, deadline_at, cancel: cancel.clone(), reply, cosched: None };
+        admit(&self.shared, job).map(|()| Pending { rx, cancel, reap_at, reaper })
     }
 
-    /// Releases a reservation by job id — the operator path for orphans
-    /// restored from the journal after a restart (their original worker
-    /// is gone, so no completion will ever release them). Pumps the
-    /// wait queue like any completion. Returns false when the job holds
-    /// no reservation.
+    /// Releases a reservation by job id: the one way to free an orphan
+    /// restored from the journal, whose worker died with the old process.
+    /// In process only — no CLI flag or wire kind reaches it. Pumps the
+    /// wait queue like any completion; false when the job holds none.
     pub fn release_reservation(&self, job: u64) -> bool {
-        let Some(cosched) = &self.shared.cosched else { return false };
-        let state = cosched.lock().expect("cosched lock");
-        if !state.sched.residency().reservations().any(|r| r.job == job) {
-            return false;
-        }
-        drop(state);
-        finish_cosched(&self.shared, job);
-        true
+        finish_cosched(&self.shared, job)
     }
 
     /// Suggested back-off for a shed request: the time one queue's worth
@@ -620,9 +544,7 @@ impl Service {
         // nothing else visits the co-scheduler's waiting queue, so dead
         // waiters would hold their quota slots until the next submit.
         // Reaped first, so this snapshot already counts them.
-        if let Some(cosched) = &shared.cosched {
-            reap_expired_waiting(shared, &mut cosched.lock().expect("cosched lock"));
-        }
+        reap_waiting(shared);
         let mut m = MetricsSnapshot::default();
         // Requests offered to admission. Each is answered in exactly one
         // of the five reply buckets below, or is still queued or in
@@ -707,7 +629,7 @@ impl Service {
         // zero when not.
         let cosched = shared.cosched.as_ref().map(|c| c.lock().expect("cosched lock"));
         m.push("cosched_enabled", cosched.is_some());
-        let sched = cosched.as_ref().map(|state| &state.sched);
+        let sched = cosched.as_ref().map(|state| state.scheduler());
         // Submit jobs waiting in the co-scheduler's admission queue.
         m.push("cosched_queue_depth", sched.map_or(0, CoScheduler::queue_depth));
         // Reservations open in the residency map, and the cores they hold.
@@ -799,10 +721,9 @@ impl Service {
             let _ = h.join();
         }
         if let Some(cosched) = &self.shared.cosched {
-            let mut state = cosched.lock().expect("cosched lock");
-            for (id, entry) in std::mem::take(&mut state.waiting) {
-                state.sched.cancel_queued(id);
-                answer_queued(&self.shared, entry.job, Rejected::ShuttingDown.to_response(id));
+            for job in cosched.lock().expect("cosched lock").drain() {
+                let reply = Rejected::ShuttingDown.to_response(job.request.id);
+                answer_queued(&self.shared, job, reply);
             }
         }
     }
@@ -851,7 +772,7 @@ fn worker_loop(shared: &Shared) {
 enum Step<'a> {
     /// Answered at the door with this reply; never admitted.
     Refuse(&'a Response),
-    /// Accepted into the worker queue or the co-scheduler's wait map.
+    /// Accepted into the worker queue or the co-scheduler's wait queue.
     Admit,
     /// A reservation restored from the journal: its request belongs to
     /// a previous process, but it holds its tenant's quota, with no
@@ -867,7 +788,7 @@ enum Step<'a> {
 
 /// Where an admitted job was when its final frame was decided.
 enum Stage {
-    /// In the worker queue or the co-scheduler's wait map: reaped,
+    /// In the worker queue or the co-scheduler's wait queue: reaped,
     /// rolled back at dispatch, or refused at shutdown.
     Queued,
     /// On a worker. `busy` is the time its body ran, `None` when it was
@@ -1015,7 +936,7 @@ fn hint_ms(shared: &Shared, backlog: u64) -> u64 {
 
 /// The one admission gate: `Ok` when the request is admitted — into the
 /// worker queue, or, for a co-scheduled `submit`, into the worker queue
-/// holding its placement or into the co-scheduler's wait map — and
+/// holding its placement or into the co-scheduler's wait queue — and
 /// `Err` with the reply that answers it at the door otherwise. Either
 /// way it is counted before this returns.
 ///
@@ -1043,14 +964,15 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
         count(&shared.stats, None, Step::Refuse(&reply));
         return Err(reply);
     }
-    let mut state = match (&shared.cosched, &job.request.body) {
+    let mut cosched = match (&shared.cosched, &job.request.body) {
         (Some(cosched), RequestBody::Submit(_)) => {
             let mut state = cosched.lock().expect("cosched lock");
             // Expired/cancelled waiters are reaped before every admission
             // decision so dead jobs never hold queue slots ahead of live
             // ones.
-            reap_expired_waiting(shared, &mut state);
-            Some(state)
+            let now = Instant::now();
+            reap(shared, &mut state, now);
+            Some((state, now))
         }
         _ => None,
     };
@@ -1079,85 +1001,68 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
     // Only *admitted* requests are journaled; copied up front because
     // the queue owns the job once pushed.
     let admit_copy = shared.journal.as_ref().map(|_| job.request.clone());
-    let decided = match (over_quota, state.as_deref_mut()) {
+    let decided = match (over_quota, &mut cosched) {
         (Some(retry_after_ms), _) => Err(Response::Overloaded { id, retry_after_ms }),
-        (None, None) => enqueue(shared, None, lane.as_deref(), job).map_err(|refused| refused.1),
-        (None, Some(state)) => place(shared, state, lane.as_deref(), job),
+        (None, None) => enqueue(shared, lane.as_deref(), job).map(|()| None).map_err(|r| r.1),
+        (None, Some((state, now))) => place(shared, state, *now, lane.as_deref(), job),
     };
     let step = match &decided {
-        Ok(()) => Step::Admit,
+        Ok(_) => Step::Admit,
         Err(reply) => Step::Refuse(reply),
     };
     count(&shared.stats, tagged.as_mut().map(|(table, name)| (&mut **table, name.as_str())), step);
     drop(tagged);
-    if let (Ok(()), Some(journal), Some(request)) = (&decided, &shared.journal, &admit_copy) {
+    let reserve = decided?;
+    if let (Some(journal), Some(request)) = (&shared.journal, &admit_copy) {
         journal.append_admit(request);
-        if let Some(state) = &state {
-            journal_reserve(journal, state, id, request.tenant.as_ref());
+        if let Some(reserve) = &reserve {
+            journal.append_reserve(reserve);
         }
     }
-    decided
+    Ok(())
 }
 
 /// Pushes `job` into the worker queue on `lane`, or hands it back with
-/// the reply that answers it instead — `overloaded` when the queue is
-/// full, `shutting_down` once it is closed — after withdrawing the
-/// reservation it holds, if any, without touching the virtual clock.
-fn enqueue(
-    shared: &Shared,
-    state: Option<&mut CoschedState>,
-    lane: Option<&str>,
-    job: Job,
-) -> Result<(), Box<(Job, Response)>> {
+/// the reply that answers it instead: `overloaded` when the queue is
+/// full, `shutting_down` once it is closed.
+fn enqueue(shared: &Shared, lane: Option<&str>, job: Job) -> Result<(), Box<(Job, Response)>> {
     let id = job.request.id;
-    let (job, reply) = match shared.queue.try_push(lane, job) {
-        Ok(()) => return Ok(()),
+    match shared.queue.try_push(lane, job) {
+        Ok(()) => Ok(()),
         Err(PushError::Full(job)) => {
             let retry_after_ms = hint_ms(shared, shared.queue.len() as u64);
-            (job, Response::Overloaded { id, retry_after_ms })
+            Err(Box::new((job, Response::Overloaded { id, retry_after_ms })))
         }
-        Err(PushError::Closed(job)) => (job, Rejected::ShuttingDown.to_response(id)),
-    };
-    if let Some(state) = state {
-        state.sched.withdraw(id);
+        Err(PushError::Closed(job)) => Err(Box::new((job, Rejected::ShuttingDown.to_response(id)))),
     }
-    Err(Box::new((job, reply)))
 }
 
-/// Admission path of `submit` requests: place against live residual
-/// capacity, queue when nothing fits, shed when the wait queue is full.
-/// Placed jobs enter the worker queue already holding their
-/// reservation; queued jobs park their reply handle until a completion
-/// pumps them through.
+/// Admission of a `submit`: the co-scheduler starts it, queues it when
+/// nothing fits, or refuses it. `Ok` carries the reservation record of
+/// a start, to journal after the admit record.
 fn place(
     shared: &Shared,
-    state: &mut CoschedState,
+    state: &mut Cosched<Job>,
+    now: Instant,
     lane: Option<&str>,
-    mut job: Job,
-) -> Result<(), Response> {
+    job: Job,
+) -> Result<Option<ReplayedReservation>, Response> {
     let id = job.request.id;
     let RequestBody::Submit(submit) = &job.request.body else { unreachable!("routed on body") };
-    let (kind, message) = match state.sched.submit(id, submit.shape.clone()) {
-        Ok(Admission::Placed(decision)) => {
-            // Placed with jobs still waiting means this admission jumped
-            // the queue: backfill.
-            let backfilled = state.sched.queue_depth() > 0;
-            let residual = residual(state);
-            job.cosched = Some(CoschedJob { decision, backfilled, queue_wait_ms: 0.0, residual });
-            return enqueue(shared, Some(state), lane, job).map_err(|refused| refused.1);
+    let (kind, message) = match state.admit(id, submit.shape.clone(), job, now) {
+        Ok(Admitted::Start(start)) => {
+            return launch(shared, state, lane, *start).map(Some).map_err(|r| r.1)
         }
-        Ok(Admission::Queued { depth }) => {
-            submit_progress(shared, &job, Some(depth as u64), None);
-            let seq = state.next_wait_seq;
-            state.next_wait_seq += 1;
-            state.waiting.insert(id, WaitingSubmit { job, seq, enqueued: Instant::now() });
-            return Ok(());
+        Ok(Admitted::Queued(depth)) => {
+            let job = state.waiter(id).expect("just queued");
+            submit_progress(shared, job, Some(depth as u64), None);
+            return Ok(None);
         }
-        Ok(Admission::Shed) => {
+        Ok(Admitted::Shed) => {
             let retry_after_ms = hint_ms(shared, shared.queue.len() as u64);
             return Err(Response::Overloaded { id, retry_after_ms });
         }
-        Ok(Admission::Infeasible) => (
+        Ok(Admitted::Infeasible) => (
             ErrorKind::Invalid,
             "ensemble cannot fit the co-scheduled platform even when idle".to_string(),
         ),
@@ -1169,9 +1074,27 @@ fn place(
     Err(Response::Error { id, kind, message })
 }
 
-/// Per-node free cores of the residency map.
-fn residual(state: &CoschedState) -> Vec<u64> {
-    state.sched.residency().residual().iter().map(|&c| u64::from(c)).collect()
+/// The one start path of a co-scheduled submit, at admission and out of
+/// the wait queue alike: a job that waited hears its placement, the job
+/// goes to a worker on `lane` carrying its decision, its wait and the
+/// residual its reservation left, and a refused push withdraws the
+/// reservation. `Ok` is the reservation record to journal.
+fn launch(
+    shared: &Shared,
+    state: &mut Cosched<Job>,
+    lane: Option<&str>,
+    start: Start<Job>,
+) -> Result<ReplayedReservation, Box<(Job, Response)>> {
+    let Start { mut job, placed, reserve } = start;
+    if placed.waited.is_some() {
+        submit_progress(shared, &job, None, Some(placed.decision.assignment.clone()));
+    }
+    job.cosched = Some(placed);
+    if let Err(refused) = enqueue(shared, lane, job) {
+        state.withdraw(reserve.job);
+        return Err(refused);
+    }
+    Ok(reserve)
 }
 
 /// Sends a progress-opted `submit` its queue depth (on entering the wait
@@ -1184,9 +1107,7 @@ fn submit_progress(
 ) {
     if job.request.progress.is_some() {
         let body = ProgressBody::Submit { queue_depth, assignment };
-        if job.reply.send(Frame::Progress(Progress { id: job.request.id, body })).is_ok() {
-            shared.stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
-        }
+        send_progress(&shared.stats, &job.reply, job.request.id, body);
     }
 }
 
@@ -1199,116 +1120,65 @@ fn cosched_base(workloads: Workloads) -> SimRunConfig {
     cfg
 }
 
-/// Journals `job`'s open reservation, when it holds one. The tenant
-/// rides along so a restart can rebuild quota occupancy even after
-/// compaction has dropped the admit record.
-fn journal_reserve(journal: &Journal, state: &CoschedState, job: u64, tenant: Option<&String>) {
-    if let Some(r) = state.sched.residency().reservations().find(|r| r.job == job) {
-        journal.append_reserve(&ReplayedReservation {
-            job: r.job,
-            members: r.shape.members.clone(),
-            assignment: r.assignment.clone(),
-            predicted_end: r.predicted_end,
-            seq: r.seq,
-            tenant: tenant.cloned(),
-        });
+/// Answers every waiting `submit` whose caller cancelled it or whose
+/// deadline passed by `now`.
+fn reap(shared: &Shared, state: &mut Cosched<Job>, now: Instant) {
+    for job in state.reap(now) {
+        let dead = checkpoint(&job, || "while queued for co-scheduling".to_string());
+        let reply = dead.expect_err("a reaped job was cancelled or expired");
+        let reply = reply.to_response(job.request.id);
+        answer_queued(shared, job, reply);
     }
 }
 
-/// Answers and evicts waiting `submit` jobs whose deadline expired or
-/// whose caller cancelled. Queued jobs hold no reservation, so eviction
-/// frees only their queue slot — residual capacity cannot leak here by
-/// construction; the regression test drains an expired backlog and
-/// asserts exactly that.
-fn reap_expired_waiting(shared: &Shared, state: &mut CoschedState) {
-    let dead: Vec<(u64, Response)> = state
-        .waiting
-        .iter()
-        .filter_map(|(&id, w)| {
-            let alive = checkpoint(&w.job, || "while queued for co-scheduling".to_string());
-            alive.err().map(|e| (id, e.to_response(id)))
-        })
-        .collect();
-    for (id, reply) in dead {
-        let entry = state.waiting.remove(&id).expect("key just listed");
-        state.sched.cancel_queued(id);
-        answer_queued(shared, entry.job, reply);
+/// [`reap`]s the co-scheduler's wait queue now, when there is one.
+fn reap_waiting(shared: &Shared) {
+    if let Some(cosched) = &shared.cosched {
+        reap(shared, &mut cosched.lock().expect("cosched lock"), Instant::now());
     }
 }
 
 /// Completion hook of a co-scheduled job: release its reservation,
-/// journal the release, and dispatch every queued job the freed
-/// capacity lets the scheduler start.
-fn finish_cosched(shared: &Shared, job_id: u64) {
-    let Some(cosched) = &shared.cosched else { return };
+/// journal the release, and start every waiting job the freed capacity
+/// lets the scheduler start. False when the job held no reservation.
+fn finish_cosched(shared: &Shared, job_id: u64) -> bool {
+    let Some(cosched) = &shared.cosched else { return false };
     let mut state = cosched.lock().expect("cosched lock");
-    reap_expired_waiting(shared, &mut state);
-    let started = match state.sched.release(job_id) {
-        Ok(started) => started,
-        // Unknown job: the reservation was already withdrawn (admission
-        // rollback) — nothing to release.
-        Err(_) => return,
-    };
+    let now = Instant::now();
+    reap(shared, &mut state, now);
+    let Some(released) = state.release(job_id, now) else { return false };
     // A restored orphan (reservation replayed from the journal with no
     // live caller) occupied its tenant's quota since restart; releasing
     // it retires that occupancy.
-    if let Some(tenant) = state.restored_tenants.remove(&job_id) {
+    if let Some(tenant) = released.retired {
         record(shared, Some(&tenant), Step::Retire);
     }
     if let Some(journal) = &shared.journal {
         journal.append_release(job_id);
     }
-    dispatch_started(shared, &mut state, started);
-}
-
-/// Moves jobs the scheduler just started from the wait map into the
-/// worker queue, stamping each with its placement, wait time, and
-/// backfill flag.
-fn dispatch_started(
-    shared: &Shared,
-    state: &mut CoschedState,
-    started: Vec<(u64, PlacementDecision)>,
-) {
-    for (id, decision) in started {
-        let Some(entry) = state.waiting.remove(&id) else {
-            // No reply handle (e.g. a restored-orphan id raced a live
-            // one): the placement cannot run, so roll it back.
-            state.sched.withdraw(id);
-            continue;
-        };
-        // Started while an earlier-admitted job still waits = backfill.
-        let backfilled = state.waiting.values().any(|w| w.seq < entry.seq);
-        let queue_wait_ms = entry.enqueued.elapsed().as_secs_f64() * 1e3;
-        let mut job = entry.job;
-        submit_progress(shared, &job, None, Some(decision.assignment.clone()));
-        let residual = residual(state);
-        job.cosched = Some(CoschedJob { decision, backfilled, queue_wait_ms, residual });
-        // Dispatch keeps the job's lane: a waiting submit was already
-        // admitted (its tenant row counts it in `in_queue`), so the
-        // dequeue below competes fairly against direct traffic of the
-        // same tenant.
-        let tenant = job.request.tenant.clone();
-        let lane = match &tenant {
+    for start in released.starts {
+        // A started job keeps its lane: it was admitted when it entered
+        // the wait queue, so its dequeue competes fairly against direct
+        // traffic of the same tenant.
+        let lane = match &start.job.request.tenant {
             Some(t) if shared.tenant_policy.is_active() => {
                 Some(shared.tenants.lock().expect("tenants lock").resolve_name(t))
             }
             _ => None,
         };
-        match enqueue(shared, Some(state), lane.as_deref(), job) {
-            Ok(()) => {
+        match launch(shared, &mut state, lane.as_deref(), start) {
+            Ok(reserve) => {
                 if let Some(journal) = &shared.journal {
-                    journal_reserve(journal, state, id, tenant.as_ref());
+                    journal.append_reserve(&reserve);
                 }
             }
-            // The job was admitted when it entered the wait map, so the
-            // rollback settles it from the queue: never a shed, which
-            // only ever counts jobs that never got in.
-            Err(refused) => {
-                let (job, reply) = *refused;
-                answer_queued(shared, job, reply);
-            }
+            // Admitted when it entered the wait queue, so the rollback
+            // settles it from the queue: never a shed, which only ever
+            // counts jobs that never got in.
+            Err(refused) => answer_queued(shared, refused.0, refused.1),
         }
     }
+    true
 }
 
 /// The `attach { job }` reply both mounts give: the run their index
@@ -1363,40 +1233,39 @@ fn checkpoint(job: &Job, progress: impl Fn() -> String) -> Result<(), ExecError>
 /// service-time mean.
 fn execute(shared: &Shared, job: &Job) -> (Response, bool) {
     let id = job.request.id;
+    let before = match &job.request.body {
+        RequestBody::Score(_) => "before evaluation started",
+        RequestBody::Run(_) => "before the simulated run started",
+        _ => "before the co-scheduled run started",
+    };
+    // Drained expired/cancelled submits still release their reservation
+    // — the worker loop's completion hook runs on every exit path of a
+    // co-scheduled job.
+    if let Err(e) = checkpoint(job, || before.to_string()) {
+        return (e.to_response(id), false);
+    }
+    // Submit to result, read once the result is in.
+    let elapsed_ms = || job.submitted.elapsed().as_secs_f64() * 1e3;
     let result = match &job.request.body {
         RequestBody::Score(score) => {
-            if let Err(e) = checkpoint(job, || "before evaluation started".to_string()) {
-                return (e.to_response(id), false);
-            }
             execute_score(shared, job, score).map(|out| Response::ScoreResult {
                 id,
                 placements: out.placements,
                 cached: out.cached,
-                elapsed_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
+                elapsed_ms: elapsed_ms(),
                 scan_workers: out.scan_workers,
                 candidates_scanned: out.candidates_scanned,
             })
         }
         RequestBody::Run(run) => {
-            if let Err(e) = checkpoint(job, || "before the simulated run started".to_string()) {
-                return (e.to_response(id), false);
-            }
             execute_run(shared, job, run).map(|(makespan, members)| Response::RunResult {
                 id,
                 ensemble_makespan: makespan,
                 members,
-                elapsed_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
+                elapsed_ms: elapsed_ms(),
             })
         }
-        RequestBody::Submit(submit) => {
-            // Drained expired/cancelled submits still release their
-            // reservation — the worker loop's completion hook runs on
-            // every exit path of a co-scheduled job.
-            if let Err(e) = checkpoint(job, || "before the co-scheduled run started".to_string()) {
-                return (e.to_response(id), false);
-            }
-            execute_submit(shared, job, submit)
-        }
+        RequestBody::Submit(submit) => execute_submit(shared, job, submit),
         // The router answers every other kind without admitting it.
         _ => Err(ExecError::Internal("only score, run and submit requests are admitted".into())),
     };
@@ -1459,33 +1328,35 @@ fn platform_fingerprint(workloads: Workloads) -> String {
     )
 }
 
-/// Decides when a progress observation is worth a frame, per the
-/// request's [`ProgressSpec`]. Candidate cadence fires when the monotone
-/// count crosses into a new `every_candidates` bucket (the scan reports
-/// per chunk, so exact multiples are not guaranteed); time cadence fires
-/// when `every_ms` has elapsed since the last emitted frame. An empty
-/// spec (`"progress": {}`) defaults to the time cadence at
+/// Sends a progress-opted job's interim [`Frame::Progress`] frames at
+/// the cadence its [`ProgressSpec`] asks for. Candidate cadence fires
+/// when the monotone count crosses into a new `every_candidates` bucket
+/// (the scan reports per chunk, so exact multiples are not guaranteed);
+/// time cadence fires when `every_ms` has elapsed since the last frame.
+/// An empty spec (`"progress": {}`) defaults to the time cadence at
 /// [`ProgressSpec::DEFAULT_EVERY_MS`].
-struct ProgressThrottle {
+struct ProgressEmitter {
+    id: u64,
+    reply: mpsc::Sender<Frame>,
     every_candidates: Option<u64>,
     every_ms: Option<u64>,
     last_bucket: u64,
     last_sent: Option<Instant>,
 }
 
-impl ProgressThrottle {
-    fn new(spec: ProgressSpec) -> Self {
+impl ProgressEmitter {
+    fn new(spec: ProgressSpec, job: &Job) -> Self {
         let every_candidates = spec.every_candidates;
-        let mut every_ms = spec.every_ms;
-        if every_candidates.is_none() && every_ms.is_none() {
-            every_ms = Some(ProgressSpec::DEFAULT_EVERY_MS);
-        }
-        ProgressThrottle { every_candidates, every_ms, last_bucket: 0, last_sent: None }
+        let default_ms = every_candidates.is_none().then_some(ProgressSpec::DEFAULT_EVERY_MS);
+        let (id, reply, every_ms) =
+            (job.request.id, job.reply.clone(), spec.every_ms.or(default_ms));
+        ProgressEmitter { id, reply, every_candidates, every_ms, last_bucket: 0, last_sent: None }
     }
 
-    /// `count` is the job's monotone progress counter: candidates
-    /// scanned for `score`, member step events for `run`.
-    fn due(&mut self, count: u64) -> bool {
+    /// Sends the frame `body` builds when `count`, the job's monotone
+    /// progress counter (candidates scanned for `score`, member step
+    /// events for `run`), makes one due.
+    fn observe(&mut self, count: u64, stats: &SvcStats, body: impl FnOnce() -> ProgressBody) {
         let mut due = false;
         if let Some(n) = self.every_candidates {
             let bucket = count / n.max(1);
@@ -1495,68 +1366,21 @@ impl ProgressThrottle {
             }
         }
         if let Some(ms) = self.every_ms {
-            match self.last_sent {
-                None => due = true,
-                Some(at) if at.elapsed() >= Duration::from_millis(ms) => due = true,
-                _ => {}
-            }
+            due |= self.last_sent.is_none_or(|at| at.elapsed() >= Duration::from_millis(ms));
         }
         if due {
             self.last_sent = Some(Instant::now());
+            send_progress(stats, &self.reply, self.id, body());
         }
-        due
     }
 }
 
-/// Sends throttled [`Frame::Progress`] frames down a job's reply
-/// channel. Send failures (the reply handle was dropped) are ignored —
-/// the scan's cancel probe, not the emitter, decides when to stop.
-struct ProgressEmitter {
-    id: u64,
-    reply: mpsc::Sender<Frame>,
-    throttle: ProgressThrottle,
-}
-
-impl ProgressEmitter {
-    fn new(spec: ProgressSpec, job: &Job) -> Self {
-        ProgressEmitter {
-            id: job.request.id,
-            reply: job.reply.clone(),
-            throttle: ProgressThrottle::new(spec),
-        }
-    }
-
-    fn observe_scan(&mut self, p: &ScanProgress, stats: &SvcStats) {
-        if !self.throttle.due(p.scanned as u64) {
-            return;
-        }
-        let frame = Frame::Progress(Progress {
-            id: self.id,
-            body: ProgressBody::Score {
-                candidates_scanned: p.scanned as u64,
-                best_objective: p.best_objective,
-                workers: p.workers as u64,
-            },
-        });
-        if self.reply.send(frame).is_ok() {
-            stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn observe_run(&mut self, member_steps: &[u64], events: u64, stats: &SvcStats) {
-        if !self.throttle.due(events) {
-            return;
-        }
-        // The headline step count is the ensemble frontier — the lowest
-        // member step — so it never runs ahead of a straggler.
-        let steps = member_steps.iter().copied().min().unwrap_or(0);
-        let frame = Frame::Progress(Progress {
-            id: self.id,
-            body: ProgressBody::Run { steps, member_steps: member_steps.to_vec() },
-        });
-        if self.reply.send(frame).is_ok() {
-            stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
-        }
+/// Sends one progress frame down a reply channel and counts it. A failed
+/// send (the reply handle was dropped) is ignored: the scan's cancel
+/// probe, not the sender, decides when to stop.
+fn send_progress(stats: &SvcStats, reply: &mpsc::Sender<Frame>, id: u64, body: ProgressBody) {
+    if reply.send(Frame::Progress(Progress { id, body })).is_ok() {
+        stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1661,13 +1485,18 @@ impl ScanVisitor for ScoreScan<'_> {
     }
 
     fn cancel(&self) -> bool {
-        let job = self.job;
-        job.cancel.is_cancelled() || job.deadline_at.is_some_and(|at| Instant::now() >= at)
+        checkpoint(self.job, String::new).is_err()
     }
 
     fn progress(&self, p: &ScanProgress) {
         if let Some(emitter) = &self.emitter {
-            emitter.lock().expect("progress emitter lock").observe_scan(p, self.stats);
+            let scanned = p.scanned as u64;
+            let emitter = &mut *emitter.lock().expect("progress emitter lock");
+            emitter.observe(scanned, self.stats, || ProgressBody::Score {
+                candidates_scanned: scanned,
+                best_objective: p.best_objective,
+                workers: p.workers as u64,
+            });
         }
     }
 
@@ -1787,8 +1616,8 @@ fn execute_submit(
         assignment: cosched.decision.assignment.clone(),
         objective: cosched.decision.objective,
         nodes_used: cosched.decision.nodes_used as u64,
-        backfilled: cosched.backfilled,
-        queue_wait_ms: cosched.queue_wait_ms,
+        backfilled: cosched.decision.backfilled,
+        queue_wait_ms: cosched.waited.map_or(0.0, |waited| waited.as_secs_f64() * 1e3),
         residual: cosched.residual.clone(),
         ensemble_makespan,
         members,
@@ -1817,7 +1646,12 @@ fn run_and_report(
             *slot = done;
         }
         events += 1;
-        emitter.observe_run(&member_steps, events, &shared.stats);
+        // The headline step count is the ensemble frontier — the lowest
+        // member step — so it never runs ahead of a straggler.
+        emitter.observe(events, &shared.stats, || ProgressBody::Run {
+            steps: member_steps.iter().copied().min().unwrap_or(0),
+            member_steps: member_steps.to_vec(),
+        });
     })
     .map_err(|e| ExecError::Invalid(format!("run failed: {e}")))?;
     checkpoint(job, || "after the simulated run, before reporting".to_string())?;

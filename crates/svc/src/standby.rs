@@ -294,7 +294,7 @@ impl Standby {
     /// appends are rejected, and starts admitting.
     ///
     /// `config` supplies everything but the journal; its `journal`
-    /// field (if any) donates fsync/rotation/retention settings while
+    /// field (if any) donates fsync/rotation settings while
     /// the path and `promote` flag are forced to the standby's.
     pub fn promote(self, mut config: SvcConfig) -> std::io::Result<Service> {
         let path = self.stop();

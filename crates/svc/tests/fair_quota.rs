@@ -12,7 +12,9 @@
 //! to admission answered in one reply bucket or still held, through
 //! shutdown and under seeded schedules.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use ensemble_core::ConfigId;
 use scheduler::{EnsembleShape, NodeBudget};
@@ -352,6 +354,43 @@ fn wait_timeout_reaps_a_lone_expired_waiter() {
     assert_conserved(&row);
     release(blocked);
     assert!(matches!(placed.wait(), Response::SubmitResult { .. }));
+}
+
+/// Same hole over TCP, where a connection blocks in its reply handle's
+/// frame receive: a lone waiting submit's own deadline reaps it, with
+/// no other traffic reaching the server.
+#[test]
+fn over_tcp_a_lone_waiters_deadline_is_answered_without_other_traffic() {
+    let handle = serve("127.0.0.1:0", cosched_config(TenantPolicy::default())).expect("bind");
+    let blocked = hold(handle.service());
+    let send = |request: &Request| {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream.write_all(format!("{}\n", request.to_json()).as_bytes()).expect("send");
+        stream
+    };
+    let placed = send(&submit_request(1, None, None));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.metrics().get("cosched_open_reservations") == 0.0 {
+        assert!(Instant::now() < deadline, "the first submit never reserved");
+        std::thread::yield_now();
+    }
+    let waiting = send(&submit_request(2, None, Some(Duration::from_millis(50))));
+    waiting.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
+    let mut reply = String::new();
+    let read = BufReader::new(&waiting).read_line(&mut reply);
+    // Let the worker go before any assertion, so a failure cannot hang
+    // the server's shutdown behind the held score.
+    release(blocked);
+    read.expect("answered within 1 s");
+    match Response::from_json(reply.trim_end()).expect("a response line") {
+        Response::Error { id: 2, kind: ErrorKind::Deadline, .. } => {}
+        other => panic!("expected the waiter's deadline error, got {other:?}"),
+    }
+    let mut reply = String::new();
+    BufReader::new(&placed).read_line(&mut reply).expect("placed submit answered");
+    let response = Response::from_json(reply.trim_end()).expect("a response line");
+    assert!(matches!(response, Response::SubmitResult { id: 1, .. }), "got {response:?}");
+    handle.shutdown();
 }
 
 /// Every admitted job lands in exactly one terminal bucket — executed,

@@ -181,9 +181,7 @@ fn rotation_keeps_the_journal_under_the_size_cap() {
     journal.max_bytes = 4096;
     // Keep the retained set well under the cap (a single-member score
     // record runs ~1.5 KiB, so two fit a 4 KiB cap with room to grow).
-    journal.retain_scores = 2;
-    journal.retain_runs = 2;
-    let svc = Service::start(config_with_journal(journal));
+    let svc = Service::start(SvcConfig { cache_capacity: 2, ..config_with_journal(journal) });
     // Distinct queries (steps varies the cache key) so every score is a
     // fresh journaled record.
     for steps in 1..=40u64 {
@@ -251,9 +249,9 @@ fn soak_journaled_service_under_sustained_load() {
     let path = temp_journal("soak");
     let mut journal = JournalConfig::new(&path);
     journal.max_bytes = 64 * 1024;
-    journal.retain_scores = 16;
-    journal.retain_runs = 16;
-    let handle = serve("127.0.0.1:0", config_with_journal(journal)).unwrap();
+    let handle =
+        serve("127.0.0.1:0", SvcConfig { cache_capacity: 16, ..config_with_journal(journal) })
+            .unwrap();
     let addr = handle.addr();
     let stop_at = Instant::now() + Duration::from_secs(20);
     let threads: Vec<_> = (0..4u64)

@@ -514,10 +514,6 @@ fn parse_svc_config(args: &[String]) -> Result<insitu_ensembles::service::SvcCon
     if let Some(path) = flag_value(args, "--journal") {
         use insitu_ensembles::service::{FsyncPolicy, JournalConfig};
         let mut journal = JournalConfig::new(path);
-        // Score and run retention track the cache so compaction keeps
-        // exactly what a restart can re-use.
-        journal.retain_scores = config.cache_capacity;
-        journal.retain_runs = config.cache_capacity;
         if let Some(policy) = flag_value(args, "--journal-fsync") {
             journal.fsync = match policy.split_once(':') {
                 None if policy == "per-record" => FsyncPolicy::PerRecord,

@@ -376,14 +376,17 @@ fn each_request_kind_is_routed_in_one_library_function() {
 
 #[test]
 fn the_record_fold_and_its_window_name_no_io() {
+    // Sans-IO code is handed its records, or the time, instead of
+    // fetching them; the record fold holds no time at all.
+    let sans_io: [(&str, &[&str]); 2] =
+        [("crates/svc/src/image.rs", &["Instant"]), ("crates/svc/src/cosched.rs", &[])];
+    let io =
+        ["std::fs", "std::net", "std::thread", "SystemTime", "Instant::now", "elapsed(", "sleep("];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let source = fs::read_to_string(root.join("crates/svc/src/image.rs")).expect("read image.rs");
-    let named: Vec<&str> = ["std::fs", "std::net", "std::thread", "Instant", "SystemTime"]
-        .into_iter()
-        .filter(|name| source.contains(name))
-        .collect();
-    assert!(
-        named.is_empty(),
-        "the record fold names {named:?} — feed it records instead of doing I/O in it"
-    );
+    for (file, also) in sans_io {
+        let source = fs::read_to_string(root.join(file)).expect("read a sans-IO file");
+        let named: Vec<&str> =
+            io.iter().chain(also).copied().filter(|name| source.contains(name)).collect();
+        assert!(named.is_empty(), "{file} names {named:?} — feed it its inputs instead");
+    }
 }
