@@ -15,23 +15,31 @@
 //! `score_topk10/{1545,4038,27250}` is the service's cold `score` scan
 //! (its exact visitor: a fresh evaluator per worker over the service's
 //! solve cache, `top_k` 10, a row built only for a kept candidate,
-//! subtrees skipped on the objective bound) on the three shape classes
-//! of the e2e benchmark, and `score_topk10/190778186` the same scan of
-//! 14 four-core components on up to 14 nodes; `place_against/202` is
-//! one co-scheduler placement decision beside a resident job. A row's
-//! `workers` is the most threads the scan may use and `threads` how many
-//! it did (in these bounded scans helpers come in only after the
-//! caller's solo time, which `spawn_join_us` — one scoped helper's
-//! start-up — sized); `pulls` is
-//! how often it went back to the feed, `visited` how many leaves the
-//! walk handed to an evaluator (the rest it skipped with their
-//! subtrees), and `scored` how many of those were evaluated rather than
-//! pruned by their bound (one checking run's counts; at two workers
-//! they vary with how the floors were traded).
+//! subtrees skipped on the objective bound, one placement walked per
+//! orbit of identical members and its copies re-folded) on the three
+//! shape classes of the e2e benchmark, `score_topk10/234870` the same
+//! scan of six identical members (up to 720 copies an orbit), and
+//! `score_topk10/190778186` the same scan of 14 four-core components on
+//! up to 14 nodes; `score_full/234870` is a full (`top_k` 0) ranking of
+//! the six-member space; `place_against/202` is one co-scheduler
+//! placement decision beside a resident job. Every row is first checked
+//! bit-identical to the parent commit's walk (every member its own
+//! class): the head of its full ranking, or for the largest space its
+//! bounded scan. A row's `workers` is the most threads the scan may use
+//! and `threads` how many it did (in these bounded scans helpers come in
+//! only after the caller's solo time, which `spawn_join_us` — one scoped
+//! helper's start-up — sized); `pulls` is how often it went back to the
+//! feed, `visited` how many leaves the walk handed to an evaluator (the
+//! rest it skipped with their subtrees or orbits), `scored` how many
+//! candidates were scored — evaluated or re-folded — rather than pruned,
+//! `reps` how many the delta evaluator evaluated and `copies` how many
+//! it re-folded (one checking run's counts; at two workers they vary
+//! with how the floors were traded).
 //! The committed `BENCH_scan.json` also carries `parent_commit` and
 //! `parent_*` rows: these benches run at the parent commit (with the
-//! parent's scan API) on the same host, alternating with this commit's
-//! runs, merged in by hand.
+//! parent's scan API, and the six-member rows added to its list) on the
+//! same host, alternating with this commit's runs, each row the median
+//! of the runs of its side, merged in by hand.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,8 +48,8 @@ use std::time::Instant;
 use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     exhaustive_search, place_against, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
-    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ObjectiveBound, Reservation, ResidencyMap,
-    ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache,
+    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ObjectiveBound, Refold, Reservation,
+    ResidencyMap, ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache,
 };
 use svc::{
     CoschedSvcConfig, RankedPlacement, Request, RequestBody, Response, Service, SubmitRequest,
@@ -256,14 +264,19 @@ fn small_base(shape: &EnsembleShape) -> SimRunConfig {
 }
 
 /// The service's `score` visitor (less its cancel probe, and with a
-/// progress hook that only counts), counting the leaves it is handed
-/// and the pulls that advanced the scan.
+/// progress hook that only counts), counting the leaves it is handed,
+/// the ones it evaluated, the copies it re-folded and the pulls that
+/// advanced the scan. Without `orbits` every member is its own class:
+/// the walk of the parent commit, which hands out every placement.
 struct ServiceScan<'a> {
     base: &'a SimRunConfig,
     shape: &'a EnsembleShape,
     solves: &'a Arc<SolveCache>,
     bound: ObjectiveBound,
+    orbits: bool,
     visited: AtomicUsize,
+    evaluated: AtomicUsize,
+    copies: AtomicUsize,
     pulls: AtomicUsize,
 }
 
@@ -283,7 +296,9 @@ impl ScanVisitor for ServiceScan<'_> {
         c: Candidate<'_>,
     ) -> RuntimeResult<Option<FastScore>> {
         self.visited.fetch_add(1, Ordering::Relaxed);
-        evaluator.score_above(c.assignment, c.first_changed, c.floor)
+        let scored = evaluator.score_above(c.assignment, c.first_changed, c.floor)?;
+        self.evaluated.fetch_add(usize::from(scored.is_some()), Ordering::Relaxed);
+        Ok(scored)
     }
 
     fn objective(&self, fs: &FastScore) -> f64 {
@@ -311,40 +326,70 @@ impl ScanVisitor for ServiceScan<'_> {
     fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
         self.bound.of_prefix(prefix, open_nodes)
     }
+
+    fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
+        self.orbits.then(|| evaluator.member_classes(labels)).flatten()
+    }
+
+    fn refold(
+        &self,
+        evaluator: &mut DeltaEvaluator,
+        order: &[usize],
+        floor: f64,
+    ) -> Refold<FastScore> {
+        let refold = evaluator.refold(order, floor);
+        // The first ask is the representative's own order, not a copy.
+        let own = order.iter().enumerate().all(|(slot, &member)| slot == member);
+        if let (Refold::Scored(_), false) = (&refold, own) {
+            self.copies.fetch_add(1, Ordering::Relaxed);
+        }
+        refold
+    }
 }
 
 /// What one cold `score` scan did: candidates in the space, leaves the
-/// walk handed out, candidates actually evaluated (the rest were pruned
-/// by their bound, as leaves or with their subtree), and the ranking.
+/// walk handed out, candidates scored (evaluated or re-folded; the rest
+/// were pruned by their bound, as leaves, with their subtree or with
+/// their orbit), of those the ones evaluated and the copies re-folded,
+/// and the ranking.
 struct ScoreScan {
     scanned: usize,
     visited: usize,
     scored: usize,
+    reps: usize,
+    copies: usize,
     pulls: usize,
     workers: usize,
     ranked: Vec<RankedPlacement>,
 }
 
-/// One cold `score` with `top_k` rows, exactly as `svc` scans it.
+/// One cold `score` with `top_k` rows, exactly as `svc` scans it (with
+/// `orbits`), or as the parent commit did.
 fn score_scan(
     base: &SimRunConfig,
     shape: &EnsembleShape,
     budget: NodeBudget,
     solves: &Arc<SolveCache>,
     opts: &ScanOptions,
+    orbits: bool,
 ) -> ScoreScan {
     let visitor = ServiceScan {
         base,
         shape,
         solves,
         bound: ObjectiveBound::new(shape),
+        orbits,
         visited: AtomicUsize::new(0),
+        evaluated: AtomicUsize::new(0),
+        copies: AtomicUsize::new(0),
         pulls: AtomicUsize::new(0),
     };
     let outcome = scan_placements(shape, budget, opts, &visitor).expect("score scan");
     ScoreScan {
         scanned: outcome.scanned,
         visited: visitor.visited.into_inner(),
+        reps: visitor.evaluated.into_inner(),
+        copies: visitor.copies.into_inner(),
         pulls: visitor.pulls.into_inner(),
         scored: outcome.scanned - outcome.delta.pruned as usize,
         workers: outcome.workers,
@@ -361,22 +406,29 @@ struct NamedSample {
     candidates: usize,
     /// Leaves the walk handed to an evaluator.
     visited: usize,
-    /// Candidates evaluated (the rest were skipped or pruned).
+    /// Candidates scored (the rest were skipped or pruned).
     scored: usize,
+    /// Placements evaluated by the delta evaluator.
+    reps: usize,
+    /// Copies re-folded from an evaluated representative.
+    copies: usize,
     /// Pulls from the scan's feed that advanced it.
     pulls: usize,
     secs: f64,
 }
 
-/// The e2e benchmark's cold-score classes S, M and L, and a space of
-/// ~1.9 × 10⁸ candidates, at one and two scan workers. The solve cache
-/// lives across repetitions, as the service's does across requests; the
-/// first (checking) scan fills it.
+/// The e2e benchmark's cold-score classes S, M and L, six members alike
+/// (~2.3 × 10⁵ candidates, in up to 720 copies an orbit), and a space of
+/// ~1.9 × 10⁸ candidates, at one and two scan workers; and a full
+/// (`top_k` 0) ranking of the six-member space. The solve cache lives
+/// across repetitions, as the service's does across requests; the first
+/// (checking) scan fills it. Each row is first checked bit-identical to
+/// the parent commit's walk (every member its own class).
 fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
     let classes: &[(usize, u32, u32, usize)] = if quick {
-        &[(4, 16, 8, 6)]
+        &[(4, 16, 8, 6), (6, 16, 8, 6)]
     } else {
-        &[(4, 16, 8, 6), (4, 8, 4, 6), (5, 16, 8, 8), (7, 4, 4, 14)]
+        &[(4, 16, 8, 6), (4, 8, 4, 6), (5, 16, 8, 8), (6, 16, 8, 6), (7, 4, 4, 14)]
     };
     let mut samples = Vec::new();
     for &(members, sim, ana, max_nodes) in classes {
@@ -385,39 +437,54 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
         let base = small_base(&shape);
         let solves = Arc::new(SolveCache::new(&base));
         let large = max_nodes > 8;
+        let full_row = members == 6;
         let reps = if quick {
             3
-        } else if large {
+        } else if large || full_row {
             5
         } else {
             21
         };
-        // Bounded top-K must be the head of the full stable ranking
-        // (too big to rank in full for the large space: there the two
-        // widths must agree).
-        let mut ranked = Vec::new();
-        if !large {
-            let full = ScanOptions { workers: 1, ..Default::default() };
-            ranked = score_scan(&base, &shape, budget, &solves, &full).ranked;
-            ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
-            ranked.truncate(10);
+        // Bounded top-K must be the head of the parent's full stable
+        // ranking (too big to rank in full for the large space: there
+        // the parent's bounded walk is the reference).
+        let parent =
+            ScanOptions { workers: 1, top_k: if large { 10 } else { 0 }, ..Default::default() };
+        let full = score_scan(&base, &shape, budget, &solves, &parent, false).ranked;
+        let mut ranked = full.clone();
+        ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
+        ranked.truncate(10);
+        let mut runs: Vec<(String, ScanOptions)> = [1usize, 2]
+            .iter()
+            .map(|&workers| {
+                (
+                    String::from("score_topk10"),
+                    ScanOptions { workers, top_k: 10, ..Default::default() },
+                )
+            })
+            .collect();
+        if full_row {
+            runs.push((
+                String::from("score_full"),
+                ScanOptions { workers: 1, ..Default::default() },
+            ));
         }
-        for workers in [1usize, 2] {
-            let opts = ScanOptions { workers, top_k: 10, ..Default::default() };
-            let checked = score_scan(&base, &shape, budget, &solves, &opts);
-            if ranked.is_empty() {
-                ranked.clone_from(&checked.ranked);
-            }
-            assert_eq!(checked.ranked, ranked);
-            let (secs, candidates) =
-                median_secs(reps, || score_scan(&base, &shape, budget, &solves, &opts).scanned);
+        for (name, opts) in runs {
+            let checked = score_scan(&base, &shape, budget, &solves, &opts, true);
+            let want = if opts.top_k == 0 { &full } else { &ranked };
+            assert_eq!(&checked.ranked, want, "{name} on {members} members: orbit rows moved");
+            let (secs, candidates) = median_secs(reps, || {
+                score_scan(&base, &shape, budget, &solves, &opts, true).scanned
+            });
             samples.push(NamedSample {
-                name: format!("score_topk10/{candidates}"),
-                workers,
+                name: format!("{name}/{candidates}"),
+                workers: opts.workers,
                 threads: checked.workers,
                 candidates,
                 visited: checked.visited,
                 scored: checked.scored,
+                reps: checked.reps,
+                copies: checked.copies,
                 pulls: checked.pulls,
                 secs,
             });
@@ -462,6 +529,8 @@ fn bench_place_against(quick: bool) -> Vec<NamedSample> {
         candidates,
         visited: candidates,
         scored: candidates,
+        reps: candidates,
+        copies: 0,
         pulls: 0,
         secs,
     }]
@@ -472,13 +541,15 @@ fn render_named(samples: &[NamedSample]) -> String {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
+                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"reps\": {}, \"copies\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
                 s.name,
                 s.workers,
                 s.threads,
                 s.pulls,
                 s.visited,
                 s.scored,
+                s.reps,
+                s.copies,
                 s.secs,
                 s.secs * 1e9 / s.candidates as f64
             )
@@ -655,13 +726,15 @@ fn main() {
     service_scans.extend(bench_place_against(quick));
     for s in &service_scans {
         eprintln!(
-            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} {:.6}s  {:.3} ns/candidate",
+            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} reps={:<6} copies={:<6} {:.6}s  {:.3} ns/candidate",
             s.name,
             s.workers,
             s.threads,
             s.pulls,
             s.visited,
             s.scored,
+            s.reps,
+            s.copies,
             s.secs,
             s.secs * 1e9 / s.candidates as f64
         );

@@ -67,6 +67,7 @@ use runtime::{NodeSolver, RuntimeError, RuntimeResult, SimRunConfig, StagingPric
 
 use crate::enumerate::EnsembleShape;
 use crate::fast_eval::FastScore;
+use crate::scan::Refold;
 
 /// Default bound on resident per-node solves, of an evaluator's own
 /// table and of a [`SolveCache`]. Exhaustive scans of the paper's
@@ -96,11 +97,13 @@ pub struct DeltaCounters {
     /// Members whose indicator terms were recomputed (vs served from
     /// the per-member cache).
     pub members_recomputed: u64,
-    /// Candidates skipped unevaluated because their objective bound fell
-    /// below the floor: one at a time by
-    /// [`DeltaEvaluator::score_above`], and in a scan's outcome also
-    /// whole subtrees the walk skipped, each counted at its exact size —
-    /// so `scanned − pruned` is the number evaluated.
+    /// Candidates never scored: one at a time by
+    /// [`DeltaEvaluator::score_above`] (their objective bound fell below
+    /// the floor), and in a scan's outcome also whole subtrees and orbits
+    /// the walk skipped, each counted at its exact size, less the copies
+    /// it re-folded or evaluated beside their representative — so
+    /// `scanned − pruned` is the number evaluated plus the number
+    /// re-folded.
     pub pruned: u64,
 }
 
@@ -154,6 +157,10 @@ struct SolveCacheInner {
     profiles: Vec<Workload>,
     solves: HashMap<Box<[u32]>, Box<[f64]>>,
     order: VecDeque<Box<[u32]>>,
+    /// Whether a node's member blocks commute
+    /// ([`DeltaEvaluator::refold`]), by its key's words followed by one
+    /// bit per resident that starts a block.
+    commutes: HashMap<Box<[u32]>, bool>,
 }
 
 impl SolveCache {
@@ -198,6 +205,21 @@ impl SolveCache {
             }
             None => false,
         }
+    }
+
+    /// Whether the node keyed `key` has commuting blocks, if known.
+    fn commutes(&self, key: &[u32]) -> Option<bool> {
+        self.lock().commutes.get(key).copied()
+    }
+
+    /// Holds whether the node keyed `key` has commuting blocks, forgetting
+    /// every other answer when full.
+    fn insert_commutes(&self, key: Vec<u32>, commutes: bool) {
+        let mut inner = self.lock();
+        if inner.commutes.len() >= self.capacity {
+            inner.commutes.clear();
+        }
+        inner.commutes.insert(key.into_boxed_slice(), commutes);
     }
 
     /// Holds `seconds` under `key`, evicting the oldest solve when full.
@@ -399,6 +421,9 @@ pub struct DeltaEvaluator {
     /// The objective bound, and with it the shape's per-member layout:
     /// each member's component range and total cores.
     bound: ObjectiveBound,
+    /// Per member, its class: the first member with the same sequence of
+    /// component kinds.
+    member_class: Vec<usize>,
     // --- candidate state (structure of arrays) -------------------------
     prev: Vec<usize>,
     has_prev: bool,
@@ -427,12 +452,23 @@ pub struct DeltaEvaluator {
     touched_list: Vec<usize>,
     member_dirty: Vec<bool>,
     sig: Vec<u32>,
+    /// The kinds of a node's residents, in order.
+    kinds_scratch: Vec<usize>,
     seconds_scratch: Vec<f64>,
     // --- occupancy-signature solve memo --------------------------------
     table: SignatureTable,
     /// The cache behind the table and, per kind, its word in that
     /// cache's keys: the workload's id there, then 16 bits of cores.
     shared: Option<(Arc<SolveCache>, Vec<u32>)>,
+    /// Per node occupancy with its member blocks marked: whether every
+    /// order of its blocks gives each block the same step times
+    /// ([`DeltaEvaluator::refold`]).
+    commutes: HashMap<Box<[u32]>, bool>,
+    /// Of the last candidate scored, once asked: the most a copy's
+    /// objective can reach, and whether its copies score its per-member
+    /// values.
+    ceiling: Option<f64>,
+    exact: Option<bool>,
     counters: DeltaCounters,
 }
 
@@ -503,6 +539,14 @@ impl DeltaEvaluator {
         }
         let n = comp_cores.len();
         let members = shape.members.len();
+        let bound = ObjectiveBound::new(shape);
+        let kinds_of = |i: usize| {
+            let (start, end) = bound.member_range[i];
+            &comp_kind[start..end]
+        };
+        let member_class = (0..members)
+            .map(|i| (0..i).find(|&j| kinds_of(j) == kinds_of(i)).unwrap_or(i))
+            .collect();
         // A signature word packs a component's cores into 16 bits. A
         // shape wider than that (shapes come off the wire unvalidated;
         // no real node is) is scored with solve caching off rather than
@@ -527,7 +571,8 @@ impl DeltaEvaluator {
             comp_cores,
             comp_kind,
             comp_member,
-            bound: ObjectiveBound::new(shape),
+            bound,
+            member_class,
             prev: Vec::with_capacity(n),
             has_prev: false,
             pending_hint: None,
@@ -544,10 +589,14 @@ impl DeltaEvaluator {
             touched_list: Vec::new(),
             member_dirty: vec![false; members],
             sig: Vec::new(),
+            kinds_scratch: Vec::new(),
             seconds_scratch: Vec::new(),
             table: SignatureTable::new(kinds.len(), capacity),
             kinds,
             shared,
+            commutes: HashMap::new(),
+            ceiling: None,
+            exact: None,
             counters: DeltaCounters::default(),
         }
     }
@@ -709,6 +758,8 @@ impl DeltaEvaluator {
         self.prev.clear();
         self.prev.extend_from_slice(assignment);
         self.has_prev = true;
+        self.ceiling = None;
+        self.exact = None;
 
         // Phase 4: re-fold the ensemble aggregates exactly as the
         // from-scratch path does — the provisioning stage of
@@ -725,25 +776,215 @@ impl DeltaEvaluator {
         }))
     }
 
+    /// The member classes a scan of this evaluator's shape may reduce by
+    /// ([`crate::ScanVisitor::member_classes`]) on node labels below
+    /// `labels`: members with equal sequences of component kinds, when
+    /// staging prices do not see node labels — every write costs the
+    /// same, every co-located read the same, every remote read the same.
+    /// `None` when they do: a copy's members sit on other labels than the
+    /// representative's.
+    pub fn member_classes(&self, labels: usize) -> Option<Vec<usize>> {
+        let prices = &self.staging;
+        let bits = f64::to_bits;
+        let (write, local) = (bits(prices.write_seconds(0)), bits(prices.read_seconds(0, 0)));
+        let remote = bits(prices.read_seconds(0, 1));
+        for x in 0..labels {
+            if bits(prices.write_seconds(x)) != write || bits(prices.read_seconds(x, x)) != local {
+                return None;
+            }
+            if (0..labels).any(|y| y != x && bits(prices.read_seconds(x, y)) != remote) {
+                return None;
+            }
+        }
+        Some(self.member_class.clone())
+    }
+
+    /// Scores a copy of the candidate just scored whose member `j` is that
+    /// candidate's member `order[j]` (members trade places only within a
+    /// class): its per-member values re-folded in its own member order by
+    /// the same [`aggregate`] — the bits its own evaluation gives, since
+    /// the copy's nodes hold the same member blocks and staging prices
+    /// were checked blind to labels ([`DeltaEvaluator::member_classes`]).
+    /// [`Refold::Evaluate`] when some node's solve would change with the
+    /// order of its blocks (a power cap's sum, an interference fold, a
+    /// socket split), and [`Refold::Below`] when even the candidate's
+    /// objective plus the [`fold_margin`] of its values is below `floor`.
+    pub fn refold(&mut self, order: &[usize], floor: f64) -> Refold<FastScore> {
+        let ceiling = *self.ceiling.get_or_insert_with(|| {
+            aggregate(&self.values, Aggregation::MeanMinusStd) + fold_margin(&self.values)
+        });
+        let exact = match self.exact {
+            Some(exact) => exact,
+            None => {
+                let exact = self.blocks_commute();
+                *self.exact.insert(exact)
+            }
+        };
+        if !exact {
+            return Refold::Evaluate;
+        }
+        if ceiling < floor {
+            return Refold::Below;
+        }
+        let m = self.nodes_used as f64;
+        self.values.clear();
+        self.values.extend(order.iter().map(|&i| self.member_ua[i] / m));
+        Refold::Scored(FastScore {
+            objective: aggregate(&self.values, Aggregation::MeanMinusStd),
+            ensemble_makespan: order
+                .iter()
+                .fold(0.0f64, |longest, &i| longest.max(self.member_mk[i])),
+            nodes_used: self.nodes_used,
+            eq4_satisfied: order.iter().all(|&i| self.member_eq4[i]),
+        })
+    }
+
+    /// True when on every node of the candidate just scored each member
+    /// block gets the same step times in every order of the node's blocks
+    /// (a copy may put any of them first: members of other classes trade
+    /// places around the ones that stay) — memoized per node occupancy
+    /// with its blocks marked.
+    fn blocks_commute(&mut self) -> bool {
+        let n = self.comp_cores.len();
+        for nd in 0..self.node_len.len() {
+            let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
+            let mut key = Vec::with_capacity(2 * comps.len());
+            let mut blocks = 0;
+            for (k, &c) in comps.iter().enumerate() {
+                let member = self.comp_member[c];
+                if k == 0 || self.comp_member[comps[k - 1]] != member {
+                    key.push(u32::MAX);
+                    blocks += 1;
+                }
+                key.push(self.comp_kind[c]);
+            }
+            if blocks < 2 {
+                continue;
+            }
+            let commutes = match self.commutes.get(&key[..]) {
+                Some(&commutes) => commutes,
+                None => {
+                    let commutes = self.node_commutes(nd);
+                    if self.commutes.len() >= DEFAULT_SOLVE_CACHE_CAPACITY {
+                        self.commutes.clear();
+                    }
+                    self.commutes.insert(key.into_boxed_slice(), commutes);
+                    commutes
+                }
+            };
+            if !commutes {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Whether node `nd`'s blocks commute: from the shared cache, else
+    /// found out and filed there.
+    fn node_commutes(&mut self, nd: usize) -> bool {
+        let Some((cache, words)) = &self.shared else {
+            return self.node_blocks_commute(nd).unwrap_or(false);
+        };
+        let n = self.comp_cores.len();
+        let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
+        let mut key: Vec<u32> = comps.iter().map(|&c| words[self.comp_kind[c] as usize]).collect();
+        key.resize(comps.len() + comps.len().div_ceil(32), 0);
+        for (k, &c) in comps.iter().enumerate() {
+            if k == 0 || self.comp_member[comps[k - 1]] != self.comp_member[c] {
+                key[comps.len() + k / 32] |= 1 << (k % 32);
+            }
+        }
+        let cache = Arc::clone(cache);
+        if let Some(commutes) = cache.commutes(&key) {
+            return commutes;
+        }
+        let commutes = self.node_blocks_commute(nd).unwrap_or(false);
+        cache.insert_commutes(key, commutes);
+        commutes
+    }
+
+    /// Solves node `nd` under every distinct order of its member blocks
+    /// (up to [`MAX_BLOCK_ORDERS`]; more counts as not commuting) and
+    /// compares each block's step times with its own.
+    fn node_blocks_commute(&mut self, nd: usize) -> RuntimeResult<bool> {
+        let n = self.comp_cores.len();
+        let comps: Vec<usize> = self.node_comps[nd * n..nd * n + self.node_len[nd]].to_vec();
+        // Each block: its range in `comps`.
+        let mut blocks: Vec<(usize, usize)> = Vec::new();
+        for (k, &c) in comps.iter().enumerate() {
+            match blocks.last_mut() {
+                Some((_, end)) if self.comp_member[comps[k - 1]] == self.comp_member[c] => {
+                    *end = k + 1;
+                }
+                _ => blocks.push((k, k + 1)),
+            }
+        }
+        let kinds_of = |&(start, end): &(usize, usize)| -> Vec<usize> {
+            comps[start..end].iter().map(|&c| self.comp_kind[c] as usize).collect()
+        };
+        let contents: Vec<Vec<usize>> = blocks.iter().map(kinds_of).collect();
+        let mut orders: Vec<Vec<usize>> = Vec::new();
+        if !block_orders(&contents, &mut Vec::new(), &mut orders) {
+            return Ok(false);
+        }
+        for order in &orders {
+            let kinds: Vec<usize> =
+                order.iter().flat_map(|&b| contents[b].iter().copied()).collect();
+            self.solve_sequence(nd, &kinds)?;
+            let mut at = 0;
+            for &b in order {
+                let (start, end) = blocks[b];
+                for &c in &comps[start..end] {
+                    if self.seconds_scratch[at].to_bits() != self.comp_seconds[c].to_bits() {
+                        return Ok(false);
+                    }
+                    at += 1;
+                }
+            }
+        }
+        Ok(true)
+    }
+
     /// Refreshes the step times of node `nd`'s residents: from the
     /// signature table, else from the shared cache, else by solving.
     fn solve_touched_node(&mut self, nd: usize) -> RuntimeResult<()> {
         let n = self.comp_cores.len();
         let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
         let comp_kind = &self.comp_kind;
-        let kinds = || comps.iter().map(|&c| comp_kind[c] as usize);
-        if let Some(seconds) = self.table.lookup(kinds()) {
+        if let Some(seconds) = self.table.lookup(comps.iter().map(|&c| comp_kind[c] as usize)) {
             self.counters.solve_hits += 1;
             for (&c, &s) in comps.iter().zip(seconds) {
                 self.comp_seconds[c] = s;
             }
             return Ok(());
         }
+        let mut kinds = std::mem::take(&mut self.kinds_scratch);
+        kinds.clear();
+        kinds.extend(comps.iter().map(|&c| comp_kind[c] as usize));
+        let solved = self.solve_sequence(nd, &kinds);
+        self.kinds_scratch = kinds;
+        solved?;
+        let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
+        for (&c, &s) in comps.iter().zip(&self.seconds_scratch) {
+            self.comp_seconds[c] = s;
+        }
+        Ok(())
+    }
+
+    /// The step times of the resident sequence `kinds` on node `nd`, into
+    /// `seconds_scratch`: from the signature table, else from the shared
+    /// cache, else by solving — and memoized.
+    fn solve_sequence(&mut self, nd: usize, kinds: &[usize]) -> RuntimeResult<()> {
         self.seconds_scratch.clear();
+        if let Some(seconds) = self.table.lookup(kinds.iter().copied()) {
+            self.counters.solve_hits += 1;
+            self.seconds_scratch.extend_from_slice(seconds);
+            return Ok(());
+        }
         self.sig.clear();
         let answered = match &self.shared {
             Some((cache, words)) => {
-                self.sig.extend(kinds().map(|kind| words[kind]));
+                self.sig.extend(kinds.iter().map(|&kind| words[kind]));
                 cache.get(&self.sig, &mut self.seconds_scratch)
             }
             None => false,
@@ -752,9 +993,8 @@ impl DeltaEvaluator {
             self.counters.solve_hits += 1;
         } else {
             self.counters.solve_misses += 1;
-            let kinds = &self.kinds;
-            let residents = comps.iter().map(|&c| {
-                let (workload, cores) = &kinds[comp_kind[c] as usize];
+            let residents = kinds.iter().map(|&kind| {
+                let (workload, cores) = &self.kinds[kind];
                 (workload, *cores)
             });
             let solved = self.node.solve(nd, residents)?;
@@ -763,10 +1003,7 @@ impl DeltaEvaluator {
                 cache.insert(&self.sig, &self.seconds_scratch);
             }
         }
-        for (&c, &s) in comps.iter().zip(&self.seconds_scratch) {
-            self.comp_seconds[c] = s;
-        }
-        self.table.store(kinds(), &self.seconds_scratch);
+        self.table.store(kinds.iter().copied(), &self.seconds_scratch);
         Ok(())
     }
 
@@ -809,6 +1046,62 @@ impl DeltaEvaluator {
             self.read_seconds.resize(count * count, f64::NAN);
         }
     }
+}
+
+/// Most orders of one node's member blocks [`DeltaEvaluator::refold`]
+/// solves to show the blocks commute; a node with more is taken not to.
+const MAX_BLOCK_ORDERS: usize = 120;
+
+/// Appends to `orders` every distinct order of the blocks of `contents`
+/// (blocks of equal contents being one); false past [`MAX_BLOCK_ORDERS`].
+fn block_orders(
+    contents: &[Vec<usize>],
+    order: &mut Vec<usize>,
+    orders: &mut Vec<Vec<usize>>,
+) -> bool {
+    if order.len() == contents.len() {
+        orders.push(order.clone());
+        return orders.len() <= MAX_BLOCK_ORDERS;
+    }
+    for b in 0..contents.len() {
+        let repeat = (0..b).any(|e| !order.contains(&e) && contents[e] == contents[b]);
+        if !order.contains(&b) && !repeat {
+            order.push(b);
+            let more = block_orders(contents, order, orders);
+            order.pop();
+            if !more {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// How far `aggregate(values, MeanMinusStd)` (Eq. 9) can move when
+/// `values` are folded in another order: twice a bound on how far any
+/// order's IEEE result lies from the exact real one, doubled again.
+///
+/// With `u` the unit roundoff, `v = max |vᵢ|` and `N` values, every
+/// partial sum is at most `N v`, so the mean is off by at most
+/// `e_m = (N + 3) u v`; each deviation `vᵢ − m̂` (at most `d = 2v`) by
+/// `e_r = e_m + u (d + e_m)`; each square by `2 d e_r + e_r²` plus its
+/// rounding, and their mean by `e_v` below. The std is then off by at most
+/// `√e_v` (`|√a − √b| ≤ √|a − b|`) plus its rounding, and the final
+/// subtraction adds one more rounding. The square root makes the margin
+/// about `1e-7 v` — far above the last-bit differences fold order makes
+/// in practice, and still far below the gaps between orbits.
+pub fn fold_margin(values: &[f64]) -> f64 {
+    let n = values.len() as f64;
+    let u = f64::EPSILON / 2.0;
+    let v = values.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let d = 2.0 * v;
+    let e_m = (n + 3.0) * u * v;
+    let e_r = e_m + u * (d + e_m);
+    let square = (d + e_r) * (d + e_r) * (1.0 + u);
+    let e_v = 2.0 * d * e_r + e_r * e_r + (n + 2.0) * u * square;
+    let e_s = e_v.sqrt() + u * (d + e_r);
+    let e = e_m + e_s + u * (v + e_m + d + e_s);
+    4.0 * e
 }
 
 /// `M`: the distinct nodes `assignment` uses — one bit per node while

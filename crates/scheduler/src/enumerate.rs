@@ -199,6 +199,372 @@ impl Completions {
     }
 }
 
+/// Marks a node label no relabeling has mapped yet.
+const UNMAPPED: usize = usize::MAX;
+
+/// Member-permutation symmetry of a shape. Members of one *class* (the
+/// caller vouches that they are interchangeable: equal component kinds
+/// and cores, and a score that does not see which of them is which) may
+/// trade places, so a placement and every `canonicalize(π(placement))`
+/// for a class-preserving member permutation `π` form one *orbit*. The
+/// walk hands out only an orbit's least canonical placement — its
+/// *representative* — and [`Orbits::copies`] lists the rest.
+///
+/// Enumeration order is lexicographic order of canonical assignments, so
+/// "least" is in enumeration order, and the representative comes before
+/// every copy of it.
+#[derive(Debug, Clone)]
+pub(crate) struct Orbits {
+    /// Per member, its `[start, end)` block in the flat component order.
+    blocks: Vec<(usize, usize)>,
+    /// Per member, its class.
+    class: Vec<usize>,
+    /// Per member, the member before it in its class.
+    prev_in_class: Vec<Option<usize>>,
+    /// Per component, its member.
+    member_of: Vec<usize>,
+    /// Bits per node label in a [`Orbits::key`].
+    bits: u32,
+    // --- scratch of one search ----------------------------------------
+    used: Vec<bool>,
+    /// Old label → new label under the arrangement being built.
+    map: Vec<usize>,
+    /// Labels `map` assigned, so a branch can take them back.
+    undo: Vec<usize>,
+    /// Per member: no node of its block holds another member's component.
+    isolated: Vec<bool>,
+    /// Per member, the first member it is interchangeable with at any
+    /// slot ([`Orbits::mark_twins`]).
+    twin: Vec<usize>,
+    /// Per label, how many members' blocks hold it.
+    owners: Vec<u32>,
+    /// The member order of the arrangement being built.
+    order: Vec<usize>,
+}
+
+/// The distinct copies of one representative, filled by
+/// [`Orbits::copies`]: copy `i` is `flat[i * width..][..width]`, in
+/// enumeration order, its [`Orbits::key`] is `keys[i]`, and its member
+/// `j` is the representative's member `orders[i * members + j]`.
+#[derive(Debug, Default)]
+pub(crate) struct Copies {
+    pub(crate) flat: Vec<usize>,
+    pub(crate) keys: Vec<u128>,
+    pub(crate) orders: Vec<usize>,
+    /// The member orders of the arrangements as built, and each one's
+    /// key with its number, before sorting and deduplication.
+    raw_orders: Vec<usize>,
+    sort: Vec<(u128, usize)>,
+}
+
+impl Orbits {
+    /// The symmetry of `shape` on labels below `max_nodes` under
+    /// `classes` (one class id per member); `None` when every class is a
+    /// single member, when `classes` does not fit the shape, when two
+    /// members of a class differ in their cores, or when a placement does
+    /// not pack into a 128-bit [`Orbits::key`].
+    fn new(shape: &EnsembleShape, max_nodes: usize, classes: &[usize]) -> Option<Self> {
+        let members = shape.members.len();
+        let bits = usize::BITS - max_nodes.saturating_sub(1).leading_zeros();
+        let bits = bits.max(1);
+        if classes.len() != members || shape.num_components() * bits as usize > 128 {
+            return None;
+        }
+        let mut blocks = Vec::with_capacity(members);
+        let mut member_of = Vec::with_capacity(shape.num_components());
+        let mut prev_in_class = vec![None; members];
+        let mut shared = false;
+        for (j, (sim, anas)) in shape.members.iter().enumerate() {
+            let start = member_of.len();
+            member_of.extend(std::iter::repeat_n(j, 1 + anas.len()));
+            blocks.push((start, member_of.len()));
+            let prev = (0..j).rev().find(|&i| classes[i] == classes[j]);
+            if let Some(i) = prev {
+                if shape.members[i] != (*sim, anas.clone()) {
+                    return None;
+                }
+                shared = true;
+            }
+            prev_in_class[j] = prev;
+        }
+        shared.then(|| Orbits {
+            blocks,
+            class: classes.to_vec(),
+            prev_in_class,
+            member_of,
+            bits,
+            used: Vec::new(),
+            map: Vec::new(),
+            undo: Vec::new(),
+            isolated: Vec::new(),
+            twin: Vec::new(),
+            owners: Vec::new(),
+            order: Vec::new(),
+        })
+    }
+
+    /// `a` packed into one number, first position most significant:
+    /// keys order as placements do, lexicographically — in enumeration
+    /// order.
+    pub(crate) fn key(&self, a: &[usize]) -> u128 {
+        a.iter().fold(0u128, |key, &label| key << self.bits | label as u128)
+    }
+
+    /// The placement of `width` components packed in `key`.
+    pub(crate) fn unpack(&self, key: u128, width: usize) -> Vec<usize> {
+        let mask = (1u128 << self.bits) - 1;
+        (0..width).rev().map(|k| ((key >> (k as u32 * self.bits)) & mask) as usize).collect()
+    }
+
+    /// True when a completion of the canonical `prefix` can still be the
+    /// least of its orbit. False when the last member it touches has a
+    /// block (or the placed part of one) that, moved to the slot of an
+    /// earlier member of its class and relabeled there, precedes that
+    /// member's block; or, at a complete block, when some rearrangement
+    /// of the members placed so far precedes it: either way trading
+    /// members gives a copy that precedes every completion.
+    pub(crate) fn admits(&mut self, prefix: &[usize]) -> bool {
+        let depth = prefix.len();
+        let member = self.member_of[depth - 1];
+        let (start, end) = self.blocks[member];
+        let placed = &prefix[start..depth];
+        let mut earlier = self.prev_in_class[member];
+        while let Some(other) = earlier {
+            let at = self.blocks[other].0;
+            let seen = prefix[..at].iter().max().map_or(0, |&m| m + 1);
+            if relabeled_below(placed, &prefix[at..at + placed.len()], seen) {
+                return false;
+            }
+            earlier = self.prev_in_class[other];
+        }
+        depth != end || self.least(prefix, member + 1)
+    }
+
+    /// True when no arrangement of the first `members` members within
+    /// their classes, relabeled by first appearance, precedes `a` (which
+    /// holds exactly their blocks).
+    fn least(&mut self, a: &[usize], members: usize) -> bool {
+        self.twin.clear();
+        self.used.clear();
+        self.used.resize(members, false);
+        self.map.clear();
+        self.map.resize(a.iter().max().map_or(0, |&m| m + 1), UNMAPPED);
+        !self.precedes(a, 0, members, 0)
+    }
+
+    /// Groups the first `members` members of `a` into twins: members of
+    /// one class whose blocks are literally the same, or which are both
+    /// isolated (no node of theirs holds another member's component) with
+    /// the same pattern of equal nodes. Trading twins, nodes and all, is
+    /// a symmetry of `a`, so at any slot a search tries one of them.
+    fn mark_twins(&mut self, a: &[usize], members: usize) {
+        self.owners.clear();
+        self.owners.resize(a.iter().max().map_or(0, |&m| m + 1), 0);
+        for &(start, end) in &self.blocks[..members] {
+            for k in start..end {
+                if !a[start..k].contains(&a[k]) {
+                    self.owners[a[k]] += 1;
+                }
+            }
+        }
+        self.isolated.clear();
+        for &(start, end) in &self.blocks[..members] {
+            self.isolated.push(a[start..end].iter().all(|&l| self.owners[l] == 1));
+        }
+        self.twin.clear();
+        for m in 0..members {
+            let (s, e) = self.blocks[m];
+            let twin = (0..m).find(|&o| {
+                let start = self.blocks[o].0;
+                let (x, y) = (&a[start..start + (e - s)], &a[s..e]);
+                self.class[o] == self.class[m]
+                    && (x == y || (self.isolated[o] && self.isolated[m] && same_pattern(x, y)))
+            });
+            self.twin.push(twin.unwrap_or(m));
+        }
+    }
+
+    /// True when an earlier unused twin of member `cand` was tried at
+    /// this slot already.
+    fn repeats(&self, cand: usize) -> bool {
+        (0..cand).any(|other| !self.used[other] && self.twin[other] == self.twin[cand])
+    }
+
+    /// Whether arranging the unused members into slots `slot..members`,
+    /// relabeling on from `next` fresh labels, can precede `a` there
+    /// (the slots before are equal to `a` already).
+    fn precedes(&mut self, a: &[usize], slot: usize, members: usize, next: usize) -> bool {
+        if slot == members {
+            return false;
+        }
+        // A candidate whose block relabels below `a`'s here wins outright;
+        // only the ties need the slots after.
+        let mut ties = 0u128;
+        for cand in 0..members {
+            if self.used[cand] || self.class[cand] != self.class[slot] {
+                continue;
+            }
+            let mark = self.undo.len();
+            let (ord, _) = self.relabel(a, cand, slot, next);
+            self.take_back(mark);
+            if ord.is_lt() {
+                return true;
+            }
+            if ord.is_eq() {
+                ties |= 1 << cand;
+            }
+        }
+        if ties != 0 {
+            // A twin tried before it at this slot explored the same
+            // arrangements (twins are grouped only once a tie needs it).
+            if self.twin.is_empty() {
+                self.mark_twins(a, members);
+            }
+            for cand in (0..members).filter(|&c| ties >> c & 1 == 1) {
+                if self.repeats(cand) {
+                    continue;
+                }
+                let mark = self.undo.len();
+                let (_, fresh) = self.relabel(a, cand, slot, next);
+                self.used[cand] = true;
+                let beats = self.precedes(a, slot + 1, members, fresh);
+                self.used[cand] = false;
+                self.take_back(mark);
+                if beats {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Relabels member `cand`'s block as if it went to `slot`, on from
+    /// `next` fresh labels, and compares it with `a`'s block there:
+    /// the order, and the next fresh label. The labels it mapped stay
+    /// mapped until [`Orbits::take_back`].
+    fn relabel(
+        &mut self,
+        a: &[usize],
+        cand: usize,
+        slot: usize,
+        next: usize,
+    ) -> (std::cmp::Ordering, usize) {
+        let (s0, s1) = self.blocks[slot];
+        let c0 = self.blocks[cand].0;
+        let (mut fresh, mut ord) = (next, std::cmp::Ordering::Equal);
+        for k in 0..s1 - s0 {
+            let label = a[c0 + k];
+            if self.map[label] == UNMAPPED {
+                self.map[label] = fresh;
+                self.undo.push(label);
+                fresh += 1;
+            }
+            ord = self.map[label].cmp(&a[s0 + k]);
+            if ord.is_ne() {
+                break;
+            }
+        }
+        (ord, fresh)
+    }
+
+    /// Unmaps the labels mapped since the undo list held `mark`.
+    fn take_back(&mut self, mark: usize) {
+        while self.undo.len() > mark {
+            let label = self.undo.pop().expect("above the mark");
+            self.map[label] = UNMAPPED;
+        }
+    }
+
+    /// Fills `out` with every distinct canonical copy of the
+    /// representative `rep` other than itself, in enumeration order.
+    pub(crate) fn copies(&mut self, rep: &[usize], out: &mut Copies) {
+        let members = self.blocks.len();
+        self.mark_twins(rep, members);
+        self.used.clear();
+        self.used.resize(members, false);
+        self.map.clear();
+        self.map.resize(rep.iter().max().map_or(0, |&m| m + 1), UNMAPPED);
+        self.order.clear();
+        out.raw_orders.clear();
+        out.sort.clear();
+        self.arrange(rep, 0, 0, out);
+        out.sort.sort_unstable();
+        out.sort.dedup_by_key(|&mut (key, _)| key);
+        let own = self.key(rep);
+        out.flat.clear();
+        out.keys.clear();
+        out.orders.clear();
+        for &(key, i) in out.sort.iter().filter(|&&(key, _)| key != own) {
+            out.flat.extend(self.unpack(key, rep.len()));
+            out.keys.push(key);
+            out.orders.extend_from_slice(&out.raw_orders[i * members..(i + 1) * members]);
+        }
+    }
+
+    /// Builds every arrangement of the unused members into the slots
+    /// from `self.order.len()` on, relabeled on from `next` fresh labels
+    /// as each block lands onto `key` (the slots before, packed), into
+    /// `out`'s raw lists.
+    fn arrange(&mut self, rep: &[usize], next: usize, key: u128, out: &mut Copies) {
+        let members = self.blocks.len();
+        let slot = self.order.len();
+        if slot == members {
+            out.sort.push((key, out.raw_orders.len() / members));
+            out.raw_orders.extend_from_slice(&self.order);
+            return;
+        }
+        for cand in 0..members {
+            if self.used[cand] || self.class[cand] != self.class[slot] || self.repeats(cand) {
+                continue;
+            }
+            let mark = self.undo.len();
+            let (start, end) = self.blocks[cand];
+            let (mut fresh, mut longer) = (next, key);
+            for &label in &rep[start..end] {
+                if self.map[label] == UNMAPPED {
+                    self.map[label] = fresh;
+                    self.undo.push(label);
+                    fresh += 1;
+                }
+                longer = longer << self.bits | self.map[label] as u128;
+            }
+            self.used[cand] = true;
+            self.order.push(cand);
+            self.arrange(rep, fresh, longer, out);
+            self.order.pop();
+            self.used[cand] = false;
+            self.take_back(mark);
+        }
+    }
+}
+
+/// True when `block`, relabeled as if it came right after a prefix that
+/// used labels `0..seen` (its other labels numbered on from `seen` in
+/// order of first appearance), precedes `other` lexicographically.
+fn relabeled_below(block: &[usize], other: &[usize], seen: usize) -> bool {
+    let new_at = |first: usize| {
+        let fresh_before =
+            (0..first).filter(|&p| block[p] >= seen && !block[..p].contains(&block[p])).count();
+        seen + fresh_before
+    };
+    for (&label, &there) in block.iter().zip(other) {
+        let new = if label < seen {
+            label
+        } else {
+            new_at(block.iter().position(|&l| l == label).expect("label is in the block"))
+        };
+        if new != there {
+            return new < there;
+        }
+    }
+    false
+}
+
+/// True when `x` and `y` hold equal nodes at the same positions.
+fn same_pattern(x: &[usize], y: &[usize]) -> bool {
+    (0..x.len()).all(|k| (0..k).all(|l| (x[k] == x[l]) == (y[k] == y[l])))
+}
+
 /// One pull of leaves from a [`PlacementIter`], refilled in place: a
 /// scan worker owns one and reuses its allocations chunk after chunk.
 #[derive(Debug, Default)]
@@ -261,6 +627,9 @@ pub struct PlacementIter {
     /// Lowest depth the DFS backtracked to since the last yield — every
     /// position below it is unchanged from the previous assignment.
     low_water: usize,
+    /// Member classes, when the walk hands out orbit representatives
+    /// only ([`PlacementIter::set_classes`]).
+    orbits: Option<Orbits>,
 }
 
 impl PlacementIter {
@@ -288,10 +657,59 @@ impl PlacementIter {
             skipped: 0,
             completions: Completions::new(&cores, max_nodes, cores_per_node),
             low_water: 0,
+            orbits: None,
             cores,
             max_nodes,
             cores_per_node,
         }
+    }
+
+    /// Declares members of equal `classes` id interchangeable before the
+    /// walk starts: from then on it hands out only the least canonical
+    /// placement of each member-permutation orbit ([`Orbits`]) and skips
+    /// the copies, counted like any skipped subtree. Singleton classes
+    /// change nothing, and so does a space that cannot be counted
+    /// exactly (the copies' indexes are counts). True when it took.
+    pub(crate) fn set_classes(&mut self, shape: &EnsembleShape, classes: &[usize]) -> bool {
+        assert_eq!(self.yielded, 0, "classes are declared before the walk starts");
+        let exact = self.cores.len() <= ALWAYS_EXACT_COMPONENTS
+            || self.completions.count(0, &[], SPACE_COUNT_BUDGET).is_some();
+        self.orbits = Orbits::new(shape, self.max_nodes, classes).filter(|_| exact);
+        self.orbits.is_some()
+    }
+
+    /// The member classes the walk reduces by, if any.
+    pub(crate) fn orbits(&self) -> Option<&Orbits> {
+        self.orbits.as_ref()
+    }
+
+    /// The enumeration index of the canonical feasible placement `a`: the
+    /// leaves of every subtree that precedes it, counted. Only for a walk
+    /// with classes, whose space counts exactly.
+    pub(crate) fn index_of(&mut self, a: &[usize]) -> usize {
+        let n = self.cores.len();
+        let mut loads = vec![0u32; self.max_nodes];
+        let (mut open, mut index) = (0usize, 0usize);
+        for (d, &node) in a.iter().enumerate() {
+            let c = self.cores[d];
+            for t in 0..node {
+                if u64::from(loads[t]) + u64::from(c) > u64::from(self.cores_per_node) {
+                    continue;
+                }
+                loads[t] += c;
+                index += if d + 1 == n {
+                    1
+                } else {
+                    self.completions
+                        .count(d + 1, &loads[..open], usize::MAX)
+                        .expect("a space with classes counts exactly")
+                };
+                loads[t] -= c;
+            }
+            loads[node] += c;
+            open = open.max(node + 1);
+        }
+        index
     }
 
     /// Candidates passed so far, handed out or skipped — the
@@ -378,9 +796,11 @@ impl PlacementIter {
                 self.prefix_max[self.depth + 1] = self.prefix_max[self.depth].max(t + 1);
                 self.depth += 1;
                 self.next[self.depth] = 0;
-                if floor > f64::NEG_INFINITY
-                    && bound(&self.assignment[..self.depth], self.prefix_max[self.depth]) < floor
-                {
+                let prefix = &self.assignment[..self.depth];
+                let below =
+                    floor > f64::NEG_INFINITY && bound(prefix, self.prefix_max[self.depth]) < floor;
+                let skip = below || self.orbits.as_mut().is_some_and(|o| !o.admits(prefix));
+                if skip {
                     let room = MAX_EXACT_COUNT.saturating_sub(self.yielded);
                     if let Some(size) = self.subtree_size(count_budget).filter(|&s| s <= room) {
                         self.yielded += size;
@@ -772,6 +1192,97 @@ mod tests {
         assert_eq!(PlacementIter::new(&shape, 0, 32).count(), 0, "zero nodes");
         let empty = EnsembleShape { members: vec![] };
         assert_eq!(PlacementIter::new(&empty, 3, 32).count(), 0, "zero components");
+    }
+
+    /// Every class-preserving rearrangement of `a`'s member blocks,
+    /// canonicalized: its orbit, by brute force.
+    fn orbit_by_brute_force(
+        shape: &EnsembleShape,
+        classes: &[usize],
+        a: &[usize],
+    ) -> Vec<Vec<usize>> {
+        fn permute(
+            classes: &[usize],
+            slot: usize,
+            order: &mut Vec<usize>,
+            out: &mut Vec<Vec<usize>>,
+        ) {
+            if slot == classes.len() {
+                out.push(order.clone());
+                return;
+            }
+            for m in 0..classes.len() {
+                if classes[m] == classes[slot] && !order.contains(&m) {
+                    order.push(m);
+                    permute(classes, slot + 1, order, out);
+                    order.pop();
+                }
+            }
+        }
+        let mut starts = vec![0];
+        for (_, anas) in &shape.members {
+            starts.push(starts.last().unwrap() + 1 + anas.len());
+        }
+        let mut orders = Vec::new();
+        permute(classes, 0, &mut Vec::new(), &mut orders);
+        let mut orbit: Vec<Vec<usize>> = orders
+            .iter()
+            .map(|order| {
+                let literal: Vec<usize> =
+                    order.iter().flat_map(|&m| a[starts[m]..starts[m + 1]].to_vec()).collect();
+                canonicalize(&literal)
+            })
+            .collect();
+        orbit.sort();
+        orbit.dedup();
+        orbit
+    }
+
+    #[test]
+    fn a_walk_with_classes_hands_out_exactly_the_orbit_minima_and_lists_their_copies() {
+        let shapes: [(EnsembleShape, Vec<usize>, usize); 6] = [
+            (EnsembleShape::uniform(3, 8, 1, 4), vec![0, 0, 0], 5),
+            (EnsembleShape::uniform(4, 16, 1, 8), vec![0, 0, 0, 0], 6),
+            (EnsembleShape::uniform(3, 4, 2, 4), vec![0, 0, 0], 9),
+            (EnsembleShape::uniform(4, 8, 1, 4), vec![0, 1, 0, 1], 8),
+            (
+                EnsembleShape { members: vec![(8, vec![4]), (4, vec![4, 4]), (8, vec![4])] },
+                vec![0, 1, 0],
+                7,
+            ),
+            (EnsembleShape::uniform(5, 16, 1, 16), vec![0, 0, 0, 0, 0], 6),
+        ];
+        for (shape, classes, max_nodes) in &shapes {
+            let all = enumerate_placements(shape, *max_nodes, 32);
+            let mut it = PlacementIter::new(shape, *max_nodes, 32);
+            assert!(it.set_classes(shape, classes));
+            let mut orbits = it.orbits().unwrap().clone();
+            let handed: Vec<Vec<usize>> = it.by_ref().collect();
+            assert_eq!(it.yielded(), all.len(), "{shape:?}: every leaf accounted for");
+            let minima: Vec<Vec<usize>> = all
+                .iter()
+                .filter(|a| orbit_by_brute_force(shape, classes, a)[0] == **a)
+                .cloned()
+                .collect();
+            assert_eq!(handed, minima, "{shape:?}");
+            assert!(handed.len() < all.len());
+            let width = shape.num_components();
+            let mut copies = Copies::default();
+            let mut covered = 0;
+            for rep in &handed {
+                orbits.copies(rep, &mut copies);
+                let listed: Vec<Vec<usize>> =
+                    copies.flat.chunks_exact(width).map(<[usize]>::to_vec).collect();
+                let orbit = orbit_by_brute_force(shape, classes, rep);
+                let others: Vec<Vec<usize>> = orbit.into_iter().filter(|a| a != rep).collect();
+                assert_eq!(listed, others, "{shape:?}: copies of {rep:?}");
+                covered += 1 + listed.len();
+            }
+            assert_eq!(covered, all.len(), "{shape:?}: the orbits partition the space");
+            for (index, a) in all.iter().enumerate() {
+                assert_eq!(it.index_of(a), index, "{shape:?}: {a:?}");
+            }
+        }
     }
 
     #[test]

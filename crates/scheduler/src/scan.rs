@@ -42,6 +42,16 @@
 //!   its K-th objective, counting it at its exact size, and each
 //!   candidate handed out carries that floor so `eval` can skip a leaf
 //!   the same way.
+//! * **One placement per orbit.** A bounded scan whose visitor declares
+//!   member classes ([`ScanVisitor::member_classes`]) gets the walk's
+//!   orbit representatives only: the least placement of each set that
+//!   members of one class trading places produce. The worker that
+//!   evaluated a representative scores its copies through
+//!   [`ScanVisitor::refold`],
+//!   each under its own rank; the copies were counted skipped by the
+//!   walk, so `scanned` is the whole space as before. A copy's place in
+//!   the enumeration is its packed assignment until the merge, which
+//!   counts the index of each row it returns.
 //! * **Cooperative cancellation.** The `cancel` probe is checked
 //!   between chunks; once it fires, all workers stop pulling and the
 //!   outcome reports how far the scan got.
@@ -50,7 +60,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::delta::DeltaCounters;
-use crate::enumerate::{Chunk, EnsembleShape, PlacementIter};
+use crate::enumerate::{Chunk, Copies, EnsembleShape, Orbits, PlacementIter};
 use crate::search::NodeBudget;
 
 /// Environment variable overriding the default worker count (used by CI
@@ -159,7 +169,8 @@ pub struct ScanOutcome<T> {
     pub workers: usize,
     /// Delta-evaluation counters, summed across workers: whatever
     /// [`ScanVisitor::drain`] extracted from each worker's state, plus
-    /// the subtree-skipped candidates in `pruned`.
+    /// in `pruned` the candidates the walk skipped that no copy scoring
+    /// reached — so `scanned − pruned` counts evaluated plus re-folded.
     pub delta: DeltaCounters,
 }
 
@@ -170,14 +181,24 @@ impl<T> ScanOutcome<T> {
     }
 }
 
+/// Where a candidate sits in the enumeration: its index, or — in a scan
+/// with member classes, where a copy's index is counted only if it makes
+/// the result — its assignment packed into a key that orders as
+/// enumeration does ([`Orbits::key`]). One scan uses one kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Order {
+    Index(usize),
+    Leaf(u128),
+}
+
 /// Rank key for top-K selection: better = higher objective, ties broken
-/// toward the earlier enumeration index — the same total order a stable
-/// descending sort of the full result set induces, which is what makes
-/// bounded top-K bit-identical to `full ranking → truncate(K)`.
+/// toward the earlier enumeration position — the same total order a
+/// stable descending sort of the full result set induces, which is what
+/// makes bounded top-K bit-identical to `full ranking → truncate(K)`.
 #[derive(Debug, Clone, Copy)]
 struct Rank {
     objective: f64,
-    index: usize,
+    order: Order,
 }
 
 impl Rank {
@@ -186,7 +207,7 @@ impl Rank {
         match self.objective.total_cmp(&other.objective) {
             std::cmp::Ordering::Less => true,
             std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => self.index > other.index,
+            std::cmp::Ordering::Equal => self.order > other.order,
         }
     }
 }
@@ -274,16 +295,110 @@ struct WorkerOut<T, E> {
     top: Option<TopK<T>>,
     scanned: usize,
     feasible: usize,
+    /// Copies scored, re-folded or evaluated: the walk counted each as
+    /// skipped.
+    copies: usize,
     cancelled: bool,
     error: Option<(usize, E)>,
     delta: DeltaCounters,
+}
+
+/// One worker's results and what it has yet to tell the feed.
+struct Worker<T, E> {
+    out: WorkerOut<T, E>,
+    /// What a candidate must reach to rank (`Candidate::floor`).
+    floor: f64,
+    /// Ranks admitted since the last fold into the feed.
+    admitted: Vec<Rank>,
+    /// Best objective since the last fold into the feed.
+    batch_best: Option<f64>,
+}
+
+impl<T, E> Worker<T, E> {
+    /// Takes one scored candidate into the results: every one in a full
+    /// scan, one that ranks among this worker's best K in a bounded one.
+    fn offer<V: ScanVisitor<Row = T, Error = E>>(
+        &mut self,
+        visitor: &V,
+        state: &mut V::State,
+        candidate: Candidate<'_>,
+        order: Order,
+        scored: V::Scored,
+    ) {
+        self.out.feasible += 1;
+        let obj = visitor.objective(&scored);
+        self.batch_best = Some(self.batch_best.map_or(obj, |cur| cur.max(obj)));
+        match &mut self.out.top {
+            Some(top) => {
+                let rank = Rank { objective: obj, order };
+                if top.offer(rank, || visitor.keep(state, candidate, scored)) {
+                    self.admitted.push(rank);
+                    self.floor = self.floor.max(top.floor());
+                }
+            }
+            None => {
+                let value = visitor.keep(state, candidate, scored);
+                self.out.all.push(ScanHit { index: candidate.index, value });
+            }
+        }
+    }
+
+    /// Scores the copies of the representative `rep` that `eval` just
+    /// scored: re-folded while the visitor can, evaluated one by one when
+    /// it cannot, dropped whole once none can reach the floor. Returns
+    /// whether `state` evaluated a copy (the next candidate's hint no
+    /// longer holds).
+    fn orbit<V: ScanVisitor<Row = T, Error = E>>(
+        &mut self,
+        visitor: &V,
+        state: &mut V::State,
+        orbits: &mut Orbits,
+        copies: &mut Copies,
+        rep: Candidate<'_>,
+        identity: &[usize],
+    ) -> Result<bool, E> {
+        if let Refold::Below = visitor.refold(state, identity, self.floor) {
+            return Ok(false);
+        }
+        orbits.copies(rep.assignment, copies);
+        let (width, members) = (rep.assignment.len(), identity.len());
+        let copy = |i: usize, floor: f64| Candidate {
+            assignment: &copies.flat[i * width..(i + 1) * width],
+            first_changed: None,
+            floor,
+            ..rep
+        };
+        let mut evaluate = Vec::new();
+        for (i, &key) in copies.keys.iter().enumerate() {
+            let order = &copies.orders[i * members..(i + 1) * members];
+            match visitor.refold(state, order, self.floor) {
+                Refold::Scored(s) => {
+                    self.out.copies += 1;
+                    self.offer(visitor, state, copy(i, self.floor), Order::Leaf(key), s);
+                }
+                Refold::Below => break,
+                Refold::Evaluate => evaluate.push(i),
+            }
+        }
+        for &i in &evaluate {
+            self.out.copies += 1;
+            let c = copy(i, self.floor);
+            if let Some(s) = visitor.eval(state, c)? {
+                self.offer(visitor, state, c, Order::Leaf(copies.keys[i]), s);
+            }
+        }
+        Ok(!evaluate.is_empty())
+    }
 }
 
 /// One candidate handed to [`ScanVisitor::eval`] and
 /// [`ScanVisitor::keep`].
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate<'a> {
-    /// Position in the canonical enumeration order.
+    /// Position in the canonical enumeration order — for a copy scored
+    /// beside its representative ([`ScanVisitor::refold`]), the
+    /// representative's: the copy's own is counted at the merge, for
+    /// the rows returned.
     pub index: usize,
     /// Flattened node assignment (member-major, simulation first).
     pub assignment: &'a [usize],
@@ -375,6 +490,50 @@ pub trait ScanVisitor: Sync {
     fn prefix_bound(&self, _prefix: &[usize], _open_nodes: usize) -> f64 {
         f64::INFINITY
     }
+
+    /// Member classes for a bounded scan's walk, asked once of the
+    /// caller's `state` before the walk starts, whose node labels run
+    /// below `labels`: one id per member, members of equal id
+    /// interchangeable —
+    /// a placement and every copy of it with such members trading places
+    /// score the same per-member values. The walk then hands `eval` only
+    /// the least placement of each orbit, and every other member of the
+    /// orbit goes through [`refold`](Self::refold); a representative that
+    /// `eval` skips skips its whole orbit. The default, `None`, keeps
+    /// every member its own class: the walk hands out every placement, as
+    /// a full scan's always does (it scores every copy anyway, and
+    /// skipping one costs about what evaluating it does).
+    fn member_classes(&self, _state: &Self::State, _labels: usize) -> Option<Vec<usize>> {
+        None
+    }
+
+    /// Scores a copy of the representative `eval` just scored on `state`
+    /// — first asked with the representative's own order — whose member
+    /// `j` is the representative's member `order[j]`: [`Refold::Scored`]
+    /// with the bits its own evaluation would give,
+    /// [`Refold::Below`] when no copy of this representative can reach
+    /// `floor`, or [`Refold::Evaluate`] to have each copy go through
+    /// `eval` itself (the default).
+    fn refold(
+        &self,
+        _state: &mut Self::State,
+        _order: &[usize],
+        _floor: f64,
+    ) -> Refold<Self::Scored> {
+        Refold::Evaluate
+    }
+}
+
+/// What [`ScanVisitor::refold`] made of a copy of a representative.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Refold<S> {
+    /// The copy's score, re-folded from the representative's per-member
+    /// values in the copy's member order.
+    Scored(S),
+    /// No copy of the representative can reach the floor.
+    Below,
+    /// The copies must be evaluated one by one.
+    Evaluate,
 }
 
 /// Scans every canonical feasible placement of `shape` under `budget`
@@ -414,36 +573,53 @@ pub fn scan_placements<V: ScanVisitor>(
     // back for a pull with the walk unfinished after its solo time.
     let run_worker = |mut spawn: Option<&mut dyn FnMut()>| -> WorkerOut<V::Row, V::Error> {
         let mut state = visitor.init();
-        let mut out = WorkerOut {
-            all: Vec::new(),
-            top: (opts.top_k > 0).then(|| TopK::new(opts.top_k)),
-            scanned: 0,
-            feasible: 0,
-            cancelled: false,
-            error: None,
-            delta: DeltaCounters::default(),
+        // The caller declares the member classes before its first pull;
+        // a helper comes in after it, and reduces by the same ones. A full
+        // scan keeps every member its own class: it scores every copy, and
+        // skipping one costs about what evaluating it does.
+        let mut orbits = {
+            let mut feed = feed.lock().expect("scan feed lock");
+            if spawn.is_some() && opts.top_k > 0 {
+                let labels = budget.max_nodes.min(width);
+                if let Some(classes) = visitor.member_classes(&state, labels) {
+                    feed.iter.set_classes(shape, &classes);
+                }
+            }
+            feed.iter.orbits().cloned()
+        };
+        let identity: Vec<usize> = (0..shape.members.len()).collect();
+        let mut copies = Copies::default();
+        let mut w = Worker {
+            out: WorkerOut {
+                all: Vec::new(),
+                top: (opts.top_k > 0).then(|| TopK::new(opts.top_k)),
+                scanned: 0,
+                feasible: 0,
+                copies: 0,
+                cancelled: false,
+                error: None,
+                delta: DeltaCounters::default(),
+            },
+            floor: f64::NEG_INFINITY,
+            admitted: Vec::new(),
+            batch_best: None,
         };
         let mut chunk = Chunk::default();
         // This worker's contribution since it last folded into the feed.
         let mut batch_scanned = 0usize;
-        let mut batch_best: Option<f64> = None;
         // Hand-out number of the candidate this worker evaluated last;
         // first-changed hints are valid only for the next one handed out.
         let mut last: Option<usize> = None;
-        // What a candidate must reach to rank (`Candidate::floor`), and
-        // the ranks this worker admitted since it last folded them in.
-        let mut floor = f64::NEG_INFINITY;
-        let mut admitted: Vec<Rank> = Vec::new();
         'pull: loop {
             let unfinished = {
                 let mut feed = feed.lock().expect("scan feed lock");
-                for rank in admitted.drain(..) {
+                for rank in w.admitted.drain(..) {
                     feed.ranks.offer(rank, || ());
                 }
-                floor = floor.max(feed.ranks.floor());
+                w.floor = w.floor.max(feed.ranks.floor());
                 feed.scanned += batch_scanned;
                 batch_scanned = 0;
-                if let Some(b) = batch_best.take() {
+                if let Some(b) = w.batch_best.take() {
                     feed.best = Some(feed.best.map_or(b, |cur: f64| cur.max(b)));
                 }
                 if feed.scanned > feed.reported {
@@ -459,11 +635,11 @@ pub fn scan_placements<V: ScanVisitor>(
                 }
                 if visitor.cancel() {
                     feed.stop = true;
-                    out.cancelled = true;
+                    w.out.cancelled = true;
                     break;
                 }
                 let skipped = feed.iter.skipped();
-                feed.iter.fill_chunk(&mut chunk, chunk_len, floor, &bound);
+                feed.iter.fill_chunk(&mut chunk, chunk_len, w.floor, &bound);
                 feed.scanned += feed.iter.skipped() - skipped;
                 if chunk.indices.is_empty() && feed.iter.is_done() {
                     break;
@@ -478,41 +654,35 @@ pub fn scan_placements<V: ScanVisitor>(
             let leaves = chunk.flat.chunks_exact(width).zip(&chunk.hints).zip(&chunk.indices);
             for (offset, ((assignment, &hint), &index)) in leaves.enumerate() {
                 let handed = chunk.first + offset;
-                out.scanned += 1;
+                w.out.scanned += 1;
                 batch_scanned += 1;
                 let first_changed = last.is_some_and(|l| l + 1 == handed).then_some(hint);
                 last = Some(handed);
-                let candidate = Candidate { index, assignment, first_changed, floor };
-                match visitor.eval(&mut state, candidate) {
-                    Ok(Some(scored)) => {
-                        out.feasible += 1;
-                        let obj = visitor.objective(&scored);
-                        batch_best = Some(batch_best.map_or(obj, |cur| cur.max(obj)));
-                        match &mut out.top {
-                            Some(top) => {
-                                let rank = Rank { objective: obj, index };
-                                if top.offer(rank, || visitor.keep(&mut state, candidate, scored)) {
-                                    admitted.push(rank);
-                                    floor = floor.max(top.floor());
-                                }
-                            }
-                            None => {
-                                let value = visitor.keep(&mut state, candidate, scored);
-                                out.all.push(ScanHit { index, value });
-                            }
-                        }
+                let candidate = Candidate { index, assignment, first_changed, floor: w.floor };
+                let scored = visitor.eval(&mut state, candidate);
+                let scored = scored.and_then(|scored| {
+                    let Some(scored) = scored else { return Ok(()) };
+                    let Some(orbits) = &mut orbits else {
+                        w.offer(visitor, &mut state, candidate, Order::Index(index), scored);
+                        return Ok(());
+                    };
+                    let order = Order::Leaf(orbits.key(assignment));
+                    w.offer(visitor, &mut state, candidate, order, scored);
+                    let rep = Candidate { floor: w.floor, ..candidate };
+                    if w.orbit(visitor, &mut state, orbits, &mut copies, rep, &identity)? {
+                        last = None;
                     }
-                    Ok(None) => {}
-                    Err(e) => {
-                        out.error = Some((index, e));
-                        feed.lock().expect("scan feed lock").stop = true;
-                        break 'pull;
-                    }
+                    Ok(())
+                });
+                if let Err(e) = scored {
+                    w.out.error = Some((index, e));
+                    feed.lock().expect("scan feed lock").stop = true;
+                    break 'pull;
                 }
             }
         }
-        out.delta = visitor.drain(&mut state);
-        out
+        w.out.delta = visitor.drain(&mut state);
+        w.out
     };
 
     // The caller is worker 0; a helper's panic resurfaces at its join.
@@ -543,23 +713,37 @@ pub fn scan_placements<V: ScanVisitor>(
         return Err(e);
     }
 
-    let feed = feed.into_inner().expect("scan feed lock");
+    let mut feed = feed.into_inner().expect("scan feed lock");
     let skipped = feed.iter.skipped();
     let scanned = outputs.iter().map(|o| o.scanned).sum::<usize>() + skipped;
     let feasible = outputs.iter().map(|o| o.feasible).sum();
     let cancelled = outputs.iter().any(|o| o.cancelled);
-    let mut delta = DeltaCounters { pruned: skipped as u64, ..DeltaCounters::default() };
+    // A copy was counted skipped by the walk and scored beside its
+    // representative: it is not pruned.
+    let copies: usize = outputs.iter().map(|o| o.copies).sum();
+    let pruned = skipped.saturating_sub(copies) as u64;
+    let mut delta = DeltaCounters { pruned, ..DeltaCounters::default() };
     for out in &outputs {
         delta.absorb(out.delta);
     }
+    let mut index_of = |order: Order| match order {
+        Order::Index(index) => index,
+        Order::Leaf(key) => {
+            let leaf = feed.iter.orbits().expect("keys come from orbits").unpack(key, width);
+            feed.iter.index_of(&leaf)
+        }
+    };
     let results = if opts.top_k > 0 {
         let mut merged: Vec<(Rank, V::Row)> =
             outputs.into_iter().flat_map(|o| o.top.expect("top-k mode").kept).collect();
         merged.sort_by(|(a, _), (b, _)| {
-            b.objective.total_cmp(&a.objective).then(a.index.cmp(&b.index))
+            b.objective.total_cmp(&a.objective).then_with(|| a.order.cmp(&b.order))
         });
         merged.truncate(opts.top_k);
-        merged.into_iter().map(|(rank, value)| ScanHit { index: rank.index, value }).collect()
+        merged
+            .into_iter()
+            .map(|(rank, value)| ScanHit { index: index_of(rank.order), value })
+            .collect()
     } else {
         let mut merged: Vec<ScanHit<V::Row>> = outputs.into_iter().flat_map(|o| o.all).collect();
         merged.sort_by_key(|h| h.index);

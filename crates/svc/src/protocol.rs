@@ -62,8 +62,10 @@ pub struct ScoreRequest {
     pub steps: u64,
     /// Workload scale.
     pub workloads: Workloads,
-    /// Scan worker threads for this request. Zero defers to the
-    /// service's configured default. Never part of the cache key: the
+    /// Most scan worker threads for this request, clamped to the host's
+    /// available parallelism (the reply's `scan_workers` says how many
+    /// scanned). Zero defers to the service's configured default. Never
+    /// part of the cache key: the
     /// scan is bit-identical at every worker count, so results are
     /// shared across requests that differ only here.
     pub workers: usize,

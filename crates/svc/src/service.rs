@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
-    scan_placements, Candidate, CoScheduler, DeltaEvaluator, FastScore, ObjectiveBound,
+    scan_placements, Candidate, CoScheduler, DeltaEvaluator, FastScore, ObjectiveBound, Refold,
     ScanOptions, ScanProgress, ScanVisitor, SolveCache,
 };
 
@@ -339,6 +339,9 @@ struct Shared {
     journal: Option<Journal>,
     workers: usize,
     scan_workers: usize,
+    /// The host's available parallelism: the most scan threads a
+    /// request's own `workers` can ask for.
+    host_threads: usize,
     cosched: Option<Mutex<Cosched<Job>>>,
     /// Per-tenant accounting for requests that carry a tenant tag.
     /// Lock order: cosched → tenants → queue, never the reverse (the
@@ -439,6 +442,7 @@ impl Service {
             journal,
             workers: config.workers,
             scan_workers: config.scan_workers,
+            host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cosched,
             tenants: Mutex::new(tenant_table),
             tenant_policy: config.tenant_policy.clone(),
@@ -584,9 +588,10 @@ impl Service {
         m.push("cache_entries", shared.cache.len());
         let lookups = hits + misses;
         m.push("cache_hit_rate", if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 });
-        // Placement candidates score scans accounted for, evaluated or
-        // skipped; of those, the ones a bounded scan skipped because
-        // they could not rank.
+        // Placement candidates score scans accounted for, scored or
+        // skipped; of those, the ones never scored — skipped because
+        // they could not rank, with a subtree or with their orbit — so
+        // the difference counts evaluated plus re-folded copies.
         m.push("candidates_scanned", load(&s.candidates_scanned));
         m.push("candidates_pruned", load(&s.candidates_pruned));
         // Delta-evaluator node solves served from its signature cache,
@@ -1503,6 +1508,22 @@ impl ScanVisitor for ScoreScan<'_> {
     fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
         self.bound.of_prefix(prefix, open_nodes)
     }
+
+    /// Identical members are interchangeable: the walk hands out one
+    /// placement per member-permutation orbit, and its copies are
+    /// re-folded from its per-member values.
+    fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
+        evaluator.member_classes(labels)
+    }
+
+    fn refold(
+        &self,
+        evaluator: &mut DeltaEvaluator,
+        order: &[usize],
+        floor: f64,
+    ) -> Refold<FastScore> {
+        evaluator.refold(order, floor)
+    }
 }
 
 fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<ScoreExec, ExecError> {
@@ -1531,7 +1552,12 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
     let mut cfg = base_config(placeholder, score.workloads);
     cfg.n_steps = score.steps;
     let opts = ScanOptions {
-        workers: if score.workers != 0 { score.workers } else { shared.scan_workers },
+        // A request's `workers` arrives off the wire: it bounds the scan's
+        // threads, never past what the host runs at once.
+        workers: match score.workers {
+            0 => shared.scan_workers,
+            asked => asked.min(shared.host_threads),
+        },
         top_k: score.top_k,
         ..ScanOptions::default()
     };
@@ -2169,9 +2195,9 @@ mod tests {
         let bounded = placements(10);
         let pruned = svc.metrics().get("candidates_pruned") as u64;
         assert!(pruned > total / 2, "most of the space cannot rank: {pruned} of {total}");
-        // `pruned` counts leaves and whole skipped subtrees alike, so what
-        // is left of the space is exactly what the scan evaluated: the
-        // same serial scan, run here, evaluates that many.
+        // `pruned` counts leaves, whole skipped subtrees and orbits alike,
+        // so what is left of the space is exactly what the scan evaluated
+        // or re-folded: the same serial scan, run here, scores that many.
         let req = medium_score_request(10);
         let RequestBody::Score(score) = &req.body else { unreachable!() };
         let mut cfg = base_config(score.shape.materialize(&[0; 8]), score.workloads);
@@ -2198,11 +2224,7 @@ mod tests {
         let Ok(outcome) = scan_placements(&score.shape, score.budget, &opts, &visitor) else {
             panic!("the scan the service just ran fails here");
         };
-        assert_eq!(
-            total - pruned,
-            outcome.feasible as u64,
-            "scanned − pruned is what was evaluated"
-        );
+        assert_eq!(total - pruned, outcome.feasible as u64, "scanned − pruned is what was scored");
         let full = placements(0);
         assert_eq!(
             svc.metrics().get("candidates_pruned"),
@@ -2268,6 +2290,31 @@ mod tests {
                 other => panic!("expected score result, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_request_never_asks_for_more_threads_than_the_host_runs() {
+        // `workers` is a size off the wire: a million once meant a
+        // million scoped threads. The full M ranking answers the same
+        // rows at any request width, on at most the host's threads.
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let ranking = |id: u64, workers: usize| {
+            let mut req = small_score_request(id, 4, 8, 1, 4, 6);
+            if let RequestBody::Score(ref mut s) = req.body {
+                s.workers = workers;
+            }
+            match tiny_service(1, 4).submit(req).unwrap().wait() {
+                Response::ScoreResult { placements, scan_workers, candidates_scanned, .. } => {
+                    assert_eq!(candidates_scanned, 4038);
+                    (placements, scan_workers)
+                }
+                other => panic!("expected score result, got {other:?}"),
+            }
+        };
+        let (default, _) = ranking(1, 0);
+        let (wide, threads) = ranking(2, 1_000_000);
+        assert!(threads >= 1 && threads <= host, "{threads} threads on a {host}-thread host");
+        assert_eq!(wide, default);
     }
 
     #[test]

@@ -89,10 +89,12 @@ pub struct SvcStats {
     /// Cumulative busy nanoseconds across workers (drives the
     /// retry-after hint).
     pub busy_nanos: AtomicU64,
-    /// Placement candidates score scans accounted for, evaluated or
-    /// skipped; `candidates_scanned − candidates_pruned` were scored.
+    /// Placement candidates score scans accounted for, scored or
+    /// skipped; `candidates_scanned − candidates_pruned` were scored:
+    /// evaluated, or re-folded from their orbit's representative.
     pub candidates_scanned: AtomicU64,
-    /// Of those, candidates a bounded scan skipped unevaluated.
+    /// Of those, candidates never scored: skipped because they could not
+    /// rank, alone, with a subtree or with their orbit.
     pub candidates_pruned: AtomicU64,
     /// Delta-evaluator node solves served from its signature cache.
     pub delta_solve_hits: AtomicU64,

@@ -69,9 +69,10 @@ fn metrics_row(handle: &ServerHandle, client: &mut SvcClient, name: &str) -> f64
 
 /// Pins the server's one worker until the test lets it go: a `top_k` 1
 /// score over ~6.8 × 10¹¹ candidates (18 four-core components on up to
-/// 18 nodes, over a minute of a serial release scan even with the
-/// bounded walk skipping most of them), submitted in process so the
-/// test holds its handle.
+/// 18 nodes, about 20 s of a serial release scan even with the bounded
+/// walk skipping most of them and scoring one placement per orbit of
+/// its nine identical members), submitted in process so the test holds
+/// its handle.
 /// Returns once the worker holds it, so however fast the build, every
 /// client that follows meets a busy pool.
 fn hold(handle: &ServerHandle) -> svc::service::Pending {
