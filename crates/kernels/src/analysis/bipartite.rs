@@ -10,6 +10,7 @@
 //! conformational motion.
 
 use crate::md::frame::Frame;
+use crate::md::min_image::MinImage;
 
 /// Which atoms belong to each side of the bipartite split.
 #[derive(Debug, Clone)]
@@ -60,7 +61,7 @@ impl BipartiteMatrix {
         let rows = groups.group_a.len();
         let cols = groups.group_b.len();
         let inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma);
-        let box_len = frame.box_len as f64;
+        let image = MinImage::of_box(frame.box_len as f64);
         let data: Vec<f64> = groups
             .group_a
             .iter()
@@ -70,10 +71,8 @@ impl BipartiteMatrix {
                     let pb = frame.positions[ib as usize];
                     let mut d2 = 0.0f64;
                     for d in 0..3 {
-                        let mut x = pa[d] as f64 - pb[d] as f64;
-                        if box_len > 0.0 {
-                            x -= box_len * (x / box_len).round();
-                        }
+                        let x = pa[d] as f64 - pb[d] as f64;
+                        let x = image.map_or(x, |m| m.apply(x));
                         d2 += x * x;
                     }
                     (-d2 * inv_two_sigma2).exp()

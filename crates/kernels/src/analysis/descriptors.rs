@@ -4,14 +4,13 @@
 
 use super::kernel_trait::FrameKernel;
 use crate::md::frame::Frame;
+use crate::md::min_image::MinImage;
 
-fn min_image_d2(a: [f32; 3], b: [f32; 3], box_len: f64) -> f64 {
+fn min_image_d2(a: [f32; 3], b: [f32; 3], image: Option<MinImage>) -> f64 {
     let mut d2 = 0.0f64;
     for d in 0..3 {
-        let mut x = a[d] as f64 - b[d] as f64;
-        if box_len > 0.0 {
-            x -= box_len * (x / box_len).round();
-        }
+        let x = a[d] as f64 - b[d] as f64;
+        let x = image.map_or(x, |m| m.apply(x));
         d2 += x * x;
     }
     d2
@@ -51,12 +50,12 @@ impl FrameKernel for RmsdKernel {
         if frame.num_atoms() == 0 {
             return 0.0;
         }
-        let box_len = frame.box_len as f64;
+        let image = MinImage::of_box(frame.box_len as f64);
         let sum: f64 = reference
             .positions
             .iter()
             .zip(&frame.positions)
-            .map(|(&a, &b)| min_image_d2(a, b, box_len))
+            .map(|(&a, &b)| min_image_d2(a, b, image))
             .sum();
         (sum / frame.num_atoms() as f64).sqrt()
     }
@@ -128,16 +127,14 @@ impl FrameKernel for ContactCount {
 
     fn compute(&mut self, frame: &Frame) -> f64 {
         let cutoff2 = self.cutoff * self.cutoff;
-        let box_len = frame.box_len as f64;
+        let image = MinImage::of_box(frame.box_len as f64);
         self.group_a
             .iter()
             .map(|&ia| {
                 let pa = frame.positions[ia as usize];
                 self.group_b
                     .iter()
-                    .filter(|&&ib| {
-                        min_image_d2(pa, frame.positions[ib as usize], box_len) < cutoff2
-                    })
+                    .filter(|&&ib| min_image_d2(pa, frame.positions[ib as usize], image) < cutoff2)
                     .count() as f64
             })
             .sum()

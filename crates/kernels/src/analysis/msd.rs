@@ -7,6 +7,7 @@
 
 use super::kernel_trait::FrameKernel;
 use crate::md::frame::Frame;
+use crate::md::min_image::MinImage;
 
 /// Mean-squared displacement from the first frame seen.
 #[derive(Debug, Clone, Default)]
@@ -21,14 +22,6 @@ impl MsdKernel {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn min_image(delta: f64, box_len: f64) -> f64 {
-        if box_len > 0.0 {
-            delta - box_len * (delta / box_len).round()
-        } else {
-            delta
-        }
-    }
 }
 
 impl FrameKernel for MsdKernel {
@@ -37,7 +30,7 @@ impl FrameKernel for MsdKernel {
     }
 
     fn compute(&mut self, frame: &Frame) -> f64 {
-        let box_len = frame.box_len as f64;
+        let image = MinImage::of_box(frame.box_len as f64);
         match &mut self.origin {
             None => {
                 self.origin = Some(
@@ -57,11 +50,8 @@ impl FrameKernel for MsdKernel {
                 // previous frame to the accumulated true positions.
                 for i in 0..frame.num_atoms() {
                     for d in 0..3 {
-                        let delta = Self::min_image(
-                            frame.positions[i][d] as f64 - self.previous[i][d] as f64,
-                            box_len,
-                        );
-                        self.unwrapped[i][d] += delta;
+                        let delta = frame.positions[i][d] as f64 - self.previous[i][d] as f64;
+                        self.unwrapped[i][d] += image.map_or(delta, |m| m.apply(delta));
                     }
                 }
                 self.previous = frame.positions.clone();

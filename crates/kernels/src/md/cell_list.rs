@@ -6,30 +6,99 @@ use super::system::MolecularSystem;
 /// A spatial decomposition of the box into cubic cells at least as wide as
 /// the interaction cutoff, so that all neighbours of an atom lie in its own
 /// or the 26 adjacent cells.
-#[derive(Debug, Clone)]
+///
+/// The list is reusable scratch: `rebuild` re-bins the atoms into buffers
+/// it keeps, and recomputes the neighbourhood table only when the number
+/// of cells per side changes, so rebinning a system of unchanged size
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct CellList {
     /// Cells per box edge.
     pub cells_per_side: usize,
     /// Cell edge length.
     pub cell_len: f64,
-    /// Atom indices per cell, `cells_per_side³` entries.
-    cells: Vec<Vec<u32>>,
+    /// `start[c]..start[c + 1]` is cell `c`'s run of `atoms`.
+    start: Vec<u32>,
+    /// Atom indices grouped by cell, ascending within each cell.
+    atoms: Vec<u32>,
+    /// The cell of each atom.
+    atom_cell: Vec<u32>,
+    /// The distinct cells around each cell, `hood_len` per cell, in the
+    /// order `(dx, dy, dz)` scans `-1..=1` (first occurrence kept).
+    hoods: Vec<usize>,
+    hood_len: usize,
 }
 
 impl CellList {
     /// Builds the cell list for the current positions with the given
     /// cutoff. Falls back to a single cell when the box is small.
     pub fn build(system: &MolecularSystem, cutoff: f64) -> Self {
+        let mut cells = CellList::default();
+        cells.rebuild(system, cutoff);
+        cells
+    }
+
+    /// Re-bins `system`'s atoms for `cutoff`, reusing this list's buffers.
+    pub(crate) fn rebuild(&mut self, system: &MolecularSystem, cutoff: f64) {
         assert!(cutoff > 0.0, "cutoff must be positive");
-        let cells_per_side = ((system.box_len / cutoff).floor() as usize).max(1);
-        let cell_len = system.box_len / cells_per_side as f64;
-        let n_cells = cells_per_side * cells_per_side * cells_per_side;
-        let mut cells: Vec<Vec<u32>> = vec![Vec::new(); n_cells];
-        for (i, p) in system.positions.iter().enumerate() {
-            let idx = Self::cell_of(p, cell_len, cells_per_side, system.box_len);
-            cells[idx].push(i as u32);
+        let cps = ((system.box_len / cutoff).floor() as usize).max(1);
+        self.cell_len = system.box_len / cps as f64;
+        if cps != self.cells_per_side {
+            self.set_geometry(cps);
         }
-        CellList { cells_per_side, cell_len, cells }
+        let n_cells = cps * cps * cps;
+        self.atom_cell.clear();
+        self.atom_cell.extend(
+            system
+                .positions
+                .iter()
+                .map(|p| Self::cell_of(p, self.cell_len, cps, system.box_len) as u32),
+        );
+        // Counting sort by cell, stable in atom order: count, prefix-sum
+        // to each cell's end, then fill from the back.
+        self.start.clear();
+        self.start.resize(n_cells + 1, 0);
+        for &c in &self.atom_cell {
+            self.start[c as usize] += 1;
+        }
+        for c in 1..n_cells {
+            self.start[c] += self.start[c - 1];
+        }
+        self.start[n_cells] = self.atom_cell.len() as u32;
+        self.atoms.clear();
+        self.atoms.resize(self.atom_cell.len(), 0);
+        for (i, &c) in self.atom_cell.iter().enumerate().rev() {
+            self.start[c as usize] -= 1;
+            self.atoms[self.start[c as usize] as usize] = i as u32;
+        }
+    }
+
+    /// Recomputes the neighbourhood table for `cps` cells per side.
+    fn set_geometry(&mut self, cps: usize) {
+        self.cells_per_side = cps;
+        self.hood_len = cps.min(3).pow(3);
+        self.hoods.clear();
+        let side = cps as isize;
+        for idx in 0..cps * cps * cps {
+            let cx = (idx / (cps * cps)) as isize;
+            let cy = ((idx / cps) % cps) as isize;
+            let cz = (idx % cps) as isize;
+            let from = self.hoods.len();
+            for dx in -1..=1 {
+                for dy in -1..=1 {
+                    for dz in -1..=1 {
+                        let x = (cx + dx).rem_euclid(side) as usize;
+                        let y = (cy + dy).rem_euclid(side) as usize;
+                        let z = (cz + dz).rem_euclid(side) as usize;
+                        let cell = (x * cps + y) * cps + z;
+                        if !self.hoods[from..].contains(&cell) {
+                            self.hoods.push(cell);
+                        }
+                    }
+                }
+            }
+            debug_assert_eq!(self.hoods.len() - from, self.hood_len);
+        }
     }
 
     #[inline]
@@ -54,46 +123,36 @@ impl CellList {
         Self::cell_of(p, self.cell_len, self.cells_per_side, box_len)
     }
 
-    /// Atoms in cell `idx`.
+    /// Atoms in cell `idx`, in ascending order.
     pub fn cell(&self, idx: usize) -> &[u32] {
-        &self.cells[idx]
+        &self.atoms[self.start[idx] as usize..self.start[idx + 1] as usize]
     }
 
     /// Number of cells.
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.start.len().saturating_sub(1)
     }
 
-    /// Iterates the indices of the 27 cells in the neighbourhood of the
-    /// cell containing `p` (with periodic wrap); cells may repeat when the
-    /// box is fewer than three cells wide, so the caller deduplicates by
-    /// checking atom identity, not cell identity.
-    pub fn neighbourhood(&self, p: &[f64; 3], box_len: f64) -> Vec<usize> {
-        let cps = self.cells_per_side as isize;
-        let idx = self.cell_index(p, box_len);
-        let cx = (idx / (self.cells_per_side * self.cells_per_side)) as isize;
-        let cy = ((idx / self.cells_per_side) % self.cells_per_side) as isize;
-        let cz = (idx % self.cells_per_side) as isize;
-        let mut out = Vec::with_capacity(27);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    let x = (cx + dx).rem_euclid(cps) as usize;
-                    let y = (cy + dy).rem_euclid(cps) as usize;
-                    let z = (cz + dz).rem_euclid(cps) as usize;
-                    let cell = (x * self.cells_per_side + y) * self.cells_per_side + z;
-                    if !out.contains(&cell) {
-                        out.push(cell);
-                    }
-                }
-            }
-        }
-        out
+    /// The neighbourhood table's row for cell `idx`.
+    fn hood(&self, idx: usize) -> &[usize] {
+        &self.hoods[idx * self.hood_len..(idx + 1) * self.hood_len]
+    }
+
+    /// The distinct cells in the neighbourhood of the cell containing `p`
+    /// (its own and the 26 around it, with periodic wrap); fewer than 27
+    /// when the box is fewer than three cells wide.
+    pub fn neighbourhood(&self, p: &[f64; 3], box_len: f64) -> &[usize] {
+        self.hood(self.cell_index(p, box_len))
+    }
+
+    /// The neighbourhood of atom `i`'s cell at the last rebuild.
+    pub(crate) fn atom_hood(&self, i: usize) -> &[usize] {
+        self.hood(self.atom_cell[i] as usize)
     }
 
     /// Total atoms stored (sanity check: must equal the system size).
     pub fn total_atoms(&self) -> usize {
-        self.cells.iter().map(Vec::len).sum()
+        self.atoms.len()
     }
 }
 

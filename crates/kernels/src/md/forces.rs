@@ -4,6 +4,7 @@
 //! continuous: `u(r) = 4(r⁻¹² − r⁻⁶) − u_c` for `r < r_c`.
 
 use super::cell_list::CellList;
+use super::min_image::MinImage;
 use super::system::{MolecularSystem, Vec3};
 
 /// Parameters of the truncated-shifted LJ potential (reduced units).
@@ -47,58 +48,65 @@ pub fn compute_forces(system: &mut MolecularSystem, params: &LjParams) -> f64 {
 
 /// Like [`compute_forces`] but also accumulates the pair virial.
 pub fn compute_forces_full(system: &mut MolecularSystem, params: &LjParams) -> ForceResult {
-    let cl = CellList::build(system, params.cutoff);
+    compute_forces_with(system, params, &mut CellList::default())
+}
+
+/// [`compute_forces_full`] with the caller's cell list as scratch: it is
+/// rebuilt for the current positions in buffers it keeps, so a caller
+/// that evaluates forces every step allocates nothing.
+///
+/// Forces are written straight into `system.forces`; the energy and
+/// virial are summed over atoms in atom order.
+pub(crate) fn compute_forces_with(
+    system: &mut MolecularSystem,
+    params: &LjParams,
+    cells: &mut CellList,
+) -> ForceResult {
+    cells.rebuild(system, params.cutoff);
     let cutoff2 = params.cutoff * params.cutoff;
     let shift = params.energy_shift();
-    let positions = &system.positions;
-    let box_len = system.box_len;
-
-    let results: Vec<(Vec3, f64, f64)> = (0..positions.len())
-        .map(|i| {
-            let pi = positions[i];
-            let mut force = [0.0f64; 3];
-            let mut energy = 0.0f64;
-            let mut virial = 0.0f64;
-            for cell in cl.neighbourhood(&pi, box_len) {
-                for &j in cl.cell(cell) {
-                    let j = j as usize;
-                    if j == i {
-                        continue;
-                    }
-                    let mut dr = [0.0f64; 3];
-                    for d in 0..3 {
-                        let mut x = pi[d] - positions[j][d];
-                        x -= box_len * (x / box_len).round();
-                        dr[d] = x;
-                    }
-                    let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-                    if r2 >= cutoff2 || r2 == 0.0 {
-                        continue;
-                    }
-                    let inv_r2 = 1.0 / r2;
-                    let inv_r6 = inv_r2 * inv_r2 * inv_r2;
-                    let inv_r12 = inv_r6 * inv_r6;
-                    // f(r)/r = 24 (2 r⁻¹² − r⁻⁶) / r²
-                    let f_over_r = 24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2;
-                    for d in 0..3 {
-                        force[d] += f_over_r * dr[d];
-                    }
-                    // Half-counted: the pair is visited again from j.
-                    energy += 0.5 * (4.0 * (inv_r12 - inv_r6) - shift);
-                    // Pair virial f_ij · r_ij, also half-counted.
-                    virial += 0.5 * f_over_r * r2;
-                }
-            }
-            (force, energy, virial)
-        })
-        .collect();
+    let image = MinImage::new(system.box_len);
+    let MolecularSystem { positions, forces, .. } = system;
 
     let mut total_energy = 0.0;
     let mut total_virial = 0.0;
-    for (i, (f, e, v)) in results.into_iter().enumerate() {
-        system.forces[i] = f;
-        total_energy += e;
-        total_virial += v;
+    for (i, pi) in positions.iter().enumerate() {
+        let mut force = [0.0f64; 3];
+        let mut energy = 0.0f64;
+        let mut virial = 0.0f64;
+        for &cell in cells.atom_hood(i) {
+            for &j in cells.cell(cell) {
+                let j = j as usize;
+                if j == i {
+                    continue;
+                }
+                let pj = &positions[j];
+                let dr: Vec3 = [
+                    image.apply(pi[0] - pj[0]),
+                    image.apply(pi[1] - pj[1]),
+                    image.apply(pi[2] - pj[2]),
+                ];
+                let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+                if r2 >= cutoff2 || r2 == 0.0 {
+                    continue;
+                }
+                let inv_r2 = 1.0 / r2;
+                let inv_r6 = inv_r2 * inv_r2 * inv_r2;
+                let inv_r12 = inv_r6 * inv_r6;
+                // f(r)/r = 24 (2 r⁻¹² − r⁻⁶) / r²
+                let f_over_r = 24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2;
+                for d in 0..3 {
+                    force[d] += f_over_r * dr[d];
+                }
+                // Half-counted: the pair is visited again from j.
+                energy += 0.5 * (4.0 * (inv_r12 - inv_r6) - shift);
+                // Pair virial f_ij · r_ij, also half-counted.
+                virial += 0.5 * f_over_r * r2;
+            }
+        }
+        forces[i] = force;
+        total_energy += energy;
+        total_virial += virial;
     }
     ForceResult { potential: total_energy, virial: total_virial }
 }

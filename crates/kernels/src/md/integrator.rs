@@ -1,12 +1,28 @@
 //! Velocity-Verlet time integration.
 
-use super::forces::{compute_forces, LjParams};
+use super::cell_list::CellList;
+// The tests below reach it through `super::*`.
+#[cfg(test)]
+use super::forces::compute_forces;
+use super::forces::{compute_forces_with, LjParams};
 use super::system::MolecularSystem;
 
 /// One velocity-Verlet step of size `dt`; returns the potential energy at
 /// the end of the step. Forces in `system.forces` must be current on entry
-/// (call [`compute_forces`] once before the first step).
+/// (call [`compute_forces`](super::compute_forces) once before the first
+/// step).
 pub fn velocity_verlet_step(system: &mut MolecularSystem, params: &LjParams, dt: f64) -> f64 {
+    velocity_verlet_step_with(system, params, dt, &mut CellList::default())
+}
+
+/// [`velocity_verlet_step`] with the caller's cell list as force scratch
+/// (see [`compute_forces_with`]).
+pub(crate) fn velocity_verlet_step_with(
+    system: &mut MolecularSystem,
+    params: &LjParams,
+    dt: f64,
+    cells: &mut CellList,
+) -> f64 {
     let half_dt = 0.5 * dt;
     // v(t + dt/2), x(t + dt)
     for i in 0..system.len() {
@@ -17,7 +33,7 @@ pub fn velocity_verlet_step(system: &mut MolecularSystem, params: &LjParams, dt:
     }
     system.wrap_positions();
     // F(t + dt)
-    let potential = compute_forces(system, params);
+    let potential = compute_forces_with(system, params, cells).potential;
     // v(t + dt)
     for i in 0..system.len() {
         for d in 0..3 {

@@ -4,9 +4,10 @@
 //! steps — the iterative produce/stage pattern of the paper's simulations
 //! (§2.1: "the simulation periodically writes out the data").
 
-use super::forces::{compute_forces, LjParams};
+use super::cell_list::CellList;
+use super::forces::{compute_forces_with, LjParams};
 use super::frame::Frame;
-use super::integrator::velocity_verlet_step;
+use super::integrator::velocity_verlet_step_with;
 use super::system::MolecularSystem;
 use super::thermostat::Berendsen;
 
@@ -50,6 +51,8 @@ impl Default for MdConfig {
 pub struct MdSimulation {
     system: MolecularSystem,
     params: LjParams,
+    /// Force scratch, reused by every step.
+    cells: CellList,
     thermostat: Option<Berendsen>,
     dt: f64,
     stride: u64,
@@ -67,10 +70,12 @@ impl MdSimulation {
             config.seed,
         );
         let params = LjParams { cutoff: config.cutoff };
-        let last_potential = compute_forces(&mut system, &params);
+        let mut cells = CellList::default();
+        let last_potential = compute_forces_with(&mut system, &params, &mut cells).potential;
         MdSimulation {
             system,
             params,
+            cells,
             thermostat: config
                 .thermostat_tau
                 .map(|tau| Berendsen { target: config.temperature, tau }),
@@ -109,7 +114,8 @@ impl MdSimulation {
     /// Advances `n` MD steps.
     pub fn run_steps(&mut self, n: u64) {
         for _ in 0..n {
-            self.last_potential = velocity_verlet_step(&mut self.system, &self.params, self.dt);
+            self.last_potential =
+                velocity_verlet_step_with(&mut self.system, &self.params, self.dt, &mut self.cells);
             if let Some(t) = self.thermostat {
                 t.apply(&mut self.system, self.dt);
             }

@@ -1,6 +1,7 @@
 //! The molecular system: positions, velocities, forces in a cubic periodic
 //! box, in reduced Lennard-Jones units (σ = ε = m = 1).
 
+use super::min_image::MinImage;
 use crate::rng::Xoshiro256;
 
 /// A 3-vector of coordinates.
@@ -110,13 +111,8 @@ impl MolecularSystem {
     /// Minimum-image displacement from atom `j` to atom `i`.
     #[inline]
     pub fn min_image(&self, i: usize, j: usize) -> Vec3 {
-        let mut dr = [0.0; 3];
-        for (d, out) in dr.iter_mut().enumerate() {
-            let mut x = self.positions[i][d] - self.positions[j][d];
-            x -= self.box_len * (x / self.box_len).round();
-            *out = x;
-        }
-        dr
+        let image = MinImage::new(self.box_len);
+        std::array::from_fn(|d| image.apply(self.positions[i][d] - self.positions[j][d]))
     }
 
     /// Wraps all positions back into the primary box.
