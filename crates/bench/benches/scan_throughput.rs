@@ -16,7 +16,7 @@
 //! (its exact visitor: a fresh evaluator per worker over the service's
 //! solve cache, `top_k` 10, a row built only for a kept candidate,
 //! subtrees skipped on the objective bound, one placement walked per
-//! orbit of identical members and its copies re-folded) on the three
+//! orbit of identical members and its copies given its score) on the three
 //! shape classes of the e2e benchmark, `score_topk10/234870` the same
 //! scan of six identical members (up to 720 copies an orbit), and
 //! `score_topk10/190778186` the same scan of 14 four-core components on
@@ -31,10 +31,13 @@
 //! helper's start-up — sized); `pulls` is how often it went back to the
 //! feed, `visited` how many leaves the walk handed to an evaluator (the
 //! rest it skipped with their subtrees or orbits), `scored` how many
-//! candidates were scored — evaluated or re-folded — rather than pruned,
-//! `reps` how many the delta evaluator evaluated and `copies` how many
-//! it re-folded (one checking run's counts; at two workers they vary
-//! with how the floors were traded).
+//! candidates were scored — evaluated, or offered their
+//! representative's score — rather than pruned, `reps` how many the
+//! delta evaluator evaluated, `copies` how many copies were offered
+//! their representative's score, and `not_commuting` how many
+//! representatives had their copies evaluated instead, because a node's
+//! solve saw the order of its member blocks (one checking run's counts;
+//! at two workers they vary with how the floors were traded).
 //! The committed `BENCH_scan.json` also carries `parent_commit` and
 //! `parent_*` rows: these benches run at the parent commit (with the
 //! parent's scan API, and the six-member rows added to its list) on the
@@ -48,8 +51,8 @@ use std::time::Instant;
 use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     exhaustive_search, place_against, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
-    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ObjectiveBound, Refold, Reservation,
-    ResidencyMap, ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache,
+    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ObjectiveBound, Reservation, ResidencyMap,
+    ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache,
 };
 use svc::{
     CoschedSvcConfig, RankedPlacement, Request, RequestBody, Response, Service, SubmitRequest,
@@ -265,9 +268,10 @@ fn small_base(shape: &EnsembleShape) -> SimRunConfig {
 
 /// The service's `score` visitor (less its cancel probe, and with a
 /// progress hook that only counts), counting the leaves it is handed,
-/// the ones it evaluated, the copies it re-folded and the pulls that
-/// advanced the scan. Without `orbits` every member is its own class:
-/// the walk of the parent commit, which hands out every placement.
+/// the ones it evaluated, the representatives whose copies it had
+/// evaluated and the pulls that advanced the scan. Without `orbits`
+/// every member is its own class: the walk of the parent commit, which
+/// hands out every placement.
 struct ServiceScan<'a> {
     base: &'a SimRunConfig,
     shape: &'a EnsembleShape,
@@ -276,7 +280,7 @@ struct ServiceScan<'a> {
     orbits: bool,
     visited: AtomicUsize,
     evaluated: AtomicUsize,
-    copies: AtomicUsize,
+    not_commuting: AtomicUsize,
     pulls: AtomicUsize,
 }
 
@@ -331,33 +335,26 @@ impl ScanVisitor for ServiceScan<'_> {
         self.orbits.then(|| evaluator.member_classes(labels)).flatten()
     }
 
-    fn refold(
-        &self,
-        evaluator: &mut DeltaEvaluator,
-        order: &[usize],
-        floor: f64,
-    ) -> Refold<FastScore> {
-        let refold = evaluator.refold(order, floor);
-        // The first ask is the representative's own order, not a copy.
-        let own = order.iter().enumerate().all(|(slot, &member)| slot == member);
-        if let (Refold::Scored(_), false) = (&refold, own) {
-            self.copies.fetch_add(1, Ordering::Relaxed);
-        }
-        refold
+    fn copies_share(&self, evaluator: &mut DeltaEvaluator) -> bool {
+        let share = evaluator.blocks_commute();
+        self.not_commuting.fetch_add(usize::from(!share), Ordering::Relaxed);
+        share
     }
 }
 
 /// What one cold `score` scan did: candidates in the space, leaves the
-/// walk handed out, candidates scored (evaluated or re-folded; the rest
-/// were pruned by their bound, as leaves, with their subtree or with
-/// their orbit), of those the ones evaluated and the copies re-folded,
-/// and the ranking.
+/// walk handed out, candidates scored (evaluated or offered their
+/// representative's score; the rest were pruned by their bound, as
+/// leaves, with their subtree or with their orbit), of those the ones
+/// evaluated and the copies offered a shared score, the representatives
+/// whose copies were evaluated, and the ranking.
 struct ScoreScan {
     scanned: usize,
     visited: usize,
     scored: usize,
     reps: usize,
     copies: usize,
+    not_commuting: usize,
     pulls: usize,
     workers: usize,
     ranked: Vec<RankedPlacement>,
@@ -381,17 +378,22 @@ fn score_scan(
         orbits,
         visited: AtomicUsize::new(0),
         evaluated: AtomicUsize::new(0),
-        copies: AtomicUsize::new(0),
+        not_commuting: AtomicUsize::new(0),
         pulls: AtomicUsize::new(0),
     };
     let outcome = scan_placements(shape, budget, opts, &visitor).expect("score scan");
+    // Every candidate scored was evaluated or offered its
+    // representative's score.
+    let scored = outcome.scanned - outcome.delta.pruned as usize;
+    let reps = visitor.evaluated.into_inner();
     ScoreScan {
         scanned: outcome.scanned,
         visited: visitor.visited.into_inner(),
-        reps: visitor.evaluated.into_inner(),
-        copies: visitor.copies.into_inner(),
+        reps,
+        copies: scored - reps,
+        not_commuting: visitor.not_commuting.into_inner(),
         pulls: visitor.pulls.into_inner(),
-        scored: outcome.scanned - outcome.delta.pruned as usize,
+        scored,
         workers: outcome.workers,
         ranked: outcome.into_values(),
     }
@@ -410,8 +412,10 @@ struct NamedSample {
     scored: usize,
     /// Placements evaluated by the delta evaluator.
     reps: usize,
-    /// Copies re-folded from an evaluated representative.
+    /// Copies offered the score of an evaluated representative.
     copies: usize,
+    /// Representatives whose copies were evaluated.
+    not_commuting: usize,
     /// Pulls from the scan's feed that advanced it.
     pulls: usize,
     secs: f64,
@@ -485,6 +489,7 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
                 scored: checked.scored,
                 reps: checked.reps,
                 copies: checked.copies,
+                not_commuting: checked.not_commuting,
                 pulls: checked.pulls,
                 secs,
             });
@@ -531,6 +536,7 @@ fn bench_place_against(quick: bool) -> Vec<NamedSample> {
         scored: candidates,
         reps: candidates,
         copies: 0,
+        not_commuting: 0,
         pulls: 0,
         secs,
     }]
@@ -541,7 +547,7 @@ fn render_named(samples: &[NamedSample]) -> String {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"reps\": {}, \"copies\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
+                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"reps\": {}, \"copies\": {}, \"not_commuting\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
                 s.name,
                 s.workers,
                 s.threads,
@@ -550,6 +556,7 @@ fn render_named(samples: &[NamedSample]) -> String {
                 s.scored,
                 s.reps,
                 s.copies,
+                s.not_commuting,
                 s.secs,
                 s.secs * 1e9 / s.candidates as f64
             )
@@ -726,7 +733,7 @@ fn main() {
     service_scans.extend(bench_place_against(quick));
     for s in &service_scans {
         eprintln!(
-            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} reps={:<6} copies={:<6} {:.6}s  {:.3} ns/candidate",
+            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} reps={:<6} copies={:<6} not_commuting={:<3} {:.6}s  {:.3} ns/candidate",
             s.name,
             s.workers,
             s.threads,
@@ -735,6 +742,7 @@ fn main() {
             s.scored,
             s.reps,
             s.copies,
+            s.not_commuting,
             s.secs,
             s.secs * 1e9 / s.candidates as f64
         );

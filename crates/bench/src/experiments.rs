@@ -191,7 +191,7 @@ fn objective(
     path: &IndicatorPath,
     aggregation: Aggregation,
 ) -> f64 {
-    let values: Vec<f64> = report
+    let mut values: Vec<f64> = report
         .members
         .iter()
         .zip(&spec.members)
@@ -200,7 +200,7 @@ fn objective(
             ensemble_core::indicator(&inputs, path)
         })
         .collect();
-    aggregate(&values, aggregation)
+    aggregate(&mut values, aggregation)
 }
 
 /// Computes `F(P)` for every stage path over the given configurations —

@@ -36,15 +36,16 @@
 //! **Bit-identity.** The from-scratch result is reproduced exactly — not
 //! approximately — because the evaluator memoizes the values the DES
 //! itself derives, through the same calls (`runtime::NodeSolver::solve`
-//! per node, `runtime::StagingPrices` per stage) and re-folds the final
+//! per node, `runtime::StagingPrices` per stage) and folds the final
 //! objective with the same shared functions (`placement_indicator_on`,
 //! `aggregate`, `makespan`, `efficiency`, `satisfies_eq4`) over all
-//! members in member order on every call. No
+//! members on every call. No
 //! running-sum or algebraic shortcut is taken anywhere: `F(P)` is
-//! recomputed from the (mostly cached) per-member values with the exact
-//! op sequence of [`ensemble_core::aggregate`]. The O(members) re-fold
-//! is cheap; the savings come from skipping the interference solves and
-//! stage-time derivations, which dominate.
+//! recomputed from the (mostly cached) per-member values by
+//! [`ensemble_core::aggregate`] itself, which folds them in an order of
+//! its own that members trading places cannot change. The O(members)
+//! fold is cheap; the savings come from skipping the interference
+//! solves and stage-time derivations, which dominate.
 //!
 //! **Bound pruning.** [`DeltaEvaluator::score_above`] first checks a
 //! bound that needs no solve: `F ≤ mean(P)` (the std is `≥ 0`) and
@@ -67,7 +68,6 @@ use runtime::{NodeSolver, RuntimeError, RuntimeResult, SimRunConfig, StagingPric
 
 use crate::enumerate::EnsembleShape;
 use crate::fast_eval::FastScore;
-use crate::scan::Refold;
 
 /// Default bound on resident per-node solves, of an evaluator's own
 /// table and of a [`SolveCache`]. Exhaustive scans of the paper's
@@ -101,9 +101,9 @@ pub struct DeltaCounters {
     /// [`DeltaEvaluator::score_above`] (their objective bound fell below
     /// the floor), and in a scan's outcome also whole subtrees and orbits
     /// the walk skipped, each counted at its exact size, less the copies
-    /// it re-folded or evaluated beside their representative — so
-    /// `scanned − pruned` is the number evaluated plus the number
-    /// re-folded.
+    /// offered with their representative's score or evaluated beside it
+    /// — so `scanned − pruned` is the number evaluated plus the number of
+    /// copies offered a shared score.
     pub pruned: u64,
 }
 
@@ -158,8 +158,8 @@ struct SolveCacheInner {
     solves: HashMap<Box<[u32]>, Box<[f64]>>,
     order: VecDeque<Box<[u32]>>,
     /// Whether a node's member blocks commute
-    /// ([`DeltaEvaluator::refold`]), by its key's words followed by one
-    /// bit per resident that starts a block.
+    /// ([`DeltaEvaluator::blocks_commute`]), by its key's words followed
+    /// by one bit per resident that starts a block.
     commutes: HashMap<Box<[u32]>, bool>,
 }
 
@@ -212,14 +212,9 @@ impl SolveCache {
         self.lock().commutes.get(key).copied()
     }
 
-    /// Holds whether the node keyed `key` has commuting blocks, forgetting
-    /// every other answer when full.
+    /// Holds whether the node keyed `key` has commuting blocks.
     fn insert_commutes(&self, key: Vec<u32>, commutes: bool) {
-        let mut inner = self.lock();
-        if inner.commutes.len() >= self.capacity {
-            inner.commutes.clear();
-        }
-        inner.commutes.insert(key.into_boxed_slice(), commutes);
+        remember(&mut self.lock().commutes, self.capacity, key.into_boxed_slice(), commutes);
     }
 
     /// Holds `seconds` under `key`, evicting the oldest solve when full.
@@ -462,13 +457,9 @@ pub struct DeltaEvaluator {
     shared: Option<(Arc<SolveCache>, Vec<u32>)>,
     /// Per node occupancy with its member blocks marked: whether every
     /// order of its blocks gives each block the same step times
-    /// ([`DeltaEvaluator::refold`]).
+    /// ([`DeltaEvaluator::blocks_commute`]), held up to the solve-cache
+    /// capacity.
     commutes: HashMap<Box<[u32]>, bool>,
-    /// Of the last candidate scored, once asked: the most a copy's
-    /// objective can reach, and whether its copies score its per-member
-    /// values.
-    ceiling: Option<f64>,
-    exact: Option<bool>,
     counters: DeltaCounters,
 }
 
@@ -595,8 +586,6 @@ impl DeltaEvaluator {
             kinds,
             shared,
             commutes: HashMap::new(),
-            ceiling: None,
-            exact: None,
             counters: DeltaCounters::default(),
         }
     }
@@ -758,18 +747,16 @@ impl DeltaEvaluator {
         self.prev.clear();
         self.prev.extend_from_slice(assignment);
         self.has_prev = true;
-        self.ceiling = None;
-        self.exact = None;
 
-        // Phase 4: re-fold the ensemble aggregates exactly as the
+        // Phase 4: fold the ensemble aggregates exactly as the
         // from-scratch path does — the provisioning stage of
-        // `indicator` (one division by `M` per member, in member
-        // order), then `aggregate`.
+        // `indicator` (one division by `M` per member), then `aggregate`,
+        // which sorts the scratch it folds.
         let m = self.nodes_used as f64;
         self.values.clear();
         self.values.extend(self.member_ua.iter().map(|&ua| ua / m));
         Ok(Some(FastScore {
-            objective: aggregate(&self.values, Aggregation::MeanMinusStd),
+            objective: aggregate(&mut self.values, Aggregation::MeanMinusStd),
             ensemble_makespan: self.member_mk.iter().fold(0.0f64, |longest, &mk| longest.max(mk)),
             nodes_used: self.nodes_used,
             eq4_satisfied: self.member_eq4.iter().all(|&b| b),
@@ -799,52 +786,17 @@ impl DeltaEvaluator {
         Some(self.member_class.clone())
     }
 
-    /// Scores a copy of the candidate just scored whose member `j` is that
-    /// candidate's member `order[j]` (members trade places only within a
-    /// class): its per-member values re-folded in its own member order by
-    /// the same [`aggregate`] — the bits its own evaluation gives, since
-    /// the copy's nodes hold the same member blocks and staging prices
-    /// were checked blind to labels ([`DeltaEvaluator::member_classes`]).
-    /// [`Refold::Evaluate`] when some node's solve would change with the
-    /// order of its blocks (a power cap's sum, an interference fold, a
-    /// socket split), and [`Refold::Below`] when even the candidate's
-    /// objective plus the [`fold_margin`] of its values is below `floor`.
-    pub fn refold(&mut self, order: &[usize], floor: f64) -> Refold<FastScore> {
-        let ceiling = *self.ceiling.get_or_insert_with(|| {
-            aggregate(&self.values, Aggregation::MeanMinusStd) + fold_margin(&self.values)
-        });
-        let exact = match self.exact {
-            Some(exact) => exact,
-            None => {
-                let exact = self.blocks_commute();
-                *self.exact.insert(exact)
-            }
-        };
-        if !exact {
-            return Refold::Evaluate;
-        }
-        if ceiling < floor {
-            return Refold::Below;
-        }
-        let m = self.nodes_used as f64;
-        self.values.clear();
-        self.values.extend(order.iter().map(|&i| self.member_ua[i] / m));
-        Refold::Scored(FastScore {
-            objective: aggregate(&self.values, Aggregation::MeanMinusStd),
-            ensemble_makespan: order
-                .iter()
-                .fold(0.0f64, |longest, &i| longest.max(self.member_mk[i])),
-            nodes_used: self.nodes_used,
-            eq4_satisfied: order.iter().all(|&i| self.member_eq4[i]),
-        })
-    }
-
-    /// True when on every node of the candidate just scored each member
-    /// block gets the same step times in every order of the node's blocks
-    /// (a copy may put any of them first: members of other classes trade
-    /// places around the ones that stay) — memoized per node occupancy
-    /// with its blocks marked.
-    fn blocks_commute(&mut self) -> bool {
+    /// True when every copy of the candidate just scored — its members
+    /// trading places within their classes
+    /// ([`DeltaEvaluator::member_classes`]) — scores exactly what it
+    /// scored: when on every node each member block gets the same step
+    /// times in every order of the node's blocks (a copy may put any of
+    /// them first: members of other classes trade places around the
+    /// ones that stay). A copy's per-member values are then the
+    /// candidate's in another member order, which no aggregate sees. A
+    /// power cap's sum, an interference fold or a socket split can make
+    /// it false. Memoized per node occupancy with its blocks marked.
+    pub fn blocks_commute(&mut self) -> bool {
         let n = self.comp_cores.len();
         for nd in 0..self.node_len.len() {
             let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
@@ -865,10 +817,8 @@ impl DeltaEvaluator {
                 Some(&commutes) => commutes,
                 None => {
                     let commutes = self.node_commutes(nd);
-                    if self.commutes.len() >= DEFAULT_SOLVE_CACHE_CAPACITY {
-                        self.commutes.clear();
-                    }
-                    self.commutes.insert(key.into_boxed_slice(), commutes);
+                    let capacity = self.table.capacity;
+                    remember(&mut self.commutes, capacity, key.into_boxed_slice(), commutes);
                     commutes
                 }
             };
@@ -1048,8 +998,9 @@ impl DeltaEvaluator {
     }
 }
 
-/// Most orders of one node's member blocks [`DeltaEvaluator::refold`]
-/// solves to show the blocks commute; a node with more is taken not to.
+/// Most orders of one node's member blocks
+/// [`DeltaEvaluator::blocks_commute`] solves to show the blocks commute;
+/// a node with more is taken not to.
 const MAX_BLOCK_ORDERS: usize = 120;
 
 /// Appends to `orders` every distinct order of the blocks of `contents`
@@ -1077,31 +1028,21 @@ fn block_orders(
     true
 }
 
-/// How far `aggregate(values, MeanMinusStd)` (Eq. 9) can move when
-/// `values` are folded in another order: twice a bound on how far any
-/// order's IEEE result lies from the exact real one, doubled again.
-///
-/// With `u` the unit roundoff, `v = max |vᵢ|` and `N` values, every
-/// partial sum is at most `N v`, so the mean is off by at most
-/// `e_m = (N + 3) u v`; each deviation `vᵢ − m̂` (at most `d = 2v`) by
-/// `e_r = e_m + u (d + e_m)`; each square by `2 d e_r + e_r²` plus its
-/// rounding, and their mean by `e_v` below. The std is then off by at most
-/// `√e_v` (`|√a − √b| ≤ √|a − b|`) plus its rounding, and the final
-/// subtraction adds one more rounding. The square root makes the margin
-/// about `1e-7 v` — far above the last-bit differences fold order makes
-/// in practice, and still far below the gaps between orbits.
-pub fn fold_margin(values: &[f64]) -> f64 {
-    let n = values.len() as f64;
-    let u = f64::EPSILON / 2.0;
-    let v = values.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-    let d = 2.0 * v;
-    let e_m = (n + 3.0) * u * v;
-    let e_r = e_m + u * (d + e_m);
-    let square = (d + e_r) * (d + e_r) * (1.0 + u);
-    let e_v = 2.0 * d * e_r + e_r * e_r + (n + 2.0) * u * square;
-    let e_s = e_v.sqrt() + u * (d + e_r);
-    let e = e_m + e_s + u * (v + e_m + d + e_s);
-    4.0 * e
+/// Holds a commute verdict in `memo`, forgetting every other one once it
+/// holds `capacity` of them; at capacity 0 it holds none.
+fn remember(
+    memo: &mut HashMap<Box<[u32]>, bool>,
+    capacity: usize,
+    key: Box<[u32]>,
+    commutes: bool,
+) {
+    if capacity == 0 {
+        return;
+    }
+    if memo.len() >= capacity {
+        memo.clear();
+    }
+    memo.insert(key, commutes);
 }
 
 /// `M`: the distinct nodes `assignment` uses — one bit per node while
@@ -1127,5 +1068,42 @@ fn fold_hint(pending: Option<Option<usize>>, hint: Option<usize>) -> Option<usiz
     match pending {
         None => hint,
         Some(skipped) => skipped.zip(hint).map(|(a, b)| a.min(b)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use runtime::WorkloadMap;
+
+    /// Two unlike members sharing node 0: its blocks have two orders, so
+    /// asking whether they commute solves it twice and reaches a verdict.
+    fn unlike_pair() -> (SimRunConfig, EnsembleShape) {
+        let shape = EnsembleShape { members: vec![(8, vec![4]), (4, vec![8])] };
+        let mut base = SimRunConfig::paper(shape.materialize(&[0, 0, 0, 0]));
+        base.workloads = WorkloadMap::small_defaults();
+        (base, shape)
+    }
+
+    #[test]
+    fn commute_memos_hold_no_more_than_their_capacity() {
+        let (base, shape) = unlike_pair();
+        // An evaluator that caches nothing keeps no verdict of its own.
+        let mut evaluator = DeltaEvaluator::with_cache_capacity(&base, &shape, 0);
+        evaluator.score(&[0, 0, 0, 0]).expect("score");
+        let commutes = evaluator.blocks_commute();
+        assert!(evaluator.commutes.is_empty(), "capacity 0 held a verdict");
+        // A shared cache that stores nothing keeps none either.
+        let cache = Arc::new(SolveCache::with_capacity(&base, 0));
+        let mut evaluator = DeltaEvaluator::with_solve_cache(&base, &shape, &cache);
+        evaluator.score(&[0, 0, 0, 0]).expect("score");
+        assert_eq!(evaluator.blocks_commute(), commutes);
+        assert_eq!(evaluator.commutes.len(), 1, "the evaluator's own memo holds it");
+        assert!(cache.lock().commutes.is_empty(), "a cache of capacity 0 held a verdict");
+        // Capacity 1 holds the last verdict only.
+        let cache = SolveCache::with_capacity(&base, 1);
+        cache.insert_commutes(vec![1], true);
+        cache.insert_commutes(vec![2], false);
+        assert_eq!((cache.commutes(&[1]), cache.commutes(&[2])), (None, Some(false)));
     }
 }

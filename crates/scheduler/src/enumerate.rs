@@ -238,23 +238,15 @@ pub(crate) struct Orbits {
     twin: Vec<usize>,
     /// Per label, how many members' blocks hold it.
     owners: Vec<u32>,
-    /// The member order of the arrangement being built.
-    order: Vec<usize>,
 }
 
 /// The distinct copies of one representative, filled by
 /// [`Orbits::copies`]: copy `i` is `flat[i * width..][..width]`, in
-/// enumeration order, its [`Orbits::key`] is `keys[i]`, and its member
-/// `j` is the representative's member `orders[i * members + j]`.
+/// enumeration order, and its [`Orbits::key`] is `keys[i]`.
 #[derive(Debug, Default)]
 pub(crate) struct Copies {
     pub(crate) flat: Vec<usize>,
     pub(crate) keys: Vec<u128>,
-    pub(crate) orders: Vec<usize>,
-    /// The member orders of the arrangements as built, and each one's
-    /// key with its number, before sorting and deduplication.
-    raw_orders: Vec<usize>,
-    sort: Vec<(u128, usize)>,
 }
 
 impl Orbits {
@@ -299,7 +291,6 @@ impl Orbits {
             isolated: Vec::new(),
             twin: Vec::new(),
             owners: Vec::new(),
-            order: Vec::new(),
         })
     }
 
@@ -484,33 +475,32 @@ impl Orbits {
         self.used.resize(members, false);
         self.map.clear();
         self.map.resize(rep.iter().max().map_or(0, |&m| m + 1), UNMAPPED);
-        self.order.clear();
-        out.raw_orders.clear();
-        out.sort.clear();
-        self.arrange(rep, 0, 0, out);
-        out.sort.sort_unstable();
-        out.sort.dedup_by_key(|&mut (key, _)| key);
-        let own = self.key(rep);
-        out.flat.clear();
         out.keys.clear();
-        out.orders.clear();
-        for &(key, i) in out.sort.iter().filter(|&&(key, _)| key != own) {
+        self.arrange(rep, 0, 0, 0, &mut out.keys);
+        out.keys.sort_unstable();
+        out.keys.dedup();
+        let own = self.key(rep);
+        out.keys.retain(|&key| key != own);
+        out.flat.clear();
+        for &key in &out.keys {
             out.flat.extend(self.unpack(key, rep.len()));
-            out.keys.push(key);
-            out.orders.extend_from_slice(&out.raw_orders[i * members..(i + 1) * members]);
         }
     }
 
-    /// Builds every arrangement of the unused members into the slots
-    /// from `self.order.len()` on, relabeled on from `next` fresh labels
-    /// as each block lands onto `key` (the slots before, packed), into
-    /// `out`'s raw lists.
-    fn arrange(&mut self, rep: &[usize], next: usize, key: u128, out: &mut Copies) {
+    /// Pushes onto `keys` every arrangement of the unused members into the
+    /// slots from `slot` on, relabeled on from `next` fresh labels as each
+    /// block lands onto `key` (the slots before, packed).
+    fn arrange(
+        &mut self,
+        rep: &[usize],
+        slot: usize,
+        next: usize,
+        key: u128,
+        keys: &mut Vec<u128>,
+    ) {
         let members = self.blocks.len();
-        let slot = self.order.len();
         if slot == members {
-            out.sort.push((key, out.raw_orders.len() / members));
-            out.raw_orders.extend_from_slice(&self.order);
+            keys.push(key);
             return;
         }
         for cand in 0..members {
@@ -529,9 +519,7 @@ impl Orbits {
                 longer = longer << self.bits | self.map[label] as u128;
             }
             self.used[cand] = true;
-            self.order.push(cand);
-            self.arrange(rep, fresh, longer, out);
-            self.order.pop();
+            self.arrange(rep, slot + 1, fresh, longer, keys);
             self.used[cand] = false;
             self.take_back(mark);
         }

@@ -67,7 +67,7 @@ impl FastEvaluator {
 fn score_config(cfg: &SimRunConfig) -> RuntimeResult<FastScore> {
     let prediction = predict_scores(cfg)?;
     let spec = &cfg.spec;
-    let values: Vec<f64> = prediction
+    let mut values: Vec<f64> = prediction
         .members
         .iter()
         .zip(&spec.members)
@@ -77,7 +77,7 @@ fn score_config(cfg: &SimRunConfig) -> RuntimeResult<FastScore> {
         })
         .collect();
     Ok(FastScore {
-        objective: aggregate(&values, Aggregation::MeanMinusStd),
+        objective: aggregate(&mut values, Aggregation::MeanMinusStd),
         ensemble_makespan: prediction.ensemble_makespan,
         nodes_used: spec.num_nodes(),
         eq4_satisfied: prediction.members.iter().all(|m| satisfies_eq4(&m.stage_times)),

@@ -39,11 +39,11 @@ pub use cosched::{
     place_against, Admission, CoScheduler, CoschedConfig, CoschedError, PlacementDecision,
     Reservation, ResidencyMap,
 };
-pub use delta::{fold_margin, DeltaCounters, DeltaEvaluator, ObjectiveBound, SolveCache};
+pub use delta::{DeltaCounters, DeltaEvaluator, ObjectiveBound, SolveCache};
 pub use enumerate::{
     canonicalize, enumerate_placements, space_counts_exactly, EnsembleShape, PlacementIter,
     MAX_EXACT_COUNT,
 };
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
-pub use scan::{scan_placements, Candidate, Refold, ScanOptions, ScanProgress, ScanVisitor};
+pub use scan::{scan_placements, Candidate, ScanOptions, ScanProgress, ScanVisitor};
 pub use search::{exhaustive_search, NodeBudget, SearchConfig};

@@ -46,9 +46,11 @@
 //!   member classes ([`ScanVisitor::member_classes`]) gets the walk's
 //!   orbit representatives only: the least placement of each set that
 //!   members of one class trading places produce. The worker that
-//!   evaluated a representative scores its copies through
-//!   [`ScanVisitor::refold`],
-//!   each under its own rank; the copies were counted skipped by the
+//!   evaluated a representative asks [`ScanVisitor::copies_share`]:
+//!   either every copy scores exactly what the representative did, and
+//!   the copies are offered that score in enumeration order until the
+//!   top K refuses one (each later copy ties it and ranks behind it), or
+//!   each copy is evaluated. The copies were counted skipped by the
 //!   walk, so `scanned` is the whole space as before. A copy's place in
 //!   the enumeration is its packed assignment until the merge, which
 //!   counts the index of each row it returns.
@@ -169,8 +171,9 @@ pub struct ScanOutcome<T> {
     pub workers: usize,
     /// Delta-evaluation counters, summed across workers: whatever
     /// [`ScanVisitor::drain`] extracted from each worker's state, plus
-    /// in `pruned` the candidates the walk skipped that no copy scoring
-    /// reached — so `scanned − pruned` counts evaluated plus re-folded.
+    /// in `pruned` the candidates the walk skipped and no worker offered
+    /// or evaluated as a copy — so `scanned − pruned` counts evaluated
+    /// plus offered a shared score.
     pub delta: DeltaCounters,
 }
 
@@ -295,8 +298,8 @@ struct WorkerOut<T, E> {
     top: Option<TopK<T>>,
     scanned: usize,
     feasible: usize,
-    /// Copies scored, re-folded or evaluated: the walk counted each as
-    /// skipped.
+    /// Copies offered a shared score or evaluated: the walk counted each
+    /// as skipped.
     copies: usize,
     cancelled: bool,
     error: Option<(usize, E)>,
@@ -317,6 +320,7 @@ struct Worker<T, E> {
 impl<T, E> Worker<T, E> {
     /// Takes one scored candidate into the results: every one in a full
     /// scan, one that ranks among this worker's best K in a bounded one.
+    /// False when the top K refused it.
     fn offer<V: ScanVisitor<Row = T, Error = E>>(
         &mut self,
         visitor: &V,
@@ -324,30 +328,38 @@ impl<T, E> Worker<T, E> {
         candidate: Candidate<'_>,
         order: Order,
         scored: V::Scored,
-    ) {
+    ) -> bool {
         self.out.feasible += 1;
         let obj = visitor.objective(&scored);
         self.batch_best = Some(self.batch_best.map_or(obj, |cur| cur.max(obj)));
         match &mut self.out.top {
             Some(top) => {
                 let rank = Rank { objective: obj, order };
-                if top.offer(rank, || visitor.keep(state, candidate, scored)) {
+                let kept = top.offer(rank, || visitor.keep(state, candidate, scored));
+                if kept {
                     self.admitted.push(rank);
                     self.floor = self.floor.max(top.floor());
                 }
+                kept
             }
             None => {
                 let value = visitor.keep(state, candidate, scored);
                 self.out.all.push(ScanHit { index: candidate.index, value });
+                true
             }
         }
     }
 
-    /// Scores the copies of the representative `rep` that `eval` just
-    /// scored: re-folded while the visitor can, evaluated one by one when
-    /// it cannot, dropped whole once none can reach the floor. Returns
-    /// whether `state` evaluated a copy (the next candidate's hint no
-    /// longer holds).
+    /// Offers the representative `rep` that `eval` just scored, then its
+    /// copies. Where they share its score ([`ScanVisitor::copies_share`])
+    /// a copy ties it and comes after it in enumeration order, so it ranks
+    /// strictly behind it, and each listed copy behind the one before:
+    /// they are offered that score in order until the top K refuses one,
+    /// and not listed at all when it refused the representative or the
+    /// score is strictly below the floor (which another worker may have
+    /// raised). Where they do not, each is evaluated. Returns whether
+    /// `state` evaluated a copy (the next candidate's hint no longer
+    /// holds).
     fn orbit<V: ScanVisitor<Row = T, Error = E>>(
         &mut self,
         visitor: &V,
@@ -355,39 +367,36 @@ impl<T, E> Worker<T, E> {
         orbits: &mut Orbits,
         copies: &mut Copies,
         rep: Candidate<'_>,
-        identity: &[usize],
+        scored: V::Scored,
     ) -> Result<bool, E> {
-        if let Refold::Below = visitor.refold(state, identity, self.floor) {
+        let shared = visitor.copies_share(state).then(|| scored.clone());
+        let below = visitor.objective(&scored) < self.floor;
+        let kept = self.offer(visitor, state, rep, Order::Leaf(orbits.key(rep.assignment)), scored);
+        if shared.is_some() && (below || !kept) {
             return Ok(false);
         }
         orbits.copies(rep.assignment, copies);
-        let (width, members) = (rep.assignment.len(), identity.len());
-        let copy = |i: usize, floor: f64| Candidate {
-            assignment: &copies.flat[i * width..(i + 1) * width],
-            first_changed: None,
-            floor,
-            ..rep
-        };
-        let mut evaluate = Vec::new();
+        let width = rep.assignment.len();
         for (i, &key) in copies.keys.iter().enumerate() {
-            let order = &copies.orders[i * members..(i + 1) * members];
-            match visitor.refold(state, order, self.floor) {
-                Refold::Scored(s) => {
-                    self.out.copies += 1;
-                    self.offer(visitor, state, copy(i, self.floor), Order::Leaf(key), s);
-                }
-                Refold::Below => break,
-                Refold::Evaluate => evaluate.push(i),
-            }
-        }
-        for &i in &evaluate {
             self.out.copies += 1;
-            let c = copy(i, self.floor);
-            if let Some(s) = visitor.eval(state, c)? {
-                self.offer(visitor, state, c, Order::Leaf(copies.keys[i]), s);
+            let copy = Candidate {
+                assignment: &copies.flat[i * width..(i + 1) * width],
+                first_changed: None,
+                floor: self.floor,
+                ..rep
+            };
+            let scored = match &shared {
+                Some(scored) => scored.clone(),
+                None => match visitor.eval(state, copy)? {
+                    Some(scored) => scored,
+                    None => continue,
+                },
+            };
+            if !self.offer(visitor, state, copy, Order::Leaf(key), scored) && shared.is_some() {
+                break;
             }
         }
-        Ok(!evaluate.is_empty())
+        Ok(shared.is_none() && !copies.keys.is_empty())
     }
 }
 
@@ -396,7 +405,7 @@ impl<T, E> Worker<T, E> {
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate<'a> {
     /// Position in the canonical enumeration order — for a copy scored
-    /// beside its representative ([`ScanVisitor::refold`]), the
+    /// beside its representative ([`ScanVisitor::copies_share`]), the
     /// representative's: the copy's own is counted at the merge, for
     /// the rows returned.
     pub index: usize,
@@ -428,7 +437,8 @@ pub trait ScanVisitor: Sync {
     /// reusable DES run configuration), never shared.
     type State;
     /// What `eval` returns for a candidate: something small, its floats.
-    type Scored;
+    /// Copies that share a representative's score get clones of it.
+    type Scored: Clone;
     /// A result row.
     type Row: Send;
     /// An evaluation error; the first in enumeration order aborts the
@@ -498,42 +508,23 @@ pub trait ScanVisitor: Sync {
     /// a placement and every copy of it with such members trading places
     /// score the same per-member values. The walk then hands `eval` only
     /// the least placement of each orbit, and every other member of the
-    /// orbit goes through [`refold`](Self::refold); a representative that
-    /// `eval` skips skips its whole orbit. The default, `None`, keeps
-    /// every member its own class: the walk hands out every placement, as
-    /// a full scan's always does (it scores every copy anyway, and
-    /// skipping one costs about what evaluating it does).
+    /// orbit is scored as [`copies_share`](Self::copies_share) says; a
+    /// representative that `eval` skips skips its whole orbit. The
+    /// default, `None`, keeps every member its own class: the walk hands
+    /// out every placement, as a full scan's always does (it scores every
+    /// copy anyway, and skipping one costs about what evaluating it does).
     fn member_classes(&self, _state: &Self::State, _labels: usize) -> Option<Vec<usize>> {
         None
     }
 
-    /// Scores a copy of the representative `eval` just scored on `state`
-    /// — first asked with the representative's own order — whose member
-    /// `j` is the representative's member `order[j]`: [`Refold::Scored`]
-    /// with the bits its own evaluation would give,
-    /// [`Refold::Below`] when no copy of this representative can reach
-    /// `floor`, or [`Refold::Evaluate`] to have each copy go through
-    /// `eval` itself (the default).
-    fn refold(
-        &self,
-        _state: &mut Self::State,
-        _order: &[usize],
-        _floor: f64,
-    ) -> Refold<Self::Scored> {
-        Refold::Evaluate
+    /// Asked once per representative `eval` just scored on `state`:
+    /// true when every copy of it — its members trading places within
+    /// their classes — scores exactly what it scored, bit for bit, so
+    /// the copies share its score; false (the default) has each copy go
+    /// through `eval` itself.
+    fn copies_share(&self, _state: &mut Self::State) -> bool {
+        false
     }
-}
-
-/// What [`ScanVisitor::refold`] made of a copy of a representative.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Refold<S> {
-    /// The copy's score, re-folded from the representative's per-member
-    /// values in the copy's member order.
-    Scored(S),
-    /// No copy of the representative can reach the floor.
-    Below,
-    /// The copies must be evaluated one by one.
-    Evaluate,
 }
 
 /// Scans every canonical feasible placement of `shape` under `budget`
@@ -587,7 +578,6 @@ pub fn scan_placements<V: ScanVisitor>(
             }
             feed.iter.orbits().cloned()
         };
-        let identity: Vec<usize> = (0..shape.members.len()).collect();
         let mut copies = Copies::default();
         let mut w = Worker {
             out: WorkerOut {
@@ -666,10 +656,7 @@ pub fn scan_placements<V: ScanVisitor>(
                         w.offer(visitor, &mut state, candidate, Order::Index(index), scored);
                         return Ok(());
                     };
-                    let order = Order::Leaf(orbits.key(assignment));
-                    w.offer(visitor, &mut state, candidate, order, scored);
-                    let rep = Candidate { floor: w.floor, ..candidate };
-                    if w.orbit(visitor, &mut state, orbits, &mut copies, rep, &identity)? {
+                    if w.orbit(visitor, &mut state, orbits, &mut copies, candidate, scored)? {
                         last = None;
                     }
                     Ok(())
@@ -718,8 +705,8 @@ pub fn scan_placements<V: ScanVisitor>(
     let scanned = outputs.iter().map(|o| o.scanned).sum::<usize>() + skipped;
     let feasible = outputs.iter().map(|o| o.feasible).sum();
     let cancelled = outputs.iter().any(|o| o.cancelled);
-    // A copy was counted skipped by the walk and scored beside its
-    // representative: it is not pruned.
+    // A copy was counted skipped by the walk and offered or evaluated
+    // beside its representative: it is not pruned.
     let copies: usize = outputs.iter().map(|o| o.copies).sum();
     let pruned = skipped.saturating_sub(copies) as u64;
     let mut delta = DeltaCounters { pruned, ..DeltaCounters::default() };
@@ -769,7 +756,7 @@ mod tests {
         progress: &'a (dyn Fn(&ScanProgress) + Sync),
     }
 
-    impl<S, V, T: Send, E: Send> ScanVisitor for Closures<'_, S, V, T, E> {
+    impl<S, V: Clone, T: Send, E: Send> ScanVisitor for Closures<'_, S, V, T, E> {
         type State = S;
         type Scored = V;
         type Row = T;
@@ -798,7 +785,7 @@ mod tests {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn scan<S, V, T: Send, E: Send>(
+    fn scan<S, V: Clone, T: Send, E: Send>(
         shape: &EnsembleShape,
         budget: NodeBudget,
         opts: &ScanOptions,
@@ -1451,6 +1438,79 @@ mod tests {
                         assert_eq!(visitor.hinted.into_inner(), evaluated - 1, "chunk={chunk}");
                     }
                     assert_eq!(outcome.results.len(), top_k);
+                }
+            }
+        }
+    }
+
+    /// Scores a toy objective with every member of [`shape`] one class:
+    /// when `share`, one blind to which member is which, whose copies
+    /// share their representative's score; else [`toy_objective`], which
+    /// sees member order, so each copy is evaluated.
+    struct Classed {
+        share: bool,
+        evals: AtomicUsize,
+    }
+
+    impl Classed {
+        fn score(&self, a: &[usize]) -> f64 {
+            if !self.share {
+                return toy_objective(a);
+            }
+            let colocated = a.chunks_exact(2).filter(|member| member[0] == member[1]).count();
+            colocated as f64 - 0.1 * a.iter().max().map_or(0, |&n| n + 1) as f64
+        }
+    }
+
+    impl ScanVisitor for Classed {
+        type State = ();
+        type Scored = f64;
+        type Row = Vec<usize>;
+        type Error = ();
+        fn init(&self) {}
+        fn eval(&self, _: &mut (), c: Candidate<'_>) -> Result<Option<f64>, ()> {
+            self.evals.fetch_add(1, Ordering::SeqCst);
+            Ok(Some(self.score(c.assignment)))
+        }
+        fn objective(&self, scored: &f64) -> f64 {
+            *scored
+        }
+        fn keep(&self, _: &mut (), c: Candidate<'_>, _: f64) -> Vec<usize> {
+            c.assignment.to_vec()
+        }
+        fn member_classes(&self, _: &(), _: usize) -> Option<Vec<usize>> {
+            Some(vec![0; shape().members.len()])
+        }
+        fn copies_share(&self, _: &mut ()) -> bool {
+            self.share
+        }
+    }
+
+    #[test]
+    fn copies_share_a_score_or_are_evaluated_and_rank_as_in_a_full_ranking() {
+        let all = crate::enumerate::enumerate_placements(&shape(), 4, 32);
+        for share in [true, false] {
+            let probe = Classed { share, evals: AtomicUsize::new(0) };
+            let mut ranked: Vec<(usize, f64)> =
+                all.iter().map(|a| probe.score(a)).enumerate().collect();
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            for workers in [1usize, 2, 8] {
+                for top_k in [1usize, 3, 10] {
+                    let visitor = Classed { share, evals: AtomicUsize::new(0) };
+                    let opts = ScanOptions { workers, chunk: 2, top_k };
+                    let outcome =
+                        scan_placements(&shape(), budget(), &opts, &visitor).expect("scan");
+                    let at = format!("share={share} workers={workers} top_k={top_k}");
+                    let rows: Vec<(usize, &[usize])> =
+                        outcome.results.iter().map(|h| (h.index, &h.value[..])).collect();
+                    let want: Vec<(usize, &[usize])> =
+                        ranked[..top_k].iter().map(|&(i, _)| (i, &all[i][..])).collect();
+                    assert_eq!(rows, want, "{at}");
+                    assert_eq!(outcome.scanned, all.len(), "{at}");
+                    let evals = visitor.evals.into_inner();
+                    if share {
+                        assert!(evals < all.len() / 2, "{at}: {evals} evaluated");
+                    }
                 }
             }
         }

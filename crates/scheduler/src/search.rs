@@ -79,7 +79,7 @@ pub fn score_report(
     path: &IndicatorPath,
     aggregation: Aggregation,
 ) -> f64 {
-    let values: Vec<f64> = report
+    let mut values: Vec<f64> = report
         .members
         .iter()
         .zip(&spec.members)
@@ -88,7 +88,7 @@ pub fn score_report(
             ensemble_core::indicator(&inputs, path)
         })
         .collect();
-    aggregate(&values, aggregation)
+    aggregate(&mut values, aggregation)
 }
 
 /// Runs `assignment` on the simulated platform (`run` already carries

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
-    scan_placements, Candidate, CoScheduler, DeltaEvaluator, FastScore, ObjectiveBound, Refold,
+    scan_placements, Candidate, CoScheduler, DeltaEvaluator, FastScore, ObjectiveBound,
     ScanOptions, ScanProgress, ScanVisitor, SolveCache,
 };
 
@@ -591,7 +591,8 @@ impl Service {
         // Placement candidates score scans accounted for, scored or
         // skipped; of those, the ones never scored — skipped because
         // they could not rank, with a subtree or with their orbit — so
-        // the difference counts evaluated plus re-folded copies.
+        // the difference counts evaluated candidates plus copies offered
+        // their representative's score.
         m.push("candidates_scanned", load(&s.candidates_scanned));
         m.push("candidates_pruned", load(&s.candidates_pruned));
         // Delta-evaluator node solves served from its signature cache,
@@ -1510,19 +1511,15 @@ impl ScanVisitor for ScoreScan<'_> {
     }
 
     /// Identical members are interchangeable: the walk hands out one
-    /// placement per member-permutation orbit, and its copies are
-    /// re-folded from its per-member values.
+    /// placement per member-permutation orbit, and its copies share its
+    /// score wherever its nodes' solves do not see the order of their
+    /// members.
     fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
         evaluator.member_classes(labels)
     }
 
-    fn refold(
-        &self,
-        evaluator: &mut DeltaEvaluator,
-        order: &[usize],
-        floor: f64,
-    ) -> Refold<FastScore> {
-        evaluator.refold(order, floor)
+    fn copies_share(&self, evaluator: &mut DeltaEvaluator) -> bool {
+        evaluator.blocks_commute()
     }
 }
 
@@ -2197,7 +2194,8 @@ mod tests {
         assert!(pruned > total / 2, "most of the space cannot rank: {pruned} of {total}");
         // `pruned` counts leaves, whole skipped subtrees and orbits alike,
         // so what is left of the space is exactly what the scan evaluated
-        // or re-folded: the same serial scan, run here, scores that many.
+        // or offered a shared score: the same serial scan, run here,
+        // scores that many.
         let req = medium_score_request(10);
         let RequestBody::Score(score) = &req.body else { unreachable!() };
         let mut cfg = base_config(score.shape.materialize(&[0; 8]), score.workloads);

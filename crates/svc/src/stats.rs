@@ -91,7 +91,7 @@ pub struct SvcStats {
     pub busy_nanos: AtomicU64,
     /// Placement candidates score scans accounted for, scored or
     /// skipped; `candidates_scanned − candidates_pruned` were scored:
-    /// evaluated, or re-folded from their orbit's representative.
+    /// evaluated, or offered their orbit representative's score.
     pub candidates_scanned: AtomicU64,
     /// Of those, candidates never scored: skipped because they could not
     /// rank, alone, with a subtree or with their orbit.

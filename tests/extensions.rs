@@ -111,7 +111,7 @@ fn ablations_show_what_each_design_choice_buys() {
     // Eq. 9 penalizes C1.3's member imbalance; a plain mean does not.
     let spec = ConfigId::C1_3.build();
     let report = exact(ConfigId::C1_3, 37).run().unwrap();
-    let values: Vec<f64> = report
+    let mut values: Vec<f64> = report
         .members
         .iter()
         .zip(&spec.members)
@@ -119,8 +119,8 @@ fn ablations_show_what_each_design_choice_buys() {
             indicator(&MemberInputs::from_specs(ms, &spec, mr.efficiency), &IndicatorPath::uap())
         })
         .collect();
-    let eq9 = aggregate(&values, Aggregation::MeanMinusStd);
-    let mean = aggregate(&values, Aggregation::Mean);
+    let eq9 = aggregate(&mut values, Aggregation::MeanMinusStd);
+    let mean = aggregate(&mut values, Aggregation::Mean);
     assert!(eq9 < mean, "Eq. 9 {eq9} vs mean {mean}");
 }
 

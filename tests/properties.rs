@@ -121,7 +121,7 @@ fn makespan_is_linear_in_steps() {
 #[test]
 fn objective_never_exceeds_mean_and_equals_it_iff_uniform() {
     check(CASES, |g| {
-        let values = g.vec(1..10, |g| g.range(1e-9f64..1.0));
+        let mut values = g.vec(1..10, |g| g.range(1e-9f64..1.0));
         let f = objective(&values);
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         assert!(f <= mean + 1e-12);
@@ -129,7 +129,50 @@ fn objective_never_exceeds_mean_and_equals_it_iff_uniform() {
         if uniform {
             assert!((f - mean).abs() < 1e-12);
         }
-        assert!(aggregate(&values, Aggregation::Min) <= mean + 1e-12);
+        assert!(aggregate(&mut values, Aggregation::Min) <= mean + 1e-12);
+    });
+}
+
+/// Every permutation of `values`, in place.
+fn permutations(values: &mut Vec<f64>, k: usize, each: &mut impl FnMut(&[f64])) {
+    if k == values.len() {
+        each(values);
+        return;
+    }
+    for i in k..values.len() {
+        values.swap(k, i);
+        permutations(values, k + 1, each);
+        values.swap(k, i);
+    }
+}
+
+#[test]
+fn aggregation_is_blind_to_member_order() {
+    let specials =
+        [0.0, -0.0, 5e-324, -2.5e-310, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+    check(64, |g| {
+        let scale = g.select(&[1e-6, 1e-3, 1.0, 1e3]);
+        let spread = g.select(&[0.0, 1e-12, 1e-6, 0.5]);
+        let centre = g.range(0.1f64..1.0);
+        let mut values: Vec<f64> = Vec::new();
+        for _ in 0..g.range(1usize..=7) {
+            let value = match g.range(0u8..8) {
+                0 => g.select(&specials),
+                1 if !values.is_empty() => g.select(&values),
+                _ => scale * (centre + spread * g.range(-1.0f64..1.0)),
+            };
+            values.push(value);
+        }
+        for how in [Aggregation::MeanMinusStd, Aggregation::Mean, Aggregation::Min] {
+            let first = aggregate(&mut values.clone(), how).to_bits();
+            permutations(&mut values, 0, &mut |v| {
+                let folded = aggregate(&mut v.to_vec(), how).to_bits();
+                assert_eq!(folded, first, "{how:?} over {v:?}");
+            });
+            if how == Aggregation::MeanMinusStd {
+                assert_eq!(objective(&values).to_bits(), first, "{values:?}");
+            }
+        }
     });
 }
 
