@@ -23,10 +23,15 @@
 //! 2. `run_threaded/C_c_200_ms` — one `run_threaded` call of the e2e
 //!    `staging_threaded` workload: `C_c`, 27 atoms, a frame staged every
 //!    MD step, 200 steps, radius-of-gyration analysis; `puts` / `gets`
-//!    per call;
+//!    per call. `run_threaded/C1_5_200_ms` (2 members) and
+//!    `run_threaded/8_members_200_ms` (8 one-analysis members) are the
+//!    same call with 4 and 16 busy threads: oversubscribed on a host of
+//!    fewer cores, where a waiter that holds its core starves the
+//!    thread it waits for;
 //! 3. `staging/handoff_us` — per step, a writer thread putting one
 //!    27-atom frame per step through a one-slot variable and the main
-//!    thread getting it: the lock and the condvar wake both ways;
+//!    thread getting it: the lock both ways, and a condvar wake when
+//!    the waiting side had parked;
 //! 4. `thread_exec/spawn_join_us` — a one-step `run_threaded` call,
 //!    which is mostly starting and joining its threads.
 //!
@@ -42,7 +47,7 @@ use std::time::Instant;
 
 use dtl::protocol::ReaderId;
 use dtl::VariableSpec;
-use ensemble_core::ConfigId;
+use ensemble_core::{ComponentSpec, ConfigId, EnsembleSpec, MemberSpec};
 use kernels::md::{CellList, Frame, MdConfig, MdSimulation};
 use runtime::{KernelChoice, ThreadRunConfig};
 
@@ -148,9 +153,9 @@ fn md_row(side: usize, reps: usize, batch: u64) -> Row {
     row
 }
 
-fn staged_run(steps: u64) -> ThreadRunConfig {
+fn staged_run(spec: EnsembleSpec, steps: u64) -> ThreadRunConfig {
     ThreadRunConfig {
-        spec: ConfigId::Cc.build(),
+        spec,
         md: staged_md(3),
         n_steps: steps,
         staging_capacity: 1,
@@ -203,21 +208,37 @@ fn main() {
         assert!(allocs <= 1.0, "{}: {allocs} allocations per stride", row.name);
     }
 
-    let cfg = staged_run(200);
-    let exec = runtime::run_threaded(&cfg).expect("threaded run");
-    let (puts, gets) = (exec.staging_stats.puts, exec.staging_stats.gets);
-    assert_eq!((puts, gets), (200, 200), "every step staged and read once");
-    let mut run = measure("run_threaded/C_c_200_ms", reps(30), 1e3, || {
-        black_box(runtime::run_threaded(&cfg).expect("threaded run").trace.len());
-        1
-    });
-    run.counts = vec![("puts", puts as f64), ("gets", gets as f64)];
-    rows.push(run);
+    let eight_members = EnsembleSpec::new(
+        (0..8)
+            .map(|node| {
+                MemberSpec::new(
+                    ComponentSpec::simulation(16, node),
+                    vec![ComponentSpec::analysis(8, node)],
+                )
+            })
+            .collect(),
+    );
+    for (name, spec, members) in [
+        ("run_threaded/C_c_200_ms", ConfigId::Cc.build(), 1),
+        ("run_threaded/C1_5_200_ms", ConfigId::C1_5.build(), 2),
+        ("run_threaded/8_members_200_ms", eight_members, 8),
+    ] {
+        let cfg = staged_run(spec, 200);
+        let exec = runtime::run_threaded(&cfg).expect("threaded run");
+        let (puts, gets) = (exec.staging_stats.puts, exec.staging_stats.gets);
+        assert_eq!((puts, gets), (200 * members, 200 * members), "{name}: every step once");
+        let mut run = measure(name, reps(30), 1e3, || {
+            black_box(runtime::run_threaded(&cfg).expect("threaded run").trace.len());
+            1
+        });
+        run.counts = vec![("puts", puts as f64), ("gets", gets as f64)];
+        rows.push(run);
+    }
 
     let frame = MdSimulation::new(&staged_md(3)).advance_stride();
     rows.push(measure("staging/handoff_us", reps(30), 1e6, || handoff(&frame, 200)));
 
-    let one_step = staged_run(1);
+    let one_step = staged_run(ConfigId::Cc.build(), 1);
     rows.push(measure("thread_exec/spawn_join_us", reps(50), 1e6, || {
         black_box(runtime::run_threaded(&one_step).expect("threaded run").trace.len());
         1

@@ -16,13 +16,14 @@ pub struct ChunkId {
 }
 
 /// Metadata travelling with every chunk.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkMeta {
     /// Node whose memory holds the payload (DIMES keeps data local to the
     /// producer; remote readers fetch over the interconnect).
     pub home_node: usize,
-    /// Free-form tag describing the payload encoding (set by the plugin).
-    pub encoding: String,
+    /// Tag describing the payload encoding: a codec's
+    /// [`ChunkCodec::encoding`](crate::marshal::ChunkCodec::encoding).
+    pub encoding: &'static str,
 }
 
 /// A staged unit of data.
@@ -43,14 +44,10 @@ impl Chunk {
         variable: VariableId,
         step: u64,
         home_node: usize,
-        encoding: &str,
+        encoding: &'static str,
         data: Arc<[u8]>,
     ) -> Self {
-        Chunk {
-            id: ChunkId { variable, step },
-            meta: ChunkMeta { home_node, encoding: encoding.to_string() },
-            data,
-        }
+        Chunk { id: ChunkId { variable, step }, meta: ChunkMeta { home_node, encoding }, data }
     }
 
     /// Payload size in bytes.

@@ -15,7 +15,7 @@ use crate::error::{DtlError, DtlResult};
 pub struct ReaderId(pub u32);
 
 /// Per-variable step-ordering state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StepProtocol {
     /// Next step the writer may stage.
     next_write: u64,

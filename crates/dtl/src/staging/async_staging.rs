@@ -228,7 +228,7 @@ impl<B: ChunkStore> AsyncStaging<B> {
             let found = state.queue.iter().position(|c| last.is_none_or(|l| c.id.step > l));
             if let Some(idx) = found {
                 let id = state.queue[idx].id;
-                let meta = state.queue[idx].meta.clone();
+                let meta = state.queue[idx].meta;
                 // Load before mutating the cursor (the error-path
                 // guarantee): a failed load leaves the frame consumable.
                 let data = run_with_retry(

@@ -15,6 +15,7 @@
 //! staging areas. See `DESIGN.md` §4c for the full concurrency model.
 
 pub mod async_staging;
+mod handoff;
 pub mod retry;
 pub mod store;
 pub mod sync_staging;

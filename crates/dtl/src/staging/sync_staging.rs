@@ -11,17 +11,23 @@
 //! measures the coupling protocol instead of lock contention. The
 //! name → shard registry is behind a read-mostly `RwLock`: lookups on
 //! the hot path take a shared read lock, only `register` takes the
-//! write lock. Wakeups are targeted: a `put` wakes only the readers of
-//! that variable, a consuming `get` wakes only its writer.
+//! write lock.
+//!
+//! A waiter spins briefly on its shard's progress word before it parks,
+//! and a change notifies a condvar only when a waiter is parked on it:
+//! a `put` wakes only the variable's parked readers, a consuming `get`
+//! only its parked writer (see `handoff` for the decisions and their
+//! exhaustive check).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::time::{Duration, Instant};
 
 use crate::chunk::{Chunk, ChunkId, ChunkMeta};
 use crate::error::{DtlError, DtlResult};
 use crate::locks::{recover, wait_until};
 use crate::protocol::{ReaderId, StepProtocol};
+use crate::staging::handoff::{self, Change, Next, Parked, Side};
 use crate::staging::retry::{op_key as retry_key, run_with_retry, RetryPolicy};
 use crate::staging::store::ChunkStore;
 use crate::variable::{VariableId, VariableRegistry, VariableSpec};
@@ -49,7 +55,6 @@ struct Slot<H> {
     meta: ChunkMeta,
     handle: Option<H>,
     remaining: u32,
-    consumed_by: Vec<ReaderId>,
 }
 
 struct VarState<H> {
@@ -58,6 +63,8 @@ struct VarState<H> {
     expected_readers: u32,
     /// Hard-closed independently of the whole area (member failure).
     closed: bool,
+    /// Waiters on `writer_cv` / `reader_cv`.
+    parked: Parked,
 }
 
 /// One variable's share of the staging area: its protocol state behind
@@ -69,6 +76,35 @@ struct VarShard<H> {
     writer_cv: Condvar,
     /// Readers block here until the writer stages their next step.
     reader_cv: Condvar,
+    /// Bumped under `state`'s lock on every recorded write, read and
+    /// close; spinning waiters watch it without the lock.
+    progress: AtomicU64,
+}
+
+impl<H> VarShard<H> {
+    /// Publishes `change`, made under the lock whose state is `state`:
+    /// bumps the progress word and notifies each side that has a parked
+    /// waiter the change concerns.
+    fn publish(&self, state: &VarState<H>, change: Change) {
+        let wake = handoff::record(&self.progress, change, state.parked);
+        if wake.writers {
+            self.writer_cv.notify_all();
+        }
+        if wake.readers {
+            self.reader_cv.notify_all();
+        }
+    }
+}
+
+/// One blocking operation's wait: what it reports if it fails.
+struct Wait {
+    operation: &'static str,
+    var: VariableId,
+    step: u64,
+    side: Side,
+    /// When the operation began; its spin bound runs from here.
+    start: Instant,
+    deadline: Instant,
 }
 
 /// A blocking staging area enforcing `W₀ R₀ W₁ R₁ …` per variable.
@@ -84,6 +120,9 @@ pub struct SyncStaging<B: ChunkStore> {
     /// Read-mostly: written only by `register`, read on every operation.
     registry: RwLock<Registry<B::Handle>>,
     closed: AtomicBool,
+    /// How long a waiter spins before it parks: `handoff::SPIN`, which
+    /// only tests change.
+    spin: Duration,
     puts: AtomicU64,
     gets: AtomicU64,
     bytes_staged: AtomicU64,
@@ -102,6 +141,10 @@ struct Registry<H> {
 /// kernels, small enough that a deadlocked test fails quickly.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 
+fn variable_closed(var: VariableId) -> DtlError {
+    DtlError::VariableClosed { variable: format!("id {}", var.0) }
+}
+
 impl<B: ChunkStore> SyncStaging<B> {
     /// Creates a staging area over `store` with the given in-flight
     /// chunk capacity per variable.
@@ -113,6 +156,7 @@ impl<B: ChunkStore> SyncStaging<B> {
             retry: None,
             registry: RwLock::new(Registry { names: VariableRegistry::new(), shards: Vec::new() }),
             closed: AtomicBool::new(false),
+            spin: handoff::SPIN,
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),
             bytes_staged: AtomicU64::new(0),
@@ -148,9 +192,11 @@ impl<B: ChunkStore> SyncStaging<B> {
                     slots: Vec::new(),
                     expected_readers: readers,
                     closed: false,
+                    parked: Parked::default(),
                 }),
                 writer_cv: Condvar::new(),
                 reader_cv: Condvar::new(),
+                progress: AtomicU64::new(0),
             }));
             debug_assert_eq!(registry.shards.len(), id.0 as usize + 1);
         }
@@ -172,17 +218,63 @@ impl<B: ChunkStore> SyncStaging<B> {
             .ok_or_else(|| DtlError::UnknownVariable { name: format!("id {}", var.0) })
     }
 
+    /// Waits, holding `state` of `shard` to begin with, until `ready`
+    /// holds or the area or variable closes, and returns the lock with
+    /// `ready` true. Spins on the progress word for up to `self.spin`
+    /// from the operation's start, then parks (`handoff::next` decides).
+    fn wait_for<'a>(
+        &self,
+        shard: &'a VarShard<B::Handle>,
+        mut state: MutexGuard<'a, VarState<B::Handle>>,
+        wait: Wait,
+        ready: impl Fn(&VarState<B::Handle>) -> bool,
+    ) -> DtlResult<MutexGuard<'a, VarState<B::Handle>>> {
+        let mut may_spin = true;
+        loop {
+            let area_closed = self.closed.load(Ordering::Acquire);
+            match handoff::next(area_closed, state.closed, ready(&state), may_spin) {
+                Next::Closed => return Err(DtlError::Closed),
+                Next::VariableClosed => return Err(variable_closed(wait.var)),
+                Next::Proceed => return Ok(state),
+                Next::Spin => {
+                    let seen = shard.progress.load(Ordering::Relaxed);
+                    drop(state);
+                    may_spin = handoff::spin(&shard.progress, seen, wait.start + self.spin);
+                    state = recover(shard.state.lock());
+                }
+                Next::Park => {
+                    let cv = match wait.side {
+                        Side::Writer => &shard.writer_cv,
+                        Side::Reader => &shard.reader_cv,
+                    };
+                    state.parked.park(wait.side);
+                    let (guard, timed_out) = wait_until(cv, state, wait.deadline);
+                    state = guard;
+                    state.parked.unpark(wait.side);
+                    if timed_out {
+                        return Err(DtlError::Timeout {
+                            operation: wait.operation,
+                            variable: format!("id {}", wait.var.0),
+                            step: wait.step,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
     /// Stages a chunk, blocking (up to `timeout`) until the protocol
     /// admits it — i.e. until the previous chunk is fully consumed when
     /// `capacity == 1`.
     pub fn put_timeout(&self, chunk: Chunk, timeout: Duration) -> DtlResult<()> {
-        let deadline = std::time::Instant::now() + timeout;
+        let start = Instant::now();
+        let deadline = start + timeout;
         let var = chunk.id.variable;
         let step = chunk.id.step;
         let shard = self.shard(var)?;
-        let mut state = recover(shard.state.lock());
+        let state = recover(shard.state.lock());
         if state.closed {
-            return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
+            return Err(variable_closed(var));
         }
         // Fail fast on out-of-sequence writes: they can never become valid.
         if step != state.protocol.next_write_step() {
@@ -193,53 +285,29 @@ impl<B: ChunkStore> SyncStaging<B> {
                 ),
             });
         }
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(DtlError::Closed);
-            }
-            if state.closed {
-                return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
-            }
-            if state.protocol.may_write(step) {
-                // Persist the payload before advancing the protocol so a
-                // failing store leaves the protocol state untouched and
-                // the writer can retry. A configured retry policy does
-                // that retrying in place (still before any protocol
-                // mutation), budgeted against this op's deadline.
-                let remaining = state.expected_readers;
-                let data_len = chunk.data.len() as u64;
-                let handle = run_with_retry(
-                    self.retry.as_ref(),
-                    Some(deadline),
-                    retry_key(var, step, 1),
-                    &self.retries,
-                    &self.giveups,
-                    || self.store.store(chunk.id, chunk.data.clone()),
-                )?;
-                state.protocol.record_write(step).expect("may_write checked under the same lock");
-                state.slots.push(Slot {
-                    id: chunk.id,
-                    meta: chunk.meta,
-                    handle: Some(handle),
-                    remaining,
-                    consumed_by: Vec::new(),
-                });
-                self.puts.fetch_add(1, Ordering::Relaxed);
-                self.bytes_staged.fetch_add(data_len, Ordering::Relaxed);
-                // Wake only this variable's readers.
-                shard.reader_cv.notify_all();
-                return Ok(());
-            }
-            let (guard, timed_out) = wait_until(&shard.writer_cv, state, deadline);
-            state = guard;
-            if timed_out {
-                return Err(DtlError::Timeout {
-                    operation: "put",
-                    variable: format!("id {}", var.0),
-                    step,
-                });
-            }
-        }
+        let wait = Wait { operation: "put", var, step, side: Side::Writer, start, deadline };
+        let mut state = self.wait_for(&shard, state, wait, |s| s.protocol.may_write(step))?;
+        // Persist the payload before advancing the protocol so a failing
+        // store leaves the protocol state untouched and the writer can
+        // retry. A configured retry policy does that retrying in place
+        // (still before any protocol mutation), budgeted against this
+        // op's deadline.
+        let remaining = state.expected_readers;
+        let data_len = chunk.data.len() as u64;
+        let handle = run_with_retry(
+            self.retry.as_ref(),
+            Some(deadline),
+            retry_key(var, step, 1),
+            &self.retries,
+            &self.giveups,
+            || self.store.store(chunk.id, chunk.data.clone()),
+        )?;
+        state.protocol.record_write(step).expect("may_write checked under the same lock");
+        state.slots.push(Slot { id: chunk.id, meta: chunk.meta, handle: Some(handle), remaining });
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.bytes_staged.fetch_add(data_len, Ordering::Relaxed);
+        shard.publish(&state, Change::Write);
+        Ok(())
     }
 
     /// Stages a chunk with the default timeout.
@@ -260,87 +328,61 @@ impl<B: ChunkStore> SyncStaging<B> {
         reader: ReaderId,
         timeout: Duration,
     ) -> DtlResult<Chunk> {
-        let deadline = std::time::Instant::now() + timeout;
+        let start = Instant::now();
+        let deadline = start + timeout;
         let shard = self.shard(var)?;
-        let mut state = recover(shard.state.lock());
-        {
-            if state.closed {
-                return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
-            }
-            let expected = state.protocol.next_read_step(reader)?;
-            if step != expected {
-                return Err(DtlError::ProtocolViolation {
-                    detail: format!(
-                        "{reader:?} requested step {step} but must consume step {expected} next"
-                    ),
-                });
-            }
+        let state = recover(shard.state.lock());
+        if state.closed {
+            return Err(variable_closed(var));
         }
-        loop {
-            // Closed staging serves nothing, including already-staged
-            // chunks (see `close`).
-            if self.closed.load(Ordering::Acquire) {
-                return Err(DtlError::Closed);
-            }
-            if state.closed {
-                return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
-            }
-            if state.protocol.may_read(reader, step) {
-                // Load the payload *before* touching any protocol state:
-                // if the store fails here nothing has been consumed and
-                // the reader may retry. A configured retry policy does
-                // that retrying in place, still ahead of any mutation.
-                let slot = state
-                    .slots
-                    .iter_mut()
-                    .find(|s| s.id.step == step)
-                    .expect("protocol admitted a read, slot must exist");
-                let handle_ref =
-                    slot.handle.as_ref().expect("payload present while readers remain");
-                let data = run_with_retry(
-                    self.retry.as_ref(),
-                    Some(deadline),
-                    retry_key(var, step, 0),
-                    &self.retries,
-                    &self.giveups,
-                    || self.store.load(handle_ref),
-                )?;
-                let chunk = Chunk { id: slot.id, meta: slot.meta.clone(), data };
-                slot.remaining -= 1;
-                slot.consumed_by.push(reader);
-                let release = if slot.remaining == 0 {
-                    Some(slot.handle.take().expect("last reader releases the payload"))
-                } else {
-                    None
-                };
-                state
-                    .protocol
-                    .record_read(reader, step)
-                    .expect("may_read checked under the same lock");
-                if let Some(handle) = release {
-                    let idx =
-                        state.slots.iter().position(|s| s.id.step == step).expect("found above");
-                    state.slots.remove(idx);
-                    self.store.remove(handle)?;
-                }
-                self.gets.fetch_add(1, Ordering::Relaxed);
-                self.bytes_served.fetch_add(chunk.data.len() as u64, Ordering::Relaxed);
-                // A consumed read can only unblock this variable's
-                // writer (reads never enable other reads).
-                shard.writer_cv.notify_all();
-                return Ok(chunk);
-            }
-            // Not yet written; wait for this variable's writer.
-            let (guard, timed_out) = wait_until(&shard.reader_cv, state, deadline);
-            state = guard;
-            if timed_out {
-                return Err(DtlError::Timeout {
-                    operation: "get",
-                    variable: format!("id {}", var.0),
-                    step,
-                });
-            }
+        let expected = state.protocol.next_read_step(reader)?;
+        if step != expected {
+            return Err(DtlError::ProtocolViolation {
+                detail: format!(
+                    "{reader:?} requested step {step} but must consume step {expected} next"
+                ),
+            });
         }
+        // Closed staging serves nothing, including already-staged chunks
+        // (see `close`).
+        let wait = Wait { operation: "get", var, step, side: Side::Reader, start, deadline };
+        let mut state =
+            self.wait_for(&shard, state, wait, |s| s.protocol.may_read(reader, step))?;
+        // Load the payload *before* touching any protocol state: if the
+        // store fails here nothing has been consumed and the reader may
+        // retry. A configured retry policy does that retrying in place,
+        // still ahead of any mutation.
+        let idx = state
+            .slots
+            .iter()
+            .position(|s| s.id.step == step)
+            .expect("protocol admitted a read, slot must exist");
+        let slot = &mut state.slots[idx];
+        let handle_ref = slot.handle.as_ref().expect("payload present while readers remain");
+        let data = run_with_retry(
+            self.retry.as_ref(),
+            Some(deadline),
+            retry_key(var, step, 0),
+            &self.retries,
+            &self.giveups,
+            || self.store.load(handle_ref),
+        )?;
+        let chunk = Chunk { id: slot.id, meta: slot.meta, data };
+        slot.remaining -= 1;
+        let release = if slot.remaining == 0 {
+            Some(slot.handle.take().expect("last reader releases the payload"))
+        } else {
+            None
+        };
+        state.protocol.record_read(reader, step).expect("may_read checked under the same lock");
+        if let Some(handle) = release {
+            state.slots.remove(idx);
+            self.store.remove(handle)?;
+        }
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.bytes_served.fetch_add(chunk.data.len() as u64, Ordering::Relaxed);
+        shard.publish(&state, Change::Read);
+        Ok(chunk)
     }
 
     /// Fetches with the default timeout.
@@ -353,29 +395,18 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// callers separate the idle wait (`Iˢ`) from the write itself (`W`)
     /// when measuring stages.
     pub fn wait_writable(&self, var: VariableId, step: u64, timeout: Duration) -> DtlResult<()> {
-        let deadline = std::time::Instant::now() + timeout;
+        let start = Instant::now();
         let shard = self.shard(var)?;
-        let mut state = recover(shard.state.lock());
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(DtlError::Closed);
-            }
-            if state.closed {
-                return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
-            }
-            if state.protocol.may_write(step) {
-                return Ok(());
-            }
-            let (guard, timed_out) = wait_until(&shard.writer_cv, state, deadline);
-            state = guard;
-            if timed_out {
-                return Err(DtlError::Timeout {
-                    operation: "wait_writable",
-                    variable: format!("id {}", var.0),
-                    step,
-                });
-            }
-        }
+        let state = recover(shard.state.lock());
+        let wait = Wait {
+            operation: "wait_writable",
+            var,
+            step,
+            side: Side::Writer,
+            start,
+            deadline: start + timeout,
+        };
+        self.wait_for(&shard, state, wait, |s| s.protocol.may_write(step)).map(drop)
     }
 
     /// Blocks until `reader` may consume `step` *without* reading — lets
@@ -387,29 +418,18 @@ impl<B: ChunkStore> SyncStaging<B> {
         reader: ReaderId,
         timeout: Duration,
     ) -> DtlResult<()> {
-        let deadline = std::time::Instant::now() + timeout;
+        let start = Instant::now();
         let shard = self.shard(var)?;
-        let mut state = recover(shard.state.lock());
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(DtlError::Closed);
-            }
-            if state.closed {
-                return Err(DtlError::VariableClosed { variable: format!("id {}", var.0) });
-            }
-            if state.protocol.may_read(reader, step) {
-                return Ok(());
-            }
-            let (guard, timed_out) = wait_until(&shard.reader_cv, state, deadline);
-            state = guard;
-            if timed_out {
-                return Err(DtlError::Timeout {
-                    operation: "wait_readable",
-                    variable: format!("id {}", var.0),
-                    step,
-                });
-            }
-        }
+        let state = recover(shard.state.lock());
+        let wait = Wait {
+            operation: "wait_readable",
+            var,
+            step,
+            side: Side::Reader,
+            start,
+            deadline: start + timeout,
+        };
+        self.wait_for(&shard, state, wait, |s| s.protocol.may_read(reader, step)).map(drop)
     }
 
     /// Closes the area: pending and future blocking operations — puts
@@ -420,13 +440,13 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// closing if stragglers must finish.)
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        // Wake all waiters so they observe the flag. Taking each shard
-        // lock orders the store before any waiter's re-check.
+        // Publish the close on every shard so waiters observe the flag.
+        // Taking each shard lock orders the store before any waiter's
+        // re-check.
         let shards: Vec<_> = recover(self.registry.read()).shards.to_vec();
         for shard in shards {
-            let _guard = recover(shard.state.lock());
-            shard.writer_cv.notify_all();
-            shard.reader_cv.notify_all();
+            let state = recover(shard.state.lock());
+            shard.publish(&state, Change::Close);
         }
     }
 
@@ -444,8 +464,7 @@ impl<B: ChunkStore> SyncStaging<B> {
         let shard = self.shard(var)?;
         let mut state = recover(shard.state.lock());
         state.closed = true;
-        shard.writer_cv.notify_all();
-        shard.reader_cv.notify_all();
+        shard.publish(&state, Change::Close);
         Ok(())
     }
 
@@ -490,6 +509,13 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// Access to the underlying store (e.g. memory accounting).
     pub fn store(&self) -> &B {
         &self.store
+    }
+
+    /// Replaces the spin bound, so a test can hold a waiter in its spin.
+    #[cfg(test)]
+    fn with_spin(mut self, spin: Duration) -> Self {
+        self.spin = spin;
+        self
     }
 }
 
@@ -673,6 +699,60 @@ mod tests {
             s.wait_writable(var, 1, Duration::from_millis(50)),
             Err(DtlError::Closed)
         ));
+    }
+
+    /// A waiter that spins far longer than the test runs, so whenever
+    /// the close lands it is still in its bounded wait, never parked: it
+    /// can only learn of the close through the progress word.
+    fn close_reaches_a_spinning_waiter(whole_area: bool) {
+        let s = Arc::new(
+            SyncStaging::with_capacity(MemoryStore::new(), 1).with_spin(Duration::from_secs(20)),
+        );
+        let var = s.register(spec(2)).unwrap();
+        s.put(chunk(var, 0, b"x")).unwrap();
+        let entered = Arc::new(std::sync::Barrier::new(3));
+        let waiters: Vec<_> = [true, false]
+            .into_iter()
+            .map(|writer| {
+                let (s, entered) = (Arc::clone(&s), Arc::clone(&entered));
+                std::thread::spawn(move || {
+                    entered.wait();
+                    let started = std::time::Instant::now();
+                    let res = if writer {
+                        s.wait_writable(var, 1, DEFAULT_TIMEOUT)
+                    } else {
+                        s.wait_readable(var, 1, ReaderId(0), DEFAULT_TIMEOUT)
+                    };
+                    (res, started.elapsed())
+                })
+            })
+            .collect();
+        entered.wait();
+        if whole_area {
+            s.close();
+        } else {
+            s.close_variable(var).unwrap();
+        }
+        for waiter in waiters {
+            let (res, waited) = waiter.join().unwrap();
+            assert!(waited < Duration::from_secs(10), "the close took {waited:?} to be seen");
+            match res {
+                Err(DtlError::Closed) if whole_area => {}
+                Err(DtlError::VariableClosed { .. }) if !whole_area => {}
+                other => panic!("whole area {whole_area}: {other:?}"),
+            }
+        }
+        assert_eq!(recover(s.shard(var).unwrap().state.lock()).parked, Parked::default());
+    }
+
+    #[test]
+    fn close_reaches_waiters_still_in_their_bounded_wait() {
+        close_reaches_a_spinning_waiter(true);
+    }
+
+    #[test]
+    fn close_variable_reaches_waiters_still_in_their_bounded_wait() {
+        close_reaches_a_spinning_waiter(false);
     }
 
     #[test]

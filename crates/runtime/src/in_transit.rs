@@ -18,10 +18,11 @@ use dtl::{ChunkCodec, VariableSpec};
 use ensemble_core::{ComponentRef, StageKind};
 use kernels::analysis::FrameKernel;
 use kernels::md::MdSimulation;
-use metrics::{ExecutionTrace, TraceRecorder};
+use metrics::ExecutionTrace;
 
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::frame_codec::FrameCodec;
+use crate::stage_log::StageLog;
 use crate::thread_exec::ThreadRunConfig;
 
 /// What an in-transit run produces.
@@ -46,7 +47,6 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
         return Err(RuntimeError::NoSamples);
     }
     let staging = Arc::new(AsyncStaging::new(cfg.staging_capacity.max(1) as usize));
-    let recorder = TraceRecorder::new();
     let epoch = Instant::now();
 
     let mut variables = Vec::with_capacity(cfg.spec.members.len());
@@ -64,7 +64,8 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
         })?);
     }
 
-    type Harvest = (ComponentRef, Vec<(u64, f64)>);
+    // Each worker records into its own log and hands it back at join.
+    type Harvest = (ComponentRef, Vec<(u64, f64)>, StageLog);
     let harvested: Vec<Harvest> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (i, member) in cfg.spec.members.iter().enumerate() {
@@ -73,21 +74,21 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
             // --- Free-running simulation worker. ---
             {
                 let staging = Arc::clone(&staging);
-                let recorder = recorder.clone();
                 let mut md_cfg = cfg.md.clone();
                 md_cfg.seed = cfg.md.seed.wrapping_add(i as u64);
                 let n_steps = cfg.n_steps;
                 let sim_ref = ComponentRef::simulation(i);
                 handles.push((
                     sim_ref,
-                    scope.spawn(move || -> RuntimeResult<Vec<(u64, f64)>> {
+                    scope.spawn(move || -> RuntimeResult<(Vec<(u64, f64)>, StageLog)> {
+                        let mut log = StageLog::new(sim_ref, n_steps);
                         let mut sim = MdSimulation::new(&md_cfg);
                         let codec = FrameCodec;
                         for step in 0..n_steps {
                             let t0 = epoch.elapsed().as_secs_f64();
                             let frame = sim.advance_stride();
                             let t1 = epoch.elapsed().as_secs_f64();
-                            recorder.record(sim_ref, StageKind::Simulate, step, t0, t1);
+                            log.record(StageKind::Simulate, step, t0, t1);
                             let chunk = dtl::Chunk::new(
                                 var,
                                 step,
@@ -97,10 +98,10 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
                             );
                             staging.put(chunk)?;
                             let t2 = epoch.elapsed().as_secs_f64();
-                            recorder.record(sim_ref, StageKind::Write, step, t1, t2);
+                            log.record(StageKind::Write, step, t1, t2);
                         }
                         staging.finish(var)?;
-                        Ok(Vec::new())
+                        Ok((Vec::new(), log))
                     }),
                 ));
             }
@@ -108,8 +109,8 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
             for j in 1..=member.k() {
                 let ana_ref = ComponentRef::analysis(i, j);
                 let staging = Arc::clone(&staging);
-                let recorder = recorder.clone();
                 let timeout = cfg.timeout;
+                let n_steps = cfg.n_steps;
                 let choice =
                     cfg.kernel.clone().unwrap_or(crate::thread_exec::KernelChoice::Eigen {
                         group: cfg.analysis_group_size,
@@ -117,7 +118,8 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
                     });
                 handles.push((
                     ana_ref,
-                    scope.spawn(move || -> RuntimeResult<Vec<(u64, f64)>> {
+                    scope.spawn(move || -> RuntimeResult<(Vec<(u64, f64)>, StageLog)> {
+                        let mut log = StageLog::new(ana_ref, n_steps);
                         let reader = ReaderId(j as u32 - 1);
                         let codec = FrameCodec;
                         let mut kernel: Option<Box<dyn FrameKernel>> = None;
@@ -130,18 +132,18 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
                             let t1 = epoch.elapsed().as_secs_f64();
                             let frame_step = chunk.id.step;
                             if t1 > t0 {
-                                recorder.record(ana_ref, StageKind::AnaIdle, frame_step, t0, t1);
+                                log.record(StageKind::AnaIdle, frame_step, t0, t1);
                             }
                             let frame = codec.decode(chunk.data)?;
                             let t2 = epoch.elapsed().as_secs_f64();
-                            recorder.record(ana_ref, StageKind::Read, frame_step, t1, t2);
+                            log.record(StageKind::Read, frame_step, t1, t2);
                             let k = kernel.get_or_insert_with(|| choice.build(frame.num_atoms()));
                             let cv = k.compute(&frame);
                             let t3 = epoch.elapsed().as_secs_f64();
-                            recorder.record(ana_ref, StageKind::Analyze, frame_step, t2, t3);
+                            log.record(StageKind::Analyze, frame_step, t2, t3);
                             series.push((frame_step, cv));
                         }
-                        Ok(series)
+                        Ok((series, log))
                     }),
                 ));
             }
@@ -151,22 +153,29 @@ pub fn run_threaded_in_transit(cfg: &ThreadRunConfig) -> RuntimeResult<InTransit
         joined
             .into_iter()
             .map(|(cref, result)| match result {
-                Ok(series) => Ok((cref, series?)),
+                Ok(harvest) => harvest.map(|(series, log)| (cref, series, log)),
                 Err(_) => Err(RuntimeError::WorkerPanicked { component: cref.to_string() }),
             })
             .collect::<RuntimeResult<_>>()
     })?;
 
     let mut cv_series = HashMap::new();
-    for (cref, series) in harvested {
+    let mut intervals = Vec::new();
+    for (cref, series, log) in harvested {
         if !cref.is_simulation() {
             cv_series.insert(cref, series);
         }
+        intervals.extend(log.into_intervals());
     }
     let lost_frames: Vec<u64> = variables.iter().map(|&v| staging.lost_frames(v)).collect();
     let produced_frames: Vec<u64> = variables.iter().map(|&v| staging.produced_frames(v)).collect();
     staging.close();
-    Ok(InTransitExecution { trace: recorder.into_trace(), cv_series, lost_frames, produced_frames })
+    Ok(InTransitExecution {
+        trace: ExecutionTrace::new(intervals),
+        cv_series,
+        lost_frames,
+        produced_frames,
+    })
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ pub mod predictor;
 pub mod report_builder;
 pub mod runner;
 pub mod sim_exec;
+mod stage_log;
 pub mod thread_exec;
 pub mod workload_map;
 

@@ -15,15 +15,20 @@
 //!
 //! # Supervision
 //!
-//! Every member runs under a supervisor thread. A component worker that
-//! fails or panics no longer tears down the run: the worker hard-closes
-//! the member's variable (unblocking its peer with
-//! [`DtlError::VariableClosed`]), the supervisor records the failure
-//! step and root cause, and surviving members stream to completion
-//! untouched — their variables are disjoint, so a dead member cannot
-//! block them. With a [`RestartPolicy`], the supervisor reopens the
-//! variable ([`SyncStaging::reset_variable`]) and reruns the member
-//! from step 0 with the same seed, bounded by `max_restarts`. Only a
+//! Every member runs under a supervisor: member 0's on the caller's
+//! thread, each other member's on a thread of its own. The supervisor's
+//! thread runs the member's simulation and one thread per analysis runs
+//! that analysis, so a single-member run starts K threads. Each
+//! component records its stage intervals into its own log, gathered
+//! when the attempt joins. A component that fails or panics does not
+//! tear down the run: the component hard-closes the member's variable
+//! (unblocking its peer with [`DtlError::VariableClosed`]), the
+//! supervisor records the failure step and root cause, and surviving
+//! members stream to completion untouched — their variables are
+//! disjoint, so a dead member cannot block them. With a
+//! [`RestartPolicy`], the supervisor reopens the variable
+//! ([`SyncStaging::reset_variable`]) and reruns the member from step 0
+//! with the same seed, bounded by `max_restarts`. Only a
 //! successful attempt's trace is merged into the run's trace; failed
 //! attempts leave no intervals behind. Fault plans
 //! ([`dtl::fault::FaultPlan`]) drive deterministic chaos: store/load
@@ -45,10 +50,11 @@ use kernels::analysis::{
     ContactCount, EigenAnalysis, FrameKernel, MsdKernel, RadiusOfGyration, RmsdKernel,
 };
 use kernels::md::{MdConfig, MdSimulation};
-use metrics::{ExecutionTrace, TraceRecorder};
+use metrics::{ExecutionTrace, StageInterval};
 
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::frame_codec::FrameCodec;
+use crate::stage_log::{self, StageLog};
 
 /// The staging type of threaded runs: in-memory staging behind a fault
 /// injector (a passthrough when the run has no fault plan).
@@ -228,7 +234,6 @@ pub fn run_threaded(cfg: &ThreadRunConfig) -> RuntimeResult<ThreadExecution> {
         area = area.with_retry(retry.clone());
     }
     let staging = Arc::new(area);
-    let recorder = TraceRecorder::new();
     let epoch = Instant::now();
 
     // Register one variable per member up front (single registration
@@ -250,29 +255,32 @@ pub fn run_threaded(cfg: &ThreadRunConfig) -> RuntimeResult<ThreadExecution> {
     }
 
     let max_restarts = cfg.restart.map_or(0, |r| r.max_restarts);
+    let args: Vec<SuperviseArgs<'_>> = cfg
+        .spec
+        .members
+        .iter()
+        .enumerate()
+        .map(|(i, member)| SuperviseArgs {
+            cfg,
+            member_idx: i,
+            member,
+            var: variables[i],
+            staging: &staging,
+            plan: &plan,
+            epoch,
+            max_restarts,
+        })
+        .collect();
+    // Member 0 is supervised on this thread, every other member on one
+    // of its own, so a single-member run spawns only its analyses.
+    let (first, rest) = args.split_first().expect("validate rejects an empty ensemble");
     let results = std::thread::scope(|scope| {
-        let mut supervisors = Vec::new();
-        for (i, member) in cfg.spec.members.iter().enumerate() {
-            let staging = Arc::clone(&staging);
-            let recorder = recorder.clone();
-            let plan = &plan;
-            let var = variables[i];
-            supervisors.push(scope.spawn(move || {
-                supervise_member(SuperviseArgs {
-                    cfg,
-                    member_idx: i,
-                    member,
-                    var,
-                    staging,
-                    plan,
-                    recorder,
-                    epoch,
-                    max_restarts,
-                })
-            }));
-        }
+        let others: Vec<_> =
+            rest.iter().map(|a| scope.spawn(move || supervise_member(a))).collect();
+        let first = catch_unwind(AssertUnwindSafe(|| supervise_member(first)));
         // Join every supervisor before reporting on any of them.
-        let joined: Vec<_> = supervisors.into_iter().map(|h| h.join()).collect();
+        let joined: Vec<_> =
+            std::iter::once(first).chain(others.into_iter().map(|h| h.join())).collect();
         joined
             .into_iter()
             .map(|r| r.map_err(|_| RuntimeError::WorkerPanicked { component: "scope".into() }))
@@ -281,18 +289,20 @@ pub fn run_threaded(cfg: &ThreadRunConfig) -> RuntimeResult<ThreadExecution> {
 
     let mut cv_series: HashMap<ComponentRef, Vec<f64>> = HashMap::new();
     let mut member_outcomes = Vec::with_capacity(results.len());
-    for (outcome, pairs) in results {
-        for (cref, cvs) in pairs {
+    let mut intervals = Vec::new();
+    for run in results {
+        for (cref, cvs) in run.series {
             if !cref.is_simulation() {
                 cv_series.insert(cref, cvs);
             }
         }
-        member_outcomes.push(outcome);
+        intervals.extend(run.intervals);
+        member_outcomes.push(run.outcome);
     }
     staging.close();
     let fault_stats = staging.store().stats();
     Ok(ThreadExecution {
-        trace: recorder.into_trace(),
+        trace: ExecutionTrace::new(intervals),
         cv_series,
         staging_stats: staging.stats(),
         member_outcomes,
@@ -306,219 +316,223 @@ struct SuperviseArgs<'a> {
     member_idx: usize,
     member: &'a MemberSpec,
     var: VariableId,
-    staging: Arc<ChaosStaging>,
+    staging: &'a Arc<ChaosStaging>,
     plan: &'a FaultPlan,
-    recorder: TraceRecorder,
     epoch: Instant,
     max_restarts: u32,
 }
 
-/// One worker's failure before step/component attribution.
-struct WorkerFailure {
+/// Each component's CV series (empty for the simulation).
+type Series = Vec<(ComponentRef, Vec<f64>)>;
+
+/// What one member's supervision produced.
+struct MemberRun {
+    outcome: MemberOutcome,
+    /// None for a failed member.
+    series: Series,
+    /// The successful attempt's stage intervals, component by component.
+    intervals: Vec<StageInterval>,
+}
+
+/// What one component worker hands back: its CV series (empty for the
+/// simulation) and its stage intervals.
+type Harvest = (Vec<f64>, Vec<StageInterval>);
+
+/// A component's failure, attributed to the step it had reached.
+struct MemberFailure {
+    step: u64,
     cause: String,
     /// True when the failure is a `VariableClosed` — i.e. collateral of
     /// the peer's failure, not the root cause.
     secondary: bool,
 }
 
-/// A member attempt's failure, attributed to a step and component.
-struct MemberFailure {
-    step: u64,
-    cause: String,
-    secondary: bool,
-}
-
 /// Runs attempts of one member until success or the restart budget is
-/// spent. Only a successful attempt's trace reaches the run's recorder.
-fn supervise_member(args: SuperviseArgs<'_>) -> (MemberOutcome, Vec<(ComponentRef, Vec<f64>)>) {
+/// spent. Only a successful attempt's intervals reach the run's trace.
+fn supervise_member(args: &SuperviseArgs<'_>) -> MemberRun {
     let mut attempt: u32 = 0;
     loop {
-        let attempt_recorder = TraceRecorder::new();
-        match run_member_attempt(&args, &attempt_recorder, attempt) {
-            Ok(pairs) => {
-                args.recorder.absorb(attempt_recorder.into_trace());
+        match run_member_attempt(args, attempt) {
+            Ok((series, intervals)) => {
                 let outcome = if attempt == 0 {
                     MemberOutcome::Completed
                 } else {
                     MemberOutcome::Restarted { attempts: attempt }
                 };
-                return (outcome, pairs);
+                return MemberRun { outcome, series, intervals };
             }
             Err(failure) => {
-                // The failed attempt's intervals are discarded with its
-                // recorder; restart from a fresh protocol if allowed.
+                // The failed attempt's intervals are dropped with its
+                // logs; restart from a fresh protocol if allowed.
                 if attempt < args.max_restarts && args.staging.reset_variable(args.var).is_ok() {
                     attempt += 1;
                     continue;
                 }
-                return (
-                    MemberOutcome::Failed { step: failure.step, cause: failure.cause },
-                    Vec::new(),
-                );
+                return MemberRun {
+                    outcome: MemberOutcome::Failed { step: failure.step, cause: failure.cause },
+                    series: Vec::new(),
+                    intervals: Vec::new(),
+                };
             }
         }
     }
 }
 
-/// One attempt: simulation + K analyses on real threads. Every worker is
-/// panic-contained; any failing worker hard-closes the member's variable
-/// so its peers unblock promptly with `VariableClosed`. The returned
-/// failure is the attempt's root cause (first non-secondary failure).
+/// One attempt: the simulation on this (the supervisor's) thread and
+/// each of the K analyses on a thread of its own. Every component is
+/// panic-contained; any failing component hard-closes the member's
+/// variable so its peers unblock promptly with `VariableClosed`. The
+/// returned failure is the attempt's root cause (first non-secondary
+/// failure, simulation first).
 fn run_member_attempt(
     args: &SuperviseArgs<'_>,
-    recorder: &TraceRecorder,
     attempt: u32,
-) -> Result<Vec<(ComponentRef, Vec<f64>)>, MemberFailure> {
-    let SuperviseArgs { cfg, member_idx, member, var, staging, plan, epoch, .. } = args;
-    let (member_idx, var, epoch) = (*member_idx, *var, *epoch);
-    let home_node = *member.simulation.nodes.iter().next().expect("validated");
-    std::thread::scope(|scope| {
-        type WorkerResult = Result<Vec<f64>, WorkerFailure>;
-        let mut handles: Vec<(ComponentRef, Arc<AtomicU64>, _)> = Vec::new();
-
-        // --- Simulation worker. ---
-        let sim_ref = ComponentRef::simulation(member_idx);
-        {
-            let staging = Arc::clone(staging);
-            let recorder = recorder.clone();
-            let mut md_cfg = cfg.md.clone();
-            md_cfg.seed = cfg.md.seed.wrapping_add(member_idx as u64);
-            let n_steps = cfg.n_steps;
-            let timeout = cfg.timeout;
-            let plan = (*plan).clone();
-            let progress = Arc::new(AtomicU64::new(0));
-            let progress_w = Arc::clone(&progress);
-            let handle = scope.spawn(move || -> WorkerResult {
-                let body = || -> RuntimeResult<Vec<f64>> {
-                    let mut sim = MdSimulation::new(&md_cfg);
-                    let mut step_writer =
-                        ManualWriter { staging: Arc::clone(&staging), var, home_node, timeout };
-                    for step in 0..n_steps {
-                        progress_w.store(step, Ordering::Relaxed);
-                        // Kills fire on the first attempt only, so a
-                        // restarted member can complete.
-                        if attempt == 0 {
-                            if let Some(kill) = plan.kill_for(member_idx, step) {
-                                if kill.panic {
-                                    panic!("injected panic (member {member_idx}, step {step})");
-                                }
-                                return Err(RuntimeError::InjectedKill {
-                                    member: member_idx,
-                                    step,
-                                });
-                            }
-                        }
-                        let t0 = epoch.elapsed().as_secs_f64();
-                        let frame = sim.advance_stride();
-                        let t1 = epoch.elapsed().as_secs_f64();
-                        recorder.record(sim_ref, StageKind::Simulate, step, t0, t1);
-                        step_writer.wait_slot(step)?;
-                        let t2 = epoch.elapsed().as_secs_f64();
-                        if t2 > t1 {
-                            recorder.record(sim_ref, StageKind::SimIdle, step, t1, t2);
-                        }
-                        step_writer.write(step, &frame)?;
-                        let t3 = epoch.elapsed().as_secs_f64();
-                        recorder.record(sim_ref, StageKind::Write, step, t2, t3);
-                    }
-                    Ok(Vec::new())
-                };
-                finish_worker(catch_unwind(AssertUnwindSafe(body)), &staging, var)
-            });
-            handles.push((sim_ref, progress, handle));
+) -> Result<(Series, Vec<StageInterval>), MemberFailure> {
+    let k = args.member.k();
+    // The step each component has reached, read back on failure.
+    let reached: Vec<AtomicU64> = (0..=k).map(|_| AtomicU64::new(0)).collect();
+    let components: Vec<ComponentRef> = std::iter::once(ComponentRef::simulation(args.member_idx))
+        .chain((1..=k).map(|j| ComponentRef::analysis(args.member_idx, j)))
+        .collect();
+    let verdicts = std::thread::scope(|scope| {
+        let analyses: Vec<_> = (1..=k)
+            .map(|j| {
+                let reached = &reached[j];
+                scope.spawn(move || contained(args, || analyze(args, j, reached)))
+            })
+            .collect();
+        let reached_sim = &reached[0];
+        let mut verdicts = vec![contained(args, || simulate(args, attempt, reached_sim))];
+        for handle in analyses {
+            // A worker's body is panic-contained, so its thread cannot
+            // die; the arm only keeps the verdict list whole.
+            verdicts.push(handle.join().unwrap_or_else(|_| {
+                Err(WorkerFailure { cause: "worker thread died".into(), secondary: false })
+            }));
         }
+        verdicts
+    });
 
-        // --- Analysis workers. ---
-        for j in 1..=member.k() {
-            let ana_ref = ComponentRef::analysis(member_idx, j);
-            let staging = Arc::clone(staging);
-            let recorder = recorder.clone();
-            let n_steps = cfg.n_steps;
-            let timeout = cfg.timeout;
-            let choice = cfg.kernel.clone().unwrap_or(KernelChoice::Eigen {
-                group: cfg.analysis_group_size,
-                sigma: cfg.analysis_sigma,
-            });
-            let progress = Arc::new(AtomicU64::new(0));
-            let progress_r = Arc::clone(&progress);
-            let handle = scope.spawn(move || -> WorkerResult {
-                let body = || -> RuntimeResult<Vec<f64>> {
-                    let reader_id = ReaderId(j as u32 - 1);
-                    let mut reader =
-                        DtlReader::attach(Arc::clone(&staging), FrameCodec, var, reader_id);
-                    reader.set_timeout(timeout);
-                    let mut analysis: Option<Box<dyn FrameKernel>> = None;
-                    let mut cvs = Vec::with_capacity(n_steps as usize);
-                    for step in 0..n_steps {
-                        progress_r.store(step, Ordering::Relaxed);
-                        let t0 = epoch.elapsed().as_secs_f64();
-                        staging.wait_readable(var, step, reader_id, timeout)?;
-                        let t1 = epoch.elapsed().as_secs_f64();
-                        if t1 > t0 {
-                            recorder.record(ana_ref, StageKind::AnaIdle, step, t0, t1);
-                        }
-                        let frame = reader.read()?;
-                        let t2 = epoch.elapsed().as_secs_f64();
-                        recorder.record(ana_ref, StageKind::Read, step, t1, t2);
-                        let kernel =
-                            analysis.get_or_insert_with(|| choice.build(frame.num_atoms()));
-                        let cv = kernel.compute(&frame);
-                        let t3 = epoch.elapsed().as_secs_f64();
-                        recorder.record(ana_ref, StageKind::Analyze, step, t2, t3);
-                        cvs.push(cv);
-                    }
-                    Ok(cvs)
-                };
-                finish_worker(catch_unwind(AssertUnwindSafe(body)), &staging, var)
-            });
-            handles.push((ana_ref, progress, handle));
-        }
-
-        let mut pairs = Vec::new();
-        let mut failures: Vec<MemberFailure> = Vec::new();
-        for (cref, progress, handle) in handles {
-            match handle.join() {
-                Ok(Ok(cvs)) => pairs.push((cref, cvs)),
-                Ok(Err(wf)) => failures.push(MemberFailure {
-                    step: progress.load(Ordering::Relaxed),
-                    cause: format!("{cref}: {}", wf.cause),
-                    secondary: wf.secondary,
-                }),
-                // Unreachable in practice: worker bodies are
-                // panic-contained above.
-                Err(_) => failures.push(MemberFailure {
-                    step: progress.load(Ordering::Relaxed),
-                    cause: format!("{cref}: worker thread died"),
-                    secondary: false,
-                }),
+    let mut series = Vec::with_capacity(components.len());
+    let mut intervals = Vec::new();
+    let mut failures = Vec::new();
+    for ((cref, verdict), reached) in components.into_iter().zip(verdicts).zip(&reached) {
+        match verdict {
+            Ok((cvs, log)) => {
+                series.push((cref, cvs));
+                intervals.extend(log);
             }
+            Err(wf) => failures.push(MemberFailure {
+                step: reached.load(Ordering::Relaxed),
+                cause: format!("{cref}: {}", wf.cause),
+                secondary: wf.secondary,
+            }),
         }
-        if failures.is_empty() {
-            Ok(pairs)
-        } else {
-            let root = failures.iter().position(|f| !f.secondary).unwrap_or(0);
-            Err(failures.swap_remove(root))
-        }
-    })
+    }
+    if failures.is_empty() {
+        Ok((series, intervals))
+    } else {
+        let root = failures.iter().position(|f| !f.secondary).unwrap_or(0);
+        Err(failures.swap_remove(root))
+    }
 }
 
-/// Converts a panic-contained worker body result into the worker's
-/// verdict, hard-closing the member's variable on any failure so peers
-/// blocked on it unblock promptly.
-fn finish_worker<T>(
-    result: std::thread::Result<RuntimeResult<T>>,
-    staging: &ChaosStaging,
-    var: VariableId,
+/// The simulation of one attempt: per step, the MD stride (`S`), the
+/// wait for the slot (`Iˢ`) and the write (`W`).
+fn simulate(args: &SuperviseArgs<'_>, attempt: u32, reached: &AtomicU64) -> RuntimeResult<Harvest> {
+    let SuperviseArgs { cfg, member_idx, member, var, staging, plan, epoch, .. } = *args;
+    let sim_ref = ComponentRef::simulation(member_idx);
+    let mut log = StageLog::new(sim_ref, cfg.n_steps);
+    let mut md_cfg = cfg.md.clone();
+    md_cfg.seed = cfg.md.seed.wrapping_add(member_idx as u64);
+    let mut sim = MdSimulation::new(&md_cfg);
+    let home_node = *member.simulation.nodes.iter().next().expect("validated");
+    for step in 0..cfg.n_steps {
+        reached.store(step, Ordering::Relaxed);
+        // Kills fire on the first attempt only, so a restarted member can
+        // complete.
+        if attempt == 0 {
+            if let Some(kill) = plan.kill_for(member_idx, step) {
+                if kill.panic {
+                    panic!("injected panic (member {member_idx}, step {step})");
+                }
+                return Err(RuntimeError::InjectedKill { member: member_idx, step });
+            }
+        }
+        let t0 = epoch.elapsed().as_secs_f64();
+        let frame = sim.advance_stride();
+        let t1 = epoch.elapsed().as_secs_f64();
+        log.record(StageKind::Simulate, step, t0, t1);
+        staging.wait_writable(var, step, cfg.timeout)?;
+        let t2 = epoch.elapsed().as_secs_f64();
+        if t2 > t1 {
+            log.record(StageKind::SimIdle, step, t1, t2);
+        }
+        let chunk = dtl::Chunk::new(var, step, home_node, "md-frame-v1", frame.to_bytes());
+        staging.put_timeout(chunk, cfg.timeout)?;
+        let t3 = epoch.elapsed().as_secs_f64();
+        log.record(StageKind::Write, step, t2, t3);
+    }
+    Ok((Vec::new(), log.into_intervals()))
+}
+
+/// Analysis `j` of one attempt: per step, the wait for the frame (`Iᴬ`),
+/// the read (`R`) and the kernel (`A`).
+fn analyze(args: &SuperviseArgs<'_>, j: usize, reached: &AtomicU64) -> RuntimeResult<Harvest> {
+    let SuperviseArgs { cfg, member_idx, var, staging, epoch, .. } = *args;
+    let ana_ref = ComponentRef::analysis(member_idx, j);
+    let mut log = StageLog::new(ana_ref, cfg.n_steps);
+    let choice = cfg.kernel.clone().unwrap_or(KernelChoice::Eigen {
+        group: cfg.analysis_group_size,
+        sigma: cfg.analysis_sigma,
+    });
+    let reader_id = ReaderId(j as u32 - 1);
+    let mut reader = DtlReader::attach(Arc::clone(staging), FrameCodec, var, reader_id);
+    reader.set_timeout(cfg.timeout);
+    let mut analysis: Option<Box<dyn FrameKernel>> = None;
+    let mut cvs = Vec::with_capacity(stage_log::preallocated(cfg.n_steps));
+    for step in 0..cfg.n_steps {
+        reached.store(step, Ordering::Relaxed);
+        let t0 = epoch.elapsed().as_secs_f64();
+        staging.wait_readable(var, step, reader_id, cfg.timeout)?;
+        let t1 = epoch.elapsed().as_secs_f64();
+        if t1 > t0 {
+            log.record(StageKind::AnaIdle, step, t0, t1);
+        }
+        let frame = reader.read()?;
+        let t2 = epoch.elapsed().as_secs_f64();
+        log.record(StageKind::Read, step, t1, t2);
+        let kernel = analysis.get_or_insert_with(|| choice.build(frame.num_atoms()));
+        let cv = kernel.compute(&frame);
+        let t3 = epoch.elapsed().as_secs_f64();
+        log.record(StageKind::Analyze, step, t2, t3);
+        cvs.push(cv);
+    }
+    Ok((cvs, log.into_intervals()))
+}
+
+/// One worker's failure before step/component attribution.
+struct WorkerFailure {
+    cause: String,
+    secondary: bool,
+}
+
+/// Runs a component's body panic-contained and turns its result into
+/// the component's verdict, hard-closing the member's variable on any
+/// failure so peers blocked on it unblock promptly.
+fn contained<T>(
+    args: &SuperviseArgs<'_>,
+    body: impl FnOnce() -> RuntimeResult<T>,
 ) -> Result<T, WorkerFailure> {
-    match result {
+    match catch_unwind(AssertUnwindSafe(body)) {
         Ok(Ok(v)) => Ok(v),
         Ok(Err(e)) => {
             let secondary = matches!(&e, RuntimeError::Dtl(DtlError::VariableClosed { .. }));
-            let _ = staging.close_variable(var);
+            let _ = args.staging.close_variable(args.var);
             Err(WorkerFailure { cause: e.to_string(), secondary })
         }
         Err(panic) => {
-            let _ = staging.close_variable(var);
+            let _ = args.staging.close_variable(args.var);
             Err(WorkerFailure {
                 cause: format!("panic: {}", panic_message(panic.as_ref())),
                 secondary: false,
@@ -534,29 +548,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
-}
-
-/// Minimal writer used by the simulation worker: the variable is
-/// pre-registered, so it stages chunks directly.
-struct ManualWriter {
-    staging: Arc<ChaosStaging>,
-    var: dtl::VariableId,
-    home_node: usize,
-    timeout: Duration,
-}
-
-impl ManualWriter {
-    fn wait_slot(&self, step: u64) -> RuntimeResult<()> {
-        self.staging.wait_writable(self.var, step, self.timeout)?;
-        Ok(())
-    }
-
-    fn write(&mut self, step: u64, frame: &kernels::md::Frame) -> RuntimeResult<()> {
-        let chunk =
-            dtl::Chunk::new(self.var, step, self.home_node, "md-frame-v1", frame.to_bytes());
-        self.staging.put_timeout(chunk, self.timeout)?;
-        Ok(())
     }
 }
 
@@ -742,6 +733,40 @@ mod tests {
         }
         assert_eq!(exec.member_outcomes[1], MemberOutcome::Completed);
         assert_eq!(exec.cv_series[&ComponentRef::analysis(1, 1)].len(), 3);
+    }
+
+    #[test]
+    fn a_panicking_single_member_run_is_contained_on_the_callers_thread() {
+        // Member 0's supervisor and its simulation run on this thread:
+        // the injected panic must come back as an outcome, not unwind
+        // into the caller.
+        let mut cfg = quick(ConfigId::Cc.build(), 3);
+        cfg.fault_plan =
+            Some(FaultPlan::new(11).with_kill(MemberKill { member: 0, step: 1, panic: true }));
+        let exec = run_threaded(&cfg).unwrap();
+        match &exec.member_outcomes[..] {
+            [MemberOutcome::Failed { step: 1, cause }] => {
+                assert!(cause.contains("panic") && cause.starts_with("Sim1"), "{cause}");
+            }
+            other => panic!("the only member must fail at step 1, got {other:?}"),
+        }
+        assert!(exec.cv_series.is_empty());
+        assert!(exec.trace.is_empty(), "a failed attempt leaves no intervals");
+    }
+
+    #[test]
+    fn a_huge_step_count_reserves_bounded_buffers() {
+        // Reserving a CV slot per step of a 10¹²-step run asked for 8 TB
+        // and aborted the process; the kill ends the run at step 2.
+        let mut cfg = quick(ConfigId::Cc.build(), 1_000_000_000_000);
+        cfg.fault_plan =
+            Some(FaultPlan::new(5).with_kill(MemberKill { member: 0, step: 2, panic: false }));
+        let exec = run_threaded(&cfg).unwrap();
+        assert!(
+            matches!(exec.member_outcomes[..], [MemberOutcome::Failed { step: 2, .. }]),
+            "{:?}",
+            exec.member_outcomes
+        );
     }
 
     #[test]
