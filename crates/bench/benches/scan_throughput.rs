@@ -17,15 +17,23 @@
 //! solve cache, `top_k` 10, a row built only for a kept candidate,
 //! subtrees skipped on the objective bound, one placement walked per
 //! orbit of identical members and its copies given its score) on the three
-//! shape classes of the e2e benchmark, `score_topk10/234870` the same
-//! scan of six identical members (up to 720 copies an orbit), and
+//! shape classes of the e2e benchmark, `score_topk10/3824` the same scan
+//! of four 7+3-core members on up to 5 nodes (odd core counts: a socket
+//! split sees allocation order, so the members are not declared
+//! interchangeable and the walk hands out every placement — what the
+//! gate costs), `score_topk10/234870` the same
+//! scan of six identical members (up to 720 copies an orbit),
 //! `score_topk10/190778186` the same scan of 14 four-core components on
-//! up to 14 nodes; `score_full/234870` is a full (`top_k` 0) ranking of
-//! the six-member space; `place_against/202` is one co-scheduler
-//! placement decision beside a resident job. Every row is first checked
-//! bit-identical to the parent commit's walk (every member its own
-//! class): the head of its full ranking, or for the largest space its
-//! bounded scan. A row's `workers` is the most threads the scan may use
+//! up to 14 nodes, and `score_topk1/680835331228` a `top_k` 1 scan of 18
+//! four-core components on up to 18 nodes (nine members alike, the
+//! largest orbits of any row); `score_full/234870` is a full (`top_k` 0)
+//! ranking of the six-member space; `place_against/202` is one
+//! co-scheduler placement decision beside a resident job. Every row but
+//! the last score row is first checked bit-identical to the parent
+//! commit's walk (every member its own class): the head of its full
+//! ranking, or for the 14-node space its bounded scan; the 18-node rows
+//! are checked against the serial orbit walk. A row's `workers` is the
+//! most threads the scan may use
 //! and `threads` how many it did (in these bounded scans helpers come in
 //! only after the caller's solo time, which `spawn_join_us` — one scoped
 //! helper's start-up — sized); `pulls` is how often it went back to the
@@ -33,11 +41,9 @@
 //! rest it skipped with their subtrees or orbits), `scored` how many
 //! candidates were scored — evaluated, or offered their
 //! representative's score — rather than pruned, `reps` how many the
-//! delta evaluator evaluated, `copies` how many copies were offered
-//! their representative's score, and `not_commuting` how many
-//! representatives had their copies evaluated instead, because a node's
-//! solve saw the order of its member blocks (one checking run's counts;
-//! at two workers they vary with how the floors were traded).
+//! delta evaluator evaluated, and `copies` how many copies were offered
+//! their representative's score (one checking run's counts; at two
+//! workers they vary with how the floors were traded).
 //! The committed `BENCH_scan.json` also carries `parent_commit` and
 //! `parent_*` rows: these benches run at the parent commit (with the
 //! parent's scan API, and the six-member rows added to its list) on the
@@ -268,8 +274,7 @@ fn small_base(shape: &EnsembleShape) -> SimRunConfig {
 
 /// The service's `score` visitor (less its cancel probe, and with a
 /// progress hook that only counts), counting the leaves it is handed,
-/// the ones it evaluated, the representatives whose copies it had
-/// evaluated and the pulls that advanced the scan. Without `orbits`
+/// the ones it evaluated and the pulls that advanced the scan. Without `orbits`
 /// every member is its own class: the walk of the parent commit, which
 /// hands out every placement.
 struct ServiceScan<'a> {
@@ -280,7 +285,6 @@ struct ServiceScan<'a> {
     orbits: bool,
     visited: AtomicUsize,
     evaluated: AtomicUsize,
-    not_commuting: AtomicUsize,
     pulls: AtomicUsize,
 }
 
@@ -334,27 +338,20 @@ impl ScanVisitor for ServiceScan<'_> {
     fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
         self.orbits.then(|| evaluator.member_classes(labels)).flatten()
     }
-
-    fn copies_share(&self, evaluator: &mut DeltaEvaluator) -> bool {
-        let share = evaluator.blocks_commute();
-        self.not_commuting.fetch_add(usize::from(!share), Ordering::Relaxed);
-        share
-    }
 }
 
 /// What one cold `score` scan did: candidates in the space, leaves the
 /// walk handed out, candidates scored (evaluated or offered their
 /// representative's score; the rest were pruned by their bound, as
 /// leaves, with their subtree or with their orbit), of those the ones
-/// evaluated and the copies offered a shared score, the representatives
-/// whose copies were evaluated, and the ranking.
+/// evaluated and the copies offered their representative's score, and
+/// the ranking.
 struct ScoreScan {
     scanned: usize,
     visited: usize,
     scored: usize,
     reps: usize,
     copies: usize,
-    not_commuting: usize,
     pulls: usize,
     workers: usize,
     ranked: Vec<RankedPlacement>,
@@ -378,7 +375,6 @@ fn score_scan(
         orbits,
         visited: AtomicUsize::new(0),
         evaluated: AtomicUsize::new(0),
-        not_commuting: AtomicUsize::new(0),
         pulls: AtomicUsize::new(0),
     };
     let outcome = scan_placements(shape, budget, opts, &visitor).expect("score scan");
@@ -391,7 +387,6 @@ fn score_scan(
         visited: visitor.visited.into_inner(),
         reps,
         copies: scored - reps,
-        not_commuting: visitor.not_commuting.into_inner(),
         pulls: visitor.pulls.into_inner(),
         scored,
         workers: outcome.workers,
@@ -414,8 +409,6 @@ struct NamedSample {
     reps: usize,
     /// Copies offered the score of an evaluated representative.
     copies: usize,
-    /// Representatives whose copies were evaluated.
-    not_commuting: usize,
     /// Pulls from the scan's feed that advanced it.
     pulls: usize,
     secs: f64,
@@ -429,20 +422,30 @@ struct NamedSample {
 /// (checking) scan fills it. Each row is first checked bit-identical to
 /// the parent commit's walk (every member its own class).
 fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
-    let classes: &[(usize, u32, u32, usize)] = if quick {
-        &[(4, 16, 8, 6), (6, 16, 8, 6)]
+    // (members, simulation cores, analysis cores, nodes, top_k)
+    let classes: &[(usize, u32, u32, usize, usize)] = if quick {
+        &[(4, 16, 8, 6, 10), (4, 7, 3, 5, 10), (6, 16, 8, 6, 10)]
     } else {
-        &[(4, 16, 8, 6), (4, 8, 4, 6), (5, 16, 8, 8), (6, 16, 8, 6), (7, 4, 4, 14)]
+        &[
+            (4, 16, 8, 6, 10),
+            (4, 8, 4, 6, 10),
+            (5, 16, 8, 8, 10),
+            (4, 7, 3, 5, 10),
+            (6, 16, 8, 6, 10),
+            (7, 4, 4, 14, 10),
+            (9, 4, 4, 18, 1),
+        ]
     };
     let mut samples = Vec::new();
-    for &(members, sim, ana, max_nodes) in classes {
+    for &(members, sim, ana, max_nodes, top_k) in classes {
         let shape = EnsembleShape::uniform(members, sim, 1, ana);
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let base = small_base(&shape);
         let solves = Arc::new(SolveCache::new(&base));
         let large = max_nodes > 8;
+        let huge = max_nodes > 16;
         let full_row = members == 6;
-        let reps = if quick {
+        let reps = if quick || huge {
             3
         } else if large || full_row {
             5
@@ -450,22 +453,20 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
             21
         };
         // Bounded top-K must be the head of the parent's full stable
-        // ranking (too big to rank in full for the large space: there
-        // the parent's bounded walk is the reference).
+        // ranking (too big to rank in full for the large spaces: there
+        // the parent's bounded walk is the reference, and for the huge
+        // one, whose unreduced walk takes hours, the serial orbit walk —
+        // so its two-worker row is checked for determinism only).
         let parent =
-            ScanOptions { workers: 1, top_k: if large { 10 } else { 0 }, ..Default::default() };
-        let full = score_scan(&base, &shape, budget, &solves, &parent, false).ranked;
+            ScanOptions { workers: 1, top_k: if large { top_k } else { 0 }, ..Default::default() };
+        let full = score_scan(&base, &shape, budget, &solves, &parent, huge).ranked;
         let mut ranked = full.clone();
         ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
-        ranked.truncate(10);
+        ranked.truncate(top_k);
+        let name = format!("score_topk{top_k}");
         let mut runs: Vec<(String, ScanOptions)> = [1usize, 2]
             .iter()
-            .map(|&workers| {
-                (
-                    String::from("score_topk10"),
-                    ScanOptions { workers, top_k: 10, ..Default::default() },
-                )
-            })
+            .map(|&workers| (name.clone(), ScanOptions { workers, top_k, ..Default::default() }))
             .collect();
         if full_row {
             runs.push((
@@ -489,7 +490,6 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
                 scored: checked.scored,
                 reps: checked.reps,
                 copies: checked.copies,
-                not_commuting: checked.not_commuting,
                 pulls: checked.pulls,
                 secs,
             });
@@ -536,7 +536,6 @@ fn bench_place_against(quick: bool) -> Vec<NamedSample> {
         scored: candidates,
         reps: candidates,
         copies: 0,
-        not_commuting: 0,
         pulls: 0,
         secs,
     }]
@@ -547,7 +546,7 @@ fn render_named(samples: &[NamedSample]) -> String {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"reps\": {}, \"copies\": {}, \"not_commuting\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
+                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"reps\": {}, \"copies\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
                 s.name,
                 s.workers,
                 s.threads,
@@ -556,7 +555,6 @@ fn render_named(samples: &[NamedSample]) -> String {
                 s.scored,
                 s.reps,
                 s.copies,
-                s.not_commuting,
                 s.secs,
                 s.secs * 1e9 / s.candidates as f64
             )
@@ -733,7 +731,7 @@ fn main() {
     service_scans.extend(bench_place_against(quick));
     for s in &service_scans {
         eprintln!(
-            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} reps={:<6} copies={:<6} not_commuting={:<3} {:.6}s  {:.3} ns/candidate",
+            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} reps={:<6} copies={:<6} {:.6}s  {:.3} ns/candidate",
             s.name,
             s.workers,
             s.threads,
@@ -742,7 +740,6 @@ fn main() {
             s.scored,
             s.reps,
             s.copies,
-            s.not_commuting,
             s.secs,
             s.secs * 1e9 / s.candidates as f64
         );

@@ -67,6 +67,14 @@ impl BindPolicy {
         }
         Ok(CoreAllocation { node, per_socket })
     }
+
+    /// True when [`BindPolicy::allocate`] splits requests of `cores` on a
+    /// node of `sockets` equal sockets the same way in any order: under
+    /// Spread with every request a multiple of `sockets`, each takes
+    /// `c / sockets` from every socket, and the sockets stay equal.
+    pub fn splits_blind_to_order(self, sockets: u32, mut cores: impl Iterator<Item = u32>) -> bool {
+        self == BindPolicy::Spread && sockets > 0 && cores.all(|c| c % sockets == 0)
+    }
 }
 
 /// A set of physical cores granted to one component on one node.

@@ -43,6 +43,22 @@ impl Workload {
             && (0.0..=1.0).contains(&self.mlp_overlap)
     }
 
+    /// Every field's bits, in declaration order: a total order on
+    /// profiles.
+    pub fn bits(&self) -> [u64; 8] {
+        [
+            self.instructions_per_step,
+            self.base_cpi,
+            self.llc_refs_per_instr,
+            self.base_miss_ratio,
+            self.working_set_bytes,
+            self.parallel_fraction,
+            self.streaming_bytes_per_instr,
+            self.mlp_overlap,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// Amdahl speedup of this workload on `cores` cores.
     pub fn speedup(&self, cores: u32) -> f64 {
         amdahl_speedup(self.parallel_fraction, cores)

@@ -556,20 +556,30 @@ impl NodeSolver {
     /// allocated on it in order: each allocation's socket split, the
     /// interference solve, the node's power draw, then the cap's DVFS
     /// slowdown on every resident.
+    ///
+    /// Only the socket split sees the order. The interference solve and
+    /// the power draw run over the residents sorted by split, then by
+    /// workload bits, so the step times are a function of the multiset
+    /// of `(workload, split)` on the node, each resident's its own.
     pub fn solve<'w>(
         &self,
         node: usize,
         residents: impl Iterator<Item = (&'w Workload, u32)>,
     ) -> RuntimeResult<SolvedNode> {
         let mut free = vec![self.node_spec.cores_per_socket; self.node_spec.sockets as usize];
-        let placed = residents
-            .map(|(workload, cores)| {
+        let mut placed = residents
+            .enumerate()
+            .map(|(i, (workload, cores))| {
                 let alloc = self.bind_policy.allocate(node, &mut free, cores)?;
-                Ok(PlacedWorkload { alloc, workload: workload.clone() })
+                Ok((i, PlacedWorkload { alloc, workload: workload.clone() }))
             })
             .collect::<RuntimeResult<Vec<_>>>()?;
-        let mut estimates = self.interference.solve_node(&self.node_spec, &placed, &[]);
-        let busy_cores: u32 = placed.iter().map(|p| p.alloc.total_cores()).sum();
+        placed.sort_by(|(_, a), (_, b)| {
+            (&a.alloc.per_socket, a.workload.bits()).cmp(&(&b.alloc.per_socket, b.workload.bits()))
+        });
+        let (order, sorted): (Vec<usize>, Vec<PlacedWorkload>) = placed.into_iter().unzip();
+        let mut estimates = self.interference.solve_node(&self.node_spec, &sorted, &[]);
+        let busy_cores: u32 = sorted.iter().map(|p| p.alloc.total_cores()).sum();
         let traffic: f64 = estimates
             .iter()
             .map(|est| est.dram_bytes_per_step / est.seconds_per_step.max(f64::MIN_POSITIVE))
@@ -583,6 +593,10 @@ impl NodeSolver {
                 }
             }
         }
+        // Each resident its own estimate, back in placement order.
+        let mut solved: Vec<_> = order.into_iter().zip(sorted.into_iter().zip(estimates)).collect();
+        solved.sort_unstable_by_key(|&(i, _)| i);
+        let (placed, estimates) = solved.into_iter().map(|(_, solved)| solved).unzip();
         Ok(SolvedNode { placed, estimates, watts })
     }
 }

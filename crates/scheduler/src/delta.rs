@@ -15,12 +15,13 @@
 //!
 //! * **Per-node solve memoization.** A node's solve (socket split,
 //!   interference, power cap: `runtime::NodeSolver`) is a pure function
-//!   of the *ordered* sequence of `(workload, cores)` resident on it —
-//!   ordered, because the executor allocates cores in flat component
-//!   order and the socket split of each allocation depends on what was
-//!   placed before it on the same node, and because the solver's
-//!   floating-point sums run in placement order. Solves are
-//!   cached under that sequence (the occupancy signature); a candidate
+//!   of the *multiset* of `(workload, socket split)` resident on it: the
+//!   solver sums over its residents in one canonical order of its own.
+//!   The split itself can see order — the executor allocates cores in
+//!   flat component order, and an allocation's split can depend on what
+//!   was placed before it on the same node — so keys stay *ordered*
+//!   sequences of `(workload, cores)`, which determine the splits. Solves
+//!   are cached under that sequence (the occupancy signature); a candidate
 //!   that differs from its predecessor only in a suffix re-solves only
 //!   the nodes whose occupancy changed, and signature collisions across
 //!   candidates (same resident sequence built from different member
@@ -101,9 +102,8 @@ pub struct DeltaCounters {
     /// [`DeltaEvaluator::score_above`] (their objective bound fell below
     /// the floor), and in a scan's outcome also whole subtrees and orbits
     /// the walk skipped, each counted at its exact size, less the copies
-    /// offered with their representative's score or evaluated beside it
-    /// — so `scanned − pruned` is the number evaluated plus the number of
-    /// copies offered a shared score.
+    /// offered their representative's score — so `scanned − pruned` is
+    /// the number evaluated plus the number of copies offered.
     pub pruned: u64,
 }
 
@@ -131,9 +131,11 @@ impl DeltaCounters {
 /// ordered `(workload profile, cores)` sequence resident on a node to
 /// the per-component step times [`NodeSolver::solve`] returned for it.
 ///
-/// A solve is a pure function of that sequence under one
-/// [`NodeSolver`] — node specification, interference model, bind policy,
-/// power model and cap: the scope a cache is created for — so which
+/// A solve is a pure function of the multiset of `(workload, socket
+/// split)` on the node under one [`NodeSolver`] — node specification,
+/// interference model, bind policy, power model and cap: the scope a
+/// cache is created for. Keys stay ordered, because the order decides
+/// the splits; so a key determines its solve, and which
 /// evaluator, request or thread filled
 /// an entry cannot change a bit of any answer. Workload profiles are
 /// interned by value inside the cache: evaluators built over different
@@ -157,10 +159,6 @@ struct SolveCacheInner {
     profiles: Vec<Workload>,
     solves: HashMap<Box<[u32]>, Box<[f64]>>,
     order: VecDeque<Box<[u32]>>,
-    /// Whether a node's member blocks commute
-    /// ([`DeltaEvaluator::blocks_commute`]), by its key's words followed
-    /// by one bit per resident that starts a block.
-    commutes: HashMap<Box<[u32]>, bool>,
 }
 
 impl SolveCache {
@@ -205,16 +203,6 @@ impl SolveCache {
             }
             None => false,
         }
-    }
-
-    /// Whether the node keyed `key` has commuting blocks, if known.
-    fn commutes(&self, key: &[u32]) -> Option<bool> {
-        self.lock().commutes.get(key).copied()
-    }
-
-    /// Holds whether the node keyed `key` has commuting blocks.
-    fn insert_commutes(&self, key: Vec<u32>, commutes: bool) {
-        remember(&mut self.lock().commutes, self.capacity, key.into_boxed_slice(), commutes);
     }
 
     /// Holds `seconds` under `key`, evicting the oldest solve when full.
@@ -417,8 +405,9 @@ pub struct DeltaEvaluator {
     /// each member's component range and total cores.
     bound: ObjectiveBound,
     /// Per member, its class: the first member with the same sequence of
-    /// component kinds.
-    member_class: Vec<usize>,
+    /// component kinds; `None` when a socket split of the shape can see
+    /// allocation order ([`hpc_platform::BindPolicy::splits_blind_to_order`]).
+    member_class: Option<Vec<usize>>,
     // --- candidate state (structure of arrays) -------------------------
     prev: Vec<usize>,
     has_prev: bool,
@@ -447,19 +436,12 @@ pub struct DeltaEvaluator {
     touched_list: Vec<usize>,
     member_dirty: Vec<bool>,
     sig: Vec<u32>,
-    /// The kinds of a node's residents, in order.
-    kinds_scratch: Vec<usize>,
     seconds_scratch: Vec<f64>,
     // --- occupancy-signature solve memo --------------------------------
     table: SignatureTable,
     /// The cache behind the table and, per kind, its word in that
     /// cache's keys: the workload's id there, then 16 bits of cores.
     shared: Option<(Arc<SolveCache>, Vec<u32>)>,
-    /// Per node occupancy with its member blocks marked: whether every
-    /// order of its blocks gives each block the same step times
-    /// ([`DeltaEvaluator::blocks_commute`]), held up to the solve-cache
-    /// capacity.
-    commutes: HashMap<Box<[u32]>, bool>,
     counters: DeltaCounters,
 }
 
@@ -535,9 +517,14 @@ impl DeltaEvaluator {
             let (start, end) = bound.member_range[i];
             &comp_kind[start..end]
         };
-        let member_class = (0..members)
-            .map(|i| (0..i).find(|&j| kinds_of(j) == kinds_of(i)).unwrap_or(i))
-            .collect();
+        let sockets = base.node_spec.sockets;
+        let splits_blind =
+            base.bind_policy.splits_blind_to_order(sockets, comp_cores.iter().copied());
+        let member_class = splits_blind.then(|| {
+            (0..members)
+                .map(|i| (0..i).find(|&j| kinds_of(j) == kinds_of(i)).unwrap_or(i))
+                .collect()
+        });
         // A signature word packs a component's cores into 16 bits. A
         // shape wider than that (shapes come off the wire unvalidated;
         // no real node is) is scored with solve caching off rather than
@@ -580,12 +567,10 @@ impl DeltaEvaluator {
             touched_list: Vec::new(),
             member_dirty: vec![false; members],
             sig: Vec::new(),
-            kinds_scratch: Vec::new(),
             seconds_scratch: Vec::new(),
             table: SignatureTable::new(kinds.len(), capacity),
             kinds,
             shared,
-            commutes: HashMap::new(),
             counters: DeltaCounters::default(),
         }
     }
@@ -765,12 +750,22 @@ impl DeltaEvaluator {
 
     /// The member classes a scan of this evaluator's shape may reduce by
     /// ([`crate::ScanVisitor::member_classes`]) on node labels below
-    /// `labels`: members with equal sequences of component kinds, when
-    /// staging prices do not see node labels — every write costs the
-    /// same, every co-located read the same, every remote read the same.
-    /// `None` when they do: a copy's members sit on other labels than the
-    /// representative's.
+    /// `labels`: members with equal sequences of component kinds, when a
+    /// copy — such members trading places — scores exactly what its
+    /// representative does. That holds when neither a node's solve nor a
+    /// staging price can tell the copy apart:
+    ///
+    /// * every socket split is blind to allocation order
+    ///   ([`hpc_platform::BindPolicy::splits_blind_to_order`]), so each
+    ///   node holds the same multiset of `(workload, split)`, which is all
+    ///   its solve sees;
+    /// * staging prices do not see node labels — every write costs the
+    ///   same, every co-located read the same, every remote read the same.
+    ///
+    /// A copy's per-member values are then its representative's in
+    /// another member order, which no aggregate sees. `None` otherwise.
     pub fn member_classes(&self, labels: usize) -> Option<Vec<usize>> {
+        let classes = self.member_class.as_ref()?;
         let prices = &self.staging;
         let bits = f64::to_bits;
         let (write, local) = (bits(prices.write_seconds(0)), bits(prices.read_seconds(0, 0)));
@@ -783,158 +778,29 @@ impl DeltaEvaluator {
                 return None;
             }
         }
-        Some(self.member_class.clone())
-    }
-
-    /// True when every copy of the candidate just scored — its members
-    /// trading places within their classes
-    /// ([`DeltaEvaluator::member_classes`]) — scores exactly what it
-    /// scored: when on every node each member block gets the same step
-    /// times in every order of the node's blocks (a copy may put any of
-    /// them first: members of other classes trade places around the
-    /// ones that stay). A copy's per-member values are then the
-    /// candidate's in another member order, which no aggregate sees. A
-    /// power cap's sum, an interference fold or a socket split can make
-    /// it false. Memoized per node occupancy with its blocks marked.
-    pub fn blocks_commute(&mut self) -> bool {
-        let n = self.comp_cores.len();
-        for nd in 0..self.node_len.len() {
-            let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
-            let mut key = Vec::with_capacity(2 * comps.len());
-            let mut blocks = 0;
-            for (k, &c) in comps.iter().enumerate() {
-                let member = self.comp_member[c];
-                if k == 0 || self.comp_member[comps[k - 1]] != member {
-                    key.push(u32::MAX);
-                    blocks += 1;
-                }
-                key.push(self.comp_kind[c]);
-            }
-            if blocks < 2 {
-                continue;
-            }
-            let commutes = match self.commutes.get(&key[..]) {
-                Some(&commutes) => commutes,
-                None => {
-                    let commutes = self.node_commutes(nd);
-                    let capacity = self.table.capacity;
-                    remember(&mut self.commutes, capacity, key.into_boxed_slice(), commutes);
-                    commutes
-                }
-            };
-            if !commutes {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether node `nd`'s blocks commute: from the shared cache, else
-    /// found out and filed there.
-    fn node_commutes(&mut self, nd: usize) -> bool {
-        let Some((cache, words)) = &self.shared else {
-            return self.node_blocks_commute(nd).unwrap_or(false);
-        };
-        let n = self.comp_cores.len();
-        let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
-        let mut key: Vec<u32> = comps.iter().map(|&c| words[self.comp_kind[c] as usize]).collect();
-        key.resize(comps.len() + comps.len().div_ceil(32), 0);
-        for (k, &c) in comps.iter().enumerate() {
-            if k == 0 || self.comp_member[comps[k - 1]] != self.comp_member[c] {
-                key[comps.len() + k / 32] |= 1 << (k % 32);
-            }
-        }
-        let cache = Arc::clone(cache);
-        if let Some(commutes) = cache.commutes(&key) {
-            return commutes;
-        }
-        let commutes = self.node_blocks_commute(nd).unwrap_or(false);
-        cache.insert_commutes(key, commutes);
-        commutes
-    }
-
-    /// Solves node `nd` under every distinct order of its member blocks
-    /// (up to [`MAX_BLOCK_ORDERS`]; more counts as not commuting) and
-    /// compares each block's step times with its own.
-    fn node_blocks_commute(&mut self, nd: usize) -> RuntimeResult<bool> {
-        let n = self.comp_cores.len();
-        let comps: Vec<usize> = self.node_comps[nd * n..nd * n + self.node_len[nd]].to_vec();
-        // Each block: its range in `comps`.
-        let mut blocks: Vec<(usize, usize)> = Vec::new();
-        for (k, &c) in comps.iter().enumerate() {
-            match blocks.last_mut() {
-                Some((_, end)) if self.comp_member[comps[k - 1]] == self.comp_member[c] => {
-                    *end = k + 1;
-                }
-                _ => blocks.push((k, k + 1)),
-            }
-        }
-        let kinds_of = |&(start, end): &(usize, usize)| -> Vec<usize> {
-            comps[start..end].iter().map(|&c| self.comp_kind[c] as usize).collect()
-        };
-        let contents: Vec<Vec<usize>> = blocks.iter().map(kinds_of).collect();
-        let mut orders: Vec<Vec<usize>> = Vec::new();
-        if !block_orders(&contents, &mut Vec::new(), &mut orders) {
-            return Ok(false);
-        }
-        for order in &orders {
-            let kinds: Vec<usize> =
-                order.iter().flat_map(|&b| contents[b].iter().copied()).collect();
-            self.solve_sequence(nd, &kinds)?;
-            let mut at = 0;
-            for &b in order {
-                let (start, end) = blocks[b];
-                for &c in &comps[start..end] {
-                    if self.seconds_scratch[at].to_bits() != self.comp_seconds[c].to_bits() {
-                        return Ok(false);
-                    }
-                    at += 1;
-                }
-            }
-        }
-        Ok(true)
+        Some(classes.clone())
     }
 
     /// Refreshes the step times of node `nd`'s residents: from the
-    /// signature table, else from the shared cache, else by solving.
+    /// signature table, else from the shared cache, else by solving —
+    /// and memoizes them.
     fn solve_touched_node(&mut self, nd: usize) -> RuntimeResult<()> {
         let n = self.comp_cores.len();
         let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
         let comp_kind = &self.comp_kind;
-        if let Some(seconds) = self.table.lookup(comps.iter().map(|&c| comp_kind[c] as usize)) {
+        let kinds = || comps.iter().map(|&c| comp_kind[c] as usize);
+        if let Some(seconds) = self.table.lookup(kinds()) {
             self.counters.solve_hits += 1;
             for (&c, &s) in comps.iter().zip(seconds) {
                 self.comp_seconds[c] = s;
             }
             return Ok(());
         }
-        let mut kinds = std::mem::take(&mut self.kinds_scratch);
-        kinds.clear();
-        kinds.extend(comps.iter().map(|&c| comp_kind[c] as usize));
-        let solved = self.solve_sequence(nd, &kinds);
-        self.kinds_scratch = kinds;
-        solved?;
-        let comps = &self.node_comps[nd * n..nd * n + self.node_len[nd]];
-        for (&c, &s) in comps.iter().zip(&self.seconds_scratch) {
-            self.comp_seconds[c] = s;
-        }
-        Ok(())
-    }
-
-    /// The step times of the resident sequence `kinds` on node `nd`, into
-    /// `seconds_scratch`: from the signature table, else from the shared
-    /// cache, else by solving — and memoized.
-    fn solve_sequence(&mut self, nd: usize, kinds: &[usize]) -> RuntimeResult<()> {
         self.seconds_scratch.clear();
-        if let Some(seconds) = self.table.lookup(kinds.iter().copied()) {
-            self.counters.solve_hits += 1;
-            self.seconds_scratch.extend_from_slice(seconds);
-            return Ok(());
-        }
         self.sig.clear();
         let answered = match &self.shared {
             Some((cache, words)) => {
-                self.sig.extend(kinds.iter().map(|&kind| words[kind]));
+                self.sig.extend(kinds().map(|kind| words[kind]));
                 cache.get(&self.sig, &mut self.seconds_scratch)
             }
             None => false,
@@ -943,7 +809,7 @@ impl DeltaEvaluator {
             self.counters.solve_hits += 1;
         } else {
             self.counters.solve_misses += 1;
-            let residents = kinds.iter().map(|&kind| {
+            let residents = kinds().map(|kind| {
                 let (workload, cores) = &self.kinds[kind];
                 (workload, *cores)
             });
@@ -953,7 +819,10 @@ impl DeltaEvaluator {
                 cache.insert(&self.sig, &self.seconds_scratch);
             }
         }
-        self.table.store(kinds.iter().copied(), &self.seconds_scratch);
+        self.table.store(kinds(), &self.seconds_scratch);
+        for (&c, &s) in comps.iter().zip(&self.seconds_scratch) {
+            self.comp_seconds[c] = s;
+        }
         Ok(())
     }
 
@@ -998,53 +867,6 @@ impl DeltaEvaluator {
     }
 }
 
-/// Most orders of one node's member blocks
-/// [`DeltaEvaluator::blocks_commute`] solves to show the blocks commute;
-/// a node with more is taken not to.
-const MAX_BLOCK_ORDERS: usize = 120;
-
-/// Appends to `orders` every distinct order of the blocks of `contents`
-/// (blocks of equal contents being one); false past [`MAX_BLOCK_ORDERS`].
-fn block_orders(
-    contents: &[Vec<usize>],
-    order: &mut Vec<usize>,
-    orders: &mut Vec<Vec<usize>>,
-) -> bool {
-    if order.len() == contents.len() {
-        orders.push(order.clone());
-        return orders.len() <= MAX_BLOCK_ORDERS;
-    }
-    for b in 0..contents.len() {
-        let repeat = (0..b).any(|e| !order.contains(&e) && contents[e] == contents[b]);
-        if !order.contains(&b) && !repeat {
-            order.push(b);
-            let more = block_orders(contents, order, orders);
-            order.pop();
-            if !more {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Holds a commute verdict in `memo`, forgetting every other one once it
-/// holds `capacity` of them; at capacity 0 it holds none.
-fn remember(
-    memo: &mut HashMap<Box<[u32]>, bool>,
-    capacity: usize,
-    key: Box<[u32]>,
-    commutes: bool,
-) {
-    if capacity == 0 {
-        return;
-    }
-    if memo.len() >= capacity {
-        memo.clear();
-    }
-    memo.insert(key, commutes);
-}
-
 /// `M`: the distinct nodes `assignment` uses — one bit per node while
 /// every index is below 64, a sorted copy past that.
 fn distinct_nodes(assignment: &[usize]) -> usize {
@@ -1068,42 +890,5 @@ fn fold_hint(pending: Option<Option<usize>>, hint: Option<usize>) -> Option<usiz
     match pending {
         None => hint,
         Some(skipped) => skipped.zip(hint).map(|(a, b)| a.min(b)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use runtime::WorkloadMap;
-
-    /// Two unlike members sharing node 0: its blocks have two orders, so
-    /// asking whether they commute solves it twice and reaches a verdict.
-    fn unlike_pair() -> (SimRunConfig, EnsembleShape) {
-        let shape = EnsembleShape { members: vec![(8, vec![4]), (4, vec![8])] };
-        let mut base = SimRunConfig::paper(shape.materialize(&[0, 0, 0, 0]));
-        base.workloads = WorkloadMap::small_defaults();
-        (base, shape)
-    }
-
-    #[test]
-    fn commute_memos_hold_no_more_than_their_capacity() {
-        let (base, shape) = unlike_pair();
-        // An evaluator that caches nothing keeps no verdict of its own.
-        let mut evaluator = DeltaEvaluator::with_cache_capacity(&base, &shape, 0);
-        evaluator.score(&[0, 0, 0, 0]).expect("score");
-        let commutes = evaluator.blocks_commute();
-        assert!(evaluator.commutes.is_empty(), "capacity 0 held a verdict");
-        // A shared cache that stores nothing keeps none either.
-        let cache = Arc::new(SolveCache::with_capacity(&base, 0));
-        let mut evaluator = DeltaEvaluator::with_solve_cache(&base, &shape, &cache);
-        evaluator.score(&[0, 0, 0, 0]).expect("score");
-        assert_eq!(evaluator.blocks_commute(), commutes);
-        assert_eq!(evaluator.commutes.len(), 1, "the evaluator's own memo holds it");
-        assert!(cache.lock().commutes.is_empty(), "a cache of capacity 0 held a verdict");
-        // Capacity 1 holds the last verdict only.
-        let cache = SolveCache::with_capacity(&base, 1);
-        cache.insert_commutes(vec![1], true);
-        cache.insert_commutes(vec![2], false);
-        assert_eq!((cache.commutes(&[1]), cache.commutes(&[2])), (None, Some(false)));
     }
 }

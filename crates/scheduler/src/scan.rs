@@ -45,12 +45,12 @@
 //! * **One placement per orbit.** A bounded scan whose visitor declares
 //!   member classes ([`ScanVisitor::member_classes`]) gets the walk's
 //!   orbit representatives only: the least placement of each set that
-//!   members of one class trading places produce. The worker that
-//!   evaluated a representative asks [`ScanVisitor::copies_share`]:
-//!   either every copy scores exactly what the representative did, and
-//!   the copies are offered that score in enumeration order until the
-//!   top K refuses one (each later copy ties it and ranks behind it), or
-//!   each copy is evaluated. The copies were counted skipped by the
+//!   members of one class trading places produce. Every copy scores
+//!   exactly what its representative did — a visitor declares classes
+//!   only where that holds — so the worker that evaluated a
+//!   representative offers its copies that score in enumeration order
+//!   until the top K refuses one (each later copy ties it and ranks
+//!   behind it). The copies were counted skipped by the
 //!   walk, so `scanned` is the whole space as before. A copy's place in
 //!   the enumeration is its packed assignment until the merge, which
 //!   counts the index of each row it returns.
@@ -172,8 +172,8 @@ pub struct ScanOutcome<T> {
     /// Delta-evaluation counters, summed across workers: whatever
     /// [`ScanVisitor::drain`] extracted from each worker's state, plus
     /// in `pruned` the candidates the walk skipped and no worker offered
-    /// or evaluated as a copy — so `scanned − pruned` counts evaluated
-    /// plus offered a shared score.
+    /// as a copy — so `scanned − pruned` counts evaluated plus offered
+    /// their representative's score.
     pub delta: DeltaCounters,
 }
 
@@ -298,8 +298,8 @@ struct WorkerOut<T, E> {
     top: Option<TopK<T>>,
     scanned: usize,
     feasible: usize,
-    /// Copies offered a shared score or evaluated: the walk counted each
-    /// as skipped.
+    /// Copies offered their representative's score: the walk counted
+    /// each as skipped.
     copies: usize,
     cancelled: bool,
     error: Option<(usize, E)>,
@@ -351,15 +351,12 @@ impl<T, E> Worker<T, E> {
     }
 
     /// Offers the representative `rep` that `eval` just scored, then its
-    /// copies. Where they share its score ([`ScanVisitor::copies_share`])
-    /// a copy ties it and comes after it in enumeration order, so it ranks
-    /// strictly behind it, and each listed copy behind the one before:
-    /// they are offered that score in order until the top K refuses one,
-    /// and not listed at all when it refused the representative or the
-    /// score is strictly below the floor (which another worker may have
-    /// raised). Where they do not, each is evaluated. Returns whether
-    /// `state` evaluated a copy (the next candidate's hint no longer
-    /// holds).
+    /// copies. A copy scores what `rep` did, ties it and comes after it in
+    /// enumeration order, so it ranks strictly behind it, and each listed
+    /// copy behind the one before: they are offered that score in order
+    /// until the top K refuses one, and not listed at all when it refused
+    /// the representative or the score is strictly below the floor (which
+    /// another worker may have raised).
     fn orbit<V: ScanVisitor<Row = T, Error = E>>(
         &mut self,
         visitor: &V,
@@ -368,12 +365,12 @@ impl<T, E> Worker<T, E> {
         copies: &mut Copies,
         rep: Candidate<'_>,
         scored: V::Scored,
-    ) -> Result<bool, E> {
-        let shared = visitor.copies_share(state).then(|| scored.clone());
+    ) {
         let below = visitor.objective(&scored) < self.floor;
-        let kept = self.offer(visitor, state, rep, Order::Leaf(orbits.key(rep.assignment)), scored);
-        if shared.is_some() && (below || !kept) {
-            return Ok(false);
+        let key = Order::Leaf(orbits.key(rep.assignment));
+        let kept = self.offer(visitor, state, rep, key, scored.clone());
+        if below || !kept {
+            return;
         }
         orbits.copies(rep.assignment, copies);
         let width = rep.assignment.len();
@@ -385,18 +382,10 @@ impl<T, E> Worker<T, E> {
                 floor: self.floor,
                 ..rep
             };
-            let scored = match &shared {
-                Some(scored) => scored.clone(),
-                None => match visitor.eval(state, copy)? {
-                    Some(scored) => scored,
-                    None => continue,
-                },
-            };
-            if !self.offer(visitor, state, copy, Order::Leaf(key), scored) && shared.is_some() {
+            if !self.offer(visitor, state, copy, Order::Leaf(key), scored.clone()) {
                 break;
             }
         }
-        Ok(shared.is_none() && !copies.keys.is_empty())
     }
 }
 
@@ -404,10 +393,9 @@ impl<T, E> Worker<T, E> {
 /// [`ScanVisitor::keep`].
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate<'a> {
-    /// Position in the canonical enumeration order — for a copy scored
-    /// beside its representative ([`ScanVisitor::copies_share`]), the
-    /// representative's: the copy's own is counted at the merge, for
-    /// the rows returned.
+    /// Position in the canonical enumeration order — for a copy offered
+    /// its representative's score, the representative's: the copy's own
+    /// is counted at the merge, for the rows returned.
     pub index: usize,
     /// Flattened node assignment (member-major, simulation first).
     pub assignment: &'a [usize],
@@ -437,7 +425,7 @@ pub trait ScanVisitor: Sync {
     /// reusable DES run configuration), never shared.
     type State;
     /// What `eval` returns for a candidate: something small, its floats.
-    /// Copies that share a representative's score get clones of it.
+    /// The copies of an orbit's representative get clones of its score.
     type Scored: Clone;
     /// A result row.
     type Row: Send;
@@ -504,26 +492,17 @@ pub trait ScanVisitor: Sync {
     /// Member classes for a bounded scan's walk, asked once of the
     /// caller's `state` before the walk starts, whose node labels run
     /// below `labels`: one id per member, members of equal id
-    /// interchangeable —
-    /// a placement and every copy of it with such members trading places
-    /// score the same per-member values. The walk then hands `eval` only
-    /// the least placement of each orbit, and every other member of the
-    /// orbit is scored as [`copies_share`](Self::copies_share) says; a
-    /// representative that `eval` skips skips its whole orbit. The
-    /// default, `None`, keeps every member its own class: the walk hands
-    /// out every placement, as a full scan's always does (it scores every
-    /// copy anyway, and skipping one costs about what evaluating it does).
+    /// interchangeable — a placement and every copy of it with such
+    /// members trading places score exactly the same, bit for bit. The
+    /// walk then hands `eval` only the least placement of each orbit, and
+    /// every other member of the orbit is offered the representative's
+    /// score; a representative that `eval` skips skips its whole orbit.
+    /// Declare classes only where that holds. The default, `None`, keeps
+    /// every member its own class: the walk hands out every placement, as
+    /// a full scan's always does (it scores every copy anyway, and
+    /// skipping one costs about what evaluating it does).
     fn member_classes(&self, _state: &Self::State, _labels: usize) -> Option<Vec<usize>> {
         None
-    }
-
-    /// Asked once per representative `eval` just scored on `state`:
-    /// true when every copy of it — its members trading places within
-    /// their classes — scores exactly what it scored, bit for bit, so
-    /// the copies share its score; false (the default) has each copy go
-    /// through `eval` itself.
-    fn copies_share(&self, _state: &mut Self::State) -> bool {
-        false
     }
 }
 
@@ -649,22 +628,19 @@ pub fn scan_placements<V: ScanVisitor>(
                 let first_changed = last.is_some_and(|l| l + 1 == handed).then_some(hint);
                 last = Some(handed);
                 let candidate = Candidate { index, assignment, first_changed, floor: w.floor };
-                let scored = visitor.eval(&mut state, candidate);
-                let scored = scored.and_then(|scored| {
-                    let Some(scored) = scored else { return Ok(()) };
-                    let Some(orbits) = &mut orbits else {
-                        w.offer(visitor, &mut state, candidate, Order::Index(index), scored);
-                        return Ok(());
-                    };
-                    if w.orbit(visitor, &mut state, orbits, &mut copies, candidate, scored)? {
-                        last = None;
+                match (visitor.eval(&mut state, candidate), &mut orbits) {
+                    (Ok(None), _) => {}
+                    (Ok(Some(scored)), Some(orbits)) => {
+                        w.orbit(visitor, &mut state, orbits, &mut copies, candidate, scored)
                     }
-                    Ok(())
-                });
-                if let Err(e) = scored {
-                    w.out.error = Some((index, e));
-                    feed.lock().expect("scan feed lock").stop = true;
-                    break 'pull;
+                    (Ok(Some(scored)), None) => {
+                        w.offer(visitor, &mut state, candidate, Order::Index(index), scored);
+                    }
+                    (Err(e), _) => {
+                        w.out.error = Some((index, e));
+                        feed.lock().expect("scan feed lock").stop = true;
+                        break 'pull;
+                    }
                 }
             }
         }
@@ -705,8 +681,8 @@ pub fn scan_placements<V: ScanVisitor>(
     let scanned = outputs.iter().map(|o| o.scanned).sum::<usize>() + skipped;
     let feasible = outputs.iter().map(|o| o.feasible).sum();
     let cancelled = outputs.iter().any(|o| o.cancelled);
-    // A copy was counted skipped by the walk and offered or evaluated
-    // beside its representative: it is not pruned.
+    // A copy was counted skipped by the walk and offered its
+    // representative's score: it is not pruned.
     let copies: usize = outputs.iter().map(|o| o.copies).sum();
     let pruned = skipped.saturating_sub(copies) as u64;
     let mut delta = DeltaCounters { pruned, ..DeltaCounters::default() };
@@ -1443,23 +1419,16 @@ mod tests {
         }
     }
 
-    /// Scores a toy objective with every member of [`shape`] one class:
-    /// when `share`, one blind to which member is which, whose copies
-    /// share their representative's score; else [`toy_objective`], which
-    /// sees member order, so each copy is evaluated.
+    /// Scores a toy objective blind to which member is which, with every
+    /// member of [`shape`] one class: every copy scores what its
+    /// representative does.
     struct Classed {
-        share: bool,
         evals: AtomicUsize,
     }
 
-    impl Classed {
-        fn score(&self, a: &[usize]) -> f64 {
-            if !self.share {
-                return toy_objective(a);
-            }
-            let colocated = a.chunks_exact(2).filter(|member| member[0] == member[1]).count();
-            colocated as f64 - 0.1 * a.iter().max().map_or(0, |&n| n + 1) as f64
-        }
+    fn classed_score(a: &[usize]) -> f64 {
+        let colocated = a.chunks_exact(2).filter(|member| member[0] == member[1]).count();
+        colocated as f64 - 0.1 * a.iter().max().map_or(0, |&n| n + 1) as f64
     }
 
     impl ScanVisitor for Classed {
@@ -1470,7 +1439,7 @@ mod tests {
         fn init(&self) {}
         fn eval(&self, _: &mut (), c: Candidate<'_>) -> Result<Option<f64>, ()> {
             self.evals.fetch_add(1, Ordering::SeqCst);
-            Ok(Some(self.score(c.assignment)))
+            Ok(Some(classed_score(c.assignment)))
         }
         fn objective(&self, scored: &f64) -> f64 {
             *scored
@@ -1481,37 +1450,28 @@ mod tests {
         fn member_classes(&self, _: &(), _: usize) -> Option<Vec<usize>> {
             Some(vec![0; shape().members.len()])
         }
-        fn copies_share(&self, _: &mut ()) -> bool {
-            self.share
-        }
     }
 
     #[test]
-    fn copies_share_a_score_or_are_evaluated_and_rank_as_in_a_full_ranking() {
+    fn orbit_copies_rank_as_in_a_full_ranking() {
         let all = crate::enumerate::enumerate_placements(&shape(), 4, 32);
-        for share in [true, false] {
-            let probe = Classed { share, evals: AtomicUsize::new(0) };
-            let mut ranked: Vec<(usize, f64)> =
-                all.iter().map(|a| probe.score(a)).enumerate().collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            for workers in [1usize, 2, 8] {
-                for top_k in [1usize, 3, 10] {
-                    let visitor = Classed { share, evals: AtomicUsize::new(0) };
-                    let opts = ScanOptions { workers, chunk: 2, top_k };
-                    let outcome =
-                        scan_placements(&shape(), budget(), &opts, &visitor).expect("scan");
-                    let at = format!("share={share} workers={workers} top_k={top_k}");
-                    let rows: Vec<(usize, &[usize])> =
-                        outcome.results.iter().map(|h| (h.index, &h.value[..])).collect();
-                    let want: Vec<(usize, &[usize])> =
-                        ranked[..top_k].iter().map(|&(i, _)| (i, &all[i][..])).collect();
-                    assert_eq!(rows, want, "{at}");
-                    assert_eq!(outcome.scanned, all.len(), "{at}");
-                    let evals = visitor.evals.into_inner();
-                    if share {
-                        assert!(evals < all.len() / 2, "{at}: {evals} evaluated");
-                    }
-                }
+        let mut ranked: Vec<(usize, f64)> =
+            all.iter().map(|a| classed_score(a)).enumerate().collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        for workers in [1usize, 2, 8] {
+            for top_k in [1usize, 3, 10] {
+                let visitor = Classed { evals: AtomicUsize::new(0) };
+                let opts = ScanOptions { workers, chunk: 2, top_k };
+                let outcome = scan_placements(&shape(), budget(), &opts, &visitor).expect("scan");
+                let at = format!("workers={workers} top_k={top_k}");
+                let rows: Vec<(usize, &[usize])> =
+                    outcome.results.iter().map(|h| (h.index, &h.value[..])).collect();
+                let want: Vec<(usize, &[usize])> =
+                    ranked[..top_k].iter().map(|&(i, _)| (i, &all[i][..])).collect();
+                assert_eq!(rows, want, "{at}");
+                assert_eq!(outcome.scanned, all.len(), "{at}");
+                let evals = visitor.evals.into_inner();
+                assert!(evals < all.len() / 2, "{at}: {evals} evaluated");
             }
         }
     }

@@ -8,10 +8,11 @@
 //! `candidates_scanned` equal the from-scratch oracle's full ranking (its
 //! head when bounded, all of it in enumeration order when not — a full
 //! ranking walks every placement, as before); the walk hands out exactly
-//! the orbit minima; the oracle itself scores a copy with its
-//! representative's bits wherever the copy shares its score; and where a
-//! copy's values could differ from its representative's — staging prices
-//! that see node labels, solves that see the order of member blocks —
+//! the orbit minima; the oracle itself scores every copy with its
+//! representative's bits wherever classes are declared; classes are
+//! declared exactly where no socket split sees allocation order; and
+//! where a copy's values could differ from its representative's —
+//! staging prices that see node labels, socket splits that see order —
 //! the scan falls back and stays exact.
 //!
 //! CI runs this file under `ENSEMBLE_SCAN_WORKERS={1,2,8}` (worker count
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ensemble_core::ComponentRef;
+use hpc_platform::BindPolicy;
 use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     canonicalize, enumerate_placements, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
@@ -114,7 +116,7 @@ fn oracle(shape: &EnsembleShape, budget: NodeBudget, base: &SimRunConfig) -> Vec
 }
 
 /// The service's score scan: delta evaluation, bound pruning, member
-/// classes and copies that share their representative's score. Records
+/// classes and copies offered their representative's score. Records
 /// the placements handed to the walk's evaluator as representatives.
 struct Orbit<'a> {
     base: &'a SimRunConfig,
@@ -170,10 +172,6 @@ impl ScanVisitor for Orbit<'_> {
     fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
         evaluator.member_classes(labels)
     }
-
-    fn copies_share(&self, evaluator: &mut DeltaEvaluator) -> bool {
-        evaluator.blocks_commute()
-    }
 }
 
 /// What one orbit scan returned and did.
@@ -184,9 +182,8 @@ struct OrbitScan {
     scanned: usize,
     counters: DeltaCounters,
     workers: usize,
-    /// `(index, assignment)` of every placement handed to `eval` with
-    /// its own index — the representatives (a copy evaluated itself
-    /// carries its representative's index).
+    /// `(index, assignment)` of every placement handed to `eval`: the
+    /// representatives.
     reps: Vec<(usize, Vec<usize>)>,
     /// Placements `eval` scored rather than pruned.
     evaluated: usize,
@@ -309,9 +306,10 @@ fn a_member_without_analysis_fails_as_the_parent_does() {
     }
 }
 
-/// Staging prices that see labels turn classes off; a cap or an
-/// interference fold that sees block order sends copies through the
-/// evaluator. Either way the rows stay the parent's.
+/// Staging prices that see labels turn classes off; a cap's traffic sum
+/// runs in the solve's canonical order, so copies share their
+/// representative's score under it. Either way the rows stay the
+/// parent's.
 #[test]
 fn fallbacks_stay_exact() {
     check(CASES / 2, |g| {
@@ -369,7 +367,8 @@ fn the_walk_hands_out_exactly_the_orbit_minima() {
         let shape = shape(g);
         let budget = fit(&shape, g.range(2usize..=6));
         let base = base_config(&shape, true, Twist::None);
-        let classes = DeltaEvaluator::new(&base, &shape).member_classes(budget.max_nodes).unwrap();
+        let classes = declared_classes(&shape, budget, &base)
+            .unwrap_or_else(|| (0..shape.members.len()).collect());
         let all = enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node);
         let minima: Vec<(usize, Vec<usize>)> = all
             .iter()
@@ -385,16 +384,15 @@ fn the_walk_hands_out_exactly_the_orbit_minima() {
     });
 }
 
-/// Eq. 9 is blind to member order: wherever the delta evaluator finds a
-/// representative's blocks commute, the from-scratch oracle scores every
-/// copy of its orbit with the representative's own bits, so ties inside
-/// an orbit are exact and fall to enumeration index.
+/// Eq. 9 is blind to member order: wherever member classes are
+/// declared, the from-scratch oracle scores every copy of every orbit
+/// with the representative's own bits, so ties inside an orbit are exact
+/// and fall to enumeration index.
 #[test]
 fn ties_inside_an_orbit_are_exact() {
     let mut tied = 0usize;
     let mut assert_ties = |shape: &EnsembleShape, budget: NodeBudget, base: &SimRunConfig| {
-        let mut evaluator = DeltaEvaluator::new(base, shape);
-        let classes = evaluator.member_classes(budget.max_nodes).expect("labels are blind");
+        let Some(classes) = declared_classes(shape, budget, base) else { return };
         let all = enumerate_placements(shape, budget.max_nodes, budget.cores_per_node);
         let want = oracle(shape, budget, base);
         let index: HashMap<&[usize], usize> =
@@ -402,10 +400,6 @@ fn ties_inside_an_orbit_are_exact() {
         for (i, a) in all.iter().enumerate() {
             let orbit = orbit_of(shape, &classes, a);
             if orbit[0] != *a || orbit.len() == 1 {
-                continue;
-            }
-            evaluator.score(a).expect("representative score");
-            if !evaluator.blocks_commute() {
                 continue;
             }
             for copy in &orbit[1..] {
@@ -427,7 +421,56 @@ fn ties_inside_an_orbit_are_exact() {
             assert_ties(&shape, budget, &base_config(&shape, small, Twist::None));
         }
     }
-    assert!(tied > 0, "no orbit had a copy that shares its score: the property is vacuous");
+    assert!(tied > 0, "no orbit had a copy: the property is vacuous");
+}
+
+/// Whether no socket split of `shape` under `base` can see allocation
+/// order: Spread binding, every core count a multiple of the sockets.
+fn splits_blind(shape: &EnsembleShape, base: &SimRunConfig) -> bool {
+    let sockets = base.node_spec.sockets;
+    let mut cores = shape.members.iter().flat_map(|(sim, anas)| std::iter::once(sim).chain(anas));
+    base.bind_policy == BindPolicy::Spread && cores.all(|&c| c % sockets == 0)
+}
+
+/// The evaluator's member classes for a platform whose staging prices
+/// do not see node labels, checked against the gate: declared exactly
+/// where the socket splits are blind to order.
+fn declared_classes(
+    shape: &EnsembleShape,
+    budget: NodeBudget,
+    base: &SimRunConfig,
+) -> Option<Vec<usize>> {
+    let classes = DeltaEvaluator::new(base, shape).member_classes(budget.max_nodes);
+    assert_eq!(classes.is_some(), splits_blind(shape, base), "{shape:?} {:?}", base.bind_policy);
+    classes
+}
+
+/// The generator draws shapes on both sides of the gate, and a Compact
+/// binding closes it: classes are `None` exactly when a core count is
+/// not a multiple of the socket count or the policy is Compact, and the
+/// scan stays exact either way.
+#[test]
+fn member_classes_are_declared_exactly_where_splits_are_blind_to_order() {
+    let (mut blind, mut seeing) = (0, 0);
+    check(CASES, |g| {
+        let shape = shape(g);
+        let budget = fit(&shape, g.range(2usize..=6));
+        let mut base = base_config(&shape, g.bool(), Twist::None);
+        match declared_classes(&shape, budget, &base) {
+            Some(_) => blind += 1,
+            None => seeing += 1,
+        }
+        base.bind_policy = BindPolicy::Compact;
+        declared_classes(&shape, budget, &base);
+        if g.range(0u32..3) == 0 {
+            assert_exact(&shape, budget, &base);
+        }
+    });
+    assert!(blind > 0 && seeing > 0, "{blind} shapes blind to order, {seeing} seeing it");
+    // A shape blind under Spread sees order once its cores are odd.
+    let shape = EnsembleShape::uniform(4, 7, 1, 3);
+    let base = base_config(&shape, true, Twist::None);
+    assert_eq!(declared_classes(&shape, fit(&shape, 5), &base), None);
 }
 
 /// The paper's shapes evaluate a few dozen representatives where the

@@ -1,8 +1,9 @@
 //! A co-scheduled `submit`'s life between admission and a worker: the
 //! [`CoScheduler`], the jobs waiting in its queue, and the tenants of
-//! reservations a restart restored, behind five calls — admit, reap,
+//! reservations a restart restored, behind six calls — admit, reap,
 //! release (which starts what the freed capacity lets the scheduler
-//! start), restore, and the shutdown drain.
+//! start), the rollback of a start no worker took, restore, and the
+//! shutdown drain.
 //!
 //! Each call takes the time from its caller and returns what happened:
 //! jobs to start, each with its placement, its backfill flag (decided by
@@ -187,18 +188,24 @@ impl<J: Waiter> Cosched<J> {
         // A placement scan that fails while pumping starts nothing now;
         // the reservation closes either way.
         let started = self.sched.release(id).unwrap_or_default();
-        let mut starts = Vec::with_capacity(started.len());
-        for (job_id, decision) in started {
-            let (job, queued) = self.waiting.remove(&job_id).expect("a queued job waits here");
-            let waited = Some(now.saturating_duration_since(queued));
-            starts.push(self.start(job_id, job, decision, waited));
-        }
-        Some(Released { retired: self.restored.remove(&id), starts })
+        Some(Released { retired: self.restored.remove(&id), starts: self.waited(started, now) })
     }
 
-    /// Rolls back a start whose job could not be handed to a worker.
+    /// Rolls back a start at admission whose job could not be handed to
+    /// a worker; nothing else moves.
     pub(crate) fn withdraw(&mut self, id: u64) {
         self.sched.withdraw(id);
+    }
+
+    /// Rolls back a start out of the wait queue whose job could not be
+    /// handed to a worker, and starts at `now` every waiting job the
+    /// capacity it gave back lets the scheduler start. The release that
+    /// started it has pumped the queue already: without a second pump, a
+    /// job behind it could wait on an idle platform forever.
+    pub(crate) fn withdraw_waited(&mut self, id: u64, now: Instant) -> Vec<Start<J>> {
+        self.sched.withdraw(id);
+        let started = self.sched.pump().unwrap_or_default();
+        self.waited(started, now)
     }
 
     /// Empties the wait queue at shutdown, handing back every waiting job.
@@ -208,6 +215,17 @@ impl<J: Waiter> Cosched<J> {
             self.sched.cancel_queued(id);
         }
         waiting.into_values().map(|(job, _)| job).collect()
+    }
+
+    /// The starts of waiting jobs the scheduler just started, at `now`.
+    fn waited(&mut self, started: Vec<(u64, PlacementDecision)>, now: Instant) -> Vec<Start<J>> {
+        let mut starts = Vec::with_capacity(started.len());
+        for (job_id, decision) in started {
+            let (job, queued) = self.waiting.remove(&job_id).expect("a queued job waits here");
+            let waited = Some(now.saturating_duration_since(queued));
+            starts.push(self.start(job_id, job, decision, waited));
+        }
+        starts
     }
 
     fn holds(&self, id: u64) -> bool {

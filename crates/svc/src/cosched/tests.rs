@@ -1,15 +1,17 @@
 //! Seeded single-threaded schedules of [`Cosched`] on a fake clock: each
 //! case draws a stream of admissions (with and without deadlines, some
-//! reusing a live id), releases, cancellations, clock advances and
-//! reaps, runs it against the real scheduler, and checks that every
-//! admitted job is started or answered exactly once, that nothing is
-//! left resident or waiting once every start is released and every
-//! deadline has passed, that the same stream replays to the same
-//! schedule, and that a start is flagged backfilled exactly when an
-//! earlier-admitted job still waited.
+//! reusing a live id), releases (some of whose first start the shell
+//! refuses, as a full worker queue does), cancellations, clock advances
+//! and reaps, runs it against the real scheduler, and checks that every
+//! admitted job is started or answered exactly once, that no job waits
+//! while the platform holds no reservation, that nothing is left
+//! resident or waiting once every start is released and every deadline
+//! has passed, that the same stream replays to the same schedule, and
+//! that a start is flagged backfilled exactly when an earlier-admitted
+//! job still waited.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -19,14 +21,15 @@ use testkit::Gen;
 
 use super::*;
 
-/// Two 32-core nodes and a four-deep wait queue: shapes of 8 to 32
+/// Two 32-core nodes and a four-deep wait queue: shapes of 8 to 48
 /// cores contend, queue, backfill and shed; the last never fits.
-fn shapes() -> [EnsembleShape; 5] {
+fn shapes() -> [EnsembleShape; 6] {
     [
         EnsembleShape::uniform(1, 16, 1, 8),
         EnsembleShape::uniform(1, 8, 1, 4),
         EnsembleShape::uniform(1, 4, 1, 4),
         EnsembleShape::uniform(2, 8, 1, 8),
+        EnsembleShape::uniform(1, 32, 1, 16),
         EnsembleShape::uniform(3, 16, 1, 16),
     ]
 }
@@ -72,8 +75,12 @@ enum Event {
         reuse: Option<usize>,
         tenant: bool,
     },
-    /// Release the `n`-th running job (modulo how many run).
-    Release(usize),
+    /// Release the `n`-th running job (modulo how many run); with
+    /// `refuse`, the shell refuses the first job the release starts.
+    Release {
+        n: usize,
+        refuse: bool,
+    },
     /// Cancel the `n`-th live job, waiting or running.
     Cancel(usize),
     Advance(u64),
@@ -83,12 +90,12 @@ enum Event {
 fn event(g: &mut Gen) -> Event {
     match g.range(0u32..10) {
         0..=3 => Event::Admit {
-            shape: g.range(0usize..5),
+            shape: g.range(0usize..6),
             deadline_ms: g.option(|g| g.range(0u64..40)),
             reuse: (g.range(0u32..8) == 0).then(|| g.range(0usize..8)),
             tenant: g.bool(),
         },
-        4 | 5 => Event::Release(g.range(0usize..8)),
+        4 | 5 => Event::Release { n: g.range(0usize..8), refuse: g.bool() },
         6 => Event::Cancel(g.range(0usize..8)),
         7 | 8 => Event::Advance(g.range(1u64..30)),
         _ => Event::Reap,
@@ -99,12 +106,35 @@ fn event(g: &mut Gen) -> Event {
 /// must agree on.
 #[derive(Debug, Clone, PartialEq)]
 enum Seen {
-    Started { id: u64, assignment: Vec<usize>, backfilled: bool, waited: Option<Duration> },
-    Queued { id: u64, depth: usize },
-    Refused { id: u64, why: String },
-    Answered { id: u64, cancelled: bool },
-    Drained { id: u64 },
-    Released { id: u64, retired: Option<String> },
+    Started {
+        id: u64,
+        assignment: Vec<usize>,
+        backfilled: bool,
+        waited: Option<Duration>,
+    },
+    Queued {
+        id: u64,
+        depth: usize,
+    },
+    Refused {
+        id: u64,
+        why: String,
+    },
+    Answered {
+        id: u64,
+        cancelled: bool,
+    },
+    /// A start out of the wait queue the shell refused.
+    Withdrawn {
+        id: u64,
+    },
+    Drained {
+        id: u64,
+    },
+    Released {
+        id: u64,
+        retired: Option<String>,
+    },
 }
 
 /// A restored reservation's job id; admitted ids count up from 1.
@@ -170,9 +200,9 @@ impl Schedule {
             Event::Admit { shape, deadline_ms, reuse, tenant } => {
                 self.admit(shape, deadline_ms, reuse, tenant)
             }
-            Event::Release(n) if !self.running.is_empty() => {
+            Event::Release { n, refuse } if !self.running.is_empty() => {
                 let id = self.running.remove(n % self.running.len());
-                self.release(id);
+                self.release(id, refuse);
             }
             Event::Cancel(n) => {
                 let live = self.live();
@@ -182,8 +212,10 @@ impl Schedule {
             }
             Event::Advance(ms) => self.now += Duration::from_millis(ms),
             Event::Reap => self.reap(),
-            Event::Release(_) => {}
+            Event::Release { .. } => {}
         }
+        let open = self.cosched.sched.residency().open();
+        assert!(self.waiting.is_empty() || open > 0, "a job waits on an idle platform");
     }
 
     fn admit(
@@ -266,12 +298,23 @@ impl Schedule {
         });
     }
 
-    fn release(&mut self, id: u64) {
+    /// Releases `id`; with `refuse`, the shell refuses the first job the
+    /// release starts, which is withdrawn and answered.
+    fn release(&mut self, id: u64, mut refuse: bool) {
         let released = self.cosched.release(id, self.now).expect("a running job holds capacity");
         assert_eq!(released.retired.is_some(), id == RESTORED, "only a restored job retires");
         self.trace.push(Seen::Released { id, retired: released.retired });
-        for start in released.starts {
-            self.start(start);
+        let mut starts = VecDeque::from(released.starts);
+        while let Some(start) = starts.pop_front() {
+            if !std::mem::take(&mut refuse) {
+                self.start(start);
+                continue;
+            }
+            let refused = start.job.id;
+            assert!(self.waiting.remove(&self.seq_of[&refused]).is_some(), "a waiter started");
+            *self.fates.entry(refused).or_default() += 1;
+            self.trace.push(Seen::Withdrawn { id: refused });
+            starts.extend(self.cosched.withdraw_waited(refused, self.now));
         }
         assert!(self.cosched.release(id, self.now).is_none(), "a second release is a no-op");
     }
@@ -304,7 +347,7 @@ impl Schedule {
         }
         for _ in 0..=self.seq_of.len() + 1 {
             for id in std::mem::take(&mut self.running) {
-                self.release(id);
+                self.release(id, false);
             }
             self.now += Duration::from_secs(3600);
             self.reap();
@@ -353,10 +396,37 @@ fn schedules(cases: u32, events: usize) {
     assert!(took(&|s| matches!(s, Seen::Answered { cancelled: false, .. })));
     assert!(took(&|s| matches!(s, Seen::Answered { cancelled: true, .. })));
     assert!(took(&|s| matches!(s, Seen::Drained { .. })));
+    assert!(took(&|s| matches!(s, Seen::Withdrawn { .. })));
     assert!(took(&|s| matches!(s, Seen::Released { retired: Some(_), .. })));
     for why in ["shed", "infeasible", "duplicate"] {
         assert!(took(&|s| matches!(s, Seen::Refused { why: w, .. } if w == why)), "no {why}");
     }
+}
+
+/// The shell refuses a start a release issued while another job waits:
+/// the capacity it gives back starts that job, which would otherwise
+/// wait on an idle platform with no release left to pump the queue.
+#[test]
+fn a_start_refused_after_a_release_hands_its_capacity_to_the_next_waiter() {
+    let mut cosched = cosched();
+    let now = Instant::now();
+    let job = |id| TestJob { id, deadline_at: None, cancelled: Rc::default(), tenant: None };
+    let ids = |starts: &[Start<TestJob>]| starts.iter().map(|s| s.job.id).collect::<Vec<_>>();
+    // Job 1 fills both nodes; job 2 (48 cores) and job 3 (32) wait.
+    let both = EnsembleShape::uniform(2, 16, 1, 16);
+    assert!(matches!(cosched.admit(1, both, job(1), now), Ok(Admitted::Start(_))));
+    let wide = EnsembleShape::uniform(1, 32, 1, 16);
+    assert!(matches!(cosched.admit(2, wide, job(2), now), Ok(Admitted::Queued(0))));
+    let narrow = EnsembleShape::uniform(1, 16, 1, 16);
+    assert!(matches!(cosched.admit(3, narrow, job(3), now), Ok(Admitted::Queued(1))));
+    let released = cosched.release(1, now).expect("job 1 holds a reservation");
+    assert_eq!(ids(&released.starts), [2], "job 3 does not fit beside job 2");
+    let later = now + Duration::from_millis(5);
+    let starts = cosched.withdraw_waited(2, later);
+    assert_eq!(ids(&starts), [3], "job 3 takes the capacity job 2 gave back");
+    assert_eq!(starts[0].placed.waited, Some(Duration::from_millis(5)));
+    assert_eq!(cosched.sched.residency().open(), 1);
+    assert_eq!(cosched.sched.queue_depth(), 0);
 }
 
 #[test]

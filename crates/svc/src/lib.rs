@@ -70,5 +70,5 @@ pub use protocol::{
     Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
 };
 pub use server::{serve, ServerHandle};
-pub use service::{small_score_request, Rejected, Service, SvcConfig};
+pub use service::{held_score_request, small_score_request, Rejected, Service, SvcConfig};
 pub use standby::{Standby, StandbyConfig, StandbySource};

@@ -18,7 +18,7 @@
 //! together.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -1057,7 +1057,10 @@ fn place(
     let RequestBody::Submit(submit) = &job.request.body else { unreachable!("routed on body") };
     let (kind, message) = match state.admit(id, submit.shape.clone(), job, now) {
         Ok(Admitted::Start(start)) => {
-            return launch(shared, state, lane, *start).map(Some).map_err(|r| r.1)
+            return launch(shared, lane, *start).map(Some).map_err(|refused| {
+                state.withdraw(id);
+                refused.1
+            })
         }
         Ok(Admitted::Queued(depth)) => {
             let job = state.waiter(id).expect("just queued");
@@ -1081,13 +1084,12 @@ fn place(
 }
 
 /// The one start path of a co-scheduled submit, at admission and out of
-/// the wait queue alike: a job that waited hears its placement, the job
-/// goes to a worker on `lane` carrying its decision, its wait and the
-/// residual its reservation left, and a refused push withdraws the
-/// reservation. `Ok` is the reservation record to journal.
+/// the wait queue alike: a job that waited hears its placement, and the
+/// job goes to a worker on `lane` carrying its decision, its wait and the
+/// residual its reservation left. `Ok` is the reservation record to
+/// journal; on a refused push the caller withdraws the reservation.
 fn launch(
     shared: &Shared,
-    state: &mut Cosched<Job>,
     lane: Option<&str>,
     start: Start<Job>,
 ) -> Result<ReplayedReservation, Box<(Job, Response)>> {
@@ -1096,10 +1098,7 @@ fn launch(
         submit_progress(shared, &job, None, Some(placed.decision.assignment.clone()));
     }
     job.cosched = Some(placed);
-    if let Err(refused) = enqueue(shared, lane, job) {
-        state.withdraw(reserve.job);
-        return Err(refused);
-    }
+    enqueue(shared, lane, job)?;
     Ok(reserve)
 }
 
@@ -1162,7 +1161,8 @@ fn finish_cosched(shared: &Shared, job_id: u64) -> bool {
     if let Some(journal) = &shared.journal {
         journal.append_release(job_id);
     }
-    for start in released.starts {
+    let mut starts = VecDeque::from(released.starts);
+    while let Some(start) = starts.pop_front() {
         // A started job keeps its lane: it was admitted when it entered
         // the wait queue, so its dequeue competes fairly against direct
         // traffic of the same tenant.
@@ -1172,7 +1172,8 @@ fn finish_cosched(shared: &Shared, job_id: u64) -> bool {
             }
             _ => None,
         };
-        match launch(shared, &mut state, lane.as_deref(), start) {
+        let id = start.reserve.job;
+        match launch(shared, lane.as_deref(), start) {
             Ok(reserve) => {
                 if let Some(journal) = &shared.journal {
                     journal.append_reserve(&reserve);
@@ -1180,8 +1181,12 @@ fn finish_cosched(shared: &Shared, job_id: u64) -> bool {
             }
             // Admitted when it entered the wait queue, so the rollback
             // settles it from the queue: never a shed, which only ever
-            // counts jobs that never got in.
-            Err(refused) => answer_queued(shared, refused.0, refused.1),
+            // counts jobs that never got in. What it gave back goes to
+            // the jobs still waiting.
+            Err(refused) => {
+                starts.extend(state.withdraw_waited(id, now));
+                answer_queued(shared, refused.0, refused.1);
+            }
         }
     }
     true
@@ -1510,16 +1515,11 @@ impl ScanVisitor for ScoreScan<'_> {
         self.bound.of_prefix(prefix, open_nodes)
     }
 
-    /// Identical members are interchangeable: the walk hands out one
-    /// placement per member-permutation orbit, and its copies share its
-    /// score wherever its nodes' solves do not see the order of their
-    /// members.
+    /// Identical members are interchangeable where every copy scores its
+    /// representative's bits: the walk hands out one placement per
+    /// member-permutation orbit, and its copies share its score.
     fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
         evaluator.member_classes(labels)
-    }
-
-    fn copies_share(&self, evaluator: &mut DeltaEvaluator) -> bool {
-        evaluator.blocks_commute()
     }
 }
 
@@ -1718,6 +1718,26 @@ pub fn small_score_request(
             workers: 0,
         }),
     }
+}
+
+/// A `score` that holds a worker until its caller cancels it: eleven
+/// 5+3-core members on up to 22 nodes, about 4.5 × 10¹⁵ candidates,
+/// `top_k` 1 on one scan thread, so its memory stays constant however
+/// long it runs. Its odd core counts keep the members from being
+/// declared interchangeable (a socket split sees allocation order), so
+/// no orbit reduction shortens its walk: on a 2-core host it was still
+/// scanning after 300 s in release and in debug (ten times the longest
+/// wait, 30 s, of a test that holds it), with 0.12 % of its space
+/// walked in release, and answered a cancel within 0.7 s. Nine 4+4-core
+/// members on 18 nodes, whose orbits the walk reduces, finish in 75 ms
+/// in release and 0.8 s in debug.
+pub fn held_score_request(id: u64) -> Request {
+    let mut req = small_score_request(id, 11, 5, 1, 3, 22);
+    if let RequestBody::Score(ref mut score) = req.body {
+        score.top_k = 1;
+        score.workers = 1;
+    }
+    req
 }
 
 #[cfg(test)]
@@ -2054,21 +2074,6 @@ mod tests {
     /// partitions, less the 1 245 with a block of 9 or more
     /// (220·5 + 66·2 + 12 + 1).
     const BIG_SPACE_TOTAL: u64 = 4_212_352;
-
-    /// A score that holds the worker until the test cancels it: 18
-    /// four-core components on up to 18 nodes are ~6.8 × 10¹¹
-    /// candidates (over a minute of a serial release scan even with
-    /// the bounded walk skipping most of them), and `top_k` 1 keeps its
-    /// memory constant however long it runs.
-    fn held_score_request(id: u64) -> Request {
-        let mut req = big_score_request(id);
-        if let RequestBody::Score(ref mut s) = req.body {
-            s.shape = scheduler::EnsembleShape::uniform(9, 4, 1, 4);
-            s.budget.max_nodes = 18;
-            s.top_k = 1;
-        }
-        req
-    }
 
     /// Waits until a worker has picked up a job.
     fn wait_in_flight(svc: &Service) {

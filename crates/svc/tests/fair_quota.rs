@@ -56,18 +56,11 @@ fn run_request(id: u64, tenant: Option<&str>, steps: u64) -> Request {
 }
 
 /// Pins the pool's one worker with an untagged score until the test
-/// cancels it: 18 four-core components on up to 18 nodes are ~6.8 ×
-/// 10¹¹ candidates (over a minute of a serial release scan even with
-/// the bounded walk skipping most of them), and `top_k` 1 keeps its
-/// memory constant however long it runs. Returns
-/// once the worker holds it, so admission decisions happen against a
-/// provably busy pool however fast the build.
+/// cancels it ([`svc::held_score_request`]). Returns once the worker
+/// holds it, so admission decisions happen against a provably busy pool
+/// however fast the build.
 fn hold(svc: &Service) -> svc::service::Pending {
-    let mut req = svc::small_score_request(100, 9, 4, 1, 4, 18);
-    if let RequestBody::Score(ref mut score) = req.body {
-        score.top_k = 1;
-        score.workers = 1;
-    }
+    let req = svc::held_score_request(100);
     let held = svc.submit(req).expect("an idle service admits the held score");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while svc.metrics().get("in_flight") == 0.0 {

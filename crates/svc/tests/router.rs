@@ -66,14 +66,9 @@ fn in_process_metrics_are_the_wire_rows_and_move_no_counter() {
 #[test]
 fn in_process_attach_and_metrics_are_answered_while_the_queue_sheds() {
     let svc = Service::start(SvcConfig { workers: 1, queue_capacity: 1, ..SvcConfig::default() });
-    // Hold the one worker with a `top_k` 1 score over ~6.8 × 10¹¹
-    // candidates, and fill the one queue slot behind it.
-    let mut held = small_score_request(1, 9, 4, 1, 4, 18);
-    if let RequestBody::Score(ref mut score) = held.body {
-        score.top_k = 1;
-        score.workers = 1;
-    }
-    let held = svc.submit(held).unwrap();
+    // Hold the one worker until the test cancels it, and fill the one
+    // queue slot behind it.
+    let held = svc.submit(svc::held_score_request(1)).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     while svc.metrics().get("in_flight") == 0.0 {
         assert!(Instant::now() < deadline, "the worker never picked up the held score");

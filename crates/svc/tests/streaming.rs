@@ -59,31 +59,19 @@ fn medium_space_total() -> u64 {
 }
 
 /// A score over a space no scan finishes within a test's patience, in
-/// any build — 18 four-core components on up to 18 nodes, over a
-/// minute of a serial release scan even with the bounded walk skipping
-/// most of it — so it stays in flight until its watcher disconnects.
-/// Only used where the scan is cancelled.
+/// any build ([`svc::held_score_request`]), streaming progress — so it
+/// stays in flight until its watcher disconnects. Only used where the
+/// scan is cancelled.
 fn big_score_request(id: u64) -> Request {
-    Request {
-        id,
-        deadline: None,
-        progress: Some(ProgressSpec { every_candidates: Some(4096), every_ms: None }),
-        tenant: None,
-        body: RequestBody::Score(ScoreRequest {
-            shape: scheduler::EnsembleShape::uniform(9, 4, 1, 4),
-            budget: scheduler::NodeBudget { max_nodes: 18, cores_per_node: 32 },
-            top_k: 16,
-            steps: 6,
-            workloads: Workloads::Small,
-            workers: 1,
-        }),
-    }
+    let mut req = svc::held_score_request(id);
+    req.progress = Some(ProgressSpec { every_candidates: Some(4096), every_ms: None });
+    req
 }
 
-/// The size of `big_score_request`'s space: the set partitions of 18
-/// with no block above 8 (a 32-core node holds 8 components), Bell(18)
-/// = 682 076 806 159 less the 1 241 474 931 with a block of 9 or more.
-const BIG_SPACE_TOTAL: u64 = 680_835_331_228;
+/// The size of `big_score_request`'s space: the set partitions of
+/// eleven 5-core and eleven 3-core components into blocks of at most 32
+/// cores.
+const BIG_SPACE_TOTAL: u64 = 4_462_641_615_066_328;
 
 /// A DES run long enough to hold a worker while other requests arrive.
 /// Unlike a score, its duration does not shrink as the scan path gets

@@ -67,20 +67,12 @@ fn metrics_row(handle: &ServerHandle, client: &mut SvcClient, name: &str) -> f64
     }
 }
 
-/// Pins the server's one worker until the test lets it go: a `top_k` 1
-/// score over ~6.8 × 10¹¹ candidates (18 four-core components on up to
-/// 18 nodes, about 20 s of a serial release scan even with the bounded
-/// walk skipping most of them and scoring one placement per orbit of
-/// its nine identical members), submitted in process so the test holds
-/// its handle.
-/// Returns once the worker holds it, so however fast the build, every
-/// client that follows meets a busy pool.
+/// Pins the server's one worker until the test lets it go
+/// ([`svc::held_score_request`]), submitted in process so the test holds
+/// its handle. Returns once the worker holds it, so however fast the
+/// build, every client that follows meets a busy pool.
 fn hold(handle: &ServerHandle) -> svc::service::Pending {
-    let mut req = small_score_request(1, 9, 4, 1, 4, 18);
-    if let RequestBody::Score(ref mut score) = req.body {
-        score.top_k = 1;
-        score.workers = 1;
-    }
+    let req = svc::held_score_request(1);
     let held = handle.service().submit(req).expect("an idle server admits the held score");
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle.service().metrics().get("in_flight") == 0.0 {
