@@ -7,19 +7,24 @@
 //! Results land in `BENCH_staging.json` at the workspace root (override
 //! with `ENSEMBLE_BENCH_OUT`); `ENSEMBLE_STAGING_BENCH_QUICK=1` shrinks
 //! the repetitions for CI smoke runs. The committed file also carries
-//! `parent_commit` / `parent_rows`: this bench built at the parent commit
-//! (its copy drops the allocation bound, which the parent fails) and run
-//! alternately with this one on the same host, five runs a side, each
-//! row the median of its side's runs.
+//! `parent_commit` / `parent_rows`: the bench as it stands at the parent
+//! commit, run alternately with this one on the same host, several runs
+//! a side (`runs_per_side`), each row the median of its side's runs. A
+//! column the parent's bench did not print is absent from its rows.
 //!
 //! Rows:
 //! 1. `md/stride_us/{27,125,512}` — `MdSimulation::advance_stride` at
 //!    stride 1 (the `staging_threaded` shape at 27 atoms): one
 //!    velocity-Verlet step, its force evaluation and the frame. Beside
 //!    the time, `allocs_per_stride` (heap allocations counted by this
-//!    binary's allocator, the frame's own `Vec` included) and
-//!    `pairs_per_stride` (pair distances the force loop evaluates: each
-//!    atom against every other atom of its cell neighbourhood);
+//!    binary's allocator, the frame's own `Vec` included),
+//!    `pairs_per_stride` (the pairs the force loop visits: each atom
+//!    against every other atom of its cell neighbourhood) and
+//!    `pair_evals_per_stride` (the pairs it computes: each atom against
+//!    the higher-indexed atoms of its neighbourhood, `N(N − 1)/2` at these
+//!    sizes). Both counts follow the loop's visiting rule over the
+//!    public `CellList`; no count the crate exposes can see which atom
+//!    computed a pair;
 //! 2. `run_threaded/C_c_200_ms` — one `run_threaded` call of the e2e
 //!    `staging_threaded` workload: `C_c`, 27 atoms, a frame staged every
 //!    MD step, 200 steps, radius-of-gyration analysis; `puts` / `gets`
@@ -37,7 +42,9 @@
 //!
 //! Before anything is timed, the MD golden (`kernels/tests/md_golden.rs`)
 //! is recomputed and checked bit for bit, and every `md/stride_us` row
-//! must allocate at most once per stride.
+//! must allocate at most once per stride and compute half the pairs it
+//! visits: every visited pair is reached from both of its atoms, so the
+//! lower-indexed one can compute it for both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -112,24 +119,24 @@ fn staged_md(side: usize) -> MdConfig {
     MdConfig { atoms_per_side: side, stride: 1, ..MdConfig::default() }
 }
 
-/// Pair distances one force evaluation of `sim`'s current positions
-/// computes: every atom against every other atom of its neighbourhood.
-fn pairs_per_evaluation(sim: &MdSimulation, cutoff: f64) -> u64 {
+/// The pairs one force evaluation of `sim`'s current positions visits
+/// (every atom against every other atom of its neighbourhood) and
+/// computes (every atom against the higher-indexed atoms of its
+/// neighbourhood).
+fn pairs_per_evaluation(sim: &MdSimulation, cutoff: f64) -> (u64, u64) {
     let system = sim.system();
     let cells = CellList::build(system, cutoff);
-    let visited: usize = system
-        .positions
-        .iter()
-        .map(|p| {
-            cells
-                .neighbourhood(p, system.box_len)
-                .iter()
-                .map(|&c| cells.cell(c).len())
-                .sum::<usize>()
-                - 1
-        })
-        .sum();
-    visited as u64
+    let (mut visited, mut computed) = (0, 0);
+    for (i, p) in system.positions.iter().enumerate() {
+        for &c in cells.neighbourhood(p, system.box_len) {
+            let partners = cells.cell(c).iter().filter(|&&j| j as usize != i);
+            for &j in partners {
+                visited += 1;
+                computed += u64::from(j as usize > i);
+            }
+        }
+    }
+    (visited, computed)
 }
 
 /// `md/stride_us/{atoms}` with its counts; `batch` strides per timing.
@@ -148,8 +155,12 @@ fn md_row(side: usize, reps: usize, batch: u64) -> Row {
         black_box(sim.advance_stride());
     }
     let allocs = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / batch as f64;
-    let pairs = pairs_per_evaluation(&sim, cfg.cutoff) * cfg.stride;
-    row.counts = vec![("allocs_per_stride", allocs), ("pairs_per_stride", pairs as f64)];
+    let (pairs, evals) = pairs_per_evaluation(&sim, cfg.cutoff);
+    row.counts = vec![
+        ("allocs_per_stride", allocs),
+        ("pairs_per_stride", (pairs * cfg.stride) as f64),
+        ("pair_evals_per_stride", (evals * cfg.stride) as f64),
+    ];
     row
 }
 
@@ -204,8 +215,14 @@ fn main() {
 
     let mut rows = vec![md_row(3, reps(30), 200), md_row(5, reps(30), 20), md_row(8, reps(20), 4)];
     for row in &rows {
-        let allocs = row.counts[0].1;
+        let [(_, allocs), (_, pairs), (_, evals)] = row.counts[..] else { unreachable!() };
         assert!(allocs <= 1.0, "{}: {allocs} allocations per stride", row.name);
+        assert_eq!(
+            evals * 2.0,
+            pairs,
+            "{}: not every visited pair is seen from both atoms",
+            row.name
+        );
     }
 
     let eight_members = EnsembleSpec::new(

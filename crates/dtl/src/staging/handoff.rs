@@ -32,9 +32,12 @@ use std::time::{Duration, Instant};
 /// that stride run 1.7× slow (the slowdown such a shared host shows for
 /// minutes at a time), rounded up: the common wait is covered, and a
 /// wait that outlasts it (a 125-atom stride, an eigen analysis: hundreds
-/// of µs) pays a spin of at most a tenth of itself before it parks. The
-/// spinner yields between looks, so on an oversubscribed host the
-/// thread it waits for gets the core.
+/// of µs) pays a spin of at most a tenth of itself before it parks.
+/// Computing each Lennard-Jones pair once has since shortened the stride
+/// (`md/stride_us/27` 12.4 → 10.1 µs, medians of seven runs a side on
+/// the same host), which leaves the bound more room. The spinner yields
+/// between looks, so on an oversubscribed host the thread it waits for
+/// gets the core.
 pub(crate) const SPIN: Duration = Duration::from_micros(30);
 
 /// The side of a coupling a waiter is on; each side parks on its own

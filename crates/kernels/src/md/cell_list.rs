@@ -10,7 +10,9 @@ use super::system::MolecularSystem;
 /// The list is reusable scratch: `rebuild` re-bins the atoms into buffers
 /// it keeps, and recomputes the neighbourhood table only when the number
 /// of cells per side changes, so rebinning a system of unchanged size
-/// allocates nothing.
+/// allocates nothing. It also keeps the force loop's pair records: one
+/// per pair of atoms in neighbouring cells, in one block per pair of
+/// neighbouring cells.
 #[derive(Debug, Clone, Default)]
 pub struct CellList {
     /// Cells per box edge.
@@ -27,6 +29,56 @@ pub struct CellList {
     /// order `(dx, dy, dz)` scans `-1..=1` (first occurrence kept).
     hoods: Vec<usize>,
     hood_len: usize,
+    /// Each atom's rank in its cell: its index in [`CellList::cell`].
+    rank: Vec<u32>,
+    /// Where the pair records of each cell with each of its `hood_len`
+    /// neighbourhood cells lie in `terms`, in `hoods`' order.
+    blocks: Vec<Block>,
+    /// The pair records. Grown to the largest layout seen and never
+    /// cleared: every record is written before it is read.
+    terms: Vec<PairTerm>,
+}
+
+/// One pair's interaction as its lower-indexed atom computes it:
+/// `(f·dx, f·dy, f·dz, ½u, ½w)`, where `(dx, dy, dz)` is the minimum image
+/// of the lower atom's position minus the higher one's, `f = f(r)/r`, `u`
+/// the shifted potential and `w = f·r²` the pair virial. All zero beyond
+/// the cutoff and for coincident atoms.
+pub(crate) type PairTerm = [f64; 5];
+
+/// The records of the pairs between the atoms of one cell and those of one
+/// cell in its neighbourhood, as seen from the first cell: the pair of its
+/// atom at rank `r` with the partner cell's atom at rank `s` is record
+/// [`Block::index`]`(r, s)` of [`CellList`]'s scratch.
+///
+/// Two distinct neighbouring cells share one `|a| × |b|` block, owned by
+/// the lower-numbered cell, which sees it row by row and the other cell
+/// column by column. A cell's block with itself holds only the pairs
+/// `r < s`, as a packed triangle. So the scratch holds one record per pair
+/// of atoms in neighbouring cells, which is every pair the force loop
+/// visits, counted once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Block {
+    /// A cell with itself: the pair of ranks `lo < hi` at
+    /// `base + hi (hi − 1) / 2 + lo`.
+    Own { base: usize },
+    /// A cell with another: `base + r · own + s · partner`.
+    Shared { base: usize, own: usize, partner: usize },
+}
+
+impl Block {
+    /// The record of the pair of this cell's atom at rank `r` and the
+    /// partner cell's atom at rank `s` (`r != s` within one cell).
+    #[inline]
+    pub(crate) fn index(self, r: usize, s: usize) -> usize {
+        match self {
+            Block::Own { base } => {
+                let (lo, hi) = if r < s { (r, s) } else { (s, r) };
+                base + hi * (hi - 1) / 2 + lo
+            }
+            Block::Shared { base, own, partner } => base + r * own + s * partner,
+        }
+    }
 }
 
 impl CellList {
@@ -70,6 +122,57 @@ impl CellList {
         for (i, &c) in self.atom_cell.iter().enumerate().rev() {
             self.start[c as usize] -= 1;
             self.atoms[self.start[c as usize] as usize] = i as u32;
+        }
+        self.rank.clear();
+        self.rank.resize(self.atoms.len(), 0);
+        for c in 0..n_cells {
+            let from = self.start[c] as usize;
+            for (r, &i) in self.atoms[from..self.start[c + 1] as usize].iter().enumerate() {
+                self.rank[i as usize] = r as u32;
+            }
+        }
+        self.lay_out_pairs();
+    }
+
+    /// Lays out one [`Block`] per cell and neighbourhood cell for the
+    /// current binning, and grows the record scratch to hold them.
+    fn lay_out_pairs(&mut self) {
+        let hood_len = self.hood_len;
+        self.blocks.clear();
+        let mut next = 0;
+        for a in 0..self.num_cells() {
+            for q in 0..hood_len {
+                let b = self.hoods[a * hood_len + q];
+                let block = if b == a {
+                    let n = self.cell(a).len();
+                    let block = Block::Own { base: next };
+                    next += n * n.saturating_sub(1) / 2;
+                    block
+                } else if a < b {
+                    let n = self.cell(b).len();
+                    let block = Block::Shared { base: next, own: n, partner: 1 };
+                    next += self.cell(a).len() * n;
+                    block
+                } else {
+                    // `b` laid this block out from its side. Offsets
+                    // `(dx, dy, dz)` and `(−dx, −dy, −dz)` sit at mirrored
+                    // positions of the `-1..=1` scan when its 27 cells are
+                    // distinct; at 2 cells per side a position only records
+                    // which axes differ, the same from either cell.
+                    let m = if self.cells_per_side >= 3 { hood_len - 1 - q } else { q };
+                    debug_assert_eq!(self.hoods[b * hood_len + m], a);
+                    match self.blocks[b * hood_len + m] {
+                        Block::Shared { base, own, .. } => {
+                            Block::Shared { base, own: 1, partner: own }
+                        }
+                        Block::Own { .. } => unreachable!("cell {b} is not cell {a}"),
+                    }
+                };
+                self.blocks.push(block);
+            }
+        }
+        if self.terms.len() < next {
+            self.terms.resize(next, [0.0; 5]);
         }
     }
 
@@ -145,9 +248,24 @@ impl CellList {
         self.hood(self.cell_index(p, box_len))
     }
 
-    /// The neighbourhood of atom `i`'s cell at the last rebuild.
-    pub(crate) fn atom_hood(&self, i: usize) -> &[usize] {
-        self.hood(self.atom_cell[i] as usize)
+    /// Atom `i`'s rank in its cell, and the cells of its cell's
+    /// neighbourhood beside their [`Block`]s, at the last rebuild.
+    pub(crate) fn atom_hood(&self, i: usize) -> (usize, &[usize], &[Block]) {
+        let c = self.atom_cell[i] as usize;
+        let row = c * self.hood_len..(c + 1) * self.hood_len;
+        (self.rank[i] as usize, &self.hoods[row.clone()], &self.blocks[row])
+    }
+
+    /// The pair-record scratch, taken out so the force loop can fill it
+    /// while it reads the list; give it back with
+    /// [`CellList::restore_terms`].
+    pub(crate) fn take_terms(&mut self) -> Vec<PairTerm> {
+        std::mem::take(&mut self.terms)
+    }
+
+    /// Returns the scratch [`CellList::take_terms`] took.
+    pub(crate) fn restore_terms(&mut self, terms: Vec<PairTerm>) {
+        self.terms = terms;
     }
 
     /// Total atoms stored (sanity check: must equal the system size).

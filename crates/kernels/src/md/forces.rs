@@ -3,7 +3,7 @@
 //! The 12-6 potential is truncated and shifted at the cutoff so energy is
 //! continuous: `u(r) = 4(r⁻¹² − r⁻⁶) − u_c` for `r < r_c`.
 
-use super::cell_list::CellList;
+use super::cell_list::{CellList, PairTerm};
 use super::min_image::MinImage;
 use super::system::{MolecularSystem, Vec3};
 
@@ -39,9 +39,10 @@ pub struct ForceResult {
 
 /// Evaluates forces for every atom and returns the total potential energy.
 ///
-/// Each atom's force is computed independently from its cell
-/// neighbourhood (pairs are visited twice; energy and virial are
-/// half-counted), so no atom's result depends on another's.
+/// Each atom's force, energy and virial are summed over its cell
+/// neighbourhood in a fixed order, and the totals over atoms in atom
+/// order. Each pair is computed once, by its lower-indexed atom, and the
+/// sums have the bits of every atom computing all of its pairs itself.
 pub fn compute_forces(system: &mut MolecularSystem, params: &LjParams) -> f64 {
     compute_forces_full(system, params).potential
 }
@@ -55,8 +56,15 @@ pub fn compute_forces_full(system: &mut MolecularSystem, params: &LjParams) -> F
 /// rebuilt for the current positions in buffers it keeps, so a caller
 /// that evaluates forces every step allocates nothing.
 ///
-/// Forces are written straight into `system.forces`; the energy and
-/// virial are summed over atoms in atom order.
+/// Atom by atom in index order, each atom walks its neighbourhood: hood
+/// cells in table order, atoms ascending within a cell. Against a
+/// higher-indexed partner it computes the pair, adds the term and leaves
+/// it in the pair's record; against a lower-indexed one it adds the
+/// negated force and the energy and virial halves that partner left. So
+/// each pair is computed once and every atom's sums run in the same
+/// order as if it computed all its pairs itself, with the same bits
+/// (DESIGN.md §4o). Forces are written straight into `system.forces`; the
+/// energy and virial are summed over atoms in atom order.
 pub(crate) fn compute_forces_with(
     system: &mut MolecularSystem,
     params: &LjParams,
@@ -67,6 +75,7 @@ pub(crate) fn compute_forces_with(
     let shift = params.energy_shift();
     let image = MinImage::new(system.box_len);
     let MolecularSystem { positions, forces, .. } = system;
+    let mut terms = cells.take_terms();
 
     let mut total_energy = 0.0;
     let mut total_virial = 0.0;
@@ -74,41 +83,67 @@ pub(crate) fn compute_forces_with(
         let mut force = [0.0f64; 3];
         let mut energy = 0.0f64;
         let mut virial = 0.0f64;
-        for &cell in cells.atom_hood(i) {
-            for &j in cells.cell(cell) {
-                let j = j as usize;
-                if j == i {
-                    continue;
-                }
-                let pj = &positions[j];
+        let (rank, hood, blocks) = cells.atom_hood(i);
+        for (&cell, &block) in hood.iter().zip(blocks) {
+            let partners = cells.cell(cell);
+            // Ascending within the cell: the lower partners, then possibly
+            // `i` itself, then the higher partners.
+            let below = partners.partition_point(|&j| (j as usize) < i);
+            let above = below + usize::from(partners.get(below) == Some(&(i as u32)));
+            for s in 0..below {
+                let [fx, fy, fz, u, w] = terms[block.index(rank, s)];
+                force[0] -= fx;
+                force[1] -= fy;
+                force[2] -= fz;
+                energy += u;
+                virial += w;
+            }
+            for (s, &j) in partners.iter().enumerate().skip(above) {
+                let pj = &positions[j as usize];
                 let dr: Vec3 = [
                     image.apply(pi[0] - pj[0]),
                     image.apply(pi[1] - pj[1]),
                     image.apply(pi[2] - pj[2]),
                 ];
-                let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-                if r2 >= cutoff2 || r2 == 0.0 {
-                    continue;
-                }
-                let inv_r2 = 1.0 / r2;
-                let inv_r6 = inv_r2 * inv_r2 * inv_r2;
-                let inv_r12 = inv_r6 * inv_r6;
-                // f(r)/r = 24 (2 r⁻¹² − r⁻⁶) / r²
-                let f_over_r = 24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2;
+                let term = pair_term(dr, cutoff2, shift);
+                terms[block.index(rank, s)] = term;
                 for d in 0..3 {
-                    force[d] += f_over_r * dr[d];
+                    force[d] += term[d];
                 }
-                // Half-counted: the pair is visited again from j.
-                energy += 0.5 * (4.0 * (inv_r12 - inv_r6) - shift);
-                // Pair virial f_ij · r_ij, also half-counted.
-                virial += 0.5 * f_over_r * r2;
+                energy += term[3];
+                virial += term[4];
             }
         }
         forces[i] = force;
         total_energy += energy;
         total_virial += virial;
     }
+    cells.restore_terms(terms);
     ForceResult { potential: total_energy, virial: total_virial }
+}
+
+/// The term of the pair at minimum-image displacement `dr` as its lower
+/// atom adds it: zeros beyond the cutoff and for coincident atoms.
+#[inline]
+fn pair_term(dr: Vec3, cutoff2: f64, shift: f64) -> PairTerm {
+    let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+    if r2 >= cutoff2 || r2 == 0.0 {
+        return [0.0; 5];
+    }
+    let inv_r2 = 1.0 / r2;
+    let inv_r6 = inv_r2 * inv_r2 * inv_r2;
+    let inv_r12 = inv_r6 * inv_r6;
+    // f(r)/r = 24 (2 r⁻¹² − r⁻⁶) / r²
+    let f_over_r = 24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2;
+    [
+        f_over_r * dr[0],
+        f_over_r * dr[1],
+        f_over_r * dr[2],
+        // Half of the pair energy and of the pair virial f_ij · r_ij: the
+        // other atom adds the other half.
+        0.5 * (4.0 * (inv_r12 - inv_r6) - shift),
+        0.5 * f_over_r * r2,
+    ]
 }
 
 /// Instantaneous pressure from the virial theorem (reduced units):
@@ -200,6 +235,31 @@ mod tests {
             }
         }
         assert!((result.virial - w_ref).abs() < 1e-9, "virial {} vs {}", result.virial, w_ref);
+    }
+
+    #[test]
+    fn a_reused_list_gives_a_fresh_lists_bits() {
+        // Pair records are never cleared between evaluations: each one read
+        // must have been written earlier in the same evaluation, whatever a
+        // larger or differently binned system left behind. 3, 1, 3, 2 and 4
+        // cells per side, the last two over smaller ones' leftovers.
+        let params = LjParams::default();
+        let mut cells = CellList::default();
+        for (side, density) in [(8, 0.8), (3, 0.8), (6, 0.3), (5, 0.8), (8, 0.5)] {
+            let mut reused = MolecularSystem::lattice(side, density, 1.0, 7);
+            for (k, p) in reused.positions.iter_mut().enumerate() {
+                p[k % 3] += 0.01 * (k % 7) as f64;
+            }
+            let mut fresh = reused.clone();
+            let got = compute_forces_with(&mut reused, &params, &mut cells);
+            let want = compute_forces_full(&mut fresh, &params);
+            assert_eq!(got.potential.to_bits(), want.potential.to_bits(), "{side}³ atoms");
+            assert_eq!(got.virial.to_bits(), want.virial.to_bits(), "{side}³ atoms");
+            let bits = |s: &MolecularSystem| {
+                s.forces.iter().flatten().map(|f| f.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&reused), bits(&fresh), "{side}³ atoms");
+        }
     }
 
     #[test]

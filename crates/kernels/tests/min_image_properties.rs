@@ -8,6 +8,12 @@
 //! come from where a shortcut could go wrong: the ±64-ulp neighbourhoods
 //! of `±L/2` and `±3L/2`, signed zeros, subnormals, `±2⁵²`, infinities
 //! and NaN, and uniformly from `(−2L, 2L)`.
+//!
+//! `apply` is also odd: `apply(−x)` is `−apply(x)` bit for bit, except
+//! that an image of zero is `+0` from both sides (`apply(L)` and
+//! `apply(−L)` are both `+0`). The force loop's once-per-pair evaluation
+//! rests on this (DESIGN.md §4o). A NaN image (zero, infinite or NaN box)
+//! has no sign to keep and is left out.
 
 use kernels::md::MinImage;
 use testkit::{check, Gen};
@@ -75,6 +81,19 @@ fn images_and_apply_equal_the_rounding_expression_bit_for_bit() {
                 (x - len * r).to_bits(),
                 "apply({x:e}) for L = {len:e}"
             );
+            let image_x = image.apply(x);
+            if x.is_finite() && !image_x.is_nan() {
+                let mirrored = image.apply(-x);
+                if image_x != 0.0 {
+                    assert_eq!(
+                        mirrored.to_bits(),
+                        (-image_x).to_bits(),
+                        "apply(-x) for x = {x:e}, L = {len:e}"
+                    );
+                } else {
+                    assert_eq!(mirrored, 0.0, "apply(-x) for x = {x:e}, L = {len:e}");
+                }
+            }
         }
     });
 }
