@@ -417,4 +417,29 @@ mod tests {
         assert_eq!(sweep.recommended_cores, 8);
         assert_eq!(sweep.points.len(), 10);
     }
+
+    #[test]
+    fn lost_frames_study_shows_what_experiments_md_states() {
+        let rows = ext_lost_frames().unwrap();
+        let layout: Vec<(f64, usize)> =
+            rows.iter().map(|r| (r.analysis_scale, r.queue_capacity)).collect();
+        let loads_by_depth: Vec<(f64, usize)> =
+            [1.0, 1.5, 2.5].into_iter().flat_map(|load| [0, 1, 2, 4].map(|q| (load, q))).collect();
+        assert_eq!(layout, loads_by_depth, "a sync row, then queue depths 1, 2, 4, per load");
+        assert!(rows.iter().all(|r| r.produced == 37));
+        let unloaded_sync_finish = rows[0].sim_finish_seconds;
+        let mut lost = Vec::new();
+        for load in rows.chunks(4) {
+            let (sync, queues) = load.split_first().expect("four rows a load");
+            assert_eq!(sync.lost, 0, "sync at {}x", sync.analysis_scale);
+            for r in queues {
+                let at = (r.analysis_scale, r.queue_capacity);
+                assert_eq!(r.sim_idle_seconds, 0.0, "async {at:?} idles the simulation");
+                assert_eq!(r.sim_finish_seconds, unloaded_sync_finish, "async {at:?}");
+            }
+            assert!(queues.windows(2).all(|w| w[1].lost <= w[0].lost), "deeper queue loses more");
+            lost.push(queues.iter().map(|r| r.lost).collect::<Vec<_>>());
+        }
+        assert_eq!(lost, [vec![0, 0, 0], vec![6, 5, 3], vec![18, 17, 15]]);
+    }
 }

@@ -1,10 +1,10 @@
 //! # dtl — the Data Transport Layer of the workflow-ensemble runtime
 //!
-//! Implements the runtime architecture of the paper's Figure 2: ensemble
-//! components talk to *DTL plugins* ([`DtlWriter`] / [`DtlReader`]), which
-//! marshal application data into [`Chunk`]s ("the base data representation
-//! manipulated within the entire runtime") and move them through a staging
-//! tier:
+//! Implements the runtime architecture of the paper's Figure 2: a
+//! producer marshals application data with a [`ChunkCodec`] into
+//! [`Chunk`]s ("the base data representation manipulated within the
+//! entire runtime") and stages them; a consumer reads them back through a
+//! *DTL plugin* ([`DtlReader`]). Chunks move through a staging tier:
 //!
 //! * [`staging::dimes`] — in-memory staging with DIMES semantics: data
 //!   stays in the producer's node memory, one chunk in flight (the
@@ -46,8 +46,8 @@ pub use fault::{
     FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRule, FaultStats, MemberKill,
 };
 pub use marshal::{ChunkCodec, F64ArrayCodec};
-pub use plugin::{DtlReader, DtlWriter};
+pub use plugin::DtlReader;
 pub use protocol::{ReaderId, StepProtocol};
-pub use staging::{AsyncStaging, InMemoryStaging, RetryPolicy, StagingStats, SyncStaging};
+pub use staging::{InMemoryStaging, RetryPolicy, StagingStats, SyncStaging};
 pub use transport::StagingCostModel;
 pub use variable::{VariableId, VariableSpec};

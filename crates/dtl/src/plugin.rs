@@ -1,72 +1,20 @@
 //! The DTL plugin: "a middle layer between the ensemble components and
 //! the underlying DTL, responsible for data handling" (paper §2.2).
 //!
-//! A [`DtlWriter`] wraps a typed producer side (serialize → put), a
-//! [`DtlReader`] the consumer side (get → deserialize). Both hide the
-//! staging protocol details — step sequencing is automatic.
+//! A [`DtlReader`] wraps the typed consumer side (get → deserialize) and
+//! hides the staging protocol details: step sequencing is automatic. The
+//! producer side stages chunks directly, because the threaded runtime
+//! times the wait for a free slot (`Iˢ`) apart from the write (`W`).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::chunk::Chunk;
 use crate::error::DtlResult;
 use crate::marshal::ChunkCodec;
 use crate::protocol::ReaderId;
 use crate::staging::store::ChunkStore;
 use crate::staging::sync_staging::{SyncStaging, DEFAULT_TIMEOUT};
-use crate::variable::{VariableId, VariableSpec};
-
-/// Typed producer handle for one variable.
-pub struct DtlWriter<B: ChunkStore, C: ChunkCodec> {
-    staging: Arc<SyncStaging<B>>,
-    codec: C,
-    variable: VariableId,
-    home_node: usize,
-    next_step: u64,
-    timeout: Duration,
-}
-
-impl<B: ChunkStore, C: ChunkCodec> DtlWriter<B, C> {
-    /// Registers `spec` and builds a writer for it.
-    pub fn create(staging: Arc<SyncStaging<B>>, codec: C, spec: VariableSpec) -> DtlResult<Self> {
-        let home_node = spec.home_node;
-        let variable = staging.register(spec)?;
-        Ok(DtlWriter {
-            staging,
-            codec,
-            variable,
-            home_node,
-            next_step: 0,
-            timeout: DEFAULT_TIMEOUT,
-        })
-    }
-
-    /// Overrides the blocking timeout.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
-    /// The variable this writer produces.
-    pub fn variable(&self) -> VariableId {
-        self.variable
-    }
-
-    /// The step the next [`DtlWriter::write`] will stage.
-    pub fn next_step(&self) -> u64 {
-        self.next_step
-    }
-
-    /// Serializes `value` and stages it as the next step (the `W` stage),
-    /// blocking while the previous chunk has unread consumers.
-    pub fn write(&mut self, value: &C::Value) -> DtlResult<()> {
-        let data = self.codec.encode(value);
-        let chunk =
-            Chunk::new(self.variable, self.next_step, self.home_node, self.codec.encoding(), data);
-        self.staging.put_timeout(chunk, self.timeout)?;
-        self.next_step += 1;
-        Ok(())
-    }
-}
+use crate::variable::VariableId;
 
 /// Typed consumer handle for one variable.
 pub struct DtlReader<B: ChunkStore, C: ChunkCodec> {
@@ -90,25 +38,9 @@ impl<B: ChunkStore, C: ChunkCodec> DtlReader<B, C> {
         DtlReader { staging, codec, variable, reader, next_step: 0, timeout: DEFAULT_TIMEOUT }
     }
 
-    /// Attaches by variable name.
-    pub fn attach_by_name(
-        staging: Arc<SyncStaging<B>>,
-        codec: C,
-        name: &str,
-        reader: ReaderId,
-    ) -> DtlResult<Self> {
-        let variable = staging.lookup(name)?;
-        Ok(Self::attach(staging, codec, variable, reader))
-    }
-
     /// Overrides the blocking timeout.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
-    }
-
-    /// The step the next [`DtlReader::read`] will consume.
-    pub fn next_step(&self) -> u64 {
-        self.next_step
     }
 
     /// Blocks for the next chunk (the `R` stage) and deserializes it.
@@ -124,34 +56,40 @@ impl<B: ChunkStore, C: ChunkCodec> DtlReader<B, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::Chunk;
     use crate::marshal::F64ArrayCodec;
-    use crate::staging;
+    use crate::staging::{self, InMemoryStaging};
+    use crate::variable::VariableSpec;
 
-    fn spec(readers: u32) -> VariableSpec {
-        VariableSpec { name: "cv".into(), expected_readers: readers, home_node: 0 }
+    fn register(staging: &InMemoryStaging, readers: u32) -> VariableId {
+        let spec = VariableSpec { name: "cv".into(), expected_readers: readers, home_node: 0 };
+        staging.register(spec).unwrap()
+    }
+
+    /// Stages `value` as `step` of `var`, the way the threaded runtime's
+    /// simulation writes a frame.
+    fn write(staging: &InMemoryStaging, var: VariableId, step: u64, value: &[f64]) {
+        let data = F64ArrayCodec.encode(&value.to_vec());
+        let chunk = Chunk::new(var, step, 0, F64ArrayCodec.encoding(), data);
+        staging.put_timeout(chunk, DEFAULT_TIMEOUT).unwrap();
     }
 
     #[test]
     fn typed_roundtrip() {
         let staging = Arc::new(staging::dimes());
-        let mut writer = DtlWriter::create(Arc::clone(&staging), F64ArrayCodec, spec(1)).unwrap();
-        let mut reader =
-            DtlReader::attach_by_name(Arc::clone(&staging), F64ArrayCodec, "cv", ReaderId(0))
-                .unwrap();
-        writer.write(&vec![1.0, 2.0, 3.0]).unwrap();
+        let var = register(&staging, 1);
+        let mut reader = DtlReader::attach(Arc::clone(&staging), F64ArrayCodec, var, ReaderId(0));
+        write(&staging, var, 0, &[1.0, 2.0, 3.0]);
         assert_eq!(reader.read().unwrap(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(writer.next_step(), 1);
-        assert_eq!(reader.next_step(), 1);
     }
 
     #[test]
     fn step_sequencing_is_automatic() {
         let staging = Arc::new(staging::dimes());
-        let mut writer = DtlWriter::create(Arc::clone(&staging), F64ArrayCodec, spec(1)).unwrap();
-        let mut reader =
-            DtlReader::attach(Arc::clone(&staging), F64ArrayCodec, writer.variable(), ReaderId(0));
+        let var = register(&staging, 1);
+        let mut reader = DtlReader::attach(Arc::clone(&staging), F64ArrayCodec, var, ReaderId(0));
         for step in 0..5 {
-            writer.write(&vec![step as f64]).unwrap();
+            write(&staging, var, step, &[step as f64]);
             assert_eq!(reader.read().unwrap(), vec![step as f64]);
         }
     }
@@ -159,8 +97,7 @@ mod tests {
     #[test]
     fn threaded_pipeline_through_plugin() {
         let staging = Arc::new(staging::dimes());
-        let mut writer = DtlWriter::create(Arc::clone(&staging), F64ArrayCodec, spec(2)).unwrap();
-        let var = writer.variable();
+        let var = register(&staging, 2);
         let readers: Vec<_> = (0..2u32)
             .map(|r| {
                 let staging = Arc::clone(&staging);
@@ -175,7 +112,7 @@ mod tests {
             })
             .collect();
         for step in 0..8 {
-            writer.write(&vec![step as f64]).unwrap();
+            write(&staging, var, step, &[step as f64]);
         }
         for r in readers {
             assert_eq!(r.join().unwrap(), 28.0);

@@ -4,9 +4,14 @@
 //!   (the paper's unbuffered semantics);
 //! * burst-buffer-like queueing — [`InMemoryStaging`] with capacity > 1
 //!   via [`burst_buffer`];
-//! * [`PfsStaging`] — parallel-file-system tier (real file I/O);
-//! * [`AsyncStaging`] — in-transit style non-blocking tier with
-//!   drop-oldest overflow and lost-frame accounting.
+//! * [`PfsStaging`] — parallel-file-system tier (real file I/O).
+//!
+//! Every tier is a [`SyncStaging`]: the writer blocks until its previous
+//! chunk is consumed, as the paper's synchronous coupling does. The
+//! in-transit alternative, where the producer runs free and frames are
+//! lost, is modelled in the simulated runtime
+//! (`runtime::CouplingMode::Asynchronous`), where a lost-frame count does
+//! not depend on how the OS schedules threads.
 //!
 //! All tiers shard their state per variable: each registered variable
 //! owns its own lock (and condition variables), so couplings over
@@ -14,13 +19,11 @@
 //! members staging through N variables scales like N independent
 //! staging areas. See `DESIGN.md` §4c for the full concurrency model.
 
-pub mod async_staging;
 mod handoff;
 pub mod retry;
 pub mod store;
 pub mod sync_staging;
 
-pub use async_staging::AsyncStaging;
 pub use retry::RetryPolicy;
 pub use store::{ChunkStore, FileStore, MemoryStore};
 pub use sync_staging::{StagingStats, SyncStaging, DEFAULT_TIMEOUT};

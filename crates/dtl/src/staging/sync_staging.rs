@@ -203,11 +203,6 @@ impl<B: ChunkStore> SyncStaging<B> {
         Ok(id)
     }
 
-    /// Looks up a registered variable by name.
-    pub fn lookup(&self, name: &str) -> DtlResult<VariableId> {
-        recover(self.registry.read()).names.lookup(name)
-    }
-
     /// The shard of `var`, or `UnknownVariable`. Takes the registry read
     /// lock only long enough to clone the `Arc`.
     fn shard(&self, var: VariableId) -> DtlResult<Arc<VarShard<B::Handle>>> {

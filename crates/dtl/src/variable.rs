@@ -58,14 +58,6 @@ impl VariableRegistry {
         Ok(id)
     }
 
-    /// Looks up a variable by name.
-    pub fn lookup(&self, name: &str) -> DtlResult<VariableId> {
-        self.by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| DtlError::UnknownVariable { name: name.to_string() })
-    }
-
     /// The spec of a registered id.
     pub fn spec(&self, id: VariableId) -> &VariableSpec {
         &self.specs[id.0 as usize]
@@ -96,12 +88,13 @@ mod tests {
     }
 
     #[test]
-    fn register_and_lookup() {
+    fn register_assigns_dense_ids() {
         let mut r = VariableRegistry::new();
         let id = r.register(spec("traj/0")).unwrap();
-        assert_eq!(r.lookup("traj/0").unwrap(), id);
+        assert_eq!(id, VariableId(0));
+        assert_eq!(r.register(spec("traj/1")).unwrap(), VariableId(1));
         assert_eq!(r.spec(id).expected_readers, 2);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.len(), 2);
     }
 
     #[test]
@@ -120,12 +113,6 @@ mod tests {
         let mut other = spec("traj/0");
         other.expected_readers = 5;
         assert!(matches!(r.register(other), Err(DtlError::ProtocolViolation { .. })));
-    }
-
-    #[test]
-    fn unknown_lookup_fails() {
-        let r = VariableRegistry::new();
-        assert!(matches!(r.lookup("nope"), Err(DtlError::UnknownVariable { .. })));
     }
 
     #[test]

@@ -76,19 +76,20 @@ pub fn run_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecorder;
+    use crate::trace::tests::interval;
     use ensemble_core::StageKind;
 
     fn setup() -> (ExecutionTrace, HashMap<ComponentRef, u32>, HashMap<ComponentRef, usize>) {
-        let rec = TraceRecorder::new();
         let sim = ComponentRef::simulation(0);
         let ana = ComponentRef::analysis(0, 1);
-        rec.record(sim, StageKind::Simulate, 0, 0.0, 10.0);
-        rec.record(sim, StageKind::SimIdle, 0, 10.0, 12.0);
-        rec.record(ana, StageKind::Analyze, 0, 0.0, 8.0);
+        let rec = vec![
+            interval(sim, StageKind::Simulate, 0, 0.0, 10.0),
+            interval(sim, StageKind::SimIdle, 0, 10.0, 12.0),
+            interval(ana, StageKind::Analyze, 0, 0.0, 8.0),
+        ];
         let cores = HashMap::from([(sim, 16u32), (ana, 8u32)]);
         let nodes = HashMap::from([(sim, 0usize), (ana, 0usize)]);
-        (rec.into_trace(), cores, nodes)
+        (ExecutionTrace::new(rec), cores, nodes)
     }
 
     #[test]

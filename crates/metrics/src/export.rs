@@ -83,15 +83,16 @@ pub fn trace_csv(trace: &ExecutionTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecorder;
+    use crate::trace::tests::interval;
     use ensemble_core::{ComponentRef, StageKind};
 
     #[test]
     fn trace_csv_has_header_and_rows() {
-        let rec = TraceRecorder::new();
-        rec.record(ComponentRef::simulation(0), StageKind::Simulate, 0, 0.0, 1.5);
-        rec.record(ComponentRef::analysis(0, 1), StageKind::Analyze, 0, 1.5, 2.0);
-        let csv = trace_csv(&rec.into_trace());
+        let rec = vec![
+            interval(ComponentRef::simulation(0), StageKind::Simulate, 0, 0.0, 1.5),
+            interval(ComponentRef::analysis(0, 1), StageKind::Analyze, 0, 1.5, 2.0),
+        ];
+        let csv = trace_csv(&ExecutionTrace::new(rec));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("component,stage"));

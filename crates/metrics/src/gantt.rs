@@ -89,21 +89,21 @@ pub fn render_gantt(trace: &ExecutionTrace, options: &GanttOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecorder;
+    use crate::trace::tests::interval;
 
     fn sample_trace() -> ExecutionTrace {
-        let rec = TraceRecorder::new();
+        let mut rec = Vec::new();
         let sim = ComponentRef::simulation(0);
         let ana = ComponentRef::analysis(0, 1);
         for step in 0..2u64 {
             let base = step as f64 * 10.0;
-            rec.record(sim, StageKind::Simulate, step, base, base + 8.0);
-            rec.record(sim, StageKind::Write, step, base + 8.0, base + 8.5);
-            rec.record(ana, StageKind::AnaIdle, step, base, base + 8.5);
-            rec.record(ana, StageKind::Read, step, base + 8.5, base + 9.0);
-            rec.record(ana, StageKind::Analyze, step, base + 9.0, base + 10.0);
+            rec.push(interval(sim, StageKind::Simulate, step, base, base + 8.0));
+            rec.push(interval(sim, StageKind::Write, step, base + 8.0, base + 8.5));
+            rec.push(interval(ana, StageKind::AnaIdle, step, base, base + 8.5));
+            rec.push(interval(ana, StageKind::Read, step, base + 8.5, base + 9.0));
+            rec.push(interval(ana, StageKind::Analyze, step, base + 9.0, base + 10.0));
         }
-        rec.into_trace()
+        ExecutionTrace::new(rec)
     }
 
     #[test]
@@ -137,9 +137,8 @@ mod tests {
 
     #[test]
     fn zero_length_stages_do_not_panic() {
-        let rec = TraceRecorder::new();
-        rec.record(ComponentRef::simulation(0), StageKind::Write, 0, 1.0, 1.0);
-        let g = render_gantt(&rec.into_trace(), &GanttOptions { width: 10, window: None });
+        let rec = vec![interval(ComponentRef::simulation(0), StageKind::Write, 0, 1.0, 1.0)];
+        let g = render_gantt(&ExecutionTrace::new(rec), &GanttOptions { width: 10, window: None });
         assert!(g.contains("Sim1"));
     }
 }

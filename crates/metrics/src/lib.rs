@@ -34,5 +34,5 @@ pub use gantt::{render_gantt, GanttOptions};
 pub use makespan::{ensemble_makespan, member_makespan};
 pub use report::{ComponentReport, EnsembleReport, MemberReport};
 pub use summary::{MemberStages, StageSink, StageSummary};
-pub use trace::{ExecutionTrace, StageInterval, TraceRecorder};
+pub use trace::{ExecutionTrace, StageInterval};
 pub use traditional::TraditionalMetrics;

@@ -34,19 +34,20 @@ pub fn ensemble_makespan(trace: &ExecutionTrace, members: &[usize]) -> Option<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecorder;
+    use crate::trace::tests::interval;
     use ensemble_core::StageKind;
 
     fn trace() -> ExecutionTrace {
-        let rec = TraceRecorder::new();
-        // Member 0: sim spans [0, 20], analysis ends at 22.
-        rec.record(ComponentRef::simulation(0), StageKind::Simulate, 0, 0.0, 20.0);
-        rec.record(ComponentRef::analysis(0, 1), StageKind::Analyze, 0, 5.0, 22.0);
-        // Member 1: sim [1, 15], analyses end at 18 and 30.
-        rec.record(ComponentRef::simulation(1), StageKind::Simulate, 0, 1.0, 15.0);
-        rec.record(ComponentRef::analysis(1, 1), StageKind::Analyze, 0, 5.0, 18.0);
-        rec.record(ComponentRef::analysis(1, 2), StageKind::Analyze, 0, 5.0, 30.0);
-        rec.into_trace()
+        let rec = vec![
+            // Member 0: sim spans [0, 20], analysis ends at 22.
+            interval(ComponentRef::simulation(0), StageKind::Simulate, 0, 0.0, 20.0),
+            interval(ComponentRef::analysis(0, 1), StageKind::Analyze, 0, 5.0, 22.0),
+            // Member 1: sim [1, 15], analyses end at 18 and 30.
+            interval(ComponentRef::simulation(1), StageKind::Simulate, 0, 1.0, 15.0),
+            interval(ComponentRef::analysis(1, 1), StageKind::Analyze, 0, 5.0, 18.0),
+            interval(ComponentRef::analysis(1, 2), StageKind::Analyze, 0, 5.0, 30.0),
+        ];
+        ExecutionTrace::new(rec)
     }
 
     #[test]
@@ -71,10 +72,11 @@ mod tests {
 
     #[test]
     fn sim_outlasting_analyses_still_counts() {
-        let rec = TraceRecorder::new();
-        rec.record(ComponentRef::simulation(0), StageKind::Simulate, 0, 0.0, 40.0);
-        rec.record(ComponentRef::analysis(0, 1), StageKind::Analyze, 0, 5.0, 10.0);
-        let t = rec.into_trace();
+        let rec = vec![
+            interval(ComponentRef::simulation(0), StageKind::Simulate, 0, 0.0, 40.0),
+            interval(ComponentRef::analysis(0, 1), StageKind::Analyze, 0, 5.0, 10.0),
+        ];
+        let t = ExecutionTrace::new(rec);
         assert!((member_makespan(&t, 0, 1).unwrap() - 40.0).abs() < 1e-12);
     }
 }

@@ -4,8 +4,6 @@
 //! the discrete-event runtime, wall-clock seconds from the threaded
 //! runtime — so every metric downstream is mode-agnostic.
 
-use std::sync::{Arc, LockResult, Mutex, PoisonError};
-
 use ensemble_core::{ComponentRef, MemberStepSamples, StageKind};
 
 use crate::summary::{StageSink, StageSummary};
@@ -43,11 +41,6 @@ impl ExecutionTrace {
     pub fn new(intervals: Vec<StageInterval>) -> Self {
         debug_assert!(intervals.iter().all(|i| i.end >= i.start), "negative-duration interval");
         ExecutionTrace { intervals }
-    }
-
-    /// Consumes the trace, yielding its intervals in recording order.
-    pub fn into_intervals(self) -> Vec<StageInterval> {
-        self.intervals
     }
 
     /// All intervals, in recording order.
@@ -167,83 +160,34 @@ impl ExecutionTrace {
     }
 }
 
-/// The recorder's lock, whether or not a holder panicked: a member a
-/// fault plan panics may die between two pushes, and every interval
-/// already pushed is whole.
-fn recover<G>(result: LockResult<G>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
 
-/// Thread-safe recorder shared by the components of a running ensemble.
-#[derive(Debug, Clone, Default)]
-pub struct TraceRecorder {
-    inner: Arc<Mutex<Vec<StageInterval>>>,
-}
-
-impl TraceRecorder {
-    /// A fresh recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one stage interval.
-    pub fn record(
-        &self,
+    /// One stage interval, for traces built by hand.
+    pub(crate) fn interval(
         component: ComponentRef,
         kind: StageKind,
         step: u64,
         start: f64,
         end: f64,
-    ) {
-        debug_assert!(end >= start, "stage {kind:?} of {component} ends before it starts");
-        recover(self.inner.lock()).push(StageInterval { component, kind, step, start, end });
+    ) -> StageInterval {
+        StageInterval { component, kind, step, start, end }
     }
-
-    /// Number of intervals recorded so far.
-    pub fn len(&self) -> usize {
-        recover(self.inner.lock()).len()
-    }
-
-    /// True when nothing was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        recover(self.inner.lock()).is_empty()
-    }
-
-    /// Merges every interval of `trace` into this recorder. Used by the
-    /// supervised runtime: each member attempt records into its own
-    /// recorder, and only a successful attempt is absorbed into the
-    /// run's trace (failed attempts leave no intervals behind).
-    pub fn absorb(&self, trace: ExecutionTrace) {
-        recover(self.inner.lock()).extend(trace.into_intervals());
-    }
-
-    /// Finishes recording and produces the trace.
-    pub fn into_trace(self) -> ExecutionTrace {
-        let intervals = match Arc::try_unwrap(self.inner) {
-            Ok(m) => recover(m.into_inner()),
-            Err(arc) => recover(arc.lock()).clone(),
-        };
-        ExecutionTrace::new(intervals)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn sample_trace() -> ExecutionTrace {
-        let rec = TraceRecorder::new();
+        let mut rec = Vec::new();
         let sim = ComponentRef::simulation(0);
         let ana = ComponentRef::analysis(0, 1);
         for step in 0..3u64 {
             let base = step as f64 * 10.0;
-            rec.record(sim, StageKind::Simulate, step, base, base + 8.0);
-            rec.record(sim, StageKind::Write, step, base + 8.0, base + 8.5);
-            rec.record(ana, StageKind::Read, step, base + 8.5, base + 9.0);
-            rec.record(ana, StageKind::Analyze, step, base + 9.0, base + 9.8);
-            rec.record(ana, StageKind::AnaIdle, step, base + 9.8, base + 10.0);
+            rec.push(interval(sim, StageKind::Simulate, step, base, base + 8.0));
+            rec.push(interval(sim, StageKind::Write, step, base + 8.0, base + 8.5));
+            rec.push(interval(ana, StageKind::Read, step, base + 8.5, base + 9.0));
+            rec.push(interval(ana, StageKind::Analyze, step, base + 9.0, base + 9.8));
+            rec.push(interval(ana, StageKind::AnaIdle, step, base + 9.8, base + 10.0));
         }
-        rec.into_trace()
+        ExecutionTrace::new(rec)
     }
 
     #[test]
@@ -278,33 +222,6 @@ mod tests {
         let t = sample_trace();
         let idle = t.total_in_stage(ComponentRef::analysis(0, 1), StageKind::AnaIdle);
         assert!((idle - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recorder_is_shareable_across_threads() {
-        let rec = TraceRecorder::new();
-        let handles: Vec<_> = (0..4usize)
-            .map(|m| {
-                let rec = rec.clone();
-                std::thread::spawn(move || {
-                    for step in 0..5u64 {
-                        rec.record(
-                            ComponentRef::simulation(m),
-                            StageKind::Simulate,
-                            step,
-                            step as f64,
-                            step as f64 + 0.5,
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let t = rec.into_trace();
-        assert_eq!(t.len(), 20);
-        assert_eq!(t.member_indexes(), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod diagnostics;
 pub mod error;
 pub mod experiment_spec;
 pub mod frame_codec;
-pub mod in_transit;
 pub mod predictor;
 pub mod report_builder;
 pub mod runner;
@@ -38,7 +37,6 @@ pub use calibration::calibrate_component;
 pub use diagnostics::{diagnose, render_findings, DiagnosticConfig, FindingKind};
 pub use error::{RuntimeError, RuntimeResult};
 pub use experiment_spec::ExperimentSpec;
-pub use in_transit::run_threaded_in_transit;
 pub use predictor::{predict, predict_scores};
 pub use report_builder::{build_report, build_summary_report, build_threaded_report};
 pub use runner::EnsembleRunner;

@@ -1,7 +1,7 @@
 //! One worker thread's stage intervals, recorded without a lock.
 //!
-//! Both threaded runtimes give each component worker its own
-//! [`StageLog`] and gather the logs when they join the workers, so a
+//! The threaded runtime gives each component worker its own
+//! [`StageLog`] and gathers the logs when it joins the workers, so a
 //! stage record is a push onto a vector the recording thread owns. A
 //! component's intervals keep the order its worker recorded them in;
 //! every consumer of a trace selects by component before it looks at

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use dtl::fault::{FaultInjector, FaultPlan, FaultStats};
 use dtl::protocol::ReaderId;
 use dtl::staging::{MemoryStore, RetryPolicy, StagingStats, SyncStaging};
-use dtl::{DtlError, DtlReader, VariableId, VariableSpec};
+use dtl::{ChunkCodec, DtlError, DtlReader, VariableId, VariableSpec};
 use ensemble_core::{ComponentRef, EnsembleSpec, MemberSpec, StageKind};
 use kernels::analysis::{
     ContactCount, EigenAnalysis, FrameKernel, MsdKernel, RadiusOfGyration, RmsdKernel,
@@ -60,7 +60,7 @@ use crate::stage_log::{self, StageLog};
 /// injector (a passthrough when the run has no fault plan).
 pub type ChaosStaging = SyncStaging<FaultInjector<MemoryStore>>;
 
-/// Which in situ analysis kernel the threaded runtimes couple to each
+/// Which in situ analysis kernel the threaded runtime couples to each
 /// simulation (paper §2.2: the chunk contract is kernel-agnostic).
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelChoice {
@@ -468,7 +468,8 @@ fn simulate(args: &SuperviseArgs<'_>, attempt: u32, reached: &AtomicU64) -> Runt
         if t2 > t1 {
             log.record(StageKind::SimIdle, step, t1, t2);
         }
-        let chunk = dtl::Chunk::new(var, step, home_node, "md-frame-v1", frame.to_bytes());
+        let chunk =
+            dtl::Chunk::new(var, step, home_node, FrameCodec.encoding(), FrameCodec.encode(&frame));
         staging.put_timeout(chunk, cfg.timeout)?;
         let t3 = epoch.elapsed().as_secs_f64();
         log.record(StageKind::Write, step, t2, t3);

@@ -54,8 +54,8 @@ pub use svc as service;
 /// The most common imports in one place.
 pub mod prelude {
     pub use dtl::{
-        DtlReader, DtlWriter, FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRule,
-        InMemoryStaging, MemberKill, ReaderId, RetryPolicy, VariableSpec,
+        DtlReader, FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRule, InMemoryStaging,
+        MemberKill, ReaderId, RetryPolicy, VariableSpec,
     };
     pub use ensemble_core::{
         aggregate, efficiency, indicator, makespan, objective, placement_indicator, sigma_star,
@@ -64,10 +64,10 @@ pub mod prelude {
     };
     pub use hpc_platform::{BindPolicy, InterferenceModel, Platform, PowerModel, Workload};
     pub use kernels::{EigenAnalysis, Frame, MdConfig, MdSimulation};
-    pub use metrics::{EnsembleReport, ExecutionTrace, TraceRecorder};
+    pub use metrics::{EnsembleReport, ExecutionTrace};
     pub use runtime::{
-        predict, run_simulated, run_threaded, run_threaded_in_transit, CouplingMode,
-        EnsembleRunner, MemberOutcome, RestartPolicy, SimRunConfig, ThreadRunConfig, WorkloadMap,
+        predict, run_simulated, run_threaded, CouplingMode, EnsembleRunner, MemberOutcome,
+        RestartPolicy, SimRunConfig, ThreadRunConfig, WorkloadMap,
     };
     pub use scheduler::{
         core_sweep, exhaustive_search, recommend_placement, CoreSweepConfig, EnsembleShape,

@@ -41,6 +41,48 @@ fn in_transit_simulated_mode_trades_stall_for_loss() {
 }
 
 #[test]
+fn members_lose_frames_independently() {
+    // Two members on their own nodes, each behind its own one-frame
+    // queue: slowing member 0's analysis costs member 0 frames and
+    // leaves member 1's run unchanged to the bit.
+    let steps = 12;
+    let spec = EnsembleSpec::new(
+        (0..2)
+            .map(|node| {
+                MemberSpec::new(
+                    ComponentSpec::simulation(16, node),
+                    vec![ComponentSpec::analysis(8, node)],
+                )
+            })
+            .collect(),
+    );
+    let mut runner = EnsembleRunner::custom("two-members", spec).steps(steps).jitter(0.0);
+    runner.config_mut().coupling = CouplingMode::Asynchronous { queue_capacity: 1 };
+    let unslowed = runner.execute().unwrap();
+    let slowed_analysis = ComponentRef::analysis(0, 1);
+    let mut heavy = runner.config_mut().workloads.workload_for(slowed_analysis).clone();
+    heavy.instructions_per_step *= 3.0;
+    runner.config_mut().workloads.set_override(slowed_analysis, heavy);
+    let exec = runner.execute().unwrap();
+
+    let consumed = |member| {
+        exec.trace.stage_series(ComponentRef::analysis(member, 1), StageKind::Analyze).len() as u64
+    };
+    assert!(exec.lost_frames[0] > 0, "the slowed member must lose frames");
+    assert_eq!(consumed(0) + exec.lost_frames[0], steps, "member 0 accounts for every frame");
+    assert_eq!((exec.lost_frames[1], consumed(1)), (0, steps), "member 1 loses nothing");
+    for c in [ComponentRef::simulation(1), ComponentRef::analysis(1, 1)] {
+        let bits = |exec: &insitu_ensembles::runtime::SimExecution| {
+            exec.trace
+                .for_component(c)
+                .map(|i| (i.kind, i.step, i.start.to_bits(), i.end.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&exec), bits(&unslowed), "{c}'s intervals moved");
+    }
+}
+
+#[test]
 fn predictor_agrees_with_runner_at_paper_scale() {
     for id in [ConfigId::C1_2, ConfigId::C2_6] {
         let report = exact(id, 37).run().unwrap();
