@@ -638,7 +638,6 @@ fn bench_cosched(quick: bool) -> Vec<CoschedSample> {
             cache_capacity: 16,
             default_deadline: None,
             journal: None,
-            panic_on_request_id: None,
             scan_workers: 0,
             cosched: Some(CoschedSvcConfig::new(NodeBudget { max_nodes: 2, cores_per_node: 32 })),
             tenant_policy: svc::TenantPolicy::default(),

@@ -35,7 +35,6 @@ fn config() -> SvcConfig {
         cache_capacity: 64,
         default_deadline: None,
         journal: None,
-        panic_on_request_id: None,
         scan_workers: 0,
         cosched: None,
         tenant_policy: svc::TenantPolicy::default(),

@@ -4,11 +4,16 @@
 
 use std::fmt::Write;
 
-use ensemble_core::{aggregate, Aggregation, ConfigId, EnsembleSpec, IndicatorPath, MemberInputs};
+use ensemble_core::{
+    aggregate, Aggregation, ComponentRef, ConfigId, EnsembleSpec, IndicatorPath, MemberInputs,
+    StageKind,
+};
 use hpc_platform::BindPolicy;
 use json::{write_f64, write_seq, write_str, write_u64};
 use metrics::EnsembleReport;
-use runtime::{EnsembleRunner, RuntimeResult};
+use runtime::{
+    run_simulated, CouplingMode, EnsembleRunner, RuntimeResult, SimExecution, SimRunConfig,
+};
 
 /// Trials per configuration (the paper averages over 5).
 pub const TRIALS: u64 = 5;
@@ -277,28 +282,15 @@ impl LostFramesRow {
 /// and analysis loads under in-transit coupling; the synchronous
 /// protocol appears as the zero row of each load.
 pub fn ext_lost_frames() -> RuntimeResult<Vec<LostFramesRow>> {
-    use ensemble_core::{ComponentRef, StageKind};
-    use runtime::{run_simulated, CouplingMode, SimRunConfig};
     let mut rows = Vec::new();
     for &scale in &[1.0f64, 1.5, 2.5] {
         for &capacity in &[0usize, 1, 2, 4] {
-            let mut cfg = SimRunConfig::paper(ConfigId::Cf.build());
-            cfg.n_steps = STEPS;
-            cfg.jitter = 0.0;
-            let mut heavy = cfg.workloads.workload_for(ComponentRef::analysis(0, 1)).clone();
-            heavy.instructions_per_step *= scale;
-            cfg.workloads.set_override(ComponentRef::analysis(0, 1), heavy);
-            cfg.coupling = if capacity == 0 {
-                CouplingMode::Synchronous
-            } else {
-                CouplingMode::Asynchronous { queue_capacity: capacity }
-            };
-            let exec = run_simulated(&cfg)?;
+            let exec = lost_frames_run(scale, capacity)?;
             let sim = ComponentRef::simulation(0);
             rows.push(LostFramesRow {
                 queue_capacity: capacity,
                 analysis_scale: scale,
-                produced: STEPS,
+                produced: exec.trace.stage_series(sim, StageKind::Write).len() as u64,
                 lost: exec.lost_frames[0],
                 sim_idle_seconds: exec.trace.total_in_stage(sim, StageKind::SimIdle),
                 sim_finish_seconds: exec
@@ -310,6 +302,24 @@ pub fn ext_lost_frames() -> RuntimeResult<Vec<LostFramesRow>> {
         }
     }
     Ok(rows)
+}
+
+/// One run of the lost-frames study: `C_f` with its analysis's work
+/// scaled by `scale`, coupled through a queue of depth `capacity` (0:
+/// the paper's synchronous protocol).
+fn lost_frames_run(scale: f64, capacity: usize) -> RuntimeResult<SimExecution> {
+    let mut cfg = SimRunConfig::paper(ConfigId::Cf.build());
+    cfg.n_steps = STEPS;
+    cfg.jitter = 0.0;
+    let mut heavy = cfg.workloads.workload_for(ComponentRef::analysis(0, 1)).clone();
+    heavy.instructions_per_step *= scale;
+    cfg.workloads.set_override(ComponentRef::analysis(0, 1), heavy);
+    cfg.coupling = if capacity == 0 {
+        CouplingMode::Synchronous
+    } else {
+        CouplingMode::Asynchronous { queue_capacity: capacity }
+    };
+    run_simulated(&cfg)
 }
 
 /// A jitter-free paper-scale runner of `id` over `steps` in situ steps.
@@ -427,6 +437,13 @@ mod tests {
             [1.0, 1.5, 2.5].into_iter().flat_map(|load| [0, 1, 2, 4].map(|q| (load, q))).collect();
         assert_eq!(layout, loads_by_depth, "a sync row, then queue depths 1, 2, 4, per load");
         assert!(rows.iter().all(|r| r.produced == 37));
+        for r in &rows {
+            let exec = lost_frames_run(r.analysis_scale, r.queue_capacity).unwrap();
+            let ana = ComponentRef::analysis(0, 1);
+            let consumed = exec.trace.stage_series(ana, StageKind::Analyze).len() as u64;
+            let at = (r.analysis_scale, r.queue_capacity);
+            assert_eq!(r.produced, consumed + r.lost, "{at:?}: every frame consumed or lost");
+        }
         let unloaded_sync_finish = rows[0].sim_finish_seconds;
         let mut lost = Vec::new();
         for load in rows.chunks(4) {

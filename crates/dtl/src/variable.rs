@@ -27,7 +27,7 @@ pub struct VariableSpec {
     pub home_node: usize,
 }
 
-/// Name → id mapping plus specs.
+/// Name → id mapping, with each spec kept to check a re-registration.
 #[derive(Debug, Clone, Default)]
 pub struct VariableRegistry {
     by_name: HashMap<String, VariableId>,
@@ -57,26 +57,6 @@ impl VariableRegistry {
         self.specs.push(spec);
         Ok(id)
     }
-
-    /// The spec of a registered id.
-    pub fn spec(&self, id: VariableId) -> &VariableSpec {
-        &self.specs[id.0 as usize]
-    }
-
-    /// Number of registered variables.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Iterates `(id, spec)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (VariableId, &VariableSpec)> {
-        self.specs.iter().enumerate().map(|(i, s)| (VariableId(i as u32), s))
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +73,6 @@ mod tests {
         let id = r.register(spec("traj/0")).unwrap();
         assert_eq!(id, VariableId(0));
         assert_eq!(r.register(spec("traj/1")).unwrap(), VariableId(1));
-        assert_eq!(r.spec(id).expected_readers, 2);
-        assert_eq!(r.len(), 2);
     }
 
     #[test]
@@ -103,7 +81,8 @@ mod tests {
         let a = r.register(spec("traj/0")).unwrap();
         let b = r.register(spec("traj/0")).unwrap();
         assert_eq!(a, b);
-        assert_eq!(r.len(), 1);
+        // Nothing new was registered: the next name gets the next id.
+        assert_eq!(r.register(spec("traj/1")).unwrap(), VariableId(1));
     }
 
     #[test]
@@ -113,14 +92,5 @@ mod tests {
         let mut other = spec("traj/0");
         other.expected_readers = 5;
         assert!(matches!(r.register(other), Err(DtlError::ProtocolViolation { .. })));
-    }
-
-    #[test]
-    fn iteration_order_is_registration_order() {
-        let mut r = VariableRegistry::new();
-        r.register(spec("a")).unwrap();
-        r.register(spec("b")).unwrap();
-        let names: Vec<_> = r.iter().map(|(_, s)| s.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b"]);
     }
 }

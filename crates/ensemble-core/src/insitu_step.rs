@@ -35,6 +35,26 @@ pub fn satisfies_eq4(times: &MemberStageTimes) -> bool {
     times.analyses.iter().all(|a| a.busy() <= times.sim_busy() + 1e-12)
 }
 
+/// The factor by which analysis `j`'s `A*` must scale for its coupling
+/// to stop dominating `σ̄*` — Eq. 4's boundary, `Rʲ* + f·Aʲ* = S* + W*`:
+/// "how much faster must this analysis get before the simulation is the
+/// bottleneck again?" `None` when the analysis does not dominate, or
+/// when no scaling of `Aʲ*` alone can get it there.
+pub fn factor_to_unblock(times: &MemberStageTimes, j: usize) -> Option<f64> {
+    let ana = &times.analyses[j];
+    if ana.busy() <= times.sim_busy() {
+        return None; // already not the bottleneck
+    }
+    if ana.a <= 0.0 {
+        return None; // pure read time cannot be scaled away
+    }
+    let target_a = times.sim_busy() - ana.r;
+    if target_a <= 0.0 {
+        return None; // even a zero-cost analysis would still dominate
+    }
+    Some(target_a / ana.a)
+}
+
 /// Steady-state idle-stage durations derived from `σ̄*` (§3.3):
 /// `Iˢ* = σ̄* − (S* + W*)` and `Iᴬⁱ* = σ̄* − (Rⁱ* + Aⁱ*)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,6 +138,18 @@ mod tests {
         assert!((idle.analysis_idle[1] - (sigma - 10.2)).abs() < 1e-12);
         assert!(idle.sim_idle >= 0.0);
         assert!(idle.analysis_idle.iter().all(|&v| v >= 0.0));
+    }
+
+    #[test]
+    fn factor_to_unblock_matches_eq4_boundary() {
+        let mut t = times(20.0, 0.5, &[(0.5, 30.0)]);
+        let f = factor_to_unblock(&t, 0).expect("analysis dominates");
+        // After scaling, R + A×f == S + W exactly.
+        t.analyses[0].a *= f;
+        assert!((t.analyses[0].busy() - t.sim_busy()).abs() < 1e-9);
+        // Fast analyses need no unblocking.
+        let idle = times(20.0, 0.5, &[(0.5, 5.0)]);
+        assert!(factor_to_unblock(&idle, 0).is_none());
     }
 
     #[test]

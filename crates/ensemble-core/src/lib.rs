@@ -39,7 +39,6 @@ pub mod objective;
 pub mod placement;
 pub mod stage;
 pub mod steady_state;
-pub mod whatif;
 
 pub use component::{ComponentRef, ComponentSpec};
 pub use config::{ConfigId, ANALYSIS_CORES, SIM_CORES};
@@ -48,11 +47,11 @@ pub use ensemble::EnsembleSpec;
 pub use error::ModelError;
 pub use indicator::{indicator, p_u, p_ua, p_uap, IndicatorPath, MemberInputs};
 pub use insitu_step::{
-    coupling_scenario, idle_times, makespan, satisfies_eq4, sigma_star, CouplingScenario,
+    coupling_scenario, factor_to_unblock, idle_times, makespan, satisfies_eq4, sigma_star,
+    CouplingScenario,
 };
 pub use member::MemberSpec;
 pub use objective::{aggregate, objective, Aggregation};
 pub use placement::{placement_indicator, placement_indicator_bound, placement_indicator_on};
 pub use stage::{AnalysisStageTimes, MemberStageTimes, StageGroup, StageKind};
 pub use steady_state::{extract_steady_state, MemberStepSamples, WarmupPolicy};
-pub use whatif::{factor_to_unblock, what_if, Change};

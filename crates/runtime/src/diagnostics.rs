@@ -107,7 +107,7 @@ pub fn diagnose(report: &EnsembleReport, config: &DiagnosticConfig) -> Vec<Findi
             let busy = m.stage_times.analyses[j].busy();
             match scenario {
                 CouplingScenario::IdleSimulation => {
-                    // Quantify the fix with the what-if model: how much
+                    // Quantify the fix with Eq. 4's boundary: how much
                     // faster must this analysis get to stop dominating?
                     let needed = ensemble_core::factor_to_unblock(&m.stage_times, j)
                         .map(|f| {

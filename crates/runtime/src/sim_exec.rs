@@ -169,7 +169,6 @@ enum Coupling {
 struct AsyncQueue {
     queue: std::collections::VecDeque<u64>,
     capacity: usize,
-    produced: u64,
     lost: u64,
     finished: bool,
     last_read: Vec<Option<u64>>,
@@ -201,7 +200,6 @@ impl Coupling {
                     q.lost += 1;
                 }
                 q.queue.push_back(step);
-                q.produced += 1;
             }
         }
     }
@@ -760,7 +758,6 @@ fn play<K: StageSink>(
                 CouplingMode::Asynchronous { queue_capacity } => Coupling::Async(AsyncQueue {
                     queue: std::collections::VecDeque::new(),
                     capacity: queue_capacity.max(1),
-                    produced: 0,
                     lost: 0,
                     finished: false,
                     last_read: vec![None; m.k()],

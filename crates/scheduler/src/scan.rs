@@ -20,9 +20,8 @@
 //!   pull with the walk unfinished (in a bounded scan, also only after
 //!   [`SOLO_SCAN`]) does
 //!   `std::thread::scope` add up to `workers − 1` threads beside it
-//!   (worker count: available parallelism, overridable per call or via
-//!   the `ENSEMBLE_SCAN_WORKERS` environment variable). Plain `std`
-//!   threads, like the rest of the workspace. Each worker owns its own
+//!   (worker count: available parallelism unless the call names one).
+//!   Plain `std` threads, like the rest of the workspace. Each worker owns its own
 //!   evaluation state, so the per-candidate cost stays allocation-free.
 //! * **Rows only for survivors.** `eval` returns a candidate's floats;
 //!   the `keep` step that copies its assignment into a result row runs
@@ -65,11 +64,6 @@ use crate::delta::DeltaCounters;
 use crate::enumerate::{Chunk, Copies, EnsembleShape, Orbits, PlacementIter};
 use crate::search::NodeBudget;
 
-/// Environment variable overriding the default worker count (used by CI
-/// to sweep the determinism suite across 1/2/8 workers without an API
-/// change). Explicit [`ScanOptions::workers`] wins over it.
-pub const SCAN_WORKERS_ENV: &str = "ENSEMBLE_SCAN_WORKERS";
-
 /// How long the caller of a bounded (`top_k > 0`) scan scans alone
 /// before it brings in helper threads. How much of its space such a
 /// scan evaluates depends on how fast its floor rises, so its length
@@ -86,9 +80,8 @@ pub const SOLO_SCAN: Duration = Duration::from_micros(200);
 /// Tuning of one scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Most worker threads the scan may use. Zero means "auto": the
-    /// [`SCAN_WORKERS_ENV`] environment variable if set, else available
-    /// parallelism.
+    /// Most worker threads the scan may use. Zero means the host's
+    /// available parallelism.
     pub workers: usize,
     /// Candidates handed to a worker per feed pull. Smaller chunks probe
     /// cancellation more often; larger ones amortize the feed lock.
@@ -110,16 +103,8 @@ impl ScanOptions {
         if self.workers > 0 {
             return self.workers;
         }
-        if let Some(n) = workers_from_env(std::env::var(SCAN_WORKERS_ENV).ok().as_deref()) {
-            return n;
-        }
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
-}
-
-/// Parses a worker-count override; `None` for unset/unparseable/zero.
-fn workers_from_env(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
 }
 
 /// A point-in-time view of a running scan, handed to
@@ -1474,16 +1459,6 @@ mod tests {
                 assert!(evals < all.len() / 2, "{at}: {evals} evaluated");
             }
         }
-    }
-
-    #[test]
-    fn worker_env_override_parses_strictly() {
-        assert_eq!(workers_from_env(None), None);
-        assert_eq!(workers_from_env(Some("")), None);
-        assert_eq!(workers_from_env(Some("0")), None);
-        assert_eq!(workers_from_env(Some("nope")), None);
-        assert_eq!(workers_from_env(Some("4")), Some(4));
-        assert_eq!(workers_from_env(Some(" 2 ")), Some(2));
     }
 
     #[test]

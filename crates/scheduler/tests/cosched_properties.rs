@@ -326,8 +326,7 @@ fn place_against_matches_the_from_scratch_oracle() {
             let shape = shape_palette(shape);
             let want = oracle_place(&shape, s.residency(), &base);
             let view = s.residency().view();
-            // 0 resolves from `ENSEMBLE_SCAN_WORKERS`, the CI sweep axis.
-            for workers in [0usize, 1, 2, 8] {
+            for workers in [1usize, 2, 8] {
                 let opts = ScanOptions { workers, chunk: 3, ..ScanOptions::default() };
                 let got = place_against(&shape, &view, &base, &solves, &opts).unwrap().map(|d| {
                     (

@@ -15,10 +15,10 @@
 //! scans fill it at once, an evaluator backed by it returns the bits a
 //! private one returns.
 //!
-//! CI runs this file under `ENSEMBLE_SCAN_WORKERS={1,2,8}`: the
-//! scan-level properties below build options from
-//! `ScanOptions::default()`, which resolves the worker count from the
-//! environment.
+//! Every scan here names its width: each scan-level property sweeps 1,
+//! 2 and 8 workers explicitly (a warming scan and the two concurrent
+//! scans included), so the thread-count axis is covered wherever the
+//! suite runs, on any host.
 
 use std::sync::{Arc, Barrier};
 
@@ -184,12 +184,14 @@ fn a_shared_solve_cache_never_changes_a_bit() {
         assert_eq!(&private, &want);
 
         let solves = Arc::new(SolveCache::with_capacity(&base, capacity));
-        let (warmed, _) = delta_scan(&warmer, budget, &ScanOptions::default(), || {
-            DeltaEvaluator::with_solve_cache(&base, &warmer, &solves)
-        });
-        assert_eq!(&warmed, &oracle_scores(&base, &warmer, budget));
-        // 0 resolves from `ENSEMBLE_SCAN_WORKERS`, the CI sweep axis.
-        for workers in [0usize, 1, 2, 8] {
+        for workers in [1usize, 2, 8] {
+            let warming = ScanOptions { workers, ..ScanOptions::default() };
+            let (warmed, _) = delta_scan(&warmer, budget, &warming, || {
+                DeltaEvaluator::with_solve_cache(&base, &warmer, &solves)
+            });
+            assert_eq!(&warmed, &oracle_scores(&base, &warmer, budget));
+        }
+        for workers in [1usize, 2, 8] {
             for chunk in [1usize, 32, placements.len() + 1] {
                 let opts = ScanOptions { workers, chunk, top_k: 0 };
                 let (got, counters) = delta_scan(&shape, budget, &opts, || {
@@ -238,7 +240,7 @@ fn forced_remote_reads_and_power_caps_never_change_a_bit() {
         assert_eq!(&private, &want, "force_remote_reads={force_remote_reads} cap={cap:?}");
 
         let solves = Arc::new(SolveCache::new(&base));
-        for workers in [0usize, 1, 2, 8] {
+        for workers in [1usize, 2, 8] {
             let opts = ScanOptions { workers, chunk: 3, top_k: 0 };
             let (got, _) = delta_scan(&shape, budget, &opts, || {
                 DeltaEvaluator::with_solve_cache(&base, &shape, &solves)
@@ -275,21 +277,24 @@ fn concurrent_scans_share_one_cache_bit_identically() {
         let (max_nodes, capacity) = (g.range(2usize..=4), g.select(&[1usize, 2, 1024]));
         let budget = NodeBudget { max_nodes, cores_per_node: 32 };
         let base = base_config(left.materialize(&vec![0; left.num_components()]));
-        let solves = Arc::new(SolveCache::with_capacity(&base, capacity));
-        let start = Barrier::new(2);
-        let scan = |shape: &EnsembleShape| {
-            start.wait();
-            delta_scan(shape, budget, &ScanOptions { chunk: 2, ..ScanOptions::default() }, || {
-                DeltaEvaluator::with_solve_cache(&base, shape, &solves)
-            })
-            .0
-        };
-        let (got_left, got_right) = std::thread::scope(|scope| {
-            let other = scope.spawn(|| scan(&right));
-            (scan(&left), other.join().expect("scanning thread"))
-        });
-        assert_eq!(got_left, oracle_scores(&base, &left, budget));
-        assert_eq!(got_right, oracle_scores(&base, &right, budget));
+        for workers in [1usize, 2, 8] {
+            let solves = Arc::new(SolveCache::with_capacity(&base, capacity));
+            let start = Barrier::new(2);
+            let opts = ScanOptions { workers, chunk: 2, ..ScanOptions::default() };
+            let scan = |shape: &EnsembleShape| {
+                start.wait();
+                delta_scan(shape, budget, &opts, || {
+                    DeltaEvaluator::with_solve_cache(&base, shape, &solves)
+                })
+                .0
+            };
+            let (got_left, got_right) = std::thread::scope(|scope| {
+                let other = scope.spawn(|| scan(&right));
+                (scan(&left), other.join().expect("scanning thread"))
+            });
+            assert_eq!(got_left, oracle_scores(&base, &left, budget));
+            assert_eq!(got_right, oracle_scores(&base, &right, budget));
+        }
     });
 }
 
@@ -386,9 +391,8 @@ fn cache_eviction_never_changes_results() {
 }
 
 /// The delta-scoring scan reproduces the from-scratch scores bit for
-/// bit — same candidates, same order, same floats — at the worker count
-/// `ENSEMBLE_SCAN_WORKERS` injects and at explicit 1/2/8, across
-/// chunk sizes.
+/// bit — same candidates, same order, same floats — at 1, 2 and 8
+/// workers, across chunk sizes.
 #[test]
 fn delta_scan_matches_plain_scan_bitwise() {
     check(CASES, |g| {
@@ -400,7 +404,7 @@ fn delta_scan_matches_plain_scan_bitwise() {
         }
         let base = base_config(shape.materialize(&placements[0]));
         let reference = oracle_scores(&base, &shape, budget);
-        for workers in [0usize, 1, 2, 8] {
+        for workers in [1usize, 2, 8] {
             let opts = ScanOptions { workers, chunk, top_k: 0 };
             let (got, counters) =
                 delta_scan(&shape, budget, &opts, || DeltaEvaluator::new(&base, &shape));

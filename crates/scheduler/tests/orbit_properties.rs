@@ -15,8 +15,9 @@
 //! staging prices that see node labels, socket splits that see order —
 //! the scan falls back and stays exact.
 //!
-//! CI runs this file under `ENSEMBLE_SCAN_WORKERS={1,2,8}` (worker count
-//! 0 below resolves from it).
+//! Every scan here names its width (1, 2 and 8 workers, swept
+//! explicitly, where a test is not about one worker), so the
+//! thread-count axis is covered wherever the suite runs, on any host.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -239,7 +240,7 @@ fn assert_exact(shape: &EnsembleShape, budget: NodeBudget, base: &SimRunConfig) 
     let (mut copies, mut multi) = (0, 0);
     for top_k in [1usize, 3, 10, all.len() + 1, 0] {
         let parent = parent_rows(&want, top_k);
-        for workers in [0usize, 1, 2, 8] {
+        for workers in [1usize, 2, 8] {
             let opts = ScanOptions { workers, chunk: 7, top_k };
             let scan = orbit_scan(shape, budget, base, &opts).expect("orbit scan");
             let at = format!("{shape:?} on {budget:?}: top_k={top_k} workers={workers}");
@@ -301,8 +302,10 @@ fn a_member_without_analysis_fails_as_the_parent_does() {
     let mut parent = FastEvaluator::new(&base);
     assert!(parent.score(&shape.materialize(&vec![0; shape.num_components()])).is_err());
     for top_k in [0usize, 1, 10] {
-        let opts = ScanOptions { workers: 0, chunk: 7, top_k };
-        assert!(orbit_scan(&shape, budget, &base, &opts).is_err(), "top_k={top_k}");
+        for workers in [1usize, 2, 8] {
+            let opts = ScanOptions { workers, chunk: 7, top_k };
+            assert!(orbit_scan(&shape, budget, &base, &opts).is_err(), "top_k={top_k}");
+        }
     }
 }
 
@@ -471,6 +474,47 @@ fn member_classes_are_declared_exactly_where_splits_are_blind_to_order() {
     let shape = EnsembleShape::uniform(4, 7, 1, 3);
     let base = base_config(&shape, true, Twist::None);
     assert_eq!(declared_classes(&shape, fit(&shape, 5), &base), None);
+}
+
+/// Why the gate stays, and why no node-local order of blocks could
+/// replace it: where identical blocks on one node get different socket
+/// splits, which member gets which split depends on member order, so
+/// two copies of one orbit score differently. Under Compact the third
+/// 8-core simulation on a node lands on socket 1; under Spread, once
+/// socket 0 runs out, the later 3-core simulations split `[0, 3]`
+/// instead of `[2, 1]`. The gate declares no classes for either shape,
+/// and Spread scores the Compact shape's two copies to the same bits.
+#[test]
+fn copies_differ_where_identical_blocks_split_differently() {
+    let objective = |shape: &EnsembleShape, base: &SimRunConfig, a: &[usize]| {
+        FastEvaluator::new(base).score(&shape.materialize(a)).expect("score").objective
+    };
+    // Three 8+8-core members, the simulations on one node; the copy has
+    // members 0 and 2 trade places.
+    let shape = EnsembleShape::uniform(3, 8, 1, 8);
+    let (placement, copy) = ([0, 1, 0, 1, 0, 2], [0, 1, 0, 2, 0, 2]);
+    let mut base = base_config(&shape, true, Twist::None);
+    base.bind_policy = BindPolicy::Compact;
+    assert_eq!(objective(&shape, &base, &placement), 6.206358053358215e-3);
+    assert_eq!(objective(&shape, &base, &copy), 5.718578112480261e-3);
+    assert_eq!(DeltaEvaluator::new(&base, &shape).member_classes(3), None);
+    base.bind_policy = BindPolicy::Spread;
+    let spread = objective(&shape, &base, &placement);
+    assert_eq!(spread.to_bits(), objective(&shape, &base, &copy).to_bits());
+
+    // Ten 3+1-core members, the simulations on one node, nine analyses
+    // on a second and member 9's alone on a third; the copy has member
+    // 0's alone (canonical labels put it on node 1).
+    let shape = EnsembleShape::uniform(10, 3, 1, 1);
+    let mut placement = [0, 1].repeat(10);
+    placement[19] = 2;
+    let mut copy = [0, 2].repeat(10);
+    copy[1] = 1;
+    let base = base_config(&shape, true, Twist::None);
+    assert_eq!(base.bind_policy, BindPolicy::Spread);
+    assert_eq!(objective(&shape, &base, &placement), 2.9141833089387982e-2);
+    assert_eq!(objective(&shape, &base, &copy), 2.8537118479846774e-2);
+    assert_eq!(DeltaEvaluator::new(&base, &shape).member_classes(3), None);
 }
 
 /// The paper's shapes evaluate a few dozen representatives where the

@@ -14,8 +14,9 @@
 //!
 //! Shapes are drawn irregular (members of different widths and core
 //! counts, down to one-core components) or with every member alike, and
-//! scored under both workload maps. CI runs this file under `ENSEMBLE_SCAN_WORKERS={1,2,8}`
-//! (worker count 0 below resolves from it).
+//! scored under both workload maps. Every scan here names its width (1,
+//! 2 and 8 workers, swept explicitly), so the thread-count axis is
+//! covered wherever the suite runs, on any host.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -247,7 +248,7 @@ fn top_k_with_pruning_is_the_head_of_the_full_ranking() {
         ranked.sort_by(|a, b| f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1)));
         let all = enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node).len();
         for top_k in [1, 3, 10, space + 1] {
-            for workers in [0usize, 1, 2, 8] {
+            for workers in [1usize, 2, 8] {
                 for chunk in [1usize, 7, 32] {
                     let opts = ScanOptions { workers, chunk, top_k };
                     let scan = pruned_scan(&shape, budget, &base, &opts);
@@ -419,7 +420,7 @@ fn a_full_ranking_prunes_nothing() {
         let (shape, budget, base, space) = case(g);
         let want: Vec<Row> =
             oracle(&shape, budget, &base).iter().enumerate().map(|(i, s)| row(i, s)).collect();
-        for workers in [0usize, 1, 2, 8] {
+        for workers in [1usize, 2, 8] {
             let opts = ScanOptions { workers, chunk: 7, top_k: 0 };
             let scan = pruned_scan(&shape, budget, &base, &opts);
             assert_eq!(scan.counters.pruned, 0, "workers={workers}");

@@ -7,9 +7,8 @@
 //! without a power cap. That is what lets a scan give every copy of an
 //! orbit its representative's score.
 //!
-//! CI runs this file in the scheduler sweep under
-//! `ENSEMBLE_SCAN_WORKERS={1,2,8}`; nothing here scans, so every width
-//! runs the same checks.
+//! Nothing here scans, so no worker count is in play; the scan suites
+//! that rest on this property sweep 1, 2 and 8 workers themselves.
 
 use ensemble_core::ComponentRef;
 use hpc_platform::{BindPolicy, PerfEstimate, Workload};

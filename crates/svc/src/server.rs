@@ -132,8 +132,6 @@ struct ListenerShared<S> {
     served: Arc<S>,
     stopping: AtomicBool,
     conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Fault-injection hook: handling the request with this id panics.
-    panic_on_request_id: Option<u64>,
     /// Replication sessions ever opened; stream faults from the fault
     /// plan hit only session 0, so a reconnecting standby recovers (the
     /// injected drop/stall models a transient network failure, not a
@@ -150,18 +148,13 @@ pub(crate) struct Listener<S> {
 
 impl<S: Serve> Listener<S> {
     /// Serves `served` on the bound `tcp` listener.
-    pub(crate) fn spawn(
-        tcp: TcpListener,
-        served: Arc<S>,
-        panic_on_request_id: Option<u64>,
-    ) -> std::io::Result<Listener<S>> {
+    pub(crate) fn spawn(tcp: TcpListener, served: Arc<S>) -> std::io::Result<Listener<S>> {
         tcp.set_nonblocking(true)?;
         let addr = tcp.local_addr()?;
         let shared = Arc::new(ListenerShared {
             served,
             stopping: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
-            panic_on_request_id,
             repl_sessions: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
@@ -200,9 +193,7 @@ pub struct ServerHandle {
 pub fn serve(addr: &str, config: SvcConfig) -> std::io::Result<ServerHandle> {
     let tcp = TcpListener::bind(addr)?;
     let journal_path = config.journal.as_ref().map(|j| j.path.clone());
-    let panic_on_request_id = config.panic_on_request_id;
-    let listener =
-        Listener::spawn(tcp, Arc::new(Service::try_start(config)?), panic_on_request_id)?;
+    let listener = Listener::spawn(tcp, Arc::new(Service::try_start(config)?))?;
     // Journalled primaries advertise liveness by touching `<journal>.hb`
     // every heartbeat; a fault-plan "crash" (degraded journal) stops the
     // beat so file-follow standbys see the primary as dead even though
@@ -627,11 +618,11 @@ fn line_request_id(line: &str) -> u64 {
     Value::parse(line).ok().and_then(|v| v.get("id").and_then(Value::as_u64)).unwrap_or(0)
 }
 
-/// Decodes a line, fires the fault-injection panic hook, and routes. A
-/// line that does not decode is answered with the error that refuses it:
-/// a syntactically fine request carrying an unusable tenant tag is the
-/// caller's bug, not a framing problem — `invalid`, so clients don't
-/// retry it as a transport error; anything else is `malformed`.
+/// Decodes a line and routes it. A line that does not decode is
+/// answered with the error that refuses it: a syntactically fine request
+/// carrying an unusable tenant tag is the caller's bug, not a framing
+/// problem — `invalid`, so clients don't retry it as a transport error;
+/// anything else is `malformed`.
 fn handle_line<'a, S: Serve>(shared: &'a ListenerShared<S>, line: &str) -> Routed<'a> {
     let request = match Request::from_json(line) {
         Ok(r) => r,
@@ -644,17 +635,70 @@ fn handle_line<'a, S: Serve>(shared: &'a ListenerShared<S>, line: &str) -> Route
             return Routed::Answered(Response::Error { id: line_request_id(line), kind, message });
         }
     };
-    let id = request.id;
-    if shared.panic_on_request_id == Some(id) {
-        panic!("injected front-end panic (request {id})");
-    }
     route(shared.served.mount(), request)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::SvcClient;
     use crate::json::encoded;
+    use crate::service::small_score_request;
+
+    /// The primary, except that its first `mount()` panics: the request
+    /// being routed dies mid-handling, in the connection's thread.
+    struct PanicsOnce {
+        service: Service,
+        panicked: AtomicBool,
+    }
+
+    impl Serve for PanicsOnce {
+        fn mount(&self) -> Mount<'_> {
+            if !self.panicked.swap(true, Ordering::SeqCst) {
+                panic!("injected front-end panic");
+            }
+            Mount::Primary(&self.service)
+        }
+    }
+
+    #[test]
+    fn handler_panic_is_a_structured_internal_error_not_a_dead_connection() {
+        // The first request routed panics the front end; the listener
+        // must contain it to that one request.
+        let config =
+            SvcConfig { workers: 1, queue_capacity: 8, cache_capacity: 64, ..SvcConfig::default() };
+        let served = Arc::new(PanicsOnce {
+            service: Service::start(config),
+            panicked: AtomicBool::new(false),
+        });
+        let tcp = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let mut listener = Listener::spawn(tcp, Arc::clone(&served)).expect("listen");
+        let mut client = SvcClient::connect(listener.addr).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+
+        match client.request(&small_score_request(66, 2, 16, 1, 8, 3)).expect("contained panic") {
+            Response::Error { id, kind: ErrorKind::Internal, message } => {
+                assert_eq!(id, 66, "the poisoned request's id is echoed");
+                assert!(message.contains("panicked"), "{message}");
+            }
+            other => panic!("expected internal error, got {other:?}"),
+        }
+
+        // The same connection — and fresh ones — still serve valid work.
+        match client.request(&small_score_request(67, 2, 16, 1, 8, 3)).expect("same connection") {
+            Response::ScoreResult { id, .. } => assert_eq!(id, 67),
+            other => panic!("expected score result, got {other:?}"),
+        }
+        let mut fresh = SvcClient::connect(listener.addr).expect("connect after panic");
+        fresh.set_timeout(Some(Duration::from_secs(60))).unwrap();
+        match fresh.request(&small_score_request(68, 2, 16, 1, 8, 3)).expect("fresh connection") {
+            Response::ScoreResult { id, .. } => assert_eq!(id, 68),
+            other => panic!("expected score result, got {other:?}"),
+        }
+        listener.stop_accepting();
+        served.service.shutdown();
+        listener.join_connections();
+    }
 
     #[test]
     fn every_repl_frame_survives_encode_then_decode() {

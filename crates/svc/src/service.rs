@@ -59,15 +59,12 @@ pub struct SvcConfig {
     /// warmed and the attachable-run index rebuilt by replay at start.
     /// Compaction keeps `cache_capacity` scores and runs.
     pub journal: Option<JournalConfig>,
-    /// Fault-injection hook: the front end panics while handling the
-    /// request with this id. Exercises the server's panic containment
-    /// in tests; leave `None` in production.
-    pub panic_on_request_id: Option<u64>,
     /// Most scan worker threads per score request (a scan brings in
     /// helpers only once its first pull leaves work to share, and a
-    /// bounded one only after its caller's solo time). Zero lets
-    /// the scan engine pick (env override, then host parallelism); a
-    /// request carrying its own nonzero `workers` outranks this default.
+    /// bounded one only after its caller's solo time). Zero means the
+    /// host's available parallelism for `score`, but one thread for the
+    /// co-scheduler's placement of a `submit`; a request carrying its
+    /// own nonzero `workers` outranks this default.
     pub scan_workers: usize,
     /// Optional online co-scheduler. When set, `submit` requests are
     /// placed against live residual capacity before they reach the
@@ -88,7 +85,6 @@ impl Default for SvcConfig {
             cache_capacity: 256,
             default_deadline: None,
             journal: None,
-            panic_on_request_id: None,
             scan_workers: 0,
             cosched: None,
             tenant_policy: TenantPolicy::default(),
@@ -1752,7 +1748,6 @@ mod tests {
             cache_capacity: 16,
             default_deadline: None,
             journal: None,
-            panic_on_request_id: None,
             scan_workers: 0,
             cosched: None,
             tenant_policy: TenantPolicy::default(),
@@ -2000,7 +1995,6 @@ mod tests {
             cache_capacity: 16,
             default_deadline: Some(Duration::from_secs(2)),
             journal: None,
-            panic_on_request_id: None,
             scan_workers: 0,
             cosched: None,
             tenant_policy: TenantPolicy::default(),

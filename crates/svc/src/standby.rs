@@ -239,9 +239,7 @@ impl Standby {
                 }
             })?;
         let listener = match &config.serve_addr {
-            Some(bind) => {
-                Some(Listener::spawn(TcpListener::bind(bind)?, Arc::clone(&shared), None)?)
-            }
+            Some(bind) => Some(Listener::spawn(TcpListener::bind(bind)?, Arc::clone(&shared))?),
             None => None,
         };
         Ok(Standby {

@@ -23,7 +23,6 @@ fn cosched_config(nodes: usize, workers: usize) -> SvcConfig {
         cache_capacity: 32,
         default_deadline: None,
         journal: None,
-        panic_on_request_id: None,
         scan_workers: 0,
         cosched: Some(CoschedSvcConfig::new(NodeBudget { max_nodes: nodes, cores_per_node: 32 })),
         tenant_policy: svc::TenantPolicy::default(),

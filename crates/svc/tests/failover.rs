@@ -40,7 +40,6 @@ fn config_with_journal(journal: JournalConfig) -> SvcConfig {
         cache_capacity: 32,
         default_deadline: None,
         journal: Some(journal),
-        panic_on_request_id: None,
         scan_workers: 0,
         cosched: None,
         tenant_policy: svc::TenantPolicy::default(),

@@ -32,7 +32,6 @@ fn config(workers: usize, queue: usize, policy: TenantPolicy) -> SvcConfig {
         cache_capacity: 32,
         default_deadline: None,
         journal: None,
-        panic_on_request_id: None,
         scan_workers: 0,
         cosched: None,
         tenant_policy: policy,
@@ -276,7 +275,6 @@ fn cosched_config(policy: TenantPolicy) -> SvcConfig {
         cache_capacity: 16,
         default_deadline: None,
         journal: None,
-        panic_on_request_id: None,
         scan_workers: 0,
         cosched: Some(CoschedSvcConfig::new(NodeBudget { max_nodes: 1, cores_per_node: 32 })),
         tenant_policy: policy,

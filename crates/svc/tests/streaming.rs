@@ -24,7 +24,6 @@ fn server(workers: usize, queue_capacity: usize) -> ServerHandle {
             cache_capacity: 64,
             default_deadline: None,
             journal: None,
-            panic_on_request_id: None,
             scan_workers: 0,
             cosched: None,
             tenant_policy: svc::TenantPolicy::default(),

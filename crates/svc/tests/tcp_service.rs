@@ -24,7 +24,6 @@ fn server(workers: usize, queue_capacity: usize) -> ServerHandle {
             cache_capacity: 64,
             default_deadline: None,
             journal: None,
-            panic_on_request_id: None,
             scan_workers: 0,
             cosched: None,
             tenant_policy: svc::TenantPolicy::default(),
@@ -566,51 +565,6 @@ fn absurd_node_label_is_an_invalid_error_not_an_allocation() {
         other => panic!("expected a run result, got {other:?}"),
     }
     assert_eq!(metrics_row(&handle, &mut client, "requests_errored"), 2.0);
-    handle.shutdown();
-}
-
-#[test]
-fn handler_panic_is_a_structured_internal_error_not_a_dead_connection() {
-    // The fault-injection hook panics the front end on request id 66;
-    // the server must contain it to that one request.
-    let handle = serve(
-        "127.0.0.1:0",
-        SvcConfig {
-            workers: 1,
-            queue_capacity: 8,
-            cache_capacity: 64,
-            default_deadline: None,
-            journal: None,
-            panic_on_request_id: Some(66),
-            scan_workers: 0,
-            cosched: None,
-            tenant_policy: svc::TenantPolicy::default(),
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = handle.addr();
-    let mut client = SvcClient::connect(addr).expect("connect");
-    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
-
-    match client.request(&small_score_request(66, 2, 16, 1, 8, 3)).expect("contained panic") {
-        Response::Error { id, kind: ErrorKind::Internal, message } => {
-            assert_eq!(id, 66, "the poisoned request's id is echoed");
-            assert!(message.contains("panicked"), "{message}");
-        }
-        other => panic!("expected internal error, got {other:?}"),
-    }
-
-    // The same connection — and fresh ones — still serve valid work.
-    match client.request(&small_score_request(67, 2, 16, 1, 8, 3)).expect("same connection") {
-        Response::ScoreResult { id, .. } => assert_eq!(id, 67),
-        other => panic!("expected score result, got {other:?}"),
-    }
-    let mut fresh = SvcClient::connect(addr).expect("connect after panic");
-    fresh.set_timeout(Some(Duration::from_secs(60))).unwrap();
-    match fresh.request(&small_score_request(68, 2, 16, 1, 8, 3)).expect("fresh connection") {
-        Response::ScoreResult { id, .. } => assert_eq!(id, 68),
-        other => panic!("expected score result, got {other:?}"),
-    }
     handle.shutdown();
 }
 

@@ -330,7 +330,6 @@ fn journaled_service(path: &std::path::Path) -> Service {
         cache_capacity: 32,
         default_deadline: None,
         journal: Some(JournalConfig::new(path)),
-        panic_on_request_id: None,
         scan_workers: 0,
         cosched: Some(CoschedSvcConfig::new(NodeBudget { max_nodes: 2, cores_per_node: 32 })),
         tenant_policy: svc::TenantPolicy::default(),

@@ -1,4 +1,4 @@
-//! Six rules about the workspace's shape that hold themselves.
+//! Seven rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -41,6 +41,14 @@
 //! wire — and one function accepts TCP connections. The codec
 //! (`protocol.rs`), which names every kind to encode and decode it, is
 //! not routing.
+//!
+//! **No library crate reads the process environment at run time.** A
+//! result is a function of its request: what a scan, a run or a reply
+//! computes cannot change with a variable set in the shell that started
+//! the process. Library code under `crates/*/src/` (`src/bin/` and the
+//! facade excluded, `#[cfg(test)]` code too) names no `env::var`,
+//! `env::var_os` or `env::vars`; a binary reads its flags and hands the
+//! library values. Compile-time `env!` is not a read.
 //!
 //! **The record fold does no I/O.** Restart replay, compaction and the
 //! warm standby fold the journal with one `svc::image::Image`, and the
@@ -408,4 +416,29 @@ fn the_record_fold_and_its_window_name_no_io() {
             io.iter().chain(also).copied().filter(|name| source.contains(name)).collect();
         assert!(named.is_empty(), "{file} names {named:?} — feed it its inputs instead");
     }
+}
+
+#[test]
+fn no_library_crate_reads_the_process_environment_at_run_time() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        dirs.push(entry.expect("dir entry").path().join("src"));
+    }
+    let reads = ["env::var", "env::var_os", "env::vars"];
+    let mut found = Vec::new();
+    for (path, code) in library_code(root, &dirs) {
+        if path.components().any(|c| c.as_os_str() == "bin") {
+            continue;
+        }
+        for read in reads.iter().filter(|read| names_it(&code, read)) {
+            found.push(format!("{}: {read}", path.display()));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "library code reads the process environment — take the value as a parameter and \
+         let a binary read it:\n  {}",
+        found.join("\n  ")
+    );
 }
