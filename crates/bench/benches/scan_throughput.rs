@@ -43,7 +43,14 @@
 //! representative's score — rather than pruned, `reps` how many the
 //! delta evaluator evaluated, and `copies` how many copies were offered
 //! their representative's score (one checking run's counts; at two
-//! workers they vary with how the floors were traded).
+//! workers they vary with how the floors were traded). Each `score_topk`
+//! space of at most 8 nodes has a `walk: "cold"` row, every scan's walk
+//! starting from nothing as for a shape the service has not seen, and a
+//! `"warm"` row, every walk starting from a walk cache a first scan of
+//! the shape filled, as the service's later requests of it do;
+//! `orbit_searches` and `count_states` are what the checking run's walk
+//! still computed, and a warm serial walk is asserted to compute
+//! neither.
 //! The committed `BENCH_scan.json` also carries `parent_commit` and
 //! `parent_*` rows: these benches run at the parent commit (with the
 //! parent's scan API, and the six-member rows added to its list) on the
@@ -58,7 +65,7 @@ use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
     exhaustive_search, place_against, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
     EnsembleShape, FastEvaluator, FastScore, NodeBudget, ObjectiveBound, Reservation, ResidencyMap,
-    ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache,
+    ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache, WalkCache,
 };
 use svc::{
     CoschedSvcConfig, RankedPlacement, Request, RequestBody, Response, Service, SubmitRequest,
@@ -276,11 +283,13 @@ fn small_base(shape: &EnsembleShape) -> SimRunConfig {
 /// progress hook that only counts), counting the leaves it is handed,
 /// the ones it evaluated and the pulls that advanced the scan. Without `orbits`
 /// every member is its own class: the walk of the parent commit, which
-/// hands out every placement.
+/// hands out every placement. With `walks` the walk starts from what
+/// earlier scans of its shape checked in, as the service's does.
 struct ServiceScan<'a> {
     base: &'a SimRunConfig,
     shape: &'a EnsembleShape,
     solves: &'a Arc<SolveCache>,
+    walks: Option<&'a WalkCache>,
     bound: ObjectiveBound,
     orbits: bool,
     visited: AtomicUsize,
@@ -338,14 +347,18 @@ impl ScanVisitor for ServiceScan<'_> {
     fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
         self.orbits.then(|| evaluator.member_classes(labels)).flatten()
     }
+
+    fn walk_cache(&self) -> Option<&WalkCache> {
+        self.walks
+    }
 }
 
 /// What one cold `score` scan did: candidates in the space, leaves the
 /// walk handed out, candidates scored (evaluated or offered their
 /// representative's score; the rest were pruned by their bound, as
 /// leaves, with their subtree or with their orbit), of those the ones
-/// evaluated and the copies offered their representative's score, and
-/// the ranking.
+/// evaluated and the copies offered their representative's score, the
+/// walk's orbit searches and count states, and the ranking.
 struct ScoreScan {
     scanned: usize,
     visited: usize,
@@ -354,16 +367,20 @@ struct ScoreScan {
     copies: usize,
     pulls: usize,
     workers: usize,
+    orbit_searches: u64,
+    count_states: u64,
     ranked: Vec<RankedPlacement>,
 }
 
-/// One cold `score` with `top_k` rows, exactly as `svc` scans it (with
-/// `orbits`), or as the parent commit did.
+/// One `score` with `top_k` rows, exactly as `svc` scans it (with
+/// `orbits`, and `walks` holding what earlier scans learned of the
+/// shape), or as the parent commit did.
 fn score_scan(
     base: &SimRunConfig,
     shape: &EnsembleShape,
     budget: NodeBudget,
     solves: &Arc<SolveCache>,
+    walks: Option<&WalkCache>,
     opts: &ScanOptions,
     orbits: bool,
 ) -> ScoreScan {
@@ -371,6 +388,7 @@ fn score_scan(
         base,
         shape,
         solves,
+        walks,
         bound: ObjectiveBound::new(shape),
         orbits,
         visited: AtomicUsize::new(0),
@@ -390,12 +408,18 @@ fn score_scan(
         pulls: visitor.pulls.into_inner(),
         scored,
         workers: outcome.workers,
+        orbit_searches: outcome.orbit_searches,
+        count_states: outcome.count_states,
         ranked: outcome.into_values(),
     }
 }
 
 struct NamedSample {
     name: String,
+    /// `cold`: the walk starts from nothing, as a request of a shape
+    /// new to the service; `warm`: from a walk cache an earlier scan of
+    /// the shape filled.
+    walk: &'static str,
     /// Most worker threads the scan may use.
     workers: usize,
     /// Threads that scanned in the checking run.
@@ -411,6 +435,10 @@ struct NamedSample {
     copies: usize,
     /// Pulls from the scan's feed that advanced it.
     pulls: usize,
+    /// Block-end orbit searches the walk ran.
+    orbit_searches: u64,
+    /// Subtree-count states the walk expanded.
+    count_states: u64,
     secs: f64,
 }
 
@@ -420,7 +448,10 @@ struct NamedSample {
 /// (`top_k` 0) ranking of the six-member space. The solve cache lives
 /// across repetitions, as the service's does across requests; the first
 /// (checking) scan fills it. Each row is first checked bit-identical to
-/// the parent commit's walk (every member its own class).
+/// the parent commit's walk (every member its own class). Every space of
+/// at most 8 nodes is timed twice: `cold`, each walk from nothing, and
+/// `warm`, each walk from a cache a first scan filled — where a serial
+/// walk must search and count nothing.
 fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
     // (members, simulation cores, analysis cores, nodes, top_k)
     let classes: &[(usize, u32, u32, usize, usize)] = if quick {
@@ -459,7 +490,7 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
         // so its two-worker row is checked for determinism only).
         let parent =
             ScanOptions { workers: 1, top_k: if large { top_k } else { 0 }, ..Default::default() };
-        let full = score_scan(&base, &shape, budget, &solves, &parent, huge).ranked;
+        let full = score_scan(&base, &shape, budget, &solves, None, &parent, huge).ranked;
         let mut ranked = full.clone();
         ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
         ranked.truncate(top_k);
@@ -475,24 +506,41 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
             ));
         }
         for (name, opts) in runs {
-            let checked = score_scan(&base, &shape, budget, &solves, &opts, true);
             let want = if opts.top_k == 0 { &full } else { &ranked };
-            assert_eq!(&checked.ranked, want, "{name} on {members} members: orbit rows moved");
-            let (secs, candidates) = median_secs(reps, || {
-                score_scan(&base, &shape, budget, &solves, &opts, true).scanned
-            });
-            samples.push(NamedSample {
-                name: format!("{name}/{candidates}"),
-                workers: opts.workers,
-                threads: checked.workers,
-                candidates,
-                visited: checked.visited,
-                scored: checked.scored,
-                reps: checked.reps,
-                copies: checked.copies,
-                pulls: checked.pulls,
-                secs,
-            });
+            let warm = WalkCache::new();
+            let walks: &[Option<&WalkCache>] =
+                if large || opts.top_k == 0 { &[None] } else { &[None, Some(&warm)] };
+            for &walks in walks {
+                let scan = || score_scan(&base, &shape, budget, &solves, walks, &opts, true);
+                if walks.is_some() {
+                    scan();
+                }
+                let checked = scan();
+                assert_eq!(&checked.ranked, want, "{name} on {members} members: orbit rows moved");
+                if walks.is_some() && opts.workers == 1 {
+                    assert_eq!(
+                        (checked.orbit_searches, checked.count_states),
+                        (0, 0),
+                        "{name} on {members} members: a warm serial walk searched or counted"
+                    );
+                }
+                let (secs, candidates) = median_secs(reps, || scan().scanned);
+                samples.push(NamedSample {
+                    name: format!("{name}/{candidates}"),
+                    walk: if walks.is_some() { "warm" } else { "cold" },
+                    workers: opts.workers,
+                    threads: checked.workers,
+                    candidates,
+                    visited: checked.visited,
+                    scored: checked.scored,
+                    reps: checked.reps,
+                    copies: checked.copies,
+                    pulls: checked.pulls,
+                    orbit_searches: checked.orbit_searches,
+                    count_states: checked.count_states,
+                    secs,
+                });
+            }
         }
     }
     samples
@@ -529,6 +577,7 @@ fn bench_place_against(quick: bool) -> Vec<NamedSample> {
     });
     vec![NamedSample {
         name: format!("place_against/{candidates}"),
+        walk: "cold",
         workers: 1,
         threads: 1,
         candidates,
@@ -537,6 +586,8 @@ fn bench_place_against(quick: bool) -> Vec<NamedSample> {
         reps: candidates,
         copies: 0,
         pulls: 0,
+        orbit_searches: 0,
+        count_states: 0,
         secs,
     }]
 }
@@ -546,8 +597,9 @@ fn render_named(samples: &[NamedSample]) -> String {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"name\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"reps\": {}, \"copies\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
+                "    {{\"name\": \"{}\", \"walk\": \"{}\", \"workers\": {}, \"threads\": {}, \"pulls\": {}, \"visited\": {}, \"scored\": {}, \"reps\": {}, \"copies\": {}, \"orbit_searches\": {}, \"count_states\": {}, \"secs\": {:.6}, \"ns_per_candidate\": {:.3}}}",
                 s.name,
+                s.walk,
                 s.workers,
                 s.threads,
                 s.pulls,
@@ -555,6 +607,8 @@ fn render_named(samples: &[NamedSample]) -> String {
                 s.scored,
                 s.reps,
                 s.copies,
+                s.orbit_searches,
+                s.count_states,
                 s.secs,
                 s.secs * 1e9 / s.candidates as f64
             )
@@ -730,8 +784,9 @@ fn main() {
     service_scans.extend(bench_place_against(quick));
     for s in &service_scans {
         eprintln!(
-            "  {:<25} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} reps={:<6} copies={:<6} {:.6}s  {:.3} ns/candidate",
+            "  {:<25} {} workers={:<2} threads={:<2} pulls={:<4} visited={:<6} scored={:<6} reps={:<6} copies={:<6} searches={:<5} states={:<5} {:.6}s  {:.3} ns/candidate",
             s.name,
+            s.walk,
             s.workers,
             s.threads,
             s.pulls,
@@ -739,6 +794,8 @@ fn main() {
             s.scored,
             s.reps,
             s.copies,
+            s.orbit_searches,
+            s.count_states,
             s.secs,
             s.secs * 1e9 / s.candidates as f64
         );

@@ -5,7 +5,9 @@
 //! differ only by a node permutation are equivalent; enumeration yields
 //! one canonical representative per equivalence class.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Mutex, MutexGuard};
 
 use ensemble_core::{ComponentSpec, EnsembleSpec, MemberSpec};
 
@@ -99,6 +101,63 @@ const SPACE_COUNT_BUDGET: usize = 1 << 16;
 /// recounts, never a wrong count).
 const COMPLETIONS_CAPACITY_WORDS: usize = 1 << 18;
 
+/// Key words a count memo may hold when it is checked into a
+/// [`WalkCache`]: one past this is emptied first, so a kept memo holds
+/// at most 2¹³ keys (each at least two words), ~0.7 MiB.
+const KEPT_COUNT_WORDS: usize = 1 << 14;
+
+/// Block-end orbit decisions a walk remembers before it clears them and
+/// refills (S/M/L make 73–385, six members alike about 1 100; clearing
+/// costs searches, never a wrong decision): ~0.4 MiB at most.
+const ORBIT_DECISIONS_CAPACITY: usize = 1 << 12;
+
+/// Walk keys a [`WalkCache`] holds; a new one evicts the oldest.
+const WALK_CACHE_SHAPES: usize = 8;
+
+/// Hashes the walk's memo keys — depths, loads and packed prefixes the
+/// walk builds itself — a word at a time with a rotate and a multiply,
+/// where the default hasher costs tens of nanoseconds a key. Its flood
+/// resistance would buy nothing here: the memos are capped, and a client
+/// that wants a slow scan can already ask for a large space.
+#[derive(Debug, Default, Clone, Copy)]
+struct WalkHasher(u64);
+
+impl WalkHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for WalkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.add(n as u64);
+        self.add((n >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A memo keyed by walk states.
+type WalkMap<K, V> = HashMap<K, V, BuildHasherDefault<WalkHasher>>;
+
 /// Subtrees a fill may skip per leaf it may hand out before it returns
 /// short. A skip costs about what handing a leaf out does (a bound and a
 /// memo lookup, ~50 ns), so a pull stays a few microseconds long however
@@ -124,17 +183,25 @@ struct Completions {
     cores: Vec<u32>,
     max_nodes: usize,
     cap: u32,
-    memo: HashMap<Box<[u32]>, usize>,
-    /// Key words held, against [`COMPLETIONS_CAPACITY_WORDS`].
-    words: usize,
+    memo: CountMemo,
+    /// States expanded — counted, not found in the memo — so far.
+    states: u64,
     /// The key being looked up.
     key: Vec<u32>,
 }
 
+/// Subtree counts by `[depth, sorted loads…]` key.
+#[derive(Debug, Clone, Default)]
+struct CountMemo {
+    counts: WalkMap<Box<[u32]>, usize>,
+    /// Key words held, against [`COMPLETIONS_CAPACITY_WORDS`].
+    words: usize,
+}
+
 impl Completions {
     fn new(cores: &[u32], max_nodes: usize, cap: u32) -> Self {
-        let (memo, key) = (HashMap::new(), Vec::new());
-        Completions { cores: cores.to_vec(), max_nodes, cap, memo, words: 0, key }
+        let memo = CountMemo::default();
+        Completions { cores: cores.to_vec(), max_nodes, cap, memo, states: 0, key: Vec::new() }
     }
 
     /// Canonical completions of a prefix of `depth < cores.len()`
@@ -147,7 +214,7 @@ impl Completions {
         self.key.push(depth as u32);
         self.key.extend_from_slice(loads);
         self.key[1..].sort_unstable();
-        if let Some(&count) = self.memo.get(&self.key[..]) {
+        if let Some(&count) = self.memo.counts.get(&self.key[..]) {
             return Some(count);
         }
         self.expand(self.key.clone(), &mut budget)
@@ -157,6 +224,7 @@ impl Completions {
     /// load and one for a new node.
     fn expand(&mut self, key: Vec<u32>, budget: &mut usize) -> Option<usize> {
         *budget = budget.checked_sub(1)?;
+        self.states += 1;
         let (depth, loads) = (key[0] as usize, &key[1..]);
         let (c, cap) = (self.cores[depth], u64::from(self.cap));
         let fits = |load: u32| u64::from(load) + u64::from(c) <= cap;
@@ -179,7 +247,7 @@ impl Completions {
             child[1..].sort_unstable();
             let below = if depth + 1 == self.cores.len() {
                 1
-            } else if let Some(&count) = self.memo.get(&child[..]) {
+            } else if let Some(&count) = self.memo.counts.get(&child[..]) {
                 count
             } else {
                 self.expand(child, budget)?
@@ -189,12 +257,12 @@ impl Completions {
                 return None;
             }
         }
-        if self.words + key.len() > COMPLETIONS_CAPACITY_WORDS {
-            self.memo.clear();
-            self.words = 0;
+        if self.memo.words + key.len() > COMPLETIONS_CAPACITY_WORDS {
+            self.memo.counts.clear();
+            self.memo.words = 0;
         }
-        self.words += key.len();
-        self.memo.insert(key.into_boxed_slice(), sum);
+        self.memo.words += key.len();
+        self.memo.counts.insert(key.into_boxed_slice(), sum);
         Some(sum)
     }
 }
@@ -305,6 +373,11 @@ impl Orbits {
     pub(crate) fn unpack(&self, key: u128, width: usize) -> Vec<usize> {
         let mask = (1u128 << self.bits) - 1;
         (0..width).rev().map(|k| ((key >> (k as u32 * self.bits)) & mask) as usize).collect()
+    }
+
+    /// True when the component at `depth − 1` is the last of its member.
+    fn ends_block(&self, depth: usize) -> bool {
+        self.blocks[self.member_of[depth - 1]].1 == depth
     }
 
     /// True when a completion of the canonical `prefix` can still be the
@@ -618,6 +691,11 @@ pub struct PlacementIter {
     /// Member classes, when the walk hands out orbit representatives
     /// only ([`PlacementIter::set_classes`]).
     orbits: Option<Orbits>,
+    /// [`Orbits::admits`] at the end of a member block, by `(depth,
+    /// Orbits::key(prefix))`.
+    decisions: WalkMap<(usize, u128), bool>,
+    /// Block-end orbit checks computed, not found in `decisions`.
+    orbit_searches: u64,
 }
 
 impl PlacementIter {
@@ -646,10 +724,40 @@ impl PlacementIter {
             completions: Completions::new(&cores, max_nodes, cores_per_node),
             low_water: 0,
             orbits: None,
+            decisions: WalkMap::default(),
+            orbit_searches: 0,
             cores,
             max_nodes,
             cores_per_node,
         }
+    }
+
+    /// A walk of `shape` as [`new`](Self::new) starts it, reducing by
+    /// `classes` ([`set_classes`](Self::set_classes)), with the memos an
+    /// earlier walk of the same key checked into `cache` — what it would
+    /// compute again, since they depend on that key alone.
+    pub(crate) fn start(
+        shape: &EnsembleShape,
+        max_nodes: usize,
+        cores_per_node: u32,
+        classes: Option<&[usize]>,
+        cache: Option<&WalkCache>,
+    ) -> Self {
+        let mut walk = PlacementIter::new(shape, max_nodes, cores_per_node);
+        let key = (shape, walk.max_nodes, cores_per_node, classes);
+        match cache.and_then(|cache| cache.check_out(key)) {
+            Some(memo) => {
+                walk.completions.memo = memo.counts;
+                walk.orbits = memo.orbits;
+                walk.decisions = memo.decisions;
+            }
+            None => {
+                if let Some(classes) = classes {
+                    walk.set_classes(shape, classes);
+                }
+            }
+        }
+        walk
     }
 
     /// Declares members of equal `classes` id interchangeable before the
@@ -669,6 +777,41 @@ impl PlacementIter {
     /// The member classes the walk reduces by, if any.
     pub(crate) fn orbits(&self) -> Option<&Orbits> {
         self.orbits.as_ref()
+    }
+
+    /// Block-end orbit checks this walk computed rather than remembered
+    /// (each runs [`Orbits::least`] unless the cheaper block check
+    /// refuses first).
+    pub(crate) fn orbit_searches(&self) -> u64 {
+        self.orbit_searches
+    }
+
+    /// Subtree-count states this walk expanded rather than remembered.
+    pub(crate) fn count_states(&self) -> u64 {
+        self.completions.states
+    }
+
+    /// [`Orbits::admits`] of the current prefix, true without classes. A
+    /// decision at the end of a member block, where the rearrangement
+    /// search runs, is a function of the prefix alone, so it is
+    /// remembered by `(depth, key)`.
+    fn admits(&mut self) -> bool {
+        let Some(orbits) = self.orbits.as_mut() else { return true };
+        let prefix = &self.assignment[..self.depth];
+        if !orbits.ends_block(self.depth) {
+            return orbits.admits(prefix);
+        }
+        let key = (self.depth, orbits.key(prefix));
+        if let Some(&admitted) = self.decisions.get(&key) {
+            return admitted;
+        }
+        self.orbit_searches += 1;
+        let admitted = orbits.admits(prefix);
+        if self.decisions.len() >= ORBIT_DECISIONS_CAPACITY {
+            self.decisions.clear();
+        }
+        self.decisions.insert(key, admitted);
+        admitted
     }
 
     /// The enumeration index of the canonical feasible placement `a`: the
@@ -787,7 +930,7 @@ impl PlacementIter {
                 let prefix = &self.assignment[..self.depth];
                 let below =
                     floor > f64::NEG_INFINITY && bound(prefix, self.prefix_max[self.depth]) < floor;
-                let skip = below || self.orbits.as_mut().is_some_and(|o| !o.admits(prefix));
+                let skip = below || !self.admits();
                 if skip {
                     let room = MAX_EXACT_COUNT.saturating_sub(self.yielded);
                     if let Some(size) = self.subtree_size(count_budget).filter(|&s| s <= room) {
@@ -874,6 +1017,106 @@ impl Iterator for PlacementIter {
 
     fn next(&mut self) -> Option<Vec<usize>> {
         self.advance().map(<[usize]>::to_vec)
+    }
+}
+
+/// A walk's structural key: the shape's member blocks, the clamped node
+/// budget, the cores per node and the member classes it reduces by.
+type WalkKey<'a> = (&'a EnsembleShape, usize, u32, Option<&'a [usize]>);
+
+/// What a walk learned that depends on its [`WalkKey`] alone.
+#[derive(Debug)]
+struct WalkMemo {
+    counts: CountMemo,
+    orbits: Option<Orbits>,
+    decisions: WalkMap<(usize, u128), bool>,
+}
+
+/// One key's memos; `None` while a walk has them checked out.
+#[derive(Debug)]
+struct WalkEntry {
+    members: Vec<(u32, Vec<u32>)>,
+    max_nodes: usize,
+    cores_per_node: u32,
+    classes: Option<Vec<usize>>,
+    memo: Option<WalkMemo>,
+}
+
+impl WalkEntry {
+    fn is(&self, (shape, max_nodes, cores_per_node, classes): WalkKey<'_>) -> bool {
+        self.max_nodes == max_nodes
+            && self.cores_per_node == cores_per_node
+            && self.classes.as_deref() == classes
+            && self.members == shape.members
+    }
+}
+
+/// Memos of bounded walks that outlive the scan, by walk key: the
+/// shape's member blocks, the node budget (clamped to the component
+/// count), the cores per node and the member classes. A walk's subtree
+/// counts depend only on the depth, the sorted open loads, the
+/// components left, the node budget and the cores per node, and its
+/// orbit decisions only on the prefix, the member blocks and the
+/// classes. So what one scan of a key learned, a later scan of the same
+/// key — whatever its floor, `top_k`, workloads or width — reuses as is:
+/// the counts, the orbits it built and its block-end decisions. A scan
+/// checks a key's memos out when its walk starts and back in when it
+/// ends (one lock each); a scan of a key whose memos another scan holds
+/// starts without them.
+///
+/// Bounded by constants: 8 keys, evicted oldest first; a count memo of
+/// more than 2¹⁴ key words is emptied when it is checked in, and a walk
+/// clears its decisions at 2¹². Worst case about 8 × (0.7 + 0.4) MiB,
+/// ~9 MiB, beside what each walk holds while it runs.
+#[derive(Debug, Default)]
+pub struct WalkCache {
+    entries: Mutex<VecDeque<WalkEntry>>,
+}
+
+impl WalkCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, VecDeque<WalkEntry>> {
+        self.entries.lock().expect("a walk-cache holder panicked")
+    }
+
+    /// The memos held under `key`, if no walk has them checked out.
+    fn check_out(&self, key: WalkKey<'_>) -> Option<WalkMemo> {
+        self.lock().iter_mut().find(|entry| entry.is(key)).and_then(|entry| entry.memo.take())
+    }
+
+    /// Keeps what `walk`, started by [`PlacementIter::start`] with
+    /// `shape` and `classes`, learned, for the next walk of its key.
+    pub(crate) fn check_in(
+        &self,
+        shape: &EnsembleShape,
+        classes: Option<&[usize]>,
+        walk: PlacementIter,
+    ) {
+        let key = (shape, walk.max_nodes, walk.cores_per_node, classes);
+        let mut counts = walk.completions.memo;
+        if counts.words > KEPT_COUNT_WORDS {
+            counts = CountMemo::default();
+        }
+        let memo = Some(WalkMemo { counts, orbits: walk.orbits, decisions: walk.decisions });
+        let mut entries = self.lock();
+        if let Some(entry) = entries.iter_mut().find(|entry| entry.is(key)) {
+            entry.memo = memo;
+            return;
+        }
+        if entries.len() >= WALK_CACHE_SHAPES {
+            entries.pop_front();
+        }
+        entries.push_back(WalkEntry {
+            members: shape.members.clone(),
+            max_nodes: key.1,
+            cores_per_node: key.2,
+            classes: classes.map(<[usize]>::to_vec),
+            memo,
+        });
     }
 }
 

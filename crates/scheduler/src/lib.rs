@@ -42,7 +42,7 @@ pub use cosched::{
 pub use delta::{DeltaCounters, DeltaEvaluator, ObjectiveBound, SolveCache};
 pub use enumerate::{
     canonicalize, enumerate_placements, space_counts_exactly, EnsembleShape, PlacementIter,
-    MAX_EXACT_COUNT,
+    WalkCache, MAX_EXACT_COUNT,
 };
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
 pub use scan::{scan_placements, Candidate, ScanOptions, ScanProgress, ScanVisitor};

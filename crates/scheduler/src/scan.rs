@@ -53,6 +53,14 @@
 //!   walk, so `scanned` is the whole space as before. A copy's place in
 //!   the enumeration is its packed assignment until the merge, which
 //!   counts the index of each row it returns.
+//! * **A walk that remembers its shape.** What a bounded walk computes
+//!   besides its leaves — subtree sizes, the orbits it reduces by, the
+//!   rearrangement search at each member block's end — depends on the
+//!   shape, the node budget and the member classes alone. A visitor that
+//!   names a [`WalkCache`] ([`ScanVisitor::walk_cache`]) has the walk
+//!   start from what earlier scans of that key learned, and check in
+//!   what this one learned; the outcome reports what was still computed
+//!   ([`ScanOutcome::orbit_searches`], [`ScanOutcome::count_states`]).
 //! * **Cooperative cancellation.** The `cancel` probe is checked
 //!   between chunks; once it fires, all workers stop pulling and the
 //!   outcome reports how far the scan got.
@@ -61,18 +69,20 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::delta::DeltaCounters;
-use crate::enumerate::{Chunk, Copies, EnsembleShape, Orbits, PlacementIter};
+use crate::enumerate::{Chunk, Copies, EnsembleShape, Orbits, PlacementIter, WalkCache};
 use crate::search::NodeBudget;
 
 /// How long the caller of a bounded (`top_k > 0`) scan scans alone
 /// before it brings in helper threads. How much of its space such a
 /// scan evaluates depends on how fast its floor rises, so its length
 /// cannot be told up front. Spawning and joining a scoped helper costs
-/// ~26 µs on a 2-core host (`BENCH_scan.json`'s `spawn_join_us`), so the
-/// caller has scanned for about eight spawns' worth before it pays for
+/// 42–57 µs on a 2-core host (`BENCH_scan.json`'s `spawn_join_us`), so
+/// the caller has scanned for about four spawns' worth before it pays for
 /// one. A scan that ends sooner — the e2e benchmark's S and M classes,
-/// ~0.1 ms — never pays at all; one whose pulls are long (DES-scored
-/// chunks, ~1 ms) brings its helpers in when it returns from its first.
+/// ~0.14 ms from an empty walk cache and ~0.04 ms from a warm one, and L
+/// from a warm one, ~0.18 ms — never pays at all; one whose pulls are
+/// long (DES-scored chunks, ~1 ms) brings its helpers in when it returns
+/// from its first.
 /// A full scan evaluates every candidate, so its caller brings them in
 /// as soon as its first pull leaves the walk unfinished.
 pub const SOLO_SCAN: Duration = Duration::from_micros(200);
@@ -160,6 +170,12 @@ pub struct ScanOutcome<T> {
     /// as a copy — so `scanned − pruned` counts evaluated plus offered
     /// their representative's score.
     pub delta: DeltaCounters,
+    /// Block-end orbit checks the walk computed rather than remembered
+    /// ([`ScanVisitor::walk_cache`]).
+    pub orbit_searches: u64,
+    /// Subtree-count states the walk (and the merge's index counts)
+    /// expanded rather than remembered.
+    pub count_states: u64,
 }
 
 impl<T> ScanOutcome<T> {
@@ -489,6 +505,16 @@ pub trait ScanVisitor: Sync {
     fn member_classes(&self, _state: &Self::State, _labels: usize) -> Option<Vec<usize>> {
         None
     }
+
+    /// Where the walk's memos — subtree counts, orbit decisions — live
+    /// between scans: a scan checks its key's out when it starts and back
+    /// in when it returns its outcome (a scan that fails drops them), so a
+    /// later scan of the same shape, node budget and classes counts and
+    /// searches nothing an earlier one did. The default, `None`, starts
+    /// every walk empty.
+    fn walk_cache(&self) -> Option<&WalkCache> {
+        None
+    }
 }
 
 /// Scans every canonical feasible placement of `shape` under `budget`
@@ -512,8 +538,17 @@ pub fn scan_placements<V: ScanVisitor>(
     let workers = opts.effective_workers();
     let chunk_len = opts.chunk.max(1);
     let width = shape.num_components();
+    // The caller's state declares the member classes before the walk
+    // starts; a helper comes in later, and reduces by the same ones. A
+    // full scan keeps every member its own class: it scores every copy,
+    // and skipping one costs about what evaluating it does.
+    let caller_state = visitor.init();
+    let labels = budget.max_nodes.min(width);
+    let classes = (opts.top_k > 0).then(|| visitor.member_classes(&caller_state, labels)).flatten();
+    let classes = classes.as_deref();
+    let (max_nodes, cores_per_node) = (budget.max_nodes, budget.cores_per_node);
     let feed = Mutex::new(Feed {
-        iter: PlacementIter::new(shape, budget.max_nodes, budget.cores_per_node),
+        iter: PlacementIter::start(shape, max_nodes, cores_per_node, classes, visitor.walk_cache()),
         stop: false,
         scanned: 0,
         reported: 0,
@@ -526,22 +561,8 @@ pub fn scan_placements<V: ScanVisitor>(
 
     // Only the caller holds a `spawn`; it runs it once, when it comes
     // back for a pull with the walk unfinished after its solo time.
-    let run_worker = |mut spawn: Option<&mut dyn FnMut()>| -> WorkerOut<V::Row, V::Error> {
-        let mut state = visitor.init();
-        // The caller declares the member classes before its first pull;
-        // a helper comes in after it, and reduces by the same ones. A full
-        // scan keeps every member its own class: it scores every copy, and
-        // skipping one costs about what evaluating it does.
-        let mut orbits = {
-            let mut feed = feed.lock().expect("scan feed lock");
-            if spawn.is_some() && opts.top_k > 0 {
-                let labels = budget.max_nodes.min(width);
-                if let Some(classes) = visitor.member_classes(&state, labels) {
-                    feed.iter.set_classes(shape, &classes);
-                }
-            }
-            feed.iter.orbits().cloned()
-        };
+    let run_worker = |mut state: V::State, mut spawn: Option<&mut dyn FnMut()>| {
+        let mut orbits = feed.lock().expect("scan feed lock").iter.orbits().cloned();
         let mut copies = Copies::default();
         let mut w = Worker {
             out: WorkerOut {
@@ -639,10 +660,10 @@ pub fn scan_placements<V: ScanVisitor>(
         let mut spawn = || {
             feed.lock().expect("scan feed lock").workers = workers;
             for _ in 1..workers {
-                helpers.push(scope.spawn(|| run_worker(None)));
+                helpers.push(scope.spawn(|| run_worker(visitor.init(), None)));
             }
         };
-        let mut outputs = vec![run_worker(Some(&mut spawn))];
+        let mut outputs = vec![run_worker(caller_state, Some(&mut spawn))];
         outputs.extend(helpers.into_iter().map(|h| h.join().expect("scan worker panicked")));
         outputs
     });
@@ -697,7 +718,20 @@ pub fn scan_placements<V: ScanVisitor>(
         merged.sort_by_key(|h| h.index);
         merged
     };
-    Ok(ScanOutcome { results, scanned, feasible, cancelled, workers: feed.workers, delta })
+    let (orbit_searches, count_states) = (feed.iter.orbit_searches(), feed.iter.count_states());
+    if let Some(cache) = visitor.walk_cache() {
+        cache.check_in(shape, classes, feed.iter);
+    }
+    Ok(ScanOutcome {
+        results,
+        scanned,
+        feasible,
+        cancelled,
+        workers: feed.workers,
+        delta,
+        orbit_searches,
+        count_states,
+    })
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
     scan_placements, Candidate, CoScheduler, DeltaEvaluator, FastScore, ObjectiveBound,
-    ScanOptions, ScanProgress, ScanVisitor, SolveCache,
+    ScanOptions, ScanProgress, ScanVisitor, SolveCache, WalkCache,
 };
 
 use crate::cache::ScoreCache;
@@ -90,10 +90,6 @@ impl Default for SvcConfig {
             tenant_policy: TenantPolicy::default(),
         }
     }
-}
-
-fn host_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get().saturating_sub(1)).unwrap_or(1).max(1)
 }
 
 /// Cooperative cancellation flag shared between a reply handle and the
@@ -325,6 +321,10 @@ struct Shared {
     /// and the resident `(workload, cores)` sequence, so later cold
     /// scores reuse what earlier ones solved. Entry-bounded.
     solve_caches: [Arc<SolveCache>; 2],
+    /// Bounded walks' subtree counts and orbit decisions, kept across
+    /// requests: a pure function of the shape, the node budget and the
+    /// member classes, so later cold scores of a shape walk from memory.
+    walks: WalkCache,
     /// Cores of the platform node every score is evaluated on: a
     /// `score` budget above it is refused (see [`validate_score`]).
     node_cores: u32,
@@ -334,6 +334,9 @@ struct Shared {
     runs: Mutex<Window<u64, FinishedRun>>,
     journal: Option<Journal>,
     workers: usize,
+    /// Most scan threads of a `score` whose request names none: the
+    /// configured `scan_workers`, else the host's available parallelism
+    /// (resolved once, at start).
     scan_workers: usize,
     /// The host's available parallelism: the most scan threads a
     /// request's own `workers` can ask for.
@@ -371,8 +374,11 @@ impl Service {
     /// post-restart `score` of a previously-seen query is a hit — and
     /// rebuilds the completed-run index behind `attach`.
     pub fn try_start(mut config: SvcConfig) -> std::io::Result<Service> {
+        // The one place the service asks the host its parallelism: a scan
+        // handed a width of zero would ask again on every request.
+        let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         if config.workers == 0 {
-            config.workers = host_workers();
+            config.workers = host_threads.saturating_sub(1).max(1);
         }
         let stats = SvcStats::default();
         // The journal keeps through compaction what the service holds.
@@ -431,14 +437,18 @@ impl Service {
                 let cfg = base_config(ensemble_core::EnsembleSpec::new(Vec::new()), workloads);
                 Arc::new(SolveCache::new(&cfg))
             }),
+            walks: WalkCache::new(),
             node_cores: base_config(ensemble_core::EnsembleSpec::new(Vec::new()), Workloads::Paper)
                 .node_spec
                 .cores_per_node(),
             runs: Mutex::new(runs),
             journal,
             workers: config.workers,
-            scan_workers: config.scan_workers,
-            host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            scan_workers: match config.scan_workers {
+                0 => host_threads,
+                workers => workers,
+            },
+            host_threads,
             cosched,
             tenants: Mutex::new(tenant_table),
             tenant_policy: config.tenant_policy.clone(),
@@ -1439,6 +1449,7 @@ struct ScoreScan<'a> {
     cfg: SimRunConfig,
     shape: &'a scheduler::EnsembleShape,
     solves: &'a Arc<SolveCache>,
+    walks: &'a WalkCache,
     bound: ObjectiveBound,
     job: &'a Job,
     /// Progress-opted requests get throttled interim frames from the
@@ -1517,6 +1528,10 @@ impl ScanVisitor for ScoreScan<'_> {
     fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
         evaluator.member_classes(labels)
     }
+
+    fn walk_cache(&self) -> Option<&WalkCache> {
+        Some(self.walks)
+    }
 }
 
 fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<ScoreExec, ExecError> {
@@ -1558,6 +1573,7 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
         cfg,
         shape: &score.shape,
         solves: per_workloads(&shared.solve_caches, score.workloads),
+        walks: &shared.walks,
         bound: ObjectiveBound::new(&score.shape),
         job,
         emitter: job.request.progress.map(|spec| Mutex::new(ProgressEmitter::new(spec, job))),
@@ -2212,6 +2228,7 @@ mod tests {
             cfg,
             shape: &score.shape,
             solves: &Arc::new(solves),
+            walks: &WalkCache::new(),
             bound: ObjectiveBound::new(&score.shape),
             job: &job,
             emitter: None,

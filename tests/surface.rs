@@ -442,3 +442,20 @@ fn no_library_crate_reads_the_process_environment_at_run_time() {
         found.join("\n  ")
     );
 }
+
+#[test]
+fn the_service_asks_the_host_its_parallelism_only_where_it_starts() {
+    // A scan handed a width of zero asks the host on every request (on
+    // Linux, a read of the cgroup quota files); the service resolves its
+    // widths once, when it starts, and hands every scan a number.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let library = library_code(root, &[root.join("crates/svc/src")]);
+    let mut places = BTreeSet::new();
+    for (path, code) in &library {
+        for (at, _) in code.match_indices("available_parallelism") {
+            places.insert(format!("{}: fn {}", path.display(), enclosing_fn(code, at)));
+        }
+    }
+    let start = BTreeSet::from([String::from("crates/svc/src/service.rs: fn try_start")]);
+    assert_eq!(places, start, "svc names `available_parallelism` outside `Service::try_start`");
+}
