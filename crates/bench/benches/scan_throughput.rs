@@ -1,6 +1,8 @@
 //! Throughput of the parallel placement-scan engine: serial versus
-//! parallel at 1/2/4/all cores, on both evaluation paths (the
-//! closed-form fast evaluator and the DES-scored exhaustive search).
+//! parallel at 1/2/4/all cores, scored from scratch and by the delta
+//! evaluator; the service's ranking on the e2e benchmark's shapes; and
+//! the placement advisor (closed-form ranking, then its top rows played
+//! through the DES).
 //!
 //! Plain `main` + `std::time::Instant`: the quantity of interest is
 //! whole-scan wall time at controlled worker counts, and the output
@@ -13,7 +15,8 @@
 //! serial scan — a benchmark of a wrong answer is worthless.
 //!
 //! `score_topk10/{1545,4038,27250}` is the service's cold `score` scan
-//! (its exact visitor: a fresh evaluator per worker over the service's
+//! (the scheduler's `Ranker`, wrapped only to count what its outcome
+//! does not report: a fresh evaluator per worker over the service's
 //! solve cache, `top_k` 10, a row built only for a kept candidate,
 //! subtrees skipped on the objective bound, one placement walked per
 //! orbit of identical members and its copies given its score) on the three
@@ -50,7 +53,10 @@
 //! the shape filled, as the service's later requests of it do;
 //! `orbit_searches` and `count_states` are what the checking run's walk
 //! still computed, and a warm serial walk is asserted to compute
-//! neither.
+//! neither. `advise/<candidates>` is `ensemble advise --members 8 --k 1
+//! --nodes 6` without its core sweep: `rank_secs` the closed-form `top_k`
+//! 5 ranking, `advise_secs` the whole advisor, `confirm_secs` the five
+//! DES runs that confirm the ranking's rows (the difference).
 //! The committed `BENCH_scan.json` also carries `parent_commit` and
 //! `parent_*` rows: these benches run at the parent commit (with the
 //! parent's scan API, and the six-member rows added to its list) on the
@@ -63,13 +69,13 @@ use std::time::Instant;
 
 use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    exhaustive_search, place_against, scan_placements, Candidate, DeltaCounters, DeltaEvaluator,
-    EnsembleShape, FastEvaluator, FastScore, NodeBudget, ObjectiveBound, Reservation, ResidencyMap,
-    ScanOptions, ScanProgress, ScanVisitor, SearchConfig, SolveCache, WalkCache,
+    advisor, place_against, recommend_placement, scan_placements, Candidate, DeltaCounters,
+    DeltaEvaluator, EnsembleShape, FastEvaluator, FastScore, NodeBudget, RankError,
+    RankedPlacement, Ranker, Reservation, ResidencyMap, ScanOptions, ScanProgress, ScanVisitor,
+    SolveCache, WalkCache,
 };
 use svc::{
-    CoschedSvcConfig, RankedPlacement, Request, RequestBody, Response, Service, SubmitRequest,
-    SvcConfig, Workloads,
+    CoschedSvcConfig, Request, RequestBody, Response, Service, SubmitRequest, SvcConfig, Workloads,
 };
 
 struct Sample {
@@ -279,18 +285,12 @@ fn small_base(shape: &EnsembleShape) -> SimRunConfig {
     cfg
 }
 
-/// The service's `score` visitor (less its cancel probe, and with a
-/// progress hook that only counts), counting the leaves it is handed,
-/// the ones it evaluated and the pulls that advanced the scan. Without `orbits`
-/// every member is its own class: the walk of the parent commit, which
-/// hands out every placement. With `walks` the walk starts from what
-/// earlier scans of its shape checked in, as the service's does.
+/// The service's ranking, counting the leaves it is handed, the ones it
+/// evaluated and the pulls that advanced the scan: columns its outcome
+/// does not report. Without `orbits` every member is its own class: the
+/// walk of the parent commit, which hands out every placement.
 struct ServiceScan<'a> {
-    base: &'a SimRunConfig,
-    shape: &'a EnsembleShape,
-    solves: &'a Arc<SolveCache>,
-    walks: Option<&'a WalkCache>,
-    bound: ObjectiveBound,
+    ranker: Ranker<'a, ()>,
     orbits: bool,
     visited: AtomicUsize,
     evaluated: AtomicUsize,
@@ -301,39 +301,38 @@ impl ScanVisitor for ServiceScan<'_> {
     type State = DeltaEvaluator;
     type Scored = FastScore;
     type Row = RankedPlacement;
-    type Error = RuntimeError;
+    type Error = RankError;
 
     fn init(&self) -> DeltaEvaluator {
-        DeltaEvaluator::with_solve_cache(self.base, self.shape, self.solves)
+        self.ranker.init()
     }
 
     fn eval(
         &self,
         evaluator: &mut DeltaEvaluator,
         c: Candidate<'_>,
-    ) -> RuntimeResult<Option<FastScore>> {
+    ) -> Result<Option<FastScore>, RankError> {
         self.visited.fetch_add(1, Ordering::Relaxed);
-        let scored = evaluator.score_above(c.assignment, c.first_changed, c.floor)?;
+        let scored = self.ranker.eval(evaluator, c)?;
         self.evaluated.fetch_add(usize::from(scored.is_some()), Ordering::Relaxed);
         Ok(scored)
     }
 
     fn objective(&self, fs: &FastScore) -> f64 {
-        fs.objective
+        self.ranker.objective(fs)
     }
 
-    fn keep(&self, _: &mut DeltaEvaluator, c: Candidate<'_>, fs: FastScore) -> RankedPlacement {
-        RankedPlacement {
-            assignment: c.assignment.to_vec(),
-            objective: fs.objective,
-            nodes_used: fs.nodes_used,
-            ensemble_makespan: fs.ensemble_makespan,
-            eq4_satisfied: fs.eq4_satisfied,
-        }
+    fn keep(
+        &self,
+        evaluator: &mut DeltaEvaluator,
+        c: Candidate<'_>,
+        fs: FastScore,
+    ) -> RankedPlacement {
+        self.ranker.keep(evaluator, c, fs)
     }
 
     fn drain(&self, evaluator: &mut DeltaEvaluator) -> DeltaCounters {
-        evaluator.take_counters()
+        self.ranker.drain(evaluator)
     }
 
     fn progress(&self, _: &ScanProgress) {
@@ -341,15 +340,15 @@ impl ScanVisitor for ServiceScan<'_> {
     }
 
     fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
-        self.bound.of_prefix(prefix, open_nodes)
+        self.ranker.prefix_bound(prefix, open_nodes)
     }
 
     fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
-        self.orbits.then(|| evaluator.member_classes(labels)).flatten()
+        self.orbits.then(|| self.ranker.member_classes(evaluator, labels)).flatten()
     }
 
     fn walk_cache(&self) -> Option<&WalkCache> {
-        self.walks
+        self.ranker.walk_cache()
     }
 }
 
@@ -385,11 +384,7 @@ fn score_scan(
     orbits: bool,
 ) -> ScoreScan {
     let visitor = ServiceScan {
-        base,
-        shape,
-        solves,
-        walks,
-        bound: ObjectiveBound::new(shape),
+        ranker: Ranker::new(base, shape, solves, walks, ()),
         orbits,
         visited: AtomicUsize::new(0),
         evaluated: AtomicUsize::new(0),
@@ -617,33 +612,47 @@ fn render_named(samples: &[NamedSample]) -> String {
     format!("[\n{}\n  ]", rows.join(",\n"))
 }
 
-fn bench_des_path(quick: bool, host_cores: usize) -> Vec<Sample> {
-    let config = SearchConfig::new(
-        EnsembleShape::uniform(2, 16, 1, 8),
-        NodeBudget { max_nodes: 3, cores_per_node: 32 },
-    )
-    .small_scale();
-    let reps = if quick { 1 } else { 3 };
-    let run = |workers: usize| -> Vec<u64> {
-        exhaustive_search(&config, &ScanOptions { workers, ..Default::default() })
-            .expect("des scan")
-            .into_values()
-            .into_iter()
-            .map(|p| p.objective.to_bits())
-            .collect()
+struct AdviseSample {
+    candidates: usize,
+    rows: usize,
+    rank_secs: f64,
+    advise_secs: f64,
+}
+
+/// `ensemble advise --members 8 --k 1 --nodes 6` without its core sweep:
+/// eight 16+8-core members filling six 32-core nodes, ranked in closed
+/// form at the advisor's `top_k`, then each row played through the DES.
+/// The advisor's rows are first checked to be the ranking's.
+fn bench_advise(quick: bool) -> AdviseSample {
+    let budget = NodeBudget { max_nodes: 6, cores_per_node: 32 };
+    let shape = EnsembleShape::uniform(8, 16, 1, 8);
+    let mut base = SimRunConfig::paper(shape.materialize(&[0; 16]));
+    base.n_steps = 6;
+    let opts = ScanOptions { top_k: advisor::TOP_K, ..Default::default() };
+    let rank = || {
+        let solves = Arc::new(SolveCache::new(&base));
+        Ranker::new(&base, &shape, &solves, None, ()).rank(budget, &opts).expect("ranking")
     };
-    let reference = run(1);
-    let mut samples = Vec::new();
-    let mut serial_secs = 0.0;
-    for workers in worker_counts(host_cores) {
-        assert_eq!(run(workers), reference, "bit-identity broken");
-        let (secs, candidates) = median_secs(reps, || run(workers).len());
-        if workers == 1 {
-            serial_secs = secs;
-        }
-        samples.push(Sample { workers, candidates, secs, speedup: serial_secs / secs });
-    }
-    samples
+    let advise = || recommend_placement(8, 16, 1, 8, budget, false).expect("advise");
+    let ranked = rank();
+    let rec = advise();
+    let rows: Vec<&RankedPlacement> = rec.top.iter().map(|row| &row.ranked).collect();
+    assert_eq!(rows, ranked.results.iter().map(|h| &h.value).collect::<Vec<_>>());
+    let reps = if quick { 3 } else { 21 };
+    let (rank_secs, candidates) = median_secs(reps, || rank().scanned);
+    let (advise_secs, rows) = median_secs(reps, || advise().top.len());
+    AdviseSample { candidates, rows, rank_secs, advise_secs }
+}
+
+fn render_advise(s: &AdviseSample) -> String {
+    format!(
+        "{{\"name\": \"advise/{}\", \"rows\": {}, \"rank_secs\": {:.6}, \"confirm_secs\": {:.6}, \"advise_secs\": {:.6}}}",
+        s.candidates,
+        s.rows,
+        s.rank_secs,
+        s.advise_secs - s.rank_secs,
+        s.advise_secs
+    )
 }
 
 struct CoschedSample {
@@ -802,13 +811,11 @@ fn main() {
     }
     let spawn_join = spawn_join_us(quick);
     eprintln!("  scoped spawn+join {spawn_join:.1} us");
-    let des = bench_des_path(quick, host_cores);
-    for s in &des {
-        eprintln!(
-            "  des   workers={:<2} candidates={:<6} {:.4}s  {:.2}x",
-            s.workers, s.candidates, s.secs, s.speedup
-        );
-    }
+    let advise = bench_advise(quick);
+    eprintln!(
+        "  advise/{} rows={} rank {:.6}s  advise {:.6}s",
+        advise.candidates, advise.rows, advise.rank_secs, advise.advise_secs
+    );
 
     let cosched = bench_cosched(quick);
     for s in &cosched {
@@ -819,12 +826,12 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"scan_throughput\",\n  \"host_cores\": {host_cores},\n  \"quick\": {quick},\n  \"commit\": \"{}\",\n  \"spawn_join_us\": {spawn_join:.1},\n  \"fast_path\": {},\n  \"delta_eval\": {},\n  \"service_scans\": {},\n  \"des_path\": {},\n  \"cosched_queue_wait\": {}\n}}\n",
+        "{{\n  \"bench\": \"scan_throughput\",\n  \"host_cores\": {host_cores},\n  \"quick\": {quick},\n  \"commit\": \"{}\",\n  \"spawn_join_us\": {spawn_join:.1},\n  \"fast_path\": {},\n  \"delta_eval\": {},\n  \"service_scans\": {},\n  \"advise\": {},\n  \"cosched_queue_wait\": {}\n}}\n",
         bench::git_commit(),
         render(&fast),
         render_delta(&delta),
         render_named(&service_scans),
-        render(&des),
+        render_advise(&advise),
         render_cosched(&cosched),
     );
     let out = std::env::var("ENSEMBLE_BENCH_OUT").unwrap_or_else(|_| {

@@ -1,31 +1,39 @@
 //! The placement advisor: one call from ensemble shape + budget to a
-//! recommended placement with a human-readable rationale.
+//! recommended placement with a human-readable rationale — the
+//! closed-form winner ([`Ranker`]), its best [`TOP_K`] rows each played
+//! through the DES too, so a disagreement between model and DES shows.
+
+use std::sync::Arc;
 
 use ensemble_core::EnsembleSpec;
-use runtime::RuntimeResult;
+use runtime::{SimRunConfig, WorkloadMap};
 
 use crate::core_sweep::{core_sweep, CoreSweepConfig};
+use crate::delta::SolveCache;
 use crate::enumerate::EnsembleShape;
+use crate::rank::{RankError, RankedPlacement, Ranker};
 use crate::scan::ScanOptions;
-use crate::search::{exhaustive_search, greedy_search, NodeBudget, SearchConfig};
+use crate::search::{run_and_score, NodeBudget};
 
-/// Exhaustive search is bounded by the number of canonical placements;
-/// beyond this many components the advisor switches to greedy.
-const EXHAUSTIVE_COMPONENT_LIMIT: usize = 8;
+/// Rows of the closed-form ranking the advisor confirms in the DES.
+pub const TOP_K: usize = 5;
+
+/// One of the advisor's rows, ranked in closed form and run in the DES.
+#[derive(Debug, Clone)]
+pub struct ConfirmedPlacement {
+    /// The closed-form row; its `objective` is the closed-form `F`.
+    pub ranked: RankedPlacement,
+    /// `F(Pᵁ·ᴬ·ᴾ)` of the same placement played through the DES.
+    pub des_objective: f64,
+}
 
 /// The advisor's output.
 #[derive(Debug, Clone)]
 pub struct Recommendation {
-    /// The placement to use.
+    /// The placement to use: the closed-form ranking's head.
     pub spec: EnsembleSpec,
-    /// Its objective value `F(Pᵁ·ᴬ·ᴾ)`.
-    pub objective: f64,
-    /// Nodes it provisions.
-    pub nodes_used: usize,
-    /// Whether the search was exhaustive or greedy.
-    pub exhaustive: bool,
-    /// Analysis core count chosen by the §3.4 sweep (when requested).
-    pub analysis_cores: Option<u32>,
+    /// The best [`TOP_K`] rows (all of a smaller space), best first.
+    pub top: Vec<ConfirmedPlacement>,
     /// Plain-language explanation.
     pub rationale: String,
 }
@@ -39,41 +47,45 @@ pub fn recommend_placement(
     ana_cores: u32,
     budget: NodeBudget,
     small_scale: bool,
-) -> RuntimeResult<Recommendation> {
+) -> Result<Recommendation, RankError> {
     let shape = EnsembleShape::uniform(n, sim_cores, k, ana_cores);
-    let mut config = SearchConfig::new(shape.clone(), budget);
+    let mut run = SimRunConfig::paper(shape.materialize(&vec![0; shape.num_components()]));
     if small_scale {
-        config = config.small_scale();
+        run.workloads = WorkloadMap::small_defaults();
     }
-    let (best, exhaustive) = if shape.num_components() <= EXHAUSTIVE_COMPONENT_LIMIT {
-        let ranked = exhaustive_search(&config, &ScanOptions::default())?.into_values();
-        let best = ranked.into_iter().next().ok_or(runtime::RuntimeError::NoSamples)?;
-        (best, true)
-    } else {
-        (greedy_search(&config)?, false)
-    };
-    let colocated = best.spec.members.iter().all(|m| (0..m.k()).all(|j| m.is_colocated(j)));
+    run.n_steps = 6; // `F` reads only the steady state
+    run.jitter = 0.0;
+    let solves = Arc::new(SolveCache::new(&run));
+    let opts = ScanOptions { top_k: TOP_K, ..ScanOptions::default() };
+    let ranked = Ranker::new(&run, &shape, &solves, None, ()).rank(budget, &opts)?;
+    if ranked.results.is_empty() {
+        let cores = shape.component_cores().iter().map(|&c| u64::from(c)).sum();
+        return Err(RankError::NoFit(cores, budget));
+    }
+    let mut top = Vec::with_capacity(TOP_K);
+    for ranked in ranked.into_values() {
+        let des_objective = run_and_score(&mut run, &shape.materialize(&ranked.assignment));
+        let des_objective = des_objective.map_err(RankError::Run)?;
+        top.push(ConfirmedPlacement { ranked, des_objective });
+    }
+    let best = &top[0];
+    let spec = shape.materialize(&best.ranked.assignment);
+    let colocated = spec.members.iter().all(|m| (0..m.k()).all(|j| m.is_colocated(j)));
     let rationale = format!(
-        "{} search over ≤{} nodes ({} cores each): F(P^U,A,P) = {:.3e} on {} nodes; {}",
-        if exhaustive { "exhaustive" } else { "greedy" },
+        "closed-form ranking over ≤{} nodes ({} cores each), confirmed in the DES: \
+         F(P^U,A,P) = {:.3e} (DES {:.3e}) on {} nodes; {}",
         budget.max_nodes,
         budget.cores_per_node,
-        best.objective,
-        best.nodes_used,
+        best.ranked.objective,
+        best.des_objective,
+        best.ranked.nodes_used,
         if colocated {
             "every member is fully co-located with its analyses (the paper's conclusion)"
         } else {
             "capacity constraints force partial spreading"
         }
     );
-    Ok(Recommendation {
-        spec: best.spec,
-        objective: best.objective,
-        nodes_used: best.nodes_used,
-        exhaustive,
-        analysis_cores: None,
-        rationale,
-    })
+    Ok(Recommendation { spec, top, rationale })
 }
 
 /// Full §3.4 + §4 pipeline: first size the analyses with the core sweep,
@@ -83,12 +95,10 @@ pub fn recommend_with_core_sweep(
     sim_cores: u32,
     k: usize,
     budget: NodeBudget,
-) -> RuntimeResult<Recommendation> {
-    let mut sweep_cfg = CoreSweepConfig::paper();
-    sweep_cfg.sim_cores = sim_cores;
-    let sweep = core_sweep(&sweep_cfg)?;
+) -> Result<Recommendation, RankError> {
+    let sweep_cfg = CoreSweepConfig { sim_cores, ..CoreSweepConfig::paper() };
+    let sweep = core_sweep(&sweep_cfg).map_err(RankError::Run)?;
     let mut rec = recommend_placement(n, sim_cores, k, sweep.recommended_cores, budget, false)?;
-    rec.analysis_cores = Some(sweep.recommended_cores);
     rec.rationale = format!(
         "core sweep (Eq. 4 + max E) chose {} analysis cores; {}",
         sweep.recommended_cores, rec.rationale
@@ -100,33 +110,61 @@ pub fn recommend_with_core_sweep(
 mod tests {
     use super::*;
 
+    fn on(max_nodes: usize) -> NodeBudget {
+        NodeBudget { max_nodes, cores_per_node: 32 }
+    }
+
     #[test]
     fn small_instance_recommends_colocation() {
-        let rec =
-            recommend_placement(2, 16, 1, 8, NodeBudget { max_nodes: 3, cores_per_node: 32 }, true)
-                .unwrap();
-        assert!(rec.exhaustive);
-        assert_eq!(rec.nodes_used, 2, "C1.5-style placement expected");
+        let rec = recommend_placement(2, 16, 1, 8, on(3), true).unwrap();
+        assert_eq!(rec.top[0].ranked.nodes_used, 2, "C1.5-style placement expected");
         assert!(rec.rationale.contains("co-located"));
         for m in &rec.spec.members {
             assert!(m.is_colocated(0));
         }
     }
 
+    /// At ten components the advisor's rows are still the head of the
+    /// full ranking.
     #[test]
-    fn large_instance_falls_back_to_greedy() {
-        let rec =
-            recommend_placement(5, 16, 1, 8, NodeBudget { max_nodes: 5, cores_per_node: 32 }, true)
-                .unwrap();
-        assert!(!rec.exhaustive);
+    fn ten_components_recommend_the_head_of_the_full_ranking() {
+        let rec = recommend_placement(5, 16, 1, 8, on(5), true).unwrap();
+        let shape = EnsembleShape::uniform(5, 16, 1, 8);
+        let mut run = SimRunConfig::paper(shape.materialize(&[0; 10]));
+        run.workloads = WorkloadMap::small_defaults();
+        run.n_steps = 6;
+        let solves = Arc::new(SolveCache::new(&run));
+        let full = Ranker::new(&run, &shape, &solves, None, ())
+            .rank(on(5), &ScanOptions::default())
+            .unwrap()
+            .into_values();
+        assert_eq!(rec.top.len(), TOP_K);
+        let rows: Vec<&RankedPlacement> = rec.top.iter().map(|c| &c.ranked).collect();
+        assert_eq!(rows, full.iter().take(TOP_K).collect::<Vec<_>>());
         assert_eq!(rec.spec.n(), 5);
-        assert!(rec.objective.is_finite());
     }
 
     #[test]
-    fn impossible_budget_errors() {
-        let err =
-            recommend_placement(2, 16, 1, 8, NodeBudget { max_nodes: 1, cores_per_node: 32 }, true);
-        assert!(err.is_err());
+    fn the_winners_closed_form_and_des_objectives_agree() {
+        for (n, k, nodes, small) in [(2, 1, 3, true), (2, 2, 3, false), (4, 1, 4, true)] {
+            let rec = recommend_placement(n, 16, k, 8, on(nodes), small).unwrap();
+            for row in &rec.top {
+                let (closed, des) = (row.ranked.objective, row.des_objective);
+                assert!(
+                    (closed - des).abs() <= 1e-6 * des.abs(),
+                    "{n}×(16+{k}×8) on {nodes}: closed form {closed} against DES {des}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_budget_nothing_fits_is_named() {
+        let err = recommend_placement(2, 16, 1, 8, on(1), true).unwrap_err();
+        assert!(matches!(err, RankError::NoFit(48, _)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "no placement fits: the ensemble needs 48 cores, the budget is 1 × 32 cores"
+        );
     }
 }

@@ -6,12 +6,12 @@
 //!   sweep analysis core counts, keep those satisfying Eq. 4
 //!   (`R* + A* ≤ S* + W*`), pick the most efficient. On the paper's
 //!   workloads it selects 8 cores, as the paper does.
-//! * [`search`] / [`advisor`] — the paper's future work: enumerate
-//!   canonical placements under node/core budgets ([`enumerate`]),
-//!   evaluate each on the simulated platform, rank by `F(Pᵁ·ᴬ·ᴾ)`
-//!   (Eqs. 8–9), with a greedy fallback for large ensembles. The search
-//!   independently rediscovers the paper's conclusion: fully co-locate
-//!   each member.
+//! * [`rank`] / [`advisor`] — the paper's future work: enumerate
+//!   canonical placements under node/core budgets ([`enumerate`]), rank
+//!   them by `F(Pᵁ·ᴬ·ᴾ)` (Eqs. 8–9) in closed form with the [`Ranker`]
+//!   the service's `score` runs too, and confirm the top rows in the
+//!   DES. It independently rediscovers the paper's conclusion: fully
+//!   co-locate each member.
 //!
 //! Placement evaluation runs on [`scan`], a streaming parallel scan
 //! engine driven by one [`ScanVisitor`]: candidates are enumerated
@@ -30,6 +30,7 @@ pub mod cosched;
 pub mod delta;
 pub mod enumerate;
 pub mod fast_eval;
+pub mod rank;
 pub mod scan;
 pub mod search;
 
@@ -45,5 +46,6 @@ pub use enumerate::{
     WalkCache, MAX_EXACT_COUNT,
 };
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
+pub use rank::{RankError, RankHooks, RankedPlacement, Ranker};
 pub use scan::{scan_placements, Candidate, ScanOptions, ScanProgress, ScanVisitor};
-pub use search::{exhaustive_search, NodeBudget, SearchConfig};
+pub use search::NodeBudget;

@@ -1,10 +1,10 @@
 //! Parallel streaming placement-scan engine.
 //!
-//! Every candidate scan in this crate — the DES-scored exhaustive
-//! search, the service's closed-form `score` path, and the
-//! co-scheduler's admission scan — has the same shape: enumerate canonical
-//! placements, evaluate each one independently, rank the results. This
-//! module is that shape, made reusable and parallel:
+//! Every candidate scan in this crate — the closed-form ranking
+//! ([`crate::rank`]) and the co-scheduler's admission scan — has the
+//! same shape: enumerate canonical placements, evaluate each one
+//! independently, rank the results. This module is that shape, made
+//! reusable and parallel:
 //!
 //! * **One visitor.** A scan is driven by a [`ScanVisitor`]: how to
 //!   build a worker's state, evaluate a candidate, turn a kept one into
@@ -80,9 +80,7 @@ use crate::search::NodeBudget;
 /// the caller has scanned for about four spawns' worth before it pays for
 /// one. A scan that ends sooner — the e2e benchmark's S and M classes,
 /// ~0.14 ms from an empty walk cache and ~0.04 ms from a warm one, and L
-/// from a warm one, ~0.18 ms — never pays at all; one whose pulls are
-/// long (DES-scored chunks, ~1 ms) brings its helpers in when it returns
-/// from its first.
+/// from a warm one, ~0.18 ms — never pays at all.
 /// A full scan evaluates every candidate, so its caller brings them in
 /// as soon as its first pull leaves the walk unfinished.
 pub const SOLO_SCAN: Duration = Duration::from_micros(200);
@@ -422,8 +420,7 @@ pub struct Candidate<'a> {
 /// What a scan does with the candidates [`scan_placements`] walks: one
 /// value, shared by every worker, that builds each worker's own state.
 pub trait ScanVisitor: Sync {
-    /// One worker's evaluation state (a [`crate::DeltaEvaluator`], or a
-    /// reusable DES run configuration), never shared.
+    /// One worker's evaluation state (a [`crate::DeltaEvaluator`]), never shared.
     type State;
     /// What `eval` returns for a candidate: something small, its floats.
     /// The copies of an orbit's representative get clones of its score.

@@ -105,9 +105,9 @@ pub(crate) struct Cosched<J> {
 
 impl<J: Waiter> Cosched<J> {
     /// An idle co-scheduler over `config`, scoring placements under
-    /// `base` with up to `scan_workers` threads.
-    pub(crate) fn new(config: &CoschedSvcConfig, base: SimRunConfig, scan_workers: usize) -> Self {
-        let scan = ScanOptions { workers: scan_workers.max(1), ..ScanOptions::default() };
+    /// `base` on one thread.
+    pub(crate) fn new(config: &CoschedSvcConfig, base: SimRunConfig) -> Self {
+        let scan = ScanOptions { workers: 1, ..ScanOptions::default() };
         let (budget, queue_capacity, backfill) =
             (config.budget, config.queue_capacity, config.backfill);
         let sched =

@@ -41,7 +41,7 @@ fn cosched() -> Cosched<TestJob> {
     let mut base = SimRunConfig::paper(placeholder);
     base.workloads = WorkloadMap::small_defaults();
     base.n_steps = 6;
-    Cosched::new(&config, base, 1)
+    Cosched::new(&config, base)
 }
 
 struct TestJob {

@@ -29,6 +29,10 @@ use scheduler::{EnsembleShape, NodeBudget};
 
 use crate::json::{encoded, write_bool, write_f64, write_seq, write_str, write_u64, Value};
 
+/// One ranked placement in a score response: the scheduler's ranking
+/// row.
+pub use scheduler::RankedPlacement;
+
 /// Which workload map a request evaluates under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Workloads {
@@ -166,21 +170,6 @@ pub struct Request {
     pub body: RequestBody,
 }
 
-/// One ranked placement in a score response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankedPlacement {
-    /// Flattened node assignment (member-major, simulation first).
-    pub assignment: Vec<usize>,
-    /// Objective `F(Pᵁ·ᴬ·ᴾ)`.
-    pub objective: f64,
-    /// Nodes provisioned.
-    pub nodes_used: usize,
-    /// Predicted ensemble makespan, seconds.
-    pub ensemble_makespan: f64,
-    /// Whether the paper's Eq. 4 holds for every coupling.
-    pub eq4_satisfied: bool,
-}
-
 /// A best-first ranking: immutable, shared by reference count between
 /// the score cache, every reply that serves it and the journal record
 /// that persists it. Dereferences to its rows; a [`prefix`](Self::prefix)
@@ -238,7 +227,7 @@ impl Ranking {
                 if !bytes.is_empty() {
                     bytes.push(',');
                 }
-                row.write_json(&mut bytes);
+                write_placement(&mut bytes, row);
                 ends.push(bytes.len());
             }
             bytes.shrink_to_fit();
@@ -766,22 +755,20 @@ pub fn validate_tenant(tag: &str) -> Result<(), String> {
     Ok(())
 }
 
-impl RankedPlacement {
-    /// Appends the placement's JSON object (a row of a score response
-    /// and of a journaled ranking).
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"assignment\":");
-        write_seq(out, &self.assignment, |out, &n| write_u64(out, n as u64));
-        out.push_str(",\"objective\":");
-        write_f64(out, self.objective);
-        out.push_str(",\"nodes_used\":");
-        write_u64(out, self.nodes_used as u64);
-        out.push_str(",\"ensemble_makespan\":");
-        write_f64(out, self.ensemble_makespan);
-        out.push_str(",\"eq4_satisfied\":");
-        write_bool(out, self.eq4_satisfied);
-        out.push('}');
-    }
+/// Appends a placement's JSON object (a row of a score response and of
+/// a journaled ranking).
+fn write_placement(out: &mut String, row: &RankedPlacement) {
+    out.push_str("{\"assignment\":");
+    write_seq(out, &row.assignment, |out, &n| write_u64(out, n as u64));
+    out.push_str(",\"objective\":");
+    write_f64(out, row.objective);
+    out.push_str(",\"nodes_used\":");
+    write_u64(out, row.nodes_used as u64);
+    out.push_str(",\"ensemble_makespan\":");
+    write_f64(out, row.ensemble_makespan);
+    out.push_str(",\"eq4_satisfied\":");
+    write_bool(out, row.eq4_satisfied);
+    out.push('}');
 }
 
 /// Decodes one ranked placement from a JSON value.

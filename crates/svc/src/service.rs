@@ -26,8 +26,7 @@ use std::time::{Duration, Instant};
 use ensemble_core::WarmupPolicy;
 use runtime::{SimRunConfig, WorkloadMap};
 use scheduler::{
-    scan_placements, Candidate, CoScheduler, DeltaEvaluator, FastScore, ObjectiveBound,
-    ScanOptions, ScanProgress, ScanVisitor, SolveCache, WalkCache,
+    CoScheduler, RankError, RankHooks, Ranker, ScanOptions, ScanProgress, SolveCache, WalkCache,
 };
 
 use crate::cache::ScoreCache;
@@ -37,8 +36,7 @@ use crate::image::{FinishedRun, Image, Window};
 use crate::journal::{Journal, JournalConfig, ReplayedReservation};
 use crate::protocol::{
     validate_tenant, ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec,
-    RankedPlacement, Ranking, Request, RequestBody, Response, RunRequest, ScoreRequest,
-    SubmitRequest, Workloads,
+    Ranking, Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
 };
 use crate::server::{route, Mount, Routed};
 use crate::stats::{LatencyHistogram, MetricsSnapshot, SvcStats, COLD_START_SERVICE_TIME};
@@ -59,12 +57,12 @@ pub struct SvcConfig {
     /// warmed and the attachable-run index rebuilt by replay at start.
     /// Compaction keeps `cache_capacity` scores and runs.
     pub journal: Option<JournalConfig>,
-    /// Most scan worker threads per score request (a scan brings in
-    /// helpers only once its first pull leaves work to share, and a
-    /// bounded one only after its caller's solo time). Zero means the
-    /// host's available parallelism for `score`, but one thread for the
-    /// co-scheduler's placement of a `submit`; a request carrying its
-    /// own nonzero `workers` outranks this default.
+    /// Most scan worker threads of a `score` request that names none (a
+    /// scan brings in helpers only once its first pull leaves work to
+    /// share, and a bounded one only after its caller's solo time). Zero
+    /// means the host's available parallelism; a request carrying its
+    /// own nonzero `workers` outranks this default. The co-scheduler's
+    /// placement of a `submit` always scans on one thread.
     pub scan_workers: usize,
     /// Optional online co-scheduler. When set, `submit` requests are
     /// placed against live residual capacity before they reach the
@@ -410,7 +408,7 @@ impl Service {
             tenant_table.rows.entry(name.clone()).or_default();
         }
         let cosched = config.cosched.clone().map(|cc| {
-            let mut state = Cosched::new(&cc, cosched_base(cc.workloads), config.scan_workers);
+            let mut state = Cosched::new(&cc, cosched_base(cc.workloads));
             // Rebuild the residency map from the journaled reservations
             // still open at the last shutdown/crash: capacity committed
             // to jobs the old process never finished stays committed
@@ -1436,72 +1434,18 @@ fn validate_score(score: &ScoreRequest, node_cores: u32) -> Result<(), ExecError
     Ok(())
 }
 
-/// The scan of a `score` request. Each worker scores through its own
-/// delta evaluator, which re-solves only nodes whose occupancy changed
-/// between successive candidates — bit-identical to the from-scratch
-/// path, so cache keys and journal replays are unaffected. A node
-/// occupancy no evaluator of this request has seen is looked up in the
-/// service's solve cache before it is solved: an earlier request has
-/// usually solved it. A bounded scan skips, unevaluated, every subtree
-/// and every candidate whose objective bound cannot reach the K-th best
-/// so far.
-struct ScoreScan<'a> {
-    cfg: SimRunConfig,
-    shape: &'a scheduler::EnsembleShape,
-    solves: &'a Arc<SolveCache>,
-    walks: &'a WalkCache,
-    bound: ObjectiveBound,
+/// What a `score` request's ranking asks of and tells the service: its
+/// cancel probe, and — for progress-opted requests — throttled interim
+/// frames from the scan's per-chunk hook. The hook runs under the scan's
+/// feed lock (worker threads take turns), so the emitter's mutex is
+/// uncontended; non-opted requests pay nothing.
+struct ScoreHooks<'a> {
     job: &'a Job,
-    /// Progress-opted requests get throttled interim frames from the
-    /// scan's per-chunk hook. The hook runs under the scan's feed lock
-    /// (worker threads take turns), so this mutex is uncontended;
-    /// non-opted requests pay nothing.
     emitter: Option<Mutex<ProgressEmitter>>,
     stats: &'a SvcStats,
 }
 
-impl ScanVisitor for ScoreScan<'_> {
-    type State = DeltaEvaluator;
-    type Scored = FastScore;
-    type Row = RankedPlacement;
-    type Error = ExecError;
-
-    fn init(&self) -> DeltaEvaluator {
-        DeltaEvaluator::with_solve_cache(&self.cfg, self.shape, self.solves)
-    }
-
-    fn eval(
-        &self,
-        evaluator: &mut DeltaEvaluator,
-        c: Candidate<'_>,
-    ) -> Result<Option<FastScore>, ExecError> {
-        let assignment = c.assignment;
-        evaluator
-            .score_above(assignment, c.first_changed, c.floor)
-            .map_err(|e| ExecError::Invalid(format!("candidate {assignment:?}: {e}")))
-    }
-
-    fn objective(&self, fs: &FastScore) -> f64 {
-        fs.objective
-    }
-
-    /// A row (and its copy of the assignment) is built only for a
-    /// candidate the ranking keeps: all of them when it is full, the
-    /// running best `top_k` when it is bounded.
-    fn keep(&self, _: &mut DeltaEvaluator, c: Candidate<'_>, fs: FastScore) -> RankedPlacement {
-        RankedPlacement {
-            assignment: c.assignment.to_vec(),
-            objective: fs.objective,
-            nodes_used: fs.nodes_used,
-            ensemble_makespan: fs.ensemble_makespan,
-            eq4_satisfied: fs.eq4_satisfied,
-        }
-    }
-
-    fn drain(&self, evaluator: &mut DeltaEvaluator) -> scheduler::DeltaCounters {
-        evaluator.take_counters()
-    }
-
+impl RankHooks for ScoreHooks<'_> {
     fn cancel(&self) -> bool {
         checkpoint(self.job, String::new).is_err()
     }
@@ -1517,20 +1461,11 @@ impl ScanVisitor for ScoreScan<'_> {
             });
         }
     }
+}
 
-    fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
-        self.bound.of_prefix(prefix, open_nodes)
-    }
-
-    /// Identical members are interchangeable where every copy scores its
-    /// representative's bits: the walk hands out one placement per
-    /// member-permutation orbit, and its copies share its score.
-    fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
-        evaluator.member_classes(labels)
-    }
-
-    fn walk_cache(&self) -> Option<&WalkCache> {
-        Some(self.walks)
+impl From<RankError> for ExecError {
+    fn from(e: RankError) -> Self {
+        ExecError::Invalid(e.to_string())
     }
 }
 
@@ -1569,17 +1504,20 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
         top_k: score.top_k,
         ..ScanOptions::default()
     };
-    let visitor = ScoreScan {
-        cfg,
-        shape: &score.shape,
-        solves: per_workloads(&shared.solve_caches, score.workloads),
-        walks: &shared.walks,
-        bound: ObjectiveBound::new(&score.shape),
+    // Each worker scores through its own delta evaluator — bit-identical
+    // to scoring from scratch, so cache keys and journal replays are
+    // unaffected — which looks a node occupancy no evaluator of this
+    // request has seen up in the service's solve cache first (an earlier
+    // request has usually solved it); the walk starts from what earlier
+    // scans of the shape learned.
+    let hooks = ScoreHooks {
         job,
         emitter: job.request.progress.map(|spec| Mutex::new(ProgressEmitter::new(spec, job))),
         stats: &shared.stats,
     };
-    let outcome = scan_placements(&score.shape, score.budget, &opts, &visitor)?;
+    let solves = per_workloads(&shared.solve_caches, score.workloads);
+    let ranker = Ranker::new(&cfg, &score.shape, solves, Some(&shared.walks), hooks);
+    let outcome = ranker.rank(score.budget, &opts)?;
     shared.stats.candidates_scanned.fetch_add(outcome.scanned as u64, Ordering::Relaxed);
     shared.stats.candidates_pruned.fetch_add(outcome.delta.pruned, Ordering::Relaxed);
     shared.stats.delta_solve_hits.fetch_add(outcome.delta.solve_hits, Ordering::Relaxed);
@@ -1598,13 +1536,7 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
     }
     let scan_workers = outcome.workers as u64;
     let candidates_scanned = outcome.scanned as u64;
-    let mut ranked = outcome.into_values();
-    if score.top_k == 0 {
-        // Enumeration order → ranked best-first, exactly as the serial
-        // path always sorted (stable: ties keep enumeration order).
-        ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
-    }
-    let ranked = Ranking::from(ranked);
+    let ranked = Ranking::from(outcome.into_values());
     let store_key = bounded_key.unwrap_or(key);
     if let Some(journal) = &shared.journal {
         // The ranking exactly as cached (full, or bounded under its
@@ -2215,27 +2147,11 @@ mod tests {
         let RequestBody::Score(score) = &req.body else { unreachable!() };
         let mut cfg = base_config(score.shape.materialize(&[0; 8]), score.workloads);
         cfg.n_steps = score.steps;
-        let job = Job {
-            submitted: Instant::now(),
-            deadline_at: None,
-            cancel: CancelToken::default(),
-            reply: mpsc::channel().0,
-            cosched: None,
-            request: req.clone(),
-        };
-        let solves = SolveCache::new(&cfg);
-        let visitor = ScoreScan {
-            cfg,
-            shape: &score.shape,
-            solves: &Arc::new(solves),
-            walks: &WalkCache::new(),
-            bound: ObjectiveBound::new(&score.shape),
-            job: &job,
-            emitter: None,
-            stats: &SvcStats::default(),
-        };
+        let solves = Arc::new(SolveCache::new(&cfg));
         let opts = ScanOptions { workers: 1, top_k: 10, ..ScanOptions::default() };
-        let Ok(outcome) = scan_placements(&score.shape, score.budget, &opts, &visitor) else {
+        let walks = WalkCache::new();
+        let ranker = Ranker::new(&cfg, &score.shape, &solves, Some(&walks), ());
+        let Ok(outcome) = ranker.rank(score.budget, &opts) else {
             panic!("the scan the service just ran fails here");
         };
         assert_eq!(total - pruned, outcome.feasible as u64, "scanned − pruned is what was scored");

@@ -1,7 +1,8 @@
 //! The paper's future work in action: use the performance indicators to
 //! schedule an ensemble under resource constraints. The advisor sweeps
-//! analysis core counts (§3.4), enumerates placements, evaluates each on
-//! the simulated platform, and ranks by F(P^{U,A,P}).
+//! analysis core counts (§3.4), ranks every canonical placement by
+//! F(P^{U,A,P}) in closed form, and plays its top rows through the DES
+//! to confirm them.
 //!
 //! ```text
 //! cargo run --release --example placement_advisor
@@ -31,26 +32,23 @@ fn main() {
         );
     }
 
-    // Step 2 — exhaustively rank every canonical placement.
-    let config =
-        SearchConfig::new(EnsembleShape::uniform(2, 16, 1, sweep.recommended_cores), budget);
-    let ranked =
-        exhaustive_search(&config, &ScanOptions::default()).expect("search failed").into_values();
-    println!("\n{} canonical feasible placements evaluated; top 5:", ranked.len());
-    for (rank, placed) in ranked.iter().take(5).enumerate() {
-        println!(
-            "  #{} assignment {:?}: F = {:.3e}, {} nodes, ensemble makespan {:.1}s",
-            rank + 1,
-            placed.assignment,
-            placed.objective,
-            placed.nodes_used,
-            placed.ensemble_makespan
-        );
-    }
-
-    // Step 3 — the one-call advisor.
+    // Step 2 — the one-call advisor: rank in closed form, confirm the
+    // top rows in the DES.
     let rec = scheduling::recommend_placement(2, 16, 1, sweep.recommended_cores, budget, false)
         .expect("advisor failed");
+    println!("\nclosed-form top {} (each played through the DES):", rec.top.len());
+    println!("  #  assignment         F closed form  F DES        nodes  makespan");
+    for (rank, row) in rec.top.iter().enumerate() {
+        println!(
+            "  #{} {:<18} {:<14.6e} {:<12.6e} {:>5}  {:.1}s",
+            rank + 1,
+            format!("{:?}", row.ranked.assignment),
+            row.ranked.objective,
+            row.des_objective,
+            row.ranked.nodes_used,
+            row.ranked.ensemble_makespan
+        );
+    }
     println!("\nadvisor: {}", rec.rationale);
     for (i, member) in rec.spec.members.iter().enumerate() {
         println!(

@@ -70,8 +70,7 @@ pub mod prelude {
         RestartPolicy, SimRunConfig, ThreadRunConfig, WorkloadMap,
     };
     pub use scheduler::{
-        core_sweep, exhaustive_search, recommend_placement, CoreSweepConfig, EnsembleShape,
-        NodeBudget, ScanOptions, SearchConfig,
+        core_sweep, recommend_placement, CoreSweepConfig, EnsembleShape, NodeBudget, ScanOptions,
     };
     pub use svc::{serve, Service, SvcClient, SvcConfig};
 }

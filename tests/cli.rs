@@ -76,6 +76,31 @@ fn sweep_recommends_eight_cores() {
 }
 
 #[test]
+fn advise_past_eight_components_ranks_in_closed_form_and_confirms_in_the_des() {
+    // 8 × (16 + 8) cores fill 6 × 32 exactly.
+    let out = run_ok(&["advise", "--members", "8", "--k", "1", "--nodes", "6"]);
+    let rationale = out.lines().next().expect("a rationale line");
+    assert!(rationale.contains("on 6 nodes"), "{out}");
+    // `F(P^U,A,P) = <closed form> (DES <des>)`, equal to the digits shown.
+    let f = rationale.split("F(P^U,A,P) = ").nth(1).expect("an objective");
+    let (closed, des) = f.split_once(" (DES ").expect("its DES value");
+    assert_eq!(Some(closed), des.split(')').next(), "{out}");
+    assert_eq!(out.lines().filter(|l| l.trim_start().starts_with("EM")).count(), 8, "{out}");
+}
+
+#[test]
+fn advise_on_a_budget_nothing_fits_says_so() {
+    let args = ["advise", "--members", "2", "--k", "1", "--nodes", "1"];
+    let out = ensemble().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "advise failed: no placement fits: the ensemble needs 48 cores, the budget is 1 × 32 \
+         cores\n"
+    );
+}
+
+#[test]
 fn run_from_experiment_json() {
     let dir = std::env::temp_dir().join(format!("ens-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

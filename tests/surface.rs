@@ -1,4 +1,4 @@
-//! Seven rules about the workspace's shape that hold themselves.
+//! Eight rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -49,6 +49,13 @@
 //! facade excluded, `#[cfg(test)]` code too) names no `env::var`,
 //! `env::var_os` or `env::vars`; a binary reads its flags and hands the
 //! library values. Compile-time `env!` is not a read.
+//!
+//! **One closed-form ranking.** Product code (`crates/*/src`, `src/`)
+//! implements `ScanVisitor` only in the scheduler's ranking module —
+//! the `Ranker` the service's `score` and the placement advisor share —
+//! and in `scheduler::cosched`, whose admission scan scores against
+//! resident jobs. The DES-scored scan and the greedy heuristic that once
+//! ranked beside it are named in no `.rs` file of the tree.
 //!
 //! **The record fold does no I/O.** Restart replay, compaction and the
 //! warm standby fold the journal with one `svc::image::Image`, and the
@@ -458,4 +465,47 @@ fn the_service_asks_the_host_its_parallelism_only_where_it_starts() {
     }
     let start = BTreeSet::from([String::from("crates/svc/src/service.rs: fn try_start")]);
     assert_eq!(places, start, "svc names `available_parallelism` outside `Service::try_start`");
+}
+
+#[test]
+fn one_closed_form_ranking_implements_the_scan_visitor() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("src")];
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        dirs.push(entry.expect("dir entry").path().join("src"));
+    }
+    let mut places = BTreeSet::new();
+    for (path, code) in library_code(root, &dirs) {
+        for (at, _) in code.match_indices("ScanVisitor for ") {
+            let line = code[..at].rsplit('\n').next().expect("rsplit");
+            if line.trim_start().starts_with("impl") {
+                places.insert(path.display().to_string());
+            }
+        }
+    }
+    let allowed = BTreeSet::from([
+        String::from("crates/scheduler/src/cosched.rs"),
+        String::from("crates/scheduler/src/rank.rs"),
+    ]);
+    assert_eq!(places, allowed, "a `ScanVisitor` outside the ranking and the co-scheduler");
+
+    // Spelled in pieces, so this file does not name them either.
+    let gone = [
+        concat!("exhaustive", "_search"),
+        concat!("greedy", "_search"),
+        concat!("Search", "Config"),
+        concat!("EXHAUSTIVE", "_COMPONENT_LIMIT"),
+    ];
+    let mut files = Vec::new();
+    for top in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(top), &mut files);
+    }
+    let mut named = Vec::new();
+    for path in files {
+        let text = fs::read_to_string(&path).expect("read source");
+        for name in gone.iter().filter(|name| names_it(&text, name)) {
+            named.push(format!("{}: {name}", path.display()));
+        }
+    }
+    assert!(named.is_empty(), "a deleted ranking path is named again:\n  {}", named.join("\n  "));
 }

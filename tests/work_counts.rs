@@ -10,70 +10,11 @@
 
 use std::sync::Arc;
 
-use insitu_ensembles::runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
+use insitu_ensembles::runtime::{SimRunConfig, WorkloadMap};
 use insitu_ensembles::scheduling::scan::ScanOutcome;
 use insitu_ensembles::scheduling::{
-    scan_placements, Candidate, DeltaCounters, DeltaEvaluator, EnsembleShape, FastScore,
-    NodeBudget, ObjectiveBound, ScanOptions, ScanVisitor, SolveCache, WalkCache,
+    EnsembleShape, NodeBudget, RankedPlacement, Ranker, ScanOptions, SolveCache, WalkCache,
 };
-
-/// The service's cold `score` scan of the small workloads at `steps`,
-/// walking through `walks` when given.
-struct ScoreScan<'a> {
-    base: SimRunConfig,
-    shape: &'a EnsembleShape,
-    solves: Arc<SolveCache>,
-    bound: ObjectiveBound,
-    walks: Option<&'a WalkCache>,
-}
-
-impl ScanVisitor for ScoreScan<'_> {
-    type State = DeltaEvaluator;
-    type Scored = FastScore;
-    type Row = (Vec<usize>, u64);
-    type Error = insitu_ensembles::runtime::RuntimeError;
-
-    fn init(&self) -> DeltaEvaluator {
-        DeltaEvaluator::with_solve_cache(&self.base, self.shape, &self.solves)
-    }
-
-    fn eval(
-        &self,
-        evaluator: &mut DeltaEvaluator,
-        c: Candidate<'_>,
-    ) -> RuntimeResult<Option<FastScore>> {
-        evaluator.score_above(c.assignment, c.first_changed, c.floor)
-    }
-
-    fn objective(&self, score: &FastScore) -> f64 {
-        score.objective
-    }
-
-    fn keep(
-        &self,
-        _: &mut DeltaEvaluator,
-        c: Candidate<'_>,
-        score: FastScore,
-    ) -> (Vec<usize>, u64) {
-        (c.assignment.to_vec(), score.objective.to_bits())
-    }
-
-    fn drain(&self, evaluator: &mut DeltaEvaluator) -> DeltaCounters {
-        evaluator.take_counters()
-    }
-
-    fn prefix_bound(&self, prefix: &[usize], open_nodes: usize) -> f64 {
-        self.bound.of_prefix(prefix, open_nodes)
-    }
-
-    fn member_classes(&self, evaluator: &DeltaEvaluator, labels: usize) -> Option<Vec<usize>> {
-        evaluator.member_classes(labels)
-    }
-
-    fn walk_cache(&self) -> Option<&WalkCache> {
-        self.walks
-    }
-}
 
 /// The e2e benchmark's cold-score classes S, M and L.
 fn classes() -> [(EnsembleShape, NodeBudget); 3] {
@@ -85,34 +26,32 @@ fn classes() -> [(EnsembleShape, NodeBudget); 3] {
     ]
 }
 
+/// The service's cold `score` ranking of the small workloads at
+/// `steps`, walking through `walks` when given.
 fn scan(
     shape: &EnsembleShape,
     budget: NodeBudget,
     steps: u64,
     top_k: usize,
     walks: Option<&WalkCache>,
-) -> ScanOutcome<(Vec<usize>, u64)> {
+) -> ScanOutcome<RankedPlacement> {
     let mut base = SimRunConfig::paper(shape.materialize(&vec![0; shape.num_components()]));
     base.workloads = WorkloadMap::small_defaults();
     base.n_steps = steps;
-    let visitor = ScoreScan {
-        solves: Arc::new(SolveCache::new(&base)),
-        base,
-        shape,
-        bound: ObjectiveBound::new(shape),
-        walks,
-    };
+    let solves = Arc::new(SolveCache::new(&base));
     let opts = ScanOptions { workers: 1, top_k, ..ScanOptions::default() };
-    scan_placements(shape, budget, &opts, &visitor).expect("score scan")
+    let ranker = Ranker::new(&base, shape, &solves, walks, ());
+    ranker.rank(budget, &opts).expect("score scan")
 }
 
 /// Everything a reply carries of a scan: rows with their indexes and
 /// bits, `candidates_scanned`, and what was pruned.
 type Reply = (Vec<(usize, Vec<usize>, u64)>, usize, u64);
 
-fn reply(outcome: &ScanOutcome<(Vec<usize>, u64)>) -> Reply {
-    let rows = outcome.results.iter().map(|h| (h.index, h.value.0.clone(), h.value.1)).collect();
-    (rows, outcome.scanned, outcome.delta.pruned)
+fn reply(outcome: &ScanOutcome<RankedPlacement>) -> Reply {
+    let rows = outcome.results.iter();
+    let rows = rows.map(|h| (h.index, h.value.assignment.clone(), h.value.objective.to_bits()));
+    (rows.collect(), outcome.scanned, outcome.delta.pruned)
 }
 
 #[test]
