@@ -30,17 +30,21 @@
 //! up to 14 nodes, and `score_topk1/680835331228` a `top_k` 1 scan of 18
 //! four-core components on up to 18 nodes (nine members alike, the
 //! largest orbits of any row); `score_full/234870` is a full (`top_k` 0)
-//! ranking of the six-member space; `place_against/202` is one
-//! co-scheduler placement decision beside a resident job. Every row but
+//! ranking of the six-member space at one and two workers;
+//! `place_against/202` is one co-scheduler placement decision beside a
+//! resident job. Every row but
 //! the last score row is first checked bit-identical to the parent
 //! commit's walk (every member its own class): the head of its full
 //! ranking, or for the 14-node space its bounded scan; the 18-node rows
 //! are checked against the serial orbit walk. A row's `workers` is the
 //! most threads the scan may use
-//! and `threads` how many it did (in these bounded scans helpers come in
-//! only after the caller's solo time, which `spawn_join_us` — one scoped
-//! helper's start-up — sized); `pulls` is how often it went back to the
-//! feed, `visited` how many leaves the walk handed to an evaluator (the
+//! and `threads` how many it did: a bounded scan brings its helpers in
+//! once its caller has handed out `scan::SOLO_CANDIDATES` leaves, a full
+//! one at its first unfinished pull, and the bench asserts that every
+//! two-worker row ran on the threads that rule gives (`spawn_join_us` is
+//! one scoped helper's start-up). `pulls` is how often it went back to the
+//! feed (with helpers running, that depends on how they interleaved),
+//! `visited` how many leaves the walk handed to an evaluator (the
 //! rest it skipped with their subtrees or orbits), `scored` how many
 //! candidates were scored — evaluated, or offered their
 //! representative's score — rather than pruned, `reps` how many the
@@ -53,7 +57,11 @@
 //! the shape filled, as the service's later requests of it do;
 //! `orbit_searches` and `count_states` are what the checking run's walk
 //! still computed, and a warm serial walk is asserted to compute
-//! neither. `advise/<candidates>` is `ensemble advise --members 8 --k 1
+//! neither. A `walk: "classless"` row walks from nothing with every
+//! member its own class, as the walk did before member classes: the six-member
+//! and 14-node spaces hand out tens of thousands of leaves and the 18-node
+//! one 146.8 million (full run only), the rows past the solo count.
+//! `advise/<candidates>` is `ensemble advise --members 8 --k 1
 //! --nodes 6` without its core sweep: `rank_secs` the closed-form `top_k`
 //! 5 ranking, `advise_secs` the whole advisor, `confirm_secs` the five
 //! DES runs that confirm the ranking's rows (the difference).
@@ -440,10 +448,10 @@ struct NamedSample {
 /// The e2e benchmark's cold-score classes S, M and L, six members alike
 /// (~2.3 × 10⁵ candidates, in up to 720 copies an orbit), and a space of
 /// ~1.9 × 10⁸ candidates, at one and two scan workers; and a full
-/// (`top_k` 0) ranking of the six-member space. The solve cache lives
-/// across repetitions, as the service's does across requests; the first
-/// (checking) scan fills it. Each row is first checked bit-identical to
-/// the parent commit's walk (every member its own class). Every space of
+/// (`top_k` 0) ranking of the six-member space, at one and two. The
+/// solve cache lives across repetitions, as the service's does across
+/// requests; the first (checking) scan fills it. Each row is first
+/// checked bit-identical to the parent commit's walk (every member its own class). Every space of
 /// at most 8 nodes is timed twice: `cold`, each walk from nothing, and
 /// `warm`, each walk from a cache a first scan filled — where a serial
 /// walk must search and count nothing.
@@ -490,23 +498,32 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
         ranked.sort_by(|a, b| b.objective.total_cmp(&a.objective));
         ranked.truncate(top_k);
         let name = format!("score_topk{top_k}");
-        let mut runs: Vec<(String, ScanOptions)> = [1usize, 2]
-            .iter()
-            .map(|&workers| (name.clone(), ScanOptions { workers, top_k, ..Default::default() }))
-            .collect();
-        if full_row {
-            runs.push((
-                String::from("score_full"),
-                ScanOptions { workers: 1, ..Default::default() },
-            ));
+        // (name, options, member classes): the service's walk at one and
+        // two workers; without classes, the spaces that walk hands out
+        // tens of thousands of leaves or more.
+        let mut runs: Vec<(String, ScanOptions, bool)> = Vec::new();
+        let classless = full_row || (large && !huge) || (huge && !quick);
+        for orbits in [true, false].into_iter().filter(|&orbits| orbits || classless) {
+            for workers in [1usize, 2] {
+                let opts = ScanOptions { workers, top_k, ..Default::default() };
+                runs.push((name.clone(), opts, orbits));
+            }
         }
-        for (name, opts) in runs {
+        if full_row {
+            for workers in [1usize, 2] {
+                let opts = ScanOptions { workers, ..Default::default() };
+                runs.push((String::from("score_full"), opts, true));
+            }
+        }
+        for (name, opts, orbits) in runs {
             let want = if opts.top_k == 0 { &full } else { &ranked };
             let warm = WalkCache::new();
             let walks: &[Option<&WalkCache>] =
-                if large || opts.top_k == 0 { &[None] } else { &[None, Some(&warm)] };
+                if large || opts.top_k == 0 || !orbits { &[None] } else { &[None, Some(&warm)] };
+            // The classless 18-node walk takes minutes: time it once.
+            let reps = if huge && !orbits { 1 } else { reps };
             for &walks in walks {
-                let scan = || score_scan(&base, &shape, budget, &solves, walks, &opts, true);
+                let scan = || score_scan(&base, &shape, budget, &solves, walks, &opts, orbits);
                 if walks.is_some() {
                     scan();
                 }
@@ -519,10 +536,15 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
                         "{name} on {members} members: a warm serial walk searched or counted"
                     );
                 }
+                assert_threads(&name, members, &opts, &checked);
                 let (secs, candidates) = median_secs(reps, || scan().scanned);
                 samples.push(NamedSample {
                     name: format!("{name}/{candidates}"),
-                    walk: if walks.is_some() { "warm" } else { "cold" },
+                    walk: match (orbits, walks.is_some()) {
+                        (false, _) => "classless",
+                        (true, true) => "warm",
+                        (true, false) => "cold",
+                    },
                     workers: opts.workers,
                     threads: checked.workers,
                     candidates,
@@ -539,6 +561,18 @@ fn bench_score_topk10(quick: bool) -> Vec<NamedSample> {
         }
     }
     samples
+}
+
+/// Asserts that a two-worker scan ran on the threads the solo rule
+/// gives: a bounded one that handed out fewer than `SOLO_CANDIDATES`
+/// leaves on its caller alone, any other on both.
+fn assert_threads(name: &str, members: usize, opts: &ScanOptions, scan: &ScoreScan) {
+    if opts.workers == 2 {
+        let alone = opts.top_k > 0 && scan.visited < scheduler::scan::SOLO_CANDIDATES;
+        let want = if alone { 1 } else { 2 };
+        let at = format!("{name} on {members} members, {} leaves handed out", scan.visited);
+        assert_eq!(scan.workers, want, "{at}: threads");
+    }
 }
 
 /// One placement decision of the co-scheduler as `svc_mix` meets it:

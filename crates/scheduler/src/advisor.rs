@@ -11,7 +11,7 @@ use runtime::{SimRunConfig, WorkloadMap};
 use crate::core_sweep::{core_sweep, CoreSweepConfig};
 use crate::delta::SolveCache;
 use crate::enumerate::EnsembleShape;
-use crate::rank::{RankError, RankedPlacement, Ranker};
+use crate::rank::{check_budget, RankError, RankedPlacement, Ranker};
 use crate::scan::ScanOptions;
 use crate::search::{run_and_score, NodeBudget};
 
@@ -55,6 +55,7 @@ pub fn recommend_placement(
     }
     run.n_steps = 6; // `F` reads only the steady state
     run.jitter = 0.0;
+    check_budget(&shape, budget, run.node_spec.cores_per_node())?;
     let solves = Arc::new(SolveCache::new(&run));
     let opts = ScanOptions { top_k: TOP_K, ..ScanOptions::default() };
     let ranked = Ranker::new(&run, &shape, &solves, None, ()).rank(budget, &opts)?;

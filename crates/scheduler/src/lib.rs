@@ -41,11 +41,8 @@ pub use cosched::{
     Reservation, ResidencyMap,
 };
 pub use delta::{DeltaCounters, DeltaEvaluator, ObjectiveBound, SolveCache};
-pub use enumerate::{
-    canonicalize, enumerate_placements, space_counts_exactly, EnsembleShape, PlacementIter,
-    WalkCache, MAX_EXACT_COUNT,
-};
+pub use enumerate::{canonicalize, enumerate_placements, EnsembleShape, PlacementIter, WalkCache};
 pub use fast_eval::{fast_score, FastEvaluator, FastScore};
-pub use rank::{RankError, RankHooks, RankedPlacement, Ranker};
+pub use rank::{check_budget, RankError, RankHooks, RankedPlacement, Ranker};
 pub use scan::{scan_placements, Candidate, ScanOptions, ScanProgress, ScanVisitor};
 pub use search::NodeBudget;

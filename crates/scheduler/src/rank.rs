@@ -8,7 +8,7 @@ use std::sync::Arc;
 use runtime::{RuntimeError, SimRunConfig};
 
 use crate::delta::{DeltaCounters, DeltaEvaluator, ObjectiveBound, SolveCache};
-use crate::enumerate::{EnsembleShape, WalkCache};
+use crate::enumerate::{space_counts_exactly, EnsembleShape, WalkCache, MAX_EXACT_COUNT};
 use crate::fast_eval::FastScore;
 use crate::scan::{
     scan_placements, Candidate, ScanOptions, ScanOutcome, ScanProgress, ScanVisitor,
@@ -51,6 +51,8 @@ pub enum RankError {
     Candidate(Vec<usize>, RuntimeError),
     /// No placement of this many cores fits the budget.
     NoFit(u64, NodeBudget),
+    /// A budget the platform cannot honour ([`check_budget`]), and why.
+    Budget(String),
     /// A DES run or the core sweep failed.
     Run(RuntimeError),
 }
@@ -64,12 +66,28 @@ impl std::fmt::Display for RankError {
                 "no placement fits: the ensemble needs {cores} cores, the budget is {} × {} cores",
                 b.max_nodes, b.cores_per_node
             ),
+            RankError::Budget(why) => f.write_str(why),
             RankError::Run(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for RankError {}
+
+/// Refuses, for any `top_k`, a node packed past the platform node's
+/// `cores` (it fails to score at some placements only, which a bounded
+/// scan may never meet) and a space not provably within [`MAX_EXACT_COUNT`].
+pub fn check_budget(shape: &EnsembleShape, b: NodeBudget, cores: u32) -> Result<(), RankError> {
+    let (asked, most) = (b.cores_per_node, MAX_EXACT_COUNT);
+    let why = if asked > cores {
+        format!("cores_per_node {asked} exceeds the platform node's {cores} cores")
+    } else if !space_counts_exactly(shape, b.max_nodes, asked) {
+        format!("the placement space cannot be shown to hold at most {most} candidates")
+    } else {
+        return Ok(());
+    };
+    Err(RankError::Budget(why))
+}
 
 /// The [`ScanVisitor`] behind [`Ranker::rank`].
 pub struct Ranker<'a, H> {

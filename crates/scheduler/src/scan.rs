@@ -16,13 +16,11 @@
 //!   flat buffer the worker reuses for every pull, not in a `Vec` per
 //!   candidate.
 //! * **The caller scans first, helpers only when it pays.** The calling
-//!   thread is worker 0 and scans alone; only when it comes back for a
-//!   pull with the walk unfinished (in a bounded scan, also only after
-//!   [`SOLO_SCAN`]) does
-//!   `std::thread::scope` add up to `workers − 1` threads beside it
-//!   (worker count: available parallelism unless the call names one).
-//!   Plain `std` threads, like the rest of the workspace. Each worker owns its own
-//!   evaluation state, so the per-candidate cost stays allocation-free.
+//!   thread is worker 0 and scans alone; `std::thread::scope` adds up to
+//!   `workers − 1` threads beside it (default: available parallelism) at
+//!   its first pull that leaves the walk unfinished — in a bounded scan,
+//!   one that has also handed out [`SOLO_CANDIDATES`]. Each worker owns
+//!   its evaluation state, so a candidate costs no allocation.
 //! * **Rows only for survivors.** `eval` returns a candidate's floats;
 //!   the `keep` step that copies its assignment into a result row runs
 //!   only for a candidate the result set admits.
@@ -66,24 +64,17 @@
 //!   outcome reports how far the scan got.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use crate::delta::DeltaCounters;
 use crate::enumerate::{Chunk, Copies, EnsembleShape, Orbits, PlacementIter, WalkCache};
 use crate::search::NodeBudget;
 
-/// How long the caller of a bounded (`top_k > 0`) scan scans alone
-/// before it brings in helper threads. How much of its space such a
-/// scan evaluates depends on how fast its floor rises, so its length
-/// cannot be told up front. Spawning and joining a scoped helper costs
-/// 42–57 µs on a 2-core host (`BENCH_scan.json`'s `spawn_join_us`), so
-/// the caller has scanned for about four spawns' worth before it pays for
-/// one. A scan that ends sooner — the e2e benchmark's S and M classes,
-/// ~0.14 ms from an empty walk cache and ~0.04 ms from a warm one, and L
-/// from a warm one, ~0.18 ms — never pays at all.
-/// A full scan evaluates every candidate, so its caller brings them in
-/// as soon as its first pull leaves the walk unfinished.
-pub const SOLO_SCAN: Duration = Duration::from_micros(200);
+/// Leaves a bounded (`top_k > 0`) scan's caller hands out alone before it
+/// brings helpers in; a full scan brings them at its first unfinished
+/// pull. From `BENCH_scan.json` (2 cores): a helper lost in the median
+/// on the rows it joined up to `score_topk1/680835331228` (4 883 leaves,
+/// near even) and won from `score_topk10/234870` `classless` (24 778) up.
+pub const SOLO_CANDIDATES: usize = 8_192;
 
 /// Tuning of one scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,16 +96,6 @@ impl Default for ScanOptions {
     }
 }
 
-impl ScanOptions {
-    /// The most worker threads this scan may run with.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    }
-}
-
 /// A point-in-time view of a running scan, handed to
 /// [`ScanVisitor::progress`].
 ///
@@ -129,7 +110,7 @@ pub struct ScanProgress {
     /// Best objective seen so far (`None` until a feasible candidate
     /// has been evaluated).
     pub best_objective: Option<f64>,
-    /// Worker threads scanning so far.
+    /// Worker threads scanning so far; when helpers join is fixed by the request.
     pub workers: usize,
 }
 
@@ -160,7 +141,7 @@ pub struct ScanOutcome<T> {
     /// True when the cancellation probe stopped the scan early.
     pub cancelled: bool,
     /// Worker threads that scanned: the caller, plus the helpers it
-    /// brought in.
+    /// brought in — a function of the request, never of timing.
     pub workers: usize,
     /// Delta-evaluation counters, summed across workers: whatever
     /// [`ScanVisitor::drain`] extracted from each worker's state, plus
@@ -475,7 +456,7 @@ pub trait ScanVisitor: Sync {
     /// advanced; observations are strictly monotone in `scanned`. Keep
     /// it cheap (push to a channel, update an atomic): it briefly
     /// serializes workers. Use the returned [`ScanOutcome`] for
-    /// authoritative totals.
+    /// authoritative totals. Its pulls depend on how workers interleave.
     fn progress(&self, _progress: &ScanProgress) {}
 
     /// An upper bound on the objective of every placement that starts
@@ -518,10 +499,8 @@ pub trait ScanVisitor: Sync {
 /// with `visitor`, in parallel, with deterministic output — the one
 /// scan entry point.
 ///
-/// The calling thread is scan worker 0. It scans alone; the first time
-/// it comes back for a pull with the walk unfinished — and, in a bounded
-/// scan, after [`SOLO_SCAN`] — it spawns up to `workers − 1` scoped
-/// helpers beside it, so a short scan never pays for a thread.
+/// The calling thread is scan worker 0 and brings its helpers in as the
+/// module doc says ([`SOLO_CANDIDATES`]): a short scan never pays for one.
 ///
 /// On error the scan stops and the error belonging to the **smallest
 /// enumeration index** is returned — the same error a serial scan would
@@ -532,7 +511,10 @@ pub fn scan_placements<V: ScanVisitor>(
     opts: &ScanOptions,
     visitor: &V,
 ) -> Result<ScanOutcome<V::Row>, V::Error> {
-    let workers = opts.effective_workers();
+    let workers = match opts.workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        asked => asked,
+    };
     let chunk_len = opts.chunk.max(1);
     let width = shape.num_components();
     // The caller's state declares the member classes before the walk
@@ -554,10 +536,9 @@ pub fn scan_placements<V: ScanVisitor>(
         workers: 1,
     });
     let bound = |prefix: &[usize], open_nodes: usize| visitor.prefix_bound(prefix, open_nodes);
-    let started = Instant::now();
 
-    // Only the caller holds a `spawn`; it runs it once, when it comes
-    // back for a pull with the walk unfinished after its solo time.
+    // Only the caller holds a `spawn` (so a pull's hand-out number before
+    // it is the caller's count); it runs it once, when it is due.
     let run_worker = |mut state: V::State, mut spawn: Option<&mut dyn FnMut()>| {
         let mut orbits = feed.lock().expect("scan feed lock").iter.orbits().cloned();
         let mut copies = Copies::default();
@@ -618,8 +599,8 @@ pub fn scan_placements<V: ScanVisitor>(
                 }
                 !feed.iter.is_done()
             };
-            let solo_done = opts.top_k == 0 || started.elapsed() >= SOLO_SCAN;
-            let due = unfinished && spawn.is_some() && solo_done;
+            let handed = chunk.first + chunk.indices.len();
+            let due = unfinished && (opts.top_k == 0 || handed >= SOLO_CANDIDATES);
             if let Some(spawn) = spawn.take_if(|_| due) {
                 spawn();
             }
@@ -1207,34 +1188,46 @@ mod tests {
     }
 
     #[test]
-    fn the_caller_scans_alone_until_a_scan_outlasts_its_first_pull_and_solo_time() {
+    fn the_caller_scans_alone_until_a_bounded_scan_hands_out_its_solo_candidates() {
         let caller = std::thread::current().id();
-        // Every scan below outlasts the solo time on its first candidate.
-        // A full scan needs no more than a walk left unfinished by its
-        // first pull; a bounded one (`top_k` beyond the space, so it skips
-        // nothing) also waits its solo time out. One pull of 256 holds
-        // all 186 candidates: that walk is finished by the time the
-        // caller could bring helpers in.
-        let cases = [(0usize, 1usize, true), (0, 256, false), (500, 1, true), (500, 256, false)];
-        for (top_k, chunk, long) in cases {
+        // 27 250 candidates: more than the solo count.
+        let big = (EnsembleShape::uniform(5, 16, 1, 8), NodeBudget { max_nodes: 8, ..budget() });
+        let small = (shape(), budget());
+        let unbounded = 1usize << 40;
+        // (space, top_k, chunk, evaluations before the scan is cancelled,
+        // whether helpers come in). A full scan needs no more than a walk
+        // left unfinished by its first pull; one pull of 256 holds all 186
+        // candidates of the small space, so that walk is finished by the
+        // time the caller could bring helpers in. A bounded one (`top_k`
+        // beyond the space, so it skips nothing) also needs the solo
+        // count handed out: one short never brings them in, the pull that
+        // hands out number `SOLO_CANDIDATES` does.
+        let cases = [
+            (&small, 0usize, 1usize, None, true),
+            (&small, 0, 256, None, false),
+            (&small, unbounded, 1, None, false),
+            (&small, unbounded, 256, None, false),
+            (&big, unbounded, 1, Some(SOLO_CANDIDATES - 1), false),
+            (&big, unbounded, 1, Some(SOLO_CANDIDATES), true),
+            (&big, unbounded, SOLO_CANDIDATES, Some(1), true),
+        ];
+        for (space, top_k, chunk, stop, long) in cases {
             for workers in [1usize, 2, 3] {
                 let inits = Mutex::new(Vec::new());
-                let foreign = AtomicUsize::new(0);
+                let (foreign, evals) = (AtomicUsize::new(0), AtomicUsize::new(0));
                 let note = || {
                     if std::thread::current().id() != caller {
                         foreign.fetch_add(1, Ordering::SeqCst);
                     }
                 };
                 let outcome = scan(
-                    &shape(),
-                    budget(),
+                    &space.0,
+                    space.1,
                     &ScanOptions { workers, chunk, top_k },
                     || inits.lock().unwrap().push(std::thread::current().id()),
                     |(), c| {
                         note();
-                        if c.index == 0 {
-                            std::thread::sleep(SOLO_SCAN);
-                        }
+                        evals.fetch_add(1, Ordering::SeqCst);
                         Ok::<_, ()>(Some(c.index))
                     },
                     |(), _, v| {
@@ -1246,24 +1239,18 @@ mod tests {
                         DeltaCounters::default()
                     },
                     |_| 0.0,
-                    || false,
+                    || stop.is_some_and(|n| evals.load(Ordering::SeqCst) >= n),
                     |_| {},
                 )
                 .expect("scan");
+                let at = format!("top_k={top_k} chunk={chunk} stop={stop:?} workers={workers}");
                 let inits = inits.into_inner().unwrap();
                 let scanned_by = if long { workers } else { 1 };
-                assert_eq!(
-                    (inits.len(), outcome.workers),
-                    (scanned_by, scanned_by),
-                    "one state per worker (top_k={top_k} chunk={chunk})"
-                );
-                assert_eq!(
-                    inits.iter().filter(|&&id| id == caller).count(),
-                    1,
-                    "workers={workers}"
-                );
+                assert_eq!((inits.len(), outcome.workers), (scanned_by, scanned_by), "{at}");
+                assert_eq!(inits.iter().filter(|&&id| id == caller).count(), 1, "{at}");
+                assert_eq!(outcome.cancelled, stop.is_some(), "{at}");
                 if scanned_by == 1 {
-                    assert_eq!(foreign.into_inner(), 0, "a lone caller never leaves its thread");
+                    assert_eq!(foreign.into_inner(), 0, "{at}: a lone caller left its thread");
                 }
             }
         }
@@ -1494,7 +1481,7 @@ mod tests {
 
     #[test]
     fn explicit_workers_beat_the_default() {
-        assert_eq!(ScanOptions { workers: 3, ..Default::default() }.effective_workers(), 3);
-        assert!(ScanOptions::default().effective_workers() >= 1);
+        assert_eq!(full_scan(3).workers, 3);
+        assert!(full_scan(0).workers >= 1);
     }
 }

@@ -21,6 +21,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use runtime::{RuntimeError, RuntimeResult, SimRunConfig, WorkloadMap};
+use scheduler::scan::SOLO_CANDIDATES;
 use scheduler::{
     enumerate_placements, scan_placements, Candidate, DeltaCounters, DeltaEvaluator, EnsembleShape,
     FastEvaluator, FastScore, NodeBudget, ObjectiveBound, PlacementIter, ScanOptions, ScanVisitor,
@@ -242,32 +243,59 @@ fn top_k_with_pruning_is_the_head_of_the_full_ranking() {
     let (mut skipped, mut multi_worker) = (0usize, 0usize);
     check(CASES, |g| {
         let (shape, budget, base, space) = case(g);
-        let mut ranked: Vec<Row> =
-            oracle(&shape, budget, &base).iter().enumerate().map(|(i, s)| row(i, s)).collect();
-        // Stable best-first: equal objectives keep enumeration order.
-        ranked.sort_by(|a, b| f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1)));
-        let all = enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node).len();
-        for top_k in [1, 3, 10, space + 1] {
-            for workers in [1usize, 2, 8] {
-                for chunk in [1usize, 7, 32] {
-                    let opts = ScanOptions { workers, chunk, top_k };
-                    let scan = pruned_scan(&shape, budget, &base, &opts);
-                    let want = &ranked[..top_k.min(space)];
-                    let at = format!("top_k={top_k} workers={workers} chunk={chunk}");
-                    assert_eq!(scan.rows, want, "{at}");
-                    assert_eq!(scan.scanned, all, "{at}");
-                    assert!(scan.scanned - scan.counters.pruned as usize <= scan.visited, "{at}");
-                    if workers == 1 && scan.visited > 0 {
-                        assert_eq!(scan.hinted, scan.visited - 1, "{at}: a hint went missing");
-                    }
-                    skipped += scan.scanned - scan.visited;
-                    multi_worker += usize::from(scan.workers > 1);
-                }
-            }
-        }
+        let (s, m) = assert_heads(&shape, budget, &base, &[1, 3, 10, space + 1], &[1, 7, 32]);
+        skipped += s;
+        multi_worker += m;
     });
+    // A bounded scan brings a helper in only once its caller has handed
+    // out `SOLO_CANDIDATES`, more than any drawn space holds: five
+    // paper-sized members on five nodes (10 695 candidates) ranked whole
+    // have one trade floors with the caller.
+    let shape = EnsembleShape::uniform(5, 16, 1, 8);
+    let budget = NodeBudget { max_nodes: 5, cores_per_node: 32 };
+    let space = enumerate_placements(&shape, budget.max_nodes, budget.cores_per_node).len();
+    assert!(space > SOLO_CANDIDATES + 32, "{space} candidates");
+    let base = base_config(&shape, true);
+    multi_worker += assert_heads(&shape, budget, &base, &[space + 1], &[32]).1;
     assert!(skipped > 0, "no bounded walk skipped a subtree: the property is vacuous");
     assert!(multi_worker > 0, "no scan ever brought a helper in: the widths are vacuous");
+}
+
+/// Asserts (b) for `shape` under `base` at each of `top_ks` and
+/// `chunks`, at 1, 2 and 8 workers; returns how many candidates the
+/// walks skipped and how many scans brought a helper in.
+fn assert_heads(
+    shape: &EnsembleShape,
+    budget: NodeBudget,
+    base: &SimRunConfig,
+    top_ks: &[usize],
+    chunks: &[usize],
+) -> (usize, usize) {
+    let (mut skipped, mut multi_worker) = (0usize, 0usize);
+    let mut ranked: Vec<Row> =
+        oracle(shape, budget, base).iter().enumerate().map(|(i, s)| row(i, s)).collect();
+    // Stable best-first: equal objectives keep enumeration order.
+    ranked.sort_by(|a, b| f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1)));
+    let all = enumerate_placements(shape, budget.max_nodes, budget.cores_per_node).len();
+    for &top_k in top_ks {
+        for workers in [1usize, 2, 8] {
+            for &chunk in chunks {
+                let opts = ScanOptions { workers, chunk, top_k };
+                let scan = pruned_scan(shape, budget, base, &opts);
+                let want = &ranked[..top_k.min(all)];
+                let at = format!("top_k={top_k} workers={workers} chunk={chunk}");
+                assert_eq!(scan.rows, want, "{at}");
+                assert_eq!(scan.scanned, all, "{at}");
+                assert!(scan.scanned - scan.counters.pruned as usize <= scan.visited, "{at}");
+                if workers == 1 && scan.visited > 0 {
+                    assert_eq!(scan.hinted, scan.visited - 1, "{at}: a hint went missing");
+                }
+                skipped += scan.scanned - scan.visited;
+                multi_worker += usize::from(scan.workers > 1);
+            }
+        }
+    }
+    (skipped, multi_worker)
 }
 
 /// (b′) The prefix bound is never below the bound of any completion:

@@ -935,18 +935,18 @@ impl Response {
                     .iter()
                     .map(placement_from_value)
                     .collect::<Result<Vec<_>, String>>()?;
+                // Absent on records written before the scan engine
+                // existed (journal replay): zero.
+                let count = |key: &str| {
+                    optional(v, key, Value::as_u64, NON_NEGATIVE).map(Option::unwrap_or_default)
+                };
                 Ok(Response::ScoreResult {
                     id,
                     placements: placements.into(),
                     cached: field(v, "cached")?.as_bool().ok_or("cached must be a bool")?,
                     elapsed_ms: f64_field(v, "elapsed_ms")?,
-                    // Absent on records written before the scan engine
-                    // existed (journal replay): default to zero.
-                    scan_workers: v.get("scan_workers").and_then(Value::as_u64).unwrap_or(0),
-                    candidates_scanned: v
-                        .get("candidates_scanned")
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0),
+                    scan_workers: count("scan_workers")?,
+                    candidates_scanned: count("candidates_scanned")?,
                 })
             }
             "run_result" => {
@@ -1129,7 +1129,7 @@ impl Progress {
                     .collect::<Result<Vec<_>, _>>()?,
             },
             "submit" => ProgressBody::Submit {
-                queue_depth: v.get("queue_depth").and_then(Value::as_u64),
+                queue_depth: optional(v, "queue_depth", Value::as_u64, NON_NEGATIVE)?,
                 assignment: match v.get("assignment") {
                     None => None,
                     Some(a) => Some(
@@ -1452,6 +1452,42 @@ mod tests {
                 assert_eq!(candidates_scanned, 0);
             }
             other => panic!("expected score_result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_mistyped_optional_reply_field_is_refused_not_defaulted() {
+        // Each of these once decoded as absent: a score reply's scan
+        // counts as zero, a submit frame's queue depth as none.
+        let score =
+            r#""type":"score_result","id":1,"cached":false,"elapsed_ms":1.5,"placements":[]"#;
+        let submit = r#""type":"progress","id":1,"kind":"submit""#;
+        for (base, field) in
+            [(score, "scan_workers"), (score, "candidates_scanned"), (submit, "queue_depth")]
+        {
+            for value in [r#""2""#, "-1", "true", "2.5", "null"] {
+                let line = format!(r#"{{{base},"{field}":{value}}}"#);
+                let err = Frame::from_json(&line).expect_err(&line);
+                assert_eq!(err, format!("field '{field}' must be {NON_NEGATIVE}"), "{line}");
+            }
+            // Absent is still the default, and a well-typed value is read.
+            let line = format!(r#"{{{base},"{field}":3}}"#);
+            match Frame::from_json(&line).expect(&line) {
+                Frame::Final(Response::ScoreResult {
+                    scan_workers, candidates_scanned, ..
+                }) => {
+                    let read =
+                        if field == "scan_workers" { scan_workers } else { candidates_scanned };
+                    assert_eq!(read, 3, "{line}");
+                }
+                Frame::Progress(Progress {
+                    body: ProgressBody::Submit { queue_depth, .. },
+                    ..
+                }) => assert_eq!(queue_depth, Some(3)),
+                other => panic!("{line}: {other:?}"),
+            }
+            let absent = format!("{{{base}}}");
+            assert!(Frame::from_json(&absent).is_ok(), "{absent}");
         }
     }
 

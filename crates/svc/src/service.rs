@@ -59,7 +59,8 @@ pub struct SvcConfig {
     pub journal: Option<JournalConfig>,
     /// Most scan worker threads of a `score` request that names none (a
     /// scan brings in helpers only once its first pull leaves work to
-    /// share, and a bounded one only after its caller's solo time). Zero
+    /// share, and a bounded one only once its caller has handed out
+    /// [`scheduler::scan::SOLO_CANDIDATES`] leaves). Zero
     /// means the host's available parallelism; a request carrying its
     /// own nonzero `workers` outranks this default. The co-scheduler's
     /// placement of a `submit` always scans on one thread.
@@ -324,7 +325,7 @@ struct Shared {
     /// member classes, so later cold scores of a shape walk from memory.
     walks: WalkCache,
     /// Cores of the platform node every score is evaluated on: a
-    /// `score` budget above it is refused (see [`validate_score`]).
+    /// `score` budget above it is refused (see [`scheduler::check_budget`]).
     node_cores: u32,
     /// Completed run results by job id (the original request id), the
     /// index behind `attach`. Bounded like the score cache; the journal
@@ -1409,31 +1410,6 @@ struct ScoreExec {
     candidates_scanned: u64,
 }
 
-/// Refuses a `score` whose budget the platform cannot honour. A
-/// `cores_per_node` above the node's cores is the one input that makes
-/// candidate evaluation fail at some placements and not at others (the
-/// enumerator packs a node up to the budget, the solve then finds too
-/// few cores), and a bounded scan may never evaluate the placement that
-/// fails — so it is refused here, the same for every `top_k`. So is a
-/// space whose size is not provably at most 2⁵³: a bounded walk counts
-/// what it skips, and past that `candidates_scanned` and the enumeration
-/// indexes that break ties would no longer be exact on the wire.
-fn validate_score(score: &ScoreRequest, node_cores: u32) -> Result<(), ExecError> {
-    let cores_per_node = score.budget.cores_per_node;
-    if cores_per_node > node_cores {
-        return Err(ExecError::Invalid(format!(
-            "cores_per_node {cores_per_node} exceeds the platform node's {node_cores} cores"
-        )));
-    }
-    if !scheduler::space_counts_exactly(&score.shape, score.budget.max_nodes, cores_per_node) {
-        return Err(ExecError::Invalid(format!(
-            "the placement space cannot be shown to hold at most {} candidates",
-            scheduler::MAX_EXACT_COUNT
-        )));
-    }
-    Ok(())
-}
-
 /// What a `score` request's ranking asks of and tells the service: its
 /// cancel probe, and — for progress-opted requests — throttled interim
 /// frames from the scan's per-chunk hook. The hook runs under the scan's
@@ -1470,7 +1446,7 @@ impl From<RankError> for ExecError {
 }
 
 fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<ScoreExec, ExecError> {
-    validate_score(score, shared.node_cores)?;
+    scheduler::check_budget(&score.shape, score.budget, shared.node_cores)?;
     let key = score_cache_key(score, &shared.platform_fingerprints);
     // A full ranking serves any top_k by truncation. A bounded scan
     // holds only its own first K, so it caches under a k-suffixed key

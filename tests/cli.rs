@@ -101,6 +101,18 @@ fn advise_on_a_budget_nothing_fits_says_so() {
 }
 
 #[test]
+fn advise_on_a_budget_wider_than_the_node_is_refused_before_ranking() {
+    // The service's `score` refuses the same budget with the same text.
+    let args = ["advise", "--members", "2", "--nodes", "2", "--cores", "64"];
+    let out = ensemble().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "advise failed: cores_per_node 64 exceeds the platform node's 32 cores\n"
+    );
+}
+
+#[test]
 fn run_from_experiment_json() {
     let dir = std::env::temp_dir().join(format!("ens-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -509,3 +509,18 @@ fn one_closed_form_ranking_implements_the_scan_visitor() {
     }
     assert!(named.is_empty(), "a deleted ranking path is named again:\n  {}", named.join("\n  "));
 }
+
+#[test]
+fn the_scheduler_reads_no_clock() {
+    // A placement's rank is a function of its request, and so is how
+    // many threads a scan ranks it on: no product code of the scheduler
+    // asks the time or waits on it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut named = Vec::new();
+    for (path, code) in library_code(root, &[root.join("crates/scheduler/src")]) {
+        let names = ["Instant", "SystemTime"].into_iter().filter(|name| names_it(&code, name));
+        let calls = ["elapsed(", "sleep("].into_iter().filter(|call| code.contains(call));
+        named.extend(names.chain(calls).map(|name| format!("{}: {name}", path.display())));
+    }
+    assert!(named.is_empty(), "the scheduler reads a clock:\n  {}", named.join("\n  "));
+}

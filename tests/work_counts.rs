@@ -7,6 +7,11 @@
 //! node budget, cores per node, member classes), so a scan that walks
 //! through a [`WalkCache`] an earlier scan of the same key filled must
 //! run none of either, and return exactly what a fresh walk returns.
+//!
+//! So is how many threads a scan ran on (`ScanOutcome::workers`): a
+//! bounded scan brings a helper in only after its caller has handed out
+//! `scan::SOLO_CANDIDATES` leaves, a full one at its first unfinished
+//! pull.
 
 use std::sync::Arc;
 
@@ -35,11 +40,27 @@ fn scan(
     top_k: usize,
     walks: Option<&WalkCache>,
 ) -> ScanOutcome<RankedPlacement> {
+    scan_on(
+        shape,
+        budget,
+        steps,
+        ScanOptions { workers: 1, top_k, ..ScanOptions::default() },
+        walks,
+    )
+}
+
+/// [`scan`] with the scan's options named.
+fn scan_on(
+    shape: &EnsembleShape,
+    budget: NodeBudget,
+    steps: u64,
+    opts: ScanOptions,
+    walks: Option<&WalkCache>,
+) -> ScanOutcome<RankedPlacement> {
     let mut base = SimRunConfig::paper(shape.materialize(&vec![0; shape.num_components()]));
     base.workloads = WorkloadMap::small_defaults();
     base.n_steps = steps;
     let solves = Arc::new(SolveCache::new(&base));
-    let opts = ScanOptions { workers: 1, top_k, ..ScanOptions::default() };
     let ranker = Ranker::new(&base, shape, &solves, walks, ());
     ranker.rank(budget, &opts).expect("score scan")
 }
@@ -78,4 +99,26 @@ fn a_second_walk_of_a_shape_searches_and_counts_nothing() {
         assert!(warm.orbit_searches < fresh.orbit_searches, "{shape:?}");
         assert!(warm.count_states < fresh.count_states, "{shape:?}");
     }
+}
+
+#[test]
+fn a_scans_threads_are_a_function_of_its_work() {
+    // S, M and L walk 33–52 leaves, the six-member space 85: far short
+    // of the solo count, so at width 2 each ranks on its caller alone,
+    // from an empty walk cache or a filled one. A full ranking brings
+    // its helper in at its first unfinished pull.
+    let on = |max_nodes| NodeBudget { max_nodes, cores_per_node: 32 };
+    let mut shapes = classes().to_vec();
+    shapes.push((EnsembleShape::uniform(6, 16, 1, 8), on(6)));
+    let bounded = ScanOptions { workers: 2, top_k: 10, ..ScanOptions::default() };
+    let walks = WalkCache::new();
+    for (shape, budget) in &shapes {
+        for walk in ["cold", "warm"] {
+            let outcome = scan_on(shape, *budget, 6, bounded, Some(&walks));
+            assert_eq!(outcome.workers, 1, "{shape:?}, {walk} walk");
+        }
+    }
+    let full = ScanOptions { workers: 2, top_k: 0, ..ScanOptions::default() };
+    let (shape, budget) = &shapes[1];
+    assert_eq!(scan_on(shape, *budget, 6, full, None).workers, 2, "the full M ranking");
 }
