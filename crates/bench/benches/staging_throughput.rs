@@ -19,12 +19,12 @@
 //!    the time, `allocs_per_stride` (heap allocations counted by this
 //!    binary's allocator, the frame's own `Vec` included),
 //!    `pairs_per_stride` (the pairs the force loop visits: each atom
-//!    against every other atom of its cell neighbourhood) and
-//!    `pair_evals_per_stride` (the pairs it computes: each atom against
-//!    the higher-indexed atoms of its neighbourhood, `N(N − 1)/2` at these
-//!    sizes). Both counts follow the loop's visiting rule over the
-//!    public `CellList`; no count the crate exposes can see which atom
-//!    computed a pair;
+//!    against every other atom of its cell neighbourhood, counted here
+//!    from the visiting rule over the public `CellList`) and
+//!    `pair_evals_per_stride` (the pairs it computes, as the force loop
+//!    counts them in `ForceResult::pairs`: each atom against the
+//!    higher-indexed atoms of its neighbourhood, `N(N − 1)/2` at these
+//!    sizes);
 //! 2. `run_threaded/C_c_200_ms` — one `run_threaded` call of the e2e
 //!    `staging_threaded` workload: `C_c`, 27 atoms, a frame staged every
 //!    MD step, 200 steps, radius-of-gyration analysis; `puts` / `gets`
@@ -55,7 +55,7 @@ use std::time::Instant;
 use dtl::protocol::ReaderId;
 use dtl::VariableSpec;
 use ensemble_core::{ComponentSpec, ConfigId, EnsembleSpec, MemberSpec};
-use kernels::md::{CellList, Frame, MdConfig, MdSimulation};
+use kernels::md::{compute_forces_full, CellList, Frame, LjParams, MdConfig, MdSimulation};
 use runtime::{KernelChoice, ThreadRunConfig};
 
 #[path = "../../kernels/tests/md_golden.rs"]
@@ -120,22 +120,18 @@ fn staged_md(side: usize) -> MdConfig {
 }
 
 /// The pairs one force evaluation of `sim`'s current positions visits
-/// (every atom against every other atom of its neighbourhood) and
-/// computes (every atom against the higher-indexed atoms of its
-/// neighbourhood).
+/// (every atom against every other atom of its neighbourhood, from the
+/// visiting rule) and computes (as the force loop counts them).
 fn pairs_per_evaluation(sim: &MdSimulation, cutoff: f64) -> (u64, u64) {
     let system = sim.system();
     let cells = CellList::build(system, cutoff);
-    let (mut visited, mut computed) = (0, 0);
+    let mut visited = 0;
     for (i, p) in system.positions.iter().enumerate() {
         for &c in cells.neighbourhood(p, system.box_len) {
-            let partners = cells.cell(c).iter().filter(|&&j| j as usize != i);
-            for &j in partners {
-                visited += 1;
-                computed += u64::from(j as usize > i);
-            }
+            visited += cells.cell(c).iter().filter(|&&j| j as usize != i).count() as u64;
         }
     }
+    let computed = compute_forces_full(&mut system.clone(), &LjParams { cutoff }).pairs;
     (visited, computed)
 }
 

@@ -41,7 +41,7 @@ pub enum DtlError {
         /// The offending name.
         name: String,
     },
-    /// Backing-store I/O failed (file-system tier).
+    /// A payload store or load failed (an injected, transient fault).
     Io(std::io::Error),
 }
 
@@ -72,12 +72,6 @@ impl std::error::Error for DtlError {
     }
 }
 
-impl From<std::io::Error> for DtlError {
-    fn from(e: std::io::Error) -> Self {
-        DtlError::Io(e)
-    }
-}
-
 /// Convenience alias.
 pub type DtlResult<T> = Result<T, DtlError>;
 
@@ -91,7 +85,7 @@ mod tests {
         let t = DtlError::Timeout { operation: "get", variable: "traj".into(), step: 3 };
         assert!(t.to_string().contains("traj"));
         assert!(t.to_string().contains('3'));
-        let io: DtlError = std::io::Error::other("disk on fire").into();
+        let io = DtlError::Io(std::io::Error::other("disk on fire"));
         assert!(io.to_string().contains("disk on fire"));
     }
 }

@@ -4,9 +4,10 @@
 //! chaos run should experience: store-operation failures, added
 //! latency, payload corruption — keyed by `(variable, step, op)` — plus
 //! a kill schedule for whole ensemble members (interpreted by the
-//! threaded runtime). [`FaultInjector`] applies the store-level part of
-//! a plan by wrapping any [`ChunkStore`], so it composes with all three
-//! staging tiers (memory, burst buffer, PFS).
+//! threaded runtime). A staging area applies the store-level part of a
+//! plan itself (`SyncStaging::with_faults`): a `put` runs the payload
+//! through the `store` rules before it is staged, and a `get` runs the
+//! copy it serves through the `load` rules.
 //!
 //! # Determinism
 //!
@@ -28,7 +29,6 @@ use std::time::Duration;
 use crate::chunk::ChunkId;
 use crate::error::{DtlError, DtlResult};
 use crate::locks::recover;
-use crate::staging::store::ChunkStore;
 
 /// Which store operation a rule applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -352,8 +352,8 @@ impl FaultStats {
 }
 
 /// SplitMix64: a tiny, high-quality mixing function — enough for fault
-/// rolls, and dependency-free.
-fn splitmix64(mut x: u64) -> u64 {
+/// rolls and retry jitter, and dependency-free.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -373,12 +373,9 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Wraps a [`ChunkStore`] and applies the store-level rules of a
-/// [`FaultPlan`]. The handle carries the chunk identity so load-side
-/// faults can key on `(variable, step)` even though
-/// [`ChunkStore::load`] only sees a handle.
-pub struct FaultInjector<B: ChunkStore> {
-    inner: B,
+/// Applies the store-level rules of a [`FaultPlan`] at a staging area's
+/// put and get points, and counts what it saw and did.
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     /// Attempt counters per `(rule, variable, step, op)`.
     attempts: Mutex<HashMap<(usize, u32, u64, FaultOp), u64>>,
@@ -389,17 +386,10 @@ pub struct FaultInjector<B: ChunkStore> {
     corruptions: AtomicU64,
 }
 
-/// Injector handle: the inner handle plus the identity it stores.
-pub struct FaultHandle<H> {
-    id: ChunkId,
-    inner: H,
-}
-
-impl<B: ChunkStore> FaultInjector<B> {
-    /// Wraps `inner`, applying `plan`.
-    pub fn new(inner: B, plan: FaultPlan) -> Self {
+impl FaultInjector {
+    /// An injector applying `plan`; the empty plan injects nothing.
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultInjector {
-            inner,
             plan,
             attempts: Mutex::new(HashMap::new()),
             loads: AtomicU64::new(0),
@@ -410,23 +400,8 @@ impl<B: ChunkStore> FaultInjector<B> {
         }
     }
 
-    /// Wraps `inner` with an empty plan (no faults; negligible cost).
-    pub fn passthrough(inner: B) -> Self {
-        FaultInjector::new(inner, FaultPlan::default())
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The active plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Snapshot of the injection counters.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         FaultStats {
             loads: self.loads.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
@@ -436,53 +411,15 @@ impl<B: ChunkStore> FaultInjector<B> {
         }
     }
 
-    /// First matching rule's action for this attempt, if any fires.
-    fn decide(&self, id: ChunkId, op: FaultOp) -> Option<FaultAction> {
-        if self.plan.rules.is_empty() {
-            return None;
+    /// One `op` attempt on chunk `id`, whose payload is `data`: the
+    /// payload to stage (or serve), or the injected failure.
+    pub(crate) fn apply(&self, op: FaultOp, id: ChunkId, data: Arc<[u8]>) -> DtlResult<Arc<[u8]>> {
+        match op {
+            FaultOp::Load => &self.loads,
+            FaultOp::Store => &self.stores,
         }
-        let mut attempts = recover(self.attempts.lock());
-        for (ri, rule) in self.plan.rules.iter().enumerate() {
-            if !rule.matches(id, op) {
-                continue;
-            }
-            let counter = attempts.entry((ri, id.variable.0, id.step, op)).or_insert(0);
-            let attempt = *counter;
-            *counter += 1;
-            if attempt < rule.after {
-                continue;
-            }
-            if let Some(first) = rule.first {
-                if attempt >= rule.after.saturating_add(first) {
-                    continue;
-                }
-            }
-            if rule.probability < 1.0 {
-                let roll = unit(mix(&[
-                    self.plan.seed,
-                    ri as u64,
-                    u64::from(id.variable.0),
-                    id.step,
-                    op as u64,
-                    attempt,
-                ]));
-                if roll >= rule.probability {
-                    continue;
-                }
-            }
-            return Some(rule.action);
-        }
-        None
-    }
-
-    fn apply(
-        &self,
-        id: ChunkId,
-        op: FaultOp,
-        data: Arc<[u8]>,
-        action: Option<FaultAction>,
-    ) -> DtlResult<Arc<[u8]>> {
-        match action {
+        .fetch_add(1, Ordering::Relaxed);
+        match self.decide(id, op) {
             None => Ok(data),
             Some(FaultAction::Fail) => {
                 self.failures.fetch_add(1, Ordering::Relaxed);
@@ -511,59 +448,59 @@ impl<B: ChunkStore> FaultInjector<B> {
             }
         }
     }
-}
 
-impl<B: ChunkStore> ChunkStore for FaultInjector<B> {
-    type Handle = FaultHandle<B::Handle>;
-
-    fn store(&self, id: ChunkId, data: Arc<[u8]>) -> DtlResult<Self::Handle> {
-        self.stores.fetch_add(1, Ordering::Relaxed);
-        let data = self.apply(id, FaultOp::Store, data, self.decide(id, FaultOp::Store))?;
-        Ok(FaultHandle { id, inner: self.inner.store(id, data)? })
-    }
-
-    fn load(&self, handle: &Self::Handle) -> DtlResult<Arc<[u8]>> {
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        let action = self.decide(handle.id, FaultOp::Load);
-        // Fail before touching the inner store (the fault replaces the
-        // operation); delay/corrupt wrap the real load.
-        if matches!(action, Some(FaultAction::Fail)) {
-            return self.apply(handle.id, FaultOp::Load, Arc::from([]), action);
+    /// First matching rule's action for this attempt, if any fires.
+    fn decide(&self, id: ChunkId, op: FaultOp) -> Option<FaultAction> {
+        if self.plan.rules.is_empty() {
+            return None;
         }
-        let data = self.inner.load(&handle.inner)?;
-        self.apply(handle.id, FaultOp::Load, data, action)
-    }
-
-    fn remove(&self, handle: Self::Handle) -> DtlResult<()> {
-        // Removal is never faulted: slot teardown must stay consistent.
-        self.inner.remove(handle.inner)
-    }
-
-    fn tier(&self) -> &'static str {
-        self.inner.tier()
+        let mut attempts = recover(self.attempts.lock());
+        for (ri, rule) in self.plan.rules.iter().enumerate() {
+            if !rule.matches(id, op) {
+                continue;
+            }
+            let counter = attempts.entry((ri, id.variable.0, id.step, op)).or_insert(0);
+            let attempt = *counter;
+            *counter += 1;
+            if attempt < rule.after {
+                continue;
+            }
+            if rule.first.is_some_and(|first| attempt >= rule.after.saturating_add(first)) {
+                continue;
+            }
+            if rule.probability < 1.0 {
+                let roll = unit(mix(&[
+                    self.plan.seed,
+                    ri as u64,
+                    u64::from(id.variable.0),
+                    id.step,
+                    op as u64,
+                    attempt,
+                ]));
+                if roll >= rule.probability {
+                    continue;
+                }
+            }
+            return Some(rule.action);
+        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::staging::store::MemoryStore;
     use crate::variable::VariableId;
 
     fn id(var: u32, step: u64) -> ChunkId {
         ChunkId { variable: VariableId(var), step }
     }
 
-    fn injector(plan: FaultPlan) -> FaultInjector<MemoryStore> {
-        FaultInjector::new(MemoryStore::new(), plan)
-    }
-
     #[test]
     fn empty_plan_is_transparent() {
-        let inj = injector(FaultPlan::default());
-        let h = inj.store(id(0, 0), Arc::from(*b"x")).unwrap();
-        assert_eq!(inj.load(&h).unwrap(), Arc::from(*b"x"));
-        inj.remove(h).unwrap();
+        let inj = FaultInjector::new(FaultPlan::default());
+        let staged = inj.apply(FaultOp::Store, id(0, 0), Arc::from(*b"x")).unwrap();
+        assert_eq!(inj.apply(FaultOp::Load, id(0, 0), staged.clone()).unwrap(), Arc::from(*b"x"));
         assert_eq!(inj.stats().total_injected(), 0);
         assert_eq!((inj.stats().loads, inj.stats().stores), (1, 1));
     }
@@ -571,32 +508,33 @@ mod tests {
     #[test]
     fn fail_first_then_recover() {
         let plan = FaultPlan::new(1).with_rule(FaultRule::fail(FaultOp::Load).first_attempts(2));
-        let inj = injector(plan);
-        let h = inj.store(id(0, 0), Arc::from(*b"frame")).unwrap();
-        assert!(inj.load(&h).is_err());
-        assert!(inj.load(&h).is_err());
-        assert_eq!(inj.load(&h).unwrap(), Arc::from(*b"frame"));
+        let inj = FaultInjector::new(plan);
+        let staged = inj.apply(FaultOp::Store, id(0, 0), Arc::from(*b"frame")).unwrap();
+        let load = || inj.apply(FaultOp::Load, id(0, 0), staged.clone());
+        assert!(load().is_err());
+        assert!(load().is_err());
+        assert_eq!(load().unwrap(), Arc::from(*b"frame"));
         assert_eq!(inj.stats().injected_failures, 2);
     }
 
     #[test]
     fn attempt_window_skips_then_fires() {
         let rule = FaultRule::fail(FaultOp::Load).after_attempts(1).first_attempts(1);
-        let inj = injector(FaultPlan::new(0).with_rule(rule));
-        let h = inj.store(id(0, 0), Arc::from(*b"a")).unwrap();
-        assert!(inj.load(&h).is_ok(), "attempt 0 is skipped");
-        assert!(inj.load(&h).is_err(), "attempt 1 fires");
-        assert!(inj.load(&h).is_ok(), "attempt 2 is past the window");
+        let inj = FaultInjector::new(FaultPlan::new(0).with_rule(rule));
+        let load = || inj.apply(FaultOp::Load, id(0, 0), Arc::from(*b"a"));
+        assert!(load().is_ok(), "attempt 0 is skipped");
+        assert!(load().is_err(), "attempt 1 fires");
+        assert!(load().is_ok(), "attempt 2 is past the window");
     }
 
     #[test]
     fn selectors_scope_rules() {
         let plan =
             FaultPlan::new(0).with_rule(FaultRule::fail(FaultOp::Store).on_variable(1).at_step(2));
-        let inj = injector(plan);
-        assert!(inj.store(id(0, 2), Arc::from(*b"a")).is_ok());
-        assert!(inj.store(id(1, 1), Arc::from(*b"a")).is_ok());
-        assert!(inj.store(id(1, 2), Arc::from(*b"a")).is_err());
+        let inj = FaultInjector::new(plan);
+        assert!(inj.apply(FaultOp::Store, id(0, 2), Arc::from(*b"a")).is_ok());
+        assert!(inj.apply(FaultOp::Store, id(1, 1), Arc::from(*b"a")).is_ok());
+        assert!(inj.apply(FaultOp::Store, id(1, 2), Arc::from(*b"a")).is_err());
     }
 
     #[test]
@@ -606,16 +544,10 @@ mod tests {
             ..FaultRule::new(FaultAction::Corrupt)
         });
         let original: Arc<[u8]> = Arc::from(*b"payload-bytes");
-        let a = {
-            let inj = injector(plan.clone());
-            let h = inj.store(id(0, 3), original.clone()).unwrap();
-            inj.load(&h).unwrap()
+        let load = |plan: FaultPlan| {
+            FaultInjector::new(plan).apply(FaultOp::Load, id(0, 3), original.clone()).unwrap()
         };
-        let b = {
-            let inj = injector(plan);
-            let h = inj.store(id(0, 3), original.clone()).unwrap();
-            inj.load(&h).unwrap()
-        };
+        let (a, b) = (load(plan.clone()), load(plan));
         assert_ne!(a, original, "corruption must alter the payload");
         assert_eq!(a, b, "same plan, same key ⇒ same corruption");
     }
@@ -625,9 +557,8 @@ mod tests {
         let plan =
             FaultPlan::new(99).with_rule(FaultRule::fail(FaultOp::Load).with_probability(0.5));
         let run = || -> Vec<bool> {
-            let inj = injector(plan.clone());
-            let h = inj.store(id(0, 0), Arc::from(*b"x")).unwrap();
-            (0..32).map(|_| inj.load(&h).is_err()).collect()
+            let inj = FaultInjector::new(plan.clone());
+            (0..32).map(|_| inj.apply(FaultOp::Load, id(0, 0), Arc::from(*b"x")).is_err()).collect()
         };
         let a = run();
         let b = run();
@@ -642,9 +573,9 @@ mod tests {
             op: Some(FaultOp::Store),
             ..FaultRule::new(FaultAction::Delay(Duration::from_millis(30)))
         });
-        let inj = injector(plan);
+        let inj = FaultInjector::new(plan);
         let t0 = std::time::Instant::now();
-        inj.store(id(0, 0), Arc::from(*b"x")).unwrap();
+        inj.apply(FaultOp::Store, id(0, 0), Arc::from(*b"x")).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(25));
         assert_eq!(inj.stats().injected_delays, 1);
     }

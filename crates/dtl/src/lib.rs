@@ -4,14 +4,12 @@
 //! producer marshals application data with a [`ChunkCodec`] into
 //! [`Chunk`]s ("the base data representation manipulated within the
 //! entire runtime") and stages them; a consumer reads them back through a
-//! *DTL plugin* ([`DtlReader`]). Chunks move through a staging tier:
-//!
-//! * [`staging::dimes`] — in-memory staging with DIMES semantics: data
-//!   stays in the producer's node memory, one chunk in flight (the
-//!   paper's unbuffered synchronous coupling);
-//! * [`staging::burst_buffer`] — queueing tier (capacity > 1);
-//! * [`staging::pfs`] — parallel-file-system tier with real file I/O
-//!   (the loose-coupling baseline in situ processing replaces).
+//! *DTL plugin* ([`DtlReader`]). Chunks move through one medium,
+//! in-memory staging with DIMES semantics ([`SyncStaging`]): a payload
+//! stays in the producer's node memory until every reader has consumed
+//! it, and applies a run's [`FaultPlan`] itself. [`staging::dimes`]
+//! keeps one chunk in flight per variable (the paper's unbuffered
+//! synchronous coupling); a larger capacity queues like a burst buffer.
 //!
 //! The synchronous protocol (`Wᵢ` before `Rᵢ` before `Wᵢ₊₁`, every chunk
 //! consumed exactly once by each of the member's K analyses) is enforced
@@ -42,12 +40,10 @@ pub mod variable;
 
 pub use chunk::Chunk;
 pub use error::{DtlError, DtlResult};
-pub use fault::{
-    FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRule, FaultStats, MemberKill,
-};
+pub use fault::{FaultAction, FaultOp, FaultPlan, FaultRule, FaultStats, MemberKill};
 pub use marshal::{ChunkCodec, F64ArrayCodec};
 pub use plugin::DtlReader;
 pub use protocol::{ReaderId, StepProtocol};
-pub use staging::{InMemoryStaging, RetryPolicy, StagingStats, SyncStaging};
+pub use staging::{RetryPolicy, StagingStats, SyncStaging};
 pub use transport::StagingCostModel;
 pub use variable::{VariableId, VariableSpec};

@@ -12,13 +12,12 @@ use std::time::Duration;
 use crate::error::DtlResult;
 use crate::marshal::ChunkCodec;
 use crate::protocol::ReaderId;
-use crate::staging::store::ChunkStore;
 use crate::staging::sync_staging::{SyncStaging, DEFAULT_TIMEOUT};
 use crate::variable::VariableId;
 
 /// Typed consumer handle for one variable.
-pub struct DtlReader<B: ChunkStore, C: ChunkCodec> {
-    staging: Arc<SyncStaging<B>>,
+pub struct DtlReader<C: ChunkCodec> {
+    staging: Arc<SyncStaging>,
     codec: C,
     variable: VariableId,
     reader: ReaderId,
@@ -26,11 +25,11 @@ pub struct DtlReader<B: ChunkStore, C: ChunkCodec> {
     timeout: Duration,
 }
 
-impl<B: ChunkStore, C: ChunkCodec> DtlReader<B, C> {
+impl<C: ChunkCodec> DtlReader<C> {
     /// Builds a reader for an already-registered variable; `reader` must
     /// be unique among the variable's `expected_readers`.
     pub fn attach(
-        staging: Arc<SyncStaging<B>>,
+        staging: Arc<SyncStaging>,
         codec: C,
         variable: VariableId,
         reader: ReaderId,
@@ -58,17 +57,17 @@ mod tests {
     use super::*;
     use crate::chunk::Chunk;
     use crate::marshal::F64ArrayCodec;
-    use crate::staging::{self, InMemoryStaging};
+    use crate::staging;
     use crate::variable::VariableSpec;
 
-    fn register(staging: &InMemoryStaging, readers: u32) -> VariableId {
+    fn register(staging: &SyncStaging, readers: u32) -> VariableId {
         let spec = VariableSpec { name: "cv".into(), expected_readers: readers, home_node: 0 };
         staging.register(spec).unwrap()
     }
 
     /// Stages `value` as `step` of `var`, the way the threaded runtime's
     /// simulation writes a frame.
-    fn write(staging: &InMemoryStaging, var: VariableId, step: u64, value: &[f64]) {
+    fn write(staging: &SyncStaging, var: VariableId, step: u64, value: &[f64]) {
         let data = F64ArrayCodec.encode(&value.to_vec());
         let chunk = Chunk::new(var, step, 0, F64ArrayCodec.encoding(), data);
         staging.put_timeout(chunk, DEFAULT_TIMEOUT).unwrap();

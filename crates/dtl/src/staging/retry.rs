@@ -1,6 +1,7 @@
 //! Retry policy for transient store errors on the staging hot paths.
 //!
-//! Only backing-store I/O ([`DtlError::Io`]) is considered transient —
+//! Only a failed payload store or load ([`DtlError::Io`]) is considered
+//! transient —
 //! protocol violations, timeouts, and closure are permanent for the
 //! attempted operation. Backoff is capped exponential with seeded,
 //! deterministic jitter, and every retry is budgeted against the
@@ -11,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::error::{DtlError, DtlResult};
+use crate::fault::splitmix64;
 
 /// Capped exponential backoff with deterministic jitter.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,18 +70,6 @@ pub(crate) fn op_key(var: crate::variable::VariableId, step: u64, side: u64) -> 
     (u64::from(var.0) << 33) ^ (step << 1) ^ side
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// True for errors a retry may clear.
-pub(crate) fn is_transient(e: &DtlError) -> bool {
-    matches!(e, DtlError::Io(_))
-}
-
 /// Runs `op`, retrying transient errors under `policy` until the
 /// attempts or the `deadline` budget run out. `retries`/`giveups` are
 /// the caller's counters (a giveup is a transient error returned to the
@@ -96,7 +86,7 @@ pub(crate) fn run_with_retry<T>(
     loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e) if is_transient(&e) => {
+            Err(e @ DtlError::Io(_)) => {
                 let Some(policy) = policy else { return Err(e) };
                 if attempt >= policy.max_attempts {
                     giveups.fetch_add(1, Ordering::Relaxed);

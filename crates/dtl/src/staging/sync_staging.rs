@@ -1,5 +1,5 @@
 //! The synchronous staging area: blocking put/get with the paper's
-//! no-overwrite protocol, generic over the physical tier.
+//! no-overwrite protocol, payloads held in memory.
 //!
 //! # Concurrency model
 //!
@@ -25,11 +25,11 @@ use std::time::{Duration, Instant};
 
 use crate::chunk::{Chunk, ChunkId, ChunkMeta};
 use crate::error::{DtlError, DtlResult};
+use crate::fault::{FaultInjector, FaultOp, FaultPlan, FaultStats};
 use crate::locks::{recover, wait_until};
 use crate::protocol::{ReaderId, StepProtocol};
 use crate::staging::handoff::{self, Change, Next, Parked, Side};
 use crate::staging::retry::{op_key as retry_key, run_with_retry, RetryPolicy};
-use crate::staging::store::ChunkStore;
 use crate::variable::{VariableId, VariableRegistry, VariableSpec};
 
 /// Operation counters of a staging area.
@@ -50,16 +50,18 @@ pub struct StagingStats {
     pub giveups: u64,
 }
 
-struct Slot<H> {
+/// A staged chunk: its payload stays here until its last reader has
+/// consumed it.
+struct Slot {
     id: ChunkId,
     meta: ChunkMeta,
-    handle: Option<H>,
+    data: Arc<[u8]>,
     remaining: u32,
 }
 
-struct VarState<H> {
+struct VarState {
     protocol: StepProtocol,
-    slots: Vec<Slot<H>>,
+    slots: Vec<Slot>,
     expected_readers: u32,
     /// Hard-closed independently of the whole area (member failure).
     closed: bool,
@@ -70,8 +72,8 @@ struct VarState<H> {
 /// One variable's share of the staging area: its protocol state behind
 /// its own lock, plus role-specific condition variables so wakeups only
 /// reach threads coupled through this variable.
-struct VarShard<H> {
-    state: Mutex<VarState<H>>,
+struct VarShard {
+    state: Mutex<VarState>,
     /// The writer blocks here until the previous chunk is fully consumed.
     writer_cv: Condvar,
     /// Readers block here until the writer stages their next step.
@@ -81,11 +83,11 @@ struct VarShard<H> {
     progress: AtomicU64,
 }
 
-impl<H> VarShard<H> {
+impl VarShard {
     /// Publishes `change`, made under the lock whose state is `state`:
     /// bumps the progress word and notifies each side that has a parked
     /// waiter the change concerns.
-    fn publish(&self, state: &VarState<H>, change: Change) {
+    fn publish(&self, state: &VarState, change: Change) {
         let wake = handoff::record(&self.progress, change, state.parked);
         if wake.writers {
             self.writer_cv.notify_all();
@@ -112,13 +114,14 @@ struct Wait {
 /// With `capacity = 1` this is the paper's DIMES-style unbuffered
 /// in-memory staging; higher capacities model burst-buffer-like queueing
 /// (the buffering ablation).
-pub struct SyncStaging<B: ChunkStore> {
-    store: B,
+pub struct SyncStaging {
     capacity: u64,
     /// Retry policy for transient store errors; `None` = fail fast.
     retry: Option<RetryPolicy>,
+    /// The store-level part of the run's fault plan (empty by default).
+    faults: FaultInjector,
     /// Read-mostly: written only by `register`, read on every operation.
-    registry: RwLock<Registry<B::Handle>>,
+    registry: RwLock<Registry>,
     closed: AtomicBool,
     /// How long a waiter spins before it parks: `handoff::SPIN`, which
     /// only tests change.
@@ -131,10 +134,10 @@ pub struct SyncStaging<B: ChunkStore> {
     giveups: AtomicU64,
 }
 
-struct Registry<H> {
+struct Registry {
     names: VariableRegistry,
     /// Indexed by `VariableId` (dense ids, registration order).
-    shards: Vec<Arc<VarShard<H>>>,
+    shards: Vec<Arc<VarShard>>,
 }
 
 /// Default timeout for blocking operations — generous enough for real
@@ -145,15 +148,15 @@ fn variable_closed(var: VariableId) -> DtlError {
     DtlError::VariableClosed { variable: format!("id {}", var.0) }
 }
 
-impl<B: ChunkStore> SyncStaging<B> {
-    /// Creates a staging area over `store` with the given in-flight
-    /// chunk capacity per variable.
-    pub fn with_capacity(store: B, capacity: u64) -> Self {
+impl SyncStaging {
+    /// Creates a staging area with the given in-flight chunk capacity
+    /// per variable, injecting no faults.
+    pub fn with_capacity(capacity: u64) -> Self {
         assert!(capacity > 0);
         SyncStaging {
-            store,
             capacity,
             retry: None,
+            faults: FaultInjector::new(FaultPlan::default()),
             registry: RwLock::new(Registry { names: VariableRegistry::new(), shards: Vec::new() }),
             closed: AtomicBool::new(false),
             spin: handoff::SPIN,
@@ -175,9 +178,14 @@ impl<B: ChunkStore> SyncStaging<B> {
         self
     }
 
-    /// The physical tier name ("memory", "pfs", …).
-    pub fn tier(&self) -> &'static str {
-        self.store.tier()
+    /// Applies the store-level rules of `plan` where a payload crosses
+    /// the area, under the variable's lock and before the protocol
+    /// advances: a `put` runs the payload through the `store` rules, a
+    /// `get` runs the copy it serves through the `load` rules. The
+    /// plan's member kills are the runtime's to act on.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = FaultInjector::new(plan);
+        self
     }
 
     /// Registers a variable.
@@ -205,7 +213,7 @@ impl<B: ChunkStore> SyncStaging<B> {
 
     /// The shard of `var`, or `UnknownVariable`. Takes the registry read
     /// lock only long enough to clone the `Arc`.
-    fn shard(&self, var: VariableId) -> DtlResult<Arc<VarShard<B::Handle>>> {
+    fn shard(&self, var: VariableId) -> DtlResult<Arc<VarShard>> {
         recover(self.registry.read())
             .shards
             .get(var.0 as usize)
@@ -219,11 +227,11 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// from the operation's start, then parks (`handoff::next` decides).
     fn wait_for<'a>(
         &self,
-        shard: &'a VarShard<B::Handle>,
-        mut state: MutexGuard<'a, VarState<B::Handle>>,
+        shard: &'a VarShard,
+        mut state: MutexGuard<'a, VarState>,
         wait: Wait,
-        ready: impl Fn(&VarState<B::Handle>) -> bool,
-    ) -> DtlResult<MutexGuard<'a, VarState<B::Handle>>> {
+        ready: impl Fn(&VarState) -> bool,
+    ) -> DtlResult<MutexGuard<'a, VarState>> {
         let mut may_spin = true;
         loop {
             let area_closed = self.closed.load(Ordering::Acquire);
@@ -282,23 +290,23 @@ impl<B: ChunkStore> SyncStaging<B> {
         }
         let wait = Wait { operation: "put", var, step, side: Side::Writer, start, deadline };
         let mut state = self.wait_for(&shard, state, wait, |s| s.protocol.may_write(step))?;
-        // Persist the payload before advancing the protocol so a failing
+        // Store the payload before advancing the protocol so a failing
         // store leaves the protocol state untouched and the writer can
         // retry. A configured retry policy does that retrying in place
         // (still before any protocol mutation), budgeted against this
         // op's deadline.
         let remaining = state.expected_readers;
         let data_len = chunk.data.len() as u64;
-        let handle = run_with_retry(
+        let data = run_with_retry(
             self.retry.as_ref(),
             Some(deadline),
             retry_key(var, step, 1),
             &self.retries,
             &self.giveups,
-            || self.store.store(chunk.id, chunk.data.clone()),
+            || self.faults.apply(FaultOp::Store, chunk.id, chunk.data.clone()),
         )?;
         state.protocol.record_write(step).expect("may_write checked under the same lock");
-        state.slots.push(Slot { id: chunk.id, meta: chunk.meta, handle: Some(handle), remaining });
+        state.slots.push(Slot { id: chunk.id, meta: chunk.meta, data, remaining });
         self.puts.fetch_add(1, Ordering::Relaxed);
         self.bytes_staged.fetch_add(data_len, Ordering::Relaxed);
         shard.publish(&state, Change::Write);
@@ -314,8 +322,8 @@ impl<B: ChunkStore> SyncStaging<B> {
     /// Each reader must consume steps in order, exactly once.
     ///
     /// The protocol read is recorded only after the payload load
-    /// succeeds: a failing store (e.g. file-system I/O error) leaves the
-    /// protocol state untouched, so the reader can retry the same step.
+    /// succeeds: an injected load failure leaves the protocol state
+    /// untouched, so the reader can retry the same step.
     pub fn get_timeout(
         &self,
         var: VariableId,
@@ -344,7 +352,7 @@ impl<B: ChunkStore> SyncStaging<B> {
         let mut state =
             self.wait_for(&shard, state, wait, |s| s.protocol.may_read(reader, step))?;
         // Load the payload *before* touching any protocol state: if the
-        // store fails here nothing has been consumed and the reader may
+        // load fails here nothing has been consumed and the reader may
         // retry. A configured retry policy does that retrying in place,
         // still ahead of any mutation.
         let idx = state
@@ -353,27 +361,21 @@ impl<B: ChunkStore> SyncStaging<B> {
             .position(|s| s.id.step == step)
             .expect("protocol admitted a read, slot must exist");
         let slot = &mut state.slots[idx];
-        let handle_ref = slot.handle.as_ref().expect("payload present while readers remain");
         let data = run_with_retry(
             self.retry.as_ref(),
             Some(deadline),
             retry_key(var, step, 0),
             &self.retries,
             &self.giveups,
-            || self.store.load(handle_ref),
+            || self.faults.apply(FaultOp::Load, slot.id, slot.data.clone()),
         )?;
         let chunk = Chunk { id: slot.id, meta: slot.meta, data };
         slot.remaining -= 1;
-        let release = if slot.remaining == 0 {
-            Some(slot.handle.take().expect("last reader releases the payload"))
-        } else {
-            None
-        };
-        state.protocol.record_read(reader, step).expect("may_read checked under the same lock");
-        if let Some(handle) = release {
+        if slot.remaining == 0 {
+            // The last reader releases the payload.
             state.slots.remove(idx);
-            self.store.remove(handle)?;
         }
+        state.protocol.record_read(reader, step).expect("may_read checked under the same lock");
         self.gets.fetch_add(1, Ordering::Relaxed);
         self.bytes_served.fetch_add(chunk.data.len() as u64, Ordering::Relaxed);
         shard.publish(&state, Change::Read);
@@ -463,12 +465,6 @@ impl<B: ChunkStore> SyncStaging<B> {
         Ok(())
     }
 
-    /// Whether `var` is hard-closed (individually or via the area).
-    pub fn is_variable_closed(&self, var: VariableId) -> bool {
-        self.is_closed()
-            || self.shard(var).map(|shard| recover(shard.state.lock()).closed).unwrap_or(false)
-    }
-
     /// Reopens `var` with fresh protocol state and no staged chunks —
     /// the supervisor's restart path (the member reruns from step 0).
     /// Must only be called once the variable's old writer and readers
@@ -479,13 +475,7 @@ impl<B: ChunkStore> SyncStaging<B> {
         state.closed = false;
         let readers = state.expected_readers;
         state.protocol = StepProtocol::new(readers, self.capacity);
-        for slot in state.slots.drain(..) {
-            if let Some(handle) = slot.handle {
-                // Best effort: a store that fails to release a payload
-                // must not block the restart.
-                let _ = self.store.remove(handle);
-            }
-        }
+        state.slots.clear();
         Ok(())
     }
 
@@ -501,9 +491,9 @@ impl<B: ChunkStore> SyncStaging<B> {
         }
     }
 
-    /// Access to the underlying store (e.g. memory accounting).
-    pub fn store(&self) -> &B {
-        &self.store
+    /// Snapshot of what the fault plan saw and injected.
+    pub fn fault_stats(&self) -> FaultStats {
+        self.faults.stats()
     }
 
     /// Replaces the spin bound, so a test can hold a waiter in its spin.
@@ -517,11 +507,10 @@ impl<B: ChunkStore> SyncStaging<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::staging::store::MemoryStore;
     use std::sync::Arc;
 
-    fn staging(capacity: u64) -> Arc<SyncStaging<MemoryStore>> {
-        Arc::new(SyncStaging::with_capacity(MemoryStore::new(), capacity))
+    fn staging(capacity: u64) -> Arc<SyncStaging> {
+        Arc::new(SyncStaging::with_capacity(capacity))
     }
 
     fn spec(readers: u32) -> VariableSpec {
@@ -601,11 +590,12 @@ mod tests {
     fn fan_out_to_k_readers() {
         let s = staging(1);
         let var = s.register(spec(3)).unwrap();
+        let payload: Arc<[u8]> = Arc::from(vec![1u8; 8]);
         let producer = {
-            let s = Arc::clone(&s);
+            let (s, payload) = (Arc::clone(&s), payload.clone());
             std::thread::spawn(move || {
                 for step in 0..10u64 {
-                    s.put(Chunk::new(var, step, 0, "raw", Arc::from(vec![1u8; 8]))).unwrap();
+                    s.put(Chunk::new(var, step, 0, "raw", payload.clone())).unwrap();
                 }
             })
         };
@@ -624,8 +614,8 @@ mod tests {
             c.join().unwrap();
         }
         assert_eq!(s.stats().gets, 30);
-        // All payloads released.
-        assert_eq!(s.store().bytes_held(), 0);
+        // All payloads released: the area keeps no reference to one.
+        assert_eq!(Arc::strong_count(&payload), 1);
     }
 
     #[test]
@@ -700,9 +690,7 @@ mod tests {
     /// the close lands it is still in its bounded wait, never parked: it
     /// can only learn of the close through the progress word.
     fn close_reaches_a_spinning_waiter(whole_area: bool) {
-        let s = Arc::new(
-            SyncStaging::with_capacity(MemoryStore::new(), 1).with_spin(Duration::from_secs(20)),
-        );
+        let s = Arc::new(SyncStaging::with_capacity(1).with_spin(Duration::from_secs(20)));
         let var = s.register(spec(2)).unwrap();
         s.put(chunk(var, 0, b"x")).unwrap();
         let entered = Arc::new(std::sync::Barrier::new(3));
@@ -790,8 +778,6 @@ mod tests {
             .register(VariableSpec { name: "other".into(), expected_readers: 1, home_node: 0 })
             .unwrap();
         s.close_variable(a).unwrap();
-        assert!(s.is_variable_closed(a));
-        assert!(!s.is_variable_closed(b));
         assert!(matches!(s.put(chunk(a, 0, b"x")), Err(DtlError::VariableClosed { .. })));
         assert!(matches!(
             s.get_timeout(a, 0, ReaderId(0), Duration::from_millis(10)),
@@ -820,23 +806,25 @@ mod tests {
     fn reset_variable_reopens_with_fresh_protocol() {
         let s = staging(1);
         let var = s.register(spec(1)).unwrap();
-        s.put(chunk(var, 0, b"stale")).unwrap();
+        let stale: Arc<[u8]> = Arc::from(*b"stale");
+        s.put(Chunk::new(var, 0, 0, "raw", stale.clone())).unwrap();
+        assert_eq!(Arc::strong_count(&stale), 2, "the area holds the staged payload");
         s.close_variable(var).unwrap();
         s.reset_variable(var).unwrap();
-        assert!(!s.is_variable_closed(var));
-        // The protocol restarted from step 0 and the stale chunk is gone.
+        // The variable reopened, the protocol restarted from step 0 and the stale chunk is gone.
         s.put(chunk(var, 0, b"fresh")).unwrap();
         assert_eq!(s.get(var, 0, ReaderId(0)).unwrap().data, Arc::from(*b"fresh"));
-        assert_eq!(s.store().bytes_held(), 0, "stale payload was released");
+        assert_eq!(Arc::strong_count(&stale), 1, "stale payload was released");
     }
 
     #[test]
     fn retry_policy_clears_transient_store_faults() {
-        use crate::fault::{FaultInjector, FaultOp, FaultPlan, FaultRule};
+        use crate::fault::FaultRule;
         let plan = FaultPlan::new(5)
             .with_rule(FaultRule::fail(FaultOp::Store).first_attempts(1))
             .with_rule(FaultRule::fail(FaultOp::Load).first_attempts(2));
-        let s = SyncStaging::with_capacity(FaultInjector::new(MemoryStore::new(), plan), 1)
+        let s = SyncStaging::with_capacity(1)
+            .with_faults(plan)
             .with_retry(crate::staging::retry::RetryPolicy::with_attempts(4));
         let var = s.register(spec(1)).unwrap();
         s.put(chunk(var, 0, b"frame")).unwrap();
@@ -850,9 +838,10 @@ mod tests {
 
     #[test]
     fn exhausted_retries_count_as_giveups() {
-        use crate::fault::{FaultInjector, FaultOp, FaultPlan, FaultRule};
+        use crate::fault::FaultRule;
         let plan = FaultPlan::new(0).with_rule(FaultRule::fail(FaultOp::Store));
-        let s = SyncStaging::with_capacity(FaultInjector::new(MemoryStore::new(), plan), 1)
+        let s = SyncStaging::with_capacity(1)
+            .with_faults(plan)
             .with_retry(crate::staging::retry::RetryPolicy::with_attempts(2));
         let var = s.register(spec(1)).unwrap();
         let err = s.put_timeout(chunk(var, 0, b"x"), Duration::from_millis(200)).unwrap_err();

@@ -1,22 +1,22 @@
 //! Error-path regressions for the staging protocol, driven by the
-//! library's own fault injector.
+//! staging area's own fault plan.
 //!
 //! The protocol state machine must only advance when the operation it
-//! gates actually happened. A store that fails mid-operation (the PFS
-//! tier does real I/O) must leave the protocol exactly where it was, so
-//! the caller can retry — not silently consume a read it never served.
+//! gates actually happened. A put or get hit by an injected failure must
+//! leave the protocol exactly where it was, so the caller can retry —
+//! not silently consume a read it never served.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dtl::staging::{MemoryStore, SyncStaging};
-use dtl::{Chunk, DtlError, FaultInjector, FaultOp, FaultPlan, FaultRule, ReaderId, VariableSpec};
+use dtl::{
+    Chunk, DtlError, DtlResult, FaultOp, FaultPlan, FaultRule, ReaderId, SyncStaging, VariableSpec,
+};
 
-/// Staging over a fault-injecting memory store — stands in for a flaky
-/// parallel file system. Each rule's `first_attempts(1)` window models
-/// a transient fault that clears on retry.
-fn staging(plan: FaultPlan) -> SyncStaging<FaultInjector<MemoryStore>> {
-    SyncStaging::with_capacity(FaultInjector::new(MemoryStore::new(), plan), 1)
+/// Unbuffered staging under `plan`. Each rule's `first_attempts(1)`
+/// window models a transient fault that clears on retry.
+fn staging(plan: FaultPlan) -> SyncStaging {
+    SyncStaging::with_capacity(1).with_faults(plan)
 }
 
 fn spec(readers: u32) -> VariableSpec {
@@ -37,7 +37,7 @@ fn failed_load_leaves_the_read_retryable() {
     // First read attempt hits the injected store failure.
     let err = s.get_timeout(var, 0, ReaderId(0), Duration::from_millis(50)).unwrap_err();
     assert!(matches!(err, DtlError::Io(_)), "load failure must surface as Io, got {err}");
-    assert_eq!(s.store().stats().loads, 1);
+    assert_eq!(s.fault_stats().loads, 1);
 
     // Nothing was consumed: no get recorded, no bytes served.
     let stats = s.stats();
@@ -52,7 +52,7 @@ fn failed_load_leaves_the_read_retryable() {
     assert_eq!(got.data, Arc::from(*b"frame0"));
     let stats = s.stats();
     assert_eq!((stats.gets, stats.bytes_served), (1, 6));
-    assert_eq!(s.store().stats().injected_failures, 1);
+    assert_eq!(s.fault_stats().injected_failures, 1);
 }
 
 #[test]
@@ -79,25 +79,19 @@ fn failed_load_does_not_unblock_the_writer() {
 
 #[test]
 fn failed_load_with_two_readers_only_retries_the_failed_one() {
-    // Reader 0's load is the key's first attempt (passes); reader 1's is
-    // the second (fails); reader 1's retry is the third (passes again).
-    let plan = FaultPlan::new(3)
-        .with_rule(FaultRule::fail(FaultOp::Load).after_attempts(1).first_attempts(1));
-    let s = staging(plan);
-    let var = s.register(spec(2)).unwrap();
-    s.put(chunk(var, 0, b"xy")).unwrap();
-
-    s.get_timeout(var, 0, ReaderId(0), Duration::from_millis(200)).unwrap();
-    let _ = s.get_timeout(var, 0, ReaderId(1), Duration::from_millis(50)).unwrap_err();
-
-    // Reader 1 retries its step; reader 0 must not be able to re-read.
-    s.get_timeout(var, 0, ReaderId(1), Duration::from_millis(200)).unwrap();
-    let err = s.get_timeout(var, 0, ReaderId(0), Duration::from_millis(50)).unwrap_err();
+    let (s, var, reads) = read_by_two("fail=load:first=1");
+    assert!(matches!(reads[0], Err(DtlError::Io(_))), "{:?}", reads[0]);
+    assert!(reads[1].is_ok());
+    // Step 0 stays unconsumed until reader 0 retries it: the writer still
+    // waits, reader 1 may not read it again, and reader 0's retry succeeds.
+    let err = s.put_timeout(chunk(var, 1, b"b"), Duration::from_millis(50)).unwrap_err();
+    assert!(matches!(err, DtlError::Timeout { .. }), "{err}");
+    let err = s.get_timeout(var, 0, ReaderId(1), Duration::from_millis(50)).unwrap_err();
     assert!(matches!(err, DtlError::ProtocolViolation { .. }));
-
-    let stats = s.stats();
-    assert_eq!(stats.gets, 2);
-    assert_eq!(stats.bytes_served, 4);
+    let retried = s.get_timeout(var, 0, ReaderId(0), Duration::from_millis(200)).unwrap();
+    assert_eq!(*retried.data, *b"frame");
+    s.put_timeout(chunk(var, 1, b"b"), Duration::from_millis(200)).unwrap();
+    assert_eq!((s.stats().gets, s.stats().bytes_served), (2, 10));
 }
 
 #[test]
@@ -115,5 +109,33 @@ fn failed_store_leaves_the_write_retryable() {
     s.put_timeout(chunk(var, 0, b"a"), Duration::from_millis(200)).unwrap();
     let got = s.get_timeout(var, 0, ReaderId(0), Duration::from_millis(200)).unwrap();
     assert_eq!(got.data, Arc::from(*b"a"));
-    assert_eq!(s.store().stats().injected_failures, 1);
+    assert_eq!(s.fault_stats().injected_failures, 1);
+}
+
+/// Stages step 0 of a two-reader variable under `plan` (the
+/// `--fault-plan` grammar) and reads it as reader 0, then as reader 1.
+fn read_by_two(plan: &str) -> (SyncStaging, dtl::VariableId, Vec<DtlResult<Arc<[u8]>>>) {
+    let s = staging(FaultPlan::parse(plan).unwrap());
+    let var = s.register(spec(2)).unwrap();
+    s.put(chunk(var, 0, b"frame")).unwrap();
+    let reads = (0..2)
+        .map(|r| s.get_timeout(var, 0, ReaderId(r), Duration::from_millis(50)).map(|c| c.data))
+        .collect();
+    (s, var, reads)
+}
+
+#[test]
+fn a_store_fault_corrupts_the_one_payload_both_readers_are_served() {
+    let (s, _, reads) = read_by_two("corrupt=store");
+    let (first, second) = (reads[0].as_ref().unwrap(), reads[1].as_ref().unwrap());
+    assert!(**first != *b"frame" && first == second, "{first:?} {second:?}");
+    assert_eq!(s.fault_stats().injected_corruptions, 1);
+}
+
+#[test]
+fn a_load_fault_corrupts_only_the_read_it_lands_on() {
+    let (s, _, reads) = read_by_two("corrupt=load:first=1");
+    assert_ne!(**reads[0].as_ref().unwrap(), *b"frame");
+    assert_eq!(**reads[1].as_ref().unwrap(), *b"frame");
+    assert_eq!(s.fault_stats().injected_corruptions, 1);
 }

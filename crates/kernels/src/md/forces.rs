@@ -35,6 +35,10 @@ pub struct ForceResult {
     pub potential: f64,
     /// Pair virial `Σ_{i<j} f_ij · r_ij` (used for the pressure).
     pub virial: f64,
+    /// Pairs the evaluation computed: each pair of the atoms' cell
+    /// neighbourhoods once, by its lower-indexed atom, whether or not
+    /// it falls inside the cutoff.
+    pub pairs: u64,
 }
 
 /// Evaluates forces for every atom and returns the total potential energy.
@@ -79,6 +83,7 @@ pub(crate) fn compute_forces_with(
 
     let mut total_energy = 0.0;
     let mut total_virial = 0.0;
+    let mut pairs = 0;
     for (i, pi) in positions.iter().enumerate() {
         let mut force = [0.0f64; 3];
         let mut energy = 0.0f64;
@@ -90,6 +95,7 @@ pub(crate) fn compute_forces_with(
             // `i` itself, then the higher partners.
             let below = partners.partition_point(|&j| (j as usize) < i);
             let above = below + usize::from(partners.get(below) == Some(&(i as u32)));
+            pairs += (partners.len() - above) as u64;
             for s in 0..below {
                 let [fx, fy, fz, u, w] = terms[block.index(rank, s)];
                 force[0] -= fx;
@@ -119,7 +125,7 @@ pub(crate) fn compute_forces_with(
         total_virial += virial;
     }
     cells.restore_terms(terms);
-    ForceResult { potential: total_energy, virial: total_virial }
+    ForceResult { potential: total_energy, virial: total_virial, pairs }
 }
 
 /// The term of the pair at minimum-image displacement `dr` as its lower
@@ -259,6 +265,16 @@ mod tests {
                 s.forces.iter().flatten().map(|f| f.to_bits()).collect::<Vec<_>>()
             };
             assert_eq!(bits(&reused), bits(&fresh), "{side}³ atoms");
+        }
+    }
+
+    #[test]
+    fn each_pair_is_computed_once() {
+        // At 27 and 125 atoms every atom's neighbourhood holds every
+        // other atom, so each of the N(N − 1)/2 pairs is computed once.
+        for (side, pairs) in [(3, 351), (5, 7_750)] {
+            let mut s = MolecularSystem::lattice(side, 0.8, 1.0, 5);
+            assert_eq!(compute_forces_full(&mut s, &LjParams::default()).pairs, pairs, "{side}³");
         }
     }
 

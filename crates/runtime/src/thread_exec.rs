@@ -31,9 +31,10 @@
 //! with the same seed, bounded by `max_restarts`. Only a
 //! successful attempt's trace is merged into the run's trace; failed
 //! attempts leave no intervals behind. Fault plans
-//! ([`dtl::fault::FaultPlan`]) drive deterministic chaos: store/load
-//! faults through the staging tier's [`FaultInjector`], member kills at
-//! a chosen step through the simulation worker.
+//! ([`dtl::fault::FaultPlan`]) drive deterministic chaos: the staging
+//! area applies their store/load faults itself
+//! ([`SyncStaging::with_faults`]), and the simulation worker their
+//! member kills at a chosen step.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,9 +42,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dtl::fault::{FaultInjector, FaultPlan, FaultStats};
+use dtl::fault::{FaultPlan, FaultStats};
 use dtl::protocol::ReaderId;
-use dtl::staging::{MemoryStore, RetryPolicy, StagingStats, SyncStaging};
+use dtl::staging::{RetryPolicy, StagingStats, SyncStaging};
 use dtl::{ChunkCodec, DtlError, DtlReader, VariableId, VariableSpec};
 use ensemble_core::{ComponentRef, EnsembleSpec, MemberSpec, StageKind};
 use kernels::analysis::{
@@ -55,10 +56,6 @@ use metrics::{ExecutionTrace, StageInterval};
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::frame_codec::FrameCodec;
 use crate::stage_log::{self, StageLog};
-
-/// The staging type of threaded runs: in-memory staging behind a fault
-/// injector (a passthrough when the run has no fault plan).
-pub type ChaosStaging = SyncStaging<FaultInjector<MemoryStore>>;
 
 /// Which in situ analysis kernel the threaded runtime couples to each
 /// simulation (paper §2.2: the chunk contract is kernel-agnostic).
@@ -226,10 +223,7 @@ pub fn run_threaded(cfg: &ThreadRunConfig) -> RuntimeResult<ThreadExecution> {
         return Err(RuntimeError::NoSamples);
     }
     let plan = cfg.fault_plan.clone().unwrap_or_default();
-    let mut area = SyncStaging::with_capacity(
-        FaultInjector::new(MemoryStore::new(), plan.clone()),
-        cfg.staging_capacity,
-    );
+    let mut area = SyncStaging::with_capacity(cfg.staging_capacity).with_faults(plan.clone());
     if let Some(retry) = &cfg.retry {
         area = area.with_retry(retry.clone());
     }
@@ -300,7 +294,7 @@ pub fn run_threaded(cfg: &ThreadRunConfig) -> RuntimeResult<ThreadExecution> {
         member_outcomes.push(run.outcome);
     }
     staging.close();
-    let fault_stats = staging.store().stats();
+    let fault_stats = staging.fault_stats();
     Ok(ThreadExecution {
         trace: ExecutionTrace::new(intervals),
         cv_series,
@@ -316,7 +310,7 @@ struct SuperviseArgs<'a> {
     member_idx: usize,
     member: &'a MemberSpec,
     var: VariableId,
-    staging: &'a Arc<ChaosStaging>,
+    staging: &'a Arc<SyncStaging>,
     plan: &'a FaultPlan,
     epoch: Instant,
     max_restarts: u32,

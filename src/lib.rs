@@ -54,8 +54,8 @@ pub use svc as service;
 /// The most common imports in one place.
 pub mod prelude {
     pub use dtl::{
-        DtlReader, FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRule, InMemoryStaging,
-        MemberKill, ReaderId, RetryPolicy, VariableSpec,
+        DtlReader, FaultAction, FaultOp, FaultPlan, FaultRule, MemberKill, ReaderId, RetryPolicy,
+        SyncStaging, VariableSpec,
     };
     pub use ensemble_core::{
         aggregate, efficiency, indicator, makespan, objective, placement_indicator, sigma_star,

@@ -1,4 +1,4 @@
-//! Eight rules about the workspace's shape that hold themselves.
+//! Ten rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -18,6 +18,10 @@
 //! `Cargo.lock` lists the workspace's own packages and nothing else —
 //! so tier-1 builds with no registry, and a crates.io dependency cannot
 //! come back unnoticed.
+//!
+//! **A library depends only on what it names.** Every `[dependencies]`
+//! entry of a package with a `src/lib.rs` is named in its own `src/` or
+//! `benches/` (not in a package nested there, like `e2e`).
 //!
 //! **Each pricing decision is made once.** What a placement costs is
 //! derived in one place, and the DES, the closed-form predictor and the
@@ -63,6 +67,10 @@
 //! `crates/svc/src/image.rs`, names no file system, socket, thread or
 //! clock, so whatever drives the fold — a file, a replication stream,
 //! a simulated schedule — gets the same state from the same records.
+//!
+//! **The DTL stages through one medium.** `SyncStaging` takes no type
+//! parameter, and the store layer it was once generic over is named in
+//! no `.rs` file of the tree.
 
 use std::collections::BTreeSet;
 
@@ -118,11 +126,31 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// True when `name` occurs in `text` as a whole identifier.
+/// True when `name` occurs in `text` as a whole identifier (or, for a
+/// `name` that ends in punctuation, starts one).
 fn names_it(text: &str, name: &str) -> bool {
+    let whole = name.ends_with(is_ident);
     text.match_indices(name).any(|(at, _)| {
-        !text[..at].ends_with(is_ident) && !text[at + name.len()..].starts_with(is_ident)
+        let ident_after = text[at + name.len()..].starts_with(is_ident);
+        !text[..at].ends_with(is_ident) && (!whole || !ident_after)
     })
+}
+
+/// Each `.rs` file of `crates/`, `src/`, `tests/` and `examples/` that
+/// names one of `names` as a whole identifier, with the name.
+fn named_in_the_tree(root: &Path, names: &[&str]) -> Vec<String> {
+    let mut files = Vec::new();
+    for top in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(top), &mut files);
+    }
+    let mut named = Vec::new();
+    for path in files {
+        let text = fs::read_to_string(&path).expect("read source");
+        for name in names.iter().filter(|name| names_it(&text, name)) {
+            named.push(format!("{}: {name}", path.display()));
+        }
+    }
+    named
 }
 
 #[test]
@@ -496,17 +524,7 @@ fn one_closed_form_ranking_implements_the_scan_visitor() {
         concat!("Search", "Config"),
         concat!("EXHAUSTIVE", "_COMPONENT_LIMIT"),
     ];
-    let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
-        rust_files(&root.join(top), &mut files);
-    }
-    let mut named = Vec::new();
-    for path in files {
-        let text = fs::read_to_string(&path).expect("read source");
-        for name in gone.iter().filter(|name| names_it(&text, name)) {
-            named.push(format!("{}: {name}", path.display()));
-        }
-    }
+    let named = named_in_the_tree(root, &gone);
     assert!(named.is_empty(), "a deleted ranking path is named again:\n  {}", named.join("\n  "));
 }
 
@@ -523,4 +541,59 @@ fn the_scheduler_reads_no_clock() {
         named.extend(names.chain(calls).map(|name| format!("{}: {name}", path.display())));
     }
     assert!(named.is_empty(), "the scheduler reads a clock:\n  {}", named.join("\n  "));
+}
+
+#[test]
+fn every_library_dependency_is_named_in_its_source() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut packages = vec![root.to_path_buf()];
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        packages.push(entry.expect("dir entry").path());
+    }
+    let mut unnamed = Vec::new();
+    for package in packages.iter().filter(|p| p.join("src").join("lib.rs").exists()) {
+        let manifest = fs::read_to_string(package.join("Cargo.toml")).expect("read manifest");
+        let mut files = Vec::new();
+        for dir in ["src", "benches"].map(|dir| package.join(dir)).iter().filter(|d| d.is_dir()) {
+            rust_files(dir, &mut files);
+        }
+        // A directory with its own manifest holds another package's source.
+        let own = |f: &&PathBuf| {
+            f.ancestors()
+                .skip(1)
+                .take_while(|d| d != package)
+                .all(|d| !d.join("Cargo.toml").exists())
+        };
+        let sources: Vec<String> =
+            files.iter().filter(own).map(|f| fs::read_to_string(f).unwrap()).collect();
+        for (name, _) in entries(&manifest, |section| section == "dependencies") {
+            if !sources.iter().any(|text| names_it(text, &name.replace('-', "_"))) {
+                unnamed.push(format!("{}: {name}", package.display()));
+            }
+        }
+    }
+    assert!(
+        unnamed.is_empty(),
+        "a library package depends on a crate its src/ and benches/ never name — drop the \
+         dependency:\n  {}",
+        unnamed.join("\n  ")
+    );
+}
+
+#[test]
+fn the_staging_area_has_one_medium() {
+    // Spelled in pieces, so this file does not name them either.
+    let gone = [
+        concat!("Chunk", "Store"),
+        concat!("Memory", "Store"),
+        concat!("File", "Store"),
+        concat!("Pfs", "Staging"),
+        concat!("InMemory", "Staging"),
+        concat!("Fault", "Handle"),
+        concat!("burst", "_buffer"),
+        concat!("p", "fs"),
+        concat!("Sync", "Staging<"),
+    ];
+    let named = named_in_the_tree(Path::new(env!("CARGO_MANIFEST_DIR")), &gone);
+    assert!(named.is_empty(), "the staging store layer is named again:\n  {}", named.join("\n  "));
 }
