@@ -18,7 +18,13 @@
 //! 4. `encode_score_result/{10,4038}` — `Response::to_json` of a cache
 //!    hit on the class-M ranking (4 038 canonical placements): what the
 //!    connection thread pays per reply, top 10 and full;
-//! 5. `tcp_score_hit_full` — the full 4 038-row hit over a raw socket,
+//! 5. `tcp_attach` — an `attach` of a finished run over a raw socket,
+//!    request line out to reply line in: an answer the connection thread
+//!    gives itself, the floor of a score hit answered at the door;
+//! 6. `tcp_score_hit` — the small query's hit over a raw socket, request
+//!    line out to reply line in, nothing decoded: `tcp_roundtrip_warm`
+//!    without the client's decode, beside its floor `tcp_attach`;
+//! 7. `tcp_score_hit_full` — the full 4 038-row hit over a raw socket,
 //!    request line out to reply line in, nothing decoded.
 
 use std::hint::black_box;
@@ -55,6 +61,24 @@ fn class_m(id: u64, top_k: usize) -> svc::Request {
         score.top_k = top_k;
     }
     request
+}
+
+fn request(id: u64, body: RequestBody) -> svc::Request {
+    svc::Request { id, deadline: None, progress: None, tenant: None, body }
+}
+
+/// A short run of C1.5 on the small workloads, for `attach` to find.
+fn run_request(id: u64) -> svc::Request {
+    request(
+        id,
+        RequestBody::Run(svc::RunRequest {
+            spec: ensemble_core::ConfigId::C1_5.build(),
+            steps: 4,
+            jitter: 0.0,
+            seed: 1,
+            workloads: svc::Workloads::Small,
+        }),
+    )
 }
 
 fn expect_score(response: Response, want_cached: bool, want_rows: Option<usize>) -> Response {
@@ -142,12 +166,28 @@ fn main() {
         black_box(expect_score(response, true, None));
     }));
     let _ = client.request(&class_m(6, 0)).expect("prime class M");
+    let run = client.request(&run_request(8)).expect("a run to attach to");
+    assert!(matches!(run, Response::RunResult { .. }), "{run:?}");
     drop(client);
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut reader = BufReader::with_capacity(1 << 16, stream.try_clone().expect("clone"));
-    let request = class_m(7, 0).to_json() + "\n";
     let mut reply = Vec::new();
+    let attach = request(9, RequestBody::Attach { job: 8 }).to_json() + "\n";
+    rows.push(measure("tcp_attach", reps(2000), || {
+        stream.write_all(attach.as_bytes()).expect("send");
+        reply.clear();
+        reader.read_until(b'\n', &mut reply).expect("reply");
+        assert!(reply.starts_with(b"{\"type\":\"run_result\""));
+    }));
+    let hit = query(12).to_json() + "\n";
+    rows.push(measure("tcp_score_hit", reps(2000), || {
+        stream.write_all(hit.as_bytes()).expect("send");
+        reply.clear();
+        reader.read_until(b'\n', &mut reply).expect("reply");
+        assert!(reply.starts_with(b"{\"type\":\"score_result\""));
+    }));
+    let request = class_m(7, 0).to_json() + "\n";
     rows.push(measure("tcp_score_hit_full", reps(400), || {
         stream.write_all(request.as_bytes()).expect("send");
         reply.clear();

@@ -580,9 +580,12 @@ pub struct CoschedConfig {
 }
 
 impl CoschedConfig {
-    /// A scheduler over `budget` with a 64-deep queue and backfill on.
+    /// A scheduler over `budget` with a 64-deep queue and backfill on,
+    /// placing each job with a scan on one thread: a width of zero would
+    /// ask the host its parallelism on every placement.
     pub fn new(budget: NodeBudget) -> Self {
-        CoschedConfig { budget, queue_capacity: 64, backfill: true, scan: ScanOptions::default() }
+        let scan = ScanOptions { workers: 1, ..ScanOptions::default() };
+        CoschedConfig { budget, queue_capacity: 64, backfill: true, scan }
     }
 }
 
@@ -1054,6 +1057,12 @@ mod tests {
         let mut s = CoScheduler::new(CoschedConfig::new(wide), base(&member(16, 8)));
         assert!(matches!(s.submit(1, member(70_000, 8)), Err(CoschedError::Eval(_))));
         placed(s.submit(2, member(16, 8)).unwrap());
+    }
+
+    #[test]
+    fn a_default_config_places_on_one_scan_thread() {
+        let cfg = CoschedConfig::new(budget(2));
+        assert_eq!((cfg.scan.workers, cfg.queue_capacity, cfg.backfill), (1, 64, true));
     }
 
     #[test]

@@ -44,10 +44,22 @@ impl<V> ScoreCache<V> {
     /// counting the whole probe as **one** hit or one miss — for a
     /// request that either stored entry can answer.
     pub fn get_either(&self, key: &str, alt: Option<&str>) -> Option<Arc<V>> {
+        let found = self.hit(key, alt);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// [`get_either`](Self::get_either) that counts a hit and leaves a
+    /// miss uncounted — for a caller that looks again, and counts there,
+    /// before it acts on the miss.
+    pub fn hit(&self, key: &str, alt: Option<&str>) -> Option<Arc<V>> {
         let window = self.window.lock().expect("cache lock");
         let found = window.get(key).or_else(|| window.get(alt?)).map(Arc::clone);
-        let counter = if found.is_some() { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
@@ -112,6 +124,16 @@ mod tests {
         cache.insert("a".into(), 1);
         assert_eq!(cache.get_either("a", Some("b")).as_deref(), Some(&1), "the first key wins");
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
+    }
+
+    #[test]
+    fn a_hit_probe_leaves_a_miss_uncounted() {
+        let cache: ScoreCache<u32> = ScoreCache::new(4);
+        assert!(cache.hit("a", Some("b")).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        cache.insert("b".into(), 2);
+        assert_eq!(cache.hit("a", Some("b")).as_deref(), Some(&2));
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
     }
 
     #[test]

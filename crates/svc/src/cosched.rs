@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use runtime::SimRunConfig;
 use scheduler::{
     Admission, CoScheduler, CoschedConfig, CoschedError, EnsembleShape, NodeBudget,
-    PlacementDecision, ScanOptions,
+    PlacementDecision,
 };
 
 use crate::journal::ReplayedReservation;
@@ -107,11 +107,10 @@ impl<J: Waiter> Cosched<J> {
     /// An idle co-scheduler over `config`, scoring placements under
     /// `base` on one thread.
     pub(crate) fn new(config: &CoschedSvcConfig, base: SimRunConfig) -> Self {
-        let scan = ScanOptions { workers: 1, ..ScanOptions::default() };
-        let (budget, queue_capacity, backfill) =
-            (config.budget, config.queue_capacity, config.backfill);
-        let sched =
-            CoScheduler::new(CoschedConfig { budget, queue_capacity, backfill, scan }, base);
+        let (queue_capacity, backfill) = (config.queue_capacity, config.backfill);
+        let config =
+            CoschedConfig { queue_capacity, backfill, ..CoschedConfig::new(config.budget) };
+        let sched = CoScheduler::new(config, base);
         Cosched { sched, waiting: BTreeMap::new(), restored: HashMap::new() }
     }
 

@@ -4,7 +4,8 @@
 //! inline, through admission, or by taking over the connection — for
 //! both mounts (the primary's [`Service`] and a standby's read-only
 //! image) and for every caller: a connection thread here, or an
-//! in-process [`Service::submit`].
+//! in-process [`Service::submit`]. Inline answers, a `score` whose
+//! ranking is cached among them, are given on the caller's own thread.
 //!
 //! One request per line, one *final* response line per request, answered
 //! in order per connection; concurrency comes from concurrent
@@ -81,7 +82,12 @@ pub(crate) enum Routed<'a> {
 /// The one router. `metrics` and `attach` are answered inline — no queue
 /// slot, no worker, no ledger step — so they work under overload;
 /// `replicate` takes over the connection; every other kind goes through
-/// admission. A standby answers from its image and refuses the rest.
+/// admission. Admission's door answers a `score` whose ranking is cached
+/// here too, as inline: no queue slot, no worker, no journal record, so
+/// it is not shed under overload either; it is counted once, as
+/// submitted and completed. A miss, a request past its deadline on
+/// arrival and any score after shutdown are admitted or refused as
+/// before. A standby answers from its image and refuses the rest.
 pub(crate) fn route(mount: Mount<'_>, request: Request) -> Routed<'_> {
     let id = request.id;
     let refuse = |kind, message: &str| Response::Error { id, kind, message: message.into() };

@@ -3,16 +3,18 @@
 //! cancellation, and graceful drain.
 //!
 //! Life of a request: the front end's router answers `metrics` and
-//! `attach` inline and offers the rest to admission, which stamps it,
-//! tries the bounded queue — full means an immediate [`Rejected`] with a
-//! retry hint (the caller never blocks) — and hands back a [`Pending`]
-//! reply handle. A
-//! worker pops the job, re-checks deadline and cancellation, executes
-//! (score requests first consult the memo cache), and sends exactly one
+//! `attach` inline and offers the rest to admission. Admission stamps
+//! it; a `score` gets its cache keys built there, once, and one whose
+//! ranking is cached is answered at that door, on the caller's own
+//! thread. Everything else tries the bounded queue — full means an
+//! immediate [`Rejected`] with a retry hint (the caller never blocks) —
+//! and gets back a [`Pending`] reply handle. A worker pops the job,
+//! re-checks deadline and cancellation, executes (a score looks in the
+//! memo cache once more before it scans), and sends exactly one
 //! [`Response`] to the handle. [`Service::shutdown`] closes admissions,
 //! lets workers drain everything already accepted, and joins them.
 //!
-//! Every step of that life — refused at the door, admitted, started by
+//! Every step of that life — answered at the door, admitted, started by
 //! a worker, settled with its final frame — is counted by one function,
 //! `count`, which moves the global counters and the request's tenant row
 //! together.
@@ -232,6 +234,10 @@ struct Job {
     deadline_at: Option<Instant>,
     cancel: CancelToken,
     reply: mpsc::Sender<Frame>,
+    /// A `score`'s cache keys, or why its budget cannot be ranked: what
+    /// the door worked out, carried so the worker builds no key again.
+    /// `None` for every other kind.
+    keys: Option<Result<ScoreKeys, String>>,
     /// Present on `submit` jobs that hold a co-scheduler reservation:
     /// the placement decision the worker runs the ensemble at. The
     /// reservation is released when the worker finishes the job — on
@@ -466,10 +472,11 @@ impl Service {
         Ok(Service { shared, config, handles: Mutex::new(handles) })
     }
 
-    /// Routes a request as a connection thread does: `metrics` and
-    /// `attach` are answered inline, `replicate` (a TCP takeover) is
-    /// refused, and the rest is offered for admission. Never blocks: a
-    /// full queue sheds the request with [`Rejected::Overloaded`].
+    /// Routes a request as a connection thread does: `metrics`,
+    /// `attach` and a `score` whose ranking is cached are answered
+    /// inline, `replicate` (a TCP takeover) is refused, and the rest is
+    /// offered for admission. Never blocks: a full queue sheds the
+    /// request with [`Rejected::Overloaded`].
     pub fn submit(&self, request: Request) -> Result<Pending, Rejected> {
         let reply = match route(Mount::Primary(self), request) {
             Routed::Admitted(pending) => return Ok(pending),
@@ -495,13 +502,25 @@ impl Service {
         }
     }
 
-    /// The router's admission arm: stamps a request and offers it to
-    /// [`admit`]; `Err` is the reply that refused it at the door.
+    /// The router's admission arm: stamps a request, answers a `score`
+    /// whose ranking is cached on the caller's own thread, and offers the
+    /// rest to [`admit`]. `Err` is the reply that answered it at the door:
+    /// a cached ranking, or a refusal.
     pub(crate) fn offer(&self, mut request: Request) -> Result<Pending, Response> {
         if request.deadline.is_none() {
             request.deadline = self.config.default_deadline;
         }
         let submitted = Instant::now();
+        let keys = match &request.body {
+            RequestBody::Score(score) => {
+                let keys = score_keys(&self.shared, score);
+                if let Some(hit) = self.answer_hit(&request, score, &keys, submitted) {
+                    return Err(hit);
+                }
+                Some(keys)
+            }
+            _ => None,
+        };
         let deadline_at = request.deadline.map(|d| submitted + d);
         // Only a co-scheduled submit can wait where no worker sees it.
         let cosched =
@@ -510,9 +529,51 @@ impl Service {
         let reaper = cosched.then(|| Arc::downgrade(&self.shared));
         let (reply, rx) = mpsc::channel();
         let cancel = CancelToken::default();
-        let job =
-            Job { request, submitted, deadline_at, cancel: cancel.clone(), reply, cosched: None };
+        let job = Job {
+            request,
+            submitted,
+            deadline_at,
+            cancel: cancel.clone(),
+            reply,
+            keys,
+            cosched: None,
+        };
         admit(&self.shared, job).map(|()| Pending { rx, cancel, reap_at, reaper })
+    }
+
+    /// The door's answer to a `score` whose ranking is cached: the reply,
+    /// counted as one hit, one submitted and one completed request, with
+    /// no queue slot, no worker, no tenant row and no journal record.
+    /// `None` leaves the request to admission: a miss, a budget the
+    /// platform cannot rank, and what admission answers otherwise than a
+    /// hit would be — a request already past its deadline on arrival, an
+    /// unparseable tenant tag, or any score once the service is shutting
+    /// down. Only a hit is counted here; a miss is counted by the worker
+    /// that looks again.
+    fn answer_hit(
+        &self,
+        request: &Request,
+        score: &ScoreRequest,
+        keys: &Result<ScoreKeys, String>,
+        submitted: Instant,
+    ) -> Option<Response> {
+        let shared = &*self.shared;
+        let answerable = request.deadline != Some(Duration::ZERO)
+            && request.tenant.as_deref().is_none_or(|tag| validate_tenant(tag).is_ok())
+            && !shared.queue.is_closed();
+        let keys = keys.as_ref().ok().filter(|_| answerable)?;
+        let ranked = shared.cache.hit(&keys.full, keys.bounded.as_deref())?;
+        let latency = submitted.elapsed();
+        let reply = Response::ScoreResult {
+            id: request.id,
+            placements: served_rows(score, &ranked),
+            cached: true,
+            elapsed_ms: latency.as_secs_f64() * 1e3,
+            scan_workers: 0,
+            candidates_scanned: 0,
+        };
+        count(&shared.stats, None, Step::Door { reply: &reply, latency: Some(latency) });
+        Some(reply)
     }
 
     /// Releases a reservation by job id: the one way to free an orphan
@@ -555,11 +616,12 @@ impl Service {
         // Reaped first, so this snapshot already counts them.
         reap_waiting(shared);
         let mut m = MetricsSnapshot::default();
-        // Requests offered to admission. Each is answered in exactly one
-        // of the five reply buckets below, or is still queued or in
-        // flight.
+        // Requests offered to admission, a score answered from the cache
+        // at its door included. Each is answered in exactly one of the
+        // five reply buckets below, or is still queued or in flight.
         m.push("requests_submitted", load(&s.submitted));
-        // Requests accepted into the queue.
+        // Requests accepted into the queue; a score answered at the door
+        // never is.
         m.push("requests_accepted", load(&s.accepted));
         // Reply bucket: answered `overloaded`.
         m.push("requests_rejected_overload", load(&s.rejected));
@@ -571,7 +633,8 @@ impl Service {
         m.push("requests_deadline_expired", load(&s.deadline_expired));
         // Reply bucket: any other structured error.
         m.push("requests_errored", load(&s.errored));
-        // Requests that genuinely executed on a worker.
+        // Requests that genuinely executed on a worker; a score answered
+        // at the door did not.
         m.push("requests_executed", load(&s.executed));
         // Worker-queue depth and admission capacity.
         m.push("queue_depth", shared.queue.len());
@@ -781,8 +844,10 @@ fn worker_loop(shared: &Shared) {
 
 /// A step in a request's life, as [`count`] books it.
 enum Step<'a> {
-    /// Answered at the door with this reply; never admitted.
-    Refuse(&'a Response),
+    /// Answered at the door with this reply; never admitted. A refusal
+    /// carries no latency; a score answered from the cache carries its
+    /// door-to-answer time, which the latency histogram records.
+    Door { reply: &'a Response, latency: Option<Duration> },
     /// Accepted into the worker queue or the co-scheduler's wait queue.
     Admit,
     /// A reservation restored from the journal: its request belongs to
@@ -815,8 +880,9 @@ enum Stage {
 /// A final reply lands in the global bucket its kind names: `completed`
 /// for a result, `rejected` for `overloaded`, `cancelled`,
 /// `deadline_expired`, and `errored` for any other error (`invalid`,
-/// `shutting_down`, ...). A tenant row counts a refusal only as a shed,
-/// and settles an admitted job as `executed` when its body ran, else
+/// `shutting_down`, ...). A tenant row counts an overload refusal as a
+/// shed and no other answer at the door (a cached score included), and
+/// settles an admitted job as `executed` when its body ran, else
 /// `expired` when its deadline ended it, else `cancelled`. So, at every
 /// quiescent point,
 ///
@@ -827,8 +893,11 @@ enum Stage {
 /// in_queue + in_flight`.
 fn count(stats: &SvcStats, tenant: Option<(&mut TenantTable, &str)>, step: Step<'_>) {
     match &step {
-        Step::Refuse(_) => {
+        Step::Door { latency, .. } => {
             stats.submitted.fetch_add(1, Ordering::Relaxed);
+            if let Some(latency) = latency {
+                stats.latency.record(*latency);
+            }
         }
         Step::Admit => {
             stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -852,7 +921,7 @@ fn count(stats: &SvcStats, tenant: Option<(&mut TenantTable, &str)>, step: Step<
         }
         Step::Settle { from: Stage::Queued, .. } | Step::Restore | Step::Retire => {}
     }
-    if let Step::Refuse(reply) | Step::Settle { reply, .. } = &step {
+    if let Step::Door { reply, .. } | Step::Settle { reply, .. } = &step {
         match reply {
             Response::Overloaded { .. } => stats.rejected.fetch_add(1, Ordering::Relaxed),
             Response::Error { kind: ErrorKind::Cancelled, .. } => {
@@ -867,15 +936,16 @@ fn count(stats: &SvcStats, tenant: Option<(&mut TenantTable, &str)>, step: Step<
     }
     let Some((table, tenant)) = tenant else { return };
     // `shed` counts only the overload refusals of jobs that never got
-    // in; any other refusal leaves the row (and the table) untouched.
-    if let Step::Refuse(reply) = &step {
+    // in; any other answer at the door leaves the row (and the table)
+    // untouched.
+    if let Step::Door { reply, .. } = &step {
         if !matches!(reply, Response::Overloaded { .. }) {
             return;
         }
     }
     let row = table.row(tenant);
     match step {
-        Step::Refuse(_) => row.shed += 1,
+        Step::Door { .. } => row.shed += 1,
         Step::Admit => {
             row.admitted += 1;
             row.in_queue += 1;
@@ -972,7 +1042,7 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
     };
     if let Some(message) = unfit {
         let reply = Response::Error { id, kind: ErrorKind::Invalid, message };
-        count(&shared.stats, None, Step::Refuse(&reply));
+        count(&shared.stats, None, Step::Door { reply: &reply, latency: None });
         return Err(reply);
     }
     let mut cosched = match (&shared.cosched, &job.request.body) {
@@ -1019,7 +1089,7 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
     };
     let step = match &decided {
         Ok(_) => Step::Admit,
-        Err(reply) => Step::Refuse(reply),
+        Err(reply) => Step::Door { reply, latency: None },
     };
     count(&shared.stats, tagged.as_mut().map(|(table, name)| (&mut **table, name.as_str())), step);
     drop(tagged);
@@ -1319,6 +1389,35 @@ fn score_cache_key(score: &ScoreRequest, platform_fingerprints: &[String; 2]) ->
     )
 }
 
+/// A score's cache keys: the full ranking's, and for a bounded request
+/// its own. A full ranking serves any `top_k` by truncation. A bounded
+/// scan holds only its own first K, so it caches under a k-suffixed key
+/// that never masquerades as the full result (bounded top-K equals the
+/// first K of the stable full ranking, so truncation and bounded scan are
+/// byte-identical answers). Either entry answers the request.
+struct ScoreKeys {
+    full: String,
+    bounded: Option<String>,
+}
+
+/// The keys of `score`, built once at the door, or why its budget cannot
+/// be ranked ([`scheduler::check_budget`]): such a request is refused
+/// before any key is built.
+fn score_keys(shared: &Shared, score: &ScoreRequest) -> Result<ScoreKeys, String> {
+    scheduler::check_budget(&score.shape, score.budget, shared.node_cores)
+        .map_err(|e| e.to_string())?;
+    let full = score_cache_key(score, &shared.platform_fingerprints);
+    let bounded = (score.top_k > 0).then(|| format!("{full}|k={}", score.top_k));
+    Ok(ScoreKeys { full, bounded })
+}
+
+/// The rows a cached ranking serves `score`: its first `top_k`, or all of
+/// them. The reply shares the cached rows and their encoded bytes
+/// instead of copying them.
+fn served_rows(score: &ScoreRequest, ranked: &Ranking) -> Ranking {
+    ranked.prefix(if score.top_k > 0 { score.top_k } else { ranked.len() })
+}
+
 /// The entry of a `[paper, small]` pair that `workloads` selects.
 fn per_workloads<T>([paper, small]: &[T; 2], workloads: Workloads) -> &T {
     match workloads {
@@ -1446,21 +1545,19 @@ impl From<RankError> for ExecError {
 }
 
 fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<ScoreExec, ExecError> {
-    scheduler::check_budget(&score.shape, score.budget, shared.node_cores)?;
-    let key = score_cache_key(score, &shared.platform_fingerprints);
-    // A full ranking serves any top_k by truncation. A bounded scan
-    // holds only its own first K, so it caches under a k-suffixed key
-    // that never masquerades as the full result (bounded top-K equals
-    // the first K of the stable full ranking, so truncation and bounded
-    // scan are byte-identical answers). Either entry answers the
-    // request: one probe, one hit or miss, and the reply shares the
-    // cached ranking — rows and their encoded bytes — instead of
-    // copying it.
-    let bounded_key = (score.top_k > 0).then(|| format!("{key}|k={}", score.top_k));
-    if let Some(ranked) = shared.cache.get_either(&key, bounded_key.as_deref()) {
-        let rows = if score.top_k > 0 { score.top_k } else { ranked.len() };
+    let keys = match &job.keys {
+        Some(Ok(keys)) => keys,
+        Some(Err(why)) => return Err(ExecError::Invalid(why.clone())),
+        None => {
+            return Err(ExecError::Internal("a score reached a worker without its keys".into()))
+        }
+    };
+    // A miss looks again before it scans: an identical request queued
+    // ahead of it may have cached the ranking while it waited. This look
+    // is the request's one counted probe.
+    if let Some(ranked) = shared.cache.get_either(&keys.full, keys.bounded.as_deref()) {
         return Ok(ScoreExec {
-            placements: ranked.prefix(rows),
+            placements: served_rows(score, &ranked),
             cached: true,
             scan_workers: 0,
             candidates_scanned: 0,
@@ -1513,7 +1610,7 @@ fn execute_score(shared: &Shared, job: &Job, score: &ScoreRequest) -> Result<Sco
     let scan_workers = outcome.workers as u64;
     let candidates_scanned = outcome.scanned as u64;
     let ranked = Ranking::from(outcome.into_values());
-    let store_key = bounded_key.unwrap_or(key);
+    let store_key = keys.bounded.as_ref().unwrap_or(&keys.full).clone();
     if let Some(journal) = &shared.journal {
         // The ranking exactly as cached (full, or bounded under its
         // k-suffixed key) — what a replay re-inserts.
@@ -2501,5 +2598,188 @@ mod tests {
             hint_after >= hint_before,
             "10 near-zero drains must not deflate the hint: {hint_before}ms -> {hint_after}ms"
         );
+    }
+
+    /// Asserts the ledger's equation: every submitted request is in one
+    /// reply bucket, queued, or in flight.
+    fn assert_balanced(svc: &Service) {
+        let m = svc.metrics();
+        let buckets = [
+            "requests_completed",
+            "requests_errored",
+            "requests_rejected_overload",
+            "requests_cancelled",
+            "requests_deadline_expired",
+            "queue_depth",
+            "cosched_queue_depth",
+            "in_flight",
+        ];
+        let settled: f64 = buckets.iter().map(|row| m.get(row)).sum();
+        assert_eq!(
+            m.get("requests_submitted"),
+            settled,
+            "submitted = buckets + queued + in flight"
+        );
+    }
+
+    fn cached(reply: &Response) -> bool {
+        match reply {
+            Response::ScoreResult { cached, .. } => *cached,
+            other => panic!("expected score result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cached_score_is_answered_at_the_door_while_a_miss_is_shed() {
+        let svc = tiny_service(1, 1);
+        assert!(!cached(&svc.submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait()));
+        let held = svc.submit(held_score_request(2)).unwrap();
+        wait_in_flight(&svc);
+        let queued = svc.submit(small_score_request(3, 2, 16, 1, 8, 2)).unwrap();
+        let accepted = svc.metrics().get("requests_accepted");
+        // The queue is full: the repeat is answered where it arrives, with
+        // the bytes a worker would have sent, and a new shape is shed.
+        let hit = svc.submit(small_score_request(4, 2, 16, 1, 8, 3)).unwrap();
+        let hit = hit.wait_timeout(Duration::ZERO).expect("a hit is answered before it returns");
+        match &hit {
+            Response::ScoreResult { id, cached, scan_workers, candidates_scanned, .. } => {
+                assert_eq!((*id, *cached, *scan_workers, *candidates_scanned), (4, true, 0, 0));
+            }
+            other => panic!("expected a cached score, got {other:?}"),
+        }
+        assert!(matches!(
+            svc.submit(small_score_request(5, 1, 16, 1, 8, 2)),
+            Err(Rejected::Overloaded { .. })
+        ));
+        let m = svc.metrics();
+        assert_eq!(m.get("requests_accepted"), accepted, "a hit takes no queue slot");
+        assert_eq!((m.get("cache_hits"), m.get("cache_misses")), (1.0, 2.0));
+        assert_balanced(&svc);
+        held.cancel();
+        assert!(matches!(held.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
+        assert!(!cached(&queued.wait()));
+        let m = svc.metrics();
+        assert_eq!(m.get("requests_executed"), 3.0, "the hit never reached the worker");
+        assert_eq!(m.get("requests_completed"), 3.0);
+        assert_balanced(&svc);
+    }
+
+    #[test]
+    fn a_tagged_hit_is_answered_at_quota_and_moves_no_tenant_row() {
+        let mut tenant_policy = TenantPolicy::default();
+        tenant_policy.quotas.insert("team-a".to_string(), 1);
+        let svc = Service::start(SvcConfig { workers: 1, tenant_policy, ..SvcConfig::default() });
+        let tagged = |mut req: Request| {
+            req.tenant = Some("team-a".to_string());
+            req
+        };
+        assert!(!cached(&svc.submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait()));
+        // The tenant's one slot is held.
+        let held = svc.submit(tagged(held_score_request(2))).unwrap();
+        wait_in_flight(&svc);
+        let rows = |svc: &Service| {
+            let m = svc.metrics();
+            let row = |name: &str| m.get(&format!("tenant_team-a_{name}"));
+            ["admitted", "executed", "shed", "expired", "cancelled", "queued", "in_flight"].map(row)
+        };
+        let before = rows(&svc);
+        let hit = svc.submit(tagged(small_score_request(3, 2, 16, 1, 8, 3))).unwrap().wait();
+        assert!(cached(&hit), "a hit holds no quota slot");
+        assert_eq!(rows(&svc), before, "a hit moves no tenant row");
+        // A miss of the same tenant needs the slot, and is shed.
+        assert!(matches!(
+            svc.submit(tagged(small_score_request(4, 2, 16, 1, 8, 2))),
+            Err(Rejected::Overloaded { .. })
+        ));
+        assert_eq!(svc.metrics().get("tenant_team-a_shed"), 1.0);
+        held.cancel();
+        assert!(matches!(held.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
+        assert_balanced(&svc);
+    }
+
+    #[test]
+    fn a_hit_past_its_deadline_or_after_shutdown_is_answered_as_before() {
+        let svc = tiny_service(1, 4);
+        assert!(!cached(&svc.submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait()));
+        let mut expired = small_score_request(2, 2, 16, 1, 8, 3);
+        expired.deadline = Some(Duration::ZERO);
+        match svc.submit(expired).unwrap().wait() {
+            Response::Error { kind: ErrorKind::Deadline, .. } => {}
+            other => panic!("expected deadline_expired, got {other:?}"),
+        }
+        let m = svc.metrics();
+        assert_eq!(m.get("requests_deadline_expired"), 1.0);
+        assert_eq!(m.get("requests_accepted"), 2.0, "admitted, as before the door");
+        assert_eq!(m.get("cache_hits"), 0.0, "expired before any look");
+        svc.shutdown();
+        assert_eq!(
+            svc.submit(small_score_request(3, 2, 16, 1, 8, 3)).err(),
+            Some(Rejected::ShuttingDown)
+        );
+        assert_eq!(svc.metrics().get("cache_hits"), 0.0);
+        assert_balanced(&svc);
+    }
+
+    #[test]
+    fn identical_misses_queued_together_scan_once() {
+        let svc = tiny_service(1, 4);
+        let held = svc.submit(held_score_request(1)).unwrap();
+        wait_in_flight(&svc);
+        let probes = |svc: &Service| {
+            let m = svc.metrics();
+            (m.get("cache_hits"), m.get("cache_misses"))
+        };
+        let (hits, misses) = probes(&svc);
+        let first = svc.submit(small_score_request(2, 2, 16, 1, 8, 3)).unwrap();
+        let second = svc.submit(small_score_request(3, 2, 16, 1, 8, 3)).unwrap();
+        held.cancel();
+        assert!(matches!(held.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
+        match (first.wait(), second.wait()) {
+            (
+                Response::ScoreResult { cached: false, placements: scanned, .. },
+                Response::ScoreResult { cached: true, placements, scan_workers, .. },
+            ) => {
+                assert_eq!(scan_workers, 0, "the second looked again and did not scan");
+                assert!(placements.shares_rows_with(&scanned));
+            }
+            other => panic!("expected one scan and one hit, got {other:?}"),
+        }
+        assert_eq!(probes(&svc), (hits + 1.0, misses + 1.0), "one miss and one hit");
+        assert_balanced(&svc);
+    }
+
+    #[test]
+    fn the_ledger_balances_over_hits_misses_sheds_and_expiries() {
+        let svc = tiny_service(1, 3);
+        assert!(!cached(&svc.submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait()));
+        let held = svc.submit(held_score_request(2)).unwrap();
+        wait_in_flight(&svc);
+        let mut pending = Vec::new();
+        for id in [3, 4] {
+            pending.push(svc.submit(small_score_request(id, 2, 16, 1, 8, 3)).unwrap());
+        }
+        pending.push(svc.submit(small_score_request(5, 2, 16, 1, 8, 2)).unwrap());
+        let mut expired = small_score_request(6, 2, 16, 1, 8, 3);
+        expired.deadline = Some(Duration::ZERO);
+        pending.push(svc.submit(expired).unwrap());
+        pending.push(svc.submit(small_score_request(7, 1, 16, 1, 8, 2)).unwrap());
+        assert!(matches!(
+            svc.submit(small_score_request(8, 1, 16, 1, 8, 1)),
+            Err(Rejected::Overloaded { .. })
+        ));
+        pending.push(svc.submit(small_score_request(9, 2, 16, 1, 8, 3)).unwrap());
+        assert_balanced(&svc);
+        held.cancel();
+        for p in pending {
+            p.wait();
+        }
+        let m = svc.metrics();
+        assert_eq!(m.get("requests_submitted"), 9.0);
+        assert_eq!(m.get("requests_accepted"), 5.0, "the cold score, the held one, three queued");
+        assert_eq!(m.get("requests_completed"), 6.0, "three hits, three scans");
+        assert_eq!(m.get("requests_rejected_overload"), 1.0);
+        assert_eq!(m.get("requests_deadline_expired"), 1.0);
+        assert_eq!(m.get("requests_cancelled"), 1.0);
+        assert_balanced(&svc);
     }
 }

@@ -3,7 +3,9 @@
 //! `metrics` and `attach` are answered inline — no queue slot, no
 //! worker, no ledger step — so they work under overload in process as
 //! on the wire, and `replicate`, which takes over a TCP connection, is
-//! refused in process without being counted.
+//! refused in process without being counted. A `score` whose ranking is
+//! cached is answered inline too, at admission's door: no queue slot and
+//! no worker, but one ledger step (submitted and completed).
 
 use std::time::{Duration, Instant};
 
@@ -122,4 +124,54 @@ fn in_process_replicate_is_refused_inline_and_counted_nowhere() {
         name.push(suffix);
         let _ = std::fs::remove_file(name);
     }
+}
+
+#[test]
+fn a_cached_score_is_answered_inline_in_process_and_on_the_wire_while_a_miss_is_shed() {
+    let handle =
+        serve("127.0.0.1:0", SvcConfig { workers: 1, queue_capacity: 1, ..SvcConfig::default() })
+            .unwrap();
+    let svc = handle.service();
+    let mut client = SvcClient::connect(handle.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let cold = client.request(&small_score_request(1, 2, 16, 1, 8, 3)).unwrap();
+    assert!(matches!(cold, Response::ScoreResult { cached: false, .. }), "{cold:?}");
+    let held = svc.submit(svc::held_score_request(2)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while svc.metrics().get("in_flight") == 0.0 {
+        assert!(Instant::now() < deadline, "the worker never picked up the held score");
+        std::thread::yield_now();
+    }
+    let queued = svc.submit(small_score_request(3, 2, 16, 1, 8, 2)).unwrap();
+    let before = ledger(svc);
+    // The rows a hit carries, as the wire encodes them.
+    let rows = |reply: &Response| {
+        let line = reply.to_json();
+        let at = line.find("\"placements\":").expect("a placements field");
+        (line[at..].to_string(), matches!(reply, Response::ScoreResult { cached: true, .. }))
+    };
+    let in_process = svc.submit(small_score_request(4, 2, 16, 1, 8, 3)).unwrap().wait();
+    let wire = client.request(&small_score_request(5, 2, 16, 1, 8, 3)).unwrap();
+    assert!(rows(&in_process).1 && rows(&wire).1, "{in_process:?} / {wire:?}");
+    assert_eq!(rows(&in_process).0, rows(&wire).0, "one router, one answer");
+    assert_eq!(rows(&wire).0, rows(&cold).0, "the rows the cold score was answered with");
+    assert!(matches!(
+        svc.submit(small_score_request(6, 1, 16, 1, 8, 2)),
+        Err(Rejected::Overloaded { .. })
+    ));
+    assert!(matches!(
+        client.request(&small_score_request(7, 1, 16, 1, 8, 2)).unwrap(),
+        Response::Overloaded { id: 7, .. }
+    ));
+    // submitted, accepted, overload, completed, executed, cancelled,
+    // expired, errored: the two hits are submitted and completed only.
+    let mut after = before;
+    after[0] += 4;
+    after[2] += 2;
+    after[3] += 2;
+    assert_eq!(ledger(svc), after);
+    held.cancel();
+    assert!(matches!(held.wait(), Response::Error { kind: ErrorKind::Cancelled, .. }));
+    assert!(matches!(queued.wait(), Response::ScoreResult { cached: false, .. }));
+    handle.shutdown();
 }

@@ -604,6 +604,53 @@ fn client_submit_rides_out_real_overload() {
     handle.shutdown();
 }
 
+/// One request line written to a raw socket, and the final line it gets.
+fn exchange(stream: &mut std::net::TcpStream, request: &Request) -> Response {
+    use std::io::{BufRead, BufReader, Write};
+    let mut line = request.to_json();
+    line.push('\n');
+    stream.write_all(line.as_bytes()).expect("send the request line");
+    let mut reply = String::new();
+    BufReader::new(&*stream).read_line(&mut reply).expect("read the reply line");
+    Response::from_json(reply.trim_end()).expect("a reply line decodes")
+}
+
+#[test]
+fn a_cached_score_is_answered_over_a_raw_socket_while_a_miss_is_shed() {
+    // One worker, pinned; one queue slot, filled. A score whose ranking
+    // is cached is answered by the connection thread that read it, with
+    // the bytes a worker would have sent; a score of a new shape is shed.
+    let handle = server(1, 1);
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    let cold = exchange(&mut stream, &small_score_request(1, 2, 16, 1, 8, 3));
+    assert!(matches!(cold, Response::ScoreResult { cached: false, .. }), "{cold:?}");
+    let held = hold(&handle);
+    let filler = handle.service().submit(small_score_request(2, 2, 16, 1, 8, 2)).expect("queued");
+    let before = Instant::now();
+    match exchange(&mut stream, &small_score_request(3, 2, 16, 1, 8, 3)) {
+        Response::ScoreResult {
+            id, cached, scan_workers, candidates_scanned, placements, ..
+        } => {
+            assert_eq!((id, cached, scan_workers, candidates_scanned), (3, true, 0, 0));
+            let Response::ScoreResult { placements: rows, .. } = &cold else { unreachable!() };
+            assert_eq!(placements.len(), rows.len());
+        }
+        other => panic!("expected a cached score under overload, got {other:?}"),
+    }
+    match exchange(&mut stream, &small_score_request(4, 1, 16, 1, 8, 2)) {
+        Response::Overloaded { id, retry_after_ms } => assert!(id == 4 && retry_after_ms >= 1),
+        other => panic!("expected a new shape to be shed, got {other:?}"),
+    }
+    assert!(before.elapsed() < Duration::from_secs(5), "neither waited for the pinned worker");
+    let m = handle.service().metrics();
+    assert_eq!(m.get("requests_accepted"), 3.0, "the cold score, the held one, the filler");
+    assert_eq!(m.get("requests_rejected_overload"), 1.0);
+    release(held);
+    assert!(matches!(filler.wait(), Response::ScoreResult { cached: false, .. }));
+    handle.shutdown();
+}
+
 /// Sustained mixed load with retry-on-overload from a dozen clients.
 /// Slow by design; run with `cargo test -p svc -- --ignored`.
 #[test]
@@ -650,10 +697,21 @@ fn soak_sustained_mixed_load_stays_consistent() {
     assert_eq!(completed, 12 * 30, "every request eventually lands under retry");
 
     let mut probe = SvcClient::connect(addr).expect("connect probe");
+    // Every request offered is answered in one reply bucket: a score hit
+    // answered at the door is never accepted, so `accepted + rejected`
+    // no longer covers it.
     let submitted = metrics_row(&handle, &mut probe, "requests_submitted");
-    let accepted = metrics_row(&handle, &mut probe, "requests_accepted");
-    let rejected = metrics_row(&handle, &mut probe, "requests_rejected_overload");
-    assert_eq!(submitted, accepted + rejected, "admission accounting must balance");
+    let answered: f64 = [
+        "requests_completed",
+        "requests_errored",
+        "requests_rejected_overload",
+        "requests_cancelled",
+        "requests_deadline_expired",
+    ]
+    .into_iter()
+    .map(|row| metrics_row(&handle, &mut probe, row))
+    .sum();
+    assert_eq!(submitted, answered, "admission accounting must balance");
     assert!(metrics_row(&handle, &mut probe, "requests_completed") >= 360.0);
     assert!(metrics_row(&handle, &mut probe, "latency_p99_ms") > 0.0);
     assert!(metrics_row(&handle, &mut probe, "cache_hit_rate") > 0.0);

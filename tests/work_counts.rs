@@ -12,13 +12,21 @@
 //! bounded scan brings a helper in only after its caller has handed out
 //! `scan::SOLO_CANDIDATES` leaves, a full one at its first unfinished
 //! pull.
+//!
+//! And how many records a journaled service appends per request, read
+//! from its own `journal_appended` row.
 
 use std::sync::Arc;
 
+use insitu_ensembles::model::ConfigId;
 use insitu_ensembles::runtime::{SimRunConfig, WorkloadMap};
 use insitu_ensembles::scheduling::scan::ScanOutcome;
 use insitu_ensembles::scheduling::{
     EnsembleShape, NodeBudget, RankedPlacement, Ranker, ScanOptions, SolveCache, WalkCache,
+};
+use insitu_ensembles::service::{
+    small_score_request, JournalConfig, Request, RequestBody, RunRequest, Service, SvcConfig,
+    Workloads,
 };
 
 /// The e2e benchmark's cold-score classes S, M and L.
@@ -121,4 +129,46 @@ fn a_scans_threads_are_a_function_of_its_work() {
     let full = ScanOptions { workers: 2, top_k: 0, ..ScanOptions::default() };
     let (shape, budget) = &shapes[1];
     assert_eq!(scan_on(shape, *budget, 6, full, None).workers, 2, "the full M ranking");
+}
+
+#[test]
+fn a_journaled_service_appends_two_records_per_worker_answer_and_none_per_hit() {
+    let path = std::env::temp_dir().join(format!("work-counts-{}.jsonl", std::process::id()));
+    let cleanup = || {
+        for suffix in ["", ".epoch", ".hb"] {
+            let mut name = path.clone().into_os_string();
+            name.push(suffix);
+            let _ = std::fs::remove_file(name);
+        }
+    };
+    cleanup();
+    let journal = Some(JournalConfig::new(&path));
+    let svc = Service::start(SvcConfig { workers: 1, journal, ..SvcConfig::default() });
+    let run = Request {
+        id: 3,
+        deadline: None,
+        progress: None,
+        tenant: None,
+        body: RequestBody::Run(RunRequest {
+            spec: ConfigId::C1_5.build(),
+            steps: 4,
+            jitter: 0.0,
+            seed: 1,
+            workloads: Workloads::Small,
+        }),
+    };
+    // A cold score: its admit and its score record. The same score again
+    // is answered from the cache at the door: nothing. A run: its admit
+    // and its run record.
+    for (kind, request, records) in [
+        ("cold score", small_score_request(1, 2, 16, 1, 8, 3), 2.0),
+        ("score hit", small_score_request(2, 2, 16, 1, 8, 3), 0.0),
+        ("run", run, 2.0),
+    ] {
+        let before = svc.metrics().get("journal_appended");
+        svc.submit(request).expect("admitted").wait();
+        assert_eq!(svc.metrics().get("journal_appended") - before, records, "{kind}");
+    }
+    svc.shutdown();
+    cleanup();
 }
