@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the DTL.
+//! Deterministic fault injection for the DTL and the service.
 //!
 //! A [`FaultPlan`] is a seeded, declarative description of the faults a
 //! chaos run should experience: store-operation failures, added
@@ -8,6 +8,10 @@
 //! plan itself (`SyncStaging::with_faults`): a `put` runs the payload
 //! through the `store` rules before it is staged, and a `get` runs the
 //! copy it serves through the `load` rules.
+//!
+//! The same plan carries the service's journal and stream faults, which
+//! `svc` reads at its own kill points; staging and the member supervisor
+//! read only the rules and the kills.
 //!
 //! # Determinism
 //!
@@ -155,17 +159,33 @@ pub struct MemberKill {
     pub panic: bool,
 }
 
-/// A seeded, deterministic fault plan: store-level rules plus a member
-/// kill schedule. The empty plan injects nothing.
+/// A seeded, deterministic fault plan: store-level rules, a member
+/// kill schedule and the service's journal and stream faults. The
+/// empty plan injects nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for every probabilistic decision.
+    /// Seed for every probabilistic decision (and the torn fragment).
     pub seed: u64,
     /// Store-operation rules, first match wins.
     pub rules: Vec<FaultRule>,
     /// Member kill schedule.
     pub kills: Vec<MemberKill>,
+    /// The service's journal "crashes" (refuses appends) after its Nth.
+    pub crash_after_append: Option<u64>,
+    /// The crash also leaves a torn, unterminated final record.
+    pub torn_tail: bool,
+    /// Journal fsyncs after the Nth report failure (the write lands).
+    pub fail_fsync_after: Option<u64>,
+    /// The first replication stream drops after N record frames.
+    pub drop_stream_after: Option<u64>,
+    /// The first replication stream stalls (open, silent) after N frames.
+    pub stall_stream_after: Option<u64>,
 }
+
+/// The clauses the service applies (its journal and its replication
+/// stream); the threaded runtime applies the others.
+pub const SERVICE_CLAUSES: [&str; 5] =
+    ["crash_after", "torn", "fsync_fail", "drop_stream", "stall_stream"];
 
 impl FaultPlan {
     /// An empty plan with the given seed.
@@ -187,7 +207,45 @@ impl FaultPlan {
 
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.kills.is_empty()
+        self.clauses().is_empty()
+    }
+
+    /// The keyword of each clause the plan holds, `seed` aside, in the
+    /// order [`Self::to_spec`] writes them.
+    pub fn clauses(&self) -> Vec<&'static str> {
+        let kills = self.kills.iter().map(|k| if k.panic { "panic" } else { "kill" });
+        let rules = self.rules.iter().map(|r| match r.action {
+            FaultAction::Fail => "fail",
+            FaultAction::Delay(_) => "delay",
+            FaultAction::Corrupt => "corrupt",
+        });
+        let service = SERVICE_CLAUSES.into_iter().zip(self.service_values());
+        kills.chain(rules).chain(service.filter_map(|(clause, v)| v.map(|_| clause))).collect()
+    }
+
+    /// The value the spec writes after each of [`SERVICE_CLAUSES`]
+    /// (`=N`, nothing for `torn`), `None` for a clause the plan lacks.
+    fn service_values(&self) -> [Option<String>; 5] {
+        let count = |n: Option<u64>| n.map(|n| format!("={n}"));
+        [
+            count(self.crash_after_append),
+            self.torn_tail.then(String::new),
+            count(self.fail_fsync_after),
+            count(self.drop_stream_after),
+            count(self.stall_stream_after),
+        ]
+    }
+
+    /// The torn-fragment bytes written when [`Self::torn_tail`] fires:
+    /// a plausible-looking record prefix with no closing brace and no
+    /// newline, derived from the seed so crash images are reproducible.
+    pub fn torn_fragment(&self) -> String {
+        format!("{{\"rec\":\"score\",\"key\":\"torn-{:016x}", mix(&[self.seed, 0x7041]))
+    }
+
+    /// True once the `index`-th (1-based) fsync should report failure.
+    pub fn fsync_fails(&self, index: u64) -> bool {
+        self.fail_fsync_after.is_some_and(|n| index > n)
     }
 
     /// The kill scheduled for `member` at `step`, if any.
@@ -201,22 +259,34 @@ impl FaultPlan {
     /// seed=42;kill=1@2;panic=0@1
     /// fail=load:var=0:step=2:first=1
     /// delay=any:ms=5:p=0.25;corrupt=store:var=1
+    /// seed=42;crash_after=10;torn;fsync_fail=3;drop_stream=5;stall_stream=8
     /// ```
     ///
-    /// Clauses: `seed=N`, `kill=M@S`, `panic=M@S`, and
+    /// Clauses: `seed=N`, `kill=M@S`, `panic=M@S`,
     /// `ACTION=OP[:var=V][:step=S][:p=F][:after=N][:first=N][:ms=D]`
     /// with `ACTION` ∈ {`fail`, `delay`, `corrupt`} and `OP` ∈
-    /// {`load`, `store`, `any`} (`ms` is required for `delay`).
+    /// {`load`, `store`, `any`} (`ms` is required for `delay`), and the
+    /// service's `crash_after=N`, `torn` (a bare flag), `fsync_fail=N`,
+    /// `drop_stream=N` and `stall_stream=N`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
+            if clause == "torn" {
+                plan.torn_tail = true;
+                continue;
+            }
             let (head, rest) = clause
                 .split_once('=')
+                .map(|(head, rest)| (head.trim(), rest.trim()))
                 .ok_or_else(|| format!("clause '{clause}' is not KEY=VALUE"))?;
+            let count = || rest.parse::<u64>().map_err(|e| format!("{head}: {e}"));
             match head {
-                "seed" => {
-                    plan.seed = rest.parse().map_err(|e| format!("seed: {e}"))?;
-                }
+                "seed" => plan.seed = count()?,
+                "crash_after" => plan.crash_after_append = Some(count()?),
+                "fsync_fail" => plan.fail_fsync_after = Some(count()?),
+                "drop_stream" => plan.drop_stream_after = Some(count()?),
+                "stall_stream" => plan.stall_stream_after = Some(count()?),
+                "torn" => return Err(format!("torn is a flag and takes no value, got '{clause}'")),
                 "kill" | "panic" => {
                     let (m, s) = rest
                         .split_once('@')
@@ -273,6 +343,9 @@ impl FaultPlan {
                 s.push_str(&format!(":first={first}"));
             }
             parts.push(s);
+        }
+        for (clause, value) in SERVICE_CLAUSES.into_iter().zip(self.service_values()) {
+            parts.extend(value.map(|value| format!("{clause}{value}")));
         }
         parts.join(";")
     }
@@ -498,11 +571,18 @@ mod tests {
 
     #[test]
     fn empty_plan_is_transparent() {
-        let inj = FaultInjector::new(FaultPlan::default());
-        let staged = inj.apply(FaultOp::Store, id(0, 0), Arc::from(*b"x")).unwrap();
-        assert_eq!(inj.apply(FaultOp::Load, id(0, 0), staged.clone()).unwrap(), Arc::from(*b"x"));
-        assert_eq!(inj.stats().total_injected(), 0);
-        assert_eq!((inj.stats().loads, inj.stats().stores), (1, 1));
+        // Service clauses alone leave staging as the empty plan does.
+        let service_only =
+            FaultPlan::parse("seed=9;crash_after=1;torn;fsync_fail=0;drop_stream=1;stall_stream=1")
+                .unwrap();
+        for plan in [FaultPlan::default(), service_only] {
+            let inj = FaultInjector::new(plan);
+            let staged = inj.apply(FaultOp::Store, id(0, 0), Arc::from(*b"x")).unwrap();
+            let served = inj.apply(FaultOp::Load, id(0, 0), staged.clone()).unwrap();
+            assert_eq!(served, Arc::from(*b"x"));
+            assert_eq!(inj.stats().total_injected(), 0);
+            assert_eq!((inj.stats().loads, inj.stats().stores), (1, 1));
+        }
     }
 
     #[test]
@@ -595,6 +675,39 @@ mod tests {
         assert_eq!(plan.rules[1].probability, 0.25);
         let reparsed = FaultPlan::parse(&plan.to_spec()).unwrap();
         assert_eq!(reparsed, plan);
+
+        let spec = "seed=42;crash_after=10;torn;fsync_fail=3;drop_stream=5;stall_stream=8";
+        let plan = FaultPlan::parse(spec).unwrap();
+        let want = FaultPlan {
+            seed: 42,
+            crash_after_append: Some(10),
+            torn_tail: true,
+            fail_fsync_after: Some(3),
+            drop_stream_after: Some(5),
+            stall_stream_after: Some(8),
+            ..FaultPlan::default()
+        };
+        assert_eq!(plan, want);
+        assert_eq!(plan.to_spec(), spec);
+        // Pinned bytes: a crash image is byte-identical across builds.
+        assert_eq!(plan.torn_fragment(), "{\"rec\":\"score\",\"key\":\"torn-99e6b27a289c06b9");
+        let seeded = |seed| FaultPlan::new(seed).torn_fragment();
+        assert_ne!(seeded(7), seeded(8));
+        assert!(!seeded(7).ends_with('}') && !seeded(7).contains('\n'));
+        let fsync = FaultPlan::parse("fsync_fail=2").unwrap();
+        assert_eq!([1, 2, 3].map(|i| fsync.fsync_fails(i)), [false, false, true]);
+        assert!(!FaultPlan::default().fsync_fails(100));
+
+        // Every clause kind in one spec, in an order `to_spec` does not
+        // write, with whitespace around the keys and values.
+        let mixed = " stall_stream=8 ; corrupt=store:var=1;torn;seed = 3;panic=0@1;\
+                     fsync_fail=3;delay=any:ms=5:p=0.25;crash_after=10;kill=1@2;\
+                     drop_stream=5;fail=load:var=0:step=2:after=1:first=1";
+        let plan = FaultPlan::parse(mixed).unwrap();
+        let clauses = plan.clauses();
+        assert_eq!(clauses[..5], ["panic", "kill", "corrupt", "delay", "fail"]);
+        assert_eq!(clauses[5..], SERVICE_CLAUSES);
+        assert_eq!(FaultPlan::parse(&plan.to_spec()).unwrap(), plan);
     }
 
     #[test]
@@ -606,6 +719,10 @@ mod tests {
         assert!(FaultPlan::parse("fail=load:ms=5").is_err(), "ms only applies to delay");
         assert!(FaultPlan::parse("fail=load:p=2").is_err(), "p outside [0,1]");
         assert!(FaultPlan::parse("seed").is_err());
+        assert!(FaultPlan::parse("crash_after").is_err(), "a count needs =N");
+        assert!(FaultPlan::parse("crash_after=x").is_err());
+        assert!(FaultPlan::parse("torn=1").is_err(), "torn is a bare flag");
+        assert!(FaultPlan::parse("drop_stream=-1").is_err());
     }
 
     #[test]
@@ -613,5 +730,8 @@ mod tests {
         let plan = FaultPlan::parse("").unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::default());
+        let plan = FaultPlan::parse("crash_after=2").unwrap();
+        assert_eq!(plan, FaultPlan { crash_after_append: Some(2), ..FaultPlan::default() });
+        assert!(!plan.is_empty());
     }
 }

@@ -40,7 +40,9 @@ pub mod variable;
 
 pub use chunk::Chunk;
 pub use error::{DtlError, DtlResult};
-pub use fault::{FaultAction, FaultOp, FaultPlan, FaultRule, FaultStats, MemberKill};
+pub use fault::{
+    FaultAction, FaultOp, FaultPlan, FaultRule, FaultStats, MemberKill, SERVICE_CLAUSES,
+};
 pub use marshal::{ChunkCodec, F64ArrayCodec};
 pub use plugin::DtlReader;
 pub use protocol::{ReaderId, StepProtocol};

@@ -82,7 +82,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::fault::SvcFaultPlan;
+use dtl::FaultPlan;
+
 use crate::image::Image;
 use crate::json::{write_f64, write_seq, write_str, write_u64, Value};
 use crate::protocol::{
@@ -132,7 +133,7 @@ pub struct JournalConfig {
     pub promote: bool,
     /// Deterministic fault injection (crash kill points, torn tails,
     /// simulated fsync failures) for failover tests and rehearsals.
-    pub fault: Option<SvcFaultPlan>,
+    pub fault: Option<FaultPlan>,
 }
 
 impl JournalConfig {
@@ -1531,7 +1532,7 @@ mod tests {
         let path = temp_path("fsync-fault");
         let mut config = JournalConfig::new(&path);
         config.fsync = FsyncPolicy::PerRecord;
-        config.fault = Some(SvcFaultPlan { fail_fsync_after: Some(0), ..SvcFaultPlan::default() });
+        config.fault = Some(FaultPlan { fail_fsync_after: Some(0), ..FaultPlan::default() });
         let (journal, _) = open(config);
         for i in 0..5 {
             journal.append_score(&format!("k{i}"), &ranking(0.5));
@@ -1552,11 +1553,11 @@ mod tests {
     fn fault_plan_crash_kills_at_a_deterministic_offset() {
         let path = temp_path("crash-fault");
         let mut config = JournalConfig::new(&path);
-        config.fault = Some(SvcFaultPlan {
+        config.fault = Some(FaultPlan {
             seed: 7,
             crash_after_append: Some(2),
             torn_tail: true,
-            ..SvcFaultPlan::default()
+            ..FaultPlan::default()
         });
         let (journal, _) = open(config);
         journal.append_score("one", &ranking(0.1));

@@ -36,8 +36,9 @@
 //! stream), keeps a warm image, and — when the primary's heartbeats
 //! stop — promotes itself by bumping the journal's fencing epoch, so a
 //! deposed primary's late appends are rejected instead of forking
-//! history. Deterministic fault schedules ([`fault::SvcFaultPlan`])
-//! drive the failover tests.
+//! history. Deterministic fault schedules — the service clauses of a
+//! [`dtl::FaultPlan`], carried by [`JournalConfig::fault`] — drive the
+//! failover tests.
 //!
 //! The wire codec is the workspace's [`json`] crate, re-exported here
 //! under the path it had as a module of this crate.
@@ -48,7 +49,6 @@ pub mod cache;
 pub mod client;
 mod cosched;
 pub mod fair;
-pub mod fault;
 pub mod image;
 pub mod journal;
 pub mod protocol;
@@ -63,7 +63,6 @@ pub use cache::ScoreCache;
 pub use client::{FailoverClient, FailoverPolicy, RetryPolicy as ClientRetryPolicy, SvcClient};
 pub use cosched::CoschedSvcConfig;
 pub use fair::{FairQueue, TenantPolicy};
-pub use fault::SvcFaultPlan;
 pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalRecord, ReplayedReservation};
 pub use protocol::{
     ErrorKind, Frame, MemberSummary, Progress, ProgressBody, ProgressSpec, RankedPlacement,

@@ -320,7 +320,7 @@ fn heartbeat_loop(journal: &std::path::Path, shared: &ListenerShared<Service>) {
 /// thread: the journal's [`ReplFrame`]s, and a beat every
 /// [`REPL_HEARTBEAT`] even when idle.
 ///
-/// Fault hooks from the journal's [`SvcFaultPlan`](crate::fault::SvcFaultPlan):
+/// Fault hooks from the journal's [`FaultPlan`](dtl::FaultPlan):
 /// `drop_stream_after` closes the connection after N record frames;
 /// `stall_stream_after` keeps it open but silent (no heartbeats), so
 /// the standby must detect death by timeout rather than EOF.
@@ -337,11 +337,7 @@ fn replication_loop<S>(
     // Stream faults are one-shot: only the first replication session
     // ever opened sees them, so a standby's reconnect makes progress.
     let session = shared.repl_sessions.fetch_add(1, Ordering::SeqCst);
-    let fault = if session == 0 {
-        journal_cfg.fault.unwrap_or_default()
-    } else {
-        crate::fault::SvcFaultPlan::default()
-    };
+    let fault = journal_cfg.fault.filter(|_| session == 0).unwrap_or_default();
     let mut follower = JournalFollower::new(&journal_cfg.path);
     let mut sent_records: u64 = 0;
     let mut last_hb: Option<Instant> = None;

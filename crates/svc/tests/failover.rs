@@ -1,5 +1,5 @@
 //! Warm-standby failover tests: crash the primary at deterministic
-//! journal offsets (via [`SvcFaultPlan`]), follow it from a standby
+//! journal offsets (via a [`FaultPlan`]), follow it from a standby
 //! (shared file and TCP replication), promote, and assert the promoted
 //! service answers with the dead primary's warm state — cache hits
 //! visible in metrics, attach results bit-identical — while the
@@ -10,11 +10,12 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use dtl::FaultPlan;
 use ensemble_core::ConfigId;
 use svc::{
     serve, small_score_request, ErrorKind, FailoverClient, FailoverPolicy, FsyncPolicy,
     JournalConfig, Request, RequestBody, Response, RunRequest, Service, Standby, StandbyConfig,
-    StandbySource, SvcClient, SvcConfig, SvcFaultPlan, Workloads,
+    StandbySource, SvcClient, SvcConfig, Workloads,
 };
 
 fn temp_path(name: &str) -> PathBuf {
@@ -46,7 +47,7 @@ fn config_with_journal(journal: JournalConfig) -> SvcConfig {
     }
 }
 
-fn per_record_journal(path: &PathBuf, fault: Option<SvcFaultPlan>) -> JournalConfig {
+fn per_record_journal(path: &PathBuf, fault: Option<FaultPlan>) -> JournalConfig {
     let mut journal = JournalConfig::new(path);
     journal.fsync = FsyncPolicy::PerRecord;
     journal.fault = fault;
@@ -95,8 +96,7 @@ fn crash_point_promotion_preserves_warm_cache_and_runs() {
     // Appends: score → admit(1) + score(2); run → admit(3) + run(4);
     // the journal crashes at append 4 leaving a torn fragment, so the
     // run record is the last durable line.
-    let fault =
-        SvcFaultPlan { crash_after_append: Some(4), torn_tail: true, ..SvcFaultPlan::default() };
+    let fault = FaultPlan { crash_after_append: Some(4), torn_tail: true, ..FaultPlan::default() };
     let primary = Service::start(config_with_journal(per_record_journal(&path, Some(fault))));
     match primary.submit(small_score_request(1, 2, 16, 1, 8, 3)).unwrap().wait() {
         Response::ScoreResult { cached, .. } => assert!(!cached),
@@ -195,7 +195,7 @@ fn network_standby_follows_through_a_dropped_stream_and_promotes() {
     let local_path = temp_path("net-local");
     // The first replication session drops after 2 record frames; the
     // standby must reconnect and restream to catch up.
-    let fault = SvcFaultPlan { drop_stream_after: Some(2), ..SvcFaultPlan::default() };
+    let fault = FaultPlan { drop_stream_after: Some(2), ..FaultPlan::default() };
     let handle =
         serve("127.0.0.1:0", config_with_journal(per_record_journal(&primary_path, Some(fault))))
             .unwrap();
@@ -287,8 +287,7 @@ fn network_standby_follows_through_a_dropped_stream_and_promotes() {
 fn degraded_primary_is_detected_within_a_heartbeat() {
     let primary_path = temp_path("degraded-primary");
     let local_path = temp_path("degraded-local");
-    let fault =
-        SvcFaultPlan { crash_after_append: Some(4), torn_tail: true, ..SvcFaultPlan::default() };
+    let fault = FaultPlan { crash_after_append: Some(4), torn_tail: true, ..FaultPlan::default() };
     let handle =
         serve("127.0.0.1:0", config_with_journal(per_record_journal(&primary_path, Some(fault))))
             .unwrap();
@@ -386,13 +385,14 @@ fn soak_generations_of_crash_and_promotion_conserve_the_run_index() {
     // Every generation's journal crashes around its last run's appends
     // (promoted generations spend one extra append on the epoch
     // record), so each cycle loses its tail and keeps the rest.
-    let fault = SvcFaultPlan {
+    let fault = FaultPlan {
         crash_after_append: Some(2 * RUNS_PER_GEN),
         torn_tail: true,
-        ..SvcFaultPlan::default()
+        ..FaultPlan::default()
     };
     let mut expected: Vec<(u64, u64)> = Vec::new(); // (job, makespan bits)
-    let mut service = Service::start(config_with_journal(per_record_journal(&path, Some(fault))));
+    let mut service =
+        Service::start(config_with_journal(per_record_journal(&path, Some(fault.clone()))));
     for generation in 0..GENERATIONS {
         for i in 0..RUNS_PER_GEN {
             let job = generation * 100 + i + 1;
@@ -412,8 +412,9 @@ fn soak_generations_of_crash_and_promotion_conserve_the_run_index() {
         wait_for("soak standby catch-up", Duration::from_secs(20), || {
             standby.status().runs_indexed >= want
         });
-        let promoted =
-            standby.promote(config_with_journal(per_record_journal(&path, Some(fault)))).unwrap();
+        let promoted = standby
+            .promote(config_with_journal(per_record_journal(&path, Some(fault.clone()))))
+            .unwrap();
         for &(job, bits) in &expected {
             assert_eq!(
                 makespan_bits(&promoted.attach(job, job)),

@@ -248,6 +248,24 @@ fn write_report_json(path: &str, report: &measurement::EnsembleReport) -> bool {
     }
 }
 
+/// Parses `flag`'s fault-plan `spec` and refuses, by name, the first
+/// clause the command does not apply: `serve` (`service`) applies only
+/// the journal's and the replication stream's clauses, `run --threaded`
+/// only the others.
+fn parse_fault_plan(flag: &str, spec: &str, service: bool) -> Result<FaultPlan, String> {
+    let plan = FaultPlan::parse(spec).map_err(|e| format!("{flag}: {e}"))?;
+    let applies = |c: &&str| insitu_ensembles::dtl::SERVICE_CLAUSES.contains(c) == service;
+    let Some(clause) = plan.clauses().into_iter().find(|c| !applies(c)) else {
+        return Ok(plan);
+    };
+    let (this, other) = if service {
+        ("serve", "run --threaded --fault-plan")
+    } else {
+        ("run --threaded", "serve --svc-fault")
+    };
+    Err(format!("{flag}: {this} does not apply clause '{clause}' ({other} does)"))
+}
+
 /// `ensemble run <config> --threaded`: run the real-kernel runtime,
 /// optionally under a fault plan, and report per-member outcomes plus
 /// retry/fault counters alongside the usual report table.
@@ -275,10 +293,10 @@ fn cmd_run_threaded(target: &str, args: &[String]) -> i32 {
         }
     }
     if let Some(spec) = flag_value(args, "--fault-plan") {
-        match FaultPlan::parse(spec) {
+        match parse_fault_plan("--fault-plan", spec, false) {
             Ok(plan) => cfg.fault_plan = Some(plan),
             Err(e) => {
-                eprintln!("run --threaded: --fault-plan: {e}");
+                eprintln!("run --threaded: {e}");
                 return 2;
             }
         }
@@ -540,7 +558,7 @@ fn parse_svc_config(args: &[String]) -> Result<insitu_ensembles::service::SvcCon
             }
         }
         if let Some(spec) = flag_value(args, "--svc-fault") {
-            journal.fault = Some(insitu_ensembles::service::SvcFaultPlan::parse(spec)?);
+            journal.fault = Some(parse_fault_plan("--svc-fault", spec, true)?);
         }
         config.journal = Some(journal);
     } else if flag_value(args, "--svc-fault").is_some() {

@@ -247,6 +247,47 @@ fn a_malformed_flag_value_exits_2_with_one_line_naming_the_flag() {
 }
 
 #[test]
+fn a_fault_flag_refuses_by_name_a_clause_its_command_does_not_apply_or_parse() {
+    use insitu_ensembles::prelude::FaultPlan;
+
+    let journal = std::env::temp_dir().join(format!("ens-cli-fault-{}", std::process::id()));
+    let journal = journal.to_str().unwrap();
+    let serve =
+        |spec| vec!["serve", "--addr", "127.0.0.1:0", "--journal", journal, "--svc-fault", spec];
+    let run = |spec| vec!["run", "C1.5", "--threaded", "--fault-plan", spec];
+    let applied = |clause: &str| format!("does not apply clause '{clause}'");
+    let malformed = |spec: &str| FaultPlan::parse(spec).unwrap_err();
+    for (args, want) in [
+        (serve("kill=1@2"), applied("kill")),
+        (serve("seed=1;crash_after=3;panic=0@1"), applied("panic")),
+        (serve("torn;delay=any:ms=5"), applied("delay")),
+        (serve("fail=store:first=1;corrupt=load"), applied("fail")),
+        (run("crash_after=3"), applied("crash_after")),
+        (run("seed=1;fail=store:first=1;torn"), applied("torn")),
+        (run("kill=0@1;fsync_fail=1;drop_stream=2;stall_stream=2"), applied("fsync_fail")),
+        (serve("crash_after=x"), malformed("crash_after=x")),
+        (serve("torn=1"), malformed("torn=1")),
+        (run("kill=1"), malformed("kill=1")),
+        (vec!["serve", "--svc-fault", "torn"], "--svc-fault needs --journal".to_string()),
+    ] {
+        let out = ensemble().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`ensemble {}`: {stderr}", args.join(" "));
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.contains(&want), "want {want:?} in {stderr}");
+        assert!(!std::path::Path::new(journal).exists(), "{args:?} opened the journal");
+    }
+}
+
+#[test]
+fn threaded_fault_plan_with_a_transient_store_fault_still_completes() {
+    let args = "run C1.5 --threaded --steps 2 --fault-plan seed=1;fail=store:first=1";
+    let out = run_ok(&args.split(' ').chain(["--retry-attempts", "3"]).collect::<Vec<_>>());
+    assert!(out.contains("EM1: completed") && out.contains("EM2: completed"), "{out}");
+    assert!(!out.contains("faults injected: 0"), "{out}");
+}
+
+#[test]
 fn bad_config_label_fails_cleanly() {
     let out = ensemble().args(["run", "C9.9"]).output().unwrap();
     assert!(!out.status.success());

@@ -1,4 +1,4 @@
-//! Ten rules about the workspace's shape that hold themselves.
+//! Eleven rules about the workspace's shape that hold themselves.
 //!
 //! **Everything a crate root re-exports is named by someone else.**
 //! A public item stays only while a surface reaches it: the `ensemble`
@@ -71,6 +71,12 @@
 //! **The DTL stages through one medium.** `SyncStaging` takes no type
 //! parameter, and the store layer it was once generic over is named in
 //! no `.rs` file of the tree.
+//!
+//! **One fault grammar.** The threaded runtime's and the service's
+//! faults are clauses of one `dtl::FaultPlan`: the service's own plan
+//! type is named in no `.rs` file of the tree, and library code defines
+//! `splitmix64`, the mixer a plan's seed feeds, once, in the DTL's
+//! fault module.
 
 use std::collections::BTreeSet;
 
@@ -296,6 +302,15 @@ fn library_code(root: &Path, dirs: &[PathBuf]) -> Vec<(PathBuf, String)> {
         .collect()
 }
 
+/// Library code of the facade's `src/` and of every crate's.
+fn product_code(root: &Path) -> Vec<(PathBuf, String)> {
+    let mut dirs = vec![root.join("src")];
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        dirs.push(entry.expect("dir entry").path().join("src"));
+    }
+    library_code(root, &dirs)
+}
+
 /// Which text around an occurrence of a mark makes it count.
 type Counts = fn(&str, &str) -> bool;
 
@@ -325,10 +340,6 @@ fn made_in_more_than_one_place(
 #[test]
 fn each_pricing_decision_is_made_in_one_library_function() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut dirs = vec![root.join("src")];
-    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
-        dirs.push(entry.expect("dir entry").path().join("src"));
-    }
     let arm: Counts = |_, after| after.trim_start().starts_with("=>");
     // A field read: not a method of that name, not an assignment to it.
     let read: Counts = |_, after| {
@@ -339,7 +350,7 @@ fn each_pricing_decision_is_made_in_one_library_function() {
     };
     let call: Counts = |before, _| !before.trim_end().ends_with("fn");
     let repeated = made_in_more_than_one_place(
-        &library_code(root, &dirs),
+        &product_code(root),
         &[
             ("BindPolicy::Spread", arm),
             ("BindPolicy::Compact", arm),
@@ -498,12 +509,8 @@ fn the_service_asks_the_host_its_parallelism_only_where_it_starts() {
 #[test]
 fn one_closed_form_ranking_implements_the_scan_visitor() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut dirs = vec![root.join("src")];
-    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
-        dirs.push(entry.expect("dir entry").path().join("src"));
-    }
     let mut places = BTreeSet::new();
-    for (path, code) in library_code(root, &dirs) {
+    for (path, code) in product_code(root) {
         for (at, _) in code.match_indices("ScanVisitor for ") {
             let line = code[..at].rsplit('\n').next().expect("rsplit");
             if line.trim_start().starts_with("impl") {
@@ -596,4 +603,20 @@ fn the_staging_area_has_one_medium() {
     ];
     let named = named_in_the_tree(Path::new(env!("CARGO_MANIFEST_DIR")), &gone);
     assert!(named.is_empty(), "the staging store layer is named again:\n  {}", named.join("\n  "));
+}
+
+#[test]
+fn one_fault_grammar() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // Spelled in pieces, so this file does not name it either.
+    let named = named_in_the_tree(root, &[concat!("Svc", "FaultPlan")]);
+    assert!(named.is_empty(), "a second fault-plan type is named:\n  {}", named.join("\n  "));
+
+    let mixer = concat!("fn ", "splitmix64(");
+    let defined: Vec<String> = product_code(root)
+        .into_iter()
+        .filter(|(_, code)| code.contains(mixer))
+        .map(|(path, _)| path.display().to_string())
+        .collect();
+    assert_eq!(defined, ["crates/dtl/src/fault.rs"], "`splitmix64` defined other than once");
 }
