@@ -23,6 +23,7 @@ use scheduler::{
     PlacementDecision,
 };
 
+use crate::fair::Tagged;
 use crate::journal::ReplayedReservation;
 use crate::protocol::Workloads;
 
@@ -47,12 +48,11 @@ impl CoschedSvcConfig {
     }
 }
 
-/// What the wait queue reads of a job it holds.
-pub(crate) trait Waiter {
+/// What the wait queue reads of a job it holds; its reservation is
+/// journaled under its tenant tag.
+pub(crate) trait Waiter: Tagged {
     fn deadline_at(&self) -> Option<Instant>;
     fn is_cancelled(&self) -> bool;
-    /// The tenant its reservation is journaled under.
-    fn tenant(&self) -> Option<&String>;
 }
 
 /// A job the scheduler started: it holds a reservation and is owed a
@@ -247,7 +247,7 @@ impl<J: Waiter> Cosched<J> {
             assignment: r.assignment.clone(),
             predicted_end: r.predicted_end,
             seq: r.seq,
-            tenant: job.tenant().cloned(),
+            tenant: job.tag().map(str::to_string),
         };
         let residual = residency.residual().into_iter().map(u64::from).collect();
         Start { job, placed: Placed { decision, waited, residual }, reserve }

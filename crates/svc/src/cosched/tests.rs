@@ -59,9 +59,11 @@ impl Waiter for TestJob {
     fn is_cancelled(&self) -> bool {
         self.cancelled.get()
     }
+}
 
-    fn tenant(&self) -> Option<&String> {
-        self.tenant.as_ref()
+impl Tagged for TestJob {
+    fn tag(&self) -> Option<&str> {
+        self.tenant.as_deref()
     }
 }
 

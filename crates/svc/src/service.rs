@@ -16,11 +16,12 @@
 //!
 //! Every step of that life — answered at the door, admitted, started by
 //! a worker, settled with its final frame — is counted by one function,
-//! `count`, which moves the global counters and the request's tenant row
-//! together.
+//! `fair::count`, which moves the global counters and the
+//! request's tenant row together. The tenant rows live in the admission
+//! state with the queue's lanes, under the queue's one lock.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -33,7 +34,7 @@ use scheduler::{
 
 use crate::cache::ScoreCache;
 use crate::cosched::{Admitted, Cosched, CoschedSvcConfig, Placed, Start, Waiter};
-use crate::fair::{FairQueue, PushError, TenantPolicy};
+use crate::fair::{Entry, FairQueue, Refusal, Stage, Step, Tagged, TenantPolicy};
 use crate::image::{FinishedRun, Image, Window};
 use crate::journal::{Journal, JournalConfig, ReplayedReservation};
 use crate::protocol::{
@@ -41,7 +42,7 @@ use crate::protocol::{
     Ranking, Request, RequestBody, Response, RunRequest, ScoreRequest, SubmitRequest, Workloads,
 };
 use crate::server::{route, Mount, Routed};
-use crate::stats::{LatencyHistogram, MetricsSnapshot, SvcStats, COLD_START_SERVICE_TIME};
+use crate::stats::{MetricsSnapshot, SvcStats, COLD_START_SERVICE_TIME};
 
 /// Tuning of the service.
 #[derive(Debug, Clone)]
@@ -74,7 +75,7 @@ pub struct SvcConfig {
     pub cosched: Option<CoschedSvcConfig>,
     /// Per-tenant admission quotas and fair-dequeue weights. Inactive
     /// (the default) leaves admission and pop order byte-identical to
-    /// an untenanted service; the tenant-table cap applies regardless.
+    /// an untenanted service; the tenant-row cap applies regardless.
     pub tenant_policy: TenantPolicy,
 }
 
@@ -253,68 +254,19 @@ impl Waiter for Job {
     fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
     }
-
-    fn tenant(&self) -> Option<&String> {
-        self.request.tenant.as_ref()
-    }
 }
 
-/// Live per-tenant accounting: the monotone counters and gauges behind
-/// a tenant's `tenant_<tag>_*` metrics rows, plus the queue-wait
-/// histogram. The terminal buckets are mutually exclusive, so
-/// `admitted = executed + expired + cancelled + in_queue + in_flight`
-/// holds at every quiescent point.
-#[derive(Default)]
-struct TenantState {
-    admitted: u64,
-    executed: u64,
-    shed: u64,
-    expired: u64,
-    cancelled: u64,
-    /// Requests admitted but not yet picked up by a worker (worker
-    /// queue or co-scheduler wait queue alike).
-    in_queue: u64,
-    /// Requests currently on a worker — or, for journal-restored
-    /// orphan reservations, holding capacity with no worker.
-    in_flight: u64,
-    /// Submit→worker-pickup wait distribution.
-    queue_wait: LatencyHistogram,
-}
-
-/// The bounded tenant table. Rows are created on first sight up to
-/// `max_tracked`; past the cap, unseen tags fold into the shared
-/// [`TenantPolicy::OVERFLOW_TENANT`] row (so a client cycling random
-/// tags bounds both service memory and the metrics response). Folding
-/// is deterministic over time because rows are never evicted.
-struct TenantTable {
-    rows: BTreeMap<String, TenantState>,
-    max_tracked: usize,
-}
-
-impl TenantTable {
-    fn new(max_tracked: usize) -> TenantTable {
-        TenantTable { rows: BTreeMap::new(), max_tracked: max_tracked.max(1) }
-    }
-
-    /// The row name `tenant` is tracked under: itself while the table
-    /// has room (or the tenant is already tracked), the overflow row
-    /// otherwise. Policy-named tenants are pre-seeded at start, so they
-    /// always resolve to themselves.
-    fn resolve_name(&self, tenant: &str) -> String {
-        if self.rows.contains_key(tenant) || self.rows.len() < self.max_tracked {
-            tenant.to_string()
-        } else {
-            TenantPolicy::OVERFLOW_TENANT.to_string()
-        }
-    }
-
-    fn row(&mut self, tenant: &str) -> &mut TenantState {
-        let key = self.resolve_name(tenant);
-        self.rows.entry(key).or_default()
+impl Tagged for Job {
+    fn tag(&self) -> Option<&str> {
+        self.request.tenant.as_deref()
     }
 }
 
 struct Shared {
+    /// The admission state: the worker queue's lanes, the tenant rows and
+    /// the tenant policy, under one lock. Lock order: cosched → queue,
+    /// never the reverse, and no lock but the co-scheduler's is held
+    /// through a placement scan.
     queue: FairQueue<Job>,
     stats: SvcStats,
     cache: ScoreCache<Ranking>,
@@ -347,13 +299,6 @@ struct Shared {
     /// request's own `workers` can ask for.
     host_threads: usize,
     cosched: Option<Mutex<Cosched<Job>>>,
-    /// Per-tenant accounting for requests that carry a tenant tag.
-    /// Lock order: cosched → tenants → queue, never the reverse (the
-    /// worker pop releases the queue lock before touching tenants).
-    tenants: Mutex<TenantTable>,
-    /// Quotas and weights; inactive means single-lane FIFO dequeue and
-    /// no admission quota — byte-identical to the pre-quota service.
-    tenant_policy: TenantPolicy,
     /// Cold-start seed of the retry-after hint (the default deadline
     /// budget when configured).
     hint_fallback: Duration,
@@ -406,14 +351,7 @@ impl Service {
         for (&job, run) in image.runs.iter() {
             runs.put(job, run.clone());
         }
-        // Pre-seed a row per policy-named tenant: their rows (and
-        // quota/weight columns) are visible from the first snapshot,
-        // and they can never fold into the overflow row however many
-        // anonymous tags arrive first.
-        let mut tenant_table = TenantTable::new(config.tenant_policy.max_tracked);
-        for name in config.tenant_policy.quotas.keys().chain(config.tenant_policy.weights.keys()) {
-            tenant_table.rows.entry(name.clone()).or_default();
-        }
+        let queue = FairQueue::with_policy(config.queue_capacity, config.tenant_policy.clone());
         let cosched = config.cosched.clone().map(|cc| {
             let mut state = Cosched::new(&cc, cosched_base(cc.workloads));
             // Rebuild the residency map from the journaled reservations
@@ -428,13 +366,13 @@ impl Service {
                 if let Err(e) = state.restore(r, tenant.clone()) {
                     eprintln!("svc cosched: dropped journaled reservation for job {}: {e}", r.job);
                 } else if let Some(tenant) = tenant {
-                    count(&stats, Some((&mut tenant_table, &tenant)), Step::Restore);
+                    queue.book(&stats, Some(&tenant), Step::Restore);
                 }
             }
             Mutex::new(state)
         });
         let shared = Arc::new(Shared {
-            queue: FairQueue::new(config.queue_capacity, config.tenant_policy.weights.clone()),
+            queue,
             stats,
             cache,
             platform_fingerprints: [Workloads::Paper, Workloads::Small].map(platform_fingerprint),
@@ -455,8 +393,6 @@ impl Service {
             },
             host_threads,
             cosched,
-            tenants: Mutex::new(tenant_table),
-            tenant_policy: config.tenant_policy.clone(),
             hint_fallback: config.default_deadline.unwrap_or(COLD_START_SERVICE_TIME),
         });
         let mut handles = Vec::with_capacity(config.workers);
@@ -572,7 +508,8 @@ impl Service {
             scan_workers: 0,
             candidates_scanned: 0,
         };
-        count(&shared.stats, None, Step::Door { reply: &reply, latency: Some(latency) });
+        let step = Step::Door { reply: &reply, latency: Some(latency) };
+        shared.queue.book(&shared.stats, None, step);
         Some(reply)
     }
 
@@ -584,11 +521,11 @@ impl Service {
         finish_cosched(&self.shared, job)
     }
 
-    /// Suggested back-off for a shed request: the time one queue's worth
-    /// of work takes the pool at the observed mean service time, seeded
-    /// before the first completion so a cold-start overload still gets a
-    /// hint proportional to backlog (a zero-mean estimate told every shed
-    /// client "retry in 1 ms", inviting a thundering herd).
+    /// Suggested back-off for a request shed now, behind the worker
+    /// queue's backlog. Seeded before the first completion so a
+    /// cold-start overload still gets a hint proportional to backlog (a
+    /// zero-mean estimate told every shed client "retry in 1 ms",
+    /// inviting a thundering herd).
     pub fn retry_after_hint_ms(&self) -> u64 {
         hint_ms(&self.shared, self.shared.queue.len() as u64)
     }
@@ -729,14 +666,12 @@ impl Service {
         // one way). Untagged requests appear only in the global rows.
         // The terminal buckets are exclusive: `admitted = executed +
         // expired + cancelled + queued + in_flight` at every quiescent
-        // point. Locked per tenant (rows are never removed), so a tagged
+        // point. Locked per tenant (rows are never removed), so an
         // admission waits for at most one tenant's eleven pushes.
-        let policy = &shared.tenant_policy;
-        let tenants = || shared.tenants.lock().expect("tenants lock");
-        let tags: Vec<String> = tenants().rows.keys().cloned().collect();
+        let tags: Vec<String> = shared.queue.lock().rows.keys().cloned().collect();
         for tag in &tags {
-            let table = tenants();
-            let t = &table.rows[tag];
+            let state = shared.queue.lock();
+            let (t, policy) = (&state.rows[tag], &state.policy);
             // Requests accepted into a queue.
             m.push(format!("tenant_{tag}_admitted"), t.admitted);
             // Admitted requests that genuinely executed.
@@ -811,13 +746,13 @@ impl Drop for Service {
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        let tenant = job.request.tenant.as_deref();
-        record(shared, tenant, Step::Start { waited: job.submitted.elapsed() });
+        let waited = job.submitted.elapsed();
+        shared.queue.book(&shared.stats, job.tag(), Step::Start { waited });
         let started = Instant::now();
         let (response, executed) = execute(shared, &job);
         let busy = executed.then(|| started.elapsed());
         let from = Stage::Worker { busy, latency: job.submitted.elapsed() };
-        record(shared, tenant, Step::Settle { reply: &response, from });
+        shared.queue.book(&shared.stats, job.tag(), Step::Settle { reply: &response, from });
         // Completed runs become attachable by their job id (the request
         // id), and durable when a journal is attached.
         if let Some(run) = FinishedRun::of(&response) {
@@ -842,162 +777,10 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// A step in a request's life, as [`count`] books it.
-enum Step<'a> {
-    /// Answered at the door with this reply; never admitted. A refusal
-    /// carries no latency; a score answered from the cache carries its
-    /// door-to-answer time, which the latency histogram records.
-    Door { reply: &'a Response, latency: Option<Duration> },
-    /// Accepted into the worker queue or the co-scheduler's wait queue.
-    Admit,
-    /// A reservation restored from the journal: its request belongs to
-    /// a previous process, but it holds its tenant's quota, with no
-    /// worker, until the operator releases it.
-    Restore,
-    /// Popped by a worker after waiting this long.
-    Start { waited: Duration },
-    /// Answered with its final frame.
-    Settle { reply: &'a Response, from: Stage },
-    /// A restored reservation released.
-    Retire,
-}
-
-/// Where an admitted job was when its final frame was decided.
-enum Stage {
-    /// In the worker queue or the co-scheduler's wait queue: reaped,
-    /// rolled back at dispatch, or refused at shutdown.
-    Queued,
-    /// On a worker. `busy` is the time its body ran, `None` when it was
-    /// drained already expired or cancelled; `latency` is
-    /// submit-to-answer.
-    Worker { busy: Option<Duration>, latency: Duration },
-}
-
-/// The one ledger of a request's life: every counter a request moves is
-/// moved here, the global ones and its tenant's row (`None` for
-/// untagged traffic) together.
-///
-/// A final reply lands in the global bucket its kind names: `completed`
-/// for a result, `rejected` for `overloaded`, `cancelled`,
-/// `deadline_expired`, and `errored` for any other error (`invalid`,
-/// `shutting_down`, ...). A tenant row counts an overload refusal as a
-/// shed and no other answer at the door (a cached score included), and
-/// settles an admitted job as `executed` when its body ran, else
-/// `expired` when its deadline ended it, else `cancelled`. So, at every
-/// quiescent point,
-///
-/// `submitted = completed + errored + rejected + cancelled +
-/// deadline_expired + queue_depth + cosched_queue_depth + in_flight`
-///
-/// and, per tenant, `admitted = executed + expired + cancelled +
-/// in_queue + in_flight`.
-fn count(stats: &SvcStats, tenant: Option<(&mut TenantTable, &str)>, step: Step<'_>) {
-    match &step {
-        Step::Door { latency, .. } => {
-            stats.submitted.fetch_add(1, Ordering::Relaxed);
-            if let Some(latency) = latency {
-                stats.latency.record(*latency);
-            }
-        }
-        Step::Admit => {
-            stats.submitted.fetch_add(1, Ordering::Relaxed);
-            stats.accepted.fetch_add(1, Ordering::Relaxed);
-        }
-        Step::Start { .. } => {
-            stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        }
-        Step::Settle { from: Stage::Worker { busy, latency }, .. } => {
-            stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            // Only jobs whose body actually ran feed the service-time
-            // mean. Jobs drained from the queue already expired or
-            // cancelled finish in microseconds; folding them in deflated
-            // the mean and made the retry hint tell shed clients to
-            // hammer an overloaded pool.
-            if let Some(busy) = busy {
-                stats.executed.fetch_add(1, Ordering::Relaxed);
-                stats.busy_nanos.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-            }
-            stats.latency.record(*latency);
-        }
-        Step::Settle { from: Stage::Queued, .. } | Step::Restore | Step::Retire => {}
-    }
-    if let Step::Door { reply, .. } | Step::Settle { reply, .. } = &step {
-        match reply {
-            Response::Overloaded { .. } => stats.rejected.fetch_add(1, Ordering::Relaxed),
-            Response::Error { kind: ErrorKind::Cancelled, .. } => {
-                stats.cancelled.fetch_add(1, Ordering::Relaxed)
-            }
-            Response::Error { kind: ErrorKind::Deadline, .. } => {
-                stats.deadline_expired.fetch_add(1, Ordering::Relaxed)
-            }
-            Response::Error { .. } => stats.errored.fetch_add(1, Ordering::Relaxed),
-            _ => stats.completed.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-    let Some((table, tenant)) = tenant else { return };
-    // `shed` counts only the overload refusals of jobs that never got
-    // in; any other answer at the door leaves the row (and the table)
-    // untouched.
-    if let Step::Door { reply, .. } = &step {
-        if !matches!(reply, Response::Overloaded { .. }) {
-            return;
-        }
-    }
-    let row = table.row(tenant);
-    match step {
-        Step::Door { .. } => row.shed += 1,
-        Step::Admit => {
-            row.admitted += 1;
-            row.in_queue += 1;
-        }
-        Step::Restore => {
-            row.admitted += 1;
-            row.in_flight += 1;
-        }
-        Step::Start { waited } => {
-            row.in_queue = row.in_queue.saturating_sub(1);
-            row.in_flight += 1;
-            row.queue_wait.record(waited);
-        }
-        Step::Settle { reply, from } => {
-            let ran = match from {
-                Stage::Queued => {
-                    row.in_queue = row.in_queue.saturating_sub(1);
-                    false
-                }
-                Stage::Worker { busy, .. } => {
-                    row.in_flight = row.in_flight.saturating_sub(1);
-                    busy.is_some()
-                }
-            };
-            if ran {
-                row.executed += 1;
-            } else if matches!(reply, Response::Error { kind: ErrorKind::Deadline, .. }) {
-                row.expired += 1;
-            } else {
-                row.cancelled += 1;
-            }
-        }
-        // The job's real fate was decided by the previous process; this
-        // one never ran it.
-        Step::Retire => {
-            row.in_flight = row.in_flight.saturating_sub(1);
-            row.cancelled += 1;
-        }
-    }
-}
-
-/// [`count`]s `step` for a request of `tenant`, locking the tenant table
-/// only when there is a row to move: untagged requests take no lock.
-fn record(shared: &Shared, tenant: Option<&str>, step: Step<'_>) {
-    let mut table = tenant.map(|_| shared.tenants.lock().expect("tenants lock"));
-    count(&shared.stats, table.as_deref_mut().zip(tenant), step);
-}
-
 /// Answers a job that was admitted but never reached a worker.
 fn answer_queued(shared: &Shared, job: Job, reply: Response) {
     let from = Stage::Queued;
-    record(shared, job.request.tenant.as_deref(), Step::Settle { reply: &reply, from });
+    shared.queue.book(&shared.stats, job.tag(), Step::Settle { reply: &reply, from });
     let _ = job.reply.send(Frame::Final(reply));
 }
 
@@ -1016,22 +799,14 @@ fn hint_ms(shared: &Shared, backlog: u64) -> u64 {
 }
 
 /// The one admission gate: `Ok` when the request is admitted — into the
-/// worker queue, or, for a co-scheduled `submit`, into the worker queue
-/// holding its placement or into the co-scheduler's wait queue — and
-/// `Err` with the reply that answers it at the door otherwise. Either
-/// way it is counted before this returns.
-///
-/// A tagged request holds the tenants lock through the whole decision
-/// (lock order: cosched → tenants → queue), so the quota check and the
-/// occupancy increment are one atomic step even against racing traffic
-/// of the same tenant. An untagged request takes no tenants lock: a
-/// `submit` holds it through its whole placement scan, and the untagged
-/// requests of other connections must not queue up behind it.
+/// worker queue ([`FairQueue::admit`]), or, for a co-scheduled `submit`,
+/// by [`place`] — and `Err` with the reply that answers it at the door
+/// otherwise. Either way it is counted before this returns.
 fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
     let id = job.request.id;
     // Wire requests were validated at decode; in-process callers get the
     // same rule here, so an unparseable tag can never reach the tenant
-    // table (or mint an unbounded metrics row).
+    // rows (or mint an unbounded metrics row).
     let tag = job.request.tenant.as_deref().map(validate_tenant);
     let unfit = match (tag, &job.request.body, &shared.cosched) {
         (Some(Err(message)), ..) => Some(message),
@@ -1042,58 +817,20 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
     };
     if let Some(message) = unfit {
         let reply = Response::Error { id, kind: ErrorKind::Invalid, message };
-        count(&shared.stats, None, Step::Door { reply: &reply, latency: None });
+        shared.queue.book(&shared.stats, None, Step::Door { reply: &reply, latency: None });
         return Err(reply);
     }
-    let mut cosched = match (&shared.cosched, &job.request.body) {
-        (Some(cosched), RequestBody::Submit(_)) => {
-            let mut state = cosched.lock().expect("cosched lock");
-            // Expired/cancelled waiters are reaped before every admission
-            // decision so dead jobs never hold queue slots ahead of live
-            // ones.
-            let now = Instant::now();
-            reap(shared, &mut state, now);
-            Some((state, now))
-        }
-        _ => None,
-    };
-    let mut tagged = job.request.tenant.as_deref().map(|tenant| {
-        let table = shared.tenants.lock().expect("tenants lock");
-        let name = table.resolve_name(tenant);
-        (table, name)
-    });
-    // Lanes, and quotas, exist only under an active policy: with none,
-    // every push lands in the single implicit lane, which makes the fair
-    // queue the exact FIFO the untenanted service always had.
-    let lane =
-        tagged.as_ref().filter(|_| shared.tenant_policy.is_active()).map(|(_, name)| name.clone());
-    let quota = lane.as_deref().and_then(|name| shared.tenant_policy.quota_for(name));
-    // A quota shed happens before the queue or the scheduler sees the
-    // job: no virtual time advances, and the global queue may still have
-    // room for other tenants. The hint is sized to this tenant's backlog.
-    let over_quota = match (&mut tagged, quota) {
-        (Some((table, name)), Some(quota)) => {
-            let row = table.row(name);
-            let occupancy = row.in_queue + row.in_flight;
-            (occupancy >= quota).then(|| hint_ms(shared, occupancy))
-        }
-        _ => None,
-    };
     // Only *admitted* requests are journaled; copied up front because
     // the queue owns the job once pushed.
     let admit_copy = shared.journal.as_ref().map(|_| job.request.clone());
-    let decided = match (over_quota, &mut cosched) {
-        (Some(retry_after_ms), _) => Err(Response::Overloaded { id, retry_after_ms }),
-        (None, None) => enqueue(shared, lane.as_deref(), job).map(|()| None).map_err(|r| r.1),
-        (None, Some((state, now))) => place(shared, state, *now, lane.as_deref(), job),
+    let reserve = match (&shared.cosched, &job.request.body) {
+        (Some(cosched), RequestBody::Submit(_)) => place(shared, cosched, job)?,
+        _ => {
+            let refuse = |refusal| refused(shared, id, refusal);
+            shared.queue.admit(&shared.stats, job, Entry::Fresh, refuse).map_err(|r| r.1)?;
+            None
+        }
     };
-    let step = match &decided {
-        Ok(_) => Step::Admit,
-        Err(reply) => Step::Door { reply, latency: None },
-    };
-    count(&shared.stats, tagged.as_mut().map(|(table, name)| (&mut **table, name.as_str())), step);
-    drop(tagged);
-    let reserve = decided?;
     if let (Some(journal), Some(request)) = (&shared.journal, &admit_copy) {
         journal.append_admit(request);
         if let Some(reserve) = &reserve {
@@ -1103,48 +840,53 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Response> {
     Ok(())
 }
 
-/// Pushes `job` into the worker queue on `lane`, or hands it back with
-/// the reply that answers it instead: `overloaded` when the queue is
-/// full, `shutting_down` once it is closed.
-fn enqueue(shared: &Shared, lane: Option<&str>, job: Job) -> Result<(), Box<(Job, Response)>> {
-    let id = job.request.id;
-    match shared.queue.try_push(lane, job) {
-        Ok(()) => Ok(()),
-        Err(PushError::Full(job)) => {
-            let retry_after_ms = hint_ms(shared, shared.queue.len() as u64);
-            Err(Box::new((job, Response::Overloaded { id, retry_after_ms })))
+/// The reply to a request the admission state refused: `overloaded`
+/// with a hint sized to the backlog ahead of it, or `shutting_down`.
+fn refused(shared: &Shared, id: u64, refusal: Refusal) -> Response {
+    match refusal {
+        Refusal::Overloaded(backlog) => {
+            Response::Overloaded { id, retry_after_ms: hint_ms(shared, backlog) }
         }
-        Err(PushError::Closed(job)) => Err(Box::new((job, Rejected::ShuttingDown.to_response(id)))),
+        Refusal::Closed => Rejected::ShuttingDown.to_response(id),
     }
 }
 
-/// Admission of a `submit`: the co-scheduler starts it, queues it when
-/// nothing fits, or refuses it. `Ok` carries the reservation record of
-/// a start, to journal after the admit record.
+/// Admission of a `submit`: once dead waiters are reaped (so they hold no
+/// queue slot or quota ahead of live ones) and its tenant's quota slot
+/// is held ([`FairQueue::hold`]), the co-scheduler starts it, queues it
+/// when nothing fits, or refuses it, holding only its own lock through
+/// the scan. `Ok` carries the reservation record of a start, to journal
+/// after the admit record.
 fn place(
     shared: &Shared,
-    state: &mut Cosched<Job>,
-    now: Instant,
-    lane: Option<&str>,
+    cosched: &Mutex<Cosched<Job>>,
     job: Job,
 ) -> Result<Option<ReplayedReservation>, Response> {
     let id = job.request.id;
     let RequestBody::Submit(submit) = &job.request.body else { unreachable!("routed on body") };
-    let (kind, message) = match state.admit(id, submit.shape.clone(), job, now) {
+    let shape = submit.shape.clone();
+    let tenant = job.request.tenant.clone();
+    let mut state = cosched.lock().expect("cosched lock");
+    let now = Instant::now();
+    reap(shared, &mut state, now);
+    shared.queue.hold(&shared.stats, tenant.as_deref(), |refusal| refused(shared, id, refusal))?;
+    let (kind, message) = match state.admit(id, shape, job, now) {
         Ok(Admitted::Start(start)) => {
-            return launch(shared, lane, *start).map(Some).map_err(|refused| {
+            return launch(shared, Entry::Held, *start).map(Some).map_err(|refused| {
                 state.withdraw(id);
                 refused.1
             })
         }
         Ok(Admitted::Queued(depth)) => {
+            shared.queue.decided(&shared.stats, tenant.as_deref(), None);
             let job = state.waiter(id).expect("just queued");
             submit_progress(shared, job, Some(depth as u64), None);
             return Ok(None);
         }
         Ok(Admitted::Shed) => {
-            let retry_after_ms = hint_ms(shared, shared.queue.len() as u64);
-            return Err(Response::Overloaded { id, retry_after_ms });
+            let reply = refused(shared, id, Refusal::Overloaded(shared.queue.len() as u64));
+            shared.queue.decided(&shared.stats, tenant.as_deref(), Some(&reply));
+            return Err(reply);
         }
         Ok(Admitted::Infeasible) => (
             ErrorKind::Invalid,
@@ -1155,17 +897,19 @@ fn place(
         }
         Err(e) => (ErrorKind::Internal, format!("placement scoring failed: {e}")),
     };
-    Err(Response::Error { id, kind, message })
+    let reply = Response::Error { id, kind, message };
+    shared.queue.decided(&shared.stats, tenant.as_deref(), Some(&reply));
+    Err(reply)
 }
 
 /// The one start path of a co-scheduled submit, at admission and out of
 /// the wait queue alike: a job that waited hears its placement, and the
-/// job goes to a worker on `lane` carrying its decision, its wait and the
-/// residual its reservation left. `Ok` is the reservation record to
-/// journal; on a refused push the caller withdraws the reservation.
+/// job goes to a worker carrying its decision, its wait and the residual
+/// its reservation left. `Ok` is the reservation record to journal; on a
+/// refused push the caller withdraws the reservation.
 fn launch(
     shared: &Shared,
-    lane: Option<&str>,
+    entry: Entry,
     start: Start<Job>,
 ) -> Result<ReplayedReservation, Box<(Job, Response)>> {
     let Start { mut job, placed, reserve } = start;
@@ -1173,7 +917,9 @@ fn launch(
         submit_progress(shared, &job, None, Some(placed.decision.assignment.clone()));
     }
     job.cosched = Some(placed);
-    enqueue(shared, lane, job)?;
+    let id = job.request.id;
+    let refuse = |refusal| refused(shared, id, refusal);
+    shared.queue.admit(&shared.stats, job, entry, refuse)?;
     Ok(reserve)
 }
 
@@ -1231,24 +977,18 @@ fn finish_cosched(shared: &Shared, job_id: u64) -> bool {
     // live caller) occupied its tenant's quota since restart; releasing
     // it retires that occupancy.
     if let Some(tenant) = released.retired {
-        record(shared, Some(&tenant), Step::Retire);
+        shared.queue.book(&shared.stats, Some(&tenant), Step::Retire);
     }
     if let Some(journal) = &shared.journal {
         journal.append_release(job_id);
     }
     let mut starts = VecDeque::from(released.starts);
     while let Some(start) = starts.pop_front() {
-        // A started job keeps its lane: it was admitted when it entered
-        // the wait queue, so its dequeue competes fairly against direct
-        // traffic of the same tenant.
-        let lane = match &start.job.request.tenant {
-            Some(t) if shared.tenant_policy.is_active() => {
-                Some(shared.tenants.lock().expect("tenants lock").resolve_name(t))
-            }
-            _ => None,
-        };
+        // A started job keeps its tenant's lane: it was admitted when it
+        // entered the wait queue, so its dequeue competes fairly against
+        // direct traffic of the same tenant.
         let id = start.reserve.job;
-        match launch(shared, lane.as_deref(), start) {
+        match launch(shared, Entry::Waited, start) {
             Ok(reserve) => {
                 if let Some(journal) = &shared.journal {
                     journal.append_reserve(&reserve);

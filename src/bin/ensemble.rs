@@ -726,6 +726,22 @@ fn cmd_serve_standby(args: &[String]) -> i32 {
             }
         }
     }
+    // The flags a promoted standby serves with are checked now, not when
+    // the primary dies: a spec it cannot serve with must not leave the
+    // platform without a server then. It serves the journal it follows.
+    let mut svc_args = args.to_vec();
+    if let (StandbySource::File(path), None) =
+        (&standby_config.source, flag_value(args, "--journal"))
+    {
+        svc_args.extend(["--journal".to_string(), path.display().to_string()]);
+    }
+    let mut config = match parse_svc_config(&svc_args) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("serve: {e}");
+            return 2;
+        }
+    };
     let auto_promote = has_flag(args, "--auto-promote");
     let standby = match Standby::start(standby_config) {
         Ok(s) => s,
@@ -780,13 +796,6 @@ fn cmd_serve_standby(args: &[String]) -> i32 {
     // full server on the same address over the followed journal with
     // the fencing epoch bumped.
     let journal_path = standby.stop();
-    let mut config = match parse_svc_config(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return 2;
-        }
-    };
     let mut journal =
         config.journal.take().unwrap_or_else(|| JournalConfig::new(journal_path.clone()));
     journal.path = journal_path;

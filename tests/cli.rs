@@ -280,6 +280,22 @@ fn a_fault_flag_refuses_by_name_a_clause_its_command_does_not_apply_or_parse() {
 }
 
 #[test]
+fn a_standby_refuses_at_start_a_fault_spec_it_could_not_serve_with_once_promoted() {
+    use std::process::Stdio;
+
+    let followed =
+        std::env::temp_dir().join(format!("ens-cli-standby-{}.jsonl", std::process::id()));
+    let followed = followed.to_str().unwrap();
+    let args = ["serve", "--follow", followed, "--addr", "127.0.0.1:0", "--svc-fault", "kill=1@2"];
+    let out = ensemble().args(args).stdin(Stdio::null()).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "`ensemble {}`: {stderr}", args.join(" "));
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("'kill'"), "{stderr}");
+    assert!(!std::path::Path::new(followed).exists(), "the standby opened the followed journal");
+}
+
+#[test]
 fn threaded_fault_plan_with_a_transient_store_fault_still_completes() {
     let args = "run C1.5 --threaded --steps 2 --fault-plan seed=1;fail=store:first=1";
     let out = run_ok(&args.split(' ').chain(["--retry-attempts", "3"]).collect::<Vec<_>>());

@@ -450,9 +450,13 @@ fn each_request_kind_is_routed_in_one_library_function() {
 #[test]
 fn the_record_fold_and_its_window_name_no_io() {
     // Sans-IO code is handed its records, or the time, instead of
-    // fetching them; the record fold holds no time at all.
-    let sans_io: [(&str, &[&str]); 2] =
-        [("crates/svc/src/image.rs", &["Instant"]), ("crates/svc/src/cosched.rs", &[])];
+    // fetching them; the record fold and the admission state hold no
+    // time at all (the admission state is handed queue-wait durations).
+    let sans_io: [(&str, &[&str]); 3] = [
+        ("crates/svc/src/image.rs", &["Instant"]),
+        ("crates/svc/src/cosched.rs", &[]),
+        ("crates/svc/src/fair.rs", &["Instant"]),
+    ];
     let io =
         ["std::fs", "std::net", "std::thread", "SystemTime", "Instant::now", "elapsed(", "sleep("];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));

@@ -15,11 +15,15 @@
 //!
 //! And how many records a journaled service appends per request, read
 //! from its own `journal_appended` row.
+//!
+//! And how many events the DES fires for a summarized run of two of the
+//! paper's configurations (`SimSummary::events`), the run path e2e
+//! `run_des` times.
 
 use std::sync::Arc;
 
 use insitu_ensembles::model::ConfigId;
-use insitu_ensembles::runtime::{SimRunConfig, WorkloadMap};
+use insitu_ensembles::runtime::{run_summarized, SimRunConfig, WorkloadMap};
 use insitu_ensembles::scheduling::scan::ScanOutcome;
 use insitu_ensembles::scheduling::{
     EnsembleShape, NodeBudget, RankedPlacement, Ranker, ScanOptions, SolveCache, WalkCache,
@@ -171,4 +175,15 @@ fn a_journaled_service_appends_two_records_per_worker_answer_and_none_per_hit() 
     }
     svc.shutdown();
     cleanup();
+}
+
+#[test]
+fn a_summarized_run_fires_the_events_it_fired_before() {
+    for (id, events) in [(ConfigId::C1_5, 84), (ConfigId::C2_8, 106)] {
+        let mut cfg = SimRunConfig::paper(id.build());
+        cfg.n_steps = 8;
+        cfg.jitter = 0.0;
+        let summary = run_summarized(&cfg, &mut |_, _| {}).expect("a paper configuration runs");
+        assert_eq!(summary.events, events, "{}", id.label());
+    }
 }
